@@ -12,6 +12,10 @@ with root-face degree l', sampled exactly from enumeration tables for
 small l', or through the universal limit V ~ xi * B * l'^2 with xi an
 inverse-Gamma(3/2, 1/2) variable, or deterministically as the rounded
 mean.  Face-exploration steps leave the volume unchanged.
+
+One lockstep engine runs both ``simulate`` (one chain, every step) and
+``simulate_ensemble`` (many chains, checkpoints): stacked inverse-CDF rows of
+h(o, l+k) nu(k) below a perimeter cutoff, nu proposals under an h envelope above.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from .walk import StepLaw, disk_coefficient, expected_volume
 
 VOLUME_MODES = ("exact_small", "asymptotic_xi", "expectation")
 DEFAULT_L_EXACT = 6
-ALIAS_CACHE_SIZE = 4096
+L_SMALL = 1024
+ROW_CHUNK = 64
 
 
 def _rng(seed, chain_index=0):
@@ -37,36 +42,61 @@ def _rng(seed, chain_index=0):
     )
 
 
-class AliasTable:
-    """Vose alias table: O(n) build, O(1) draws, vectorized or scalar."""
+class DiscreteSampler:
+    """Inverse-CDF sampler of a finite distribution: cumsum + searchsorted."""
 
     def __init__(self, values, probs):
         p = np.asarray(probs, dtype=np.float64)
-        total = p.sum()
-        if total <= 0:
-            raise ValueError("alias table needs positive mass")
-        p = p / total
-        n = len(p)
-        self.values = np.asarray(values)
-        self.keep = np.ones(n)
-        self.alias = np.arange(n)
-        scaled = p * n
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            self.keep[s] = scaled[s]
-            self.alias[s] = g
-            scaled[g] -= 1.0 - scaled[s]
-            (small if scaled[g] < 1.0 else large).append(g)
-        self.n = n
+        if not p.sum() > 0:
+            raise ValueError("sampler needs positive mass")
+        keep = p > 0
+        self.values = np.asarray(values)[keep]
+        self.cdf = np.cumsum(p[keep] / p.sum())
+        self.cdf[-1] = 1.0
 
     def draw(self, rng, size=None):
-        idx = rng.integers(0, self.n, size=size)
-        take_alias = rng.random(size) >= self.keep[idx]
-        idx = np.where(take_alias, self.alias[idx], idx)
-        return self.values[idx]
+        return self.values[self.cdf.searchsorted(rng.random(size), side="right")]
+
+
+class _StackedCdf:
+    """Rows of inverse CDFs over value tables, in one flat nondecreasing array.
+
+    Row i holds its normalized cumulative weights plus i, so a uniform u
+    for a chain in row i is located by one ``searchsorted`` of i + u over
+    every row at once.  u stays below 1 - 2^-40, which keeps i + u inside
+    row i for i < 2^12.  Rows are appended, a block at a time.
+    """
+
+    U_MAX = 1.0 - 2.0**-40
+
+    def __init__(self, n_rows, width):
+        self.width = width
+        self.n = 0
+        self._cum = np.empty((n_rows, width))
+        self._vals = np.empty((n_rows, width), dtype=np.int64)
+        self._flat = self._cum.reshape(-1)[:0]
+
+    def append(self, weights, values):
+        m = len(weights)
+        cum = np.cumsum(weights, axis=1)
+        np.divide(cum, cum[:, -1:], out=cum, where=cum[:, -1:] > 0)
+        cum += np.arange(self.n, self.n + m)[:, None]
+        self._cum[self.n:self.n + m] = cum
+        self._vals[self.n:self.n + m] = values
+        self.n += m
+        self._flat = self._cum.reshape(-1)[: self.n * self.width]
+
+    def draw(self, rng, rows):
+        """One value per entry of rows, each drawn from its row's law."""
+        t = rows + rng.random(len(rows)) * self.U_MAX
+        vals = self._vals.reshape(-1)
+        if len(t) < 64:
+            return vals[self._flat.searchsorted(t, "right")]
+        # sorted targets keep successive searches in cache: 3-4x for 1000s
+        order = np.argsort(t)
+        out = np.empty_like(rows)
+        out[order] = vals[self._flat.searchsorted(t[order], "right")]
+        return out
 
 
 # -- single-step laws ------------------------------------------------------------
@@ -145,6 +175,51 @@ def sample_xi(rng, size=None):
 
 # -- volume increments -----------------------------------------------------------
 
+_EXACT_TABLES = {}
+_EXACT_TABLES_MAX = 32
+
+
+def _exact_volume_tables(law: StepLaw, l_exact, d_max):
+    """({l': (Vs, W(l', V) / W(l'), V*)}, the same laws as stacked rows with
+    the residual mass as a last entry -(V* + 1)), or None if uncertified;
+    built once per (law digest, l_exact, d_max)."""
+    key = (law.digest(), l_exact, d_max)
+    if key not in _EXACT_TABLES:
+        if len(_EXACT_TABLES) >= _EXACT_TABLES_MAX:
+            _EXACT_TABLES.pop(next(iter(_EXACT_TABLES)))
+        _EXACT_TABLES[key] = _build_volume_tables(law, l_exact, d_max)
+    return _EXACT_TABLES[key]
+
+
+def _build_volume_tables(law, l_exact, d_max):
+    from .oracle import volume_tables
+    from .weights import q_from_nu
+
+    q = q_from_nu(law)
+    if not q.support or q.min_support <= 2:
+        return None
+    laws = {}
+    for lp in range(1 + q.bipartite, l_exact + 1, 1 + q.bipartite):
+        try:
+            vt = volume_tables(q, lp, d_max)
+            total = float(disk_coefficient(law, lp))
+        except (ValueError, RangeError):
+            return None
+        if not vt.complete or total <= 0:
+            return None
+        Vs = sorted(V for V in vt.values if V <= vt.V_star)
+        laws[lp] = (Vs, [float(vt.values[V]) / total for V in Vs], vt.V_star)
+    width = 1 + max((len(Vs) for Vs, _, _ in laws.values()), default=0)
+    values = np.ones((l_exact + 1, width), dtype=np.int64)
+    weights = np.zeros((l_exact + 1, width))
+    weights[0, 0] = 1.0   # l' = 0 is the one-vertex map
+    for lp, (Vs, probs, v_star) in laws.items():
+        values[lp, :len(Vs) + 1] = Vs + [-(v_star + 1)]
+        weights[lp, :len(Vs) + 1] = probs + [max(0.0, 1.0 - sum(probs))]
+    cdf = _StackedCdf(l_exact + 1, width)
+    cdf.append(weights, values)
+    return laws, cdf
+
 
 class VolumeSampler:
     """Draws the vertex count added when a hole of degree l' is filled in."""
@@ -155,74 +230,53 @@ class VolumeSampler:
             raise ValueError(f"volume mode must be one of {VOLUME_MODES}")
         self.law = law
         self.mode = mode
-        self.l_exact = 0
-        self.flags = {"exact_fallback": False, "residual_draws": 0}
-        self.tables = {}
-        self.expectation = {}
-        if mode == "exact_small":
-            self._build_exact_tables(l_exact, d_max)
-        if mode == "expectation":
-            for lp in range(1, 64):
-                try:
-                    self.expectation[lp] = max(1, round(expected_volume(law, lp)))
-                except (RangeError, ValueError):
-                    continue
+        exact = mode == "exact_small"
+        built = _exact_volume_tables(law, l_exact, d_max) if exact else None
+        self.flags = {"exact_fallback": exact and built is None,
+                      "residual_draws": 0}
+        self.tables, self._cdf = built or ({}, None)
+        self.l_exact = l_exact if built else 0
+        # heavy-tailed laws have no universal volume fluctuation scale and
+        # fall back to the exact mean increment
+        self.heavy = math.isnan(law.B_nu)
+        self._means = np.zeros(law.k_neg + 1, dtype=np.int64)
+        self._means[0] = 1      # l' = 0 is the one-vertex map
 
-    def _build_exact_tables(self, l_exact, d_max):
-        from .oracle import volume_tables
-        from .weights import q_from_nu
+    def _mean_volume(self, lp):
+        """max(1, round(E V(l'))) per entry, memoized per l'."""
+        vals = self._means[lp]
+        if not vals.all():
+            for l in np.unique(lp[vals == 0]).tolist():
+                self._means[l] = max(1, round(expected_volume(self.law, l)))
+            vals = self._means[lp]
+        return vals
 
-        q = q_from_nu(self.law)
-        if not q.support or q.min_support <= 2:
-            self.flags["exact_fallback"] = True
-            return
-        step = 2 if q.bipartite else 1
-        start = 2 if q.bipartite else 1
-        for lp in range(start, l_exact + 1, step):
-            try:
-                vt = volume_tables(q, lp, d_max)
-                total = disk_coefficient(self.law, lp)
-            except (ValueError, RangeError):
-                self.flags["exact_fallback"] = True
-                return
-            if not vt.complete or float(total) <= 0:
-                self.flags["exact_fallback"] = True
-                return
-            Vs = sorted(V for V in vt.values if V <= vt.V_star)
-            probs = np.array([float(vt.values[V]) / float(total) for V in Vs])
-            residual = max(0.0, 1.0 - probs.sum())
-            self.tables[lp] = (np.array(Vs), np.cumsum(probs), residual,
-                               vt.V_star)
-        self.l_exact = l_exact
-
-    def draw(self, rng, l_prime):
-        """Vertex count of the filled-in hole; l' = 0 is the one-vertex map."""
-        if l_prime == 0:
-            return 1
+    def draw_many(self, rng, l_primes):
+        """Vertex counts of filled-in holes of degrees l' >= 0 (vectorized);
+        l' = 0 is the one-vertex map."""
+        lp = np.asarray(l_primes, dtype=np.int64)
         if self.mode == "expectation":
-            val = self.expectation.get(l_prime)
-            if val is None:
-                val = max(1, round(expected_volume(self.law, l_prime)))
-                self.expectation[l_prime] = val
-            return val
-        if self.mode == "exact_small" and l_prime in self.tables:
-            Vs, cdf, residual, v_star = self.tables[l_prime]
-            u = rng.random()
-            if u < cdf[-1]:
-                return int(Vs[np.searchsorted(cdf, u, side="right")])
-            self.flags["residual_draws"] += 1
-            xi = sample_xi(rng)
-            return max(v_star + 1, int(round(xi * self.law.B_nu * l_prime**2)))
-        if math.isnan(self.law.B_nu):
-            # heavy-tailed laws have no universal volume fluctuation scale;
-            # fall back to the exact mean increment
+            return self._mean_volume(lp)
+        if not self.l_exact:
+            return self._limit_volume(rng, lp, 1)
+        # a negative table value -(V* + 1) is the residual mass beyond V*
+        out = self._cdf.draw(rng, np.minimum(lp, self.l_exact))
+        resid = out < 0
+        need = resid | (lp > self.l_exact)
+        if need.any():
+            self.flags["residual_draws"] += int(resid.sum())
+            floor = np.where(resid, -out, 1)[need]
+            out[need] = self._limit_volume(rng, lp[need], floor)
+        return out
+
+    def _limit_volume(self, rng, lp, floor):
+        if self.heavy:
             self.flags["heavy_volume_expectation"] = True
-            try:
-                return max(1, round(expected_volume(self.law, l_prime)))
-            except RangeError:
-                return 1
-        xi = sample_xi(rng)
-        return max(1, int(round(xi * self.law.B_nu * l_prime**2)))
+            vals = self._mean_volume(lp)
+        else:
+            xi = sample_xi(rng, size=len(lp))
+            vals = np.rint(xi * self.law.B_nu * lp**2).astype(np.int64)
+        return np.maximum(floor, vals)
 
 
 # -- traces ----------------------------------------------------------------------
@@ -289,6 +343,155 @@ def _deep_law_for(law: StepLaw, n_steps):
     return law
 
 
+# -- the chain engine --------------------------------------------------------------
+
+
+class _ChainEngine:
+    """Doob-transformed jumps for any number of chains at once.
+
+    Perimeters below L_SMALL draw from stacked inverse-CDF rows of
+    h(o, l+k) nu(k) over k >= -l, built as chains first reach them.  From
+    L_SMALL on, nu proposals are accepted with probability
+    h(o, l+k) / env(l), env(l) being the largest h(o, .) over the arguments
+    reachable from l: h(1, .) is nondecreasing, so env(l) = h(1, l + k_pos);
+    h(0, .) decreases along parities, so it peaks at the lowest reachable
+    argument.  Arguments below zero carry no weight: h is stored behind
+    k_neg zeros, and jumps are handled as indices i = k + k_neg into the law.
+    """
+
+    def __init__(self, law: StepLaw, mode):
+        if mode not in ("finite", "ibpm"):
+            raise ValueError("mode must be 'finite' or 'ibpm'")
+        if mode == "ibpm" and not law.critical:
+            raise ValueError("the stay-positive transform needs a critical law")
+        self.law = law
+        self.order = 0 if mode == "finite" else 1
+        self.proposal = DiscreteSampler(np.arange(len(law.probs)), law.probs)
+        # jumps below -l are blocked from perimeter l, so the rows only
+        # cover the window k > -L_SMALL
+        self.win_ks = law.ks[law.ks > -L_SMALL]
+        self.win_idx = self.win_ks + law.k_neg
+        self.rows = _StackedCdf(L_SMALL, len(self.win_ks))
+        self.h_len = 0
+        self._cover(L_SMALL)
+
+    def _cover(self, l_max):
+        """Materialize h(o, .) and the envelope for perimeters up to l_max."""
+        law = self.law
+        if l_max + law.k_pos < self.h_len:
+            return
+        self.h_len = max(2 * self.h_len, 1 << (l_max + law.k_pos).bit_length())
+        h = law.hcache().array(self.order, self.h_len - 1)
+        self.hz = np.concatenate([np.zeros(law.k_neg), h])
+        ls = np.arange(self.h_len - law.k_pos)
+        if self.order == 1:
+            self.env = h[ls + law.k_pos]
+        else:
+            lo = np.maximum(ls - law.k_neg, 0)
+            self.env = np.maximum(h[lo], h[lo + 1])
+        # tries per chain and round: twice the mean env(l) / h(o, l), minus 1
+        ratio = np.divide(self.env, h[ls], out=np.ones(len(ls)), where=h[ls] > 0)
+        self.tries = np.clip(2.0 * ratio - 1.0, 1, 4096).astype(np.int64)
+
+    def _extend_rows(self, l_max):
+        while self.rows.n <= l_max:
+            ls = np.arange(self.rows.n, min(self.rows.n + ROW_CHUNK, L_SMALL))
+            w = self.hz[ls[:, None] + self.win_idx] * self.law.probs[self.win_idx]
+            self.rows.append(w, self.win_ks)
+
+    def start(self, l0):
+        if l0 < 1:
+            raise ValueError("initial perimeter must be positive")
+        self._cover(l0)
+        if not self.hz[l0 + self.law.k_neg] > 0:
+            raise ValueError(f"conditioning weight vanishes at l={l0}")
+        self._hi = l0
+
+    def draw(self, ls, rng):
+        """One jump per chain at perimeters ls >= 1: the chains of the
+        previous call moved by its jumps, or some of them, so max(ls) grows
+        by at most k_pos per call and is only computed when that bound
+        leaves the rows built so far."""
+        hi = self._hi
+        if hi >= self.rows.n:
+            hi = int(ls.max())
+        self._hi = hi + self.law.k_pos
+        if hi < L_SMALL:
+            if hi >= self.rows.n:
+                self._extend_rows(hi)
+            return self.rows.draw(rng, ls)
+        self._cover(hi)
+        small = ls < L_SMALL
+        if not small.any():
+            return self._rejection_jumps(ls, rng)
+        self._extend_rows(L_SMALL - 1)
+        out = np.empty_like(ls)
+        out[small] = self.rows.draw(rng, ls[small])
+        out[~small] = self._rejection_jumps(ls[~small], rng)
+        return out
+
+    def _rejection_jumps(self, ls, rng):
+        """First accepted proposal per chain, a block of tries at a time."""
+        out = np.empty_like(ls)
+        todo = np.arange(len(ls))
+        while len(todo):
+            lt = ls[todo]
+            # at most about 2^20 proposals in flight per round
+            reps = min(int(self.tries[lt].max()), 1 + (1 << 20) // len(lt))
+            idx = self.proposal.draw(rng, (reps, len(lt)))
+            acc = rng.random(idx.shape) * self.env[lt] < self.hz[lt + idx]
+            if reps == 1:
+                hit = acc[0]
+                out[todo[hit]] = idx[0, hit]
+            else:
+                hit = acc.any(axis=0)
+                out[todo[hit]] = idx[acc.argmax(axis=0)[hit], np.flatnonzero(hit)]
+            todo = todo[~hit]
+        return out - self.law.k_neg
+
+    def jump_law(self, l):
+        """The law over law.ks that draw() samples at perimeter l."""
+        self._cover(l)
+        if l < L_SMALL:
+            self._extend_rows(l)
+            p = np.zeros(len(self.law.probs))
+            p[self.win_idx] = np.diff(self.rows._cum[l] - l, prepend=0.0)
+        else:
+            ks = np.arange(len(self.law.probs))
+            p = self.law.probs * self.hz[l + ks] / self.env[l]
+        return p / p.sum()
+
+
+def _advance(engine, vol, rng, l0, n_chains, checkpoints):
+    """Run n_chains chains from l0 in lockstep; their (perimeters, volumes)
+    at the sorted checkpoints >= 1, one row per checkpoint."""
+    engine.start(l0)
+    ls = np.full(n_chains, l0, dtype=np.int64)
+    V = np.zeros(n_chains, dtype=np.int64)
+    per = np.empty((len(checkpoints), n_chains), dtype=np.int64)
+    vols = np.empty_like(per)
+    absorbing = engine.order == 0
+    i = 0
+    for step in range(1, checkpoints[-1] + 1 if len(checkpoints) else 1):
+        if absorbing and not ls.all():
+            live = np.flatnonzero(ls)
+            if not len(live):
+                break
+            jumps = np.zeros_like(ls)
+            jumps[live] = engine.draw(ls[live], rng)
+        else:
+            jumps = engine.draw(ls, rng)
+        prune = jumps <= -2
+        if prune.any():
+            V[prune] += vol.draw_many(rng, -2 - jumps[prune])
+        ls += jumps
+        if step == checkpoints[i]:
+            per[i], vols[i] = ls, V
+            i += 1
+    per[i:], vols[i:] = ls, V
+    return per, vols
+
+
 def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
              volume_mode="exact_small", l_exact=DEFAULT_L_EXACT, d_max=24,
              chain_index=0) -> PeelTrace:
@@ -299,50 +502,15 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
     parallel chains should vary chain_index, which keys an independent
     counter-based stream.
     """
-    if mode not in ("finite", "ibpm"):
-        raise ValueError("mode must be 'finite' or 'ibpm'")
-    if l0 is None:
-        l0 = 2
-    if l0 < 1:
-        raise ValueError("initial perimeter must be positive")
+    l0 = 2 if l0 is None else l0
     law = _deep_law_for(law, n_steps)
-    rng = _rng(seed, chain_index)
+    engine = _ChainEngine(law, mode)
     vol = VolumeSampler(law, volume_mode, l_exact, d_max)
-    step_fn = step_finite if mode == "finite" else step_ibpm
-    tables = {}
-    order = []
-
-    def jump_table(l):
-        tab = tables.get(l)
-        if tab is None:
-            dist = step_fn(l, law)
-            tab = AliasTable(dist.ks, dist.probs)
-            tables[l] = tab
-            order.append(l)
-            if len(order) > ALIAS_CACHE_SIZE:
-                tables.pop(order.pop(0), None)
-        return tab
-
-    per = np.empty(n_steps + 1, dtype=np.int64)
-    volumes = np.empty(n_steps + 1, dtype=np.int64)
-    per[0] = l0
-    volumes[0] = 0
-    l = l0
-    V = 0
-    for i in range(1, n_steps + 1):
-        if l == 0:
-            per[i] = 0
-            volumes[i] = V
-            continue
-        k = int(jump_table(l).draw(rng))
-        if k <= -2:
-            V += vol.draw(rng, -k - 2)
-        l += k
-        per[i] = l
-        volumes[i] = V
+    per, volumes = _advance(engine, vol, _rng(seed, chain_index), l0, 1,
+                            range(1, n_steps + 1))
     return PeelTrace(
-        perimeters=per,
-        volumes=volumes,
+        perimeters=np.concatenate([[l0], per[:, 0]]),
+        volumes=np.concatenate([[0], volumes[:, 0]]),
         mode=mode,
         volume_mode=volume_mode,
         seed=seed,
@@ -350,114 +518,6 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
         law_digest=law.digest(),
         flags=dict(vol.flags),
     )
-
-
-# -- vectorized ensembles ---------------------------------------------------------
-
-
-class _EnsembleEngine:
-    """Stacked alias tables for small perimeters plus envelope rejection
-    above them; all chains advance in lockstep with numpy draws."""
-
-    def __init__(self, law: StepLaw, mode, l_small=1024, h_len=1 << 17):
-        self.law = law
-        self.mode = mode
-        self.order = 0 if mode == "finite" else 1
-        if mode == "ibpm" and not law.critical:
-            raise ValueError("the stay-positive transform needs a critical law")
-        self.l_small = l_small
-        cache = law.hcache()
-        self.h = cache.array(self.order, h_len)
-        self.h_len = h_len
-        self.ks = law.ks
-        self.probs = law.probs
-        self.proposal = AliasTable(self.ks, self.probs)
-        # jumps below -l_small are unreachable from the small region, so the
-        # stacked tables only cover the window k >= -l_small
-        window = self.ks >= -self.l_small
-        self.win_ks = self.ks[window]
-        self.win_probs = self.probs[window]
-        self.small_keep = np.zeros((self.l_small, len(self.win_ks)))
-        self.small_alias = np.zeros((self.l_small, len(self.win_ks)),
-                                    dtype=np.int64)
-        self.small_ok = np.zeros(self.l_small, dtype=bool)
-        # rejection envelope above l_small
-        self._build_envelope()
-
-    def _build_envelope(self):
-        law = self.law
-        h = self.h
-        self.bound = np.ones(self.h_len)
-        ls = np.arange(self.l_small, self.h_len - law.k_pos)
-        if self.order == 1:
-            # h(1, .) is nondecreasing: the envelope peaks at k = k_pos
-            self.bound[ls] = h[ls + law.k_pos] / h[ls]
-        else:
-            # h(0, .) decreases along parities: the envelope peaks at the
-            # most negative reachable argument; unreachable parities keep
-            # a unit bound
-            lo = np.maximum(ls - law.k_neg, 0)
-            peak = np.maximum(h[lo], h[np.minimum(lo + 1, self.h_len - 1)])
-            ok = h[ls] > 0
-            self.bound[ls[ok]] = peak[ok] / h[ls[ok]]
-
-    def _grow(self):
-        self.h_len *= 2
-        self.h = self.law.hcache().array(self.order, self.h_len)
-        self._build_envelope()
-
-    def _small_table(self, l):
-        if not self.small_ok[l]:
-            idx = self.win_ks + l
-            mask = (idx >= 0) & (self.win_probs > 0)
-            w = np.zeros_like(self.win_probs)
-            w[mask] = self.h[idx[mask]] * self.win_probs[mask]
-            tab = AliasTable(np.arange(len(self.win_ks)), w)
-            self.small_keep[l] = tab.keep
-            self.small_alias[l] = tab.alias
-            self.small_ok[l] = True
-        return self.small_keep[l], self.small_alias[l]
-
-    def ensure_small(self, ls):
-        if np.all(self.small_ok[ls]):
-            return
-        for l in np.unique(ls):
-            if 1 <= l < self.l_small:
-                self._small_table(int(l))
-
-    def draw_jumps(self, ls, rng):
-        """One jump per chain at perimeters ls >= 1 (vectorized)."""
-        n = len(ls)
-        out = np.zeros(n, dtype=np.int64)
-        small = ls < self.l_small
-        if small.any():
-            self.ensure_small(ls[small])
-            ls_s = ls[small]
-            j = rng.integers(0, len(self.win_ks), size=ls_s.shape)
-            u = rng.random(ls_s.shape)
-            keep = self.small_keep[ls_s, j]
-            alias = self.small_alias[ls_s, j]
-            idx = np.where(u < keep, j, alias)
-            out[small] = self.win_ks[idx]
-        big = ~small
-        if big.any():
-            ls_b = ls[big]
-            while ls_b.max() + self.law.k_pos >= self.h_len:
-                self._grow()
-            res = np.zeros(ls_b.shape, dtype=np.int64)
-            todo = np.arange(len(ls_b))
-            while len(todo):
-                lt = ls_b[todo]
-                k = self.proposal.draw(rng, size=len(todo)).astype(np.int64)
-                # arguments at or below zero carry no conditioning weight
-                arg = np.maximum(lt + k, 0)
-                acc_p = self.h[arg] / (self.h[lt] * self.bound[lt])
-                u = rng.random(len(todo))
-                accepted = u < acc_p
-                res[todo[accepted]] = k[accepted]
-                todo = todo[~accepted]
-            out[big] = res
-        return out
 
 
 def simulate_ensemble(mode, law: StepLaw, l0, n_steps, n_chains, seed=0,
@@ -469,71 +529,10 @@ def simulate_ensemble(mode, law: StepLaw, l0, n_steps, n_chains, seed=0,
     key n_steps.  Uses a single counter-based stream keyed by the seed, so
     results are reproducible for fixed (seed, n_chains).
     """
-    if checkpoints is None:
-        checkpoints = []
-    checkpoints = sorted(set(int(c) for c in checkpoints) | {int(n_steps)})
+    steps = {int(c) for c in (checkpoints if checkpoints is not None else ())}
+    steps = sorted(c for c in steps | {int(n_steps)} if c >= 1)
     law = _deep_law_for(law, n_steps)
-    rng = _rng(seed)
-    engine = _EnsembleEngine(law, mode)
+    engine = _ChainEngine(law, mode)
     vol = VolumeSampler(law, volume_mode, l_exact, d_max)
-    small_cdfs = {}
-    for lp, (Vs, cdf, residual, v_star) in vol.tables.items():
-        small_cdfs[lp] = (Vs, cdf, v_star)
-    heavy_means = None
-    if math.isnan(law.B_nu):
-        heavy_means = np.ones(law.k_neg + 1, dtype=np.int64)
-        for lp in range(1, law.k_neg - 1):
-            try:
-                heavy_means[lp] = max(1, round(expected_volume(law, lp)))
-            except (RangeError, ValueError):
-                heavy_means[lp] = 1
-
-    ls = np.full(n_chains, int(l0), dtype=np.int64)
-    Vs_acc = np.zeros(n_chains, dtype=np.int64)
-    out = {}
-    for step in range(1, max(checkpoints) + 1):
-        active = ls >= 1
-        if active.any():
-            jumps = np.zeros(n_chains, dtype=np.int64)
-            jumps[active] = engine.draw_jumps(ls[active], rng)
-            prune = active & (jumps <= -2)
-            if prune.any():
-                lp = -jumps[prune] - 2
-                dv = np.ones(lp.shape, dtype=np.int64)
-                big = np.ones(lp.shape, dtype=bool)
-                if vol.mode == "exact_small" and small_cdfs:
-                    for lv, (Vvals, cdf, v_star) in small_cdfs.items():
-                        sel = lp == lv
-                        if not sel.any():
-                            continue
-                        u = rng.random(int(sel.sum()))
-                        inside = u < cdf[-1]
-                        pos = np.searchsorted(cdf, u, side="right")
-                        pos = np.minimum(pos, len(Vvals) - 1)
-                        vals = Vvals[pos]
-                        xi = sample_xi(rng, size=int(sel.sum()))
-                        fallback = np.maximum(
-                            v_star + 1,
-                            np.rint(xi * law.B_nu * lv**2).astype(np.int64),
-                        )
-                        dv[sel] = np.where(inside, vals, fallback)
-                        big[sel] = False
-                nonzero = lp > 0
-                rest = big & nonzero
-                if rest.any():
-                    if heavy_means is not None:
-                        dv[rest] = heavy_means[np.minimum(lp[rest], law.k_neg)]
-                    else:
-                        xi = sample_xi(rng, size=int(rest.sum()))
-                        dv[rest] = np.maximum(
-                            1,
-                            np.rint(xi * law.B_nu * lp[rest] ** 2).astype(np.int64),
-                        )
-                dv[lp == 0] = 1
-                Vs_acc[prune] += dv
-            ls = ls + jumps
-            if mode == "finite":
-                ls = np.maximum(ls, 0)
-        if step in checkpoints:
-            out[step] = (ls.copy(), Vs_acc.copy())
-    return out
+    per, vols = _advance(engine, vol, _rng(seed), int(l0), n_chains, steps)
+    return {c: (per[i], vols[i]) for i, c in enumerate(steps)}

@@ -114,7 +114,7 @@ def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0), seed=0,
     beyond the block.  The split matters: a plainly truncated law loses a
     K^(-1/2) drift that would swamp the n^(2/3) normalization.
     """
-    from .peeling import AliasTable
+    from .peeling import DiscreteSampler
     from .walk import deepen_negative
 
     thetas = np.asarray(thetas, dtype=float)
@@ -130,7 +130,7 @@ def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0), seed=0,
     m_block = float(law.probs[block_sel].sum())
     block_tab = None
     if m_block > 0:
-        block_tab = AliasTable(ks_all[block_sel], law.probs[block_sel])
+        block_tab = DiscreteSampler(ks_all[block_sel], law.probs[block_sel])
     # the remainder beyond the block follows the k^(-5/2) tail; its index
     # scales like k_deep * U^(-2/3)
     m_pareto = max(0.0, 1.0 - float(p_common.sum()) - m_block)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InconsistentCriticalityError, RangeError
 from .hfun import HCache
@@ -328,6 +327,8 @@ def symmetric_nu_value(r, a, k, epsabs=1e-13):
     the |sin(theta/2)| kink sits at the endpoint where the quadrature is
     comfortable.
     """
+    from scipy import integrate  # only the quadrature needs scipy
+
     r = float(r)
     a = float(a)
     k = abs(int(k))

@@ -6,9 +6,11 @@ import pytest
 from scipy import integrate
 
 from peelkit.peeling import (
-    AliasTable,
+    L_SMALL,
+    DiscreteSampler,
     PeelTrace,
     VolumeSampler,
+    _ChainEngine,
     _rng,
     sample_xi,
     simulate,
@@ -16,7 +18,7 @@ from peelkit.peeling import (
     step_finite,
     step_ibpm,
 )
-from peelkit.walk import complete_nu, symmetric_family
+from peelkit.walk import complete_nu, deepen_negative, symmetric_family
 from peelkit.weights import StepLawPositive, nu_from_q, preset
 
 
@@ -50,7 +52,7 @@ class TestAlias:
     def test_matches_distribution(self):
         rng = _rng(5)
         probs = np.array([0.5, 0.25, 0.125, 0.125])
-        tab = AliasTable(np.arange(4), probs)
+        tab = DiscreteSampler(np.arange(4), probs)
         draws = tab.draw(rng, size=200_000)
         freq = np.bincount(draws, minlength=4) / 200_000
         for i in range(4):
@@ -59,7 +61,14 @@ class TestAlias:
 
     def test_rejects_zero_mass(self):
         with pytest.raises(ValueError):
-            AliasTable([0], [0.0])
+            DiscreteSampler([0], [0.0])
+
+    def test_implied_probabilities_equal_input(self):
+        probs = np.array([0.3, 0.0, 1e-9, 0.2, 0.5 - 1e-9, 0.0])
+        s = DiscreteSampler(np.arange(6), probs)
+        implied = np.zeros(6)
+        implied[s.values] = np.diff(s.cdf, prepend=0.0)
+        assert np.abs(implied - probs).max() < 1e-15
 
 
 class TestStepLaws:
@@ -177,8 +186,7 @@ class TestVolumeSampler:
     def test_expectation_mode(self):
         vs = VolumeSampler(LAW, "expectation")
         rng = _rng(0)
-        assert vs.draw(rng, 2) == 3
-        assert vs.draw(rng, 0) == 1
+        assert vs.draw_many(rng, [2, 0]).tolist() == [3, 1]
 
     def test_exact_small_tables_built(self):
         vs = VolumeSampler(LAW, "exact_small", l_exact=6, d_max=24)
@@ -191,7 +199,7 @@ class TestVolumeSampler:
 
         vs = VolumeSampler(LAW, "exact_small", l_exact=4, d_max=24)
         rng = _rng(99)
-        draws = np.array([vs.draw(rng, 2) for _ in range(200_000)])
+        draws = vs.draw_many(rng, np.full(200_000, 2))
         vt = volume_tables(preset("two_p_angulation", p=2).weights, 2, 24)
         total = disk_coefficient(LAW, 2)
         for V in (2, 3, 4):
@@ -285,7 +293,7 @@ class TestEmpiricalTransitions:
         engine_draws = 1_000_000
         rng = _rng(2024)
         dist = step_ibpm(l, LAW)
-        tab = AliasTable(dist.ks, dist.probs)
+        tab = DiscreteSampler(dist.ks, dist.probs)
         draws = tab.draw(rng, size=engine_draws)
         for k, p in zip(dist.ks, dist.probs):
             if p < 1e-5:
@@ -298,7 +306,7 @@ class TestEmpiricalTransitions:
         engine_draws = 1_000_000
         rng = _rng(4048)
         dist = step_finite(10, LAW)
-        tab = AliasTable(dist.ks, dist.probs)
+        tab = DiscreteSampler(dist.ks, dist.probs)
         draws = tab.draw(rng, size=engine_draws)
         for k, p in zip(dist.ks, dist.probs):
             if p < 1e-5:
@@ -313,7 +321,7 @@ class TestHittingProbability:
         # unconditioned walk from l: P(hit exactly 0 before < 0) = h(0, l)
         rng = _rng(777)
         law = LAW
-        tab = AliasTable(law.ks, law.probs)
+        tab = DiscreteSampler(law.ks, law.probs)
         cache = law.hcache()
         for l0 in (2, 4):
             n_walks = 40_000
@@ -375,3 +383,109 @@ class TestEnsemble:
         out = simulate_ensemble("ibpm", law, 2, 200, 200, seed=2)
         ls, _ = out[200]
         assert ls.min() >= 1
+
+
+# -- the chain engine against the exact kernel ------------------------------------
+
+DEEP = {"quad": deepen_negative(quad_law(), 8192),
+        "tri": deepen_negative(tri_law(), 8192)}
+STEP = {"finite": step_finite, "ibpm": step_ibpm}
+
+
+def _kernel_row(mode, law, l):
+    """step_finite / step_ibpm at l over law.ks."""
+    d = STEP[mode](l, law)
+    row = np.zeros(len(law.probs))
+    row[d.ks + law.k_neg] = d.probs
+    return row
+
+
+class TestEngineExactness:
+    """RNG-free: what the engine samples is the exact Doob kernel."""
+
+    @pytest.mark.parametrize("mode", ["finite", "ibpm"])
+    @pytest.mark.parametrize("key", ["quad", "tri"])
+    def test_jump_law_matches_kernel(self, key, mode):
+        law = DEEP[key]
+        engine = _ChainEngine(law, mode)
+        for l in (1, 2, 10, 1023, 1024, 1025, 3000):
+            if key == "quad" and mode == "finite" and l % 2:
+                continue        # h(0, odd) = 0: unreachable perimeters
+            want = _kernel_row(mode, law, l)
+            got = engine.jump_law(l)
+            assert np.abs(got - want).max() < 1e-12, (l, np.abs(got - want).max())
+
+    @pytest.mark.parametrize("mode", ["finite", "ibpm"])
+    def test_acceptance_at_most_one(self, mode):
+        law = DEEP["tri"]
+        engine = _ChainEngine(law, mode)
+        engine._cover(5000)
+        idx = np.arange(len(law.probs))
+        for l in range(L_SMALL, 5000, 97):
+            assert engine.hz[l + idx].max() <= engine.env[l]
+
+    def test_finite_no_absorbing_jump_above_cutoff(self):
+        # a proposal k < -l reaches a negative argument, which carries no
+        # weight; scoring it as h(0, 0) = 1 made P(l -> 0) at l = 1100
+        # about 350 times the exact 1.65e-6
+        law = DEEP["quad"]
+        assert _kernel_row("finite", law, 1100)[: law.k_neg - 1100].sum() == 0
+        ls, _ = simulate_ensemble("finite", law, 1100, 1, 20_000, seed=8)[1]
+        assert ls.min() >= 0
+        assert (ls == 0).sum() <= 2
+
+    def test_ensemble_expectation_volumes(self):
+        # mirrors TestSimulate.test_volume_increments_expectation_mode
+        out = simulate_ensemble("ibpm", LAW, 4, 40, 256, seed=5,
+                                volume_mode="expectation",
+                                checkpoints=range(1, 41))
+        per = np.vstack([np.full(256, 4)] + [out[s][0] for s in range(1, 41)])
+        vol = np.vstack([np.zeros(256)] + [out[s][1] for s in range(1, 41)])
+        sel = np.diff(per, axis=0) == -4
+        assert sel.any()
+        assert np.all(np.diff(vol, axis=0)[sel] == 3)
+
+
+def _forward_law(mode, law, l0, n):
+    """Exact law of l_n from l0 by the forward equation of the kernel."""
+    top = l0 + n * law.k_pos
+    P = np.zeros((top + 1, top + 1))
+    P[0, 0] = 1.0
+    order = 0 if mode == "finite" else 1
+    for l in range(1, top + 1):
+        if law.hcache().value(order, l) > 0:
+            row = _kernel_row(mode, law, l)
+            ks = law.ks
+            ok = (l + ks >= 0) & (l + ks <= top) & (row > 0)
+            P[l, l + ks[ok]] = row[ok]
+    dist = np.zeros(top + 1)
+    dist[l0] = 1.0
+    for _ in range(n):
+        dist = dist @ P
+    return dist
+
+
+class TestEnsembleGTest:
+    """Fixed-seed G-tests of l_n against the forward-equation law, from
+    just below the table cutoff so both sampling paths are used."""
+
+    @pytest.mark.parametrize("mode,key,l0", [("finite", "quad", L_SMALL - 2),
+                                             ("ibpm", "quad", L_SMALL - 2),
+                                             ("ibpm", "tri", L_SMALL - 1)])
+    def test_l_n_law(self, mode, key, l0):
+        from scipy import stats
+
+        law, n, chains = DEEP[key], 30, 8000
+        expect = _forward_law(mode, law, l0, n) * chains
+        ls, _ = simulate_ensemble(mode, law, l0, n, chains, seed=31)[n]
+        assert ls.max() < len(expect)
+        counts = np.bincount(ls, minlength=len(expect))
+        assert counts[expect == 0].sum() == 0
+        # adjacent states merged into bins of at least 20 expected chains
+        edges = np.searchsorted(np.cumsum(expect), np.arange(20, chains, 20))
+        cuts = np.unique(np.r_[0, edges + 1, len(expect)])
+        obs = np.add.reduceat(counts, cuts[:-1])
+        exp = np.add.reduceat(expect, cuts[:-1])
+        g = 2.0 * np.sum(obs[obs > 0] * np.log(obs[obs > 0] / exp[obs > 0]))
+        assert stats.chi2.sf(g, len(obs) - 1) > 1e-3, (g, len(obs))
+        assert 0 < counts[L_SMALL:].sum() < chains
