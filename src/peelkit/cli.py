@@ -46,8 +46,6 @@ class RunConfig:
     out: str = None
     fmt: str = "json"
     seed: int = 0
-    threads: int = None
-    tol: float = 1e-9
     mode: str = "ibpm"
     steps: int = 1000
     chains: int = 1000
@@ -75,10 +73,6 @@ def _add_common(p):
     p.add_argument("--format", dest="fmt", choices=["json", "csv", "binary"],
                    default="json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (vectorized backends run in-process; "
-                   "results never depend on this)")
-    p.add_argument("--tol", type=float, default=1e-9)
 
 
 def build_parser():
@@ -146,8 +140,6 @@ def parse_args(argv) -> RunConfig:
         if val is not None:
             params[key] = val
     cfg.preset_params = params
-    if cfg.threads is None:
-        cfg.threads = int(os.environ.get("PEELKIT_THREADS", os.cpu_count() or 1))
     if cfg.out is not None:
         parent = os.path.dirname(os.path.abspath(cfg.out))
         if not os.path.isdir(parent):

@@ -10,13 +10,20 @@ with bipartite sequences pinned at r = 1 (R1 is then trivially zero).
 The admissibility margin is 1 - sum_{l>=0} h(1, l+1) nu(l); it is
 nonnegative for admissible sequences and zero exactly at criticality.
 
-At a critical sequence the Jacobian of (R1, R2) is rank deficient (the
-solution sits on a fold of the system), so plain Newton stalls at ~1e-6
+Every two- and three-unknown solve goes through one damped Newton
+(`_damped_newton`) on x = (c, s), r = tanh(s), with a forward-difference
+Jacobian, clamped coordinates, and an exit after a few consecutive line
+searches that end on the forced shortest step without lowering max|F|.
+At a critical sequence the Jacobian of the main system (R1, R2) is rank
+deficient (the solution sits on a fold), so Newton stalls at ~1e-6
 accuracy.  The solver therefore finishes near-critical points on the
-well-conditioned companion system (R1 = 0, margin = 0), whose Jacobian is
+well-conditioned companion system (R1, margin - 1), whose Jacobian is
 regular at the fold, and accepts the result only if R2 vanishes there.
 The boundary tuner uses the same idea with the overall scale of the
-weights as a third unknown (a bordered fold-tracking system).
+weights as a third unknown (a bordered fold-tracking system).  Beyond
+the boundary the two roots of the fold have merged; a sequence with no
+root of the main system and no sign change of R1 along the branch of
+smallest R2 roots is reported as not admissible.
 """
 
 from __future__ import annotations
@@ -26,13 +33,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundaryNotFoundError, SolverFailureError
+from .errors import BoundaryNotFoundError, DivergentSeriesError, SolverFailureError
 from .hfun import HCache
 from .weights import WeightSequence, validate
 
 RESIDUAL_TOL = 1e-12
 MARGIN_TOL = 1e-9
 _C_FLOOR = 2.0 + 1e-9
+
+# damped Newton: convergence threshold on max|F|, iteration cap, trial
+# steps per line search, forward-difference step, and the number of
+# consecutive line searches ending on the forced step without progress
+# after which a start is given up
+_NEWTON_TOL = 1e-13
+_NEWTON_ITER = 80
+_LINE_SEARCH = 16
+_FD_STEP = 1e-7
+_STALL_LIMIT = 3
 
 
 @dataclass
@@ -80,7 +97,11 @@ def _make_data(c, r, margin, classification, g, residuals):
 
 
 class _System:
-    """Float evaluation of R1, R2 and the margin sum for a fixed sequence."""
+    """Float evaluation of R1, R2 and the margin for a fixed sequence.
+
+    `main` and `companion` are the two Newton systems on x = (c, s) with
+    r = tanh(s); s = inf gives the bipartite r = 1.
+    """
 
     def __init__(self, q: WeightSequence):
         self.q = q
@@ -89,50 +110,53 @@ class _System:
         else:
             self.c_max = (1.0 - 1e-9) / q.tail_ratio
 
-    def _terms(self, c):
-        return self.q.positive_terms(c, deg=2)
-
-    def _h_arrays(self, r, k_max):
-        hc = HCache(float(r), mode="float")
-        h0 = hc.array(0, k_max + 2)
-        h1 = hc.array(1, k_max + 2)
-        return h0, h1
+    def _sums(self, c, r, order, shifts):
+        """The h(order, .) list and, per shift j, (S_j, dS_j/dc) for
+        S_j = sum_{k>=-1} q_{k+2} c^k h(order, k+j)."""
+        ks, vals, _ = self.q.positive_terms(c, deg=2)
+        h = HCache(float(r), mode="float").array(order, (ks[-1] if ks else 0) + 2)
+        h = h.tolist()
+        out = []
+        for j in shifts:
+            s = sp = 0.0
+            for k, v in zip(ks, vals):
+                s += v * h[k + j]
+                sp += k * v / c * h[k + j]
+            out.append((s, sp))
+        return h, out
 
     def residuals(self, c, r):
-        ks, vals, _ = self._terms(c)
-        k_max = ks[-1] if ks else 0
-        h0, _ = self._h_arrays(r, k_max)
-        s1 = sum(v * h0[k + 1] for k, v in zip(ks, vals))
-        s2 = sum(v * h0[k + 2] for k, v in zip(ks, vals))
-        return s1 - h0[1], 2.0 / c**2 + s2 - h0[2]
-
-    def margin_sum(self, c, r):
-        """sum_{l>=0} h(1, l+1) nu(l); margin = 1 - this."""
-        ks, vals, _ = self._terms(c)
-        k_max = ks[-1] if ks else 0
-        _, h1 = self._h_arrays(r, k_max)
-        return sum(v * h1[k + 1] for k, v in zip(ks, vals) if k >= 0)
-
-    def margin(self, c, r):
-        return 1.0 - self.margin_sum(c, r)
-
-    # -- 1D helpers for the bipartite case --------------------------------
+        h, ((s1, _), (s2, _)) = self._sums(c, r, 0, (1, 2))
+        return s1 - h[1], 2.0 / c**2 + s2 - h[2]
 
     def r2_and_prime(self, c, r=1.0):
-        ks, vals, _ = self._terms(c)
-        k_max = ks[-1] if ks else 0
-        h0, _ = self._h_arrays(r, k_max)
-        f = 2.0 / c**2 + sum(v * h0[k + 2] for k, v in zip(ks, vals)) - h0[2]
-        fp = -4.0 / c**3 + sum(k * v / c * h0[k + 2] for k, v in zip(ks, vals))
-        return f, fp
+        h, ((s2, s2p),) = self._sums(c, r, 0, (2,))
+        return 2.0 / c**2 + s2 - h[2], -4.0 / c**3 + s2p
 
     def margin_and_prime(self, c, r=1.0):
-        ks, vals, _ = self._terms(c)
-        k_max = ks[-1] if ks else 0
-        _, h1 = self._h_arrays(r, k_max)
-        s = sum(v * h1[k + 1] for k, v in zip(ks, vals) if k >= 0)
-        sp = sum(k * v / c * h1[k + 1] for k, v in zip(ks, vals) if k >= 1)
+        """1 - sum_{l>=0} h(1, l+1) nu(l) and its c-derivative.
+
+        The series starts at l = -1 like the others; h(1, 0) = 0.
+        """
+        _, ((s, sp),) = self._sums(c, r, 1, (1,))
         return 1.0 - s, -sp
+
+    def margin(self, c, r):
+        return self.margin_and_prime(c, r)[0]
+
+    def main(self, x):
+        """(R1, R2) at c = x[0], r = tanh(x[1])."""
+        return self.residuals(x[0], math.tanh(x[1]))
+
+    def companion(self, x):
+        """(R1, -margin) at c = x[0], r = tanh(x[1])."""
+        c, r = x[0], math.tanh(x[1])
+        return self.residuals(c, r)[0], -self.margin(c, r)
+
+
+def _to_x(c, r):
+    """Newton coordinates (c, atanh r) of a start point, r kept off +-1."""
+    return np.array([c, math.atanh(min(max(r, -0.999999), 0.999999))])
 
 
 def _newton_1d(f_and_fp, x0, lo, hi, tol=1e-14, max_iter=80):
@@ -198,9 +222,24 @@ def _classify_from(q, margin, tol=MARGIN_TOL):
         return "regular_critical"
     if fam == "symmetric_critical":
         return "critical_non_regular"
-    if q.tail_ratio is not None and q.tail_ratio > 0:
-        return "critical"
     return "critical"
+
+
+def _margin_root(sys, x0, hi, cap):
+    """Root in c of the r = 1 margin, by safeguarded Newton from x0.
+
+    The upper end of the bracket doubles from hi (at most cap) until the
+    margin is <= 0 there; None when the margin is already <= 0 at the
+    floor or stays positive up to cap.
+    """
+    if sys.margin_and_prime(_C_FLOOR)[0] <= 0:
+        return None
+    hi = min(hi, cap)
+    while sys.margin_and_prime(hi)[0] > 0:
+        if hi >= cap:
+            return None
+        hi = min(2.0 * hi, cap)
+    return _newton_1d(sys.margin_and_prime, x0, _C_FLOOR, hi)
 
 
 def _solve_bipartite(q, sys, g, tol):
@@ -221,26 +260,14 @@ def _solve_bipartite(q, sys, g, tol):
         )
 
     # candidate critical point: the margin root, checked against R2
-    m_lo = sys.margin_and_prime(_C_FLOOR)[0]
-    crit = None
-    if m_lo > 0:
-        m_hi_x = c_min
-        while sys.margin_and_prime(m_hi_x)[0] > 0 and m_hi_x < hi:
-            m_hi_x = min(2.0 * m_hi_x, hi)
-            if m_hi_x >= hi and sys.margin_and_prime(hi)[0] > 0:
-                break
-        if sys.margin_and_prime(m_hi_x)[0] <= 0:
-            c_m = _newton_1d(sys.margin_and_prime, c_min, _C_FLOOR, m_hi_x)
-            r2_at = sys.r2_and_prime(c_m)[0]
-            if abs(r2_at) <= max(1e-10, 2.0 * abs(v_min)):
-                crit = (c_m, r2_at)
-    if crit is not None and v_min > -1e-10:
-        c_m, r2_at = crit
-        cls = _classify_from(q, 0.0)
-        return _make_data(
-            c_m, 1.0, 0.0, cls, g,
-            {"R1": 0.0, "R2": r2_at, "path": "bipartite-critical"},
-        )
+    c_m = _margin_root(sys, c_min, c_min, hi) if v_min > -1e-10 else None
+    if c_m is not None:
+        r2_at = sys.r2_and_prime(c_m)[0]
+        if abs(r2_at) <= max(1e-10, 2.0 * abs(v_min)):
+            return _make_data(
+                c_m, 1.0, 0.0, _classify_from(q, 0.0), g,
+                {"R1": 0.0, "R2": r2_at, "path": "bipartite-critical"},
+            )
 
     # genuinely subcritical: smaller root of R2
     c_root = _newton_1d(sys.r2_and_prime, 0.5 * (_C_FLOOR + c_min), _C_FLOOR, c_min)
@@ -252,49 +279,57 @@ def _solve_bipartite(q, sys, g, tol):
     )
 
 
-def _damped_newton_2d(F, x0, lo_c, hi_c, tol=1e-13, max_iter=80, fd=1e-7):
-    """Damped Newton with finite-difference Jacobian on x = (c, s), r = tanh(s)."""
-    x = np.array(x0, dtype=float)
-    fx = np.array(F(x))
-    best = (np.max(np.abs(fx)), x.copy())
-    for _ in range(max_iter):
-        n0 = np.max(np.abs(fx))
-        if n0 < tol:
-            return x, n0
-        J = np.empty((2, 2))
-        for j in range(2):
-            h = fd * max(1.0, abs(x[j]))
+def _damped_newton(F, x0, lo, hi):
+    """Damped Newton with a forward-difference Jacobian, x clamped to [lo, hi].
+
+    Stops when max|F| < _NEWTON_TOL, after _NEWTON_ITER iterations, on a
+    singular Jacobian, when no trial point of a line search evaluates, or
+    after _STALL_LIMIT consecutive line searches that end on the forced
+    step (lambda < 1e-3) without lowering max|F|.  Returns the best iterate
+    and its max|F|.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    x = np.clip(np.array(x0, dtype=float), lo, hi)
+    fx = np.array(F(x), dtype=float)
+    n0 = np.max(np.abs(fx))
+    best_x, best_n = x, n0
+    stalls = 0
+    for _ in range(_NEWTON_ITER):
+        if n0 < _NEWTON_TOL:
+            break
+        J = np.empty((len(x), len(x)))
+        for j in range(len(x)):
+            h = _FD_STEP * max(1.0, abs(x[j]))
             xp = x.copy()
             xp[j] += h
-            J[:, j] = (np.array(F(xp)) - fx) / h
+            J[:, j] = (np.array(F(xp), dtype=float) - fx) / h
         try:
             step = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError:
             break
         lam = 1.0
-        moved = False
-        for _ in range(16):
-            xn = x + lam * step
-            xn[0] = min(max(xn[0], _C_FLOOR), hi_c)
-            xn[1] = min(max(xn[1], -20.0), 20.0)
+        for _ in range(_LINE_SEARCH):
+            xn = np.clip(x + lam * step, lo, hi)
             try:
-                fn = np.array(F(xn))
-            except Exception:
+                fn = np.array(F(xn), dtype=float)
+            except (DivergentSeriesError, ArithmeticError, ValueError):
+                # series divergent or overflowing there, or r rounded to -1
                 lam *= 0.5
                 continue
-            if np.max(np.abs(fn)) < n0 or lam < 1e-3:
-                x, fx = xn, fn
-                moved = True
+            nn = np.max(np.abs(fn))
+            if nn < n0 or lam < 1e-3:
                 break
             lam *= 0.5
-        if not moved:
+        else:
             break
-        if np.max(np.abs(fx)) < best[0]:
-            best = (np.max(np.abs(fx)), x.copy())
-    n = np.max(np.abs(fx))
-    if n < best[0]:
-        best = (n, x)
-    return best[1], best[0]
+        stalls = 0 if nn < n0 else stalls + 1
+        x, fx, n0 = xn, fn, nn
+        if n0 < best_n:
+            best_x, best_n = x, n0
+        if stalls >= _STALL_LIMIT:
+            break
+    return best_x, best_n
 
 
 def _start_points(q, sys):
@@ -314,8 +349,6 @@ def _start_points(q, sys):
 
 def _feasible_hi(sys, hi):
     """Largest c at (or below) hi where the series evaluation is tractable."""
-    from .errors import DivergentSeriesError
-
     for _ in range(80):
         try:
             sys.r2_and_prime(hi, 0.0)
@@ -325,120 +358,100 @@ def _feasible_hi(sys, hi):
     raise SolverFailureError("no evaluable c range")
 
 
-def _solve_general(q, sys, g, tol, initial=None):
-    from .errors import DivergentSeriesError
-
+def _bounds(sys):
+    """Newton clamps on (c, s) for one sequence."""
     hi_c = 1e9 if math.isinf(sys.c_max) else _feasible_hi(sys, sys.c_max)
+    return (_C_FLOOR, -20.0), (hi_c, 20.0)
 
-    def F_main(x):
-        c, s = x
-        r = math.tanh(s)
-        return sys.residuals(c, r)
 
-    def F_polish(x):
-        c, s = x
-        r = math.tanh(s)
-        r1, _ = sys.residuals(c, r)
-        return (r1, sys.margin_sum(c, r) - 1.0)
+def _solve_general(q, sys, g, tol, initial=None):
+    lo, hi = _bounds(sys)
 
-    starts = _start_points(q, sys)
+    def _newton(F, x0):
+        try:
+            return _damped_newton(F, x0, lo, hi)
+        except DivergentSeriesError:
+            return None, math.inf
+
+    starts = [_to_x(c0, r0) for c0, r0 in _start_points(q, sys)]
     if initial is not None:
-        starts = [initial] + starts
+        starts = [_to_x(*initial)] + starts
 
-    def _finish(c, r, path, force_margin=None):
-        margin = sys.margin(c, r) if force_margin is None else force_margin
+    def _finish(c, r, path, margin=None):
+        if margin is None:
+            margin = sys.margin(c, r)
         r1, r2 = sys.residuals(c, r)
         cls = _classify_from(q, margin)
         return _make_data(
             c, r, margin, cls, g, {"R1": r1, "R2": r2, "path": path},
         )
 
-    def _try_polish(x_init):
-        try:
-            xp, resp = _damped_newton_2d(F_polish, x_init, _C_FLOOR, hi_c)
-        except DivergentSeriesError:
-            return None
-        if resp < 1e-11:
-            cp, rp = xp[0], math.tanh(xp[1])
-            _, r2p = sys.residuals(cp, rp)
-            return cp, rp, r2p
+    def _polish(x0):
+        """Companion-system solution (c, r, R2) from x0, or None."""
+        x, res = _newton(sys.companion, x0)
+        if res < 1e-11:
+            c, r = x[0], math.tanh(x[1])
+            return c, r, sys.residuals(c, r)[1]
         return None
+
+    def _critical(x0, path):
+        polished = _polish(x0)
+        if polished is not None and abs(polished[2]) <= 1e-9:
+            return _finish(polished[0], polished[1], path, margin=0.0)
+        return None
+
+    def _admissible(x0):
+        x, res = _newton(sys.main, x0)
+        if res >= 1e-10:
+            return None, None
+        c, r = x[0], math.tanh(x[1])
+        return x, sys.margin(c, r)
 
     # multi-start Newton on (R1, R2); the fold pairs an admissible solution
     # with an inadmissible mirror image, so candidates are kept and filtered
     # by the margin rather than accepted first-come
     admissible = None
-    inadmissible = None
-    for c0, r0 in starts:
-        try:
-            x, res = _damped_newton_2d(
-                F_main, (c0, math.atanh(min(max(r0, -0.999), 0.999))),
-                _C_FLOOR, hi_c,
-            )
-        except DivergentSeriesError:
+    x_bad = None
+    for x0 in starts:
+        x, margin = _admissible(x0)
+        if x is None:
             continue
-        if res >= 1e-10:
-            continue
-        c, r = x[0], math.tanh(x[1])
-        margin = sys.margin(c, r)
         if margin >= -MARGIN_TOL:
-            admissible = (x, c, r, margin)
+            admissible = (x, margin)
             break
-        if inadmissible is None:
-            inadmissible = (x, c, r, margin)
+        if x_bad is None:
+            x_bad = x
 
-    if admissible is None and inadmissible is not None:
+    if admissible is None and x_bad is not None:
         # reflect the bad branch through the critical point of the fold
-        x_bad = inadmissible[0]
-        polished = _try_polish(x_bad)
+        polished = _polish(x_bad)
         if polished is not None:
-            cp, rp, _ = polished
-            x0 = np.array([2.0 * cp - x_bad[0],
-                           2.0 * math.atanh(min(max(rp, -0.999999), 0.999999))
-                           - x_bad[1]])
-            x0[0] = min(max(x0[0], _C_FLOOR), hi_c)
-            try:
-                x, res = _damped_newton_2d(F_main, x0, _C_FLOOR, hi_c)
-                if res < 1e-10:
-                    c, r = x[0], math.tanh(x[1])
-                    margin = sys.margin(c, r)
-                    if margin >= -MARGIN_TOL:
-                        admissible = (x, c, r, margin)
-            except DivergentSeriesError:
-                pass
+            x, margin = _admissible(2.0 * _to_x(*polished[:2]) - x_bad)
+            if x is not None and margin >= -MARGIN_TOL:
+                admissible = (x, margin)
 
     if admissible is not None:
-        x, c, r, margin = admissible
+        x, margin = admissible
         if abs(margin) < 1e-5:
-            polished = _try_polish(x)
-            if polished is not None and abs(polished[2]) <= 1e-9:
-                cp, rp, r2p = polished
-                r1p, _ = sys.residuals(cp, rp)
-                return _make_data(
-                    cp, rp, 0.0, _classify_from(q, 0.0), g,
-                    {"R1": r1p, "R2": r2p, "path": "newton+critical-polish"},
-                )
-        return _finish(c, r, "newton")
+            done = _critical(x, "newton+critical-polish")
+            if done is not None:
+                return done
+        return _finish(x[0], math.tanh(x[1]), "newton", margin)
 
     # no Newton route: the input may sit exactly on the fold
-    for c0, r0 in starts:
-        polished = _try_polish((c0, math.atanh(min(max(r0, -0.999), 0.999))))
-        if polished is not None and abs(polished[2]) <= 1e-9:
-            cp, rp, r2p = polished
-            r1p, _ = sys.residuals(cp, rp)
-            return _make_data(
-                cp, rp, 0.0, _classify_from(q, 0.0), g,
-                {"R1": r1p, "R2": r2p, "path": "critical-polish"},
-            )
+    for x0 in starts:
+        done = _critical(x0, "critical-polish")
+        if done is not None:
+            return done
 
     # nested scan: smallest root of R2 in c at fixed r, outer sign change
-    # of R1 along that branch
+    # of R1 along that branch; without one the system has no solution
     def _smallest_root(r):
         def f1d(c, _r=r):
             return sys.r2_and_prime(c, _r)
 
         try:
-            c_min = _minimize_convex(f1d, _C_FLOOR, min(hi_c, 1e6))
+            c_min = _minimize_convex(f1d, _C_FLOOR, min(hi[0], 1e6))
             v = f1d(c_min)[0]
         except (DivergentSeriesError, OverflowError):
             return None
@@ -448,53 +461,49 @@ def _solve_general(q, sys, g, tol, initial=None):
 
     grid = np.linspace(-0.995, 0.995, 161)
     phi = np.full(grid.shape, np.nan)
-    any_root = False
     for i, r in enumerate(grid):
         c_root = _smallest_root(r)
         if c_root is not None:
-            any_root = True
             phi[i] = sys.residuals(c_root, r)[0]
-    sign_change = None
-    for i in range(len(grid) - 1):
-        if np.isfinite(phi[i]) and np.isfinite(phi[i + 1]) and phi[i] * phi[i + 1] < 0:
-            sign_change = i
-            break
-    if sign_change is not None:
-        a, b = grid[sign_change], grid[sign_change + 1]
-        sig = phi[sign_change]
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            c_root = _smallest_root(m)
-            if c_root is None:
-                break
-            val = sys.residuals(c_root, m)[0]
-            if val * sig > 0:
-                a = m
-            else:
-                b = m
-            if b - a < 1e-13:
-                break
-        r = 0.5 * (a + b)
-        c_root = _smallest_root(r)
-        if c_root is not None:
-            margin = sys.margin(c_root, r)
-            if margin >= -MARGIN_TOL:
-                return _finish(c_root, r, "nested-bisection")
-
-    if not any_root:
+    changes = np.flatnonzero(phi[:-1] * phi[1:] < 0)
+    if len(changes) == 0:
         return _make_data(
             float("nan"), float("nan"), float("nan"), "not_admissible", g,
             {"path": "grid-no-solution"},
         )
-    raise SolverFailureError("no admissible solution found by any strategy")
+    a, b = grid[changes[0]], grid[changes[0] + 1]
+    sig = phi[changes[0]]
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        c_root = _smallest_root(m)
+        if c_root is None:
+            break
+        val = sys.residuals(c_root, m)[0]
+        if val * sig > 0:
+            a = m
+        else:
+            b = m
+        if b - a < 1e-13:
+            break
+    r = 0.5 * (a + b)
+    c_root = _smallest_root(r)
+    if c_root is None:
+        raise SolverFailureError("nested scan lost the R2 root it bisected")
+    return _finish(c_root, r, "nested-bisection")
 
 
 def solve_boltzmann(q: WeightSequence, g=1.0, tol=RESIDUAL_TOL, initial=None):
     """Spectral constants (c_+, r) of a weight sequence, deformed by g.
 
-    Returns CriticalData; a sequence beyond the admissibility boundary
-    yields classification 'not_admissible' rather than an exception.
-    Newton divergence on an admissible input raises SolverFailureError.
+    Returns CriticalData.  Multi-start damped Newton solves the main
+    system (R1, R2); near-critical and fold-sitting inputs are finished on
+    the companion system (R1, margin - 1).  When neither converges, a
+    nested scan follows the smallest root of R2 in c across r: no sign
+    change of R1 along it means no solution, and the sequence is
+    classified 'not_admissible' (path 'grid-no-solution'), as is any
+    bisected root with a negative margin; inputs beyond the admissibility
+    boundary never raise.  SolverFailureError is left for a scan that
+    loses its own bracket.
     """
     rep = validate(q)
     if not rep.ok:
@@ -682,52 +691,42 @@ def _fold_side(shape, t, bipartite, warm):
     Solves the well-conditioned companion system (R1 = 0, margin = 0) and
     inspects the sign of R2 there: negative means admissible slack remains
     (t below the boundary), positive or unsolvable means t is beyond it.
-    Returns (side, state) with side < 0 below the fold.
+    Returns (side, state) with side < 0 below the fold; state is the
+    companion solution, (c,) or (c, s), to warm-start the next scale.
     """
-    from .errors import DivergentSeriesError
-
     sys = _System(shape.scaled(t))
-    hi_c = 1e9 if math.isinf(sys.c_max) else _feasible_hi(sys, sys.c_max)
+    lo, hi = _bounds(sys)
     if bipartite:
         try:
-            if sys.margin_and_prime(_C_FLOOR)[0] <= 0:
+            c = _margin_root(sys, warm[0] if warm else 2.5,
+                             warm[0] * 2.0 if warm else 8.0, hi[0])
+            if c is None:
                 return 1.0, None
-            hi = warm[0] * 2.0 if warm is not None else 8.0
-            while sys.margin_and_prime(min(hi, hi_c))[0] > 0 and hi < hi_c:
-                hi = min(2.0 * hi, hi_c)
-            if sys.margin_and_prime(min(hi, hi_c))[0] > 0:
-                return 1.0, None
-            c = _newton_1d(sys.margin_and_prime, warm[0] if warm else 2.5,
-                           _C_FLOOR, min(hi, hi_c))
             return sys.r2_and_prime(c)[0], (c,)
         except (DivergentSeriesError, OverflowError):
             return 1.0, None
 
-    def F(x):
-        c, s = x
-        r = math.tanh(s)
-        r1, _ = sys.residuals(c, r)
-        return (r1, sys.margin_sum(c, r) - 1.0)
-
     starts = [warm] if warm is not None else []
     starts += [(2.6, 0.0), (3.5, 0.5), (2.2, -0.5), (5.0, 0.3)]
-    for c0, s0 in starts:
+    for x0 in starts:
         try:
-            x, res = _damped_newton_2d(F, (c0, s0), _C_FLOOR, hi_c)
+            x, res = _damped_newton(sys.companion, x0, lo, hi)
         except (DivergentSeriesError, OverflowError):
             continue
         if res < 1e-11:
-            c, r = x[0], math.tanh(x[1])
-            return sys.residuals(c, r)[1], (x[0], x[1])
+            return sys.main(x)[1], (x[0], x[1])
     return 1.0, None
 
 
 def tune_critical(shape: WeightSequence, tol=1e-10):
     """Scale t* at which t * shape sits on the admissibility boundary.
 
-    Bisection on the fold-side indicator (the sign of R2 on the pinned
-    margin = 0 companion curve) brackets the boundary; a bordered Newton
-    solve in (c, r, t) then locates the fold to near machine precision.
+    Halving and then doubling t brackets the boundary on the fold-side
+    indicator (the sign of R2 on the companion curve R1 = 0, margin = 0),
+    each admissible scale warm-starting the next; bisection narrows the
+    bracket, and the shared damped Newton on the bordered system
+    (R1, R2, margin - 1) in (c, s, t) then locates the fold to near
+    machine precision (bipartite shapes: (R2, margin - 1) in (c, t)).
     """
     rep = validate(shape)
     if not rep.ok:
@@ -750,9 +749,10 @@ def tune_critical(shape: WeightSequence, tol=1e-10):
     t_hi = t_lo
     for _ in range(120):
         t_hi *= 2.0
-        side, _ = _fold_side(shape, t_hi, bipartite, warm)
+        side, state = _fold_side(shape, t_hi, bipartite, warm)
         if side >= 0:
             break
+        t_lo, warm = t_hi, state
     else:
         raise BoundaryNotFoundError("weights remain admissible at huge scales")
 
@@ -768,56 +768,19 @@ def tune_critical(shape: WeightSequence, tol=1e-10):
         if t_hi - t_lo <= 1e-8 * t_lo:
             break
 
-    cd0_c = warm[0]
-    cd0_r = 1.0 if bipartite else math.tanh(warm[1])
-
+    # bipartite shapes sit at r = 1, i.e. s = inf
     def F(x):
-        if bipartite:
-            c, t = x
-            r = 1.0
-        else:
-            c, s, t = x
-            r = math.tanh(s)
-        sys = _System(shape.scaled(t))
-        r1, r2 = sys.residuals(c, r)
-        m = sys.margin_sum(c, r) - 1.0
-        if bipartite:
-            return np.array([r2, m])
-        return np.array([r1, r2, m])
+        sys = _System(shape.scaled(x[-1]))
+        y = (x[0], math.inf) if bipartite else x[:2]
+        r1, r2 = sys.main(y)
+        m = sys.companion(y)[1]
+        return (r2, m) if bipartite else (r1, r2, m)
 
     if bipartite:
-        x = np.array([cd0_c, t_lo])
+        lo, hi = (_C_FLOOR, 1e-300), (math.inf, math.inf)
     else:
-        r0 = min(max(cd0_r, -0.999999), 0.999999)
-        x = np.array([cd0_c, math.atanh(r0), t_lo])
-    fx = F(x)
-    for _ in range(60):
-        if np.max(np.abs(fx)) < 1e-13:
-            break
-        J = np.empty((len(x), len(x)))
-        for j in range(len(x)):
-            h = 1e-7 * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            J[:, j] = (F(xp) - fx) / h
-        try:
-            step = np.linalg.solve(J, -fx)
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        for _ in range(12):
-            xn = x + lam * step
-            xn[0] = max(xn[0], _C_FLOOR)
-            xn[-1] = max(xn[-1], 1e-300)
-            try:
-                fn = F(xn)
-            except Exception:
-                lam *= 0.5
-                continue
-            if np.max(np.abs(fn)) < np.max(np.abs(fx)) or lam < 1e-3:
-                x, fx = xn, fn
-                break
-            lam *= 0.5
+        lo, hi = (_C_FLOOR, -20.0, 1e-300), (math.inf, 20.0, math.inf)
+    x, _ = _damped_newton(F, warm + (t_lo,), lo, hi)
 
     t_star = float(x[-1])
     if not (0.5 * t_lo <= t_star <= 2.0 * t_hi):

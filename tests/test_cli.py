@@ -51,11 +51,6 @@ class TestParse:
             parse_args([])
         assert exc.value.code == 2
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("PEELKIT_THREADS", "3")
-        cfg = parse_args(["analyze", "--preset", "quadrangulation"])
-        assert cfg.threads == 3
-
 
 class TestCommands:
     def test_analyze_quadrangulation(self, capsys):

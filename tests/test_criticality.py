@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from peelkit import criticality
 from peelkit.hfun import HCache
 from peelkit.criticality import (
     miermont_check,
@@ -19,6 +21,9 @@ from peelkit.weights import WeightSequence, nu_from_q, preset
 QUAD = WeightSequence({4: Fraction(1, 12)})
 TRI = WeightSequence({3: 1.0 / math.sqrt(12 * math.sqrt(3))})
 SUB = WeightSequence({4: Fraction(1, 20)})
+# non-bipartite, boundary scale t* about 1.75e7
+LARGE_TSTAR = WeightSequence({5: Fraction(1, 2**29), 6: Fraction(1, 2**36),
+                              8: Fraction(3, 2**48)})
 
 
 class TestSolve:
@@ -199,6 +204,60 @@ class TestTune:
         from peelkit.errors import BoundaryNotFoundError
         with pytest.raises((BoundaryNotFoundError, ValueError)):
             tune_critical(WeightSequence({2: Fraction(1)}))
+
+    def test_large_tstar(self):
+        # the doubling bracket must warm-start each scale from the last
+        # admissible one; from the t = 0.5 solution Newton misses at t = 8
+        t = tune_critical(LARGE_TSTAR)
+        assert t.t_star == pytest.approx(1.7503235798e7, rel=1e-9)
+        assert abs(t.data.residuals["R1"]) <= 1e-12
+        assert abs(t.data.residuals["R2"]) <= 1e-12
+        cd = solve_boltzmann(LARGE_TSTAR.scaled(t.t_star))
+        assert cd.classification == "regular_critical"
+        cd = solve_boltzmann(LARGE_TSTAR.scaled(0.9 * t.t_star))
+        assert cd.classification == "subcritical"
+
+    def test_evaluation_count(self, monkeypatch):
+        # failing Newton starts must give up on stalling line searches
+        # instead of running to the iteration cap
+        calls = []
+        residuals = criticality._System.residuals
+
+        def counted(self, c, r):
+            calls.append(1)
+            return residuals(self, c, r)
+
+        monkeypatch.setattr(criticality._System, "residuals", counted)
+        tune_critical(WeightSequence({3: Fraction(1), 4: Fraction(1)}))
+        assert 0 < len(calls) <= 2000
+
+
+class TestBeyondBoundary:
+    @pytest.mark.parametrize("support", [{3: 1, 4: 1}, {3: 1}])
+    def test_not_admissible_not_raised(self, support):
+        # past the fold the two roots of (R1, R2) have merged: no Newton
+        # start converges and R1 has no sign change along the R2 roots
+        shape = WeightSequence({k: Fraction(v) for k, v in support.items()})
+        t = tune_critical(shape)
+        cd = solve_boltzmann(shape.scaled(1.1 * t.t_star))
+        assert cd.classification == "not_admissible"
+
+
+_weights = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+
+
+@settings(max_examples=5, derandomize=True, deadline=None, database=None)
+@given(st.dictionaries(st.integers(3, 8), _weights, min_size=2, max_size=3))
+def test_tuned_shape_brackets_the_boundary(support):
+    shape = WeightSequence(support)
+    t = tune_critical(shape)
+    below = solve_boltzmann(shape.scaled(0.9 * t.t_star))
+    assert below.classification == "subcritical"
+    for data in (t.data, solve_boltzmann(shape.scaled(t.t_star))):
+        assert abs(data.residuals["R1"]) <= 1e-9
+        assert abs(data.residuals["R2"]) <= 1e-9
+    beyond = solve_boltzmann(shape.scaled(1.1 * t.t_star))
+    assert beyond.classification == "not_admissible"
 
 
 class TestReport:
