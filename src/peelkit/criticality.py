@@ -24,6 +24,13 @@ weights as a third unknown (a bordered fold-tracking system).  Beyond
 the boundary the two roots of the fold have merged; a sequence with no
 root of the main system and no sign change of R1 along the branch of
 smallest R2 roots is reported as not admissible.
+
+The series are numpy dot products over the terms q_{k+2} c^k that the
+weight sequence materializes from its cached weights.  Each `_System`
+keeps the terms of its last c and, per h order, the h table of its last
+r, so the c-column of a Jacobian and every bipartite (r = 1) evaluation
+reuse one table.  The Miermont cross-check sums its binomial double
+series per total degree in log space.
 """
 
 from __future__ import annotations
@@ -109,29 +116,41 @@ class _System:
             self.c_max = math.inf
         else:
             self.c_max = (1.0 - 1e-9) / q.tail_ratio
+        self._terms = None  # (c, ks, values) of the last c
+        self._h = {}  # order -> (r, HCache) of the last r
 
     def _sums(self, c, r, order, shifts):
-        """The h(order, .) list and, per shift j, (S_j, dS_j/dc) for
-        S_j = sum_{k>=-1} q_{k+2} c^k h(order, k+j)."""
-        ks, vals, _ = self.q.positive_terms(c, deg=2)
-        h = HCache(float(r), mode="float").array(order, (ks[-1] if ks else 0) + 2)
-        h = h.tolist()
+        """The table T with T[j] = h(order, order + j) and, per shift j,
+        (S_j, dS_j/dc) for S_j = sum_{k>=-1} q_{k+2} c^k h(order, k+j).
+
+        The terms of the last c are kept, and so is the h cache of the last
+        r per order, so the c-column of the Jacobian and every bipartite
+        (r = 1) evaluation reuse one table that grows on demand.
+        """
+        c, r = float(c), float(r)
+        if self._terms is None or self._terms[0] != c:
+            self._terms = (c,) + self.q.positive_terms(c, deg=2)[:2]
+        _, ks, vals = self._terms
+        memo = self._h.get(order)
+        if memo is None or memo[0] != r:
+            memo = self._h[order] = (r, HCache(r, mode="float"))
+        tab = memo[1].table(order, (ks[-1] if len(ks) else 0) + 2)
         out = []
         for j in shifts:
-            s = sp = 0.0
-            for k, v in zip(ks, vals):
-                s += v * h[k + j]
-                sp += k * v / c * h[k + j]
-            out.append((s, sp))
-        return h, out
+            # h(order, k + j) = tab[k + j - order], zero below the order
+            idx = ks + (j - order)
+            lo = int(np.searchsorted(idx, 0))
+            v, hj = vals[lo:], tab[idx[lo:]]
+            out.append((float(np.dot(v, hj)), float(np.dot(ks[lo:] * v, hj)) / c))
+        return tab, out
 
     def residuals(self, c, r):
         h, ((s1, _), (s2, _)) = self._sums(c, r, 0, (1, 2))
-        return s1 - h[1], 2.0 / c**2 + s2 - h[2]
+        return s1 - float(h[1]), 2.0 / c**2 + s2 - float(h[2])
 
     def r2_and_prime(self, c, r=1.0):
         h, ((s2, s2p),) = self._sums(c, r, 0, (2,))
-        return 2.0 / c**2 + s2 - h[2], -4.0 / c**3 + s2p
+        return 2.0 / c**2 + s2 - float(h[2]), -4.0 / c**3 + s2p
 
     def margin_and_prime(self, c, r=1.0):
         """1 - sum_{l>=0} h(1, l+1) nu(l) and its c-derivative.
@@ -243,14 +262,24 @@ def _margin_root(sys, x0, hi, cap):
 
 
 def _solve_bipartite(q, sys, g, tol):
-    hi0 = 8.0 if math.isinf(sys.c_max) else sys.c_max
-    # bracket a sign change of R2' to locate the convex minimum
-    hi = hi0
+    # bracket a sign change of R2' to locate the convex minimum, within
+    # the range of c where the series can be evaluated
     if math.isinf(sys.c_max):
+        hi = 8.0
         while sys.r2_and_prime(hi)[1] <= 0 and hi < 1e12:
             hi *= 2.0
+    else:
+        hi = _feasible_hi(sys, sys.c_max)
     c_min = _minimize_convex(sys.r2_and_prime, _C_FLOOR, hi)
     v_min = sys.r2_and_prime(c_min)[0]
+    if c_min == hi < sys.c_max and v_min > -1e-10:
+        # the minimum of R2 lies beyond the range where the series can be
+        # evaluated; only a clearly negative R2 there still locates the
+        # smaller root, and with it a subcritical solution
+        raise DivergentSeriesError(
+            f"R2 = {v_min:.3g} and still decreasing at c={hi:.6g}, the "
+            "largest c where the series can be evaluated"
+        )
 
     if v_min > 10 * tol:
         margin = sys.margin(c_min, 1.0)
@@ -351,7 +380,7 @@ def _feasible_hi(sys, hi):
     """Largest c at (or below) hi where the series evaluation is tractable."""
     for _ in range(80):
         try:
-            sys.r2_and_prime(hi, 0.0)
+            sys.q.positive_terms(hi, deg=2)
             return hi
         except (DivergentSeriesError, OverflowError):
             hi = 2.0 + 0.9 * (hi - 2.0)
@@ -567,22 +596,49 @@ class MiermontReport:
         }
 
 
+_LOG_FACTORIALS = np.zeros(1)
+
+
+def _log_factorials(n):
+    """log m! for m = 0..n (at least), from a table grown on first use."""
+    global _LOG_FACTORIALS
+    if len(_LOG_FACTORIALS) <= n:
+        size = max(n + 1, 2 * len(_LOG_FACTORIALS))
+        _LOG_FACTORIALS = np.array([math.lgamma(m + 1.0) for m in range(size)])
+    return _LOG_FACTORIALS
+
+
+def _log_power(e, log_z):
+    """e * log z with 0 * log 0 = 0, for a nonnegative integer array e."""
+    out = np.zeros(len(e))
+    np.multiply(e, log_z, out=out, where=e > 0)
+    return out
+
+
 def _inner_sums(zp, zd, n):
-    """Inner binomial sums at total degree n for f_dot, f_diamond, d/dx, d/dy."""
-    fd = 0.0
-    fdot = 0.0
-    dx = 0.0
-    dy = 0.0
-    for k in range(n // 2 + 1):
-        rest = n - 2 * k
-        base = math.comb(n, k) * math.comb(n - k, k)
-        zpow = zp**k * (zd**rest if rest else 1.0)
-        fd += base * zpow
-        fdot += math.comb(n + 1, k + 1) * math.comb(n - k, k) * zpow
-        if k >= 1:
-            dx += k * base * zp ** (k - 1) * (zd**rest if rest else 1.0)
-        if rest >= 1:
-            dy += rest * base * zp**k * (zd ** (rest - 1) if rest - 1 else 1.0)
+    """Inner binomial sums at total degree n for f_dot, f_diamond, d/dx, d/dy.
+
+    With rest = n - 2k and b_k = n! / (k!^2 rest!) = C(n,k) C(n-k,k):
+    f_diamond = sum_k b_k zp^k zd^rest, f_dot the same with
+    C(n+1,k+1) C(n-k,k) = b_k (n+1)/(k+1), and the two partial derivatives
+    in zp and zd.  Each term is summed from log space, so neither the
+    binomials nor the powers overflow or underflow on their own; zd = 0
+    (r = 1) keeps exactly the terms whose power of zd is zero.
+    """
+    lf = _log_factorials(n)
+    k = np.arange(n // 2 + 1)
+    rest = n - 2 * k
+    log_zd = math.log(zd) if zd > 0.0 else -math.inf
+    log_b = lf[n] - 2.0 * lf[k] - lf[rest] + k * math.log(zp)
+    with np.errstate(over="ignore"):
+        t = np.exp(log_b + _log_power(rest, log_zd))
+        fd = float(t.sum())
+        fdot = float(np.dot(t, (n + 1.0) / (k + 1.0)))
+        dx = float(np.dot(t, k)) / zp
+        # rest * b_k zp^k zd^(rest-1) over the terms with rest >= 1
+        tail = rest >= 1
+        dy = float(np.dot(rest[tail], np.exp(
+            log_b[tail] + _log_power(rest[tail] - 1, log_zd))))
     return fd, fdot, dx, dy
 
 

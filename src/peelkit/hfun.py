@@ -24,7 +24,11 @@ Two evaluation modes back every cache:
 
   with a_j = h(k, k+j).  The recurrence tracks the dominant solution, so
   it stays relatively accurate even deep into the l^(k-1/2) decay where
-  repeated differencing of order 0 would cancel catastrophically.
+  repeated differencing of order 0 would cancel catastrophically.  Its
+  coefficients are precomputed with numpy a chunk at a time and the
+  recurrence runs over the chunk's Python floats; growth resumes from the
+  last two entries, so a table is bit-identical whatever its growth
+  history.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ ORDER_MAX = 4
 # Orders above 2 are materialized by summing the order below, orders below
 # -2 by differencing the order above; the recurrence covers each directly
 # in float mode.
+
+# float tables: recurrence coefficients are precomputed this many at a time
+_CHUNK = 4096
 
 
 def _check_order(k):
@@ -141,25 +148,41 @@ class HCache:
         return tab
 
     def _grow_float(self, k, n):
+        """Extend the order-k float table to length >= n+1; a table that
+        exists grows to at least twice its length.
+
+        The coefficients of the recurrence are computed with numpy a chunk
+        at a time; the recurrence itself runs over the chunk's Python
+        floats, resuming from the last two entries of a shorter table, so
+        growth never recomputes a prefix and every entry is the same double
+        whatever the growth history.
+        """
         tab = self._tables.get(k)
         if tab is not None and len(tab) > n:
             return tab
-        size = max(n + 1, 64)
+        size = max(n + 1, 16)
         if tab is not None:
             size = max(size, 2 * len(tab))
         r = float(self.r)
-        out = np.empty(size, dtype=np.float64)
-        out[0] = 1.0
-        if size > 1:
-            out[1] = (1.0 - r) * 0.5 + k
-        prev2 = out[0]
-        prev1 = out[1] if size > 1 else 0.0
         one_m_r = 1.0 - r
-        for j in range(1, size - 1):
-            nxt = ((one_m_r * (j + 0.5) + k) * prev1 + r * (j + k) * prev2) / (j + 1)
-            out[j + 1] = nxt
-            prev2 = prev1
-            prev1 = nxt
+        out = np.empty(size, dtype=np.float64)
+        if tab is None:
+            out[0] = 1.0
+            out[1] = one_m_r * 0.5 + k
+            start = 1
+        else:
+            start = len(tab) - 1
+            out[: start + 1] = tab
+        prev2 = float(out[start - 1])
+        prev1 = float(out[start])
+        for lo in range(start, size - 1, _CHUNK):
+            j = np.arange(lo, min(lo + _CHUNK, size - 1))
+            vals = []
+            for a, b, d in zip((one_m_r * (j + 0.5) + k).tolist(),
+                               (r * (j + k)).tolist(), (j + 1).tolist()):
+                prev2, prev1 = prev1, (a * prev1 + b * prev2) / d
+                vals.append(prev1)
+            out[lo + 1 : lo + 1 + len(vals)] = vals
         self._tables[k] = out
         return out
 
@@ -197,6 +220,16 @@ class HCache:
         if self.mode == "exact":
             return list(tab[: n + 1])
         return tab[: n + 1].copy()
+
+    def table(self, k, l_max):
+        """The cache's own table T, T[j] = h(k, k+j), covering l = k..l_max.
+
+        No copy is made: T may be longer than asked for, grows into a new
+        object on a later request, and must not be written to.
+        """
+        if l_max < k:
+            raise ValueError("l_max must be >= k")
+        return self._ensure(k, l_max)
 
     def array(self, k, l_max):
         """Float array A with A[l] = h(k, l) for l = 0..l_max (zeros below k)."""

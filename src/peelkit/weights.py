@@ -14,10 +14,21 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DivergentSeriesError
 from .hfun import HCache, h_eval
 
 _TAIL_TOL = 1e-16
+
+
+def _exp(x):
+    """np.exp that raises OverflowError, as math.exp does, instead of inf."""
+    with np.errstate(over="ignore"):
+        out = np.exp(x)
+    if np.isposinf(out).any():
+        raise OverflowError("math range error")
+    return out
 
 
 def _as_value(x):
@@ -52,6 +63,9 @@ class WeightSequence:
         self.log_gen = log_gen
         self.tail_ratio = tail_ratio
         self.tail_start = tail_start
+        self._support_cache = None
+        self._weight_cache = np.empty(0)
+        self._last_cut = 0
         if gen is not None and tail_ratio is None:
             raise ValueError("infinite families need a certified tail ratio")
 
@@ -98,26 +112,72 @@ class WeightSequence:
 
     # -- materialization with certified tails -------------------------------
 
+    def _support_arrays(self):
+        """(k, q_{k+2}) of a finite support as sorted arrays, cached."""
+        if self._support_cache is None:
+            ks = sorted(k - 2 for k in self.support)
+            self._support_cache = (
+                np.array(ks, dtype=np.int64),
+                np.array([float(self.support[k + 2]) for k in ks]),
+            )
+        return self._support_cache
+
+    def _family_weights(self, n):
+        """Per-sequence cache of an infinite family's degrees 1..n.
+
+        Holds log q_d when the family has ``log_gen`` (evaluated on whole
+        integer arrays) and q_d otherwise (one ``gen`` call per new degree,
+        which may cost a quadrature).
+        """
+        have = self._weight_cache
+        if len(have) < n:
+            d = np.arange(len(have) + 1, n + 1)
+            if self.log_gen is not None:
+                new = np.asarray(self.log_gen(d), dtype=np.float64)
+            else:
+                new = np.array([float(self.value(int(x))) for x in d])
+            have = self._weight_cache = np.concatenate([have, new])
+        return have[:n]
+
+    def _terms(self, ks, c, log_c):
+        """q_{k+2} c^k for the sorted integer array ks.
+
+        Log-weight families and terms with k log c > 600 go through exp in
+        log space, which raises OverflowError like math.exp; the others are
+        q * c^k.
+        """
+        if self.is_finite:
+            w = self._support_arrays()[1]
+        else:
+            w = self._family_weights(int(ks[-1]) + 2)[ks + 1]
+        if self.log_gen is not None:
+            return _exp(w + ks * log_c)
+        big = ks * log_c > 600.0
+        with np.errstate(over="ignore"):
+            if not big.any():
+                return w * c**ks
+            out = np.zeros(len(ks))
+            out[~big] = w[~big] * c ** ks[~big]
+        big &= w != 0.0
+        out[big] = _exp(np.log(w[big]) + ks[big] * log_c)
+        return out
+
     def positive_terms(self, c, deg=2, tol=_TAIL_TOL, k_min=64, k_cap=60_000):
         """Materialize nu-style terms q_{k+2} c^k for k >= -1.
 
-        Returns (ks, values, tail_bound) where tail_bound certifies
-        sum_{k > ks[-1]} q_{k+2} c^k (k+2)^deg.  Raises DivergentSeriesError
-        when the family tail does not sum at this c, or when it sums so
-        slowly that materialization would be hopeless.
+        Returns (ks, values, tail_bound) as numpy arrays and a float, where
+        tail_bound certifies sum_{k > ks[-1]} q_{k+2} c^k (k+2)^deg.  The
+        terms are computed a block at a time from the per-sequence weight
+        cache; the cut is the first k >= k_min whose tail bound falls below
+        tol times the running total (an in-order cumulative sum).  Raises
+        DivergentSeriesError when the family tail does not sum at this c,
+        or when it sums so slowly that materialization would be hopeless.
         """
         c = float(c)
+        log_c = math.log(c)
         if self.is_finite:
-            ks = sorted(k - 2 for k in self.support if k >= 1)
-            log_c = math.log(c)
-            vals = []
-            for k in ks:
-                qk2 = float(self.value(k + 2))
-                if k * log_c > 600.0:
-                    vals.append(math.exp(math.log(qk2) + k * log_c))
-                else:
-                    vals.append(qk2 * c**k)
-            return ks, vals, 0.0
+            ks = self._support_arrays()[0]
+            return ks, self._terms(ks, c, log_c), 0.0
         rho = self.tail_ratio * c
         if rho >= 1.0:
             raise DivergentSeriesError(
@@ -127,34 +187,46 @@ class WeightSequence:
             raise DivergentSeriesError(
                 f"tail ratio {rho:.8f} at c={c:.6g} converges too slowly"
             )
-        log_c = math.log(c)
-        ks, vals = [], []
+        k_first = max(k_min, self.tail_start - 2, 1)
+        ks_parts, val_parts = [], []
         total = 0.0
-        k = -1
+        # first block: up to the last cut for log weights (nearby c cut
+        # nearby), the cached weights for the others
+        if self.log_gen is not None:
+            hi = max(k_min, self._last_cut) + 1
+        else:
+            hi = max(k_min + 1, min(len(self._weight_cache) - 1, k_cap + 1))
+        lo = -1
         while True:
-            if self.log_gen is not None:
-                lq = self.log_gen(k + 2)
-                term = 0.0 if lq == -math.inf else math.exp(lq + k * log_c)
-            else:
-                qk2 = float(self.value(k + 2))
-                if qk2 == 0.0:
-                    term = 0.0
-                elif k * log_c > 600.0:
-                    term = math.exp(math.log(qk2) + k * log_c)
-                else:
-                    term = qk2 * c**k
-            ks.append(k)
-            vals.append(term)
-            total += term
-            if k >= k_min and k + 2 >= self.tail_start:
-                rho_d = rho * math.exp(deg / k)
-                if rho_d < 1.0:
-                    bound = term * (k + 2) ** deg * rho_d / (1.0 - rho_d)
-                    if bound < tol * max(1.0, total):
-                        return ks, vals, bound
-            k += 1
-            if k > k_cap:
+            ks = np.arange(lo, hi, dtype=np.int64)
+            vals = self._terms(ks, c, log_c)
+            ks_parts.append(ks)
+            val_parts.append(vals)
+            running = np.cumsum(np.concatenate(([total], vals)))[1:]
+            total = float(running[-1])
+            # candidate cuts: k >= k_first where rho e^(deg/k) < 1, a suffix
+            i0 = max(k_first - lo, 0)
+            rho_d = rho * np.exp(deg / ks[i0:])
+            skip = int(np.searchsorted(-rho_d, -1.0, "right"))
+            i0 += skip
+            rho_d = rho_d[skip:]
+            bound = vals[i0:] * (ks[i0:] + 2) ** deg * rho_d / (1.0 - rho_d)
+            hit = np.flatnonzero(bound < tol * np.maximum(1.0, running[i0:]))
+            if len(hit):
+                cut = i0 + int(hit[0])
+                self._last_cut = int(ks[cut])
+                ks_parts[-1] = ks[: cut + 1]
+                val_parts[-1] = vals[: cut + 1]
+                return (np.concatenate(ks_parts), np.concatenate(val_parts),
+                        float(bound[hit[0]]))
+            if hi > k_cap:
                 raise DivergentSeriesError("family tail will not certify")
+            lo = hi
+            if self.log_gen is not None:
+                hi = min(2 * hi, k_cap + 1)
+            else:
+                # gen-only families: never evaluate a weight past the cut
+                hi = max(hi + 1, min(len(self._weight_cache) - 1, k_cap + 1))
 
     def scaled(self, t):
         """t * q, used to walk a shape toward its admissibility boundary."""
@@ -330,7 +402,7 @@ def nu_from_q(q: WeightSequence, c_plus, r, tol=_TAIL_TOL) -> StepLawPositive:
         nu_m2 = 2 / c**2
         return StepLawPositive(float(c), float(r), nu, nu_m2, 0.0, True, Fraction(r))
     ks, vals, tail = q.positive_terms(float(c_plus), deg=2, tol=tol)
-    nu = {k: v for k, v in zip(ks, vals) if v != 0}
+    nu = {k: v for k, v in zip(ks.tolist(), vals.tolist()) if v != 0}
     nu_m2 = 2.0 / float(c_plus) ** 2
     return StepLawPositive(float(c_plus), float(r), nu, nu_m2, tail, False)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peelkit import criticality
+from peelkit.errors import DivergentSeriesError
 from peelkit.hfun import HCache
 from peelkit.criticality import (
     miermont_check,
@@ -128,6 +129,29 @@ class TestSolve:
             solve_boltzmann(WeightSequence({2: Fraction(1, 2)}))
 
 
+class TestDeformedHeavyTail:
+    """The bipartite solver on a deformed heavy-tailed family, whose tail
+    ratio puts c_max where the series cannot be materialized."""
+
+    @pytest.mark.parametrize("g", [0.5, 0.9])
+    def test_subcritical(self, g):
+        q = preset("symmetric_critical", r=1.0, a=math.pi / 4).weights
+        cd = solve_boltzmann(q, g=g)
+        assert cd.classification == "subcritical"
+        assert cd.residuals["path"] == "bipartite-subcritical"
+        assert abs(cd.residuals["R2"]) <= 1e-12
+        assert cd.margin > 0.1
+        # c_+(g) increases to sqrt(2 / nu(-2)) = sqrt(6) at g = 1
+        assert 2.0 < cd.c_plus < math.sqrt(6.0)
+
+    def test_undecidable_near_criticality_raises(self):
+        # R2 is still decreasing and positive at the edge of the tractable
+        # range: the solver cannot tell a critical from a subcritical point
+        q = preset("symmetric_critical", r=1.0, a=math.pi / 4).weights
+        with pytest.raises(DivergentSeriesError):
+            solve_boltzmann(q, g=0.999999)
+
+
 class TestClassify:
     def test_quadrangulation_regular(self):
         cd = solve_boltzmann(QUAD)
@@ -181,6 +205,35 @@ class TestMiermont:
         assert not rep.ok
 
 
+def exact_inner_sums(zp, zd, n):
+    """The four inner binomial sums in rational arithmetic."""
+    fd = fdot = dx = dy = Fraction(0)
+    for k in range(n // 2 + 1):
+        rest = n - 2 * k
+        base = math.comb(n, k) * math.comb(n - k, k)
+        fd += base * zp**k * zd**rest
+        fdot += math.comb(n + 1, k + 1) * math.comb(n - k, k) * zp**k * zd**rest
+        if k >= 1:
+            dx += k * base * zp ** (k - 1) * zd**rest
+        if rest >= 1:
+            dy += rest * base * zp**k * zd ** (rest - 1)
+    return fd, fdot, dx, dy
+
+
+class TestInnerSums:
+    @pytest.mark.parametrize("zp,zd", [
+        (Fraction(1, 2), Fraction(3, 4)),
+        (Fraction(1, 20), Fraction(7, 5)),
+        (Fraction(9, 8), Fraction(1, 1000)),
+        (Fraction(2), Fraction(0)),  # r = 1
+    ])
+    def test_against_exact(self, zp, zd):
+        for n in range(0, 61):
+            got = criticality._inner_sums(float(zp), float(zd), n)
+            for g, e in zip(got, exact_inner_sums(zp, zd, n)):
+                assert abs(g - float(e)) <= 1e-12 * abs(float(e)), (n, g, e)
+
+
 class TestTune:
     def test_quadrangulation_scale(self):
         t = tune_critical(WeightSequence({4: Fraction(1)}))
@@ -230,6 +283,20 @@ class TestTune:
         monkeypatch.setattr(criticality._System, "residuals", counted)
         tune_critical(WeightSequence({3: Fraction(1), 4: Fraction(1)}))
         assert 0 < len(calls) <= 2000
+
+    def test_h_table_builds(self, monkeypatch):
+        # the solver systems keep one h table per order and ratio instead
+        # of building a fresh one per evaluation
+        calls = []
+        grow = HCache._grow_float
+
+        def counted(self, k, n):
+            calls.append(k)
+            return grow(self, k, n)
+
+        monkeypatch.setattr(HCache, "_grow_float", counted)
+        tune_critical(WeightSequence({4: Fraction(1), 6: Fraction(1)}))
+        assert 0 < len(calls) <= 100
 
 
 class TestBeyondBoundary:

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peelkit.errors import UnsupportedOrderError
 from peelkit.hfun import HCache, h_asymptote, h_batch, h_eval
@@ -114,6 +115,43 @@ class TestRecurrences:
                         assert abs(f) < 1e-12
                     else:
                         assert abs(f - float(e)) <= 1e-12 * abs(float(e)) + 1e-15
+
+
+def reference_float_table(r, k, size):
+    """Plain loop over the three-term recurrence of the order-k table."""
+    out = [1.0, (1.0 - r) * 0.5 + k]
+    for j in range(1, size - 1):
+        nxt = ((1.0 - r) * (j + 0.5) + k) * out[j] + r * (j + k) * out[j - 1]
+        out.append(nxt / (j + 1))
+    return out
+
+
+class TestFloatRecurrence:
+    @pytest.mark.parametrize("r", [0.37, 1.0, -0.62, 0.0])
+    def test_bit_identical_to_plain_loop(self, r):
+        # growth by doubling and by large requests, across chunk boundaries
+        for k in range(-4, 5):
+            c = HCache(r, mode="float")
+            for l_max in (10, 100, 5_000, 9_500):
+                tab = c.table(k, l_max)
+                assert len(tab) > l_max - k
+                assert tab.tolist() == reference_float_table(r, k, len(tab))
+
+
+_ratios = st.builds(
+    lambda den, num: Fraction(num % (2 * den) - den + 1, den),
+    st.integers(1, 60), st.integers(0, 10**6))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_ratios, st.integers(-4, 4))
+def test_float_matches_exact_over_random_ratios(r, k):
+    assert -1 < r <= 1
+    exact = HCache(r)
+    approx = HCache(float(r), mode="float")
+    for l in range(k, k + 40):
+        e = float(exact.value(k, l))
+        assert abs(approx.value(k, l) - e) <= 1e-12 * abs(e) + 1e-15
 
 
 class TestStructure:

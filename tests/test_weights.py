@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from peelkit.errors import DivergentSeriesError
@@ -88,6 +89,80 @@ class TestNuFromQ:
     def test_requires_c_above_two(self):
         with pytest.raises(ValueError):
             nu_from_q(WeightSequence({4: Fraction(1, 12)}), 1.5, 1.0)
+
+
+def scalar_positive_terms(q, c, deg=2, tol=1e-16, k_min=64):
+    """Term-by-term reference for positive_terms on an infinite family."""
+    rho = q.tail_ratio * c
+    log_c = math.log(c)
+    ks, vals, total, k = [], [], 0.0, -1
+    while True:
+        if q.log_gen is not None:
+            term = math.exp(q.log_gen(k + 2) + k * log_c)
+        else:
+            term = float(q.value(k + 2)) * c**k
+        ks.append(k)
+        vals.append(term)
+        total += term
+        if k >= k_min and k + 2 >= q.tail_start:
+            rho_d = rho * math.exp(deg / k)
+            if rho_d < 1.0:
+                bound = term * (k + 2) ** deg * rho_d / (1.0 - rho_d)
+                if bound < tol * max(1.0, total):
+                    return ks, vals, bound
+        k += 1
+
+
+class TestPositiveTerms:
+    @pytest.mark.parametrize("H", [2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("variant", ["plain", "deformed", "scaled"])
+    def test_matches_scalar_loop(self, H, variant):
+        q = preset("geometric", H=H).weights
+        q = {"plain": q, "deformed": q.deformed(0.99),
+             "scaled": q.scaled(0.7)}[variant]
+        c_max = 1.0 / q.tail_ratio
+        for f in (0.5, 0.9, 0.99):
+            c = 2.0 + f * (c_max - 2.0)
+            ks, vals, bound = q.positive_terms(c)
+            ref_ks, ref_vals, ref_bound = scalar_positive_terms(q, c)
+            assert ks.tolist() == ref_ks
+            np.testing.assert_allclose(vals, ref_vals, rtol=1e-15, atol=0)
+            assert bound == pytest.approx(ref_bound, rel=1e-13)
+
+    def test_gen_only_family_evaluates_no_extra_weights(self):
+        # a family without log weights pays per weight (a quadrature for
+        # the symmetric family): evaluate exactly what the scalar loop does
+        def family(calls):
+            def gen(k):
+                calls.append(k)
+                return 0.0 if k % 3 == 0 else 0.5 * 0.4**k
+            return WeightSequence(gen=gen, tail_ratio=0.4, tail_start=1)
+
+        for cs in ((2.1,), (2.1, 2.4), (2.4, 2.1, 2.45)):
+            calls, ref_calls = [], []
+            q, ref = family(calls), family(ref_calls)
+            for c in cs:
+                ks, vals, _ = q.positive_terms(c)
+                ref_ks, ref_vals, _ = scalar_positive_terms(ref, c)
+                assert ks.tolist() == ref_ks
+                np.testing.assert_allclose(vals, ref_vals, rtol=1e-15, atol=0)
+            assert sorted(calls) == sorted(ref_calls)
+
+    def test_finite_support(self):
+        q = WeightSequence({3: Fraction(1, 5), 6: 0.25, 400: 1e-300})
+        ks, vals, bound = q.positive_terms(5.0)
+        assert ks.tolist() == [1, 4, 398]
+        assert bound == 0.0
+        # 398 log 5 > 600: the last term is summed in log space
+        big = math.exp(math.log(1e-300) + 398 * math.log(5.0))
+        np.testing.assert_allclose(vals, [0.2 * 5.0, 0.25 * 5.0**4, big],
+                                   rtol=1e-15)
+
+    def test_nu_keys_are_python_ints(self):
+        res = preset("geometric", H=3.0)
+        pos = nu_from_q(res.weights, res.constants["c_plus"], res.constants["r"])
+        assert all(type(k) is int for k in pos.nu)
+        assert all(type(v) is float for v in pos.nu.values())
 
 
 class TestQFromNu:
