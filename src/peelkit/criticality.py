@@ -27,10 +27,11 @@ smallest R2 roots is reported as not admissible.
 
 The series are numpy dot products over the terms q_{k+2} c^k that the
 weight sequence materializes from its cached weights.  Each `_System`
-keeps the terms of its last c and, per h order, the h table of its last
-r, so the c-column of a Jacobian and every bipartite (r = 1) evaluation
-reuse one table.  The Miermont cross-check sums its binomial double
-series per total degree in log space.
+keeps the terms of its last c; the h tables come from the per-ratio
+shared cache of `hfun`, so the c-column of a Jacobian, every bipartite
+(r = 1) evaluation and a new system at a ratio already seen reuse one
+table.  The Miermont cross-check sums its binomial double series per
+total degree in log space.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundaryNotFoundError, DivergentSeriesError, SolverFailureError
-from .hfun import HCache
+from .hfun import shared_cache
 from .weights import WeightSequence, validate
 
 RESIDUAL_TOL = 1e-12
@@ -117,24 +118,16 @@ class _System:
         else:
             self.c_max = (1.0 - 1e-9) / q.tail_ratio
         self._terms = None  # (c, ks, values) of the last c
-        self._h = {}  # order -> (r, HCache) of the last r
 
     def _sums(self, c, r, order, shifts):
         """The table T with T[j] = h(order, order + j) and, per shift j,
         (S_j, dS_j/dc) for S_j = sum_{k>=-1} q_{k+2} c^k h(order, k+j).
-
-        The terms of the last c are kept, and so is the h cache of the last
-        r per order, so the c-column of the Jacobian and every bipartite
-        (r = 1) evaluation reuse one table that grows on demand.
         """
         c, r = float(c), float(r)
         if self._terms is None or self._terms[0] != c:
             self._terms = (c,) + self.q.positive_terms(c, deg=2)[:2]
         _, ks, vals = self._terms
-        memo = self._h.get(order)
-        if memo is None or memo[0] != r:
-            memo = self._h[order] = (r, HCache(r, mode="float"))
-        tab = memo[1].table(order, (ks[-1] if len(ks) else 0) + 2)
+        tab = shared_cache(r).table(order, (ks[-1] if len(ks) else 0) + 2)
         out = []
         for j in shifts:
             # h(order, k + j) = tab[k + j - order], zero below the order

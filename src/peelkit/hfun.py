@@ -29,10 +29,17 @@ Two evaluation modes back every cache:
   recurrence runs over the chunk's Python floats; growth resumes from the
   last two entries, so a table is bit-identical whatever its growth
   history.
+
+Float tables are shared: `shared_cache(r)` keeps one float cache per ratio
+(a small LRU keyed by float(r)) for every step law, solver system and chain
+engine at that ratio.  Its tables are read-only; growth replaces a table by
+a longer one whose prefix is bit-identical, so an array obtained earlier
+stays valid.  Exact caches are built per call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -70,9 +77,9 @@ class HCache:
     """Memoized values of h(k, l) for a fixed ratio r.
 
     Exact mode requires a rational r and stores Fractions; float mode
-    stores numpy arrays.  Tables grow on demand until :meth:`freeze` is
-    called, after which out-of-range requests raise RangeError and
-    concurrent reads are safe.
+    stores read-only numpy arrays.  Tables grow on demand until
+    :meth:`freeze` is called, after which out-of-range requests raise
+    RangeError.
     """
 
     def __init__(self, r, mode=None):
@@ -183,6 +190,7 @@ class HCache:
                 prev2, prev1 = prev1, (a * prev1 + b * prev2) / d
                 vals.append(prev1)
             out[lo + 1 : lo + 1 + len(vals)] = vals
+        out.setflags(write=False)
         self._tables[k] = out
         return out
 
@@ -225,7 +233,7 @@ class HCache:
         """The cache's own table T, T[j] = h(k, k+j), covering l = k..l_max.
 
         No copy is made: T may be longer than asked for, grows into a new
-        object on a later request, and must not be written to.
+        object on a later request, and is read-only in float mode.
         """
         if l_max < k:
             raise ValueError("l_max must be >= k")
@@ -246,9 +254,6 @@ class HCache:
     def freeze(self):
         """Stop further materialization; the cache becomes read-only."""
         self._frozen = True
-        for tab in self._tables.values():
-            if isinstance(tab, np.ndarray):
-                tab.setflags(write=False)
         return self
 
     @property
@@ -258,6 +263,21 @@ class HCache:
         for k, tab in self._tables.items():
             best = max(best, k + len(tab) - 1)
         return best
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_float_cache(r):
+    return HCache(r, mode="float")
+
+
+def shared_cache(r):
+    """The process-wide float HCache at ratio float(r).
+
+    Keyed on the float alone: Fraction(1) == 1.0 with equal hashes, so an
+    exact cache must never live in this map.  The cache is shared, so it
+    must not be frozen.
+    """
+    return _shared_float_cache(float(r))
 
 
 def h_eval(cache, k, l):

@@ -520,14 +520,22 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
     )
 
 
+class EnsembleResult(dict):
+    """{checkpoint: (perimeters, volumes)}; `.flags` holds the volume
+    sampler's flags (residual draws, exact fallback)."""
+
+    flags: dict
+
+
 def simulate_ensemble(mode, law: StepLaw, l0, n_steps, n_chains, seed=0,
                       volume_mode="asymptotic_xi", l_exact=DEFAULT_L_EXACT,
                       d_max=24, checkpoints=None):
     """Advance n_chains independent chains and record checkpoint states.
 
     Returns {checkpoint: (perimeters, volumes)} plus the final state under
-    key n_steps.  Uses a single counter-based stream keyed by the seed, so
-    results are reproducible for fixed (seed, n_chains).
+    key n_steps, as an EnsembleResult carrying the volume flags.  Uses a
+    single counter-based stream keyed by the seed, so results are
+    reproducible for fixed (seed, n_chains).
     """
     steps = {int(c) for c in (checkpoints if checkpoints is not None else ())}
     steps = sorted(c for c in steps | {int(n_steps)} if c >= 1)
@@ -535,4 +543,6 @@ def simulate_ensemble(mode, law: StepLaw, l0, n_steps, n_chains, seed=0,
     engine = _ChainEngine(law, mode)
     vol = VolumeSampler(law, volume_mode, l_exact, d_max)
     per, vols = _advance(engine, vol, _rng(seed), int(l0), n_chains, steps)
-    return {c: (per[i], vols[i]) for i, c in enumerate(steps)}
+    out = EnsembleResult((c, (per[i], vols[i])) for i, c in enumerate(steps))
+    out.flags = dict(vol.flags)
+    return out

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InconsistentCriticalityError, RangeError
-from .hfun import HCache
+from .hfun import HCache, shared_cache
 from .seriesutil import accelerated_lattice_sum
 from .weights import StepLawPositive
 
@@ -52,7 +52,6 @@ class StepLaw:
     critical: bool = True
     margin: float = 0.0
     residuals: dict = field(default_factory=dict)
-    _hcache: HCache = None
 
     def nu(self, k):
         """nu(k); exact rational when the law carries exact values."""
@@ -67,9 +66,7 @@ class StepLaw:
         return np.arange(-self.k_neg, self.k_pos + 1)
 
     def hcache(self):
-        if self._hcache is None:
-            object.__setattr__(self, "_hcache", HCache(self.r, mode="float"))
-        return self._hcache
+        return shared_cache(self.r)
 
     def total_mass(self):
         return float(self.probs.sum())
@@ -111,7 +108,7 @@ def kernel_R(r, k, m, cache=None):
     if k < 1 or m < 1:
         raise ValueError("kernel arguments start at 1")
     if cache is None:
-        cache = HCache(float(r), mode="float")
+        cache = shared_cache(r)
     r_val = cache.r
     total = 0 if cache.mode == "exact" else 0.0
     for p in range(m):
@@ -151,42 +148,26 @@ def complete_nu(pos: StepLawPositive, k_neg=DEFAULT_K_NEG, exact=None,
     if exact is None:
         exact = pos.exact and k_pos <= 64 and critical
 
-    cache = HCache(r, mode="float")
-    h1 = cache.array(1, k_pos + 1)
-    hm2 = np.asarray(cache.batch(-2, k_neg + k_pos + 2), dtype=float)
-
-    nu_pos_vec = np.zeros(k_pos + 1)
+    cache = shared_cache(r)
+    nu_pos_vec = np.zeros(2 * k_pos + 1)  # nu(m) for m = 0..k_pos, zero padded
     for k, v in pos.nu.items():
         if k >= 0:
             nu_pos_vec[k] = float(v)
 
+    # Both completions read nu(-k) = sum_p A[p] G[k+p] for k = 1..k_neg, with
+    # A[p] = sum_m nu(m) h(o, m-p) and G[i] = h(g, i-1) + r h(g, i-2): the
+    # critical kernel has (o, g) = (1, -2), the admissible identity (0, -1)
+    # and subtracts G[k].  Both correlations are direct sums; an FFT's
+    # absolute error would swamp the k^(-5/2) tail.
+    o, g = (1, -2) if critical else (0, -1)
+    A = np.correlate(nu_pos_vec, cache.array(o, k_pos), "valid")
+    n = k_neg + k_pos
+    hg = cache.table(g, n)  # hg[j] = h(g, g+j)
+    G = hg[-g : n - g] + r * hg[-g - 1 : n - g - 1]  # G[i-1] for i = 1..n
     nu_neg = np.zeros(k_neg + 1)  # nu_neg[k] = nu(-k)
-    ks = np.arange(1, k_neg + 1)
-    if critical:
-        # A[p] = sum_{m>p} nu(m) h(1, m-p)
-        A = np.zeros(k_pos)
-        for p in range(k_pos):
-            ms = np.arange(p + 1, k_pos + 1)
-            A[p] = np.dot(nu_pos_vec[p + 1 :], h1[ms - p])
-        for p in range(k_pos):
-            # h(-2, k+p-1) + r h(-2, k+p-2) at array offset l+2
-            nu_neg[1:] += A[p] * (hm2[ks + p + 1] + r * hm2[ks + p])
-    else:
-        h0 = cache.array(0, k_pos + 1)
-        hm1 = np.asarray(cache.batch(-1, k_neg + k_pos + 1), dtype=float)
-        # G[j+1] = h(-1, j) + r h(-1, j-1) for j >= -1
-        j_len = k_neg + k_pos + 1
-        G = np.zeros(j_len + 1)
-        G[0] = 1.0  # j = -1: h(-1,-1) = 1, h(-1,-2) = 0
-        js = np.arange(0, j_len)
-        G[1:] = hm1[js + 1] + r * np.concatenate([[1.0], hm1[1:j_len]])
-        # Atil[l] = sum_{m >= l} nu(m) h(0, m-l)
-        Atil = np.zeros(k_pos + 1)
-        for l in range(k_pos + 1):
-            Atil[l] = np.dot(nu_pos_vec[l:], h0[: k_pos + 1 - l])
-        for l in range(k_pos + 1):
-            nu_neg[1:] += Atil[l] * G[ks + l]
-        nu_neg[1:] -= G[ks]
+    nu_neg[1:] = np.correlate(G, A, "valid")
+    if not critical:
+        nu_neg[1:] -= G[:k_neg]
 
     # parity zeros cancel only to rounding level in float; snap them
     nu_neg[np.abs(nu_neg) < 1e-14] = 0.0
@@ -222,11 +203,10 @@ def complete_nu(pos: StepLawPositive, k_neg=DEFAULT_K_NEG, exact=None,
     for k, v in pos.nu.items():
         probs[k + k_neg] = float(v)
 
-    h2 = cache.array(2, k_pos + 2)
-    kk = np.arange(1, k_pos + 1)
+    h2 = cache.array(2, k_pos + 1)
     # the positive truncation carried by the materialization already covers
     # the degree-3/2 growth of h(2, k+1)
-    L_nu = float(np.dot(nu_pos_vec[1:], h2[kk + 1]))
+    L_nu = float(np.dot(nu_pos_vec[1 : k_pos + 1], h2[2:]))
     B_nu = 4.0 * nu_m2_target / (3.0 * (1.0 + r) * L_nu)
     tail_const = 3.0 * L_nu * math.sqrt(1.0 + r) / (4.0 * math.sqrt(math.pi))
     # estimated mass beyond the materialized negative range (k^{-5/2} tail)
@@ -431,11 +411,8 @@ def _heavy_positive_sum(law, h_array, k_shift, l_direct=1 << 18):
     """sum_{l >= 1} h[l + k_shift] nu(l) with tail acceleration."""
     model, lattice = _heavy_tail_model(law)
     K = law.k_pos
-    direct = 0.0
-    for l in range(1, K + 1):
-        v = float(law.probs[l + law.k_neg])
-        if v:
-            direct += h_array[l + k_shift] * v
+    direct = float(np.dot(h_array[1 + k_shift : K + 1 + k_shift],
+                          law.probs[law.k_neg + 1 : law.k_neg + K + 1]))
     start = K + lattice - (K % lattice) if K % lattice else K + lattice
     ls = np.arange(start, l_direct, lattice, dtype=np.int64)
     terms = h_array[ls + k_shift] * model(ls.astype(float))
@@ -465,13 +442,8 @@ def harmonic_residual(law: StepLaw, order, k, l_pos_max=None):
     cache = law.hcache()
     if law.heavy_tail:
         h = cache.array(order, _HEAVY_H_LEN)
-        total = 0.0
-        for l in range(-(k - order), 0):
-            if l < -law.k_neg:
-                continue
-            v = float(law.probs[l + law.k_neg])
-            if v:
-                total += h[l + k] * v
+        ls = np.arange(max(order - k, -law.k_neg), 0)
+        total = float(np.dot(h[ls + k], law.probs[ls + law.k_neg]))
         total += float(law.probs[law.k_neg]) * h[k]
         total += _heavy_positive_sum(law, h, k)
         return abs(total - h[k])

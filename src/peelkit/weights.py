@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DivergentSeriesError
-from .hfun import HCache, h_eval
+from .hfun import HCache, h_eval, shared_cache
 
 _TAIL_TOL = 1e-16
 
@@ -443,8 +443,7 @@ def pointed_disk(l, c_plus, r):
     """Pointed-disk coefficient c_+^l h(0, l) for root-face degree l."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    cache = HCache(float(r), mode="float")
-    return float(c_plus) ** l * h_eval(cache, 0, l)
+    return float(c_plus) ** l * h_eval(shared_cache(r), 0, l)
 
 
 def pointed_disk_binomial(l, z_plus, z_diamond):
@@ -525,7 +524,7 @@ def preset(name, **params) -> PresetResult:
         if p < 1:
             raise ValueError("odd_angulation needs p >= 1")
         r = _odd_angulation_ratio(p)
-        cache = HCache(r, mode="float")
+        cache = shared_cache(r)
         nu_pos = 1.0 / h_eval(cache, 1, 2 * p)
         nu_m2 = h_eval(cache, 1, 3) - h_eval(cache, 1, 2 * p + 2) * nu_pos
         c_plus = math.sqrt(2.0 / nu_m2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peelkit.errors import UnsupportedOrderError
-from peelkit.hfun import HCache, h_asymptote, h_batch, h_eval
+from peelkit.hfun import HCache, h_asymptote, h_batch, h_eval, shared_cache
 
 from series_oracle import h_oracle
 
@@ -221,6 +221,49 @@ class TestAsymptote:
             h_asymptote(0, 10, -1.0)
         with pytest.raises(ValueError):
             h_asymptote(2, 1, 0.5)
+
+
+class TestSharedCache:
+    def test_one_float_cache_per_ratio(self):
+        c = shared_cache(Fraction(1, 2))
+        assert c.mode == "float"
+        assert c is shared_cache(0.5)
+        assert HCache(Fraction(1, 2)).mode == "exact"
+
+    def test_tables_are_read_only(self):
+        tab = shared_cache(0.5).table(0, 10)
+        with pytest.raises(ValueError):
+            tab[3] = 0.0
+        assert shared_cache(0.5).value(0, 3) == HCache(0.5, mode="float").value(0, 3)
+
+    def test_concurrent_growth(self):
+        # readers racing to grow one table each get a table long enough
+        # for their request, equal to the plain loop
+        import sys
+        import threading
+
+        c = HCache(0.3, mode="float")
+        ref = reference_float_table(0.3, 1, 1 << 16)
+        bad = []
+
+        def work(offset):
+            for l_max in range(50 + offset, 20_000, 731):
+                tab = c.table(1, l_max)
+                if len(tab) < l_max or tab.tolist() != ref[: len(tab)]:
+                    bad.append(l_max)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
 
 class TestFreeze:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from peelkit.hfun import HCache
 from peelkit.peeling import (
     L_SMALL,
     DiscreteSampler,
@@ -383,6 +384,33 @@ class TestEnsemble:
         out = simulate_ensemble("ibpm", law, 2, 200, 200, seed=2)
         ls, _ = out[200]
         assert ls.min() >= 1
+
+    def test_volume_flags(self):
+        out = simulate_ensemble("ibpm", LAW, 2, 2000, 256, seed=3,
+                                volume_mode="exact_small")
+        assert sorted(out) == [2000]
+        assert out.flags["exact_fallback"] is False
+        assert out.flags["residual_draws"] > 0
+
+
+class TestSharedH:
+    def test_laws_at_one_ratio_share_the_cache(self):
+        a, b = tri_law(), tri_law(k_neg=1024)
+        deep = deepen_negative(a, 4096)
+        assert a.hcache() is b.hcache() is deep.hcache()
+
+    def test_repeat_simulation_builds_no_tables(self, monkeypatch):
+        simulate("ibpm", LAW, n_steps=1200, seed=1)
+        calls = []
+        grow = HCache._grow_float
+
+        def counted(self, k, n):
+            calls.append(k)
+            return grow(self, k, n)
+
+        monkeypatch.setattr(HCache, "_grow_float", counted)
+        simulate("ibpm", LAW, n_steps=1200, seed=2)
+        assert calls == []
 
 
 # -- the chain engine against the exact kernel ------------------------------------

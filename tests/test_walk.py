@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+from peelkit.criticality import solve_boltzmann
 from peelkit.errors import InconsistentCriticalityError, RangeError
 from peelkit.hfun import HCache
 from peelkit.seriesutil import accelerated_lattice_sum, richardson_limit
@@ -153,6 +154,39 @@ class TestCompleteNu:
     def test_mass_deficit_matches_estimate(self):
         law = quadrangulation_law()
         assert 0.0 <= 1.0 - law.total_mass() <= 2.5 * law.trunc_neg
+
+    @pytest.mark.parametrize("critical", [True, False])
+    def test_correlations_match_double_loop(self, critical):
+        # nu(-k) = sum_p A[p] G[k+p] (minus G[k] when not critical), with
+        # A[p] = sum_m nu(m) h(o, m-p) and G[i] = h(g, i-1) + r h(g, i-2)
+        if critical:
+            res = preset("geometric", H=3.0)
+            pos = nu_from_q(res.weights, res.constants["c_plus"],
+                            res.constants["r"])
+            o, g = 1, -2
+        else:
+            q = WeightSequence({4: Fraction(1, 20)})
+            cd = solve_boltzmann(q)
+            assert cd.classification == "subcritical"
+            pos = nu_from_q(q, cd.c_plus, cd.r)
+            o, g = 0, -1
+        k_neg = 256
+        law = complete_nu(pos, k_neg=k_neg, critical=critical)
+        cache = HCache(pos.r, mode="float")
+        h = cache.value
+        ms = [m for m in pos.nu if m >= 0]
+        A = [sum(float(pos.nu[m]) * h(o, m - p) for m in ms)
+             for p in range(max(ms) + 1)]
+        for k in range(3, k_neg + 1):
+            total = 0.0
+            for p, a in enumerate(A):
+                total += a * (h(g, k + p - 1) + pos.r * h(g, k + p - 2))
+            if not critical:
+                total -= h(g, k - 1) + pos.r * h(g, k - 2)
+            if abs(total) < 1e-14:  # parity zeros are snapped
+                assert abs(law.nu(-k)) < 1e-14
+            else:
+                assert law.nu(-k) == pytest.approx(total, rel=1e-13, abs=0)
 
 
 class TestHarmonicity:
