@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -168,6 +169,23 @@ def _emit(cfg, text):
         sys.stdout.write(text)
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float, nested at any depth, made None."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _emit_json(cfg, doc):
+    """Write doc as strict JSON: NaN and infinities become null."""
+    text = json.dumps(_finite_or_null(doc), indent=1, allow_nan=False)
+    _emit(cfg, text + "\n")
+
+
 def _law_block(law):
     return {
         "L_nu": law.L_nu,
@@ -213,7 +231,7 @@ def run(cfg: RunConfig) -> int:
             cd = criticality.solve_boltzmann(q)
             if cd.classification == "not_admissible":
                 doc = cd.to_report()
-                _emit(cfg, json.dumps(doc, indent=1) + "\n")
+                _emit_json(cfg, doc)
                 print("PEELKIT_ERR not_admissible: weight sequence beyond "
                       "the admissibility boundary", file=sys.stderr)
                 return 1
@@ -225,7 +243,7 @@ def run(cfg: RunConfig) -> int:
                 return 0
             doc = criticality.full_report(q, cd)
             doc["law"] = _law_block(law)
-            _emit(cfg, json.dumps(doc, indent=1) + "\n")
+            _emit_json(cfg, doc)
             return 0
 
         if cfg.command == "preset":
@@ -238,7 +256,7 @@ def run(cfg: RunConfig) -> int:
                 "constants": _constants_jsonable(consts),
                 "weights": q.to_config()["weights"],
             }
-            _emit(cfg, json.dumps(doc, indent=1) + "\n")
+            _emit_json(cfg, doc)
             return 0
 
         if cfg.command == "simulate":
@@ -302,14 +320,14 @@ def run(cfg: RunConfig) -> int:
                     raise ValueError("csv scaling output needs --out")
                 report.collapse.samples_to_csv(cfg.out)
                 return 0
-            _emit(cfg, json.dumps(report.to_report(), indent=1) + "\n")
+            _emit_json(cfg, report.to_report())
             return 0
 
         if cfg.command == "tune-critical":
             q, _ = _resolve_weights(cfg)
             res = criticality.tune_critical(q)
             doc = {"t_star": res.t_star, "critical_data": res.data.to_report()}
-            _emit(cfg, json.dumps(doc, indent=1) + "\n")
+            _emit_json(cfg, doc)
             return 0
 
         raise ValueError(f"unknown command {cfg.command!r}")

@@ -19,11 +19,14 @@ deficient (the solution sits on a fold), so Newton stalls at ~1e-6
 accuracy.  The solver therefore finishes near-critical points on the
 well-conditioned companion system (R1, margin - 1), whose Jacobian is
 regular at the fold, and accepts the result only if R2 vanishes there.
-The boundary tuner uses the same idea with the overall scale of the
-weights as a third unknown (a bordered fold-tracking system).  Beyond
-the boundary the two roots of the fold have merged; a sequence with no
-root of the main system and no sign change of R1 along the branch of
-smallest R2 roots is reported as not admissible.
+One helper (`_fold_point`) solves the companion system, and one reading
+of it decides admissibility for the solver and the boundary tuner alike:
+the sign of R2 at the fold point.  Beyond the boundary the two roots of
+the fold have merged and R2 is positive there; the solver answers
+'not_admissible' when it is, or when no companion start converges and
+no Newton start gives an admissible root.  The tuner bisects the scale
+of the weights on that sign and then tracks the fold with the scale as a
+third unknown (a bordered system).
 
 The series are numpy dot products over the terms q_{k+2} c^k that the
 weight sequence materializes from its cached weights.  Each `_System`
@@ -58,6 +61,10 @@ _NEWTON_ITER = 80
 _LINE_SEARCH = 16
 _FD_STEP = 1e-7
 _STALL_LIMIT = 3
+
+# fixed Newton starts (c, s) for the companion system, tried by the fold
+# verdict of the solver and by the boundary tuner
+_FOLD_STARTS = ((2.6, 0.0), (3.5, 0.5), (2.2, -0.5), (5.0, 0.3))
 
 
 @dataclass
@@ -254,7 +261,7 @@ def _margin_root(sys, x0, hi, cap):
     return _newton_1d(sys.margin_and_prime, x0, _C_FLOOR, hi)
 
 
-def _solve_bipartite(q, sys, g, tol):
+def _solve_bipartite(q, sys, g):
     # bracket a sign change of R2' to locate the convex minimum, within
     # the range of c where the series can be evaluated
     if math.isinf(sys.c_max):
@@ -274,7 +281,7 @@ def _solve_bipartite(q, sys, g, tol):
             "largest c where the series can be evaluated"
         )
 
-    if v_min > 10 * tol:
+    if v_min > 10 * RESIDUAL_TOL:
         margin = sys.margin(c_min, 1.0)
         return _make_data(
             c_min, 1.0, margin, "not_admissible", g,
@@ -386,20 +393,31 @@ def _bounds(sys):
     return (_C_FLOOR, -20.0), (hi_c, 20.0)
 
 
-def _solve_general(q, sys, g, tol, initial=None):
-    lo, hi = _bounds(sys)
+def _fold_point(sys, starts, lo, hi):
+    """Point (x, R2) of the companion curve R1 = 0, margin = 0, or None.
 
-    def _newton(F, x0):
+    The one solve of the companion system: damped Newton from each start
+    (Newton coordinates (c, s)) in turn; the first that ends with
+    max|F| < 1e-11 gives x and the value of R2 there.
+    """
+    for x0 in starts:
         try:
-            return _damped_newton(F, x0, lo, hi)
-        except DivergentSeriesError:
-            return None, math.inf
+            x, res = _damped_newton(sys.companion, x0, lo, hi)
+        except (DivergentSeriesError, OverflowError):
+            continue
+        if res < 1e-11:
+            return x, sys.main(x)[1]
+    return None
 
+
+def _solve_general(q, sys, g, initial=None):
+    lo, hi = _bounds(sys)
     starts = [_to_x(c0, r0) for c0, r0 in _start_points(q, sys)]
     if initial is not None:
         starts = [_to_x(*initial)] + starts
 
-    def _finish(c, r, path, margin=None):
+    def _finish(x, path, margin=None):
+        c, r = x[0], math.tanh(x[1])
         if margin is None:
             margin = sys.margin(c, r)
         r1, r2 = sys.residuals(c, r)
@@ -408,124 +426,83 @@ def _solve_general(q, sys, g, tol, initial=None):
             c, r, margin, cls, g, {"R1": r1, "R2": r2, "path": path},
         )
 
-    def _polish(x0):
-        """Companion-system solution (c, r, R2) from x0, or None."""
-        x, res = _newton(sys.companion, x0)
-        if res < 1e-11:
-            c, r = x[0], math.tanh(x[1])
-            return c, r, sys.residuals(c, r)[1]
-        return None
-
-    def _critical(x0, path):
-        polished = _polish(x0)
-        if polished is not None and abs(polished[2]) <= 1e-9:
-            return _finish(polished[0], polished[1], path, margin=0.0)
-        return None
+    def _beyond():
+        return _make_data(
+            math.nan, math.nan, math.nan, "not_admissible", g,
+            {"path": "fold-beyond"},
+        )
 
     def _admissible(x0):
-        x, res = _newton(sys.main, x0)
+        try:
+            x, res = _damped_newton(sys.main, x0, lo, hi)
+        except DivergentSeriesError:
+            return None, None
         if res >= 1e-10:
             return None, None
-        c, r = x[0], math.tanh(x[1])
-        return x, sys.margin(c, r)
+        return x, sys.margin(x[0], math.tanh(x[1]))
 
     # multi-start Newton on (R1, R2); the fold pairs an admissible solution
     # with an inadmissible mirror image, so candidates are kept and filtered
-    # by the margin rather than accepted first-come
+    # by the margin rather than accepted first-come.  Once the first start
+    # has failed, the fold verdict is asked: R2 > 0 at the fold point means
+    # the two roots have merged, R2 = 0 means the input sits on the fold;
+    # otherwise the remaining starts and the reflection go on
     admissible = None
     x_bad = None
-    for x0 in starts:
+    fold = None
+    for i, x0 in enumerate(starts):
         x, margin = _admissible(x0)
-        if x is None:
-            continue
-        if margin >= -MARGIN_TOL:
+        if x is not None and margin >= -MARGIN_TOL:
             admissible = (x, margin)
             break
         if x_bad is None:
             x_bad = x
+        if i == 0:
+            fold = _fold_point(sys, list(_FOLD_STARTS) + starts, lo, hi)
+            if fold is not None and fold[1] > 1e-9:
+                return _beyond()
+            if fold is not None and abs(fold[1]) <= 1e-9:
+                return _finish(fold[0], "critical-polish", margin=0.0)
 
     if admissible is None and x_bad is not None:
         # reflect the bad branch through the critical point of the fold
-        polished = _polish(x_bad)
+        polished = _fold_point(sys, [x_bad], lo, hi)
         if polished is not None:
-            x, margin = _admissible(2.0 * _to_x(*polished[:2]) - x_bad)
+            x, margin = _admissible(2.0 * polished[0] - x_bad)
             if x is not None and margin >= -MARGIN_TOL:
                 admissible = (x, margin)
 
     if admissible is not None:
         x, margin = admissible
         if abs(margin) < 1e-5:
-            done = _critical(x, "newton+critical-polish")
-            if done is not None:
-                return done
-        return _finish(x[0], math.tanh(x[1]), "newton", margin)
+            polished = _fold_point(sys, [x], lo, hi)
+            if polished is not None and abs(polished[1]) <= 1e-9:
+                return _finish(polished[0], "newton+critical-polish", margin=0.0)
+        return _finish(x, "newton", margin)
 
-    # no Newton route: the input may sit exactly on the fold
-    for x0 in starts:
-        done = _critical(x0, "critical-polish")
-        if done is not None:
-            return done
-
-    # nested scan: smallest root of R2 in c at fixed r, outer sign change
-    # of R1 along that branch; without one the system has no solution
-    def _smallest_root(r):
-        def f1d(c, _r=r):
-            return sys.r2_and_prime(c, _r)
-
-        try:
-            c_min = _minimize_convex(f1d, _C_FLOOR, min(hi[0], 1e6))
-            v = f1d(c_min)[0]
-        except (DivergentSeriesError, OverflowError):
-            return None
-        if v > 0.0:
-            return None
-        return _newton_1d(f1d, 0.5 * (_C_FLOOR + c_min), _C_FLOOR, c_min)
-
-    grid = np.linspace(-0.995, 0.995, 161)
-    phi = np.full(grid.shape, np.nan)
-    for i, r in enumerate(grid):
-        c_root = _smallest_root(r)
-        if c_root is not None:
-            phi[i] = sys.residuals(c_root, r)[0]
-    changes = np.flatnonzero(phi[:-1] * phi[1:] < 0)
-    if len(changes) == 0:
-        return _make_data(
-            float("nan"), float("nan"), float("nan"), "not_admissible", g,
-            {"path": "grid-no-solution"},
-        )
-    a, b = grid[changes[0]], grid[changes[0] + 1]
-    sig = phi[changes[0]]
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        c_root = _smallest_root(m)
-        if c_root is None:
-            break
-        val = sys.residuals(c_root, m)[0]
-        if val * sig > 0:
-            a = m
-        else:
-            b = m
-        if b - a < 1e-13:
-            break
-    r = 0.5 * (a + b)
-    c_root = _smallest_root(r)
-    if c_root is None:
-        raise SolverFailureError("nested scan lost the R2 root it bisected")
-    return _finish(c_root, r, "nested-bisection")
+    if fold is None:
+        return _beyond()
+    raise SolverFailureError(
+        f"no admissible root of (R1, R2), yet R2 = {fold[1]:.3g} < 0 at the "
+        "fold point"
+    )
 
 
-def solve_boltzmann(q: WeightSequence, g=1.0, tol=RESIDUAL_TOL, initial=None):
+def solve_boltzmann(q: WeightSequence, g=1.0, initial=None):
     """Spectral constants (c_+, r) of a weight sequence, deformed by g.
 
     Returns CriticalData.  Multi-start damped Newton solves the main
-    system (R1, R2); near-critical and fold-sitting inputs are finished on
-    the companion system (R1, margin - 1).  When neither converges, a
-    nested scan follows the smallest root of R2 in c across r: no sign
-    change of R1 along it means no solution, and the sequence is
-    classified 'not_admissible' (path 'grid-no-solution'), as is any
-    bisected root with a negative margin; inputs beyond the admissibility
-    boundary never raise.  SolverFailureError is left for a scan that
-    loses its own bracket.
+    system (R1, R2); near-critical inputs are finished on the companion
+    system (R1, margin - 1) (path 'newton+critical-polish').  When the
+    first start gives no admissible root, the fold verdict solves the
+    companion system once and reads R2 at its solution: R2 > 0 means the
+    input is beyond the admissibility boundary ('not_admissible', path
+    'fold-beyond', c and r NaN), R2 = 0 means it sits on the fold (path
+    'critical-polish'); otherwise the remaining starts go on.  If they
+    all fail too, no fold point means 'not_admissible' ('fold-beyond'),
+    so inputs beyond the boundary never raise; SolverFailureError is left
+    for a fold point with R2 < 0 (admissible slack) where no start finds
+    the root.
     """
     rep = validate(q)
     if not rep.ok:
@@ -549,9 +526,9 @@ def solve_boltzmann(q: WeightSequence, g=1.0, tol=RESIDUAL_TOL, initial=None):
     qg = q.deformed(g)
     sys = _System(qg)
     if qg.bipartite:
-        data = _solve_bipartite(qg, sys, g, tol)
+        data = _solve_bipartite(qg, sys, g)
     else:
-        data = _solve_general(qg, sys, g, tol, initial=initial)
+        data = _solve_general(qg, sys, g, initial=initial)
     return data
 
 
@@ -756,18 +733,14 @@ def _fold_side(shape, t, bipartite, warm):
             return 1.0, None
 
     starts = [warm] if warm is not None else []
-    starts += [(2.6, 0.0), (3.5, 0.5), (2.2, -0.5), (5.0, 0.3)]
-    for x0 in starts:
-        try:
-            x, res = _damped_newton(sys.companion, x0, lo, hi)
-        except (DivergentSeriesError, OverflowError):
-            continue
-        if res < 1e-11:
-            return sys.main(x)[1], (x[0], x[1])
-    return 1.0, None
+    fold = _fold_point(sys, starts + list(_FOLD_STARTS), lo, hi)
+    if fold is None:
+        return 1.0, None
+    x, r2 = fold
+    return r2, (x[0], x[1])
 
 
-def tune_critical(shape: WeightSequence, tol=1e-10):
+def tune_critical(shape: WeightSequence):
     """Scale t* at which t * shape sits on the admissibility boundary.
 
     Halving and then doubling t brackets the boundary on the fold-side

@@ -14,7 +14,13 @@ class DivergentSeriesError(PeelkitError):
 
 
 class SolverFailureError(PeelkitError):
-    """Root finding failed to converge; distinct from a not-admissible verdict."""
+    """Root finding failed to converge; distinct from a not-admissible verdict.
+
+    Raised when the series cannot be evaluated on any range of c, when
+    the tuner's bordered polish leaves its bracket, and when no Newton
+    start finds an admissible root although the fold point shows
+    admissible slack (R2 < 0 there).
+    """
 
 
 class BoundaryNotFoundError(PeelkitError):

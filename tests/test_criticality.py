@@ -300,14 +300,68 @@ class TestTune:
 
 
 class TestBeyondBoundary:
-    @pytest.mark.parametrize("support", [{3: 1, 4: 1}, {3: 1}])
+    @pytest.mark.parametrize("support", [
+        {3: 1, 4: 1}, {3: 1}, {3: 1, 6: 1}, {3: 2, 5: 1, 7: 3},
+    ])
     def test_not_admissible_not_raised(self, support):
-        # past the fold the two roots of (R1, R2) have merged: no Newton
-        # start converges and R1 has no sign change along the R2 roots
+        # past the fold the two roots of (R1, R2) have merged: R2 is
+        # positive at the fold point, and the verdict says so
         shape = WeightSequence({k: Fraction(v) for k, v in support.items()})
         t = tune_critical(shape)
         cd = solve_boltzmann(shape.scaled(1.1 * t.t_star))
         assert cd.classification == "not_admissible"
+        assert cd.residuals["path"] == "fold-beyond"
+
+    def test_infinite_support(self):
+        cd = solve_boltzmann(preset("geometric", H=3.0).weights.scaled(1.1))
+        assert cd.classification == "not_admissible"
+        assert cd.residuals["path"] == "fold-beyond"
+
+    def test_evaluation_count(self, monkeypatch):
+        # the fold verdict answers after the first failed Newton start
+        # instead of running every start and a scan in r
+        shape = WeightSequence({3: Fraction(1), 4: Fraction(1)})
+        q = shape.scaled(1.1 * tune_critical(shape).t_star)
+        calls = []
+        sums = criticality._System._sums
+
+        def counted(self, *args):
+            calls.append(1)
+            return sums(self, *args)
+
+        monkeypatch.setattr(criticality._System, "_sums", counted)
+        assert solve_boltzmann(q).classification == "not_admissible"
+        assert 0 < len(calls) <= 2000
+
+    def test_no_fold_point_is_no_verdict_yet(self, monkeypatch):
+        # the first Newton start fails on this subcritical input; the fold
+        # point, found only from the fixed fold starts, has R2 < 0, so the
+        # remaining starts and the reflection run and find the root
+        shape = WeightSequence({3: Fraction(1, 3), 5: Fraction(2),
+                                8: Fraction(1, 3)})
+        q = shape.scaled(0.5 * tune_critical(shape).t_star)
+        folds = []
+        fold_point = criticality._fold_point
+
+        def spied(*args):
+            folds.append(fold_point(*args))
+            return folds[-1]
+
+        monkeypatch.setattr(criticality, "_fold_point", spied)
+        cd = solve_boltzmann(q)
+        # the first call is the verdict
+        assert folds[0] is not None and folds[0][1] < -1e-9
+        # from the solver's own starts alone the verdict finds no fold
+        # point, which must not end the solve either
+        monkeypatch.setattr(criticality, "_FOLD_STARTS", ())
+        n = len(folds)
+        cd_own = solve_boltzmann(q)
+        assert folds[n] is None
+        for data in (cd, cd_own):
+            assert data.classification == "subcritical"
+            assert data.residuals["path"] == "newton"
+            assert data.c_plus == pytest.approx(2.0857210399167836, rel=1e-12)
+            assert data.r == pytest.approx(0.9573250898242095, rel=1e-12)
 
 
 _weights = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
