@@ -64,38 +64,55 @@ class _StackedCdf:
     Row i holds its normalized cumulative weights plus i, so a uniform u
     for a chain in row i is located by one ``searchsorted`` of i + u over
     every row at once.  u stays below 1 - 2^-40, which keeps i + u inside
-    row i for i < 2^12.  Rows are appended, a block at a time.
+    row i for i < 2^12.  ``values`` is one table per row (2-D) or one
+    table that every row shares (1-D).  Rows are appended, a block at a
+    time, into storage that grows with them up to n_rows: a chain that
+    stays at small perimeters never allocates the rows it does not reach.
     """
 
     U_MAX = 1.0 - 2.0**-40
 
-    def __init__(self, n_rows, width):
-        self.width = width
+    def __init__(self, n_rows, values):
+        self.n_rows = n_rows
+        self.width = values.shape[-1]
+        self._vals = values.reshape(-1)
+        self._shared = values.ndim == 1
         self.n = 0
-        self._cum = np.empty((n_rows, width))
-        self._vals = np.empty((n_rows, width), dtype=np.int64)
-        self._flat = self._cum.reshape(-1)[:0]
+        self._cum = np.empty((0, self.width))
+        self._flat = self._cum.reshape(-1)
 
-    def append(self, weights, values):
+    def reserve(self, rows):
+        """Room for at least min(rows, n_rows) rows; storage at least doubles."""
+        if rows <= len(self._cum):
+            return
+        cum = np.empty((min(self.n_rows, max(rows, 2 * len(self._cum))),
+                        self.width))
+        cum[:self.n] = self._cum[:self.n]
+        self._cum = cum
+        self._flat = cum.reshape(-1)[: self.n * self.width]
+
+    def append(self, weights):
         m = len(weights)
+        self.reserve(self.n + m)
         cum = np.cumsum(weights, axis=1)
         np.divide(cum, cum[:, -1:], out=cum, where=cum[:, -1:] > 0)
         cum += np.arange(self.n, self.n + m)[:, None]
         self._cum[self.n:self.n + m] = cum
-        self._vals[self.n:self.n + m] = values
         self.n += m
         self._flat = self._cum.reshape(-1)[: self.n * self.width]
+
+    def _values_at(self, idx):
+        return self._vals[idx % self.width if self._shared else idx]
 
     def draw(self, rng, rows):
         """One value per entry of rows, each drawn from its row's law."""
         t = rows + rng.random(len(rows)) * self.U_MAX
-        vals = self._vals.reshape(-1)
         if len(t) < 64:
-            return vals[self._flat.searchsorted(t, "right")]
+            return self._values_at(self._flat.searchsorted(t, "right"))
         # sorted targets keep successive searches in cache: 3-4x for 1000s
         order = np.argsort(t)
         out = np.empty_like(rows)
-        out[order] = vals[self._flat.searchsorted(t[order], "right")]
+        out[order] = self._values_at(self._flat.searchsorted(t[order], "right"))
         return out
 
 
@@ -216,8 +233,8 @@ def _build_volume_tables(law, l_exact, d_max):
     for lp, (Vs, probs, v_star) in laws.items():
         values[lp, :len(Vs) + 1] = Vs + [-(v_star + 1)]
         weights[lp, :len(Vs) + 1] = probs + [max(0.0, 1.0 - sum(probs))]
-    cdf = _StackedCdf(l_exact + 1, width)
-    cdf.append(weights, values)
+    cdf = _StackedCdf(l_exact + 1, values)
+    cdf.append(weights)
     return laws, cdf
 
 
@@ -371,7 +388,7 @@ class _ChainEngine:
         # cover the window k > -L_SMALL
         self.win_ks = law.ks[law.ks > -L_SMALL]
         self.win_idx = self.win_ks + law.k_neg
-        self.rows = _StackedCdf(L_SMALL, len(self.win_ks))
+        self.rows = _StackedCdf(L_SMALL, self.win_ks)
         self.h_len = 0
         self._cover(L_SMALL)
 
@@ -394,10 +411,12 @@ class _ChainEngine:
         self.tries = np.clip(2.0 * ratio - 1.0, 1, 4096).astype(np.int64)
 
     def _extend_rows(self, l_max):
+        n = self.rows.n
+        self.rows.reserve(n + -(-(l_max + 1 - n) // ROW_CHUNK) * ROW_CHUNK)
         while self.rows.n <= l_max:
             ls = np.arange(self.rows.n, min(self.rows.n + ROW_CHUNK, L_SMALL))
             w = self.hz[ls[:, None] + self.win_idx] * self.law.probs[self.win_idx]
-            self.rows.append(w, self.win_ks)
+            self.rows.append(w)
 
     def start(self, l0):
         if l0 < 1:

@@ -13,6 +13,7 @@ from peelkit.peeling import (
     VolumeSampler,
     _ChainEngine,
     _rng,
+    _StackedCdf,
     sample_xi,
     simulate,
     simulate_ensemble,
@@ -472,6 +473,32 @@ class TestEngineExactness:
         sel = np.diff(per, axis=0) == -4
         assert sel.any()
         assert np.all(np.diff(vol, axis=0)[sel] == 3)
+
+
+class TestStackedCdf:
+    def test_shared_values_match_per_row_tables(self):
+        rows, width = 200, 37
+        weights = _rng(2).random((rows, width))
+        values = np.arange(width) * 3 - 40
+        shared = _StackedCdf(rows, values)
+        per_row = _StackedCdf(rows, np.tile(values, (rows, 1)))
+        for lo in range(0, rows, 64):     # grows a block at a time
+            shared.append(weights[lo:lo + 64])
+        per_row.append(weights)
+        for size in (10, 1000):           # the unsorted and sorted searches
+            at = _rng(3).integers(0, rows, size)
+            np.testing.assert_array_equal(shared.draw(_rng(4), at),
+                                          per_row.draw(_rng(4), at))
+
+    def test_rows_grow_with_the_chain(self):
+        engine = _ChainEngine(DEEP["quad"], "finite")
+        engine.start(20)
+        engine.draw(np.array([20]), _rng(1))
+        assert engine.rows.n == 64 and len(engine.rows._cum) == 64
+        # a start near the cutoff reserves every row at once
+        engine.start(1000)
+        engine.draw(np.full(8, 1000), _rng(1))
+        assert engine.rows.n == len(engine.rows._cum) == L_SMALL
 
 
 def _forward_law(mode, law, l0, n):
