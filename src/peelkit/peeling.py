@@ -15,7 +15,7 @@ mean.  Face-exploration steps leave the volume unchanged.
 
 One lockstep engine runs both ``simulate`` (one chain, every step) and
 ``simulate_ensemble`` (many chains, checkpoints): stacked inverse-CDF rows of
-h(o, l+k) nu(k) below a perimeter cutoff, nu proposals under an h envelope above.
+h(o, l+k) nu(k) below a perimeter cutoff, nu proposals under two h bands above.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import RangeError
 from .hfun import HCache
-from .walk import StepLaw, disk_coefficient, expected_volume
+from .walk import StepLaw, deepen_negative, disk_coefficient, expected_volume
 
 VOLUME_MODES = ("exact_small", "asymptotic_xi", "expectation")
 DEFAULT_L_EXACT = 6
@@ -136,33 +136,25 @@ class JumpDistribution:
 
 
 def _doob_distribution(l, law: StepLaw, order):
-    cache = law.hcache()
-    h = cache.array(order, l + law.k_pos + 1)
+    h = law.hcache().array(order, l + law.k_pos + 1)
     ks = law.ks
     idx = ks + l
     mask = (idx >= 0) & (law.probs > 0)
-    weights = np.zeros_like(law.probs)
-    weights[mask] = h[idx[mask]] * law.probs[mask]
     hl = h[l]
     if hl <= 0:
         raise ValueError(f"conditioning weight vanishes at l={l}")
-    probs = weights / hl
+    probs = h[idx[mask]] * law.probs[mask] / hl
     exact = None
     if law.exact is not None:
-        try:
-            r_exact = Fraction(law.r)
-        except (ValueError, OverflowError):
-            r_exact = None
-        if r_exact is not None:
-            ec = HCache(r_exact)
-            hl_e = ec.value(order, l)
-            exact = {}
-            for k, v in law.exact.items():
-                if l + k >= 0 and hl_e != 0:
-                    p = ec.value(order, l + k) * v / hl_e
-                    if p != 0:
-                        exact[k] = p
-    return JumpDistribution(ks[mask], probs[mask], exact)
+        ec = HCache(Fraction(law.r))
+        hl_e = ec.value(order, l)
+        exact = {}
+        for k, v in law.exact.items():
+            if l + k >= 0 and hl_e != 0:
+                p = ec.value(order, l + k) * v / hl_e
+                if p != 0:
+                    exact[k] = p
+    return JumpDistribution(ks[mask], probs, exact)
 
 
 def step_finite(l, law: StepLaw) -> JumpDistribution:
@@ -353,11 +345,7 @@ def _deep_law_for(law: StepLaw, n_steps):
     a_n = (math.sqrt(1.0 + law.r) * law.L_nu * max(n_steps, 1)) ** (2.0 / 3.0)
     target = 1 << max(10, math.ceil(math.log2(16.0 * a_n + 2.0)))
     target = min(target, 1 << 19)
-    if target > law.k_neg:
-        from .walk import deepen_negative
-
-        return deepen_negative(law, target)
-    return law
+    return deepen_negative(law, target) if target > law.k_neg else law
 
 
 # -- the chain engine --------------------------------------------------------------
@@ -368,12 +356,13 @@ class _ChainEngine:
 
     Perimeters below L_SMALL draw from stacked inverse-CDF rows of
     h(o, l+k) nu(k) over k >= -l, built as chains first reach them.  From
-    L_SMALL on, nu proposals are accepted with probability
-    h(o, l+k) / env(l), env(l) being the largest h(o, .) over the arguments
-    reachable from l: h(1, .) is nondecreasing, so env(l) = h(1, l + k_pos);
-    h(0, .) decreases along parities, so it peaks at the lowest reachable
-    argument.  Arguments below zero carry no weight: h is stored behind
-    k_neg zeros, and jumps are handled as indices i = k + k_neg into the law.
+    L_SMALL on, landings m = l + k in [max(0, l - k_neg), l // 2) and in
+    [l // 2, l + k_pos] (split clamped) have as envelope the largest h(o, .)
+    at the band's two lowest and two highest arguments, as h(1, .) rises and
+    h(0, .) falls along parities.  One uniform u picks a band in proportion
+    to env * nu(band) and, mapped affinely into nu's cumulative sum cs, the
+    jump, kept with probability h(o, m) / env (Devroye 1986, II.3).  h is
+    stored behind k_neg zeros and jumps are indices i = k + k_neg.
     """
 
     def __init__(self, law: StepLaw, mode):
@@ -383,7 +372,7 @@ class _ChainEngine:
             raise ValueError("the stay-positive transform needs a critical law")
         self.law = law
         self.order = 0 if mode == "finite" else 1
-        self.proposal = DiscreteSampler(np.arange(len(law.probs)), law.probs)
+        self.cs = np.concatenate([[0.0], np.cumsum(law.probs)])
         # jumps below -l are blocked from perimeter l, so the rows only
         # cover the window k > -L_SMALL
         self.win_ks = law.ks[law.ks > -L_SMALL]
@@ -393,22 +382,26 @@ class _ChainEngine:
         self._cover(L_SMALL)
 
     def _cover(self, l_max):
-        """Materialize h(o, .) and the envelope for perimeters up to l_max."""
+        """Materialize h(o, .) and the bands for perimeters up to l_max."""
         law = self.law
         if l_max + law.k_pos < self.h_len:
             return
         self.h_len = max(2 * self.h_len, 1 << (l_max + law.k_pos).bit_length())
         h = law.hcache().array(self.order, self.h_len - 1)
-        self.hz = np.concatenate([np.zeros(law.k_neg), h])
+        hz = self.hz = np.concatenate([np.zeros(law.k_neg), h])
+        # band edges per perimeter l as hz indices, lo <= mid <= top
         ls = np.arange(self.h_len - law.k_pos)
-        if self.order == 1:
-            self.env = h[ls + law.k_pos]
-        else:
-            lo = np.maximum(ls - law.k_neg, 0)
-            self.env = np.maximum(h[lo], h[lo + 1])
-        # tries per chain and round: twice the mean env(l) / h(o, l), minus 1
-        ratio = np.divide(self.env, h[ls], out=np.ones(len(ls)), where=h[ls] > 0)
-        self.tries = np.clip(2.0 * ratio - 1.0, 1, 4096).astype(np.int64)
+        lo = np.maximum(ls, law.k_neg)
+        mid = np.maximum(ls // 2 + law.k_neg, lo)
+        top = ls + law.k_neg + law.k_pos
+        env_lo, env_hi = (np.maximum.reduce([hz[a], hz[a + 1], hz[b - 1], hz[b]])
+                          for a, b in ((lo, mid - 1), (mid, top)))
+        c_lo, c_mid = self.cs[lo - ls], self.cs[mid - ls]
+        w_lo = env_lo * (c_mid - c_lo)
+        total = w_lo + env_hi * (self.cs[-1] - c_mid)
+        # u < share picks the low band; per band, t = t0 + u * dt and env
+        self.bands = (w_lo / total, c_lo, total / env_lo, env_lo,
+                      c_mid - w_lo / env_hi, total / env_hi, env_hi)
 
     def _extend_rows(self, l_max):
         n = self.rows.n
@@ -450,21 +443,24 @@ class _ChainEngine:
         return out
 
     def _rejection_jumps(self, ls, rng):
-        """First accepted proposal per chain, a block of tries at a time."""
+        """One band-envelope proposal per pending chain and round."""
+        share, t0_lo, dt_lo, env_lo, t0_hi, dt_hi, env_hi = self.bands
         out = np.empty_like(ls)
         todo = np.arange(len(ls))
         while len(todo):
             lt = ls[todo]
-            # at most about 2^20 proposals in flight per round
-            reps = min(int(self.tries[lt].max()), 1 + (1 << 20) // len(lt))
-            idx = self.proposal.draw(rng, (reps, len(lt)))
-            acc = rng.random(idx.shape) * self.env[lt] < self.hz[lt + idx]
-            if reps == 1:
-                hit = acc[0]
-                out[todo[hit]] = idx[0, hit]
-            else:
-                hit = acc.any(axis=0)
-                out[todo[hit]] = idx[acc.argmax(axis=0)[hit], np.flatnonzero(hit)]
+            u = rng.random(len(lt))
+            t = t0_hi[lt] + u * dt_hi[lt]
+            env = env_hi[lt]
+            low = u < share[lt]
+            if low.any():
+                ll = lt[low]
+                t[low] = t0_lo[ll] + u[low] * dt_lo[ll]
+                env[low] = env_lo[ll]
+            # i with cs[i] <= t < cs[i + 1]; without the last cut, i stays in range
+            idx = self.cs[1:-1].searchsorted(t, "right")
+            hit = rng.random(len(lt)) * env < self.hz[lt + idx]
+            out[todo[hit]] = idx[hit]
             todo = todo[~hit]
         return out - self.law.k_neg
 
@@ -476,14 +472,19 @@ class _ChainEngine:
             p = np.zeros(len(self.law.probs))
             p[self.win_idx] = np.diff(self.rows._cum[l] - l, prepend=0.0)
         else:
-            ks = np.arange(len(self.law.probs))
-            p = self.law.probs * self.hz[l + ks] / self.env[l]
+            p = self.law.probs * self.hz[l:l + len(self.law.probs)]
         return p / p.sum()
 
 
-def _advance(engine, vol, rng, l0, n_chains, checkpoints):
-    """Run n_chains chains from l0 in lockstep; their (perimeters, volumes)
-    at the sorted checkpoints >= 1, one row per checkpoint."""
+def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
+    """Run n_chains chains from l0 in lockstep on law deepened for n_steps:
+    (that law, perimeter and volume rows at the sorted checkpoints, flags)."""
+    if min(n_chains, n_steps) < 1 or checkpoints[0] < 1 or checkpoints[-1] != n_steps:
+        raise ValueError("n_chains and n_steps must be >= 1 and checkpoints in "
+                         f"1..n_steps; got n_chains={n_chains}, n_steps={n_steps}")
+    law = _deep_law_for(law, n_steps)
+    engine = _ChainEngine(law, mode)
+    vol = VolumeSampler(law, *vol_args)
     engine.start(l0)
     ls = np.full(n_chains, l0, dtype=np.int64)
     V = np.zeros(n_chains, dtype=np.int64)
@@ -491,7 +492,7 @@ def _advance(engine, vol, rng, l0, n_chains, checkpoints):
     vols = np.empty_like(per)
     absorbing = engine.order == 0
     i = 0
-    for step in range(1, checkpoints[-1] + 1 if len(checkpoints) else 1):
+    for step in range(1, checkpoints[-1] + 1):
         if absorbing and not ls.all():
             live = np.flatnonzero(ls)
             if not len(live):
@@ -508,7 +509,7 @@ def _advance(engine, vol, rng, l0, n_chains, checkpoints):
             per[i], vols[i] = ls, V
             i += 1
     per[i:], vols[i:] = ls, V
-    return per, vols
+    return law, per, vols, dict(vol.flags)
 
 
 def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
@@ -517,16 +518,14 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
     """Run one peeling chain and record the full (perimeter, volume) path.
 
     mode 'finite' absorbs at zero, mode 'ibpm' keeps the perimeter
-    positive.  Identical (seed, parameters) produce bit-identical traces;
-    parallel chains should vary chain_index, which keys an independent
-    counter-based stream.
+    positive; n_steps must be at least 1.  Identical (seed, parameters)
+    produce bit-identical traces; parallel chains should vary chain_index,
+    which keys an independent counter-based stream.
     """
     l0 = 2 if l0 is None else l0
-    law = _deep_law_for(law, n_steps)
-    engine = _ChainEngine(law, mode)
-    vol = VolumeSampler(law, volume_mode, l_exact, d_max)
-    per, volumes = _advance(engine, vol, _rng(seed, chain_index), l0, 1,
-                            range(1, n_steps + 1))
+    law, per, volumes, flags = _advance(
+        mode, law, (volume_mode, l_exact, d_max), _rng(seed, chain_index), l0,
+        1, n_steps, range(1, n_steps + 1))
     return PeelTrace(
         perimeters=np.concatenate([[l0], per[:, 0]]),
         volumes=np.concatenate([[0], volumes[:, 0]]),
@@ -535,7 +534,7 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
         seed=seed,
         l0=l0,
         law_digest=law.digest(),
-        flags=dict(vol.flags),
+        flags=flags,
     )
 
 
@@ -552,16 +551,15 @@ def simulate_ensemble(mode, law: StepLaw, l0, n_steps, n_chains, seed=0,
     """Advance n_chains independent chains and record checkpoint states.
 
     Returns {checkpoint: (perimeters, volumes)} plus the final state under
-    key n_steps, as an EnsembleResult carrying the volume flags.  Uses a
-    single counter-based stream keyed by the seed, so results are
-    reproducible for fixed (seed, n_chains).
+    key n_steps, as an EnsembleResult carrying the volume flags; n_steps and
+    n_chains below 1 or checkpoints outside 1..n_steps raise ValueError.
+    One counter-based stream keyed by the seed makes results reproducible
+    for fixed (seed, n_chains).
     """
     steps = {int(c) for c in (checkpoints if checkpoints is not None else ())}
-    steps = sorted(c for c in steps | {int(n_steps)} if c >= 1)
-    law = _deep_law_for(law, n_steps)
-    engine = _ChainEngine(law, mode)
-    vol = VolumeSampler(law, volume_mode, l_exact, d_max)
-    per, vols = _advance(engine, vol, _rng(seed), int(l0), n_chains, steps)
+    steps = sorted(steps | {int(n_steps)})
+    _, per, vols, flags = _advance(mode, law, (volume_mode, l_exact, d_max),
+                                   _rng(seed), int(l0), n_chains, n_steps, steps)
     out = EnsembleResult((c, (per[i], vols[i])) for i, c in enumerate(steps))
-    out.flags = dict(vol.flags)
+    out.flags = flags
     return out

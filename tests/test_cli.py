@@ -127,6 +127,13 @@ class TestCommands:
         assert len(per) == 101
         assert per[0] == 2
 
+    def test_simulate_negative_steps_exit_1(self, tmp_path, capsys):
+        rc = main(["simulate", "--preset", "quadrangulation", "--steps", "-3",
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert "PEELKIT_ERR invalid_input" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_scaling_test_small(self, capsys):
         rc = main(["scaling-test", "--models", "quadrangulation",
                    "--steps", "400", "--chains", "300",

@@ -416,8 +416,15 @@ class TestSharedH:
 
 # -- the chain engine against the exact kernel ------------------------------------
 
+def geo3_law(k_neg=512):
+    res = preset("geometric", H=3.0)
+    pos = nu_from_q(res.weights, res.constants["c_plus"], float(res.constants["r"]))
+    return complete_nu(pos, k_neg=k_neg)
+
+
 DEEP = {"quad": deepen_negative(quad_law(), 8192),
-        "tri": deepen_negative(tri_law(), 8192)}
+        "tri": deepen_negative(tri_law(), 8192),
+        "geo3": deepen_negative(geo3_law(), 8192)}
 STEP = {"finite": step_finite, "ibpm": step_ibpm}
 
 
@@ -446,12 +453,38 @@ class TestEngineExactness:
 
     @pytest.mark.parametrize("mode", ["finite", "ibpm"])
     def test_acceptance_at_most_one(self, mode):
-        law = DEEP["tri"]
-        engine = _ChainEngine(law, mode)
-        engine._cover(5000)
-        idx = np.arange(len(law.probs))
-        for l in range(L_SMALL, 5000, 97):
-            assert engine.hz[l + idx].max() <= engine.env[l]
+        # each band's envelope bounds h(o, l + k) on the band, so no landing
+        # is kept with probability above one, and the exact acceptance
+        # sum_k nu(k) h(o, l + k) / total(l) stays at 0.70 or more
+        heavy = symmetric_family(1.0, math.pi / 4, k_pos=256, quadrature=False)
+        order = 0 if mode == "finite" else 1
+        for law in (DEEP["quad"], DEEP["tri"], DEEP["geo3"], heavy):
+            engine = _ChainEngine(law, mode)
+            engine._cover(5000)
+            h = law.hcache().array(order, 5000 + law.k_pos)
+            for l in [1024, 1025, *range(1024, 5000, 97)]:
+                if h[l] == 0:
+                    continue    # h(0, odd) = 0 on bipartite maps
+                m = l + law.ks
+                lo = max(0, l - law.k_neg)
+                mid = min(max(l // 2, lo), l + law.k_pos)
+                hm = np.where(m >= 0, h[np.maximum(m, 0)], 0.0)
+                share, t0_lo, dt_lo, env_lo, t0_hi, dt_hi, env_hi = (
+                    b[l] for b in engine.bands)
+                low, high = (m >= lo) & (m < mid), m >= mid
+                assert hm[low].max(initial=0.0) <= env_lo, (l, law.k_neg)
+                assert hm[high].max() <= env_hi, (l, law.k_neg)
+                # u in [0, share) maps onto nu's mass over the low band and
+                # u in [share, 1) onto the high band, each in proportion
+                c_lo, c_mid = law.probs[m < lo].sum(), law.probs[m < mid].sum()
+                mass = law.probs.sum()
+                total = env_lo * (c_mid - c_lo) + env_hi * (mass - c_mid)
+                ends = [t0_lo, t0_lo + share * dt_lo,
+                        t0_hi + share * dt_hi, t0_hi + dt_hi]
+                np.testing.assert_allclose(ends, [c_lo, c_mid, c_mid, mass],
+                                           rtol=0, atol=1e-12)
+                assert dt_hi * env_hi == pytest.approx(total, rel=1e-9)
+                assert np.dot(law.probs, hm) / total >= 0.70, (l, law.k_neg)
 
     def test_finite_no_absorbing_jump_above_cutoff(self):
         # a proposal k < -l reaches a negative argument, which carries no
@@ -518,6 +551,63 @@ def _forward_law(mode, law, l0, n):
     for _ in range(n):
         dist = dist @ P
     return dist
+
+
+def _g_test_p(counts, expect, chains):
+    """p-value of the G-test with adjacent states merged into bins of at
+    least 20 expected chains."""
+    from scipy import stats
+
+    assert counts[expect == 0].sum() == 0
+    edges = np.searchsorted(np.cumsum(expect), np.arange(20, chains, 20))
+    cuts = np.unique(np.r_[0, edges + 1, len(expect)])
+    cuts = cuts[cuts < len(expect)]
+    obs = np.add.reduceat(counts, cuts)
+    exp = np.add.reduceat(expect, cuts)
+    g = 2.0 * np.sum(obs[obs > 0] * np.log(obs[obs > 0] / exp[obs > 0]))
+    return stats.chi2.sf(g, len(obs) - 1)
+
+
+class TestFarAboveCutoff:
+    """Fixed-seed G-tests of the band-envelope sampler from perimeters
+    where every chain starts on it."""
+
+    @pytest.mark.parametrize("mode,key,l0", [("finite", "quad", 3000),
+                                             ("finite", "tri", 3001),
+                                             ("ibpm", "tri", 3001),
+                                             ("finite", "tri", 1100)])
+    def test_l_n_law(self, mode, key, l0):
+        law, n, chains = DEEP[key], 30, 8000
+        expect = _forward_law(mode, law, l0, n) * chains
+        ls, _ = simulate_ensemble(mode, law, l0, n, chains, seed=47)[n]
+        assert ls.max() < len(expect)
+        counts = np.bincount(ls, minlength=len(expect))
+        assert _g_test_p(counts, expect, chains) > 1e-3
+
+    @pytest.mark.parametrize("mode", ["finite", "ibpm"])
+    def test_one_step_law(self, mode):
+        law, l0, chains = DEEP["tri"], 4000, 400_000
+        expect = _kernel_row(mode, law, l0) * chains
+        ls, _ = simulate_ensemble(mode, law, l0, 1, chains, seed=53)[1]
+        counts = np.bincount(ls - l0 + law.k_neg, minlength=len(expect))
+        assert len(counts) == len(expect)
+        assert _g_test_p(counts, expect, chains) > 1e-3
+
+
+class TestRunSize:
+    def test_simulate_needs_a_step(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n_steps"):
+                simulate("ibpm", LAW, n_steps=n)
+
+    @pytest.mark.parametrize("kw", [{"n_chains": 0}, {"n_steps": 0},
+                                    {"checkpoints": [50, 5000]},
+                                    {"checkpoints": [0, 50]},
+                                    {"checkpoints": [-5]}])
+    def test_ensemble_sizes_checked(self, kw):
+        args = {"n_steps": 100, "n_chains": 10, **kw}
+        with pytest.raises(ValueError, match="n_steps"):
+            simulate_ensemble("ibpm", LAW, 2, seed=1, **args)
 
 
 class TestEnsembleGTest:
