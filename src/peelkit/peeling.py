@@ -13,9 +13,25 @@ small l', or through the universal limit V ~ xi * B * l'^2 with xi an
 inverse-Gamma(3/2, 1/2) variable, or deterministically as the rounded
 mean.  Face-exploration steps leave the volume unchanged.
 
-One lockstep engine runs both ``simulate`` (one chain, every step) and
-``simulate_ensemble`` (many chains, checkpoints): stacked inverse-CDF rows of
-h(o, l+k) nu(k) below a perimeter cutoff, nu proposals under two h bands above.
+One engine runs both ``simulate`` (one chain, every step) and
+``simulate_ensemble`` (many chains, checkpoints).  A single step draws from
+stacked inverse-CDF rows of h(o, l+k) nu(k) below a perimeter cutoff and
+from nu proposals under two h bands above it.  Infinite-map chains also
+move in blocks: over B steps the path law telescopes to
+
+    prod nu(k_i) * h(1, l_B) / h(1, l_0) * 1{l_1, ..., l_B >= 1},
+
+so B plain nu steps, kept together with probability h(1, l_B) / env, are an
+exact block of the chain when env bounds h(1, .) on every perimeter the
+block can reach.  h(1, .) is nondecreasing, so env, the running maximum of
+h(1, .) up to l + B k_pos, stays within BLOCK_M h(1, l) for B up to about
+(BLOCK_M^2 - 1) l / k_pos, and at least 1 / BLOCK_M of the proposals are
+kept.  The telescoping uses the harmonicity of h(1, .) for the materialized
+nu, which holds while the chain stays at or below k_neg (the runs deepen
+k_neg to 16 times the perimeter scale); above it, and for a law cut short
+of its positive tail, the block law differs from the step law only by the
+truncated masses trunc_neg and trunc_pos the law reports.  Finite-map
+chains always step one at a time: h(0, .) falls, so no envelope is close.
 """
 
 from __future__ import annotations
@@ -34,6 +50,14 @@ VOLUME_MODES = ("exact_small", "asymptotic_xi", "expectation")
 DEFAULT_L_EXACT = 6
 L_SMALL = 1024
 ROW_CHUNK = 64
+# an ibpm block of B steps from l needs max h(1, m <= l + B k_pos) <= BLOCK_M h(1, l)
+BLOCK_M = 2.0
+# shorter blocks cost more per step than single steps do
+BLOCK_MIN = 8
+# a block round draws at most this many nu steps (bounds its memory)
+BLOCK_DRAWS = 1 << 21
+# cells of the guide table into nu's cdf
+GUIDE = 1 << 12
 
 
 def _rng(seed, chain_index=0):
@@ -363,6 +387,12 @@ class _ChainEngine:
     to env * nu(band) and, mapped affinely into nu's cumulative sum cs, the
     jump, kept with probability h(o, m) / env (Devroye 1986, II.3).  h is
     stored behind k_neg zeros and jumps are indices i = k + k_neg.
+
+    For the ibpm transform the engine also proposes blocks (module
+    docstring): ``blocks[l]`` is B(l), the largest B with ``block_env[l + B
+    k_pos]`` <= BLOCK_M h(1, l), where ``block_env`` is the running maximum
+    of h(1, .), or 1 where that B is below BLOCK_MIN; it is tabulated when a
+    chain first needs it.
     """
 
     def __init__(self, law: StepLaw, mode):
@@ -380,6 +410,11 @@ class _ChainEngine:
         self.rows = _StackedCdf(L_SMALL, self.win_ks)
         self.h_len = 0
         self._cover(L_SMALL)
+        # B(l) for l < len(blocks); chains below block_from all have B(l) = 1
+        self.blocks = np.ones(0, dtype=np.int64)
+        self.block_max = 1
+        self.block_from = math.inf if self.order == 0 else 0
+        self.guide = None
 
     def _cover(self, l_max):
         """Materialize h(o, .) and the bands for perimeters up to l_max."""
@@ -419,14 +454,15 @@ class _ChainEngine:
             raise ValueError(f"conditioning weight vanishes at l={l0}")
         self._hi = l0
 
-    def draw(self, ls, rng):
-        """One jump per chain at perimeters ls >= 1: the chains of the
-        previous call moved by its jumps, or some of them, so max(ls) grows
-        by at most k_pos per call and is only computed when that bound
-        leaves the rows built so far."""
-        hi = self._hi
-        if hi >= self.rows.n:
-            hi = int(ls.max())
+    def draw(self, ls, rng, hi=None):
+        """One jump per chain at perimeters ls >= 1.  Without hi = max(ls),
+        the chains are those of the previous call moved by its jumps, or
+        some of them, so max(ls) grows by at most k_pos per call and is only
+        computed when that bound leaves the rows built so far."""
+        if hi is None:
+            hi = self._hi
+            if hi >= self.rows.n:
+                hi = int(ls.max())
         self._hi = hi + self.law.k_pos
         if hi < L_SMALL:
             if hi >= self.rows.n:
@@ -464,6 +500,75 @@ class _ChainEngine:
             todo = todo[~hit]
         return out - self.law.k_neg
 
+    def steps_only(self, ls):
+        """True when every chain at perimeters ls has B(l) = 1, judged from
+        draw()'s bound on max(ls) until that reaches block_from."""
+        if self._hi < self.block_from:
+            return True
+        self._hi = hi = int(ls.max())
+        if hi >= len(self.blocks):
+            self._extend_blocks(hi)
+        return hi < self.block_from
+
+    def block_len(self, ls):
+        """B(l) per chain at perimeters ls."""
+        hi = int(ls.max())
+        if hi >= len(self.blocks):
+            self._extend_blocks(hi)
+        return self.blocks[ls]
+
+    def _extend_blocks(self, hi):
+        """Tabulate B(l) up to at least hi, growing h until every tabulated
+        B(l) is settled: env passes BLOCK_M h(1, l) inside the table."""
+        k_neg, k_pos = self.law.k_neg, self.law.k_pos
+        while True:
+            h = self.hz[k_neg:]
+            env = np.maximum.accumulate(h)
+            top = env.searchsorted(BLOCK_M * h, "right") - 1
+            unsettled = np.flatnonzero(top == len(h) - 1)
+            n = unsettled[0] if len(unsettled) else len(h)
+            if n > hi:
+                break
+            self._cover(len(h))
+        blocks = (top[:n] - np.arange(n)) // k_pos
+        blocks[blocks < BLOCK_MIN] = 1
+        self.blocks, self.block_env = blocks, env
+        self.block_max = int(blocks.max())
+        self.block_from = int(np.argmax(blocks > 1)) if self.block_max > 1 else n
+
+    def propose_blocks(self, ls, B, rng):
+        """One block of B[j] nu steps per chain at ls[j]: (the steps laid end
+        to end, their running sum, each block's start in it and the sum
+        before it, the perimeters after the blocks, which blocks are kept)."""
+        ends = np.cumsum(B)
+        starts = ends - B
+        ks = self._nu_indices(rng.random(int(ends[-1])))
+        ks -= self.law.k_neg
+        run = np.cumsum(ks)
+        before = run[starts] - ks[starts]
+        low = np.minimum.reduceat(run, starts) - before
+        lB = ls + run[ends - 1] - before
+        # the running maximum bounds h(1, .) on every perimeter reached
+        env = self.block_env[ls + B * self.law.k_pos]
+        h = self.hz[np.maximum(lB + self.law.k_neg, 0)]
+        keep = (ls + low >= 1) & (rng.random(len(ls)) * env < h)
+        return ks, run, starts, before, lB, keep
+
+    def _nu_indices(self, u):
+        """i with cdf[i - 1] <= u < cdf[i] for nu's normalized cdf, i.e.
+        searchsorted(cdf, u, "right"), through a guide table (Devroye 1986,
+        III.2.4): u in [m/G, (m+1)/G) settles at once when no cut of the
+        cdf lies in that cell, and is searched for otherwise."""
+        if self.guide is None:
+            self.cdf = self.cs[1:-1] / self.cs[-1]
+            cuts = self.cdf.searchsorted(np.arange(GUIDE + 1) / GUIDE, "right")
+            self.guide = np.where(np.diff(cuts) == 0, cuts[:-1], -1)
+        idx = self.guide[(u * GUIDE).astype(np.intp)]
+        open_ = np.flatnonzero(idx < 0)
+        if len(open_):
+            idx[open_] = self.cdf.searchsorted(u[open_], "right")
+        return idx
+
     def jump_law(self, l):
         """The law over law.ks that draw() samples at perimeter l."""
         self._cover(l)
@@ -477,8 +582,9 @@ class _ChainEngine:
 
 
 def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
-    """Run n_chains chains from l0 in lockstep on law deepened for n_steps:
-    (that law, perimeter and volume rows at the sorted checkpoints, flags)."""
+    """Run n_chains chains from l0 on law deepened for n_steps: (that law,
+    perimeter and volume rows at the sorted checkpoints, flags).  The chains
+    step in lockstep while every one has B(l) = 1, then in block rounds."""
     if min(n_chains, n_steps) < 1 or checkpoints[0] < 1 or checkpoints[-1] != n_steps:
         raise ValueError("n_chains and n_steps must be >= 1 and checkpoints in "
                          f"1..n_steps; got n_chains={n_chains}, n_steps={n_steps}")
@@ -490,9 +596,16 @@ def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
     V = np.zeros(n_chains, dtype=np.int64)
     per = np.empty((len(checkpoints), n_chains), dtype=np.int64)
     vols = np.empty_like(per)
+    flags = {"block_proposals": 0, "block_accepts": 0}
     absorbing = engine.order == 0
-    i = 0
-    for step in range(1, checkpoints[-1] + 1):
+    i = step = 0
+    while step < n_steps:
+        if not engine.steps_only(ls):
+            _block_rounds(engine, vol, rng, ls, V, per, vols, step,
+                          np.asarray(checkpoints), flags)
+            i = len(checkpoints)
+            break
+        step += 1
         if absorbing and not ls.all():
             live = np.flatnonzero(ls)
             if not len(live):
@@ -509,7 +622,78 @@ def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
             per[i], vols[i] = ls, V
             i += 1
     per[i:], vols[i:] = ls, V
-    return law, per, vols, dict(vol.flags)
+    return law, per, vols, {**vol.flags, **flags}
+
+
+def _block_rounds(engine, vol, rng, ls, V, per, vols, step, cps, flags):
+    """Advance ibpm chains, all at step `step`, to step cps[-1] in rounds.
+
+    Each round a chain with B(l) = 1 makes one step and every other chain
+    proposes one block of min(B(l), steps left) steps; a kept block writes
+    its partial sums into the checkpoints it spans.
+    The unfinished chains' states are kept compact: act[j] is at perimeter
+    la[j] with volume va[j] after da[j] steps.
+    """
+    n_steps = int(cps[-1])
+    # upto[s]: how many checkpoints are at most s
+    upto = np.zeros(n_steps + 1, dtype=np.int64)
+    upto[cps] = 1
+    np.cumsum(upto, out=upto)
+    act, la, va = np.arange(len(ls)), ls.copy(), V.copy()
+    da = np.full(len(ls), step)
+    while len(act):
+        B = engine.block_len(la)
+        one = B == 1
+        n_one = int(np.count_nonzero(one))
+        if n_one:
+            so = slice(None) if n_one == len(act) else np.flatnonzero(one)
+            lo, vo = la[so], va[so]
+            jumps = engine.draw(lo, rng, int(lo.max()))
+            prune = jumps <= -2
+            if prune.any():
+                vo[prune] += vol.draw_many(rng, -2 - jumps[prune])
+            la[so], va[so] = lo + jumps, vo
+            do = da[so] + 1
+            da[so] = do
+            at = upto[do] - 1
+            hit = np.flatnonzero(cps[at] == do)
+            if len(hit):
+                c = act[so][hit]
+                per[at[hit], c] = la[so][hit]
+                vols[at[hit], c] = va[so][hit]
+        if n_one < len(act):
+            sb = np.flatnonzero(~one)
+            lb, B = la[sb], np.minimum(B[sb], n_steps - da[sb])
+            if len(sb) * engine.block_max > BLOCK_DRAWS:
+                np.minimum(B, max(1, BLOCK_DRAWS // len(sb)), out=B)
+            ks, run, starts, before, lB, keep = engine.propose_blocks(lb, B, rng)
+            flags["block_proposals"] += len(sb)
+            flags["block_accepts"] += int(keep.sum())
+            if keep.any():
+                # the prunes of kept blocks, with their volumes' running sum
+                prune = np.flatnonzero(np.repeat(keep, B) & (ks <= -2))
+                vrun = np.zeros(len(prune) + 1, dtype=np.int64)
+                np.cumsum(vol.draw_many(rng, -2 - ks[prune]), out=vrun[1:])
+                sb, lb, B, starts, before = (x[keep] for x in (sb, lb, B, starts, before))
+                p0 = prune.searchsorted(starts)
+                s0, v0 = da[sb], va[sb]
+                la[sb] = lB[keep]
+                va[sb] = v0 + vrun[prune.searchsorted(starts + B)] - vrun[p0]
+                da[sb] = s0 + B
+                # the checkpoints in (s0, s0 + B] of each kept block
+                first = upto[s0]
+                count = upto[s0 + B] - first
+                if count.any():
+                    own = np.repeat(np.arange(len(sb)), count)
+                    at = np.arange(len(own)) + np.repeat(first - np.cumsum(count) + count, count)
+                    pos = starts[own] + cps[at] - s0[own] - 1
+                    c = act[sb[own]]
+                    per[at, c] = lb[own] + run[pos] - before[own]
+                    vols[at, c] = (v0[own] + vrun[prune.searchsorted(pos, "right")]
+                                   - vrun[p0[own]])
+        live = da < n_steps
+        if not live.all():
+            act, la, va, da = act[live], la[live], va[live], da[live]
 
 
 def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
@@ -540,7 +724,8 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
 
 class EnsembleResult(dict):
     """{checkpoint: (perimeters, volumes)}; `.flags` holds the volume
-    sampler's flags (residual draws, exact fallback)."""
+    sampler's flags (residual draws, exact fallback) and the ibpm block
+    counts (block_proposals, block_accepts), as does `PeelTrace.flags`."""
 
     flags: dict
 

@@ -112,11 +112,15 @@ def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0), seed=0,
     support), a deep negative block (binomial count of rare big jumps, each
     drawn from the exact kernel values), and a matched power-law remainder
     beyond the block.  The split matters: a plainly truncated law loses a
-    K^(-1/2) drift that would swamp the n^(2/3) normalization.
+    K^(-1/2) drift that would swamp the n^(2/3) normalization.  n and
+    n_samples below 1 raise ValueError.
     """
     from .peeling import DiscreteSampler
     from .walk import deepen_negative
 
+    if min(n, n_samples) < 1:
+        raise ValueError("n and n_samples must be >= 1; got "
+                         f"n={n}, n_samples={n_samples}")
     thetas = np.asarray(thetas, dtype=float)
     rng = _rng(seed)
     if not law.heavy_tail:

@@ -134,6 +134,14 @@ class TestCommands:
         assert "PEELKIT_ERR invalid_input" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--steps", "--ecf-samples"])
+    def test_scaling_test_zero_size_exit_1(self, flag, capsys):
+        rc = main(["scaling-test", "--models", "quadrangulation", flag, "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "PEELKIT_ERR invalid_input" in captured.err
+        assert "n_samples" in captured.err and captured.out == ""
+
     def test_scaling_test_small(self, capsys):
         rc = main(["scaling-test", "--models", "quadrangulation",
                    "--steps", "400", "--chains", "300",

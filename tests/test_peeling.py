@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from peelkit import peeling
 from peelkit.hfun import HCache
 from peelkit.peeling import (
+    BLOCK_M,
+    BLOCK_MIN,
     L_SMALL,
     DiscreteSampler,
     PeelTrace,
@@ -486,6 +489,29 @@ class TestEngineExactness:
                 assert dt_hi * env_hi == pytest.approx(total, rel=1e-9)
                 assert np.dot(law.probs, hm) / total >= 0.70, (l, law.k_neg)
 
+    def test_block_envelope(self):
+        # env(l, B) = max h(1, m <= l + B k_pos) bounds h(1, .) on every
+        # perimeter a block of B steps from l can reach, so no block is kept
+        # with probability above one; where blocks are used, h(1, l) / env
+        # >= 1 / BLOCK_M, and B(l) is the largest B with that property
+        heavy = symmetric_family(1.0, math.pi / 4, k_pos=256, quadrature=False)
+        for law in (DEEP["quad"], DEEP["tri"], DEEP["geo3"], heavy):
+            engine = _ChainEngine(law, "ibpm")
+            ls = np.arange(1, 5001)
+            B = engine.block_len(ls)
+            top = ls + B * law.k_pos
+            h = law.hcache().array(1, int(top.max()) + law.k_pos)
+            env = engine.block_env[top]
+            reach = np.maximum.accumulate(h)[top]
+            assert np.all(reach <= env), law.k_pos
+            used = (B > 1) & (h[ls] > 0)
+            assert used.any() and set(np.unique(B[~used])) <= {1}
+            assert B[used].min() >= BLOCK_MIN
+            assert np.all(h[ls[used]] / env[used] >= 1.0 / BLOCK_M), law.k_pos
+            # one more step of k_pos would break the bound
+            longer = np.maximum.accumulate(h)[top[used] + law.k_pos]
+            assert np.all(longer > BLOCK_M * h[ls[used]]), law.k_pos
+
     def test_finite_no_absorbing_jump_above_cutoff(self):
         # a proposal k < -l reaches a negative argument, which carries no
         # weight; scoring it as h(0, 0) = 1 made P(l -> 0) at l = 1100
@@ -618,19 +644,95 @@ class TestEnsembleGTest:
                                              ("ibpm", "quad", L_SMALL - 2),
                                              ("ibpm", "tri", L_SMALL - 1)])
     def test_l_n_law(self, mode, key, l0):
-        from scipy import stats
-
         law, n, chains = DEEP[key], 30, 8000
         expect = _forward_law(mode, law, l0, n) * chains
         ls, _ = simulate_ensemble(mode, law, l0, n, chains, seed=31)[n]
         assert ls.max() < len(expect)
         counts = np.bincount(ls, minlength=len(expect))
-        assert counts[expect == 0].sum() == 0
-        # adjacent states merged into bins of at least 20 expected chains
-        edges = np.searchsorted(np.cumsum(expect), np.arange(20, chains, 20))
-        cuts = np.unique(np.r_[0, edges + 1, len(expect)])
-        obs = np.add.reduceat(counts, cuts[:-1])
-        exp = np.add.reduceat(expect, cuts[:-1])
-        g = 2.0 * np.sum(obs[obs > 0] * np.log(obs[obs > 0] / exp[obs > 0]))
-        assert stats.chi2.sf(g, len(obs) - 1) > 1e-3, (g, len(obs))
+        assert _g_test_p(counts, expect, chains) > 1e-3
         assert 0 < counts[L_SMALL:].sum() < chains
+
+
+class TestBlockStepping:
+    """ibpm chains move in blocks of B(l) steps (peeling module docstring)."""
+
+    @pytest.mark.parametrize("key", ["quad", "tri"])
+    @pytest.mark.parametrize("l0", [2, 20, 200])
+    def test_l_n_law(self, key, l0):
+        # fixed-seed G-tests of l_10 and l_30 from below, at and above the
+        # first perimeter with B(l) > 1: l_10 is read off inside blocks
+        law, chains = DEEP[key], 8000
+        out = simulate_ensemble("ibpm", law, l0, 30, chains, seed=61,
+                                checkpoints=[10])
+        assert out.flags["block_accepts"] > 0
+        for n in (10, 30):
+            expect = _forward_law("ibpm", law, l0, n) * chains
+            ls = out[n][0]
+            assert ls.max() < len(expect)
+            counts = np.bincount(ls, minlength=len(expect))
+            assert _g_test_p(counts, expect, chains) > 1e-3, n
+
+    @pytest.mark.parametrize("key", ["quad", "tri", "geo3"])
+    def test_guide_table_is_searchsorted(self, key):
+        engine = _ChainEngine(DEEP[key], "ibpm")
+        engine._nu_indices(np.zeros(1))
+        cdf = engine.cdf
+        u = np.concatenate([cdf, np.nextafter(cdf, 0), [0.0, 1 - 2**-53],
+                            np.arange(4096) / 4096, _rng(1).random(100_000)])
+        u = u[u < 1]
+        np.testing.assert_array_equal(engine._nu_indices(u),
+                                      cdf.searchsorted(u, "right"))
+
+    @pytest.mark.parametrize("cap", [100, 50_000])
+    def test_round_cap_keeps_the_law(self, cap, monkeypatch):
+        # a round draws at most BLOCK_DRAWS steps: 8000 blocks share 100
+        # (blocks of one step) or 50_000 (six steps) and stay exact
+        monkeypatch.setattr(peeling, "BLOCK_DRAWS", cap)
+        law, l0, n, chains = DEEP["quad"], 200, 30, 8000
+        out = simulate_ensemble("ibpm", law, l0, n, chains, seed=67)
+        assert out.flags["block_proposals"] >= chains * n // max(1, cap // chains)
+        expect = _forward_law("ibpm", law, l0, n) * chains
+        counts = np.bincount(out[n][0], minlength=len(expect))
+        assert _g_test_p(counts, expect, chains) > 1e-3
+
+    def test_acceptance_rate(self):
+        # each proposal is kept with probability h(1, l) / env >= 1 / BLOCK_M;
+        # B(l) is the largest block with env <= BLOCK_M h(1, l), so the mean
+        # rate is barely above 1 / BLOCK_M and the realized one is allowed
+        # four standard errors below it
+        flags = simulate_ensemble("ibpm", LAW, 2, 2000, 256, seed=3).flags
+        n = flags["block_proposals"]
+        assert n > 1000 and isinstance(n, int)
+        p = 1.0 / BLOCK_M
+        assert flags["block_accepts"] / n >= p - 4.0 * math.sqrt(p * (1 - p) / n)
+        assert simulate_ensemble("finite", LAW, 2, 200, 64, seed=3).flags[
+            "block_proposals"] == 0
+
+    @pytest.mark.parametrize("key", ["quad", "tri"])
+    def test_checkpoints_do_not_change_states(self, key):
+        law = DEEP[key]
+        runs = [simulate_ensemble("ibpm", law, 2, 400, 64, seed=9,
+                                  volume_mode="exact_small", checkpoints=cps)
+                for cps in (None, [7, 50, 123, 399], [50, 51, 399],
+                            range(1, 401))]
+        assert runs[0].flags["block_accepts"] > 0
+        for a in runs:
+            for b in runs:
+                for c in set(a) & set(b):
+                    np.testing.assert_array_equal(a[c][0], b[c][0])
+                    np.testing.assert_array_equal(a[c][1], b[c][1])
+
+    @pytest.mark.parametrize("volume_mode", ["exact_small", "asymptotic_xi"])
+    def test_simulate_is_the_one_chain_ensemble(self, volume_mode):
+        n = 1500
+        tr = simulate("ibpm", LAW, l0=2, n_steps=n, seed=4,
+                      volume_mode=volume_mode)
+        assert tr.flags["block_accepts"] > 0
+        out = simulate_ensemble("ibpm", LAW, 2, n, 1, seed=4,
+                                volume_mode=volume_mode,
+                                checkpoints=range(1, n + 1))
+        per = np.array([out[s][0][0] for s in range(1, n + 1)])
+        vol = np.array([out[s][1][0] for s in range(1, n + 1)])
+        np.testing.assert_array_equal(tr.perimeters[1:], per)
+        np.testing.assert_array_equal(tr.volumes[1:], vol)
+        assert tr.flags == out.flags

@@ -74,6 +74,11 @@ class TestEcf:
         rep = ecf_test(QUAD_LAW, 10_000, 20_000, thetas=(0.5, 1.0, 2.0), seed=11)
         assert rep.max_discrepancy() <= 0.03
 
+    @pytest.mark.parametrize("n,samples", [(0, 100), (-5, 100), (100, 0)])
+    def test_run_size_checked(self, n, samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            ecf_test(QUAD_LAW, n, samples)
+
     def test_report_shape(self):
         rep = ecf_test(QUAD_LAW, 1000, 2000, thetas=(1.0,), seed=0)
         doc = rep.to_report()
