@@ -296,6 +296,12 @@ def run(cfg: RunConfig) -> int:
             return 0
 
         if cfg.command == "scaling-test":
+            # every run size is checked before the first test runs
+            if min(cfg.steps, cfg.chains, cfg.ecf_samples) < 1:
+                raise ValueError(
+                    "steps, chains and ecf n_samples must be >= 1; got "
+                    f"steps={cfg.steps}, chains={cfg.chains}, "
+                    f"n_samples={cfg.ecf_samples}")
             laws = {}
             for name in cfg.models.split(","):
                 name = name.strip()

@@ -24,9 +24,11 @@ of it decides admissibility for the solver and the boundary tuner alike:
 the sign of R2 at the fold point.  Beyond the boundary the two roots of
 the fold have merged and R2 is positive there; the solver answers
 'not_admissible' when it is, or when no companion start converges and
-no Newton start gives an admissible root.  The tuner bisects the scale
-of the weights on that sign and then tracks the fold with the scale as a
-third unknown (a bordered system).
+no Newton start gives an admissible root.  Below the boundary the solver
+reflects the first inadmissible mirror root through the fold point it
+already has.  The tuner narrows a bracket on the scale of the weights by
+Illinois false position on R2 at the fold point and then tracks the fold
+with the scale as a third unknown (a bordered system).
 
 The series are numpy dot products over the terms q_{k+2} c^k that the
 weight sequence materializes from its cached weights.  Each `_System`
@@ -445,36 +447,37 @@ def _solve_general(q, sys, g, initial=None):
     # with an inadmissible mirror image, so candidates are kept and filtered
     # by the margin rather than accepted first-come.  Once the first start
     # has failed, the fold verdict is asked: R2 > 0 at the fold point means
-    # the two roots have merged, R2 = 0 means the input sits on the fold;
-    # otherwise the remaining starts and the reflection go on
+    # the two roots have merged, R2 = 0 means the input sits on the fold.
+    # Otherwise the first mirror found is reflected through the fold point
+    # (the verdict's, or one solved from the mirror when the verdict found
+    # none) before the remaining starts go on
     admissible = None
-    x_bad = None
     fold = None
+    reflected = False
     for i, x0 in enumerate(starts):
         x, margin = _admissible(x0)
         if x is not None and margin >= -MARGIN_TOL:
             admissible = (x, margin)
             break
-        if x_bad is None:
-            x_bad = x
         if i == 0:
             fold = _fold_point(sys, list(_FOLD_STARTS) + starts, lo, hi)
             if fold is not None and fold[1] > 1e-9:
                 return _beyond()
             if fold is not None and abs(fold[1]) <= 1e-9:
                 return _finish(fold[0], "critical-polish", margin=0.0)
-
-    if admissible is None and x_bad is not None:
-        # reflect the bad branch through the critical point of the fold
-        polished = _fold_point(sys, [x_bad], lo, hi)
-        if polished is not None:
-            x, margin = _admissible(2.0 * polished[0] - x_bad)
-            if x is not None and margin >= -MARGIN_TOL:
-                admissible = (x, margin)
+        if x is not None and not reflected:
+            reflected = True
+            point = fold if fold is not None else _fold_point(sys, [x], lo, hi)
+            if point is not None:
+                x, margin = _admissible(2.0 * point[0] - x)
+                if x is not None and margin >= -MARGIN_TOL:
+                    admissible = (x, margin)
+                    break
 
     if admissible is not None:
         x, margin = admissible
-        if abs(margin) < 1e-5:
+        # a known fold point already has R2 < 0: the input is not critical
+        if fold is None and abs(margin) < 1e-5:
             polished = _fold_point(sys, [x], lo, hi)
             if polished is not None and abs(polished[1]) <= 1e-9:
                 return _finish(polished[0], "newton+critical-polish", margin=0.0)
@@ -498,11 +501,15 @@ def solve_boltzmann(q: WeightSequence, g=1.0, initial=None):
     companion system once and reads R2 at its solution: R2 > 0 means the
     input is beyond the admissibility boundary ('not_admissible', path
     'fold-beyond', c and r NaN), R2 = 0 means it sits on the fold (path
-    'critical-polish'); otherwise the remaining starts go on.  If they
-    all fail too, no fold point means 'not_admissible' ('fold-beyond'),
-    so inputs beyond the boundary never raise; SolverFailureError is left
-    for a fold point with R2 < 0 (admissible slack) where no start finds
-    the root.
+    'critical-polish'); otherwise the first inadmissible mirror root is
+    reflected through the fold point (solved from the mirror when the
+    verdict found none), and the remaining starts go on.  A root found
+    after a verdict with R2 < 0 is not polished: that fold point already
+    shows the input is not critical.  If every start fails, no fold point
+    means 'not_admissible' ('fold-beyond'), so inputs beyond the boundary
+    never raise; SolverFailureError is left for a fold point with R2 < 0
+    (admissible slack) where no start finds the root.  `initial` = (c, r)
+    is tried before the fixed starts.
     """
     rep = validate(q)
     if not rep.ok:
@@ -744,11 +751,14 @@ def tune_critical(shape: WeightSequence):
     """Scale t* at which t * shape sits on the admissibility boundary.
 
     Halving and then doubling t brackets the boundary on the fold-side
-    indicator (the sign of R2 on the companion curve R1 = 0, margin = 0),
-    each admissible scale warm-starting the next; bisection narrows the
-    bracket, and the shared damped Newton on the bordered system
-    (R1, R2, margin - 1) in (c, s, t) then locates the fold to near
-    machine precision (bipartite shapes: (R2, margin - 1) in (c, t)).
+    value (R2 on the companion curve R1 = 0, margin = 0; its sign says
+    the side), each admissible scale warm-starting the next.  Illinois
+    false position on that value narrows the bracket to 1e-8 relative,
+    with a bisection step wherever an end's value is the sentinel of an
+    unsolvable companion system, and the shared damped Newton on the
+    bordered system (R1, R2, margin - 1) in (c, s, t) then locates the
+    fold to near machine precision (bipartite shapes: (R2, margin - 1)
+    in (c, t)).
     """
     rep = validate(shape)
     if not rep.ok:
@@ -768,25 +778,41 @@ def tune_critical(shape: WeightSequence):
             break
     if t_lo is None:
         raise BoundaryNotFoundError("no admissible scale found below the bracket")
+    f_lo = side
     t_hi = t_lo
     for _ in range(120):
         t_hi *= 2.0
         side, state = _fold_side(shape, t_hi, bipartite, warm)
         if side >= 0:
             break
-        t_lo, warm = t_hi, state
+        t_lo, warm, f_lo = t_hi, state, side
     else:
         raise BoundaryNotFoundError("weights remain admissible at huge scales")
 
+    # Illinois false position on the fold-side value; an end whose value
+    # is the unsolvable sentinel (state None) gives a bisection step
+    f_hi = side if state is not None else None
+    kept = 0  # +1 (-1) while the step keeps t_lo (t_hi) fixed
     for _ in range(64):
-        tm = 0.5 * (t_lo + t_hi)
+        if f_hi is None:
+            tm = 0.5 * (t_lo + t_hi)
+        else:
+            tm = t_hi - f_hi * (t_hi - t_lo) / (f_hi - f_lo)
+            if not (t_lo < tm < t_hi):
+                tm = 0.5 * (t_lo + t_hi)
         side, state = _fold_side(shape, tm, bipartite, warm)
         if side < 0:
-            t_lo = tm
+            t_lo, f_lo = tm, side
             if state is not None:
                 warm = state
+            kept = min(kept, 0) - 1
+            if kept <= -2 and f_hi is not None:
+                f_hi *= 0.5
         else:
-            t_hi = tm
+            t_hi, f_hi = tm, (side if state is not None else None)
+            kept = max(kept, 0) + 1
+            if kept >= 2:
+                f_lo *= 0.5
         if t_hi - t_lo <= 1e-8 * t_lo:
             break
 

@@ -315,8 +315,18 @@ def cplus_slope_test(q: WeightSequence, j_range=(2, 3, 4, 5, 6)) -> SlopeReport:
     """Vertex-fugacity slope of c_+ against its closed form.
 
     Solves the deformed sequence at g = 1 - 10^(-j), forms the normalized
-    increments and Richardson-extrapolates them in sqrt(1-g).
+    increments and Richardson-extrapolates them in sqrt(1-g).  The solves
+    are a continuation in g: each (c_+, r) starts the solve at the next j,
+    so j_range must be a non-empty, strictly increasing sequence of
+    positive integers (ValueError otherwise).
     """
+    j_range = tuple(j_range)
+    integers = all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+                   for j in j_range)
+    if not (j_range and integers and j_range[0] >= 1
+            and all(a < b for a, b in zip(j_range, j_range[1:]))):
+        raise ValueError("j_range must be a non-empty, strictly increasing "
+                         f"sequence of positive integers; got {j_range!r}")
     cd1 = solve_boltzmann(q)
     if cd1.classification not in ("critical", "regular_critical"):
         raise ValueError("slope test needs a critical weight sequence")
@@ -325,9 +335,11 @@ def cplus_slope_test(q: WeightSequence, j_range=(2, 3, 4, 5, 6)) -> SlopeReport:
         16.0 / (3.0 * (1.0 + cd1.r) * cd1.c_plus**2 * law.L_nu)
     )
     gs, slopes, slopes_m = [], [], []
+    initial = None
     for j in j_range:
         g = 1.0 - 10.0 ** (-j)
-        cd = solve_boltzmann(q, g=g)
+        cd = solve_boltzmann(q, g=g, initial=initial)
+        initial = (cd.c_plus, cd.r)
         x = math.sqrt(1.0 - g)
         gs.append(g)
         slopes.append((1.0 - cd.c_plus / cd1.c_plus) / x)

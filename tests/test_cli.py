@@ -142,6 +142,22 @@ class TestCommands:
         assert "PEELKIT_ERR invalid_input" in captured.err
         assert "n_samples" in captured.err and captured.out == ""
 
+    def test_scaling_test_sizes_checked_first(self, monkeypatch, capsys):
+        # a bad size must stop the command before the ecf test runs
+        from peelkit import scaling
+
+        def fail(*args, **kwargs):
+            raise AssertionError("ecf_test ran before the size check")
+
+        monkeypatch.setattr(scaling, "ecf_test", fail)
+        rc = main(["scaling-test", "--models", "quadrangulation",
+                   "--chains", "0", "--ecf-samples", "200000",
+                   "--steps", "2000"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "PEELKIT_ERR invalid_input" in captured.err
+        assert "chains=0" in captured.err and captured.out == ""
+
     def test_scaling_test_small(self, capsys):
         rc = main(["scaling-test", "--models", "quadrangulation",
                    "--steps", "400", "--chains", "300",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peelkit import criticality
+from peelkit import criticality, hfun
 from peelkit.errors import DivergentSeriesError
 from peelkit.hfun import HCache
 from peelkit.criticality import (
@@ -127,6 +127,23 @@ class TestSolve:
     def test_invalid_input(self):
         with pytest.raises(ValueError):
             solve_boltzmann(WeightSequence({2: Fraction(1, 2)}))
+
+    def test_evaluation_count(self, monkeypatch):
+        # the first start lands on the inadmissible mirror; the solver
+        # reflects it through the verdict's fold point at once instead of
+        # running the remaining starts first
+        calls = []
+        sums = criticality._System._sums
+
+        def counted(self, *args):
+            calls.append(1)
+            return sums(self, *args)
+
+        monkeypatch.setattr(criticality._System, "_sums", counted)
+        cd = solve_boltzmann(preset("odd_angulation", p=2).weights, g=0.99)
+        assert cd.classification == "subcritical"
+        assert cd.residuals["path"] == "newton"
+        assert 0 < len(calls) <= 150
 
 
 class TestDeformedHeavyTail:
@@ -283,6 +300,26 @@ class TestTune:
         monkeypatch.setattr(criticality._System, "residuals", counted)
         tune_critical(WeightSequence({3: Fraction(1), 4: Fraction(1)}))
         assert 0 < len(calls) <= 2000
+
+    def test_fold_side_count(self, monkeypatch):
+        # Illinois false position narrows the bracket in fewer verdicts
+        # than bisection to the 1e-8 relative stop
+        calls = []
+        fold_side = criticality._fold_side
+
+        def counted(*args):
+            calls.append(1)
+            return fold_side(*args)
+
+        monkeypatch.setattr(criticality, "_fold_side", counted)
+        try:
+            t = tune_critical(WeightSequence({4: Fraction(1), 6: Fraction(1)}))
+        finally:
+            # drop the shared tables built here, whose builds
+            # test_h_table_builds counts on the same shape
+            hfun._shared_float_cache.cache_clear()
+        assert t.data.classification == "regular_critical"
+        assert 0 < len(calls) <= 24
 
     def test_h_table_builds(self, monkeypatch):
         # the solver systems keep one h table per order and ratio instead

@@ -139,6 +139,58 @@ class TestSlope:
         if name == "odd_angulation":
             assert abs(rep.c_minus_estimate) <= 0.01
 
+    @pytest.mark.parametrize("j_range", [
+        (), [], (2, 2, 3), (3, 2), (0, 2), (-1, 2), (2.0, 3), (True, 2),
+    ])
+    def test_j_range_checked(self, j_range):
+        # the continuation walks j upward from one solve to the next
+        q = preset("odd_angulation", p=1).weights
+        with pytest.raises(ValueError, match="j_range"):
+            cplus_slope_test(q, j_range=j_range)
+
+    @pytest.mark.parametrize("name,params", [
+        ("odd_angulation", {"p": 1}),
+        ("geometric", {"H": 3.0}),
+    ])
+    def test_continuation_matches_cold_solve(self, name, params, monkeypatch):
+        from peelkit import scaling
+        from peelkit.criticality import solve_boltzmann
+
+        solved = []
+
+        def spied(q, g=1.0, initial=None):
+            cd = solve_boltzmann(q, g=g, initial=initial)
+            solved.append((g, initial, cd))
+            return cd
+
+        monkeypatch.setattr(scaling, "solve_boltzmann", spied)
+        q = preset(name, **params).weights
+        cplus_slope_test(q)
+        # every solve after the first at g < 1 starts from the last root
+        assert [initial is None for _, initial, _ in solved] == [
+            True, True, False, False, False, False]
+        for g, _, cd in solved[1:]:
+            cold = solve_boltzmann(q, g=g)
+            assert cd.classification == cold.classification
+            assert cd.c_plus == pytest.approx(cold.c_plus, rel=1e-10, abs=0)
+            assert cd.r == pytest.approx(cold.r, rel=1e-10, abs=0)
+
+    def test_evaluation_count(self, monkeypatch):
+        # continuation in g: each solve starts from the root at the last g
+        from peelkit import criticality
+
+        calls = []
+        sums = criticality._System._sums
+
+        def counted(self, *args):
+            calls.append(1)
+            return sums(self, *args)
+
+        monkeypatch.setattr(criticality._System, "_sums", counted)
+        rep = cplus_slope_test(preset("odd_angulation", p=2).weights)
+        assert rep.rel_error <= 0.005
+        assert 0 < len(calls) <= 600
+
     def test_subcritical_refused(self):
         from fractions import Fraction
 
