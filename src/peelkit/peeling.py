@@ -32,11 +32,23 @@ k_neg to 16 times the perimeter scale); above it, and for a law cut short
 of its positive tail, the block law differs from the step law only by the
 truncated masses trunc_neg and trunc_pos the law reports.  Finite-map
 chains always step one at a time: h(0, .) falls, so no envelope is close.
+
+Everything the engine tabulates (the deepened law, the rows, the h bands,
+the nu guide table and B(l)) depends only on the law, the transform and
+the deepening depth, never on the call.  Each thread keeps the last
+deepened law and engine of each mode between calls and reuses them while
+the same law object, unchanged (same digest), is run to the same depth;
+a new law or depth replaces them.  The tables only grow and their
+prefixes do not depend on how they grew, so a reused engine draws
+bit-identically to a new one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -61,6 +73,9 @@ GUIDE = 1 << 12
 
 
 def _rng(seed, chain_index=0):
+    for name, v in (("seed", seed), ("chain_index", chain_index)):
+        if not (isinstance(v, numbers.Integral) and 0 <= v < 1 << 64):
+            raise ValueError(f"{name} must be an integer in [0, 2^64); got {v!r}")
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, chain_index], dtype=np.uint64))
     )
@@ -231,17 +246,20 @@ def _build_volume_tables(law, l_exact, d_max):
     q = q_from_nu(law)
     if not q.support or q.min_support <= 2:
         return None
+    lps = range(1 + q.bipartite, l_exact + 1, 1 + q.bipartite)
     laws = {}
-    for lp in range(1 + q.bipartite, l_exact + 1, 1 + q.bipartite):
-        try:
+    try:
+        # the disk weights first: they are cheap, and past the law's depth
+        # or the float range they leave the tables uncertified at once
+        totals = [float(disk_coefficient(law, lp)) for lp in lps]
+        for lp, total in zip(lps, totals):
             vt = volume_tables(q, lp, d_max)
-            total = float(disk_coefficient(law, lp))
-        except (ValueError, RangeError):
-            return None
-        if not vt.complete or total <= 0:
-            return None
-        Vs = sorted(V for V in vt.values if V <= vt.V_star)
-        laws[lp] = (Vs, [float(vt.values[V]) / total for V in Vs], vt.V_star)
+            if not vt.complete or total <= 0:
+                return None
+            Vs = sorted(V for V in vt.values if V <= vt.V_star)
+            laws[lp] = (Vs, [float(vt.values[V]) / total for V in Vs], vt.V_star)
+    except (ValueError, RangeError, OverflowError):
+        return None
     width = 1 + max((len(Vs) for Vs, _, _ in laws.values()), default=0)
     values = np.ones((l_exact + 1, width), dtype=np.int64)
     weights = np.zeros((l_exact + 1, width))
@@ -254,13 +272,21 @@ def _build_volume_tables(law, l_exact, d_max):
     return laws, cdf
 
 
+def _check_volume_args(mode, l_exact, d_max):
+    if mode not in VOLUME_MODES:
+        raise ValueError(f"volume mode must be one of {VOLUME_MODES}")
+    if not (isinstance(l_exact, numbers.Integral) and l_exact >= 0
+            and isinstance(d_max, numbers.Integral) and d_max >= 1):
+        raise ValueError("l_exact must be an integer >= 0 and d_max one >= 1; "
+                         f"got l_exact={l_exact!r}, d_max={d_max!r}")
+
+
 class VolumeSampler:
     """Draws the vertex count added when a hole of degree l' is filled in."""
 
     def __init__(self, law: StepLaw, mode="exact_small", l_exact=DEFAULT_L_EXACT,
                  d_max=24):
-        if mode not in VOLUME_MODES:
-            raise ValueError(f"volume mode must be one of {VOLUME_MODES}")
+        _check_volume_args(mode, l_exact, d_max)
         self.law = law
         self.mode = mode
         exact = mode == "exact_small"
@@ -357,19 +383,18 @@ class PeelTrace:
         return per, vol
 
 
-def _deep_law_for(law: StepLaw, n_steps):
-    """Deepen the materialized negative range to the walk scale.
+def _deep_k_neg(law: StepLaw, n_steps):
+    """The materialized negative range a run of n_steps needs.
 
     Perimeters of order (sqrt(1+r) L n)^(2/3) need pruning jumps of the
     same order; a law truncated short of that loses the heavy negative
-    tail and the chain drifts upward.
+    tail and the chain drifts upward.  Heavy-tailed laws are run as given.
     """
     if law.heavy_tail:
-        return law
+        return law.k_neg
     a_n = (math.sqrt(1.0 + law.r) * law.L_nu * max(n_steps, 1)) ** (2.0 / 3.0)
     target = 1 << max(10, math.ceil(math.log2(16.0 * a_n + 2.0)))
-    target = min(target, 1 << 19)
-    return deepen_negative(law, target) if target > law.k_neg else law
+    return max(law.k_neg, min(target, 1 << 19))
 
 
 # -- the chain engine --------------------------------------------------------------
@@ -392,7 +417,8 @@ class _ChainEngine:
     docstring): ``blocks[l]`` is B(l), the largest B with ``block_env[l + B
     k_pos]`` <= BLOCK_M h(1, l), where ``block_env`` is the running maximum
     of h(1, .), or 1 where that B is below BLOCK_MIN; it is tabulated when a
-    chain first needs it.
+    chain first needs it.  Every table depends only on the law and the
+    transform, so one engine serves run after run; ``start`` begins each.
     """
 
     def __init__(self, law: StepLaw, mode):
@@ -447,8 +473,7 @@ class _ChainEngine:
             self.rows.append(w)
 
     def start(self, l0):
-        if l0 < 1:
-            raise ValueError("initial perimeter must be positive")
+        """Begin a run of chains from perimeter l0 >= 1."""
         self._cover(l0)
         if not self.hz[l0 + self.law.k_neg] > 0:
             raise ValueError(f"conditioning weight vanishes at l={l0}")
@@ -472,7 +497,8 @@ class _ChainEngine:
         small = ls < L_SMALL
         if not small.any():
             return self._rejection_jumps(ls, rng)
-        self._extend_rows(L_SMALL - 1)
+        if self.rows.n < L_SMALL:
+            self._extend_rows(L_SMALL - 1)
         out = np.empty_like(ls)
         out[small] = self.rows.draw(rng, ls[small])
         out[~small] = self._rejection_jumps(ls[~small], rng)
@@ -581,6 +607,34 @@ class _ChainEngine:
         return p / p.sum()
 
 
+class _Slot(threading.local):
+    """This thread's last (law, (digest, depth), deepened law, engine) per mode."""
+
+    def __init__(self):
+        self.held = {}
+
+
+_slot = _Slot()
+
+
+@contextlib.contextmanager
+def _chain_engine(mode, law, n_steps):
+    """The law deepened for n_steps and its engine, reused from this thread's
+    previous run in this mode if that ran the same law object, unchanged
+    (the digest guards in-place edits), to the same depth.  The engine is
+    out of the slot while it runs and goes back only when the run returns,
+    so a run that raises never leaves half-grown tables behind."""
+    depth = _deep_k_neg(law, n_steps)
+    key = (law.digest(), depth)
+    held = _slot.held.pop(mode, None)
+    if held is None or held[0] is not law or held[1] != key:
+        held = None  # free the old tables before building new ones
+        deep = deepen_negative(law, depth)
+        held = (law, key, deep, _ChainEngine(deep, mode))
+    yield held[2:]
+    _slot.held[mode] = held
+
+
 def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
     """Run n_chains chains from l0 on law deepened for n_steps: (that law,
     perimeter and volume rows at the sorted checkpoints, flags).  The chains
@@ -588,41 +642,45 @@ def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
     if min(n_chains, n_steps) < 1 or checkpoints[0] < 1 or checkpoints[-1] != n_steps:
         raise ValueError("n_chains and n_steps must be >= 1 and checkpoints in "
                          f"1..n_steps; got n_chains={n_chains}, n_steps={n_steps}")
-    law = _deep_law_for(law, n_steps)
-    engine = _ChainEngine(law, mode)
-    vol = VolumeSampler(law, *vol_args)
-    engine.start(l0)
-    ls = np.full(n_chains, l0, dtype=np.int64)
-    V = np.zeros(n_chains, dtype=np.int64)
-    per = np.empty((len(checkpoints), n_chains), dtype=np.int64)
-    vols = np.empty_like(per)
-    flags = {"block_proposals": 0, "block_accepts": 0}
-    absorbing = engine.order == 0
-    i = step = 0
-    while step < n_steps:
-        if not engine.steps_only(ls):
-            _block_rounds(engine, vol, rng, ls, V, per, vols, step,
-                          np.asarray(checkpoints), flags)
-            i = len(checkpoints)
-            break
-        step += 1
-        if absorbing and not ls.all():
-            live = np.flatnonzero(ls)
-            if not len(live):
+    # checked before the slot is touched: a rejected call builds nothing
+    if not (isinstance(l0, numbers.Integral) and l0 >= 1):
+        raise ValueError(f"initial perimeter must be an integer >= 1; got l0={l0!r}")
+    _check_volume_args(*vol_args)
+    l0 = int(l0)
+    with _chain_engine(mode, law, n_steps) as (law, engine):
+        vol = VolumeSampler(law, *vol_args)
+        engine.start(l0)
+        ls = np.full(n_chains, l0, dtype=np.int64)
+        V = np.zeros(n_chains, dtype=np.int64)
+        per = np.empty((len(checkpoints), n_chains), dtype=np.int64)
+        vols = np.empty_like(per)
+        flags = {"block_proposals": 0, "block_accepts": 0}
+        absorbing = engine.order == 0
+        i = step = 0
+        while step < n_steps:
+            if not engine.steps_only(ls):
+                _block_rounds(engine, vol, rng, ls, V, per, vols, step,
+                              np.asarray(checkpoints), flags)
+                i = len(checkpoints)
                 break
-            jumps = np.zeros_like(ls)
-            jumps[live] = engine.draw(ls[live], rng)
-        else:
-            jumps = engine.draw(ls, rng)
-        prune = jumps <= -2
-        if prune.any():
-            V[prune] += vol.draw_many(rng, -2 - jumps[prune])
-        ls += jumps
-        if step == checkpoints[i]:
-            per[i], vols[i] = ls, V
-            i += 1
-    per[i:], vols[i:] = ls, V
-    return law, per, vols, {**vol.flags, **flags}
+            step += 1
+            if absorbing and not ls.all():
+                live = np.flatnonzero(ls)
+                if not len(live):
+                    break
+                jumps = np.zeros_like(ls)
+                jumps[live] = engine.draw(ls[live], rng)
+            else:
+                jumps = engine.draw(ls, rng)
+            prune = jumps <= -2
+            if prune.any():
+                V[prune] += vol.draw_many(rng, -2 - jumps[prune])
+            ls += jumps
+            if step == checkpoints[i]:
+                per[i], vols[i] = ls, V
+                i += 1
+        per[i:], vols[i:] = ls, V
+        return law, per, vols, {**vol.flags, **flags}
 
 
 def _block_rounds(engine, vol, rng, ls, V, per, vols, step, cps, flags):
@@ -702,7 +760,8 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
     """Run one peeling chain and record the full (perimeter, volume) path.
 
     mode 'finite' absorbs at zero, mode 'ibpm' keeps the perimeter
-    positive; n_steps must be at least 1.  Identical (seed, parameters)
+    positive; n_steps must be at least 1, l0 an integer >= 1, and seed and
+    chain_index integers in [0, 2^64).  Identical (seed, parameters)
     produce bit-identical traces; parallel chains should vary chain_index,
     which keys an independent counter-based stream.
     """
@@ -737,14 +796,15 @@ def simulate_ensemble(mode, law: StepLaw, l0, n_steps, n_chains, seed=0,
 
     Returns {checkpoint: (perimeters, volumes)} plus the final state under
     key n_steps, as an EnsembleResult carrying the volume flags; n_steps and
-    n_chains below 1 or checkpoints outside 1..n_steps raise ValueError.
-    One counter-based stream keyed by the seed makes results reproducible
-    for fixed (seed, n_chains).
+    n_chains below 1, checkpoints outside 1..n_steps, an l0 that is not an
+    integer >= 1 or a seed outside the integers in [0, 2^64) raise
+    ValueError.  One counter-based stream keyed by the seed makes results
+    reproducible for fixed (seed, n_chains).
     """
     steps = {int(c) for c in (checkpoints if checkpoints is not None else ())}
     steps = sorted(steps | {int(n_steps)})
     _, per, vols, flags = _advance(mode, law, (volume_mode, l_exact, d_max),
-                                   _rng(seed), int(l0), n_chains, n_steps, steps)
+                                   _rng(seed), l0, n_chains, n_steps, steps)
     out = EnsembleResult((c, (per[i], vols[i])) for i, c in enumerate(steps))
     out.flags = flags
     return out

@@ -142,6 +142,15 @@ class TestCommands:
         assert "PEELKIT_ERR invalid_input" in captured.err
         assert "n_samples" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_simulate_seed_checked(self, seed, tmp_path, capsys):
+        rc = main(["simulate", "--preset", "quadrangulation", "--seed", seed,
+                   "--steps", "10", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "PEELKIT_ERR invalid_input" in captured.err
+        assert "seed" in captured.err and captured.out == ""
+
     def test_scaling_test_sizes_checked_first(self, monkeypatch, capsys):
         # a bad size must stop the command before the ecf test runs
         from peelkit import scaling

@@ -312,18 +312,15 @@ class TestTune:
             return fold_side(*args)
 
         monkeypatch.setattr(criticality, "_fold_side", counted)
-        try:
-            t = tune_critical(WeightSequence({4: Fraction(1), 6: Fraction(1)}))
-        finally:
-            # drop the shared tables built here, whose builds
-            # test_h_table_builds counts on the same shape
-            hfun._shared_float_cache.cache_clear()
+        t = tune_critical(WeightSequence({4: Fraction(1), 6: Fraction(1)}))
         assert t.data.classification == "regular_critical"
         assert 0 < len(calls) <= 24
 
     def test_h_table_builds(self, monkeypatch):
         # the solver systems keep one h table per order and ratio instead
-        # of building a fresh one per evaluation
+        # of building a fresh one per evaluation; counted from an empty
+        # process-wide cache, which earlier tests may have filled
+        hfun._shared_float_cache.cache_clear()
         calls = []
         grow = HCache._grow_float
 

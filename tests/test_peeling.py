@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -224,6 +225,20 @@ class TestVolumeSampler:
         with pytest.raises(ValueError):
             VolumeSampler(LAW, "bogus")
 
+    @pytest.mark.parametrize("kw", [{"l_exact": -5}, {"d_max": 0},
+                                    {"l_exact": 2.5}])
+    def test_size_validation(self, kw):
+        with pytest.raises(ValueError, match="l_exact"):
+            VolumeSampler(LAW, "exact_small", **kw)
+        with pytest.raises(ValueError, match="l_exact"):
+            simulate("ibpm", LAW, n_steps=10, **kw)
+
+    def test_overflowing_disk_weight_falls_back(self):
+        # c_+^(l'+2) leaves the float range long before l' = 2000: the
+        # tables are uncertified, as they are past the law's depth
+        tr = simulate("ibpm", LAW, n_steps=100, l_exact=2000, d_max=4)
+        assert tr.flags["exact_fallback"]
+
 
 class TestSimulate:
     def test_first_ibpm_step_deterministic(self):
@@ -290,6 +305,33 @@ class TestSimulate:
             simulate("bogus", LAW)
         with pytest.raises(ValueError):
             simulate("ibpm", LAW, l0=0)
+
+    @pytest.mark.parametrize("kw", [{"seed": -1}, {"seed": 1 << 64},
+                                    {"seed": 1.0}, {"chain_index": -1}])
+    def test_seed_validation(self, kw):
+        with pytest.raises(ValueError, match="seed|chain_index"):
+            simulate("ibpm", LAW, n_steps=10, **kw)
+        if "seed" in kw:
+            with pytest.raises(ValueError, match="seed"):
+                simulate_ensemble("ibpm", LAW, 2, 10, 4, seed=kw["seed"])
+
+    def test_largest_seed_and_numpy_integers(self):
+        top = (1 << 64) - 1
+        a = simulate("ibpm", LAW, l0=4, n_steps=50, seed=top, chain_index=top)
+        b = simulate("ibpm", LAW, l0=np.int64(4), n_steps=50,
+                     seed=np.uint64(top), chain_index=np.uint64(top))
+        np.testing.assert_array_equal(a.perimeters, b.perimeters)
+
+    def test_l0_must_be_an_integer(self):
+        # both entry points: never an index error, never int(2.5) = 2
+        for l0 in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="l0"):
+                simulate("ibpm", LAW, l0=l0, n_steps=10)
+            with pytest.raises(ValueError, match="l0"):
+                simulate_ensemble("ibpm", LAW, l0, 10, 4)
+        a = simulate_ensemble("ibpm", LAW, np.int64(4), 10, 4, seed=1)
+        b = simulate_ensemble("ibpm", LAW, 4, 10, 4, seed=1)
+        np.testing.assert_array_equal(a[10][0], b[10][0])
 
 
 class TestEmpiricalTransitions:
@@ -736,3 +778,112 @@ class TestBlockStepping:
         np.testing.assert_array_equal(tr.perimeters[1:], per)
         np.testing.assert_array_equal(tr.volumes[1:], vol)
         assert tr.flags == out.flags
+
+
+class TestEngineReuse:
+    """A thread keeps one deepened law and engine per mode between runs
+    (module docstring); reuse must not change a single draw."""
+
+    @staticmethod
+    def _runs():
+        """Interleaved calls: both modes, two laws, both entry points, other
+        l0 and n_steps (so other depths), a start() that raises, and an
+        in-place edit of a law deep enough to be run as given."""
+        quad, tri = quad_law(), tri_law()
+        deep = deepen_negative(quad_law(), 2048)
+
+        def edit():
+            deep.probs[deep.k_neg - 2] *= 0.5   # halve nu(-2) in place
+
+        return [
+            lambda: simulate("finite", quad, l0=2, n_steps=200, seed=1),
+            lambda: simulate("ibpm", tri, l0=1, n_steps=300, seed=2),
+            lambda: simulate_ensemble("finite", quad, 1000, 100, 64, seed=3,
+                                      checkpoints=[10, 50]),
+            lambda: simulate_ensemble("ibpm", tri, 1001, 300, 32, seed=4,
+                                      volume_mode="exact_small"),
+            lambda: simulate("finite", quad, l0=3, n_steps=50, seed=5),
+            lambda: simulate("finite", quad, l0=1500, n_steps=200, seed=5),
+            lambda: simulate_ensemble("ibpm", tri, 5, 3000, 16, seed=6),
+            lambda: simulate("ibpm", tri, l0=7, n_steps=300, seed=7),
+            lambda: simulate("finite", deep, l0=2, n_steps=200, seed=8),
+            edit,
+            lambda: simulate("finite", deep, l0=2, n_steps=200, seed=8),
+            lambda: simulate_ensemble("ibpm", deep, 2, 200, 32, seed=9),
+            lambda: simulate("ibpm", quad, l0=2, n_steps=1500, seed=4),
+        ]
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            out = call()
+        except ValueError as exc:
+            return ("raised", str(exc))
+        if out is None:
+            return None
+        if isinstance(out, PeelTrace):
+            return (out.perimeters, out.volumes, out.flags, out.law_digest)
+        return ({c: out[c] for c in out}, out.flags)
+
+    def test_reuse_is_invisible(self, monkeypatch):
+        builds = []
+        init = _ChainEngine.__init__
+
+        def counted(self, law, mode):
+            builds.append(mode)
+            init(self, law, mode)
+
+        monkeypatch.setattr(_ChainEngine, "__init__", counted)
+        warm = [self._outcome(call) for call in self._runs()]
+        n_warm = len(builds)
+        cold = []
+        for call in self._runs():
+            peeling._slot.held.clear()
+            cold.append(self._outcome(call))
+        # hits: the quad finite ensemble, the tri ibpm ensemble and the
+        # start() that raises; a raising run leaves its engine out of the slot
+        assert n_warm == len(builds) - n_warm - 3
+        assert warm[4] == ("raised", "conditioning weight vanishes at l=3")
+        assert not np.array_equal(warm[8][0], warm[10][0])  # the edit matters
+        for a, b in zip(warm, cold):
+            if a is None or isinstance(a[0], str):
+                assert a == b
+            elif isinstance(a[0], dict):
+                assert a[0].keys() == b[0].keys() and a[1] == b[1]
+                for c in a[0]:
+                    np.testing.assert_array_equal(a[0][c][0], b[0][c][0])
+                    np.testing.assert_array_equal(a[0][c][1], b[0][c][1])
+            else:
+                np.testing.assert_array_equal(a[0], b[0])
+                np.testing.assert_array_equal(a[1], b[1])
+                assert a[2:] == b[2:]
+
+    def test_one_engine_per_mode(self, monkeypatch):
+        # an engine is built only once the one it replaces is gone
+        engines = []
+        init = _ChainEngine.__init__
+
+        def tracked(self, law, mode):
+            live = [e() for e in engines if e() is not None]
+            assert all(e.order != (mode == "ibpm") for e in live)
+            init(self, law, mode)
+            engines.append(weakref.ref(self))
+
+        monkeypatch.setattr(_ChainEngine, "__init__", tracked)
+        quad, tri = quad_law(), tri_law()
+        for law in (quad, tri, quad):
+            for mode in ("finite", "ibpm"):
+                simulate(mode, law, n_steps=100, seed=1)
+        assert len(engines) == 6
+        held = peeling._slot.held
+        assert sorted(held) == ["finite", "ibpm"]
+        assert all(held[m][0] is quad for m in held)
+        assert sum(e() is not None for e in engines) == 2
+
+    def test_rejected_call_keeps_the_slot(self):
+        simulate("ibpm", LAW, n_steps=100, seed=1)
+        before = dict(peeling._slot.held)
+        for kw in ({"l0": 2.5}, {"seed": -1}, {"l_exact": -1}):
+            with pytest.raises(ValueError):
+                simulate("ibpm", tri_law(), n_steps=100, **kw)
+        assert peeling._slot.held == before
