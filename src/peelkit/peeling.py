@@ -19,22 +19,35 @@ stacked inverse-CDF rows of h(o, l+k) nu(k) below a perimeter cutoff and
 from nu proposals under two h bands above it.  Infinite-map chains also
 move in blocks: over B steps the path law telescopes to
 
-    prod nu(k_i) * h(1, l_B) / h(1, l_0) * 1{l_1, ..., l_B >= 1},
+    prod nu(k_i) * h(1, l_B) / h(1, l_0) * 1{l_1, ..., l_B >= 1}.
 
-so B plain nu steps, kept together with probability h(1, l_B) / env, are an
-exact block of the chain when env bounds h(1, .) on every perimeter the
-block can reach.  h(1, .) is nondecreasing, so env, the running maximum of
-h(1, .) up to l + B k_pos, stays within BLOCK_M h(1, l) for B up to about
-(BLOCK_M^2 - 1) l / k_pos, and at least 1 / BLOCK_M of the proposals are
-kept.  The telescoping uses the harmonicity of h(1, .) for the materialized
-nu, which holds while the chain stays at or below k_neg (the runs deepen
-k_neg to 16 times the perimeter scale); above it, and for a law cut short
-of its positive tail, the block law differs from the step law only by the
-truncated masses trunc_neg and trunc_pos the law reports.  Finite-map
-chains always step one at a time: h(0, .) falls, so no envelope is close.
+A block draws its B steps from the exponentially tilted law
+nu_theta(k) = nu(k) e^(theta k) / phi(theta), phi(theta) = sum nu(k) e^(theta k)
+(Siegmund 1976; Asmussen & Glynn 2007, ch. VI), whose path weight is
+prod nu(k_i) e^(theta (l_B - l_0)) / phi(theta)^B, and keeps them all with
+probability h(1, l_B) e^(-theta l_B) / K_theta on paths that stay at 1 or
+above, where K_theta = max_{m >= 1} h(1, m) e^(-theta m) bounds that
+probability by one wherever the block lands.  A kept block then has the
+chain's law, and a block from l is kept with probability
+h(1, l) / (phi(theta)^B e^(theta l) K_theta), whatever theta is.  B(l) is
+the largest B for which some theta of the grid BLOCK_THETAS keeps it with
+probability at least 1 / BLOCK_M; since h(1, .) grows like sqrt(m), K_theta
+peaks near m = 1 / (2 theta) and no k_pos enters: B(l) grows roughly
+like l^(3/2) for every law.  A block cut shorter than B(l) (by the run's end or
+the round's share of BLOCK_DRAWS) takes the theta of the grid that keeps it
+most often.  nu_theta is drawn from one guided inverse-CDF row per theta
+over the window k > -L_SMALL; a draw from its last entry, which holds all
+of k <= -L_SMALL, is redrawn from nu there and kept with probability
+e^(theta (k + L_SMALL)).  The telescoping uses the harmonicity of h(1, .)
+for the materialized nu, which holds while the chain stays at or below
+k_neg (the runs deepen k_neg to 16 times the perimeter scale); above it,
+and for a law cut short of its positive tail, the block law differs from
+the step law only by the truncated masses trunc_neg and trunc_pos the law
+reports.  Finite-map chains always step one at a time: h(0, .) falls, so
+no envelope is close.
 
 Everything the engine tabulates (the deepened law, the rows, the h bands,
-the nu guide table and B(l)) depends only on the law, the transform and
+the tilted rows and B(l)) depends only on the law, the transform and
 the deepening depth, never on the call.  Each thread keeps the last
 deepened law and engine of each mode between calls and reuses them while
 the same law object, unchanged (same digest), is run to the same depth;
@@ -55,20 +68,20 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import RangeError
-from .hfun import HCache
+from .hfun import HCache, h_asymptote
 from .walk import StepLaw, deepen_negative, disk_coefficient, expected_volume
 
 VOLUME_MODES = ("exact_small", "asymptotic_xi", "expectation")
 DEFAULT_L_EXACT = 6
 L_SMALL = 1024
 ROW_CHUNK = 64
-# an ibpm block of B steps from l needs max h(1, m <= l + B k_pos) <= BLOCK_M h(1, l)
+# an ibpm block of B steps from l is kept with probability >= 1 / BLOCK_M
 BLOCK_M = 2.0
-# shorter blocks cost more per step than single steps do
-BLOCK_MIN = 8
-# a block round draws at most this many nu steps (bounds its memory)
+# the tilts theta of block proposals: 1, 2^(-1/2), ..., 2^-24
+BLOCK_THETAS = 2.0 ** (-np.arange(49) / 2.0)
+# a block round draws at most this many steps (bounds its memory)
 BLOCK_DRAWS = 1 << 21
-# cells of the guide table into nu's cdf
+# cells of a guide table per row of inverse CDFs
 GUIDE = 1 << 12
 
 
@@ -81,22 +94,6 @@ def _rng(seed, chain_index=0):
     )
 
 
-class DiscreteSampler:
-    """Inverse-CDF sampler of a finite distribution: cumsum + searchsorted."""
-
-    def __init__(self, values, probs):
-        p = np.asarray(probs, dtype=np.float64)
-        if not p.sum() > 0:
-            raise ValueError("sampler needs positive mass")
-        keep = p > 0
-        self.values = np.asarray(values)[keep]
-        self.cdf = np.cumsum(p[keep] / p.sum())
-        self.cdf[-1] = 1.0
-
-    def draw(self, rng, size=None):
-        return self.values[self.cdf.searchsorted(rng.random(size), side="right")]
-
-
 class _StackedCdf:
     """Rows of inverse CDFs over value tables, in one flat nondecreasing array.
 
@@ -107,11 +104,17 @@ class _StackedCdf:
     table that every row shares (1-D).  Rows are appended, a block at a
     time, into storage that grows with them up to n_rows: a chain that
     stays at small perimeters never allocates the rows it does not reach.
+
+    Guided rows also keep a guide table of GUIDE cells per row (Devroye
+    1986, III.2.4), grown with them: a cell that no cut of its row splits
+    holds the value every target in it draws, the others the smallest value
+    less one, and only targets in those are searched for.  GUIDE is a power
+    of two, so a target's cell is exact.
     """
 
     U_MAX = 1.0 - 2.0**-40
 
-    def __init__(self, n_rows, values):
+    def __init__(self, n_rows, values, guided=False):
         self.n_rows = n_rows
         self.width = values.shape[-1]
         self._vals = values.reshape(-1)
@@ -119,6 +122,8 @@ class _StackedCdf:
         self.n = 0
         self._cum = np.empty((0, self.width))
         self._flat = self._cum.reshape(-1)
+        self._open = self._vals.min() - 1
+        self._guide = np.empty(0, dtype=self._vals.dtype) if guided else None
 
     def reserve(self, rows):
         """Room for at least min(rows, n_rows) rows; storage at least doubles."""
@@ -137,22 +142,61 @@ class _StackedCdf:
         np.divide(cum, cum[:, -1:], out=cum, where=cum[:, -1:] > 0)
         cum += np.arange(self.n, self.n + m)[:, None]
         self._cum[self.n:self.n + m] = cum
+        if self._guide is not None:
+            # entry e settles the cells [ceil(G lo_e), floor(G hi_e)) inside
+            # its interval [lo_e, hi_e) of targets (cells counted from row n)
+            hi = (cum.reshape(-1) - self.n) * GUIDE
+            first = np.ceil(np.concatenate([[0.0], hi[:-1]])).astype(np.intp)
+            end = np.maximum(first, np.floor(hi).astype(np.intp))
+            gaps = first - np.concatenate([[0], end[:-1]])
+            vals = (np.tile(self._vals, m) if self._shared
+                    else self._vals[self.n * self.width:(self.n + m) * self.width])
+            self._guide = np.concatenate([self._guide, np.repeat(
+                np.column_stack([np.full(len(vals), self._open), vals]).reshape(-1),
+                np.column_stack([gaps, end - first]).reshape(-1))])
         self.n += m
         self._flat = self._cum.reshape(-1)[: self.n * self.width]
 
     def _values_at(self, idx):
         return self._vals[idx % self.width if self._shared else idx]
 
-    def draw(self, rng, rows):
-        """One value per entry of rows, each drawn from its row's law."""
-        t = rows + rng.random(len(rows)) * self.U_MAX
+    def at(self, t):
+        """The values at targets t in [0, n), searchsorted(rows, t, "right")."""
+        if self._guide is not None:
+            out = self._guide[(t * GUIDE).astype(np.intp)]
+            open_ = np.flatnonzero(out == self._open)
+            if len(open_):
+                out[open_] = self._values_at(self._flat.searchsorted(t[open_], "right"))
+            return out
         if len(t) < 64:
             return self._values_at(self._flat.searchsorted(t, "right"))
         # sorted targets keep successive searches in cache: 3-4x for 1000s
         order = np.argsort(t)
-        out = np.empty_like(rows)
+        out = np.empty(len(t), dtype=self._vals.dtype)
         out[order] = self._values_at(self._flat.searchsorted(t[order], "right"))
         return out
+
+    def draw(self, rng, rows):
+        """One value per entry of rows, each drawn from its row's law."""
+        return self.at(rows + rng.random(len(rows)) * self.U_MAX)
+
+
+class DiscreteSampler:
+    """Inverse-CDF sampler of a finite distribution: one guided stacked row."""
+
+    def __init__(self, values, probs):
+        p = np.asarray(probs, dtype=np.float64)
+        if not p.sum() > 0:
+            raise ValueError("sampler needs positive mass")
+        keep = p > 0
+        self.values = np.asarray(values)[keep]
+        self._row = _StackedCdf(1, self.values, guided=True)
+        self._row.append(p[keep][None, :])
+        self.cdf = self._row._flat
+
+    def draw(self, rng, size=None):
+        out = self._row.draw(rng, np.zeros(1 if size is None else size, dtype=np.intp))
+        return out[0] if size is None else out
 
 
 # -- single-step laws ------------------------------------------------------------
@@ -282,7 +326,15 @@ def _check_volume_args(mode, l_exact, d_max):
 
 
 class VolumeSampler:
-    """Draws the vertex count added when a hole of degree l' is filled in."""
+    """Draws the vertex count added when a hole of degree l' is filled in.
+
+    l_exact and d_max are validated in every mode but used only by
+    'exact_small', whose enumeration tables cover l' <= l_exact up to d_max
+    (the mode falls back to the limit law, flag exact_fallback, where the
+    tables cannot be certified).  A heavy-tailed law has no volume constant
+    B_nu, so where the limit law would be drawn it takes the rounded mean
+    increment instead (flag heavy_volume_expectation).
+    """
 
     def __init__(self, law: StepLaw, mode="exact_small", l_exact=DEFAULT_L_EXACT,
                  d_max=24):
@@ -400,6 +452,13 @@ def _deep_k_neg(law: StepLaw, n_steps):
 # -- the chain engine --------------------------------------------------------------
 
 
+def _exp(x, f=np.exp):
+    """f(x), f = exp or expm1, with x below -708 taken as -inf: there e^x is
+    subnormal, which costs numpy about a hundred times as much, and lies
+    below the rounding of every sum it enters."""
+    return f(np.where(x < -708.0, -np.inf, x))
+
+
 class _ChainEngine:
     """Doob-transformed jumps for any number of chains at once.
 
@@ -413,12 +472,14 @@ class _ChainEngine:
     jump, kept with probability h(o, m) / env (Devroye 1986, II.3).  h is
     stored behind k_neg zeros and jumps are indices i = k + k_neg.
 
-    For the ibpm transform the engine also proposes blocks (module
-    docstring): ``blocks[l]`` is B(l), the largest B with ``block_env[l + B
-    k_pos]`` <= BLOCK_M h(1, l), where ``block_env`` is the running maximum
-    of h(1, .), or 1 where that B is below BLOCK_MIN; it is tabulated when a
-    chain first needs it.  Every table depends only on the law and the
-    transform, so one engine serves run after run; ``start`` begins each.
+    For the ibpm transform the engine also proposes tilted blocks (module
+    docstring).  Per tilt theta of BLOCK_THETAS it holds log phi(theta),
+    K_theta and a guided inverse-CDF row of nu_theta over the window
+    k > -L_SMALL whose last entry, -(k_neg + 1), stands for all of
+    k <= -L_SMALL.  ``blocks[l]`` is B(l) and ``block_tilt[l]`` the index
+    of its theta, tabulated when a chain first needs them.  Every table
+    depends only on the law and the transform, so one engine serves run
+    after run; ``start`` begins each.
     """
 
     def __init__(self, law: StepLaw, mode):
@@ -438,9 +499,57 @@ class _ChainEngine:
         self._cover(L_SMALL)
         # B(l) for l < len(blocks); chains below block_from all have B(l) = 1
         self.blocks = np.ones(0, dtype=np.int64)
-        self.block_max = 1
-        self.block_from = math.inf if self.order == 0 else 0
-        self.guide = None
+        self.block_tilt = np.zeros(0, dtype=np.int16)
+        self.block_from = math.inf
+        if self.order == 1:
+            self.block_from = 0
+            self._tilt_tables()
+
+    def _tilt_tables(self):
+        """Tabulate log phi(theta) and log K_theta for theta in BLOCK_THETAS,
+        K_theta = max_{m >= 1} h(1, m) e^(-theta m); the rows of nu_theta are
+        built in grid order as blocks first need them (_tilt_rows).
+
+        K_theta is the maximum over the h table that _cover(L_SMALL) made,
+        m <= m_top, and a bound past it: h(1, m) / h_asymptote(1, m) tends to
+        1 with an excess that only shrinks in m, so rho, the larger of 1 and
+        the ratio's maximum over the table's last half, bounds it beyond
+        m_top, where sqrt(m) e^(-theta m) peaks at max(m_top, 1 / (2 theta)).
+        """
+        law, th = self.law, BLOCK_THETAS
+        p = law.probs / self.cs[-1]
+        n_deep = max(0, law.k_neg - L_SMALL + 1)
+        kd, pd = law.ks[:n_deep], p[:n_deep]
+        # phi - 1 = sum nu(k) (e^(theta k) - 1) keeps log phi accurate at small theta
+        deep = np.array([(pd * _exp(t * kd, np.expm1)).sum() for t in th])
+        # e^(theta k_pos) overflows only for k_pos > 709: such theta get no blocks
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.log_phi = np.log1p((_exp(np.outer(th, self.win_ks), np.expm1)
+                                     * p[self.win_idx]).sum(axis=1) + deep)
+        # the last entry of each row holds all of k <= -L_SMALL
+        self._deep_w = (pd.sum() + deep) * np.exp(-th * law.k_pos)
+        self.tilt_rows = _StackedCdf(len(th), np.append(self.win_ks, -law.k_neg - 1),
+                                     guided=True)
+        m_top = self.h_len - 1
+        m = np.arange(1, m_top + 1)
+        h = law.hcache().table(1, m_top)[:m_top]
+        a1 = h_asymptote(1, 1, law.r)          # h_asymptote(1, m) = a1 sqrt(m)
+        rho = max(1.0, float((h[m_top // 2:] / (a1 * np.sqrt(m[m_top // 2:]))).max()))
+        far = np.maximum(m_top, 0.5 / th)
+        past = math.log(rho * a1) + 0.5 * np.log(far) - th * far
+        # 1e-12 covers the rounding of exp and log in the keep test
+        self.log_K = np.maximum((np.log(h) - np.outer(th, m)).max(axis=1), past) + 1e-12
+
+    def _tilt_rows(self, j):
+        """Build the rows of nu_theta for the grid up to index j: nu(k) e^(theta
+        (k - k_pos)), which cannot overflow, over the window, then the rest."""
+        n = self.tilt_rows.n
+        if j < n:
+            return
+        th = BLOCK_THETAS[n:j + 1]
+        p = self.law.probs[self.win_idx] / self.cs[-1]
+        w = p * _exp(np.outer(th, self.win_ks - self.law.k_pos))
+        self.tilt_rows.append(np.column_stack([w, self._deep_w[n:j + 1]]))
 
     def _cover(self, l_max):
         """Materialize h(o, .) and the bands for perimeters up to l_max."""
@@ -544,56 +653,96 @@ class _ChainEngine:
         return self.blocks[ls]
 
     def _extend_blocks(self, hi):
-        """Tabulate B(l) up to at least hi, growing h until every tabulated
-        B(l) is settled: env passes BLOCK_M h(1, l) inside the table."""
-        k_neg, k_pos = self.law.k_neg, self.law.k_pos
-        while True:
-            h = self.hz[k_neg:]
-            env = np.maximum.accumulate(h)
-            top = env.searchsorted(BLOCK_M * h, "right") - 1
-            unsettled = np.flatnonzero(top == len(h) - 1)
-            n = unsettled[0] if len(unsettled) else len(h)
-            if n > hi:
-                break
-            self._cover(len(h))
-        blocks = (top[:n] - np.arange(n)) // k_pos
-        blocks[blocks < BLOCK_MIN] = 1
-        self.blocks, self.block_env = blocks, env
-        self.block_max = int(blocks.max())
-        self.block_from = int(np.argmax(blocks > 1)) if self.block_max > 1 else n
+        """Tabulate B(l) and its tilt up to at least hi: per theta, the
+        largest B with B log phi(theta) + theta l + log K_theta <= log BLOCK_M
+        + log h(1, l), and the largest of these over the grid; 1 where that
+        is below 2."""
+        n0 = len(self.blocks)
+        n = max(hi + 1, 2 * n0, L_SMALL)
+        ls = np.arange(n0, n)
+        h = self.law.hcache().table(1, n)[np.maximum(ls - 1, 0)]
+        with np.errstate(divide="ignore"):
+            room = math.log(BLOCK_M) + np.log(np.where(ls >= 1, h, 0.0))
+        best = np.ones(len(ls))
+        tilt = np.zeros(len(ls), dtype=np.int16)
+        usable = self.log_phi > 0
+        for lo in range(0, len(ls), 4096):      # bounds the grid-by-l table
+            part = slice(lo, lo + 4096)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                b = np.floor((room[part] - np.outer(BLOCK_THETAS, ls[part])
+                              - self.log_K[:, None]) / self.log_phi[:, None])
+            b[~usable] = -np.inf
+            j = b.argmax(axis=0)
+            b = b[j, np.arange(len(j))]
+            more = b > 1
+            best[part][more], tilt[part][more] = b[more], j[more]
+        self.blocks = np.concatenate([self.blocks, best.astype(np.int64)])
+        self.block_tilt = np.concatenate([self.block_tilt, tilt])
+        self._tilt_rows(int(tilt.max()))
+        longer = np.flatnonzero(self.blocks > 1)
+        self.block_from = int(longer[0]) if len(longer) else n
 
     def propose_blocks(self, ls, B, rng):
-        """One block of B[j] nu steps per chain at ls[j]: (the steps laid end
-        to end, their running sum, each block's start in it and the sum
-        before it, the perimeters after the blocks, which blocks are kept)."""
+        """One block of B[j] nu_theta steps per chain at ls[j], theta its
+        tilt: (the steps laid end to end, their running sum, each block's
+        start in it and the sum before it, the perimeters after the blocks,
+        which blocks are kept)."""
         ends = np.cumsum(B)
         starts = ends - B
-        ks = self._nu_indices(rng.random(int(ends[-1])))
-        ks -= self.law.k_neg
+        tilt = self._block_tilts(ls, B)
+        rows = np.repeat(tilt, B)
+        ks = self.tilt_rows.draw(rng, rows)
+        deep = np.flatnonzero(ks < -self.law.k_neg)
+        if len(deep):
+            ks[deep] = self._deep_jumps(rows[deep], rng)
         run = np.cumsum(ks)
         before = run[starts] - ks[starts]
         low = np.minimum.reduceat(run, starts) - before
         lB = ls + run[ends - 1] - before
-        # the running maximum bounds h(1, .) on every perimeter reached
-        env = self.block_env[ls + B * self.law.k_pos]
-        h = self.hz[np.maximum(lB + self.law.k_neg, 0)]
-        keep = (ls + low >= 1) & (rng.random(len(ls)) * env < h)
+        # kept with probability h(1, l_B) e^(-theta l_B) / K_theta <= 1
+        stay = ls + low >= 1
+        lB_s = np.where(stay, lB, 1)
+        h = np.where(stay, self.law.hcache().table(1, int(lB_s.max()))[lB_s - 1], 0.0)
+        odds = h * np.exp(-BLOCK_THETAS[tilt] * lB_s - self.log_K[tilt])
+        keep = rng.random(len(ls)) < odds
         return ks, run, starts, before, lB, keep
 
-    def _nu_indices(self, u):
-        """i with cdf[i - 1] <= u < cdf[i] for nu's normalized cdf, i.e.
-        searchsorted(cdf, u, "right"), through a guide table (Devroye 1986,
-        III.2.4): u in [m/G, (m+1)/G) settles at once when no cut of the
-        cdf lies in that cell, and is searched for otherwise."""
-        if self.guide is None:
-            self.cdf = self.cs[1:-1] / self.cs[-1]
-            cuts = self.cdf.searchsorted(np.arange(GUIDE + 1) / GUIDE, "right")
-            self.guide = np.where(np.diff(cuts) == 0, cuts[:-1], -1)
-        idx = self.guide[(u * GUIDE).astype(np.intp)]
-        open_ = np.flatnonzero(idx < 0)
-        if len(open_):
-            idx[open_] = self.cdf.searchsorted(u[open_], "right")
-        return idx
+    def _block_tilts(self, ls, B):
+        """Per block, the theta of the grid that keeps B steps from l most
+        often, the least B log phi(theta) + theta l + log K_theta.  That sum
+        is convex in theta, and its least point moves to larger theta as B
+        falls, so a block shorter than B(l) walks up the grid from B(l)'s
+        theta while the sum falls."""
+        j = self.block_tilt[ls]
+        act = np.flatnonzero((B < self.blocks[ls]) & (j > 0))
+
+        def cost(i, jj):
+            return B[i] * self.log_phi[jj] + BLOCK_THETAS[jj] * ls[i] + self.log_K[jj]
+
+        now = cost(act, j[act])
+        while len(act):
+            up = cost(act, j[act] - 1)
+            better = up < now
+            act, now = act[better], up[better]
+            j[act] -= 1
+            more = j[act] > 0
+            act, now = act[more], now[more]
+        return j
+
+    def _deep_jumps(self, tilts, rng):
+        """Jumps k <= -L_SMALL from nu_theta, theta per entry of tilts: nu
+        proposals on k <= -L_SMALL kept with probability e^(theta (k + L_SMALL))."""
+        n_deep = self.law.k_neg - L_SMALL + 1
+        out = np.empty(len(tilts), dtype=np.int64)
+        todo = np.arange(len(tilts))
+        while len(todo):
+            u = rng.random(len(todo)) * self.cs[n_deep]
+            i = np.minimum(self.cs[1:].searchsorted(u, "right"), n_deep - 1)
+            k = i - self.law.k_neg
+            hit = rng.random(len(todo)) < _exp(BLOCK_THETAS[tilts[todo]] * (k + L_SMALL))
+            out[todo[hit]] = k[hit]
+            todo = todo[~hit]
+        return out
 
     def jump_law(self, l):
         """The law over law.ks that draw() samples at perimeter l."""
@@ -722,7 +871,7 @@ def _block_rounds(engine, vol, rng, ls, V, per, vols, step, cps, flags):
         if n_one < len(act):
             sb = np.flatnonzero(~one)
             lb, B = la[sb], np.minimum(B[sb], n_steps - da[sb])
-            if len(sb) * engine.block_max > BLOCK_DRAWS:
+            if B.sum() > BLOCK_DRAWS:
                 np.minimum(B, max(1, BLOCK_DRAWS // len(sb)), out=B)
             ks, run, starts, before, lB, keep = engine.propose_blocks(lb, B, rng)
             flags["block_proposals"] += len(sb)
@@ -764,6 +913,12 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
     chain_index integers in [0, 2^64).  Identical (seed, parameters)
     produce bit-identical traces; parallel chains should vary chain_index,
     which keys an independent counter-based stream.
+
+    The law is deepened to the run's scale first (``_deep_k_neg``), except
+    a heavy-tailed law, which runs as given: the run samples the h(0, .) or
+    h(1, .) transform of that law truncated at its own k_neg and k_pos, not
+    deepened.  l_exact and d_max are validated in every volume mode but
+    used only by 'exact_small' (``VolumeSampler``).
     """
     l0 = 2 if l0 is None else l0
     law, per, volumes, flags = _advance(
@@ -799,7 +954,10 @@ def simulate_ensemble(mode, law: StepLaw, l0, n_steps, n_chains, seed=0,
     n_chains below 1, checkpoints outside 1..n_steps, an l0 that is not an
     integer >= 1 or a seed outside the integers in [0, 2^64) raise
     ValueError.  One counter-based stream keyed by the seed makes results
-    reproducible for fixed (seed, n_chains).
+    reproducible for fixed (seed, n_chains).  As in ``simulate``, a
+    heavy-tailed law runs undeepened, as the transform of the law truncated
+    at its own k_neg and k_pos, and l_exact and d_max are validated in every
+    volume mode but used only by 'exact_small'.
     """
     steps = {int(c) for c in (checkpoints if checkpoints is not None else ())}
     steps = sorted(steps | {int(n_steps)})

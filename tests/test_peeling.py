@@ -7,10 +7,10 @@ import pytest
 from scipy import integrate
 
 from peelkit import peeling
-from peelkit.hfun import HCache
+from peelkit.hfun import HCache, h_asymptote
 from peelkit.peeling import (
     BLOCK_M,
-    BLOCK_MIN,
+    BLOCK_THETAS,
     L_SMALL,
     DiscreteSampler,
     PeelTrace,
@@ -532,27 +532,59 @@ class TestEngineExactness:
                 assert np.dot(law.probs, hm) / total >= 0.70, (l, law.k_neg)
 
     def test_block_envelope(self):
-        # env(l, B) = max h(1, m <= l + B k_pos) bounds h(1, .) on every
-        # perimeter a block of B steps from l can reach, so no block is kept
-        # with probability above one; where blocks are used, h(1, l) / env
-        # >= 1 / BLOCK_M, and B(l) is the largest B with that property
+        # a block from l with tilt theta is kept with probability
+        # h(1, l_B) e^(-theta l_B) / K_theta, at most one for every l when
+        # K_theta >= h(1, m) e^(-theta m) for all m >= 1: checked on a table
+        # to 2^18 and, past it, through h_asymptote, whose ratio to h(1, .)
+        # must shrink as the engine's certificate assumes.  Where blocks are
+        # used, phi^B e^(theta l) K_theta <= BLOCK_M h(1, l), phi computed
+        # here from the law, and no theta of the grid admits B(l) + 1 steps.
         heavy = symmetric_family(1.0, math.pi / 4, k_pos=256, quadrature=False)
+        top = 1 << 18
         for law in (DEEP["quad"], DEEP["tri"], DEEP["geo3"], heavy):
             engine = _ChainEngine(law, "ibpm")
+            K = np.exp(engine.log_K)
+            m = np.arange(1, top + 1)
+            h = law.hcache().array(1, top)[1:]
+            for t, k in zip(BLOCK_THETAS, K):
+                assert (h * np.exp(-t * m)).max() <= k, (law.k_pos, t)
+            a = h_asymptote(1, 1, law.r) * np.sqrt(m)     # h_asymptote(1, m)
+            m_top = engine.h_len - 1
+            rho = (h / a)[top // 2:].max()
+            assert rho <= max(1.0, (h / a)[m_top // 2:m_top].max()), law.k_pos
+            far = np.maximum(top, 0.5 / BLOCK_THETAS)
+            assert np.all(max(rho, 1.0) * h_asymptote(1, 1, law.r) * np.sqrt(far)
+                          * np.exp(-BLOCK_THETAS * far) <= K), law.k_pos
             ls = np.arange(1, 5001)
-            B = engine.block_len(ls)
-            top = ls + B * law.k_pos
-            h = law.hcache().array(1, int(top.max()) + law.k_pos)
-            env = engine.block_env[top]
-            reach = np.maximum.accumulate(h)[top]
-            assert np.all(reach <= env), law.k_pos
-            used = (B > 1) & (h[ls] > 0)
-            assert used.any() and set(np.unique(B[~used])) <= {1}
-            assert B[used].min() >= BLOCK_MIN
-            assert np.all(h[ls[used]] / env[used] >= 1.0 / BLOCK_M), law.k_pos
-            # one more step of k_pos would break the bound
-            longer = np.maximum.accumulate(h)[top[used] + law.k_pos]
-            assert np.all(longer > BLOCK_M * h[ls[used]]), law.k_pos
+            B, j = engine.block_len(ls), engine.block_tilt[ls]
+            p = law.probs / law.probs.sum()
+            log_phi = np.log1p([(p * np.expm1(t * law.ks)).sum() for t in BLOCK_THETAS])
+            np.testing.assert_allclose(engine.log_phi, log_phi, rtol=1e-9, atol=0)
+            used = B > 1
+            assert used[9:].all(), law.k_pos       # every l >= 10 moves in blocks
+            keep = h[ls - 1] / np.exp(B * log_phi[j] + BLOCK_THETAS[j] * ls + engine.log_K[j])
+            assert np.all(keep[used] >= (1.0 - 1e-9) / BLOCK_M), law.k_pos
+            more = ((B[:, None] + 1) * engine.log_phi + np.outer(ls, BLOCK_THETAS)
+                    + engine.log_K)
+            assert np.all(more > math.log(BLOCK_M) + np.log(h[ls - 1])[:, None]), law.k_pos
+
+    @pytest.mark.parametrize("key", ["quad", "geo3"])
+    def test_tilted_rows_are_nu_theta(self, key):
+        # row j of the tilted table is nu_theta(k) = nu(k) e^(theta k) / phi
+        # over k > -L_SMALL, and its last entry carries nu_theta(k <= -L_SMALL)
+        law = DEEP[key]
+        engine = _ChainEngine(law, "ibpm")
+        engine._tilt_rows(len(BLOCK_THETAS) - 1)
+        p = law.probs / law.probs.sum()
+        win, deep = law.ks > -L_SMALL, law.ks <= -L_SMALL
+        for j in (5, 15, 25, 35, len(BLOCK_THETAS) - 1):
+            t = BLOCK_THETAS[j]
+            nu_t = p * np.exp(t * law.ks) / np.exp(engine.log_phi[j])
+            want = np.append(nu_t[win], nu_t[deep].sum())
+            got = np.diff(engine.tilt_rows._cum[j] - j, prepend=0.0)
+            # the stacked cdf holds j + cdf, exact to a few ulp of j
+            np.testing.assert_allclose(got, want, rtol=0, atol=64 * np.spacing(j + 1.0))
+            assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_finite_no_absorbing_jump_above_cutoff(self):
         # a proposal k < -l reaches a negative argument, which carries no
@@ -603,21 +635,25 @@ class TestStackedCdf:
 
 
 def _forward_law(mode, law, l0, n):
-    """Exact law of l_n from l0 by the forward equation of the kernel."""
-    top = l0 + n * law.k_pos
-    P = np.zeros((top + 1, top + 1))
-    P[0, 0] = 1.0
+    """Exact law of l_n from l0 by the forward equation of the kernel.
+
+    From l >= 1 the chain moves to m = l + k >= 0 with probability
+    h(o, m) nu(k) / h(o, l), so a step convolves dist / h with nu and
+    multiplies by h; zero is absorbing."""
+    from scipy.signal import fftconvolve
+
     order = 0 if mode == "finite" else 1
-    for l in range(1, top + 1):
-        if law.hcache().value(order, l) > 0:
-            row = _kernel_row(mode, law, l)
-            ks = law.ks
-            ok = (l + ks >= 0) & (l + ks <= top) & (row > 0)
-            P[l, l + ks[ok]] = row[ok]
+    top = l0 + n * law.k_pos
+    h = law.hcache().array(order, top)
+    live = h > 0
     dist = np.zeros(top + 1)
     dist[l0] = 1.0
     for _ in range(n):
-        dist = dist @ P
+        g = np.zeros(top + 1)
+        g[1:] = np.where(live[1:], dist[1:], 0.0) / np.where(live[1:], h[1:], 1.0)
+        step = fftconvolve(g, law.probs)[law.k_neg:law.k_neg + top + 1] * h
+        step[0] += dist[0]
+        dist = np.maximum(step, 0.0)
     return dist
 
 
@@ -698,11 +734,12 @@ class TestEnsembleGTest:
 class TestBlockStepping:
     """ibpm chains move in blocks of B(l) steps (peeling module docstring)."""
 
-    @pytest.mark.parametrize("key", ["quad", "tri"])
+    @pytest.mark.parametrize("key", ["quad", "tri", "geo3"])
     @pytest.mark.parametrize("l0", [2, 20, 200])
     def test_l_n_law(self, key, l0):
-        # fixed-seed G-tests of l_10 and l_30 from below, at and above the
-        # first perimeter with B(l) > 1: l_10 is read off inside blocks
+        # fixed-seed G-tests of l_10 and l_30 from small, middle and large
+        # l0: blocks of B(l) steps from l0 = 2 and blocks cut short by the
+        # run's end from l0 = 200; l_10 is read off inside blocks
         law, chains = DEEP[key], 8000
         out = simulate_ensemble("ibpm", law, l0, 30, chains, seed=61,
                                 checkpoints=[10])
@@ -717,13 +754,29 @@ class TestBlockStepping:
     @pytest.mark.parametrize("key", ["quad", "tri", "geo3"])
     def test_guide_table_is_searchsorted(self, key):
         engine = _ChainEngine(DEEP[key], "ibpm")
-        engine._nu_indices(np.zeros(1))
-        cdf = engine.cdf
-        u = np.concatenate([cdf, np.nextafter(cdf, 0), [0.0, 1 - 2**-53],
-                            np.arange(4096) / 4096, _rng(1).random(100_000)])
-        u = u[u < 1]
-        np.testing.assert_array_equal(engine._nu_indices(u),
-                                      cdf.searchsorted(u, "right"))
+        engine._tilt_rows(20)           # rows are guided a block at a time
+        engine._tilt_rows(len(BLOCK_THETAS) - 1)
+        rows = engine.tilt_rows
+        flat = rows._flat
+        t = np.concatenate([flat, np.nextafter(flat, 0), np.arange(rows.n * 4096) / 4096,
+                            rows.n * _rng(1).random(100_000)])
+        t = t[t < rows.n]
+        np.testing.assert_array_equal(rows.at(t),
+                                      rows._values_at(flat.searchsorted(t, "right")))
+
+    @pytest.mark.parametrize("j", [15, 30])
+    def test_deep_jumps_are_tilted_nu(self, j):
+        # a draw from a row's last entry is redrawn from nu on k <= -L_SMALL
+        # and kept with probability e^(theta (k + L_SMALL)): a fixed-seed
+        # G-test against nu_theta there
+        law, draws = DEEP["quad"], 100_000
+        ks = _ChainEngine(law, "ibpm")._deep_jumps(np.full(draws, j), _rng(71 + j))
+        assert ks.max() <= -L_SMALL
+        deep = law.ks <= -L_SMALL
+        expect = law.probs[deep] * np.exp(BLOCK_THETAS[j] * law.ks[deep])
+        expect *= draws / expect.sum()
+        counts = np.bincount(ks + law.k_neg, minlength=deep.sum())
+        assert _g_test_p(counts, expect, draws) > 1e-3
 
     @pytest.mark.parametrize("cap", [100, 50_000])
     def test_round_cap_keeps_the_law(self, cap, monkeypatch):
@@ -738,10 +791,10 @@ class TestBlockStepping:
         assert _g_test_p(counts, expect, chains) > 1e-3
 
     def test_acceptance_rate(self):
-        # each proposal is kept with probability h(1, l) / env >= 1 / BLOCK_M;
-        # B(l) is the largest block with env <= BLOCK_M h(1, l), so the mean
-        # rate is barely above 1 / BLOCK_M and the realized one is allowed
-        # four standard errors below it
+        # a block of B(l) steps is kept with probability h(1, l) / (phi^B
+        # e^(theta l) K_theta) >= 1 / BLOCK_M, and a block cut short by the
+        # run's end more often; the realized mean keep rate is allowed four
+        # standard errors below 1 / BLOCK_M
         flags = simulate_ensemble("ibpm", LAW, 2, 2000, 256, seed=3).flags
         n = flags["block_proposals"]
         assert n > 1000 and isinstance(n, int)
