@@ -71,14 +71,17 @@ class StepLaw:
     def total_mass(self):
         return float(self.probs.sum())
 
+    # mean, char_function and harmonic_residual sum by ufunc, not BLAS:
+    # a threaded dot or gemv on a long vector can stall for ~0.1 s on a
+    # busy host
     def mean(self):
-        return float(np.dot(self.ks, self.probs))
+        return float(np.add.reduce(self.ks * self.probs))
 
     def char_function(self, thetas):
         """phi(theta) = sum nu(k) exp(i k theta) over the materialized range."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         phase = np.exp(1j * np.outer(thetas, self.ks))
-        return phase @ self.probs
+        return np.add.reduce(phase * self.probs, axis=1)
 
     def digest(self):
         import hashlib
@@ -443,7 +446,7 @@ def harmonic_residual(law: StepLaw, order, k, l_pos_max=None):
     if law.heavy_tail:
         h = cache.array(order, _HEAVY_H_LEN)
         ls = np.arange(max(order - k, -law.k_neg), 0)
-        total = float(np.dot(h[ls + k], law.probs[ls + law.k_neg]))
+        total = float(np.add.reduce(h[ls + k] * law.probs[ls + law.k_neg]))
         total += float(law.probs[law.k_neg]) * h[k]
         total += _heavy_positive_sum(law, h, k)
         return abs(total - h[k])
@@ -452,5 +455,5 @@ def harmonic_residual(law: StepLaw, order, k, l_pos_max=None):
     ls = np.arange(-law.k_neg, l_hi + 1)
     idx = ls + k
     mask = idx >= 0
-    total = float(np.dot(h[idx[mask]], law.probs[mask]))
+    total = float(np.add.reduce(h[idx[mask]] * law.probs[mask]))
     return abs(total - h[k])

@@ -16,7 +16,7 @@ from peelkit.criticality import (
     tune_critical,
 )
 from peelkit.walk import complete_nu, harmonic_residual
-from peelkit.weights import WeightSequence, nu_from_q, preset
+from peelkit.weights import WeightSequence, nu_from_q, preset, q_from_nu
 
 
 QUAD = WeightSequence({4: Fraction(1, 12)})
@@ -414,6 +414,27 @@ def test_tuned_shape_brackets_the_boundary(support):
     beyond = solve_boltzmann(shape.scaled(1.1 * t.t_star))
     assert beyond.classification == "not_admissible"
 
+
+
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@given(st.dictionaries(st.integers(3, 8), _weights, min_size=1, max_size=3))
+def test_completion_chain_on_tuned_shapes(support):
+    # tune -> solve -> nu -> completed law: the solved constants make h(0, .)
+    # and h(1, .) harmonic, the kernel reproduces nu(-2) = 2 / c^2, the
+    # mobile fixed point agrees, and the weights come back from nu
+    q = WeightSequence(support).scaled(tune_critical(WeightSequence(support)).t_star)
+    cd = solve_boltzmann(q)
+    assert miermont_check(q, cd).ok
+    pos = nu_from_q(q, cd.c_plus, cd.r)
+    law = complete_nu(pos, k_neg=256)
+    assert abs(law.nu(-2) - 2.0 / cd.c_plus**2) <= 1e-9
+    for k in range(1, 31):
+        assert harmonic_residual(law, 0, k) <= 1e-8
+        assert harmonic_residual(law, 1, k) <= 1e-8
+    back = q_from_nu(pos)
+    assert set(back.support) == set(q.support)
+    for d in q.support:
+        assert back.value(d) == pytest.approx(float(q.value(d)), rel=1e-12)
 
 class TestReport:
     def test_full_report_is_jsonable(self):

@@ -1,9 +1,19 @@
+import contextlib
+import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from peelkit import hfun
 from peelkit.errors import UnsupportedOrderError
 from peelkit.hfun import HCache, h_asymptote, h_batch, h_eval, shared_cache
 
@@ -126,6 +136,35 @@ def reference_float_table(r, k, size):
     return out
 
 
+def same_bits(tab, r, k):
+    return tab.tobytes() == np.array(reference_float_table(r, k, len(tab))).tobytes()
+
+
+@contextlib.contextmanager
+def recurrence(which):
+    """Build float tables with the loop this process loaded ('loaded') or
+    with the Python loop ('python')."""
+    loaded = hfun._kernel()
+    if which == "python":
+        hfun._kernel_state = (hfun._recurrence_py, ("python", "forced"))
+    try:
+        yield
+    finally:
+        hfun._kernel_state = loaded
+
+
+def has_compiler():
+    return (shutil.which("cc") or shutil.which("gcc")) is not None
+
+
+_float_ratios = (st.floats(-1.0, 1.0, exclude_min=True)
+                 | st.sampled_from([1.0, 0.999999, -0.999999, 0.0, 1e-300]))
+# table lengths to request one after another: anywhere, or at the Python
+# loop's 4096-entry chunk edge
+_cuts = st.lists(st.integers(1, 9_000) | st.integers(4_090, 4_100),
+                 min_size=1, max_size=4)
+
+
 class TestFloatRecurrence:
     @pytest.mark.parametrize("r", [0.37, 1.0, -0.62, 0.0])
     def test_bit_identical_to_plain_loop(self, r):
@@ -136,6 +175,107 @@ class TestFloatRecurrence:
                 tab = c.table(k, l_max)
                 assert len(tab) > l_max - k
                 assert tab.tolist() == reference_float_table(r, k, len(tab))
+
+    @pytest.mark.parametrize("which", ["loaded", "python"])
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(r=_float_ratios, k=st.integers(-4, 4), cuts=_cuts)
+    def test_resumed_growth_bit_identical(self, which, r, k, cuts):
+        c = HCache(r, mode="float")
+        with recurrence(which):
+            for n in cuts:
+                tab = c.table(k, k + n)
+                assert len(tab) > n
+                assert same_bits(tab, r, k)
+
+    @pytest.mark.parametrize("failure", ["no compiler", "compile", "dlopen"])
+    def test_python_loop_when_the_kernel_cannot_load(self, failure, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(hfun, "_cache_dir", lambda: str(tmp_path / "pk"))
+        monkeypatch.setattr(hfun, "_kernel_state", None)
+        if failure == "no compiler":
+            monkeypatch.setattr(hfun.shutil, "which", lambda name: None)
+            reason = "no C compiler"
+        elif failure == "compile":
+            monkeypatch.setattr(hfun.shutil, "which", lambda name: "/bin/false")
+            reason = "C compile failed"
+        else:
+            # a private cache holding a file that is no shared object
+            (tmp_path / "pk").mkdir()
+            os.chmod(tmp_path / "pk", 0o700)
+            Path(hfun._kernel_path()).write_bytes(b"not a shared object")
+            reason = "OSError"
+        status = hfun.float_recurrence()
+        assert status[0] == "python" and status[1].startswith(reason)
+        for r in (0.37, 1.0, -0.62):
+            for k in (-4, 0, 3):
+                c = HCache(r, mode="float")
+                for l_max in (10, 5_000, 9_500):
+                    assert same_bits(c.table(k, l_max), r, k)
+        shared = shared_cache(0.4142)
+        assert shared is shared_cache(0.4142)
+        assert same_bits(shared.table(1, 6_000), 0.4142, 1)
+
+    @pytest.mark.parametrize("unsafe", ["group-writable directory",
+                                        "world-writable directory",
+                                        "directory of another user",
+                                        "writable file"])
+    def test_unsafe_cache_is_not_loaded(self, unsafe, tmp_path, monkeypatch):
+        cache = tmp_path / "pk"
+        cache.mkdir()
+        monkeypatch.setattr(hfun, "_cache_dir", lambda: str(cache))
+        monkeypatch.setattr(hfun, "_kernel_state", None)
+        path = Path(hfun._kernel_path())
+        path.write_bytes(b"never loaded")
+        os.chmod(path, 0o700)
+        os.chmod(cache, 0o700)
+        if unsafe == "group-writable directory":
+            os.chmod(cache, 0o770)
+        elif unsafe == "world-writable directory":
+            os.chmod(cache, 0o707)
+        elif unsafe == "directory of another user":
+            other = os.stat(cache).st_uid + 1
+            monkeypatch.setattr(hfun.os, "getuid", lambda: other)
+        else:
+            os.chmod(path, 0o722)
+        opened = []
+        monkeypatch.setattr(hfun.ctypes, "CDLL", opened.append)
+        monkeypatch.setattr(hfun, "_compile", lambda cc, p: opened.append(p))
+        status = hfun.float_recurrence()
+        assert opened == []
+        assert status[0] == "python" and "not this user's own" in status[1]
+        assert same_bits(HCache(0.37, mode="float").table(-2, 5_000), 0.37, -2)
+
+    def test_kernel_compiled_once_per_cache(self, tmp_path):
+        # two fresh processes on an empty private cache: the first compiles,
+        # the second loads its file; without a compiler both run Python
+        cache = tmp_path / "pk"
+        script = textwrap.dedent(f"""
+            import json, sys
+            sys.path.insert(0, {str(Path(hfun.__file__).parents[1])!r})
+            from peelkit import hfun
+            hfun._cache_dir = lambda: {str(cache)!r}
+            compiles = []
+            compile_ = hfun._compile
+            def counted(cc, path):
+                compiles.append(path)
+                return compile_(cc, path)
+            hfun._compile = counted
+            hfun.HCache(0.3, mode="float").table(0, 100)
+            print(json.dumps([len(compiles), hfun.float_recurrence()]))
+        """)
+        runs = []
+        for _ in range(2):
+            proc = subprocess.run([sys.executable, "-c", script],
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        if has_compiler():
+            path = str(cache / os.path.basename(hfun._kernel_path()))
+            assert runs == [[1, ["c", path]], [0, ["c", path]]]
+            assert os.stat(cache).st_mode & 0o777 == 0o700
+            assert os.listdir(cache) == [os.path.basename(path)]
+        else:
+            assert runs == [[0, ["python", "no C compiler"]]] * 2
 
 
 _ratios = st.builds(
