@@ -13,7 +13,10 @@ volume constant B = 4 nu(-2) / (3 (1+r) L) and the negative-tail constant
 
 The module also hosts the symmetric critical family, whose step law is
 prescribed directly through its characteristic function
-phi(theta) = 1 - 2 a sqrt(1 + r^2 + 2 r cos theta) |sin(theta/2)|.
+phi(theta) = 1 - 2 a sqrt(1 + r^2 + 2 r cos theta) |sin(theta/2)|.  Its
+coefficients nu(0..K) come from one numpy pass (`symmetric_nu_table`): an
+rfft for the Fourier coefficients of the square root, convolved with the
+exact ones of |sin(theta/2)|; r = 1 has a closed form.
 """
 
 from __future__ import annotations
@@ -71,9 +74,9 @@ class StepLaw:
     def total_mass(self):
         return float(self.probs.sum())
 
-    # mean, char_function and harmonic_residual sum by ufunc, not BLAS:
-    # a threaded dot or gemv on a long vector can stall for ~0.1 s on a
-    # busy host
+    # mean, char_function and every sum in this module go by ufunc, not
+    # BLAS: a threaded dot or gemv on a long vector can stall for ~0.1 s on
+    # a busy host
     def mean(self):
         return float(np.add.reduce(self.ks * self.probs))
 
@@ -209,7 +212,7 @@ def complete_nu(pos: StepLawPositive, k_neg=DEFAULT_K_NEG, exact=None,
     h2 = cache.array(2, k_pos + 1)
     # the positive truncation carried by the materialization already covers
     # the degree-3/2 growth of h(2, k+1)
-    L_nu = float(np.dot(nu_pos_vec[1 : k_pos + 1], h2[2:]))
+    L_nu = float(np.add.reduce(nu_pos_vec[1 : k_pos + 1] * h2[2:]))
     B_nu = 4.0 * nu_m2_target / (3.0 * (1.0 + r) * L_nu)
     tail_const = 3.0 * L_nu * math.sqrt(1.0 + r) / (4.0 * math.sqrt(math.pi))
     # estimated mass beyond the materialized negative range (k^{-5/2} tail)
@@ -303,31 +306,74 @@ def symmetric_a_max(r):
     return math.pi / d
 
 
-def symmetric_nu_value(r, a, k, epsabs=1e-13):
-    """Fourier coefficient (1/2pi) int phi(theta) e^(-ik theta) dtheta.
+# the FFT behind the coefficients of s(theta) has at most this many points;
+# the ratios it cannot resolve are refused, not approximated
+_SYMMETRIC_FFT_MAX = 1 << 22
+# elements per block of the direct convolution sum
+_SYMMETRIC_BLOCK = 1 << 18
 
-    phi is even around pi, so this reduces to a cosine integral on [0, pi];
-    the |sin(theta/2)| kink sits at the endpoint where the quadrature is
-    comfortable.
+
+def symmetric_nu_table(r, a, k_max):
+    """nu(0..k_max) of the symmetric family, as one read-only float64 array.
+
+    With s(theta) = sqrt(1 + r^2 + 2 r cos theta) = sum_m sigma_m e^(im theta)
+    and |sin(theta/2)| = sum_j w_j e^(ij theta), w_j = -2 / (pi (4 j^2 - 1)),
+
+        nu(k) = delta_{k0} - 2 a sum_m sigma_m w_{k-m}.
+
+    s is analytic for |r| < 1 and |sigma_m| decays like |r|^|m|, so the sigma_m
+    with |m| <= M = ceil(37 / -ln|r|) carry everything above 1e-16; one rfft on
+    n >= 2M + 2 points gives them with aliasing below that level.  The sum
+    over m is a blocked direct sum, which keeps relative accuracy in the
+    k^-2 tail.  The cost grows like 1 / (1 - |r|); ratios that would need
+    more than 2^22 FFT points raise ValueError.  r = 1 is the closed form
+    of `symmetric_nu_closed_r1`.
     """
-    from scipy import integrate  # only the quadrature needs scipy
-
     r = float(r)
     a = float(a)
-    k = abs(int(k))
-
-    def phi(theta):
-        return 1.0 - 2.0 * a * np.sqrt(
-            1.0 + r * r + 2.0 * r * np.cos(theta)
-        ) * np.abs(np.sin(theta / 2.0))
-
-    if k == 0:
-        val, _ = integrate.quad(phi, 0.0, math.pi, epsabs=epsabs, limit=400)
+    k_max = int(k_max)
+    if not (-1.0 < r <= 1.0):
+        raise ValueError("ratio must lie in (-1, 1]")
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    if r == 1.0:
+        vals = np.zeros(k_max + 1)
+        ks = np.arange(0, k_max + 1, 2, dtype=float)
+        vals[::2] = (4.0 * a / math.pi) / (ks * ks - 1.0)
+        vals[0] += 1.0
     else:
-        val, _ = integrate.quad(
-            phi, 0.0, math.pi, weight="cos", wvar=k, epsabs=epsabs, limit=400
-        )
-    return val / math.pi
+        M = 0 if r == 0.0 else math.ceil(37.0 / -math.log(abs(r)))
+        n = 1 << max(3, (2 * M + 1).bit_length())
+        if n > _SYMMETRIC_FFT_MAX:
+            r_cap = math.exp(-37.0 / (_SYMMETRIC_FFT_MAX // 2 - 1))
+            raise ValueError(
+                f"ratio {r!r} too close to +-1: the symmetric family is "
+                f"supported for |r| <= {r_cap:.10f} and at r = 1"
+            )
+        theta = np.arange(n) * (2.0 * math.pi / n)
+        s = np.sqrt(1.0 + r * r + 2.0 * r * np.cos(theta))
+        sigma = np.fft.rfft(s).real[: M + 1] / n
+        sigma = np.concatenate([sigma[:0:-1], sigma])  # sigma_m, m = -M..M
+        j = np.arange(-M, k_max + M + 1, dtype=float)
+        w = -2.0 / (math.pi * (4.0 * j * j - 1.0))
+        # row k of the window holds w_{k-m} for m = M..-M, against sigma_m
+        # in that order (sigma is even)
+        window = np.lib.stride_tricks.sliding_window_view(w, 2 * M + 1)
+        rows = max(1, _SYMMETRIC_BLOCK // (2 * M + 1))
+        conv = np.empty(k_max + 1)
+        for k0 in range(0, k_max + 1, rows):
+            conv[k0 : k0 + rows] = np.add.reduce(
+                window[k0 : k0 + rows] * sigma, axis=1)
+        vals = -2.0 * a * conv
+        vals[0] += 1.0
+    vals.flags.writeable = False
+    return vals
+
+
+def symmetric_nu_value(r, a, k):
+    """nu(k) of the symmetric family, read from `symmetric_nu_table`."""
+    k = abs(int(k))
+    return float(symmetric_nu_table(r, a, k)[k])
 
 
 def symmetric_nu_closed_r1(a, k):
@@ -340,12 +386,13 @@ def symmetric_nu_closed_r1(a, k):
     return (4.0 * a / math.pi) / (k * k - 1.0)
 
 
-def symmetric_family(r, a, k_pos=512, quadrature=True) -> StepLaw:
+def symmetric_family(r, a, k_pos=512) -> StepLaw:
     """The symmetric critical step law with amplitude a at ratio r.
 
     Symmetric by construction (nu(-k) = nu(k)); critical but heavy-tailed:
     nu(k) ~ const / k^2, so the perimeter constant diverges.  Amplitudes
-    beyond a_max(r) would make nu(0) negative and are refused.
+    beyond a_max(r) would make nu(0) negative and are refused.  The
+    coefficients come from `symmetric_nu_table`.
     """
     r = float(r)
     a = float(a)
@@ -354,13 +401,7 @@ def symmetric_family(r, a, k_pos=512, quadrature=True) -> StepLaw:
         raise ValueError(
             f"amplitude {a} outside (0, {amax:.12g}]: nu(0) would go negative"
         )
-    ks = np.arange(0, k_pos + 1)
-    if quadrature:
-        vals = np.array([symmetric_nu_value(r, a, int(k)) for k in ks])
-    else:
-        if r != 1.0:
-            raise ValueError("closed-form construction only exists at r = 1")
-        vals = np.array([symmetric_nu_closed_r1(a, int(k)) for k in ks])
+    vals = symmetric_nu_table(r, a, k_pos)
     vals = np.where(np.abs(vals) < 1e-15, 0.0, vals)
     if vals[0] < -1e-12:
         raise ValueError("nu(0) negative: amplitude out of range")
@@ -414,8 +455,8 @@ def _heavy_positive_sum(law, h_array, k_shift, l_direct=1 << 18):
     """sum_{l >= 1} h[l + k_shift] nu(l) with tail acceleration."""
     model, lattice = _heavy_tail_model(law)
     K = law.k_pos
-    direct = float(np.dot(h_array[1 + k_shift : K + 1 + k_shift],
-                          law.probs[law.k_neg + 1 : law.k_neg + K + 1]))
+    direct = float(np.add.reduce(h_array[1 + k_shift : K + 1 + k_shift]
+                                 * law.probs[law.k_neg + 1 : law.k_neg + K + 1]))
     start = K + lattice - (K % lattice) if K % lattice else K + lattice
     ls = np.arange(start, l_direct, lattice, dtype=np.int64)
     terms = h_array[ls + k_shift] * model(ls.astype(float))

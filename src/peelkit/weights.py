@@ -126,8 +126,7 @@ class WeightSequence:
         """Per-sequence cache of an infinite family's degrees 1..n.
 
         Holds log q_d when the family has ``log_gen`` (evaluated on whole
-        integer arrays) and q_d otherwise (one ``gen`` call per new degree,
-        which may cost a quadrature).
+        integer arrays) and q_d otherwise (one ``gen`` call per new degree).
         """
         have = self._weight_cache
         if len(have) < n:
@@ -497,7 +496,9 @@ def preset(name, **params) -> PresetResult:
     two_p_angulation(p>=2), odd_angulation(p>=1), geometric(H>1) and
     symmetric_critical(r, a).  Constants solved in closed form where one
     exists, numerically (bisection on the harmonicity polynomial) for odd
-    angulations with p >= 2.
+    angulations with p >= 2.  The symmetric family's weights are read from
+    `walk.symmetric_nu_table`, one numpy pass per doubling of the degrees
+    asked for.
     """
     if name == "two_p_angulation":
         p = int(params["p"])
@@ -572,23 +573,31 @@ def preset(name, **params) -> PresetResult:
         return PresetResult(w, consts)
 
     if name == "symmetric_critical":
-        from .walk import symmetric_a_max, symmetric_nu_value
+        from .walk import symmetric_a_max, symmetric_nu_table
 
         r = float(params["r"])
         a = float(params["a"])
         amax = symmetric_a_max(r)
         if not (0.0 < a <= amax + 1e-12):
             raise ValueError(f"a must lie in (0, {amax:.12g}] for r={r}")
-        nu_m2 = symmetric_nu_value(r, a, 2)
+        nu = symmetric_nu_table(r, a, 64)
+        nu_m2 = float(nu[2])
         c_plus = math.sqrt(2.0 / nu_m2)
 
-        def gen(k, _c=c_plus, _r=r, _a=a):
-            v = symmetric_nu_value(_r, _a, k - 2)
-            if abs(v) < 3e-13:
-                # quadrature noise on parity zeros must not turn into
-                # (tiny negative) face weights
+        def gen(k):
+            # q_k = nu(k - 2) c^(2 - k), read from a table of nu(0..) that
+            # doubles when a degree runs past it
+            nonlocal nu
+            j = abs(k - 2)
+            if j >= len(nu):
+                nu = symmetric_nu_table(r, a, max(2 * len(nu), j))
+            v = float(nu[j])
+            if abs(v) < 1e-15:
+                # below the table's rounding level a coefficient cannot be
+                # told from zero and must not turn into a (tiny negative)
+                # face weight
                 return 0.0
-            return v * _c ** (2 - k)
+            return v * c_plus ** (2 - k)
 
         w = WeightSequence(
             gen=gen,

@@ -426,7 +426,7 @@ class TestEnsemble:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_heavy_law_supported(self):
-        law = symmetric_family(1.0, math.pi / 4, k_pos=256, quadrature=False)
+        law = symmetric_family(1.0, math.pi / 4, k_pos=256)
         out = simulate_ensemble("ibpm", law, 2, 200, 200, seed=2)
         ls, _ = out[200]
         assert ls.min() >= 1
@@ -501,7 +501,7 @@ class TestEngineExactness:
         # each band's envelope bounds h(o, l + k) on the band, so no landing
         # is kept with probability above one, and the exact acceptance
         # sum_k nu(k) h(o, l + k) / total(l) stays at 0.70 or more
-        heavy = symmetric_family(1.0, math.pi / 4, k_pos=256, quadrature=False)
+        heavy = symmetric_family(1.0, math.pi / 4, k_pos=256)
         order = 0 if mode == "finite" else 1
         for law in (DEEP["quad"], DEEP["tri"], DEEP["geo3"], heavy):
             engine = _ChainEngine(law, mode)
@@ -539,7 +539,7 @@ class TestEngineExactness:
         # must shrink as the engine's certificate assumes.  Where blocks are
         # used, phi^B e^(theta l) K_theta <= BLOCK_M h(1, l), phi computed
         # here from the law, and no theta of the grid admits B(l) + 1 steps.
-        heavy = symmetric_family(1.0, math.pi / 4, k_pos=256, quadrature=False)
+        heavy = symmetric_family(1.0, math.pi / 4, k_pos=256)
         top = 1 << 18
         for law in (DEEP["quad"], DEEP["tri"], DEEP["geo3"], heavy):
             engine = _ChainEngine(law, "ibpm")

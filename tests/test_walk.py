@@ -1,5 +1,10 @@
+import json
 import math
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from peelkit.walk import (
     symmetric_a_max,
     symmetric_family,
     symmetric_nu_closed_r1,
+    symmetric_nu_table,
     symmetric_nu_value,
 )
 from peelkit.weights import WeightSequence, nu_from_q, preset
@@ -307,11 +313,106 @@ class TestSymmetricFamily:
         # exploratory: survival function of the positive side has log-log
         # slope close to -1 (Cauchy-type tail); stay well inside the
         # materialized range so truncation does not bias the fit
-        law = symmetric_family(1.0, math.pi / 4, k_pos=8192, quadrature=False)
+        law = symmetric_family(1.0, math.pi / 4, k_pos=8192)
         ks = np.array([32, 64, 128, 256, 512])
         surv = np.array([law.probs[law.k_neg + k :].sum() for k in ks])
         slope = np.polyfit(np.log(ks), np.log(surv), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1)
+
+
+def _nu_mpmath(mpmath, r, a, k):
+    """nu(k) = (1/pi) int_0^pi phi(theta) cos(k theta) dtheta at 30 digits.
+
+    Gauss-Legendre on pieces of at most 32 periods of cos(k theta), with
+    breakpoints geometrically close to theta = 0 and theta = pi, where
+    s(theta) nearly vanishes as r -> -1 and r -> 1.
+    """
+    with mpmath.workdps(30):
+        r, a, pi = mpmath.mpf(r), mpmath.mpf(a), mpmath.pi
+
+        def phi_cos(t):
+            s = mpmath.sqrt(1 + r * r + 2 * r * mpmath.cos(t))
+            return (1 - 2 * a * s * mpmath.sin(t / 2)) * mpmath.cos(k * t)
+
+        pieces = max(1, k // 32)
+        pts = {pi * i / pieces for i in range(pieces + 1)}
+        for e in range(1, 8):
+            pts |= {pi * mpmath.mpf(10) ** -e, pi * (1 - mpmath.mpf(10) ** -e)}
+        val, err = mpmath.quad(phi_cos, sorted(pts), method="gauss-legendre",
+                               error=True)
+        assert err < 1e-22
+        return float(val / pi)
+
+
+class TestSymmetricTable:
+    # one absolute tolerance for every (r, k), fixed before the comparison
+    ATOL = 2e-15
+
+    @pytest.mark.parametrize("r", [-0.9999, -0.5, 0.0, 0.3, 0.99, 0.9999, 1.0])
+    def test_matches_mpmath(self, r):
+        mpmath = pytest.importorskip("mpmath")
+        a = symmetric_a_max(r)
+        ks = [0, 1, 2, 3, 10, 100, 1000]
+        table = symmetric_nu_table(r, a, max(ks))
+        assert table.shape == (max(ks) + 1,) and table.dtype == np.float64
+        assert not table.flags.writeable
+        for k in ks:
+            assert abs(table[k] - _nu_mpmath(mpmath, r, a, k)) <= self.ATOL, k
+
+    def test_r0_closed_form(self):
+        a = 0.7
+        table = symmetric_nu_table(0.0, a, 4096)
+        ks = np.arange(1, 4097, dtype=float)
+        ref = 4.0 * a / (math.pi * (4.0 * ks * ks - 1.0))
+        np.testing.assert_allclose(table[1:], ref, rtol=1e-15, atol=0)
+
+    def test_ratios_beyond_the_fft_cap_raise(self):
+        for r in (0.99999, -0.99999, 1.0 - 1e-9):
+            with pytest.raises(ValueError, match="supported for"):
+                symmetric_nu_table(r, 0.5, 10)
+        for r in (-1.0, 1.5):
+            with pytest.raises(ValueError):
+                symmetric_nu_table(r, 0.5, 10)
+
+    def test_family_and_value_read_the_table(self):
+        r, a = 0.6, 0.5
+        table = symmetric_nu_table(r, a, 300)
+        law = symmetric_family(r, a, k_pos=300)
+        assert np.array_equal(law.probs[law.k_neg:], table)
+        assert np.array_equal(law.probs[: law.k_neg + 1], table[::-1])
+        assert symmetric_nu_value(r, a, -7) == table[7]
+        q = preset("symmetric_critical", r=r, a=a).weights
+        c = math.sqrt(2.0 / table[2])
+        assert c == law.c_plus
+        for k in (1, 2, 3, 50, 200, 302):
+            assert q.value(k) == table[abs(k - 2)] * c ** (2 - k), k
+
+
+def test_symmetric_family_runs_without_scipy(tmp_path):
+    import peelkit
+
+    script = textwrap.dedent(f"""
+        import json, math, sys
+        sys.path.insert(0, {str(Path(peelkit.__file__).parents[1])!r})
+        from peelkit import cli
+        from peelkit.criticality import miermont_check, solve_boltzmann
+        from peelkit.walk import symmetric_family
+        from peelkit.weights import preset
+
+        q = preset("symmetric_critical", r=1.0, a=math.pi / 4).weights
+        cd = solve_boltzmann(q)
+        ok = miermont_check(q, cd).ok
+        law = symmetric_family(1.0, math.pi / 4, k_pos=2**14)
+        rc = cli.main(["analyze", "--preset", "symmetric_critical", "--r", "1",
+                       "--a", repr(math.pi / 4), "--out", sys.argv[1]])
+        print(json.dumps([ok, law.k_pos, rc, "scipy" in sys.modules]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script,
+                           str(tmp_path / "analyze.json")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [
+        True, 2**14, 0, False]
 
 
 class TestExport:
