@@ -26,14 +26,12 @@ Two evaluation modes back every cache:
   it stays relatively accurate even deep into the l^(k-1/2) decay where
   repeated differencing of order 0 would cancel catastrophically.  Growth
   resumes from the last two entries, so a table is bit-identical whatever
-  its growth history.  The loop runs as a small C function when a C
-  compiler is at hand: compiled once per machine with `_C_FLAGS` (no
-  contraction into fused multiply-adds, no reassociation), cached in the
-  user's private cache directory (`_cache_dir`) and loaded with ctypes.
+  its growth history.  The loop runs as a small C function of the
+  package's compiled library (`_native`) when a C compiler is at hand.
   Without it (no compiler, a cache directory that cannot be created or is
-  not private to the user, a failed compile or load) the same loop
-  runs in Python over coefficients precomputed with numpy a chunk at a
-  time.  Both do the same double operations in the same order, so every
+  not private to the user, a failed compile, load or self-check) the same
+  loop runs in Python over coefficients precomputed with numpy a chunk at
+  a time.  Both do the same double operations in the same order, so every
   table is bit-identical either way; `float_recurrence()` says which one
   runs, and why the compiled one does not.
 
@@ -46,21 +44,13 @@ stays valid.  Exact caches are built per call.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import math
-import os
-import platform
-import shutil
-import stat
-import sys
-import threading
-import zlib
 from fractions import Fraction
 
 import numpy as np
 
+from . import _native
 from .errors import RangeError, UnsupportedOrderError
 
 ORDER_MIN = -4
@@ -73,27 +63,6 @@ ORDER_MAX = 4
 # float tables: recurrence coefficients are precomputed this many at a time
 # by the Python loop
 _CHUNK = 4096
-
-# The float recurrence of `_recurrence_py` in C: the same operations in the
-# same order.  -ffp-contract=off keeps a*p1 + b*p2 from becoming a fused
-# multiply-add; without -ffast-math the compiler may not reassociate, and
-# without -march it targets the platform's baseline instruction set.
-_C_SOURCE = """
-void h_recurrence(double *out, long long start, long long size, double r,
-                  long long k)
-{
-    double one_m_r = 1.0 - r, p2 = out[start - 1], p1 = out[start];
-    for (long long j = start; j < size - 1; j++) {
-        double a = one_m_r * ((double)j + 0.5) + (double)k;
-        double b = r * (double)(j + k);
-        double v = (a * p1 + b * p2) / (double)(j + 1);
-        out[j + 1] = v;
-        p2 = p1;
-        p1 = v;
-    }
-}
-"""
-_C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 def _check_order(k):
@@ -217,7 +186,7 @@ class HCache:
         else:
             start = len(tab) - 1
             out[: start + 1] = tab
-        _kernel()[0](out, start, size, r, k)
+        _fill(out, start, size, r, k)
         out.setflags(write=False)
         self._tables[k] = out
         return out
@@ -310,127 +279,24 @@ def _recurrence_py(out, start, size, r, k):
         out[lo + 1 : lo + 1 + len(vals)] = vals
 
 
-def _cache_dir():
-    """The per-user directory of the compiled recurrence:
-    $XDG_CACHE_HOME/peelkit, else ~/.cache/peelkit."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "peelkit")
-
-
-def _kernel_path():
-    """The compiled recurrence's file, named by a CRC-32 of its source,
-    flags and platform (hashlib would add its import to every process)."""
-    key = "\0".join((_C_SOURCE, *_C_FLAGS, sys.platform, platform.machine()))
-    return os.path.join(_cache_dir(), f"hrec-{zlib.crc32(key.encode()):08x}.so")
-
-
-def _private(path, directory):
-    """True when path is this user's own directory of mode 0o700, or
-    (directory=False) this user's own regular file that nobody else may
-    write; symbolic links never are."""
-    st = os.lstat(path)
-    mode = stat.S_IMODE(st.st_mode)
-    if st.st_uid != os.getuid():
-        return False
-    if directory:
-        return stat.S_ISDIR(st.st_mode) and mode == 0o700
-    return stat.S_ISREG(st.st_mode) and not mode & 0o022
-
-
-def _compile(cc, path):
-    """Compile _C_SOURCE with cc into path: a temporary file in the same
-    directory, renamed over path once complete.  Returns None, or why the
-    compile failed."""
-    import subprocess
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
-    os.close(fd)
-    try:
-        proc = subprocess.run([cc, *_C_FLAGS, "-x", "c", "-", "-o", tmp],
-                              input=_C_SOURCE, text=True, capture_output=True,
-                              timeout=120)
-        if proc.returncode:
-            return f"C compile failed: {proc.stderr.strip()[:200]}"
-        os.chmod(tmp, 0o700)
-        os.replace(tmp, path)
-    except subprocess.TimeoutExpired:
-        return "C compile timed out"
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-    return None
-
-
-def _load_kernel():
-    """(fill, status): the compiled recurrence and ("c", its path), or
-    `_recurrence_py` and ("python", why the compiled one is not used)."""
-    path = _kernel_path()
-    cache = os.path.dirname(path)
-    try:
-        os.makedirs(cache, mode=0o700, exist_ok=True)
-        if not _private(cache, directory=True):
-            return _recurrence_py, (
-                "python", f"cache directory {cache} is not this user's "
-                "own with mode 0o700")
-        if not os.path.lexists(path):
-            cc = shutil.which("cc") or shutil.which("gcc")
-            if cc is None:
-                return _recurrence_py, ("python", "no C compiler")
-            failure = _compile(cc, path)
-            if failure is not None:
-                return _recurrence_py, ("python", failure)
-        if not _private(path, directory=False):
-            return _recurrence_py, (
-                "python", f"cached kernel {path} is not this user's own "
-                "regular file, writable by nobody else")
-        fn = ctypes.CDLL(path).h_recurrence
-    except (OSError, AttributeError) as exc:
-        return _recurrence_py, ("python", f"{type(exc).__name__}: {exc}")
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong,
-                   ctypes.c_double, ctypes.c_longlong]
-    fn.restype = None
-
-    def fill(out, start, size, r, k):
+def _fill(out, start, size, r, k):
+    """Fill out[start+1:size] by the recurrence: the compiled loop, or
+    `_recurrence_py` where the library is not used."""
+    lib = _native.library()[0]
+    if lib is None:
+        _recurrence_py(out, start, size, r, k)
+    else:
         # out is a fresh C-contiguous float64 array of length size, with
         # 1 <= start < size; the GIL is released during the call
-        fn(out.ctypes.data, start, size, r, k)
-
-    # the compiler is not ours: require the same doubles as the Python loop
-    for r, k in ((0.37, -3), (-0.999999, 4), (1.0, 1)):
-        tabs = []
-        for f in (fill, _recurrence_py):
-            out = np.empty(100)
-            out[:2] = 1.0, (1.0 - r) * 0.5 + k
-            f(out, 1, 100, r, k)
-            tabs.append(out.tobytes())
-        if tabs[0] != tabs[1]:
-            return _recurrence_py, (
-                "python", f"compiled kernel {path} differs from the Python loop")
-    return fill, ("c", path)
-
-
-_kernel_lock = threading.Lock()
-_kernel_state = None
-
-
-def _kernel():
-    """The (fill, status) pair of `_load_kernel`, loaded once per process."""
-    global _kernel_state
-    if _kernel_state is None:
-        with _kernel_lock:
-            if _kernel_state is None:
-                _kernel_state = _load_kernel()
-    return _kernel_state
+        lib.h_recurrence(_native.address(out), start, size, r, k)
 
 
 def float_recurrence():
     """Which loop builds float h tables in this process, as data:
-    ("c", path of the compiled kernel) or ("python", why the compiled one
-    is not used, e.g. "no C compiler").  Both give bit-identical tables."""
-    return _kernel()[1]
+    ("c", path of the compiled library) or ("python", why the compiled one
+    is not used, e.g. "no C compiler").  Both give bit-identical tables.
+    The chain engine's draws (`peeling`) take the same path."""
+    return _native.library()[1]
 
 
 @functools.lru_cache(maxsize=8)

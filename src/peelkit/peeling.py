@@ -54,6 +54,11 @@ the same law object, unchanged (same digest), is run to the same depth;
 a new law or depth replaces them.  The tables only grow and their
 prefixes do not depend on how they grew, so a reused engine draws
 bit-identically to a new one.
+
+The single-step draws (the stacked rows and the bands) run as compiled
+loops of the package's library (`_native`), which read the Generator's own
+bit generator in the order the numpy code reads ``rng.random``; where the
+library does not load, that numpy code runs and draws the same values.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _native
 from .errors import RangeError
 from .hfun import HCache, h_asymptote
 from .walk import StepLaw, deepen_negative, disk_coefficient, expected_volume
@@ -110,6 +116,12 @@ class _StackedCdf:
     holds the value every target in it draws, the others the smallest value
     less one, and only targets in those are searched for.  GUIDE is a power
     of two, so a target's cell is exact.
+
+    Integer values are drawn by the compiled ``cdf_draw`` where the
+    package's library loads (`_native`), else by numpy; both read the same
+    uniforms and return the same values.  Growth writes only past the rows
+    built or into new arrays, so the addresses and sizes the library reads
+    are packed once per growth.
     """
 
     U_MAX = 1.0 - 2.0**-40
@@ -117,13 +129,14 @@ class _StackedCdf:
     def __init__(self, n_rows, values, guided=False):
         self.n_rows = n_rows
         self.width = values.shape[-1]
-        self._vals = values.reshape(-1)
+        self._vals = np.ascontiguousarray(values).reshape(-1)
         self._shared = values.ndim == 1
         self.n = 0
         self._cum = np.empty((0, self.width))
         self._flat = self._cum.reshape(-1)
         self._open = self._vals.min() - 1
         self._guide = np.empty(0, dtype=self._vals.dtype) if guided else None
+        self._packed = None
 
     def reserve(self, rows):
         """Room for at least min(rows, n_rows) rows; storage at least doubles."""
@@ -134,6 +147,7 @@ class _StackedCdf:
         cum[:self.n] = self._cum[:self.n]
         self._cum = cum
         self._flat = cum.reshape(-1)[: self.n * self.width]
+        self._packed = None
 
     def append(self, weights):
         m = len(weights)
@@ -156,6 +170,7 @@ class _StackedCdf:
                 np.column_stack([gaps, end - first]).reshape(-1))])
         self.n += m
         self._flat = self._cum.reshape(-1)[: self.n * self.width]
+        self._packed = None
 
     def _values_at(self, idx):
         return self._vals[idx % self.width if self._shared else idx]
@@ -177,8 +192,73 @@ class _StackedCdf:
         return out
 
     def draw(self, rng, rows):
-        """One value per entry of rows, each drawn from its row's law."""
+        """One value per entry of rows, each drawn from its row's law; a row
+        outside the n built raises IndexError."""
+        lib = _native.library()[0]
+        if lib is None or self._vals.dtype != np.int64:
+            return self._draw_numpy(rng, rows)
+        return self._draw_c(lib, rng, rows)
+
+    def _draw_numpy(self, rng, rows):
+        if len(rows) and not (rows.min() >= 0 and rows.max() < self.n):
+            raise IndexError(f"row outside the {self.n} rows built")
         return self.at(rows + rng.random(len(rows)) * self.U_MAX)
+
+    def _draw_c(self, lib, rng, rows):
+        # the packed addresses travel with their arrays, which a growth in
+        # another thread could otherwise free during the call
+        packed = self._packed
+        if packed is None:
+            flat, vals, guide = self._flat, self._vals, self._guide
+            packed = self._packed = (_native.Cdf(
+                _native.address(flat), self.n, self.width,
+                _native.address(vals), len(vals), self._shared,
+                None if guide is None else _native.address(guide),
+                0 if guide is None else len(guide), int(self._open), GUIDE,
+                self.U_MAX), (flat, vals, guide))
+        failed, out = _native.draw(lib.cdf_draw, rng, packed[0], rows)
+        if failed:
+            raise IndexError(f"row outside the {self.n} rows built")
+        return out
+
+
+def _same_draws(lib):
+    """True when the compiled draws of lib give exactly the numpy draws on
+    small fixed tables: guided and unguided rows, shared and per-row
+    values, and band proposals from both bands (the library's self-check,
+    `_native._self_check`).  The uniforms first probe the edges, every cut
+    of every row and each band's share, then spread over [0, 1)."""
+    spread = np.arange(1, 98) * 0.6180339887498949 % 1.0
+
+    def same(numpy_draw, c_draw, us, at):
+        # one stream each: a draw that reads more or fewer uniforms shows
+        a = numpy_draw(_native.FixedStream(lib, us), at)
+        b = c_draw(lib, _native.FixedStream(lib, us), at)
+        return np.array_equal(a, b) if isinstance(a, np.ndarray) else (
+            np.array_equal(a[0], b[0]) and a[1] == b[1])
+
+    weights = np.array([[1.0, 2.0, 0.0, 3.0, 1.0], [0.0, 0.0, 1.0, 0.0, 0.0],
+                        [5.0, 1.0, 1.0, 1.0, 0.5]])
+    shared = np.array([-2, 0, 1, 3, 7], dtype=np.int64)
+    per_row = np.arange(15, dtype=np.int64).reshape(3, 5) * 2 - 9
+    for values, guided in ((shared, True), (shared, False), (per_row, False)):
+        cdf = _StackedCdf(3, values, guided=guided)
+        cdf.append(weights)
+        cut = cdf._flat.reshape(3, -1) - np.arange(3)[:, None]
+        near = np.column_stack([cut, cut / cdf.U_MAX])    # just below, at
+        probe = near < 1
+        rows = np.concatenate([np.nonzero(probe)[0], np.tile(np.arange(3), 8)])
+        if not same(cdf._draw_numpy, cdf._draw_c,
+                    np.concatenate([near[probe], spread]), rows):
+            return False
+    # k = -8..2: the low band is not empty for perimeters 2..13
+    cs = np.concatenate([[0.0], np.cumsum([0.04] * 8 + [0.3, 0.1, 0.28])])
+    bands = _Bands(cs, np.concatenate([np.zeros(8), np.sqrt(np.arange(32.0))]), 8, 2)
+    ls = np.arange(1, bands.n)
+    share = bands.arrays[0][ls]
+    return same(bands._jumps_numpy, bands._jumps_c,
+                np.concatenate([np.nextafter(share, 0), share, spread]),
+                np.concatenate([ls, ls, ls]))
 
 
 class DiscreteSampler:
@@ -459,6 +539,89 @@ def _exp(x, f=np.exp):
     return f(np.where(x < -708.0, -np.inf, x))
 
 
+class _Bands:
+    """The two-band envelope of `_ChainEngine` for perimeters 0..n-1 over
+    the table hz of h(o, .) behind k_neg zeros.
+
+    Landings m = l + k in [max(0, l - k_neg), l // 2) and in
+    [l // 2, l + k_pos] (split clamped) have as envelope the largest
+    h(o, .) at the band's two lowest and two highest arguments.  Per
+    perimeter, ``arrays`` holds the low band's share of the proposal mass,
+    then per band the offset t0 and scale dt that map a uniform u into nu's
+    cumulative sum cs, and the envelope env.  ``jumps`` runs in the
+    compiled ``band_jumps`` where the package's library loads (`_native`),
+    else in numpy; both read the same uniforms and return the same jumps.
+    A _Bands is never changed, so its addresses are packed once.
+    """
+
+    def __init__(self, cs, hz, k_neg, k_pos):
+        # band edges per perimeter l as hz indices, lo <= mid <= top
+        ls = np.arange(len(hz) - k_neg - k_pos)
+        lo = np.maximum(ls, k_neg)
+        mid = np.maximum(ls // 2 + k_neg, lo)
+        top = ls + k_neg + k_pos
+        env_lo, env_hi = (np.maximum.reduce([hz[a], hz[a + 1], hz[b - 1], hz[b]])
+                          for a, b in ((lo, mid - 1), (mid, top)))
+        c_lo, c_mid = cs[lo - ls], cs[mid - ls]
+        w_lo = env_lo * (c_mid - c_lo)
+        total = w_lo + env_hi * (cs[-1] - c_mid)
+        # u < share picks the low band; per band, t = t0 + u * dt and env
+        self.arrays = (w_lo / total, c_lo, total / env_lo, env_lo,
+                       c_mid - w_lo / env_hi, total / env_hi, env_hi)
+        self.n = len(ls)
+        self.cuts = cs[1:-1]
+        self.hz = hz
+        self.k_neg = k_neg
+        self._packed = None
+
+    def jumps(self, rng, ls):
+        """(one jump per chain at perimeters ls, the proposals made): one
+        proposal per pending chain and round, kept with probability
+        h(o, m) / env.  A perimeter outside 0..n-1 raises IndexError."""
+        lib = _native.library()[0]
+        if lib is None:
+            return self._jumps_numpy(rng, ls)
+        return self._jumps_c(lib, rng, ls)
+
+    def _jumps_numpy(self, rng, ls):
+        if len(ls) and not (ls.min() >= 0 and ls.max() < self.n):
+            raise IndexError(f"perimeter outside the bands built (0..{self.n - 1})")
+        share, t0_lo, dt_lo, env_lo, t0_hi, dt_hi, env_hi = self.arrays
+        out = np.empty_like(ls)
+        todo = np.arange(len(ls))
+        proposals = 0
+        while len(todo):
+            proposals += len(todo)
+            lt = ls[todo]
+            u = rng.random(len(lt))
+            t = t0_hi[lt] + u * dt_hi[lt]
+            env = env_hi[lt]
+            low = u < share[lt]
+            if low.any():
+                ll = lt[low]
+                t[low] = t0_lo[ll] + u[low] * dt_lo[ll]
+                env[low] = env_lo[ll]
+            # i with cs[i] <= t < cs[i + 1]; without the last cut, i stays in range
+            idx = self.cuts.searchsorted(t, "right")
+            hit = rng.random(len(lt)) * env < self.hz[lt + idx]
+            out[todo[hit]] = idx[hit]
+            todo = todo[~hit]
+        return out - self.k_neg, proposals
+
+    def _jumps_c(self, lib, rng, ls):
+        if self._packed is None:
+            self._packed = _native.Bands(
+                *map(_native.address, self.arrays), self.n,
+                _native.address(self.cuts), len(self.cuts),
+                _native.address(self.hz), len(self.hz), self.k_neg)
+        proposals, out = _native.draw(lib.band_jumps, rng, self._packed, ls)
+        if proposals == -2:
+            raise MemoryError("band_jumps could not allocate its work arrays")
+        if proposals < 0:
+            raise IndexError(f"perimeter outside the bands built (0..{self.n - 1})")
+        return out, proposals
+
+
 class _ChainEngine:
     """Doob-transformed jumps for any number of chains at once.
 
@@ -467,10 +630,12 @@ class _ChainEngine:
     L_SMALL on, landings m = l + k in [max(0, l - k_neg), l // 2) and in
     [l // 2, l + k_pos] (split clamped) have as envelope the largest h(o, .)
     at the band's two lowest and two highest arguments, as h(1, .) rises and
-    h(0, .) falls along parities.  One uniform u picks a band in proportion
-    to env * nu(band) and, mapped affinely into nu's cumulative sum cs, the
-    jump, kept with probability h(o, m) / env (Devroye 1986, II.3).  h is
-    stored behind k_neg zeros and jumps are indices i = k + k_neg.
+    h(0, .) falls along parities (`_Bands`).  One uniform u picks a band in
+    proportion to env * nu(band) and, mapped affinely into nu's cumulative
+    sum cs, the jump, kept with probability h(o, m) / env (Devroye 1986,
+    II.3).  h is stored behind k_neg zeros and jumps are indices
+    i = k + k_neg.  ``flags`` counts the band proposals and the jumps they
+    gave (band_proposals, band_accepts) since the last ``start``.
 
     For the ibpm transform the engine also proposes tilted blocks (module
     docstring).  Per tilt theta of BLOCK_THETAS it holds log phi(theta),
@@ -558,20 +723,8 @@ class _ChainEngine:
             return
         self.h_len = max(2 * self.h_len, 1 << (l_max + law.k_pos).bit_length())
         h = law.hcache().array(self.order, self.h_len - 1)
-        hz = self.hz = np.concatenate([np.zeros(law.k_neg), h])
-        # band edges per perimeter l as hz indices, lo <= mid <= top
-        ls = np.arange(self.h_len - law.k_pos)
-        lo = np.maximum(ls, law.k_neg)
-        mid = np.maximum(ls // 2 + law.k_neg, lo)
-        top = ls + law.k_neg + law.k_pos
-        env_lo, env_hi = (np.maximum.reduce([hz[a], hz[a + 1], hz[b - 1], hz[b]])
-                          for a, b in ((lo, mid - 1), (mid, top)))
-        c_lo, c_mid = self.cs[lo - ls], self.cs[mid - ls]
-        w_lo = env_lo * (c_mid - c_lo)
-        total = w_lo + env_hi * (self.cs[-1] - c_mid)
-        # u < share picks the low band; per band, t = t0 + u * dt and env
-        self.bands = (w_lo / total, c_lo, total / env_lo, env_lo,
-                      c_mid - w_lo / env_hi, total / env_hi, env_hi)
+        self.hz = np.concatenate([np.zeros(law.k_neg), h])
+        self.bands = _Bands(self.cs, self.hz, law.k_neg, law.k_pos)
 
     def _extend_rows(self, l_max):
         n = self.rows.n
@@ -587,6 +740,7 @@ class _ChainEngine:
         if not self.hz[l0 + self.law.k_neg] > 0:
             raise ValueError(f"conditioning weight vanishes at l={l0}")
         self._hi = l0
+        self.flags = {"band_proposals": 0, "band_accepts": 0}
 
     def draw(self, ls, rng, hi=None):
         """One jump per chain at perimeters ls >= 1.  Without hi = max(ls),
@@ -614,26 +768,11 @@ class _ChainEngine:
         return out
 
     def _rejection_jumps(self, ls, rng):
-        """One band-envelope proposal per pending chain and round."""
-        share, t0_lo, dt_lo, env_lo, t0_hi, dt_hi, env_hi = self.bands
-        out = np.empty_like(ls)
-        todo = np.arange(len(ls))
-        while len(todo):
-            lt = ls[todo]
-            u = rng.random(len(lt))
-            t = t0_hi[lt] + u * dt_hi[lt]
-            env = env_hi[lt]
-            low = u < share[lt]
-            if low.any():
-                ll = lt[low]
-                t[low] = t0_lo[ll] + u[low] * dt_lo[ll]
-                env[low] = env_lo[ll]
-            # i with cs[i] <= t < cs[i + 1]; without the last cut, i stays in range
-            idx = self.cs[1:-1].searchsorted(t, "right")
-            hit = rng.random(len(lt)) * env < self.hz[lt + idx]
-            out[todo[hit]] = idx[hit]
-            todo = todo[~hit]
-        return out - self.law.k_neg
+        """One jump per chain at perimeters ls from the bands, counted."""
+        out, proposals = self.bands.jumps(rng, ls)
+        self.flags["band_proposals"] += proposals
+        self.flags["band_accepts"] += len(ls)
+        return out
 
     def steps_only(self, ls):
         """True when every chain at perimeters ls has B(l) = 1, judged from
@@ -829,7 +968,7 @@ def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
                 per[i], vols[i] = ls, V
                 i += 1
         per[i:], vols[i:] = ls, V
-        return law, per, vols, {**vol.flags, **flags}
+        return law, per, vols, {**vol.flags, **flags, **engine.flags}
 
 
 def _block_rounds(engine, vol, rng, ls, V, per, vols, step, cps, flags):
@@ -938,8 +1077,10 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
 
 class EnsembleResult(dict):
     """{checkpoint: (perimeters, volumes)}; `.flags` holds the volume
-    sampler's flags (residual draws, exact fallback) and the ibpm block
-    counts (block_proposals, block_accepts), as does `PeelTrace.flags`."""
+    sampler's flags (residual draws, exact fallback), the ibpm block counts
+    (block_proposals, block_accepts) and the band-envelope counts above
+    L_SMALL (band_proposals, band_accepts: proposals made and jumps kept),
+    as does `PeelTrace.flags`."""
 
     flags: dict
 

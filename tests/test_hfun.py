@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import json
 import math
 import os
@@ -13,11 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peelkit import hfun
+from peelkit import _native, hfun
 from peelkit.errors import UnsupportedOrderError
 from peelkit.hfun import HCache, h_asymptote, h_batch, h_eval, shared_cache
 
 from series_oracle import h_oracle
+from test_peeling import LAW, numpy_draws
 
 
 def central_binomial(n):
@@ -140,17 +142,10 @@ def same_bits(tab, r, k):
     return tab.tobytes() == np.array(reference_float_table(r, k, len(tab))).tobytes()
 
 
-@contextlib.contextmanager
 def recurrence(which):
     """Build float tables with the loop this process loaded ('loaded') or
     with the Python loop ('python')."""
-    loaded = hfun._kernel()
-    if which == "python":
-        hfun._kernel_state = (hfun._recurrence_py, ("python", "forced"))
-    try:
-        yield
-    finally:
-        hfun._kernel_state = loaded
+    return numpy_draws() if which == "python" else contextlib.nullcontext()
 
 
 def has_compiler():
@@ -190,19 +185,19 @@ class TestFloatRecurrence:
     @pytest.mark.parametrize("failure", ["no compiler", "compile", "dlopen"])
     def test_python_loop_when_the_kernel_cannot_load(self, failure, tmp_path,
                                                      monkeypatch):
-        monkeypatch.setattr(hfun, "_cache_dir", lambda: str(tmp_path / "pk"))
-        monkeypatch.setattr(hfun, "_kernel_state", None)
+        monkeypatch.setattr(_native, "_cache_dir", lambda: str(tmp_path / "pk"))
+        monkeypatch.setattr(_native, "_state", None)
         if failure == "no compiler":
-            monkeypatch.setattr(hfun.shutil, "which", lambda name: None)
+            monkeypatch.setattr(_native.shutil, "which", lambda name: None)
             reason = "no C compiler"
         elif failure == "compile":
-            monkeypatch.setattr(hfun.shutil, "which", lambda name: "/bin/false")
+            monkeypatch.setattr(_native.shutil, "which", lambda name: "/bin/false")
             reason = "C compile failed"
         else:
             # a private cache holding a file that is no shared object
             (tmp_path / "pk").mkdir()
             os.chmod(tmp_path / "pk", 0o700)
-            Path(hfun._kernel_path()).write_bytes(b"not a shared object")
+            Path(_native._library_path()).write_bytes(b"not a shared object")
             reason = "OSError"
         status = hfun.float_recurrence()
         assert status[0] == "python" and status[1].startswith(reason)
@@ -222,9 +217,9 @@ class TestFloatRecurrence:
     def test_unsafe_cache_is_not_loaded(self, unsafe, tmp_path, monkeypatch):
         cache = tmp_path / "pk"
         cache.mkdir()
-        monkeypatch.setattr(hfun, "_cache_dir", lambda: str(cache))
-        monkeypatch.setattr(hfun, "_kernel_state", None)
-        path = Path(hfun._kernel_path())
+        monkeypatch.setattr(_native, "_cache_dir", lambda: str(cache))
+        monkeypatch.setattr(_native, "_state", None)
+        path = Path(_native._library_path())
         path.write_bytes(b"never loaded")
         os.chmod(path, 0o700)
         os.chmod(cache, 0o700)
@@ -234,16 +229,59 @@ class TestFloatRecurrence:
             os.chmod(cache, 0o707)
         elif unsafe == "directory of another user":
             other = os.stat(cache).st_uid + 1
-            monkeypatch.setattr(hfun.os, "getuid", lambda: other)
+            monkeypatch.setattr(_native.os, "getuid", lambda: other)
         else:
             os.chmod(path, 0o722)
         opened = []
-        monkeypatch.setattr(hfun.ctypes, "CDLL", opened.append)
-        monkeypatch.setattr(hfun, "_compile", lambda cc, p: opened.append(p))
+        monkeypatch.setattr(_native.ctypes, "CDLL", opened.append)
+        monkeypatch.setattr(_native, "_compile", lambda cc, p: opened.append(p))
         status = hfun.float_recurrence()
         assert opened == []
         assert status[0] == "python" and "not this user's own" in status[1]
         assert same_bits(HCache(0.37, mode="float").table(-2, 5_000), 0.37, -2)
+
+    @pytest.mark.parametrize("name", ["cdf_draw", "band_jumps"])
+    def test_draw_mismatch_keeps_every_reference(self, name, monkeypatch):
+        # a library whose draws differ from numpy's in one value is not
+        # used at all: the Python recurrence and the numpy draws run, and
+        # the chains draw what the compiled library drew
+        from peelkit.peeling import simulate_ensemble
+
+        def run():
+            out = simulate_ensemble("finite", LAW, 1010, 30, 64, seed=2,
+                                    volume_mode="exact_small")
+            return out[30][0].tobytes(), out[30][1].tobytes(), out.flags
+
+        assert _native.library()[0] is not None or not has_compiler()
+        before = run()
+        open_ = _native._open
+
+        class Skewed:
+            def __init__(self, path):
+                self.lib = open_(path)
+
+            def __getattr__(self, attr):
+                fn = getattr(self.lib, attr)
+                if attr != name:
+                    return fn
+
+                def skewed(bg, tables, at, m, out):
+                    ret = fn(bg, tables, at, m, out)
+                    (ctypes.c_longlong * m).from_address(out)[m - 1] += 1
+                    return ret
+                return skewed
+
+        monkeypatch.setattr(_native, "_open", Skewed)
+        monkeypatch.setattr(_native, "_state", None)
+        status = hfun.float_recurrence()
+        if not has_compiler():
+            assert status == ("python", "no C compiler")
+            return
+        assert status[0] == "python"
+        assert status[1].startswith("compiled draws differ from the numpy draws")
+        assert _native.library()[0] is None
+        assert same_bits(HCache(0.37, mode="float").table(2, 5_000), 0.37, 2)
+        assert run() == before
 
     def test_kernel_compiled_once_per_cache(self, tmp_path):
         # two fresh processes on an empty private cache: the first compiles,
@@ -252,14 +290,14 @@ class TestFloatRecurrence:
         script = textwrap.dedent(f"""
             import json, sys
             sys.path.insert(0, {str(Path(hfun.__file__).parents[1])!r})
-            from peelkit import hfun
-            hfun._cache_dir = lambda: {str(cache)!r}
+            from peelkit import _native, hfun
+            _native._cache_dir = lambda: {str(cache)!r}
             compiles = []
-            compile_ = hfun._compile
+            compile_ = _native._compile
             def counted(cc, path):
                 compiles.append(path)
                 return compile_(cc, path)
-            hfun._compile = counted
+            _native._compile = counted
             hfun.HCache(0.3, mode="float").table(0, 100)
             print(json.dumps([len(compiles), hfun.float_recurrence()]))
         """)
@@ -270,7 +308,7 @@ class TestFloatRecurrence:
             assert proc.returncode == 0, proc.stderr
             runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
         if has_compiler():
-            path = str(cache / os.path.basename(hfun._kernel_path()))
+            path = str(cache / os.path.basename(_native._library_path()))
             assert runs == [[1, ["c", path]], [0, ["c", path]]]
             assert os.stat(cache).st_mode & 0o777 == 0o700
             assert os.listdir(cache) == [os.path.basename(path)]

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import weakref
 from fractions import Fraction
@@ -6,12 +7,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from peelkit import peeling
+from peelkit import _native, peeling
 from peelkit.hfun import HCache, h_asymptote
 from peelkit.peeling import (
     BLOCK_M,
     BLOCK_THETAS,
     L_SMALL,
+    VOLUME_MODES,
     DiscreteSampler,
     PeelTrace,
     VolumeSampler,
@@ -24,6 +26,7 @@ from peelkit.peeling import (
     step_finite,
     step_ibpm,
 )
+from peelkit.scaling import ecf_test
 from peelkit.walk import complete_nu, deepen_negative, symmetric_family
 from peelkit.weights import StepLawPositive, nu_from_q, preset
 
@@ -515,7 +518,7 @@ class TestEngineExactness:
                 mid = min(max(l // 2, lo), l + law.k_pos)
                 hm = np.where(m >= 0, h[np.maximum(m, 0)], 0.0)
                 share, t0_lo, dt_lo, env_lo, t0_hi, dt_hi, env_hi = (
-                    b[l] for b in engine.bands)
+                    b[l] for b in engine.bands.arrays)
                 low, high = (m >= lo) & (m < mid), m >= mid
                 assert hm[low].max(initial=0.0) <= env_lo, (l, law.k_neg)
                 assert hm[high].max() <= env_hi, (l, law.k_neg)
@@ -751,17 +754,40 @@ class TestBlockStepping:
             counts = np.bincount(ls, minlength=len(expect))
             assert _g_test_p(counts, expect, chains) > 1e-3, n
 
-    @pytest.mark.parametrize("key", ["quad", "tri", "geo3"])
-    def test_guide_table_is_searchsorted(self, key):
-        engine = _ChainEngine(DEEP[key], "ibpm")
-        engine._tilt_rows(20)           # rows are guided a block at a time
-        engine._tilt_rows(len(BLOCK_THETAS) - 1)
-        rows = engine.tilt_rows
+    @pytest.mark.parametrize("key,table", [
+        pytest.param("quad", "tilt", id="quad"),
+        pytest.param("tri", "tilt", id="tri"),
+        pytest.param("geo3", "tilt", id="geo3"),
+        pytest.param("quad", "chain", id="chain-quad"),
+        pytest.param("tri", "chain", id="chain-tri"),
+        pytest.param("quad", "volume", id="volume-quad")])
+    def test_guide_table_is_searchsorted(self, key, table):
+        # one look-up rule for every stacked table, guided (the tilted rows)
+        # or not (the chain rows below L_SMALL, the exact volume laws):
+        # searchsorted(side="right") at cuts, just below them, at guide
+        # cell edges and at random targets, and at the targets of draws,
+        # which run compiled where the library loads
+        if table == "tilt":
+            engine = _ChainEngine(DEEP[key], "ibpm")
+            engine._tilt_rows(20)           # rows are guided a block at a time
+            engine._tilt_rows(len(BLOCK_THETAS) - 1)
+            rows = engine.tilt_rows
+        elif table == "chain":
+            engine = _ChainEngine(DEEP[key], "finite")
+            engine._extend_rows(100)        # rows grow a block at a time
+            engine._extend_rows(300)
+            rows = engine.rows
+        else:
+            rows = VolumeSampler(LAW, "exact_small")._cdf
         flat = rows._flat
         t = np.concatenate([flat, np.nextafter(flat, 0), np.arange(rows.n * 4096) / 4096,
                             rows.n * _rng(1).random(100_000)])
         t = t[t < rows.n]
         np.testing.assert_array_equal(rows.at(t),
+                                      rows._values_at(flat.searchsorted(t, "right")))
+        at = _rng(2).integers(0, rows.n, 100_000)
+        t = at + _rng(3).random(len(at)) * rows.U_MAX
+        np.testing.assert_array_equal(rows.draw(_rng(3), at),
                                       rows._values_at(flat.searchsorted(t, "right")))
 
     @pytest.mark.parametrize("j", [15, 30])
@@ -940,3 +966,113 @@ class TestEngineReuse:
             with pytest.raises(ValueError):
                 simulate("ibpm", tri_law(), n_steps=100, **kw)
         assert peeling._slot.held == before
+
+
+@contextlib.contextmanager
+def numpy_draws():
+    """Draw with numpy (and build h tables in Python), as where the
+    compiled library does not load."""
+    loaded = _native.library()
+    _native._state = (None, ("python", "forced"))
+    try:
+        yield
+    finally:
+        _native._state = loaded
+
+
+def draws_on(path):
+    """The context of one draw path: 'compiled' (skipped where the library
+    does not load) or 'numpy'."""
+    if path == "numpy":
+        return numpy_draws()
+    if _native.library()[0] is None:
+        pytest.skip(f"compiled library not loaded: {_native.library()[1][1]}")
+    return contextlib.nullcontext()
+
+
+class TestCompiledDraws:
+    """The compiled draws read the Generator's stream in numpy's order, so
+    every trace, ensemble and sample is the numpy path's, byte for byte."""
+
+    @staticmethod
+    def _both(run):
+        with draws_on("compiled"):
+            compiled = run()
+        with numpy_draws():
+            reference = run()
+        assert compiled == reference
+
+    @pytest.mark.parametrize("volume_mode", VOLUME_MODES)
+    @pytest.mark.parametrize("l0", [4, 1010, 2000])
+    @pytest.mark.parametrize("mode", ["finite", "ibpm"])
+    def test_ensembles_and_traces(self, mode, l0, volume_mode):
+        law = tri_law() if l0 == 1010 else LAW
+
+        def run():
+            out = simulate_ensemble(mode, law, l0, 160, 128, seed=l0,
+                                    volume_mode=volume_mode, checkpoints=[40, 80])
+            tr = simulate(mode, law, l0=l0, n_steps=400, seed=3,
+                          volume_mode=volume_mode)
+            return ([(c, out[c][0].tobytes(), out[c][1].tobytes()) for c in sorted(out)],
+                    out.flags, tr.perimeters.tobytes(), tr.volumes.tobytes(), tr.flags)
+
+        self._both(run)
+
+    def test_sampler_and_ecf(self):
+        def run():
+            s = DiscreteSampler(np.arange(7) - 3, [1, 2, 0, 3, 1, 1, 5])
+            ecf = ecf_test(tri_law(), 200, 20_000, seed=1)
+            return s.draw(_rng(3), 1000).tobytes(), s.draw(_rng(4)), ecf.empirical.tobytes()
+
+        self._both(run)
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_out_of_range_raises(self, path):
+        # a row at or past the rows built, or a perimeter outside the bands
+        # _cover built, raises IndexError on both paths
+        engine = _ChainEngine(DEEP["tri"], "ibpm")
+        engine._extend_rows(100)
+        engine._tilt_rows(10)
+        volumes = VolumeSampler(LAW, "exact_small")._cdf
+        bands = engine.bands
+        with draws_on(path):
+            for rows in (engine.rows, engine.tilt_rows, volumes):
+                for bad in ([rows.n], [0, rows.n + 5, 1], [-1]):
+                    with pytest.raises(IndexError):
+                        rows.draw(_rng(1), np.array(bad))
+                assert len(rows.draw(_rng(1), np.array([rows.n - 1, 0]))) == 2
+            for bad in ([bands.n], [2000, bands.n + 7], [-1]):
+                with pytest.raises(IndexError):
+                    bands.jumps(_rng(1), np.array(bad))
+            jumps, proposals = bands.jumps(_rng(1), np.array([bands.n - 1, 2000]))
+            assert len(jumps) == 2 and proposals >= 2
+
+    @pytest.mark.parametrize("guided", [False, True])
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_target_on_a_cut(self, path, guided):
+        # a target equal to a cut draws the value right of it, as
+        # searchsorted(side="right"): the first uniform of seed 3 is above
+        # 1/2, so the row [w, 1 - w] with w = u * U_MAX has its cut at the
+        # target exactly (1 - w and w + (1 - w) = 1 are exact)
+        w = _rng(3).random() * _StackedCdf.U_MAX
+        assert 0.5 <= w < 1
+        cdf = _StackedCdf(1, np.array([3, 8]), guided=guided)
+        cdf.append(np.array([[w, 1.0 - w]]))
+        assert cdf._flat[0] == w
+        with draws_on(path):
+            assert cdf.draw(_rng(3), np.zeros(1, dtype=np.int64))[0] == 8
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_band_counts(self, path):
+        # every chain-step from a perimeter >= L_SMALL is one kept band
+        # proposal; read off an every-step finite ensemble from l0 = 1010
+        n, chains = 60, 256
+        with draws_on(path):
+            out = simulate_ensemble("finite", LAW, 1010, n, chains, seed=12,
+                                    checkpoints=range(1, n + 1))
+        before = np.vstack([np.full(chains, 1010)] + [out[s][0] for s in range(1, n)])
+        taken = int((before >= L_SMALL).sum())
+        assert taken > 1000
+        assert out.flags["band_accepts"] == taken
+        assert out.flags["band_proposals"] >= out.flags["band_accepts"]
+        assert out.flags["block_proposals"] == out.flags["block_accepts"] == 0
