@@ -55,18 +55,29 @@ a new law or depth replaces them.  The tables only grow and their
 prefixes do not depend on how they grew, so a reused engine draws
 bit-identically to a new one.
 
-The single-step draws (the stacked rows and the bands) run as compiled
-loops of the package's library (`_native`), which read the Generator's own
-bit generator in the order the numpy code reads ``rng.random``; where the
-library does not load, that numpy code runs and draws the same values.
+The steps in lockstep (every step of a finite run, and an infinite-map
+run's steps until a chain reaches a perimeter with B(l) > 1) run in one
+compiled loop of the package's library (`_native`): each call makes the
+row draws below L_SMALL, the band rounds above it, the pruning volumes in
+every volume mode (numpy's own gamma code for xi) and the checkpoint rows
+of step after step, and returns only for a table it lacks (a row, a band,
+B(l) or a mean volume not yet computed), which Python grows before the
+call resumes at the same point of the same step.  The library also fills
+the stacked rows and makes the draws of the block rounds.  Every compiled
+loop reads the Generator's own bit generator in the order the numpy code
+reads it; where the library does not load, the numpy and Python loops
+(`_lockstep_numpy` and the draws' and fill's numpy halves) run and draw
+the same values.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 import numbers
 import threading
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -168,7 +179,11 @@ class _StackedCdf:
             self._guide = np.concatenate([self._guide, np.repeat(
                 np.column_stack([np.full(len(vals), self._open), vals]).reshape(-1),
                 np.column_stack([gaps, end - first]).reshape(-1))])
-        self.n += m
+        self.grown(self.n + m)
+
+    def grown(self, n):
+        """Take rows up to n, written past the rows built (unguided rows)."""
+        self.n = n
         self._flat = self._cum.reshape(-1)[: self.n * self.width]
         self._packed = None
 
@@ -204,9 +219,10 @@ class _StackedCdf:
             raise IndexError(f"row outside the {self.n} rows built")
         return self.at(rows + rng.random(len(rows)) * self.U_MAX)
 
-    def _draw_c(self, lib, rng, rows):
-        # the packed addresses travel with their arrays, which a growth in
-        # another thread could otherwise free during the call
+    def pack(self):
+        """(the tables as a `_native.Cdf`, the arrays it points into): the
+        packed addresses travel with their arrays, which a growth in
+        another thread could otherwise free while C reads them."""
         packed = self._packed
         if packed is None:
             flat, vals, guide = self._flat, self._vals, self._guide
@@ -216,6 +232,10 @@ class _StackedCdf:
                 None if guide is None else _native.address(guide),
                 0 if guide is None else len(guide), int(self._open), GUIDE,
                 self.U_MAX), (flat, vals, guide))
+        return packed
+
+    def _draw_c(self, lib, rng, rows):
+        packed = self.pack()
         failed, out = _native.draw(lib.cdf_draw, rng, packed[0], rows)
         if failed:
             raise IndexError(f"row outside the {self.n} rows built")
@@ -259,6 +279,55 @@ def _same_draws(lib):
     return same(bands._jumps_numpy, bands._jumps_c,
                 np.concatenate([np.nextafter(share, 0), share, spread]),
                 np.concatenate([ls, ls, ls]))
+
+
+def _same_lockstep(lib):
+    """None when the compiled lockstep loop and row fill of lib give exactly
+    the Python loop and the numpy fill on a small synthetic law, else which
+    differs (the library's self-check, `_native._self_check`, after the
+    draws).  Twelve chains, one at 0, the others below and above L_SMALL,
+    take up to four steps twice: absorbed at 0, with exact volume rows,
+    residuals and the limit law; then without absorption, for a heavy law
+    whose means are filled mid-step, until a chain lands on block_from.
+    The compiled run goes first and grows the rows it needs by
+    ``fill_rows``; numpy then fills them again for comparison."""
+    ks = np.arange(-8, 3)
+    h = 1.0 / np.sqrt(np.arange(1.0, 2 * L_SMALL + 1))
+    law = types.SimpleNamespace(
+        ks=ks, probs=np.array([0.04] * 8 + [0.3, 0.1, 0.28]), k_neg=8, k_pos=2,
+        B_nu=0.75, hcache=lambda: types.SimpleNamespace(array=lambda o, n: h[:n + 1]))
+    engine = _ChainEngine(law, "finite")
+    engine.blocks = np.ones(2 * L_SMALL, dtype=np.int64)
+    volumes = _StackedCdf(4, np.array([[1, 1, 1], [2, 5, -6], [3, -4, 1], [4, 7, -9]]))
+    volumes.append(np.array([[1.0, 0, 0], [0.5, 0.3, 0.2], [0.6, 0.4, 0], [0.2, 0.3, 0.5]]))
+    us = np.arange(1, 98) * 0.6180339887498949 % 1.0
+    for heavy in (False, True):
+        runs = []
+        for lockstep in (lambda *a: _lockstep_c(lib, *a), _lockstep_numpy):
+            vol = VolumeSampler(law, "asymptotic_xi")
+            if heavy:
+                vol.heavy = True
+                vol._means[1::2] = 2
+                vol.fill_mean = lambda l, vol=vol: vol._means.__setitem__(l, 3 * l + 1)
+            else:
+                vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
+            engine.order = int(heavy)
+            engine.block_from = 1301 if heavy else math.inf
+            engine.start(1300)
+            run = _Run(12, 1, range(1, 5))
+            run.ls[:] = 0, 2, 3, 4, 6, 8, 1298, 1298, 1298, 1298, 1100, 1030
+            rng = _native.FixedStream(lib, us)
+            more = lockstep(engine, vol, rng, run)
+            runs.append((more, run.step, run.i, run.per.tobytes(), run.vols.tobytes(),
+                         run.ls.tobytes(), run.V.tobytes(), vol.flags, engine.flags,
+                         rng.used))
+        if runs[0] != runs[1]:
+            return "compiled lockstep differs from the Python loop"
+    rows = _StackedCdf(L_SMALL, engine.win_ks)
+    engine._fill_numpy(rows, 70)
+    if rows._flat.tobytes() != engine.rows._flat[:rows._flat.size].tobytes():
+        return "compiled row fill differs from the numpy fill"
+    return None
 
 
 class DiscreteSampler:
@@ -437,10 +506,15 @@ class VolumeSampler:
         """max(1, round(E V(l'))) per entry, memoized per l'."""
         vals = self._means[lp]
         if not vals.all():
-            for l in np.unique(lp[vals == 0]).tolist():
-                self._means[l] = max(1, round(expected_volume(self.law, l)))
+            # a set, not np.unique, which imports numpy.ma on first use
+            for l in sorted(set(lp[vals == 0].tolist())):
+                self.fill_mean(l)
             vals = self._means[lp]
         return vals
+
+    def fill_mean(self, l):
+        """Memoize max(1, round(E V(l))) for one l."""
+        self._means[l] = max(1, round(expected_volume(self.law, l)))
 
     def draw_many(self, rng, l_primes):
         """Vertex counts of filled-in holes of degrees l' >= 0 (vectorized);
@@ -608,13 +682,17 @@ class _Bands:
             todo = todo[~hit]
         return out - self.k_neg, proposals
 
-    def _jumps_c(self, lib, rng, ls):
+    def pack(self):
+        """The tables as a `_native.Bands`; self keeps its arrays alive."""
         if self._packed is None:
             self._packed = _native.Bands(
                 *map(_native.address, self.arrays), self.n,
                 _native.address(self.cuts), len(self.cuts),
                 _native.address(self.hz), len(self.hz), self.k_neg)
-        proposals, out = _native.draw(lib.band_jumps, rng, self._packed, ls)
+        return self._packed
+
+    def _jumps_c(self, lib, rng, ls):
+        proposals, out = _native.draw(lib.band_jumps, rng, self.pack(), ls)
         if proposals == -2:
             raise MemoryError("band_jumps could not allocate its work arrays")
         if proposals < 0:
@@ -727,12 +805,30 @@ class _ChainEngine:
         self.bands = _Bands(self.cs, self.hz, law.k_neg, law.k_pos)
 
     def _extend_rows(self, l_max):
-        n = self.rows.n
-        self.rows.reserve(n + -(-(l_max + 1 - n) // ROW_CHUNK) * ROW_CHUNK)
-        while self.rows.n <= l_max:
-            ls = np.arange(self.rows.n, min(self.rows.n + ROW_CHUNK, L_SMALL))
-            w = self.hz[ls[:, None] + self.win_idx] * self.law.probs[self.win_idx]
-            self.rows.append(w)
+        """Build the rows up to l_max < L_SMALL, in blocks of ROW_CHUNK, by
+        the library's ``fill_rows`` where it loads, else by numpy; both
+        write the same doubles."""
+        rows, probs = self.rows, self.law.probs
+        end = min(L_SMALL, rows.n + -(-(l_max + 1 - rows.n) // ROW_CHUNK) * ROW_CHUNK)
+        lib = _native.library()[0]
+        if lib is None or probs.dtype != np.float64 or not probs.flags.c_contiguous:
+            self._fill_numpy(rows, end)
+        else:
+            self._fill_c(lib, rows, end)
+
+    def _fill_numpy(self, rows, end):
+        rows.reserve(end)
+        while rows.n < end:
+            ls = np.arange(rows.n, min(rows.n + ROW_CHUNK, end))
+            rows.append(self.hz[ls[:, None] + self.win_idx] * self.law.probs[self.win_idx])
+
+    def _fill_c(self, lib, rows, end):
+        rows.reserve(end)
+        if end > rows.n:
+            lib.fill_rows(_native.address(self.hz), _native.address(self.law.probs),
+                          _native.address(self.win_idx), rows.width, rows.n, end,
+                          _native.address(rows._cum[rows.n:end]))
+            rows.grown(end)
 
     def start(self, l0):
         """Begin a run of chains from perimeter l0 >= 1."""
@@ -907,19 +1003,21 @@ _slot = _Slot()
 
 @contextlib.contextmanager
 def _chain_engine(mode, law, n_steps):
-    """The law deepened for n_steps and its engine, reused from this thread's
-    previous run in this mode if that ran the same law object, unchanged
-    (the digest guards in-place edits), to the same depth.  The engine is
+    """The law deepened for n_steps, its engine and whether the engine was
+    built for this run: reused from this thread's previous run in this mode
+    if that ran the same law object, unchanged (the digest guards in-place
+    edits), to the same depth.  The engine is
     out of the slot while it runs and goes back only when the run returns,
     so a run that raises never leaves half-grown tables behind."""
     depth = _deep_k_neg(law, n_steps)
     key = (law.digest(), depth)
     held = _slot.held.pop(mode, None)
-    if held is None or held[0] is not law or held[1] != key:
+    built = held is None or held[0] is not law or held[1] != key
+    if built:
         held = None  # free the old tables before building new ones
         deep = deepen_negative(law, depth)
         held = (law, key, deep, _ChainEngine(deep, mode))
-    yield held[2:]
+    yield (*held[2:], built)
     _slot.held[mode] = held
 
 
@@ -935,22 +1033,60 @@ def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
         raise ValueError(f"initial perimeter must be an integer >= 1; got l0={l0!r}")
     _check_volume_args(*vol_args)
     l0 = int(l0)
-    with _chain_engine(mode, law, n_steps) as (law, engine):
+    with _chain_engine(mode, law, n_steps) as (law, engine, built):
         vol = VolumeSampler(law, *vol_args)
         engine.start(l0)
-        ls = np.full(n_chains, l0, dtype=np.int64)
-        V = np.zeros(n_chains, dtype=np.int64)
-        per = np.empty((len(checkpoints), n_chains), dtype=np.int64)
-        vols = np.empty_like(per)
+        run = _Run(n_chains, l0, checkpoints)
         flags = {"block_proposals": 0, "block_accepts": 0}
-        absorbing = engine.order == 0
-        i = step = 0
+        if _lockstep(engine, vol, rng, run):
+            _block_rounds(engine, vol, rng, run.ls, run.V, run.per, run.vols,
+                          run.step, run.cps, flags)
+        else:
+            run.per[run.i:], run.vols[run.i:] = run.ls, run.V
+        return law, run.per, run.vols, {**vol.flags, **flags, **engine.flags,
+                                        "engine_built": built}
+
+
+class _Run:
+    """Chains in lockstep: perimeters ls and volumes V, their rows per at
+    the checkpoints, `step` steps taken and the first `i` checkpoints
+    written."""
+
+    def __init__(self, n_chains, l0, checkpoints):
+        self.ls = np.full(n_chains, l0, dtype=np.int64)
+        self.V = np.zeros(n_chains, dtype=np.int64)
+        self.checkpoints = checkpoints
+        # np.asarray would read a range one int at a time
+        self.cps = (np.arange(checkpoints.start, checkpoints.stop, checkpoints.step)
+                    if isinstance(checkpoints, range)
+                    else np.asarray(checkpoints, dtype=np.int64))
+        self.per = np.empty((len(self.cps), n_chains), dtype=np.int64)
+        self.vols = np.empty_like(self.per)
+        self.step = self.i = 0
+
+
+def _lockstep(engine, vol, rng, run):
+    """Step the chains of run while every one has B(l) = 1, in the library's
+    ``lockstep`` where it loads, else in numpy; both draw the same values.
+    True when block rounds are to follow, False when the run is over: all
+    steps taken, or every chain absorbed."""
+    if not engine.steps_only(run.ls):
+        return True
+    lib = _native.library()[0]
+    if lib is None or engine.rows._vals.dtype != np.int64:
+        return _lockstep_numpy(engine, vol, rng, run)
+    return _lockstep_c(lib, engine, vol, rng, run)
+
+
+def _lockstep_numpy(engine, vol, rng, run):
+    ls, V, per, vols, checkpoints = run.ls, run.V, run.per, run.vols, run.checkpoints
+    n_steps = checkpoints[-1]
+    absorbing = engine.order == 0
+    i, step = run.i, run.step
+    try:
         while step < n_steps:
             if not engine.steps_only(ls):
-                _block_rounds(engine, vol, rng, ls, V, per, vols, step,
-                              np.asarray(checkpoints), flags)
-                i = len(checkpoints)
-                break
+                return True
             step += 1
             if absorbing and not ls.all():
                 live = np.flatnonzero(ls)
@@ -967,8 +1103,63 @@ def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
             if step == checkpoints[i]:
                 per[i], vols[i] = ls, V
                 i += 1
-        per[i:], vols[i:] = ls, V
-        return law, per, vols, {**vol.flags, **flags, **engine.flags}
+        return False
+    finally:
+        run.i, run.step = i, step
+
+
+def _lockstep_c(lib, engine, vol, rng, run):
+    """`_lockstep` in C: one ``lockstep`` call runs until a table is
+    missing, which is grown here before the call resumes where it stopped."""
+    n = len(run.ls)
+    work = np.empty((6, n), dtype=np.int64)
+    env = np.empty(n)
+    rule = (_native.VOL_MEANS if vol.mode == "expectation"
+            else _native.VOL_EXACT if vol.l_exact else _native.VOL_LIMIT)
+    addr = _native.address
+    volumes = vol._cdf.pack() if rule == _native.VOL_EXACT else None
+    s = _native.Lockstep(
+        volumes=volumes and ctypes.addressof(volumes[0]),
+        means=addr(vol._means), n_means=len(vol._means), l_small=L_SMALL,
+        block_from=min(engine.block_from, 1 << 62),   # inf for a finite run
+        absorbing=engine.order == 0, rule=rule, l_exact=vol.l_exact,
+        heavy=vol.heavy, b_nu=vol.law.B_nu, n=n, n_steps=int(run.cps[-1]),
+        n_cps=len(run.cps), cps=addr(run.cps), ls=addr(run.ls), vs=addr(run.V),
+        per=addr(run.per), vols=addr(run.vols), env=addr(env),
+        step=run.step, cp=run.i,
+        **{name: addr(row) for name, row in
+           zip(("jumps", "at", "lb", "kb", "todo", "vals"), work)})
+    bg = rng.bit_generator
+    state = bg.ctypes.bit_generator
+    try:
+        while True:
+            rows, bands = engine.rows.pack(), engine.bands.pack()
+            s.rows, s.bands = ctypes.addressof(rows[0]), ctypes.addressof(bands)
+            with bg.lock:
+                status = lib.lockstep(state, ctypes.byref(s))
+            if status == _native.LS_ROWS:
+                engine._extend_rows(s.need)
+            elif status == _native.LS_BANDS:
+                engine._cover(s.need)
+            elif status == _native.LS_MEAN:
+                vol.fill_mean(s.need)
+            elif status == _native.LS_BLOCKS:
+                if s.need >= len(engine.blocks):
+                    engine._extend_blocks(s.need)
+                if s.need >= engine.block_from:
+                    return True
+                s.block_from = engine.block_from
+            elif status == _native.LS_DONE:
+                return False
+            else:
+                raise IndexError("lockstep read outside the tables built")
+    finally:
+        run.step, run.i = s.step, s.cp
+        engine.flags["band_proposals"] += s.band_proposals
+        engine.flags["band_accepts"] += s.band_accepts
+        vol.flags["residual_draws"] += s.residual_draws
+        if s.heavy_means:
+            vol.flags["heavy_volume_expectation"] = True
 
 
 def _block_rounds(engine, vol, rng, ls, V, per, vols, step, cps, flags):

@@ -1,6 +1,19 @@
 import pytest
 
-from peelkit import peeling
+from peelkit import _native, peeling
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--reference-loops", action="store_true",
+        help="run every compiled loop's reference (the Python h recurrence, "
+             "the numpy draws and row fill, the Python lockstep loop) for "
+             "the whole session, as where the compiled library does not load")
+
+
+def pytest_configure(config):
+    if config.getoption("--reference-loops"):
+        _native._state = (None, ("python", "--reference-loops"))
 
 
 @pytest.fixture(autouse=True)

@@ -240,14 +240,19 @@ class TestFloatRecurrence:
         assert status[0] == "python" and "not this user's own" in status[1]
         assert same_bits(HCache(0.37, mode="float").table(-2, 5_000), 0.37, -2)
 
-    @pytest.mark.parametrize("name", ["cdf_draw", "band_jumps"])
+    @pytest.mark.parametrize("name", ["cdf_draw", "band_jumps", "fill_rows",
+                                      "lockstep"])
     def test_draw_mismatch_keeps_every_reference(self, name, monkeypatch):
-        # a library whose draws differ from numpy's in one value is not
-        # used at all: the Python recurrence and the numpy draws run, and
-        # the chains draw what the compiled library drew
-        from peelkit.peeling import simulate_ensemble
+        # a library whose loop differs from its reference in one value is
+        # not used at all: the Python recurrence and the numpy draws run,
+        # and the chains draw what the compiled library drew
+        refusal = {"fill_rows": "compiled row fill differs from the numpy fill",
+                   "lockstep": "compiled lockstep differs from the Python loop"
+                   }.get(name, "compiled draws differ from the numpy draws")
+        from peelkit.peeling import _slot, simulate_ensemble
 
         def run():
+            _slot.held.clear()
             out = simulate_ensemble("finite", LAW, 1010, 30, 64, seed=2,
                                     volume_mode="exact_small")
             return out[30][0].tobytes(), out[30][1].tobytes(), out.flags
@@ -255,6 +260,17 @@ class TestFloatRecurrence:
         assert _native.library()[0] is not None or not has_compiler()
         before = run()
         open_ = _native._open
+
+        def skew(args):
+            if name == "lockstep":      # one more vertex for the first chain
+                run = args[1]._obj
+                (ctypes.c_longlong * run.n).from_address(run.vs)[0] += 1
+            elif name == "fill_rows":   # the first entry filled, one ulp up
+                first = ctypes.c_double.from_address(args[-1])
+                first.value = math.nextafter(first.value, math.inf)
+            else:                       # the last value drawn, plus one
+                m, out = args[3:]
+                (ctypes.c_longlong * m).from_address(out)[m - 1] += 1
 
         class Skewed:
             def __init__(self, path):
@@ -265,9 +281,9 @@ class TestFloatRecurrence:
                 if attr != name:
                     return fn
 
-                def skewed(bg, tables, at, m, out):
-                    ret = fn(bg, tables, at, m, out)
-                    (ctypes.c_longlong * m).from_address(out)[m - 1] += 1
+                def skewed(*args):
+                    ret = fn(*args)
+                    skew(args)
                     return ret
                 return skewed
 
@@ -278,10 +294,28 @@ class TestFloatRecurrence:
             assert status == ("python", "no C compiler")
             return
         assert status[0] == "python"
-        assert status[1].startswith("compiled draws differ from the numpy draws")
+        assert status[1].startswith(refusal)
         assert _native.library()[0] is None
         assert same_bits(HCache(0.37, mode="float").table(2, 5_000), 0.37, 2)
         assert run() == before
+
+    def test_self_check_that_raises_refuses(self, monkeypatch):
+        # a compiled loop that fails outright (here: reads outside a table)
+        # leaves every reference in place instead of raising to the caller
+        from peelkit import peeling
+
+        def broken(lib):
+            raise IndexError("lockstep read outside the tables built")
+
+        monkeypatch.setattr(peeling, "_same_lockstep", broken)
+        monkeypatch.setattr(_native, "_state", None)
+        status = hfun.float_recurrence()
+        if not has_compiler():
+            assert status == ("python", "no C compiler")
+            return
+        assert status[0] == "python"
+        assert status[1].startswith("self-check raised IndexError: lockstep read")
+        assert same_bits(HCache(0.37, mode="float").table(3, 5_000), 0.37, 3)
 
     def test_kernel_compiled_once_per_cache(self, tmp_path):
         # two fresh processes on an empty private cache: the first compiles,
@@ -314,6 +348,69 @@ class TestFloatRecurrence:
             assert os.listdir(cache) == [os.path.basename(path)]
         else:
             assert runs == [[0, ["python", "no C compiler"]]] * 2
+
+
+class TestLibraryCache:
+    """The compiled library's file: keyed on what it links, the only one
+    of its user's in the cache once compiled."""
+
+    def test_key_follows_numpy(self, tmp_path, monkeypatch):
+        # another numpy version, or another size or mtime of its static
+        # random library, names another file, which is compiled anew
+        npyrandom = tmp_path / "libnpyrandom.a"
+        npyrandom.write_bytes(b"x" * 10)
+        monkeypatch.setattr(_native, "_npyrandom", lambda: str(npyrandom))
+        path = _native._library_path()
+        assert _native._library_path() == path
+        os.utime(npyrandom, ns=(1, 10**18))
+        touched = _native._library_path()
+        npyrandom.write_bytes(b"x" * 11)
+        os.utime(npyrandom, ns=(1, 10**18))
+        grown = _native._library_path()
+        monkeypatch.setattr(_native.np, "__version__", "0.0.0")
+        other = _native._library_path()
+        assert len({path, touched, grown, other}) == 4
+        assert all(os.path.basename(p).startswith("native-") for p in (path, other))
+
+    def test_missing_static_library(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_native, "_cache_dir", lambda: str(tmp_path / "pk"))
+        monkeypatch.setattr(_native, "_npyrandom", lambda: str(tmp_path / "none.a"))
+        monkeypatch.setattr(_native, "_state", None)
+        compiled = []
+        monkeypatch.setattr(_native, "_compile", lambda cc, p: compiled.append(p))
+        status = hfun.float_recurrence()
+        assert status == ("python", f"numpy's static random library "
+                          f"{tmp_path / 'none.a'} is missing")
+        assert compiled == []
+        assert same_bits(HCache(0.37, mode="float").table(1, 5_000), 0.37, 1)
+
+    @pytest.mark.skipif(not has_compiler(), reason="no C compiler")
+    def test_compile_removes_older_libraries(self, tmp_path, monkeypatch):
+        # under a temporary XDG_CACHE_HOME: this user's other native-*.so
+        # and hrec-*.so go; a symbolic link, another user's file and any
+        # other name stay
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_native, "_state", None)
+        cache = tmp_path / "peelkit"
+        cache.mkdir(mode=0o700)
+        os.chmod(cache, 0o700)
+        target = tmp_path / "elsewhere.so"
+        target.write_bytes(b"linked")
+        for name in ("native-00000000.so", "native-1234abcd.so",
+                     "hrec-11e084c1.so", "notes.txt", "native-0.txt",
+                     "other-native-1.so", "theirs.so", "native-theirs.so"):
+            (cache / name).write_bytes(b"old")
+        (cache / "native-link.so").symlink_to(target)
+        stays = {"notes.txt", "native-0.txt", "other-native-1.so",
+                 "theirs.so", "native-link.so"}
+        if os.getuid() == 0:    # only root can give a file to another user
+            os.chown(cache / "native-theirs.so", 1, 1)
+            stays.add("native-theirs.so")
+        status = hfun.float_recurrence()
+        assert status == ("c", _native._library_path())
+        new = os.path.basename(_native._library_path())
+        assert set(os.listdir(cache)) == stays | {new}
+        assert target.read_bytes() == b"linked"
 
 
 _ratios = st.builds(

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import weakref
 from fractions import Fraction
@@ -856,6 +857,8 @@ class TestBlockStepping:
         vol = np.array([out[s][1][0] for s in range(1, n + 1)])
         np.testing.assert_array_equal(tr.perimeters[1:], per)
         np.testing.assert_array_equal(tr.volumes[1:], vol)
+        # the ensemble reuses the engine simulate built
+        assert tr.flags.pop("engine_built") and not out.flags.pop("engine_built")
         assert tr.flags == out.flags
 
 
@@ -893,16 +896,20 @@ class TestEngineReuse:
         ]
 
     @staticmethod
-    def _outcome(call):
+    def _outcome(call, built):
+        """The call's result, its flags without engine_built, which goes
+        to built."""
         try:
             out = call()
         except ValueError as exc:
             return ("raised", str(exc))
         if out is None:
             return None
+        flags = dict(out.flags)
+        built.append(flags.pop("engine_built"))
         if isinstance(out, PeelTrace):
-            return (out.perimeters, out.volumes, out.flags, out.law_digest)
-        return ({c: out[c] for c in out}, out.flags)
+            return (out.perimeters, out.volumes, flags, out.law_digest)
+        return ({c: out[c] for c in out}, flags)
 
     def test_reuse_is_invisible(self, monkeypatch):
         builds = []
@@ -913,15 +920,19 @@ class TestEngineReuse:
             init(self, law, mode)
 
         monkeypatch.setattr(_ChainEngine, "__init__", counted)
-        warm = [self._outcome(call) for call in self._runs()]
+        warm_built, cold_built = [], []
+        warm = [self._outcome(call, warm_built) for call in self._runs()]
         n_warm = len(builds)
         cold = []
         for call in self._runs():
             peeling._slot.held.clear()
-            cold.append(self._outcome(call))
+            cold.append(self._outcome(call, cold_built))
         # hits: the quad finite ensemble, the tri ibpm ensemble and the
         # start() that raises; a raising run leaves its engine out of the slot
         assert n_warm == len(builds) - n_warm - 3
+        # the runs that return report the two hits as engine_built False
+        assert all(cold_built) and len(cold_built) == len(warm_built)
+        assert warm_built.count(False) == 2 and sum(warm_built) == n_warm
         assert warm[4] == ("raised", "conditioning weight vanishes at l=3")
         assert not np.array_equal(warm[8][0], warm[10][0])  # the edit matters
         for a, b in zip(warm, cold):
@@ -936,6 +947,20 @@ class TestEngineReuse:
                 np.testing.assert_array_equal(a[0], b[0])
                 np.testing.assert_array_equal(a[1], b[1])
                 assert a[2:] == b[2:]
+
+    def test_engine_built_flag(self):
+        # True for a run that built its engine, False for one that reused
+        # the slot's: the same call again reuses it, another depth does not
+        def built(**kw):
+            out = simulate_ensemble("finite", LAW, 20, kw.get("n", 100), 8, seed=1)
+            tr = simulate("finite", LAW, l0=20, n_steps=kw.get("n", 100), seed=1)
+            return out.flags["engine_built"], tr.flags["engine_built"]
+
+        assert built() == (True, False)
+        assert built() == (False, False)
+        assert peeling._deep_k_neg(LAW, 100_000) != peeling._deep_k_neg(LAW, 100)
+        assert built(n=100_000) == (True, False)
+        assert built() == (True, False)
 
     def test_one_engine_per_mode(self, monkeypatch):
         # an engine is built only once the one it replaces is gone
@@ -996,11 +1021,144 @@ class TestCompiledDraws:
 
     @staticmethod
     def _both(run):
+        # each path builds its own engines (rows filled in C or numpy)
         with draws_on("compiled"):
+            peeling._slot.held.clear()
             compiled = run()
         with numpy_draws():
+            peeling._slot.held.clear()
             reference = run()
         assert compiled == reference
+
+    @staticmethod
+    def _lockstep_calls(monkeypatch):
+        """(status, steps taken) of every call of the library's lockstep,
+        as the compiled path makes them."""
+        calls = []
+        lockstep_c = peeling._lockstep_c
+
+        class Recording:
+            def __init__(self, lib):
+                self.lib = lib
+
+            def __getattr__(self, attr):
+                return getattr(self.lib, attr)
+
+            def lockstep(self, bg, s):
+                status = self.lib.lockstep(bg, s)
+                calls.append((status, s._obj.step))
+                return status
+
+        monkeypatch.setattr(peeling, "_lockstep_c",
+                            lambda lib, *a: lockstep_c(Recording(lib), *a))
+        return calls
+
+    @staticmethod
+    def _digest(outs):
+        """One sha256 over traces and ensembles: their states and their
+        flags but engine_built."""
+        h = hashlib.sha256()
+        for out in outs:
+            if isinstance(out, PeelTrace):
+                h.update(out.perimeters.tobytes() + out.volumes.tobytes())
+            else:
+                for c in sorted(out):
+                    h.update(repr(c).encode() + out[c][0].tobytes() + out[c][1].tobytes())
+            flags = {k: v for k, v in out.flags.items() if k != "engine_built"}
+            h.update(repr(sorted(flags.items())).encode())
+        return h.hexdigest()
+
+    @staticmethod
+    def _case(case):
+        """(the runs of a lockstep case, a check of what they did on the
+        compiled path, given their outputs and its lockstep calls)."""
+        heavy = symmetric_family(1.0, math.pi / 4, k_pos=256)
+        tri = tri_law()
+
+        def asked(calls, status):
+            # a table asked for after the run's first step
+            return any(st == status and step > 0 for st, step in calls)
+
+        if case == "absorbed":
+            runs = [lambda: simulate_ensemble("finite", LAW, 2, 5000, 64, seed=7,
+                                              volume_mode="exact_small",
+                                              checkpoints=[1, 10, 100]),
+                    lambda: simulate("finite", tri, l0=3, n_steps=20_000, seed=8)]
+
+            def check(outs, calls):
+                assert not outs[0][5000][0].any() and outs[1].perimeters[-1] == 0
+                done = [step for st, step in calls if st == _native.LS_DONE]
+                assert len(done) == 2 and max(done) < 5000
+        elif case == "residuals":
+            runs = [lambda: simulate_ensemble("finite", tri, 30, 400, 256, seed=9,
+                                              volume_mode="exact_small"),
+                    lambda: simulate("finite", LAW, l0=40, n_steps=3000, seed=9)]
+
+            def check(outs, calls):
+                assert min(out.flags["residual_draws"] for out in outs) > 0
+        elif case == "heavy":
+            runs = [lambda v=v, m=m: simulate_ensemble(m, heavy, 40, 300, 64, seed=2,
+                                                       volume_mode=v)
+                    for v in VOLUME_MODES for m in ("finite", "ibpm")]
+            runs.append(lambda: simulate("finite", heavy, l0=1500, n_steps=2000,
+                                         seed=2, volume_mode="expectation"))
+
+            def check(outs, calls):
+                assert all(out.flags.get("heavy_volume_expectation")
+                           for out, v in zip(outs, np.repeat(VOLUME_MODES, 2))
+                           if v != "expectation")
+                assert asked(calls, _native.LS_MEAN)
+        elif case == "growth":
+            runs = [lambda: simulate_ensemble("finite", LAW, 60, 600, 200, seed=11,
+                                              checkpoints=range(1, 601, 7)),
+                    lambda: simulate_ensemble("finite", tri, 2040, 300, 200, seed=12,
+                                              volume_mode="asymptotic_xi")]
+
+            def check(outs, calls):
+                assert asked(calls, _native.LS_ROWS) and asked(calls, _native.LS_BANDS)
+        else:
+            # B(l) > 1 from l = 5 for the heavy law, from 2 for geo3
+            runs = [lambda: simulate_ensemble("ibpm", heavy, 2, 3000, 64, seed=6,
+                                              checkpoints=range(1, 3001)),
+                    lambda: simulate("ibpm", geo3_law(), l0=1, n_steps=20_000, seed=4,
+                                     volume_mode="exact_small")]
+
+            def check(outs, calls):
+                assert asked(calls, _native.LS_BLOCKS)
+                assert all(out.flags["block_accepts"] > 0 for out in outs)
+        return runs, check
+
+    @pytest.mark.parametrize("case", ["absorbed", "residuals", "heavy", "growth",
+                                      "handoff"])
+    def test_lockstep_cases(self, case, monkeypatch):
+        # every chain absorbed before n_steps, exact_small runs that draw
+        # residuals, a heavy-tailed law (its means filled mid-run), rows and
+        # bands grown mid-run, and the handoff to block rounds
+        runs, check = self._case(case)
+        calls = self._lockstep_calls(monkeypatch)
+        digests = []
+        for path in ("compiled", "numpy"):
+            with draws_on(path):
+                peeling._slot.held.clear()
+                outs = [run() for run in runs]
+            if path == "compiled":
+                check(outs, calls)
+            digests.append(self._digest(outs))
+        assert digests[0] == digests[1]
+
+    def test_gamma_is_numpys(self):
+        # the library's gamma is numpy's own code: Generator.gamma(1.5, 2.0)
+        # bit for bit, leaving the stream where numpy leaves it
+        lib = _native.library()[0]
+        if lib is None:
+            pytest.skip(f"compiled library not loaded: {_native.library()[1][1]}")
+        rng, ref = _rng(5), _rng(5)
+        out = np.empty(100_000)
+        with rng.bit_generator.lock:
+            lib.gamma_fill(rng.bit_generator.ctypes.bit_generator, 1.5, 2.0,
+                           len(out), _native.address(out))
+        assert out.tobytes() == ref.gamma(1.5, 2.0, size=len(out)).tobytes()
+        assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("volume_mode", VOLUME_MODES)
     @pytest.mark.parametrize("l0", [4, 1010, 2000])
