@@ -1,9 +1,10 @@
 """The package's compiled loops: one C source, one cached shared library.
 
-The library holds five loops, each a copy of a numpy or Python loop that
+The library holds six loops, each a copy of a numpy or Python loop that
 stays in the package as the fallback and the test reference:
 
 * ``h_recurrence``, the float h recurrence of `hfun._recurrence_py`;
+* ``h_derivative``, the recurrence's r-derivative of `hfun._derivative_py`;
 * ``cdf_draw``, the inverse-CDF draw of `peeling._StackedCdf`;
 * ``band_jumps``, the band-envelope rejection of `peeling._Bands`;
 * ``fill_rows``, the stacked rows of `peeling._ChainEngine._fill_numpy`;
@@ -30,11 +31,11 @@ baseline instruction set), cached in the user's private cache directory
 version and its static library's path, size and mtime, and loaded with
 ctypes; a compile removes the user's other compiled libraries there
 (`_prune`).  On loading, the compiled loops are compared with their
-references on small fixed inputs (`_self_check`): the h recurrence, then
-the draws, then the row fill and the lockstep loop on a synthetic law.
-The gamma is not compared with numpy's there (that would import
-numpy.random into every process): it runs on the stand-in bit generator
-for both sides of the lockstep check, and a test pins it to
+references on small fixed inputs (`_self_check`): the h recurrence and its
+r-derivative, then the draws, then the row fill and the lockstep loop on a
+synthetic law.  The gamma is not compared with numpy's there (that would
+import numpy.random into every process): it runs on the stand-in bit
+generator for both sides of the lockstep check, and a test pins it to
 ``Generator.gamma(1.5, 2.0)``.  Without numpy's static library, a
 compiler, a private cache directory, a successful compile and load or an
 exact match, every caller runs its reference loop instead; `library()`
@@ -122,6 +123,24 @@ void h_recurrence(double *out, long long start, long long size, double r,
         double b = r * (double)(j + k);
         double v = (a * p1 + b * p2) / (double)(j + 1);
         out[j + 1] = v;
+        p2 = p1;
+        p1 = v;
+    }
+}
+
+/* The r-derivative of h_recurrence's table at the same r and k:
+   d[j+1] = (a d[j] + b d[j-1] - (j+1/2) h[j] + (j+k) h[j-1]) / (j+1),
+   from d[start-1] and d[start], with h holding at least size - 1 entries */
+void h_derivative(double *d, const double *h, long long start, long long size,
+                  double r, long long k)
+{
+    double one_m_r = 1.0 - r, p2 = d[start - 1], p1 = d[start];
+    for (long long j = start; j < size - 1; j++) {
+        double a = one_m_r * ((double)j + 0.5) + (double)k;
+        double b = r * (double)(j + k);
+        double v = (a * p1 + b * p2 - ((double)j + 0.5) * h[j]
+                    + (double)(j + k) * h[j - 1]) / (double)(j + 1);
+        d[j + 1] = v;
         p2 = p1;
         p1 = v;
     }
@@ -663,6 +682,8 @@ def _open(path):
     lib.gamma_fill.restype = None
     lib.h_recurrence.argtypes = [_P, _LL, _LL, ctypes.c_double, _LL]
     lib.h_recurrence.restype = None
+    lib.h_derivative.argtypes = [_P, _P, _LL, _LL, ctypes.c_double, _LL]
+    lib.h_derivative.restype = None
     lib.cdf_draw.argtypes = [_P, ctypes.POINTER(Cdf), _P, _LL, _P]
     lib.cdf_draw.restype = ctypes.c_int
     lib.band_jumps.argtypes = [_P, ctypes.POINTER(Bands), _P, _LL, _P]
@@ -684,15 +705,23 @@ def _self_check(lib):
     from . import hfun, peeling   # the references; imported by now
 
     for r, k in ((0.37, -3), (-0.999999, 4), (1.0, 1)):
-        tabs = []
-        for fill in (lambda *a: lib.h_recurrence(address(a[0]), *a[1:]),
-                     hfun._recurrence_py):
+        tabs, dtabs = [], []
+        for fill, dfill in (
+                (lambda *a: lib.h_recurrence(address(a[0]), *a[1:]),
+                 lambda d, h, *a: lib.h_derivative(address(d), address(h), *a)),
+                (hfun._recurrence_py, hfun._derivative_py)):
             out = np.empty(100)
             out[:2] = 1.0, (1.0 - r) * 0.5 + k
             fill(out, 1, 100, r, k)
             tabs.append(out.tobytes())
+            d = np.empty(100)
+            d[:2] = 0.0, -0.5
+            dfill(d, out, 1, 100, r, k)
+            dtabs.append(d.tobytes())
         if tabs[0] != tabs[1]:
             return "compiled h recurrence differs from the Python loop"
+        if dtabs[0] != dtabs[1]:
+            return "compiled h derivative differs from the Python loop"
     if not peeling._same_draws(lib):
         return "compiled draws differ from the numpy draws"
     _checking.lib = lib

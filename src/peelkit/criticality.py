@@ -11,9 +11,10 @@ The admissibility margin is 1 - sum_{l>=0} h(1, l+1) nu(l); it is
 nonnegative for admissible sequences and zero exactly at criticality.
 
 Every two- and three-unknown solve goes through one damped Newton
-(`_damped_newton`) on x = (c, s), r = tanh(s), with a forward-difference
-Jacobian, clamped coordinates, and an exit after a few consecutive line
-searches that end on the forced shortest step without lowering max|F|.
+(`_damped_newton`) on x = (c, s), r = tanh(s), with the exact Jacobian
+from the same series pass as the residuals, clamped coordinates, and an
+exit after a few consecutive line searches that end on the forced
+shortest step without lowering max|F|.
 At a critical sequence the Jacobian of the main system (R1, R2) is rank
 deficient (the solution sits on a fold), so Newton stalls at ~1e-6
 accuracy.  The solver therefore finishes near-critical points on the
@@ -31,12 +32,15 @@ Illinois false position on R2 at the fold point and then tracks the fold
 with the scale as a third unknown (a bordered system).
 
 The series are numpy dot products over the terms q_{k+2} c^k that the
-weight sequence materializes from its cached weights.  Each `_System`
-keeps the terms of its last c; the h tables come from the per-ratio
-shared cache of `hfun`, so the c-column of a Jacobian, every bipartite
-(r = 1) evaluation and a new system at a ratio already seen reuse one
-table.  The Miermont cross-check sums its binomial double series per
-total degree in log space.
+weight sequence materializes from its cached weights.  Their derivatives
+come from the same terms: in c from k q_{k+2} c^(k-1), in r from the
+r-derivative tables of h (`HCache.dtable`), and in the tuner's scale t
+as S/t, since t multiplies every weight.  Each `_System` keeps the terms
+of its last c; the h tables and their r-derivatives come from the
+per-ratio shared cache of `hfun`, so every bipartite (r = 1) evaluation
+and a new system at a ratio already seen reuse one table.  The Miermont
+cross-check sums its binomial double series per total degree in log
+space.
 """
 
 from __future__ import annotations
@@ -55,13 +59,12 @@ MARGIN_TOL = 1e-9
 _C_FLOOR = 2.0 + 1e-9
 
 # damped Newton: convergence threshold on max|F|, iteration cap, trial
-# steps per line search, forward-difference step, and the number of
-# consecutive line searches ending on the forced step without progress
-# after which a start is given up
+# steps per line search, and the number of consecutive line searches
+# ending on the forced step without progress after which a start is given
+# up
 _NEWTON_TOL = 1e-13
 _NEWTON_ITER = 80
 _LINE_SEARCH = 16
-_FD_STEP = 1e-7
 _STALL_LIMIT = 3
 
 # fixed Newton starts (c, s) for the companion system, tried by the fold
@@ -117,7 +120,8 @@ class _System:
     """Float evaluation of R1, R2 and the margin for a fixed sequence.
 
     `main` and `companion` are the two Newton systems on x = (c, s) with
-    r = tanh(s); s = inf gives the bipartite r = 1.
+    r = tanh(s); s = inf gives the bipartite r = 1.  Each returns its
+    values and exact Jacobian from one series pass per order (`rows`).
     """
 
     def __init__(self, q: WeightSequence):
@@ -128,30 +132,37 @@ class _System:
             self.c_max = (1.0 - 1e-9) / q.tail_ratio
         self._terms = None  # (c, ks, values) of the last c
 
-    def _sums(self, c, r, order, shifts):
-        """The table T with T[j] = h(order, order + j) and, per shift j,
-        (S_j, dS_j/dc) for S_j = sum_{k>=-1} q_{k+2} c^k h(order, k+j).
+    def _sums(self, c, r, order, shifts, dr=False):
+        """The table T with T[j] = h(order, order + j), its r-derivative
+        table (None unless dr) and, per shift j, (S_j, dS_j/dc, dS_j/dr)
+        for S_j = sum_{k>=-1} q_{k+2} c^k h(order, k+j); dS_j/dr is None
+        unless dr.
         """
         c, r = float(c), float(r)
         if self._terms is None or self._terms[0] != c:
             self._terms = (c,) + self.q.positive_terms(c, deg=2)[:2]
         _, ks, vals = self._terms
-        tab = shared_cache(r).table(order, (ks[-1] if len(ks) else 0) + 2)
+        l_max = (ks[-1] if len(ks) else 0) + 2
+        cache = shared_cache(r)
+        tab = cache.table(order, l_max)
+        dtab = cache.dtable(order, l_max) if dr else None
         out = []
         for j in shifts:
             # h(order, k + j) = tab[k + j - order], zero below the order
             idx = ks + (j - order)
             lo = int(np.searchsorted(idx, 0))
             v, hj = vals[lo:], tab[idx[lo:]]
-            out.append((float(np.dot(v, hj)), float(np.dot(ks[lo:] * v, hj)) / c))
-        return tab, out
+            s_r = float(np.dot(v, dtab[idx[lo:]])) if dr else None
+            out.append((float(np.dot(v, hj)), float(np.dot(ks[lo:] * v, hj)) / c,
+                        s_r))
+        return tab, dtab, out
 
     def residuals(self, c, r):
-        h, ((s1, _), (s2, _)) = self._sums(c, r, 0, (1, 2))
+        h, _, ((s1, _, _), (s2, _, _)) = self._sums(c, r, 0, (1, 2))
         return s1 - float(h[1]), 2.0 / c**2 + s2 - float(h[2])
 
     def r2_and_prime(self, c, r=1.0):
-        h, ((s2, s2p),) = self._sums(c, r, 0, (2,))
+        h, _, ((s2, s2p, _),) = self._sums(c, r, 0, (2,))
         return 2.0 / c**2 + s2 - float(h[2]), -4.0 / c**3 + s2p
 
     def margin_and_prime(self, c, r=1.0):
@@ -159,20 +170,45 @@ class _System:
 
         The series starts at l = -1 like the others; h(1, 0) = 0.
         """
-        _, ((s, sp),) = self._sums(c, r, 1, (1,))
+        _, _, ((s, sp, _),) = self._sums(c, r, 1, (1,))
         return 1.0 - s, -sp
 
     def margin(self, c, r):
         return self.margin_and_prime(c, r)[0]
 
+    def rows(self, c, r, margin=False):
+        """Rows (value, d/dc, d/dr, S) of R1, R2 and, when margin, of
+        -margin = sum_{l>=0} h(1, l+1) nu(l) - 1, from one series pass per
+        order.  S is the weight sum in the value: scaling every weight by t
+        scales S alone, so the row's t-derivative is S/t."""
+        h, dh, ((s1, s1_c, s1_r), (s2, s2_c, s2_r)) = self._sums(
+            c, r, 0, (1, 2), True)
+        out = [(s1 - float(h[1]), s1_c, s1_r - float(dh[1]), s1),
+               (2.0 / c**2 + s2 - float(h[2]), -4.0 / c**3 + s2_c,
+                s2_r - float(dh[2]), s2)]
+        if margin:
+            _, _, ((s, s_c, s_r),) = self._sums(c, r, 1, (1,), True)
+            out.append((s - 1.0, s_c, s_r, s))
+        return out
+
     def main(self, x):
-        """(R1, R2) at c = x[0], r = tanh(x[1])."""
-        return self.residuals(x[0], math.tanh(x[1]))
+        """(F, J) of (R1, R2) at c = x[0], r = tanh(x[1]), J in (c, s)."""
+        c, r = float(x[0]), math.tanh(x[1])
+        return _in_cs(self.rows(c, r), r)
 
     def companion(self, x):
-        """(R1, -margin) at c = x[0], r = tanh(x[1])."""
-        c, r = x[0], math.tanh(x[1])
-        return self.residuals(c, r)[0], -self.margin(c, r)
+        """(F, J) of (R1, -margin) at c = x[0], r = tanh(x[1]), J in (c, s)."""
+        c, r = float(x[0]), math.tanh(x[1])
+        r1, _, m = self.rows(c, r, margin=True)
+        return _in_cs((r1, m), r)
+
+
+def _in_cs(rows, r):
+    """(F, J) of rows (value, d/dc, d/dr, ...) with J in the Newton
+    coordinates (c, s), r = tanh(s): dr/ds = 1 - r^2."""
+    F = np.array([row[0] for row in rows])
+    J = np.array([(row[1], row[2] * (1.0 - r * r)) for row in rows])
+    return F, J
 
 
 def _to_x(c, r):
@@ -195,6 +231,10 @@ def _newton_1d(f_and_fp, x0, lo, hi, tol=1e-14, max_iter=80):
             hi = x
         if fp != 0.0:
             step = f / fp
+            if abs(step) <= tol * max(1.0, abs(x)):
+                # converged: a step that rounds onto a bracket end must not
+                # fall back to bisection
+                return min(max(x - step, lo), hi)
             xn = x - step
         else:
             xn = 0.5 * (lo + hi)
@@ -311,30 +351,26 @@ def _solve_bipartite(q, sys, g):
 
 
 def _damped_newton(F, x0, lo, hi):
-    """Damped Newton with a forward-difference Jacobian, x clamped to [lo, hi].
+    """Damped Newton on F(x) = (values, Jacobian), x clamped to [lo, hi].
 
-    Stops when max|F| < _NEWTON_TOL, after _NEWTON_ITER iterations, on a
-    singular Jacobian, when no trial point of a line search evaluates, or
-    after _STALL_LIMIT consecutive line searches that end on the forced
-    step (lambda < 1e-3) without lowering max|F|.  Returns the best iterate
-    and its max|F|.
+    The Jacobian comes with the values from the same evaluation, at every
+    trial point; the accepted point's gives the next step.  Stops when
+    max|F| < _NEWTON_TOL, after _NEWTON_ITER iterations, on a singular
+    Jacobian, when no trial point of a line search evaluates, or after
+    _STALL_LIMIT consecutive line searches that end on the forced step
+    (lambda < 1e-3) without lowering max|F|.  Returns the best iterate and
+    its max|F|.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     x = np.clip(np.array(x0, dtype=float), lo, hi)
-    fx = np.array(F(x), dtype=float)
+    fx, J = F(x)
     n0 = np.max(np.abs(fx))
     best_x, best_n = x, n0
     stalls = 0
     for _ in range(_NEWTON_ITER):
         if n0 < _NEWTON_TOL:
             break
-        J = np.empty((len(x), len(x)))
-        for j in range(len(x)):
-            h = _FD_STEP * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            J[:, j] = (np.array(F(xp), dtype=float) - fx) / h
         try:
             step = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError:
@@ -343,7 +379,7 @@ def _damped_newton(F, x0, lo, hi):
         for _ in range(_LINE_SEARCH):
             xn = np.clip(x + lam * step, lo, hi)
             try:
-                fn = np.array(F(xn), dtype=float)
+                fn, Jn = F(xn)
             except (DivergentSeriesError, ArithmeticError, ValueError):
                 # series divergent or overflowing there, or r rounded to -1
                 lam *= 0.5
@@ -355,7 +391,7 @@ def _damped_newton(F, x0, lo, hi):
         else:
             break
         stalls = 0 if nn < n0 else stalls + 1
-        x, fx, n0 = xn, fn, nn
+        x, fx, J, n0 = xn, fn, Jn, nn
         if n0 < best_n:
             best_x, best_n = x, n0
         if stalls >= _STALL_LIMIT:
@@ -408,7 +444,7 @@ def _fold_point(sys, starts, lo, hi):
         except (DivergentSeriesError, OverflowError):
             continue
         if res < 1e-11:
-            return x, sys.main(x)[1]
+            return x, sys.residuals(x[0], math.tanh(x[1]))[1]
     return None
 
 
@@ -747,6 +783,24 @@ def _fold_side(shape, t, bipartite, warm):
     return r2, (x[0], x[1])
 
 
+def _bordered(shape, bipartite):
+    """The tuner's bordered system, F(x) = (values, Jacobian): (R1, R2,
+    -margin) in x = (c, s, t) for the weights t * shape, or (R2, -margin)
+    in (c, t) for a bipartite shape, which sits at r = 1."""
+    def F(x):
+        t = float(x[-1])
+        sys = _System(shape.scaled(t))
+        if bipartite:
+            rows = sys.rows(float(x[0]), 1.0, margin=True)[1:]
+            return (np.array([row[0] for row in rows]),
+                    np.array([(row[1], row[3] / t) for row in rows]))
+        r = math.tanh(x[1])
+        rows = sys.rows(float(x[0]), r, margin=True)
+        values, J = _in_cs(rows, r)
+        return values, np.column_stack((J, [row[3] / t for row in rows]))
+    return F
+
+
 def tune_critical(shape: WeightSequence):
     """Scale t* at which t * shape sits on the admissibility boundary.
 
@@ -816,19 +870,11 @@ def tune_critical(shape: WeightSequence):
         if t_hi - t_lo <= 1e-8 * t_lo:
             break
 
-    # bipartite shapes sit at r = 1, i.e. s = inf
-    def F(x):
-        sys = _System(shape.scaled(x[-1]))
-        y = (x[0], math.inf) if bipartite else x[:2]
-        r1, r2 = sys.main(y)
-        m = sys.companion(y)[1]
-        return (r2, m) if bipartite else (r1, r2, m)
-
     if bipartite:
         lo, hi = (_C_FLOOR, 1e-300), (math.inf, math.inf)
     else:
         lo, hi = (_C_FLOOR, -20.0, 1e-300), (math.inf, 20.0, math.inf)
-    x, _ = _damped_newton(F, warm + (t_lo,), lo, hi)
+    x, _ = _damped_newton(_bordered(shape, bipartite), warm + (t_lo,), lo, hi)
 
     t_star = float(x[-1])
     if not (0.5 * t_lo <= t_star <= 2.0 * t_hi):

@@ -6,9 +6,10 @@ from peelkit import _native, peeling
 def pytest_addoption(parser):
     parser.addoption(
         "--reference-loops", action="store_true",
-        help="run every compiled loop's reference (the Python h recurrence, "
-             "the numpy draws and row fill, the Python lockstep loop) for "
-             "the whole session, as where the compiled library does not load")
+        help="run every compiled loop's reference (the Python h recurrence "
+             "and its r-derivative, the numpy draws and row fill, the Python "
+             "lockstep loop) for the whole session, as where the compiled "
+             "library does not load")
 
 
 def pytest_configure(config):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -144,6 +145,21 @@ class TestSolve:
         assert cd.classification == "subcritical"
         assert cd.residuals["path"] == "newton"
         assert 0 < len(calls) <= 150
+
+    def test_exact_jacobian_evaluation_count(self, monkeypatch):
+        # the Jacobian comes with the residuals from one series pass per
+        # order, so an iteration costs no extra pass per coordinate
+        calls = []
+        sums = criticality._System._sums
+
+        def counted(self, *args):
+            calls.append(1)
+            return sums(self, *args)
+
+        monkeypatch.setattr(criticality._System, "_sums", counted)
+        cd = solve_boltzmann(preset("odd_angulation", p=2).weights, g=0.99)
+        assert cd.residuals["path"] == "newton"
+        assert 0 < len(calls) <= 45
 
 
 class TestDeformedHeavyTail:
@@ -316,6 +332,21 @@ class TestTune:
         assert t.data.classification == "regular_critical"
         assert 0 < len(calls) <= 24
 
+    def test_margin_root_count(self, monkeypatch):
+        # the margin root's Newton returns on a converged step even when
+        # that step rounds onto the end of its bracket, instead of falling
+        # back to bisection and walking back to the same root
+        calls = []
+        margin = criticality._System.margin_and_prime
+
+        def counted(self, *args):
+            calls.append(1)
+            return margin(self, *args)
+
+        monkeypatch.setattr(criticality._System, "margin_and_prime", counted)
+        tune_critical(WeightSequence({6: Fraction(1), 8: Fraction(1)}))
+        assert 0 < len(calls) <= 120
+
     def test_h_table_builds(self, monkeypatch):
         # the solver systems keep one h table per order and ratio instead
         # of building a fresh one per evaluation; counted from an empty
@@ -435,6 +466,181 @@ def test_completion_chain_on_tuned_shapes(support):
     assert set(back.support) == set(q.support)
     for d in q.support:
         assert back.value(d) == pytest.approx(float(q.value(d)), rel=1e-12)
+
+def central_jacobian(F, x, step=1e-6):
+    """Central differences of F's values, step 1e-6 relative per coordinate."""
+    cols = []
+    for j in range(len(x)):
+        h = step * max(1.0, abs(x[j]))
+        up, down = x.copy(), x.copy()
+        up[j] += h
+        down[j] -= h
+        cols.append((F(up)[0] - F(down)[0]) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+class TestExactJacobian:
+    """Each Newton system returns its Jacobian with its values; every entry
+    agrees with central differences of the values to 1e-6 relative.  The
+    points sit off the solutions, where no entry vanishes."""
+
+    @staticmethod
+    def check(F, x):
+        x = np.array(x, dtype=float)
+        values, J = F(x)
+        assert J.shape == (len(values), len(x))
+        fd = central_jacobian(F, x)
+        assert np.all(np.abs(J - fd) <= 1e-6 * np.abs(J)), (J, fd)
+
+    @pytest.mark.parametrize("name", ["tri", "geometric"])
+    def test_main_and_companion(self, name):
+        # geometric H = 3 has infinite support
+        q = TRI if name == "tri" else preset("geometric", H=3.0).weights
+        cd = solve_boltzmann(q)
+        sys = criticality._System(q)
+        x = (0.97 * cd.c_plus, math.atanh(cd.r) - 0.1)
+        self.check(sys.main, x)
+        self.check(sys.companion, x)
+
+    def test_tuned_three_degree_shape(self):
+        # main, companion and the tuner's bordered system in (c, s, t)
+        shape = WeightSequence({3: Fraction(1, 3), 5: Fraction(2),
+                                8: Fraction(1, 3)})
+        t = tune_critical(shape)
+        x = (0.98 * t.data.c_plus, math.atanh(t.data.r) + 0.05)
+        sys = criticality._System(shape.scaled(t.t_star))
+        self.check(sys.main, x)
+        self.check(sys.companion, x)
+        self.check(criticality._bordered(shape, False), x + (0.97 * t.t_star,))
+
+    def test_bipartite_bordered(self):
+        # the tuner's bipartite system (R2, -margin) in (c, t) at r = 1
+        shape = WeightSequence({4: Fraction(1), 6: Fraction(1)})
+        t = tune_critical(shape)
+        self.check(criticality._bordered(shape, True),
+                   (0.98 * t.data.c_plus, 0.95 * t.t_star))
+
+
+# -- pinned solver survey --------------------------------------------------
+
+
+def survey_shapes():
+    """12 distinct random rational shapes on 1-3 of the degrees 3-8."""
+    rng = random.Random(5)
+    shapes = []
+    while len(shapes) < 12:
+        degrees = sorted(rng.sample(range(3, 9), rng.randint(1, 3)))
+        support = {d: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                   for d in degrees}
+        if support not in shapes:
+            shapes.append(support)
+    return shapes
+
+
+NAN = math.nan
+SURVEY_SCALES = (0.5, 0.99, 1.01)
+# Per survey shape: its t* from tune_critical, then (classification, path,
+# c_+, r) of solve_boltzmann at each scale of SURVEY_SCALES times t*; per
+# preset: (name, p, g, classification, path, c_+, r).  Pinned from the
+# solver whose damped Newton differenced its Jacobian forward, so the
+# values do not depend on how the Jacobian is formed.
+SURVEY_SHAPES = [
+    (0.0071900127213987116, (
+        ('subcritical', 'newton', 2.0807098911608835, 0.9723600687125512),
+        ('subcritical', 'newton', 2.3087872831104117, 0.8894988189175489),
+        ('not_admissible', 'fold-beyond', NAN, NAN),
+    )),
+    (0.003032164190837064, (
+        ('subcritical', 'bipartite-subcritical', 2.1047338718996373, 1.0),
+        ('subcritical', 'bipartite-subcritical', 2.4171088134377667, 1.0),
+        ('not_admissible', 'bipartite-no-root', 2.4850054133772588, 1.0),
+    )),
+    (0.013020378458720179, (
+        ('subcritical', 'newton', 2.1182603779451794, 0.9321120494163461),
+        ('subcritical', 'newton', 2.4746379785017707, 0.7873319452785142),
+        ('not_admissible', 'fold-beyond', NAN, NAN),
+    )),
+    (0.08333333333333347, (
+        ('subcritical', 'bipartite-subcritical', 2.1647844005847885, 1.0),
+        ('subcritical', 'bipartite-subcritical', 2.696799449852977, 1.0),
+        ('not_admissible', 'bipartite-no-root', 2.821399922322218, 1.0),
+    )),
+    (0.01987767409504149, (
+        ('subcritical', 'newton', 2.146382480430305, 0.9420537142327313),
+        ('subcritical', 'newton', 2.6049768698249247, 0.7832101524154307),
+        ('not_admissible', 'fold-beyond', NAN, NAN),
+    )),
+    (0.028574989078655116, (
+        ('subcritical', 'newton', 2.141663226369907, 0.8901691233008738),
+        ('subcritical', 'newton', 2.5664890733500965, 0.7146330978098231),
+        ('not_admissible', 'fold-beyond', NAN, NAN),
+    )),
+    (0.008449720905690154, (
+        ('subcritical', 'newton', 2.1517786110140125, 0.8827228285584884),
+        ('subcritical', 'newton', 2.604669444523214, 0.6992366849991988),
+        ('not_admissible', 'fold-beyond', NAN, NAN),
+    )),
+    (0.0058628316027338106, (
+        ('subcritical', 'newton', 2.079182679107846, 0.9697976921242712),
+        ('subcritical', 'newton', 2.3069671075469644, 0.8822293333765063),
+        ('not_admissible', 'fold-beyond', NAN, NAN),
+    )),
+    (0.01710004802162343, (
+        ('subcritical', 'bipartite-subcritical', 2.070438917927889, 1.0),
+        ('subcritical', 'bipartite-subcritical', 2.274228911269626, 1.0),
+        ('not_admissible', 'bipartite-no-root', 2.3171927284511, 1.0),
+    )),
+    (0.0009149232324447958, (
+        ('subcritical', 'newton', 2.083258222579086, 0.9334828236723303),
+        ('subcritical', 'newton', 2.325628208184241, 0.8180338914597758),
+        ('not_admissible', 'fold-beyond', NAN, NAN),
+    )),
+    (0.06378502088165032, (
+        ('subcritical', 'newton', 2.231866542002859, 0.8609732461739884),
+        ('subcritical', 'newton', 2.99442336903589, 0.6147275167991698),
+        ('not_admissible', 'fold-beyond', NAN, NAN),
+    )),
+    (0.0014750048368248714, (
+        ('subcritical', 'newton', 2.08560255971493, 0.9316710535264052),
+        ('subcritical', 'newton', 2.334572759167789, 0.8136806817248383),
+        ('not_admissible', 'fold-beyond', NAN, NAN),
+    )),
+]
+SURVEY_PRESETS = [
+    ('two_p_angulation', 2, 0.7, 'subcritical', 'bipartite-subcritical', 2.273518211293636, 1.0),
+    ('two_p_angulation', 2, 0.99, 'subcritical', 'bipartite-subcritical', 2.696799449852968, 1.0),
+    ('two_p_angulation', 2, 1.0, 'regular_critical', 'bipartite-critical', 2.8284271247461903, 1.0),
+    ('two_p_angulation', 3, 0.7, 'subcritical', 'bipartite-subcritical', 2.0932448312843093, 1.0),
+    ('two_p_angulation', 3, 0.99, 'subcritical', 'bipartite-subcritical', 2.3577077961288477, 1.0),
+    ('two_p_angulation', 3, 1.0, 'regular_critical', 'bipartite-critical', 2.4494897427831783, 1.0),
+    ('odd_angulation', 1, 0.7, 'subcritical', 'newton', 2.7022475661115397, 0.6354459929495232),
+    ('odd_angulation', 1, 0.99, 'subcritical', 'newton', 3.3938219583671603, 0.49218900794176024),
+    ('odd_angulation', 1, 1.0, 'regular_critical', 'critical-polish', 3.5955810699072597, 0.46410161513775466),
+    ('odd_angulation', 2, 0.7, 'subcritical', 'newton', 2.16002624975262, 0.8812633477697153),
+    ('odd_angulation', 2, 0.99, 'subcritical', 'newton', 2.498911209740854, 0.7410015847327397),
+    ('odd_angulation', 2, 1.0, 'regular_critical', 'critical-polish', 2.609803637881545, 0.7087819202382855),
+]
+
+
+def test_solver_survey_pinned():
+    # every classification and path as pinned, c_+ and r within 1e-12
+    # relative; a guard for any later change to the solver
+    cases = []
+    for support, (t_star, rows) in zip(survey_shapes(), SURVEY_SHAPES):
+        for scale, row in zip(SURVEY_SCALES, rows):
+            cases.append((WeightSequence(support).scaled(scale * t_star), 1.0, row))
+    for name, p, g, *row in SURVEY_PRESETS:
+        cases.append((preset(name, p=p).weights, g, row))
+    for q, g, (cls, path, c, r) in cases:
+        cd = solve_boltzmann(q, g=g)
+        assert (cd.classification, cd.residuals["path"]) == (cls, path)
+        for got, pinned in ((cd.c_plus, c), (cd.r, r)):
+            if math.isnan(pinned):
+                assert math.isnan(got)
+            else:
+                assert got == pytest.approx(pinned, rel=1e-12, abs=0)
+    assert len(cases) == 48
+
 
 class TestReport:
     def test_full_report_is_jsonable(self):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peelkit import _native, hfun
-from peelkit.errors import UnsupportedOrderError
+from peelkit.errors import RangeError, UnsupportedOrderError
 from peelkit.hfun import HCache, h_asymptote, h_batch, h_eval, shared_cache
 
 from series_oracle import h_oracle
@@ -129,6 +129,35 @@ class TestRecurrences:
                         assert abs(f - float(e)) <= 1e-12 * abs(float(e)) + 1e-15
 
 
+class TestDerivative:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(-2, 5), Fraction(0),
+                                   Fraction(99, 100)])
+    def test_matches_exact_central_differences(self, r, k):
+        # h(k, l) is a polynomial of degree l - k in r, so the central
+        # difference of exact tables at r +- d is off by O(d^2) only
+        d = Fraction(1, 10**12)
+        up, down = HCache(r + d), HCache(r - d)
+        dtab = HCache(float(r), mode="float").dtable(k, k + 60)
+        for l in range(k, k + 61):
+            e = float((up.value(k, l) - down.value(k, l)) / (2 * d))
+            assert abs(dtab[l - k] - e) <= 1e-12 * abs(e) + 1e-15, (l, dtab[l - k], e)
+
+    def test_float_mode_only(self):
+        with pytest.raises(ValueError):
+            HCache(Fraction(1, 2)).dtable(0, 10)
+        with pytest.raises(UnsupportedOrderError):
+            HCache(0.5, mode="float").dtable(5, 10)
+
+    def test_frozen_range(self):
+        c = HCache(0.5, mode="float")
+        dtab = c.dtable(1, 30)
+        c.freeze()
+        assert c.dtable(1, 30) is dtab
+        with pytest.raises(RangeError):
+            c.dtable(1, 10 * len(dtab))
+
+
 def reference_float_table(r, k, size):
     """Plain loop over the three-term recurrence of the order-k table."""
     out = [1.0, (1.0 - r) * 0.5 + k]
@@ -138,8 +167,24 @@ def reference_float_table(r, k, size):
     return out
 
 
+def reference_derivative_table(r, k, size):
+    """Plain loop over the r-derivative of the order-k recurrence."""
+    h = reference_float_table(r, k, size)
+    out = [0.0, -0.5]
+    for j in range(1, size - 1):
+        nxt = (((1.0 - r) * (j + 0.5) + k) * out[j] + r * (j + k) * out[j - 1]
+               - (j + 0.5) * h[j] + (j + k) * h[j - 1])
+        out.append(nxt / (j + 1))
+    return out
+
+
 def same_bits(tab, r, k):
     return tab.tobytes() == np.array(reference_float_table(r, k, len(tab))).tobytes()
+
+
+def same_derivative_bits(tab, r, k):
+    return tab.tobytes() == np.array(
+        reference_derivative_table(r, k, len(tab))).tobytes()
 
 
 def recurrence(which):
@@ -170,6 +215,27 @@ class TestFloatRecurrence:
                 tab = c.table(k, l_max)
                 assert len(tab) > l_max - k
                 assert tab.tolist() == reference_float_table(r, k, len(tab))
+                dtab = c.dtable(k, l_max)
+                assert len(dtab) > l_max - k
+                assert dtab.tolist() == reference_derivative_table(r, k, len(dtab))
+
+    @pytest.mark.parametrize("which", ["loaded", "python"])
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(r=_float_ratios, k=st.integers(-4, 4), cuts=_cuts, h_first=st.booleans())
+    def test_resumed_derivative_growth_bit_identical(self, which, r, k, cuts,
+                                                     h_first):
+        # the derivative table grows by resuming from its last two entries,
+        # whether its h table was grown ahead of it or along with it; the h
+        # table stays the one the h loop alone builds
+        c = HCache(r, mode="float")
+        with recurrence(which):
+            for n in cuts:
+                if h_first:
+                    c.table(k, k + 2 * n)
+                dtab = c.dtable(k, k + n)
+                assert len(dtab) > n
+                assert same_derivative_bits(dtab, r, k)
+                assert same_bits(c.table(k, k + n), r, k)
 
     @pytest.mark.parametrize("which", ["loaded", "python"])
     @settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -206,6 +272,7 @@ class TestFloatRecurrence:
                 c = HCache(r, mode="float")
                 for l_max in (10, 5_000, 9_500):
                     assert same_bits(c.table(k, l_max), r, k)
+                    assert same_derivative_bits(c.dtable(k, l_max), r, k)
         shared = shared_cache(0.4142)
         assert shared is shared_cache(0.4142)
         assert same_bits(shared.table(1, 6_000), 0.4142, 1)
@@ -241,13 +308,19 @@ class TestFloatRecurrence:
         assert same_bits(HCache(0.37, mode="float").table(-2, 5_000), 0.37, -2)
 
     @pytest.mark.parametrize("name", ["cdf_draw", "band_jumps", "fill_rows",
-                                      "lockstep"])
-    def test_draw_mismatch_keeps_every_reference(self, name, monkeypatch):
+                                      "lockstep", "h_derivative"])
+    def test_draw_mismatch_keeps_every_reference(self, name, monkeypatch,
+                                                  request):
         # a library whose loop differs from its reference in one value is
         # not used at all: the Python recurrence and the numpy draws run,
         # and the chains draw what the compiled library drew
+        if request.config.getoption("--reference-loops"):
+            pytest.skip("compares with the compiled library's draws, which "
+                        "this session does not use")
         refusal = {"fill_rows": "compiled row fill differs from the numpy fill",
-                   "lockstep": "compiled lockstep differs from the Python loop"
+                   "lockstep": "compiled lockstep differs from the Python loop",
+                   "h_derivative": "compiled h derivative differs from the "
+                                   "Python loop",
                    }.get(name, "compiled draws differ from the numpy draws")
         from peelkit.peeling import _slot, simulate_ensemble
 
@@ -268,6 +341,10 @@ class TestFloatRecurrence:
             elif name == "fill_rows":   # the first entry filled, one ulp up
                 first = ctypes.c_double.from_address(args[-1])
                 first.value = math.nextafter(first.value, math.inf)
+            elif name == "h_derivative":    # the last entry, one ulp up
+                size = args[3]
+                last = ctypes.c_double.from_address(args[0] + 8 * (size - 1))
+                last.value = math.nextafter(last.value, math.inf)
             else:                       # the last value drawn, plus one
                 m, out = args[3:]
                 (ctypes.c_longlong * m).from_address(out)[m - 1] += 1
@@ -297,6 +374,8 @@ class TestFloatRecurrence:
         assert status[1].startswith(refusal)
         assert _native.library()[0] is None
         assert same_bits(HCache(0.37, mode="float").table(2, 5_000), 0.37, 2)
+        assert same_derivative_bits(HCache(0.37, mode="float").dtable(2, 5_000),
+                                    0.37, 2)
         assert run() == before
 
     def test_self_check_that_raises_refuses(self, monkeypatch):

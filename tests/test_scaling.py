@@ -166,6 +166,17 @@ class TestSlope:
         if name == "odd_angulation":
             assert abs(rep.c_minus_estimate) <= 0.01
 
+    @pytest.mark.parametrize("name,params", [
+        ("odd_angulation", {"p": 1}),
+        ("odd_angulation", {"p": 3}),
+        ("geometric", {"H": 3.0}),
+    ])
+    def test_near_fold_accuracy(self, name, params):
+        # the solves at g = 1 - 10^(-j) sit near the fold, where the
+        # root is this accurate only when Newton's Jacobian is
+        rep = cplus_slope_test(preset(name, **params).weights)
+        assert rep.rel_error <= 6e-9
+
     @pytest.mark.parametrize("j_range", [
         (), [], (2, 2, 3), (3, 2), (0, 2), (-1, 2), (2.0, 3), (True, 2),
     ])
