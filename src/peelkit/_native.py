@@ -1,6 +1,6 @@
 """The package's compiled loops: one C source, one cached shared library.
 
-The library holds six loops, each a copy of a numpy or Python loop that
+The library holds seven loops, each a copy of a numpy or Python loop that
 stays in the package as the fallback and the test reference:
 
 * ``h_recurrence``, the float h recurrence of `hfun._recurrence_py`;
@@ -10,6 +10,10 @@ stays in the package as the fallback and the test reference:
 * ``fill_rows``, the stacked rows of `peeling._ChainEngine._fill_numpy`;
 * ``lockstep``, the chains' single steps of `peeling._lockstep_numpy`
   with their volumes and checkpoints, run until a table is missing;
+* ``block_rounds``, the infinite-map block rounds of
+  `peeling._block_rounds_numpy` from lockstep's handoff to the run's end:
+  the single steps (sharing lockstep's code), the tilts, the tilted and
+  deep draws, the keep test, the volumes and the checkpoints;
 
 and ``fixed_double``/``fixed_uint64``, the bit generator of `FixedStream`,
 which feeds the self-check fixed uniforms, and ``gamma_fill``.
@@ -22,20 +26,25 @@ bit-identical either way.  The volumes' Gamma(3/2, scale 2) draws are
 numpy's own ``random_gamma``, statically linked from the
 ``numpy/random/lib/libnpyrandom.a`` numpy ships: the code
 ``Generator.gamma`` runs, as long as the library was linked against this
-numpy, which the cached file's name ensures (`_library_path`).
+numpy, which the cached file's name ensures (`_library_path`).  The one
+function whose value may differ is exp: numpy's SIMD exp and libm's
+disagree in the last bit for some arguments, so ``block_rounds`` decides
+with libm's only where the uniform is not within 1e-12 of the
+probability, and otherwise returns for numpy's value (LS_EXP).
 
 The source is compiled once per machine and numpy with `_C_FLAGS` (no
 contraction into fused multiply-adds, no reassociation, the platform's
 baseline instruction set), cached in the user's private cache directory
 (`_cache_dir`) under a name that hashes the source, flags, platform, numpy's
 version and its static library's path, size and mtime, and loaded with
-ctypes; a compile removes the user's other compiled libraries there
-(`_prune`).  On loading, the compiled loops are compared with their
-references on small fixed inputs (`_self_check`): the h recurrence and its
-r-derivative, then the draws, then the row fill and the lockstep loop on a
-synthetic law.  The gamma is not compared with numpy's there (that would
-import numpy.random into every process): it runs on the stand-in bit
-generator for both sides of the lockstep check, and a test pins it to
+ctypes; a compile removes the user's older compiled libraries there but
+the KEEP_LIBRARIES newest (`_prune`).  On loading, the compiled loops are
+compared with their references on small fixed inputs (`_self_check`): the
+h recurrence and its r-derivative, then the draws, then the row fill, the
+lockstep loop and the block rounds on synthetic laws.  The gamma is not
+compared with numpy's there (that would import numpy.random into every
+process): it runs on the stand-in bit generator for both sides of the
+lockstep and block checks, and a test pins it to
 ``Generator.gamma(1.5, 2.0)``.  Without numpy's static library, a
 compiler, a private cache directory, a successful compile and load or an
 exact match, every caller runs its reference loop instead; `library()`
@@ -306,7 +315,8 @@ void fill_rows(const double *hz, const double *p, const long long *idx,
     }
 }
 
-enum { LS_DONE, LS_BLOCKS, LS_ROWS, LS_BANDS, LS_MEAN };
+enum { LS_DONE, LS_BLOCKS, LS_ROWS, LS_BANDS, LS_MEAN, LS_HTAB, LS_WORK,
+       LS_EXP };
 enum { VOL_MEANS, VOL_LIMIT, VOL_EXACT };
 
 typedef struct {
@@ -325,135 +335,232 @@ typedef struct {
     long long step, cp, phase, n_prune;
     long long band_proposals, band_accepts, residual_draws, heavy_means;
     long long need;
+    /* block rounds: B(l) and its tilt's index for perimeters 0..n_blocks-1,
+       the rows of nu_theta, the grid, h1[j] = h(1, 1 + j) for j < n_h1 and
+       nu's cumulative sum cs (n_cs entries, n_deep of them at or below
+       -l_small) */
+    const long long *blocks;
+    const int16_t *block_tilt;
+    long long n_blocks;
+    const cdf_t *tilt_rows;
+    const double *thetas, *log_phi, *log_K, *h1, *cs;
+    long long n_h1, n_cs, k_neg, n_deep, block_draws;
+    /* per chain: steps taken and the next checkpoint; the unfinished
+       chains, those of a round that step once and those that propose a
+       block; per block its length, tilt, end perimeter and keep flag */
+    long long *da, *cur, *act, *one, *blk, *bB, *bj, *blB, *bkeep;
+    long long *ks;             /* a round's steps, ks_cap entries */
+    long long ks_cap, n_act, n_one, n_blk, n_ks;
+    long long bphase, bi, node, prev, head, has_u;
+    double u, exp_x, exp_val;
+    long long exp_ready, block_proposals, block_accepts;
 } lockstep_t;
+
+/* The shared single-step code below is always inlined, so lockstep's
+   copy, over every chain (idx NULL), keeps no branch on idx. */
+#define INLINE static inline __attribute__((always_inline))
+
+/* Over the chains idx[0..m) (chains 0..m-1 without idx): the largest
+   perimeter into sc[0], how many are live (all but an absorbing run's
+   chains at 0) into sc[1], and the largest live perimeters below l_small
+   and at or above it into sc[2] and sc[3] (-1 for none); -1 for a
+   negative perimeter, else 0. */
+INLINE int step_scan(const lockstep_t *s, const long long *idx, long long m,
+                     long long sc[4])
+{
+    sc[0] = sc[1] = 0;
+    sc[2] = sc[3] = -1;
+    for (long long j = 0; j < m; j++) {
+        long long l = s->ls[idx ? idx[j] : j];
+        if (l < 0)
+            return -1;
+        if (l > sc[0])
+            sc[0] = l;
+        if (s->absorbing && l == 0)
+            continue;
+        sc[1]++;
+        if (l < s->l_small) {
+            if (l > sc[2])
+                sc[2] = l;
+        } else if (l > sc[3]) {
+            sc[3] = l;
+        }
+    }
+    return 0;
+}
+
+/* 0 when the rows and bands the scanned single steps read are built, else
+   LS_ROWS or LS_BANDS with the perimeter in need */
+INLINE long long step_tables(lockstep_t *s, const long long sc[4])
+{
+    s->need = sc[2];
+    if (sc[2] >= s->rows->n)
+        return LS_ROWS;
+    s->need = sc[3];
+    if (sc[3] >= s->bands->n)
+        return LS_BANDS;
+    return 0;
+}
+
+/* One jump per chain c = idx[j] into jumps[c], as _ChainEngine.draw: the
+   row draws below l_small in chain order, then the band rounds of the
+   rest; 0 for a chain at 0 of an absorbing run.  -1 for a read outside a
+   table. */
+INLINE long long step_draws(bitgen_t *bg, lockstep_t *s, const long long *idx,
+                            long long m)
+{
+    long long k = 0;
+    for (long long j = 0; j < m; j++) {
+        long long c = idx ? idx[j] : j, l = s->ls[c];
+        if (s->absorbing && l == 0) {
+            s->jumps[c] = 0;
+        } else if (l < s->l_small) {
+            if (cdf_one(bg, s->rows, l, &s->jumps[c]))
+                return -1;
+        } else {
+            s->at[k] = c;
+            s->lb[k++] = l;
+        }
+    }
+    long long proposals = band_rounds(bg, s->bands, s->lb, k, s->kb, s->todo,
+                                      s->env);
+    if (proposals < 0)
+        return -1;
+    s->band_proposals += proposals;
+    s->band_accepts += k;
+    for (long long j = 0; j < k; j++)
+        s->jumps[s->at[j]] = s->kb[j];
+    return 0;
+}
+
+/* The exact volume row's draw for a hole of degree lp (VOL_EXACT) */
+INLINE int hole_row(bitgen_t *bg, const lockstep_t *s, long long lp,
+                    long long *val)
+{
+    return cdf_one(bg, s->volumes, lp < s->l_exact ? lp : s->l_exact, val);
+}
+
+/* The pruning jumps of the chains idx[j] into at[0..n_prune), in chain
+   order, with their exact rows' draws in vals (VOL_EXACT) */
+INLINE long long step_prunes(bitgen_t *bg, lockstep_t *s, const long long *idx,
+                             long long m)
+{
+    long long k = 0;
+    for (long long j = 0; j < m; j++) {
+        long long c = idx ? idx[j] : j;
+        if (s->jumps[c] <= -2)
+            s->at[k++] = c;
+    }
+    s->n_prune = k;
+    if (s->rule == VOL_EXACT)
+        for (long long j = 0; j < k; j++)
+            if (hole_row(bg, s, -2 - s->jumps[s->at[j]], &s->vals[j]))
+                return -1;
+    return 0;
+}
+
+/* 0 when the volume of a hole of degree lp, val its exact row's draw,
+   reads no mean or a known one; else LS_MEAN with lp, -1 past the means */
+INLINE long long mean_known(lockstep_t *s, long long lp, long long val)
+{
+    long long rule = s->rule;
+    if (!(rule == VOL_MEANS || (s->heavy && (rule == VOL_LIMIT || val < 0
+                                             || lp > s->l_exact))))
+        return 0;
+    if (lp >= s->n_means)
+        return -1;
+    s->need = lp;
+    return s->means[lp] ? 0 : LS_MEAN;
+}
+
+/* The volume of a hole of degree lp, val its exact row's draw: the mean
+   (VOL_MEANS), or the exact row's value and, for a residual or
+   lp > l_exact, the limit law (VOL_EXACT), or the limit law (VOL_LIMIT):
+   xi = 1 / Gamma(3/2, scale 2), V = rint(xi B lp^2) at least the floor, or
+   the mean for a heavy law.  Every mean it reads is known. */
+INLINE long long hole_volume(bitgen_t *bg, lockstep_t *s, long long lp,
+                             long long val)
+{
+    long long rule = s->rule, v = 0, floor = 1;
+    if (rule == VOL_MEANS)
+        return s->means[lp];
+    int drawn = rule == VOL_LIMIT;
+    if (rule == VOL_EXACT) {
+        v = val;
+        if (v < 0) {
+            floor = -v;
+            s->residual_draws++;
+        }
+        drawn = v < 0 || lp > s->l_exact;
+    }
+    if (drawn) {
+        if (s->heavy) {
+            v = s->means[lp];
+            s->heavy_means = 1;
+        } else {
+            double xi = 1.0 / random_gamma(bg, 1.5, 2.0);
+            v = (long long)rint(xi * s->b_nu * (double)(lp * lp));
+        }
+        if (v < floor)
+            v = floor;
+    }
+    return v;
+}
+
+/* The volumes of the pruning jumps at[0..n_prune) added to the chains',
+   once every mean they read is known (else LS_MEAN, nothing drawn) */
+INLINE long long step_volumes(bitgen_t *bg, lockstep_t *s)
+{
+    long long k = s->n_prune;
+    for (long long j = 0; j < k; j++) {
+        long long st = mean_known(s, -2 - s->jumps[s->at[j]],
+                                  s->rule == VOL_EXACT ? s->vals[j] : 0);
+        if (st)
+            return st;
+    }
+    for (long long j = 0; j < k; j++)
+        s->vs[s->at[j]] += hole_volume(bg, s, -2 - s->jumps[s->at[j]],
+                                       s->rule == VOL_EXACT ? s->vals[j] : 0);
+    return 0;
+}
 
 /* The chains' steps while every one has B(l) = 1, as peeling._lockstep_numpy:
    per step the row draws of the live chains below l_small in chain order,
    the band rounds of those at or above it, then per pruning jump (in
-   chain order) its volume: the mean (VOL_MEANS), or the exact row and,
-   for a residual or l' > l_exact, the limit law (VOL_EXACT), or the limit
-   law (VOL_LIMIT): xi = 1 / Gamma(3/2, scale 2), V = rint(xi B l'^2) at
-   least the floor, or the mean for a heavy law.  A step draws nothing
-   before it has every table it reads: it returns LS_ROWS, LS_BANDS or
-   LS_MEAN with the perimeter or l' in need, to resume at the same phase
-   once that is tabulated, or LS_BLOCKS with the largest perimeter when
-   that is at block_from.  LS_DONE after n_steps, or when every chain of
-   an absorbing run is at 0; -1 for a read outside a table. */
+   chain order) its volume (hole_volume).  A step draws nothing before it
+   has every table it reads: it returns LS_ROWS, LS_BANDS or LS_MEAN with
+   the perimeter or l' in need, to resume at the same phase once that is
+   tabulated, or LS_BLOCKS with the largest perimeter when that is at
+   block_from.  LS_DONE after n_steps, or when every chain of an absorbing
+   run is at 0; -1 for a read outside a table. */
 long long lockstep(bitgen_t *bg, lockstep_t *s)
 {
     long long n = s->n;
     while (s->step < s->n_steps) {
         if (s->phase == 0) {
-            long long hi = 0, hi_small = -1, hi_band = -1, live = 0;
-            for (long long c = 0; c < n; c++) {
-                long long l = s->ls[c];
-                if (l < 0)
-                    return -1;
-                if (l > hi)
-                    hi = l;
-                if (s->absorbing && l == 0)
-                    continue;
-                live++;
-                if (l < s->l_small) {
-                    if (l > hi_small)
-                        hi_small = l;
-                } else if (l > hi_band) {
-                    hi_band = l;
-                }
-            }
-            s->need = hi;
-            if (hi >= s->block_from)
-                return LS_BLOCKS;
-            if (!live)
-                return LS_DONE;
-            s->need = hi_small;
-            if (hi_small >= s->rows->n)
-                return LS_ROWS;
-            s->need = hi_band;
-            if (hi_band >= s->bands->n)
-                return LS_BANDS;
-            long long m = 0;
-            for (long long c = 0; c < n; c++) {
-                long long l = s->ls[c];
-                if (s->absorbing && l == 0) {
-                    s->jumps[c] = 0;
-                } else if (l < s->l_small) {
-                    if (cdf_one(bg, s->rows, l, &s->jumps[c]))
-                        return -1;
-                } else {
-                    s->at[m] = c;
-                    s->lb[m++] = l;
-                }
-            }
-            long long proposals = band_rounds(bg, s->bands, s->lb, m, s->kb,
-                                              s->todo, s->env);
-            if (proposals < 0)
+            long long sc[4];
+            if (step_scan(s, NULL, n, sc))
                 return -1;
-            s->band_proposals += proposals;
-            s->band_accepts += m;
-            for (long long j = 0; j < m; j++)
-                s->jumps[s->at[j]] = s->kb[j];
+            s->need = sc[0];
+            if (sc[0] >= s->block_from)
+                return LS_BLOCKS;
+            if (!sc[1])
+                return LS_DONE;
+            long long st = step_tables(s, sc);
+            if (st)
+                return st;
+            if (step_draws(bg, s, NULL, n))
+                return -1;
             s->phase = 1;
         }
         if (s->phase == 1) {
-            long long k = 0;
-            for (long long c = 0; c < n; c++)
-                if (s->jumps[c] <= -2)
-                    s->at[k++] = c;
-            s->n_prune = k;
-            if (s->rule == VOL_EXACT)
-                for (long long j = 0; j < k; j++) {
-                    long long lp = -2 - s->jumps[s->at[j]];
-                    long long row = lp < s->l_exact ? lp : s->l_exact;
-                    if (cdf_one(bg, s->volumes, row, &s->vals[j]))
-                        return -1;
-                }
+            if (step_prunes(bg, s, NULL, n))
+                return -1;
             s->phase = 2;
         }
-        /* phase 2: every mean it reads is known before it draws */
-        long long k = s->n_prune, rule = s->rule;
-        for (long long j = 0; j < k; j++) {
-            long long lp = -2 - s->jumps[s->at[j]];
-            if (rule == VOL_MEANS || (s->heavy && (rule == VOL_LIMIT
-                    || s->vals[j] < 0 || lp > s->l_exact))) {
-                if (lp >= s->n_means)
-                    return -1;
-                s->need = lp;
-                if (!s->means[lp])
-                    return LS_MEAN;
-            }
-        }
-        long long limit = 0;
-        for (long long j = 0; j < k; j++) {
-            long long lp = -2 - s->jumps[s->at[j]], v = 0, floor = 1;
-            if (rule == VOL_MEANS) {
-                v = s->means[lp];
-            } else {
-                int drawn = rule == VOL_LIMIT;
-                if (rule == VOL_EXACT) {
-                    v = s->vals[j];
-                    if (v < 0) {
-                        floor = -v;
-                        s->residual_draws++;
-                    }
-                    drawn = v < 0 || lp > s->l_exact;
-                }
-                if (drawn) {
-                    limit++;
-                    if (s->heavy) {
-                        v = s->means[lp];
-                    } else {
-                        double xi = 1.0 / random_gamma(bg, 1.5, 2.0);
-                        v = (long long)rint(xi * s->b_nu * (double)(lp * lp));
-                    }
-                    if (v < floor)
-                        v = floor;
-                }
-            }
-            s->vs[s->at[j]] += v;
-        }
-        if (s->heavy && limit)
-            s->heavy_means = 1;
+        long long st = step_volumes(bg, s);
+        if (st)
+            return st;
         for (long long c = 0; c < n; c++)
             s->ls[c] += s->jumps[c];
         s->step++;
@@ -466,8 +573,407 @@ long long lockstep(bitgen_t *bg, lockstep_t *s)
     }
     return LS_DONE;
 }
+
+/* block_rounds' phases within a round */
+enum { BR_START, BR_DRAW, BR_PRUNE, BR_ONE, BR_TILT, BR_LINK, BR_DEEP_U,
+       BR_DEEP_KEEP, BR_SUMS, BR_KEEP, BR_ROWS, BR_MEANS, BR_VOLUMES, BR_END };
+
+/* _block_tilts: from B(l)'s tilt, up the grid while
+   B log phi(theta) + theta l + log K_theta falls, for a block cut short */
+static long long walk_tilt(const lockstep_t *s, long long l, long long B)
+{
+    long long j = s->block_tilt[l];
+    if (B < s->blocks[l] && j > 0) {
+        double now = (double)B * s->log_phi[j] + s->thetas[j] * (double)l
+                     + s->log_K[j];
+        while (j > 0) {
+            double up = (double)B * s->log_phi[j - 1]
+                        + s->thetas[j - 1] * (double)l + s->log_K[j - 1];
+            if (!(up < now))
+                break;
+            j--;
+            now = up;
+        }
+    }
+    return j;
+}
+
+/* numpy's exp and libm's may differ in the last bits: a uniform this
+   close to e^x (relatively) is compared with numpy's value (LS_EXP) */
+#define EXP_TIE 1e-12
+
+/* The next uniform of a comparison, or the one drawn before an LS_EXP */
+static double take_u(bitgen_t *bg, lockstep_t *s)
+{
+    if (s->has_u) {
+        s->has_u = 0;
+        return s->u;
+    }
+    return bg->next_double(bg->state);
+}
+
+/* u < f e^x, f >= 0: 0 or 1, or LS_EXP (u kept) to be called again with
+   numpy's e^x in exp_val.  u = 0 always asks: there f e^x may be 0 or
+   subnormal, where the two exps may differ by more than EXP_TIE. */
+static long long below(lockstep_t *s, double u, double f, double x)
+{
+    double e;
+    if (s->exp_ready) {
+        s->exp_ready = 0;
+        e = s->exp_val;
+    } else {
+        e = exp(x);
+        double odds = f * e;
+        if (u == 0.0 || fabs(u - odds) <= EXP_TIE * odds) {
+            s->u = u;
+            s->has_u = 1;
+            s->exp_x = x;
+            return LS_EXP;
+        }
+    }
+    return u < f * e;
+}
+
+/* A pending deep entry of ks: the next one's position (n_ks at the end)
+   and its proposal's index i into cs, below every jump and the marker
+   -(k_neg + 1) the tilted rows draw for k <= -l_small */
+static long long deep_node(const lockstep_t *s, long long next, long long i)
+{
+    return -(s->k_neg + 2) - (next * s->n_deep + i);
+}
+
+static long long deep_next(const lockstep_t *s, long long node)
+{
+    return (-(s->k_neg + 2) - node) / s->n_deep;
+}
+
+static long long deep_index(const lockstep_t *s, long long node)
+{
+    return (-(s->k_neg + 2) - node) % s->n_deep;
+}
+
+/* A kept block's step after its rows pass: -1 for a step that prunes
+   nothing, else the hole's degree lp and its exact row's draw val */
+#define VAL_OFF (1LL << 30)
+
+static long long hole_code(long long lp, long long val)
+{
+    if (lp >= (1LL << 32) || val <= -VAL_OFF || val >= VAL_OFF)
+        return -2;
+    return ((val + VAL_OFF) << 32) | lp;
+}
+
+/* The chains' steps from the handoff to n_steps in rounds, as
+   peeling._block_rounds_numpy: per round the chains with B(l) = 1 make one
+   step each (their draws, then their volumes, as lockstep), then every
+   other chain proposes one block of min(B(l), steps left) steps, cut to
+   a share of block_draws, from nu_theta at its tilt (walk_tilt): every
+   tilted uniform of the round, then the redraw passes of the entries at
+   k <= -l_small (each pass every proposal's uniform, then every keep
+   uniform), then one keep uniform per block (kept with probability
+   h(1, l_B) e^(-theta l_B - log K_theta) when the block stays at 1 or
+   above), then the exact rows of the kept blocks' holes and their
+   limit-law draws.  ks holds one entry per step of the round.  Returns
+   LS_BLOCKS, LS_ROWS, LS_BANDS, LS_HTAB, LS_MEAN with the perimeter, l or
+   l' in need, LS_WORK with the steps ks must hold, or LS_EXP with the
+   argument whose numpy exp a comparison needs, each before it draws what
+   that decides, to resume at the same phase; LS_DONE at n_steps, -1 for a
+   read outside a table. */
+long long block_rounds(bitgen_t *bg, lockstep_t *s)
+{
+    long long n = s->n;
+    for (;;) {
+        switch (s->bphase) {
+        case BR_START: {
+            if (!s->n_act)
+                return LS_DONE;
+            long long hi = 0;
+            for (long long j = 0; j < s->n_act; j++) {
+                long long l = s->ls[s->act[j]];
+                if (l < 0)
+                    return -1;
+                if (l > hi)
+                    hi = l;
+            }
+            s->need = hi;
+            if (hi >= s->n_blocks)
+                return LS_BLOCKS;
+            s->n_one = s->n_blk = 0;
+            for (long long j = 0; j < s->n_act; j++) {
+                long long c = s->act[j];
+                if (s->blocks[s->ls[c]] == 1)
+                    s->one[s->n_one++] = c;
+                else
+                    s->blk[s->n_blk++] = c;
+            }
+            s->bphase = BR_DRAW;
+            break;
+        }
+        case BR_DRAW: {
+            long long sc[4];
+            step_scan(s, s->one, s->n_one, sc);
+            long long st = step_tables(s, sc);
+            if (st)
+                return st;
+            if (step_draws(bg, s, s->one, s->n_one))
+                return -1;
+            s->bphase = BR_PRUNE;
+            break;
+        }
+        case BR_PRUNE:
+            if (step_prunes(bg, s, s->one, s->n_one))
+                return -1;
+            s->bphase = BR_ONE;
+            break;
+        case BR_ONE: {
+            long long st = step_volumes(bg, s);
+            if (st)
+                return st;
+            for (long long j = 0; j < s->n_one; j++) {
+                long long c = s->one[j];
+                s->ls[c] += s->jumps[c];
+                if (++s->da[c] == s->cps[s->cur[c]]) {
+                    s->per[s->cur[c] * n + c] = s->ls[c];
+                    s->vols[s->cur[c] * n + c] = s->vs[c];
+                    s->cur[c]++;
+                }
+            }
+            s->bphase = BR_TILT;
+            break;
+        }
+        case BR_TILT: {
+            long long m = s->n_blk, total = 0;
+            if (!m) {
+                s->bphase = BR_END;
+                break;
+            }
+            for (long long b = 0; b < m; b++) {
+                long long c = s->blk[b], B = s->blocks[s->ls[c]];
+                if (B > s->n_steps - s->da[c])
+                    B = s->n_steps - s->da[c];
+                s->bB[b] = B;
+                total += B;
+            }
+            if (total > s->block_draws) {
+                long long cap = s->block_draws / m;
+                if (cap < 1)
+                    cap = 1;
+                total = 0;
+                for (long long b = 0; b < m; b++) {
+                    if (s->bB[b] > cap)
+                        s->bB[b] = cap;
+                    total += s->bB[b];
+                }
+            }
+            for (long long b = 0; b < m; b++) {
+                s->bj[b] = walk_tilt(s, s->ls[s->blk[b]], s->bB[b]);
+                if (s->bj[b] >= s->tilt_rows->n)
+                    return -1;
+            }
+            s->need = total;
+            if (total > s->ks_cap)
+                return LS_WORK;
+            long long p = 0;
+            for (long long b = 0; b < m; b++)
+                for (long long q = 0; q < s->bB[b]; q++)
+                    if (cdf_one(bg, s->tilt_rows, s->bj[b], &s->ks[p++]))
+                        return -1;
+            s->n_ks = total;
+            s->bphase = BR_LINK;
+            break;
+        }
+        case BR_LINK: {
+            /* the entries drawn at the marker, linked in order */
+            long long mark = -(s->k_neg + 1);
+            s->head = s->n_ks;
+            for (long long p = s->n_ks - 1; p >= 0; p--) {
+                if (s->ks[p] < mark || (s->ks[p] == mark && s->n_deep < 1))
+                    return -1;
+                if (s->ks[p] == mark) {
+                    s->ks[p] = deep_node(s, s->head, 0);
+                    s->head = p;
+                }
+            }
+            s->bphase = s->head < s->n_ks ? BR_DEEP_U : BR_SUMS;
+            break;
+        }
+        case BR_DEEP_U:
+            /* a nu proposal on k <= -l_small per pending entry */
+            for (long long p = s->head; p < s->n_ks; ) {
+                long long next = deep_next(s, s->ks[p]);
+                double u = bg->next_double(bg->state) * s->cs[s->n_deep];
+                long long i = search_right(s->cs + 1, 0, s->n_cs - 1, u);
+                if (i > s->n_deep - 1)
+                    i = s->n_deep - 1;
+                s->ks[p] = deep_node(s, next, i);
+                p = next;
+            }
+            s->node = s->head;
+            s->prev = -1;
+            s->bphase = BR_DEEP_KEEP;
+            break;
+        case BR_DEEP_KEEP: {
+            /* each kept with probability e^(theta (k + l_small)) */
+            long long b = 0, end = s->bB[0];
+            while (s->node < s->n_ks) {
+                long long p = s->node, next = deep_next(s, s->ks[p]);
+                long long k = deep_index(s, s->ks[p]) - s->k_neg;
+                while (p >= end)
+                    end += s->bB[++b];
+                double u = take_u(bg, s);
+                double x = s->thetas[s->bj[b]] * (double)(k + s->l_small);
+                long long hit = 0;
+                if (!(x < -708.0)) {
+                    hit = below(s, u, 1.0, x);
+                    if (hit == LS_EXP)
+                        return LS_EXP;
+                }
+                if (hit) {
+                    s->ks[p] = k;
+                    if (s->prev < 0)
+                        s->head = next;
+                    else
+                        s->ks[s->prev] = deep_node(s, next,
+                                                   deep_index(s, s->ks[s->prev]));
+                } else {
+                    s->prev = p;
+                }
+                s->node = next;
+            }
+            s->bphase = s->head < s->n_ks ? BR_DEEP_U : BR_SUMS;
+            break;
+        }
+        case BR_SUMS: {
+            /* per block its end perimeter, and whether it stays at 1 or above */
+            long long p = 0, hi = 0;
+            for (long long b = 0; b < s->n_blk; b++) {
+                long long l = s->ls[s->blk[b]], sum = 0, low = 0;
+                for (long long q = 0; q < s->bB[b]; q++) {
+                    sum += s->ks[p++];
+                    if (q == 0 || sum < low)
+                        low = sum;
+                }
+                s->blB[b] = l + sum;
+                s->bkeep[b] = l + low >= 1;
+                if (s->bkeep[b] && l + sum > hi)
+                    hi = l + sum;
+            }
+            s->need = hi;
+            if (hi > s->n_h1)
+                return LS_HTAB;
+            s->bi = 0;
+            s->bphase = BR_KEEP;
+            break;
+        }
+        case BR_KEEP:
+            for (; s->bi < s->n_blk; s->bi++) {
+                long long b = s->bi, j = s->bj[b], lB = s->blB[b];
+                double u = take_u(bg, s);
+                if (s->bkeep[b]) {
+                    long long keep = below(s, u, s->h1[lB - 1],
+                                           -s->thetas[j] * (double)lB - s->log_K[j]);
+                    if (keep == LS_EXP)
+                        return LS_EXP;
+                    s->bkeep[b] = keep;
+                }
+            }
+            s->bphase = BR_ROWS;
+            break;
+        case BR_ROWS: {
+            /* the kept blocks' checkpoint perimeters, and per step its hole
+               (hole_code) with its exact row's draw */
+            long long p = 0, kept = 0;
+            for (long long b = 0; b < s->n_blk; b++) {
+                long long c = s->blk[b], B = s->bB[b];
+                if (!s->bkeep[b]) {
+                    p += B;
+                    continue;
+                }
+                kept++;
+                long long l = s->ls[c], step = s->da[c], cp = s->cur[c];
+                for (long long q = 0; q < B; q++, p++) {
+                    long long k = s->ks[p], val = 0;
+                    l += k;
+                    if (++step == s->cps[cp])
+                        s->per[cp++ * n + c] = l;
+                    if (k > -2) {
+                        s->ks[p] = -1;
+                        continue;
+                    }
+                    if (s->rule == VOL_EXACT && hole_row(bg, s, -2 - k, &val))
+                        return -1;
+                    s->ks[p] = hole_code(-2 - k, val);
+                    if (s->ks[p] == -2)
+                        return -1;
+                }
+            }
+            s->block_proposals += s->n_blk;
+            s->block_accepts += kept;
+            /* the numpy rounds ask a heavy law's limit law (its means) for
+               the holes of the kept blocks, and flag it, even when they
+               have none */
+            if (kept && s->heavy && s->rule == VOL_LIMIT)
+                s->heavy_means = 1;
+            s->bphase = BR_MEANS;
+            break;
+        }
+        case BR_MEANS: {
+            long long p = 0;
+            for (long long b = 0; b < s->n_blk; b++)
+                for (long long q = 0; q < s->bB[b]; q++, p++) {
+                    long long code = s->ks[p];
+                    if (!s->bkeep[b] || code < 0)
+                        continue;
+                    long long st = mean_known(s, code & 0xffffffffLL,
+                                              (code >> 32) - VAL_OFF);
+                    if (st)
+                        return st;
+                }
+            s->bphase = BR_VOLUMES;
+            break;
+        }
+        case BR_VOLUMES: {
+            /* the kept blocks' volumes in step order, their checkpoints and
+               their chains' new states */
+            long long p = 0;
+            for (long long b = 0; b < s->n_blk; b++) {
+                long long c = s->blk[b], B = s->bB[b];
+                if (!s->bkeep[b]) {
+                    p += B;
+                    continue;
+                }
+                long long v = s->vs[c], step = s->da[c], cp = s->cur[c];
+                for (long long q = 0; q < B; q++, p++) {
+                    long long code = s->ks[p];
+                    if (code >= 0)
+                        v += hole_volume(bg, s, code & 0xffffffffLL,
+                                         (code >> 32) - VAL_OFF);
+                    if (++step == s->cps[cp])
+                        s->vols[cp++ * n + c] = v;
+                }
+                s->ls[c] = s->blB[b];
+                s->vs[c] = v;
+                s->da[c] = step;
+                s->cur[c] = cp;
+            }
+            s->bphase = BR_END;
+            break;
+        }
+        default: {     /* BR_END: the unfinished chains, in order */
+            long long k = 0;
+            for (long long j = 0; j < s->n_act; j++)
+                if (s->da[s->act[j]] < s->n_steps)
+                    s->act[k++] = s->act[j];
+            s->n_act = k;
+            s->bphase = BR_START;
+        }
+        }
+    }
+}
 """
 _C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# compiled libraries a user's cache keeps (`_prune`)
+KEEP_LIBRARIES = 4
 
 _P = ctypes.c_void_p
 _LL = ctypes.c_longlong
@@ -490,8 +996,9 @@ class Bands(ctypes.Structure):
 
 
 class Lockstep(ctypes.Structure):
-    """lockstep_t: the tables, chains and work arrays of one lockstep run
-    (`peeling._lockstep_c`), by address, and where the run is."""
+    """lockstep_t: the tables, chains and work arrays of one run
+    (`peeling._c_run`), by address, and where the run is: in ``lockstep``
+    and then in ``block_rounds``."""
     _fields_ = [(name, _P) for name in ("rows", "bands", "volumes", "means")] + [
         (name, _LL) for name in ("n_means", "l_small", "block_from", "absorbing",
                                  "rule", "l_exact", "heavy")] + [
@@ -501,13 +1008,30 @@ class Lockstep(ctypes.Structure):
                                 "lb", "kb", "todo", "vals", "env")] + [
         (name, _LL) for name in ("step", "cp", "phase", "n_prune",
                                  "band_proposals", "band_accepts",
-                                 "residual_draws", "heavy_means", "need")]
+                                 "residual_draws", "heavy_means", "need")] + [
+        ("blocks", _P), ("block_tilt", _P), ("n_blocks", _LL)] + [
+        (name, _P) for name in ("tilt_rows", "thetas", "log_phi", "log_K", "h1",
+                                "cs")] + [
+        (name, _LL) for name in ("n_h1", "n_cs", "k_neg", "n_deep",
+                                 "block_draws")] + [
+        (name, _P) for name in ("da", "cur", "act", "one", "blk", "bB", "bj",
+                                "blB", "bkeep", "ks")] + [
+        (name, _LL) for name in ("ks_cap", "n_act", "n_one", "n_blk", "n_ks",
+                                 "bphase", "bi", "node", "prev", "head",
+                                 "has_u")] + [
+        (name, ctypes.c_double) for name in ("u", "exp_x", "exp_val")] + [
+        (name, _LL) for name in ("exp_ready", "block_proposals", "block_accepts")]
 
 
-# lockstep's results: done, blocks ahead, and the tables it lacks
-LS_DONE, LS_BLOCKS, LS_ROWS, LS_BANDS, LS_MEAN = range(5)
-# its volume rules
+# the results of lockstep and block_rounds: done, blocks ahead (or B(l)
+# missing), the tables they lack, work room and an exp to take from numpy
+LS_DONE, LS_BLOCKS, LS_ROWS, LS_BANDS, LS_MEAN, LS_HTAB, LS_WORK, LS_EXP = range(8)
+# their volume rules
 VOL_MEANS, VOL_LIMIT, VOL_EXACT = range(3)
+# the per-chain work arrays of lockstep (and of block_rounds' single
+# steps), and those block_rounds adds
+STEP_WORK = ("jumps", "at", "lb", "kb", "todo", "vals")
+BLOCK_WORK = ("da", "cur", "act", "one", "blk", "bB", "bj", "blB", "bkeep")
 
 
 class _Fixed(ctypes.Structure):
@@ -629,10 +1153,10 @@ def _private(path, directory):
     return stat.S_ISREG(st.st_mode) and not mode & 0o022
 
 
-def _compile(cc, path):
-    """Compile _C_SOURCE with cc into path, linked with numpy's static random
-    library: a temporary file in the same directory, renamed over path once
-    complete.  Returns None, or why the compile failed."""
+def _compile(cc, path, source=None):
+    """Compile source (_C_SOURCE) with cc into path, linked with numpy's
+    static random library: a temporary file in the same directory, renamed
+    over path once complete.  Returns None, or why the compile failed."""
     import subprocess
     import tempfile
 
@@ -641,7 +1165,8 @@ def _compile(cc, path):
     try:
         proc = subprocess.run([cc, *_C_FLAGS, "-x", "c", "-", "-x", "none",
                                _npyrandom(), "-lm", "-o", tmp],
-                              input=_C_SOURCE, text=True, capture_output=True,
+                              input=source or _C_SOURCE, text=True,
+                              capture_output=True,
                               timeout=120)
         if proc.returncode:
             return f"C compile failed: {proc.stderr.strip()[:200]}"
@@ -656,10 +1181,13 @@ def _compile(cc, path):
 
 
 def _prune(path):
-    """Remove this user's other compiled libraries from path's directory:
-    the other native-*.so files and the hrec-*.so of earlier versions.
-    Symbolic links and other users' files stay."""
+    """Remove this user's older compiled libraries from path's directory:
+    every hrec-*.so of earlier versions, and the native-*.so files but the
+    KEEP_LIBRARIES newest by mtime, path among them, so that checkouts of
+    other sources sharing the cache do not compile by turns.  Symbolic
+    links and other users' files stay."""
     cache, keep = os.path.split(path)
+    natives = []
     for name in os.listdir(cache):
         if name == keep or not (name.endswith(".so")
                                 and name.startswith(("native-", "hrec-"))):
@@ -668,7 +1196,13 @@ def _prune(path):
         with contextlib.suppress(OSError):
             st = os.lstat(old)
             if stat.S_ISREG(st.st_mode) and st.st_uid == os.getuid():
-                os.unlink(old)
+                if name.startswith("native-"):
+                    natives.append((st.st_mtime_ns, old))
+                else:
+                    os.unlink(old)
+    for _, old in sorted(natives, reverse=True)[KEEP_LIBRARIES - 1:]:
+        with contextlib.suppress(OSError):
+            os.unlink(old)
 
 
 def _open(path):
@@ -690,8 +1224,9 @@ def _open(path):
     lib.band_jumps.restype = _LL
     lib.fill_rows.argtypes = [_P, _P, _P, _LL, _LL, _LL, _P]
     lib.fill_rows.restype = None
-    lib.lockstep.argtypes = [_P, ctypes.POINTER(Lockstep)]
-    lib.lockstep.restype = _LL
+    for fn in (lib.lockstep, lib.block_rounds):
+        fn.argtypes = [_P, ctypes.POINTER(Lockstep)]
+        fn.restype = _LL
     return lib
 
 
@@ -700,8 +1235,9 @@ def _self_check(lib):
     on small fixed inputs, else which one differs.  The compiler is not
     ours, so no draw and no table may depend on what it made of the
     source.  The draws and the row fill are checked first; the lockstep
-    loop is then checked against the Python loop, which runs on them, as
-    library() answers lib in this thread while the check runs."""
+    loop and the block rounds are then checked against the Python and
+    numpy loops, which run on them, as library() answers lib in this thread
+    while the check runs."""
     from . import hfun, peeling   # the references; imported by now
 
     for r, k in ((0.37, -3), (-0.999999, 4), (1.0, 1)):
@@ -726,7 +1262,7 @@ def _self_check(lib):
         return "compiled draws differ from the numpy draws"
     _checking.lib = lib
     try:
-        return peeling._same_lockstep(lib)
+        return peeling._same_lockstep(lib) or peeling._same_blocks(lib)
     finally:
         _checking.lib = None
 

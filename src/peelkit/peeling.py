@@ -62,11 +62,17 @@ row draws below L_SMALL, the band rounds above it, the pruning volumes in
 every volume mode (numpy's own gamma code for xi) and the checkpoint rows
 of step after step, and returns only for a table it lacks (a row, a band,
 B(l) or a mean volume not yet computed), which Python grows before the
-call resumes at the same point of the same step.  The library also fills
-the stacked rows and makes the draws of the block rounds.  Every compiled
-loop reads the Generator's own bit generator in the order the numpy code
-reads it; where the library does not load, the numpy and Python loops
-(`_lockstep_numpy` and the draws' and fill's numpy halves) run and draw
+call resumes at the same point of the same step.  The block rounds that
+follow run in a second compiled loop on the same state: per round the
+single steps of the chains with B(l) = 1 (the lockstep loop's code), the
+tilts, the tilted draws and their deep redraws, the keep test, the volumes
+of the kept blocks and their checkpoints; it also returns for B(l) with
+its tilt rows, h(1, .) past its table or room for the round's steps, and
+for numpy's exp where a uniform lies within 1e-12 of a keep probability.
+The library also fills the stacked rows.  Every compiled loop reads the
+Generator's own bit generator in the order the numpy code reads it; where
+the library does not load, the numpy and Python loops (`_lockstep_numpy`,
+`_block_rounds_numpy` and the draws' and fill's numpy halves) run and draw
 the same values.
 """
 
@@ -330,6 +336,77 @@ def _same_lockstep(lib):
     return None
 
 
+def _same_blocks(lib):
+    """None when the compiled block rounds of lib give exactly the numpy
+    rounds on a small synthetic law, else a refusal (the library's
+    self-check, after the lockstep loop).  The law reaches k = -1030, so
+    tilted draws at its last entry are redrawn.  Twelve chains, below and
+    above L_SMALL, with B(l) = 1 only for even l above it, take every
+    checkpoint of two steps, with exact volume rows, residuals and the
+    limit law; blocks cut short walk their tilt.  The first round draws one
+    single step, +2 from its first proposal, and no deep entry, and the
+    uniform after its tilted draws lies on block 0's keep odds as numpy
+    computes them, so the compiled loop must ask for numpy's exp (LS_EXP)
+    to keep the same blocks."""
+    k_neg, n, steps, top = 1030, 12, 2, 1600
+    probs = np.zeros(k_neg + 3)
+    probs[-11:] = np.array([0.04] * 8 + [0.3, 0.1, 0.28]) * 0.97
+    probs[[0, 3, 6]] = 0.01
+    h1 = np.sqrt(np.arange(1.0, top))
+    law = types.SimpleNamespace(k_neg=k_neg, k_pos=2, B_nu=0.75, hcache=lambda: (
+        types.SimpleNamespace(table=lambda o, m: h1)))
+    # the engine's tables by hand: no single step is below L_SMALL, so no
+    # row is drawn
+    engine = _ChainEngine.__new__(_ChainEngine)
+    engine.law, engine.order, engine.block_from, engine.h_len = law, 1, 0, top
+    engine.cs = np.concatenate([[0.0], np.cumsum(probs)])
+    engine.rows = _StackedCdf(L_SMALL, np.arange(-8, 3))
+    engine.hz = np.concatenate([np.zeros(k_neg + 1), h1])
+    engine.bands = _Bands(engine.cs, engine.hz, k_neg, 2)
+    # B(l) = 1 only for even l >= L_SMALL; a tilt somewhat below the best
+    # for a block cut short, K_theta over the table and phi's log as theta^2
+    ls = np.arange(top)
+    engine.blocks = np.where(ls < L_SMALL, 2 + ls % 4, 1 + 2 * (ls % 2))
+    engine.block_tilt = (np.rint(2 * np.log2(np.maximum(ls, 1))) + 4).astype(np.int16)
+    th = BLOCK_THETAS[:engine.block_tilt.max() + 1]
+    peak = np.minimum(0.5 / th, top)
+    engine.log_phi, engine.log_K = th**2, 0.5 * np.log(peak) - th * peak
+    # neighbouring tilts' rows differ, and the deep entry keeps 3% or less
+    engine.tilt_rows = _StackedCdf(len(th), np.append(np.arange(-8, 3), -k_neg - 1))
+    mult = 1 + np.add.outer(np.arange(len(th)), np.arange(12)) % 3
+    mult[:, -1] = 1
+    engine.tilt_rows.append(np.append(probs[-11:], 0.03) * mult)
+    volumes = _StackedCdf(4, np.array([[1, 1, 1], [2, 5, -6], [3, -4, 1], [4, 7, -9]]))
+    volumes.append(np.array([[1.0, 0, 0], [0.5, 0.3, 0.2], [0.6, 0.4, 0], [0.2, 0.3, 0.5]]))
+    start = np.array([40, 5, 30, 700, 1001, 1013, 1101, 1302, 1231, 1301, 1303, 1501])
+    # the first round's single step takes two uniforms, its tilted draws
+    # come from uniforms below the deep entry, and block 0 has B(40) = 2
+    # steps and its own tilt; later rounds draw the deep entry at 0.99
+    T = 2 + np.minimum(engine.blocks[start], steps).sum() - 1
+    us = np.arange(1, 98) * 0.6180339887498949 % 1.0
+    us[:T] %= 0.95
+    us[:2] = 0.93, 0.0
+    us[T + 20::11] = 0.99
+    j = engine.block_tilt[40]
+    lB = 40 + int(engine.tilt_rows.at(j + us[2:4] * _StackedCdf.U_MAX).sum())
+    us[T] = h1[lB - 1] * np.exp(np.array([-th[j] * lB - engine.log_K[j]]))[0]
+    runs = []
+    for rounds in (lambda *a: _block_rounds_c(lib, *a), _block_rounds_numpy):
+        vol = VolumeSampler(law, "asymptotic_xi")
+        vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
+        engine.flags = {"band_proposals": 0, "band_accepts": 0}
+        run = _Run(n, 1, range(1, steps + 1))
+        run.ls[:] = start
+        rng = _native.FixedStream(lib, us)
+        flags = {"block_proposals": 0, "block_accepts": 0}
+        rounds(engine, vol, rng, run, flags)
+        runs.append((run.per.tobytes(), run.vols.tobytes(), vol.flags, engine.flags,
+                     flags, rng.used))
+    if runs[0] != runs[1]:
+        return "compiled block rounds differ from the numpy rounds"
+    return None
+
+
 class DiscreteSampler:
     """Inverse-CDF sampler of a finite distribution: one guided stacked row."""
 
@@ -420,11 +497,12 @@ _EXACT_TABLES = {}
 _EXACT_TABLES_MAX = 32
 
 
-def _exact_volume_tables(law: StepLaw, l_exact, d_max):
+def _exact_volume_tables(law: StepLaw, l_exact, d_max, digest=None):
     """({l': (Vs, W(l', V) / W(l'), V*)}, the same laws as stacked rows with
     the residual mass as a last entry -(V* + 1)), or None if uncertified;
-    built once per (law digest, l_exact, d_max)."""
-    key = (law.digest(), l_exact, d_max)
+    built once per (law digest, l_exact, d_max).  digest is law.digest(),
+    when the caller has it."""
+    key = (digest or law.digest(), l_exact, d_max)
     if key not in _EXACT_TABLES:
         if len(_EXACT_TABLES) >= _EXACT_TABLES_MAX:
             _EXACT_TABLES.pop(next(iter(_EXACT_TABLES)))
@@ -482,16 +560,17 @@ class VolumeSampler:
     (the mode falls back to the limit law, flag exact_fallback, where the
     tables cannot be certified).  A heavy-tailed law has no volume constant
     B_nu, so where the limit law would be drawn it takes the rounded mean
-    increment instead (flag heavy_volume_expectation).
+    increment instead (flag heavy_volume_expectation).  digest, when given,
+    is law.digest(), which keys the enumeration tables.
     """
 
     def __init__(self, law: StepLaw, mode="exact_small", l_exact=DEFAULT_L_EXACT,
-                 d_max=24):
+                 d_max=24, *, digest=None):
         _check_volume_args(mode, l_exact, d_max)
         self.law = law
         self.mode = mode
         exact = mode == "exact_small"
-        built = _exact_volume_tables(law, l_exact, d_max) if exact else None
+        built = _exact_volume_tables(law, l_exact, d_max, digest) if exact else None
         self.flags = {"exact_fallback": exact and built is None,
                       "residual_draws": 0}
         self.tables, self._cdf = built or ({}, None)
@@ -1003,8 +1082,8 @@ _slot = _Slot()
 
 @contextlib.contextmanager
 def _chain_engine(mode, law, n_steps):
-    """The law deepened for n_steps, its engine and whether the engine was
-    built for this run: reused from this thread's previous run in this mode
+    """The law deepened for n_steps, its digest, its engine and whether the
+    engine was built for this run: reused from this thread's previous run in this mode
     if that ran the same law object, unchanged (the digest guards in-place
     edits), to the same depth.  The engine is
     out of the slot while it runs and goes back only when the run returns,
@@ -1016,14 +1095,15 @@ def _chain_engine(mode, law, n_steps):
     if built:
         held = None  # free the old tables before building new ones
         deep = deepen_negative(law, depth)
-        held = (law, key, deep, _ChainEngine(deep, mode))
+        digest = key[0] if deep is law else deep.digest()
+        held = (law, key, deep, digest, _ChainEngine(deep, mode))
     yield (*held[2:], built)
     _slot.held[mode] = held
 
 
 def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
-    """Run n_chains chains from l0 on law deepened for n_steps: (that law,
-    perimeter and volume rows at the sorted checkpoints, flags).  The chains
+    """Run n_chains chains from l0 on law deepened for n_steps: (that law's
+    digest, perimeter and volume rows at the sorted checkpoints, flags).  The chains
     step in lockstep while every one has B(l) = 1, then in block rounds."""
     if min(n_chains, n_steps) < 1 or checkpoints[0] < 1 or checkpoints[-1] != n_steps:
         raise ValueError("n_chains and n_steps must be >= 1 and checkpoints in "
@@ -1033,17 +1113,16 @@ def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
         raise ValueError(f"initial perimeter must be an integer >= 1; got l0={l0!r}")
     _check_volume_args(*vol_args)
     l0 = int(l0)
-    with _chain_engine(mode, law, n_steps) as (law, engine, built):
-        vol = VolumeSampler(law, *vol_args)
+    with _chain_engine(mode, law, n_steps) as (law, digest, engine, built):
+        vol = VolumeSampler(law, *vol_args, digest=digest)
         engine.start(l0)
         run = _Run(n_chains, l0, checkpoints)
         flags = {"block_proposals": 0, "block_accepts": 0}
         if _lockstep(engine, vol, rng, run):
-            _block_rounds(engine, vol, rng, run.ls, run.V, run.per, run.vols,
-                          run.step, run.cps, flags)
+            _block_rounds(engine, vol, rng, run, flags)
         else:
             run.per[run.i:], run.vols[run.i:] = run.ls, run.V
-        return law, run.per, run.vols, {**vol.flags, **flags, **engine.flags,
+        return digest, run.per, run.vols, {**vol.flags, **flags, **engine.flags,
                                         "engine_built": built}
 
 
@@ -1063,6 +1142,7 @@ class _Run:
         self.per = np.empty((len(self.cps), n_chains), dtype=np.int64)
         self.vols = np.empty_like(self.per)
         self.step = self.i = 0
+        self.c = None       # the compiled loops' state (_c_run)
 
 
 def _lockstep(engine, vol, rng, run):
@@ -1108,27 +1188,50 @@ def _lockstep_numpy(engine, vol, rng, run):
         run.i, run.step = i, step
 
 
+def _c_run(engine, vol, run):
+    """The compiled loops' state of run, a `_native.Lockstep` over its
+    chains, tables and per-chain work arrays: made once per run, by
+    ``lockstep`` and then by ``block_rounds``."""
+    if run.c is None:
+        n = len(run.ls)
+        work = np.empty((len(_native.STEP_WORK), n), dtype=np.int64)
+        env = np.empty(n)
+        rule = (_native.VOL_MEANS if vol.mode == "expectation"
+                else _native.VOL_EXACT if vol.l_exact else _native.VOL_LIMIT)
+        addr = _native.address
+        volumes = vol._cdf.pack() if rule == _native.VOL_EXACT else None
+        s = _native.Lockstep(
+            volumes=volumes and ctypes.addressof(volumes[0]),
+            means=addr(vol._means), n_means=len(vol._means), l_small=L_SMALL,
+            block_from=min(engine.block_from, 1 << 62),   # inf for a finite run
+            absorbing=engine.order == 0, rule=rule, l_exact=vol.l_exact,
+            heavy=vol.heavy, b_nu=vol.law.B_nu, n=n, n_steps=int(run.cps[-1]),
+            n_cps=len(run.cps), cps=addr(run.cps), ls=addr(run.ls), vs=addr(run.V),
+            per=addr(run.per), vols=addr(run.vols), env=addr(env),
+            step=run.step, cp=run.i,
+            **{name: addr(row) for name, row in zip(_native.STEP_WORK, work)})
+        run.c = s, (work, env, volumes)     # the arrays s points into
+    return run.c[0]
+
+
+def _drain(s, engine, vol, flags=None):
+    """Move the counts of the compiled state s into the run's flags."""
+    engine.flags["band_proposals"] += s.band_proposals
+    engine.flags["band_accepts"] += s.band_accepts
+    vol.flags["residual_draws"] += s.residual_draws
+    if s.heavy_means:
+        vol.flags["heavy_volume_expectation"] = True
+    s.band_proposals = s.band_accepts = s.residual_draws = s.heavy_means = 0
+    if flags is not None:
+        flags["block_proposals"] += s.block_proposals
+        flags["block_accepts"] += s.block_accepts
+        s.block_proposals = s.block_accepts = 0
+
+
 def _lockstep_c(lib, engine, vol, rng, run):
     """`_lockstep` in C: one ``lockstep`` call runs until a table is
     missing, which is grown here before the call resumes where it stopped."""
-    n = len(run.ls)
-    work = np.empty((6, n), dtype=np.int64)
-    env = np.empty(n)
-    rule = (_native.VOL_MEANS if vol.mode == "expectation"
-            else _native.VOL_EXACT if vol.l_exact else _native.VOL_LIMIT)
-    addr = _native.address
-    volumes = vol._cdf.pack() if rule == _native.VOL_EXACT else None
-    s = _native.Lockstep(
-        volumes=volumes and ctypes.addressof(volumes[0]),
-        means=addr(vol._means), n_means=len(vol._means), l_small=L_SMALL,
-        block_from=min(engine.block_from, 1 << 62),   # inf for a finite run
-        absorbing=engine.order == 0, rule=rule, l_exact=vol.l_exact,
-        heavy=vol.heavy, b_nu=vol.law.B_nu, n=n, n_steps=int(run.cps[-1]),
-        n_cps=len(run.cps), cps=addr(run.cps), ls=addr(run.ls), vs=addr(run.V),
-        per=addr(run.per), vols=addr(run.vols), env=addr(env),
-        step=run.step, cp=run.i,
-        **{name: addr(row) for name, row in
-           zip(("jumps", "at", "lb", "kb", "todo", "vals"), work)})
+    s = _c_run(engine, vol, run)
     bg = rng.bit_generator
     state = bg.ctypes.bit_generator
     try:
@@ -1155,15 +1258,77 @@ def _lockstep_c(lib, engine, vol, rng, run):
                 raise IndexError("lockstep read outside the tables built")
     finally:
         run.step, run.i = s.step, s.cp
-        engine.flags["band_proposals"] += s.band_proposals
-        engine.flags["band_accepts"] += s.band_accepts
-        vol.flags["residual_draws"] += s.residual_draws
-        if s.heavy_means:
-            vol.flags["heavy_volume_expectation"] = True
+        _drain(s, engine, vol)
 
 
-def _block_rounds(engine, vol, rng, ls, V, per, vols, step, cps, flags):
-    """Advance ibpm chains, all at step `step`, to step cps[-1] in rounds.
+def _block_rounds(engine, vol, rng, run, flags):
+    """Advance ibpm chains, all at step run.step, to the last checkpoint in
+    block rounds: in the library's ``block_rounds`` where it loads, else in
+    numpy; both draw the same values."""
+    lib = _native.library()[0]
+    if lib is None or engine.rows._vals.dtype != np.int64:
+        return _block_rounds_numpy(engine, vol, rng, run, flags)
+    return _block_rounds_c(lib, engine, vol, rng, run, flags)
+
+
+def _block_rounds_c(lib, engine, vol, rng, run, flags):
+    """`_block_rounds` in C: one ``block_rounds`` call runs until a table is
+    missing, its steps outgrow ks or a comparison needs numpy's exp, which
+    is supplied here before the call resumes where it stopped."""
+    s = _c_run(engine, vol, run)
+    n, law, addr = len(run.ls), engine.law, _native.address
+    work = dict(zip(_native.BLOCK_WORK, np.empty((len(_native.BLOCK_WORK), n),
+                                                 dtype=np.int64)))
+    work["da"][:], work["cur"][:], work["act"][:] = run.step, run.i, np.arange(n)
+    for name, row in work.items():
+        setattr(s, name, addr(row))
+    s.n_act, s.bphase = n, 0
+    s.thetas, s.log_phi, s.log_K = map(addr, (BLOCK_THETAS, engine.log_phi, engine.log_K))
+    s.cs, s.n_cs = addr(engine.cs), len(engine.cs)
+    s.k_neg, s.n_deep, s.block_draws = law.k_neg, law.k_neg - L_SMALL + 1, BLOCK_DRAWS
+    # h(1, .) as far as the engine's h table, so that a run asks for more
+    # whatever other runs grew the shared cache to
+    h1 = law.hcache().table(1, engine.h_len)[:engine.h_len]
+    # the steps a round can draw, but for more chains than BLOCK_DRAWS
+    ks = np.empty(min(n * (s.n_steps - run.step), BLOCK_DRAWS), dtype=np.int64)
+    bg = rng.bit_generator
+    state = bg.ctypes.bit_generator
+    try:
+        while True:
+            rows, bands, tilt = engine.rows.pack(), engine.bands.pack(), engine.tilt_rows.pack()
+            s.rows, s.bands = ctypes.addressof(rows[0]), ctypes.addressof(bands)
+            s.tilt_rows = ctypes.addressof(tilt[0])
+            s.blocks, s.block_tilt = addr(engine.blocks), addr(engine.block_tilt)
+            s.n_blocks, s.h1, s.n_h1 = len(engine.blocks), addr(h1), len(h1)
+            s.ks, s.ks_cap = addr(ks), len(ks)
+            with bg.lock:
+                status = lib.block_rounds(state, ctypes.byref(s))
+            if status == _native.LS_EXP:
+                # numpy's exp of the comparison's argument, as numpy computes it
+                s.exp_val, s.exp_ready = np.exp(np.array([s.exp_x]))[0], 1
+            elif status == _native.LS_BLOCKS:
+                engine._extend_blocks(s.need)
+            elif status == _native.LS_HTAB:
+                n = max(s.need, 2 * len(h1))
+                h1 = law.hcache().table(1, n)[:n]
+            elif status == _native.LS_WORK:
+                ks = np.empty(max(s.need, min(2 * len(ks), BLOCK_DRAWS)), dtype=np.int64)
+            elif status == _native.LS_ROWS:
+                engine._extend_rows(s.need)
+            elif status == _native.LS_BANDS:
+                engine._cover(s.need)
+            elif status == _native.LS_MEAN:
+                vol.fill_mean(s.need)
+            elif status == _native.LS_DONE:
+                return
+            else:
+                raise IndexError("block_rounds read outside the tables built")
+    finally:
+        _drain(s, engine, vol, flags)
+
+
+def _block_rounds_numpy(engine, vol, rng, run, flags):
+    """Advance ibpm chains, all at step run.step, to step cps[-1] in rounds.
 
     Each round a chain with B(l) = 1 makes one step and every other chain
     proposes one block of min(B(l), steps left) steps; a kept block writes
@@ -1171,6 +1336,7 @@ def _block_rounds(engine, vol, rng, ls, V, per, vols, step, cps, flags):
     The unfinished chains' states are kept compact: act[j] is at perimeter
     la[j] with volume va[j] after da[j] steps.
     """
+    ls, V, per, vols, step, cps = run.ls, run.V, run.per, run.vols, run.step, run.cps
     n_steps = int(cps[-1])
     # upto[s]: how many checkpoints are at most s
     upto = np.zeros(n_steps + 1, dtype=np.int64)
@@ -1249,9 +1415,14 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
     h(1, .) transform of that law truncated at its own k_neg and k_pos, not
     deepened.  l_exact and d_max are validated in every volume mode but
     used only by 'exact_small' (``VolumeSampler``).
+
+    The volumes are the summed vertex counts of the holes the chain
+    swallows.  A finite run's volume leaves out the marked vertex of the
+    pointed disk it peels: once absorbed, volume + 1 is the disk's vertex
+    count.
     """
     l0 = 2 if l0 is None else l0
-    law, per, volumes, flags = _advance(
+    digest, per, volumes, flags = _advance(
         mode, law, (volume_mode, l_exact, d_max), _rng(seed, chain_index), l0,
         1, n_steps, range(1, n_steps + 1))
     return PeelTrace(
@@ -1261,7 +1432,7 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
         volume_mode=volume_mode,
         seed=seed,
         l0=l0,
-        law_digest=law.digest(),
+        law_digest=digest,
         flags=flags,
     )
 

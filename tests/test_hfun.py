@@ -308,7 +308,7 @@ class TestFloatRecurrence:
         assert same_bits(HCache(0.37, mode="float").table(-2, 5_000), 0.37, -2)
 
     @pytest.mark.parametrize("name", ["cdf_draw", "band_jumps", "fill_rows",
-                                      "lockstep", "h_derivative"])
+                                      "lockstep", "block_rounds", "h_derivative"])
     def test_draw_mismatch_keeps_every_reference(self, name, monkeypatch,
                                                   request):
         # a library whose loop differs from its reference in one value is
@@ -319,6 +319,8 @@ class TestFloatRecurrence:
                         "this session does not use")
         refusal = {"fill_rows": "compiled row fill differs from the numpy fill",
                    "lockstep": "compiled lockstep differs from the Python loop",
+                   "block_rounds": "compiled block rounds differ from the numpy "
+                                   "rounds",
                    "h_derivative": "compiled h derivative differs from the "
                                    "Python loop",
                    }.get(name, "compiled draws differ from the numpy draws")
@@ -335,7 +337,8 @@ class TestFloatRecurrence:
         open_ = _native._open
 
         def skew(args):
-            if name == "lockstep":      # one more vertex for the first chain
+            if name in ("lockstep", "block_rounds"):
+                # one more vertex for the first chain
                 run = args[1]._obj
                 (ctypes.c_longlong * run.n).from_address(run.vs)[0] += 1
             elif name == "fill_rows":   # the first entry filled, one ulp up
@@ -465,8 +468,9 @@ class TestLibraryCache:
 
     @pytest.mark.skipif(not has_compiler(), reason="no C compiler")
     def test_compile_removes_older_libraries(self, tmp_path, monkeypatch):
-        # under a temporary XDG_CACHE_HOME: this user's other native-*.so
-        # and hrec-*.so go; a symbolic link, another user's file and any
+        # under a temporary XDG_CACHE_HOME: this user's hrec-*.so go, and of
+        # the native-*.so all but the KEEP_LIBRARIES newest by mtime, the
+        # new one among them; a symbolic link, another user's file and any
         # other name stay
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(_native, "_state", None)
@@ -475,13 +479,17 @@ class TestLibraryCache:
         os.chmod(cache, 0o700)
         target = tmp_path / "elsewhere.so"
         target.write_bytes(b"linked")
-        for name in ("native-00000000.so", "native-1234abcd.so",
-                     "hrec-11e084c1.so", "notes.txt", "native-0.txt",
+        older = [f"native-{i:08x}.so" for i in range(_native.KEEP_LIBRARIES + 2)]
+        for name in (*older, "hrec-11e084c1.so", "notes.txt", "native-0.txt",
                      "other-native-1.so", "theirs.so", "native-theirs.so"):
             (cache / name).write_bytes(b"old")
+        for age, name in enumerate(older):      # older[0] is the newest
+            os.utime(cache / name, ns=(1, 10**18 - age * 10**9))
+        os.utime(cache / "native-theirs.so", ns=(1, 1))    # the oldest
         (cache / "native-link.so").symlink_to(target)
         stays = {"notes.txt", "native-0.txt", "other-native-1.so",
-                 "theirs.so", "native-link.so"}
+                 "theirs.so", "native-link.so",
+                 *older[:_native.KEEP_LIBRARIES - 1]}
         if os.getuid() == 0:    # only root can give a file to another user
             os.chown(cache / "native-theirs.so", 1, 1)
             stays.add("native-theirs.so")

@@ -1,6 +1,10 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import math
+import os
+import random
+import shutil
 import weakref
 from fractions import Fraction
 
@@ -9,7 +13,9 @@ import pytest
 from scipy import integrate
 
 from peelkit import _native, peeling
+from peelkit.criticality import tune_critical
 from peelkit.hfun import HCache, h_asymptote
+from peelkit.oracle import volume_tables
 from peelkit.peeling import (
     BLOCK_M,
     BLOCK_THETAS,
@@ -29,7 +35,13 @@ from peelkit.peeling import (
 )
 from peelkit.scaling import ecf_test
 from peelkit.walk import complete_nu, deepen_negative, symmetric_family
-from peelkit.weights import StepLawPositive, nu_from_q, preset
+from peelkit.weights import (
+    StepLawPositive,
+    WeightSequence,
+    nu_from_q,
+    pointed_disk,
+    preset,
+)
 
 
 def quad_law(k_neg=512, exact=False):
@@ -365,6 +377,67 @@ class TestEmpiricalTransitions:
             emp = (draws == k).mean()
             se = math.sqrt(p * (1 - p) / engine_draws)
             assert abs(emp - p) < 4 * se, (k, emp, p)
+
+
+class TestPointedDisk:
+    """The finite chain rebuilds the pointed Boltzmann disk: peeling a disk
+    of perimeter l0 with a marked vertex swallows independent Boltzmann
+    holes, so the summed hole volumes plus the marked vertex, V + 1, follow
+    V W(l0, V) / W.(l0), W from `oracle.volume_tables` and W. = c_+^l0
+    h(0, l0) from `weights.pointed_disk`."""
+
+    @staticmethod
+    def _shape():
+        # a random rational shape on degrees 3 and 4, tuned critical
+        rnd = random.Random(3)
+        shape = WeightSequence({d: Fraction(rnd.randint(1, 9), rnd.randint(1, 9))
+                                for d in (3, 4)})
+        t = tune_critical(shape)
+        return shape.scaled(t.t_star), t.data.c_plus, t.data.r
+
+    @pytest.mark.parametrize("key,l0,v_max", [("quad", 4, 7), ("tri", 3, 6),
+                                              ("shape", 3, 5)])
+    def test_volume_law(self, key, l0, v_max):
+        # Only runs that end with V + 1 <= v_max vertices are counted, and
+        # nothing but the exact volume rows can put a run there.  A disk of
+        # v vertices has at most F = (2v - 2 - l0) / (m - 2) inner faces of
+        # degree m or more, and every hole has a vertex, so such a run is
+        # absorbed within n = F + v - 1 steps; the run stops there.  In n
+        # steps no perimeter passes l0 + (n - 1) k_pos before the last
+        # hole, so with l_exact that large no hole draws the limit law, and
+        # a residual beyond a table's V* adds at least V* + 1 > v_max - 1
+        # vertices.  The bounds are fixed before the counts: |z| <= 4.5 per
+        # bin and the chi^2 of the bins and their complement at the 1e-4
+        # quantile, both from binomial counts of all chains.
+        from scipy import stats
+
+        if key == "shape":
+            q, c, r = self._shape()
+        else:
+            res = (preset("two_p_angulation", p=2) if key == "quad"
+                   else preset("odd_angulation", p=1))
+            q, c, r = res.weights, res.constants["c_plus"], res.constants["r"]
+        law = complete_nu(nu_from_q(q, c, r), k_neg=512)
+        m, d_max, chains = q.min_support, 24, 200_000
+        n = (2 * v_max - 2 - l0) // (m - 2) + v_max - 1
+        l_exact = l0 + (n - 1) * law.k_pos - 2
+        assert m >= 3 and v_max - 1 <= volume_tables(q, 1 + q.bipartite, d_max).V_star
+        out = simulate_ensemble("finite", law, l0, n, chains, seed=13,
+                                volume_mode="exact_small", l_exact=l_exact, d_max=d_max)
+        assert not out.flags["exact_fallback"]
+        per, vol = out[n]
+        counts = np.bincount(vol[per == 0] + 1, minlength=v_max + 1)[1:v_max + 1]
+        table = volume_tables(q, l0, d_max).values
+        p = np.array([v * float(table.get(v, 0)) / pointed_disk(l0, c, r)
+                      for v in range(1, v_max + 1)])
+        assert not counts[p == 0].any()
+        counts, p = counts[p > 0], p[p > 0]
+        assert len(p) >= 3
+        z = (counts - chains * p) / np.sqrt(chains * p * (1 - p))
+        assert np.abs(z).max() <= 4.5, z
+        rest = chains - counts.sum(), chains * (1 - p.sum())
+        chi2 = ((counts - chains * p) ** 2 / (chains * p)).sum() + (rest[0] - rest[1]) ** 2 / rest[1]
+        assert chi2 <= stats.chi2.ppf(1 - 1e-4, len(p)), chi2
 
 
 class TestHittingProbability:
@@ -993,6 +1066,31 @@ class TestEngineReuse:
         assert peeling._slot.held == before
 
 
+# one-place mutants of the library's block rounds, (text, replacement) in
+# _native._C_SOURCE: the tilted uniforms taken by the steps in reverse
+# order, the tilt walk stopped after one move, a uniform on the keep odds
+# kept, a checkpoint's perimeter one step early, and a checkpoint's volume
+# without its own step's hole
+C_MUTANTS = {
+    "draw_order": ("&s->ks[p++]", "&s->ks[total - 1 - p++]"),
+    "tilt_walk": ("            j--;\n            now = up;\n",
+                  "            j--;\n            now = up;\n            break;\n"),
+    "keep_comparison": ("return u < f * e;", "return u <= f * e;"),
+    "checkpoint_offset": ("s->per[cp++ * n + c] = l;", "s->per[cp++ * n + c] = l - k;"),
+    "volume_window": ("""                    if (code >= 0)
+                        v += hole_volume(bg, s, code & 0xffffffffLL,
+                                         (code >> 32) - VAL_OFF);
+                    if (++step == s->cps[cp])
+                        s->vols[cp++ * n + c] = v;
+""", """                    if (++step == s->cps[cp])
+                        s->vols[cp++ * n + c] = v;
+                    if (code >= 0)
+                        v += hole_volume(bg, s, code & 0xffffffffLL,
+                                         (code >> 32) - VAL_OFF);
+"""),
+}
+
+
 @contextlib.contextmanager
 def numpy_draws():
     """Draw with numpy (and build h tables in Python), as where the
@@ -1145,6 +1243,183 @@ class TestCompiledDraws:
                 check(outs, calls)
             digests.append(self._digest(outs))
         assert digests[0] == digests[1]
+
+    @staticmethod
+    def _block_calls(monkeypatch):
+        """(status, blocks proposed so far) of every call of the library's
+        block_rounds, as the compiled path makes them."""
+        calls = []
+        block_rounds_c = peeling._block_rounds_c
+
+        class Recording:
+            def __init__(self, lib):
+                self.lib = lib
+
+            def __getattr__(self, attr):
+                return getattr(self.lib, attr)
+
+            def block_rounds(self, bg, s):
+                status = self.lib.block_rounds(bg, s)
+                calls.append((status, s._obj.block_proposals))
+                return status
+
+        monkeypatch.setattr(peeling, "_block_rounds_c",
+                            lambda lib, *a: block_rounds_c(Recording(lib), *a))
+        return calls
+
+    @staticmethod
+    def _block_case(case, monkeypatch):
+        """(the runs of a block-round case, a check of what they did on the
+        compiled path, given their outputs and its block_rounds calls)."""
+        def kept(outs, calls):
+            assert all(out.flags["block_accepts"] > 0 for out in outs)
+            assert calls and calls[-1][0] == _native.LS_DONE
+
+        if case == "geo3":
+            geo3 = geo3_law()
+            runs = [lambda: simulate("ibpm", geo3, l0=200, n_steps=3000, seed=5),
+                    lambda: simulate_ensemble("ibpm", geo3, 200, 300, 64, seed=6,
+                                              volume_mode="exact_small",
+                                              checkpoints=range(1, 301))]
+            check = kept
+        elif case == "heavy":
+            heavy = symmetric_family(1.0, math.pi / 4, k_pos=256)
+            runs = [lambda v=v: simulate_ensemble("ibpm", heavy, 2, 600, 64, seed=2,
+                                                  volume_mode=v)
+                    for v in VOLUME_MODES]
+            runs.append(lambda: simulate("ibpm", heavy, l0=2, n_steps=3000, seed=2))
+            # one-step blocks from 1000: a round that keeps a block without
+            # holes still flags the means, as the numpy rounds do
+            runs += [lambda s=s: simulate_ensemble("ibpm", heavy, 1000, 1, 1, seed=s,
+                                                   volume_mode="asymptotic_xi")
+                     for s in range(6)]
+
+            def check(outs, calls):
+                kept(outs[:4], calls)
+                assert all(out.flags.get("heavy_volume_expectation")
+                           for out, v in zip(outs, VOLUME_MODES + ("exact_small",))
+                           if v != "expectation")
+                assert any(out.flags["heavy_volume_expectation"] and not out[1][1].any()
+                           for out in outs[4:])
+        elif case == "checkpoints":
+            runs = [lambda cps=cps: simulate_ensemble(
+                        "ibpm", LAW, 2, 1000, 128, seed=9, volume_mode="exact_small",
+                        checkpoints=cps)
+                    for cps in (range(1, 1001), [1, 2, 77, 500, 999], None)]
+            check = kept
+        elif case == "cap":
+            # 64 blocks share 50 or 500 steps: blocks of one or seven steps
+            cap = []
+            runs = [lambda c=c: (monkeypatch.setattr(peeling, "BLOCK_DRAWS", c),
+                                 cap.append(c),
+                                 simulate_ensemble("ibpm", LAW, 200, 60, 64, seed=67,
+                                                   checkpoints=[13]))[-1]
+                    for c in (50, 500)]
+
+            def check(outs, calls):
+                kept(outs, calls)
+                assert outs[0].flags["block_proposals"] >= 64 * 60
+                assert outs[1].flags["block_proposals"] >= 64 * 60 // 7
+        elif case == "deep":
+            # from l0 = 3000, tilted draws at the rows' last entry are
+            # redrawn from nu on k <= -L_SMALL; kept ones show as drops
+            runs = [lambda: simulate_ensemble("ibpm", LAW, 3000, 600, 1024, seed=21,
+                                              checkpoints=range(1, 601))]
+
+            def check(outs, calls):
+                kept(outs, calls)
+                per = np.array([outs[0][c][0] for c in range(1, 601)])
+                assert (np.diff(per, axis=0) <= -L_SMALL).any()
+        else:
+            # "growth": blocks start past the end of B(l)'s table (and its
+            # tilt rows) after blocks were proposed, and land past h(1, .)'s,
+            # however far the shared h cache was grown before
+            LAW.hcache().table(1, 1 << 16)
+            runs = [lambda: simulate_ensemble("ibpm", LAW, 2, 40_000, 64, seed=8),
+                    lambda: simulate_ensemble("ibpm", tri_law(), 1900, 3000, 32, seed=8,
+                                              volume_mode="exact_small")]
+
+            def check(outs, calls):
+                kept(outs, calls)
+                assert any(st == _native.LS_BLOCKS and n > 0 for st, n in calls)
+                assert any(st == _native.LS_HTAB for st, n in calls)
+        return runs, check
+
+    @pytest.mark.parametrize("case", ["geo3", "heavy", "checkpoints", "cap", "deep",
+                                      "growth"])
+    def test_block_round_cases(self, case, monkeypatch):
+        # block rounds from l0 = 200 on geo3, on the heavy symmetric law in
+        # every volume mode, checkpointed at every step and sparsely, cut by
+        # BLOCK_DRAWS, with deep redraws kept, and with B(l), its tilt rows
+        # and h(1, .) grown mid-run: compiled and numpy digests agree
+        calls = self._block_calls(monkeypatch)
+        runs, check = self._block_case(case, monkeypatch)
+        digests = []
+        for path in ("compiled", "numpy"):
+            with draws_on(path):
+                peeling._slot.held.clear()
+                outs = [run() for run in runs]
+            if path == "compiled":
+                check(outs, calls)
+            digests.append(self._digest(outs))
+        assert digests[0] == digests[1]
+
+    def test_uniform_on_the_keep_odds(self, monkeypatch):
+        # one chain from l0 = 300 on quad: the uniform after its first
+        # block's tilted draws is that block's keep odds as numpy computes
+        # them, so the compiled rounds ask for numpy's exp (LS_EXP) and
+        # reject the block as numpy does; states, flags and uniforms agree
+        lib = _native.library()[0]
+        if lib is None:
+            pytest.skip(f"compiled library not loaded: {_native.library()[1][1]}")
+        calls = self._block_calls(monkeypatch)
+        law, l0, n = DEEP["quad"], 300, 40
+        engine = _ChainEngine(law, "ibpm")
+        engine.block_len(np.array([l0]))
+        B = min(int(engine.blocks[l0]), n)
+        assert B > 1
+        j = int(engine._block_tilts(np.array([l0]), np.array([B]))[0])
+        us = np.arange(1, 1000) * 0.6180339887498949 % 0.9
+        lB = l0 + int(engine.tilt_rows.at(j + us[:B] * _StackedCdf.U_MAX).sum())
+        h = law.hcache().table(1, lB)[lB - 1]
+        us[B] = h * np.exp(np.array([-BLOCK_THETAS[j] * lB - engine.log_K[j]]))[0]
+        assert 0 < us[B] < 1
+        runs = []
+        for rounds in (peeling._block_rounds_c, lambda lib, *a: peeling._block_rounds_numpy(*a)):
+            vol = VolumeSampler(law, "exact_small")
+            engine.start(l0)
+            run = peeling._Run(1, l0, range(1, n + 1))
+            rng = _native.FixedStream(lib, us)
+            flags = {"block_proposals": 0, "block_accepts": 0}
+            rounds(lib, engine, vol, rng, run, flags)
+            runs.append((run.per.tobytes(), run.vols.tobytes(), vol.flags, engine.flags,
+                         flags, rng.used))
+        assert calls[0][0] == _native.LS_EXP
+        assert runs[0] == runs[1]
+        assert runs[0][4]["block_proposals"] > runs[0][4]["block_accepts"]
+
+    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
+                        or not os.path.isfile(_native._npyrandom()),
+                        reason="no C compiler or no numpy static random library")
+    def test_self_check_refuses_mutants(self, tmp_path):
+        # the library's block rounds, each mutated in one place, compiled and
+        # checked on load: the self-check refuses every one, under
+        # --reference-loops too (the check hands the library under check to
+        # its draws)
+        sources = {}
+        for name, (old, new) in C_MUTANTS.items():
+            assert _native._C_SOURCE.count(old) == 1, name
+            sources[name] = _native._C_SOURCE.replace(old, new)
+        cc = shutil.which("cc") or shutil.which("gcc")
+        paths = {name: str(tmp_path / f"{name}.so") for name in sources}
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            failed = list(pool.map(lambda name: _native._compile(cc, paths[name],
+                                                                  sources[name]),
+                                   sources))
+        assert failed == [None] * len(sources)
+        for name, path in paths.items():
+            assert (_native._self_check(_native._open(path))
+                    == "compiled block rounds differ from the numpy rounds"), name
 
     def test_gamma_is_numpys(self):
         # the library's gamma is numpy's own code: Generator.gamma(1.5, 2.0)
