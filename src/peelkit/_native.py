@@ -909,11 +909,6 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
             }
             s->block_proposals += s->n_blk;
             s->block_accepts += kept;
-            /* the numpy rounds ask a heavy law's limit law (its means) for
-               the holes of the kept blocks, and flag it, even when they
-               have none */
-            if (kept && s->heavy && s->rule == VOL_LIMIT)
-                s->heavy_means = 1;
             s->bphase = BR_MEANS;
             break;
         }

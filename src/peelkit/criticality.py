@@ -31,16 +31,19 @@ already has.  The tuner narrows a bracket on the scale of the weights by
 Illinois false position on R2 at the fold point and then tracks the fold
 with the scale as a third unknown (a bordered system).
 
-The series are numpy dot products over the terms q_{k+2} c^k that the
-weight sequence materializes from its cached weights.  Their derivatives
+The series of a finite support are summed in plain floats over its few
+terms q_{k+2} c^k; those of an infinite family are numpy dot products
+over the terms the weight sequence materializes up to its certified tail
+cut (`_System` says how the input selects the pass).  Their derivatives
 come from the same terms: in c from k q_{k+2} c^(k-1), in r from the
-r-derivative tables of h (`HCache.dtable`), and in the tuner's scale t
-as S/t, since t multiplies every weight.  Each `_System` keeps the terms
-of its last c; the h tables and their r-derivatives come from the
-per-ratio shared cache of `hfun`, so every bipartite (r = 1) evaluation
-and a new system at a ratio already seen reuse one table.  The Miermont
-cross-check sums its binomial double series per total degree in log
-space.
+r-derivative of h (`HCache.dtable`, or `hfun.derivative_list` in plain
+floats), and in the tuner's scale t as S/t, since t multiplies every
+weight.  Each `_System` keeps the terms of its last c.  An infinite
+family's h tables come from the per-ratio shared cache of `hfun`, so
+every bipartite (r = 1) evaluation and a new system at a ratio already
+seen reuse one table; a finite support's system keeps its own short h
+lists, the same doubles.  The Miermont cross-check sums its binomial
+double series per total degree in log space.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundaryNotFoundError, DivergentSeriesError, SolverFailureError
-from .hfun import shared_cache
+from .hfun import derivative_list, recurrence_list, shared_cache
 from .weights import WeightSequence, validate
 
 RESIDUAL_TOL = 1e-12
@@ -70,6 +73,9 @@ _STALL_LIMIT = 3
 # fixed Newton starts (c, s) for the companion system, tried by the fold
 # verdict of the solver and by the boundary tuner
 _FOLD_STARTS = ((2.6, 0.0), (3.5, 0.5), (2.2, -0.5), (5.0, 0.3))
+
+# h lists a finite support's system keeps, one per (r, order)
+_H_MEMO = 8
 
 
 @dataclass
@@ -122,15 +128,30 @@ class _System:
     `main` and `companion` are the two Newton systems on x = (c, s) with
     r = tanh(s); s = inf gives the bipartite r = 1.  Each returns its
     values and exact Jacobian from one series pass per order (`rows`).
+
+    The series pass (`_sums`) takes one of two routes, chosen by the
+    input alone.  A finite support is read once as Python lists and
+    summed in plain floats: its terms q_{k+2} c^k, and h(order, .) with
+    its r-derivative from the scalar recurrence (`hfun.recurrence_list`,
+    `hfun.derivative_list`, the same doubles as the shared tables),
+    memoized per (r, order) in a map of at most _H_MEMO entries; a few
+    terms cost less this way than one numpy call.  An infinite family
+    takes numpy dot products over the terms `positive_terms` materializes
+    up to its certified tail cut, with h from the shared cache.
     """
 
     def __init__(self, q: WeightSequence):
         self.q = q
+        self._terms = None  # the terms of the last c
         if q.is_finite:
             self.c_max = math.inf
+            degs = sorted(q.support)
+            self._support = ([d - 2 for d in degs],
+                             [float(q.support[d]) for d in degs])
+            self._h = {}  # (r, order) -> [h list, dh/dr list or None]
         else:
             self.c_max = (1.0 - 1e-9) / q.tail_ratio
-        self._terms = None  # (c, ks, values) of the last c
+            self._support = None
 
     def _sums(self, c, r, order, shifts, dr=False):
         """The table T with T[j] = h(order, order + j), its r-derivative
@@ -139,10 +160,16 @@ class _System:
         unless dr.
         """
         c, r = float(c), float(r)
+        if self._support is not None:
+            return self._plain_sums(c, r, order, shifts, dr)
+        return self._numpy_sums(c, r, order, shifts, dr)
+
+    def _numpy_sums(self, c, r, order, shifts, dr):
+        """`_sums` by numpy dot products over the materialized terms."""
         if self._terms is None or self._terms[0] != c:
             self._terms = (c,) + self.q.positive_terms(c, deg=2)[:2]
         _, ks, vals = self._terms
-        l_max = (ks[-1] if len(ks) else 0) + 2
+        l_max = ks[-1] + 2
         cache = shared_cache(r)
         tab = cache.table(order, l_max)
         dtab = cache.dtable(order, l_max) if dr else None
@@ -156,6 +183,49 @@ class _System:
             out.append((float(np.dot(v, hj)), float(np.dot(ks[lo:] * v, hj)) / c,
                         s_r))
         return tab, dtab, out
+
+    def _plain_sums(self, c, r, order, shifts, dr):
+        """`_sums` over a finite support in plain floats, each sum taken in
+        the order of the support."""
+        ks, ws = self._support
+        if self._terms is None or self._terms[0] != c:
+            # q_{k+2} c^k, through exp in log space where k log c > 600
+            # (raising OverflowError like `WeightSequence.positive_terms`)
+            log_c = math.log(c)
+            vals = [(math.exp(math.log(w) + k * log_c) if w != 0.0 else 0.0)
+                    if k * log_c > 600.0 else w * c**k
+                    for k, w in zip(ks, ws)]
+            self._terms = (c, vals, [k * v for k, v in zip(ks, vals)])
+        _, vals, kvals = self._terms
+        tab, dtab = self._h_lists(r, order, dr)
+        out = []
+        for j in shifts:
+            off = j - order
+            s = s_c = s_r = 0.0
+            for k, v, kv in zip(ks, vals, kvals):
+                i = k + off
+                if i >= 0:
+                    s += v * tab[i]
+                    s_c += kv * tab[i]
+                    if dr:
+                        s_r += v * dtab[i]
+            out.append((s, s_c / c, s_r if dr else None))
+        return tab, dtab, out
+
+    def _h_lists(self, r, order, dr):
+        """[h(order, order + j)] and, when dr, its r-derivative (else
+        None) for j up to the largest index the finite support reads,
+        from the per-system memo; the oldest entry makes room."""
+        got = self._h.get((r, order))
+        if got is None:
+            size = max(self._support[0][-1] + 3 - order, 3)
+            got = [recurrence_list(r, order, size), None]
+            if len(self._h) >= _H_MEMO:
+                del self._h[next(iter(self._h))]
+            self._h[r, order] = got
+        if dr and got[1] is None:
+            got[1] = derivative_list(got[0], r, order)
+        return got
 
     def residuals(self, c, r):
         h, _, ((s1, _, _), (s2, _, _)) = self._sums(c, r, 0, (1, 2))

@@ -33,7 +33,9 @@ Two evaluation modes back every cache:
   loop runs in Python over coefficients precomputed with numpy a chunk at
   a time.  Both do the same double operations in the same order, so every
   table is bit-identical either way; `float_recurrence()` says which one
-  runs, and why the compiled one does not.
+  runs, and why the compiled one does not.  `recurrence_list` runs the
+  same recurrence in plain Python floats into a list, for tables too
+  short to pay a numpy or compiled call; it too gives the same doubles.
 
   The float mode also keeps the r-derivative of each table
   (`HCache.dtable`), for the solver's Jacobian.  Differentiating the
@@ -46,7 +48,8 @@ Two evaluation modes back every cache:
   it, grows the same way (resuming from its last two entries, so it too
   is bit-identical whatever its growth history) and runs as a second loop
   of the same library, with its own Python reference that does the same
-  double operations in the same order.
+  double operations in the same order; `derivative_list` is its
+  plain-float list form.
 
 Float tables are shared: `shared_cache(r)` keeps one float cache per ratio
 (a small LRU keyed by float(r)) for every step law, solver system and chain
@@ -348,6 +351,40 @@ def _derivative_py(out, h, start, size, r, k):
             prev2, prev1 = prev1, (a * prev1 + b * prev2 - e * h1 + f * h2) / d
             vals.append(prev1)
         out[lo + 1 : lo + 1 + len(vals)] = vals
+
+
+def recurrence_list(r, k, size):
+    """[h(k, k+j) for j < max(size, 2)] at the float ratio r, as a list of
+    floats: the start values and double operations of `_grow_float` in the
+    same order, so the same doubles as the shared float table, with no
+    numpy or compiled call (the solver's plain-float pass over finite
+    supports).  Raises ValueError for r outside (-1, 1], as HCache does."""
+    _check_order(k)
+    if not (-1.0 < r <= 1.0):
+        raise ValueError("ratio must lie in (-1, 1]")
+    one_m_r = 1.0 - r
+    prev2, prev1 = 1.0, one_m_r * 0.5 + k
+    out = [prev2, prev1]
+    for j in range(1, size - 1):
+        prev2, prev1 = prev1, ((one_m_r * (j + 0.5) + k) * prev1
+                               + r * (j + k) * prev2) / (j + 1)
+        out.append(prev1)
+    return out
+
+
+def derivative_list(h, r, k):
+    """[dh(k, k+j)/dr for j < len(h)] over the list h = recurrence_list(r,
+    k, ...): the start values and double operations of `_grow_derivative`
+    in the same order, as a list of floats."""
+    one_m_r = 1.0 - r
+    prev2, prev1 = 0.0, -0.5
+    out = [prev2, prev1]
+    for j in range(1, len(h) - 1):
+        prev2, prev1 = prev1, ((one_m_r * (j + 0.5) + k) * prev1
+                               + r * (j + k) * prev2 - (j + 0.5) * h[j]
+                               + (j + k) * h[j - 1]) / (j + 1)
+        out.append(prev1)
+    return out
 
 
 def _fill(out, start, size, r, k):

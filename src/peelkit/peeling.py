@@ -615,7 +615,8 @@ class VolumeSampler:
 
     def _limit_volume(self, rng, lp, floor):
         if self.heavy:
-            self.flags["heavy_volume_expectation"] = True
+            if len(lp):
+                self.flags["heavy_volume_expectation"] = True
             vals = self._mean_volume(lp)
         else:
             xi = sample_xi(rng, size=len(lp))

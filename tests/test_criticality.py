@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peelkit import criticality, hfun
+from peelkit import _native, criticality, hfun
 from peelkit.errors import DivergentSeriesError
 from peelkit.hfun import HCache
 from peelkit.criticality import (
@@ -350,16 +350,23 @@ class TestTune:
     def test_h_table_builds(self, monkeypatch):
         # the solver systems keep one h table per order and ratio instead
         # of building a fresh one per evaluation; counted from an empty
-        # process-wide cache, which earlier tests may have filled
+        # process-wide cache, which earlier tests may have filled, over
+        # both homes of a build: shared tables and a finite support's lists
         hfun._shared_float_cache.cache_clear()
         calls = []
         grow = HCache._grow_float
+        build = criticality.recurrence_list
 
         def counted(self, k, n):
             calls.append(k)
             return grow(self, k, n)
 
+        def counted_list(r, k, size):
+            calls.append(k)
+            return build(r, k, size)
+
         monkeypatch.setattr(HCache, "_grow_float", counted)
+        monkeypatch.setattr(criticality, "recurrence_list", counted_list)
         tune_critical(WeightSequence({4: Fraction(1), 6: Fraction(1)}))
         assert 0 < len(calls) <= 100
 
@@ -466,6 +473,87 @@ def test_completion_chain_on_tuned_shapes(support):
     assert set(back.support) == set(q.support)
     for d in q.support:
         assert back.value(d) == pytest.approx(float(q.value(d)), rel=1e-12)
+
+_finite_supports = st.dictionaries(st.integers(3, 12), _weights, min_size=1,
+                                   max_size=4)
+
+
+class TestPlainFloatPass:
+    """A finite support's series are summed in plain floats; an infinite
+    family's by numpy.  Both passes agree, and the finite one calls no
+    numpy, BLAS or compiled code."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(_finite_supports,
+           st.floats(0.3, 5.0, exclude_min=True, exclude_max=True),
+           st.floats(-0.99, 1.0, exclude_min=True))
+    def test_matches_numpy_pass(self, support, c, r):
+        # values and c/r-derivatives within 1e-13 of the sum of the
+        # absolute terms; h and dh/dr lists bit-identical to the shared
+        # float tables at orders 0 and 1
+        q = WeightSequence(support)
+        plain, ref = criticality._System(q), criticality._System(q)
+        for order, shifts in ((0, (1, 2)), (1, (1,))):
+            h, dh, got = plain._sums(c, r, order, shifts, True)
+            tab, dtab, want = ref._numpy_sums(c, r, order, shifts, True)
+            n = len(h)
+            assert np.array(h).tobytes() == hfun.shared_cache(r).table(
+                order, order + n - 1)[:n].tobytes()
+            assert np.array(dh).tobytes() == hfun.shared_cache(r).dtable(
+                order, order + n - 1)[:n].tobytes()
+            ks, vals, _ = q.positive_terms(c)
+            for j, (s, s_c, s_r), (w, w_c, w_r) in zip(shifts, got, want):
+                idx = ks + (j - order)
+                on = idx >= 0
+                v, i = vals[on], idx[on]
+                for a, b, scale in (
+                        (s, w, np.abs(v * tab[i]).sum()),
+                        (s_c, w_c, np.abs(ks[on] * v * tab[i]).sum() / c),
+                        (s_r, w_r, np.abs(v * dtab[i]).sum())):
+                    assert abs(a - b) <= 1e-13 * scale
+
+    def test_finite_calls_no_numpy(self, monkeypatch):
+        # counted only inside _System._sums: the shared h cache, the
+        # compiled library's loader and np.dot; an infinite family shows
+        # the counters count
+        inside = [0]
+        seen = {"sums": 0, "shared_cache": 0, "library": 0, "dot": 0}
+        sums = criticality._System._sums
+
+        def counted_sums(self, *args):
+            seen["sums"] += 1
+            inside[0] += 1
+            try:
+                return sums(self, *args)
+            finally:
+                inside[0] -= 1
+
+        def counter(name, fn):
+            def wrapped(*args, **kwargs):
+                if inside[0]:
+                    seen[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(criticality._System, "_sums", counted_sums)
+        for mod in (hfun, criticality):
+            monkeypatch.setattr(mod, "shared_cache",
+                                counter("shared_cache", mod.shared_cache))
+        monkeypatch.setattr(_native, "library", counter("library", _native.library))
+        monkeypatch.setattr(np, "dot", counter("dot", np.dot))
+
+        assert solve_boltzmann(TRI).classification == "regular_critical"
+        assert solve_boltzmann(SUB).classification == "subcritical"
+        for support in ({4: Fraction(1), 6: Fraction(1)},
+                        {3: Fraction(1, 3), 5: Fraction(2), 8: Fraction(1, 3)}):
+            tune_critical(WeightSequence(support))
+        assert seen["sums"] > 0
+        assert seen == {"sums": seen["sums"], "shared_cache": 0, "library": 0,
+                        "dot": 0}
+
+        solve_boltzmann(preset("geometric", H=3.0).weights)
+        assert seen["shared_cache"] > 0 and seen["dot"] > 0
+
 
 def central_jacobian(F, x, step=1e-6):
     """Central differences of F's values, step 1e-6 relative per coordinate."""

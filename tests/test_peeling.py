@@ -1288,19 +1288,12 @@ class TestCompiledDraws:
                                                   volume_mode=v)
                     for v in VOLUME_MODES]
             runs.append(lambda: simulate("ibpm", heavy, l0=2, n_steps=3000, seed=2))
-            # one-step blocks from 1000: a round that keeps a block without
-            # holes still flags the means, as the numpy rounds do
-            runs += [lambda s=s: simulate_ensemble("ibpm", heavy, 1000, 1, 1, seed=s,
-                                                   volume_mode="asymptotic_xi")
-                     for s in range(6)]
 
             def check(outs, calls):
-                kept(outs[:4], calls)
+                kept(outs, calls)
                 assert all(out.flags.get("heavy_volume_expectation")
                            for out, v in zip(outs, VOLUME_MODES + ("exact_small",))
                            if v != "expectation")
-                assert any(out.flags["heavy_volume_expectation"] and not out[1][1].any()
-                           for out in outs[4:])
         elif case == "checkpoints":
             runs = [lambda cps=cps: simulate_ensemble(
                         "ibpm", LAW, 2, 1000, 128, seed=9, volume_mode="exact_small",
@@ -1363,6 +1356,28 @@ class TestCompiledDraws:
                 check(outs, calls)
             digests.append(self._digest(outs))
         assert digests[0] == digests[1]
+
+    def test_heavy_flag_only_when_a_mean_is_read(self):
+        # a heavy law's limit volume is its mean increment, flagged as
+        # heavy_volume_expectation; one chain's one-step block from 1000
+        # keeps no hole for some seeds, and then no mean is read: the flag
+        # is off exactly when the volume is 0, and both paths give the same
+        # perimeter, volume and flags
+        heavy = symmetric_family(1.0, math.pi / 4, k_pos=256)
+        seen = []
+        for path in ("compiled", "numpy"):
+            with draws_on(path):
+                peeling._slot.held.clear()
+                outs = [simulate_ensemble("ibpm", heavy, 1000, 1, 1, seed=s,
+                                          volume_mode="asymptotic_xi")
+                        for s in range(6)]
+            seen.append([(int(out[1][0][0]), int(out[1][1][0]),
+                          out.flags.get("heavy_volume_expectation", False),
+                          out.flags["block_accepts"]) for out in outs])
+        assert seen[0] == seen[1]
+        assert {v == 0 for _, v, _, _ in seen[0]} == {True, False}
+        assert all(flag == (v > 0) for _, v, flag, _ in seen[0])
+        assert all(kept == 1 for _, _, _, kept in seen[0])
 
     def test_uniform_on_the_keep_odds(self, monkeypatch):
         # one chain from l0 = 300 on quad: the uniform after its first
