@@ -10,6 +10,7 @@ failure, 2 = usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -76,7 +77,9 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="peelkit",
         description="peeling-process toolkit for Boltzmann planar maps",

@@ -43,7 +43,8 @@ family's h tables come from the per-ratio shared cache of `hfun`, so
 every bipartite (r = 1) evaluation and a new system at a ratio already
 seen reuse one table; a finite support's system keeps its own short h
 lists, the same doubles.  The Miermont cross-check sums its binomial
-double series per total degree in log space.
+double series in log space, the inner sums of a block of 64 total
+degrees in one array pass.
 """
 
 from __future__ import annotations
@@ -692,37 +693,55 @@ def _log_factorials(n):
 
 
 def _log_power(e, log_z):
-    """e * log z with 0 * log 0 = 0, for a nonnegative integer array e."""
-    out = np.zeros(len(e))
+    """e * log z where e > 0 and 0 elsewhere (so 0 * log 0 = 0), for an
+    integer array e."""
+    out = np.zeros(np.shape(e))
     np.multiply(e, log_z, out=out, where=e > 0)
     return out
 
 
-def _inner_sums(zp, zd, n):
-    """Inner binomial sums at total degree n for f_dot, f_diamond, d/dx, d/dy.
+_MIERMONT_BLOCK = 64
+
+
+def _inner_sums_block(zp, zd, ns):
+    """Inner binomial sums at each total degree of ns, as an array of rows
+    (f_diamond, f_dot, d/dx, d/dy).
 
     With rest = n - 2k and b_k = n! / (k!^2 rest!) = C(n,k) C(n-k,k):
     f_diamond = sum_k b_k zp^k zd^rest, f_dot the same with
     C(n+1,k+1) C(n-k,k) = b_k (n+1)/(k+1), and the two partial derivatives
     in zp and zd.  Each term is summed from log space, so neither the
     binomials nor the powers overflow or underflow on their own; zd = 0
-    (r = 1) keeps exactly the terms whose power of zd is zero.
+    (r = 1) keeps exactly the terms whose power of zd is zero.  One 2-D
+    pass covers every degree: row n holds k = 0..max(ns) // 2, with the
+    terms past n // 2 masked to zero.  A row may overflow to inf (or nan
+    in d/dx); the caller stops at the first row whose sums pass 1e280.
     """
-    lf = _log_factorials(n)
-    k = np.arange(n // 2 + 1)
-    rest = n - 2 * k
+    ns = np.asarray(ns, dtype=np.int64)
+    n_top = int(ns.max())
+    lf = _log_factorials(n_top)
+    k = np.arange(n_top // 2 + 1)
+    rest = ns[:, None] - 2 * k
+    live = rest >= 0
+    rest[~live] = 0  # masked terms read lf[0]
     log_zd = math.log(zd) if zd > 0.0 else -math.inf
-    log_b = lf[n] - 2.0 * lf[k] - lf[rest] + k * math.log(zp)
-    with np.errstate(over="ignore"):
-        t = np.exp(log_b + _log_power(rest, log_zd))
-        fd = float(t.sum())
-        fdot = float(np.dot(t, (n + 1.0) / (k + 1.0)))
-        dx = float(np.dot(t, k)) / zp
+    log_b = lf[ns][:, None] - 2.0 * lf[k] - lf[rest] + k * math.log(zp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.exp(log_b + _log_power(rest, log_zd),
+                   out=np.zeros(rest.shape), where=live)
+        fd = t.sum(axis=1)
+        fdot = (t * ((ns[:, None] + 1.0) / (k + 1.0))).sum(axis=1)
+        dx = (t * k).sum(axis=1) / zp
         # rest * b_k zp^k zd^(rest-1) over the terms with rest >= 1
-        tail = rest >= 1
-        dy = float(np.dot(rest[tail], np.exp(
-            log_b[tail] + _log_power(rest[tail] - 1, log_zd))))
-    return fd, fdot, dx, dy
+        dy = (rest * np.exp(log_b + _log_power(rest - 1, log_zd),
+                            out=np.zeros(rest.shape), where=rest >= 1)
+              ).sum(axis=1)
+    return np.column_stack((fd, fdot, dx, dy))
+
+
+def _inner_sums(zp, zd, n):
+    """The inner sums at one total degree n: one row of `_inner_sums_block`."""
+    return tuple(_inner_sums_block(zp, zd, [n])[0].tolist())
 
 
 def miermont_check(q: WeightSequence, cd: CriticalData, tol=1e-8, n_max=4000):
@@ -730,9 +749,14 @@ def miermont_check(q: WeightSequence, cd: CriticalData, tol=1e-8, n_max=4000):
 
     Evaluates the two fixed-point residuals and A1 + 2 sqrt(z+) A0 directly
     from the double binomial sums; these must reproduce the solver output
-    independently of the h-function route.  Heavy-tailed families converge
-    only like N^(-1/2), so their partial sums are Richardson-extrapolated
-    on dyadic checkpoints.
+    independently of the h-function route.  The inner sums come a block
+    of 64 total degrees at a time from one array pass
+    (`_inner_sums_block`), over the block's degrees with q_{n+1} or
+    q_{n+2} in a finite support and over all of them for an infinite
+    family; the loop over degrees only accumulates, takes its exits and
+    records the checkpoints, so an exit wastes at most the rest of one
+    block.  Heavy-tailed families converge only like N^(-1/2), so their
+    partial sums are Richardson-extrapolated on dyadic checkpoints.
     """
     from .seriesutil import richardson_limit
 
@@ -756,11 +780,21 @@ def miermont_check(q: WeightSequence, cd: CriticalData, tol=1e-8, n_max=4000):
     ckpts = []
     prev_term = math.inf
     small_streak = 0
+    block_end = 0
     for n in range(0, n_hi + 1):
+        if n == block_end:
+            block_end = min(n + _MIERMONT_BLOCK, n_hi + 1)
+            if q.is_finite:
+                ns = [m for m in range(n, block_end)
+                      if m + 1 in q.support or m + 2 in q.support]
+            else:
+                ns = list(range(n, block_end))
+            rows = (dict(zip(ns, _inner_sums_block(zp, zd, ns).tolist()))
+                    if ns else {})
         q1 = float(q.value(n + 1))
         q2 = float(q.value(n + 2))
         if q1 != 0.0 or q2 != 0.0:
-            fd, fdot, dx, dy = _inner_sums(zp, zd, n)
+            fd, fdot, dx, dy = rows[n]
             if fd > 1e280 or fdot > 1e280:
                 messages.append(
                     "inner sums overflow before the tail certifies; "

@@ -353,8 +353,16 @@ def validate(q: WeightSequence) -> ValidationReport:
     if not nondeg:
         msgs.append("no positive weight of degree >= 3")
     bip = q.bipartite
-    lattice = {k for k in range(1, 257) if q.value(2 * k + 2) > 0}
-    lattice |= {k for k in range(1, 257, 2) if q.value(k + 2) > 0}
+    # vertex-count lattice: k = (d - 2) / 2 for positive even degrees
+    # d = 4..514, k = d - 2 for positive odd degrees d = 3..257
+    if q.is_finite:
+        lattice = {(d - 2) // 2 for d, v in items if v > 0 and d % 2 == 0
+                   and 4 <= d <= 514}
+        lattice |= {d - 2 for d, v in items if v > 0 and d % 2 == 1
+                    and 3 <= d <= 257}
+    else:
+        lattice = {k for k in range(1, 257) if q.value(2 * k + 2) > 0}
+        lattice |= {k for k in range(1, 257, 2) if q.value(k + 2) > 0}
     d = math.gcd(*lattice) if lattice else 0
     return ValidationReport(nonneg, nondeg, bip, d, nonneg and nondeg, msgs)
 

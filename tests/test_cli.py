@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from peelkit.cli import main, parse_args
+from peelkit.cli import build_parser, main, parse_args
 
 
 def run_cli(args, tmp_path=None):
@@ -183,6 +183,28 @@ class TestCommands:
 
 
 class TestSubprocess:
+    def test_one_parser_many_calls(self, capsys):
+        # the parser is built once per process; calls that share it, a
+        # usage error among them, must answer as separate processes do
+        calls = [
+            ["preset", "--preset", "two_p_angulation", "--p", "3"],
+            ["enumerate", "--weights", '{"4":"1/12"}', "--l", "2",
+             "--dmax", "8"],
+            ["preset", "--preset", "odd_angulation", "--p", "1"],
+        ]
+        assert build_parser() is build_parser()
+        together = []
+        for args in calls[:2]:
+            together.append((main(args), capsys.readouterr().out))
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        together.append((main(calls[2]), capsys.readouterr().out))
+        apart = [(p.returncode, p.stdout) for p in map(run_cli, calls)]
+        assert together == apart
+        assert all(rc == 0 for rc, _ in together)
+
     def test_help_has_flag_map(self):
         proc = run_cli(["--help"])
         assert proc.returncode == 0

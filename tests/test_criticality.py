@@ -266,6 +266,188 @@ class TestInnerSums:
             for g, e in zip(got, exact_inner_sums(zp, zd, n)):
                 assert abs(g - float(e)) <= 1e-12 * abs(float(e)), (n, g, e)
 
+    @pytest.mark.parametrize("zp,zd", [
+        (Fraction(1, 20), Fraction(7, 5)),
+        (Fraction(2), Fraction(0)),  # r = 1
+    ])
+    def test_block_against_exact(self, zp, zd):
+        # the degrees as miermont_check hands them over: whole blocks of
+        # 64 (the second ends past n = 127, the third starts at 128), and
+        # blocks that skip degrees, as a finite support's do
+        exact = {n: [float(e) for e in exact_inner_sums(zp, zd, n)]
+                 for n in range(0, 131)}
+        blocks = [range(0, 64), range(64, 128), range(128, 131),
+                  range(0, 131), [3, 5, 60, 64, 65, 127, 130], [129]]
+        for ns in blocks:
+            got = criticality._inner_sums_block(float(zp), float(zd), list(ns))
+            assert got.shape == (len(ns), 4)
+            for n, row in zip(ns, got.tolist()):
+                for g, e in zip(row, exact[n]):
+                    assert abs(g - e) <= 1e-12 * abs(e), (n, g, e)
+
+
+def reference_inner_sums(zp, zd, n):
+    """The inner sums of one total degree in their own numpy pass, as
+    `miermont_check` computed them before it took a block of degrees at a
+    time."""
+    lf = criticality._log_factorials(n)
+    k = np.arange(n // 2 + 1)
+    rest = n - 2 * k
+    log_zd = math.log(zd) if zd > 0.0 else -math.inf
+    log_b = lf[n] - 2.0 * lf[k] - lf[rest] + k * math.log(zp)
+
+    def log_power(e, log_z):
+        out = np.zeros(len(e))
+        np.multiply(e, log_z, out=out, where=e > 0)
+        return out
+
+    # the overflow exit's inf terms meet k = 0 in np.dot (inf * 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.exp(log_b + log_power(rest, log_zd))
+        fd = float(t.sum())
+        fdot = float(np.dot(t, (n + 1.0) / (k + 1.0)))
+        dx = float(np.dot(t, k)) / zp
+        tail = rest >= 1
+        dy = float(np.dot(rest[tail], np.exp(
+            log_b[tail] + log_power(rest[tail] - 1, log_zd))))
+    return fd, fdot, dx, dy
+
+
+def reference_miermont(q, cd, tol=1e-8, n_max=4000):
+    """`miermont_check` degree by degree: the inner sums of each total
+    degree computed when the loop reaches it."""
+    from peelkit.seriesutil import richardson_limit
+
+    zp, zd = cd.z_plus, cd.z_diamond
+    heavy = bool(q.family and q.family[0] == "symmetric_critical")
+    n_hi = q.max_support if q.is_finite else (512 if heavy else n_max)
+    acc = np.zeros(4)
+    trunc = 0.0
+    messages = []
+    ckpt_ns = [n for n in (64, 128, 256, 512) if n <= n_hi]
+    ckpts = []
+    prev_term = math.inf
+    small_streak = 0
+    for n in range(0, n_hi + 1):
+        q1 = float(q.value(n + 1))
+        q2 = float(q.value(n + 2))
+        if q1 != 0.0 or q2 != 0.0:
+            fd, fdot, dx, dy = reference_inner_sums(zp, zd, n)
+            if fd > 1e280 or fdot > 1e280:
+                messages.append("inner sums overflow before the tail "
+                                "certifies; truncation estimated")
+                trunc = max(trunc, prev_term * n)
+                break
+            acc += (q1 * fd, q2 * fdot, 0.5 * q1 * dx, q1 * dy)
+            term = q1 * fd + q2 * fdot
+            if term > 1e6:
+                messages.append("divergent truncation; input looks inadmissible")
+                return dict(f_dot_residual=math.nan, f_diamond_residual=math.nan,
+                            A0=math.nan, A1=math.nan,
+                            A1_plus_2sqrtzp_A0=math.nan, truncation=math.inf,
+                            ok=False, messages=messages)
+            small_streak = small_streak + 1 if term < 1e-15 else 0
+            if not q.is_finite and not heavy and n > 64 and small_streak >= 2:
+                trunc = max(term, prev_term) * 10.0
+                break
+            prev_term = max(term, 1e-300)
+        if n in ckpt_ns:
+            ckpts.append(acc.copy())
+    else:
+        if not q.is_finite and not heavy:
+            trunc = prev_term * n_hi
+    if heavy and len(ckpts) == len(ckpt_ns) >= 3:
+        expos = [0.5, 1.5, 2.5][: len(ckpt_ns) - 1]
+        fine = np.array([richardson_limit(ckpt_ns, [c[i] for c in ckpts], expos)
+                         for i in range(4)])
+        coarse = np.array([richardson_limit(ckpt_ns[:-1],
+                                            [c[i] for c in ckpts[:-1]],
+                                            expos[:-1]) for i in range(4)])
+        trunc = float(np.max(np.abs(fine - coarse)))
+        acc = fine
+        messages.append("heavy tail: partial sums extrapolated")
+    f_diamond, f_dot, A0, A1 = acc
+    scalar = float(A1 + 2.0 * math.sqrt(zp) * A0)
+    res_dot = float(f_dot - (1.0 - 1.0 / zp))
+    res_dia = float(f_diamond - zd)
+    ok = bool(abs(res_dot) <= tol + trunc and abs(res_dia) <= tol + trunc
+              and scalar <= 1.0 + tol + trunc)
+    return dict(f_dot_residual=res_dot, f_diamond_residual=res_dia,
+                A0=float(A0), A1=float(A1), A1_plus_2sqrtzp_A0=scalar,
+                truncation=float(trunc), ok=ok, messages=messages)
+
+
+def assert_same_report(got, want):
+    assert got["ok"] == want["ok"]
+    assert got["messages"] == want["messages"]
+    for key, w in want.items():
+        if key in ("ok", "messages"):
+            continue
+        g = got[key]
+        same = (math.isnan(g) and math.isnan(w)) or g == w
+        assert same or abs(g - w) <= 1e-14, (key, g, w)
+
+
+def _synthetic(z_plus, z_diamond):
+    """Critical data with the given (z+, z_diamond), for driving
+    miermont_check into its exits."""
+    return criticality.CriticalData(
+        c_plus=3.0, c_minus=0.0, r=0.0, z_plus=z_plus, z_diamond=z_diamond,
+        margin=0.0, classification="critical")
+
+
+class TestMiermontBlocks:
+    """The block pass gives the per-degree reports: same ok and messages,
+    every value within 1e-14."""
+
+    @pytest.mark.parametrize("name,params", [
+        ("geometric", {"H": 3.0}),
+        ("symmetric_critical", {"r": 1.0, "a": math.pi / 4}),
+        ("odd_angulation", {"p": 2}),
+    ])
+    def test_presets(self, name, params):
+        q = preset(name, **params).weights
+        cd = solve_boltzmann(q)
+        rep = miermont_check(q, cd).to_report()
+        assert_same_report(rep, reference_miermont(q, cd))
+        assert rep["ok"]
+        if name == "symmetric_critical":
+            assert rep["messages"] == ["heavy tail: partial sums extrapolated"]
+
+    def test_tuned_finite_shape(self):
+        shape = WeightSequence({3: Fraction(1), 4: Fraction(2),
+                                7: Fraction(1, 3)})
+        t = tune_critical(shape)
+        q = shape.scaled(t.t_star)
+        rep = miermont_check(q, t.data).to_report()
+        assert_same_report(rep, reference_miermont(q, t.data))
+        assert rep["ok"]
+
+    # The exits below stop the loop early in a block whose later rows
+    # overflow; under the test session's error::RuntimeWarning:peelkit
+    # filter those rows must neither warn nor reach the report.
+
+    def test_inner_sums_overflow(self):
+        q = WeightSequence({3: 1e-10, 300: 1e-290})
+        cd = _synthetic(1e4, 1e4)
+        rep = miermont_check(q, cd).to_report()
+        assert rep["messages"] == [
+            "inner sums overflow before the tail certifies; "
+            "truncation estimated"]
+        assert_same_report(rep, reference_miermont(q, cd))
+
+    @pytest.mark.parametrize("q", [
+        WeightSequence({4: 1.0, 40: 1e-300}),
+        preset("geometric", H=3.0).weights,
+    ], ids=["finite", "geometric"])
+    def test_divergent_truncation(self, q):
+        cd = _synthetic(1e30, 10.0)
+        rep = miermont_check(q, cd).to_report()
+        assert rep["messages"] == [
+            "divergent truncation; input looks inadmissible"]
+        assert not rep["ok"] and rep["truncation"] == math.inf
+        assert_same_report(rep, reference_miermont(q, cd))
+
 
 class TestTune:
     def test_quadrangulation_scale(self):

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from peelkit.errors import DivergentSeriesError
 from peelkit.hfun import HCache, h_eval
 from peelkit.weights import (
     PRESET_ALIASES,
     StepLawPositive,
+    ValidationReport,
     WeightSequence,
     nu_from_q,
     parse_weight,
@@ -20,6 +22,28 @@ from peelkit.weights import (
     q_from_nu,
     validate,
 )
+
+
+def scan_validate(q):
+    """`validate` as it was before finite supports read their lattice off
+    the support's keys: every check, with the vertex-count lattice scanned
+    through q.value over degrees 3..514 (still the path of infinite
+    families)."""
+    items = list(q.support.items())
+    if not items or all(v == 0 for _, v in items):
+        return ValidationReport(True, False, False, 0, False, ["empty support"])
+    msgs = []
+    nonneg = all(v >= 0 for _, v in items)
+    if not nonneg:
+        msgs.append("negative weight present")
+    nondeg = any(k >= 3 and v > 0 for k, v in items)
+    if not nondeg:
+        msgs.append("no positive weight of degree >= 3")
+    lattice = {k for k in range(1, 257) if q.value(2 * k + 2) > 0}
+    lattice |= {k for k in range(1, 257, 2) if q.value(k + 2) > 0}
+    d = math.gcd(*lattice) if lattice else 0
+    return ValidationReport(nonneg, nondeg, q.bipartite, d, nonneg and nondeg,
+                            msgs)
 
 
 class TestValidate:
@@ -50,6 +74,21 @@ class TestValidate:
     def test_hexangulation_lattice(self):
         rep = validate(WeightSequence({6: Fraction(1, 54)}))
         assert rep.parity_lattice == 2
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.dictionaries(
+        st.one_of(st.integers(1, 16), st.integers(250, 530)),
+        st.one_of(st.fractions(-2, 2, max_denominator=50),
+                  st.floats(-2.0, 2.0, allow_nan=False)),
+        max_size=5))
+    @example({257: 1, 514: Fraction(1, 2)})
+    @example({259: 1, 516: 1})
+    @example({3: -1, 6: 0.5, 259: 2})
+    def test_finite_lattice_matches_scan(self, support):
+        # degrees past the scan window (even >= 516, odd >= 259) and zero or
+        # negative weights must not enter the lattice read off the support
+        q = WeightSequence(support)
+        assert validate(q) == scan_validate(q)
 
 
 class TestNuFromQ:
