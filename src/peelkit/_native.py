@@ -7,7 +7,7 @@ stays in the package as the fallback and the test reference:
 * ``h_derivative``, the recurrence's r-derivative of `hfun._derivative_py`;
 * ``cdf_draw``, the inverse-CDF draw of `peeling._StackedCdf`;
 * ``band_jumps``, the band-envelope rejection of `peeling._Bands`;
-* ``fill_rows``, the stacked rows of `peeling._ChainEngine._fill_numpy`;
+* ``fill_rows``, the stacked rows of `peeling._Window._fill_numpy`;
 * ``lockstep``, the chains' single steps of `peeling._lockstep_numpy`
   with their volumes and checkpoints, run until a table is missing;
 * ``block_rounds``, the infinite-map block rounds of
@@ -171,7 +171,8 @@ static long long search_right(const double *a, long long lo, long long hi,
 }
 
 typedef struct {
-    const double *flat;        /* n rows of width cumulative weights */
+    const double *flat;        /* n rows of cumulative weights: row i at */
+    const long long *off;      /* flat[off[i]:off[i + 1]], its last columns */
     long long n, width;
     const long long *vals;     /* width values (shared) or width per row */
     long long n_vals, shared;
@@ -197,16 +198,23 @@ int cdf_one(bitgen_t *bg, const cdf_t *c, long long row, long long *out)
         }
     }
     /* the row's own entries, when its neighbours bound t */
-    long long n_flat = c->n * c->width;
-    long long lo = row * c->width, hi = lo + c->width;
+    long long n_flat = c->off[c->n];
+    long long lo = c->off[row], hi = c->off[row + 1];
     if (lo > 0 && t < c->flat[lo - 1])
         lo = 0;
     if (hi < n_flat && !(t < c->flat[hi]))
         hi = n_flat;
     long long idx = search_right(c->flat, lo, hi, t);
-    if (c->shared)
-        idx %= c->width;
-    if (idx >= c->n_vals)
+    /* the value index: the row's start column plus the entry's offset in
+       the row, taken modulo width in a shared table */
+    long long start = c->width - (c->off[row + 1] - c->off[row]);
+    long long col = start + idx - c->off[row];
+    if (c->shared) {
+        col %= c->width;
+        idx = col < 0 ? col + c->width : col;
+    } else
+        idx = row * c->width + col;
+    if (idx < 0 || idx >= c->n_vals)
         return -1;
     *out = c->vals[idx];
     return 0;
@@ -296,22 +304,26 @@ long long band_jumps(bitgen_t *bg, const bands_t *b, const long long *ls,
     return proposals;
 }
 
-/* Rows l_from..l_to-1 of the chain engine's stacked rows into cum, as
-   _ChainEngine._fill_numpy: w_j = hz[l + idx_j] * p[idx_j], their running
+/* Rows l_from..l_to-1 of a window's stacked rows into cum, row l at
+   cum[off[l] - off[l_from]] over its last off[l + 1] - off[l] of width
+   columns, as _Window._fill_numpy: w_j = h[l + ks_j] * p_j, their running
    sum divided by its last entry where that is positive, plus l. */
-void fill_rows(const double *hz, const double *p, const long long *idx,
-               long long width, long long l_from, long long l_to, double *cum)
+void fill_rows(const double *h, const double *p, const long long *ks,
+               long long width, const long long *off, long long l_from,
+               long long l_to, double *cum)
 {
-    for (long long l = l_from; l < l_to; l++, cum += width) {
+    for (long long l = l_from; l < l_to; l++) {
+        double *row = cum + (off[l] - off[l_from]);
+        long long len = off[l + 1] - off[l], j0 = width - len;
         double s = 0.0;
-        for (long long j = 0; j < width; j++) {
-            double w = hz[l + idx[j]] * p[idx[j]];
+        for (long long j = 0; j < len; j++) {
+            double w = h[l + ks[j0 + j]] * p[j0 + j];
             s = j ? s + w : w;
-            cum[j] = s;
+            row[j] = s;
         }
-        double total = cum[width - 1];
-        for (long long j = 0; j < width; j++)
-            cum[j] = (total > 0 ? cum[j] / total : cum[j]) + (double)l;
+        double total = row[len - 1];
+        for (long long j = 0; j < len; j++)
+            row[j] = (total > 0 ? row[j] / total : row[j]) + (double)l;
     }
 }
 
@@ -976,7 +988,7 @@ _LL = ctypes.c_longlong
 
 class Cdf(ctypes.Structure):
     """cdf_t: the tables of one `_StackedCdf`, by address."""
-    _fields_ = [("flat", _P), ("n", _LL), ("width", _LL), ("vals", _P),
+    _fields_ = [("flat", _P), ("off", _P), ("n", _LL), ("width", _LL), ("vals", _P),
                 ("n_vals", _LL), ("shared", _LL), ("guide", _P),
                 ("n_guide", _LL), ("open", _LL), ("cells", _LL),
                 ("u_max", ctypes.c_double)]
@@ -1217,7 +1229,7 @@ def _open(path):
     lib.cdf_draw.restype = ctypes.c_int
     lib.band_jumps.argtypes = [_P, ctypes.POINTER(Bands), _P, _LL, _P]
     lib.band_jumps.restype = _LL
-    lib.fill_rows.argtypes = [_P, _P, _P, _LL, _LL, _LL, _P]
+    lib.fill_rows.argtypes = [_P, _P, _P, _LL, _P, _LL, _LL, _P]
     lib.fill_rows.restype = None
     for fn in (lib.lockstep, lib.block_rounds):
         fn.argtypes = [_P, ctypes.POINTER(Lockstep)]

@@ -88,8 +88,9 @@ def enumerate_dp(q: WeightSequence, l, D_max) -> EnumTable:
     zero = Fraction(0) if exact else 0.0
     support = sorted(q.support)
     M_max = l + D_max
-    # layers[M][l] = {F: weight}
+    # layers[M][l] = {F: weight}; held[l] lists the layers M holding l, ascending
     layers = {0: {0: {0: (Fraction(1) if exact else 1.0)}}}
+    held = {0: [0]}
     for M in range(2, M_max + 1, 2):
         layer = {}
         prev = layers[M - 2]
@@ -106,22 +107,25 @@ def enumerate_dp(q: WeightSequence, l, D_max) -> EnumTable:
                 for F1, v in src.items():
                     key = F1 + 1
                     out[key] = out.get(key, zero) + qk * v
-            # split the root face; sublayer totals l' + D1 are always even
+            # split the root face into sublayers M1 and M - 2 - M1 (even
+            # totals l' + D1), walking only the layers that hold l'
             for lp in range(0, ll - 1):
                 lpp = ll - lp - 2
-                start = lp + (lp % 2)
-                for M1 in range(start, M - 2 - lpp + 1, 2):
-                    A = layers.get(M1, {}).get(lp)
-                    B = layers.get(M - 2 - M1, {}).get(lpp)
-                    if not A or not B:
+                for M1 in held.get(lp, ()):
+                    if M1 > M - 2 - lpp:
+                        break
+                    B = layers[M - 2 - M1].get(lpp)
+                    if not B:
                         continue
-                    for F1, v1 in A.items():
+                    for F1, v1 in layers[M1][lp].items():
                         for F2, v2 in B.items():
                             key = F1 + F2
                             out[key] = out.get(key, zero) + v1 * v2
             if out:
                 layer[ll] = out
         layers[M] = layer
+        for ll in layer:
+            held.setdefault(ll, []).append(M)
     cells = {}
     for M, layer in layers.items():
         for ll, fdict in layer.items():
@@ -251,7 +255,15 @@ def volume_tables(q: WeightSequence, l, D_max) -> VolumeTable:
     V_star = floor((D_max (m-2)/m + l + 2)/2); below that the rational
     values are the exact disk weights W(l, V).
     """
-    table = enumerate_dp(q, l, D_max)
+    return _vertex_marginal(enumerate_dp(q, l, D_max), l)
+
+
+def _vertex_marginal(table, l):
+    """`volume_tables` for root-face degree l read off table, an
+    `enumerate_dp` pass at any l0 >= l: its layers below l0 + D_max do not
+    depend on l0, so the cells with root-face degree l are those of a pass
+    at l, the same values in the same order."""
+    q, D_max = table.q, table.D_max
     values = {}
     for (ll, D, F), v in table.cells.items():
         if ll != l:

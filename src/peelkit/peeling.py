@@ -46,14 +46,23 @@ the step law only by the truncated masses trunc_neg and trunc_pos the law
 reports.  Finite-map chains always step one at a time: h(0, .) falls, so
 no envelope is close.
 
-Everything the engine tabulates (the deepened law, the rows, the h bands,
-the tilted rows and B(l)) depends only on the law, the transform and
-the deepening depth, never on the call.  Each thread keeps the last
-deepened law and engine of each mode between calls and reuses them while
-the same law object, unchanged (same digest), is run to the same depth;
-a new law or depth replaces them.  The tables only grow and their
-prefixes do not depend on how they grew, so a reused engine draws
-bit-identically to a new one.
+Everything the engine tabulates depends only on the law, the transform
+and the deepening depth, never on the call, and it comes in two parts.
+The window part (`_Window`: the stacked rows below L_SMALL, and log
+K_theta for the infinite map) reads only nu over k > -L_SMALL, k_pos and
+h(o, .), which deepening leaves unchanged; the depth part (the engine
+proper: the deepened law, cs, the bands, the tilted rows, log phi, B(l)
+and the memoized mean volumes) reads the rest.  Each thread keeps, per
+mode, the depth part of its last run, reused while the same law object,
+unchanged (same digest), is run to the same depth, and its WINDOWS most
+recently used window parts, keyed by what they read, so a law run at
+another depth, or two laws run by turns, reuse their rows.  The tables
+only grow and their prefixes do not depend on how they grew, so reused
+parts draw bit-identically to new ones.  Two run flags say which parts a
+run reused: ``window_reused`` is True when its window part came from the
+thread's windows and False when the run built it, and ``depth_built`` is
+True when the run built its depth part and False when it reused the one
+the thread's previous run in that mode left.
 
 The steps in lockstep (every step of a finite run, and an infinite-map
 run's steps until a chain reaches a perimeter with B(l) > 1) run in one
@@ -78,6 +87,7 @@ the same values.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import math
@@ -128,11 +138,19 @@ class _StackedCdf:
     time, into storage that grows with them up to n_rows: a chain that
     stays at small perimeters never allocates the rows it does not reach.
 
-    Guided rows also keep a guide table of GUIDE cells per row (Devroye
-    1986, III.2.4), grown with them: a cell that no cut of its row splits
-    holds the value every target in it draws, the others the smallest value
-    less one, and only targets in those are searched for.  GUIDE is a power
-    of two, so a target's cell is exact.
+    Row i may keep only its columns from ``starts[i]`` on (default 0, a
+    rectangular table), when the columns in front carry no weight: their
+    entries would be exactly i, which no target of the row lies below.
+    Its entries are flat[off[i]:off[i + 1]], and a target of row i found
+    at flat index e draws column starts[i] + (e - off[i]) of the row's
+    table (modulo width for a shared table, as a zero-weight row's targets
+    run past its end).
+
+    Guided rows (rectangular only) also keep a guide table of GUIDE cells
+    per row (Devroye 1986, III.2.4), grown with them: a cell that no cut of
+    its row splits holds the value every target in it draws, the others the
+    smallest value less one, and only targets in those are searched for.
+    GUIDE is a power of two, so a target's cell is exact.
 
     Integer values are drawn by the compiled ``cdf_draw`` where the
     package's library loads (`_native`), else by numpy; both read the same
@@ -143,36 +161,51 @@ class _StackedCdf:
 
     U_MAX = 1.0 - 2.0**-40
 
-    def __init__(self, n_rows, values, guided=False):
+    def __init__(self, n_rows, values, guided=False, starts=None):
         self.n_rows = n_rows
         self.width = values.shape[-1]
         self._vals = np.ascontiguousarray(values).reshape(-1)
         self._shared = values.ndim == 1
+        self._starts = (np.zeros(n_rows, dtype=np.int64) if starts is None
+                        else np.asarray(starts, dtype=np.int64))
+        if guided and self._starts.any():
+            raise ValueError("guided rows keep every column")
+        self._off = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(self.width - self._starts, out=self._off[1:])
         self.n = 0
-        self._cum = np.empty((0, self.width))
-        self._flat = self._cum.reshape(-1)
+        self._store = np.empty(0)
+        self._flat = self._store
         self._open = self._vals.min() - 1
         self._guide = np.empty(0, dtype=self._vals.dtype) if guided else None
         self._packed = None
 
+    def row(self, i):
+        """Row i's entries, i + its cumulative weights over its columns."""
+        return self._flat[self._off[i]:self._off[i + 1]]
+
     def reserve(self, rows):
         """Room for at least min(rows, n_rows) rows; storage at least doubles."""
-        if rows <= len(self._cum):
+        need = self._off[min(rows, self.n_rows)]
+        if need <= len(self._store):
             return
-        cum = np.empty((min(self.n_rows, max(rows, 2 * len(self._cum))),
-                        self.width))
-        cum[:self.n] = self._cum[:self.n]
-        self._cum = cum
-        self._flat = cum.reshape(-1)[: self.n * self.width]
+        store = np.empty(min(self._off[-1], max(need, 2 * len(self._store))))
+        store[:len(self._flat)] = self._flat
+        self._store = store
+        self._flat = store[:len(self._flat)]
         self._packed = None
 
     def append(self, weights):
+        """Append len(weights) rows of weights over every column; a row's
+        weights in front of its start are zero and left out."""
         m = len(weights)
         self.reserve(self.n + m)
         cum = np.cumsum(weights, axis=1)
         np.divide(cum, cum[:, -1:], out=cum, where=cum[:, -1:] > 0)
         cum += np.arange(self.n, self.n + m)[:, None]
-        self._cum[self.n:self.n + m] = cum
+        starts = self._starts[self.n:self.n + m]
+        self._store[self._off[self.n]:self._off[self.n + m]] = (
+            cum[np.arange(self.width) >= starts[:, None]] if starts.any()
+            else cum.reshape(-1))
         if self._guide is not None:
             # entry e settles the cells [ceil(G lo_e), floor(G hi_e)) inside
             # its interval [lo_e, hi_e) of targets (cells counted from row n)
@@ -190,26 +223,39 @@ class _StackedCdf:
     def grown(self, n):
         """Take rows up to n, written past the rows built (unguided rows)."""
         self.n = n
-        self._flat = self._cum.reshape(-1)[: self.n * self.width]
+        self._flat = self._store[:self._off[n]]
         self._packed = None
 
-    def _values_at(self, idx):
-        return self._vals[idx % self.width if self._shared else idx]
+    def _values_at(self, idx, rows):
+        """The values at flat indices idx, each searched for in its entry of
+        rows: column starts[row] + idx - off[row] of the row's table, modulo
+        width in a shared table; outside a per-row table, IndexError."""
+        col = idx - self._off[rows + 1] + self.width
+        if self._shared:
+            return self._vals[col % self.width]
+        idx = rows * self.width + col
+        if len(idx) and idx.min() < 0:
+            raise IndexError("a target outside the value table")
+        return self._vals[idx]
 
     def at(self, t):
-        """The values at targets t in [0, n), searchsorted(rows, t, "right")."""
+        """The values at targets t in [0, n), searchsorted(rows, t, "right")
+        in the row floor(t)."""
+        rows = t.astype(np.intp)
         if self._guide is not None:
             out = self._guide[(t * GUIDE).astype(np.intp)]
             open_ = np.flatnonzero(out == self._open)
             if len(open_):
-                out[open_] = self._values_at(self._flat.searchsorted(t[open_], "right"))
+                out[open_] = self._values_at(
+                    self._flat.searchsorted(t[open_], "right"), rows[open_])
             return out
         if len(t) < 64:
-            return self._values_at(self._flat.searchsorted(t, "right"))
+            return self._values_at(self._flat.searchsorted(t, "right"), rows)
         # sorted targets keep successive searches in cache: 3-4x for 1000s
         order = np.argsort(t)
         out = np.empty(len(t), dtype=self._vals.dtype)
-        out[order] = self._values_at(self._flat.searchsorted(t[order], "right"))
+        out[order] = self._values_at(self._flat.searchsorted(t[order], "right"),
+                                     rows[order])
         return out
 
     def draw(self, rng, rows):
@@ -233,11 +279,11 @@ class _StackedCdf:
         if packed is None:
             flat, vals, guide = self._flat, self._vals, self._guide
             packed = self._packed = (_native.Cdf(
-                _native.address(flat), self.n, self.width,
-                _native.address(vals), len(vals), self._shared,
+                _native.address(flat), _native.address(self._off), self.n,
+                self.width, _native.address(vals), len(vals), self._shared,
                 None if guide is None else _native.address(guide),
                 0 if guide is None else len(guide), int(self._open), GUIDE,
-                self.U_MAX), (flat, vals, guide))
+                self.U_MAX), (flat, self._off, vals, guide))
         return packed
 
     def _draw_c(self, lib, rng, rows):
@@ -251,7 +297,8 @@ class _StackedCdf:
 def _same_draws(lib):
     """True when the compiled draws of lib give exactly the numpy draws on
     small fixed tables: guided and unguided rows, shared and per-row
-    values, and band proposals from both bands (the library's self-check,
+    values, rows that keep every column and rows that start past column 0,
+    and band proposals from both bands (the library's self-check,
     `_native._self_check`).  The uniforms first probe the edges, every cut
     of every row and each band's share, then spread over [0, 1)."""
     spread = np.arange(1, 98) * 0.6180339887498949 % 1.0
@@ -267,13 +314,18 @@ def _same_draws(lib):
                         [5.0, 1.0, 1.0, 1.0, 0.5]])
     shared = np.array([-2, 0, 1, 3, 7], dtype=np.int64)
     per_row = np.arange(15, dtype=np.int64).reshape(3, 5) * 2 - 9
-    for values, guided in ((shared, True), (shared, False), (per_row, False)):
-        cdf = _StackedCdf(3, values, guided=guided)
-        cdf.append(weights)
-        cut = cdf._flat.reshape(3, -1) - np.arange(3)[:, None]
+    starts = np.array([2, 1, 0])
+    for values, guided, start in ((shared, True, None), (shared, False, None),
+                                  (per_row, False, None), (shared, False, starts),
+                                  (per_row, False, starts)):
+        cdf = _StackedCdf(3, values, guided=guided, starts=start)
+        cdf.append(weights if start is None
+                   else np.where(np.arange(5) >= start[:, None], weights, 0.0))
+        row_of = np.repeat(np.arange(3), np.diff(cdf._off))
+        cut = cdf._flat - row_of
         near = np.column_stack([cut, cut / cdf.U_MAX])    # just below, at
         probe = near < 1
-        rows = np.concatenate([np.nonzero(probe)[0], np.tile(np.arange(3), 8)])
+        rows = np.concatenate([row_of[np.nonzero(probe)[0]], np.tile(np.arange(3), 8)])
         if not same(cdf._draw_numpy, cdf._draw_c,
                     np.concatenate([near[probe], spread]), rows):
             return False
@@ -296,7 +348,8 @@ def _same_lockstep(lib):
     residuals and the limit law; then without absorption, for a heavy law
     whose means are filled mid-step, until a chain lands on block_from.
     The compiled run goes first and grows the rows it needs by
-    ``fill_rows``; numpy then fills them again for comparison."""
+    ``fill_rows``; numpy then fills them again for comparison (the law's
+    window starts at k = -8, so rows below 8 start past column 0)."""
     ks = np.arange(-8, 3)
     h = 1.0 / np.sqrt(np.arange(1.0, 2 * L_SMALL + 1))
     law = types.SimpleNamespace(
@@ -329,8 +382,8 @@ def _same_lockstep(lib):
                          rng.used))
         if runs[0] != runs[1]:
             return "compiled lockstep differs from the Python loop"
-    rows = _StackedCdf(L_SMALL, engine.win_ks)
-    engine._fill_numpy(rows, 70)
+    rows = engine.window.new_rows()
+    engine.window._fill_numpy(rows, 70)
     if rows._flat.tobytes() != engine.rows._flat[:rows._flat.size].tobytes():
         return "compiled row fill differs from the numpy fill"
     return None
@@ -497,34 +550,45 @@ _EXACT_TABLES = {}
 _EXACT_TABLES_MAX = 32
 
 
-def _exact_volume_tables(law: StepLaw, l_exact, d_max, digest=None):
+def _exact_volume_tables(law: StepLaw, l_exact, d_max):
     """({l': (Vs, W(l', V) / W(l'), V*)}, the same laws as stacked rows with
     the residual mass as a last entry -(V* + 1)), or None if uncertified;
-    built once per (law digest, l_exact, d_max).  digest is law.digest(),
-    when the caller has it."""
-    key = (digest or law.digest(), l_exact, d_max)
-    if key not in _EXACT_TABLES:
-        if len(_EXACT_TABLES) >= _EXACT_TABLES_MAX:
-            _EXACT_TABLES.pop(next(iter(_EXACT_TABLES)))
-        _EXACT_TABLES[key] = _build_volume_tables(law, l_exact, d_max)
-    return _EXACT_TABLES[key]
-
-
-def _build_volume_tables(law, l_exact, d_max):
-    from .oracle import volume_tables
+    built once per what they read: the face weights q that law's positive
+    part and nu(-2) give, the disk weights W(l') for l' <= l_exact, l_exact
+    and d_max.  A deeper copy of a law changes none of these."""
     from .weights import q_from_nu
 
     q = q_from_nu(law)
     if not q.support or q.min_support <= 2:
         return None
     lps = range(1 + q.bipartite, l_exact + 1, 1 + q.bipartite)
-    laws = {}
     try:
         # the disk weights first: they are cheap, and past the law's depth
         # or the float range they leave the tables uncertified at once
-        totals = [float(disk_coefficient(law, lp)) for lp in lps]
-        for lp, total in zip(lps, totals):
-            vt = volume_tables(q, lp, d_max)
+        totals = tuple(float(disk_coefficient(law, lp)) for lp in lps)
+    except (ValueError, RangeError, OverflowError):
+        return None
+    key = (tuple((k, type(v), v) for k, v in q.support.items()), totals,
+           l_exact, d_max)
+    if key not in _EXACT_TABLES:
+        if len(_EXACT_TABLES) >= _EXACT_TABLES_MAX:
+            _EXACT_TABLES.pop(next(iter(_EXACT_TABLES)))
+        _EXACT_TABLES[key] = _build_volume_tables(q, dict(zip(lps, totals)),
+                                                  l_exact, d_max)
+    return _EXACT_TABLES[key]
+
+
+def _build_volume_tables(q, totals, l_exact, d_max):
+    """The tables of `_exact_volume_tables` for face weights q and the disk
+    weights totals {l': W(l')}, from one enumeration pass at l_exact (the
+    cells of every l' < l_exact are those of a pass at l')."""
+    from .oracle import _vertex_marginal, enumerate_dp
+
+    laws = {}
+    try:
+        table = enumerate_dp(q, l_exact, d_max)
+        for lp, total in totals.items():
+            vt = _vertex_marginal(table, lp)
             if not vt.complete or total <= 0:
                 return None
             Vs = sorted(V for V in vt.values if V <= vt.V_star)
@@ -560,17 +624,24 @@ class VolumeSampler:
     (the mode falls back to the limit law, flag exact_fallback, where the
     tables cannot be certified).  A heavy-tailed law has no volume constant
     B_nu, so where the limit law would be drawn it takes the rounded mean
-    increment instead (flag heavy_volume_expectation).  digest, when given,
-    is law.digest(), which keys the enumeration tables.
+    increment instead (flag heavy_volume_expectation).  engine, when
+    given, is law's chain engine, whose memos the sampler reads and fills:
+    the rounded means (`_ChainEngine.means`) and the enumeration tables per
+    (l_exact, d_max), so the runs of one deepened law share them.
     """
 
     def __init__(self, law: StepLaw, mode="exact_small", l_exact=DEFAULT_L_EXACT,
-                 d_max=24, *, digest=None):
+                 d_max=24, *, engine=None):
         _check_volume_args(mode, l_exact, d_max)
         self.law = law
         self.mode = mode
         exact = mode == "exact_small"
-        built = _exact_volume_tables(law, l_exact, d_max, digest) if exact else None
+        built = None
+        if exact:
+            memo = {} if engine is None else engine.exact_tables
+            if (l_exact, d_max) not in memo:
+                memo[l_exact, d_max] = _exact_volume_tables(law, l_exact, d_max)
+            built = memo[l_exact, d_max]
         self.flags = {"exact_fallback": exact and built is None,
                       "residual_draws": 0}
         self.tables, self._cdf = built or ({}, None)
@@ -578,8 +649,11 @@ class VolumeSampler:
         # heavy-tailed laws have no universal volume fluctuation scale and
         # fall back to the exact mean increment
         self.heavy = math.isnan(law.B_nu)
-        self._means = np.zeros(law.k_neg + 1, dtype=np.int64)
-        self._means[0] = 1      # l' = 0 is the one-vertex map
+        if engine is None:
+            self._means = np.zeros(law.k_neg + 1, dtype=np.int64)
+            self._means[0] = 1      # l' = 0 is the one-vertex map
+        else:
+            self._means = engine.means
 
     def _mean_volume(self, lp):
         """max(1, round(E V(l'))) per entry, memoized per l'."""
@@ -780,11 +854,96 @@ class _Bands:
         return out, proposals
 
 
+def _log_K(law):
+    """log K_theta for theta in BLOCK_THETAS, K_theta = max_{m >= 1} h(1, m)
+    e^(-theta m): the maximum over h(1, .) up to m_top = 2^b - 1, the
+    smallest above L_SMALL + k_pos (the engine's first h table), and a
+    bound past it.  h(1, m) / h_asymptote(1, m) tends to 1 with an excess
+    that only shrinks in m, so rho, the larger of 1 and the ratio's maximum
+    over the table's last half, bounds it beyond m_top, where
+    sqrt(m) e^(-theta m) peaks at max(m_top, 1 / (2 theta))."""
+    th = BLOCK_THETAS
+    m_top = (1 << (L_SMALL + law.k_pos).bit_length()) - 1
+    m = np.arange(1, m_top + 1)
+    h = law.hcache().table(1, m_top)[:m_top]
+    a1 = h_asymptote(1, 1, law.r)          # h_asymptote(1, m) = a1 sqrt(m)
+    rho = max(1.0, float((h[m_top // 2:] / (a1 * np.sqrt(m[m_top // 2:]))).max()))
+    far = np.maximum(m_top, 0.5 / th)
+    past = math.log(rho * a1) + 0.5 * np.log(far) - th * far
+    # 1e-12 covers the rounding of exp and log in the keep test
+    return np.maximum((np.log(h) - np.outer(th, m)).max(axis=1), past) + 1e-12
+
+
+def _window_key(law):
+    """What a window part reads of a law: its ratio r (which fixes h), k_pos
+    and nu over the window k > -L_SMALL."""
+    lo = max(0, law.k_neg - L_SMALL + 1)
+    return repr(law.r), law.k_pos, law.probs[lo:].tobytes()
+
+
+class _Window:
+    """The part of a chain engine that does not depend on the depth: the
+    stacked rows below L_SMALL, and log K_theta for the ibpm transform.
+
+    Row l draws the jump k from h(o, l+k) nu(k) over the window
+    k > -L_SMALL, and keeps only its columns k >= -l: the jumps below -l
+    carry no weight.  Both tables read only nu over the window, k_pos and
+    h(o, .), which a deeper copy of a law leaves unchanged (deepening gives
+    the same floats for nu(k), k > -L_SMALL, at every depth), so runs of
+    one law at any depth share a window, found by what it read
+    (`_window_key`, `_chain_engine`).  A full window of rows holds
+    L_SMALL (L_SMALL - 1) / 2 + L_SMALL (k_pos + 1) doubles: 4.2 MB for
+    quad and tri."""
+
+    def __init__(self, law, order):
+        self.order = order
+        self.ks = law.ks[law.ks > -L_SMALL]
+        self.p = law.probs[self.ks + law.k_neg]
+        # h(o, m) for the landings m <= L_SMALL - 1 + k_pos of the rows
+        self.h = law.hcache().array(order, L_SMALL + law.k_pos - 1)
+        self.rows = self.new_rows()
+        self.log_K = _log_K(law) if order == 1 else None
+
+    def new_rows(self):
+        """Empty rows for this window: row l starts at its column k = -l."""
+        return _StackedCdf(L_SMALL, self.ks,
+                           starts=np.maximum(0, -self.ks[0] - np.arange(L_SMALL)))
+
+    def extend_rows(self, l_max):
+        """Build the rows up to l_max < L_SMALL, in blocks of ROW_CHUNK, by
+        the library's ``fill_rows`` where it loads, else by numpy; both
+        write the same doubles."""
+        rows = self.rows
+        end = min(L_SMALL, rows.n + -(-(l_max + 1 - rows.n) // ROW_CHUNK) * ROW_CHUNK)
+        lib = _native.library()[0]
+        if lib is None or self.p.dtype != np.float64 or self.ks.dtype != np.int64:
+            self._fill_numpy(rows, end)
+        else:
+            self._fill_c(lib, rows, end)
+
+    def _fill_numpy(self, rows, end):
+        rows.reserve(end)
+        # h behind zeros for the landings below 0, which append leaves out
+        hz = np.concatenate([np.zeros(-self.ks[0]), self.h])
+        while rows.n < end:
+            ls = np.arange(rows.n, min(rows.n + ROW_CHUNK, end))
+            rows.append(hz[ls[:, None] + (self.ks - self.ks[0])] * self.p)
+
+    def _fill_c(self, lib, rows, end):
+        rows.reserve(end)
+        if end > rows.n:
+            addr = _native.address
+            lib.fill_rows(addr(self.h), addr(self.p), addr(self.ks), rows.width,
+                          addr(rows._off), rows.n, end,
+                          addr(rows._store[rows._off[rows.n]:rows._off[end]]))
+            rows.grown(end)
+
+
 class _ChainEngine:
     """Doob-transformed jumps for any number of chains at once.
 
-    Perimeters below L_SMALL draw from stacked inverse-CDF rows of
-    h(o, l+k) nu(k) over k >= -l, built as chains first reach them.  From
+    Perimeters below L_SMALL draw from the stacked inverse-CDF rows of its
+    `_Window`, built as chains first reach them.  From
     L_SMALL on, landings m = l + k in [max(0, l - k_neg), l // 2) and in
     [l // 2, l + k_pos] (split clamped) have as envelope the largest h(o, .)
     at the band's two lowest and two highest arguments, as h(1, .) rises and
@@ -797,48 +956,52 @@ class _ChainEngine:
 
     For the ibpm transform the engine also proposes tilted blocks (module
     docstring).  Per tilt theta of BLOCK_THETAS it holds log phi(theta),
-    K_theta and a guided inverse-CDF row of nu_theta over the window
-    k > -L_SMALL whose last entry, -(k_neg + 1), stands for all of
+    the window's K_theta and a guided inverse-CDF row of nu_theta over the
+    window k > -L_SMALL whose last entry, -(k_neg + 1), stands for all of
     k <= -L_SMALL.  ``blocks[l]`` is B(l) and ``block_tilt[l]`` the index
-    of its theta, tabulated when a chain first needs them.  Every table
-    depends only on the law and the transform, so one engine serves run
-    after run; ``start`` begins each.
+    of its theta, tabulated when a chain first needs them.  ``means``
+    memoizes the rounded mean volumes of holes, 0 where not yet computed,
+    and ``exact_tables`` the exact volume tables per (l_exact, d_max), for
+    the `VolumeSampler` of each run.
+
+    The engine is the depth part: every table but the window's depends on
+    the law as deepened for a run (its deep tail, cs, the bands, the tilted
+    rows, log phi, B(l) and the memos).  Every table depends only on that
+    law and the transform, so one engine serves run after run; ``start``
+    begins each.  window is the law's window part, built here when not
+    given.
     """
 
-    def __init__(self, law: StepLaw, mode):
+    def __init__(self, law: StepLaw, mode, window=None):
         if mode not in ("finite", "ibpm"):
             raise ValueError("mode must be 'finite' or 'ibpm'")
         if mode == "ibpm" and not law.critical:
             raise ValueError("the stay-positive transform needs a critical law")
         self.law = law
         self.order = 0 if mode == "finite" else 1
+        self.window = window or _Window(law, self.order)
+        self.rows = self.window.rows
         self.cs = np.concatenate([[0.0], np.cumsum(law.probs)])
-        # jumps below -l are blocked from perimeter l, so the rows only
-        # cover the window k > -L_SMALL
-        self.win_ks = law.ks[law.ks > -L_SMALL]
+        self.win_ks = self.window.ks
         self.win_idx = self.win_ks + law.k_neg
-        self.rows = _StackedCdf(L_SMALL, self.win_ks)
         self.h_len = 0
         self._cover(L_SMALL)
+        self.means = np.zeros(law.k_neg + 1, dtype=np.int64)
+        self.means[0] = 1       # l' = 0 is the one-vertex map
+        self.exact_tables = {}
         # B(l) for l < len(blocks); chains below block_from all have B(l) = 1
         self.blocks = np.ones(0, dtype=np.int64)
         self.block_tilt = np.zeros(0, dtype=np.int16)
         self.block_from = math.inf
         if self.order == 1:
             self.block_from = 0
+            self.log_K = self.window.log_K
             self._tilt_tables()
 
     def _tilt_tables(self):
-        """Tabulate log phi(theta) and log K_theta for theta in BLOCK_THETAS,
-        K_theta = max_{m >= 1} h(1, m) e^(-theta m); the rows of nu_theta are
-        built in grid order as blocks first need them (_tilt_rows).
-
-        K_theta is the maximum over the h table that _cover(L_SMALL) made,
-        m <= m_top, and a bound past it: h(1, m) / h_asymptote(1, m) tends to
-        1 with an excess that only shrinks in m, so rho, the larger of 1 and
-        the ratio's maximum over the table's last half, bounds it beyond
-        m_top, where sqrt(m) e^(-theta m) peaks at max(m_top, 1 / (2 theta)).
-        """
+        """Tabulate log phi(theta) for theta in BLOCK_THETAS; the rows of
+        nu_theta are built in grid order as blocks first need them
+        (_tilt_rows)."""
         law, th = self.law, BLOCK_THETAS
         p = law.probs / self.cs[-1]
         n_deep = max(0, law.k_neg - L_SMALL + 1)
@@ -853,15 +1016,6 @@ class _ChainEngine:
         self._deep_w = (pd.sum() + deep) * np.exp(-th * law.k_pos)
         self.tilt_rows = _StackedCdf(len(th), np.append(self.win_ks, -law.k_neg - 1),
                                      guided=True)
-        m_top = self.h_len - 1
-        m = np.arange(1, m_top + 1)
-        h = law.hcache().table(1, m_top)[:m_top]
-        a1 = h_asymptote(1, 1, law.r)          # h_asymptote(1, m) = a1 sqrt(m)
-        rho = max(1.0, float((h[m_top // 2:] / (a1 * np.sqrt(m[m_top // 2:]))).max()))
-        far = np.maximum(m_top, 0.5 / th)
-        past = math.log(rho * a1) + 0.5 * np.log(far) - th * far
-        # 1e-12 covers the rounding of exp and log in the keep test
-        self.log_K = np.maximum((np.log(h) - np.outer(th, m)).max(axis=1), past) + 1e-12
 
     def _tilt_rows(self, j):
         """Build the rows of nu_theta for the grid up to index j: nu(k) e^(theta
@@ -885,30 +1039,8 @@ class _ChainEngine:
         self.bands = _Bands(self.cs, self.hz, law.k_neg, law.k_pos)
 
     def _extend_rows(self, l_max):
-        """Build the rows up to l_max < L_SMALL, in blocks of ROW_CHUNK, by
-        the library's ``fill_rows`` where it loads, else by numpy; both
-        write the same doubles."""
-        rows, probs = self.rows, self.law.probs
-        end = min(L_SMALL, rows.n + -(-(l_max + 1 - rows.n) // ROW_CHUNK) * ROW_CHUNK)
-        lib = _native.library()[0]
-        if lib is None or probs.dtype != np.float64 or not probs.flags.c_contiguous:
-            self._fill_numpy(rows, end)
-        else:
-            self._fill_c(lib, rows, end)
-
-    def _fill_numpy(self, rows, end):
-        rows.reserve(end)
-        while rows.n < end:
-            ls = np.arange(rows.n, min(rows.n + ROW_CHUNK, end))
-            rows.append(self.hz[ls[:, None] + self.win_idx] * self.law.probs[self.win_idx])
-
-    def _fill_c(self, lib, rows, end):
-        rows.reserve(end)
-        if end > rows.n:
-            lib.fill_rows(_native.address(self.hz), _native.address(self.law.probs),
-                          _native.address(self.win_idx), rows.width, rows.n, end,
-                          _native.address(rows._cum[rows.n:end]))
-            rows.grown(end)
+        """Build the window's rows up to l_max < L_SMALL."""
+        self.window.extend_rows(l_max)
 
     def start(self, l0):
         """Begin a run of chains from perimeter l0 >= 1."""
@@ -1064,18 +1196,34 @@ class _ChainEngine:
         self._cover(l)
         if l < L_SMALL:
             self._extend_rows(l)
+            row = self.rows.row(l)
             p = np.zeros(len(self.law.probs))
-            p[self.win_idx] = np.diff(self.rows._cum[l] - l, prepend=0.0)
+            p[self.win_idx[len(self.win_idx) - len(row):]] = np.diff(row - l, prepend=0.0)
         else:
             p = self.law.probs * self.hz[l:l + len(self.law.probs)]
         return p / p.sum()
 
 
+# window parts a thread keeps per mode, the least recently used dropped first
+WINDOWS = 2
+
+
 class _Slot(threading.local):
-    """This thread's last (law, (digest, depth), deepened law, engine) per mode."""
+    """This thread's chain engines: per mode, the depth part of its last
+    run, (law, (digest, depth), deepened law, its digest, window key,
+    engine), in ``held``, and its WINDOWS most recently used window parts,
+    {window key: window} oldest first, in ``windows``."""
 
     def __init__(self):
         self.held = {}
+        self.windows = {"finite": collections.OrderedDict(),
+                        "ibpm": collections.OrderedDict()}
+
+    def clear(self):
+        """Drop every part this thread holds."""
+        self.held.clear()
+        for windows in self.windows.values():
+            windows.clear()
 
 
 _slot = _Slot()
@@ -1083,22 +1231,40 @@ _slot = _Slot()
 
 @contextlib.contextmanager
 def _chain_engine(mode, law, n_steps):
-    """The law deepened for n_steps, its digest, its engine and whether the
-    engine was built for this run: reused from this thread's previous run in this mode
-    if that ran the same law object, unchanged (the digest guards in-place
-    edits), to the same depth.  The engine is
-    out of the slot while it runs and goes back only when the run returns,
-    so a run that raises never leaves half-grown tables behind."""
+    """The law deepened for n_steps, its digest, its engine and the run's
+    reuse flags (module docstring).  The depth part is reused from this
+    thread's previous run in this mode if that ran the same law object,
+    unchanged (the digest guards in-place edits), to the same depth; the
+    window part from the thread's windows of this mode whenever one was
+    built from a deepened law with the same window (`_window_key`), so a
+    law run at several depths, or two laws run by turns, share rows.  A
+    part is dropped before its replacement is built.  Both parts are out of
+    the slot while the run goes on and go back only when it returns, so a
+    run that raises never leaves half-grown tables behind."""
+    if mode not in ("finite", "ibpm"):
+        raise ValueError("mode must be 'finite' or 'ibpm'")
     depth = _deep_k_neg(law, n_steps)
     key = (law.digest(), depth)
     held = _slot.held.pop(mode, None)
+    windows = _slot.windows[mode]
     built = held is None or held[0] is not law or held[1] != key
     if built:
-        held = None  # free the old tables before building new ones
+        held = None  # free the old depth part before building a new one
         deep = deepen_negative(law, depth)
         digest = key[0] if deep is law else deep.digest()
-        held = (law, key, deep, digest, _ChainEngine(deep, mode))
-    yield (*held[2:], built)
+        wkey = _window_key(deep)
+        window = windows.pop(wkey, None)
+        reused = window is not None
+        if not reused:
+            while len(windows) >= WINDOWS:
+                windows.popitem(last=False)
+            window = _Window(deep, 0 if mode == "finite" else 1)
+        held = (law, key, deep, digest, wkey, _ChainEngine(deep, mode, window))
+    else:
+        reused = True
+        windows.pop(held[4], None)
+    yield (held[2], held[3], held[5], {"window_reused": reused, "depth_built": built})
+    windows[held[4]] = held[5].window
     _slot.held[mode] = held
 
 
@@ -1114,8 +1280,8 @@ def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
         raise ValueError(f"initial perimeter must be an integer >= 1; got l0={l0!r}")
     _check_volume_args(*vol_args)
     l0 = int(l0)
-    with _chain_engine(mode, law, n_steps) as (law, digest, engine, built):
-        vol = VolumeSampler(law, *vol_args, digest=digest)
+    with _chain_engine(mode, law, n_steps) as (law, digest, engine, reuse):
+        vol = VolumeSampler(law, *vol_args, engine=engine)
         engine.start(l0)
         run = _Run(n_chains, l0, checkpoints)
         flags = {"block_proposals": 0, "block_accepts": 0}
@@ -1123,8 +1289,7 @@ def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
             _block_rounds(engine, vol, rng, run, flags)
         else:
             run.per[run.i:], run.vols[run.i:] = run.ls, run.V
-        return digest, run.per, run.vols, {**vol.flags, **flags, **engine.flags,
-                                        "engine_built": built}
+        return digest, run.per, run.vols, {**vol.flags, **flags, **engine.flags, **reuse}
 
 
 class _Run:
@@ -1442,8 +1607,9 @@ class EnsembleResult(dict):
     """{checkpoint: (perimeters, volumes)}; `.flags` holds the volume
     sampler's flags (residual draws, exact fallback), the ibpm block counts
     (block_proposals, block_accepts) and the band-envelope counts above
-    L_SMALL (band_proposals, band_accepts: proposals made and jumps kept),
-    as does `PeelTrace.flags`."""
+    L_SMALL (band_proposals, band_accepts: proposals made and jumps kept)
+    and the engine-reuse flags window_reused and depth_built (module
+    docstring), as does `PeelTrace.flags`."""
 
     flags: dict
 

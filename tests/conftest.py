@@ -20,5 +20,6 @@ def pytest_configure(config):
 @pytest.fixture(autouse=True)
 def empty_engine_slot():
     """Every test starts without the chain engines an earlier test left in
-    this thread's slot, so what it builds and times does not depend on order."""
-    peeling._slot.held.clear()
+    this thread's slot, depth parts and window parts alike, so what it
+    builds and times does not depend on order."""
+    peeling._slot.clear()

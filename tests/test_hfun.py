@@ -327,7 +327,7 @@ class TestFloatRecurrence:
         from peelkit.peeling import _slot, simulate_ensemble
 
         def run():
-            _slot.held.clear()
+            _slot.clear()
             out = simulate_ensemble("finite", LAW, 1010, 30, 64, seed=2,
                                     volume_mode="exact_small")
             return out[30][0].tobytes(), out[30][1].tobytes(), out.flags

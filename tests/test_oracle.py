@@ -2,9 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peelkit.criticality import solve_boltzmann
 from peelkit.oracle import (
+    EnumTable,
+    _vertex_marginal,
     brute_force_maps,
     enumerate_dp,
     g_series,
@@ -69,7 +72,84 @@ class TestDpAgainstBruteForce:
             assert dp.get(key, Fraction(0)) == bf.get(key, Fraction(0)), key
 
 
+def reference_dp(q, l, D_max):
+    """`enumerate_dp` as it probed every split: each (l', M1) pair of
+    sublayers looked up in both layers.  The reference for the walk over
+    the layers that hold l'."""
+    exact = q.is_exact
+    zero = Fraction(0) if exact else 0.0
+    support = sorted(q.support)
+    layers = {0: {0: {0: (Fraction(1) if exact else 1.0)}}}
+    for M in range(2, l + D_max + 1, 2):
+        layer = {}
+        prev = layers[M - 2]
+        for ll in range(max(1, M - D_max), M + 1):
+            out = {}
+            for k in support:
+                if M - ll - k < 0:
+                    continue
+                src = prev.get(ll + k - 2)
+                if not src:
+                    continue
+                qk = q.support[k]
+                for F1, v in src.items():
+                    out[F1 + 1] = out.get(F1 + 1, zero) + qk * v
+            for lp in range(0, ll - 1):
+                lpp = ll - lp - 2
+                for M1 in range(lp + (lp % 2), M - 2 - lpp + 1, 2):
+                    A = layers.get(M1, {}).get(lp)
+                    B = layers.get(M - 2 - M1, {}).get(lpp)
+                    if not A or not B:
+                        continue
+                    for F1, v1 in A.items():
+                        for F2, v2 in B.items():
+                            out[F1 + F2] = out.get(F1 + F2, zero) + v1 * v2
+            if out:
+                layer[ll] = out
+        layers[M] = layer
+    cells = {}
+    for M, layer in layers.items():
+        for ll, fdict in layer.items():
+            if M - ll <= D_max:
+                for F, v in fdict.items():
+                    if v != 0:
+                        cells[(ll, M - ll, F)] = v
+    return EnumTable(q=q, l0=l, D_max=D_max, cells=cells, exact=exact)
+
+
+def same_cells(a, b):
+    """The same cells in the same order, with values of the same type."""
+    return (list(a.cells.items()) == list(b.cells.items())
+            and [type(v) for v in a.cells.values()] == [type(v) for v in b.cells.values()])
+
+
+_supports = st.dictionaries(st.integers(1, 7), st.fractions(Fraction(1, 20), Fraction(2)),
+                            min_size=1, max_size=3)
+
+
 class TestEnumerate:
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(support=_supports, exact=st.booleans(), l=st.integers(0, 6),
+           D_max=st.integers(0, 14))
+    def test_matches_the_reference_dp(self, support, exact, l, D_max):
+        # the walk over the layers that hold l' adds the same products in
+        # the same order as probing every split: same cells, same order,
+        # same types, exact and in floats
+        q = WeightSequence(support if exact else {k: float(v) for k, v in support.items()})
+        assert same_cells(enumerate_dp(q, l, D_max), reference_dp(q, l, D_max))
+
+    @pytest.mark.parametrize("q", [QUAD, WeightSequence({3: Fraction(1, 12)})],
+                             ids=["quad", "tri"])
+    def test_one_pass_serves_every_smaller_degree(self, q):
+        # a pass at l = 6 holds, for every l' <= 6, the cells of a pass at
+        # l': the marginals read off it are the per-l' tables exactly
+        assert same_cells(enumerate_dp(q, 6, 24), reference_dp(q, 6, 24))
+        table = enumerate_dp(q, 6, 24)
+        for lp in range(7):
+            one, alone = _vertex_marginal(table, lp), volume_tables(q, lp, 24)
+            assert list(one.values.items()) == list(alone.values.items()), lp
+            assert (one.V_star, one.complete) == (alone.V_star, alone.complete)
+
     def test_vertex_map_convention(self):
         tab = enumerate_dp(QUAD, 0, 12)
         assert tab.cell(0, 0, 0) == 1

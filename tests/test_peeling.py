@@ -230,6 +230,27 @@ class TestVolumeSampler:
             se = math.sqrt(p * (1 - p) / 200_000)
             assert abs(emp - p) < 4.5 * se
 
+    @pytest.mark.parametrize("key", ["quad", "tri", "shape"])
+    def test_tables_from_one_pass(self, key):
+        # one enumeration pass at l_exact gives, for every l' <= l_exact,
+        # the laws that a pass at l' gives; a deeper copy of the law reads
+        # the same q and disk weights, so it finds the same tables
+        from peelkit.walk import disk_coefficient
+        from peelkit.weights import q_from_nu
+
+        law = {"quad": quad_law, "tri": tri_law, "shape": shape_law}[key]()
+        laws, cdf = peeling._exact_volume_tables(law, 6, 24)
+        q = q_from_nu(law)
+        assert sorted(laws) == list(range(1 + q.bipartite, 7, 1 + q.bipartite))
+        for lp, (Vs, probs, v_star) in laws.items():
+            vt = volume_tables(q, lp, 24)
+            want = sorted(V for V in vt.values if V <= vt.V_star)
+            total = float(disk_coefficient(law, lp))
+            assert (Vs, v_star) == (want, vt.V_star)
+            assert probs == [float(vt.values[V]) / total for V in want]
+        for depth in (1024, 8192):
+            assert peeling._exact_volume_tables(deepen_negative(law, depth), 6, 24)[1] is cdf
+
     def test_min_support_fallback(self):
         geo = preset("geometric", H=3.0)
         pos = nu_from_q(geo.weights, geo.constants["c_plus"], geo.constants["r"])
@@ -548,6 +569,8 @@ DEEP = {"quad": deepen_negative(quad_law(), 8192),
         "tri": deepen_negative(tri_law(), 8192),
         "geo3": deepen_negative(geo3_law(), 8192)}
 STEP = {"finite": step_finite, "ibpm": step_ibpm}
+# the run flags that say which engine parts a run reused
+REUSE_FLAGS = ("window_reused", "depth_built")
 
 
 def _kernel_row(mode, law, l):
@@ -658,7 +681,7 @@ class TestEngineExactness:
             t = BLOCK_THETAS[j]
             nu_t = p * np.exp(t * law.ks) / np.exp(engine.log_phi[j])
             want = np.append(nu_t[win], nu_t[deep].sum())
-            got = np.diff(engine.tilt_rows._cum[j] - j, prepend=0.0)
+            got = np.diff(engine.tilt_rows.row(j) - j, prepend=0.0)
             # the stacked cdf holds j + cdf, exact to a few ulp of j
             np.testing.assert_allclose(got, want, rtol=0, atol=64 * np.spacing(j + 1.0))
             assert got.sum() == pytest.approx(1.0, abs=1e-12)
@@ -704,11 +727,36 @@ class TestStackedCdf:
         engine = _ChainEngine(DEEP["quad"], "finite")
         engine.start(20)
         engine.draw(np.array([20]), _rng(1))
-        assert engine.rows.n == 64 and len(engine.rows._cum) == 64
+        rows = engine.rows
+        assert rows.n == 64 and len(rows._store) == rows._off[64]
         # a start near the cutoff reserves every row at once
         engine.start(1000)
         engine.draw(np.full(8, 1000), _rng(1))
-        assert engine.rows.n == len(engine.rows._cum) == L_SMALL
+        assert rows.n == L_SMALL and len(rows._store) == rows._off[L_SMALL]
+
+
+@pytest.mark.parametrize("mode", ["finite", "ibpm"])
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+def test_window_rows_are_a_triangle(path, mode):
+    # row l keeps the columns k >= -l of the window: the rectangular row
+    # over every column holds exactly l in front of them and the same
+    # doubles from them on, filled compiled or by numpy; a full window of
+    # quad takes 4.2 MB instead of 8.4 MB
+    law, order = DEEP["quad"], int(mode == "ibpm")
+    window = peeling._Window(law, order)
+    with draws_on(path):
+        window.extend_rows(L_SMALL - 1)
+    rect = _StackedCdf(L_SMALL, window.ks)
+    hz = np.concatenate([np.zeros(law.k_neg), law.hcache().array(order, 2 * L_SMALL)])
+    rect.append(hz[np.arange(L_SMALL)[:, None] + window.ks + law.k_neg] * window.p)
+    full = rect._flat.reshape(L_SMALL, -1)
+    for l in range(L_SMALL):
+        start = max(0, L_SMALL - 1 - l)
+        assert (full[l, :start] == l).all()
+        assert full[l, start:].tobytes() == window.rows.row(l).tobytes(), l
+    assert window.rows._flat.nbytes == 8 * (L_SMALL * (L_SMALL - 1) // 2
+                                            + L_SMALL * (law.k_pos + 1))
+    assert rect._flat.nbytes == 8 * L_SMALL * (L_SMALL + law.k_pos)
 
 
 def _forward_law(mode, law, l0, n):
@@ -857,12 +905,12 @@ class TestBlockStepping:
         t = np.concatenate([flat, np.nextafter(flat, 0), np.arange(rows.n * 4096) / 4096,
                             rows.n * _rng(1).random(100_000)])
         t = t[t < rows.n]
-        np.testing.assert_array_equal(rows.at(t),
-                                      rows._values_at(flat.searchsorted(t, "right")))
+        np.testing.assert_array_equal(rows.at(t), rows._values_at(
+            flat.searchsorted(t, "right"), t.astype(np.intp)))
         at = _rng(2).integers(0, rows.n, 100_000)
         t = at + _rng(3).random(len(at)) * rows.U_MAX
-        np.testing.assert_array_equal(rows.draw(_rng(3), at),
-                                      rows._values_at(flat.searchsorted(t, "right")))
+        np.testing.assert_array_equal(rows.draw(_rng(3), at), rows._values_at(
+            flat.searchsorted(t, "right"), at))
 
     @pytest.mark.parametrize("j", [15, 30])
     def test_deep_jumps_are_tilted_nu(self, j):
@@ -930,27 +978,37 @@ class TestBlockStepping:
         vol = np.array([out[s][1][0] for s in range(1, n + 1)])
         np.testing.assert_array_equal(tr.perimeters[1:], per)
         np.testing.assert_array_equal(tr.volumes[1:], vol)
-        # the ensemble reuses the engine simulate built
-        assert tr.flags.pop("engine_built") and not out.flags.pop("engine_built")
+        # the ensemble reuses both parts of the engine simulate built
+        assert (tr.flags.pop("depth_built"), tr.flags.pop("window_reused")) == (True, False)
+        assert (out.flags.pop("depth_built"), out.flags.pop("window_reused")) == (False, True)
         assert tr.flags == out.flags
 
 
+def shape_law():
+    """The critical law of `TestPointedDisk._shape`, a random rational shape
+    on degrees 3 and 4."""
+    q, c, r = TestPointedDisk._shape()
+    return complete_nu(nu_from_q(q, c, r), k_neg=512)
+
+
 class TestEngineReuse:
-    """A thread keeps one deepened law and engine per mode between runs
-    (module docstring); reuse must not change a single draw."""
+    """A thread keeps per mode the depth part of its last run and its
+    WINDOWS most recently used window parts (module docstring); reuse must
+    not change a single draw."""
 
     @staticmethod
     def _runs():
         """Interleaved calls: both modes, two laws, both entry points, other
-        l0 and n_steps (so other depths), a start() that raises, and an
-        in-place edit of a law deep enough to be run as given."""
+        l0 and n_steps (so other depths), a start() that raises, an
+        in-place edit of a law deep enough to be run as given, then quad
+        and tri by turns at depths 1024, 4096 and 8192."""
         quad, tri = quad_law(), tri_law()
         deep = deepen_negative(quad_law(), 2048)
 
         def edit():
             deep.probs[deep.k_neg - 2] *= 0.5   # halve nu(-2) in place
 
-        return [
+        runs = [
             lambda: simulate("finite", quad, l0=2, n_steps=200, seed=1),
             lambda: simulate("ibpm", tri, l0=1, n_steps=300, seed=2),
             lambda: simulate_ensemble("finite", quad, 1000, 100, 64, seed=3,
@@ -967,48 +1025,78 @@ class TestEngineReuse:
             lambda: simulate_ensemble("ibpm", deep, 2, 200, 32, seed=9),
             lambda: simulate("ibpm", quad, l0=2, n_steps=1500, seed=4),
         ]
+        for mode, steps in (("finite", (200, 2000, 6000)), ("ibpm", (200, 2000))):
+            for n in steps:
+                for law, l0 in ((quad, 40), (tri, 41)):
+                    runs.append(lambda m=mode, law=law, l0=l0, n=n: simulate(
+                        m, law, l0=l0, n_steps=n, seed=n, volume_mode="exact_small"))
+        return runs
+
+    N_ALTERNATING = 10
 
     @staticmethod
-    def _outcome(call, built):
-        """The call's result, its flags without engine_built, which goes
-        to built."""
+    def _outcome(call):
+        """(the call's result without its reuse flags, those flags)."""
         try:
             out = call()
         except ValueError as exc:
-            return ("raised", str(exc))
+            return ("raised", str(exc)), None
         if out is None:
-            return None
+            return None, None
         flags = dict(out.flags)
-        built.append(flags.pop("engine_built"))
+        reuse = {k: flags.pop(k) for k in REUSE_FLAGS}
         if isinstance(out, PeelTrace):
-            return (out.perimeters, out.volumes, flags, out.law_digest)
-        return ({c: out[c] for c in out}, flags)
+            return (out.perimeters, out.volumes, flags, out.law_digest), reuse
+        return ({c: out[c] for c in out}, flags), reuse
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """The parts built, in order: "window" or "depth" per build."""
+        built = []
+        window_init, depth_init = peeling._Window.__init__, _ChainEngine.__init__
+
+        def window(self, law, order):
+            built.append("window")
+            window_init(self, law, order)
+
+        def depth(self, law, mode, window=None):
+            built.append("depth")
+            depth_init(self, law, mode, window)
+
+        monkeypatch.setattr(peeling._Window, "__init__", window)
+        monkeypatch.setattr(_ChainEngine, "__init__", depth)
+        return built
 
     def test_reuse_is_invisible(self, monkeypatch):
-        builds = []
-        init = _ChainEngine.__init__
-
-        def counted(self, law, mode):
-            builds.append(mode)
-            init(self, law, mode)
-
-        monkeypatch.setattr(_ChainEngine, "__init__", counted)
-        warm_built, cold_built = [], []
-        warm = [self._outcome(call, warm_built) for call in self._runs()]
-        n_warm = len(builds)
-        cold = []
-        for call in self._runs():
-            peeling._slot.held.clear()
-            cold.append(self._outcome(call, cold_built))
-        # hits: the quad finite ensemble, the tri ibpm ensemble and the
-        # start() that raises; a raising run leaves its engine out of the slot
-        assert n_warm == len(builds) - n_warm - 3
-        # the runs that return report the two hits as engine_built False
-        assert all(cold_built) and len(cold_built) == len(warm_built)
-        assert warm_built.count(False) == 2 and sum(warm_built) == n_warm
+        built = self._count_builds(monkeypatch)
+        runs, depths = {"warm": [], "cold": []}, {}
+        for case, outcomes in runs.items():
+            before_case = built.count("depth")
+            for call in self._runs():
+                if case == "cold":
+                    peeling._slot.clear()
+                before = len(built)
+                out, reuse = self._outcome(call)
+                outcomes.append((out, reuse))
+                # each flag says which part the run built
+                if reuse is not None:
+                    assert reuse == {"window_reused": "window" not in built[before:],
+                                     "depth_built": "depth" in built[before:]}
+                if case == "cold" and reuse is not None:
+                    assert reuse == {"window_reused": False, "depth_built": True}
+            depths[case] = built.count("depth") - before_case
+        warm = [out for out, _ in runs["warm"]]
+        # depth hits: the quad finite ensemble, the tri ibpm ensemble and
+        # the start() that raises; a raising run leaves its parts out of the slot
+        assert depths["warm"] == depths["cold"] - 3
         assert warm[4] == ("raised", "conditioning weight vanishes at l=3")
         assert not np.array_equal(warm[8][0], warm[10][0])  # the edit matters
-        for a, b in zip(warm, cold):
+        # quad and tri by turns: once each law has a window in a mode, every
+        # depth of either reuses it and builds only its depth part
+        alternating = [reuse for _, reuse in runs["warm"][-self.N_ALTERNATING:]]
+        for reuse in alternating[2:6] + alternating[8:]:
+            assert reuse == {"window_reused": True, "depth_built": True}
+        for (a, _), (b, _) in zip(runs["warm"], runs["cold"]):
             if a is None or isinstance(a[0], str):
                 assert a == b
             elif isinstance(a[0], dict):
@@ -1021,49 +1109,88 @@ class TestEngineReuse:
                 np.testing.assert_array_equal(a[1], b[1])
                 assert a[2:] == b[2:]
 
-    def test_engine_built_flag(self):
-        # True for a run that built its engine, False for one that reused
-        # the slot's: the same call again reuses it, another depth does not
-        def built(**kw):
-            out = simulate_ensemble("finite", LAW, 20, kw.get("n", 100), 8, seed=1)
-            tr = simulate("finite", LAW, l0=20, n_steps=kw.get("n", 100), seed=1)
-            return out.flags["engine_built"], tr.flags["engine_built"]
+    def test_reuse_flags(self):
+        # depth_built is True for a run that built its depth part, False for
+        # one that reused the slot's; window_reused is True for a run whose
+        # window part came from the thread's windows: the same call again
+        # reuses both, another depth only the window, another law neither
+        def flags(law=LAW, n=100):
+            out = simulate_ensemble("finite", law, 20, n, 8, seed=1)
+            tr = simulate("finite", law, l0=20, n_steps=n, seed=1)
+            return [(f["depth_built"], f["window_reused"]) for f in (out.flags, tr.flags)]
 
-        assert built() == (True, False)
-        assert built() == (False, False)
+        assert flags() == [(True, False), (False, True)]
+        assert flags() == [(False, True), (False, True)]
         assert peeling._deep_k_neg(LAW, 100_000) != peeling._deep_k_neg(LAW, 100)
-        assert built(n=100_000) == (True, False)
-        assert built() == (True, False)
+        assert flags(n=100_000) == [(True, True), (False, True)]
+        assert flags() == [(True, True), (False, True)]
+        assert flags(tri_law()) == [(True, False), (False, True)]
 
     def test_one_engine_per_mode(self, monkeypatch):
-        # an engine is built only once the one it replaces is gone
-        engines = []
-        init = _ChainEngine.__init__
+        # at most WINDOWS window parts and one depth part per mode: a part
+        # is built only once the one it replaces is gone
+        windows, depths = [], []
+        window_init, depth_init = peeling._Window.__init__, _ChainEngine.__init__
 
-        def tracked(self, law, mode):
-            live = [e() for e in engines if e() is not None]
-            assert all(e.order != (mode == "ibpm") for e in live)
-            init(self, law, mode)
-            engines.append(weakref.ref(self))
+        def live(parts, order):
+            return [p() for p in parts if p() is not None and p().order == order]
 
-        monkeypatch.setattr(_ChainEngine, "__init__", tracked)
-        quad, tri = quad_law(), tri_law()
-        for law in (quad, tri, quad):
+        def window(self, law, order):
+            assert len(live(windows, order)) < peeling.WINDOWS
+            window_init(self, law, order)
+            windows.append(weakref.ref(self))
+
+        def depth(self, law, mode, window=None):
+            assert not live(depths, mode == "ibpm")
+            depth_init(self, law, mode, window)
+            depths.append(weakref.ref(self))
+
+        monkeypatch.setattr(peeling._Window, "__init__", window)
+        monkeypatch.setattr(_ChainEngine, "__init__", depth)
+        assert peeling.WINDOWS == 2
+        quad, tri, geo3 = quad_law(), tri_law(), geo3_law()
+        for law in (quad, tri, geo3, quad):
             for mode in ("finite", "ibpm"):
                 simulate(mode, law, n_steps=100, seed=1)
-        assert len(engines) == 6
+        # geo3's windows evict quad's, which its second runs build again
+        assert len(depths) == 8 and len(windows) == 8
         held = peeling._slot.held
         assert sorted(held) == ["finite", "ibpm"]
         assert all(held[m][0] is quad for m in held)
-        assert sum(e() is not None for e in engines) == 2
+        assert sum(p() is not None for p in depths) == 2
+        assert sum(p() is not None for p in windows) == 4
+        assert all(len(peeling._slot.windows[m]) == 2 for m in held)
 
     def test_rejected_call_keeps_the_slot(self):
         simulate("ibpm", LAW, n_steps=100, seed=1)
-        before = dict(peeling._slot.held)
+
+        def slot():
+            return (dict(peeling._slot.held),
+                    {m: list(w.items()) for m, w in peeling._slot.windows.items()})
+
+        before = slot()
         for kw in ({"l0": 2.5}, {"seed": -1}, {"l_exact": -1}):
             with pytest.raises(ValueError):
                 simulate("ibpm", tri_law(), n_steps=100, **kw)
-        assert peeling._slot.held == before
+        assert slot() == before
+
+    @pytest.mark.parametrize("mode", ["finite", "ibpm"])
+    @pytest.mark.parametrize("key", ["quad", "tri", "geo3", "shape"])
+    def test_window_is_depth_free(self, key, mode):
+        # a window part reads nu over k > -L_SMALL, k_pos and h(o, .):
+        # deepened to 1024, 4096 or 8192, a law gives one window key and
+        # the same rows and log K_theta, byte for byte
+        law = {"quad": quad_law, "tri": tri_law, "geo3": geo3_law,
+               "shape": shape_law}[key]()
+        parts = []
+        for depth in (1024, 4096, 8192):
+            deep = deepen_negative(law, depth)
+            window = peeling._Window(deep, int(mode == "ibpm"))
+            window.extend_rows(L_SMALL - 1)
+            log_K = window.log_K
+            parts.append((peeling._window_key(deep), window.rows._flat.tobytes(),
+                          None if log_K is None else log_K.tobytes()))
+        assert parts[0] == parts[1] == parts[2]
 
 
 # one-place mutants of the library's block rounds, (text, replacement) in
@@ -1121,10 +1248,10 @@ class TestCompiledDraws:
     def _both(run):
         # each path builds its own engines (rows filled in C or numpy)
         with draws_on("compiled"):
-            peeling._slot.held.clear()
+            peeling._slot.clear()
             compiled = run()
         with numpy_draws():
-            peeling._slot.held.clear()
+            peeling._slot.clear()
             reference = run()
         assert compiled == reference
 
@@ -1154,7 +1281,7 @@ class TestCompiledDraws:
     @staticmethod
     def _digest(outs):
         """One sha256 over traces and ensembles: their states and their
-        flags but engine_built."""
+        flags but the reuse flags."""
         h = hashlib.sha256()
         for out in outs:
             if isinstance(out, PeelTrace):
@@ -1162,7 +1289,7 @@ class TestCompiledDraws:
             else:
                 for c in sorted(out):
                     h.update(repr(c).encode() + out[c][0].tobytes() + out[c][1].tobytes())
-            flags = {k: v for k, v in out.flags.items() if k != "engine_built"}
+            flags = {k: v for k, v in out.flags.items() if k not in REUSE_FLAGS}
             h.update(repr(sorted(flags.items())).encode())
         return h.hexdigest()
 
@@ -1237,7 +1364,7 @@ class TestCompiledDraws:
         digests = []
         for path in ("compiled", "numpy"):
             with draws_on(path):
-                peeling._slot.held.clear()
+                peeling._slot.clear()
                 outs = [run() for run in runs]
             if path == "compiled":
                 check(outs, calls)
@@ -1350,7 +1477,7 @@ class TestCompiledDraws:
         digests = []
         for path in ("compiled", "numpy"):
             with draws_on(path):
-                peeling._slot.held.clear()
+                peeling._slot.clear()
                 outs = [run() for run in runs]
             if path == "compiled":
                 check(outs, calls)
@@ -1367,7 +1494,7 @@ class TestCompiledDraws:
         seen = []
         for path in ("compiled", "numpy"):
             with draws_on(path):
-                peeling._slot.held.clear()
+                peeling._slot.clear()
                 outs = [simulate_ensemble("ibpm", heavy, 1000, 1, 1, seed=s,
                                           volume_mode="asymptotic_xi")
                         for s in range(6)]
@@ -1435,6 +1562,23 @@ class TestCompiledDraws:
         for name, path in paths.items():
             assert (_native._self_check(_native._open(path))
                     == "compiled block rounds differ from the numpy rounds"), name
+
+    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
+                        or not os.path.isfile(_native._npyrandom()),
+                        reason="no C compiler or no numpy static random library")
+    def test_self_check_refuses_a_start_column_mutant(self, tmp_path):
+        # a draw that takes a row's value index from the entry's offset in
+        # the row alone, dropping the row's start column: right on every
+        # rectangular table, wrong on rows that start past column 0, which
+        # the self-check's draws include
+        old = "long long col = start + idx - c->off[row];"
+        assert _native._C_SOURCE.count(old) == 1
+        path = str(tmp_path / "start.so")
+        cc = shutil.which("cc") or shutil.which("gcc")
+        assert _native._compile(cc, path, _native._C_SOURCE.replace(
+            old, "long long col = idx - c->off[row];")) is None
+        assert (_native._self_check(_native._open(path))
+                == "compiled draws differ from the numpy draws")
 
     def test_gamma_is_numpys(self):
         # the library's gamma is numpy's own code: Generator.gamma(1.5, 2.0)
