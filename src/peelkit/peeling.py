@@ -939,6 +939,15 @@ class _Window:
             rows.grown(end)
 
 
+def _check_mode(mode, law):
+    """Refuse a mode other than 'finite' and 'ibpm', and the ibpm transform
+    of a law that is not critical."""
+    if mode not in ("finite", "ibpm"):
+        raise ValueError("mode must be 'finite' or 'ibpm'")
+    if mode == "ibpm" and not law.critical:
+        raise ValueError("the stay-positive transform needs a critical law")
+
+
 class _ChainEngine:
     """Doob-transformed jumps for any number of chains at once.
 
@@ -973,10 +982,7 @@ class _ChainEngine:
     """
 
     def __init__(self, law: StepLaw, mode, window=None):
-        if mode not in ("finite", "ibpm"):
-            raise ValueError("mode must be 'finite' or 'ibpm'")
-        if mode == "ibpm" and not law.critical:
-            raise ValueError("the stay-positive transform needs a critical law")
+        _check_mode(mode, law)
         self.law = law
         self.order = 0 if mode == "finite" else 1
         self.window = window or _Window(law, self.order)
@@ -1240,9 +1246,9 @@ def _chain_engine(mode, law, n_steps):
     law run at several depths, or two laws run by turns, share rows.  A
     part is dropped before its replacement is built.  Both parts are out of
     the slot while the run goes on and go back only when it returns, so a
-    run that raises never leaves half-grown tables behind."""
-    if mode not in ("finite", "ibpm"):
-        raise ValueError("mode must be 'finite' or 'ibpm'")
+    run that raises never leaves half-grown tables behind, and a run
+    refused for its mode or law takes nothing out."""
+    _check_mode(mode, law)
     depth = _deep_k_neg(law, n_steps)
     key = (law.digest(), depth)
     held = _slot.held.pop(mode, None)

@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate
 
 from peelkit import _native, peeling
-from peelkit.criticality import tune_critical
+from peelkit.criticality import solve_boltzmann, tune_critical
 from peelkit.hfun import HCache, h_asymptote
 from peelkit.oracle import volume_tables
 from peelkit.peeling import (
@@ -1172,6 +1172,15 @@ class TestEngineReuse:
         for kw in ({"l0": 2.5}, {"seed": -1}, {"l_exact": -1}):
             with pytest.raises(ValueError):
                 simulate("ibpm", tri_law(), n_steps=100, **kw)
+        # a mode the engine has not, and the ibpm transform of a law that
+        # is not critical (as in TestStepLaws.test_non_critical_refused)
+        sub = WeightSequence({4: Fraction(1, 20)})
+        cd = solve_boltzmann(sub)
+        subcritical = complete_nu(nu_from_q(sub, cd.c_plus, cd.r), k_neg=32,
+                                  critical=False)
+        for mode, law in (("bogus", LAW), ("ibpm", subcritical)):
+            with pytest.raises(ValueError, match="mode must be|needs a critical"):
+                simulate(mode, law, n_steps=100)
         assert slot() == before
 
     @pytest.mark.parametrize("mode", ["finite", "ibpm"])
