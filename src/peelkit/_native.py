@@ -182,7 +182,7 @@ typedef struct {
 } cdf_t;
 
 /* The value at t = row + u * u_max, u = next_double, for 0 <= row < n:
-   0, or -1 for a read outside a table.  Inlined: a call per draw costs
+   0, or -1 for a read outside a table or a row with no weight.  Inlined: a call per draw costs
    cdf_draw a tenth of its time. */
 static inline __attribute__((always_inline))
 int cdf_one(bitgen_t *bg, const cdf_t *c, long long row, long long *out)
@@ -205,6 +205,9 @@ int cdf_one(bitgen_t *bg, const cdf_t *c, long long row, long long *out)
     if (hi < n_flat && !(t < c->flat[hi]))
         hi = n_flat;
     long long idx = search_right(c->flat, lo, hi, t);
+    /* a row with no weight keeps every entry at row: t lands past it */
+    if (idx >= c->off[row + 1])
+        return -1;
     /* the value index: the row's start column plus the entry's offset in
        the row, taken modulo width in a shared table */
     long long start = c->width - (c->off[row + 1] - c->off[row]);
@@ -220,8 +223,8 @@ int cdf_one(bitgen_t *bg, const cdf_t *c, long long row, long long *out)
     return 0;
 }
 
-/* One value per row, as _StackedCdf: 0, or -1 for a row outside [0, n) or
-   a read outside a table. */
+/* One value per row, as _StackedCdf: 0, or -1 for a row outside [0, n),
+   a row with no weight or a read outside a table. */
 int cdf_draw(bitgen_t *bg, const cdf_t *c, const long long *rows,
              long long m, long long *out)
 {

@@ -24,12 +24,18 @@ One helper (`_fold_point`) solves the companion system, and one reading
 of it decides admissibility for the solver and the boundary tuner alike:
 the sign of R2 at the fold point.  Beyond the boundary the two roots of
 the fold have merged and R2 is positive there; the solver answers
-'not_admissible' when it is, or when no companion start converges and
-no Newton start gives an admissible root.  Below the boundary the solver
-reflects the first inadmissible mirror root through the fold point it
-already has.  The tuner narrows a bracket on the scale of the weights by
-Illinois false position on R2 at the fold point and then tracks the fold
-with the scale as a third unknown (a bordered system).
+'not_admissible' (path 'fold-beyond', c, r and the margin NaN) when it
+is, or when no companion start converges and no Newton start gives an
+admissible root.  Below the boundary the solver reflects the first
+inadmissible mirror root through the fold point it already has.  A
+bipartite sequence takes the same verdict in one unknown
+(`_bipartite_fold`): at r = 1 the fold point is the root in c of the
+margin, which is positive at the smaller root of R2 and negative at the
+larger one, so R2 = 0 there means critical, R2 < 0 subcritical (the
+solution is the smaller root of R2, below the fold point) and R2 > 0
+'fold-beyond'.  The tuner narrows a bracket on the scale of the weights
+by Illinois false position on R2 at the fold point and then tracks the
+fold with the scale as a third unknown (a bordered system).
 
 The series of a finite support are summed in plain floats over its few
 terms q_{k+2} c^k; those of an infinite family are numpy dot products
@@ -317,31 +323,6 @@ def _newton_1d(f_and_fp, x0, lo, hi, tol=1e-14, max_iter=80):
     return x
 
 
-def _minimize_convex(f_and_fp, lo, hi, tol=1e-13):
-    """Arg-min of a smooth strictly convex function on (lo, hi).
-
-    Works on the derivative, which is increasing; returns lo or hi when the
-    minimum sits on the boundary.
-    """
-    glo = f_and_fp(lo)[1]
-    ghi = f_and_fp(hi)[1]
-    if glo >= 0:
-        return lo
-    if ghi <= 0:
-        return hi
-    a, b = lo, hi
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        g = f_and_fp(m)[1]
-        if g < 0:
-            a = m
-        else:
-            b = m
-        if b - a <= tol * max(1.0, abs(m)):
-            break
-    return 0.5 * (a + b)
-
-
 def _classify_from(q, margin, tol=MARGIN_TOL):
     if margin < -tol:
         return "not_admissible"
@@ -374,51 +355,52 @@ def _margin_root(sys, x0, hi, cap):
     return _newton_1d(sys.margin_and_prime, x0, _C_FLOOR, hi)
 
 
+def _bipartite_fold(sys, warm=None):
+    """The point (c, root) where the r = 1 fold verdict reads the sign of
+    R2: the root in c of the margin (root True), from the warm start (c,)
+    when given, under the cap of `_bounds`; the cap itself (root False)
+    when the margin has no root up to it.
+    """
+    cap = _bounds(sys)[1][0]
+    c = _margin_root(sys, warm[0] if warm else 2.5,
+                     warm[0] * 2.0 if warm else 8.0, cap)
+    return (cap, False) if c is None else (c, True)
+
+
+def _beyond(g):
+    """The answer beyond the admissibility boundary: no constants."""
+    return _make_data(
+        math.nan, math.nan, math.nan, "not_admissible", g,
+        {"path": "fold-beyond"},
+    )
+
+
 def _solve_bipartite(q, sys, g):
-    # bracket a sign change of R2' to locate the convex minimum, within
-    # the range of c where the series can be evaluated
-    if math.isinf(sys.c_max):
-        hi = 8.0
-        while sys.r2_and_prime(hi)[1] <= 0 and hi < 1e12:
-            hi *= 2.0
-    else:
-        hi = _feasible_hi(sys, sys.c_max)
-    c_min = _minimize_convex(sys.r2_and_prime, _C_FLOOR, hi)
-    v_min = sys.r2_and_prime(c_min)[0]
-    if c_min == hi < sys.c_max and v_min > -1e-10:
-        # the minimum of R2 lies beyond the range where the series can be
-        # evaluated; only a clearly negative R2 there still locates the
-        # smaller root, and with it a subcritical solution
+    # the margin is positive at the smaller root of R2 and negative at the
+    # larger one, so the sign of R2 at the margin root decides
+    c, root = _bipartite_fold(sys)
+    r2, r2p = sys.r2_and_prime(c)
+    if root and abs(r2) <= 1e-10:
+        return _make_data(
+            c, 1.0, 0.0, _classify_from(q, 0.0), g,
+            {"R1": 0.0, "R2": r2, "path": "bipartite-critical"},
+        )
+    if r2 < 0:
+        c_root = _newton_1d(sys.r2_and_prime, 0.5 * (_C_FLOOR + c), _C_FLOOR, c)
+        margin = sys.margin(c_root, 1.0)
+        return _make_data(
+            c_root, 1.0, margin, _classify_from(q, margin), g,
+            {"R1": 0.0, "R2": sys.r2_and_prime(c_root)[0],
+             "path": "bipartite-subcritical"},
+        )
+    if not root and r2p < 0 and c < sys.c_max:
+        # R2 may still turn negative past the range where the series can
+        # be evaluated, so the verdict is undecided
         raise DivergentSeriesError(
-            f"R2 = {v_min:.3g} and still decreasing at c={hi:.6g}, the "
+            f"R2 = {r2:.3g} and still decreasing at c={c:.6g}, the "
             "largest c where the series can be evaluated"
         )
-
-    if v_min > 10 * RESIDUAL_TOL:
-        margin = sys.margin(c_min, 1.0)
-        return _make_data(
-            c_min, 1.0, margin, "not_admissible", g,
-            {"R1": 0.0, "R2": v_min, "path": "bipartite-no-root"},
-        )
-
-    # candidate critical point: the margin root, checked against R2
-    c_m = _margin_root(sys, c_min, c_min, hi) if v_min > -1e-10 else None
-    if c_m is not None:
-        r2_at = sys.r2_and_prime(c_m)[0]
-        if abs(r2_at) <= max(1e-10, 2.0 * abs(v_min)):
-            return _make_data(
-                c_m, 1.0, 0.0, _classify_from(q, 0.0), g,
-                {"R1": 0.0, "R2": r2_at, "path": "bipartite-critical"},
-            )
-
-    # genuinely subcritical: smaller root of R2
-    c_root = _newton_1d(sys.r2_and_prime, 0.5 * (_C_FLOOR + c_min), _C_FLOOR, c_min)
-    margin = sys.margin(c_root, 1.0)
-    cls = _classify_from(q, margin)
-    return _make_data(
-        c_root, 1.0, margin, cls, g,
-        {"R1": 0.0, "R2": sys.r2_and_prime(c_root)[0], "path": "bipartite-subcritical"},
-    )
+    return _beyond(g)
 
 
 def _damped_newton(F, x0, lo, hi):
@@ -535,12 +517,6 @@ def _solve_general(q, sys, g, initial=None):
             c, r, margin, cls, g, {"R1": r1, "R2": r2, "path": path},
         )
 
-    def _beyond():
-        return _make_data(
-            math.nan, math.nan, math.nan, "not_admissible", g,
-            {"path": "fold-beyond"},
-        )
-
     def _admissible(x0):
         try:
             x, res = _damped_newton(sys.main, x0, lo, hi)
@@ -569,7 +545,7 @@ def _solve_general(q, sys, g, initial=None):
         if i == 0:
             fold = _fold_point(sys, list(_FOLD_STARTS) + starts, lo, hi)
             if fold is not None and fold[1] > 1e-9:
-                return _beyond()
+                return _beyond(g)
             if fold is not None and abs(fold[1]) <= 1e-9:
                 return _finish(fold[0], "critical-polish", margin=0.0)
         if x is not None and not reflected:
@@ -591,7 +567,7 @@ def _solve_general(q, sys, g, initial=None):
         return _finish(x, "newton", margin)
 
     if fold is None:
-        return _beyond()
+        return _beyond(g)
     raise SolverFailureError(
         f"no admissible root of (R1, R2), yet R2 = {fold[1]:.3g} < 0 at the "
         "fold point"
@@ -617,6 +593,16 @@ def solve_boltzmann(q: WeightSequence, g=1.0, initial=None):
     never raise; SolverFailureError is left for a fold point with R2 < 0
     (admissible slack) where no start finds the root.  `initial` = (c, r)
     is tried before the fixed starts.
+
+    Bipartite inputs (r = 1) take the same sign verdict at the root in c
+    of the margin (`_bipartite_fold`): R2 = 0 there gives path
+    'bipartite-critical', R2 < 0 the smaller root of R2 (path
+    'bipartite-subcritical'), R2 > 0 'not_admissible' with path
+    'fold-beyond' and c, r NaN.  When the margin stays positive up to
+    the largest c where the series can be evaluated, R2 is read there;
+    DivergentSeriesError means R2 is still positive and decreasing at
+    that point, below the radius of convergence, so the verdict is
+    undecided.
     """
     rep = validate(q)
     if not rep.ok:
@@ -864,21 +850,20 @@ def _fold_side(shape, t, bipartite, warm):
     Solves the well-conditioned companion system (R1 = 0, margin = 0) and
     inspects the sign of R2 there: negative means admissible slack remains
     (t below the boundary), positive or unsolvable means t is beyond it.
-    Returns (side, state) with side < 0 below the fold; state is the
-    companion solution, (c,) or (c, s), to warm-start the next scale.
+    A bipartite shape takes the solver's r = 1 verdict (`_bipartite_fold`):
+    R2 at the root in c of the margin, the sentinel 1.0 when the margin has
+    no root.  Returns (side, state) with side < 0 below the fold; state is
+    the companion solution, (c,) or (c, s), to warm-start the next scale.
     """
     sys = _System(shape.scaled(t))
-    lo, hi = _bounds(sys)
     if bipartite:
         try:
-            c = _margin_root(sys, warm[0] if warm else 2.5,
-                             warm[0] * 2.0 if warm else 8.0, hi[0])
-            if c is None:
-                return 1.0, None
-            return sys.r2_and_prime(c)[0], (c,)
+            c, root = _bipartite_fold(sys, warm)
+            return (sys.r2_and_prime(c)[0], (c,)) if root else (1.0, None)
         except (DivergentSeriesError, OverflowError):
             return 1.0, None
 
+    lo, hi = _bounds(sys)
     starts = [warm] if warm is not None else []
     fold = _fold_point(sys, starts + list(_FOLD_STARTS), lo, hi)
     if fold is None:

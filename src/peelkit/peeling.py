@@ -144,7 +144,8 @@ class _StackedCdf:
     Its entries are flat[off[i]:off[i + 1]], and a target of row i found
     at flat index e draws column starts[i] + (e - off[i]) of the row's
     table (modulo width for a shared table, as a zero-weight row's targets
-    run past its end).
+    run past its end).  ``at`` reads such a target; ``draw`` refuses a row
+    with no weight (IndexError), and a guided row must have weight.
 
     Guided rows (rectangular only) also keep a guide table of GUIDE cells
     per row (Devroye 1986, III.2.4), grown with them: a cell that no cut of
@@ -198,8 +199,10 @@ class _StackedCdf:
         """Append len(weights) rows of weights over every column; a row's
         weights in front of its start are zero and left out."""
         m = len(weights)
-        self.reserve(self.n + m)
         cum = np.cumsum(weights, axis=1)
+        if self._guide is not None and not (cum[:, -1] > 0).all():
+            raise ValueError("a guided row needs weight")
+        self.reserve(self.n + m)
         np.divide(cum, cum[:, -1:], out=cum, where=cum[:, -1:] > 0)
         cum += np.arange(self.n, self.n + m)[:, None]
         starts = self._starts[self.n:self.n + m]
@@ -260,7 +263,7 @@ class _StackedCdf:
 
     def draw(self, rng, rows):
         """One value per entry of rows, each drawn from its row's law; a row
-        outside the n built raises IndexError."""
+        outside the n built or with no weight raises IndexError."""
         lib = _native.library()[0]
         if lib is None or self._vals.dtype != np.int64:
             return self._draw_numpy(rng, rows)
@@ -269,6 +272,10 @@ class _StackedCdf:
     def _draw_numpy(self, rng, rows):
         if len(rows) and not (rows.min() >= 0 and rows.max() < self.n):
             raise IndexError(f"row outside the {self.n} rows built")
+        # a row with no weight keeps every entry at its index, so the search
+        # for any of its targets lands past the row
+        if len(rows) and (self._flat[self._off[rows + 1] - 1] <= rows).any():
+            raise IndexError("a draw from a row with no weight")
         return self.at(rows + rng.random(len(rows)) * self.U_MAX)
 
     def pack(self):
@@ -290,7 +297,8 @@ class _StackedCdf:
         packed = self.pack()
         failed, out = _native.draw(lib.cdf_draw, rng, packed[0], rows)
         if failed:
-            raise IndexError(f"row outside the {self.n} rows built")
+            raise IndexError(f"row outside the {self.n} rows built or "
+                             "with no weight")
         return out
 
 

@@ -74,16 +74,18 @@ class TestCommands:
         assert rc == 1
 
     def test_analyze_not_admissible_strict_json(self, capsys):
-        # the NaN constants of a beyond-boundary verdict are written as null
+        # the NaN constants of a beyond-boundary verdict are written as
+        # null, for a general and for a bipartite support
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
-        rc = main(["analyze", "--weights", '{"3":"1","4":"1"}'])
-        assert rc == 1
-        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
-        assert doc["classification"] == "not_admissible"
-        assert doc["residuals"]["path"] == "fold-beyond"
-        assert doc["c_plus"] is None
+        for weights in ('{"3":"1","4":"1"}', '{"4":"1"}'):
+            rc = main(["analyze", "--weights", weights])
+            assert rc == 1
+            doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+            assert doc["classification"] == "not_admissible"
+            assert doc["residuals"]["path"] == "fold-beyond"
+            assert doc["c_plus"] is None
 
     def test_preset_table(self, capsys):
         rc = main(["preset", "--preset", "two_p_angulation", "--p", "3"])

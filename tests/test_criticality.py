@@ -146,6 +146,23 @@ class TestSolve:
         assert cd.residuals["path"] == "newton"
         assert 0 < len(calls) <= 150
 
+    @pytest.mark.parametrize("g,bound", [(1.0, 15), (0.9, 30)])
+    def test_bipartite_evaluation_count(self, g, bound, monkeypatch):
+        # one margin root and the sign of R2 there decide a bipartite
+        # input; a subcritical one adds one Newton on R2
+        calls = []
+        sums = criticality._System._sums
+
+        def counted(self, *args):
+            calls.append(1)
+            return sums(self, *args)
+
+        monkeypatch.setattr(criticality._System, "_sums", counted)
+        cd = solve_boltzmann(QUAD, g=g)
+        assert cd.residuals["path"] == ("bipartite-critical" if g == 1.0
+                                        else "bipartite-subcritical")
+        assert 0 < len(calls) <= bound
+
     def test_exact_jacobian_evaluation_count(self, monkeypatch):
         # the Jacobian comes with the residuals from one series pass per
         # order, so an iteration costs no extra pass per coordinate
@@ -555,11 +572,12 @@ class TestTune:
 
 class TestBeyondBoundary:
     @pytest.mark.parametrize("support", [
-        {3: 1, 4: 1}, {3: 1}, {3: 1, 6: 1}, {3: 2, 5: 1, 7: 3},
+        {3: 1, 4: 1}, {3: 1}, {3: 1, 6: 1}, {3: 2, 5: 1, 7: 3}, {4: 1, 6: 1},
     ])
     def test_not_admissible_not_raised(self, support):
         # past the fold the two roots of (R1, R2) have merged: R2 is
-        # positive at the fold point, and the verdict says so
+        # positive at the fold point (at the margin root in c for the
+        # bipartite support), and the verdict says so
         shape = WeightSequence({k: Fraction(v) for k, v in support.items()})
         t = tune_critical(shape)
         cd = solve_boltzmann(shape.scaled(1.1 * t.t_star))
@@ -823,7 +841,7 @@ SURVEY_SHAPES = [
     (0.003032164190837064, (
         ('subcritical', 'bipartite-subcritical', 2.1047338718996373, 1.0),
         ('subcritical', 'bipartite-subcritical', 2.4171088134377667, 1.0),
-        ('not_admissible', 'bipartite-no-root', 2.4850054133772588, 1.0),
+        ('not_admissible', 'fold-beyond', NAN, NAN),
     )),
     (0.013020378458720179, (
         ('subcritical', 'newton', 2.1182603779451794, 0.9321120494163461),
@@ -833,7 +851,7 @@ SURVEY_SHAPES = [
     (0.08333333333333347, (
         ('subcritical', 'bipartite-subcritical', 2.1647844005847885, 1.0),
         ('subcritical', 'bipartite-subcritical', 2.696799449852977, 1.0),
-        ('not_admissible', 'bipartite-no-root', 2.821399922322218, 1.0),
+        ('not_admissible', 'fold-beyond', NAN, NAN),
     )),
     (0.01987767409504149, (
         ('subcritical', 'newton', 2.146382480430305, 0.9420537142327313),
@@ -858,7 +876,7 @@ SURVEY_SHAPES = [
     (0.01710004802162343, (
         ('subcritical', 'bipartite-subcritical', 2.070438917927889, 1.0),
         ('subcritical', 'bipartite-subcritical', 2.274228911269626, 1.0),
-        ('not_admissible', 'bipartite-no-root', 2.3171927284511, 1.0),
+        ('not_admissible', 'fold-beyond', NAN, NAN),
     )),
     (0.0009149232324447958, (
         ('subcritical', 'newton', 2.083258222579086, 0.9334828236723303),

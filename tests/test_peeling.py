@@ -723,6 +723,14 @@ class TestStackedCdf:
             np.testing.assert_array_equal(shared.draw(_rng(4), at),
                                           per_row.draw(_rng(4), at))
 
+    def test_guided_append_refuses_a_row_with_no_weight(self):
+        cdf = _StackedCdf(3, np.array([3, 8]), guided=True)
+        with pytest.raises(ValueError):
+            cdf.append(np.array([[1.0, 2.0], [0.0, 0.0]]))
+        assert cdf.n == 0
+        cdf.append(np.array([[1.0, 2.0]]))
+        assert cdf.n == 1
+
     def test_rows_grow_with_the_chain(self):
         engine = _ChainEngine(DEEP["quad"], "finite")
         engine.start(20)
@@ -887,8 +895,9 @@ class TestBlockStepping:
         # one look-up rule for every stacked table, guided (the tilted rows)
         # or not (the chain rows below L_SMALL, the exact volume laws):
         # searchsorted(side="right") at cuts, just below them, at guide
-        # cell edges and at random targets, and at the targets of draws,
-        # which run compiled where the library loads
+        # cell edges and at random targets, and at the targets of draws
+        # from the rows with weight, which run compiled where the library
+        # loads; a draw from a row with no weight raises on both paths
         if table == "tilt":
             engine = _ChainEngine(DEEP[key], "ibpm")
             engine._tilt_rows(20)           # rows are guided a block at a time
@@ -907,10 +916,20 @@ class TestBlockStepping:
         t = t[t < rows.n]
         np.testing.assert_array_equal(rows.at(t), rows._values_at(
             flat.searchsorted(t, "right"), t.astype(np.intp)))
-        at = _rng(2).integers(0, rows.n, 100_000)
+        weighted = flat[rows._off[1:rows.n + 1] - 1] > np.arange(rows.n)
+        at = np.flatnonzero(weighted)[
+            _rng(2).integers(0, weighted.sum(), 100_000)]
         t = at + _rng(3).random(len(at)) * rows.U_MAX
         np.testing.assert_array_equal(rows.draw(_rng(3), at), rows._values_at(
             flat.searchsorted(t, "right"), at))
+        if (key, table) == ("quad", "chain"):
+            # h(0, l) = 0 for odd l: quad's odd window rows have no weight
+            np.testing.assert_array_equal(
+                np.flatnonzero(~weighted), np.arange(1, rows.n, 2))
+        for row in np.flatnonzero(~weighted)[:8]:
+            for draw in (rows.draw, rows._draw_numpy):
+                with pytest.raises(IndexError):
+                    draw(_rng(4), np.array([row, 0]))
 
     @pytest.mark.parametrize("j", [15, 30])
     def test_deep_jumps_are_tilted_nu(self, j):
