@@ -366,7 +366,7 @@ typedef struct {
     long long *da, *cur, *act, *one, *blk, *bB, *bj, *blB, *bkeep;
     long long *ks;             /* a round's steps, ks_cap entries */
     long long ks_cap, n_act, n_one, n_blk, n_ks;
-    long long bphase, bi, node, prev, head, has_u;
+    long long bphase, bi, bq, bp, node, prev, head, has_u;
     double u, exp_x, exp_val;
     long long exp_ready, block_proposals, block_accepts;
 } lockstep_t;
@@ -591,7 +591,7 @@ long long lockstep(bitgen_t *bg, lockstep_t *s)
 
 /* block_rounds' phases within a round */
 enum { BR_START, BR_DRAW, BR_PRUNE, BR_ONE, BR_TILT, BR_LINK, BR_DEEP_U,
-       BR_DEEP_KEEP, BR_SUMS, BR_KEEP, BR_ROWS, BR_MEANS, BR_VOLUMES, BR_END };
+       BR_DEEP_KEEP, BR_SUMS, BR_KEEP, BR_ROWS, BR_MEANS, BR_WALK, BR_END };
 
 /* _block_tilts: from B(l)'s tilt, up the grid while
    B log phi(theta) + theta l + log K_theta falls, for a block cut short */
@@ -667,15 +667,33 @@ static long long deep_index(const lockstep_t *s, long long node)
     return (-(s->k_neg + 2) - node) % s->n_deep;
 }
 
-/* A kept block's step after its rows pass: -1 for a step that prunes
-   nothing, else the hole's degree lp and its exact row's draw val */
+/* A kept block's pruning step after the exact rows' pass (VOL_EXACT): the
+   hole's degree lp < 2^31 and its row's draw val, coded below every jump
+   (hole_code), or 0 where they do not fit */
 #define VAL_OFF (1LL << 30)
+#define CODED (-(1LL << 32))
 
 static long long hole_code(long long lp, long long val)
 {
-    if (lp >= (1LL << 32) || val <= -VAL_OFF || val >= VAL_OFF)
-        return -2;
-    return ((val + VAL_OFF) << 32) | lp;
+    if (lp >= (1LL << 31) || val <= -VAL_OFF || val >= VAL_OFF)
+        return 0;
+    return -1 - (((val + VAL_OFF) << 32) | lp);
+}
+
+/* The jump of a kept block's step x of ks, with its hole's degree in lp
+   (negative for a step that prunes nothing) and its exact row's draw in
+   val, coded or not */
+INLINE long long step_hole(long long x, long long *lp, long long *val)
+{
+    if (x > CODED) {
+        *lp = -2 - x;
+        *val = 0;
+        return x;
+    }
+    x = -1 - x;
+    *lp = x & 0xffffffffLL;
+    *val = (x >> 32) - VAL_OFF;
+    return -2 - *lp;
 }
 
 /* The chains' steps from the handoff to n_steps in rounds, as
@@ -687,13 +705,17 @@ static long long hole_code(long long lp, long long val)
    k <= -l_small (each pass every proposal's uniform, then every keep
    uniform), then one keep uniform per block (kept with probability
    h(1, l_B) e^(-theta l_B - log K_theta) when the block stays at 1 or
-   above), then the exact rows of the kept blocks' holes and their
-   limit-law draws.  ks holds one entry per step of the round.  Returns
-   LS_BLOCKS, LS_ROWS, LS_BANDS, LS_HTAB, LS_MEAN with the perimeter, l or
-   l' in need, LS_WORK with the steps ks must hold, or LS_EXP with the
-   argument whose numpy exp a comparison needs, each before it draws what
-   that decides, to resume at the same phase; LS_DONE at n_steps, -1 for a
-   read outside a table. */
+   above).  The kept blocks are then walked: every exact row of their
+   holes first (BR_ROWS, only for VOL_EXACT), then a check that every mean
+   they read is known (BR_MEANS, only where a mean can be read: VOL_MEANS
+   or a heavy law; it resumes where an LS_MEAN left it), then one pass in
+   step order that draws their limit-law volumes and writes the
+   checkpoints and the chains' new states (BR_WALK).  ks holds one entry
+   per step of the round.  Returns LS_BLOCKS, LS_ROWS, LS_BANDS, LS_HTAB,
+   LS_MEAN with the perimeter, l or l' in need, LS_WORK with the steps ks
+   must hold, or LS_EXP with the argument whose numpy exp a comparison
+   needs, each before it draws what that decides, to resume at the same
+   phase; LS_DONE at n_steps, -1 for a read outside a table. */
 long long block_rounds(bitgen_t *bg, lockstep_t *s)
 {
     long long n = s->n;
@@ -892,11 +914,53 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                     s->bkeep[b] = keep;
                 }
             }
+            s->bi = s->bq = s->bp = 0;
             s->bphase = BR_ROWS;
             break;
-        case BR_ROWS: {
-            /* the kept blocks' checkpoint perimeters, and per step its hole
-               (hole_code) with its exact row's draw */
+        case BR_ROWS:
+            /* the exact rows of the kept blocks' holes in step order, each
+               coded into its step (VOL_EXACT) */
+            if (s->rule == VOL_EXACT)
+                for (long long b = 0, p = 0; b < s->n_blk; p += s->bB[b++]) {
+                    if (!s->bkeep[b])
+                        continue;
+                    for (long long q = p; q < p + s->bB[b]; q++) {
+                        long long lp = -2 - s->ks[q], val;
+                        if (lp < 0)
+                            continue;
+                        if (hole_row(bg, s, lp, &val))
+                            return -1;
+                        s->ks[q] = hole_code(lp, val);
+                        if (!s->ks[q])
+                            return -1;
+                    }
+                }
+            s->bphase = BR_MEANS;
+            break;
+        case BR_MEANS:
+            /* every mean the kept blocks' holes read is known, where the run
+               can read one (VOL_MEANS, or a heavy law): from step bq of
+               block bi at ks[bp], where an LS_MEAN left the pass */
+            if (s->rule == VOL_MEANS || s->heavy)
+                for (; s->bi < s->n_blk; s->bi++, s->bq = 0) {
+                    long long B = s->bB[s->bi];
+                    if (!s->bkeep[s->bi]) {
+                        s->bp += B;
+                        continue;
+                    }
+                    for (; s->bq < B; s->bq++, s->bp++) {
+                        long long lp, val;
+                        step_hole(s->ks[s->bp], &lp, &val);
+                        long long st = lp < 0 ? 0 : mean_known(s, lp, val);
+                        if (st)
+                            return st;
+                    }
+                }
+            s->bphase = BR_WALK;
+            break;
+        case BR_WALK: {
+            /* the kept blocks' steps in order: their volumes, checkpoints
+               and chains' new states */
             long long p = 0, kept = 0;
             for (long long b = 0; b < s->n_blk; b++) {
                 long long c = s->blk[b], B = s->bB[b];
@@ -905,67 +969,24 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                     continue;
                 }
                 kept++;
-                long long l = s->ls[c], step = s->da[c], cp = s->cur[c];
+                long long l = s->ls[c], v = s->vs[c], step = s->da[c], cp = s->cur[c];
                 for (long long q = 0; q < B; q++, p++) {
-                    long long k = s->ks[p], val = 0;
+                    long long lp, val, k = step_hole(s->ks[p], &lp, &val);
                     l += k;
-                    if (++step == s->cps[cp])
+                    if (lp >= 0)
+                        v += hole_volume(bg, s, lp, val);
+                    if (++step == s->cps[cp]) {
+                        s->vols[cp * n + c] = v;
                         s->per[cp++ * n + c] = l;
-                    if (k > -2) {
-                        s->ks[p] = -1;
-                        continue;
                     }
-                    if (s->rule == VOL_EXACT && hole_row(bg, s, -2 - k, &val))
-                        return -1;
-                    s->ks[p] = hole_code(-2 - k, val);
-                    if (s->ks[p] == -2)
-                        return -1;
                 }
-            }
-            s->block_proposals += s->n_blk;
-            s->block_accepts += kept;
-            s->bphase = BR_MEANS;
-            break;
-        }
-        case BR_MEANS: {
-            long long p = 0;
-            for (long long b = 0; b < s->n_blk; b++)
-                for (long long q = 0; q < s->bB[b]; q++, p++) {
-                    long long code = s->ks[p];
-                    if (!s->bkeep[b] || code < 0)
-                        continue;
-                    long long st = mean_known(s, code & 0xffffffffLL,
-                                              (code >> 32) - VAL_OFF);
-                    if (st)
-                        return st;
-                }
-            s->bphase = BR_VOLUMES;
-            break;
-        }
-        case BR_VOLUMES: {
-            /* the kept blocks' volumes in step order, their checkpoints and
-               their chains' new states */
-            long long p = 0;
-            for (long long b = 0; b < s->n_blk; b++) {
-                long long c = s->blk[b], B = s->bB[b];
-                if (!s->bkeep[b]) {
-                    p += B;
-                    continue;
-                }
-                long long v = s->vs[c], step = s->da[c], cp = s->cur[c];
-                for (long long q = 0; q < B; q++, p++) {
-                    long long code = s->ks[p];
-                    if (code >= 0)
-                        v += hole_volume(bg, s, code & 0xffffffffLL,
-                                         (code >> 32) - VAL_OFF);
-                    if (++step == s->cps[cp])
-                        s->vols[cp++ * n + c] = v;
-                }
-                s->ls[c] = s->blB[b];
+                s->ls[c] = l;
                 s->vs[c] = v;
                 s->da[c] = step;
                 s->cur[c] = cp;
             }
+            s->block_proposals += s->n_blk;
+            s->block_accepts += kept;
             s->bphase = BR_END;
             break;
         }
@@ -1027,8 +1048,8 @@ class Lockstep(ctypes.Structure):
         (name, _P) for name in ("da", "cur", "act", "one", "blk", "bB", "bj",
                                 "blB", "bkeep", "ks")] + [
         (name, _LL) for name in ("ks_cap", "n_act", "n_one", "n_blk", "n_ks",
-                                 "bphase", "bi", "node", "prev", "head",
-                                 "has_u")] + [
+                                 "bphase", "bi", "bq", "bp", "node", "prev",
+                                 "head", "has_u")] + [
         (name, ctypes.c_double) for name in ("u", "exp_x", "exp_val")] + [
         (name, _LL) for name in ("exp_ready", "block_proposals", "block_accepts")]
 

@@ -74,8 +74,12 @@ B(l) or a mean volume not yet computed), which Python grows before the
 call resumes at the same point of the same step.  The block rounds that
 follow run in a second compiled loop on the same state: per round the
 single steps of the chains with B(l) = 1 (the lockstep loop's code), the
-tilts, the tilted draws and their deep redraws, the keep test, the volumes
-of the kept blocks and their checkpoints; it also returns for B(l) with
+tilts, the tilted draws and their deep redraws, the keep test, and then
+the kept blocks: their exact volume rows (exact_small only), a check that
+every mean volume they read is known (only where a run can read one:
+expectation mode, or a heavy-tailed law), resumed where it stopped, and
+one walk in step order that draws their volumes and writes their
+checkpoints and the chains' new states.  It also returns for B(l) with
 its tilt rows, h(1, .) past its table or room for the round's steps, and
 for numpy's exp where a uniform lies within 1e-12 of a keep probability.
 The library also fills the stacked rows.  Every compiled loop reads the

@@ -1232,16 +1232,15 @@ C_MUTANTS = {
                   "            j--;\n            now = up;\n            break;\n"),
     "keep_comparison": ("return u < f * e;", "return u <= f * e;"),
     "checkpoint_offset": ("s->per[cp++ * n + c] = l;", "s->per[cp++ * n + c] = l - k;"),
-    "volume_window": ("""                    if (code >= 0)
-                        v += hole_volume(bg, s, code & 0xffffffffLL,
-                                         (code >> 32) - VAL_OFF);
-                    if (++step == s->cps[cp])
-                        s->vols[cp++ * n + c] = v;
-""", """                    if (++step == s->cps[cp])
-                        s->vols[cp++ * n + c] = v;
-                    if (code >= 0)
-                        v += hole_volume(bg, s, code & 0xffffffffLL,
-                                         (code >> 32) - VAL_OFF);
+    "volume_window": ("""                    if (lp >= 0)
+                        v += hole_volume(bg, s, lp, val);
+                    if (++step == s->cps[cp]) {
+                        s->vols[cp * n + c] = v;
+""", """                    long long v0 = v;
+                    if (lp >= 0)
+                        v += hole_volume(bg, s, lp, val);
+                    if (++step == s->cps[cp]) {
+                        s->vols[cp * n + c] = v0;
 """),
 }
 
