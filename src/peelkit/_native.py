@@ -13,7 +13,9 @@ stays in the package as the fallback and the test reference:
 * ``block_rounds``, the infinite-map block rounds of
   `peeling._block_rounds_numpy` from lockstep's handoff to the run's end:
   the single steps (sharing lockstep's code), the tilts, the tilted and
-  deep draws, the keep test, the volumes and the checkpoints;
+  deep draws, the keep test, and one walk over the kept blocks for their
+  volumes, checkpoints and new states (after their exact rows, and a
+  check of the means they read where a run can read one);
 
 and ``fixed_double``/``fixed_uint64``, the bit generator of `FixedStream`,
 which feeds the self-check fixed uniforms, and ``gamma_fill``.
@@ -22,7 +24,8 @@ Each does the same double operations in the same order as its reference,
 and the draws read their uniforms from the Generator's own bit generator
 (numpy's ``bitgen_t``, one ``next_double`` per uniform, in the order
 ``rng.random(n)`` would deliver them), so every table, trace and sample is
-bit-identical either way.  The volumes' Gamma(3/2, scale 2) draws are
+bit-identical either way.  A hole of degree 0 reads nothing on either
+path: its volume is 1.  The volumes' Gamma(3/2, scale 2) draws are
 numpy's own ``random_gamma``, statically linked from the
 ``numpy/random/lib/libnpyrandom.a`` numpy ships: the code
 ``Generator.gamma`` runs, as long as the library was linked against this
@@ -448,10 +451,15 @@ INLINE long long step_draws(bitgen_t *bg, lockstep_t *s, const long long *idx,
     return 0;
 }
 
-/* The exact volume row's draw for a hole of degree lp (VOL_EXACT) */
+/* The exact volume row's draw for a hole of degree lp (VOL_EXACT); a hole
+   of degree 0 is the one-vertex map, which draws nothing */
 INLINE int hole_row(bitgen_t *bg, const lockstep_t *s, long long lp,
                     long long *val)
 {
+    if (!lp) {
+        *val = 1;
+        return 0;
+    }
     return cdf_one(bg, s->volumes, lp < s->l_exact ? lp : s->l_exact, val);
 }
 
@@ -488,7 +496,8 @@ INLINE long long mean_known(lockstep_t *s, long long lp, long long val)
     return s->means[lp] ? 0 : LS_MEAN;
 }
 
-/* The volume of a hole of degree lp, val its exact row's draw: the mean
+/* The volume of a hole of degree lp, val its exact row's draw: 1 for
+   lp = 0, the one-vertex map, with nothing drawn; else the mean
    (VOL_MEANS), or the exact row's value and, for a residual or
    lp > l_exact, the limit law (VOL_EXACT), or the limit law (VOL_LIMIT):
    xi = 1 / Gamma(3/2, scale 2), V = rint(xi B lp^2) at least the floor, or
@@ -497,6 +506,8 @@ INLINE long long hole_volume(bitgen_t *bg, lockstep_t *s, long long lp,
                              long long val)
 {
     long long rule = s->rule, v = 0, floor = 1;
+    if (!lp)
+        return 1;
     if (rule == VOL_MEANS)
         return s->means[lp];
     int drawn = rule == VOL_LIMIT;

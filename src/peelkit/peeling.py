@@ -11,7 +11,9 @@ k = -l'-2 <= -2 the volume grows by the vertex count of a Boltzmann map
 with root-face degree l', sampled exactly from enumeration tables for
 small l', or through the universal limit V ~ xi * B * l'^2 with xi an
 inverse-Gamma(3/2, 1/2) variable, or deterministically as the rounded
-mean.  Face-exploration steps leave the volume unchanged.
+mean.  A hole with l' = 0 is the one-vertex map: its volume is 1 in every
+mode, and it draws nothing.  Face-exploration steps leave the volume
+unchanged.
 
 One engine runs both ``simulate`` (one chain, every step) and
 ``simulate_ensemble`` (many chains, checkpoints).  A single step draws from
@@ -356,9 +358,10 @@ def _same_lockstep(lib):
     the Python loop and the numpy fill on a small synthetic law, else which
     differs (the library's self-check, `_native._self_check`, after the
     draws).  Twelve chains, one at 0, the others below and above L_SMALL,
-    take up to four steps twice: absorbed at 0, with exact volume rows,
-    residuals and the limit law; then without absorption, for a heavy law
-    whose means are filled mid-step, until a chain lands on block_from.
+    take up to four steps three times: absorbed at 0, with exact volume
+    rows, residuals and the limit law, and again with the limit law alone;
+    then without absorption, for a heavy law whose means are filled
+    mid-step, until a chain lands on block_from.
     The compiled run goes first and grows the rows it needs by
     ``fill_rows``; numpy then fills them again for comparison (the law's
     window starts at k = -8, so rows below 8 start past column 0)."""
@@ -372,7 +375,8 @@ def _same_lockstep(lib):
     volumes = _StackedCdf(4, np.array([[1, 1, 1], [2, 5, -6], [3, -4, 1], [4, 7, -9]]))
     volumes.append(np.array([[1.0, 0, 0], [0.5, 0.3, 0.2], [0.6, 0.4, 0], [0.2, 0.3, 0.5]]))
     us = np.arange(1, 98) * 0.6180339887498949 % 1.0
-    for heavy in (False, True):
+    for case in ("exact", "limit", "heavy"):
+        heavy = case == "heavy"
         runs = []
         for lockstep in (lambda *a: _lockstep_c(lib, *a), _lockstep_numpy):
             vol = VolumeSampler(law, "asymptotic_xi")
@@ -380,7 +384,7 @@ def _same_lockstep(lib):
                 vol.heavy = True
                 vol._means[1::2] = 2
                 vol.fill_mean = lambda l, vol=vol: vol._means.__setitem__(l, 3 * l + 1)
-            else:
+            elif case == "exact":
                 vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
             engine.order = int(heavy)
             engine.block_from = 1301 if heavy else math.inf
@@ -631,6 +635,9 @@ def _check_volume_args(mode, l_exact, d_max):
 class VolumeSampler:
     """Draws the vertex count added when a hole of degree l' is filled in.
 
+    A hole of degree 0 is the one-vertex map: it adds 1 in every mode and
+    reads no uniform, row or mean, so a draw of holes of degree 0 leaves
+    the stream where it was.
     l_exact and d_max are validated in every mode but used only by
     'exact_small', whose enumeration tables cover l' <= l_exact up to d_max
     (the mode falls back to the limit law, flag exact_fallback, where the
@@ -683,26 +690,32 @@ class VolumeSampler:
 
     def draw_many(self, rng, l_primes):
         """Vertex counts of filled-in holes of degrees l' >= 0 (vectorized);
-        l' = 0 is the one-vertex map."""
+        l' = 0 is the one-vertex map, whose count 1 draws nothing."""
         lp = np.asarray(l_primes, dtype=np.int64)
         if self.mode == "expectation":
             return self._mean_volume(lp)
+        out = np.ones(len(lp), dtype=np.int64)
+        holes = np.flatnonzero(lp)
+        lp = lp[holes]
+        if not len(lp):
+            return out
         if not self.l_exact:
-            return self._limit_volume(rng, lp, 1)
+            out[holes] = self._limit_volume(rng, lp, 1)
+            return out
         # a negative table value -(V* + 1) is the residual mass beyond V*
-        out = self._cdf.draw(rng, np.minimum(lp, self.l_exact))
-        resid = out < 0
+        vals = self._cdf.draw(rng, np.minimum(lp, self.l_exact))
+        resid = vals < 0
         need = resid | (lp > self.l_exact)
         if need.any():
             self.flags["residual_draws"] += int(resid.sum())
-            floor = np.where(resid, -out, 1)[need]
-            out[need] = self._limit_volume(rng, lp[need], floor)
+            floor = np.where(resid, -vals, 1)[need]
+            vals[need] = self._limit_volume(rng, lp[need], floor)
+        out[holes] = vals
         return out
 
     def _limit_volume(self, rng, lp, floor):
         if self.heavy:
-            if len(lp):
-                self.flags["heavy_volume_expectation"] = True
+            self.flags["heavy_volume_expectation"] = True
             vals = self._mean_volume(lp)
         else:
             xi = sample_xi(rng, size=len(lp))

@@ -251,6 +251,23 @@ class TestVolumeSampler:
         for depth in (1024, 8192):
             assert peeling._exact_volume_tables(deepen_negative(law, depth), 6, 24)[1] is cdf
 
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    @pytest.mark.parametrize("mode", ["exact_small", "asymptotic_xi"])
+    def test_degree_0_draws_nothing(self, mode, path):
+        # a hole of degree 0 is the one-vertex map: volume 1, with the
+        # stream left where it was; among larger holes it leaves their
+        # draws as they are without it
+        vs = VolumeSampler(LAW, mode)
+        assert bool(vs.l_exact) == (mode == "exact_small")
+        rng = _rng(7)
+        with draws_on(path):
+            assert vs.draw_many(rng, np.zeros(1000, dtype=np.int64)).tolist() == [1] * 1000
+            assert rng.random() == _rng(7).random()
+            mixed = vs.draw_many(_rng(8), np.array([0, 2, 0, 40, 0]))
+            alone = vs.draw_many(_rng(8), np.array([2, 40]))
+        assert mixed[::2].tolist() == [1, 1, 1]
+        assert mixed[1::2].tolist() == alone.tolist()
+
     def test_min_support_fallback(self):
         geo = preset("geometric", H=3.0)
         pos = nu_from_q(geo.weights, geo.constants["c_plus"], geo.constants["r"])
@@ -1511,12 +1528,32 @@ class TestCompiledDraws:
             digests.append(self._digest(outs))
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("volume_mode", VOLUME_MODES)
+    @pytest.mark.parametrize("key", ["quad", "tri", "geo3", "heavy"])
+    def test_ibpm_ensembles_agree(self, key, volume_mode):
+        # block rounds from l0 = 200 with a checkpoint at every step, so
+        # inside every kept block, in every volume mode: compiled and
+        # numpy digests agree
+        law = {"quad": lambda: LAW, "tri": tri_law, "geo3": geo3_law,
+               "heavy": lambda: symmetric_family(1.0, math.pi / 4, k_pos=256)}[key]()
+        digests = []
+        for path in ("compiled", "numpy"):
+            with draws_on(path):
+                peeling._slot.clear()
+                out = simulate_ensemble("ibpm", law, 200, 300, 64, seed=13,
+                                        volume_mode=volume_mode,
+                                        checkpoints=range(1, 301))
+            assert out.flags["block_accepts"] > 0
+            digests.append(self._digest([out]))
+        assert digests[0] == digests[1]
+
     def test_heavy_flag_only_when_a_mean_is_read(self):
         # a heavy law's limit volume is its mean increment, flagged as
-        # heavy_volume_expectation; one chain's one-step block from 1000
-        # keeps no hole for some seeds, and then no mean is read: the flag
-        # is off exactly when the volume is 0, and both paths give the same
-        # perimeter, volume and flags
+        # heavy_volume_expectation; a hole of degree 0 is the one-vertex
+        # map, whose volume 1 reads no mean.  One chain's one-step block
+        # from 1000 prunes nothing, a hole of degree 0 or a larger one by
+        # seed: the flag is set exactly when a hole with l' >= 1 is filled,
+        # and both paths give the same perimeter, volume and flags
         heavy = symmetric_family(1.0, math.pi / 4, k_pos=256)
         seen = []
         for path in ("compiled", "numpy"):
@@ -1525,12 +1562,14 @@ class TestCompiledDraws:
                 outs = [simulate_ensemble("ibpm", heavy, 1000, 1, 1, seed=s,
                                           volume_mode="asymptotic_xi")
                         for s in range(6)]
-            seen.append([(int(out[1][0][0]), int(out[1][1][0]),
+            seen.append([(int(out[1][0][0]) - 1000, int(out[1][1][0]),
                           out.flags.get("heavy_volume_expectation", False),
                           out.flags["block_accepts"]) for out in outs])
         assert seen[0] == seen[1]
-        assert {v == 0 for _, v, _, _ in seen[0]} == {True, False}
-        assert all(flag == (v > 0) for _, v, flag, _ in seen[0])
+        ks = [k for k, _, _, _ in seen[0]]
+        assert max(ks) > -2 and -2 in ks and min(ks) < -2
+        assert all(flag == (k <= -3) for k, _, flag, _ in seen[0])
+        assert all(v == (0 if k > -2 else 1) for k, v, _, _ in seen[0] if k >= -2)
         assert all(kept == 1 for _, _, _, kept in seen[0])
 
     def test_uniform_on_the_keep_odds(self, monkeypatch):
@@ -1606,6 +1645,24 @@ class TestCompiledDraws:
             old, "long long col = idx - c->off[row];")) is None
         assert (_native._self_check(_native._open(path))
                 == "compiled draws differ from the numpy draws")
+
+    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
+                        or not os.path.isfile(_native._npyrandom()),
+                        reason="no C compiler or no numpy static random library")
+    def test_self_check_refuses_a_degree_0_draw(self, tmp_path):
+        # a hole of degree 0 that still draws its exact row, or its limit
+        # law: its volume stays 1 but the stream moves, which the
+        # self-check's lockstep runs (exact rows, and the limit law alone)
+        # see
+        mutants = {"row": ("    if (!lp) {\n        *val = 1;\n        return 0;\n    }\n", ""),
+                   "limit": ("    if (!lp)\n        return 1;\n", "")}
+        cc = shutil.which("cc") or shutil.which("gcc")
+        for name, (old, new) in mutants.items():
+            assert _native._C_SOURCE.count(old) == 1, name
+            path = str(tmp_path / f"{name}.so")
+            assert _native._compile(cc, path, _native._C_SOURCE.replace(old, new)) is None
+            assert (_native._self_check(_native._open(path))
+                    == "compiled lockstep differs from the Python loop"), name
 
     def test_gamma_is_numpys(self):
         # the library's gamma is numpy's own code: Generator.gamma(1.5, 2.0)
