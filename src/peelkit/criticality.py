@@ -898,7 +898,8 @@ def tune_critical(shape: WeightSequence):
     the side), each admissible scale warm-starting the next.  Illinois
     false position on that value narrows the bracket to 1e-8 relative,
     with a bisection step wherever an end's value is the sentinel of an
-    unsolvable companion system, and the shared damped Newton on the
+    unsolvable companion system, or stops at a scale whose value is
+    exactly 0 (the boundary itself), and the shared damped Newton on the
     bordered system (R1, R2, margin - 1) in (c, s, t) then locates the
     fold to near machine precision (bipartite shapes: (R2, margin - 1)
     in (c, t)).
@@ -933,10 +934,15 @@ def tune_critical(shape: WeightSequence):
         raise BoundaryNotFoundError("weights remain admissible at huge scales")
 
     # Illinois false position on the fold-side value; an end whose value
-    # is the unsolvable sentinel (state None) gives a bisection step
+    # is the unsolvable sentinel (state None) gives a bisection step, and
+    # an upper end whose value is exactly 0 is the boundary: the search
+    # stops there, as every later step would land on it
     f_hi = side if state is not None else None
     kept = 0  # +1 (-1) while the step keeps t_lo (t_hi) fixed
     for _ in range(64):
+        if f_hi == 0.0:
+            t_lo, warm = t_hi, state
+            break
         if f_hi is None:
             tm = 0.5 * (t_lo + t_hi)
         else:

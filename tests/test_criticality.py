@@ -531,6 +531,23 @@ class TestTune:
         assert t.data.classification == "regular_critical"
         assert 0 < len(calls) <= 24
 
+    @pytest.mark.parametrize("a", [Fraction(1), Fraction(3, 7), Fraction(5, 2)])
+    def test_zero_side_stops(self, a, monkeypatch):
+        # for the quadrangulation shapes {4: a} a false-position step lands
+        # on t* = 1 / (12 a), where the fold-side value is exactly 0: the
+        # search stops there instead of bisecting toward it (31-32 verdicts)
+        calls = []
+        fold_side = criticality._fold_side
+
+        def counted(*args):
+            calls.append(1)
+            return fold_side(*args)
+
+        monkeypatch.setattr(criticality, "_fold_side", counted)
+        t = tune_critical(WeightSequence({4: a}))
+        assert t.t_star == pytest.approx(1 / (12 * a), rel=1e-12)
+        assert 0 < len(calls) <= 16
+
     def test_margin_root_count(self, monkeypatch):
         # the margin root's Newton returns on a converged step even when
         # that step rounds onto the end of its bracket, instead of falling
