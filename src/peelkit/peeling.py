@@ -636,8 +636,9 @@ class VolumeSampler:
     """Draws the vertex count added when a hole of degree l' is filled in.
 
     A hole of degree 0 is the one-vertex map: it adds 1 in every mode and
-    reads no uniform, row or mean, so a draw of holes of degree 0 leaves
-    the stream where it was.
+    draws nothing, so a draw of holes of degree 0 leaves the stream where
+    it was.
+
     l_exact and d_max are validated in every mode but used only by
     'exact_small', whose enumeration tables cover l' <= l_exact up to d_max
     (the mode falls back to the limit law, flag exact_fallback, where the
