@@ -8,14 +8,15 @@ stays in the package as the fallback and the test reference:
 * ``cdf_draw``, the inverse-CDF draw of `peeling._StackedCdf`;
 * ``band_jumps``, the band-envelope rejection of `peeling._Bands`;
 * ``fill_rows``, the stacked rows of `peeling._Window._fill_numpy`;
-* ``lockstep``, the chains' single steps of `peeling._lockstep_numpy`
-  with their volumes and checkpoints, run until a table is missing;
-* ``block_rounds``, the infinite-map block rounds of
-  `peeling._block_rounds_numpy` from lockstep's handoff to the run's end:
-  the single steps (sharing lockstep's code), the tilts, the tilted and
-  deep draws, the keep test, and one walk over the kept blocks for their
-  volumes, checkpoints and new states (after their exact rows, and a
-  check of the means they read where a run can read one);
+* ``lockstep``, a finite run's steps of `peeling._lockstep_numpy` with
+  their volumes and checkpoints, run until a table is missing;
+* ``block_rounds``, an infinite-map run's block rounds of
+  `peeling._block_rounds_numpy` from its first step to its last: the
+  single steps of chains with B(l) = 1 (sharing lockstep's code), the
+  tilts, the tilted and deep draws, the keep test, and one walk over the
+  kept blocks for their volumes, checkpoints and new states (after their
+  exact rows, and a check of the means they read where a run can read
+  one);
 
 and ``fixed_double``/``fixed_uint64``, the bit generator of `FixedStream`,
 which feeds the self-check fixed uniforms, and ``gamma_fill``.
@@ -342,7 +343,7 @@ typedef struct {
     const bands_t *bands;      /* its bands, perimeters 0..bands->n-1 */
     const cdf_t *volumes;      /* exact volume rows (VOL_EXACT), or NULL */
     const long long *means;    /* rounded mean volumes, 0 = not yet known */
-    long long n_means, l_small, block_from, absorbing;
+    long long n_means, l_small, absorbing;
     long long rule, l_exact, heavy;
     double b_nu;
     long long n, n_steps, n_cps;
@@ -550,15 +551,14 @@ INLINE long long step_volumes(bitgen_t *bg, lockstep_t *s)
     return 0;
 }
 
-/* The chains' steps while every one has B(l) = 1, as peeling._lockstep_numpy:
-   per step the row draws of the live chains below l_small in chain order,
-   the band rounds of those at or above it, then per pruning jump (in
-   chain order) its volume (hole_volume).  A step draws nothing before it
-   has every table it reads: it returns LS_ROWS, LS_BANDS or LS_MEAN with
-   the perimeter or l' in need, to resume at the same phase once that is
-   tabulated, or LS_BLOCKS with the largest perimeter when that is at
-   block_from.  LS_DONE after n_steps, or when every chain of an absorbing
-   run is at 0; -1 for a read outside a table. */
+/* A finite run's steps, as peeling._lockstep_numpy: per step the row
+   draws of the live chains below l_small in chain order, the band rounds
+   of those at or above it, then per pruning jump (in chain order) its
+   volume (hole_volume).  A step draws nothing before it has every table
+   it reads: it returns LS_ROWS, LS_BANDS or LS_MEAN with the perimeter or
+   l' in need, to resume at the same phase once that is tabulated.
+   LS_DONE after n_steps, or when every chain is absorbed at 0; -1 for a
+   read outside a table. */
 long long lockstep(bitgen_t *bg, lockstep_t *s)
 {
     long long n = s->n;
@@ -567,9 +567,6 @@ long long lockstep(bitgen_t *bg, lockstep_t *s)
             long long sc[4];
             if (step_scan(s, NULL, n, sc))
                 return -1;
-            s->need = sc[0];
-            if (sc[0] >= s->block_from)
-                return LS_BLOCKS;
             if (!sc[1])
                 return LS_DONE;
             long long st = step_tables(s, sc);
@@ -707,7 +704,7 @@ INLINE long long step_hole(long long x, long long *lp, long long *val)
     return -2 - *lp;
 }
 
-/* The chains' steps from the handoff to n_steps in rounds, as
+/* An infinite-map run's steps from its first to n_steps in rounds, as
    peeling._block_rounds_numpy: per round the chains with B(l) = 1 make one
    step each (their draws, then their volumes, as lockstep), then every
    other chain proposes one block of min(B(l), steps left) steps, cut to
@@ -1040,10 +1037,10 @@ class Bands(ctypes.Structure):
 class Lockstep(ctypes.Structure):
     """lockstep_t: the tables, chains and work arrays of one run
     (`peeling._c_run`), by address, and where the run is: in ``lockstep``
-    and then in ``block_rounds``."""
+    for a finite run, in ``block_rounds`` for an infinite-map one."""
     _fields_ = [(name, _P) for name in ("rows", "bands", "volumes", "means")] + [
-        (name, _LL) for name in ("n_means", "l_small", "block_from", "absorbing",
-                                 "rule", "l_exact", "heavy")] + [
+        (name, _LL) for name in ("n_means", "l_small", "absorbing", "rule",
+                                 "l_exact", "heavy")] + [
         ("b_nu", ctypes.c_double)] + [
         (name, _LL) for name in ("n", "n_steps", "n_cps")] + [
         (name, _P) for name in ("cps", "ls", "vs", "per", "vols", "jumps", "at",
@@ -1065,8 +1062,9 @@ class Lockstep(ctypes.Structure):
         (name, _LL) for name in ("exp_ready", "block_proposals", "block_accepts")]
 
 
-# the results of lockstep and block_rounds: done, blocks ahead (or B(l)
-# missing), the tables they lack, work room and an exp to take from numpy
+# the results of lockstep and block_rounds: done, the tables they lack
+# (LS_BLOCKS: B(l), asked only by block_rounds), work room and an exp to
+# take from numpy
 LS_DONE, LS_BLOCKS, LS_ROWS, LS_BANDS, LS_MEAN, LS_HTAB, LS_WORK, LS_EXP = range(8)
 # their volume rules
 VOL_MEANS, VOL_LIMIT, VOL_EXACT = range(3)

@@ -66,29 +66,29 @@ thread's windows and False when the run built it, and ``depth_built`` is
 True when the run built its depth part and False when it reused the one
 the thread's previous run in that mode left.
 
-The steps in lockstep (every step of a finite run, and an infinite-map
-run's steps until a chain reaches a perimeter with B(l) > 1) run in one
-compiled loop of the package's library (`_native`): each call makes the
-row draws below L_SMALL, the band rounds above it, the pruning volumes in
-every volume mode (numpy's own gamma code for xi) and the checkpoint rows
-of step after step, and returns only for a table it lacks (a row, a band,
-B(l) or a mean volume not yet computed), which Python grows before the
-call resumes at the same point of the same step.  The block rounds that
-follow run in a second compiled loop on the same state: per round the
-single steps of the chains with B(l) = 1 (the lockstep loop's code), the
-tilts, the tilted draws and their deep redraws, the keep test, and then
-the kept blocks: their exact volume rows (exact_small only), a check that
-every mean volume they read is known (only where a run can read one:
-expectation mode, or a heavy-tailed law), resumed where it stopped, and
-one walk in step order that draws their volumes and writes their
-checkpoints and the chains' new states.  It also returns for B(l) with
-its tilt rows, h(1, .) past its table or room for the round's steps, and
-for numpy's exp where a uniform lies within 1e-12 of a keep probability.
-The library also fills the stacked rows.  Every compiled loop reads the
-Generator's own bit generator in the order the numpy code reads it; where
-the library does not load, the numpy and Python loops (`_lockstep_numpy`,
-`_block_rounds_numpy` and the draws' and fill's numpy halves) run and draw
-the same values.
+A finite run steps its chains in lockstep, in one compiled loop of the
+package's library (`_native`): each call makes the row draws below
+L_SMALL, the band rounds above it, the pruning volumes in every volume
+mode (numpy's own gamma code for xi) and the checkpoint rows of step
+after step, and returns only for a table it lacks (a row, a band or a
+mean volume not yet computed), which Python grows before the call
+resumes at the same point of the same step.  An infinite-map run goes in
+block rounds from its first step, in a second compiled loop on the same
+kind of state: per round the single steps of the chains with B(l) = 1
+(the lockstep loop's code, so a round of such chains alone is one
+lockstep step), the tilts, the tilted draws and their deep redraws, the
+keep test, and then the kept blocks: their exact volume rows
+(exact_small only), a check that every mean volume they read is known
+(only where a run can read one: expectation mode, or a heavy-tailed
+law), resumed where it stopped, and one walk in step order that draws
+their volumes and writes their checkpoints and the chains' new states.
+It also returns for B(l) with its tilt rows, h(1, .) past its table or
+room for the round's steps, and for numpy's exp where a uniform lies
+within 1e-12 of a keep probability.  The library also fills the stacked
+rows.  Every compiled loop reads the Generator's own bit generator in the
+order the numpy code reads it; where the library does not load, the numpy
+and Python loops (`_lockstep_numpy`, `_block_rounds_numpy` and the draws'
+and fill's numpy halves) run and draw the same values.
 """
 
 from __future__ import annotations
@@ -358,20 +358,18 @@ def _same_lockstep(lib):
     the Python loop and the numpy fill on a small synthetic law, else which
     differs (the library's self-check, `_native._self_check`, after the
     draws).  Twelve chains, one at 0, the others below and above L_SMALL,
-    take up to four steps three times: absorbed at 0, with exact volume
-    rows, residuals and the limit law, and again with the limit law alone;
-    then without absorption, for a heavy law whose means are filled
-    mid-step, until a chain lands on block_from.
-    The compiled run goes first and grows the rows it needs by
-    ``fill_rows``; numpy then fills them again for comparison (the law's
-    window starts at k = -8, so rows below 8 start past column 0)."""
+    take four steps three times, absorbed at 0: with exact volume rows,
+    residuals and the limit law, with the limit law alone, and for a heavy
+    law whose means are filled mid-step.  The compiled run goes first and
+    grows the rows it needs by ``fill_rows``; numpy then fills them again
+    for comparison (the law's window starts at k = -8, so rows below 8
+    start past column 0)."""
     ks = np.arange(-8, 3)
     h = 1.0 / np.sqrt(np.arange(1.0, 2 * L_SMALL + 1))
     law = types.SimpleNamespace(
         ks=ks, probs=np.array([0.04] * 8 + [0.3, 0.1, 0.28]), k_neg=8, k_pos=2,
         B_nu=0.75, hcache=lambda: types.SimpleNamespace(array=lambda o, n: h[:n + 1]))
     engine = _ChainEngine(law, "finite")
-    engine.blocks = np.ones(2 * L_SMALL, dtype=np.int64)
     volumes = _StackedCdf(4, np.array([[1, 1, 1], [2, 5, -6], [3, -4, 1], [4, 7, -9]]))
     volumes.append(np.array([[1.0, 0, 0], [0.5, 0.3, 0.2], [0.6, 0.4, 0], [0.2, 0.3, 0.5]]))
     us = np.arange(1, 98) * 0.6180339887498949 % 1.0
@@ -386,14 +384,12 @@ def _same_lockstep(lib):
                 vol.fill_mean = lambda l, vol=vol: vol._means.__setitem__(l, 3 * l + 1)
             elif case == "exact":
                 vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
-            engine.order = int(heavy)
-            engine.block_from = 1301 if heavy else math.inf
             engine.start(1300)
             run = _Run(12, 1, range(1, 5))
             run.ls[:] = 0, 2, 3, 4, 6, 8, 1298, 1298, 1298, 1298, 1100, 1030
             rng = _native.FixedStream(lib, us)
-            more = lockstep(engine, vol, rng, run)
-            runs.append((more, run.step, run.i, run.per.tobytes(), run.vols.tobytes(),
+            lockstep(engine, vol, rng, run)
+            runs.append((run.step, run.i, run.per.tobytes(), run.vols.tobytes(),
                          run.ls.tobytes(), run.V.tobytes(), vol.flags, engine.flags,
                          rng.used))
         if runs[0] != runs[1]:
@@ -427,7 +423,7 @@ def _same_blocks(lib):
     # the engine's tables by hand: no single step is below L_SMALL, so no
     # row is drawn
     engine = _ChainEngine.__new__(_ChainEngine)
-    engine.law, engine.order, engine.block_from, engine.h_len = law, 1, 0, top
+    engine.law, engine.order, engine.h_len = law, 1, top
     engine.cs = np.concatenate([[0.0], np.cumsum(probs)])
     engine.rows = _StackedCdf(L_SMALL, np.arange(-8, 3))
     engine.hz = np.concatenate([np.zeros(k_neg + 1), h1])
@@ -990,14 +986,15 @@ class _ChainEngine:
     gave (band_proposals, band_accepts) since the last ``start``.
 
     For the ibpm transform the engine also proposes tilted blocks (module
-    docstring).  Per tilt theta of BLOCK_THETAS it holds log phi(theta),
-    the window's K_theta and a guided inverse-CDF row of nu_theta over the
-    window k > -L_SMALL whose last entry, -(k_neg + 1), stands for all of
-    k <= -L_SMALL.  ``blocks[l]`` is B(l) and ``block_tilt[l]`` the index
-    of its theta, tabulated when a chain first needs them.  ``means``
-    memoizes the rounded mean volumes of holes, 0 where not yet computed,
-    and ``exact_tables`` the exact volume tables per (l_exact, d_max), for
-    the `VolumeSampler` of each run.
+    docstring), from a run's first round on; a chain with B(l) = 1 makes
+    its round's single step by ``draw``.  Per tilt theta of BLOCK_THETAS it
+    holds log phi(theta), the window's K_theta and a guided inverse-CDF row
+    of nu_theta over the window k > -L_SMALL whose last entry,
+    -(k_neg + 1), stands for all of k <= -L_SMALL.  ``blocks[l]`` is B(l)
+    and ``block_tilt[l]`` the index of its theta, tabulated when a chain
+    first needs them.  ``means`` memoizes the rounded mean volumes of
+    holes, 0 where not yet computed, and ``exact_tables`` the exact volume
+    tables per (l_exact, d_max), for the `VolumeSampler` of each run.
 
     The engine is the depth part: every table but the window's depends on
     the law as deepened for a run (its deep tail, cs, the bands, the tilted
@@ -1021,12 +1018,10 @@ class _ChainEngine:
         self.means = np.zeros(law.k_neg + 1, dtype=np.int64)
         self.means[0] = 1       # l' = 0 is the one-vertex map
         self.exact_tables = {}
-        # B(l) for l < len(blocks); chains below block_from all have B(l) = 1
+        # B(l) for l < len(blocks)
         self.blocks = np.ones(0, dtype=np.int64)
         self.block_tilt = np.zeros(0, dtype=np.int16)
-        self.block_from = math.inf
         if self.order == 1:
-            self.block_from = 0
             self.log_K = self.window.log_K
             self._tilt_tables()
 
@@ -1114,16 +1109,6 @@ class _ChainEngine:
         self.flags["band_accepts"] += len(ls)
         return out
 
-    def steps_only(self, ls):
-        """True when every chain at perimeters ls has B(l) = 1, judged from
-        draw()'s bound on max(ls) until that reaches block_from."""
-        if self._hi < self.block_from:
-            return True
-        self._hi = hi = int(ls.max())
-        if hi >= len(self.blocks):
-            self._extend_blocks(hi)
-        return hi < self.block_from
-
     def block_len(self, ls):
         """B(l) per chain at perimeters ls."""
         hi = int(ls.max())
@@ -1158,8 +1143,6 @@ class _ChainEngine:
         self.blocks = np.concatenate([self.blocks, best.astype(np.int64)])
         self.block_tilt = np.concatenate([self.block_tilt, tilt])
         self._tilt_rows(int(tilt.max()))
-        longer = np.flatnonzero(self.blocks > 1)
-        self.block_from = int(longer[0]) if len(longer) else n
 
     def propose_blocks(self, ls, B, rng):
         """One block of B[j] nu_theta steps per chain at ls[j], theta its
@@ -1302,8 +1285,9 @@ def _chain_engine(mode, law, n_steps):
 
 def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
     """Run n_chains chains from l0 on law deepened for n_steps: (that law's
-    digest, perimeter and volume rows at the sorted checkpoints, flags).  The chains
-    step in lockstep while every one has B(l) = 1, then in block rounds."""
+    digest, perimeter and volume rows at the sorted checkpoints, flags).  A
+    finite run's chains step in lockstep, an infinite-map run's in block
+    rounds."""
     if min(n_chains, n_steps) < 1 or checkpoints[0] < 1 or checkpoints[-1] != n_steps:
         raise ValueError("n_chains and n_steps must be >= 1 and checkpoints in "
                          f"1..n_steps; got n_chains={n_chains}, n_steps={n_steps}")
@@ -1317,17 +1301,19 @@ def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
         engine.start(l0)
         run = _Run(n_chains, l0, checkpoints)
         flags = {"block_proposals": 0, "block_accepts": 0}
-        if _lockstep(engine, vol, rng, run):
-            _block_rounds(engine, vol, rng, run, flags)
-        else:
+        if engine.order == 0:
+            _lockstep(engine, vol, rng, run)
+            # the checkpoints after every chain was absorbed
             run.per[run.i:], run.vols[run.i:] = run.ls, run.V
+        else:
+            _block_rounds(engine, vol, rng, run, flags)
         return digest, run.per, run.vols, {**vol.flags, **flags, **engine.flags, **reuse}
 
 
 class _Run:
-    """Chains in lockstep: perimeters ls and volumes V, their rows per at
-    the checkpoints, `step` steps taken and the first `i` checkpoints
-    written."""
+    """A run's chains: perimeters ls and volumes V, their rows per and vols
+    at the checkpoints, and for a run in lockstep `step` steps taken and
+    the first `i` checkpoints written."""
 
     def __init__(self, n_chains, l0, checkpoints):
         self.ls = np.full(n_chains, l0, dtype=np.int64)
@@ -1340,16 +1326,12 @@ class _Run:
         self.per = np.empty((len(self.cps), n_chains), dtype=np.int64)
         self.vols = np.empty_like(self.per)
         self.step = self.i = 0
-        self.c = None       # the compiled loops' state (_c_run)
 
 
 def _lockstep(engine, vol, rng, run):
-    """Step the chains of run while every one has B(l) = 1, in the library's
-    ``lockstep`` where it loads, else in numpy; both draw the same values.
-    True when block rounds are to follow, False when the run is over: all
-    steps taken, or every chain absorbed."""
-    if not engine.steps_only(run.ls):
-        return True
+    """Step the chains of a finite run, absorbed at 0, until all steps are
+    taken or every chain is absorbed: in the library's ``lockstep`` where
+    it loads, else in numpy; both draw the same values."""
     lib = _native.library()[0]
     if lib is None or engine.rows._vals.dtype != np.int64:
         return _lockstep_numpy(engine, vol, rng, run)
@@ -1359,57 +1341,47 @@ def _lockstep(engine, vol, rng, run):
 def _lockstep_numpy(engine, vol, rng, run):
     ls, V, per, vols, checkpoints = run.ls, run.V, run.per, run.vols, run.checkpoints
     n_steps = checkpoints[-1]
-    absorbing = engine.order == 0
-    i, step = run.i, run.step
-    try:
-        while step < n_steps:
-            if not engine.steps_only(ls):
-                return True
-            step += 1
-            if absorbing and not ls.all():
-                live = np.flatnonzero(ls)
-                if not len(live):
-                    break
-                jumps = np.zeros_like(ls)
-                jumps[live] = engine.draw(ls[live], rng)
-            else:
-                jumps = engine.draw(ls, rng)
-            prune = jumps <= -2
-            if prune.any():
-                V[prune] += vol.draw_many(rng, -2 - jumps[prune])
-            ls += jumps
-            if step == checkpoints[i]:
-                per[i], vols[i] = ls, V
-                i += 1
-        return False
-    finally:
-        run.i, run.step = i, step
+    i = step = 0
+    while step < n_steps:
+        step += 1
+        if not ls.all():
+            live = np.flatnonzero(ls)
+            if not len(live):
+                break
+            jumps = np.zeros_like(ls)
+            jumps[live] = engine.draw(ls[live], rng)
+        else:
+            jumps = engine.draw(ls, rng)
+        prune = jumps <= -2
+        if prune.any():
+            V[prune] += vol.draw_many(rng, -2 - jumps[prune])
+        ls += jumps
+        if step == checkpoints[i]:
+            per[i], vols[i] = ls, V
+            i += 1
+    run.i, run.step = i, step
 
 
 def _c_run(engine, vol, run):
-    """The compiled loops' state of run, a `_native.Lockstep` over its
-    chains, tables and per-chain work arrays: made once per run, by
-    ``lockstep`` and then by ``block_rounds``."""
-    if run.c is None:
-        n = len(run.ls)
-        work = np.empty((len(_native.STEP_WORK), n), dtype=np.int64)
-        env = np.empty(n)
-        rule = (_native.VOL_MEANS if vol.mode == "expectation"
-                else _native.VOL_EXACT if vol.l_exact else _native.VOL_LIMIT)
-        addr = _native.address
-        volumes = vol._cdf.pack() if rule == _native.VOL_EXACT else None
-        s = _native.Lockstep(
-            volumes=volumes and ctypes.addressof(volumes[0]),
-            means=addr(vol._means), n_means=len(vol._means), l_small=L_SMALL,
-            block_from=min(engine.block_from, 1 << 62),   # inf for a finite run
-            absorbing=engine.order == 0, rule=rule, l_exact=vol.l_exact,
-            heavy=vol.heavy, b_nu=vol.law.B_nu, n=n, n_steps=int(run.cps[-1]),
-            n_cps=len(run.cps), cps=addr(run.cps), ls=addr(run.ls), vs=addr(run.V),
-            per=addr(run.per), vols=addr(run.vols), env=addr(env),
-            step=run.step, cp=run.i,
-            **{name: addr(row) for name, row in zip(_native.STEP_WORK, work)})
-        run.c = s, (work, env, volumes)     # the arrays s points into
-    return run.c[0]
+    """The compiled loops' state of run at its first step, a
+    `_native.Lockstep` over its chains, tables and per-chain work arrays,
+    and the arrays it points into, which the caller keeps."""
+    n = len(run.ls)
+    work = np.empty((len(_native.STEP_WORK), n), dtype=np.int64)
+    env = np.empty(n)
+    rule = (_native.VOL_MEANS if vol.mode == "expectation"
+            else _native.VOL_EXACT if vol.l_exact else _native.VOL_LIMIT)
+    addr = _native.address
+    volumes = vol._cdf.pack() if rule == _native.VOL_EXACT else None
+    s = _native.Lockstep(
+        volumes=volumes and ctypes.addressof(volumes[0]),
+        means=addr(vol._means), n_means=len(vol._means), l_small=L_SMALL,
+        absorbing=engine.order == 0, rule=rule, l_exact=vol.l_exact,
+        heavy=vol.heavy, b_nu=vol.law.B_nu, n=n, n_steps=int(run.cps[-1]),
+        n_cps=len(run.cps), cps=addr(run.cps), ls=addr(run.ls), vs=addr(run.V),
+        per=addr(run.per), vols=addr(run.vols), env=addr(env),
+        **{name: addr(row) for name, row in zip(_native.STEP_WORK, work)})
+    return s, (work, env, volumes)
 
 
 def _drain(s, engine, vol, flags=None):
@@ -1429,7 +1401,7 @@ def _drain(s, engine, vol, flags=None):
 def _lockstep_c(lib, engine, vol, rng, run):
     """`_lockstep` in C: one ``lockstep`` call runs until a table is
     missing, which is grown here before the call resumes where it stopped."""
-    s = _c_run(engine, vol, run)
+    s, _arrays = _c_run(engine, vol, run)
     bg = rng.bit_generator
     state = bg.ctypes.bit_generator
     try:
@@ -1444,14 +1416,8 @@ def _lockstep_c(lib, engine, vol, rng, run):
                 engine._cover(s.need)
             elif status == _native.LS_MEAN:
                 vol.fill_mean(s.need)
-            elif status == _native.LS_BLOCKS:
-                if s.need >= len(engine.blocks):
-                    engine._extend_blocks(s.need)
-                if s.need >= engine.block_from:
-                    return True
-                s.block_from = engine.block_from
             elif status == _native.LS_DONE:
-                return False
+                return
             else:
                 raise IndexError("lockstep read outside the tables built")
     finally:
@@ -1460,7 +1426,7 @@ def _lockstep_c(lib, engine, vol, rng, run):
 
 
 def _block_rounds(engine, vol, rng, run, flags):
-    """Advance ibpm chains, all at step run.step, to the last checkpoint in
+    """Advance ibpm chains from their first step to the last checkpoint in
     block rounds: in the library's ``block_rounds`` where it loads, else in
     numpy; both draw the same values."""
     lib = _native.library()[0]
@@ -1473,11 +1439,11 @@ def _block_rounds_c(lib, engine, vol, rng, run, flags):
     """`_block_rounds` in C: one ``block_rounds`` call runs until a table is
     missing, its steps outgrow ks or a comparison needs numpy's exp, which
     is supplied here before the call resumes where it stopped."""
-    s = _c_run(engine, vol, run)
+    s, _arrays = _c_run(engine, vol, run)
     n, law, addr = len(run.ls), engine.law, _native.address
     work = dict(zip(_native.BLOCK_WORK, np.empty((len(_native.BLOCK_WORK), n),
                                                  dtype=np.int64)))
-    work["da"][:], work["cur"][:], work["act"][:] = run.step, run.i, np.arange(n)
+    work["da"][:], work["cur"][:], work["act"][:] = 0, 0, np.arange(n)
     for name, row in work.items():
         setattr(s, name, addr(row))
     s.n_act, s.bphase = n, 0
@@ -1487,8 +1453,11 @@ def _block_rounds_c(lib, engine, vol, rng, run, flags):
     # h(1, .) as far as the engine's h table, so that a run asks for more
     # whatever other runs grew the shared cache to
     h1 = law.hcache().table(1, engine.h_len)[:engine.h_len]
-    # the steps a round can draw, but for more chains than BLOCK_DRAWS
-    ks = np.empty(min(n * (s.n_steps - run.step), BLOCK_DRAWS), dtype=np.int64)
+    # B(l) from the start, so that its table's temporaries are freed before
+    # ks takes its room; then the steps a round can draw, but for more
+    # chains than BLOCK_DRAWS
+    engine.block_len(run.ls)
+    ks = np.empty(min(n * s.n_steps, BLOCK_DRAWS), dtype=np.int64)
     bg = rng.bit_generator
     state = bg.ctypes.bit_generator
     try:
@@ -1526,7 +1495,7 @@ def _block_rounds_c(lib, engine, vol, rng, run, flags):
 
 
 def _block_rounds_numpy(engine, vol, rng, run, flags):
-    """Advance ibpm chains, all at step run.step, to step cps[-1] in rounds.
+    """Advance ibpm chains from step 0 to step cps[-1] in rounds.
 
     Each round a chain with B(l) = 1 makes one step and every other chain
     proposes one block of min(B(l), steps left) steps; a kept block writes
@@ -1534,14 +1503,14 @@ def _block_rounds_numpy(engine, vol, rng, run, flags):
     The unfinished chains' states are kept compact: act[j] is at perimeter
     la[j] with volume va[j] after da[j] steps.
     """
-    ls, V, per, vols, step, cps = run.ls, run.V, run.per, run.vols, run.step, run.cps
+    ls, V, per, vols, cps = run.ls, run.V, run.per, run.vols, run.cps
     n_steps = int(cps[-1])
     # upto[s]: how many checkpoints are at most s
     upto = np.zeros(n_steps + 1, dtype=np.int64)
     upto[cps] = 1
     np.cumsum(upto, out=upto)
     act, la, va = np.arange(len(ls)), ls.copy(), V.copy()
-    da = np.full(len(ls), step)
+    da = np.zeros(len(ls), dtype=np.int64)
     while len(act):
         B = engine.block_len(la)
         one = B == 1

@@ -30,6 +30,11 @@ from .walk import StepLaw, complete_nu
 from .weights import WeightSequence, nu_from_q
 
 DEFAULT_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
+# ecf_test's split of the step law (common jumps k >= -ECF_K_COMMON, a deep
+# block down to the law deepened to ECF_K_DEEP) and its samples per chunk
+ECF_K_COMMON = 64
+ECF_K_DEEP = 1 << 17
+ECF_CHUNK = 20_000
 
 
 def perimeter_normalizer(law: StepLaw, n):
@@ -103,19 +108,20 @@ class EcfReport:
         }
 
 
-def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0), seed=0,
-             chunk=20_000, k_common=64, k_deep=1 << 17) -> EcfReport:
+def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0),
+             seed=0) -> EcfReport:
     """Empirical characteristic function of the rescaled unconditioned walk.
 
     The endpoint X_n is drawn exactly by splitting the step law into a
-    common part (multinomial increment counts over the jumps k >= -k_common),
-    a deep negative block (binomial count of the rarer jumps down to the
-    law deepened to k_deep, each drawn from the exact kernel values), and a
-    matched power-law remainder beyond the block.  Every split point gives
-    the same law of X_n; a small common part keeps the multinomial cheap.
-    The split matters: a plainly truncated law loses a K^(-1/2) drift that
-    would swamp the n^(2/3) normalization.  n and n_samples below 1, chunk
-    below 1 and k_common below 0 raise ValueError.
+    common part (multinomial increment counts over the jumps
+    k >= -ECF_K_COMMON), a deep negative block (binomial count of the rarer
+    jumps down to the law deepened to ECF_K_DEEP, each drawn from the exact
+    kernel values), and a matched power-law remainder beyond the block,
+    ECF_CHUNK samples at a time.  Every split point gives the same law of
+    X_n; a small common part keeps the multinomial cheap.  The split
+    matters: a plainly truncated law loses a K^(-1/2) drift that would
+    swamp the n^(2/3) normalization.  n and n_samples below 1 raise
+    ValueError.
     """
     from .peeling import DiscreteSampler
     from .walk import deepen_negative
@@ -123,14 +129,11 @@ def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0), seed=0,
     if min(n, n_samples) < 1:
         raise ValueError("n and n_samples must be >= 1; got "
                          f"n={n}, n_samples={n_samples}")
-    if chunk < 1 or k_common < 0:
-        raise ValueError("chunk must be >= 1 and k_common >= 0; got "
-                         f"chunk={chunk}, k_common={k_common}")
     thetas = np.asarray(thetas, dtype=float)
     rng = _rng(seed)
     if not law.heavy_tail:
-        law = deepen_negative(law, k_deep)
-    k0 = min(k_common, law.k_neg)
+        law = deepen_negative(law, ECF_K_DEEP)
+    k0 = min(ECF_K_COMMON, law.k_neg)
     ks_all = law.ks
     # jumps of zero mass (odd ones on bipartite laws) stay out of the multinomial
     common_sel = (ks_all >= -k0) & (law.probs > 0)
@@ -142,7 +145,7 @@ def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0), seed=0,
     if m_block > 0:
         block_tab = DiscreteSampler(ks_all[block_sel], law.probs[block_sel])
     # the remainder beyond the block follows the k^(-5/2) tail; its index
-    # scales like k_deep * U^(-2/3)
+    # scales like ECF_K_DEEP * U^(-2/3)
     m_pareto = max(0.0, 1.0 - float(p_common.sum()) - m_block)
     m_tail = m_block + m_pareto
     if law.heavy_tail:
@@ -159,7 +162,7 @@ def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0), seed=0,
     acc_sq = np.zeros(len(thetas))
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(ECF_CHUNK, n_samples - done)
         if m_tail > 0:
             n_t = rng.binomial(n, m_tail, size=m)
         else:

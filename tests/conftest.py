@@ -8,8 +8,9 @@ def pytest_addoption(parser):
         "--reference-loops", action="store_true",
         help="run every compiled loop's reference (the Python h recurrence "
              "and its r-derivative, the numpy draws and row fill, the Python "
-             "lockstep loop) for the whole session, as where the compiled "
-             "library does not load")
+             "lockstep loop of finite runs and the numpy block rounds of "
+             "infinite-map runs) for the whole session, as where the "
+             "compiled library does not load")
 
 
 def pytest_configure(config):

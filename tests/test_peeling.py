@@ -1377,7 +1377,7 @@ class TestCompiledDraws:
                            for out, v in zip(outs, np.repeat(VOLUME_MODES, 2))
                            if v != "expectation")
                 assert asked(calls, _native.LS_MEAN)
-        elif case == "growth":
+        else:
             runs = [lambda: simulate_ensemble("finite", LAW, 60, 600, 200, seed=11,
                                               checkpoints=range(1, 601, 7)),
                     lambda: simulate_ensemble("finite", tri, 2040, 300, 200, seed=12,
@@ -1385,24 +1385,13 @@ class TestCompiledDraws:
 
             def check(outs, calls):
                 assert asked(calls, _native.LS_ROWS) and asked(calls, _native.LS_BANDS)
-        else:
-            # B(l) > 1 from l = 5 for the heavy law, from 2 for geo3
-            runs = [lambda: simulate_ensemble("ibpm", heavy, 2, 3000, 64, seed=6,
-                                              checkpoints=range(1, 3001)),
-                    lambda: simulate("ibpm", geo3_law(), l0=1, n_steps=20_000, seed=4,
-                                     volume_mode="exact_small")]
-
-            def check(outs, calls):
-                assert asked(calls, _native.LS_BLOCKS)
-                assert all(out.flags["block_accepts"] > 0 for out in outs)
         return runs, check
 
-    @pytest.mark.parametrize("case", ["absorbed", "residuals", "heavy", "growth",
-                                      "handoff"])
+    @pytest.mark.parametrize("case", ["absorbed", "residuals", "heavy", "growth"])
     def test_lockstep_cases(self, case, monkeypatch):
         # every chain absorbed before n_steps, exact_small runs that draw
-        # residuals, a heavy-tailed law (its means filled mid-run), rows and
-        # bands grown mid-run, and the handoff to block rounds
+        # residuals, a heavy-tailed law (its means filled mid-run), and rows
+        # and bands grown mid-run
         runs, check = self._case(case)
         calls = self._lockstep_calls(monkeypatch)
         digests = []
@@ -1415,10 +1404,47 @@ class TestCompiledDraws:
             digests.append(self._digest(outs))
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_one_loop_per_transform(self, path, monkeypatch):
+        # a finite run steps only in lockstep and an ibpm run only in block
+        # rounds, from its first step: also where B(l0) = 1 (geometric
+        # H = 5 from 1, the heavy law from 2)
+        res = preset("geometric", H=5.0)
+        geo5 = complete_nu(nu_from_q(res.weights, res.constants["c_plus"],
+                                     float(res.constants["r"])), k_neg=512)
+        heavy = symmetric_family(1.0, math.pi / 4, k_pos=256)
+        runs = [("finite", None, lambda: simulate("finite", LAW, l0=2, n_steps=500, seed=1)),
+                ("finite", None, lambda: simulate_ensemble("finite", tri_law(), 40, 300, 32,
+                                                           seed=2)),
+                ("ibpm", 1, lambda: simulate("ibpm", geo5, l0=1, n_steps=500, seed=3)),
+                ("ibpm", 2, lambda: simulate_ensemble("ibpm", heavy, 2, 300, 32, seed=4)),
+                ("ibpm", None, lambda: simulate("ibpm", LAW, l0=2, n_steps=500, seed=5))]
+        lockstep = self._lockstep_calls(monkeypatch)
+        rounds = self._block_calls(monkeypatch)
+        numpy_calls = []
+        for name in ("_lockstep_numpy", "_block_rounds_numpy"):
+            monkeypatch.setattr(peeling, name, lambda *a, f=getattr(peeling, name), name=name:
+                                (numpy_calls.append(name), f(*a))[1])
+        with draws_on(path):
+            for mode, l0, run in runs:
+                lockstep.clear(), rounds.clear(), numpy_calls.clear()
+                out = run()
+                if path == "compiled":
+                    assert (bool(lockstep), bool(rounds)) == (mode == "finite",
+                                                              mode == "ibpm")
+                    assert not numpy_calls
+                else:
+                    assert numpy_calls == ["_lockstep_numpy" if mode == "finite"
+                                           else "_block_rounds_numpy"]
+                assert (out.flags["block_accepts"] > 0) == (mode == "ibpm")
+                if l0 is not None:
+                    assert peeling._slot.held["ibpm"][5].blocks[l0] == 1
+
     @staticmethod
     def _block_calls(monkeypatch):
-        """(status, blocks proposed so far) of every call of the library's
-        block_rounds, as the compiled path makes them."""
+        """(status, blocks proposed so far, chains of the round that step
+        once) of every call of the library's block_rounds, as the compiled
+        path makes them."""
         calls = []
         block_rounds_c = peeling._block_rounds_c
 
@@ -1431,7 +1457,7 @@ class TestCompiledDraws:
 
             def block_rounds(self, bg, s):
                 status = self.lib.block_rounds(bg, s)
-                calls.append((status, s._obj.block_proposals))
+                calls.append((status, s._obj.block_proposals, s._obj.n_one))
                 return status
 
         monkeypatch.setattr(peeling, "_block_rounds_c",
@@ -1484,6 +1510,25 @@ class TestCompiledDraws:
                 kept(outs, calls)
                 assert outs[0].flags["block_proposals"] >= 64 * 60
                 assert outs[1].flags["block_proposals"] >= 64 * 60 // 7
+        elif case == "single_steps":
+            # B(l) > 1 from l = 5 for the heavy law, from 2 for geo3: the
+            # first rounds step every chain once, before any block
+            heavy = symmetric_family(1.0, math.pi / 4, k_pos=256)
+            runs = [lambda: simulate_ensemble("ibpm", heavy, 2, 3000, 64, seed=6,
+                                              checkpoints=range(1, 3001)),
+                    lambda: simulate("ibpm", geo3_law(), l0=1, n_steps=20_000, seed=4,
+                                     volume_mode="exact_small")]
+
+            def check(outs, calls):
+                kept(outs, calls)
+                ends = [i for i, (st, _, _) in enumerate(calls) if st == _native.LS_DONE]
+                assert len(ends) == len(runs)
+                for chains, run in zip((64, 1), np.split(calls, np.add(ends[:-1], 1))):
+                    # the first row asked for is for a round of single steps
+                    # alone, made before the run proposed a block
+                    first = next((c for c in run if c[0] == _native.LS_ROWS), None)
+                    assert first is not None and first[1] == 0 and first[2] == chains
+                    assert run[-1][1] > 0
         elif case == "deep":
             # from l0 = 3000, tilted draws at the rows' last entry are
             # redrawn from nu on k <= -L_SMALL; kept ones show as drops
@@ -1505,17 +1550,18 @@ class TestCompiledDraws:
 
             def check(outs, calls):
                 kept(outs, calls)
-                assert any(st == _native.LS_BLOCKS and n > 0 for st, n in calls)
-                assert any(st == _native.LS_HTAB for st, n in calls)
+                assert any(st == _native.LS_BLOCKS and n > 0 for st, n, _ in calls)
+                assert any(st == _native.LS_HTAB for st, _, _ in calls)
         return runs, check
 
-    @pytest.mark.parametrize("case", ["geo3", "heavy", "checkpoints", "cap", "deep",
-                                      "growth"])
+    @pytest.mark.parametrize("case", ["geo3", "heavy", "checkpoints", "cap",
+                                      "single_steps", "deep", "growth"])
     def test_block_round_cases(self, case, monkeypatch):
         # block rounds from l0 = 200 on geo3, on the heavy symmetric law in
         # every volume mode, checkpointed at every step and sparsely, cut by
-        # BLOCK_DRAWS, with deep redraws kept, and with B(l), its tilt rows
-        # and h(1, .) grown mid-run: compiled and numpy digests agree
+        # BLOCK_DRAWS, from perimeters with B(l) = 1, with deep redraws
+        # kept, and with B(l), its tilt rows and h(1, .) grown mid-run:
+        # compiled and numpy digests agree
         calls = self._block_calls(monkeypatch)
         runs, check = self._block_case(case, monkeypatch)
         digests = []

@@ -79,30 +79,18 @@ class TestEcf:
         with pytest.raises(ValueError, match="n_samples"):
             ecf_test(QUAD_LAW, n, samples)
 
-    @pytest.mark.parametrize("kw", [{"chunk": 0}, {"chunk": -3}, {"k_common": -5}])
-    def test_split_checked(self, kw, monkeypatch):
-        # refused before any draw: chunk=0 used to loop forever, the others
-        # leaked numpy's messages
-        from peelkit import scaling
-
-        def no_draws(*args):
-            raise AssertionError("drew before checking the split")
-
-        monkeypatch.setattr(scaling, "_rng", no_draws)
-        with pytest.raises(ValueError, match="chunk must be >= 1 and k_common >= 0"):
-            ecf_test(QUAD_LAW, 100, 100, **kw)
-
     @pytest.mark.parametrize("k_common", [8, 64, 512])
-    def test_exact_characteristic_function(self, k_common):
+    def test_exact_characteristic_function(self, k_common, monkeypatch):
         # every split point gives the law of X_n under the law deepened to
-        # k_deep (its remainder beyond k_deep weighs ~1e-8), whose exact ecf
-        # is phi(theta / a_n)^n; the sampler must agree within 4 SE
+        # ECF_K_DEEP (its remainder beyond that weighs ~1e-8), whose exact
+        # ecf is phi(theta / a_n)^n; the sampler must agree within 4 SE
+        from peelkit import scaling
         from peelkit.walk import deepen_negative
 
+        monkeypatch.setattr(scaling, "ECF_K_COMMON", k_common)
         n, thetas = 200, np.array([0.5, 1.0, 2.0])
-        rep = ecf_test(QUAD_LAW, n, 20_000, thetas=thetas, seed=5,
-                       k_common=k_common)
-        deep = deepen_negative(QUAD_LAW, 1 << 17)
+        rep = ecf_test(QUAD_LAW, n, 20_000, thetas=thetas, seed=5)
+        deep = deepen_negative(QUAD_LAW, scaling.ECF_K_DEEP)
         exact = deep.char_function(thetas / perimeter_normalizer(QUAD_LAW, n)) ** n
         assert np.all(np.abs(rep.empirical - exact) <= 4.0 * rep.std_error)
 
