@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: analyze, preset, simulate, enumerate, scaling-test,
-tune-critical.  All outputs are deterministic for fixed flags (the seed
-defaults to a constant), errors print a machine-parsable code on stderr,
-and exit codes follow the convention 0 = success, 1 = computational
-failure, 2 = usage error.
+tune-critical.  Each declares only the flags it reads, and argparse refuses
+any other (exit 2).  A weight source is at most one of --preset, --weights
+and --config, and the family parameters --p/--H/--r/--a go with --preset
+only.  Outputs are deterministic for fixed flags (simulate's and
+scaling-test's seed defaults to a constant), errors print a
+machine-parsable code on stderr, and exit codes follow the convention
+0 = success, 1 = computational failure, 2 = usage error.
 """
 
 from __future__ import annotations
@@ -15,66 +18,54 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import criticality, oracle, scaling, walk, weights
 from .errors import PeelkitError
 
 _FLAG_MAP = """\
 formula-to-flag map:
-  --preset/--p/--H/--r/--a   weight family: 2p-angulations (--p), geometric
-                             sequences (--H), symmetric critical laws
-                             (--r, --a); aliases quadrangulation,
-                             triangulation, uniform
+  --preset/--p/--H/--r/--a   weight family: 2p-angulations (--p), odd
+                             angulations (--p), geometric sequences (--H),
+                             symmetric critical laws (--r, --a); the aliases
+                             quadrangulation, triangulation and uniform take
+                             no parameter
   --weights '{"4":"1/12"}'   explicit face weights q_k; "p/q" strings stay
                              exact rationals, decimals are inexact
+  --config PATH              weight config file; one source at most
   c_plus, c_minus, r         support endpoints of the pointed-disk
                              generating function, r = -c_minus/c_plus
   margin                     1 - sum_l h(1,l+1) nu(l); zero at criticality
   L_nu                       perimeter constant sum_k nu(k) h(2,k+1)
   B_nu                       volume constant 4 nu(-2) / (3 (1+r) L_nu)
+  --k-neg                    depth of nu's negative side (analyze)
   --dmax                     inner face degree budget of the enumeration
   --steps/--chains/--l0      peeling run geometry
+  --models                   scaling-test's presets, its only weight source
 """
+_FAMILY_PARAMS = ("p", "H", "r", "a")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    preset_name: str = None
-    preset_params: dict = field(default_factory=dict)
-    weights_json: str = None
-    config_path: str = None
-    out: str = None
-    fmt: str = "json"
-    seed: int = 0
-    mode: str = "ibpm"
-    steps: int = 1000
-    chains: int = 1000
-    l0: int = 2
-    volume_mode: str = "exact_small"
-    l: int = 2
-    dmax: int = 24
-    k_neg: int = 512
-    ecf_samples: int = 20000
-    models: str = "quadrangulation,triangulation"
-
-
-def _add_weight_source(p):
-    p.add_argument("--weights", help="inline JSON map degree -> weight")
-    p.add_argument("--preset", help="family name or alias")
-    p.add_argument("--config", help="weight-sequence config file")
+def _add_params(p):
     p.add_argument("--p", type=int, help="angulation half-degree parameter")
     p.add_argument("--H", type=float, help="geometric family parameter")
     p.add_argument("--r", type=float, help="symmetric family ratio")
     p.add_argument("--a", type=float, help="symmetric family amplitude")
 
 
-def _add_common(p):
+def _add_weight_source(p):
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--weights", help="inline JSON map degree -> weight")
+    source.add_argument("--preset", help="family name or alias")
+    source.add_argument("--config", help="weight-sequence config file")
+    _add_params(p)
+
+
+def _add_out(p, *formats):
+    """--out, and --format when the subcommand has formats (the first is
+    the default)."""
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", dest="fmt", choices=["json", "csv", "binary"],
-                   default="json")
-    p.add_argument("--seed", type=int, default=0)
+    if formats:
+        p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
 
 
 @functools.cache
@@ -90,16 +81,18 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="criticality constants and step law")
     _add_weight_source(p)
-    _add_common(p)
-    p.add_argument("--k-neg", type=int, default=512)
+    _add_out(p, "json", "csv")
+    p.add_argument("--k-neg", type=int, default=walk.DEFAULT_K_NEG)
 
     p = sub.add_parser("preset", help="closed-form constants of a family")
-    _add_weight_source(p)
-    _add_common(p)
+    p.add_argument("--preset", required=True, help="family name or alias")
+    _add_params(p)
+    _add_out(p)
 
     p = sub.add_parser("simulate", help="run a peeling chain")
     _add_weight_source(p)
-    _add_common(p)
+    _add_out(p, "csv", "binary")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["finite", "ibpm"], default="ibpm")
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--l0", type=int, default=2)
@@ -109,13 +102,13 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="exact graded map counts")
     _add_weight_source(p)
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--dmax", type=int, default=24)
 
     p = sub.add_parser("scaling-test", help="Monte Carlo scaling diagnostics")
-    _add_weight_source(p)
-    _add_common(p)
+    _add_out(p, "json", "csv")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--chains", type=int, default=2000)
     p.add_argument("--ecf-samples", dest="ecf_samples", type=int, default=20000)
@@ -124,49 +117,44 @@ def build_parser():
 
     p = sub.add_parser("tune-critical", help="scale a shape to criticality")
     _add_weight_source(p)
-    _add_common(p)
+    _add_out(p)
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    """Deterministic parse; unknown flags exit with code 2 (argparse)."""
-    ns = build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    for name in vars(ns):
-        if hasattr(cfg, name) and getattr(ns, name) is not None:
-            setattr(cfg, name, getattr(ns, name))
-    cfg.weights_json = getattr(ns, "weights", None)
-    cfg.config_path = getattr(ns, "config", None)
-    cfg.preset_name = getattr(ns, "preset", None)
-    params = {}
-    for key in ("p", "H", "r", "a"):
-        val = getattr(ns, key, None)
-        if val is not None:
-            params[key] = val
-    cfg.preset_params = params
-    if cfg.out is not None:
-        parent = os.path.dirname(os.path.abspath(cfg.out))
+def parse_args(argv) -> argparse.Namespace:
+    """Deterministic parse; a flag the subcommand does not read, two weight
+    sources or a family parameter without --preset exit with code 2
+    (argparse)."""
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    given = [f"--{k}" for k in _FAMILY_PARAMS if getattr(ns, k, None) is not None]
+    if given and getattr(ns, "preset", None) is None:
+        parser.error(f"family parameters ({', '.join(given)}) need --preset")
+    if ns.out is not None:
+        parent = os.path.dirname(os.path.abspath(ns.out))
         if not os.path.isdir(parent):
             raise FileNotFoundError(f"output directory {parent} does not exist")
-    return cfg
+    return ns
 
 
-def _resolve_weights(cfg):
-    if cfg.preset_name:
-        res = weights.preset_by_alias(cfg.preset_name, **cfg.preset_params)
+def _resolve_weights(ns):
+    if ns.preset:
+        params = {k: getattr(ns, k) for k in _FAMILY_PARAMS
+                  if getattr(ns, k) is not None}
+        res = weights.preset_by_alias(ns.preset, **params)
         return res.weights, res.constants
-    if cfg.weights_json:
-        raw = json.loads(cfg.weights_json)
+    if ns.weights:
+        raw = json.loads(ns.weights)
         support = {int(k): weights.parse_weight(v) for k, v in raw.items()}
         return weights.WeightSequence(support), None
-    if cfg.config_path:
-        return weights.WeightSequence.load(cfg.config_path), None
+    if ns.config:
+        return weights.WeightSequence.load(ns.config), None
     raise ValueError("no weight source: use --preset, --weights or --config")
 
 
-def _emit(cfg, text):
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def _emit(ns, text):
+    if ns.out:
+        with open(ns.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -183,10 +171,10 @@ def _finite_or_null(obj):
     return obj
 
 
-def _emit_json(cfg, doc):
+def _emit_json(ns, doc):
     """Write doc as strict JSON: NaN and infinities become null."""
     text = json.dumps(_finite_or_null(doc), indent=1, allow_nan=False)
-    _emit(cfg, text + "\n")
+    _emit(ns, text + "\n")
 
 
 def _law_block(law):
@@ -216,7 +204,7 @@ def _constants_jsonable(consts):
     return out
 
 
-def _make_law(q, cd, k_neg):
+def _make_law(q, cd, k_neg=walk.DEFAULT_K_NEG):
     if q.family and q.family[0] == "symmetric_critical":
         return walk.symmetric_family(**q.family[1], k_pos=k_neg)
     critical = cd.classification in (
@@ -226,97 +214,85 @@ def _make_law(q, cd, k_neg):
     return walk.complete_nu(pos, k_neg=k_neg, critical=critical)
 
 
-def run(cfg: RunConfig) -> int:
+def run(ns: argparse.Namespace) -> int:
     """Execute a parsed command; returns the process exit status."""
     try:
-        if cfg.command == "analyze":
-            q, _ = _resolve_weights(cfg)
+        if ns.command == "analyze":
+            q, _ = _resolve_weights(ns)
             cd = criticality.solve_boltzmann(q)
             if cd.classification == "not_admissible":
                 doc = cd.to_report()
-                _emit_json(cfg, doc)
+                _emit_json(ns, doc)
                 print("PEELKIT_ERR not_admissible: weight sequence beyond "
                       "the admissibility boundary", file=sys.stderr)
                 return 1
-            law = _make_law(q, cd, cfg.k_neg)
-            if cfg.fmt == "csv":
-                if not cfg.out:
+            law = _make_law(q, cd, ns.k_neg)
+            if ns.fmt == "csv":
+                if not ns.out:
                     raise ValueError("csv analyze output needs --out")
-                law.to_csv(cfg.out)
+                law.to_csv(ns.out)
                 return 0
             doc = criticality.full_report(q, cd)
             doc["law"] = _law_block(law)
-            _emit_json(cfg, doc)
+            _emit_json(ns, doc)
             return 0
 
-        if cfg.command == "preset":
-            if not cfg.preset_name:
-                raise ValueError("preset command needs --preset")
-            q, consts = _resolve_weights(cfg)
+        if ns.command == "preset":
+            q, consts = _resolve_weights(ns)
             doc = {
                 "family": q.family[0] if q.family else None,
                 "params": q.family[1] if q.family else {},
                 "constants": _constants_jsonable(consts),
                 "weights": q.to_config()["weights"],
             }
-            _emit_json(cfg, doc)
+            _emit_json(ns, doc)
             return 0
 
-        if cfg.command == "simulate":
+        if ns.command == "simulate":
             from .peeling import simulate
 
-            q, _ = _resolve_weights(cfg)
+            q, _ = _resolve_weights(ns)
             cd = criticality.solve_boltzmann(q)
             if cd.classification == "not_admissible":
                 print("PEELKIT_ERR not_admissible: cannot simulate beyond "
                       "the boundary", file=sys.stderr)
                 return 1
-            law = _make_law(q, cd, cfg.k_neg)
-            trace = simulate(cfg.mode, law, l0=cfg.l0, n_steps=cfg.steps,
-                             seed=cfg.seed, volume_mode=cfg.volume_mode)
-            if not cfg.out:
+            law = _make_law(q, cd)
+            trace = simulate(ns.mode, law, l0=ns.l0, n_steps=ns.steps,
+                             seed=ns.seed, volume_mode=ns.volume_mode)
+            if not ns.out:
                 raise ValueError("simulate needs --out for the trace file")
-            if cfg.fmt == "binary":
-                trace.to_binary(cfg.out)
+            if ns.fmt == "binary":
+                trace.to_binary(ns.out)
             else:
-                trace.to_csv(cfg.out)
+                trace.to_csv(ns.out)
             return 0
 
-        if cfg.command == "enumerate":
-            q, _ = _resolve_weights(cfg)
-            table = oracle.enumerate_dp(q, cfg.l, cfg.dmax)
-            if cfg.out:
-                table.to_csv(cfg.out)
-            else:
-                _emit(cfg, "l,D,F,V,weight_num,weight_den\n")
-                from fractions import Fraction
-
-                for l, D, F, V, v in table.rows():
-                    frac = Fraction(v) if not isinstance(v, Fraction) else v
-                    sys.stdout.write(
-                        f"{l},{D},{F},{V},{frac.numerator},{frac.denominator}\n"
-                    )
+        if ns.command == "enumerate":
+            q, _ = _resolve_weights(ns)
+            table = oracle.enumerate_dp(q, ns.l, ns.dmax)
+            _emit(ns, table.csv_text())
             return 0
 
-        if cfg.command == "scaling-test":
+        if ns.command == "scaling-test":
             # every run size is checked before the first test runs
-            if min(cfg.steps, cfg.chains, cfg.ecf_samples) < 1:
+            if min(ns.steps, ns.chains, ns.ecf_samples) < 1:
                 raise ValueError(
                     "steps, chains and ecf n_samples must be >= 1; got "
-                    f"steps={cfg.steps}, chains={cfg.chains}, "
-                    f"n_samples={cfg.ecf_samples}")
+                    f"steps={ns.steps}, chains={ns.chains}, "
+                    f"n_samples={ns.ecf_samples}")
             laws = {}
-            for name in cfg.models.split(","):
+            for name in ns.models.split(","):
                 name = name.strip()
                 res = weights.preset_by_alias(name)
                 cd = criticality.solve_boltzmann(res.weights)
-                laws[name] = _make_law(res.weights, cd, cfg.k_neg)
+                laws[name] = _make_law(res.weights, cd)
             first = next(iter(laws.values()))
             report = scaling.ScalingReport(
-                ecf=scaling.ecf_test(first, cfg.steps, cfg.ecf_samples,
-                                     seed=cfg.seed),
-                collapse=scaling.collapse_test(laws, cfg.steps, cfg.chains,
-                                               seed=cfg.seed),
+                ecf=scaling.ecf_test(first, ns.steps, ns.ecf_samples,
+                                     seed=ns.seed),
+                collapse=scaling.collapse_test(laws, ns.steps, ns.chains,
+                                               seed=ns.seed),
                 slopes={
                     name: scaling.cplus_slope_test(
                         weights.preset_by_alias(name).weights
@@ -324,22 +300,20 @@ def run(cfg: RunConfig) -> int:
                     for name in laws
                 },
             )
-            if cfg.fmt == "csv":
-                if not cfg.out:
+            if ns.fmt == "csv":
+                if not ns.out:
                     raise ValueError("csv scaling output needs --out")
-                report.collapse.samples_to_csv(cfg.out)
+                report.collapse.samples_to_csv(ns.out)
                 return 0
-            _emit_json(cfg, report.to_report())
+            _emit_json(ns, report.to_report())
             return 0
 
-        if cfg.command == "tune-critical":
-            q, _ = _resolve_weights(cfg)
+        if ns.command == "tune-critical":
+            q, _ = _resolve_weights(ns)
             res = criticality.tune_critical(q)
             doc = {"t_star": res.t_star, "critical_data": res.data.to_report()}
-            _emit_json(cfg, doc)
+            _emit_json(ns, doc)
             return 0
-
-        raise ValueError(f"unknown command {cfg.command!r}")
     except PeelkitError as exc:
         code = type(exc).__name__
         print(f"PEELKIT_ERR {code}: {exc}", file=sys.stderr)
@@ -350,14 +324,12 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        cfg = parse_args(argv)
+        ns = parse_args(argv)
     except FileNotFoundError as exc:
         print(f"PEELKIT_ERR usage: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    return run(ns)
 
 
 if __name__ == "__main__":

@@ -66,12 +66,16 @@ class EnumTable:
             V = (l + D) // 2 - F + 1
             yield l, D, F, V, v
 
+    def csv_text(self):
+        lines = ["l,D,F,V,weight_num,weight_den\n"]
+        for l, D, F, V, v in self.rows():
+            frac = Fraction(v) if not isinstance(v, Fraction) else v
+            lines.append(f"{l},{D},{F},{V},{frac.numerator},{frac.denominator}\n")
+        return "".join(lines)
+
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("l,D,F,V,weight_num,weight_den\n")
-            for l, D, F, V, v in self.rows():
-                frac = Fraction(v) if not isinstance(v, Fraction) else v
-                fh.write(f"{l},{D},{F},{V},{frac.numerator},{frac.denominator}\n")
+            fh.write(self.csv_text())
 
 
 def enumerate_dp(q: WeightSequence, l, D_max) -> EnumTable:

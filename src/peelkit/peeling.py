@@ -360,10 +360,12 @@ def _same_lockstep(lib):
     draws).  Twelve chains, one at 0, the others below and above L_SMALL,
     take four steps three times, absorbed at 0: with exact volume rows,
     residuals and the limit law, with the limit law alone, and for a heavy
-    law whose means are filled mid-step.  The compiled run goes first and
-    grows the rows it needs by ``fill_rows``; numpy then fills them again
-    for comparison (the law's window starts at k = -8, so rows below 8
-    start past column 0)."""
+    law whose means are filled mid-step.  A fourth run, with exact volume
+    rows, starts them all below 10 and has every chain absorbed at step 26
+    of 29, so both loops must stop at the same checkpoint.  The compiled
+    run goes first and grows the rows it needs by ``fill_rows``; numpy then
+    fills them again for comparison (the law's window starts at k = -8, so
+    rows below 8 start past column 0)."""
     ks = np.arange(-8, 3)
     h = 1.0 / np.sqrt(np.arange(1.0, 2 * L_SMALL + 1))
     law = types.SimpleNamespace(
@@ -373,7 +375,11 @@ def _same_lockstep(lib):
     volumes = _StackedCdf(4, np.array([[1, 1, 1], [2, 5, -6], [3, -4, 1], [4, 7, -9]]))
     volumes.append(np.array([[1.0, 0, 0], [0.5, 0.3, 0.2], [0.6, 0.4, 0], [0.2, 0.3, 0.5]]))
     us = np.arange(1, 98) * 0.6180339887498949 % 1.0
-    for case in ("exact", "limit", "heavy"):
+    big = (0, 2, 3, 4, 6, 8, 1298, 1298, 1298, 1298, 1100, 1030)
+    for case, start, checkpoints in (
+            ("exact", big, range(1, 5)), ("limit", big, range(1, 5)),
+            ("heavy", big, range(1, 5)),
+            ("exact", (0, 2, 3, 4, 6, 8, 1, 5, 2, 3, 9, 1), range(1, 30))):
         heavy = case == "heavy"
         runs = []
         for lockstep in (lambda *a: _lockstep_c(lib, *a), _lockstep_numpy):
@@ -385,11 +391,11 @@ def _same_lockstep(lib):
             elif case == "exact":
                 vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
             engine.start(1300)
-            run = _Run(12, 1, range(1, 5))
-            run.ls[:] = 0, 2, 3, 4, 6, 8, 1298, 1298, 1298, 1298, 1100, 1030
+            run = _Run(12, 1, checkpoints)
+            run.ls[:] = start
             rng = _native.FixedStream(lib, us)
             lockstep(engine, vol, rng, run)
-            runs.append((run.step, run.i, run.per.tobytes(), run.vols.tobytes(),
+            runs.append((run.i, run.per[:run.i].tobytes(), run.vols[:run.i].tobytes(),
                          run.ls.tobytes(), run.V.tobytes(), vol.flags, engine.flags,
                          rng.used))
         if runs[0] != runs[1]:
@@ -1312,8 +1318,8 @@ def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
 
 class _Run:
     """A run's chains: perimeters ls and volumes V, their rows per and vols
-    at the checkpoints, and for a run in lockstep `step` steps taken and
-    the first `i` checkpoints written."""
+    at the checkpoints, and for a run in lockstep the first `i` checkpoints
+    written."""
 
     def __init__(self, n_chains, l0, checkpoints):
         self.ls = np.full(n_chains, l0, dtype=np.int64)
@@ -1325,7 +1331,7 @@ class _Run:
                     else np.asarray(checkpoints, dtype=np.int64))
         self.per = np.empty((len(self.cps), n_chains), dtype=np.int64)
         self.vols = np.empty_like(self.per)
-        self.step = self.i = 0
+        self.i = 0
 
 
 def _lockstep(engine, vol, rng, run):
@@ -1359,7 +1365,7 @@ def _lockstep_numpy(engine, vol, rng, run):
         if step == checkpoints[i]:
             per[i], vols[i] = ls, V
             i += 1
-    run.i, run.step = i, step
+    run.i = i
 
 
 def _c_run(engine, vol, run):
@@ -1421,7 +1427,7 @@ def _lockstep_c(lib, engine, vol, rng, run):
             else:
                 raise IndexError("lockstep read outside the tables built")
     finally:
-        run.step, run.i = s.step, s.cp
+        run.i = s.cp
         _drain(s, engine, vol)
 
 

@@ -17,7 +17,6 @@ No direct sampler of the limit processes is attempted.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +34,15 @@ DEFAULT_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
 ECF_K_COMMON = 64
 ECF_K_DEEP = 1 << 17
 ECF_CHUNK = 20_000
+
+
+def _refuse_heavy(*laws):
+    """ValueError for a heavy-tailed law: its perimeter normalizer is
+    infinite, and the 3/2-stable limit these tests check is not its limit."""
+    for law in laws:
+        if law.heavy_tail:
+            raise ValueError("the scaling tests need a law with a finite L_nu; "
+                             "a heavy-tailed law has no 3/2-stable limit")
 
 
 def perimeter_normalizer(law: StepLaw, n):
@@ -120,8 +128,8 @@ def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0),
     ECF_CHUNK samples at a time.  Every split point gives the same law of
     X_n; a small common part keeps the multinomial cheap.  The split
     matters: a plainly truncated law loses a K^(-1/2) drift that would
-    swamp the n^(2/3) normalization.  n and n_samples below 1 raise
-    ValueError.
+    swamp the n^(2/3) normalization.  n and n_samples below 1, and a
+    heavy-tailed law, raise ValueError.
     """
     from .peeling import DiscreteSampler
     from .walk import deepen_negative
@@ -129,10 +137,10 @@ def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0),
     if min(n, n_samples) < 1:
         raise ValueError("n and n_samples must be >= 1; got "
                          f"n={n}, n_samples={n_samples}")
+    _refuse_heavy(law)
     thetas = np.asarray(thetas, dtype=float)
     rng = _rng(seed)
-    if not law.heavy_tail:
-        law = deepen_negative(law, ECF_K_DEEP)
+    law = deepen_negative(law, ECF_K_DEEP)
     k0 = min(ECF_K_COMMON, law.k_neg)
     ks_all = law.ks
     # jumps of zero mass (odd ones on bipartite laws) stay out of the multinomial
@@ -148,11 +156,6 @@ def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0),
     # scales like ECF_K_DEEP * U^(-2/3)
     m_pareto = max(0.0, 1.0 - float(p_common.sum()) - m_block)
     m_tail = m_block + m_pareto
-    if law.heavy_tail:
-        # two-sided heavy tails have no one-sided remainder model; run on
-        # the renormalized truncation (exploratory diagnostics only)
-        m_tail = m_block
-        m_pareto = 0.0
     parity = 2 if law.r == 1.0 else 1
     p_common = p_common / p_common.sum()
     p_common[np.argmax(p_common)] += 1.0 - p_common.sum()
@@ -245,8 +248,10 @@ def collapse_test(laws: dict, n, chains, quantiles=DEFAULT_QUANTILES, seed=0,
 
     Universality predicts the rescaled laws agree; the caller applies the
     tolerance.  The same volume sampling regime is used for every model so
-    the comparison probes the limit and not the sampling convention.
+    the comparison probes the limit and not the sampling convention.  A
+    heavy-tailed law among them raises ValueError before any draw.
     """
+    _refuse_heavy(*laws.values())
     models = {}
     samples = {}
     for i, (name, law) in enumerate(laws.items()):
@@ -284,7 +289,9 @@ class ExponentReport:
 def exponent_regression(law: StepLaw, n_values=(1000, 10_000, 100_000),
                         chains=2048, seed=0, l0=2,
                         volume_mode="asymptotic_xi") -> ExponentReport:
-    """Log-log slope of median perimeter (target 2/3) and volume (4/3)."""
+    """Log-log slope of median perimeter (target 2/3) and volume (4/3);
+    ValueError for a heavy-tailed law."""
+    _refuse_heavy(law)
     n_values = sorted(int(n) for n in n_values)
     out = simulate_ensemble(
         "ibpm", law, l0, n_values[-1], chains, seed=seed,
@@ -368,7 +375,6 @@ def cplus_slope_test(q: WeightSequence, j_range=(2, 3, 4, 5, 6)) -> SlopeReport:
 class ScalingReport:
     ecf: EcfReport = None
     collapse: CollapseReport = None
-    exponents: dict = None
     slopes: dict = None
 
     def to_report(self):
@@ -377,12 +383,6 @@ class ScalingReport:
             out["ecf"] = self.ecf.to_report()
         if self.collapse is not None:
             out["collapse"] = self.collapse.to_report()
-        if self.exponents is not None:
-            out["exponents"] = {k: v.to_report() for k, v in self.exponents.items()}
         if self.slopes is not None:
             out["slopes"] = {k: v.to_report() for k, v in self.slopes.items()}
         return out
-
-    def dump(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_report(), fh, indent=1)

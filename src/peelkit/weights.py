@@ -498,6 +498,14 @@ def _odd_angulation_ratio(p, tol=1e-14):
     return 0.5 * (lo + hi)
 
 
+PRESET_PARAMS = {
+    "two_p_angulation": ("p",),
+    "odd_angulation": ("p",),
+    "geometric": ("H",),
+    "symmetric_critical": ("r", "a"),
+}
+
+
 def preset(name, **params) -> PresetResult:
     """Critical weight sequences of the closed-form families.
 
@@ -506,8 +514,14 @@ def preset(name, **params) -> PresetResult:
     exists, numerically (bisection on the harmonicity polynomial) for odd
     angulations with p >= 2.  The symmetric family's weights are read from
     `walk.symmetric_nu_table`, one numpy pass per doubling of the degrees
-    asked for.
+    asked for.  Each family takes exactly the parameters PRESET_PARAMS
+    names; a missing or an unread one raises ValueError.
     """
+    if name not in PRESET_PARAMS:
+        raise ValueError(f"unknown preset {name!r}")
+    if sorted(params) != sorted(PRESET_PARAMS[name]):
+        raise ValueError(f"{name} takes {', '.join(PRESET_PARAMS[name])}; "
+                         f"got {', '.join(params) or 'no parameter'}")
     if name == "two_p_angulation":
         p = int(params["p"])
         if p < 2:
@@ -553,7 +567,7 @@ def preset(name, **params) -> PresetResult:
     if name == "geometric":
         H = float(params["H"])
         if not H > 1:
-            raise ValueError("geometric needs H > 1")
+            raise ValueError(f"geometric needs H > 1; got H={H!r}")
         sigma = (H**2 + 1) / (H**2 + 3)
         r = (H**2 - 3) / (H**2 + 1)
         c_plus = 2 * (H**2 + 1) / ((H - 1) ** 1.5 * math.sqrt(H + 3))
@@ -587,7 +601,7 @@ def preset(name, **params) -> PresetResult:
         a = float(params["a"])
         amax = symmetric_a_max(r)
         if not (0.0 < a <= amax + 1e-12):
-            raise ValueError(f"a must lie in (0, {amax:.12g}] for r={r}")
+            raise ValueError(f"a={a!r} must lie in (0, {amax:.12g}] for r={r}")
         nu = symmetric_nu_table(r, a, 64)
         nu_m2 = float(nu[2])
         c_plus = math.sqrt(2.0 / nu_m2)
@@ -623,8 +637,6 @@ def preset(name, **params) -> PresetResult:
         }
         return PresetResult(w, consts)
 
-    raise ValueError(f"unknown preset {name!r}")
-
 
 PRESET_ALIASES = {
     "quadrangulation": ("two_p_angulation", {"p": 2}),
@@ -634,9 +646,11 @@ PRESET_ALIASES = {
 
 
 def preset_by_alias(name, **params):
+    """`preset` of a family, or of an alias, which takes no parameter."""
     if name in PRESET_ALIASES:
-        base, defaults = PRESET_ALIASES[name]
-        merged = dict(defaults)
-        merged.update(params)
-        return preset(base, **merged)
+        if params:
+            raise ValueError(f"alias {name} takes no parameter; "
+                             f"got {', '.join(params)}")
+        base, fixed = PRESET_ALIASES[name]
+        return preset(base, **fixed)
     return preset(name, **params)

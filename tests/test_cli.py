@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -19,27 +20,26 @@ def run_cli(args, tmp_path=None):
 
 class TestParse:
     def test_analyze_preset(self):
-        cfg = parse_args(["analyze", "--preset", "quadrangulation"])
-        assert cfg.command == "analyze"
-        assert cfg.preset_name == "quadrangulation"
-        assert cfg.seed == 0
+        ns = parse_args(["analyze", "--preset", "quadrangulation"])
+        assert ns.command == "analyze"
+        assert ns.preset == "quadrangulation"
 
     def test_simulate_flags(self):
-        cfg = parse_args([
+        ns = parse_args([
             "simulate", "--preset", "triangulation", "--mode", "ibpm",
             "--steps", "100000", "--seed", "7",
         ])
-        assert cfg.mode == "ibpm"
-        assert cfg.steps == 100000
-        assert cfg.seed == 7
+        assert ns.mode == "ibpm"
+        assert ns.steps == 100000
+        assert ns.seed == 7
 
     def test_enumerate_weights(self):
-        cfg = parse_args([
+        ns = parse_args([
             "enumerate", "--weights", '{"4":"1/12"}', "--l", "2",
             "--dmax", "40",
         ])
-        assert cfg.weights_json == '{"4":"1/12"}'
-        assert cfg.l == 2 and cfg.dmax == 40
+        assert ns.weights == '{"4":"1/12"}'
+        assert ns.l == 2 and ns.dmax == 40
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -221,3 +221,194 @@ class TestSubprocess:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["r"] == pytest.approx(2 * math.sqrt(3) - 3, abs=1e-9)
+
+
+# -- every subcommand declares only the flags it reads ------------------------------
+
+OUT, CFG_A, CFG_B = "<out>", "<config a>", "<config b>"
+QUAD = ["--preset", "quadrangulation"]
+SCALING = ["--models", "quadrangulation", "--steps", "20", "--chains", "16",
+           "--ecf-samples", "20"]
+SIMULATE = QUAD + ["--steps", "20", "--out", OUT]
+ENUMERATE = ["--weights", '{"4":"1/12"}', "--l", "2", "--dmax", "8"]
+SYM = ["--preset", "symmetric_critical", "--r", "1", "--a", "0.7"]
+
+
+def _source_pairs(rest, refused=()):
+    """Two runs per weight-source flag that differ in that flag alone, with
+    the subcommand's other flags rest.  A flag in refused gets two values
+    that its family refuses, with different messages: enumerate refuses
+    every infinite family, and tune-critical finds no boundary for the
+    symmetric one, so there the flag can only change the refusal."""
+    pairs = {
+        "--weights": (["--weights", '{"4":"1/12"}'],
+                      ["--weights", '{"4":"1/12","6":"1/1000"}']),
+        "--preset": (QUAD, ["--preset", "triangulation"]),
+        "--config": (["--config", CFG_A], ["--config", CFG_B]),
+        "--p": (["--preset", "two_p_angulation", "--p", "2"],
+                ["--preset", "two_p_angulation", "--p", "3"]),
+        "--H": (["--preset", "geometric", "--H", "3"],
+                ["--preset", "geometric", "--H", "5"]),
+        "--r": (SYM, ["--preset", "symmetric_critical", "--r", "0.5", "--a", "0.7"]),
+        "--a": (SYM, ["--preset", "symmetric_critical", "--r", "1", "--a", "0.6"]),
+    }
+    refusals = {
+        "--H": (["--preset", "geometric", "--H", "0.5"],
+                ["--preset", "geometric", "--H", "0.9"]),
+        "--r": (["--preset", "symmetric_critical", "--r", "-0.3", "--a", "0.7"],
+                ["--preset", "symmetric_critical", "--r", "-0.5", "--a", "0.7"]),
+        "--a": (["--preset", "symmetric_critical", "--r", "1", "--a", "0.9"],
+                ["--preset", "symmetric_critical", "--r", "1", "--a", "1.0"]),
+    }
+    pairs.update((flag, refusals[flag]) for flag in refused)
+    return {flag: (a + rest, b + rest) for flag, (a, b) in pairs.items()}
+
+
+REFUSED = {"enumerate": ("--H", "--r", "--a"), "tune-critical": ("--r", "--a")}
+READ = {
+    "analyze": {
+        **_source_pairs([]),
+        "--out": (QUAD, QUAD + ["--out", OUT]),
+        "--format": (QUAD + ["--out", OUT], QUAD + ["--format", "csv", "--out", OUT]),
+        "--k-neg": (QUAD, QUAD + ["--k-neg", "32"]),
+    },
+    "preset": {
+        **{flag: pair for flag, pair in _source_pairs([]).items()
+           if flag not in ("--weights", "--config")},
+        "--out": (QUAD, QUAD + ["--out", OUT]),
+    },
+    "simulate": {
+        **_source_pairs(["--steps", "20", "--out", OUT]),
+        "--out": (SIMULATE[:-2], SIMULATE),
+        "--format": (SIMULATE, SIMULATE + ["--format", "binary"]),
+        "--seed": (SIMULATE, SIMULATE + ["--seed", "1"]),
+        "--mode": (SIMULATE, SIMULATE + ["--mode", "finite"]),
+        "--steps": (SIMULATE, QUAD + ["--steps", "30", "--out", OUT]),
+        "--l0": (SIMULATE, SIMULATE + ["--l0", "5"]),
+        "--volume-mode": (SIMULATE, SIMULATE + ["--volume-mode", "expectation"]),
+    },
+    "enumerate": {
+        **_source_pairs(["--l", "2", "--dmax", "8"], refused=REFUSED["enumerate"]),
+        "--out": (ENUMERATE, ENUMERATE + ["--out", OUT]),
+        "--l": (ENUMERATE, ENUMERATE[:2] + ["--l", "4", "--dmax", "8"]),
+        "--dmax": (ENUMERATE, ENUMERATE[:4] + ["--dmax", "10"]),
+    },
+    "scaling-test": {
+        "--out": (SCALING, SCALING + ["--out", OUT]),
+        "--format": (SCALING + ["--out", OUT], SCALING + ["--format", "csv", "--out", OUT]),
+        "--seed": (SCALING, SCALING + ["--seed", "1"]),
+        "--models": (SCALING, ["--models", "triangulation"] + SCALING[2:]),
+        "--steps": (SCALING, SCALING[:2] + ["--steps", "30"] + SCALING[4:]),
+        "--chains": (SCALING, SCALING[:4] + ["--chains", "24"] + SCALING[6:]),
+        "--ecf-samples": (SCALING, SCALING[:6] + ["--ecf-samples", "30"]),
+    },
+    "tune-critical": {
+        **_source_pairs([], refused=REFUSED["tune-critical"]),
+        "--out": (["--weights", '{"4":"1"}'], ["--weights", '{"4":"1"}', "--out", OUT]),
+    },
+}
+
+# the flags and format values each subcommand no longer takes, on top of a
+# command line it accepts
+FORMATS = [["--format", f] for f in ("json", "csv", "binary")]
+REMOVED = {
+    "analyze": (QUAD, [["--seed", "1"], ["--format", "binary"]]),
+    "preset": (QUAD, [["--seed", "1"], ["--weights", '{"4":"1/12"}'],
+                      ["--config", "w.json"], *FORMATS]),
+    "simulate": (QUAD, [["--format", "json"]]),
+    "enumerate": (ENUMERATE, [["--seed", "1"], *FORMATS]),
+    "scaling-test": ([], [["--format", "binary"], ["--weights", '{"4":"1/12"}'],
+                          ["--preset", "triangulation"], ["--config", "w.json"],
+                          ["--p", "2"], ["--H", "3"], ["--r", "1"], ["--a", "0.7"]]),
+    "tune-critical": (["--weights", '{"4":"1"}'], [["--seed", "1"], *FORMATS]),
+}
+
+
+def _actions(command):
+    """The actions of the subcommand's parser, but --help."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions if "--help" not in a.option_strings]
+
+
+def _declared(command):
+    return {opt for a in _actions(command) for opt in a.option_strings}
+
+
+class TestFlags:
+    def test_table_covers_every_declared_flag(self):
+        assert {c: set(pairs) for c, pairs in READ.items()} == {
+            c: _declared(c) for c in READ}
+        assert sum(len(_declared(c)) for c in READ) == 55
+        formats = {c: a.choices for c in READ for a in _actions(c)
+                   if "--format" in a.option_strings}
+        assert formats == {"analyze": ("json", "csv"), "simulate": ("csv", "binary"),
+                           "scaling-test": ("json", "csv")}
+
+    @pytest.mark.parametrize("command, flag", [
+        (c, f) for c, pairs in READ.items() for f in pairs])
+    def test_declared_flag_is_read(self, command, flag, tmp_path, capsys):
+        # the two runs differ in this flag alone, and so do their stdout or
+        # --out file, or for a flag in REFUSED their refusal
+        paths = {OUT: tmp_path / "out", CFG_A: tmp_path / "a.json",
+                 CFG_B: tmp_path / "b.json"}
+        paths[CFG_A].write_text('{"weights": {"4": "1/12"}}')
+        paths[CFG_B].write_text('{"weights": {"3": "1/12"}}')
+        outcomes = []
+        for argv in READ[command][flag]:
+            out = paths[OUT]
+            out.unlink(missing_ok=True)
+            rc = main([command, *(str(paths.get(a, a)) for a in argv)])
+            captured = capsys.readouterr()
+            outcomes.append((captured.out, out.read_bytes() if out.exists() else None,
+                             captured.err))
+        if flag in REFUSED.get(command, ()):
+            assert rc == 1 and outcomes[0][2] != outcomes[1][2]
+        else:
+            assert outcomes[0][:2] != outcomes[1][:2]
+
+    @pytest.mark.parametrize("command, extra", [
+        (c, extra) for c, (_, extras) in REMOVED.items() for extra in extras])
+    def test_removed_flag_exits_2(self, command, extra, capsys):
+        base = REMOVED[command][0]
+        parse_args([command, *base])
+        with pytest.raises(SystemExit) as exc:
+            parse_args([command, *base, *extra])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "enumerate",
+                                         "tune-critical"])
+    @pytest.mark.parametrize("extra", [
+        ["--preset", "quadrangulation", "--weights", '{"4":"1/12"}'],
+        ["--weights", '{"4":"1/12"}', "--config", "w.json"],
+        ["--config", "w.json", "--preset", "triangulation"],
+        ["--weights", '{"4":"1/12"}', "--p", "3"],
+        ["--config", "w.json", "--H", "3"],
+        ["--r", "1", "--a", "0.7"],
+    ])
+    def test_source_conflict_exits_2(self, command, extra, capsys):
+        # one weight source at most, and family parameters only with
+        # --preset
+        with pytest.raises(SystemExit) as exc:
+            parse_args([command, *extra])
+        assert exc.value.code == 2
+
+    def test_preset_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["preset", "--p", "3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["preset", "--preset", "geometric", "--p", "4"],
+        ["preset", "--preset", "quadrangulation", "--p", "3"],
+        ["preset", "--preset", "symmetric_critical", "--r", "1"],
+        ["scaling-test", "--models", "symmetric_critical", "--steps", "20",
+         "--chains", "16", "--ecf-samples", "20"],
+    ])
+    def test_family_parameter_refused(self, argv, capsys):
+        # an unread, a missing or an alias's parameter is an input error,
+        # not a quiet default or a traceback
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "PEELKIT_ERR invalid_input" in captured.err
+        assert "takes" in captured.err and captured.out == ""

@@ -1710,6 +1710,40 @@ class TestCompiledDraws:
             assert (_native._self_check(_native._open(path))
                     == "compiled lockstep differs from the Python loop"), name
 
+    def test_self_check_runs_every_chain_to_absorption(self, monkeypatch):
+        # one lockstep run of the self-check has every chain absorbed before
+        # its last checkpoint; both loops stop there and the check passes
+        lib = _native.library()[0]
+        if lib is None:
+            pytest.skip(f"compiled library not loaded: {_native.library()[1][1]}")
+        ends, reference = [], peeling._lockstep_numpy
+
+        def recording(engine, vol, rng, run):
+            reference(engine, vol, rng, run)
+            ends.append((run.i, len(run.cps), bool(run.ls.any())))
+
+        monkeypatch.setattr(peeling, "_lockstep_numpy", recording)
+        assert peeling._same_lockstep(lib) is None
+        assert (26, 29, False) in ends
+
+    def test_self_check_refuses_a_loop_past_absorption(self, monkeypatch):
+        # a loop that goes on writing checkpoints once every chain is
+        # absorbed gives the same perimeters but a different checkpoint count
+        lib = _native.library()[0]
+        if lib is None:
+            pytest.skip(f"compiled library not loaded: {_native.library()[1][1]}")
+        reference = peeling._lockstep_numpy
+
+        def past(engine, vol, rng, run):
+            reference(engine, vol, rng, run)
+            if not run.ls.any():
+                run.per[run.i:], run.vols[run.i:] = run.ls, run.V
+                run.i = len(run.cps)
+
+        monkeypatch.setattr(peeling, "_lockstep_numpy", past)
+        assert (peeling._same_lockstep(lib)
+                == "compiled lockstep differs from the Python loop")
+
     def test_gamma_is_numpys(self):
         # the library's gamma is numpy's own code: Generator.gamma(1.5, 2.0)
         # bit for bit, leaving the stream where numpy leaves it

@@ -16,7 +16,7 @@ from peelkit.scaling import (
     rescale,
     volume_normalizer,
 )
-from peelkit.walk import complete_nu
+from peelkit.walk import complete_nu, symmetric_family
 from peelkit.weights import nu_from_q, preset
 
 
@@ -245,12 +245,39 @@ class TestVolumeLimitCrossCheck:
                 assert abs(vals.mean() - target) <= 4 * se + 2e-3
 
 
+class TestHeavyLaw:
+    # a heavy-tailed law has L_nu = inf, so no n^(2/3) normalizer and no
+    # 3/2-stable limit to test; each test refuses it before any draw
+    HEAVY = symmetric_family(1.0, math.pi / 4, k_pos=64)
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        from peelkit import scaling
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a draw was made before the refusal")
+
+        monkeypatch.setattr(scaling, "_rng", fail)
+        monkeypatch.setattr(scaling, "simulate_ensemble", fail)
+
+    def test_ecf_refuses(self):
+        with pytest.raises(ValueError, match="heavy-tailed"):
+            ecf_test(self.HEAVY, 200, 100)
+
+    def test_collapse_refuses_before_the_first_model(self):
+        with pytest.raises(ValueError, match="heavy-tailed"):
+            collapse_test({"quad": QUAD_LAW, "sym": self.HEAVY}, 200, 100)
+
+    def test_exponent_regression_refuses(self):
+        with pytest.raises(ValueError, match="heavy-tailed"):
+            exponent_regression(self.HEAVY, n_values=(100, 1000), chains=16)
+
+
 class TestReport:
-    def test_dump(self, tmp_path):
+    def test_to_report(self):
         rep = ScalingReport(
             ecf=ecf_test(QUAD_LAW, 500, 500, thetas=(1.0,), seed=0),
         )
-        path = tmp_path / "scaling.json"
-        rep.dump(path)
-        doc = json.loads(path.read_text())
-        assert "ecf" in doc
+        doc = json.loads(json.dumps(rep.to_report(), allow_nan=False))
+        assert list(doc) == ["ecf"]
+        assert doc["ecf"]["n_samples"] == 500

@@ -328,6 +328,27 @@ class TestPresets:
         assert res.weights.value(4) == Fraction(1, 12)
         assert "triangulation" in PRESET_ALIASES
 
+    @pytest.mark.parametrize("name, params", [
+        ("two_p_angulation", {}),
+        ("odd_angulation", {"H": 3.0}),
+        ("geometric", {"p": 4}),
+        ("geometric", {"H": 3.0, "p": 4}),
+        ("symmetric_critical", {"r": 1.0}),
+        ("symmetric_critical", {"a": 0.7}),
+        ("nonesuch", {}),
+    ])
+    def test_missing_or_unread_parameter(self, name, params):
+        # a family takes exactly the parameters it names, no default and
+        # no ignored extra
+        with pytest.raises(ValueError, match="takes|unknown preset"):
+            preset(name, **params)
+
+    @pytest.mark.parametrize("name", sorted(PRESET_ALIASES))
+    def test_alias_takes_no_parameter(self, name):
+        # quadrangulation with p = 3 is not quietly the hexangulation
+        with pytest.raises(ValueError, match="takes no parameter"):
+            preset_by_alias(name, p=3)
+
     def test_pentangulation_is_solved(self):
         res = preset("odd_angulation", p=2)
         r = res.constants["r"]
