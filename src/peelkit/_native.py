@@ -1,10 +1,14 @@
 """The package's compiled loops: one C source, one cached shared library.
 
-The library holds seven loops, each a copy of a numpy or Python loop that
+The library holds eight loops, each a copy of a numpy or Python loop that
 stays in the package as the fallback and the test reference:
 
 * ``h_recurrence``, the float h recurrence of `hfun._recurrence_py`;
 * ``h_derivative``, the recurrence's r-derivative of `hfun._derivative_py`;
+* ``series_sums``, an infinite family's solver series of
+  `criticality._series_py`: its terms from the weight cache, the h
+  recurrence and its r-derivative alongside, the sums per shift and the
+  tail cut, resumable where the weights run out;
 * ``cdf_draw``, the inverse-CDF draw of `peeling._StackedCdf`;
 * ``band_jumps``, the band-envelope rejection of `peeling._Bands`;
 * ``fill_rows``, the stacked rows of `peeling._Window._fill_numpy`;
@@ -44,8 +48,9 @@ version and its static library's path, size and mtime, and loaded with
 ctypes; a compile removes the user's older compiled libraries there but
 the KEEP_LIBRARIES newest (`_prune`).  On loading, the compiled loops are
 compared with their references on small fixed inputs (`_self_check`): the
-h recurrence and its r-derivative, then the draws, then the row fill, the
-lockstep loop and the block rounds on synthetic laws.  The gamma is not
+h recurrence and its r-derivative, the series pass on synthetic weights,
+then the draws, then the row fill, the lockstep loop and the block rounds
+on synthetic laws.  The gamma is not
 compared with numpy's there (that would import numpy.random into every
 process): it runs on the stand-in bit generator for both sides of the
 lockstep and block checks, and a test pins it to
@@ -157,6 +162,114 @@ void h_derivative(double *d, const double *h, long long start, long long size,
         p2 = p1;
         p1 = v;
     }
+}
+
+/* the results of series_sums */
+enum { SS_DONE, SS_WEIGHTS, SS_OVERFLOW, SS_NO_CUT };
+
+typedef struct {
+    const double *w;           /* q_d, or log q_d when log_w, at w[d - 1] */
+    long long n_w, log_w;
+    double c, log_c, r, rho, tol;
+    long long order, j0, n_j, dr, k_first, k_cap;
+    long long k, m;            /* the next term; the index of h1 */
+    double total, h0, h1, d0, d1;
+    double s[2], s_c[2], s_r[2];
+} series_t;
+
+/* The series of an infinite family, as criticality._series_py: from term
+   k on, q_{k+2} c^k, h(order, order + i) at i = m - 1, m (h0, h1) and
+   their r-derivatives (d0, d1, when dr) by the recurrence of
+   h_recurrence and h_derivative, and per shift j0 + i (i < n_j <= 2) the
+   sums of the term, k times it and its r-derivative part against
+   h(order, k + j0 + i).  Ends after the first k >= k_first whose tail
+   bound falls below tol times the running total (SS_DONE), or at a
+   weight w lacks (SS_WEIGHTS; the pass resumes from where it stopped),
+   an exp that overflows (SS_OVERFLOW) or k past k_cap (SS_NO_CUT). */
+long long series_sums(series_t *s)
+{
+    const double one_m_r = 1.0 - s->r, ord = (double)s->order;
+    const long long top = s->j0 + s->n_j - 1 - s->order;
+    long long k = s->k, m = s->m, status;
+    double total = s->total, h0 = s->h0, h1 = s->h1, d0 = s->d0, d1 = s->d1;
+    for (;;) {
+        if (k > s->k_cap) {
+            status = SS_NO_CUT;
+            break;
+        }
+        if (k + 2 > s->n_w) {
+            status = SS_WEIGHTS;
+            break;
+        }
+        double x = s->w[k + 1], kd = (double)k, e = kd * s->log_c, v;
+        if (s->log_w || (e > 600.0 && x != 0.0)) {
+            double y = s->log_w ? x + e : log(x) + e;
+            v = exp(y);
+            if (isinf(v) && !isinf(y)) {
+                status = SS_OVERFLOW;
+                break;
+            }
+        } else if (e > 600.0)
+            v = 0.0;
+        else
+            v = x * pow(s->c, kd);
+        for (; m < k + top; m++) {
+            double hn, dn = 0.0;
+            if (m == -1)
+                hn = 1.0;
+            else if (m == 0) {
+                hn = one_m_r * 0.5 + ord;
+                dn = s->dr ? -0.5 : 0.0;
+            } else {
+                double a = one_m_r * ((double)m + 0.5) + ord;
+                double b = s->r * (double)(m + s->order);
+                hn = (a * h1 + b * h0) / (double)(m + 1);
+                if (s->dr)
+                    dn = (a * d1 + b * d0 - ((double)m + 0.5) * h1
+                          + (double)(m + s->order) * h0) / (double)(m + 1);
+            }
+            h0 = h1;
+            h1 = hn;
+            d0 = d1;
+            d1 = dn;
+        }
+        double kv = kd * v;
+        for (long long i = 0; i < s->n_j; i++) {
+            long long at = m - (s->n_j - 1 - i);
+            if (at < 0)
+                continue;
+            double h = at == m ? h1 : h0, d = at == m ? d1 : d0;
+            s->s[i] += v * h;
+            s->s_c[i] += kv * h;
+            if (s->dr)
+                s->s_r[i] += v * d;
+        }
+        total += v;
+        double lim = s->tol * (total > 1.0 ? total : 1.0);
+        double vk = v * (double)((k + 2) * (k + 2));
+        /* the bound at rho, below the bound at rho_d >= rho in floats
+           too, says no cut without the exp */
+        if (k >= s->k_first && !(vk * s->rho / (1.0 - s->rho) >= lim)) {
+            double rho_d = s->rho * exp(2.0 / kd);
+            if (rho_d < 1.0) {
+                double bound = vk * rho_d / (1.0 - rho_d);
+                if (bound < lim) {
+                    k++;
+                    status = SS_DONE;
+                    break;
+                }
+            }
+        }
+        k++;
+    }
+    s->k = k;
+    s->m = m;
+    s->total = total;
+    s->h0 = h0;
+    s->h1 = h1;
+    s->d0 = d0;
+    s->d1 = d1;
+    return status;
 }
 
 /* searchsorted(a, t, "right") for nondecreasing a, when a[lo - 1] <= t
@@ -1062,6 +1175,20 @@ class Lockstep(ctypes.Structure):
         (name, _LL) for name in ("exp_ready", "block_proposals", "block_accepts")]
 
 
+class Series(ctypes.Structure):
+    """series_t: the weight cache and parameters of one series pass
+    (`criticality._System._family_sums`), and where the pass is."""
+    _fields_ = [("w", _P), ("n_w", _LL), ("log_w", _LL)] + [
+        (name, ctypes.c_double) for name in ("c", "log_c", "r", "rho", "tol")] + [
+        (name, _LL) for name in ("order", "j0", "n_j", "dr", "k_first", "k_cap",
+                                 "k", "m")] + [
+        (name, ctypes.c_double) for name in ("total", "h0", "h1", "d0", "d1")] + [
+        (name, ctypes.c_double * 2) for name in ("s", "s_c", "s_r")]
+
+
+# the results of series_sums: done, a weight missing, an exp overflowing,
+# no tail cut up to k_cap
+SS_DONE, SS_WEIGHTS, SS_OVERFLOW, SS_NO_CUT = range(4)
 # the results of lockstep and block_rounds: done, the tables they lack
 # (LS_BLOCKS: B(l), asked only by block_rounds), work room and an exp to
 # take from numpy
@@ -1258,6 +1385,8 @@ def _open(path):
     lib.h_recurrence.restype = None
     lib.h_derivative.argtypes = [_P, _P, _LL, _LL, ctypes.c_double, _LL]
     lib.h_derivative.restype = None
+    lib.series_sums.argtypes = [ctypes.POINTER(Series)]
+    lib.series_sums.restype = _LL
     lib.cdf_draw.argtypes = [_P, ctypes.POINTER(Cdf), _P, _LL, _P]
     lib.cdf_draw.restype = ctypes.c_int
     lib.band_jumps.argtypes = [_P, ctypes.POINTER(Bands), _P, _LL, _P]
@@ -1278,7 +1407,7 @@ def _self_check(lib):
     loop and the block rounds are then checked against the Python and
     numpy loops, which run on them, as library() answers lib in this thread
     while the check runs."""
-    from . import hfun, peeling   # the references; imported by now
+    from . import criticality, hfun, peeling   # the references
 
     for r, k in ((0.37, -3), (-0.999999, 4), (1.0, 1)):
         tabs, dtabs = [], []
@@ -1298,6 +1427,8 @@ def _self_check(lib):
             return "compiled h recurrence differs from the Python loop"
         if dtabs[0] != dtabs[1]:
             return "compiled h derivative differs from the Python loop"
+    if not criticality._same_series(lib):
+        return "compiled series sums differ from the Python pass"
     if not peeling._same_draws(lib):
         return "compiled draws differ from the numpy draws"
     _checking.lib = lib

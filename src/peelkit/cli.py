@@ -228,8 +228,6 @@ def run(ns: argparse.Namespace) -> int:
                 return 1
             law = _make_law(q, cd, ns.k_neg)
             if ns.fmt == "csv":
-                if not ns.out:
-                    raise ValueError("csv analyze output needs --out")
                 law.to_csv(ns.out)
                 return 0
             doc = criticality.full_report(q, cd)
@@ -260,8 +258,6 @@ def run(ns: argparse.Namespace) -> int:
             law = _make_law(q, cd)
             trace = simulate(ns.mode, law, l0=ns.l0, n_steps=ns.steps,
                              seed=ns.seed, volume_mode=ns.volume_mode)
-            if not ns.out:
-                raise ValueError("simulate needs --out for the trace file")
             if ns.fmt == "binary":
                 trace.to_binary(ns.out)
             else:
@@ -301,8 +297,6 @@ def run(ns: argparse.Namespace) -> int:
                 },
             )
             if ns.fmt == "csv":
-                if not ns.out:
-                    raise ValueError("csv scaling output needs --out")
                 report.collapse.samples_to_csv(ns.out)
                 return 0
             _emit_json(ns, report.to_report())
@@ -323,11 +317,30 @@ def run(ns: argparse.Namespace) -> int:
         return 1
 
 
+def _missing_out(ns):
+    """Why the command cannot run without --out, or None: simulate writes
+    its trace only to a file, analyze and scaling-test their csv."""
+    if ns.out is not None:
+        return None
+    if ns.command == "simulate":
+        return "simulate needs --out for the trace file"
+    if ns.command in ("analyze", "scaling-test") and ns.fmt == "csv":
+        return f"{ns.command} --format csv needs --out"
+    return None
+
+
 def main(argv=None):
+    """Parse and run one command line; a usage error (a missing output
+    directory, or a missing --out the command needs) exits 2 before any
+    work."""
     try:
         ns = parse_args(argv)
     except FileNotFoundError as exc:
-        print(f"PEELKIT_ERR usage: {exc}", file=sys.stderr)
+        usage = str(exc)
+    else:
+        usage = _missing_out(ns)
+    if usage is not None:
+        print(f"PEELKIT_ERR usage: {usage}", file=sys.stderr)
         return 2
     return run(ns)
 

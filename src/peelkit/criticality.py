@@ -38,31 +38,34 @@ by Illinois false position on R2 at the fold point and then tracks the
 fold with the scale as a third unknown (a bordered system).
 
 The series of a finite support are summed in plain floats over its few
-terms q_{k+2} c^k; those of an infinite family are numpy dot products
-over the terms the weight sequence materializes up to its certified tail
-cut (`_System` says how the input selects the pass).  Their derivatives
-come from the same terms: in c from k q_{k+2} c^(k-1), in r from the
-r-derivative of h (`HCache.dtable`, or `hfun.derivative_list` in plain
-floats), and in the tuner's scale t as S/t, since t multiplies every
-weight.  Each `_System` keeps the terms of its last c.  An infinite
-family's h tables come from the per-ratio shared cache of `hfun`, so
-every bipartite (r = 1) evaluation and a new system at a ratio already
-seen reuse one table; a finite support's system keeps its own short h
-lists, the same doubles.  The Miermont cross-check sums its binomial
-double series in log space, the inner sums of a block of 64 total
-degrees in one array pass.
+terms q_{k+2} c^k; those of an infinite family in one compiled pass
+(`_native`'s series_sums, with `_series_py` as its reference and
+fallback) that forms the terms from the sequence's weight cache, runs the
+h recurrence and its r-derivative alongside and stops at the certified
+tail cut of `WeightSequence.positive_terms` (`_System` says how the input
+selects the pass).  Their derivatives come from the same terms: in c
+from k q_{k+2} c^(k-1), in r from the r-derivative of h (the recurrence
+of `HCache.dtable`; `hfun.derivative_list` in plain floats), and in the
+tuner's scale t as S/t, since t multiplies every weight.  A finite
+support's system keeps the terms of its last c and short h lists per
+ratio, the same doubles as the shared tables.  The Miermont cross-check
+sums its binomial double series in log space, the inner sums of a block
+of 64 total degrees in one array pass.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
+from ._native import SS_DONE, SS_NO_CUT, SS_OVERFLOW, SS_WEIGHTS
 from .errors import BoundaryNotFoundError, DivergentSeriesError, SolverFailureError
-from .hfun import derivative_list, recurrence_list, shared_cache
-from .weights import WeightSequence, validate
+from .hfun import derivative_list, recurrence_list
+from .weights import K_CAP, TAIL_TOL, WeightSequence, validate
 
 RESIDUAL_TOL = 1e-12
 MARGIN_TOL = 1e-9
@@ -143,19 +146,21 @@ class _System:
     `hfun.derivative_list`, the same doubles as the shared tables),
     memoized per (r, order) in a map of at most _H_MEMO entries; a few
     terms cost less this way than one numpy call.  An infinite family
-    takes numpy dot products over the terms `positive_terms` materializes
-    up to its certified tail cut, with h from the shared cache.
+    takes one series pass (`_family_sums`): the terms from its weight
+    cache and h(order, .) with its r-derivative by their recurrences,
+    summed in order up to `positive_terms`' certified tail cut, in C or,
+    where the library is not used, in `_series_py`, bit-identical.
     """
 
     def __init__(self, q: WeightSequence):
         self.q = q
-        self._terms = None  # the terms of the last c
+        self._terms = None  # a finite support's terms of the last c
+        self._h = {}  # (r, order) -> [h list, dh/dr list or None]
         if q.is_finite:
             self.c_max = math.inf
             degs = sorted(q.support)
             self._support = ([d - 2 for d in degs],
                              [float(q.support[d]) for d in degs])
-            self._h = {}  # (r, order) -> [h list, dh/dr list or None]
         else:
             self.c_max = (1.0 - 1e-9) / q.tail_ratio
             self._support = None
@@ -169,27 +174,36 @@ class _System:
         c, r = float(c), float(r)
         if self._support is not None:
             return self._plain_sums(c, r, order, shifts, dr)
-        return self._numpy_sums(c, r, order, shifts, dr)
+        return self._family_sums(c, r, order, shifts, dr)
 
-    def _numpy_sums(self, c, r, order, shifts, dr):
-        """`_sums` by numpy dot products over the materialized terms."""
-        if self._terms is None or self._terms[0] != c:
-            self._terms = (c,) + self.q.positive_terms(c, deg=2)[:2]
-        _, ks, vals = self._terms
-        l_max = ks[-1] + 2
-        cache = shared_cache(r)
-        tab = cache.table(order, l_max)
-        dtab = cache.dtable(order, l_max) if dr else None
-        out = []
-        for j in shifts:
-            # h(order, k + j) = tab[k + j - order], zero below the order
-            idx = ks + (j - order)
-            lo = int(np.searchsorted(idx, 0))
-            v, hj = vals[lo:], tab[idx[lo:]]
-            s_r = float(np.dot(v, dtab[idx[lo:]])) if dr else None
-            out.append((float(np.dot(v, hj)), float(np.dot(ks[lo:] * v, hj)) / c,
-                        s_r))
-        return tab, dtab, out
+    def _family_sums(self, c, r, order, shifts, dr):
+        """`_sums` of an infinite family in one series pass (`_native`'s
+        series_sums, or `_series_py` where the library is not used) up to
+        `positive_terms`' tail cut, over the sequence's weight cache, grown
+        as the pass asks (`WeightSequence.weight_cache`)."""
+        tab, dtab = self._h_lists(r, order, dr)
+        q = self.q
+        k_first = q.first_cut()
+        st = _series(q.log_gen is not None, c, r, q.tail_rho(c), order, shifts,
+                     dr, k_first, K_CAP)
+        lib = _native.library()[0]
+        w = q.weight_cache(k_first + 2)
+        while True:
+            st.n_w = len(w)
+            if lib is None:
+                status = _series_py(st, w)
+            else:
+                st.w = _native.address(w)
+                status = lib.series_sums(ctypes.byref(st))
+            if status != SS_WEIGHTS:
+                break
+            w = q.weight_cache(st.k + 2)
+        if status == SS_OVERFLOW:
+            raise OverflowError("math range error")
+        if status == SS_NO_CUT:
+            raise DivergentSeriesError("family tail will not certify")
+        return tab, dtab, [(s, s_c / c, s_r if dr else None) for s, s_c, s_r
+                           in zip(st.s[:len(shifts)], st.s_c[:], st.s_r[:])]
 
     def _plain_sums(self, c, r, order, shifts, dr):
         """`_sums` over a finite support in plain floats, each sum taken in
@@ -221,11 +235,13 @@ class _System:
 
     def _h_lists(self, r, order, dr):
         """[h(order, order + j)] and, when dr, its r-derivative (else
-        None) for j up to the largest index the finite support reads,
-        from the per-system memo; the oldest entry makes room."""
+        None) for j up to the largest index a finite support reads (2 for
+        an infinite family, whose pass runs its own recurrence), from the
+        per-system memo; the oldest entry makes room."""
         got = self._h.get((r, order))
         if got is None:
-            size = max(self._support[0][-1] + 3 - order, 3)
+            top = self._support[0][-1] if self._support else 0
+            size = max(top + 3 - order, 3)
             got = [recurrence_list(r, order, size), None]
             if len(self._h) >= _H_MEMO:
                 del self._h[next(iter(self._h))]
@@ -278,6 +294,147 @@ class _System:
         c, r = float(x[0]), math.tanh(x[1])
         r1, _, m = self.rows(c, r, margin=True)
         return _in_cs((r1, m), r)
+
+
+def _series(log_w, c, r, rho, order, shifts, dr, k_first, k_cap):
+    """The state of a series pass before its first term k = -1, with
+    h(order, .) and its r-derivative at indices -2 and -1 (zero).  shifts
+    are one or two consecutive j, the last at least order (ValueError
+    otherwise: the pass keeps two sums and reads h from index -1 on)."""
+    if not (len(shifts) in (1, 2) and shifts[-1] == shifts[0] + len(shifts) - 1
+            and shifts[-1] >= order):
+        raise ValueError(f"shifts {shifts!r} at order {order}")
+    return _native.Series(
+        log_w=log_w, c=c, log_c=math.log(c), r=r, rho=rho, tol=TAIL_TOL,
+        order=order, j0=shifts[0], n_j=len(shifts), dr=dr, k_first=k_first,
+        k_cap=k_cap, k=-1, m=-1)
+
+
+def _series_py(st, w):
+    """The reference of `_native`'s series_sums, and the pass where the
+    library is not used: the same double operations in the same order, on
+    the state st (a `_native.Series`) over w[:st.n_w], with the same result.
+
+    From term k on: q_{k+2} c^k, through exp in log space for log weights
+    (w holds log q) and where k log c > 600 (exp raising OverflowError
+    like `WeightSequence.positive_terms`); h(order, order + i) at
+    i = m - 1, m and their r-derivatives by `hfun`'s recurrences, from
+    their start values; and per shift j the sums of the term, k times the
+    term and, when dr, the term times dh/dr against h(order, k + j), zero
+    below the order.  The pass ends after the first k >= k_first whose
+    tail bound q_{k+2} c^k (k+2)^2 rho_k / (1 - rho_k), rho_k = rho e^(2/k),
+    falls below tol times the running total (at least 1): `positive_terms`'
+    cut, with libm's exp.
+    """
+    c, log_c, r, rho, tol = st.c, st.log_c, st.r, st.rho, st.tol
+    order, n_j, dr, k_first, k_cap = st.order, st.n_j, st.dr, st.k_first, st.k_cap
+    log_w = st.log_w
+    one_m_r = 1.0 - r
+    top = st.j0 + n_j - 1 - order
+    k, m, total = st.k, st.m, st.total
+    h0, h1, d0, d1 = st.h0, st.h1, st.d0, st.d1
+    s, s_c, s_r = list(st.s), list(st.s_c), list(st.s_r)
+    w = w[: st.n_w].tolist()
+    while True:
+        if k > k_cap:
+            status = SS_NO_CUT
+            break
+        if k + 2 > len(w):
+            status = SS_WEIGHTS
+            break
+        x = w[k + 1]
+        e = k * log_c
+        if log_w or (e > 600.0 and x != 0.0):
+            try:
+                v = math.exp(x + e if log_w else math.log(x) + e)
+            except OverflowError:
+                status = SS_OVERFLOW
+                break
+        elif e > 600.0:
+            v = 0.0
+        else:
+            v = x * c**k
+        while m < k + top:
+            dn = 0.0
+            if m == -1:
+                hn = 1.0
+            elif m == 0:
+                hn = one_m_r * 0.5 + order
+                if dr:
+                    dn = -0.5
+            else:
+                a = one_m_r * (m + 0.5) + order
+                b = r * (m + order)
+                hn = (a * h1 + b * h0) / (m + 1)
+                if dr:
+                    dn = (a * d1 + b * d0 - (m + 0.5) * h1
+                          + (m + order) * h0) / (m + 1)
+            h0, h1, d0, d1 = h1, hn, d1, dn
+            m += 1
+        kv = k * v
+        for i in range(n_j):
+            at = m - (n_j - 1 - i)
+            if at < 0:
+                continue
+            h, d = (h1, d1) if at == m else (h0, d0)
+            s[i] += v * h
+            s_c[i] += kv * h
+            if dr:
+                s_r[i] += v * d
+        total += v
+        lim = tol * (total if total > 1.0 else 1.0)
+        vk = v * float((k + 2) * (k + 2))
+        # the bound at rho, below the bound at rho_d >= rho in floats too
+        # (each rounding is monotone), says no cut without the exp
+        if k >= k_first and not vk * rho / (1.0 - rho) >= lim:
+            rho_d = rho * math.exp(2.0 / k)
+            if rho_d < 1.0:
+                bound = vk * rho_d / (1.0 - rho_d)
+                if bound < lim:
+                    k += 1
+                    status = SS_DONE
+                    break
+        k += 1
+    st.k, st.m, st.total = k, m, total
+    st.h0, st.h1, st.d0, st.d1 = h0, h1, d0, d1
+    st.s[:], st.s_c[:], st.s_r[:] = s, s_c, s_r
+    return status
+
+
+def _same_series(lib):
+    """True when the compiled series pass ends with `_series_py`'s result
+    and state, bit for bit, on small fixed inputs: log weights; plain
+    weights with zeros and terms past the switch to exp at k log c > 600,
+    resumed after the weights run out; orders 0 and 1, one shift and two,
+    with and without dr; an exp that overflows and a cut that never
+    comes."""
+    d = np.arange(1.0, 501.0)
+    log_w = math.log(0.3) + d * math.log(0.1)
+    # 0.05^d reaches exp's switch at k = 208 (c = 18) and zero past d = 250
+    plain = np.where((d % 3 == 0) & (d < 60), 0.0, 0.05**d)
+    cases = (  # (w, log_w, c, r, order, shifts, dr, k_cap, n_w first)
+        (log_w, 1, 5.0, 0.37, 0, (1, 2), 1, K_CAP, 500),
+        (log_w, 1, 7.0, -0.999, 1, (1,), 0, K_CAP, 20),
+        (plain, 0, 18.0, -0.6, 1, (1,), 1, K_CAP, 100),
+        (plain, 0, 17.0, 1.0, 0, (2,), 0, K_CAP, 500),
+        (plain, 0, 19.9, 0.5, 0, (1, 2), 1, 70, 500),
+        (log_w + 800.0, 1, 2.5, 0.2, 0, (1, 2), 1, K_CAP, 500),
+    )
+    for w, lw, c, r, order, shifts, dr, k_cap, n_first in cases:
+        ends = []
+        for run in (lambda st: lib.series_sums(ctypes.byref(st)),
+                    lambda st: _series_py(st, w)):
+            st = _series(lw, c, r, (0.1 if lw else 0.05) * c, order, shifts,
+                         dr, 64, k_cap)
+            st.w, st.n_w = _native.address(w), n_first
+            status = [run(st)]
+            if status[0] == SS_WEIGHTS:
+                st.n_w = len(w)
+                status.append(run(st))
+            ends.append((status, bytes(st)))
+        if ends[0] != ends[1]:
+            return False
+    return True
 
 
 def _in_cs(rows, r):
@@ -902,8 +1059,12 @@ def tune_critical(shape: WeightSequence):
     exactly 0 (the boundary itself), and the shared damped Newton on the
     bordered system (R1, R2, margin - 1) in (c, s, t) then locates the
     fold to near machine precision (bipartite shapes: (R2, margin - 1)
-    in (c, t)).
+    in (c, t)).  The symmetric critical family is refused with ValueError:
+    it is critical at t* = 1 by construction.
     """
+    if shape.family and shape.family[0] == "symmetric_critical":
+        raise ValueError("the symmetric_critical family is critical at t* = 1 "
+                         "by construction; there is no boundary to tune")
     rep = validate(shape)
     if not rep.ok:
         raise ValueError(f"invalid shape: {rep.messages}")

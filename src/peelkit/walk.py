@@ -425,10 +425,15 @@ def symmetric_family(r, a, k_pos=512) -> StepLaw:
         family=("symmetric_critical", {"r": r, "a": a}),
         heavy_tail=True,
     )
-    law.margin = 1.0 - _heavy_renewal_sum(law, 1, shift=1)
+    # the tail fit, its lattice and model terms serve all three sums
+    tail = _heavy_tail(law)
+    cache = law.hcache()
+    law.margin = 1.0 - _heavy_renewal_sum(
+        law, cache.array(1, _HEAVY_H_LEN), 1, tail)
+    h = cache.array(0, _HEAVY_H_LEN)
     law.residuals = {
-        "harmonic_h0_k1": harmonic_residual(law, 0, 1),
-        "harmonic_h0_k2": harmonic_residual(law, 0, 2),
+        "harmonic_h0_k1": _heavy_residual(law, h, 0, 1, tail),
+        "harmonic_h0_k2": _heavy_residual(law, h, 0, 2, tail),
     }
     return law
 
@@ -451,29 +456,48 @@ def _heavy_tail_model(law):
     return (lambda l: c2 * l**-2.0 + c4 * l**-4.0), lattice
 
 
-def _heavy_positive_sum(law, h_array, k_shift, l_direct=1 << 18):
-    """sum_{l >= 1} h[l + k_shift] nu(l) with tail acceleration."""
+def _heavy_tail(law, l_direct=1 << 18):
+    """(ls, model terms, lattice): the lattice points l in (k_pos, l_direct)
+    past the materialized law and the fitted tail model's nu(l) there
+    (`_heavy_tail_model`)."""
     model, lattice = _heavy_tail_model(law)
+    K = law.k_pos
+    start = K + lattice - (K % lattice) if K % lattice else K + lattice
+    ls = np.arange(start, l_direct, lattice, dtype=np.int64)
+    return ls, model(ls.astype(float)), lattice
+
+
+def _heavy_positive_sum(law, h_array, k_shift, tail):
+    """sum_{l >= 1} h[l + k_shift] nu(l) with tail acceleration over the
+    tail of `_heavy_tail`."""
+    ls, model_terms, lattice = tail
     K = law.k_pos
     direct = float(np.add.reduce(h_array[1 + k_shift : K + 1 + k_shift]
                                  * law.probs[law.k_neg + 1 : law.k_neg + K + 1]))
-    start = K + lattice - (K % lattice) if K % lattice else K + lattice
-    ls = np.arange(start, l_direct, lattice, dtype=np.int64)
-    terms = h_array[ls + k_shift] * model(ls.astype(float))
-    tail, _err = accelerated_lattice_sum(terms, float(ls[0]), float(lattice))
-    return direct + tail
+    terms = h_array[ls + k_shift] * model_terms
+    rest, _err = accelerated_lattice_sum(terms, float(ls[0]), float(lattice))
+    return direct + rest
 
 
 _HEAVY_H_LEN = (1 << 18) + 64
 
 
-def _heavy_renewal_sum(law, order, shift):
-    """sum_{l>=0} h(order, l+shift) nu(l) for heavy-tailed symmetric laws."""
-    cache = law.hcache()
-    h = cache.array(order, _HEAVY_H_LEN)
+def _heavy_renewal_sum(law, h, shift, tail):
+    """sum_{l>=0} h[l+shift] nu(l) for heavy-tailed symmetric laws, h the
+    array of one order of h up to _HEAVY_H_LEN."""
     total = float(law.probs[law.k_neg]) * h[shift]  # l = 0 term
-    total += _heavy_positive_sum(law, h, shift)
+    total += _heavy_positive_sum(law, h, shift, tail)
     return total
+
+
+def _heavy_residual(law, h, order, k, tail):
+    """`harmonic_residual` of a heavy-tailed law, h the array of the order
+    up to _HEAVY_H_LEN."""
+    ls = np.arange(max(order - k, -law.k_neg), 0)
+    total = float(np.add.reduce(h[ls + k] * law.probs[ls + law.k_neg]))
+    total += float(law.probs[law.k_neg]) * h[k]
+    total += _heavy_positive_sum(law, h, k, tail)
+    return abs(total - h[k])
 
 
 def harmonic_residual(law: StepLaw, order, k, l_pos_max=None):
@@ -485,12 +509,8 @@ def harmonic_residual(law: StepLaw, order, k, l_pos_max=None):
     """
     cache = law.hcache()
     if law.heavy_tail:
-        h = cache.array(order, _HEAVY_H_LEN)
-        ls = np.arange(max(order - k, -law.k_neg), 0)
-        total = float(np.add.reduce(h[ls + k] * law.probs[ls + law.k_neg]))
-        total += float(law.probs[law.k_neg]) * h[k]
-        total += _heavy_positive_sum(law, h, k)
-        return abs(total - h[k])
+        return _heavy_residual(law, cache.array(order, _HEAVY_H_LEN), order,
+                               k, _heavy_tail(law))
     l_hi = law.k_pos if l_pos_max is None else min(l_pos_max, law.k_pos)
     h = cache.array(order, l_hi + k + 1)
     ls = np.arange(-law.k_neg, l_hi + 1)

@@ -19,7 +19,11 @@ import numpy as np
 from .errors import DivergentSeriesError
 from .hfun import HCache, h_eval, shared_cache
 
-_TAIL_TOL = 1e-16
+# `positive_terms`' defaults: the tail's tolerance relative to the running
+# total, the least k it cuts at and the most terms it materializes
+TAIL_TOL = 1e-16
+K_MIN = 64
+K_CAP = 60_000
 
 
 def _exp(x):
@@ -138,6 +142,38 @@ class WeightSequence:
             have = self._weight_cache = np.concatenate([have, new])
         return have[:n]
 
+    def weight_cache(self, n):
+        """The per-sequence weight cache of an infinite family holding at
+        least degrees 1..n (`_family_weights`).  A log-weight family's grows
+        to at least twice its length, any other's exactly to n: a series
+        pass that asks for one more degree at a time evaluates no weight
+        past its cut, as `positive_terms` evaluates none."""
+        have = len(self._weight_cache)
+        if have < n:
+            self._family_weights(max(n, 2 * have) if self.log_gen is not None
+                                 else n)
+        return self._weight_cache
+
+    def first_cut(self, k_min=K_MIN):
+        """The least k at which `positive_terms` may cut the terms."""
+        return max(k_min, self.tail_start - 2, 1)
+
+    def tail_rho(self, c, k_cap=K_CAP):
+        """rho = tail_ratio * c, the ratio that bounds the tail of the terms
+        q_{k+2} c^k.  Raises DivergentSeriesError when the tail does not sum
+        at c, or sums so slowly that it would not certify within k_cap
+        terms."""
+        rho = self.tail_ratio * c
+        if rho >= 1.0:
+            raise DivergentSeriesError(
+                f"family tail ratio {self.tail_ratio:.6g} does not sum at c={c:.6g}"
+            )
+        if math.log(1e-20) / math.log(rho) > k_cap:
+            raise DivergentSeriesError(
+                f"tail ratio {rho:.8f} at c={c:.6g} converges too slowly"
+            )
+        return rho
+
     def _terms(self, ks, c, log_c):
         """q_{k+2} c^k for the sorted integer array ks.
 
@@ -161,7 +197,7 @@ class WeightSequence:
         out[big] = _exp(np.log(w[big]) + ks[big] * log_c)
         return out
 
-    def positive_terms(self, c, deg=2, tol=_TAIL_TOL, k_min=64, k_cap=60_000):
+    def positive_terms(self, c, deg=2, tol=TAIL_TOL, k_min=K_MIN, k_cap=K_CAP):
         """Materialize nu-style terms q_{k+2} c^k for k >= -1.
 
         Returns (ks, values, tail_bound) as numpy arrays and a float, where
@@ -177,16 +213,8 @@ class WeightSequence:
         if self.is_finite:
             ks = self._support_arrays()[0]
             return ks, self._terms(ks, c, log_c), 0.0
-        rho = self.tail_ratio * c
-        if rho >= 1.0:
-            raise DivergentSeriesError(
-                f"family tail ratio {self.tail_ratio:.6g} does not sum at c={c:.6g}"
-            )
-        if math.log(1e-20) / math.log(rho) > k_cap:
-            raise DivergentSeriesError(
-                f"tail ratio {rho:.8f} at c={c:.6g} converges too slowly"
-            )
-        k_first = max(k_min, self.tail_start - 2, 1)
+        rho = self.tail_rho(c, k_cap)
+        k_first = self.first_cut(k_min)
         ks_parts, val_parts = [], []
         total = 0.0
         # first block: up to the last cut for log weights (nearby c cut
@@ -392,7 +420,7 @@ class StepLawPositive:
         return max(self.nu) if self.nu else 0
 
 
-def nu_from_q(q: WeightSequence, c_plus, r, tol=_TAIL_TOL) -> StepLawPositive:
+def nu_from_q(q: WeightSequence, c_plus, r, tol=TAIL_TOL) -> StepLawPositive:
     """Map face weights to walk step probabilities at spectral point (c_+, r)."""
     if float(c_plus) <= 2.0:
         raise ValueError("c_plus must exceed 2")

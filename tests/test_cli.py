@@ -184,6 +184,34 @@ class TestCommands:
         assert "PEELKIT_ERR" in capsys.readouterr().err
 
 
+class TestEarlyRefusals:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "triangulation", "--steps", "30000000"],
+        ["analyze", "--preset", "quadrangulation", "--format", "csv"],
+        ["scaling-test", "--models", "quadrangulation", "--format", "csv"],
+    ])
+    def test_missing_out_exits_2_before_any_work(self, argv, monkeypatch,
+                                                 capsys):
+        from peelkit import criticality
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before its --out check")
+
+        monkeypatch.setattr(criticality, "solve_boltzmann", no_work)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("PEELKIT_ERR usage: ")
+        assert "needs --out" in captured.err and captured.out == ""
+
+    def test_tune_symmetric_family_is_invalid_input(self, capsys):
+        rc = main(["tune-critical", "--preset", "symmetric_critical", "--r", "1",
+                   "--a", "0.785"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "PEELKIT_ERR invalid_input" in captured.err
+        assert "by construction" in captured.err and captured.out == ""
+
+
 class TestSubprocess:
     def test_one_parser_many_calls(self, capsys):
         # the parser is built once per process; calls that share it, a
@@ -238,8 +266,8 @@ def _source_pairs(rest, refused=()):
     """Two runs per weight-source flag that differ in that flag alone, with
     the subcommand's other flags rest.  A flag in refused gets two values
     that its family refuses, with different messages: enumerate refuses
-    every infinite family, and tune-critical finds no boundary for the
-    symmetric one, so there the flag can only change the refusal."""
+    every infinite family, and tune-critical refuses the symmetric one,
+    so there the flag can only change the refusal."""
     pairs = {
         "--weights": (["--weights", '{"4":"1/12"}'],
                       ["--weights", '{"4":"1/12","6":"1/1000"}']),

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from peelkit.criticality import (
 )
 from peelkit.walk import complete_nu, harmonic_residual
 from peelkit.weights import WeightSequence, nu_from_q, preset, q_from_nu
+from test_peeling import numpy_draws
 
 
 QUAD = WeightSequence({4: Fraction(1, 12)})
@@ -467,6 +469,17 @@ class TestMiermontBlocks:
 
 
 class TestTune:
+    def test_symmetric_family_refused(self, monkeypatch):
+        # critical at t* = 1 by construction: refused before any series pass
+        def no_pass(*args):
+            raise AssertionError("a series pass ran")
+
+        monkeypatch.setattr(criticality._System, "_sums", no_pass)
+        for r, a in ((1.0, math.pi / 4), (0.5, 0.5)):
+            with pytest.raises(ValueError, match=r"critical at t\* = 1 by "
+                                                 "construction"):
+                tune_critical(preset("symmetric_critical", r=r, a=a).weights)
+
     def test_quadrangulation_scale(self):
         t = tune_critical(WeightSequence({4: Fraction(1)}))
         assert t.t_star == pytest.approx(1 / 12, rel=1e-10)
@@ -695,10 +708,29 @@ _finite_supports = st.dictionaries(st.integers(3, 12), _weights, min_size=1,
                                    max_size=4)
 
 
+def numpy_sums(q, c, r, order, shifts):
+    """The series by numpy dot products over `positive_terms`' terms, with
+    h and dh/dr from the shared float tables: (tab, dtab, [(S_j, dS_j/dc,
+    dS_j/dr)])."""
+    ks, vals, _ = q.positive_terms(c)
+    cache = hfun.shared_cache(r)
+    tab, dtab = cache.table(order, ks[-1] + 2), cache.dtable(order, ks[-1] + 2)
+    out = []
+    for j in shifts:
+        # h(order, k + j) = tab[k + j - order], zero below the order
+        idx = ks + (j - order)
+        lo = int(np.searchsorted(idx, 0))
+        v, i = vals[lo:], idx[lo:]
+        out.append((float(np.dot(v, tab[i])),
+                    float(np.dot(ks[lo:] * v, tab[i])) / c,
+                    float(np.dot(v, dtab[i]))))
+    return tab, dtab, out
+
+
 class TestPlainFloatPass:
     """A finite support's series are summed in plain floats; an infinite
-    family's by numpy.  Both passes agree, and the finite one calls no
-    numpy, BLAS or compiled code."""
+    family's in one compiled pass.  Both agree with numpy dot products, and
+    the finite one calls no numpy, BLAS or compiled code."""
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(_finite_supports,
@@ -709,10 +741,10 @@ class TestPlainFloatPass:
         # absolute terms; h and dh/dr lists bit-identical to the shared
         # float tables at orders 0 and 1
         q = WeightSequence(support)
-        plain, ref = criticality._System(q), criticality._System(q)
+        plain = criticality._System(q)
         for order, shifts in ((0, (1, 2)), (1, (1,))):
             h, dh, got = plain._sums(c, r, order, shifts, True)
-            tab, dtab, want = ref._numpy_sums(c, r, order, shifts, True)
+            tab, dtab, want = numpy_sums(q, c, r, order, shifts)
             n = len(h)
             assert np.array(h).tobytes() == hfun.shared_cache(r).table(
                 order, order + n - 1)[:n].tobytes()
@@ -731,10 +763,12 @@ class TestPlainFloatPass:
 
     def test_finite_calls_no_numpy(self, monkeypatch):
         # counted only inside _System._sums: the shared h cache, the
-        # compiled library's loader and np.dot; an infinite family shows
-        # the counters count
+        # compiled library's loader, np.dot and the series pass (compiled,
+        # or its reference where the library is not used); an infinite
+        # family runs the pass and no dot product
         inside = [0]
-        seen = {"sums": 0, "shared_cache": 0, "library": 0, "dot": 0}
+        seen = {"sums": 0, "shared_cache": 0, "library": 0, "dot": 0,
+                "pass": 0}
         sums = criticality._System._sums
 
         def counted_sums(self, *args):
@@ -753,11 +787,17 @@ class TestPlainFloatPass:
             return wrapped
 
         monkeypatch.setattr(criticality._System, "_sums", counted_sums)
-        for mod in (hfun, criticality):
-            monkeypatch.setattr(mod, "shared_cache",
-                                counter("shared_cache", mod.shared_cache))
+        monkeypatch.setattr(hfun, "shared_cache",
+                            counter("shared_cache", hfun.shared_cache))
         monkeypatch.setattr(_native, "library", counter("library", _native.library))
         monkeypatch.setattr(np, "dot", counter("dot", np.dot))
+        lib = _native.library()[0]
+        if lib is None:
+            monkeypatch.setattr(criticality, "_series_py",
+                                counter("pass", criticality._series_py))
+        else:
+            monkeypatch.setattr(lib, "series_sums",
+                                counter("pass", lib.series_sums))
 
         assert solve_boltzmann(TRI).classification == "regular_critical"
         assert solve_boltzmann(SUB).classification == "subcritical"
@@ -766,10 +806,136 @@ class TestPlainFloatPass:
             tune_critical(WeightSequence(support))
         assert seen["sums"] > 0
         assert seen == {"sums": seen["sums"], "shared_cache": 0, "library": 0,
-                        "dot": 0}
+                        "dot": 0, "pass": 0}
 
         solve_boltzmann(preset("geometric", H=3.0).weights)
-        assert seen["shared_cache"] > 0 and seen["dot"] > 0
+        assert seen["library"] > 0 and seen["pass"] > 0
+        assert seen["dot"] == 0 and seen["shared_cache"] == 0
+
+
+@pytest.mark.parametrize("H", [1.5, 2.0, 3.0, 5.0, 8.0])
+def test_geometric_closed_forms(H):
+    # the regular critical geometric family: c_+, r and L_nu from the
+    # series pass within 1e-12 of their closed forms
+    res = preset("geometric", H=H)
+    cd = solve_boltzmann(res.weights)
+    assert cd.classification == "regular_critical"
+    law = complete_nu(nu_from_q(res.weights, cd.c_plus, cd.r), k_neg=64)
+    for key, got in (("c_plus", cd.c_plus), ("r", cd.r), ("L_nu", law.L_nu)):
+        assert got == pytest.approx(res.constants[key], rel=1e-12, abs=0)
+
+
+def gen_only(q):
+    """q's twin without log weights: one generator call per degree."""
+    return WeightSequence(gen=q.gen, tail_ratio=q.tail_ratio,
+                          tail_start=q.tail_start)
+
+
+_bases = (st.floats(1.2, 10.0).map(lambda H: preset("geometric", H=H).weights)
+          | st.floats(1.2, 10.0).map(
+              lambda H: gen_only(preset("geometric", H=H).weights))
+          | st.sampled_from([(1.0, math.pi / 4), (0.5, 0.5)]).map(
+              lambda ra: preset("symmetric_critical", r=ra[0], a=ra[1]).weights))
+_families = st.one_of(
+    _bases,
+    st.tuples(_bases, st.floats(0.01, 1.0)).map(lambda qg: qg[0].deformed(qg[1])),
+    st.tuples(_bases, st.sampled_from([1e-3, 0.3, 4.0, 1e3])).map(
+        lambda qt: qt[0].scaled(qt[1])))
+
+
+def family_pass(q, c, r, order, shifts, dr):
+    """The bytes of `_family_sums`' sums on a new system of q, or the type
+    and message of the error it raised."""
+    try:
+        _, _, out = criticality._System(q)._family_sums(c, r, order, shifts, dr)
+    except (DivergentSeriesError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return np.array([x for row in out for x in row if x is not None]).tobytes()
+
+
+class TestSeriesPass:
+    """An infinite family's series pass: the compiled loop and its Python
+    reference agree bit for bit, raise alike, agree with numpy dot products
+    and evaluate no generator weight past the cut."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(_families, st.floats(0.0, 0.95, exclude_min=True),
+           st.floats(-0.99, 1.0, exclude_min=True),
+           st.sampled_from([(0, (1, 2)), (0, (2,)), (1, (1,))]), st.booleans(),
+           st.sampled_from([300, criticality.K_CAP]))
+    def test_compiled_matches_reference(self, q, u, r, pass_, dr, k_cap):
+        # c anywhere in (2, c_max); a k_cap of 300 leaves the slow tails
+        # without a cut (DivergentSeriesError)
+        if _native.library()[0] is None:
+            pytest.skip("the compiled library is not used in this session")
+        c = 2.0 + u * ((1.0 - 1e-9) / q.tail_ratio - 2.0)
+        order, shifts = pass_
+        kept, criticality.K_CAP = criticality.K_CAP, k_cap
+        try:
+            compiled = family_pass(q, c, r, order, shifts, dr)
+            with numpy_draws():
+                reference = family_pass(q, c, r, order, shifts, dr)
+        finally:
+            criticality.K_CAP = kept
+        assert compiled == reference
+
+    @pytest.mark.parametrize("path", ["loaded", "python"])
+    def test_errors(self, path, monkeypatch):
+        # an exp past the double range, and a tail that does not certify
+        # within k_cap terms (300 here)
+        huge = preset("geometric", H=3.0).weights.scaled(1e300).scaled(1e300)
+        slow = preset("geometric", H=3.0).weights
+        c_slow = 0.98 / slow.tail_ratio
+        monkeypatch.setattr(criticality, "K_CAP", 300)
+        with numpy_draws() if path == "python" else contextlib.nullcontext():
+            with pytest.raises(OverflowError):
+                criticality._System(huge)._sums(2.5, 0.3, 0, (1, 2), True)
+            with pytest.raises(DivergentSeriesError, match="will not certify"):
+                criticality._System(slow)._sums(c_slow, 0.3, 1, (1,))
+
+    @pytest.mark.parametrize("q", [
+        preset("geometric", H=3.0).weights,
+        gen_only(preset("geometric", H=1.5).weights).deformed(0.5),
+        preset("symmetric_critical", r=0.5, a=0.5).weights.scaled(0.3),
+    ])
+    @pytest.mark.parametrize("u", [0.1, 0.6, 0.95])
+    def test_matches_numpy_dot(self, q, u):
+        # the cut is positive_terms' and every sum agrees with numpy dot
+        # products over its terms within 1e-13 of the sum of the absolute
+        # terms
+        c = 2.0 + u * ((1.0 - 1e-9) / q.tail_ratio - 2.0)
+        r = 0.4
+        ks, vals, _ = q.positive_terms(c)
+        for order, shifts in ((0, (1, 2)), (1, (1,))):
+            _, _, got = criticality._System(q)._sums(c, r, order, shifts, True)
+            tab, dtab, want = numpy_sums(q, c, r, order, shifts)
+            for j, (s, s_c, s_r), (w, w_c, w_r) in zip(shifts, got, want):
+                idx = ks + (j - order)
+                on = idx >= 0
+                v, i = vals[on], idx[on]
+                for a, b, scale in (
+                        (s, w, np.abs(v * tab[i]).sum()),
+                        (s_c, w_c, np.abs(ks[on] * v * tab[i]).sum() / c),
+                        (s_r, w_r, np.abs(v * dtab[i]).sum())):
+                    assert abs(a - b) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("path", ["loaded", "python"])
+    def test_generator_evaluates_no_weight_past_the_cut(self, path):
+        base = preset("symmetric_critical", r=0.5, a=0.5).weights.deformed(0.8)
+        asked = []
+
+        def gen(k):
+            asked.append(k)
+            return base.value(k)
+
+        q = WeightSequence(gen=gen, tail_ratio=base.tail_ratio,
+                           tail_start=base.tail_start)
+        c = 0.9 / base.tail_ratio
+        cut = int(gen_only(base).positive_terms(c)[0][-1])
+        with numpy_draws() if path == "python" else contextlib.nullcontext():
+            criticality._System(q)._sums(c, 0.5, 0, (1, 2), True)
+        assert cut > 64 and max(asked) == cut + 2
+        assert sorted(asked) == list(range(1, cut + 3))
 
 
 def central_jacobian(F, x, step=1e-6):

@@ -308,7 +308,8 @@ class TestFloatRecurrence:
         assert same_bits(HCache(0.37, mode="float").table(-2, 5_000), 0.37, -2)
 
     @pytest.mark.parametrize("name", ["cdf_draw", "band_jumps", "fill_rows",
-                                      "lockstep", "block_rounds", "h_derivative"])
+                                      "lockstep", "block_rounds", "h_derivative",
+                                      "series_sums"])
     def test_draw_mismatch_keeps_every_reference(self, name, monkeypatch,
                                                   request):
         # a library whose loop differs from its reference in one value is
@@ -323,6 +324,8 @@ class TestFloatRecurrence:
                                    "rounds",
                    "h_derivative": "compiled h derivative differs from the "
                                    "Python loop",
+                   "series_sums": "compiled series sums differ from the "
+                                  "Python pass",
                    }.get(name, "compiled draws differ from the numpy draws")
         from peelkit.peeling import _slot, simulate_ensemble
 
@@ -348,6 +351,9 @@ class TestFloatRecurrence:
                 size = args[3]
                 last = ctypes.c_double.from_address(args[0] + 8 * (size - 1))
                 last.value = math.nextafter(last.value, math.inf)
+            elif name == "series_sums":     # the first sum, one ulp up
+                sums = args[0]._obj.s
+                sums[0] = math.nextafter(sums[0], math.inf)
             else:                       # the last value drawn, plus one
                 m, out = args[3:]
                 (ctypes.c_longlong * m).from_address(out)[m - 1] += 1

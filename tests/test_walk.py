@@ -309,6 +309,21 @@ class TestSymmetricFamily:
         assert symmetric_a_max(0.0) == math.pi / 4
         assert 0 < symmetric_a_max(-0.5) < symmetric_a_max(0.5)
 
+    @pytest.mark.parametrize("r, a, margin, res1, res2", [
+        (1.0, math.pi / 4, 2.5542901127550977e-12, 0.0, 1.2212453270876722e-15),
+        (0.5, 0.5, 1.3860024239420454e-12, 3.885780586188048e-16,
+         3.885780586188048e-16),
+        (-0.5, 0.3, -3.661115854924901e-11, 9.547918011776346e-15,
+         9.547918011776346e-15),
+    ])
+    def test_margin_and_residuals_pinned(self, r, a, margin, res1, res2):
+        # one tail fit serves the margin and both residuals; pinned from
+        # the family when each sum fitted its own, bit for bit
+        law = symmetric_family(r, a)
+        assert (law.margin, law.residuals["harmonic_h0_k1"],
+                law.residuals["harmonic_h0_k2"]) == (margin, res1, res2)
+        assert harmonic_residual(law, 0, 2) == res2
+
     def test_heavy_tail_exponent_diagnostic(self):
         # exploratory: survival function of the positive side has log-log
         # slope close to -1 (Cauchy-type tail); stay well inside the

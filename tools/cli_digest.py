@@ -58,6 +58,12 @@ INVOCATIONS = [
     ["simulate", "--weights", '{"4":"1/12"}', "--mode", "finite", "--l0", "40",
      "--steps", "300", "--volume-mode", "expectation", "--seed", "2",
      "--format", "binary", "--out", OUT],
+    ["simulate", "--preset", "triangulation", "--steps", "500", "--seed", "7"],
+    ["analyze", "--preset", "triangulation", "--format", "csv"],
+    ["scaling-test", "--models", "quadrangulation", *SMALL_SCALING,
+     "--format", "csv"],
+    ["tune-critical", "--preset", "symmetric_critical", "--r", "1", "--a",
+     "0.785"],
 ]
 
 
