@@ -175,6 +175,7 @@ typedef struct {
     long long k, m;            /* the next term; the index of h1 */
     double total, h0, h1, d0, d1;
     double s[2], s_c[2], s_r[2];
+    double bound;              /* the tail bound at the cut */
 } series_t;
 
 /* The series of an infinite family, as criticality._series_py: from term
@@ -254,6 +255,7 @@ long long series_sums(series_t *s)
             if (rho_d < 1.0) {
                 double bound = vk * rho_d / (1.0 - rho_d);
                 if (bound < lim) {
+                    s->bound = bound;
                     k++;
                     status = SS_DONE;
                     break;
@@ -1183,7 +1185,8 @@ class Series(ctypes.Structure):
         (name, _LL) for name in ("order", "j0", "n_j", "dr", "k_first", "k_cap",
                                  "k", "m")] + [
         (name, ctypes.c_double) for name in ("total", "h0", "h1", "d0", "d1")] + [
-        (name, ctypes.c_double * 2) for name in ("s", "s_c", "s_r")]
+        (name, ctypes.c_double * 2) for name in ("s", "s_c", "s_r")] + [
+        ("bound", ctypes.c_double)]
 
 
 # the results of series_sums: done, a weight missing, an exp overflowing,

@@ -391,6 +391,7 @@ def _series_py(st, w):
             if rho_d < 1.0:
                 bound = vk * rho_d / (1.0 - rho_d)
                 if bound < lim:
+                    st.bound = bound
                     k += 1
                     status = SS_DONE
                     break
@@ -407,7 +408,8 @@ def _same_series(lib):
     weights with zeros and terms past the switch to exp at k log c > 600,
     resumed after the weights run out; orders 0 and 1, one shift and two,
     with and without dr; an exp that overflows and a cut that never
-    comes."""
+    comes.  The state compared includes the tail bound at the cut, which
+    the solver does not read."""
     d = np.arange(1.0, 501.0)
     log_w = math.log(0.3) + d * math.log(0.1)
     # 0.05^d reaches exp's switch at k = 208 (c = 18) and zero past d = 250

@@ -38,8 +38,9 @@ Two evaluation modes back every cache:
   short to pay a numpy or compiled call; it too gives the same doubles.
 
   The float mode also keeps the r-derivative of each table
-  (`HCache.dtable`), for the solver's Jacobian.  Differentiating the
-  recurrence in r gives, for d_j = dh(k, k+j)/dr,
+  (`HCache.dtable`), the table form of the derivative that the solver's
+  series pass (`criticality`) runs inline for its Jacobian.
+  Differentiating the recurrence in r gives, for d_j = dh(k, k+j)/dr,
 
       (j+1) d_{j+1} = [(1-r)(j+1/2) + k] d_j + r (j+k) d_{j-1}
                       - (j+1/2) a_j + (j+k) a_{j-1},
@@ -52,8 +53,8 @@ Two evaluation modes back every cache:
   plain-float list form.
 
 Float tables are shared: `shared_cache(r)` keeps one float cache per ratio
-(a small LRU keyed by float(r)) for every step law, solver system and chain
-engine at that ratio.  Its tables are read-only; growth replaces a table by
+(a small LRU keyed by float(r)) for every step law and chain engine at that
+ratio.  Its tables are read-only; growth replaces a table by
 a longer one whose prefix is bit-identical, so an array obtained earlier
 stays valid.  Exact caches are built per call.
 """
