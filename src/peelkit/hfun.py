@@ -419,7 +419,8 @@ def float_recurrence():
     """Which loop builds float h tables in this process, as data:
     ("c", path of the compiled library) or ("python", why the compiled one
     is not used, e.g. "no C compiler").  Both give bit-identical tables.
-    The chain engine's draws (`peeling`) take the same path."""
+    The chain engine's draws (`peeling`) and the solver's series pass of
+    an infinite family (`criticality`) take the same path."""
     return _native.library()[1]
 
 

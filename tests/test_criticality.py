@@ -727,6 +727,22 @@ def numpy_sums(q, c, r, order, shifts):
     return tab, dtab, out
 
 
+def assert_matches_numpy(q, c, r, order, shifts, got):
+    """got, the (S_j, dS_j/dc, dS_j/dr) of `_sums`, within 1e-13 of
+    `numpy_sums` times the sum of the absolute terms of each sum."""
+    tab, dtab, want = numpy_sums(q, c, r, order, shifts)
+    ks, vals, _ = q.positive_terms(c)
+    for j, (s, s_c, s_r), (w, w_c, w_r) in zip(shifts, got, want):
+        idx = ks + (j - order)
+        on = idx >= 0
+        v, i = vals[on], idx[on]
+        for a, b, scale in (
+                (s, w, np.abs(v * tab[i]).sum()),
+                (s_c, w_c, np.abs(ks[on] * v * tab[i]).sum() / c),
+                (s_r, w_r, np.abs(v * dtab[i]).sum())):
+            assert abs(a - b) <= 1e-13 * scale
+
+
 class TestPlainFloatPass:
     """A finite support's series are summed in plain floats; an infinite
     family's in one compiled pass.  Both agree with numpy dot products, and
@@ -744,22 +760,12 @@ class TestPlainFloatPass:
         plain = criticality._System(q)
         for order, shifts in ((0, (1, 2)), (1, (1,))):
             h, dh, got = plain._sums(c, r, order, shifts, True)
-            tab, dtab, want = numpy_sums(q, c, r, order, shifts)
             n = len(h)
             assert np.array(h).tobytes() == hfun.shared_cache(r).table(
                 order, order + n - 1)[:n].tobytes()
             assert np.array(dh).tobytes() == hfun.shared_cache(r).dtable(
                 order, order + n - 1)[:n].tobytes()
-            ks, vals, _ = q.positive_terms(c)
-            for j, (s, s_c, s_r), (w, w_c, w_r) in zip(shifts, got, want):
-                idx = ks + (j - order)
-                on = idx >= 0
-                v, i = vals[on], idx[on]
-                for a, b, scale in (
-                        (s, w, np.abs(v * tab[i]).sum()),
-                        (s_c, w_c, np.abs(ks[on] * v * tab[i]).sum() / c),
-                        (s_r, w_r, np.abs(v * dtab[i]).sum())):
-                    assert abs(a - b) <= 1e-13 * scale
+            assert_matches_numpy(q, c, r, order, shifts, got)
 
     def test_finite_calls_no_numpy(self, monkeypatch):
         # counted only inside _System._sums: the shared h cache, the
@@ -900,24 +906,12 @@ class TestSeriesPass:
     ])
     @pytest.mark.parametrize("u", [0.1, 0.6, 0.95])
     def test_matches_numpy_dot(self, q, u):
-        # the cut is positive_terms' and every sum agrees with numpy dot
-        # products over its terms within 1e-13 of the sum of the absolute
-        # terms
+        # every sum agrees with numpy dot products over positive_terms'
+        # terms within 1e-13 of the sum of the absolute terms
         c = 2.0 + u * ((1.0 - 1e-9) / q.tail_ratio - 2.0)
-        r = 0.4
-        ks, vals, _ = q.positive_terms(c)
         for order, shifts in ((0, (1, 2)), (1, (1,))):
-            _, _, got = criticality._System(q)._sums(c, r, order, shifts, True)
-            tab, dtab, want = numpy_sums(q, c, r, order, shifts)
-            for j, (s, s_c, s_r), (w, w_c, w_r) in zip(shifts, got, want):
-                idx = ks + (j - order)
-                on = idx >= 0
-                v, i = vals[on], idx[on]
-                for a, b, scale in (
-                        (s, w, np.abs(v * tab[i]).sum()),
-                        (s_c, w_c, np.abs(ks[on] * v * tab[i]).sum() / c),
-                        (s_r, w_r, np.abs(v * dtab[i]).sum())):
-                    assert abs(a - b) <= 1e-13 * scale
+            _, _, got = criticality._System(q)._sums(c, 0.4, order, shifts, True)
+            assert_matches_numpy(q, c, 0.4, order, shifts, got)
 
     @pytest.mark.parametrize("path", ["loaded", "python"])
     def test_generator_evaluates_no_weight_past_the_cut(self, path):
