@@ -1,10 +1,9 @@
 """The package's compiled loops: one C source, one cached shared library.
 
-The library holds eight loops, each a copy of a numpy or Python loop that
+The library holds seven loops, each a copy of a numpy or Python loop that
 stays in the package as the fallback and the test reference:
 
 * ``h_recurrence``, the float h recurrence of `hfun._recurrence_py`;
-* ``h_derivative``, the recurrence's r-derivative of `hfun._derivative_py`;
 * ``series_sums``, an infinite family's solver series of
   `criticality._series_py`: its terms from the weight cache, the h
   recurrence and its r-derivative alongside, the sums per shift and the
@@ -48,12 +47,11 @@ version and its static library's path, size and mtime, and loaded with
 ctypes; a compile removes the user's older compiled libraries there but
 the KEEP_LIBRARIES newest (`_prune`).  On loading, the compiled loops are
 compared with their references on small fixed inputs (`_self_check`): the
-h recurrence and its r-derivative, the series pass on synthetic weights,
-then the draws, then the row fill, the lockstep loop and the block rounds
-on synthetic laws.  The gamma is not
-compared with numpy's there (that would import numpy.random into every
-process): it runs on the stand-in bit generator for both sides of the
-lockstep and block checks, and a test pins it to
+h recurrence, the series pass on synthetic weights, then the draws, the
+lockstep loop with the row fill and the block rounds on synthetic laws.
+The gamma is not compared with numpy's there (that would import
+numpy.random into every process): it runs on the stand-in bit generator
+for both sides of the lockstep and block checks, and a test pins it to
 ``Generator.gamma(1.5, 2.0)``.  Without numpy's static library, a
 compiler, a private cache directory, a successful compile and load or an
 exact match, every caller runs its reference loop instead; `library()`
@@ -146,24 +144,6 @@ void h_recurrence(double *out, long long start, long long size, double r,
     }
 }
 
-/* The r-derivative of h_recurrence's table at the same r and k:
-   d[j+1] = (a d[j] + b d[j-1] - (j+1/2) h[j] + (j+k) h[j-1]) / (j+1),
-   from d[start-1] and d[start], with h holding at least size - 1 entries */
-void h_derivative(double *d, const double *h, long long start, long long size,
-                  double r, long long k)
-{
-    double one_m_r = 1.0 - r, p2 = d[start - 1], p1 = d[start];
-    for (long long j = start; j < size - 1; j++) {
-        double a = one_m_r * ((double)j + 0.5) + (double)k;
-        double b = r * (double)(j + k);
-        double v = (a * p1 + b * p2 - ((double)j + 0.5) * h[j]
-                    + (double)(j + k) * h[j - 1]) / (double)(j + 1);
-        d[j + 1] = v;
-        p2 = p1;
-        p1 = v;
-    }
-}
-
 /* the results of series_sums */
 enum { SS_DONE, SS_WEIGHTS, SS_OVERFLOW, SS_NO_CUT };
 
@@ -180,10 +160,10 @@ typedef struct {
 
 /* The series of an infinite family, as criticality._series_py: from term
    k on, q_{k+2} c^k, h(order, order + i) at i = m - 1, m (h0, h1) and
-   their r-derivatives (d0, d1, when dr) by the recurrence of
-   h_recurrence and h_derivative, and per shift j0 + i (i < n_j <= 2) the
-   sums of the term, k times it and its r-derivative part against
-   h(order, k + j0 + i).  Ends after the first k >= k_first whose tail
+   their r-derivatives (d0, d1, when dr) by h_recurrence's recurrence
+   and its derivative in r (hfun.derivative_list), and per shift j0 + i
+   (i < n_j <= 2) the sums of the term, k times it and its r-derivative
+   part against h(order, k + j0 + i).  Ends after the first k >= k_first whose tail
    bound falls below tol times the running total (SS_DONE), or at a
    weight w lacks (SS_WEIGHTS; the pass resumes from where it stopped),
    an exp that overflows (SS_OVERFLOW) or k past k_cap (SS_NO_CUT). */
@@ -1386,8 +1366,6 @@ def _open(path):
     lib.gamma_fill.restype = None
     lib.h_recurrence.argtypes = [_P, _LL, _LL, ctypes.c_double, _LL]
     lib.h_recurrence.restype = None
-    lib.h_derivative.argtypes = [_P, _P, _LL, _LL, ctypes.c_double, _LL]
-    lib.h_derivative.restype = None
     lib.series_sums.argtypes = [ctypes.POINTER(Series)]
     lib.series_sums.restype = _LL
     lib.cdf_draw.argtypes = [_P, ctypes.POINTER(Cdf), _P, _LL, _P]
@@ -1406,30 +1384,22 @@ def _self_check(lib):
     """None when every compiled loop gives exactly its reference's output
     on small fixed inputs, else which one differs.  The compiler is not
     ours, so no draw and no table may depend on what it made of the
-    source.  The draws and the row fill are checked first; the lockstep
-    loop and the block rounds are then checked against the Python and
-    numpy loops, which run on them, as library() answers lib in this thread
-    while the check runs."""
+    source.  The h recurrence, the series pass and the draws are checked
+    first; the lockstep loop with the row fill and the block rounds are
+    then checked against the Python and numpy loops, which run on them, as
+    library() answers lib in this thread while the check runs."""
     from . import criticality, hfun, peeling   # the references
 
     for r, k in ((0.37, -3), (-0.999999, 4), (1.0, 1)):
-        tabs, dtabs = [], []
-        for fill, dfill in (
-                (lambda *a: lib.h_recurrence(address(a[0]), *a[1:]),
-                 lambda d, h, *a: lib.h_derivative(address(d), address(h), *a)),
-                (hfun._recurrence_py, hfun._derivative_py)):
+        tabs = []
+        for fill in (lambda out, *a: lib.h_recurrence(address(out), *a),
+                     hfun._recurrence_py):
             out = np.empty(100)
             out[:2] = 1.0, (1.0 - r) * 0.5 + k
             fill(out, 1, 100, r, k)
             tabs.append(out.tobytes())
-            d = np.empty(100)
-            d[:2] = 0.0, -0.5
-            dfill(d, out, 1, 100, r, k)
-            dtabs.append(d.tobytes())
         if tabs[0] != tabs[1]:
             return "compiled h recurrence differs from the Python loop"
-        if dtabs[0] != dtabs[1]:
-            return "compiled h derivative differs from the Python loop"
     if not criticality._same_series(lib):
         return "compiled series sums differ from the Python pass"
     if not peeling._same_draws(lib):

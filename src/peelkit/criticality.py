@@ -44,11 +44,12 @@ fallback) that forms the terms from the sequence's weight cache, runs the
 h recurrence and its r-derivative alongside and stops at the certified
 tail cut of `WeightSequence.positive_terms` (`_System` says how the input
 selects the pass).  Their derivatives come from the same terms: in c
-from k q_{k+2} c^(k-1), in r from the r-derivative of h (the recurrence
-of `HCache.dtable`; `hfun.derivative_list` in plain floats), and in the
-tuner's scale t as S/t, since t multiplies every weight.  A finite
-support's system keeps the terms of its last c and short h lists per
-ratio, the same doubles as the shared tables.  The Miermont cross-check
+from k q_{k+2} c^(k-1), in r from the r-derivative of h (h's recurrence
+differentiated in r, run alongside it; `hfun.derivative_list` in plain
+floats), and in the tuner's scale t as S/t, since t multiplies every
+weight.  A finite support's system keeps the terms of its last c and
+short h lists per ratio, the h lists the same doubles as the shared
+tables.  The Miermont cross-check
 sums its binomial double series in log space, the inner sums of a block
 of 64 total degrees in one array pass.
 """
@@ -142,8 +143,8 @@ class _System:
     The series pass (`_sums`) takes one of two routes, chosen by the
     input alone.  A finite support is read once as Python lists and
     summed in plain floats: its terms q_{k+2} c^k, and h(order, .) with
-    its r-derivative from the scalar recurrence (`hfun.recurrence_list`,
-    `hfun.derivative_list`, the same doubles as the shared tables),
+    its r-derivative from the scalar recurrences (`hfun.recurrence_list`,
+    the same doubles as the shared tables, and `hfun.derivative_list`),
     memoized per (r, order) in a map of at most _H_MEMO entries; a few
     terms cost less this way than one numpy call.  An infinite family
     takes one series pass (`_family_sums`): the terms from its weight
@@ -882,11 +883,6 @@ def _inner_sums_block(zp, zd, ns):
                             out=np.zeros(rest.shape), where=rest >= 1)
               ).sum(axis=1)
     return np.column_stack((fd, fdot, dx, dy))
-
-
-def _inner_sums(zp, zd, n):
-    """The inner sums at one total degree n: one row of `_inner_sums_block`."""
-    return tuple(_inner_sums_block(zp, zd, [n])[0].tolist())
 
 
 def miermont_check(q: WeightSequence, cd: CriticalData, tol=1e-8, n_max=4000):

@@ -37,20 +37,14 @@ Two evaluation modes back every cache:
   same recurrence in plain Python floats into a list, for tables too
   short to pay a numpy or compiled call; it too gives the same doubles.
 
-  The float mode also keeps the r-derivative of each table
-  (`HCache.dtable`), the table form of the derivative that the solver's
-  series pass (`criticality`) runs inline for its Jacobian.
-  Differentiating the recurrence in r gives, for d_j = dh(k, k+j)/dr,
+  The solver's series pass (`criticality`) runs the r-derivative of h
+  inline for its Jacobian, and `derivative_list` gives it as a plain-float
+  list.  Differentiating the recurrence in r gives, for d_j = dh(k, k+j)/dr,
 
       (j+1) d_{j+1} = [(1-r)(j+1/2) + k] d_j + r (j+k) d_{j-1}
                       - (j+1/2) a_j + (j+k) a_{j-1},
 
-  from d_0 = 0 and d_1 = -1/2.  It reads the h table and never changes
-  it, grows the same way (resuming from its last two entries, so it too
-  is bit-identical whatever its growth history) and runs as a second loop
-  of the same library, with its own Python reference that does the same
-  double operations in the same order; `derivative_list` is its
-  plain-float list form.
+  from d_0 = 0 and d_1 = -1/2.
 
 Float tables are shared: `shared_cache(r)` keeps one float cache per ratio
 (a small LRU keyed by float(r)) for every step law and chain engine at that
@@ -125,10 +119,8 @@ class HCache:
             self.r = rf
         self.mode = mode
         self._frozen = False
-        # table[k] holds h(k, k+j) for j = 0..len-1; float mode's
-        # dtable[k] holds dh(k, k+j)/dr
+        # table[k] holds h(k, k+j) for j = 0..len-1
         self._tables = {}
-        self._dtables = {}
 
     # -- population ------------------------------------------------------
 
@@ -190,19 +182,28 @@ class HCache:
         loop or, failing that, in Python (`float_recurrence()` says which);
         both give the same doubles.
         """
+        tab = self._tables.get(k)
+        size = max(n + 1, 16)
+        if tab is not None:
+            size = max(size, 2 * len(tab))
+        out = np.empty(size, dtype=np.float64)
         r = float(self.r)
-        return _grown(self._tables, k, n, (1.0, (1.0 - r) * 0.5 + k),
-                      lambda out, start, size: _fill(out, start, size, r, k))
-
-    def _grow_derivative(self, k, n):
-        """Extend the order-k r-derivative table to length >= n+1 the same
-        way, over the h table, which grows to cover it."""
-        r = float(self.r)
-
-        def fill(out, start, size):
-            h = self._grow_float(k, size - 1)
-            _fill_derivative(out, h, start, size, r, k)
-        return _grown(self._dtables, k, n, (0.0, -0.5), fill)
+        if tab is None:
+            out[:2] = 1.0, (1.0 - r) * 0.5 + k
+            start = 1
+        else:
+            start = len(tab) - 1
+            out[: start + 1] = tab
+        lib = _native.library()[0]
+        if lib is None:
+            _recurrence_py(out, start, size, r, k)
+        else:
+            # out is a fresh C-contiguous float64 array of length size, with
+            # 1 <= start < size; the GIL is released during the call
+            lib.h_recurrence(_native.address(out), start, size, r, k)
+        out.setflags(write=False)
+        self._tables[k] = out
+        return out
 
     def _ensure(self, k, l):
         _check_order(k)
@@ -249,24 +250,6 @@ class HCache:
             raise ValueError("l_max must be >= k")
         return self._ensure(k, l_max)
 
-    def dtable(self, k, l_max):
-        """The r-derivative of `table`: D with D[j] = dh(k, k+j)/dr,
-        covering l = k..l_max, in float mode only.  As with `table`, no
-        copy is made and D is read-only."""
-        _check_order(k)
-        if self.mode != "float":
-            raise ValueError("derivative tables are kept in float mode only")
-        if l_max < k:
-            raise ValueError("l_max must be >= k")
-        tab = self._dtables.get(k)
-        if tab is not None and len(tab) > l_max - k:
-            return tab
-        if self._frozen:
-            raise RangeError(
-                f"dh({k}, {l_max})/dr beyond the frozen range of this cache"
-            )
-        return self._grow_derivative(k, l_max - k)
-
     def array(self, k, l_max):
         """Float array A with A[l] = h(k, l) for l = 0..l_max (zeros below k)."""
         out = np.zeros(l_max + 1, dtype=np.float64)
@@ -293,30 +276,6 @@ class HCache:
         return best
 
 
-def _grown(tables, k, n, first, fill):
-    """tables[k] grown to length >= n+1, and to at least twice its length
-    when it exists: a new read-only array with the start values first or
-    the old table's entries, filled on by fill(out, start, size) from
-    out[start-1] and out[start]."""
-    tab = tables.get(k)
-    if tab is not None and len(tab) > n:
-        return tab
-    size = max(n + 1, 16)
-    if tab is not None:
-        size = max(size, 2 * len(tab))
-    out = np.empty(size, dtype=np.float64)
-    if tab is None:
-        out[:2] = first
-        start = 1
-    else:
-        start = len(tab) - 1
-        out[: start + 1] = tab
-    fill(out, start, size)
-    out.setflags(write=False)
-    tables[k] = out
-    return out
-
-
 def _recurrence_py(out, start, size, r, k):
     """Fill out[start+1:size] from out[start-1] and out[start] by the
     order-k recurrence at ratio r, over a chunk of numpy-made coefficients
@@ -330,26 +289,6 @@ def _recurrence_py(out, start, size, r, k):
         for a, b, d in zip((one_m_r * (j + 0.5) + k).tolist(),
                            (r * (j + k)).tolist(), (j + 1).tolist()):
             prev2, prev1 = prev1, (a * prev1 + b * prev2) / d
-            vals.append(prev1)
-        out[lo + 1 : lo + 1 + len(vals)] = vals
-
-
-def _derivative_py(out, h, start, size, r, k):
-    """Fill out[start+1:size] from out[start-1] and out[start] by the
-    r-derivative of the order-k recurrence, reading h[start-1:size-1] of
-    the h table at ratio r, over a chunk of numpy-made coefficients at a
-    time."""
-    one_m_r = 1.0 - r
-    prev2 = float(out[start - 1])
-    prev1 = float(out[start])
-    for lo in range(start, size - 1, _CHUNK):
-        j = np.arange(lo, min(lo + _CHUNK, size - 1))
-        vals = []
-        for a, b, e, f, h1, h2, d in zip(
-                (one_m_r * (j + 0.5) + k).tolist(), (r * (j + k)).tolist(),
-                (j + 0.5).tolist(), (j + k).tolist(), h[j].tolist(),
-                h[j - 1].tolist(), (j + 1).tolist()):
-            prev2, prev1 = prev1, (a * prev1 + b * prev2 - e * h1 + f * h2) / d
             vals.append(prev1)
         out[lo + 1 : lo + 1 + len(vals)] = vals
 
@@ -375,8 +314,8 @@ def recurrence_list(r, k, size):
 
 def derivative_list(h, r, k):
     """[dh(k, k+j)/dr for j < len(h)] over the list h = recurrence_list(r,
-    k, ...): the start values and double operations of `_grow_derivative`
-    in the same order, as a list of floats."""
+    k, ...), by the derivative recurrence from d_0 = 0 and d_1 = -1/2, as
+    a list of floats: the doubles the series pass forms inline."""
     one_m_r = 1.0 - r
     prev2, prev1 = 0.0, -0.5
     out = [prev2, prev1]
@@ -386,33 +325,6 @@ def derivative_list(h, r, k):
                                + (j + k) * h[j - 1]) / (j + 1)
         out.append(prev1)
     return out
-
-
-def _fill(out, start, size, r, k):
-    """Fill out[start+1:size] by the recurrence: the compiled loop, or
-    `_recurrence_py` where the library is not used."""
-    lib = _native.library()[0]
-    if lib is None:
-        _recurrence_py(out, start, size, r, k)
-    else:
-        # out is a fresh C-contiguous float64 array of length size, with
-        # 1 <= start < size; the GIL is released during the call
-        lib.h_recurrence(_native.address(out), start, size, r, k)
-
-
-def _fill_derivative(out, h, start, size, r, k):
-    """Fill out[start+1:size] by the derivative recurrence over the h table
-    h: the compiled loop, or `_derivative_py` where the library is not
-    used."""
-    lib = _native.library()[0]
-    if lib is None:
-        _derivative_py(out, h, start, size, r, k)
-    else:
-        # out is a fresh C-contiguous float64 array of length size and h a
-        # C-contiguous float64 table of at least size - 1 entries, with
-        # 1 <= start < size
-        lib.h_derivative(_native.address(out), _native.address(h), start,
-                         size, r, k)
 
 
 def float_recurrence():

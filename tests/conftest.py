@@ -7,7 +7,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--reference-loops", action="store_true",
         help="run every compiled loop's reference (the Python h recurrence "
-             "and its r-derivative, the numpy draws and row fill, the Python "
+             "and series pass, the numpy draws and row fill, the Python "
              "lockstep loop of finite runs and the numpy block rounds of "
              "infinite-map runs) for the whole session, as where the "
              "compiled library does not load")

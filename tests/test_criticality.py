@@ -281,7 +281,7 @@ class TestInnerSums:
     ])
     def test_against_exact(self, zp, zd):
         for n in range(0, 61):
-            got = criticality._inner_sums(float(zp), float(zd), n)
+            got = criticality._inner_sums_block(float(zp), float(zd), [n])[0]
             for g, e in zip(got, exact_inner_sums(zp, zd, n)):
                 assert abs(g - float(e)) <= 1e-12 * abs(float(e)), (n, g, e)
 
@@ -710,11 +710,12 @@ _finite_supports = st.dictionaries(st.integers(3, 12), _weights, min_size=1,
 
 def numpy_sums(q, c, r, order, shifts):
     """The series by numpy dot products over `positive_terms`' terms, with
-    h and dh/dr from the shared float tables: (tab, dtab, [(S_j, dS_j/dc,
-    dS_j/dr)])."""
+    h from the shared float table and dh/dr from `hfun.derivative_list`:
+    (tab, dtab, [(S_j, dS_j/dc, dS_j/dr)])."""
     ks, vals, _ = q.positive_terms(c)
-    cache = hfun.shared_cache(r)
-    tab, dtab = cache.table(order, ks[-1] + 2), cache.dtable(order, ks[-1] + 2)
+    tab = hfun.shared_cache(r).table(order, ks[-1] + 2)
+    dtab = np.array(hfun.derivative_list(
+        hfun.recurrence_list(r, order, len(tab)), r, order))
     out = []
     for j in shifts:
         # h(order, k + j) = tab[k + j - order], zero below the order
@@ -754,8 +755,9 @@ class TestPlainFloatPass:
            st.floats(-0.99, 1.0, exclude_min=True))
     def test_matches_numpy_pass(self, support, c, r):
         # values and c/r-derivatives within 1e-13 of the sum of the
-        # absolute terms; h and dh/dr lists bit-identical to the shared
-        # float tables at orders 0 and 1
+        # absolute terms; the h list bit-identical to the shared float
+        # table and the dh/dr list to `hfun.derivative_list` at orders 0
+        # and 1
         q = WeightSequence(support)
         plain = criticality._System(q)
         for order, shifts in ((0, (1, 2)), (1, (1,))):
@@ -763,8 +765,8 @@ class TestPlainFloatPass:
             n = len(h)
             assert np.array(h).tobytes() == hfun.shared_cache(r).table(
                 order, order + n - 1)[:n].tobytes()
-            assert np.array(dh).tobytes() == hfun.shared_cache(r).dtable(
-                order, order + n - 1)[:n].tobytes()
+            assert np.array(dh).tobytes() == np.array(hfun.derivative_list(
+                hfun.recurrence_list(r, order, n), r, order)).tobytes()
             assert_matches_numpy(q, c, r, order, shifts, got)
 
     def test_finite_calls_no_numpy(self, monkeypatch):

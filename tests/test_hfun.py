@@ -3,6 +3,7 @@ import ctypes
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -138,24 +139,19 @@ class TestDerivative:
         # difference of exact tables at r +- d is off by O(d^2) only
         d = Fraction(1, 10**12)
         up, down = HCache(r + d), HCache(r - d)
-        dtab = HCache(float(r), mode="float").dtable(k, k + 60)
+        rf = float(r)
+        dtab = hfun.derivative_list(hfun.recurrence_list(rf, k, 61), rf, k)
         for l in range(k, k + 61):
             e = float((up.value(k, l) - down.value(k, l)) / (2 * d))
             assert abs(dtab[l - k] - e) <= 1e-12 * abs(e) + 1e-15, (l, dtab[l - k], e)
 
-    def test_float_mode_only(self):
-        with pytest.raises(ValueError):
-            HCache(Fraction(1, 2)).dtable(0, 10)
-        with pytest.raises(UnsupportedOrderError):
-            HCache(0.5, mode="float").dtable(5, 10)
-
-    def test_frozen_range(self):
-        c = HCache(0.5, mode="float")
-        dtab = c.dtable(1, 30)
-        c.freeze()
-        assert c.dtable(1, 30) is dtab
-        with pytest.raises(RangeError):
-            c.dtable(1, 10 * len(dtab))
+    @pytest.mark.parametrize("r", [0.37, -0.62, 0.0, 1.0, 0.999999,
+                                   -0.999999, 1e-300])
+    def test_bit_identical_to_plain_loop(self, r):
+        for k in range(-4, 5):
+            got = hfun.derivative_list(hfun.recurrence_list(r, k, 9_600), r, k)
+            assert np.array(got).tobytes() == np.array(
+                reference_derivative_table(r, k, 9_600)).tobytes()
 
 
 def reference_float_table(r, k, size):
@@ -182,15 +178,20 @@ def same_bits(tab, r, k):
     return tab.tobytes() == np.array(reference_float_table(r, k, len(tab))).tobytes()
 
 
-def same_derivative_bits(tab, r, k):
-    return tab.tobytes() == np.array(
-        reference_derivative_table(r, k, len(tab))).tobytes()
-
-
 def recurrence(which):
     """Build float tables with the loop this process loaded ('loaded') or
     with the Python loop ('python')."""
     return numpy_draws() if which == "python" else contextlib.nullcontext()
+
+
+def compiled_loops():
+    """The compiled library's loops in source order: every function the C
+    source defines that is not static (its INLINE helpers are static too),
+    but the self-check's stand-ins."""
+    found = re.finditer(r"^(?:(?:static|INLINE)\b[^\n]*\n)?[A-Za-z_][\w ]*[\s*]"
+                        r"(\w+)\([^)]*\)\s*\{", _native._C_SOURCE, re.M)
+    return [m[1] for m in found if not m[0].startswith(("static", "INLINE"))
+            and m[1] not in ("fixed_double", "fixed_uint64", "gamma_fill")]
 
 
 def has_compiler():
@@ -215,27 +216,6 @@ class TestFloatRecurrence:
                 tab = c.table(k, l_max)
                 assert len(tab) > l_max - k
                 assert tab.tolist() == reference_float_table(r, k, len(tab))
-                dtab = c.dtable(k, l_max)
-                assert len(dtab) > l_max - k
-                assert dtab.tolist() == reference_derivative_table(r, k, len(dtab))
-
-    @pytest.mark.parametrize("which", ["loaded", "python"])
-    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
-    @given(r=_float_ratios, k=st.integers(-4, 4), cuts=_cuts, h_first=st.booleans())
-    def test_resumed_derivative_growth_bit_identical(self, which, r, k, cuts,
-                                                     h_first):
-        # the derivative table grows by resuming from its last two entries,
-        # whether its h table was grown ahead of it or along with it; the h
-        # table stays the one the h loop alone builds
-        c = HCache(r, mode="float")
-        with recurrence(which):
-            for n in cuts:
-                if h_first:
-                    c.table(k, k + 2 * n)
-                dtab = c.dtable(k, k + n)
-                assert len(dtab) > n
-                assert same_derivative_bits(dtab, r, k)
-                assert same_bits(c.table(k, k + n), r, k)
 
     @pytest.mark.parametrize("which", ["loaded", "python"])
     @settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -272,7 +252,6 @@ class TestFloatRecurrence:
                 c = HCache(r, mode="float")
                 for l_max in (10, 5_000, 9_500):
                     assert same_bits(c.table(k, l_max), r, k)
-                    assert same_derivative_bits(c.dtable(k, l_max), r, k)
         shared = shared_cache(0.4142)
         assert shared is shared_cache(0.4142)
         assert same_bits(shared.table(1, 6_000), 0.4142, 1)
@@ -307,9 +286,7 @@ class TestFloatRecurrence:
         assert status[0] == "python" and "not this user's own" in status[1]
         assert same_bits(HCache(0.37, mode="float").table(-2, 5_000), 0.37, -2)
 
-    @pytest.mark.parametrize("name", ["cdf_draw", "band_jumps", "fill_rows",
-                                      "lockstep", "block_rounds", "h_derivative",
-                                      "series_sums"])
+    @pytest.mark.parametrize("name", compiled_loops())
     def test_draw_mismatch_keeps_every_reference(self, name, monkeypatch,
                                                   request):
         # a library whose loop differs from its reference in one value is
@@ -322,7 +299,7 @@ class TestFloatRecurrence:
                    "lockstep": "compiled lockstep differs from the Python loop",
                    "block_rounds": "compiled block rounds differ from the numpy "
                                    "rounds",
-                   "h_derivative": "compiled h derivative differs from the "
+                   "h_recurrence": "compiled h recurrence differs from the "
                                    "Python loop",
                    "series_sums": "compiled series sums differ from the "
                                   "Python pass",
@@ -347,8 +324,8 @@ class TestFloatRecurrence:
             elif name == "fill_rows":   # the first entry filled, one ulp up
                 first = ctypes.c_double.from_address(args[-1])
                 first.value = math.nextafter(first.value, math.inf)
-            elif name == "h_derivative":    # the last entry, one ulp up
-                size = args[3]
+            elif name == "h_recurrence":    # the last entry, one ulp up
+                size = args[2]
                 last = ctypes.c_double.from_address(args[0] + 8 * (size - 1))
                 last.value = math.nextafter(last.value, math.inf)
             elif name == "series_sums":     # the first sum, one ulp up
@@ -383,8 +360,6 @@ class TestFloatRecurrence:
         assert status[1].startswith(refusal)
         assert _native.library()[0] is None
         assert same_bits(HCache(0.37, mode="float").table(2, 5_000), 0.37, 2)
-        assert same_derivative_bits(HCache(0.37, mode="float").dtable(2, 5_000),
-                                    0.37, 2)
         assert run() == before
 
     def test_self_check_that_raises_refuses(self, monkeypatch):
