@@ -14,7 +14,7 @@ from .criticality import (
     solve_boltzmann,
     tune_critical,
 )
-from .hfun import HCache, h_asymptote, h_batch, h_eval
+from .hfun import HCache, h_asymptote
 from .oracle import brute_force_maps, enumerate_dp, g_series, volume_tables
 from .peeling import (
     PeelTrace,
@@ -70,8 +70,6 @@ __all__ = [
     "full_report",
     "g_series",
     "h_asymptote",
-    "h_batch",
-    "h_eval",
     "kernel_R",
     "miermont_check",
     "nu_from_q",

@@ -1,6 +1,6 @@
 """The package's compiled loops: one C source, one cached shared library.
 
-The library holds seven loops, each a copy of a numpy or Python loop that
+The library holds five loops, each a copy of a numpy or Python loop that
 stays in the package as the fallback and the test reference:
 
 * ``h_recurrence``, the float h recurrence of `hfun._recurrence_py`;
@@ -8,11 +8,11 @@ stays in the package as the fallback and the test reference:
   `criticality._series_py`: its terms from the weight cache, the h
   recurrence and its r-derivative alongside, the sums per shift and the
   tail cut, resumable where the weights run out;
-* ``cdf_draw``, the inverse-CDF draw of `peeling._StackedCdf`;
-* ``band_jumps``, the band-envelope rejection of `peeling._Bands`;
 * ``fill_rows``, the stacked rows of `peeling._Window._fill_numpy`;
 * ``lockstep``, a finite run's steps of `peeling._lockstep_numpy` with
-  their volumes and checkpoints, run until a table is missing;
+  their volumes and checkpoints, run until a table is missing: its row
+  draws are `peeling._StackedCdf.draw`'s inverse-CDF draws and its band
+  rounds `peeling._Bands.jumps`' band-envelope rejection, inlined;
 * ``block_rounds``, an infinite-map run's block rounds of
   `peeling._block_rounds_numpy` from its first step to its last: the
   single steps of chains with B(l) = 1 (sharing lockstep's code), the
@@ -25,10 +25,13 @@ and ``fixed_double``/``fixed_uint64``, the bit generator of `FixedStream`,
 which feeds the self-check fixed uniforms, and ``gamma_fill``.
 
 Each does the same double operations in the same order as its reference,
-and the draws read their uniforms from the Generator's own bit generator
-(numpy's ``bitgen_t``, one ``next_double`` per uniform, in the order
-``rng.random(n)`` would deliver them), so every table, trace and sample is
-bit-identical either way.  A hole of degree 0 reads nothing on either
+and the chain loops read their uniforms from the Generator's own bit
+generator (numpy's ``bitgen_t``, one ``next_double`` per uniform, in the
+order ``rng.random(n)`` would deliver them), so every table, trace and
+sample is bit-identical either way.  Compiled draws run only inside the
+two chain loops: every draw made from Python (`peeling._StackedCdf.draw`,
+`peeling._Bands.jumps`, the numpy loops and `peeling.DiscreteSampler`) is
+numpy's, on either path.  A hole of degree 0 reads nothing on either
 path: its volume is 1.  The volumes' Gamma(3/2, scale 2) draws are
 numpy's own ``random_gamma``, statically linked from the
 ``numpy/random/lib/libnpyrandom.a`` numpy ships: the code
@@ -47,12 +50,13 @@ version and its static library's path, size and mtime, and loaded with
 ctypes; a compile removes the user's older compiled libraries there but
 the KEEP_LIBRARIES newest (`_prune`).  On loading, the compiled loops are
 compared with their references on small fixed inputs (`_self_check`): the
-h recurrence, the series pass on synthetic weights, then the draws, the
-lockstep loop with the row fill and the block rounds on synthetic laws.
-The gamma is not compared with numpy's there (that would import
-numpy.random into every process): it runs on the stand-in bit generator
-for both sides of the lockstep and block checks, and a test pins it to
-``Generator.gamma(1.5, 2.0)``.  Without numpy's static library, a
+h recurrence, the series pass on synthetic weights, then the row fill, the
+lockstep loop and the block rounds on synthetic laws, whose fixed uniforms
+lie on the cuts of each kind of stacked row the chain loops draw from and
+on band shares.  The gamma is not compared with numpy's there (that would
+import numpy.random into every process): it runs on the stand-in bit
+generator for both sides of the lockstep and block checks, and a test pins
+it to ``Generator.gamma(1.5, 2.0)``.  Without numpy's static library, a
 compiler, a private cache directory, a successful compile and load or an
 exact match, every caller runs its reference loop instead; `library()`
 says which and why, and `hfun.float_recurrence()` reports it.
@@ -79,7 +83,6 @@ import numpy as np
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 /* numpy's bitgen_t (numpy/random/bitgen.h) */
@@ -281,8 +284,9 @@ typedef struct {
 } cdf_t;
 
 /* The value at t = row + u * u_max, u = next_double, for 0 <= row < n:
-   0, or -1 for a read outside a table or a row with no weight.  Inlined: a call per draw costs
-   cdf_draw a tenth of its time. */
+   0, or -1 for a read outside a table or a row with no weight.  Inlined
+   into the chain loops: a call per draw would cost about a tenth of its
+   time. */
 static inline __attribute__((always_inline))
 int cdf_one(bitgen_t *bg, const cdf_t *c, long long row, long long *out)
 {
@@ -319,20 +323,6 @@ int cdf_one(bitgen_t *bg, const cdf_t *c, long long row, long long *out)
     if (idx < 0 || idx >= c->n_vals)
         return -1;
     *out = c->vals[idx];
-    return 0;
-}
-
-/* One value per row, as _StackedCdf: 0, or -1 for a row outside [0, n),
-   a row with no weight or a read outside a table. */
-int cdf_draw(bitgen_t *bg, const cdf_t *c, const long long *rows,
-             long long m, long long *out)
-{
-    for (long long i = 0; i < m; i++)
-        if (rows[i] < 0 || rows[i] >= c->n)
-            return -1;
-    for (long long i = 0; i < m; i++)
-        if (cdf_one(bg, c, rows[i], &out[i]))
-            return -1;
     return 0;
 }
 
@@ -383,26 +373,6 @@ static long long band_rounds(bitgen_t *bg, const bands_t *b,
     }
     for (long long i = 0; i < m; i++)
         out[i] -= b->k_neg;
-    return proposals;
-}
-
-/* band_rounds for _Bands.jumps: -1 also for a perimeter outside [0, n),
-   -2 when out of memory. */
-long long band_jumps(bitgen_t *bg, const bands_t *b, const long long *ls,
-                     long long m, long long *out)
-{
-    for (long long i = 0; i < m; i++)
-        if (ls[i] < 0 || ls[i] >= b->n)
-            return -1;
-    if (m == 0)
-        return 0;
-    long long *todo = malloc(m * sizeof *todo);
-    double *env = malloc(m * sizeof *env);
-    long long proposals = -2;
-    if (todo && env)
-        proposals = band_rounds(bg, b, ls, m, out, todo, env);
-    free(todo);
-    free(env);
     return proposals;
 }
 
@@ -1199,7 +1169,7 @@ class _BitGen(ctypes.Structure):
 class FixedStream:
     """A stand-in for a numpy Generator whose uniforms are the entries of us
     in turn, cyclically, whether read by ``random(n)`` (the numpy draws) or
-    through ``bit_generator`` (the compiled draws, by lib's fixed_double).
+    through ``bit_generator`` (the compiled loops, by lib's fixed_double).
     ``gamma`` runs numpy's gamma code, as linked into lib, on the same
     stream, whose 64-bit words are the uniforms' bits mixed (fixed_uint64).
     The self-check runs on it rather than on a Generator: importing
@@ -1244,18 +1214,6 @@ def address(a):
         # about a third of the time a.ctypes.data takes
         return ctypes.addressof(ctypes.c_char.from_buffer(a))
     return a.ctypes.data
-
-
-def draw(fn, rng, tables, at):
-    """fn(bit generator, tables, at, len(at), out) for the compiled draws,
-    under the generator's lock as numpy's own methods hold it (ctypes
-    releases the GIL): (fn's result, out, one int64 per entry of at)."""
-    at = np.ascontiguousarray(at, dtype=np.int64)
-    out = np.empty(len(at), dtype=np.int64)
-    bg = rng.bit_generator
-    with bg.lock:
-        ret = fn(bg.ctypes.bit_generator, tables, address(at), len(at), address(out))
-    return ret, out
 
 
 def _cache_dir():
@@ -1368,10 +1326,6 @@ def _open(path):
     lib.h_recurrence.restype = None
     lib.series_sums.argtypes = [ctypes.POINTER(Series)]
     lib.series_sums.restype = _LL
-    lib.cdf_draw.argtypes = [_P, ctypes.POINTER(Cdf), _P, _LL, _P]
-    lib.cdf_draw.restype = ctypes.c_int
-    lib.band_jumps.argtypes = [_P, ctypes.POINTER(Bands), _P, _LL, _P]
-    lib.band_jumps.restype = _LL
     lib.fill_rows.argtypes = [_P, _P, _P, _LL, _P, _LL, _LL, _P]
     lib.fill_rows.restype = None
     for fn in (lib.lockstep, lib.block_rounds):
@@ -1384,10 +1338,10 @@ def _self_check(lib):
     """None when every compiled loop gives exactly its reference's output
     on small fixed inputs, else which one differs.  The compiler is not
     ours, so no draw and no table may depend on what it made of the
-    source.  The h recurrence, the series pass and the draws are checked
-    first; the lockstep loop with the row fill and the block rounds are
-    then checked against the Python and numpy loops, which run on them, as
-    library() answers lib in this thread while the check runs."""
+    source.  The h recurrence and the series pass are checked first, then
+    the row fill, the lockstep loop and the block rounds against the numpy
+    fill and the Python and numpy loops, which draw with numpy alone.  The
+    check calls lib directly and never `library()`."""
     from . import criticality, hfun, peeling   # the references
 
     for r, k in ((0.37, -3), (-0.999999, 4), (1.0, 1)):
@@ -1402,13 +1356,7 @@ def _self_check(lib):
             return "compiled h recurrence differs from the Python loop"
     if not criticality._same_series(lib):
         return "compiled series sums differ from the Python pass"
-    if not peeling._same_draws(lib):
-        return "compiled draws differ from the numpy draws"
-    _checking.lib = lib
-    try:
-        return peeling._same_lockstep(lib) or peeling._same_blocks(lib)
-    finally:
-        _checking.lib = None
+    return peeling._same_lockstep(lib) or peeling._same_blocks(lib)
 
 
 def _load():
@@ -1449,19 +1397,13 @@ def _load():
 
 _lock = threading.Lock()
 _state = None
-_checking = threading.local()   # .lib: the library under its self-check
-_checking.lib = None
 
 
 def library():
     """The (lib, status) pair of `_load`, loaded once per process: lib is
-    the ctypes library, or None where every caller runs its reference.
-    While `_self_check` runs, its thread gets the library under check."""
+    the ctypes library, or None where every caller runs its reference."""
     global _state
     if _state is None:
-        lib = getattr(_checking, "lib", None)
-        if lib is not None:
-            return lib, ("c", "self-check")
         with _lock:
             if _state is None:
                 _state = _load()

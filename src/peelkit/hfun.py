@@ -230,16 +230,6 @@ class HCache:
             return Fraction(0) if self.mode == "exact" else 0.0
         return tab[l - k]
 
-    def batch(self, k, l_max):
-        """Values h(k, l) for l = k..l_max in one pass."""
-        if l_max < k:
-            raise ValueError("l_max must be >= k")
-        tab = self._ensure(k, l_max)
-        n = l_max - k
-        if self.mode == "exact":
-            return list(tab[: n + 1])
-        return tab[: n + 1].copy()
-
     def table(self, k, l_max):
         """The cache's own table T, T[j] = h(k, k+j), covering l = k..l_max.
 
@@ -331,7 +321,7 @@ def float_recurrence():
     """Which loop builds float h tables in this process, as data:
     ("c", path of the compiled library) or ("python", why the compiled one
     is not used, e.g. "no C compiler").  Both give bit-identical tables.
-    The chain engine's draws (`peeling`) and the solver's series pass of
+    The chain loops and row fill (`peeling`) and the solver's series pass of
     an infinite family (`criticality`) take the same path."""
     return _native.library()[1]
 
@@ -349,16 +339,6 @@ def shared_cache(r):
     must not be frozen.
     """
     return _shared_float_cache(float(r))
-
-
-def h_eval(cache, k, l):
-    """h(k, l) from the cache (exact rational or float per cache mode)."""
-    return cache.value(k, l)
-
-
-def h_batch(cache, k, l_max):
-    """The sequence h(k, k), h(k, k+1), ..., h(k, l_max)."""
-    return cache.batch(k, l_max)
 
 
 def h_asymptote(k, l, r):

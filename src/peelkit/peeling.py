@@ -87,8 +87,10 @@ room for the round's steps, and for numpy's exp where a uniform lies
 within 1e-12 of a keep probability.  The library also fills the stacked
 rows.  Every compiled loop reads the Generator's own bit generator in the
 order the numpy code reads it; where the library does not load, the numpy
-and Python loops (`_lockstep_numpy`, `_block_rounds_numpy` and the draws'
-and fill's numpy halves) run and draw the same values.
+and Python loops (`_lockstep_numpy`, `_block_rounds_numpy` and the fill's
+numpy half) run and draw the same values.  Draws run compiled only inside
+the two chain loops: the numpy loops, `DiscreteSampler` and every other
+caller of `_StackedCdf.draw` and `_Bands.jumps` draw with numpy.
 """
 
 from __future__ import annotations
@@ -159,11 +161,11 @@ class _StackedCdf:
     smallest value less one, and only targets in those are searched for.
     GUIDE is a power of two, so a target's cell is exact.
 
-    Integer values are drawn by the compiled ``cdf_draw`` where the
-    package's library loads (`_native`), else by numpy; both read the same
-    uniforms and return the same values.  Growth writes only past the rows
-    built or into new arrays, so the addresses and sizes the library reads
-    are packed once per growth.
+    ``draw`` is numpy's.  The package's compiled chain loops (`_native`)
+    draw from the same tables inline, reading the same uniforms and giving
+    the same values.  Growth writes only past the rows built or into new
+    arrays, so the addresses and sizes the library reads are packed once
+    per growth.
     """
 
     U_MAX = 1.0 - 2.0**-40
@@ -270,12 +272,6 @@ class _StackedCdf:
     def draw(self, rng, rows):
         """One value per entry of rows, each drawn from its row's law; a row
         outside the n built or with no weight raises IndexError."""
-        lib = _native.library()[0]
-        if lib is None or self._vals.dtype != np.int64:
-            return self._draw_numpy(rng, rows)
-        return self._draw_c(lib, rng, rows)
-
-    def _draw_numpy(self, rng, rows):
         if len(rows) and not (rows.min() >= 0 and rows.max() < self.n):
             raise IndexError(f"row outside the {self.n} rows built")
         # a row with no weight keeps every entry at its index, so the search
@@ -299,87 +295,64 @@ class _StackedCdf:
                 self.U_MAX), (flat, self._off, vals, guide))
         return packed
 
-    def _draw_c(self, lib, rng, rows):
-        packed = self.pack()
-        failed, out = _native.draw(lib.cdf_draw, rng, packed[0], rows)
-        if failed:
-            raise IndexError(f"row outside the {self.n} rows built or "
-                             "with no weight")
-        return out
 
-
-def _same_draws(lib):
-    """True when the compiled draws of lib give exactly the numpy draws on
-    small fixed tables: guided and unguided rows, shared and per-row
-    values, rows that keep every column and rows that start past column 0,
-    and band proposals from both bands (the library's self-check,
-    `_native._self_check`).  The uniforms first probe the edges, every cut
-    of every row and each band's share, then spread over [0, 1)."""
-    spread = np.arange(1, 98) * 0.6180339887498949 % 1.0
-
-    def same(numpy_draw, c_draw, us, at):
-        # one stream each: a draw that reads more or fewer uniforms shows
-        a = numpy_draw(_native.FixedStream(lib, us), at)
-        b = c_draw(lib, _native.FixedStream(lib, us), at)
-        return np.array_equal(a, b) if isinstance(a, np.ndarray) else (
-            np.array_equal(a[0], b[0]) and a[1] == b[1])
-
-    weights = np.array([[1.0, 2.0, 0.0, 3.0, 1.0], [0.0, 0.0, 1.0, 0.0, 0.0],
-                        [5.0, 1.0, 1.0, 1.0, 0.5]])
-    shared = np.array([-2, 0, 1, 3, 7], dtype=np.int64)
-    per_row = np.arange(15, dtype=np.int64).reshape(3, 5) * 2 - 9
-    starts = np.array([2, 1, 0])
-    for values, guided, start in ((shared, True, None), (shared, False, None),
-                                  (per_row, False, None), (shared, False, starts),
-                                  (per_row, False, starts)):
-        cdf = _StackedCdf(3, values, guided=guided, starts=start)
-        cdf.append(weights if start is None
-                   else np.where(np.arange(5) >= start[:, None], weights, 0.0))
-        row_of = np.repeat(np.arange(3), np.diff(cdf._off))
-        cut = cdf._flat - row_of
-        near = np.column_stack([cut, cut / cdf.U_MAX])    # just below, at
-        probe = near < 1
-        rows = np.concatenate([row_of[np.nonzero(probe)[0]], np.tile(np.arange(3), 8)])
-        if not same(cdf._draw_numpy, cdf._draw_c,
-                    np.concatenate([near[probe], spread]), rows):
-            return False
-    # k = -8..2: the low band is not empty for perimeters 2..13
-    cs = np.concatenate([[0.0], np.cumsum([0.04] * 8 + [0.3, 0.1, 0.28])])
-    bands = _Bands(cs, np.concatenate([np.zeros(8), np.sqrt(np.arange(32.0))]), 8, 2)
-    ls = np.arange(1, bands.n)
-    share = bands.arrays[0][ls]
-    return same(bands._jumps_numpy, bands._jumps_c,
-                np.concatenate([np.nextafter(share, 0), share, spread]),
-                np.concatenate([ls, ls, ls]))
+def _edges(cdf, rows):
+    """The self-check's probes of the given rows of cdf, (rows, uniforms):
+    for every cut of each row below 1, a uniform whose target lies just
+    below the cut and one whose target is the cut."""
+    row_of = np.repeat(rows, np.diff(cdf._off)[rows])
+    cut = np.concatenate([cdf.row(i) - i for i in rows])
+    near = np.column_stack([cut, cut / cdf.U_MAX])
+    probe = near < 1
+    return row_of[np.nonzero(probe)[0]], near[probe]
 
 
 def _same_lockstep(lib):
-    """None when the compiled lockstep loop and row fill of lib give exactly
-    the Python loop and the numpy fill on a small synthetic law, else which
+    """None when the compiled row fill and lockstep loop of lib give exactly
+    the numpy fill and the Python loop on a small synthetic law, else which
     differs (the library's self-check, `_native._self_check`, after the
-    draws).  Twelve chains, one at 0, the others below and above L_SMALL,
-    take four steps three times, absorbed at 0: with exact volume rows,
-    residuals and the limit law, with the limit law alone, and for a heavy
-    law whose means are filled mid-step.  A fourth run, with exact volume
-    rows, starts them all below 10 and has every chain absorbed at step 26
-    of 29, so both loops must stop at the same checkpoint.  The compiled
-    run goes first and grows the rows it needs by ``fill_rows``; numpy then
-    fills them again for comparison (the law's window starts at k = -8, so
-    rows below 8 start past column 0)."""
+    series pass).  Every window row is filled by ``fill_rows`` up front and
+    compared with the numpy fill (the law's window starts at k = -8, so
+    rows below 8 start past column 0); both loops then run on those rows
+    and draw with numpy alone.  Twelve chains, one at 0, the others below
+    and above L_SMALL, take four steps three times, absorbed at 0: with
+    exact volume rows, residuals and the limit law, with the limit law
+    alone, and for a heavy law whose means are filled mid-step.  A fourth
+    run, with exact volume rows, starts them all below 10 and has every
+    chain absorbed at step 26 of 29, so both loops must stop at the same
+    checkpoint.  A fifth takes one step whose uniforms lie just below and
+    on every cut of rows 1..8, and of the exact volume rows, which chains
+    from row 8 draw for holes of degree 1, 2 and 3."""
     ks = np.arange(-8, 3)
     h = 1.0 / np.sqrt(np.arange(1.0, 2 * L_SMALL + 1))
     law = types.SimpleNamespace(
         ks=ks, probs=np.array([0.04] * 8 + [0.3, 0.1, 0.28]), k_neg=8, k_pos=2,
         B_nu=0.75, hcache=lambda: types.SimpleNamespace(array=lambda o, n: h[:n + 1]))
     engine = _ChainEngine(law, "finite")
+    window = engine.window
+    for end in (ROW_CHUNK, L_SMALL):    # a fill that resumes, too
+        window._fill_c(lib, engine.rows, end)
+    rows = window.new_rows()
+    window._fill_numpy(rows, L_SMALL)
+    if rows._flat.tobytes() != engine.rows._flat.tobytes():
+        return "compiled row fill differs from the numpy fill"
     volumes = _StackedCdf(4, np.array([[1, 1, 1], [2, 5, -6], [3, -4, 1], [4, 7, -9]]))
     volumes.append(np.array([[1.0, 0, 0], [0.5, 0.3, 0.2], [0.6, 0.4, 0], [0.2, 0.3, 0.5]]))
-    us = np.arange(1, 98) * 0.6180339887498949 % 1.0
+    spread = np.arange(1, 98) * 0.6180339887498949 % 1.0
     big = (0, 2, 3, 4, 6, 8, 1298, 1298, 1298, 1298, 1100, 1030)
-    for case, start, checkpoints in (
-            ("exact", big, range(1, 5)), ("limit", big, range(1, 5)),
-            ("heavy", big, range(1, 5)),
-            ("exact", (0, 2, 3, 4, 6, 8, 1, 5, 2, 3, 9, 1), range(1, 30))):
+    # the fifth run's chains from row 8 first, each with a uniform inside
+    # the column of its jump -2 - v, so that they draw the exact volume
+    # rows v before the chains on the window rows' cuts prune
+    at, on = _edges(engine.rows, np.arange(1, 9))
+    v, v_on = _edges(volumes, np.arange(1, 4))
+    cut = engine.rows.row(8) - 8
+    inside = 0.5 * (cut[5 - v] + cut[6 - v])
+    for case, start, checkpoints, us in (
+            ("exact", big, range(1, 5), spread), ("limit", big, range(1, 5), spread),
+            ("heavy", big, range(1, 5), spread),
+            ("exact", (0, 2, 3, 4, 6, 8, 1, 5, 2, 3, 9, 1), range(1, 30), spread),
+            ("exact", np.concatenate([np.full(len(v), 8), at]), range(1, 2),
+             np.concatenate([inside, on, v_on, spread]))):
         heavy = case == "heavy"
         runs = []
         for lockstep in (lambda *a: _lockstep_c(lib, *a), _lockstep_numpy):
@@ -391,7 +364,7 @@ def _same_lockstep(lib):
             elif case == "exact":
                 vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
             engine.start(1300)
-            run = _Run(12, 1, checkpoints)
+            run = _Run(len(start), 1, checkpoints)
             run.ls[:] = start
             rng = _native.FixedStream(lib, us)
             lockstep(engine, vol, rng, run)
@@ -400,10 +373,6 @@ def _same_lockstep(lib):
                          rng.used))
         if runs[0] != runs[1]:
             return "compiled lockstep differs from the Python loop"
-    rows = engine.window.new_rows()
-    engine.window._fill_numpy(rows, 70)
-    if rows._flat.tobytes() != engine.rows._flat[:rows._flat.size].tobytes():
-        return "compiled row fill differs from the numpy fill"
     return None
 
 
@@ -418,8 +387,12 @@ def _same_blocks(lib):
     single step, +2 from its first proposal, and no deep entry, and the
     uniform after its tilted draws lies on block 0's keep odds as numpy
     computes them, so the compiled loop must ask for numpy's exp (LS_EXP)
-    to keep the same blocks."""
-    k_neg, n, steps, top = 1030, 12, 2, 1600
+    to keep the same blocks.  Two more runs take the edges: one step of
+    chains at every even perimeter from L_SMALL on, whose band uniforms lie
+    just below and on its band's share, and blocks of B = 3 steps from 41
+    and 1301, whose first tilted uniforms lie just below and on every cut
+    of their guided tilt rows."""
+    k_neg, steps, top = 1030, 2, 1600
     probs = np.zeros(k_neg + 3)
     probs[-11:] = np.array([0.04] * 8 + [0.3, 0.1, 0.28]) * 0.97
     probs[[0, 3, 6]] = 0.01
@@ -443,7 +416,8 @@ def _same_blocks(lib):
     peak = np.minimum(0.5 / th, top)
     engine.log_phi, engine.log_K = th**2, 0.5 * np.log(peak) - th * peak
     # neighbouring tilts' rows differ, and the deep entry keeps 3% or less
-    engine.tilt_rows = _StackedCdf(len(th), np.append(np.arange(-8, 3), -k_neg - 1))
+    engine.tilt_rows = _StackedCdf(len(th), np.append(np.arange(-8, 3), -k_neg - 1),
+                                   guided=True)
     mult = 1 + np.add.outer(np.arange(len(th)), np.arange(12)) % 3
     mult[:, -1] = 1
     engine.tilt_rows.append(np.append(probs[-11:], 0.03) * mult)
@@ -454,27 +428,40 @@ def _same_blocks(lib):
     # come from uniforms below the deep entry, and block 0 has B(40) = 2
     # steps and its own tilt; later rounds draw the deep entry at 0.99
     T = 2 + np.minimum(engine.blocks[start], steps).sum() - 1
-    us = np.arange(1, 98) * 0.6180339887498949 % 1.0
+    spread = np.arange(1, 98) * 0.6180339887498949 % 1.0
+    us = spread.copy()
     us[:T] %= 0.95
     us[:2] = 0.93, 0.0
     us[T + 20::11] = 0.99
     j = engine.block_tilt[40]
     lB = 40 + int(engine.tilt_rows.at(j + us[2:4] * _StackedCdf.U_MAX).sum())
     us[T] = h1[lB - 1] * np.exp(np.array([-th[j] * lB - engine.log_K[j]]))[0]
-    runs = []
-    for rounds in (lambda *a: _block_rounds_c(lib, *a), _block_rounds_numpy):
-        vol = VolumeSampler(law, "asymptotic_xi")
-        vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
-        engine.flags = {"band_proposals": 0, "band_accepts": 0}
-        run = _Run(n, 1, range(1, steps + 1))
-        run.ls[:] = start
-        rng = _native.FixedStream(lib, us)
-        flags = {"block_proposals": 0, "block_accepts": 0}
-        rounds(engine, vol, rng, run, flags)
-        runs.append((run.per.tobytes(), run.vols.tobytes(), vol.flags, engine.flags,
-                     flags, rng.used))
-    if runs[0] != runs[1]:
-        return "compiled block rounds differ from the numpy rounds"
+    even = np.arange(L_SMALL, engine.bands.n, 2)
+    share = engine.bands.arrays[0][even]
+    blk, tilted = [], []
+    for l in (41, 1301):
+        on = _edges(engine.tilt_rows, [engine.block_tilt[l]])[1]
+        m = -(-len(on) // engine.blocks[l])
+        blk += [l] * m
+        tilted.append(np.resize(on, m * engine.blocks[l]))
+    for chains, n_steps, stream in (
+            (start, steps, us),
+            (np.tile(even, 2), 1, np.concatenate([np.nextafter(share, 0), share, spread])),
+            (blk, 3, np.concatenate(tilted + [spread]))):
+        runs = []
+        for rounds in (lambda *a: _block_rounds_c(lib, *a), _block_rounds_numpy):
+            vol = VolumeSampler(law, "asymptotic_xi")
+            vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
+            engine.flags = {"band_proposals": 0, "band_accepts": 0}
+            run = _Run(len(chains), 1, range(1, n_steps + 1))
+            run.ls[:] = chains
+            rng = _native.FixedStream(lib, stream)
+            flags = {"block_proposals": 0, "block_accepts": 0}
+            rounds(engine, vol, rng, run, flags)
+            runs.append((run.per.tobytes(), run.vols.tobytes(), vol.flags, engine.flags,
+                         flags, rng.used))
+        if runs[0] != runs[1]:
+            return "compiled block rounds differ from the numpy rounds"
     return None
 
 
@@ -804,10 +791,10 @@ class _Bands:
     h(o, .) at the band's two lowest and two highest arguments.  Per
     perimeter, ``arrays`` holds the low band's share of the proposal mass,
     then per band the offset t0 and scale dt that map a uniform u into nu's
-    cumulative sum cs, and the envelope env.  ``jumps`` runs in the
-    compiled ``band_jumps`` where the package's library loads (`_native`),
-    else in numpy; both read the same uniforms and return the same jumps.
-    A _Bands is never changed, so its addresses are packed once.
+    cumulative sum cs, and the envelope env.  ``jumps`` is numpy's; the
+    package's compiled chain loops (`_native`) run the same rounds inline,
+    reading the same uniforms and giving the same jumps.  A _Bands is never
+    changed, so its addresses are packed once.
     """
 
     def __init__(self, cs, hz, k_neg, k_pos):
@@ -834,12 +821,6 @@ class _Bands:
         """(one jump per chain at perimeters ls, the proposals made): one
         proposal per pending chain and round, kept with probability
         h(o, m) / env.  A perimeter outside 0..n-1 raises IndexError."""
-        lib = _native.library()[0]
-        if lib is None:
-            return self._jumps_numpy(rng, ls)
-        return self._jumps_c(lib, rng, ls)
-
-    def _jumps_numpy(self, rng, ls):
         if len(ls) and not (ls.min() >= 0 and ls.max() < self.n):
             raise IndexError(f"perimeter outside the bands built (0..{self.n - 1})")
         share, t0_lo, dt_lo, env_lo, t0_hi, dt_hi, env_hi = self.arrays
@@ -872,14 +853,6 @@ class _Bands:
                 _native.address(self.cuts), len(self.cuts),
                 _native.address(self.hz), len(self.hz), self.k_neg)
         return self._packed
-
-    def _jumps_c(self, lib, rng, ls):
-        proposals, out = _native.draw(lib.band_jumps, rng, self.pack(), ls)
-        if proposals == -2:
-            raise MemoryError("band_jumps could not allocate its work arrays")
-        if proposals < 0:
-            raise IndexError(f"perimeter outside the bands built (0..{self.n - 1})")
-        return out, proposals
 
 
 def _log_K(law):

@@ -456,14 +456,14 @@ def _heavy_tail_model(law):
     return (lambda l: c2 * l**-2.0 + c4 * l**-4.0), lattice
 
 
-def _heavy_tail(law, l_direct=1 << 18):
-    """(ls, model terms, lattice): the lattice points l in (k_pos, l_direct)
+def _heavy_tail(law):
+    """(ls, model terms, lattice): the lattice points l in (k_pos, 2^18)
     past the materialized law and the fitted tail model's nu(l) there
     (`_heavy_tail_model`)."""
     model, lattice = _heavy_tail_model(law)
     K = law.k_pos
     start = K + lattice - (K % lattice) if K % lattice else K + lattice
-    ls = np.arange(start, l_direct, lattice, dtype=np.int64)
+    ls = np.arange(start, 1 << 18, lattice, dtype=np.int64)
     return ls, model(ls.astype(float)), lattice
 
 
@@ -500,7 +500,7 @@ def _heavy_residual(law, h, order, k, tail):
     return abs(total - h[k])
 
 
-def harmonic_residual(law: StepLaw, order, k, l_pos_max=None):
+def harmonic_residual(law: StepLaw, order, k):
     """|sum_l h(order, l+k) nu(l) - h(order, k)| for the materialized law.
 
     The negative side is finite because h vanishes below its order; the
@@ -511,9 +511,8 @@ def harmonic_residual(law: StepLaw, order, k, l_pos_max=None):
     if law.heavy_tail:
         return _heavy_residual(law, cache.array(order, _HEAVY_H_LEN), order,
                                k, _heavy_tail(law))
-    l_hi = law.k_pos if l_pos_max is None else min(l_pos_max, law.k_pos)
-    h = cache.array(order, l_hi + k + 1)
-    ls = np.arange(-law.k_neg, l_hi + 1)
+    h = cache.array(order, law.k_pos + k + 1)
+    ls = np.arange(-law.k_neg, law.k_pos + 1)
     idx = ls + k
     mask = idx >= 0
     total = float(np.add.reduce(h[idx[mask]] * law.probs[mask]))

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DivergentSeriesError
-from .hfun import HCache, h_eval, shared_cache
+from .hfun import recurrence_list, shared_cache
 
 # `positive_terms`' defaults: the tail's tolerance relative to the running
 # total, the least k it cuts at and the most terms it materializes
@@ -478,7 +478,7 @@ def pointed_disk(l, c_plus, r):
     """Pointed-disk coefficient c_+^l h(0, l) for root-face degree l."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    return float(c_plus) ** l * h_eval(shared_cache(r), 0, l)
+    return float(c_plus) ** l * shared_cache(r).value(0, l)
 
 
 def pointed_disk_binomial(l, z_plus, z_diamond):
@@ -508,8 +508,8 @@ def _odd_angulation_ratio(p, tol=1e-14):
     """Root in (-1,1) of h(1, 2p+1) - (3-r)/2 * h(1, 2p) at ratio r."""
 
     def poly(r):
-        cache = HCache(r, mode="float")
-        return h_eval(cache, 1, 2 * p + 1) - 0.5 * (3.0 - r) * h_eval(cache, 1, 2 * p)
+        h = recurrence_list(r, 1, 2 * p + 1)     # h(1, 1 + j)
+        return h[2 * p] - 0.5 * (3.0 - r) * h[2 * p - 1]
 
     lo, hi = -1.0 + 1e-12, 1.0
     flo = poly(lo)
@@ -576,11 +576,11 @@ def preset(name, **params) -> PresetResult:
             raise ValueError("odd_angulation needs p >= 1")
         r = _odd_angulation_ratio(p)
         cache = shared_cache(r)
-        nu_pos = 1.0 / h_eval(cache, 1, 2 * p)
-        nu_m2 = h_eval(cache, 1, 3) - h_eval(cache, 1, 2 * p + 2) * nu_pos
+        nu_pos = 1.0 / cache.value(1, 2 * p)
+        nu_m2 = cache.value(1, 3) - cache.value(1, 2 * p + 2) * nu_pos
         c_plus = math.sqrt(2.0 / nu_m2)
         q = nu_pos * c_plus ** (-(2 * p - 1))
-        L_nu = nu_pos * h_eval(cache, 2, 2 * p)
+        L_nu = nu_pos * cache.value(2, 2 * p)
         w = WeightSequence({2 * p + 1: q}, family=("odd_angulation", {"p": p}))
         consts = {
             "r": r,

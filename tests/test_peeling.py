@@ -5,6 +5,7 @@ import math
 import os
 import random
 import shutil
+import types
 import weakref
 from fractions import Fraction
 
@@ -913,8 +914,8 @@ class TestBlockStepping:
         # or not (the chain rows below L_SMALL, the exact volume laws):
         # searchsorted(side="right") at cuts, just below them, at guide
         # cell edges and at random targets, and at the targets of draws
-        # from the rows with weight, which run compiled where the library
-        # loads; a draw from a row with no weight raises on both paths
+        # from the rows with weight; a draw from a row with no weight
+        # raises, and so does the compiled lockstep loop for a chain on one
         if table == "tilt":
             engine = _ChainEngine(DEEP[key], "ibpm")
             engine._tilt_rows(20)           # rows are guided a block at a time
@@ -943,10 +944,17 @@ class TestBlockStepping:
             # h(0, l) = 0 for odd l: quad's odd window rows have no weight
             np.testing.assert_array_equal(
                 np.flatnonzero(~weighted), np.arange(1, rows.n, 2))
+        lib = _native.library()[0]
         for row in np.flatnonzero(~weighted)[:8]:
-            for draw in (rows.draw, rows._draw_numpy):
-                with pytest.raises(IndexError):
-                    draw(_rng(4), np.array([row, 0]))
+            with pytest.raises(IndexError):
+                rows.draw(_rng(4), np.array([row, 0]))
+            if lib is not None and table == "chain":
+                engine.start(2)
+                run = peeling._Run(2, 2, range(1, 3))
+                run.ls[0] = row
+                with pytest.raises(IndexError, match="lockstep read outside the tables built"):
+                    peeling._lockstep_c(lib, engine, VolumeSampler(engine.law, "expectation"),
+                                        _rng(4), run)
 
     @pytest.mark.parametrize("j", [15, 30])
     def test_deep_jumps_are_tilted_nu(self, j):
@@ -1262,10 +1270,30 @@ C_MUTANTS = {
 }
 
 
+def small_finite_engine():
+    """A finite chain engine on a small synthetic law, jumps -8..2 with
+    h(0, m) = (m + 1)^(-1/2), as the library's self-check runs."""
+    h = 1.0 / np.sqrt(np.arange(1.0, 2 * L_SMALL + 1))
+    law = types.SimpleNamespace(
+        ks=np.arange(-8, 3), probs=np.array([0.04] * 8 + [0.3, 0.1, 0.28]), k_neg=8,
+        k_pos=2, B_nu=0.75,
+        hcache=lambda: types.SimpleNamespace(array=lambda o, n: h[:n + 1]))
+    return _ChainEngine(law, "finite")
+
+
+def compiled_library():
+    """The compiled library, or skip where it does not load."""
+    lib, status = _native.library()
+    if lib is None:
+        pytest.skip(f"compiled library not loaded: {status[1]}")
+    return lib
+
+
 @contextlib.contextmanager
 def numpy_draws():
-    """Draw with numpy (and build h tables in Python), as where the
-    compiled library does not load."""
+    """Run the reference loops (the Python and numpy chain loops, the numpy
+    row fill and the Python h recurrence), as where the compiled library
+    does not load."""
     loaded = _native.library()
     _native._state = (None, ("python", "forced"))
     try:
@@ -1279,8 +1307,7 @@ def draws_on(path):
     does not load) or 'numpy'."""
     if path == "numpy":
         return numpy_draws()
-    if _native.library()[0] is None:
-        pytest.skip(f"compiled library not loaded: {_native.library()[1][1]}")
+    compiled_library()
     return contextlib.nullcontext()
 
 
@@ -1623,9 +1650,7 @@ class TestCompiledDraws:
         # block's tilted draws is that block's keep odds as numpy computes
         # them, so the compiled rounds ask for numpy's exp (LS_EXP) and
         # reject the block as numpy does; states, flags and uniforms agree
-        lib = _native.library()[0]
-        if lib is None:
-            pytest.skip(f"compiled library not loaded: {_native.library()[1][1]}")
+        lib = compiled_library()
         calls = self._block_calls(monkeypatch)
         law, l0, n = DEEP["quad"], 300, 40
         engine = _ChainEngine(law, "ibpm")
@@ -1658,8 +1683,8 @@ class TestCompiledDraws:
     def test_self_check_refuses_mutants(self, tmp_path):
         # the library's block rounds, each mutated in one place, compiled and
         # checked on load: the self-check refuses every one, under
-        # --reference-loops too (the check hands the library under check to
-        # its draws)
+        # --reference-loops too (the check calls the library under check
+        # directly)
         sources = {}
         for name, (old, new) in C_MUTANTS.items():
             assert _native._C_SOURCE.count(old) == 1, name
@@ -1682,15 +1707,45 @@ class TestCompiledDraws:
         # a draw that takes a row's value index from the entry's offset in
         # the row alone, dropping the row's start column: right on every
         # rectangular table, wrong on rows that start past column 0, which
-        # the self-check's draws include
+        # the self-check's lockstep runs draw from; their chains then jump
+        # below 0, which the compiled loop refuses outright
         old = "long long col = start + idx - c->off[row];"
         assert _native._C_SOURCE.count(old) == 1
         path = str(tmp_path / "start.so")
         cc = shutil.which("cc") or shutil.which("gcc")
         assert _native._compile(cc, path, _native._C_SOURCE.replace(
             old, "long long col = idx - c->off[row];")) is None
-        assert (_native._self_check(_native._open(path))
-                == "compiled draws differ from the numpy draws")
+        with pytest.raises(IndexError, match="lockstep read outside the tables built"):
+            _native._self_check(_native._open(path))
+
+    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
+                        or not os.path.isfile(_native._npyrandom()),
+                        reason="no C compiler or no numpy static random library")
+    def test_self_check_refuses_draws_on_an_edge(self, tmp_path):
+        # a target on a cut searched to its left, and a uniform on a band's
+        # share taken into the low band: the self-check's lockstep and
+        # block runs put uniforms exactly there
+        mutants = {"cut": ("if (t < a[mid])", "if (t <= a[mid])",
+                           "compiled lockstep differs from the Python loop"),
+                   "share": ("if (u < b->share[l]) {", "if (u <= b->share[l]) {",
+                             "compiled block rounds differ from the numpy rounds")}
+        cc = shutil.which("cc") or shutil.which("gcc")
+        for name, (old, new, refusal) in mutants.items():
+            assert _native._C_SOURCE.count(old) == 1, name
+            path = str(tmp_path / f"{name}.so")
+            assert _native._compile(cc, path, _native._C_SOURCE.replace(old, new)) is None
+            assert _native._self_check(_native._open(path)) == refusal, name
+
+    def test_self_check_never_asks_the_loader(self, monkeypatch):
+        # the check runs the library under check and the numpy and Python
+        # loops directly: a loader that raises is never reached
+        lib = compiled_library()
+
+        def loader():
+            raise AssertionError("the self-check asked for the library")
+
+        monkeypatch.setattr(_native, "library", loader)
+        assert _native._self_check(lib) is None
 
     @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
                         or not os.path.isfile(_native._npyrandom()),
@@ -1713,9 +1768,7 @@ class TestCompiledDraws:
     def test_self_check_runs_every_chain_to_absorption(self, monkeypatch):
         # one lockstep run of the self-check has every chain absorbed before
         # its last checkpoint; both loops stop there and the check passes
-        lib = _native.library()[0]
-        if lib is None:
-            pytest.skip(f"compiled library not loaded: {_native.library()[1][1]}")
+        lib = compiled_library()
         ends, reference = [], peeling._lockstep_numpy
 
         def recording(engine, vol, rng, run):
@@ -1729,9 +1782,7 @@ class TestCompiledDraws:
     def test_self_check_refuses_a_loop_past_absorption(self, monkeypatch):
         # a loop that goes on writing checkpoints once every chain is
         # absorbed gives the same perimeters but a different checkpoint count
-        lib = _native.library()[0]
-        if lib is None:
-            pytest.skip(f"compiled library not loaded: {_native.library()[1][1]}")
+        lib = compiled_library()
         reference = peeling._lockstep_numpy
 
         def past(engine, vol, rng, run):
@@ -1747,9 +1798,7 @@ class TestCompiledDraws:
     def test_gamma_is_numpys(self):
         # the library's gamma is numpy's own code: Generator.gamma(1.5, 2.0)
         # bit for bit, leaving the stream where numpy leaves it
-        lib = _native.library()[0]
-        if lib is None:
-            pytest.skip(f"compiled library not loaded: {_native.library()[1][1]}")
+        lib = compiled_library()
         rng, ref = _rng(5), _rng(5)
         out = np.empty(100_000)
         with rng.bit_generator.lock:
@@ -1784,14 +1833,16 @@ class TestCompiledDraws:
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     def test_out_of_range_raises(self, path):
-        # a row at or past the rows built, or a perimeter outside the bands
-        # _cover built, raises IndexError on both paths
+        # numpy: a row at or past the rows built, or a perimeter outside the
+        # bands _cover built, raises IndexError.  compiled: the library draws
+        # only inside the chain loops, which raise for a chain at a negative
+        # perimeter and for a block whose tilt row is not built
         engine = _ChainEngine(DEEP["tri"], "ibpm")
         engine._extend_rows(100)
         engine._tilt_rows(10)
-        volumes = VolumeSampler(LAW, "exact_small")._cdf
-        bands = engine.bands
-        with draws_on(path):
+        if path == "numpy":
+            volumes = VolumeSampler(LAW, "exact_small")._cdf
+            bands = engine.bands
             for rows in (engine.rows, engine.tilt_rows, volumes):
                 for bad in ([rows.n], [0, rows.n + 5, 1], [-1]):
                     with pytest.raises(IndexError):
@@ -1802,21 +1853,55 @@ class TestCompiledDraws:
                     bands.jumps(_rng(1), np.array(bad))
             jumps, proposals = bands.jumps(_rng(1), np.array([bands.n - 1, 2000]))
             assert len(jumps) == 2 and proposals >= 2
+            return
+        lib = compiled_library()
+        vol = VolumeSampler(DEEP["tri"], "asymptotic_xi")
+        finite = _ChainEngine(DEEP["tri"], "finite")
+        for eng, name, loop in ((finite, "lockstep", peeling._lockstep_c),
+                                (engine, "block_rounds", peeling._block_rounds_c)):
+            eng.start(5)
+            run = peeling._Run(3, 5, range(1, 4))
+            run.ls[1] = -1
+            args = (run,) if eng is finite else (run, {"block_proposals": 0,
+                                                        "block_accepts": 0})
+            with pytest.raises(IndexError, match=f"{name} read outside the tables built"):
+                loop(lib, eng, vol, _rng(1), *args)
+        engine.block_len(np.array([5, 2000]))
+        engine.tilt_rows = _StackedCdf(len(BLOCK_THETAS), engine.tilt_rows._vals, guided=True)
+        engine.start(2000)
+        with pytest.raises(IndexError, match="block_rounds read outside the tables built"):
+            peeling._block_rounds_c(lib, engine, vol, _rng(1), peeling._Run(2, 2000, [5]),
+                                    {"block_proposals": 0, "block_accepts": 0})
 
     @pytest.mark.parametrize("guided", [False, True])
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     def test_target_on_a_cut(self, path, guided):
         # a target equal to a cut draws the value right of it, as
-        # searchsorted(side="right"): the first uniform of seed 3 is above
-        # 1/2, so the row [w, 1 - w] with w = u * U_MAX has its cut at the
-        # target exactly (1 - w and w + (1 - w) = 1 are exact)
-        w = _rng(3).random() * _StackedCdf.U_MAX
+        # searchsorted(side="right"): for u in [1/2, 1), the row [w, 1 - w]
+        # with w = u * U_MAX has its cut at the target exactly (1 - w and
+        # w + (1 - w) = 1 are exact).  numpy: the first uniform of seed 3;
+        # compiled: the exact volume row of a lockstep step's hole of
+        # degree 1, from a chain at 8 of a small law that jumps by -3
+        u = _rng(3).random()
+        w = u * _StackedCdf.U_MAX
         assert 0.5 <= w < 1
-        cdf = _StackedCdf(1, np.array([3, 8]), guided=guided)
-        cdf.append(np.array([[w, 1.0 - w]]))
-        assert cdf._flat[0] == w
-        with draws_on(path):
-            assert cdf.draw(_rng(3), np.zeros(1, dtype=np.int64))[0] == 8
+        cdf = _StackedCdf(2, np.array([[1, 2], [3, 8]]), guided=guided)
+        cdf.append(np.array([[0.5, 0.5], [w, 1.0 - w]]))
+        assert cdf.row(1)[0] == 1 + w
+        if path == "numpy":
+            assert cdf.draw(_rng(3), np.ones(1, dtype=np.int64))[0] == 8
+            return
+        lib = compiled_library()
+        engine = small_finite_engine()
+        engine._extend_rows(8)
+        cut = engine.rows.row(8) - 8
+        vol = VolumeSampler(engine.law, "asymptotic_xi")
+        vol.mode, vol.l_exact, vol._cdf = "exact_small", 1, cdf
+        engine.start(8)
+        run = peeling._Run(1, 8, [1])
+        peeling._lockstep_c(lib, engine, vol,
+                            _native.FixedStream(lib, [0.5 * (cut[4] + cut[5]), u]), run)
+        assert (run.ls[0], run.V[0]) == (5, 8)
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     def test_band_counts(self, path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from peelkit.errors import DivergentSeriesError
-from peelkit.hfun import HCache, h_eval
+from peelkit.hfun import HCache
 from peelkit.weights import (
     PRESET_ALIASES,
     StepLawPositive,
@@ -118,7 +118,7 @@ class TestNuFromQ:
         q3 = 1.0 / math.sqrt(12 * math.sqrt(3))
         pos = nu_from_q(WeightSequence({3: q3}), c, r)
         cache = HCache(r, mode="float")
-        assert pos.nu_at(1) == pytest.approx(1.0 / h_eval(cache, 1, 2), rel=1e-12)
+        assert pos.nu_at(1) == pytest.approx(1.0 / cache.value(1, 2), rel=1e-12)
 
     def test_divergent_tail(self):
         w = preset("geometric", H=3.0).weights
@@ -354,8 +354,8 @@ class TestPresets:
         r = res.constants["r"]
         assert -1 < r < 1
         cache = HCache(r, mode="float")
-        lhs = h_eval(cache, 1, 5)
-        rhs = 0.5 * (3 - r) * h_eval(cache, 1, 4)
+        lhs = cache.value(1, 5)
+        rhs = 0.5 * (3 - r) * cache.value(1, 4)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 

@@ -64,6 +64,10 @@ INVOCATIONS = [
      "--format", "csv"],
     ["tune-critical", "--preset", "symmetric_critical", "--r", "1", "--a",
      "0.785"],
+    # ecf at n = 2000: about 10^4 deep-block draws of its sampler, where the
+    # small runs above draw about a hundred
+    ["scaling-test", "--models", "quadrangulation", "--steps", "2000",
+     "--chains", "100", "--ecf-samples", "5000", "--seed", "5"],
 ]
 
 
