@@ -479,7 +479,14 @@ class DiscreteSampler:
         self.cdf = self._row._flat
 
     def draw(self, rng, size=None):
-        out = self._row.draw(rng, np.zeros(1 if size is None else size, dtype=np.intp))
+        """One value, or an array of size values.  They are drawn 2^16 at a
+        time, the stream read in the same order, which bounds the numpy
+        draw's temporaries (ecf_test draws 10^5 and more at once)."""
+        n = 1 if size is None else size
+        out = np.empty(n, dtype=self.values.dtype)
+        for lo in range(0, n, 1 << 16):
+            hi = min(n, lo + (1 << 16))
+            out[lo:hi] = self._row.draw(rng, np.zeros(hi - lo, dtype=np.intp))
         return out[0] if size is None else out
 
 

@@ -86,6 +86,18 @@ class TestAlias:
         with pytest.raises(ValueError):
             DiscreteSampler([0], [0.0])
 
+    def test_blocks_of_a_large_draw_read_the_stream_in_order(self):
+        # a draw of more than 2^16 values, taken a block at a time, is the
+        # one draw of its row over the same stream, which it leaves where
+        # that draw leaves it
+        s = DiscreteSampler(np.arange(7) - 3, [1, 2, 0, 3, 1, 1, 5])
+        n = 3 * (1 << 16) + 5
+        rng, ref = _rng(6), _rng(6)
+        np.testing.assert_array_equal(
+            s.draw(rng, n), s._row.draw(ref, np.zeros(n, dtype=np.intp)))
+        assert rng.random() == ref.random()
+        assert s.draw(rng).shape == () and len(s.draw(rng, 0)) == 0
+
     def test_implied_probabilities_equal_input(self):
         probs = np.array([0.3, 0.0, 1e-9, 0.2, 0.5 - 1e-9, 0.0])
         s = DiscreteSampler(np.arange(6), probs)
