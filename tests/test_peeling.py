@@ -1284,7 +1284,7 @@ C_MUTANTS = {
 
 def small_finite_engine():
     """A finite chain engine on a small synthetic law, jumps -8..2 with
-    h(0, m) = (m + 1)^(-1/2), as the library's self-check runs."""
+    h(0, m) = (m + 1)^(-1/2): the law of the library's lockstep self-check."""
     h = 1.0 / np.sqrt(np.arange(1.0, 2 * L_SMALL + 1))
     law = types.SimpleNamespace(
         ks=np.arange(-8, 3), probs=np.array([0.04] * 8 + [0.3, 0.1, 0.28]), k_neg=8,
