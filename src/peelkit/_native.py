@@ -10,16 +10,15 @@ stays in the package as the fallback and the test reference:
   tail cut, resumable where the weights run out;
 * ``fill_rows``, the stacked rows of `peeling._Window._fill_numpy`;
 * ``lockstep``, a finite run's steps of `peeling._lockstep_numpy` with
-  their volumes and checkpoints, run until a table is missing: its row
-  draws are `peeling._StackedCdf.draw`'s inverse-CDF draws and its band
-  rounds `peeling._Bands.jumps`' band-envelope rejection, inlined;
+  their volumes and checkpoints, run until a row or band is missing: its
+  row draws are `peeling._StackedCdf.draw`'s inverse-CDF draws and its
+  band rounds `peeling._Bands.jumps`' band-envelope rejection, inlined;
 * ``block_rounds``, an infinite-map run's block rounds of
   `peeling._block_rounds_numpy` from its first step to its last: the
   single steps of chains with B(l) = 1 (sharing lockstep's code), the
   tilts, the tilted and deep draws, the keep test, and one walk over the
   kept blocks for their volumes, checkpoints and new states (after their
-  exact rows, and a check of the means they read where a run can read
-  one);
+  exact rows);
 
 and ``fixed_double``/``fixed_uint64``, the bit generator of `FixedStream`,
 which feeds the self-check fixed uniforms, and ``gamma_fill``.
@@ -32,15 +31,17 @@ sample is bit-identical either way.  Compiled draws run only inside the
 two chain loops: every draw made from Python (`peeling._StackedCdf.draw`,
 `peeling._Bands.jumps`, the numpy loops and `peeling.DiscreteSampler`) is
 numpy's, on either path.  A hole of degree 0 reads nothing on either
-path: its volume is 1.  The volumes' Gamma(3/2, scale 2) draws are
-numpy's own ``random_gamma``, statically linked from the
-``numpy/random/lib/libnpyrandom.a`` numpy ships: the code
-``Generator.gamma`` runs, as long as the library was linked against this
-numpy, which the cached file's name ensures (`_library_path`).  The one
-function whose value may differ is exp: numpy's SIMD exp and libm's
-disagree in the last bit for some arguments, so ``block_rounds`` decides
-with libm's only where the uniform is not within 1e-12 of the
-probability, and otherwise returns for numpy's value (LS_EXP).
+path: its volume is 1.  The mean volumes both loops read are one table,
+whole before the run's first step (`peeling._mean_table`).  The
+volumes' Gamma(3/2, scale 2) draws are numpy's own ``random_gamma``,
+statically linked from the ``numpy/random/lib/libnpyrandom.a`` numpy
+ships: the code ``Generator.gamma`` runs, as long as the library was
+linked against this numpy, which the cached file's name ensures
+(`_library_path`).  The one function whose value may differ is exp:
+numpy's SIMD exp and libm's disagree in the last bit for some arguments,
+so ``block_rounds`` decides with libm's only where the uniform is not
+within 1e-12 of the probability, and otherwise returns for numpy's value
+(LS_EXP).
 
 The source is compiled once per machine and numpy with `_C_FLAGS` (no
 contraction into fused multiply-adds, no reassociation, the platform's
@@ -399,15 +400,14 @@ void fill_rows(const double *h, const double *p, const long long *ks,
     }
 }
 
-enum { LS_DONE, LS_BLOCKS, LS_ROWS, LS_BANDS, LS_MEAN, LS_HTAB, LS_WORK,
-       LS_EXP };
+enum { LS_DONE, LS_BLOCKS, LS_ROWS, LS_BANDS, LS_HTAB, LS_EXP };
 enum { VOL_MEANS, VOL_LIMIT, VOL_EXACT };
 
 typedef struct {
     const cdf_t *rows;         /* the engine's rows, perimeters 0..rows->n-1 */
     const bands_t *bands;      /* its bands, perimeters 0..bands->n-1 */
     const cdf_t *volumes;      /* exact volume rows (VOL_EXACT), or NULL */
-    const long long *means;    /* rounded mean volumes, 0 = not yet known */
+    const long long *means;    /* rounded mean volumes, 0 = none */
     long long n_means, l_small, absorbing;
     long long rule, l_exact, heavy;
     double b_nu;
@@ -416,7 +416,7 @@ typedef struct {
     long long *ls, *vs, *per, *vols;
     long long *jumps, *at, *lb, *kb, *todo, *vals;   /* n entries each */
     double *env;
-    long long step, cp, phase, n_prune;
+    long long step, cp;
     long long band_proposals, band_accepts, residual_draws, heavy_means;
     long long need;
     /* block rounds: B(l) and its tilt's index for perimeters 0..n_blocks-1,
@@ -435,7 +435,7 @@ typedef struct {
     long long *da, *cur, *act, *one, *blk, *bB, *bj, *blB, *bkeep;
     long long *ks;             /* a round's steps, ks_cap entries */
     long long ks_cap, n_act, n_one, n_blk, n_ks;
-    long long bphase, bi, bq, bp, node, prev, head, has_u;
+    long long bphase, bi, node, prev, head, has_u;
     double u, exp_x, exp_val;
     long long exp_ready, block_proposals, block_accepts;
 } lockstep_t;
@@ -529,37 +529,11 @@ INLINE int hole_row(bitgen_t *bg, const lockstep_t *s, long long lp,
     return cdf_one(bg, s->volumes, lp < s->l_exact ? lp : s->l_exact, val);
 }
 
-/* The pruning jumps of the chains idx[j] into at[0..n_prune), in chain
-   order, with their exact rows' draws in vals (VOL_EXACT) */
-INLINE long long step_prunes(bitgen_t *bg, lockstep_t *s, const long long *idx,
-                             long long m)
+/* The rounded mean volume of a hole of degree lp, -1 for a read outside
+   the means (past them, or an entry 0) */
+INLINE long long hole_mean(const lockstep_t *s, long long lp)
 {
-    long long k = 0;
-    for (long long j = 0; j < m; j++) {
-        long long c = idx ? idx[j] : j;
-        if (s->jumps[c] <= -2)
-            s->at[k++] = c;
-    }
-    s->n_prune = k;
-    if (s->rule == VOL_EXACT)
-        for (long long j = 0; j < k; j++)
-            if (hole_row(bg, s, -2 - s->jumps[s->at[j]], &s->vals[j]))
-                return -1;
-    return 0;
-}
-
-/* 0 when the volume of a hole of degree lp, val its exact row's draw,
-   reads no mean or a known one; else LS_MEAN with lp, -1 past the means */
-INLINE long long mean_known(lockstep_t *s, long long lp, long long val)
-{
-    long long rule = s->rule;
-    if (!(rule == VOL_MEANS || (s->heavy && (rule == VOL_LIMIT || val < 0
-                                             || lp > s->l_exact))))
-        return 0;
-    if (lp >= s->n_means)
-        return -1;
-    s->need = lp;
-    return s->means[lp] ? 0 : LS_MEAN;
+    return lp < s->n_means && s->means[lp] ? s->means[lp] : -1;
 }
 
 /* The volume of a hole of degree lp, val its exact row's draw: 1 for
@@ -567,7 +541,7 @@ INLINE long long mean_known(lockstep_t *s, long long lp, long long val)
    (VOL_MEANS), or the exact row's value and, for a residual or
    lp > l_exact, the limit law (VOL_EXACT), or the limit law (VOL_LIMIT):
    xi = 1 / Gamma(3/2, scale 2), V = rint(xi B lp^2) at least the floor, or
-   the mean for a heavy law.  Every mean it reads is known. */
+   the mean for a heavy law.  -1 for a read outside the means. */
 INLINE long long hole_volume(bitgen_t *bg, lockstep_t *s, long long lp,
                              long long val)
 {
@@ -575,7 +549,7 @@ INLINE long long hole_volume(bitgen_t *bg, lockstep_t *s, long long lp,
     if (!lp)
         return 1;
     if (rule == VOL_MEANS)
-        return s->means[lp];
+        return hole_mean(s, lp);
     int drawn = rule == VOL_LIMIT;
     if (rule == VOL_EXACT) {
         v = val;
@@ -587,7 +561,9 @@ INLINE long long hole_volume(bitgen_t *bg, lockstep_t *s, long long lp,
     }
     if (drawn) {
         if (s->heavy) {
-            v = s->means[lp];
+            v = hole_mean(s, lp);
+            if (v < 0)
+                return -1;
             s->heavy_means = 1;
         } else {
             double xi = 1.0 / random_gamma(bg, 1.5, 2.0);
@@ -599,56 +575,54 @@ INLINE long long hole_volume(bitgen_t *bg, lockstep_t *s, long long lp,
     return v;
 }
 
-/* The volumes of the pruning jumps at[0..n_prune) added to the chains',
-   once every mean they read is known (else LS_MEAN, nothing drawn) */
-INLINE long long step_volumes(bitgen_t *bg, lockstep_t *s)
+/* The pruning jumps of the chains idx[j], in chain order: every exact
+   row's draw first (VOL_EXACT), then their volumes added to the chains';
+   -1 for a read outside a table */
+INLINE long long step_holes(bitgen_t *bg, lockstep_t *s, const long long *idx,
+                            long long m)
 {
-    long long k = s->n_prune;
-    for (long long j = 0; j < k; j++) {
-        long long st = mean_known(s, -2 - s->jumps[s->at[j]],
-                                  s->rule == VOL_EXACT ? s->vals[j] : 0);
-        if (st)
-            return st;
+    long long k = 0;
+    for (long long j = 0; j < m; j++) {
+        long long c = idx ? idx[j] : j;
+        if (s->jumps[c] <= -2)
+            s->at[k++] = c;
     }
-    for (long long j = 0; j < k; j++)
-        s->vs[s->at[j]] += hole_volume(bg, s, -2 - s->jumps[s->at[j]],
-                                       s->rule == VOL_EXACT ? s->vals[j] : 0);
+    if (s->rule == VOL_EXACT)
+        for (long long j = 0; j < k; j++)
+            if (hole_row(bg, s, -2 - s->jumps[s->at[j]], &s->vals[j]))
+                return -1;
+    for (long long j = 0; j < k; j++) {
+        long long v = hole_volume(bg, s, -2 - s->jumps[s->at[j]],
+                                  s->rule == VOL_EXACT ? s->vals[j] : 0);
+        if (v < 0)
+            return -1;
+        s->vs[s->at[j]] += v;
+    }
     return 0;
 }
 
 /* A finite run's steps, as peeling._lockstep_numpy: per step the row
    draws of the live chains below l_small in chain order, the band rounds
    of those at or above it, then per pruning jump (in chain order) its
-   volume (hole_volume).  A step draws nothing before it has every table
-   it reads: it returns LS_ROWS, LS_BANDS or LS_MEAN with the perimeter or
-   l' in need, to resume at the same phase once that is tabulated.
-   LS_DONE after n_steps, or when every chain is absorbed at 0; -1 for a
-   read outside a table. */
+   volume (step_holes).  A step draws nothing before it has every row and
+   band it reads: it returns LS_ROWS or LS_BANDS with the perimeter in
+   need, to start the same step again once that is tabulated, and then
+   runs through.  LS_DONE after n_steps, or when every chain is absorbed
+   at 0; -1 for a read outside a table. */
 long long lockstep(bitgen_t *bg, lockstep_t *s)
 {
     long long n = s->n;
     while (s->step < s->n_steps) {
-        if (s->phase == 0) {
-            long long sc[4];
-            if (step_scan(s, NULL, n, sc))
-                return -1;
-            if (!sc[1])
-                return LS_DONE;
-            long long st = step_tables(s, sc);
-            if (st)
-                return st;
-            if (step_draws(bg, s, NULL, n))
-                return -1;
-            s->phase = 1;
-        }
-        if (s->phase == 1) {
-            if (step_prunes(bg, s, NULL, n))
-                return -1;
-            s->phase = 2;
-        }
-        long long st = step_volumes(bg, s);
+        long long sc[4];
+        if (step_scan(s, NULL, n, sc))
+            return -1;
+        if (!sc[1])
+            return LS_DONE;
+        long long st = step_tables(s, sc);
         if (st)
             return st;
+        if (step_draws(bg, s, NULL, n) || step_holes(bg, s, NULL, n))
+            return -1;
         for (long long c = 0; c < n; c++)
             s->ls[c] += s->jumps[c];
         s->step++;
@@ -657,14 +631,13 @@ long long lockstep(bitgen_t *bg, lockstep_t *s)
             memcpy(s->vols + s->cp * n, s->vs, n * sizeof *s->vs);
             s->cp++;
         }
-        s->phase = 0;
     }
     return LS_DONE;
 }
 
 /* block_rounds' phases within a round */
-enum { BR_START, BR_DRAW, BR_PRUNE, BR_ONE, BR_TILT, BR_LINK, BR_DEEP_U,
-       BR_DEEP_KEEP, BR_SUMS, BR_KEEP, BR_ROWS, BR_MEANS, BR_WALK, BR_END };
+enum { BR_START, BR_STEP, BR_TILT, BR_LINK, BR_DEEP_U, BR_DEEP_KEEP, BR_SUMS,
+       BR_KEEP, BR_ROWS, BR_WALK, BR_END };
 
 /* _block_tilts: from B(l)'s tilt, up the grid while
    B log phi(theta) + theta l + log K_theta falls, for a block cut short */
@@ -779,16 +752,14 @@ INLINE long long step_hole(long long x, long long *lp, long long *val)
    uniform), then one keep uniform per block (kept with probability
    h(1, l_B) e^(-theta l_B - log K_theta) when the block stays at 1 or
    above).  The kept blocks are then walked: every exact row of their
-   holes first (BR_ROWS, only for VOL_EXACT), then a check that every mean
-   they read is known (BR_MEANS, only where a mean can be read: VOL_MEANS
-   or a heavy law; it resumes where an LS_MEAN left it), then one pass in
-   step order that draws their limit-law volumes and writes the
+   holes first (BR_ROWS, only for VOL_EXACT), then one pass in step order
+   that draws their limit-law volumes, reads their means and writes the
    checkpoints and the chains' new states (BR_WALK).  ks holds one entry
-   per step of the round.  Returns LS_BLOCKS, LS_ROWS, LS_BANDS, LS_HTAB,
-   LS_MEAN with the perimeter, l or l' in need, LS_WORK with the steps ks
-   must hold, or LS_EXP with the argument whose numpy exp a comparison
-   needs, each before it draws what that decides, to resume at the same
-   phase; LS_DONE at n_steps, -1 for a read outside a table. */
+   per step of the round, at most ks_cap.  Returns LS_BLOCKS, LS_ROWS,
+   LS_BANDS or LS_HTAB with the perimeter or l in need, or LS_EXP with the
+   argument whose numpy exp a comparison needs, each before it draws what
+   that decides, to resume at the same phase; LS_DONE at n_steps, -1 for a
+   read outside a table. */
 long long block_rounds(bitgen_t *bg, lockstep_t *s)
 {
     long long n = s->n;
@@ -816,29 +787,18 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                 else
                     s->blk[s->n_blk++] = c;
             }
-            s->bphase = BR_DRAW;
+            s->bphase = BR_STEP;
             break;
         }
-        case BR_DRAW: {
+        case BR_STEP: {
             long long sc[4];
             step_scan(s, s->one, s->n_one, sc);
             long long st = step_tables(s, sc);
             if (st)
                 return st;
-            if (step_draws(bg, s, s->one, s->n_one))
+            if (step_draws(bg, s, s->one, s->n_one)
+                || step_holes(bg, s, s->one, s->n_one))
                 return -1;
-            s->bphase = BR_PRUNE;
-            break;
-        }
-        case BR_PRUNE:
-            if (step_prunes(bg, s, s->one, s->n_one))
-                return -1;
-            s->bphase = BR_ONE;
-            break;
-        case BR_ONE: {
-            long long st = step_volumes(bg, s);
-            if (st)
-                return st;
             for (long long j = 0; j < s->n_one; j++) {
                 long long c = s->one[j];
                 s->ls[c] += s->jumps[c];
@@ -880,9 +840,8 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                 if (s->bj[b] >= s->tilt_rows->n)
                     return -1;
             }
-            s->need = total;
             if (total > s->ks_cap)
-                return LS_WORK;
+                return -1;
             long long p = 0;
             for (long long b = 0; b < m; b++)
                 for (long long q = 0; q < s->bB[b]; q++)
@@ -987,7 +946,6 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                     s->bkeep[b] = keep;
                 }
             }
-            s->bi = s->bq = s->bp = 0;
             s->bphase = BR_ROWS;
             break;
         case BR_ROWS:
@@ -1008,27 +966,6 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                             return -1;
                     }
                 }
-            s->bphase = BR_MEANS;
-            break;
-        case BR_MEANS:
-            /* every mean the kept blocks' holes read is known, where the run
-               can read one (VOL_MEANS, or a heavy law): from step bq of
-               block bi at ks[bp], where an LS_MEAN left the pass */
-            if (s->rule == VOL_MEANS || s->heavy)
-                for (; s->bi < s->n_blk; s->bi++, s->bq = 0) {
-                    long long B = s->bB[s->bi];
-                    if (!s->bkeep[s->bi]) {
-                        s->bp += B;
-                        continue;
-                    }
-                    for (; s->bq < B; s->bq++, s->bp++) {
-                        long long lp, val;
-                        step_hole(s->ks[s->bp], &lp, &val);
-                        long long st = lp < 0 ? 0 : mean_known(s, lp, val);
-                        if (st)
-                            return st;
-                    }
-                }
             s->bphase = BR_WALK;
             break;
         case BR_WALK: {
@@ -1046,8 +983,12 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                 for (long long q = 0; q < B; q++, p++) {
                     long long lp, val, k = step_hole(s->ks[p], &lp, &val);
                     l += k;
-                    if (lp >= 0)
-                        v += hole_volume(bg, s, lp, val);
+                    if (lp >= 0) {
+                        long long dv = hole_volume(bg, s, lp, val);
+                        if (dv < 0)
+                            return -1;
+                        v += dv;
+                    }
                     if (++step == s->cps[cp]) {
                         s->vols[cp * n + c] = v;
                         s->per[cp++ * n + c] = l;
@@ -1110,8 +1051,7 @@ class Lockstep(ctypes.Structure):
         (name, _LL) for name in ("n", "n_steps", "n_cps")] + [
         (name, _P) for name in ("cps", "ls", "vs", "per", "vols", "jumps", "at",
                                 "lb", "kb", "todo", "vals", "env")] + [
-        (name, _LL) for name in ("step", "cp", "phase", "n_prune",
-                                 "band_proposals", "band_accepts",
+        (name, _LL) for name in ("step", "cp", "band_proposals", "band_accepts",
                                  "residual_draws", "heavy_means", "need")] + [
         ("blocks", _P), ("block_tilt", _P), ("n_blocks", _LL)] + [
         (name, _P) for name in ("tilt_rows", "thetas", "log_phi", "log_K", "h1",
@@ -1121,8 +1061,8 @@ class Lockstep(ctypes.Structure):
         (name, _P) for name in ("da", "cur", "act", "one", "blk", "bB", "bj",
                                 "blB", "bkeep", "ks")] + [
         (name, _LL) for name in ("ks_cap", "n_act", "n_one", "n_blk", "n_ks",
-                                 "bphase", "bi", "bq", "bp", "node", "prev",
-                                 "head", "has_u")] + [
+                                 "bphase", "bi", "node", "prev", "head",
+                                 "has_u")] + [
         (name, ctypes.c_double) for name in ("u", "exp_x", "exp_val")] + [
         (name, _LL) for name in ("exp_ready", "block_proposals", "block_accepts")]
 
@@ -1143,9 +1083,9 @@ class Series(ctypes.Structure):
 # no tail cut up to k_cap
 SS_DONE, SS_WEIGHTS, SS_OVERFLOW, SS_NO_CUT = range(4)
 # the results of lockstep and block_rounds: done, the tables they lack
-# (LS_BLOCKS: B(l), asked only by block_rounds), work room and an exp to
-# take from numpy
-LS_DONE, LS_BLOCKS, LS_ROWS, LS_BANDS, LS_MEAN, LS_HTAB, LS_WORK, LS_EXP = range(8)
+# (LS_BLOCKS and LS_HTAB: B(l) and h(1, .), asked only by block_rounds) and
+# an exp to take from numpy (block_rounds)
+LS_DONE, LS_BLOCKS, LS_ROWS, LS_BANDS, LS_HTAB, LS_EXP = range(6)
 # their volume rules
 VOL_MEANS, VOL_LIMIT, VOL_EXACT = range(3)
 # the per-chain work arrays of lockstep (and of block_rounds' single

@@ -62,7 +62,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _native
-from .errors import RangeError, UnsupportedOrderError
+from .errors import UnsupportedOrderError
 
 ORDER_MIN = -4
 ORDER_MAX = 4
@@ -95,9 +95,7 @@ class HCache:
     """Memoized values of h(k, l) for a fixed ratio r.
 
     Exact mode requires a rational r and stores Fractions; float mode
-    stores read-only numpy arrays.  Tables grow on demand until
-    :meth:`freeze` is called, after which out-of-range requests raise
-    RangeError.
+    stores read-only numpy arrays.  Tables grow on demand.
     """
 
     def __init__(self, r, mode=None):
@@ -118,7 +116,6 @@ class HCache:
                 raise ValueError("ratio must lie in (-1, 1]")
             self.r = rf
         self.mode = mode
-        self._frozen = False
         # table[k] holds h(k, k+j) for j = 0..len-1
         self._tables = {}
 
@@ -213,10 +210,6 @@ class HCache:
         tab = self._tables.get(k)
         if tab is not None and len(tab) > n:
             return tab
-        if self._frozen:
-            raise RangeError(
-                f"h({k}, {l}) beyond the frozen range of this cache"
-            )
         if self.mode == "exact":
             return self._grow_exact(k, n)
         return self._grow_float(k, n)
@@ -251,19 +244,6 @@ class HCache:
             lo = max(k, 0)
             out[lo : l_max + 1] = vals[lo - k :]
         return out
-
-    def freeze(self):
-        """Stop further materialization; the cache becomes read-only."""
-        self._frozen = True
-        return self
-
-    @property
-    def l_max(self):
-        """Largest argument materialized over all orders (-1 if empty)."""
-        best = -1
-        for k, tab in self._tables.items():
-            best = max(best, k + len(tab) - 1)
-        return best
 
 
 def _recurrence_py(out, start, size, r, k):
@@ -335,8 +315,7 @@ def shared_cache(r):
     """The process-wide float HCache at ratio float(r).
 
     Keyed on the float alone: Fraction(1) == 1.0 with equal hashes, so an
-    exact cache must never live in this map.  The cache is shared, so it
-    must not be frozen.
+    exact cache must never live in this map.
     """
     return _shared_float_cache(float(r))
 

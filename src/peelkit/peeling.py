@@ -54,11 +54,11 @@ The window part (`_Window`: the stacked rows below L_SMALL, and log
 K_theta for the infinite map) reads only nu over k > -L_SMALL, k_pos and
 h(o, .), which deepening leaves unchanged; the depth part (the engine
 proper: the deepened law, cs, the bands, the tilted rows, log phi, B(l)
-and the memoized mean volumes) reads the rest.  Each thread keeps, per
-mode, the depth part of its last run, reused while the same law object,
-unchanged (same digest), is run to the same depth, and its WINDOWS most
-recently used window parts, keyed by what they read, so a law run at
-another depth, or two laws run by turns, reuse their rows.  The tables
+and the table of rounded mean volumes) reads the rest.  Each thread
+keeps, per mode, the depth part of its last run, reused while the same
+law object, unchanged (same digest), is run to the same depth, and its
+WINDOWS most recently used window parts, keyed by what they read, so a
+law run at another depth, or two laws run by turns, reuse their rows.  The tables
 only grow and their prefixes do not depend on how they grew, so reused
 parts draw bit-identically to new ones.  Two run flags say which parts a
 run reused: ``window_reused`` is True when its window part came from the
@@ -70,27 +70,26 @@ A finite run steps its chains in lockstep, in one compiled loop of the
 package's library (`_native`): each call makes the row draws below
 L_SMALL, the band rounds above it, the pruning volumes in every volume
 mode (numpy's own gamma code for xi) and the checkpoint rows of step
-after step, and returns only for a table it lacks (a row, a band or a
-mean volume not yet computed), which Python grows before the call
-resumes at the same point of the same step.  An infinite-map run goes in
-block rounds from its first step, in a second compiled loop on the same
-kind of state: per round the single steps of the chains with B(l) = 1
-(the lockstep loop's code, so a round of such chains alone is one
-lockstep step), the tilts, the tilted draws and their deep redraws, the
-keep test, and then the kept blocks: their exact volume rows
-(exact_small only), a check that every mean volume they read is known
-(only where a run can read one: expectation mode, or a heavy-tailed
-law), resumed where it stopped, and one walk in step order that draws
-their volumes and writes their checkpoints and the chains' new states.
-It also returns for B(l) with its tilt rows, h(1, .) past its table or
-room for the round's steps, and for numpy's exp where a uniform lies
-within 1e-12 of a keep probability.  The library also fills the stacked
-rows.  Every compiled loop reads the Generator's own bit generator in the
-order the numpy code reads it; where the library does not load, the numpy
-and Python loops (`_lockstep_numpy`, `_block_rounds_numpy` and the fill's
-numpy half) run and draw the same values.  Draws run compiled only inside
-the two chain loops: the numpy loops, `DiscreteSampler` and every other
-caller of `_StackedCdf.draw` and `_Bands.jumps` draw with numpy.
+after step, and returns only for a row or band it lacks, which Python
+grows before the call starts the same step again.  The mean volumes
+need no such return: a run that can read one (expectation mode, or a
+heavy-tailed law) has the whole table (`_mean_table`) before its first
+step.  An infinite-map run goes in block rounds from its first step, in
+a second compiled loop on the same kind of state: per round the single
+steps of the chains with B(l) = 1 (the lockstep loop's code, so a round
+of such chains alone is one lockstep step), the tilts, the tilted draws
+and their deep redraws, the keep test, and then the kept blocks: their
+exact volume rows (exact_small only), and one walk in step order that
+draws their volumes and writes their checkpoints and the chains' new
+states.  It also returns for B(l) with its tilt rows and h(1, .) past
+its table, and for numpy's exp where a uniform lies within 1e-12 of a
+keep probability.  The library also fills the stacked rows.  Every
+compiled loop reads the Generator's own bit generator in the order the
+numpy code reads it; where the library does not load, the numpy and
+Python loops (`_lockstep_numpy`, `_block_rounds_numpy` and the fill's
+numpy half) run and draw the same values.  Draws run compiled only
+inside the two chain loops: the numpy loops, `DiscreteSampler` and every
+other caller of `_StackedCdf.draw` and `_Bands.jumps` draw with numpy.
 """
 
 from __future__ import annotations
@@ -120,7 +119,8 @@ ROW_CHUNK = 64
 BLOCK_M = 2.0
 # the tilts theta of block proposals: 1, 2^(-1/2), ..., 2^-24
 BLOCK_THETAS = 2.0 ** (-np.arange(49) / 2.0)
-# a block round draws at most this many steps (bounds its memory)
+# a block round draws at most this many steps, or one per block where there
+# are more blocks (bounds its memory)
 BLOCK_DRAWS = 1 << 21
 # cells of a guide table per row of inverse CDFs
 GUIDE = 1 << 12
@@ -315,14 +315,15 @@ def _same_lockstep(lib):
     compared with the numpy fill (the law's window starts at k = -8, so
     rows below 8 start past column 0); both loops then run on those rows
     and draw with numpy alone.  Twelve chains, one at 0, the others below
-    and above L_SMALL, take four steps three times, absorbed at 0: with
+    and above L_SMALL, take four steps four times, absorbed at 0: with
     exact volume rows, residuals and the limit law, with the limit law
-    alone, and for a heavy law whose means are filled mid-step.  A fourth
-    run, with exact volume rows, starts them all below 10 and has every
-    chain absorbed at step 26 of 29, so both loops must stop at the same
-    checkpoint.  A fifth takes one step whose uniforms lie just below and
-    on every cut of rows 1..8, and of the exact volume rows, which chains
-    from row 8 draw for holes of degree 1, 2 and 3."""
+    alone, for a heavy law, and in expectation mode, the last two reading
+    a table of synthetic means.  A fifth run, with exact volume rows,
+    starts them all below 10 and has every chain absorbed at step 26 of
+    29, so both loops must stop at the same checkpoint.  A sixth takes one
+    step whose uniforms lie just below and on every cut of rows 1..8, and
+    of the exact volume rows, which chains from row 8 draw for holes of
+    degree 1, 2 and 3."""
     ks = np.arange(-8, 3)
     h = 1.0 / np.sqrt(np.arange(1.0, 2 * L_SMALL + 1))
     law = types.SimpleNamespace(
@@ -347,20 +348,21 @@ def _same_lockstep(lib):
     v, v_on = _edges(volumes, np.arange(1, 4))
     cut = engine.rows.row(8) - 8
     inside = 0.5 * (cut[5 - v] + cut[6 - v])
+    # the means of holes of degree 0..6: 2 at odd degrees, 3 l' + 1 at even
+    means = np.where(np.arange(7) % 2, 2, 3 * np.arange(7) + 1)
     for case, start, checkpoints, us in (
             ("exact", big, range(1, 5), spread), ("limit", big, range(1, 5), spread),
-            ("heavy", big, range(1, 5), spread),
+            ("heavy", big, range(1, 5), spread), ("means", big, range(1, 5), spread),
             ("exact", (0, 2, 3, 4, 6, 8, 1, 5, 2, 3, 9, 1), range(1, 30), spread),
             ("exact", np.concatenate([np.full(len(v), 8), at]), range(1, 2),
              np.concatenate([inside, on, v_on, spread]))):
-        heavy = case == "heavy"
         runs = []
         for lockstep in (lambda *a: _lockstep_c(lib, *a), _lockstep_numpy):
             vol = VolumeSampler(law, "asymptotic_xi")
-            if heavy:
-                vol.heavy = True
-                vol._means[1::2] = 2
-                vol.fill_mean = lambda l, vol=vol: vol._means.__setitem__(l, 3 * l + 1)
+            if case == "heavy":
+                vol.heavy, vol._means = True, means
+            elif case == "means":
+                vol.mode, vol._means = "expectation", means
             elif case == "exact":
                 vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
             engine.start(1300)
@@ -383,7 +385,8 @@ def _same_blocks(lib):
     tilted draws at its last entry are redrawn.  Twelve chains, below and
     above L_SMALL, with B(l) = 1 only for even l above it, take every
     checkpoint of two steps, with exact volume rows, residuals and the
-    limit law; blocks cut short walk their tilt.  The first round draws one
+    limit law, and again in expectation mode, reading a table of synthetic
+    means; blocks cut short walk their tilt.  The first round draws one
     single step, +2 from its first proposal, and no deep entry, and the
     uniform after its tilted draws lies on block 0's keep odds as numpy
     computes them, so the compiled loop must ask for numpy's exp (LS_EXP)
@@ -444,14 +447,20 @@ def _same_blocks(lib):
         m = -(-len(on) // engine.blocks[l])
         blk += [l] * m
         tilted.append(np.resize(on, m * engine.blocks[l]))
-    for chains, n_steps, stream in (
-            (start, steps, us),
-            (np.tile(even, 2), 1, np.concatenate([np.nextafter(share, 0), share, spread])),
-            (blk, 3, np.concatenate(tilted + [spread]))):
+    # the means of holes of every degree the law reaches, 1..11
+    means = 1 + np.arange(k_neg - 1) * 7 % 11
+    for mean, chains, n_steps, stream in (
+            (False, start, steps, us), (True, start, steps, us),
+            (False, np.tile(even, 2), 1, np.concatenate([np.nextafter(share, 0), share,
+                                                         spread])),
+            (False, blk, 3, np.concatenate(tilted + [spread]))):
         runs = []
         for rounds in (lambda *a: _block_rounds_c(lib, *a), _block_rounds_numpy):
             vol = VolumeSampler(law, "asymptotic_xi")
-            vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
+            if mean:
+                vol.mode, vol._means = "expectation", means
+            else:
+                vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
             engine.flags = {"band_proposals": 0, "band_accepts": 0}
             run = _Run(len(chains), 1, range(1, n_steps + 1))
             run.ls[:] = chains
@@ -628,6 +637,18 @@ def _check_volume_args(mode, l_exact, d_max):
                          f"got l_exact={l_exact!r}, d_max={d_max!r}")
 
 
+def _mean_table(law: StepLaw):
+    """The rounded mean volumes max(1, rint(E V(l'))) as an int64 table over
+    the degrees l' < k_neg - 1: an entry for every l' >= 1 a chain on law
+    can prune to, nu(-l' - 2) != 0, 1 at l' = 0 (the one-vertex map) and 0
+    elsewhere."""
+    means = np.zeros(max(1, law.k_neg - 1), dtype=np.int64)
+    means[0] = 1
+    lps = 1 + np.flatnonzero(law.probs[law.k_neg - 3::-1][:len(means) - 1])
+    means[lps] = np.maximum(1, np.rint(expected_volume(law, lps)))
+    return means
+
+
 class VolumeSampler:
     """Draws the vertex count added when a hole of degree l' is filled in.
 
@@ -640,10 +661,13 @@ class VolumeSampler:
     (the mode falls back to the limit law, flag exact_fallback, where the
     tables cannot be certified).  A heavy-tailed law has no volume constant
     B_nu, so where the limit law would be drawn it takes the rounded mean
-    increment instead (flag heavy_volume_expectation).  engine, when
+    increment instead (flag heavy_volume_expectation).  The rounded means
+    are one table (`_mean_table`), built whole before the first draw, and
+    only where a mean can be read: in 'expectation' mode and for a heavy
+    law; a degree past it or at a 0 entry raises IndexError.  engine, when
     given, is law's chain engine, whose memos the sampler reads and fills:
-    the rounded means (`_ChainEngine.means`) and the enumeration tables per
-    (l_exact, d_max), so the runs of one deepened law share them.
+    the table of means (`_ChainEngine.mean_table`) and the enumeration
+    tables per (l_exact, d_max), so the runs of one deepened law share them.
     """
 
     def __init__(self, law: StepLaw, mode="exact_small", l_exact=DEFAULT_L_EXACT,
@@ -665,25 +689,16 @@ class VolumeSampler:
         # heavy-tailed laws have no universal volume fluctuation scale and
         # fall back to the exact mean increment
         self.heavy = math.isnan(law.B_nu)
-        if engine is None:
-            self._means = np.zeros(law.k_neg + 1, dtype=np.int64)
-            self._means[0] = 1      # l' = 0 is the one-vertex map
-        else:
-            self._means = engine.means
+        self._means = np.zeros(0, dtype=np.int64)
+        if mode == "expectation" or self.heavy:
+            self._means = _mean_table(law) if engine is None else engine.mean_table()
 
     def _mean_volume(self, lp):
-        """max(1, round(E V(l'))) per entry, memoized per l'."""
+        """max(1, round(E V(l'))) per entry, read from the table."""
         vals = self._means[lp]
         if not vals.all():
-            # a set, not np.unique, which imports numpy.ma on first use
-            for l in sorted(set(lp[vals == 0].tolist())):
-                self.fill_mean(l)
-            vals = self._means[lp]
+            raise IndexError("a mean volume outside the table")
         return vals
-
-    def fill_mean(self, l):
-        """Memoize max(1, round(E V(l))) for one l."""
-        self._means[l] = max(1, round(expected_volume(self.law, l)))
 
     def draw_many(self, rng, l_primes):
         """Vertex counts of filled-in holes of degrees l' >= 0 (vectorized);
@@ -978,13 +993,14 @@ class _ChainEngine:
     of nu_theta over the window k > -L_SMALL whose last entry,
     -(k_neg + 1), stands for all of k <= -L_SMALL.  ``blocks[l]`` is B(l)
     and ``block_tilt[l]`` the index of its theta, tabulated when a chain
-    first needs them.  ``means`` memoizes the rounded mean volumes of
-    holes, 0 where not yet computed, and ``exact_tables`` the exact volume
-    tables per (l_exact, d_max), for the `VolumeSampler` of each run.
+    first needs them.  ``means`` holds the table of rounded mean volumes
+    (`mean_table`), None until a run that reads a mean asks for it, and
+    ``exact_tables`` the exact volume tables per (l_exact, d_max), for the
+    `VolumeSampler` of each run.
 
     The engine is the depth part: every table but the window's depends on
     the law as deepened for a run (its deep tail, cs, the bands, the tilted
-    rows, log phi, B(l) and the memos).  Every table depends only on that
+    rows, log phi, B(l), the means and the exact tables).  Every table depends only on that
     law and the transform, so one engine serves run after run; ``start``
     begins each.  window is the law's window part, built here when not
     given.
@@ -1001,8 +1017,7 @@ class _ChainEngine:
         self.win_idx = self.win_ks + law.k_neg
         self.h_len = 0
         self._cover(L_SMALL)
-        self.means = np.zeros(law.k_neg + 1, dtype=np.int64)
-        self.means[0] = 1       # l' = 0 is the one-vertex map
+        self.means = None
         self.exact_tables = {}
         # B(l) for l < len(blocks)
         self.blocks = np.ones(0, dtype=np.int64)
@@ -1051,9 +1066,11 @@ class _ChainEngine:
         self.hz = np.concatenate([np.zeros(law.k_neg), h])
         self.bands = _Bands(self.cs, self.hz, law.k_neg, law.k_pos)
 
-    def _extend_rows(self, l_max):
-        """Build the window's rows up to l_max < L_SMALL."""
-        self.window.extend_rows(l_max)
+    def mean_table(self):
+        """The law's rounded mean volumes (`_mean_table`), built on first use."""
+        if self.means is None:
+            self.means = _mean_table(self.law)
+        return self.means
 
     def start(self, l0):
         """Begin a run of chains from perimeter l0 >= 1."""
@@ -1075,14 +1092,14 @@ class _ChainEngine:
         self._hi = hi + self.law.k_pos
         if hi < L_SMALL:
             if hi >= self.rows.n:
-                self._extend_rows(hi)
+                self.window.extend_rows(hi)
             return self.rows.draw(rng, ls)
         self._cover(hi)
         small = ls < L_SMALL
         if not small.any():
             return self._rejection_jumps(ls, rng)
         if self.rows.n < L_SMALL:
-            self._extend_rows(L_SMALL - 1)
+            self.window.extend_rows(L_SMALL - 1)
         out = np.empty_like(ls)
         out[small] = self.rows.draw(rng, ls[small])
         out[~small] = self._rejection_jumps(ls[~small], rng)
@@ -1196,7 +1213,7 @@ class _ChainEngine:
         """The law over law.ks that draw() samples at perimeter l."""
         self._cover(l)
         if l < L_SMALL:
-            self._extend_rows(l)
+            self.window.extend_rows(l)
             row = self.rows.row(l)
             p = np.zeros(len(self.law.probs))
             p[self.win_idx[len(self.win_idx) - len(row):]] = np.diff(row - l, prepend=0.0)
@@ -1385,8 +1402,8 @@ def _drain(s, engine, vol, flags=None):
 
 
 def _lockstep_c(lib, engine, vol, rng, run):
-    """`_lockstep` in C: one ``lockstep`` call runs until a table is
-    missing, which is grown here before the call resumes where it stopped."""
+    """`_lockstep` in C: one ``lockstep`` call runs until a row or band is
+    missing, which is grown here before the call starts that step again."""
     s, _arrays = _c_run(engine, vol, run)
     bg = rng.bit_generator
     state = bg.ctypes.bit_generator
@@ -1397,11 +1414,9 @@ def _lockstep_c(lib, engine, vol, rng, run):
             with bg.lock:
                 status = lib.lockstep(state, ctypes.byref(s))
             if status == _native.LS_ROWS:
-                engine._extend_rows(s.need)
+                engine.window.extend_rows(s.need)
             elif status == _native.LS_BANDS:
                 engine._cover(s.need)
-            elif status == _native.LS_MEAN:
-                vol.fill_mean(s.need)
             elif status == _native.LS_DONE:
                 return
             else:
@@ -1423,8 +1438,8 @@ def _block_rounds(engine, vol, rng, run, flags):
 
 def _block_rounds_c(lib, engine, vol, rng, run, flags):
     """`_block_rounds` in C: one ``block_rounds`` call runs until a table is
-    missing, its steps outgrow ks or a comparison needs numpy's exp, which
-    is supplied here before the call resumes where it stopped."""
+    missing or a comparison needs numpy's exp, which is supplied here before
+    the call resumes where it stopped."""
     s, _arrays = _c_run(engine, vol, run)
     n, law, addr = len(run.ls), engine.law, _native.address
     work = dict(zip(_native.BLOCK_WORK, np.empty((len(_native.BLOCK_WORK), n),
@@ -1440,10 +1455,10 @@ def _block_rounds_c(lib, engine, vol, rng, run, flags):
     # whatever other runs grew the shared cache to
     h1 = law.hcache().table(1, engine.h_len)[:engine.h_len]
     # B(l) from the start, so that its table's temporaries are freed before
-    # ks takes its room; then the steps a round can draw, but for more
-    # chains than BLOCK_DRAWS
+    # ks takes its room: the most steps a round draws, max(BLOCK_DRAWS, n)
     engine.block_len(run.ls)
-    ks = np.empty(min(n * s.n_steps, BLOCK_DRAWS), dtype=np.int64)
+    ks = np.empty(min(n * s.n_steps, max(n, BLOCK_DRAWS)), dtype=np.int64)
+    s.ks, s.ks_cap = addr(ks), len(ks)
     bg = rng.bit_generator
     state = bg.ctypes.bit_generator
     try:
@@ -1453,7 +1468,6 @@ def _block_rounds_c(lib, engine, vol, rng, run, flags):
             s.tilt_rows = ctypes.addressof(tilt[0])
             s.blocks, s.block_tilt = addr(engine.blocks), addr(engine.block_tilt)
             s.n_blocks, s.h1, s.n_h1 = len(engine.blocks), addr(h1), len(h1)
-            s.ks, s.ks_cap = addr(ks), len(ks)
             with bg.lock:
                 status = lib.block_rounds(state, ctypes.byref(s))
             if status == _native.LS_EXP:
@@ -1464,14 +1478,10 @@ def _block_rounds_c(lib, engine, vol, rng, run, flags):
             elif status == _native.LS_HTAB:
                 n = max(s.need, 2 * len(h1))
                 h1 = law.hcache().table(1, n)[:n]
-            elif status == _native.LS_WORK:
-                ks = np.empty(max(s.need, min(2 * len(ks), BLOCK_DRAWS)), dtype=np.int64)
             elif status == _native.LS_ROWS:
-                engine._extend_rows(s.need)
+                engine.window.extend_rows(s.need)
             elif status == _native.LS_BANDS:
                 engine._cover(s.need)
-            elif status == _native.LS_MEAN:
-                vol.fill_mean(s.need)
             elif status == _native.LS_DONE:
                 return
             else:

@@ -273,7 +273,11 @@ def disk_coefficient(law: StepLaw, l):
 
 
 def expected_volume(law: StepLaw, l):
-    """Mean vertex count of a Boltzmann map with root-face degree l."""
+    """Mean vertex count of a Boltzmann map with root-face degree l,
+    h(0, l) nu(-2) / nu(-l - 2); for an integer numpy array l, the same
+    doubles per entry."""
+    if isinstance(l, np.ndarray) and l.ndim:
+        return _expected_volumes(law, l)
     if l < 1:
         raise ValueError("degree must be positive")
     if l + 2 > law.k_neg:
@@ -283,6 +287,26 @@ def expected_volume(law: StepLaw, l):
         raise RangeError(f"nu(-{l + 2}) vanishes (parity); degenerate degree")
     h0 = law.hcache().value(0, l)
     return h0 * float(law.nu(-2)) / denom
+
+
+def _expected_volumes(law, ls):
+    """expected_volume per entry of the integer array ls, in one pass."""
+    if not len(ls):
+        return np.zeros(0)
+    lo, hi = int(ls.min()), int(ls.max())
+    if lo < 1:
+        raise ValueError("degree must be positive")
+    if hi + 2 > law.k_neg:
+        raise RangeError(f"need nu(-{hi + 2}); law materialized to {law.k_neg}")
+    # nu(-l - 2) per entry, the law's exact values where it carries them
+    denom = law.probs[law.k_neg - 2 - ls]
+    for k, v in (law.exact or {}).items():
+        if -hi - 2 <= k <= -lo - 2:
+            denom[ls == -k - 2] = float(v)
+    if not denom.all():
+        bad = int(ls[denom == 0][0]) + 2
+        raise RangeError(f"nu(-{bad}) vanishes (parity); degenerate degree")
+    return law.hcache().table(0, hi)[ls] * float(law.nu(-2)) / denom
 
 
 # -- symmetric critical family -------------------------------------------------

@@ -604,21 +604,3 @@ class TestSharedCache:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert bad == []
-
-
-class TestFreeze:
-    def test_freeze_blocks_growth(self):
-        from peelkit.errors import RangeError
-
-        c = HCache(Fraction(1, 2))
-        c.table(0, 10)
-        c.freeze()
-        assert c.value(0, 10) == h_oracle(0, 10, Fraction(1, 2))
-        with pytest.raises(RangeError):
-            c.value(0, 50)
-
-    def test_l_max_tracking(self):
-        c = HCache(1)
-        assert c.l_max == -1
-        c.table(0, 7)
-        assert c.l_max >= 7

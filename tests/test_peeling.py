@@ -35,7 +35,7 @@ from peelkit.peeling import (
     step_ibpm,
 )
 from peelkit.scaling import ecf_test
-from peelkit.walk import complete_nu, deepen_negative, symmetric_family
+from peelkit.walk import complete_nu, deepen_negative, expected_volume, symmetric_family
 from peelkit.weights import (
     StepLawPositive,
     WeightSequence,
@@ -738,6 +738,52 @@ class TestEngineExactness:
         assert np.all(np.diff(vol, axis=0)[sel] == 3)
 
 
+class TestMeanTable:
+    @pytest.mark.parametrize("key", ["quad", "tri", "geo3", "heavy", "exact"])
+    def test_table_is_the_rounded_means(self, key):
+        # every degree l' a hole can have, nu(-l' - 2) > 0, holds
+        # max(1, round(E V(l'))) with E V(l') = h(0, l') nu(-2) / nu(-l' - 2),
+        # as the scalar rule gave it; l' = 0 holds 1 and every other entry 0.
+        # The array form of expected_volume gives the same doubles
+        law = (symmetric_family(1.0, math.pi / 4, k_pos=256) if key == "heavy"
+               else LAW_EXACT if key == "exact" else DEEP[key])
+        assert (law.exact is not None) == (key == "exact")
+        means = peeling._mean_table(law)
+        lps = np.arange(1, law.k_neg - 1)
+        nu = np.array([float(law.nu(-lp - 2)) for lp in lps])
+        hole = lps[nu > 0]
+        assert len(hole) and not nu[nu <= 0].any()
+        rule = np.array([law.hcache().value(0, lp) * float(law.nu(-2)) / float(law.nu(-lp - 2))
+                         for lp in hole])
+        assert expected_volume(law, hole).tobytes() == rule.tobytes()
+        want = np.zeros(law.k_neg - 1, dtype=np.int64)
+        want[0] = 1
+        want[hole] = [max(1, round(v)) for v in rule]
+        assert means.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    @pytest.mark.parametrize("mode", ["finite", "ibpm"])
+    def test_a_read_outside_the_table_raises(self, mode, path):
+        # a hole whose table entry is 0, or past the table, is a read
+        # outside the tables: IndexError on both paths
+        def run():
+            return simulate_ensemble(mode, LAW, 40, 200, 64, seed=1,
+                                     volume_mode="expectation")
+
+        with draws_on(path):
+            for cut in ("zero", "short"):
+                peeling._slot.clear()
+                run()
+                engine = peeling._slot.held[mode][5]
+                if cut == "zero":
+                    engine.means[1:] = 0
+                else:
+                    engine.means = engine.means[:1].copy()
+                with pytest.raises(IndexError):
+                    run()
+            peeling._slot.clear()
+
+
 class TestStackedCdf:
     def test_shared_values_match_per_row_tables(self):
         rows, width = 200, 37
@@ -935,8 +981,8 @@ class TestBlockStepping:
             rows = engine.tilt_rows
         elif table == "chain":
             engine = _ChainEngine(DEEP[key], "finite")
-            engine._extend_rows(100)        # rows grow a block at a time
-            engine._extend_rows(300)
+            engine.window.extend_rows(100)        # rows grow a block at a time
+            engine.window.extend_rows(300)
             rows = engine.rows
         else:
             rows = VolumeSampler(LAW, "exact_small")._cdf
@@ -1269,13 +1315,21 @@ C_MUTANTS = {
                   "            j--;\n            now = up;\n            break;\n"),
     "keep_comparison": ("return u < f * e;", "return u <= f * e;"),
     "checkpoint_offset": ("s->per[cp++ * n + c] = l;", "s->per[cp++ * n + c] = l - k;"),
-    "volume_window": ("""                    if (lp >= 0)
-                        v += hole_volume(bg, s, lp, val);
+    "volume_window": ("""                    if (lp >= 0) {
+                        long long dv = hole_volume(bg, s, lp, val);
+                        if (dv < 0)
+                            return -1;
+                        v += dv;
+                    }
                     if (++step == s->cps[cp]) {
                         s->vols[cp * n + c] = v;
 """, """                    long long v0 = v;
-                    if (lp >= 0)
-                        v += hole_volume(bg, s, lp, val);
+                    if (lp >= 0) {
+                        long long dv = hole_volume(bg, s, lp, val);
+                        if (dv < 0)
+                            return -1;
+                        v += dv;
+                    }
                     if (++step == s->cps[cp]) {
                         s->vols[cp * n + c] = v0;
 """),
@@ -1415,7 +1469,10 @@ class TestCompiledDraws:
                 assert all(out.flags.get("heavy_volume_expectation")
                            for out, v in zip(outs, np.repeat(VOLUME_MODES, 2))
                            if v != "expectation")
-                assert asked(calls, _native.LS_MEAN)
+                # the means are a table whole before the first step: no
+                # call returns for one
+                assert {st for st, _ in calls} <= {_native.LS_DONE, _native.LS_ROWS,
+                                                   _native.LS_BANDS}
         else:
             runs = [lambda: simulate_ensemble("finite", LAW, 60, 600, 200, seed=11,
                                               checkpoints=range(1, 601, 7)),
@@ -1429,8 +1486,8 @@ class TestCompiledDraws:
     @pytest.mark.parametrize("case", ["absorbed", "residuals", "heavy", "growth"])
     def test_lockstep_cases(self, case, monkeypatch):
         # every chain absorbed before n_steps, exact_small runs that draw
-        # residuals, a heavy-tailed law (its means filled mid-run), and rows
-        # and bands grown mid-run
+        # residuals, a heavy-tailed law (its means read from their table),
+        # and rows and bands grown mid-run
         runs, check = self._case(case)
         calls = self._lockstep_calls(monkeypatch)
         digests = []
@@ -1777,6 +1834,34 @@ class TestCompiledDraws:
             assert (_native._self_check(_native._open(path))
                     == "compiled lockstep differs from the Python loop"), name
 
+    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
+                        or not os.path.isfile(_native._npyrandom()),
+                        reason="no C compiler or no numpy static random library")
+    def test_self_check_refuses_a_mean_mutant(self, tmp_path):
+        # a mean volume read one too large, wherever a mean is read or only
+        # in expectation mode: the lockstep and the block halves of the
+        # self-check each refuse both
+        mutants = {"mean": ("? s->means[lp] : -1;", "? s->means[lp] + 1 : -1;"),
+                   "expectation": ("return hole_mean(s, lp);",
+                                   "return hole_mean(s, lp) + 1;")}
+        sources = {}
+        for name, (old, new) in mutants.items():
+            assert _native._C_SOURCE.count(old) == 1, name
+            sources[name] = _native._C_SOURCE.replace(old, new)
+        cc = shutil.which("cc") or shutil.which("gcc")
+        paths = {name: str(tmp_path / f"{name}.so") for name in sources}
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            failed = list(pool.map(lambda name: _native._compile(cc, paths[name],
+                                                                  sources[name]),
+                                   sources))
+        assert failed == [None] * len(sources)
+        for name, path in paths.items():
+            lib = _native._open(path)
+            assert (peeling._same_lockstep(lib)
+                    == "compiled lockstep differs from the Python loop"), name
+            assert (peeling._same_blocks(lib)
+                    == "compiled block rounds differ from the numpy rounds"), name
+
     def test_self_check_runs_every_chain_to_absorption(self, monkeypatch):
         # one lockstep run of the self-check has every chain absorbed before
         # its last checkpoint; both loops stop there and the check passes
@@ -1850,7 +1935,7 @@ class TestCompiledDraws:
         # only inside the chain loops, which raise for a chain at a negative
         # perimeter and for a block whose tilt row is not built
         engine = _ChainEngine(DEEP["tri"], "ibpm")
-        engine._extend_rows(100)
+        engine.window.extend_rows(100)
         engine._tilt_rows(10)
         if path == "numpy":
             volumes = VolumeSampler(LAW, "exact_small")._cdf
@@ -1905,7 +1990,7 @@ class TestCompiledDraws:
             return
         lib = compiled_library()
         engine = small_finite_engine()
-        engine._extend_rows(8)
+        engine.window.extend_rows(8)
         cut = engine.rows.row(8) - 8
         vol = VolumeSampler(engine.law, "asymptotic_xi")
         vol.mode, vol.l_exact, vol._cdf = "exact_small", 1, cdf

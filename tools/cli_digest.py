@@ -68,6 +68,13 @@ INVOCATIONS = [
     # small runs above draw about a hundred
     ["scaling-test", "--models", "quadrangulation", "--steps", "2000",
      "--chains", "100", "--ecf-samples", "5000", "--seed", "5"],
+    # mean volumes read inside the block rounds: a heavy-tailed law's limit
+    # law falls back to them, and expectation mode reads them
+    ["simulate", "--preset", "symmetric_critical", "--r", "1", "--a", "0.785",
+     "--mode", "ibpm", "--l0", "40", "--steps", "300", "--seed", "3", "--out",
+     OUT],
+    ["simulate", "--preset", "quadrangulation", "--mode", "ibpm", "--steps",
+     "2000", "--seed", "4", "--volume-mode", "expectation", "--out", OUT],
 ]
 
 
