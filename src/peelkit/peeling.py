@@ -1000,10 +1000,10 @@ class _ChainEngine:
 
     The engine is the depth part: every table but the window's depends on
     the law as deepened for a run (its deep tail, cs, the bands, the tilted
-    rows, log phi, B(l), the means and the exact tables).  Every table depends only on that
-    law and the transform, so one engine serves run after run; ``start``
-    begins each.  window is the law's window part, built here when not
-    given.
+    rows, log phi, B(l), the means and the exact tables).  Every table
+    depends only on that law and the transform, so one engine serves run
+    after run; ``start`` begins each.  window is the law's window part,
+    built here when not given.
     """
 
     def __init__(self, law: StepLaw, mode, window=None):

@@ -981,7 +981,7 @@ class TestBlockStepping:
             rows = engine.tilt_rows
         elif table == "chain":
             engine = _ChainEngine(DEEP[key], "finite")
-            engine.window.extend_rows(100)        # rows grow a block at a time
+            engine.window.extend_rows(100)  # rows grow a block at a time
             engine.window.extend_rows(300)
             rows = engine.rows
         else:
