@@ -10,15 +10,16 @@ stays in the package as the fallback and the test reference:
   tail cut, resumable where the weights run out;
 * ``fill_rows``, the stacked rows of `peeling._Window._fill_numpy`;
 * ``lockstep``, a finite run's steps of `peeling._lockstep_numpy` with
-  their volumes and checkpoints, run until a row or band is missing: its
-  row draws are `peeling._StackedCdf.draw`'s inverse-CDF draws and its
-  band rounds `peeling._Bands.jumps`' band-envelope rejection, inlined;
+  their volumes and checkpoints, run until a row or the engine's cover
+  (`peeling._ChainEngine._cover`) is missing: its row draws are
+  `peeling._StackedCdf.draw`'s inverse-CDF draws and its band rounds
+  `peeling._Bands.jumps`' band-envelope rejection, inlined;
 * ``block_rounds``, an infinite-map run's block rounds of
   `peeling._block_rounds_numpy` from its first step to its last: the
   single steps of chains with B(l) = 1 (sharing lockstep's code), the
-  tilts, the tilted and deep draws, the keep test, and one walk over the
-  kept blocks for their volumes, checkpoints and new states (after their
-  exact rows);
+  tilts, the tilted and deep draws, the keep test (h(1, .) read from the
+  bands' table), and one walk over the kept blocks for their volumes,
+  checkpoints and new states (after their exact rows);
 
 and ``fixed_double``/``fixed_uint64``, the bit generator of `FixedStream`,
 which feeds the self-check fixed uniforms, and ``gamma_fill``.
@@ -400,7 +401,7 @@ void fill_rows(const double *h, const double *p, const long long *ks,
     }
 }
 
-enum { LS_DONE, LS_BLOCKS, LS_ROWS, LS_BANDS, LS_HTAB, LS_EXP };
+enum { LS_DONE, LS_ROWS, LS_COVER, LS_EXP };
 enum { VOL_MEANS, VOL_LIMIT, VOL_EXACT };
 
 typedef struct {
@@ -419,16 +420,16 @@ typedef struct {
     long long step, cp;
     long long band_proposals, band_accepts, residual_draws, heavy_means;
     long long need;
-    /* block rounds: B(l) and its tilt's index for perimeters 0..n_blocks-1,
-       the rows of nu_theta, the grid, h1[j] = h(1, 1 + j) for j < n_h1 and
-       nu's cumulative sum cs (n_cs entries, n_deep of them at or below
-       -l_small) */
+    /* block rounds: B(l) and its tilt's index for perimeters 0..n_blocks-1
+       (the cover, 0..bands->n-1), the rows of nu_theta, the grid and nu's
+       cumulative sum cs (n_cs entries, n_deep of them at or below
+       -l_small); h(1, .) is the bands' hz */
     const long long *blocks;
     const int16_t *block_tilt;
     long long n_blocks;
     const cdf_t *tilt_rows;
-    const double *thetas, *log_phi, *log_K, *h1, *cs;
-    long long n_h1, n_cs, k_neg, n_deep, block_draws;
+    const double *thetas, *log_phi, *log_K, *cs;
+    long long n_cs, k_neg, n_deep, block_draws;
     /* per chain: steps taken and the next checkpoint; the unfinished
        chains, those of a round that step once and those that propose a
        block; per block its length, tilt, end perimeter and keep flag */
@@ -473,8 +474,8 @@ INLINE int step_scan(const lockstep_t *s, const long long *idx, long long m,
     return 0;
 }
 
-/* 0 when the rows and bands the scanned single steps read are built, else
-   LS_ROWS or LS_BANDS with the perimeter in need */
+/* 0 when the rows and the cover the scanned single steps read are built,
+   else LS_ROWS or LS_COVER with the perimeter in need */
 INLINE long long step_tables(lockstep_t *s, const long long sc[4])
 {
     s->need = sc[2];
@@ -482,7 +483,7 @@ INLINE long long step_tables(lockstep_t *s, const long long sc[4])
         return LS_ROWS;
     s->need = sc[3];
     if (sc[3] >= s->bands->n)
-        return LS_BANDS;
+        return LS_COVER;
     return 0;
 }
 
@@ -605,7 +606,7 @@ INLINE long long step_holes(bitgen_t *bg, lockstep_t *s, const long long *idx,
    draws of the live chains below l_small in chain order, the band rounds
    of those at or above it, then per pruning jump (in chain order) its
    volume (step_holes).  A step draws nothing before it has every row and
-   band it reads: it returns LS_ROWS or LS_BANDS with the perimeter in
+   band it reads: it returns LS_ROWS or LS_COVER with the perimeter in
    need, to start the same step again once that is tabulated, and then
    runs through.  LS_DONE after n_steps, or when every chain is absorbed
    at 0; -1 for a read outside a table. */
@@ -755,11 +756,11 @@ INLINE long long step_hole(long long x, long long *lp, long long *val)
    holes first (BR_ROWS, only for VOL_EXACT), then one pass in step order
    that draws their limit-law volumes, reads their means and writes the
    checkpoints and the chains' new states (BR_WALK).  ks holds one entry
-   per step of the round, at most ks_cap.  Returns LS_BLOCKS, LS_ROWS,
-   LS_BANDS or LS_HTAB with the perimeter or l in need, or LS_EXP with the
-   argument whose numpy exp a comparison needs, each before it draws what
-   that decides, to resume at the same phase; LS_DONE at n_steps, -1 for a
-   read outside a table. */
+   per step of the round, at most ks_cap.  Returns LS_ROWS with the
+   perimeter in need, LS_COVER with the largest block start, single step or
+   block end past the cover, or LS_EXP with the argument whose numpy exp a
+   comparison needs, each before it draws what that decides, to resume at
+   the same phase; LS_DONE at n_steps, -1 for a read outside a table. */
 long long block_rounds(bitgen_t *bg, lockstep_t *s)
 {
     long long n = s->n;
@@ -777,8 +778,10 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                     hi = l;
             }
             s->need = hi;
+            if (hi >= s->bands->n)
+                return LS_COVER;
             if (hi >= s->n_blocks)
-                return LS_BLOCKS;
+                return -1;
             s->n_one = s->n_blk = 0;
             for (long long j = 0; j < s->n_act; j++) {
                 long long c = s->act[j];
@@ -928,8 +931,10 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                     hi = l + sum;
             }
             s->need = hi;
-            if (hi > s->n_h1)
-                return LS_HTAB;
+            if (hi >= s->bands->n)
+                return LS_COVER;
+            if (s->k_neg + hi >= s->bands->n_hz)
+                return -1;
             s->bi = 0;
             s->bphase = BR_KEEP;
             break;
@@ -939,7 +944,7 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                 long long b = s->bi, j = s->bj[b], lB = s->blB[b];
                 double u = take_u(bg, s);
                 if (s->bkeep[b]) {
-                    long long keep = below(s, u, s->h1[lB - 1],
+                    long long keep = below(s, u, s->bands->hz[s->k_neg + lB],
                                            -s->thetas[j] * (double)lB - s->log_K[j]);
                     if (keep == LS_EXP)
                         return LS_EXP;
@@ -1054,10 +1059,8 @@ class Lockstep(ctypes.Structure):
         (name, _LL) for name in ("step", "cp", "band_proposals", "band_accepts",
                                  "residual_draws", "heavy_means", "need")] + [
         ("blocks", _P), ("block_tilt", _P), ("n_blocks", _LL)] + [
-        (name, _P) for name in ("tilt_rows", "thetas", "log_phi", "log_K", "h1",
-                                "cs")] + [
-        (name, _LL) for name in ("n_h1", "n_cs", "k_neg", "n_deep",
-                                 "block_draws")] + [
+        (name, _P) for name in ("tilt_rows", "thetas", "log_phi", "log_K", "cs")] + [
+        (name, _LL) for name in ("n_cs", "k_neg", "n_deep", "block_draws")] + [
         (name, _P) for name in ("da", "cur", "act", "one", "blk", "bB", "bj",
                                 "blB", "bkeep", "ks")] + [
         (name, _LL) for name in ("ks_cap", "n_act", "n_one", "n_blk", "n_ks",
@@ -1082,10 +1085,10 @@ class Series(ctypes.Structure):
 # the results of series_sums: done, a weight missing, an exp overflowing,
 # no tail cut up to k_cap
 SS_DONE, SS_WEIGHTS, SS_OVERFLOW, SS_NO_CUT = range(4)
-# the results of lockstep and block_rounds: done, the tables they lack
-# (LS_BLOCKS and LS_HTAB: B(l) and h(1, .), asked only by block_rounds) and
-# an exp to take from numpy (block_rounds)
-LS_DONE, LS_BLOCKS, LS_ROWS, LS_BANDS, LS_HTAB, LS_EXP = range(6)
+# the results of lockstep and block_rounds: done, a row below L_SMALL
+# missing, a perimeter past the engine's cover (a single step's or, in
+# block_rounds, a block's start or end) and an exp to take from numpy
+LS_DONE, LS_ROWS, LS_COVER, LS_EXP = range(4)
 # their volume rules
 VOL_MEANS, VOL_LIMIT, VOL_EXACT = range(3)
 # the per-chain work arrays of lockstep (and of block_rounds' single

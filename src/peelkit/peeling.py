@@ -66,24 +66,27 @@ thread's windows and False when the run built it, and ``depth_built`` is
 True when the run built its depth part and False when it reused the one
 the thread's previous run in that mode left.
 
+The perimeter tables grow in one place, `_ChainEngine._cover`: h(o, .),
+the bands and, for the infinite map, B(l) with its tilt rows cover the
+same perimeters, and the keep test reads h(1, .) from the bands' table.
 A finite run steps its chains in lockstep, in one compiled loop of the
 package's library (`_native`): each call makes the row draws below
 L_SMALL, the band rounds above it, the pruning volumes in every volume
 mode (numpy's own gamma code for xi) and the checkpoint rows of step
-after step, and returns only for a row or band it lacks, which Python
-grows before the call starts the same step again.  The mean volumes
-need no such return: a run that can read one (expectation mode, or a
-heavy-tailed law) has the whole table (`_mean_table`) before its first
-step.  An infinite-map run goes in block rounds from its first step, in
-a second compiled loop on the same kind of state: per round the single
-steps of the chains with B(l) = 1 (the lockstep loop's code, so a round
-of such chains alone is one lockstep step), the tilts, the tilted draws
-and their deep redraws, the keep test, and then the kept blocks: their
-exact volume rows (exact_small only), and one walk in step order that
-draws their volumes and writes their checkpoints and the chains' new
-states.  It also returns for B(l) with its tilt rows and h(1, .) past
-its table, and for numpy's exp where a uniform lies within 1e-12 of a
-keep probability.  The library also fills the stacked rows.  Every
+after step, and returns only for a row it lacks (LS_ROWS) or a perimeter
+past the cover (LS_COVER), which Python grows before the call starts the
+same step again.  The mean volumes need no such return: a run that can
+read one has the whole table (`_mean_table`) before its first step.  An
+infinite-map run goes in block rounds from its first step, in a second
+compiled loop on the same kind of state: per round the single steps of
+the chains with B(l) = 1 (the lockstep loop's code, so a round of such
+chains alone is one lockstep step), the tilts, the tilted draws and
+their deep redraws, the keep test, and then the kept blocks: their exact
+volume rows (exact_small only), and one walk in step order that draws
+their volumes and writes their checkpoints and the chains' new states.
+It returns for a row, for a block's start or end or a single step past
+the cover, and for numpy's exp where a uniform lies within 1e-12 of a
+keep probability (LS_EXP).  The library also fills the stacked rows.  Every
 compiled loop reads the Generator's own bit generator in the order the
 numpy code reads it; where the library does not load, the numpy and
 Python loops (`_lockstep_numpy`, `_block_rounds_numpy` and the fill's
@@ -390,29 +393,28 @@ def _same_blocks(lib):
     single step, +2 from its first proposal, and no deep entry, and the
     uniform after its tilted draws lies on block 0's keep odds as numpy
     computes them, so the compiled loop must ask for numpy's exp (LS_EXP)
-    to keep the same blocks.  Two more runs take the edges: one step of
-    chains at every even perimeter from L_SMALL on, whose band uniforms lie
-    just below and on its band's share, and blocks of B = 3 steps from 41
-    and 1301, whose first tilted uniforms lie just below and on every cut
-    of their guided tilt rows."""
+    to keep the same blocks; block 3's lies just below its odds, so a keep
+    test that reads h(1, .) a perimeter low rejects it.  Two more runs take
+    the edges: one step of chains at every even perimeter from L_SMALL on,
+    whose band uniforms lie just below and on its band's share, and blocks
+    of B = 3 steps from 41 and 1301, whose first tilted uniforms lie just
+    below and on every cut of their guided tilt rows."""
     k_neg, steps, top = 1030, 2, 1600
     probs = np.zeros(k_neg + 3)
     probs[-11:] = np.array([0.04] * 8 + [0.3, 0.1, 0.28]) * 0.97
     probs[[0, 3, 6]] = 0.01
-    h1 = np.sqrt(np.arange(1.0, top))
-    law = types.SimpleNamespace(k_neg=k_neg, k_pos=2, B_nu=0.75, hcache=lambda: (
-        types.SimpleNamespace(table=lambda o, m: h1)))
-    # the engine's tables by hand: no single step is below L_SMALL, so no
-    # row is drawn
+    law = types.SimpleNamespace(k_neg=k_neg, k_pos=2, B_nu=0.75)
+    # the engine's tables by hand, h(1, l) = sqrt(l) over a cover that no
+    # chain leaves: no single step is below L_SMALL, so no row is drawn
     engine = _ChainEngine.__new__(_ChainEngine)
     engine.law, engine.order, engine.h_len = law, 1, top
     engine.cs = np.concatenate([[0.0], np.cumsum(probs)])
     engine.rows = _StackedCdf(L_SMALL, np.arange(-8, 3))
-    engine.hz = np.concatenate([np.zeros(k_neg + 1), h1])
+    engine.hz = np.concatenate([np.zeros(k_neg), np.sqrt(np.arange(top))])
     engine.bands = _Bands(engine.cs, engine.hz, k_neg, 2)
     # B(l) = 1 only for even l >= L_SMALL; a tilt somewhat below the best
     # for a block cut short, K_theta over the table and phi's log as theta^2
-    ls = np.arange(top)
+    ls = np.arange(engine.bands.n)
     engine.blocks = np.where(ls < L_SMALL, 2 + ls % 4, 1 + 2 * (ls % 2))
     engine.block_tilt = (np.rint(2 * np.log2(np.maximum(ls, 1))) + 4).astype(np.int16)
     th = BLOCK_THETAS[:engine.block_tilt.max() + 1]
@@ -436,9 +438,16 @@ def _same_blocks(lib):
     us[:T] %= 0.95
     us[:2] = 0.93, 0.0
     us[T + 20::11] = 0.99
-    j = engine.block_tilt[40]
-    lB = 40 + int(engine.tilt_rows.at(j + us[2:4] * _StackedCdf.U_MAX).sum())
-    us[T] = h1[lB - 1] * np.exp(np.array([-th[j] * lB - engine.log_K[j]]))[0]
+
+    def odds(l, u):
+        # numpy's keep odds of a block from l at B(l)'s tilt, drawn from u
+        j = engine.block_tilt[l]
+        lB = l + int(engine.tilt_rows.at(j + u * _StackedCdf.U_MAX).sum())
+        return engine.hz[k_neg + lB] * np.exp(np.array([-th[j] * lB - engine.log_K[j]]))[0]
+
+    # block 0 from 40 on its odds; block 3 from 700, whose tilted uniforms
+    # follow blocks 1 and 2's two each, just below its own
+    us[T], us[T + 3] = odds(40, us[2:4]), np.nextafter(odds(700, us[8:10]), 0)
     even = np.arange(L_SMALL, engine.bands.n, 2)
     share = engine.bands.arrays[0][even]
     blk, tilted = [], []
@@ -479,8 +488,8 @@ class DiscreteSampler:
 
     def __init__(self, values, probs):
         p = np.asarray(probs, dtype=np.float64)
-        if not p.sum() > 0:
-            raise ValueError("sampler needs positive mass")
+        if not (np.isfinite(p).all() and (p >= 0).all() and p.sum() > 0):
+            raise ValueError("sampler needs finite weights >= 0 with positive mass")
         keep = p > 0
         self.values = np.asarray(values)[keep]
         self._row = _StackedCdf(1, self.values, guided=True)
@@ -773,11 +782,14 @@ class PeelTrace:
 
     @staticmethod
     def read_binary(path):
+        """(perimeters, volumes) of a `to_binary` file; ValueError unless
+        its size is 8 + 16 n bytes for its length n."""
         with open(path, "rb") as fh:
-            n = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-            per = np.frombuffer(fh.read(8 * n), dtype="<i8")
-            vol = np.frombuffer(fh.read(8 * n), dtype="<i8")
-        return per, vol
+            data = fh.read()
+        n = int(np.frombuffer(data[:8], dtype="<u8")[0]) if len(data) >= 8 else -1
+        if len(data) != 8 + 16 * n:
+            raise ValueError(f"{path}: {len(data)} bytes, not a binary trace")
+        return tuple(np.frombuffer(data, dtype="<i8", offset=8).reshape(2, n))
 
 
 def _deep_k_neg(law: StepLaw, n_steps):
@@ -992,8 +1004,8 @@ class _ChainEngine:
     holds log phi(theta), the window's K_theta and a guided inverse-CDF row
     of nu_theta over the window k > -L_SMALL whose last entry,
     -(k_neg + 1), stands for all of k <= -L_SMALL.  ``blocks[l]`` is B(l)
-    and ``block_tilt[l]`` the index of its theta, tabulated when a chain
-    first needs them.  ``means`` holds the table of rounded mean volumes
+    and ``block_tilt[l]`` the index of its theta, tabulated with hz and the
+    bands over the cover (`_cover`).  ``means`` holds the table of rounded mean volumes
     (`mean_table`), None until a run that reads a mean asks for it, and
     ``exact_tables`` the exact volume tables per (l_exact, d_max), for the
     `VolumeSampler` of each run.
@@ -1015,16 +1027,16 @@ class _ChainEngine:
         self.cs = np.concatenate([[0.0], np.cumsum(law.probs)])
         self.win_ks = self.window.ks
         self.win_idx = self.win_ks + law.k_neg
-        self.h_len = 0
-        self._cover(L_SMALL)
         self.means = None
         self.exact_tables = {}
-        # B(l) for l < len(blocks)
+        # B(l) for l < len(blocks), the cover's perimeters
         self.blocks = np.ones(0, dtype=np.int64)
         self.block_tilt = np.zeros(0, dtype=np.int16)
         if self.order == 1:
             self.log_K = self.window.log_K
             self._tilt_tables()
+        self.h_len = 0
+        self._cover(L_SMALL)
 
     def _tilt_tables(self):
         """Tabulate log phi(theta) for theta in BLOCK_THETAS; the rows of
@@ -1057,7 +1069,9 @@ class _ChainEngine:
         self.tilt_rows.append(np.column_stack([w, self._deep_w[n:j + 1]]))
 
     def _cover(self, l_max):
-        """Materialize h(o, .) and the bands for perimeters up to l_max."""
+        """Grow the perimeter tables, each time at least twofold, to cover
+        0..l_max: hz, the bands and, for the ibpm transform, B(l) with its
+        tilt rows, all over the same perimeters 0..bands.n-1."""
         law = self.law
         if l_max + law.k_pos < self.h_len:
             return
@@ -1065,6 +1079,8 @@ class _ChainEngine:
         h = law.hcache().array(self.order, self.h_len - 1)
         self.hz = np.concatenate([np.zeros(law.k_neg), h])
         self.bands = _Bands(self.cs, self.hz, law.k_neg, law.k_pos)
+        if self.order == 1:
+            self._extend_blocks()
 
     def mean_table(self):
         """The law's rounded mean volumes (`_mean_table`), built on first use."""
@@ -1077,19 +1093,11 @@ class _ChainEngine:
         self._cover(l0)
         if not self.hz[l0 + self.law.k_neg] > 0:
             raise ValueError(f"conditioning weight vanishes at l={l0}")
-        self._hi = l0
         self.flags = {"band_proposals": 0, "band_accepts": 0}
 
     def draw(self, ls, rng, hi=None):
-        """One jump per chain at perimeters ls >= 1.  Without hi = max(ls),
-        the chains are those of the previous call moved by its jumps, or
-        some of them, so max(ls) grows by at most k_pos per call and is only
-        computed when that bound leaves the rows built so far."""
-        if hi is None:
-            hi = self._hi
-            if hi >= self.rows.n:
-                hi = int(ls.max())
-        self._hi = hi + self.law.k_pos
+        """One jump per chain at perimeters ls >= 1, whose largest is hi."""
+        hi = int(ls.max()) if hi is None else hi
         if hi < L_SMALL:
             if hi >= self.rows.n:
                 self.window.extend_rows(hi)
@@ -1112,24 +1120,14 @@ class _ChainEngine:
         self.flags["band_accepts"] += len(ls)
         return out
 
-    def block_len(self, ls):
-        """B(l) per chain at perimeters ls."""
-        hi = int(ls.max())
-        if hi >= len(self.blocks):
-            self._extend_blocks(hi)
-        return self.blocks[ls]
-
-    def _extend_blocks(self, hi):
-        """Tabulate B(l) and its tilt up to at least hi: per theta, the
-        largest B with B log phi(theta) + theta l + log K_theta <= log BLOCK_M
-        + log h(1, l), and the largest of these over the grid; 1 where that
-        is below 2."""
-        n0 = len(self.blocks)
-        n = max(hi + 1, 2 * n0, L_SMALL)
-        ls = np.arange(n0, n)
-        h = self.law.hcache().table(1, n)[np.maximum(ls - 1, 0)]
+    def _extend_blocks(self):
+        """Tabulate B(l) and its tilt over the rest of the cover (`_cover`),
+        h(1, l) read from hz: per theta, the largest B with B log phi(theta)
+        + theta l + log K_theta <= log BLOCK_M + log h(1, l), and the largest
+        of these over the grid; 1 where that is below 2."""
+        ls = np.arange(len(self.blocks), self.bands.n)
         with np.errstate(divide="ignore"):
-            room = math.log(BLOCK_M) + np.log(np.where(ls >= 1, h, 0.0))
+            room = math.log(BLOCK_M) + np.log(self.hz[self.law.k_neg + ls])
         best = np.ones(len(ls))
         tilt = np.zeros(len(ls), dtype=np.int16)
         usable = self.log_phi > 0
@@ -1167,7 +1165,8 @@ class _ChainEngine:
         # kept with probability h(1, l_B) e^(-theta l_B) / K_theta <= 1
         stay = ls + low >= 1
         lB_s = np.where(stay, lB, 1)
-        h = np.where(stay, self.law.hcache().table(1, int(lB_s.max()))[lB_s - 1], 0.0)
+        self._cover(int(lB_s.max()))
+        h = np.where(stay, self.hz[self.law.k_neg + lB_s], 0.0)
         odds = h * np.exp(-BLOCK_THETAS[tilt] * lB_s - self.log_K[tilt])
         keep = rng.random(len(ls)) < odds
         return ks, run, starts, before, lB, keep
@@ -1286,6 +1285,14 @@ def _chain_engine(mode, law, n_steps):
     _slot.held[mode] = held
 
 
+def _check_integers(**named):
+    """Refuse a value, or a list entry, that is not an integer (numpy's are)."""
+    for name, v in named.items():
+        if not all(isinstance(x, numbers.Integral)
+                   for x in (v if isinstance(v, list) else [v])):
+            raise ValueError(f"{name} must be integral; got {name}={v!r}")
+
+
 def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
     """Run n_chains chains from l0 on law deepened for n_steps: (that law's
     digest, perimeter and volume rows at the sorted checkpoints, flags).  A
@@ -1388,42 +1395,57 @@ def _c_run(engine, vol, run):
 
 
 def _drain(s, engine, vol, flags=None):
-    """Move the counts of the compiled state s into the run's flags."""
+    """Add the counts of the compiled state s to the run's flags, once."""
     engine.flags["band_proposals"] += s.band_proposals
     engine.flags["band_accepts"] += s.band_accepts
     vol.flags["residual_draws"] += s.residual_draws
     if s.heavy_means:
         vol.flags["heavy_volume_expectation"] = True
-    s.band_proposals = s.band_accepts = s.residual_draws = s.heavy_means = 0
     if flags is not None:
         flags["block_proposals"] += s.block_proposals
         flags["block_accepts"] += s.block_accepts
-        s.block_proposals = s.block_accepts = 0
 
 
 def _lockstep_c(lib, engine, vol, rng, run):
-    """`_lockstep` in C: one ``lockstep`` call runs until a row or band is
-    missing, which is grown here before the call starts that step again."""
+    """`_lockstep` in C: one ``lockstep`` call runs until a row or the cover
+    is missing, which is grown here before the call starts that step again."""
     s, _arrays = _c_run(engine, vol, run)
-    bg = rng.bit_generator
-    state = bg.ctypes.bit_generator
     try:
-        while True:
-            rows, bands = engine.rows.pack(), engine.bands.pack()
-            s.rows, s.bands = ctypes.addressof(rows[0]), ctypes.addressof(bands)
-            with bg.lock:
-                status = lib.lockstep(state, ctypes.byref(s))
-            if status == _native.LS_ROWS:
-                engine.window.extend_rows(s.need)
-            elif status == _native.LS_BANDS:
-                engine._cover(s.need)
-            elif status == _native.LS_DONE:
-                return
-            else:
-                raise IndexError("lockstep read outside the tables built")
+        _drive(lib.lockstep, "lockstep", engine, rng, s)
     finally:
         run.i = s.cp
         _drain(s, engine, vol)
+
+
+def _drive(loop, name, engine, rng, s):
+    """Call the compiled loop on the state s until it returns LS_DONE: after
+    LS_ROWS the window's rows and after LS_COVER the engine's cover grow to
+    s.need, after LS_EXP numpy's exp of s.exp_x is supplied, and the call
+    resumes where it stopped; any other status is a read outside the tables
+    (IndexError)."""
+    bg = rng.bit_generator
+    state = bg.ctypes.bit_generator
+    while True:
+        rows, bands = engine.rows.pack(), engine.bands.pack()
+        s.rows, s.bands = ctypes.addressof(rows[0]), ctypes.addressof(bands)
+        if engine.order == 1:
+            tilt = engine.tilt_rows.pack()
+            s.tilt_rows = ctypes.addressof(tilt[0])
+            s.blocks, s.n_blocks = _native.address(engine.blocks), len(engine.blocks)
+            s.block_tilt = _native.address(engine.block_tilt)
+        with bg.lock:
+            status = loop(state, ctypes.byref(s))
+        if status == _native.LS_EXP:
+            # numpy's exp of the comparison's argument, as numpy computes it
+            s.exp_val, s.exp_ready = np.exp(np.array([s.exp_x]))[0], 1
+        elif status == _native.LS_ROWS:
+            engine.window.extend_rows(s.need)
+        elif status == _native.LS_COVER:
+            engine._cover(s.need)
+        elif status == _native.LS_DONE:
+            return
+        else:
+            raise IndexError(f"{name} read outside the tables built")
 
 
 def _block_rounds(engine, vol, rng, run, flags):
@@ -1437,9 +1459,9 @@ def _block_rounds(engine, vol, rng, run, flags):
 
 
 def _block_rounds_c(lib, engine, vol, rng, run, flags):
-    """`_block_rounds` in C: one ``block_rounds`` call runs until a table is
-    missing or a comparison needs numpy's exp, which is supplied here before
-    the call resumes where it stopped."""
+    """`_block_rounds` in C: one ``block_rounds`` call runs until a row or
+    the cover is missing or a comparison needs numpy's exp, which is
+    supplied here before the call resumes where it stopped."""
     s, _arrays = _c_run(engine, vol, run)
     n, law, addr = len(run.ls), engine.law, _native.address
     work = dict(zip(_native.BLOCK_WORK, np.empty((len(_native.BLOCK_WORK), n),
@@ -1451,41 +1473,11 @@ def _block_rounds_c(lib, engine, vol, rng, run, flags):
     s.thetas, s.log_phi, s.log_K = map(addr, (BLOCK_THETAS, engine.log_phi, engine.log_K))
     s.cs, s.n_cs = addr(engine.cs), len(engine.cs)
     s.k_neg, s.n_deep, s.block_draws = law.k_neg, law.k_neg - L_SMALL + 1, BLOCK_DRAWS
-    # h(1, .) as far as the engine's h table, so that a run asks for more
-    # whatever other runs grew the shared cache to
-    h1 = law.hcache().table(1, engine.h_len)[:engine.h_len]
-    # B(l) from the start, so that its table's temporaries are freed before
-    # ks takes its room: the most steps a round draws, max(BLOCK_DRAWS, n)
-    engine.block_len(run.ls)
+    # the most steps a round draws: max(BLOCK_DRAWS, n)
     ks = np.empty(min(n * s.n_steps, max(n, BLOCK_DRAWS)), dtype=np.int64)
     s.ks, s.ks_cap = addr(ks), len(ks)
-    bg = rng.bit_generator
-    state = bg.ctypes.bit_generator
     try:
-        while True:
-            rows, bands, tilt = engine.rows.pack(), engine.bands.pack(), engine.tilt_rows.pack()
-            s.rows, s.bands = ctypes.addressof(rows[0]), ctypes.addressof(bands)
-            s.tilt_rows = ctypes.addressof(tilt[0])
-            s.blocks, s.block_tilt = addr(engine.blocks), addr(engine.block_tilt)
-            s.n_blocks, s.h1, s.n_h1 = len(engine.blocks), addr(h1), len(h1)
-            with bg.lock:
-                status = lib.block_rounds(state, ctypes.byref(s))
-            if status == _native.LS_EXP:
-                # numpy's exp of the comparison's argument, as numpy computes it
-                s.exp_val, s.exp_ready = np.exp(np.array([s.exp_x]))[0], 1
-            elif status == _native.LS_BLOCKS:
-                engine._extend_blocks(s.need)
-            elif status == _native.LS_HTAB:
-                n = max(s.need, 2 * len(h1))
-                h1 = law.hcache().table(1, n)[:n]
-            elif status == _native.LS_ROWS:
-                engine.window.extend_rows(s.need)
-            elif status == _native.LS_BANDS:
-                engine._cover(s.need)
-            elif status == _native.LS_DONE:
-                return
-            else:
-                raise IndexError("block_rounds read outside the tables built")
+        _drive(lib.block_rounds, "block_rounds", engine, rng, s)
     finally:
         _drain(s, engine, vol, flags)
 
@@ -1508,7 +1500,8 @@ def _block_rounds_numpy(engine, vol, rng, run, flags):
     act, la, va = np.arange(len(ls)), ls.copy(), V.copy()
     da = np.zeros(len(ls), dtype=np.int64)
     while len(act):
-        B = engine.block_len(la)
+        engine._cover(int(la.max()))
+        B = engine.blocks[la]
         one = B == 1
         n_one = int(np.count_nonzero(one))
         if n_one:
@@ -1568,7 +1561,7 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
     """Run one peeling chain and record the full (perimeter, volume) path.
 
     mode 'finite' absorbs at zero, mode 'ibpm' keeps the perimeter
-    positive; n_steps must be at least 1, l0 an integer >= 1, and seed and
+    positive; n_steps must be an integer >= 1, l0 one too, and seed and
     chain_index integers in [0, 2^64).  Identical (seed, parameters)
     produce bit-identical traces; parallel chains should vary chain_index,
     which keys an independent counter-based stream.
@@ -1585,6 +1578,7 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
     count.
     """
     l0 = 2 if l0 is None else l0
+    _check_integers(n_steps=n_steps)
     digest, per, volumes, flags = _advance(
         mode, law, (volume_mode, l_exact, d_max), _rng(seed, chain_index), l0,
         1, n_steps, range(1, n_steps + 1))
@@ -1618,16 +1612,17 @@ def simulate_ensemble(mode, law: StepLaw, l0, n_steps, n_chains, seed=0,
 
     Returns {checkpoint: (perimeters, volumes)} plus the final state under
     key n_steps, as an EnsembleResult carrying the volume flags; n_steps and
-    n_chains below 1, checkpoints outside 1..n_steps, an l0 that is not an
-    integer >= 1 or a seed outside the integers in [0, 2^64) raise
-    ValueError.  One counter-based stream keyed by the seed makes results
-    reproducible for fixed (seed, n_chains).  As in ``simulate``, a
-    heavy-tailed law runs undeepened, as the transform of the law truncated
-    at its own k_neg and k_pos, and l_exact and d_max are validated in every
-    volume mode but used only by 'exact_small'.
+    n_chains below 1 or not integers, checkpoints outside 1..n_steps or not
+    integers, an l0 that is not an integer >= 1 or a seed outside the
+    integers in [0, 2^64) raise ValueError.  One counter-based stream keyed
+    by the seed makes results reproducible for fixed (seed, n_chains).  As
+    in ``simulate``, a heavy-tailed law runs undeepened, as the transform of
+    the law truncated at its own k_neg and k_pos, and l_exact and d_max are
+    validated in every volume mode but used only by 'exact_small'.
     """
-    steps = {int(c) for c in (checkpoints if checkpoints is not None else ())}
-    steps = sorted(steps | {int(n_steps)})
+    cps = [] if checkpoints is None else list(checkpoints)
+    _check_integers(n_steps=n_steps, n_chains=n_chains, checkpoints=cps)
+    steps = sorted({int(c) for c in cps} | {int(n_steps)})
     _, per, vols, flags = _advance(mode, law, (volume_mode, l_exact, d_max),
                                    _rng(seed), l0, n_chains, n_steps, steps)
     out = EnsembleResult((c, (per[i], vols[i])) for i, c in enumerate(steps))

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import random
+import re
 import shutil
 import types
 import weakref
@@ -83,8 +84,11 @@ class TestAlias:
             assert abs(freq[i] - probs[i]) < 4 * se
 
     def test_rejects_zero_mass(self):
-        with pytest.raises(ValueError):
-            DiscreteSampler([0], [0.0])
+        # no mass, and weights that are negative, NaN or infinite: never a
+        # weight silently dropped, never an unrelated error
+        for probs in ([0.0], [2, -1, 1], [1, math.nan], [1, math.inf], [-math.inf, 1]):
+            with pytest.raises(ValueError, match="sampler needs"):
+                DiscreteSampler(np.arange(len(probs)), probs)
 
     def test_blocks_of_a_large_draw_read_the_stream_in_order(self):
         # a draw of more than 2^16 values, taken a block at a time, is the
@@ -366,6 +370,13 @@ class TestSimulate:
         per, vol = PeelTrace.read_binary(p_bin)
         assert np.array_equal(per, tr.perimeters)
         assert np.array_equal(vol, tr.volumes)
+        # a file cut short, by a volume or down to less than its columns,
+        # or with bytes past them, is refused rather than read short
+        data = p_bin.read_bytes()
+        for bad in (data[:-8], data[:-48], data[:4], b"", data + b"\0" * 8):
+            p_bin.write_bytes(bad)
+            with pytest.raises(ValueError, match="not a binary trace"):
+                PeelTrace.read_binary(p_bin)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -390,15 +401,32 @@ class TestSimulate:
         np.testing.assert_array_equal(a.perimeters, b.perimeters)
 
     def test_l0_must_be_an_integer(self):
-        # both entry points: never an index error, never int(2.5) = 2
+        # both entry points: never an index error, never int(2.5) = 2; the
+        # same for n_steps, n_chains and the checkpoints
         for l0 in (2.5, 2.0, "2"):
             with pytest.raises(ValueError, match="l0"):
                 simulate("ibpm", LAW, l0=l0, n_steps=10)
             with pytest.raises(ValueError, match="l0"):
                 simulate_ensemble("ibpm", LAW, l0, 10, 4)
-        a = simulate_ensemble("ibpm", LAW, np.int64(4), 10, 4, seed=1)
-        b = simulate_ensemble("ibpm", LAW, 4, 10, 4, seed=1)
-        np.testing.assert_array_equal(a[10][0], b[10][0])
+        for n in (10.0, 10.5, "10"):
+            with pytest.raises(ValueError, match="n_steps"):
+                simulate("ibpm", LAW, l0=2, n_steps=n)
+            with pytest.raises(ValueError, match="n_steps"):
+                simulate_ensemble("ibpm", LAW, 2, n, 4)
+            with pytest.raises(ValueError, match="n_chains"):
+                simulate_ensemble("ibpm", LAW, 2, 10, n)
+        for cps in ([2.5, 7.9], ["3"], [3, 4.0], np.array([2.0])):
+            with pytest.raises(ValueError, match="checkpoints"):
+                simulate_ensemble("ibpm", LAW, 2, 10, 4, checkpoints=cps)
+        a = simulate_ensemble("ibpm", LAW, np.int64(4), np.int64(10), np.int32(4), seed=1,
+                              checkpoints=np.array([3, 7]))
+        b = simulate_ensemble("ibpm", LAW, 4, 10, 4, seed=1, checkpoints=[3, 7])
+        assert sorted(a) == sorted(b) == [3, 7, 10]
+        for c in b:
+            np.testing.assert_array_equal(a[c][0], b[c][0])
+        np.testing.assert_array_equal(
+            simulate("ibpm", LAW, n_steps=np.int64(10)).perimeters,
+            simulate("ibpm", LAW, n_steps=10).perimeters)
 
 
 class TestEmpiricalTransitions:
@@ -679,14 +707,15 @@ class TestEngineExactness:
             for t, k in zip(BLOCK_THETAS, K):
                 assert (h * np.exp(-t * m)).max() <= k, (law.k_pos, t)
             a = h_asymptote(1, 1, law.r) * np.sqrt(m)     # h_asymptote(1, m)
-            m_top = engine.h_len - 1
+            m_top = engine.h_len - 1      # the first cover's, which _log_K reads
             rho = (h / a)[top // 2:].max()
             assert rho <= max(1.0, (h / a)[m_top // 2:m_top].max()), law.k_pos
             far = np.maximum(top, 0.5 / BLOCK_THETAS)
             assert np.all(max(rho, 1.0) * h_asymptote(1, 1, law.r) * np.sqrt(far)
                           * np.exp(-BLOCK_THETAS * far) <= K), law.k_pos
             ls = np.arange(1, 5001)
-            B, j = engine.block_len(ls), engine.block_tilt[ls]
+            engine._cover(5000)
+            B, j = engine.blocks[ls], engine.block_tilt[ls]
             p = law.probs / law.probs.sum()
             log_phi = np.log1p([(p * np.expm1(t * law.ks)).sum() for t in BLOCK_THETAS])
             np.testing.assert_allclose(engine.log_phi, log_phi, rtol=1e-9, atol=0)
@@ -1314,6 +1343,7 @@ C_MUTANTS = {
     "tilt_walk": ("            j--;\n            now = up;\n",
                   "            j--;\n            now = up;\n            break;\n"),
     "keep_comparison": ("return u < f * e;", "return u <= f * e;"),
+    "keep_h": ("s->bands->hz[s->k_neg + lB]", "s->bands->hz[s->k_neg + lB - 1]"),
     "checkpoint_offset": ("s->per[cp++ * n + c] = l;", "s->per[cp++ * n + c] = l - k;"),
     "volume_window": ("""                    if (lp >= 0) {
                         long long dv = hole_volume(bg, s, lp, val);
@@ -1345,6 +1375,27 @@ def small_finite_engine():
         k_pos=2, B_nu=0.75,
         hcache=lambda: types.SimpleNamespace(array=lambda o, n: h[:n + 1]))
     return _ChainEngine(law, "finite")
+
+
+# block_rounds' phases, in the order of its enum
+BR_PHASES = re.search(r"enum \{ (BR_START[^}]*)\}", _native._C_SOURCE).group(1).replace(
+    ",", " ").split()
+
+
+def _past_the_cover(law, l0, n_steps, n_chains):
+    """An ibpm ensemble of n_chains chains from l0 in block rounds on a fresh
+    engine of law, begun without ``start``: where l0 lies past the engine's
+    first cover, the first round's block starts are past it."""
+    engine = _ChainEngine(law, "ibpm")
+    run = peeling._Run(n_chains, l0, range(1, n_steps + 1))
+    vol = VolumeSampler(law, "asymptotic_xi", engine=engine)
+    engine.flags = {"band_proposals": 0, "band_accepts": 0}
+    flags = {"block_proposals": 0, "block_accepts": 0}
+    peeling._block_rounds(engine, vol, _rng(8), run, flags)
+    out = peeling.EnsembleResult((c, (run.per[i], run.vols[i]))
+                                 for i, c in enumerate(run.cps))
+    out.flags = {**vol.flags, **flags, **engine.flags}
+    return out
 
 
 def compiled_library():
@@ -1472,7 +1523,7 @@ class TestCompiledDraws:
                 # the means are a table whole before the first step: no
                 # call returns for one
                 assert {st for st, _ in calls} <= {_native.LS_DONE, _native.LS_ROWS,
-                                                   _native.LS_BANDS}
+                                                   _native.LS_COVER}
         else:
             runs = [lambda: simulate_ensemble("finite", LAW, 60, 600, 200, seed=11,
                                               checkpoints=range(1, 601, 7)),
@@ -1480,7 +1531,7 @@ class TestCompiledDraws:
                                               volume_mode="asymptotic_xi")]
 
             def check(outs, calls):
-                assert asked(calls, _native.LS_ROWS) and asked(calls, _native.LS_BANDS)
+                assert asked(calls, _native.LS_ROWS) and asked(calls, _native.LS_COVER)
         return runs, check
 
     @pytest.mark.parametrize("case", ["absorbed", "residuals", "heavy", "growth"])
@@ -1539,8 +1590,8 @@ class TestCompiledDraws:
     @staticmethod
     def _block_calls(monkeypatch):
         """(status, blocks proposed so far, chains of the round that step
-        once) of every call of the library's block_rounds, as the compiled
-        path makes them."""
+        once, the phase it returned in) of every call of the library's
+        block_rounds, as the compiled path makes them."""
         calls = []
         block_rounds_c = peeling._block_rounds_c
 
@@ -1553,7 +1604,8 @@ class TestCompiledDraws:
 
             def block_rounds(self, bg, s):
                 status = self.lib.block_rounds(bg, s)
-                calls.append((status, s._obj.block_proposals, s._obj.n_one))
+                calls.append((status, s._obj.block_proposals, s._obj.n_one,
+                              s._obj.bphase))
                 return status
 
         monkeypatch.setattr(peeling, "_block_rounds_c",
@@ -1617,7 +1669,7 @@ class TestCompiledDraws:
 
             def check(outs, calls):
                 kept(outs, calls)
-                ends = [i for i, (st, _, _) in enumerate(calls) if st == _native.LS_DONE]
+                ends = [i for i, (st, *_) in enumerate(calls) if st == _native.LS_DONE]
                 assert len(ends) == len(runs)
                 for chains, run in zip((64, 1), np.split(calls, np.add(ends[:-1], 1))):
                     # the first row asked for is for a round of single steps
@@ -1636,18 +1688,22 @@ class TestCompiledDraws:
                 per = np.array([outs[0][c][0] for c in range(1, 601)])
                 assert (np.diff(per, axis=0) <= -L_SMALL).any()
         else:
-            # "growth": blocks start past the end of B(l)'s table (and its
-            # tilt rows) after blocks were proposed, and land past h(1, .)'s,
-            # however far the shared h cache was grown before
+            # "growth": blocks land past the engine's cover (its h table,
+            # bands, B(l) and tilt rows) after blocks were proposed, however
+            # far the shared h cache was grown before, and chains start a
+            # round past it: those set past the cover of a fresh engine
             LAW.hcache().table(1, 1 << 16)
             runs = [lambda: simulate_ensemble("ibpm", LAW, 2, 40_000, 64, seed=8),
                     lambda: simulate_ensemble("ibpm", tri_law(), 1900, 3000, 32, seed=8,
-                                              volume_mode="exact_small")]
+                                              volume_mode="exact_small"),
+                    lambda: _past_the_cover(DEEP["quad"], 5000, 300, 16)]
 
             def check(outs, calls):
                 kept(outs, calls)
-                assert any(st == _native.LS_BLOCKS and n > 0 for st, n, _ in calls)
-                assert any(st == _native.LS_HTAB for st, _, _ in calls)
+                cover = [(n, phase) for st, n, _, phase in calls if st == _native.LS_COVER]
+                assert (0, BR_PHASES.index("BR_START")) in cover
+                assert any(n > 0 and phase == BR_PHASES.index("BR_SUMS")
+                           for n, phase in cover)
         return runs, check
 
     @pytest.mark.parametrize("case", ["geo3", "heavy", "checkpoints", "cap",
@@ -1669,6 +1725,27 @@ class TestCompiledDraws:
                 check(outs, calls)
             digests.append(self._digest(outs))
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_a_cover_grown_ahead(self, path):
+        # the perimeter tables' prefixes do not depend on how far the cover
+        # grew: runs on engines whose cover was grown to 2^15 ahead give the
+        # digests of runs on fresh engines, finite and ibpm
+        def runs():
+            return [simulate_ensemble("ibpm", LAW, 2, 3000, 64, seed=8,
+                                      volume_mode="exact_small"),
+                    simulate("ibpm", LAW, l0=1900, n_steps=3000, seed=4),
+                    simulate_ensemble("finite", tri_law(), 1900, 3000, 32, seed=3)]
+
+        with draws_on(path):
+            peeling._slot.clear()
+            fresh = self._digest(runs())
+            for held in peeling._slot.held.values():
+                held[5]._cover(1 << 15)
+            assert min(h[5].bands.n for h in peeling._slot.held.values()) > 1 << 15
+            ahead = runs()
+            assert not any(out.flags["depth_built"] for out in ahead[:2])
+        assert self._digest(ahead) == fresh
 
     @pytest.mark.parametrize("volume_mode", VOLUME_MODES)
     @pytest.mark.parametrize("key", ["quad", "tri", "geo3", "heavy"])
@@ -1723,7 +1800,6 @@ class TestCompiledDraws:
         calls = self._block_calls(monkeypatch)
         law, l0, n = DEEP["quad"], 300, 40
         engine = _ChainEngine(law, "ibpm")
-        engine.block_len(np.array([l0]))
         B = min(int(engine.blocks[l0]), n)
         assert B > 1
         j = int(engine._block_tilts(np.array([l0]), np.array([B]))[0])
@@ -1963,7 +2039,6 @@ class TestCompiledDraws:
                                                         "block_accepts": 0})
             with pytest.raises(IndexError, match=f"{name} read outside the tables built"):
                 loop(lib, eng, vol, _rng(1), *args)
-        engine.block_len(np.array([5, 2000]))
         engine.tilt_rows = _StackedCdf(len(BLOCK_THETAS), engine.tilt_rows._vals, guided=True)
         engine.start(2000)
         with pytest.raises(IndexError, match="block_rounds read outside the tables built"):

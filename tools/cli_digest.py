@@ -75,6 +75,11 @@ INVOCATIONS = [
      OUT],
     ["simulate", "--preset", "quadrangulation", "--mode", "ibpm", "--steps",
      "2000", "--seed", "4", "--volume-mode", "expectation", "--out", OUT],
+    # the block rounds grow the engine's cover mid-run: after the first
+    # block, one ends past it
+    ["simulate", "--preset", "geometric", "--H", "3", "--mode", "ibpm", "--l0",
+     "1900", "--steps", "20000", "--seed", "1", "--format", "binary", "--out",
+     OUT],
 ]
 
 
