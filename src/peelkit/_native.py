@@ -845,28 +845,34 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
             }
             if (total > s->ks_cap)
                 return -1;
-            long long p = 0;
+            /* the entries drawn at the marker -(k_neg + 1), counted: a
+               round without one skips BR_LINK */
+            long long p = 0, mark = -(s->k_neg + 1), marked = 0;
             for (long long b = 0; b < m; b++)
-                for (long long q = 0; q < s->bB[b]; q++)
-                    if (cdf_one(bg, s->tilt_rows, s->bj[b], &s->ks[p++]))
+                for (long long q = 0; q < s->bB[b]; q++) {
+                    long long *k = &s->ks[p++];
+                    if (cdf_one(bg, s->tilt_rows, s->bj[b], k))
                         return -1;
+                    if (*k <= mark) {
+                        if (*k < mark || s->n_deep < 1)
+                            return -1;
+                        marked++;
+                    }
+                }
             s->n_ks = total;
-            s->bphase = BR_LINK;
+            s->bphase = marked ? BR_LINK : BR_SUMS;
             break;
         }
         case BR_LINK: {
             /* the entries drawn at the marker, linked in order */
             long long mark = -(s->k_neg + 1);
             s->head = s->n_ks;
-            for (long long p = s->n_ks - 1; p >= 0; p--) {
-                if (s->ks[p] < mark || (s->ks[p] == mark && s->n_deep < 1))
-                    return -1;
+            for (long long p = s->n_ks - 1; p >= 0; p--)
                 if (s->ks[p] == mark) {
                     s->ks[p] = deep_node(s, s->head, 0);
                     s->head = p;
                 }
-            }
-            s->bphase = s->head < s->n_ks ? BR_DEEP_U : BR_SUMS;
+            s->bphase = BR_DEEP_U;
             break;
         }
         case BR_DEEP_U:

@@ -488,8 +488,11 @@ class DiscreteSampler:
 
     def __init__(self, values, probs):
         p = np.asarray(probs, dtype=np.float64)
-        if not (np.isfinite(p).all() and (p >= 0).all() and p.sum() > 0):
-            raise ValueError("sampler needs finite weights >= 0 with positive mass")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = p.sum()
+        if not (np.isfinite(p).all() and (p >= 0).all() and 0 < total < np.inf):
+            raise ValueError("sampler needs finite weights >= 0 with positive, "
+                             "finite mass")
         keep = p > 0
         self.values = np.asarray(values)[keep]
         self._row = _StackedCdf(1, self.values, guided=True)
@@ -499,7 +502,7 @@ class DiscreteSampler:
     def draw(self, rng, size=None):
         """One value, or an array of size values.  They are drawn 2^16 at a
         time, the stream read in the same order, which bounds the numpy
-        draw's temporaries (ecf_test draws 10^5 and more at once)."""
+        draw's temporaries for draws of 10^5 values and more."""
         n = 1 if size is None else size
         out = np.empty(n, dtype=self.values.dtype)
         for lo in range(0, n, 1 << 16):

@@ -12,7 +12,11 @@ and the vertex-fugacity slope of the spectral constant,
 
     (1 - c_+(g)/c_+(1)) / sqrt(1-g)  ->  sqrt(16 / (3 (1+r) c_+^2 L)).
 
-No direct sampler of the limit processes is attempted.
+The walk's endpoint in the characteristic-function test is drawn from its
+exact law: the sum of its common jumps (k >= -ECF_K_COMMON) from their
+convolution power, built by FFT once per distinct step count, and its rarer
+deep jumps one by one.  No direct sampler of the limit processes is
+attempted.
 """
 
 from __future__ import annotations
@@ -23,15 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criticality import solve_boltzmann
-from .peeling import _rng, simulate_ensemble
+from .peeling import _check_integers, _rng, simulate_ensemble
 from .seriesutil import richardson_limit
-from .walk import StepLaw, complete_nu
+from .walk import StepLaw, complete_nu, deepen_negative
 from .weights import WeightSequence, nu_from_q
 
 DEFAULT_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
 # ecf_test's split of the step law (common jumps k >= -ECF_K_COMMON, a deep
 # block down to the law deepened to ECF_K_DEEP) and its samples per chunk
-ECF_K_COMMON = 64
+ECF_K_COMMON = 1024
 ECF_K_DEEP = 1 << 17
 ECF_CHUNK = 20_000
 
@@ -116,24 +120,70 @@ class EcfReport:
         }
 
 
+class _CommonPowers:
+    """Convolution powers of ecf_test's common part: the jumps
+    k >= -ECF_K_COMMON of positive mass of a law deepened past them,
+    normalized, in units of `step` (2 on a bipartite law, whose jumps are
+    even).  The sum of N <= n of them lies on a circular window of 2W
+    points centred at round(N mean); W is the least power of two for which
+    Bernstein's bound puts the mass past the window below 1e-15 at N = n.
+    log F, the log of the law's transform on that grid, is taken once, and
+    each power is then one exp and one inverse rfft (integer N makes the
+    principal branch exact)."""
+
+    def __init__(self, law: StepLaw, n):
+        sel = (law.ks >= -ECF_K_COMMON) & (law.probs > 0)
+        self.step = 2 if law.r == 1.0 else 1
+        self.mass = float(law.probs[sel].sum())
+        ks = law.ks[sel] // self.step
+        p = law.probs[sel] / self.mass
+        self.mean = float((p * ks).sum())
+        var = float((p * (ks - self.mean) ** 2).sum())
+        # P(|S - N mean| >= t) <= 2 exp(-t^2 / (2 (N var + b t / 3))) for
+        # jumps within b of their mean; t is where that reaches 1e-15, and
+        # |round(N mean) - N mean| <= 1/2 keeps every sum within W - 1
+        # of the mean inside the window
+        b = max(ECF_K_COMMON, law.k_pos) / self.step + abs(self.mean)
+        c = math.log(2e15) * b / 3.0
+        t = c + math.sqrt(c * c + 2.0 * math.log(2e15) * n * var)
+        self.W = 1 << math.ceil(math.log2(t + 1.0))
+        f = np.zeros(2 * self.W)
+        f[ks % (2 * self.W)] = p
+        self.log_f = np.log(np.fft.rfft(f))
+        # the transform at 0 is the total, 1 up to rounding that N would
+        # multiply
+        self.log_f -= self.log_f[0]
+
+    def window(self, N):
+        """(lo, w): the law of the sum of N jumps, P(S = step (lo + j)) =
+        w[j] for j < 2W, up to rounding (about N eps per frequency, so
+        entries far out can be slightly negative)."""
+        M = 2 * self.W
+        lo = round(N * self.mean) - self.W
+        # the shift by lo, its phase reduced mod M in integers
+        twist = (lo * np.arange(len(self.log_f), dtype=np.int64)) % M
+        return lo, np.fft.irfft(np.exp(N * self.log_f + (2j * np.pi / M) * twist), M)
+
+
 def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0),
              seed=0) -> EcfReport:
     """Empirical characteristic function of the rescaled unconditioned walk.
 
     The endpoint X_n is drawn exactly by splitting the step law into a
-    common part (multinomial increment counts over the jumps
-    k >= -ECF_K_COMMON), a deep negative block (binomial count of the rarer
-    jumps down to the law deepened to ECF_K_DEEP, each drawn from the exact
-    kernel values), and a matched power-law remainder beyond the block,
+    common part (the jumps k >= -ECF_K_COMMON), a deep negative block (the
+    rarer jumps down to the law deepened to ECF_K_DEEP, drawn from the
+    exact kernel values) and a matched power-law remainder beyond the
+    block.  Each sample draws its count n_t of block and remainder steps
+    from Binomial(n, their mass); its common part's sum is then one draw
+    from the exact (n - n_t)-th convolution power of the normalized common
+    law (`_CommonPowers`), each power built once per call, one at a time,
+    for the samples that share it.  The block and remainder steps follow,
     ECF_CHUNK samples at a time.  Every split point gives the same law of
-    X_n; a small common part keeps the multinomial cheap.  The split
-    matters: a plainly truncated law loses a K^(-1/2) drift that would
-    swamp the n^(2/3) normalization.  n and n_samples below 1, and a
-    heavy-tailed law, raise ValueError.
+    X_n.  The split matters: a plainly truncated law loses a K^(-1/2)
+    drift that would swamp the n^(2/3) normalization.  A non-integer n or
+    n_samples, either below 1, and a heavy-tailed law raise ValueError.
     """
-    from .peeling import DiscreteSampler
-    from .walk import deepen_negative
-
+    _check_integers(n=n, n_samples=n_samples)
     if min(n, n_samples) < 1:
         raise ValueError("n and n_samples must be >= 1; got "
                          f"n={n}, n_samples={n_samples}")
@@ -141,56 +191,54 @@ def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0),
     thetas = np.asarray(thetas, dtype=float)
     rng = _rng(seed)
     law = deepen_negative(law, ECF_K_DEEP)
-    k0 = min(ECF_K_COMMON, law.k_neg)
-    ks_all = law.ks
-    # jumps of zero mass (odd ones on bipartite laws) stay out of the multinomial
-    common_sel = (ks_all >= -k0) & (law.probs > 0)
-    p_common = np.asarray(law.probs[common_sel], dtype=np.float64)
-    ks_common = ks_all[common_sel].astype(np.float64)
-    block_sel = ks_all < -k0
-    m_block = float(law.probs[block_sel].sum())
-    block_tab = None
-    if m_block > 0:
-        block_tab = DiscreteSampler(ks_all[block_sel], law.probs[block_sel])
+    powers = _CommonPowers(law, n)
+    block_sel = law.ks < -ECF_K_COMMON
+    block_ks = law.ks[block_sel]
+    block_cdf = np.cumsum(law.probs[block_sel])
+    m_block = float(block_cdf[-1])
     # the remainder beyond the block follows the k^(-5/2) tail; its index
     # scales like ECF_K_DEEP * U^(-2/3)
-    m_pareto = max(0.0, 1.0 - float(p_common.sum()) - m_block)
+    m_pareto = max(0.0, 1.0 - powers.mass - m_block)
     m_tail = m_block + m_pareto
-    parity = 2 if law.r == 1.0 else 1
-    p_common = p_common / p_common.sum()
-    p_common[np.argmax(p_common)] += 1.0 - p_common.sum()
+
+    if m_tail > 0:
+        n_t = rng.binomial(n, m_tail, size=n_samples)
+    else:
+        n_t = np.zeros(n_samples, dtype=np.int64)
+    # the common part's sums: one uniform per sample, the samples grouped
+    # by their power with one sort
+    u = rng.random(n_samples)
+    X = np.empty(n_samples)
+    order = np.argsort(n_t, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(n_t[order])) + 1):
+        lo, w = powers.window(n - int(n_t[group[0]]))
+        cdf = np.cumsum(np.maximum(w, 0.0, out=w), out=w)
+        X[group] = powers.step * (lo + cdf.searchsorted(u[group] * cdf[-1], "right"))
 
     a_n = perimeter_normalizer(law, n)
     acc = np.zeros(len(thetas), dtype=np.complex128)
     acc_sq = np.zeros(len(thetas))
-    done = 0
-    while done < n_samples:
-        m = min(ECF_CHUNK, n_samples - done)
-        if m_tail > 0:
-            n_t = rng.binomial(n, m_tail, size=m)
-        else:
-            n_t = np.zeros(m, dtype=np.int64)
-        counts = rng.multinomial(n - n_t, p_common)
-        # a ufunc sum, not BLAS: threaded gemv stalls for ~0.1 s on a busy host
-        X = (counts * ks_common).sum(axis=1)
-        total_t = int(n_t.sum())
+    for start in range(0, n_samples, ECF_CHUNK):
+        m = min(ECF_CHUNK, n_samples - start)
+        Xc, nt = X[start:start + m], n_t[start:start + m]
+        total_t = int(nt.sum())
         if total_t:
-            owners = np.repeat(np.arange(m), n_t)
+            owners = np.repeat(np.arange(m), nt)
             draws = np.empty(total_t)
             use_pareto = rng.random(total_t) < (m_pareto / m_tail)
             n_b = int((~use_pareto).sum())
-            if n_b and block_tab is not None:
-                draws[~use_pareto] = block_tab.draw(rng, size=n_b)
+            if n_b:
+                at = block_cdf.searchsorted(rng.random(n_b) * m_block, "right")
+                draws[~use_pareto] = block_ks[at]
             n_p = total_t - n_b
             if n_p:
                 mag = law.k_neg * rng.random(n_p) ** (-2.0 / 3.0)
-                mag = parity * np.ceil(mag / parity)
+                mag = powers.step * np.ceil(mag / powers.step)
                 draws[use_pareto] = -mag
-            X += np.bincount(owners, weights=draws, minlength=m)
-        phase = np.exp(1j * np.outer(X / a_n, thetas))
+            Xc += np.bincount(owners, weights=draws, minlength=m)
+        phase = np.exp(1j * np.outer(Xc / a_n, thetas))
         acc += phase.sum(axis=0)
         acc_sq += (np.abs(phase - phase.mean(axis=0)) ** 2).sum(axis=0)
-        done += m
     emp = acc / n_samples
     se = np.sqrt(acc_sq / n_samples) / math.sqrt(n_samples)
     lim = limit_ecf(thetas)

@@ -84,9 +84,11 @@ class TestAlias:
             assert abs(freq[i] - probs[i]) < 4 * se
 
     def test_rejects_zero_mass(self):
-        # no mass, and weights that are negative, NaN or infinite: never a
-        # weight silently dropped, never an unrelated error
-        for probs in ([0.0], [2, -1, 1], [1, math.nan], [1, math.inf], [-math.inf, 1]):
+        # no mass, weights that are negative, NaN or infinite, and finite
+        # weights whose total overflows: never a weight silently dropped,
+        # never an unrelated error
+        for probs in ([0.0], [2, -1, 1], [1, math.nan], [1, math.inf], [-math.inf, 1],
+                      [1e308, 1e308]):
             with pytest.raises(ValueError, match="sampler needs"):
                 DiscreteSampler(np.arange(len(probs)), probs)
 

@@ -28,6 +28,8 @@ def make_law(name, k_neg=512, **params):
 
 QUAD_LAW = make_law("two_p_angulation", p=2)
 TRI_LAW = make_law("odd_angulation", p=1)
+GEO3_LAW = make_law("geometric", H=3.0)
+LAWS = {"quad": QUAD_LAW, "tri": TRI_LAW, "geo3": GEO3_LAW}
 
 
 class TestNormalizers:
@@ -74,13 +76,17 @@ class TestEcf:
         rep = ecf_test(QUAD_LAW, 10_000, 20_000, thetas=(0.5, 1.0, 2.0), seed=11)
         assert rep.max_discrepancy() <= 0.03
 
-    @pytest.mark.parametrize("n,samples", [(0, 100), (-5, 100), (100, 0)])
+    @pytest.mark.parametrize("n,samples", [(0, 100), (-5, 100), (100, 0),
+                                           (1000.5, 100), (100, 100.5), ("1000", 100)])
     def test_run_size_checked(self, n, samples):
-        with pytest.raises(ValueError, match="n_samples"):
+        # below 1 or not an integer: refused before any draw
+        with pytest.raises(ValueError, match="n_samples|must be integral"):
             ecf_test(QUAD_LAW, n, samples)
 
-    @pytest.mark.parametrize("k_common", [8, 64, 512])
-    def test_exact_characteristic_function(self, k_common, monkeypatch):
+    @pytest.mark.parametrize("name,k_common", [
+        pytest.param(name, k, id=str(k) if name == "quad" else f"{name}-{k}")
+        for name in LAWS for k in (8, 64, 512, 1024)])
+    def test_exact_characteristic_function(self, name, k_common, monkeypatch):
         # every split point gives the law of X_n under the law deepened to
         # ECF_K_DEEP (its remainder beyond that weighs ~1e-8), whose exact
         # ecf is phi(theta / a_n)^n; the sampler must agree within 4 SE
@@ -88,11 +94,43 @@ class TestEcf:
         from peelkit.walk import deepen_negative
 
         monkeypatch.setattr(scaling, "ECF_K_COMMON", k_common)
+        law = LAWS[name]
         n, thetas = 200, np.array([0.5, 1.0, 2.0])
-        rep = ecf_test(QUAD_LAW, n, 20_000, thetas=thetas, seed=5)
-        deep = deepen_negative(QUAD_LAW, scaling.ECF_K_DEEP)
-        exact = deep.char_function(thetas / perimeter_normalizer(QUAD_LAW, n)) ** n
+        rep = ecf_test(law, n, 20_000, thetas=thetas, seed=5)
+        deep = deepen_negative(law, scaling.ECF_K_DEEP)
+        exact = deep.char_function(thetas / perimeter_normalizer(law, n)) ** n
         assert np.all(np.abs(rep.empirical - exact) <= 4.0 * rep.std_error)
+
+    @pytest.mark.parametrize("name", ["quad", "tri", "geo3"])
+    @pytest.mark.parametrize("n", [1, 200, 10_000])
+    def test_common_powers_exact(self, name, n):
+        # each power of the common part that ecf_test draws from, with its
+        # rounding negatives clipped as they are for the draw, has the
+        # characteristic function phi_c(theta)^N of the normalized common
+        # law, summed here directly; N runs over the common steps a sample
+        # can have, down to 0 at n = 1 (its one step in the tail).  The
+        # transform's rounding, about eps, grows N-fold in its N-th power
+        from peelkit import scaling
+        from peelkit.walk import deepen_negative
+
+        deep = deepen_negative(LAWS[name], scaling.ECF_K_DEEP)
+        powers = scaling._CommonPowers(deep, n)
+        assert powers.step == (2 if name == "quad" else 1)
+        sel = (deep.ks >= -scaling.ECF_K_COMMON) & (deep.probs > 0)
+        ks, p = deep.ks[sel], deep.probs[sel] / deep.probs[sel].sum()
+        for N in sorted({0, n - 1, n}):
+            lo, w = powers.window(N)
+            w = np.maximum(w, 0.0)
+            values = powers.step * (lo + np.arange(len(w)))
+            for theta in (0.0, 0.001, 0.01, 0.1, 1.0):
+                # log phi_c from phi_c - 1 = a + ib, summed term by term
+                x = theta * ks
+                a = (p * -2.0 * np.sin(x / 2) ** 2).sum()
+                b = (p * np.sin(x)).sum()
+                exact = np.exp(N * complex(0.5 * math.log1p(2 * a + a * a + b * b),
+                                           math.atan2(b, 1.0 + a)))
+                window = (w * np.exp(1j * theta * values)).sum()
+                assert abs(window - exact) <= 1e-12 + 1e-15 * N, (N, theta)
 
     def test_report_shape(self):
         rep = ecf_test(QUAD_LAW, 1000, 2000, thetas=(1.0,), seed=0)

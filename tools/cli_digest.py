@@ -64,10 +64,14 @@ INVOCATIONS = [
      "--format", "csv"],
     ["tune-critical", "--preset", "symmetric_critical", "--r", "1", "--a",
      "0.785"],
-    # ecf at n = 2000: about 10^4 deep-block draws of its sampler, where the
-    # small runs above draw about a hundred
+    # ecf at n = 2000: about 160 steps in the deep block or past it, where
+    # the small runs above draw one or two
     ["scaling-test", "--models", "quadrangulation", "--steps", "2000",
      "--chains", "100", "--ecf-samples", "5000", "--seed", "5"],
+    # ecf at n = 20000: the common part's powers past the bench's scale,
+    # and about 650 steps in the deep block or past it
+    ["scaling-test", "--models", "quadrangulation", "--steps", "20000",
+     "--chains", "100", "--ecf-samples", "2000", "--seed", "9"],
     # mean volumes read inside the block rounds: a heavy-tailed law's limit
     # law falls back to them, and expectation mode reads them
     ["simulate", "--preset", "symmetric_critical", "--r", "1", "--a", "0.785",
