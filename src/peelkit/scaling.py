@@ -188,6 +188,9 @@ def ecf_test(law: StepLaw, n, n_samples, thetas=(0.5, 1.0, 2.0),
         raise ValueError("n and n_samples must be >= 1; got "
                          f"n={n}, n_samples={n_samples}")
     _refuse_heavy(law)
+    # numpy integers pass the check; the report keeps Python ints, which
+    # json can write
+    n, n_samples = int(n), int(n_samples)
     thetas = np.asarray(thetas, dtype=float)
     rng = _rng(seed)
     law = deepen_negative(law, ECF_K_DEEP)

@@ -137,6 +137,9 @@ class TestEcf:
         doc = rep.to_report()
         assert doc["rows"][0]["theta"] == 1.0
         assert json.dumps(doc)
+        # numpy integer sizes give the same draws and a report json can write
+        rep_np = ecf_test(QUAD_LAW, np.int64(1000), np.int64(2000), thetas=(1.0,), seed=0)
+        assert json.dumps(rep_np.to_report()) == json.dumps(doc)
 
 
 class TestCollapse:
