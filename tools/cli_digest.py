@@ -7,10 +7,12 @@ directory.  Its digest covers the exit code, stdout and the file written to
 then the digest of all of them, so two trees that print the same last line
 give the same outputs on every invocation listed here.
 
-    python tools/cli_digest.py [--src PATH]
+    python tools/cli_digest.py [--src PATH] [--expect HEX]
 
 PATH defaults to this checkout's ``src``; point it at another checkout's
-``src`` to compare two versions.
+``src`` to compare two versions.  With ``--expect``, the script exits 1
+when the last line's digest is not HEX, so a change that claims the same
+outputs can be checked against a pinned line.
 """
 
 from __future__ import annotations
@@ -113,6 +115,8 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                    help="source tree that holds the peelkit package")
+    p.add_argument("--expect", metavar="HEX",
+                   help="exit 1 unless the digest of all invocations is HEX")
     args = p.parse_args(argv)
     src = os.path.abspath(args.src)
     total = hashlib.sha256()
@@ -122,6 +126,9 @@ def main(argv=None):
             total.update(hexd.encode())
             print(f"{hexd[:16]} exit {rc}  {' '.join(inv)}")
     print(f"all {total.hexdigest()}")
+    if args.expect is not None and total.hexdigest() != args.expect.lower():
+        print(f"expected all {args.expect}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":
