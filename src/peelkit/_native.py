@@ -402,23 +402,23 @@ void fill_rows(const double *h, const double *p, const long long *ks,
 }
 
 enum { LS_DONE, LS_ROWS, LS_COVER, LS_EXP };
-enum { VOL_MEANS, VOL_LIMIT, VOL_EXACT };
 
 typedef struct {
     const cdf_t *rows;         /* the engine's rows, perimeters 0..rows->n-1 */
     const bands_t *bands;      /* its bands, perimeters 0..bands->n-1 */
-    const cdf_t *volumes;      /* exact volume rows (VOL_EXACT), or NULL */
-    const long long *means;    /* rounded mean volumes, 0 = none */
-    long long n_means, l_small, absorbing;
-    long long rule, l_exact, heavy;
-    double b_nu;
+    const cdf_t *volumes;      /* exact volume rows of degrees 0..l_exact, or NULL */
+    /* the hole-volume rule per degree 0..n_rule-1 (lo = 0: none) */
+    const long long *lo, *off;
+    const double *c;
+    double b;
+    long long n_rule, l_small, absorbing, l_exact;
     long long n, n_steps, n_cps;
     const long long *cps;      /* checkpoints, ascending, the last n_steps */
     long long *ls, *vs, *per, *vols;
     long long *jumps, *at, *lb, *kb, *todo, *vals;   /* n entries each */
     double *env;
     long long step, cp;
-    long long band_proposals, band_accepts, residual_draws, heavy_means;
+    long long band_proposals, band_accepts, residual_draws, undrawn;
     long long need;
     /* block rounds: B(l) and its tilt's index for perimeters 0..n_blocks-1
        (the cover, 0..bands->n-1), the rows of nu_theta, the grid and nu's
@@ -518,8 +518,8 @@ INLINE long long step_draws(bitgen_t *bg, lockstep_t *s, const long long *idx,
     return 0;
 }
 
-/* The exact volume row's draw for a hole of degree lp (VOL_EXACT); a hole
-   of degree 0 is the one-vertex map, which draws nothing */
+/* The exact volume row's draw for a hole of degree lp; a hole of degree 0
+   is the one-vertex map, which draws nothing */
 INLINE int hole_row(bitgen_t *bg, const lockstep_t *s, long long lp,
                     long long *val)
 {
@@ -530,55 +530,42 @@ INLINE int hole_row(bitgen_t *bg, const lockstep_t *s, long long lp,
     return cdf_one(bg, s->volumes, lp < s->l_exact ? lp : s->l_exact, val);
 }
 
-/* The rounded mean volume of a hole of degree lp, -1 for a read outside
-   the means (past them, or an entry 0) */
-INLINE long long hole_mean(const lockstep_t *s, long long lp)
-{
-    return lp < s->n_means && s->means[lp] ? s->means[lp] : -1;
-}
-
-/* The volume of a hole of degree lp, val its exact row's draw: 1 for
-   lp = 0, the one-vertex map, with nothing drawn; else the mean
-   (VOL_MEANS), or the exact row's value and, for a residual or
-   lp > l_exact, the limit law (VOL_EXACT), or the limit law (VOL_LIMIT):
-   xi = 1 / Gamma(3/2, scale 2), V = rint(xi B lp^2) at least the floor, or
-   the mean for a heavy law.  -1 for a read outside the means. */
+/* The volume of a hole of degree lp, val its exact row's draw where there
+   are exact rows: the row's value for lp <= l_exact, else the rule read
+   past the row, V = max(f, lo, off + rint((xi b) c)) at degree lp, with
+   f = V* + 1 for a residual (val = -(V* + 1)) and 1 otherwise, and
+   xi = 1 / Gamma(3/2, scale 2) drawn only where c > 0; holes of degree
+   lp > 0 read with no draw are counted.  -1 for a read outside the rule
+   (past it, or lo = 0). */
 INLINE long long hole_volume(bitgen_t *bg, lockstep_t *s, long long lp,
                              long long val)
 {
-    long long rule = s->rule, v = 0, floor = 1;
-    if (!lp)
-        return 1;
-    if (rule == VOL_MEANS)
-        return hole_mean(s, lp);
-    int drawn = rule == VOL_LIMIT;
-    if (rule == VOL_EXACT) {
-        v = val;
-        if (v < 0) {
-            floor = -v;
+    long long f = 1;
+    if (s->volumes) {
+        if (val < 0) {
+            f = -val;
             s->residual_draws++;
+        } else if (lp <= s->l_exact) {
+            return val;
         }
-        drawn = v < 0 || lp > s->l_exact;
     }
-    if (drawn) {
-        if (s->heavy) {
-            v = hole_mean(s, lp);
-            if (v < 0)
-                return -1;
-            s->heavy_means = 1;
-        } else {
-            double xi = 1.0 / random_gamma(bg, 1.5, 2.0);
-            v = (long long)rint(xi * s->b_nu * (double)(lp * lp));
-        }
-        if (v < floor)
-            v = floor;
+    if (lp >= s->n_rule || !s->lo[lp])
+        return -1;
+    long long v = s->off[lp];
+    if (s->c[lp] > 0) {
+        double xi = 1.0 / random_gamma(bg, 1.5, 2.0);
+        v += (long long)rint(xi * s->b * s->c[lp]);
+    } else if (lp) {
+        s->undrawn++;
     }
-    return v;
+    if (v < s->lo[lp])
+        v = s->lo[lp];
+    return v < f ? f : v;
 }
 
 /* The pruning jumps of the chains idx[j], in chain order: every exact
-   row's draw first (VOL_EXACT), then their volumes added to the chains';
-   -1 for a read outside a table */
+   row's draw first, then their volumes added to the chains'; -1 for a
+   read outside a table */
 INLINE long long step_holes(bitgen_t *bg, lockstep_t *s, const long long *idx,
                             long long m)
 {
@@ -588,13 +575,12 @@ INLINE long long step_holes(bitgen_t *bg, lockstep_t *s, const long long *idx,
         if (s->jumps[c] <= -2)
             s->at[k++] = c;
     }
-    if (s->rule == VOL_EXACT)
+    if (s->volumes)
         for (long long j = 0; j < k; j++)
             if (hole_row(bg, s, -2 - s->jumps[s->at[j]], &s->vals[j]))
                 return -1;
     for (long long j = 0; j < k; j++) {
-        long long v = hole_volume(bg, s, -2 - s->jumps[s->at[j]],
-                                  s->rule == VOL_EXACT ? s->vals[j] : 0);
+        long long v = hole_volume(bg, s, -2 - s->jumps[s->at[j]], s->vals[j]);
         if (v < 0)
             return -1;
         s->vs[s->at[j]] += v;
@@ -714,7 +700,7 @@ static long long deep_index(const lockstep_t *s, long long node)
     return (-(s->k_neg + 2) - node) % s->n_deep;
 }
 
-/* A kept block's pruning step after the exact rows' pass (VOL_EXACT): the
+/* A kept block's pruning step after the exact rows' pass: the
    hole's degree lp < 2^31 and its row's draw val, coded below every jump
    (hole_code), or 0 where they do not fit */
 #define VAL_OFF (1LL << 30)
@@ -753,8 +739,8 @@ INLINE long long step_hole(long long x, long long *lp, long long *val)
    uniform), then one keep uniform per block (kept with probability
    h(1, l_B) e^(-theta l_B - log K_theta) when the block stays at 1 or
    above).  The kept blocks are then walked: every exact row of their
-   holes first (BR_ROWS, only for VOL_EXACT), then one pass in step order
-   that draws their limit-law volumes, reads their means and writes the
+   holes first (BR_ROWS, where there are exact rows), then one pass in
+   step order that reads their volumes from the rule and writes the
    checkpoints and the chains' new states (BR_WALK).  ks holds one entry
    per step of the round, at most ks_cap.  Returns LS_ROWS with the
    perimeter in need, LS_COVER with the largest block start, single step or
@@ -961,8 +947,8 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
             break;
         case BR_ROWS:
             /* the exact rows of the kept blocks' holes in step order, each
-               coded into its step (VOL_EXACT) */
-            if (s->rule == VOL_EXACT)
+               coded into its step */
+            if (s->volumes)
                 for (long long b = 0, p = 0; b < s->n_blk; p += s->bB[b++]) {
                     if (!s->bkeep[b])
                         continue;
@@ -1055,15 +1041,15 @@ class Lockstep(ctypes.Structure):
     """lockstep_t: the tables, chains and work arrays of one run
     (`peeling._c_run`), by address, and where the run is: in ``lockstep``
     for a finite run, in ``block_rounds`` for an infinite-map one."""
-    _fields_ = [(name, _P) for name in ("rows", "bands", "volumes", "means")] + [
-        (name, _LL) for name in ("n_means", "l_small", "absorbing", "rule",
-                                 "l_exact", "heavy")] + [
-        ("b_nu", ctypes.c_double)] + [
-        (name, _LL) for name in ("n", "n_steps", "n_cps")] + [
+    _fields_ = [(name, _P) for name in ("rows", "bands", "volumes", "lo", "off",
+                                        "c")] + [
+        ("b", ctypes.c_double)] + [
+        (name, _LL) for name in ("n_rule", "l_small", "absorbing", "l_exact", "n",
+                                 "n_steps", "n_cps")] + [
         (name, _P) for name in ("cps", "ls", "vs", "per", "vols", "jumps", "at",
                                 "lb", "kb", "todo", "vals", "env")] + [
         (name, _LL) for name in ("step", "cp", "band_proposals", "band_accepts",
-                                 "residual_draws", "heavy_means", "need")] + [
+                                 "residual_draws", "undrawn", "need")] + [
         ("blocks", _P), ("block_tilt", _P), ("n_blocks", _LL)] + [
         (name, _P) for name in ("tilt_rows", "thetas", "log_phi", "log_K", "cs")] + [
         (name, _LL) for name in ("n_cs", "k_neg", "n_deep", "block_draws")] + [
@@ -1095,8 +1081,6 @@ SS_DONE, SS_WEIGHTS, SS_OVERFLOW, SS_NO_CUT = range(4)
 # missing, a perimeter past the engine's cover (a single step's or, in
 # block_rounds, a block's start or end) and an exp to take from numpy
 LS_DONE, LS_ROWS, LS_COVER, LS_EXP = range(4)
-# their volume rules
-VOL_MEANS, VOL_LIMIT, VOL_EXACT = range(3)
 # the per-chain work arrays of lockstep (and of block_rounds' single
 # steps), and those block_rounds adds
 STEP_WORK = ("jumps", "at", "lb", "kb", "todo", "vals")

@@ -321,9 +321,11 @@ def _same_lockstep(lib):
     and above L_SMALL, take four steps four times, absorbed at 0: with
     exact volume rows, residuals and the limit law, with the limit law
     alone, for a heavy law, and in expectation mode, the last two reading
-    a table of synthetic means.  A fifth run, with exact volume rows,
+    a rule table of synthetic means, and with exact volume rows, residuals
+    and a synthetic rule whose lo, off and c each decide some volumes.  A
+    sixth run, with exact volume rows,
     starts them all below 10 and has every chain absorbed at step 26 of
-    29, so both loops must stop at the same checkpoint.  A sixth takes one
+    29, so both loops must stop at the same checkpoint.  A seventh takes one
     step whose uniforms lie just below and on every cut of rows 1..8, and
     of the exact volume rows, which chains from row 8 draw for holes of
     degree 1, 2 and 3."""
@@ -351,22 +353,27 @@ def _same_lockstep(lib):
     v, v_on = _edges(volumes, np.arange(1, 4))
     cut = engine.rows.row(8) - 8
     inside = 0.5 * (cut[5 - v] + cut[6 - v])
-    # the means of holes of degree 0..6: 2 at odd degrees, 3 l' + 1 at even
+    # rules for holes of degree 0..6: means of 2 at odd degrees and 3 l' + 1
+    # at even ones; and lo, off and c of the shape f + rint(xi (E V - f))
     means = np.where(np.arange(7) % 2, 2, 3 * np.arange(7) + 1)
+    rules = {"heavy": _Rule(means, means, np.zeros(7), math.nan),
+             "generic": _Rule(np.array([1, 2, 4, 3, 5, 2, 6]), np.array([1, 1, 1, 2, 3, 2, 3]),
+                              np.array([0, 0.7, 1.9, 0, 3.3, 5.1, 0.6]), 0.75)}
+    rules["means"] = rules["heavy"]
     for case, start, checkpoints, us in (
             ("exact", big, range(1, 5), spread), ("limit", big, range(1, 5), spread),
             ("heavy", big, range(1, 5), spread), ("means", big, range(1, 5), spread),
+            ("generic", big, range(1, 5), spread),
             ("exact", (0, 2, 3, 4, 6, 8, 1, 5, 2, 3, 9, 1), range(1, 30), spread),
             ("exact", np.concatenate([np.full(len(v), 8), at]), range(1, 2),
              np.concatenate([inside, on, v_on, spread]))):
         runs = []
         for lockstep in (lambda *a: _lockstep_c(lib, *a), _lockstep_numpy):
             vol = VolumeSampler(law, "asymptotic_xi")
-            if case == "heavy":
-                vol.heavy, vol._means = True, means
-            elif case == "means":
-                vol.mode, vol._means = "expectation", means
-            elif case == "exact":
+            vol.rule = rules.get(case, vol.rule)
+            if case == "means":
+                vol.mode = "expectation"
+            elif case in ("exact", "generic"):
                 vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
             engine.start(1300)
             run = _Run(len(start), 1, checkpoints)
@@ -388,8 +395,10 @@ def _same_blocks(lib):
     tilted draws at its last entry are redrawn.  Twelve chains, below and
     above L_SMALL, with B(l) = 1 only for even l above it, take every
     checkpoint of two steps, with exact volume rows, residuals and the
-    limit law, and again in expectation mode, reading a table of synthetic
-    means; blocks cut short walk their tilt.  The first round draws one
+    limit law, again in expectation mode, reading a rule table of synthetic
+    means, and with exact volume rows, residuals and a synthetic rule whose
+    lo, off and c each decide some volumes; blocks cut short walk their
+    tilt.  The first round draws one
     single step, +2 from its first proposal, and no deep entry, and the
     uniform after its tilted draws lies on block 0's keep odds as numpy
     computes them, so the compiled loop must ask for numpy's exp (LS_EXP)
@@ -456,18 +465,26 @@ def _same_blocks(lib):
         m = -(-len(on) // engine.blocks[l])
         blk += [l] * m
         tilted.append(np.resize(on, m * engine.blocks[l]))
-    # the means of holes of every degree the law reaches, 1..11
-    means = 1 + np.arange(k_neg - 1) * 7 % 11
-    for mean, chains, n_steps, stream in (
-            (False, start, steps, us), (True, start, steps, us),
-            (False, np.tile(even, 2), 1, np.concatenate([np.nextafter(share, 0), share,
-                                                         spread])),
-            (False, blk, 3, np.concatenate(tilted + [spread]))):
+    # rules for holes of every degree the law reaches: means 1..11; and
+    # lo = 1..4, off = 2..4 and c = 0.7 (l' mod 4) (1, 1 and 0 at l' = 0)
+    lps = np.arange(k_neg - 1)
+    means = 1 + lps * 7 % 11
+    off = 2 + lps % 3
+    off[0] = 1
+    rules = {"means": _Rule(means, means, np.zeros(len(lps)), 0.75),
+             "generic": _Rule(1 + lps % 4, off, 0.7 * (lps % 4), 0.75)}
+    for case, chains, n_steps, stream in (
+            ("exact", start, steps, us), ("means", start, steps, us),
+            ("generic", start, steps, us),
+            ("exact", np.tile(even, 2), 1, np.concatenate([np.nextafter(share, 0), share,
+                                                           spread])),
+            ("exact", blk, 3, np.concatenate(tilted + [spread]))):
         runs = []
         for rounds in (lambda *a: _block_rounds_c(lib, *a), _block_rounds_numpy):
             vol = VolumeSampler(law, "asymptotic_xi")
-            if mean:
-                vol.mode, vol._means = "expectation", means
+            vol.rule = rules.get(case, vol.rule)
+            if case == "means":
+                vol.mode = "expectation"
             else:
                 vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
             engine.flags = {"band_proposals": 0, "band_accepts": 0}
@@ -661,6 +678,28 @@ def _mean_table(law: StepLaw):
     return means
 
 
+# the hole-volume rule per degree l' (`_rule_table`)
+_Rule = collections.namedtuple("_Rule", "lo off c b")
+
+
+def _rule_table(law: StepLaw, means):
+    """The hole-volume rule over the degrees l' < k_neg - 1, read for a hole
+    past its exact row: V = max(f, lo[l'], off[l'] + rint((xi b) c[l'])),
+    f the hole's floor, xi = 1 / Gamma(3/2, scale 2) drawn only where
+    c > 0, and lo = 0 for a degree outside the table.  With means, the
+    rounded means (`_mean_table`, lo = off, c = 0: nothing is drawn), read
+    in expectation mode and for a heavy law, which has no B_nu; else the
+    limit law, lo = 1, off = 0 and c = l'^2 with b = B_nu, in the product
+    order (xi B_nu) l'^2.  Degree 0 is the one-vertex map in both:
+    lo = off = 1, c = 0."""
+    if means:
+        m = _mean_table(law)
+        return _Rule(m, m, np.zeros(len(m)), law.B_nu)
+    lps = np.arange(max(1, law.k_neg - 1))
+    return _Rule(np.ones(len(lps), dtype=np.int64), (lps == 0).astype(np.int64),
+                 lps**2.0, law.B_nu)
+
+
 class VolumeSampler:
     """Draws the vertex count added when a hole of degree l' is filled in.
 
@@ -700,32 +739,18 @@ class VolumeSampler:
         self.l_exact = l_exact if built else 0
         # heavy-tailed laws have no universal volume fluctuation scale and
         # fall back to the exact mean increment
-        self.heavy = math.isnan(law.B_nu)
-        self._means = np.zeros(0, dtype=np.int64)
-        if mode == "expectation" or self.heavy:
-            self._means = _mean_table(law) if engine is None else engine.mean_table()
-
-    def _mean_volume(self, lp):
-        """max(1, round(E V(l'))) per entry, read from the table."""
-        vals = self._means[lp]
-        if not vals.all():
-            raise IndexError("a mean volume outside the table")
-        return vals
+        means = mode == "expectation" or math.isnan(law.B_nu)
+        self.rule = _rule_table(law, means) if engine is None else engine.rule_table(means)
 
     def draw_many(self, rng, l_primes):
         """Vertex counts of filled-in holes of degrees l' >= 0 (vectorized);
         l' = 0 is the one-vertex map, whose count 1 draws nothing."""
         lp = np.asarray(l_primes, dtype=np.int64)
-        if self.mode == "expectation":
-            return self._mean_volume(lp)
+        if not self.l_exact:
+            return self._rule_volume(rng, lp, 1)
         out = np.ones(len(lp), dtype=np.int64)
         holes = np.flatnonzero(lp)
         lp = lp[holes]
-        if not len(lp):
-            return out
-        if not self.l_exact:
-            out[holes] = self._limit_volume(rng, lp, 1)
-            return out
         # a negative table value -(V* + 1) is the residual mass beyond V*
         vals = self._cdf.draw(rng, np.minimum(lp, self.l_exact))
         resid = vals < 0
@@ -733,18 +758,26 @@ class VolumeSampler:
         if need.any():
             self.flags["residual_draws"] += int(resid.sum())
             floor = np.where(resid, -vals, 1)[need]
-            vals[need] = self._limit_volume(rng, lp[need], floor)
+            vals[need] = self._rule_volume(rng, lp[need], floor)
         out[holes] = vals
         return out
 
-    def _limit_volume(self, rng, lp, floor):
-        if self.heavy:
+    def _rule_volume(self, rng, lp, floor):
+        """max(floor, lo, off + rint((xi b) c)) per hole from the rule table
+        (`_rule_table`), xi drawn in order for the holes with c > 0; a degree
+        outside the table raises IndexError.  Outside expectation mode, a
+        hole of degree > 0 with nothing drawn is a heavy law's mean."""
+        lo, off, c, b = self.rule
+        lo, vals, c = lo[lp], off[lp], c[lp]
+        if not lo.all():
+            raise IndexError("a hole volume outside the rule table")
+        drawn = c > 0
+        if drawn.any():
+            xi = sample_xi(rng, size=int(drawn.sum()))
+            vals[drawn] += np.rint(xi * b * c[drawn]).astype(np.int64)
+        if self.mode != "expectation" and lp[~drawn].any():
             self.flags["heavy_volume_expectation"] = True
-            vals = self._mean_volume(lp)
-        else:
-            xi = sample_xi(rng, size=len(lp))
-            vals = np.rint(xi * self.law.B_nu * lp**2).astype(np.int64)
-        return np.maximum(floor, vals)
+        return np.maximum(np.maximum(floor, lo), vals)
 
 
 # -- traces ----------------------------------------------------------------------
@@ -1030,7 +1063,7 @@ class _ChainEngine:
         self.cs = np.concatenate([[0.0], np.cumsum(law.probs)])
         self.win_ks = self.window.ks
         self.win_idx = self.win_ks + law.k_neg
-        self.means = None
+        self.rules = {}
         self.exact_tables = {}
         # B(l) for l < len(blocks), the cover's perimeters
         self.blocks = np.ones(0, dtype=np.int64)
@@ -1085,11 +1118,12 @@ class _ChainEngine:
         if self.order == 1:
             self._extend_blocks()
 
-    def mean_table(self):
-        """The law's rounded mean volumes (`_mean_table`), built on first use."""
-        if self.means is None:
-            self.means = _mean_table(self.law)
-        return self.means
+    def rule_table(self, means):
+        """The law's hole-volume rule with or without means (`_rule_table`),
+        built on first use."""
+        if means not in self.rules:
+            self.rules[means] = _rule_table(self.law, means)
+        return self.rules[means]
 
     def start(self, l0):
         """Begin a run of chains from perimeter l0 >= 1."""
@@ -1382,15 +1416,13 @@ def _c_run(engine, vol, run):
     n = len(run.ls)
     work = np.empty((len(_native.STEP_WORK), n), dtype=np.int64)
     env = np.empty(n)
-    rule = (_native.VOL_MEANS if vol.mode == "expectation"
-            else _native.VOL_EXACT if vol.l_exact else _native.VOL_LIMIT)
-    addr = _native.address
-    volumes = vol._cdf.pack() if rule == _native.VOL_EXACT else None
+    rule, addr = vol.rule, _native.address
+    volumes = vol._cdf.pack() if vol.l_exact else None
     s = _native.Lockstep(
-        volumes=volumes and ctypes.addressof(volumes[0]),
-        means=addr(vol._means), n_means=len(vol._means), l_small=L_SMALL,
-        absorbing=engine.order == 0, rule=rule, l_exact=vol.l_exact,
-        heavy=vol.heavy, b_nu=vol.law.B_nu, n=n, n_steps=int(run.cps[-1]),
+        volumes=volumes and ctypes.addressof(volumes[0]), lo=addr(rule.lo),
+        off=addr(rule.off), c=addr(rule.c), b=rule.b, n_rule=len(rule.lo),
+        l_small=L_SMALL, absorbing=engine.order == 0, l_exact=vol.l_exact,
+        n=n, n_steps=int(run.cps[-1]),
         n_cps=len(run.cps), cps=addr(run.cps), ls=addr(run.ls), vs=addr(run.V),
         per=addr(run.per), vols=addr(run.vols), env=addr(env),
         **{name: addr(row) for name, row in zip(_native.STEP_WORK, work)})
@@ -1402,7 +1434,7 @@ def _drain(s, engine, vol, flags=None):
     engine.flags["band_proposals"] += s.band_proposals
     engine.flags["band_accepts"] += s.band_accepts
     vol.flags["residual_draws"] += s.residual_draws
-    if s.heavy_means:
+    if s.undrawn and vol.mode != "expectation":
         vol.flags["heavy_volume_expectation"] = True
     if flags is not None:
         flags["block_proposals"] += s.block_proposals

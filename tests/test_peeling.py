@@ -23,7 +23,6 @@ from peelkit.peeling import (
     BLOCK_THETAS,
     L_SMALL,
     VOLUME_MODES,
-    DiscreteSampler,
     PeelTrace,
     VolumeSampler,
     _ChainEngine,
@@ -72,43 +71,34 @@ LAW = quad_law()
 LAW_EXACT = quad_law(k_neg=64, exact=True)
 
 
+def guided_row(values, probs):
+    """One guided `_StackedCdf` row: the inverse-CDF sampler of the finite
+    law probs over values."""
+    row = _StackedCdf(1, np.asarray(values), guided=True)
+    row.append(np.asarray(probs, dtype=np.float64)[None, :])
+    return row
+
+
+def row_draws(row, rng, n):
+    """n draws from the one row of row."""
+    return row.draw(rng, np.zeros(n, dtype=np.intp))
+
+
 class TestAlias:
+    """One guided row as the sampler of a finite law."""
+
     def test_matches_distribution(self):
         rng = _rng(5)
         probs = np.array([0.5, 0.25, 0.125, 0.125])
-        tab = DiscreteSampler(np.arange(4), probs)
-        draws = tab.draw(rng, size=200_000)
+        draws = row_draws(guided_row(np.arange(4), probs), rng, 200_000)
         freq = np.bincount(draws, minlength=4) / 200_000
         for i in range(4):
             se = math.sqrt(probs[i] * (1 - probs[i]) / 200_000)
             assert abs(freq[i] - probs[i]) < 4 * se
 
-    def test_rejects_zero_mass(self):
-        # no mass, weights that are negative, NaN or infinite, and finite
-        # weights whose total overflows: never a weight silently dropped,
-        # never an unrelated error
-        for probs in ([0.0], [2, -1, 1], [1, math.nan], [1, math.inf], [-math.inf, 1],
-                      [1e308, 1e308]):
-            with pytest.raises(ValueError, match="sampler needs"):
-                DiscreteSampler(np.arange(len(probs)), probs)
-
-    def test_blocks_of_a_large_draw_read_the_stream_in_order(self):
-        # a draw of more than 2^16 values, taken a block at a time, is the
-        # one draw of its row over the same stream, which it leaves where
-        # that draw leaves it
-        s = DiscreteSampler(np.arange(7) - 3, [1, 2, 0, 3, 1, 1, 5])
-        n = 3 * (1 << 16) + 5
-        rng, ref = _rng(6), _rng(6)
-        np.testing.assert_array_equal(
-            s.draw(rng, n), s._row.draw(ref, np.zeros(n, dtype=np.intp)))
-        assert rng.random() == ref.random()
-        assert s.draw(rng).shape == () and len(s.draw(rng, 0)) == 0
-
     def test_implied_probabilities_equal_input(self):
         probs = np.array([0.3, 0.0, 1e-9, 0.2, 0.5 - 1e-9, 0.0])
-        s = DiscreteSampler(np.arange(6), probs)
-        implied = np.zeros(6)
-        implied[s.values] = np.diff(s.cdf, prepend=0.0)
+        implied = np.diff(guided_row(np.arange(6), probs).row(0), prepend=0.0)
         assert np.abs(implied - probs).max() < 1e-15
 
 
@@ -437,8 +427,7 @@ class TestEmpiricalTransitions:
         engine_draws = 1_000_000
         rng = _rng(2024)
         dist = step_ibpm(l, LAW)
-        tab = DiscreteSampler(dist.ks, dist.probs)
-        draws = tab.draw(rng, size=engine_draws)
+        draws = row_draws(guided_row(dist.ks, dist.probs), rng, engine_draws)
         for k, p in zip(dist.ks, dist.probs):
             if p < 1e-5:
                 continue
@@ -450,8 +439,7 @@ class TestEmpiricalTransitions:
         engine_draws = 1_000_000
         rng = _rng(4048)
         dist = step_finite(10, LAW)
-        tab = DiscreteSampler(dist.ks, dist.probs)
-        draws = tab.draw(rng, size=engine_draws)
+        draws = row_draws(guided_row(dist.ks, dist.probs), rng, engine_draws)
         for k, p in zip(dist.ks, dist.probs):
             if p < 1e-5:
                 continue
@@ -526,7 +514,7 @@ class TestHittingProbability:
         # unconditioned walk from l: P(hit exactly 0 before < 0) = h(0, l)
         rng = _rng(777)
         law = LAW
-        tab = DiscreteSampler(law.ks, law.probs)
+        tab = guided_row(law.ks, law.probs)
         cache = law.hcache()
         for l0 in (2, 4):
             n_walks = 40_000
@@ -536,7 +524,7 @@ class TestHittingProbability:
             for _ in range(3000):
                 if not alive.any():
                     break
-                steps = tab.draw(rng, size=int(alive.sum()))
+                steps = row_draws(tab, rng, int(alive.sum()))
                 pos[alive] += steps
                 now = pos[alive]
                 hit_now = now == 0
@@ -795,7 +783,7 @@ class TestMeanTable:
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     @pytest.mark.parametrize("mode", ["finite", "ibpm"])
     def test_a_read_outside_the_table_raises(self, mode, path):
-        # a hole whose table entry is 0, or past the table, is a read
+        # a hole whose rule entry is 0, or past the rule, is a read
         # outside the tables: IndexError on both paths
         def run():
             return simulate_ensemble(mode, LAW, 40, 200, 64, seed=1,
@@ -806,10 +794,12 @@ class TestMeanTable:
                 peeling._slot.clear()
                 run()
                 engine = peeling._slot.held[mode][5]
+                rule = engine.rules[True]
                 if cut == "zero":
-                    engine.means[1:] = 0
+                    rule.lo[1:] = 0
                 else:
-                    engine.means = engine.means[:1].copy()
+                    engine.rules[True] = peeling._Rule(*(a[:1].copy() for a in rule[:3]),
+                                                       rule.b)
                 with pytest.raises(IndexError):
                     run()
             peeling._slot.clear()
@@ -1885,6 +1875,25 @@ class TestCompiledDraws:
             assert _native._compile(cc, path, _native._C_SOURCE.replace(old, new)) is None
             assert _native._self_check(_native._open(path)) == refusal, name
 
+    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
+                        or not os.path.isfile(_native._npyrandom()),
+                        reason="no C compiler or no numpy static random library")
+    def test_self_check_refuses_rule_mutants(self, tmp_path):
+        # the hole-volume rule without its offset, or without its lower
+        # bound: the lockstep and block checks each refuse both, on their
+        # synthetic rules whose off and lo decide some volumes
+        mutants = {"off": ("long long v = s->off[lp];", "long long v = 0;"),
+                   "lo": ("    if (v < s->lo[lp])\n        v = s->lo[lp];\n", "")}
+        cc = shutil.which("cc") or shutil.which("gcc")
+        for name, (old, new) in mutants.items():
+            assert _native._C_SOURCE.count(old) == 1, name
+            path = str(tmp_path / f"{name}.so")
+            assert _native._compile(cc, path, _native._C_SOURCE.replace(old, new)) is None
+            lib = _native._open(path)
+            assert peeling._same_lockstep(lib) == "compiled lockstep differs from the Python loop"
+            assert (peeling._same_blocks(lib)
+                    == "compiled block rounds differ from the numpy rounds"), name
+
     def test_self_check_never_asks_the_loader(self, monkeypatch):
         # the check runs the library under check and the numpy and Python
         # loops directly: a loader that raises is never reached
@@ -1901,11 +1910,11 @@ class TestCompiledDraws:
                         reason="no C compiler or no numpy static random library")
     def test_self_check_refuses_a_degree_0_draw(self, tmp_path):
         # a hole of degree 0 that still draws its exact row, or its limit
-        # law: its volume stays 1 but the stream moves, which the
-        # self-check's lockstep runs (exact rows, and the limit law alone)
-        # see
+        # law although its rule entry has c = 0: its volume stays 1 but the
+        # stream moves, which the self-check's lockstep runs (exact rows,
+        # and the limit law alone) see
         mutants = {"row": ("    if (!lp) {\n        *val = 1;\n        return 0;\n    }\n", ""),
-                   "limit": ("    if (!lp)\n        return 1;\n", "")}
+                   "limit": ("if (s->c[lp] > 0) {", "if (s->c[lp] > 0 || !lp) {")}
         cc = shutil.which("cc") or shutil.which("gcc")
         for name, (old, new) in mutants.items():
             assert _native._C_SOURCE.count(old) == 1, name
@@ -1918,12 +1927,13 @@ class TestCompiledDraws:
                         or not os.path.isfile(_native._npyrandom()),
                         reason="no C compiler or no numpy static random library")
     def test_self_check_refuses_a_mean_mutant(self, tmp_path):
-        # a mean volume read one too large, wherever a mean is read or only
-        # in expectation mode: the lockstep and the block halves of the
-        # self-check each refuse both
-        mutants = {"mean": ("? s->means[lp] : -1;", "? s->means[lp] + 1 : -1;"),
-                   "expectation": ("return hole_mean(s, lp);",
-                                   "return hole_mean(s, lp) + 1;")}
+        # a mean volume read one too large, wherever a rule entry draws
+        # nothing or wherever there are no exact rows (as in expectation
+        # mode): the lockstep and the block halves of the self-check each
+        # refuse both
+        mutants = {"mean": ("        s->undrawn++;\n", "        s->undrawn++;\n        v++;\n"),
+                   "expectation": ("return v < f ? f : v;",
+                                   "return (v < f ? f : v) + !s->volumes;")}
         sources = {}
         for name, (old, new) in mutants.items():
             assert _native._C_SOURCE.count(old) == 1, name
@@ -2002,9 +2012,10 @@ class TestCompiledDraws:
 
     def test_sampler_and_ecf(self):
         def run():
-            s = DiscreteSampler(np.arange(7) - 3, [1, 2, 0, 3, 1, 1, 5])
+            s = guided_row(np.arange(7) - 3, [1, 2, 0, 3, 1, 1, 5])
             ecf = ecf_test(tri_law(), 200, 20_000, seed=1)
-            return s.draw(_rng(3), 1000).tobytes(), s.draw(_rng(4)), ecf.empirical.tobytes()
+            return (row_draws(s, _rng(3), 1000).tobytes(), row_draws(s, _rng(4), 1)[0],
+                    ecf.empirical.tobytes())
 
         self._both(run)
 
