@@ -30,10 +30,11 @@ generator (numpy's ``bitgen_t``, one ``next_double`` per uniform, in the
 order ``rng.random(n)`` would deliver them), so every table, trace and
 sample is bit-identical either way.  Compiled draws run only inside the
 two chain loops: every draw made from Python (`peeling._StackedCdf.draw`,
-`peeling._Bands.jumps`, the numpy loops and `peeling.DiscreteSampler`) is
-numpy's, on either path.  A hole of degree 0 reads nothing on either
-path: its volume is 1.  The mean volumes both loops read are one table,
-whole before the run's first step (`peeling._mean_table`).  The
+`peeling._Bands.jumps` and the numpy loops) is numpy's, on either path.
+Both loops read a hole's volume past its exact row from one rule table,
+whole before the run's first step (`peeling._rule_table`): per degree,
+V = max(f, lo, off + rint((xi b) c)), with xi drawn only where c > 0, so
+a hole of degree 0 and a rounded mean draw nothing.  The
 volumes' Gamma(3/2, scale 2) draws are numpy's own ``random_gamma``,
 statically linked from the ``numpy/random/lib/libnpyrandom.a`` numpy
 ships: the code ``Generator.gamma`` runs, as long as the library was

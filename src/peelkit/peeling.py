@@ -9,11 +9,12 @@ the first conditioning the walk to be absorbed at zero, the second to stay
 positive (only meaningful for critical laws).  On a pruning jump
 k = -l'-2 <= -2 the volume grows by the vertex count of a Boltzmann map
 with root-face degree l', sampled exactly from enumeration tables for
-small l', or through the universal limit V ~ xi * B * l'^2 with xi an
-inverse-Gamma(3/2, 1/2) variable, or deterministically as the rounded
-mean.  A hole with l' = 0 is the one-vertex map: its volume is 1 in every
-mode, and it draws nothing.  Face-exploration steps leave the volume
-unchanged.
+small l'; past them it is read from one rule per degree (`_rule_table`),
+V = max(f, lo, off + rint((xi b) c)) with xi an inverse-Gamma(3/2, 1/2)
+variable drawn only where c > 0.  The rule's two fillings are the
+universal limit V ~ xi * B * l'^2 and the rounded mean.  A hole with
+l' = 0 is the one-vertex map: its volume is 1 in every mode, and it draws
+nothing.  Face-exploration steps leave the volume unchanged.
 
 One engine runs both ``simulate`` (one chain, every step) and
 ``simulate_ensemble`` (many chains, checkpoints).  A single step draws from
@@ -54,7 +55,7 @@ The window part (`_Window`: the stacked rows below L_SMALL, and log
 K_theta for the infinite map) reads only nu over k > -L_SMALL, k_pos and
 h(o, .), which deepening leaves unchanged; the depth part (the engine
 proper: the deepened law, cs, the bands, the tilted rows, log phi, B(l)
-and the table of rounded mean volumes) reads the rest.  Each thread
+and the hole-volume rule tables) reads the rest.  Each thread
 keeps, per mode, the depth part of its last run, reused while the same
 law object, unchanged (same digest), is run to the same depth, and its
 WINDOWS most recently used window parts, keyed by what they read, so a
@@ -75,8 +76,8 @@ L_SMALL, the band rounds above it, the pruning volumes in every volume
 mode (numpy's own gamma code for xi) and the checkpoint rows of step
 after step, and returns only for a row it lacks (LS_ROWS) or a perimeter
 past the cover (LS_COVER), which Python grows before the call starts the
-same step again.  The mean volumes need no such return: a run that can
-read one has the whole table (`_mean_table`) before its first step.  An
+same step again.  The volumes need no such return: every run has its
+whole rule table before its first step.  An
 infinite-map run goes in block rounds from its first step, in a second
 compiled loop on the same kind of state: per round the single steps of
 the chains with B(l) = 1 (the lockstep loop's code, so a round of such
@@ -91,8 +92,8 @@ compiled loop reads the Generator's own bit generator in the order the
 numpy code reads it; where the library does not load, the numpy and
 Python loops (`_lockstep_numpy`, `_block_rounds_numpy` and the fill's
 numpy half) run and draw the same values.  Draws run compiled only
-inside the two chain loops: the numpy loops, `DiscreteSampler` and every
-other caller of `_StackedCdf.draw` and `_Bands.jumps` draw with numpy.
+inside the two chain loops: the numpy loops and every other caller of
+`_StackedCdf.draw` and `_Bands.jumps` draw with numpy.
 """
 
 from __future__ import annotations
@@ -310,6 +311,15 @@ def _edges(cdf, rows):
     return row_of[np.nonzero(probe)[0]], near[probe]
 
 
+def _generic_rule(n):
+    """The self-check's hole-volume rule (`_rule_table`) over the degrees
+    0..n-1, in the shape V = f + rint(xi (E V - f)): lo, off and c repeated
+    by l' mod 7, where lo decides degrees 4 and 5 and off degree 6 whenever
+    their floor is 1."""
+    return _Rule(*(np.resize(a, n) for a in ([1, 2, 4, 3, 8, 7, 2], [1, 1, 1, 2, 3, 2, 12],
+                                            [0, 0.7, 1.9, 0, 3.3, 0.6, 0.6])), 0.75)
+
+
 def _same_lockstep(lib):
     """None when the compiled row fill and lockstep loop of lib give exactly
     the numpy fill and the Python loop on a small synthetic law, else which
@@ -354,16 +364,13 @@ def _same_lockstep(lib):
     cut = engine.rows.row(8) - 8
     inside = 0.5 * (cut[5 - v] + cut[6 - v])
     # rules for holes of degree 0..6: means of 2 at odd degrees and 3 l' + 1
-    # at even ones; and lo, off and c of the shape f + rint(xi (E V - f))
+    # at even ones; and a generic one
     means = np.where(np.arange(7) % 2, 2, 3 * np.arange(7) + 1)
-    rules = {"heavy": _Rule(means, means, np.zeros(7), math.nan),
-             "generic": _Rule(np.array([1, 2, 4, 3, 5, 2, 6]), np.array([1, 1, 1, 2, 3, 2, 3]),
-                              np.array([0, 0.7, 1.9, 0, 3.3, 5.1, 0.6]), 0.75)}
+    rules = {"heavy": _Rule(means, means, np.zeros(7), math.nan), "generic": _generic_rule(7)}
     rules["means"] = rules["heavy"]
     for case, start, checkpoints, us in (
-            ("exact", big, range(1, 5), spread), ("limit", big, range(1, 5), spread),
+            ("generic", big, range(1, 5), spread), ("limit", big, range(1, 5), spread),
             ("heavy", big, range(1, 5), spread), ("means", big, range(1, 5), spread),
-            ("generic", big, range(1, 5), spread),
             ("exact", (0, 2, 3, 4, 6, 8, 1, 5, 2, 3, 9, 1), range(1, 30), spread),
             ("exact", np.concatenate([np.full(len(v), 8), at]), range(1, 2),
              np.concatenate([inside, on, v_on, spread]))):
@@ -406,7 +413,7 @@ def _same_blocks(lib):
     test that reads h(1, .) a perimeter low rejects it.  Two more runs take
     the edges: one step of chains at every even perimeter from L_SMALL on,
     whose band uniforms lie just below and on its band's share, and blocks
-    of B = 3 steps from 41 and 1301, whose first tilted uniforms lie just
+    of B = 3 steps from 441 and 1301, whose first tilted uniforms lie just
     below and on every cut of their guided tilt rows."""
     k_neg, steps, top = 1030, 2, 1600
     probs = np.zeros(k_neg + 3)
@@ -421,12 +428,14 @@ def _same_blocks(lib):
     engine.rows = _StackedCdf(L_SMALL, np.arange(-8, 3))
     engine.hz = np.concatenate([np.zeros(k_neg), np.sqrt(np.arange(top))])
     engine.bands = _Bands(engine.cs, engine.hz, k_neg, 2)
-    # B(l) = 1 only for even l >= L_SMALL; a tilt somewhat below the best
-    # for a block cut short, K_theta over the table and phi's log as theta^2
+    # B(l) = 1 only for even l >= L_SMALL; a grid of six tilts, 2^-10 to
+    # 2^-12.5, and one somewhat below the best for a block cut short, K_theta
+    # over the table and phi's log as theta^2
     ls = np.arange(engine.bands.n)
     engine.blocks = np.where(ls < L_SMALL, 2 + ls % 4, 1 + 2 * (ls % 2))
-    engine.block_tilt = (np.rint(2 * np.log2(np.maximum(ls, 1))) + 4).astype(np.int16)
-    th = BLOCK_THETAS[:engine.block_tilt.max() + 1]
+    th = engine.thetas = BLOCK_THETAS[20:26]
+    engine.block_tilt = np.clip(np.rint(2 * np.log2(np.maximum(ls, 1))) - 16, 0,
+                                len(th) - 1).astype(np.int16)
     peak = np.minimum(0.5 / th, top)
     engine.log_phi, engine.log_K = th**2, 0.5 * np.log(peak) - th * peak
     # neighbouring tilts' rows differ, and the deep entry keeps 3% or less
@@ -437,9 +446,9 @@ def _same_blocks(lib):
     engine.tilt_rows.append(np.append(probs[-11:], 0.03) * mult)
     volumes = _StackedCdf(4, np.array([[1, 1, 1], [2, 5, -6], [3, -4, 1], [4, 7, -9]]))
     volumes.append(np.array([[1.0, 0, 0], [0.5, 0.3, 0.2], [0.6, 0.4, 0], [0.2, 0.3, 0.5]]))
-    start = np.array([40, 5, 30, 700, 1001, 1013, 1101, 1302, 1231, 1301, 1303, 1501])
+    start = np.array([440, 505, 530, 700, 1001, 1013, 1101, 1302, 1231, 1301, 1303, 1501])
     # the first round's single step takes two uniforms, its tilted draws
-    # come from uniforms below the deep entry, and block 0 has B(40) = 2
+    # come from uniforms below the deep entry, and block 0 has B(440) = 2
     # steps and its own tilt; later rounds draw the deep entry at 0.99
     T = 2 + np.minimum(engine.blocks[start], steps).sum() - 1
     spread = np.arange(1, 98) * 0.6180339887498949 % 1.0
@@ -454,28 +463,24 @@ def _same_blocks(lib):
         lB = l + int(engine.tilt_rows.at(j + u * _StackedCdf.U_MAX).sum())
         return engine.hz[k_neg + lB] * np.exp(np.array([-th[j] * lB - engine.log_K[j]]))[0]
 
-    # block 0 from 40 on its odds; block 3 from 700, whose tilted uniforms
+    # block 0 from 440 on its odds; block 3 from 700, whose tilted uniforms
     # follow blocks 1 and 2's two each, just below its own
-    us[T], us[T + 3] = odds(40, us[2:4]), np.nextafter(odds(700, us[8:10]), 0)
+    us[T], us[T + 3] = odds(440, us[2:4]), np.nextafter(odds(700, us[8:10]), 0)
     even = np.arange(L_SMALL, engine.bands.n, 2)
     share = engine.bands.arrays[0][even]
     blk, tilted = [], []
-    for l in (41, 1301):
+    for l in (441, 1301):
         on = _edges(engine.tilt_rows, [engine.block_tilt[l]])[1]
         m = -(-len(on) // engine.blocks[l])
         blk += [l] * m
         tilted.append(np.resize(on, m * engine.blocks[l]))
-    # rules for holes of every degree the law reaches: means 1..11; and
-    # lo = 1..4, off = 2..4 and c = 0.7 (l' mod 4) (1, 1 and 0 at l' = 0)
-    lps = np.arange(k_neg - 1)
-    means = 1 + lps * 7 % 11
-    off = 2 + lps % 3
-    off[0] = 1
-    rules = {"means": _Rule(means, means, np.zeros(len(lps)), 0.75),
-             "generic": _Rule(1 + lps % 4, off, 0.7 * (lps % 4), 0.75)}
+    # rules for holes of every degree the law reaches: means 1..11, and the
+    # generic one
+    means = 1 + np.arange(k_neg - 1) * 7 % 11
+    rules = {"means": _Rule(means, means, np.zeros(len(means)), 0.75),
+             "generic": _generic_rule(len(means))}
     for case, chains, n_steps, stream in (
-            ("exact", start, steps, us), ("means", start, steps, us),
-            ("generic", start, steps, us),
+            ("generic", start, steps, us), ("means", start, steps, us),
             ("exact", np.tile(even, 2), 1, np.concatenate([np.nextafter(share, 0), share,
                                                            spread])),
             ("exact", blk, 3, np.concatenate(tilted + [spread]))):
@@ -498,34 +503,6 @@ def _same_blocks(lib):
         if runs[0] != runs[1]:
             return "compiled block rounds differ from the numpy rounds"
     return None
-
-
-class DiscreteSampler:
-    """Inverse-CDF sampler of a finite distribution: one guided stacked row."""
-
-    def __init__(self, values, probs):
-        p = np.asarray(probs, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = p.sum()
-        if not (np.isfinite(p).all() and (p >= 0).all() and 0 < total < np.inf):
-            raise ValueError("sampler needs finite weights >= 0 with positive, "
-                             "finite mass")
-        keep = p > 0
-        self.values = np.asarray(values)[keep]
-        self._row = _StackedCdf(1, self.values, guided=True)
-        self._row.append(p[keep][None, :])
-        self.cdf = self._row._flat
-
-    def draw(self, rng, size=None):
-        """One value, or an array of size values.  They are drawn 2^16 at a
-        time, the stream read in the same order, which bounds the numpy
-        draw's temporaries for draws of 10^5 values and more."""
-        n = 1 if size is None else size
-        out = np.empty(n, dtype=self.values.dtype)
-        for lo in range(0, n, 1 << 16):
-            hi = min(n, lo + (1 << 16))
-            out[lo:hi] = self._row.draw(rng, np.zeros(hi - lo, dtype=np.intp))
-        return out[0] if size is None else out
 
 
 # -- single-step laws ------------------------------------------------------------
@@ -710,15 +687,15 @@ class VolumeSampler:
     l_exact and d_max are validated in every mode but used only by
     'exact_small', whose enumeration tables cover l' <= l_exact up to d_max
     (the mode falls back to the limit law, flag exact_fallback, where the
-    tables cannot be certified).  A heavy-tailed law has no volume constant
-    B_nu, so where the limit law would be drawn it takes the rounded mean
-    increment instead (flag heavy_volume_expectation).  The rounded means
-    are one table (`_mean_table`), built whole before the first draw, and
-    only where a mean can be read: in 'expectation' mode and for a heavy
-    law; a degree past it or at a 0 entry raises IndexError.  engine, when
+    tables cannot be certified).  Every other hole, and a residual of the
+    tables, reads the rule table (`_rule_table`), built whole before the
+    first draw: the rounded means in 'expectation' mode and for a
+    heavy-tailed law, which has no volume constant B_nu (where the limit
+    law would be drawn, flag heavy_volume_expectation), else the limit law;
+    a degree past it or at a 0 entry of lo raises IndexError.  engine, when
     given, is law's chain engine, whose memos the sampler reads and fills:
-    the table of means (`_ChainEngine.mean_table`) and the enumeration
-    tables per (l_exact, d_max), so the runs of one deepened law share them.
+    the rule tables (`_ChainEngine.rule_table`) and the enumeration tables
+    per (l_exact, d_max), so the runs of one deepened law share them.
     """
 
     def __init__(self, law: StepLaw, mode="exact_small", l_exact=DEFAULT_L_EXACT,
@@ -772,12 +749,13 @@ class VolumeSampler:
         if not lo.all():
             raise IndexError("a hole volume outside the rule table")
         drawn = c > 0
-        if drawn.any():
-            xi = sample_xi(rng, size=int(drawn.sum()))
-            vals[drawn] += np.rint(xi * b * c[drawn]).astype(np.int64)
-        if self.mode != "expectation" and lp[~drawn].any():
+        n = np.count_nonzero(drawn)
+        if n:
+            vals[drawn] += np.rint(sample_xi(rng, size=n) * b * c[drawn]).astype(np.int64)
+        if n < len(lp) and self.mode != "expectation" and lp[~drawn].any():
             self.flags["heavy_volume_expectation"] = True
-        return np.maximum(np.maximum(floor, lo), vals)
+        np.maximum(vals, lo, out=vals)
+        return np.maximum(vals, floor, out=vals)
 
 
 # -- traces ----------------------------------------------------------------------
@@ -1036,19 +1014,19 @@ class _ChainEngine:
 
     For the ibpm transform the engine also proposes tilted blocks (module
     docstring), from a run's first round on; a chain with B(l) = 1 makes
-    its round's single step by ``draw``.  Per tilt theta of BLOCK_THETAS it
-    holds log phi(theta), the window's K_theta and a guided inverse-CDF row
-    of nu_theta over the window k > -L_SMALL whose last entry,
-    -(k_neg + 1), stands for all of k <= -L_SMALL.  ``blocks[l]`` is B(l)
-    and ``block_tilt[l]`` the index of its theta, tabulated with hz and the
-    bands over the cover (`_cover`).  ``means`` holds the table of rounded mean volumes
-    (`mean_table`), None until a run that reads a mean asks for it, and
-    ``exact_tables`` the exact volume tables per (l_exact, d_max), for the
-    `VolumeSampler` of each run.
+    its round's single step by ``draw``.  Per tilt theta of its grid
+    ``thetas`` (BLOCK_THETAS) it holds log phi(theta), the window's K_theta
+    and a guided inverse-CDF row of nu_theta over the window k > -L_SMALL
+    whose last entry, -(k_neg + 1), stands for all of k <= -L_SMALL.
+    ``blocks[l]`` is B(l) and ``block_tilt[l]`` the index of its theta,
+    tabulated with hz and the bands over the cover (`_cover`).  ``rules``
+    holds the hole-volume rule tables by filling (`rule_table`), each built
+    when a run first reads it, and ``exact_tables`` the exact volume tables
+    per (l_exact, d_max), for the `VolumeSampler` of each run.
 
     The engine is the depth part: every table but the window's depends on
     the law as deepened for a run (its deep tail, cs, the bands, the tilted
-    rows, log phi, B(l), the means and the exact tables).  Every table
+    rows, log phi, B(l), the rules and the exact tables).  Every table
     depends only on that law and the transform, so one engine serves run
     after run; ``start`` begins each.  window is the law's window part,
     built here when not given.
@@ -1065,6 +1043,7 @@ class _ChainEngine:
         self.win_idx = self.win_ks + law.k_neg
         self.rules = {}
         self.exact_tables = {}
+        self.thetas = BLOCK_THETAS
         # B(l) for l < len(blocks), the cover's perimeters
         self.blocks = np.ones(0, dtype=np.int64)
         self.block_tilt = np.zeros(0, dtype=np.int16)
@@ -1078,7 +1057,7 @@ class _ChainEngine:
         """Tabulate log phi(theta) for theta in BLOCK_THETAS; the rows of
         nu_theta are built in grid order as blocks first need them
         (_tilt_rows)."""
-        law, th = self.law, BLOCK_THETAS
+        law, th = self.law, self.thetas
         p = law.probs / self.cs[-1]
         n_deep = max(0, law.k_neg - L_SMALL + 1)
         kd, pd = law.ks[:n_deep], p[:n_deep]
@@ -1099,7 +1078,7 @@ class _ChainEngine:
         n = self.tilt_rows.n
         if j < n:
             return
-        th = BLOCK_THETAS[n:j + 1]
+        th = self.thetas[n:j + 1]
         p = self.law.probs[self.win_idx] / self.cs[-1]
         w = p * _exp(np.outer(th, self.win_ks - self.law.k_pos))
         self.tilt_rows.append(np.column_stack([w, self._deep_w[n:j + 1]]))
@@ -1170,7 +1149,7 @@ class _ChainEngine:
         for lo in range(0, len(ls), 4096):      # bounds the grid-by-l table
             part = slice(lo, lo + 4096)
             with np.errstate(divide="ignore", invalid="ignore"):
-                b = np.floor((room[part] - np.outer(BLOCK_THETAS, ls[part])
+                b = np.floor((room[part] - np.outer(self.thetas, ls[part])
                               - self.log_K[:, None]) / self.log_phi[:, None])
             b[~usable] = -np.inf
             j = b.argmax(axis=0)
@@ -1203,7 +1182,7 @@ class _ChainEngine:
         lB_s = np.where(stay, lB, 1)
         self._cover(int(lB_s.max()))
         h = np.where(stay, self.hz[self.law.k_neg + lB_s], 0.0)
-        odds = h * np.exp(-BLOCK_THETAS[tilt] * lB_s - self.log_K[tilt])
+        odds = h * np.exp(-self.thetas[tilt] * lB_s - self.log_K[tilt])
         keep = rng.random(len(ls)) < odds
         return ks, run, starts, before, lB, keep
 
@@ -1217,7 +1196,7 @@ class _ChainEngine:
         act = np.flatnonzero((B < self.blocks[ls]) & (j > 0))
 
         def cost(i, jj):
-            return B[i] * self.log_phi[jj] + BLOCK_THETAS[jj] * ls[i] + self.log_K[jj]
+            return B[i] * self.log_phi[jj] + self.thetas[jj] * ls[i] + self.log_K[jj]
 
         now = cost(act, j[act])
         while len(act):
@@ -1239,7 +1218,7 @@ class _ChainEngine:
             u = rng.random(len(todo)) * self.cs[n_deep]
             i = np.minimum(self.cs[1:].searchsorted(u, "right"), n_deep - 1)
             k = i - self.law.k_neg
-            hit = rng.random(len(todo)) < _exp(BLOCK_THETAS[tilts[todo]] * (k + L_SMALL))
+            hit = rng.random(len(todo)) < _exp(self.thetas[tilts[todo]] * (k + L_SMALL))
             out[todo[hit]] = k[hit]
             todo = todo[~hit]
         return out
@@ -1505,7 +1484,7 @@ def _block_rounds_c(lib, engine, vol, rng, run, flags):
     for name, row in work.items():
         setattr(s, name, addr(row))
     s.n_act, s.bphase = n, 0
-    s.thetas, s.log_phi, s.log_K = map(addr, (BLOCK_THETAS, engine.log_phi, engine.log_K))
+    s.thetas, s.log_phi, s.log_K = map(addr, (engine.thetas, engine.log_phi, engine.log_K))
     s.cs, s.n_cs = addr(engine.cs), len(engine.cs)
     s.k_neg, s.n_deep, s.block_draws = law.k_neg, law.k_neg - L_SMALL + 1, BLOCK_DRAWS
     # the most steps a round draws: max(BLOCK_DRAWS, n)
