@@ -701,7 +701,6 @@ class VolumeSampler:
     def __init__(self, law: StepLaw, mode="exact_small", l_exact=DEFAULT_L_EXACT,
                  d_max=24, *, engine=None):
         _check_volume_args(mode, l_exact, d_max)
-        self.law = law
         self.mode = mode
         exact = mode == "exact_small"
         built = None
