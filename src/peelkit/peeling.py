@@ -376,7 +376,7 @@ def _same_lockstep(lib):
              np.concatenate([inside, on, v_on, spread]))):
         runs = []
         for lockstep in (lambda *a: _lockstep_c(lib, *a), _lockstep_numpy):
-            vol = VolumeSampler(law, "asymptotic_xi")
+            vol = VolumeSampler(law, "asymptotic_xi", engine=engine)
             vol.rule = rules.get(case, vol.rule)
             if case == "means":
                 vol.mode = "expectation"
@@ -423,7 +423,7 @@ def _same_blocks(lib):
     # the engine's tables by hand, h(1, l) = sqrt(l) over a cover that no
     # chain leaves: no single step is below L_SMALL, so no row is drawn
     engine = _ChainEngine.__new__(_ChainEngine)
-    engine.law, engine.order, engine.h_len = law, 1, top
+    engine.law, engine.order, engine.h_len, engine.rules = law, 1, top, {}
     engine.cs = np.concatenate([[0.0], np.cumsum(probs)])
     engine.rows = _StackedCdf(L_SMALL, np.arange(-8, 3))
     engine.hz = np.concatenate([np.zeros(k_neg), np.sqrt(np.arange(top))])
@@ -486,7 +486,7 @@ def _same_blocks(lib):
             ("exact", blk, 3, np.concatenate(tilted + [spread]))):
         runs = []
         for rounds in (lambda *a: _block_rounds_c(lib, *a), _block_rounds_numpy):
-            vol = VolumeSampler(law, "asymptotic_xi")
+            vol = VolumeSampler(law, "asymptotic_xi", engine=engine)
             vol.rule = rules.get(case, vol.rule)
             if case == "means":
                 vol.mode = "expectation"
