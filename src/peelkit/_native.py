@@ -532,16 +532,19 @@ INLINE int hole_row(bitgen_t *bg, const lockstep_t *s, long long lp,
 }
 
 /* The volume of a hole of degree lp, val its exact row's draw where there
-   are exact rows: the row's value for lp <= l_exact, else the rule read
-   past the row, V = max(f, lo, off + rint((xi b) c)) at degree lp, with
-   f = V* + 1 for a residual (val = -(V* + 1)) and 1 otherwise, and
-   xi = 1 / Gamma(3/2, scale 2) drawn only where c > 0; holes of degree
-   lp > 0 read with no draw are counted.  -1 for a read outside the rule
+   are exact rows: 1 for lp = 0, the one-vertex map (the rule's degree 0,
+   returned before any table is read), the row's value for lp <= l_exact,
+   else the rule read past the row, V = max(f, lo, off + rint((xi b) c))
+   at degree lp, with f = V* + 1 for a residual (val = -(V* + 1)) and 1
+   otherwise, and xi = 1 / Gamma(3/2, scale 2) drawn only where c > 0;
+   holes read with no draw are counted.  -1 for a read outside the rule
    (past it, or lo = 0). */
 INLINE long long hole_volume(bitgen_t *bg, lockstep_t *s, long long lp,
                              long long val)
 {
     long long f = 1;
+    if (!lp)
+        return 1;
     if (s->volumes) {
         if (val < 0) {
             f = -val;
@@ -556,7 +559,7 @@ INLINE long long hole_volume(bitgen_t *bg, lockstep_t *s, long long lp,
     if (s->c[lp] > 0) {
         double xi = 1.0 / random_gamma(bg, 1.5, 2.0);
         v += (long long)rint(xi * s->b * s->c[lp]);
-    } else if (lp) {
+    } else {
         s->undrawn++;
     }
     if (v < s->lo[lp])

@@ -1910,11 +1910,12 @@ class TestCompiledDraws:
                         reason="no C compiler or no numpy static random library")
     def test_self_check_refuses_a_degree_0_draw(self, tmp_path):
         # a hole of degree 0 that still draws its exact row, or its limit
-        # law although its rule entry has c = 0: its volume stays 1 but the
-        # stream moves, which the self-check's lockstep runs (exact rows,
-        # and the limit law alone) see
+        # law: its volume stays 1 but the stream moves, which the
+        # self-check's lockstep runs (exact rows, and the limit law alone)
+        # see
         mutants = {"row": ("    if (!lp) {\n        *val = 1;\n        return 0;\n    }\n", ""),
-                   "limit": ("if (s->c[lp] > 0) {", "if (s->c[lp] > 0 || !lp) {")}
+                   "limit": ("    if (!lp)\n        return 1;\n",
+                             "    if (!lp)\n        return 1 + 0 * (long long)random_gamma(bg, 1.5, 2.0);\n")}
         cc = shutil.which("cc") or shutil.which("gcc")
         for name, (old, new) in mutants.items():
             assert _native._C_SOURCE.count(old) == 1, name
