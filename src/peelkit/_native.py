@@ -408,11 +408,11 @@ typedef struct {
     const cdf_t *rows;         /* the engine's rows, perimeters 0..rows->n-1 */
     const bands_t *bands;      /* its bands, perimeters 0..bands->n-1 */
     const cdf_t *volumes;      /* exact volume rows of degrees 0..l_exact, or NULL */
-    /* the hole-volume rule per degree 0..n_rule-1 (lo = 0: none) */
+    /* the hole-volume rule per degree 0..n_lp-1 (lo = 0: none) */
     const long long *lo, *off;
     const double *c;
     double b;
-    long long n_rule, l_small, absorbing, l_exact;
+    long long n_lp, l_small, absorbing, l_exact;
     long long n, n_steps, n_cps;
     const long long *cps;      /* checkpoints, ascending, the last n_steps */
     long long *ls, *vs, *per, *vols;
@@ -553,7 +553,7 @@ INLINE long long hole_volume(bitgen_t *bg, lockstep_t *s, long long lp,
             return val;
         }
     }
-    if (lp >= s->n_rule || !s->lo[lp])
+    if (lp >= s->n_lp || !s->lo[lp])
         return -1;
     long long v = s->off[lp];
     if (s->c[lp] > 0) {
@@ -1048,7 +1048,7 @@ class Lockstep(ctypes.Structure):
     _fields_ = [(name, _P) for name in ("rows", "bands", "volumes", "lo", "off",
                                         "c")] + [
         ("b", ctypes.c_double)] + [
-        (name, _LL) for name in ("n_rule", "l_small", "absorbing", "l_exact", "n",
+        (name, _LL) for name in ("n_lp", "l_small", "absorbing", "l_exact", "n",
                                  "n_steps", "n_cps")] + [
         (name, _P) for name in ("cps", "ls", "vs", "per", "vols", "jumps", "at",
                                 "lb", "kb", "todo", "vals", "env")] + [

@@ -329,16 +329,14 @@ def _same_lockstep(lib):
     rows below 8 start past column 0); both loops then run on those rows
     and draw with numpy alone.  Twelve chains, one at 0, the others below
     and above L_SMALL, take four steps four times, absorbed at 0: with
-    exact volume rows, residuals and the limit law, with the limit law
-    alone, for a heavy law, and in expectation mode, the last two reading
-    a rule table of synthetic means, and with exact volume rows, residuals
-    and a synthetic rule whose lo, off and c each decide some volumes.  A
-    sixth run, with exact volume rows,
-    starts them all below 10 and has every chain absorbed at step 26 of
-    29, so both loops must stop at the same checkpoint.  A seventh takes one
-    step whose uniforms lie just below and on every cut of rows 1..8, and
-    of the exact volume rows, which chains from row 8 draw for holes of
-    degree 1, 2 and 3."""
+    exact volume rows, residuals and a synthetic rule (`_generic_rule`),
+    with the limit law alone, for a heavy law, and in expectation mode,
+    the last two reading a rule table of synthetic means.  A fifth run,
+    with exact volume rows and the limit law, starts them all below 10
+    and has every chain absorbed at step 26 of 29, so both loops must stop
+    at the same checkpoint.  A sixth takes one step whose uniforms lie
+    just below and on every cut of rows 1..8, and of the exact volume rows,
+    which chains from row 8 draw for holes of degree 1, 2 and 3."""
     ks = np.arange(-8, 3)
     h = 1.0 / np.sqrt(np.arange(1.0, 2 * L_SMALL + 1))
     law = types.SimpleNamespace(
@@ -401,20 +399,20 @@ def _same_blocks(lib):
     self-check, after the lockstep loop).  The law reaches k = -1030, so
     tilted draws at its last entry are redrawn.  Twelve chains, below and
     above L_SMALL, with B(l) = 1 only for even l above it, take every
-    checkpoint of two steps, with exact volume rows, residuals and the
-    limit law, again in expectation mode, reading a rule table of synthetic
-    means, and with exact volume rows, residuals and a synthetic rule whose
-    lo, off and c each decide some volumes; blocks cut short walk their
-    tilt.  The first round draws one
-    single step, +2 from its first proposal, and no deep entry, and the
+    checkpoint of two steps, with exact volume rows, residuals and a
+    synthetic rule (`_generic_rule`), and again in expectation mode,
+    reading a rule table of synthetic means; blocks cut short walk their
+    tilt over the engine's grid of six.  The first round draws one single
+    step, +2 from its first proposal, and no deep entry, and the
     uniform after its tilted draws lies on block 0's keep odds as numpy
     computes them, so the compiled loop must ask for numpy's exp (LS_EXP)
     to keep the same blocks; block 3's lies just below its odds, so a keep
-    test that reads h(1, .) a perimeter low rejects it.  Two more runs take
-    the edges: one step of chains at every even perimeter from L_SMALL on,
-    whose band uniforms lie just below and on its band's share, and blocks
-    of B = 3 steps from 441 and 1301, whose first tilted uniforms lie just
-    below and on every cut of their guided tilt rows."""
+    test that reads h(1, .) a perimeter low rejects it.  Two more runs,
+    with exact volume rows and the limit law, take the edges: one step of
+    chains at every even perimeter from L_SMALL on, whose band uniforms lie
+    just below and on its band's share, and blocks of B = 3 steps from 441
+    and 1301, whose first tilted uniforms lie just below and on every cut
+    of their guided tilt rows."""
     k_neg, steps, top = 1030, 2, 1600
     probs = np.zeros(k_neg + 3)
     probs[-11:] = np.array([0.04] * 8 + [0.3, 0.1, 0.28]) * 0.97
@@ -1398,7 +1396,7 @@ def _c_run(engine, vol, run):
     volumes = vol._cdf.pack() if vol.l_exact else None
     s = _native.Lockstep(
         volumes=volumes and ctypes.addressof(volumes[0]), lo=addr(rule.lo),
-        off=addr(rule.off), c=addr(rule.c), b=rule.b, n_rule=len(rule.lo),
+        off=addr(rule.off), c=addr(rule.c), b=rule.b, n_lp=len(rule.lo),
         l_small=L_SMALL, absorbing=engine.order == 0, l_exact=vol.l_exact,
         n=n, n_steps=int(run.cps[-1]),
         n_cps=len(run.cps), cps=addr(run.cps), ls=addr(run.ls), vs=addr(run.V),
