@@ -12,7 +12,8 @@ stays in the package as the fallback and the test reference:
 * ``lockstep``, a finite run's steps of `peeling._lockstep_numpy` with
   their volumes and checkpoints, run until a row or the engine's cover
   (`peeling._ChainEngine._cover`) is missing: its row draws are
-  `peeling._StackedCdf.draw`'s inverse-CDF draws and its band rounds
+  `peeling._StackedCdf.draw`'s inverse-CDF draws (through the int32
+  guide cells of guided rows) and its band rounds
   `peeling._Bands.jumps`' band-envelope rejection, inlined;
 * ``block_rounds``, an infinite-map run's block rounds of
   `peeling._block_rounds_numpy` from its first step to its last: the
@@ -281,7 +282,7 @@ typedef struct {
     long long n, width;
     const long long *vals;     /* width values (shared) or width per row */
     long long n_vals, shared;
-    const long long *guide;    /* guide cells, or NULL */
+    const int32_t *guide;      /* int32 guide cells, or NULL */
     long long n_guide, open, cells;
     double u_max;
 } cdf_t;

@@ -55,17 +55,19 @@ The window part (`_Window`: the stacked rows below L_SMALL, and log
 K_theta for the infinite map) reads only nu over k > -L_SMALL, k_pos and
 h(o, .), which deepening leaves unchanged; the depth part (the engine
 proper: the deepened law, cs, the bands, the tilted rows, log phi, B(l)
-and the hole-volume rule tables) reads the rest.  Each thread
-keeps, per mode, the depth part of its last run, reused while the same
-law object, unchanged (same digest), is run to the same depth, and its
-WINDOWS most recently used window parts, keyed by what they read, so a
-law run at another depth, or two laws run by turns, reuse their rows.  The tables
-only grow and their prefixes do not depend on how they grew, so reused
-parts draw bit-identically to new ones.  Two run flags say which parts a
-run reused: ``window_reused`` is True when its window part came from the
-thread's windows and False when the run built it, and ``depth_built`` is
-True when the run built its depth part and False when it reused the one
-the thread's previous run in that mode left.
+and the hole-volume rule tables) reads the rest.  Each thread keeps, per
+mode, its PARTS most recently used depth parts, keyed by what they read
+of the law and the depth (`_part_key`: the law's digest and the fields it
+leaves out), so law objects with one key share a part and an in-place
+edit builds a new one.  A window part lives with the depth parts built on
+it: a new depth part takes its window from any kept part whose window
+reads the same (`_window_key`), so a law run at other depths, or laws run
+by turns, reuse their rows.  The tables only grow and their prefixes do
+not depend on how they grew, so reused parts draw bit-identically to new
+ones.  Two run flags say which parts a run reused: ``window_reused`` is
+True when its window part came from a kept depth part and False when the
+run built it, and ``depth_built`` is True when the run built its depth
+part and False when it reused a kept one.
 
 The perimeter tables grow in one place, `_ChainEngine._cover`: h(o, .),
 the bands and, for the infinite map, B(l) with its tilt rows cover the
@@ -162,8 +164,12 @@ class _StackedCdf:
     Guided rows (rectangular only) also keep a guide table of GUIDE cells
     per row (Devroye 1986, III.2.4), grown with them: a cell that no cut of
     its row splits holds the value every target in it draws, the others the
-    smallest value less one, and only targets in those are searched for.
-    GUIDE is a power of two, so a target's cell is exact.
+    smallest value less one (the open marker), and only targets in those
+    are searched for.  GUIDE is a power of two, so a target's cell is
+    exact.  The cells are int32, 16 KB per row: a guided table's values
+    are integers that fit, and so does its open marker, or it raises
+    ValueError (the tilted jumps reach -(k_neg + 1) >= -(2^19 + 1)).
+    ``at`` and ``draw`` return the values' dtype all the same.
 
     ``draw`` is numpy's.  The package's compiled chain loops (`_native`)
     draw from the same tables inline, reading the same uniforms and giving
@@ -189,7 +195,13 @@ class _StackedCdf:
         self._store = np.empty(0)
         self._flat = self._store
         self._open = self._vals.min() - 1
-        self._guide = np.empty(0, dtype=self._vals.dtype) if guided else None
+        self._guide = None
+        if guided:
+            cell = np.iinfo(np.int32)
+            if not (self._vals.dtype.kind in "iu" and cell.min <= self._open
+                    and self._vals.max() <= cell.max):
+                raise ValueError("a guided table's values and open marker must be int32")
+            self._guide = np.empty(0, dtype=np.int32)
         self._packed = None
 
     def row(self, i):
@@ -231,8 +243,8 @@ class _StackedCdf:
             vals = (np.tile(self._vals, m) if self._shared
                     else self._vals[self.n * self.width:(self.n + m) * self.width])
             self._guide = np.concatenate([self._guide, np.repeat(
-                np.column_stack([np.full(len(vals), self._open), vals]).reshape(-1),
-                np.column_stack([gaps, end - first]).reshape(-1))])
+                np.column_stack([np.full(len(vals), self._open), vals]).reshape(-1)
+                .astype(np.int32), np.column_stack([gaps, end - first]).reshape(-1))])
         self.grown(self.n + m)
 
     def grown(self, n):
@@ -258,7 +270,7 @@ class _StackedCdf:
         in the row floor(t)."""
         rows = t.astype(np.intp)
         if self._guide is not None:
-            out = self._guide[(t * GUIDE).astype(np.intp)]
+            out = self._guide[(t * GUIDE).astype(np.intp)].astype(self._vals.dtype)
             open_ = np.flatnonzero(out == self._open)
             if len(open_):
                 out[open_] = self._values_at(
@@ -937,7 +949,8 @@ class _Window:
     h(o, .), which a deeper copy of a law leaves unchanged (deepening gives
     the same floats for nu(k), k > -L_SMALL, at every depth), so runs of
     one law at any depth share a window, found by what it read
-    (`_window_key`, `_chain_engine`).  A full window of rows holds
+    (`_window_key`) among the engines a thread keeps (`_chain_engine`),
+    and kept as long as one of them is.  A full window of rows holds
     L_SMALL (L_SMALL - 1) / 2 + L_SMALL (k_pos + 1) doubles: 4.2 MB for
     quad and tri."""
 
@@ -1025,8 +1038,10 @@ class _ChainEngine:
     the law as deepened for a run (its deep tail, cs, the bands, the tilted
     rows, log phi, B(l), the rules and the exact tables).  Every table
     depends only on that law and the transform, so one engine serves run
-    after run; ``start`` begins each.  window is the law's window part,
-    built here when not given.
+    after run, kept in its thread's slot under what it read of the law
+    (`_part_key`, `_chain_engine`); ``start`` begins each.  window is the
+    law's window part, shared with every kept engine whose window reads
+    the same, built here when not given.
     """
 
     def __init__(self, law: StepLaw, mode, window=None):
@@ -1233,68 +1248,80 @@ class _ChainEngine:
         return p / p.sum()
 
 
-# window parts a thread keeps per mode, the least recently used dropped first
-WINDOWS = 2
+# depth parts a thread keeps per mode, the least recently used dropped first
+PARTS = 8
+
+# a depth part as a thread keeps it: the deepened law, its digest, its
+# window key (`_window_key`) and its engine
+_Part = collections.namedtuple("_Part", "law digest window_key engine")
 
 
 class _Slot(threading.local):
-    """This thread's chain engines: per mode, the depth part of its last
-    run, (law, (digest, depth), deepened law, its digest, window key,
-    engine), in ``held``, and its WINDOWS most recently used window parts,
-    {window key: window} oldest first, in ``windows``."""
+    """This thread's chain engines: per mode, its PARTS most recently used
+    depth parts, {`_part_key`: `_Part`} oldest first, in ``parts``.  A
+    window part lives with the depth parts built on it."""
 
     def __init__(self):
-        self.held = {}
-        self.windows = {"finite": collections.OrderedDict(),
-                        "ibpm": collections.OrderedDict()}
+        self.parts = {"finite": collections.OrderedDict(),
+                      "ibpm": collections.OrderedDict()}
 
     def clear(self):
         """Drop every part this thread holds."""
-        self.held.clear()
-        for windows in self.windows.values():
-            windows.clear()
+        for parts in self.parts.values():
+            parts.clear()
 
 
 _slot = _Slot()
+
+
+def _part_key(law, depth):
+    """What the depth part of law at depth reads of law: its digest (nu, r
+    and c_plus) and the fields the digest leaves out.  A deeper copy
+    (`deepen_negative`) reads also k_neg, where nu's positive side starts
+    in probs, trunc_pos and critical; a law run as given (depth = k_neg) is
+    read whole, so also its B_nu, heavy_tail and exact values."""
+    key = (law.digest(), depth, law.k_neg, repr(law.trunc_pos), law.critical)
+    if depth == law.k_neg:
+        key += (repr(law.B_nu), law.heavy_tail, tuple(sorted((law.exact or {}).items())))
+    return key
 
 
 @contextlib.contextmanager
 def _chain_engine(mode, law, n_steps):
     """The law deepened for n_steps, its digest, its engine and the run's
     reuse flags (module docstring).  The depth part is reused from this
-    thread's previous run in this mode if that ran the same law object,
-    unchanged (the digest guards in-place edits), to the same depth; the
-    window part from the thread's windows of this mode whenever one was
-    built from a deepened law with the same window (`_window_key`), so a
-    law run at several depths, or two laws run by turns, share rows.  A
-    part is dropped before its replacement is built.  Both parts are out of
-    the slot while the run goes on and go back only when it returns, so a
-    run that raises never leaves half-grown tables behind, and a run
-    refused for its mode or law takes nothing out."""
+    thread's parts in this mode whenever one has the same key
+    (`_part_key`): the digest guards in-place edits, and two law objects
+    with one key share a part.  A part built anew takes its window part
+    from any kept part with the same window (`_window_key`), so a law run
+    at several depths, or laws run by turns, share rows; it is built only
+    once the least recently used part is dropped, when PARTS are kept.
+    The depth part is out of the slot while the run goes on and goes back
+    only when it returns, so a run that raises never leaves half-grown
+    depth tables behind, and a run refused for its mode or law touches
+    nothing.  A window part's rows grow only by appending rows written
+    before they are taken, so the kept parts that share it are whole
+    whatever a run does."""
     _check_mode(mode, law)
     depth = _deep_k_neg(law, n_steps)
-    key = (law.digest(), depth)
-    held = _slot.held.pop(mode, None)
-    windows = _slot.windows[mode]
-    built = held is None or held[0] is not law or held[1] != key
+    key = _part_key(law, depth)
+    parts = _slot.parts[mode]
+    part = parts.pop(key, None)
+    built = part is None
+    reused = True
     if built:
-        held = None  # free the old depth part before building a new one
         deep = deepen_negative(law, depth)
-        digest = key[0] if deep is law else deep.digest()
         wkey = _window_key(deep)
-        window = windows.pop(wkey, None)
+        window = next((p.engine.window for p in parts.values() if p.window_key == wkey),
+                      None)
         reused = window is not None
-        if not reused:
-            while len(windows) >= WINDOWS:
-                windows.popitem(last=False)
-            window = _Window(deep, 0 if mode == "finite" else 1)
-        held = (law, key, deep, digest, wkey, _ChainEngine(deep, mode, window))
-    else:
-        reused = True
-        windows.pop(held[4], None)
-    yield (held[2], held[3], held[5], {"window_reused": reused, "depth_built": built})
-    windows[held[4]] = held[5].window
-    _slot.held[mode] = held
+        while len(parts) >= PARTS:
+            parts.popitem(last=False)
+        window = window or _Window(deep, 0 if mode == "finite" else 1)
+        part = _Part(deep, key[0] if deep is law else deep.digest(), wkey,
+                     _ChainEngine(deep, mode, window))
+    yield part.law, part.digest, part.engine, {"window_reused": reused, "depth_built": built}
+    parts[key] = part
 
 
 def _check_integers(**named):

@@ -97,3 +97,14 @@ def test_pinned_digest(group):
     assert np.__version__ == NUMPY, (
         f"the pins were taken with numpy {NUMPY}; this is numpy {np.__version__}")
     assert _digest(group) == PINS[group], f"group {group} moved"
+
+
+def test_pins_hold_on_a_warm_slot():
+    # every group again in one process, without clearing the engine slot:
+    # in order, then in reverse order, so that each group runs on the parts
+    # the groups before it left (and in reverse, on parts whose tables grew
+    # further), and every digest stays pinned
+    assert np.__version__ == NUMPY
+    forward = {group: _digest(group) for group in GROUPS}
+    backward = {group: _digest(group) for group in reversed(GROUPS)}
+    assert forward == backward == PINS

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import dataclasses
 import hashlib
 import math
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from peelkit import _native, peeling
+from peelkit import _native, cli, peeling
 from peelkit.criticality import solve_boltzmann, tune_critical
 from peelkit.hfun import HCache, h_asymptote
 from peelkit.oracle import volume_tables
@@ -793,7 +794,7 @@ class TestMeanTable:
             for cut in ("zero", "short"):
                 peeling._slot.clear()
                 run()
-                engine = peeling._slot.held[mode][5]
+                engine = kept_engine(mode)
                 rule = engine.rules[True]
                 if cut == "zero":
                     rule.lo[1:] = 0
@@ -819,6 +820,41 @@ class TestStackedCdf:
             at = _rng(3).integers(0, rows, size)
             np.testing.assert_array_equal(shared.draw(_rng(4), at),
                                           per_row.draw(_rng(4), at))
+
+    def test_guided_values_fit_the_int32_guide(self):
+        # a guide cell holds a value or the open marker, the smallest value
+        # less one, as int32: a guided table refuses integers outside int32,
+        # an open marker below it and values that are not integers, which
+        # an unguided table takes
+        lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+        for values in ([0, hi + 1], [lo, 0], [-(1 << 40), 3], [0.5, 1.0]):
+            with pytest.raises(ValueError, match="int32"):
+                _StackedCdf(1, np.array(values), guided=True)
+            _StackedCdf(1, np.array(values))
+        edge = _StackedCdf(1, np.array([lo + 1, hi]), guided=True)
+        edge.append(np.array([[1.0, 3.0]]))
+        assert edge._guide.dtype == np.int32 and edge._open == lo
+        draws = edge.draw(_rng(1), np.zeros(1000, dtype=np.intp))
+        assert set(draws.tolist()) == {lo + 1, hi}
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int16])
+    def test_guided_draws_keep_the_values_dtype(self, dtype):
+        # the guide is int32 whatever the values are; a draw returns the
+        # values' dtype, from a settled cell and from a searched one alike,
+        # and the unguided table's values
+        values = (np.arange(7) * 5 - 12).astype(dtype)
+        weights = _rng(6).random((3, 7))
+        guided = _StackedCdf(3, np.tile(values, (3, 1)), guided=True)
+        plain = _StackedCdf(3, np.tile(values, (3, 1)))
+        for cdf in (guided, plain):
+            cdf.append(weights)
+        rows = _rng(7).integers(0, 3, 5000)
+        draws = guided.draw(_rng(8), rows)
+        assert draws.dtype == dtype
+        np.testing.assert_array_equal(draws, plain.draw(_rng(8), rows))
+        t = rows + _rng(8).random(len(rows)) * _StackedCdf.U_MAX
+        settled = guided._guide[(t * peeling.GUIDE).astype(np.intp)] != guided._open
+        assert settled.any() and not settled.all()
 
     def test_guided_append_refuses_a_row_with_no_weight(self):
         cdf = _StackedCdf(3, np.array([3, 8]), guided=True)
@@ -1115,9 +1151,10 @@ def shape_law():
 
 
 class TestEngineReuse:
-    """A thread keeps per mode the depth part of its last run and its
-    WINDOWS most recently used window parts (module docstring); reuse must
-    not change a single draw."""
+    """A thread keeps per mode its PARTS most recently used depth parts,
+    keyed by what they read of the law and the depth, with the window parts
+    they were built on (module docstring); reuse must not change a single
+    draw."""
 
     @staticmethod
     def _runs():
@@ -1155,7 +1192,22 @@ class TestEngineReuse:
                         m, law, l0=l0, n_steps=n, seed=n, volume_mode="exact_small"))
         return runs
 
-    N_ALTERNATING = 10
+    # (depth_built, window_reused) of each call of _runs on a warm slot, None
+    # for the edit and the start() that raises.  The keys, (mode, law,
+    # depth): F quad 1024 built, I tri 1024 built, both hit by the
+    # ensembles, F quad 1024 hit by the start() that raises, which drops
+    # it, so the next run builds it and its window again; I tri 4096 takes
+    # tri's window, I tri 1024 hits, F deep 2048 takes quad's window, the
+    # edited law reads another window in both modes, and I quad 4096 finds
+    # no quad window in ibpm.  By turns: F quad 1024 hits, F tri builds its
+    # window once, then every new key takes its law's window; in ibpm only
+    # quad 1024 is new, and the slot ends with eight finite parts
+    WARM_REUSE = [(True, False), (True, False), (False, True), (False, True), None,
+                  (True, False), (True, True), (False, True), (True, True), None,
+                  (True, False), (True, False), (True, False),
+                  (False, True), (True, False), (True, True), (True, True),
+                  (True, True), (True, True),
+                  (True, True), (False, True), (False, True), (False, True)]
 
     @staticmethod
     def _outcome(call):
@@ -1190,6 +1242,21 @@ class TestEngineReuse:
         monkeypatch.setattr(_ChainEngine, "__init__", depth)
         return built
 
+    @classmethod
+    def _same(cls, a, b):
+        """Two outcomes of `_outcome` alike, array for array."""
+        if a is None or isinstance(a[0], str):
+            assert a == b
+        elif isinstance(a[0], dict):
+            assert a[0].keys() == b[0].keys() and a[1] == b[1]
+            for c in a[0]:
+                np.testing.assert_array_equal(a[0][c][0], b[0][c][0])
+                np.testing.assert_array_equal(a[0][c][1], b[0][c][1])
+        else:
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
+            assert a[2:] == b[2:]
+
     def test_reuse_is_invisible(self, monkeypatch):
         built = self._count_builds(monkeypatch)
         runs, depths = {"warm": [], "cold": []}, {}
@@ -1208,35 +1275,25 @@ class TestEngineReuse:
                 if case == "cold" and reuse is not None:
                     assert reuse == {"window_reused": False, "depth_built": True}
             depths[case] = built.count("depth") - before_case
+            if case == "warm":
+                assert len(peeling._slot.parts["finite"]) == peeling.PARTS
         warm = [out for out, _ in runs["warm"]]
-        # depth hits: the quad finite ensemble, the tri ibpm ensemble and
-        # the start() that raises; a raising run leaves its parts out of the slot
-        assert depths["warm"] == depths["cold"] - 3
+        assert [None if r is None else (r["depth_built"], r["window_reused"])
+                for _, r in runs["warm"]] == self.WARM_REUSE
+        # eight depth hits, the start() that raises among them; a raising
+        # run leaves its depth part out of the slot
+        assert depths["warm"] == depths["cold"] - 8
         assert warm[4] == ("raised", "conditioning weight vanishes at l=3")
         assert not np.array_equal(warm[8][0], warm[10][0])  # the edit matters
-        # quad and tri by turns: once each law has a window in a mode, every
-        # depth of either reuses it and builds only its depth part
-        alternating = [reuse for _, reuse in runs["warm"][-self.N_ALTERNATING:]]
-        for reuse in alternating[2:6] + alternating[8:]:
-            assert reuse == {"window_reused": True, "depth_built": True}
         for (a, _), (b, _) in zip(runs["warm"], runs["cold"]):
-            if a is None or isinstance(a[0], str):
-                assert a == b
-            elif isinstance(a[0], dict):
-                assert a[0].keys() == b[0].keys() and a[1] == b[1]
-                for c in a[0]:
-                    np.testing.assert_array_equal(a[0][c][0], b[0][c][0])
-                    np.testing.assert_array_equal(a[0][c][1], b[0][c][1])
-            else:
-                np.testing.assert_array_equal(a[0], b[0])
-                np.testing.assert_array_equal(a[1], b[1])
-                assert a[2:] == b[2:]
+            self._same(a, b)
 
     def test_reuse_flags(self):
         # depth_built is True for a run that built its depth part, False for
-        # one that reused the slot's; window_reused is True for a run whose
-        # window part came from the thread's windows: the same call again
-        # reuses both, another depth only the window, another law neither
+        # one that reused a kept one; window_reused is True for a run whose
+        # window part came from a kept depth part: the same call again
+        # reuses both, another depth only the window, while the first
+        # depth's part is kept, and another law neither
         def flags(law=LAW, n=100):
             out = simulate_ensemble("finite", law, 20, n, 8, seed=1)
             tr = simulate("finite", law, l0=20, n_steps=n, seed=1)
@@ -1246,12 +1303,106 @@ class TestEngineReuse:
         assert flags() == [(False, True), (False, True)]
         assert peeling._deep_k_neg(LAW, 100_000) != peeling._deep_k_neg(LAW, 100)
         assert flags(n=100_000) == [(True, True), (False, True)]
-        assert flags() == [(True, True), (False, True)]
+        assert flags() == [(False, True), (False, True)]
         assert flags(tri_law()) == [(True, False), (False, True)]
 
-    def test_one_engine_per_mode(self, monkeypatch):
-        # at most WINDOWS window parts and one depth part per mode: a part
-        # is built only once the one it replaces is gone
+    def test_one_key_one_part(self, monkeypatch, tmp_path):
+        # law objects built alike have one key and share one part: the
+        # command line builds its law anew for every call, and its second
+        # simulate builds no engine part and writes the first one's trace
+        built = self._count_builds(monkeypatch)
+        argv = ["simulate", "--preset", "triangulation", "--mode", "ibpm", "--steps",
+                "500", "--seed", "7", "--format", "binary", "--out"]
+        for name in ("a", "b"):
+            assert cli.main(argv + [str(tmp_path / name)]) == 0
+        assert built == ["window", "depth"]
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+        # and a law rebuilt from its preset draws on the part kept for the
+        # first one exactly what a cold slot gives it
+        assert quad_law() is not LAW and quad_law().digest() == LAW.digest()
+        simulate("ibpm", LAW, l0=2, n_steps=1500, seed=1)
+        warm = self._outcome(lambda: simulate("ibpm", quad_law(), l0=2, n_steps=1500,
+                                              seed=2))
+        peeling._slot.clear()
+        cold = self._outcome(lambda: simulate("ibpm", quad_law(), l0=2, n_steps=1500,
+                                              seed=2))
+        assert warm[1] == {"window_reused": True, "depth_built": False}
+        self._same(warm[0], cold[0])
+
+    @pytest.mark.parametrize("field", ["trunc_pos", "critical", "B_nu"])
+    def test_a_field_the_digest_leaves_out(self, field):
+        # the digest hashes nu, r and c_plus only.  deepen_negative also
+        # reads trunc_pos and critical, and a law run as given is read
+        # whole (B_nu sets its limit volumes): two laws that differ only in
+        # such a field have one digest but two keys, and each draws on a
+        # warm slot what it draws on a cold one
+        if field == "B_nu":
+            law = deepen_negative(quad_law(), 2048)     # run as given
+            other = dataclasses.replace(law, B_nu=2 * law.B_nu)
+        else:
+            law = quad_law()
+            other = dataclasses.replace(law, **{field: {"trunc_pos": law.trunc_pos + 1e-3,
+                                                        "critical": False}[field]})
+        assert other.digest() == law.digest()
+
+        def run(law):
+            return self._outcome(lambda: simulate("finite", law, l0=40, n_steps=200,
+                                                  seed=3, volume_mode="asymptotic_xi"))
+
+        first = run(law)
+        warm = run(other)
+        assert warm[1] == {"window_reused": field != "critical", "depth_built": True}
+        assert run(law)[1] == {"window_reused": True, "depth_built": False}
+        peeling._slot.clear()
+        self._same(warm[0], run(other)[0])
+        # critical deepens nu anew (the run's digest moves), B_nu scales the
+        # volumes and trunc_pos changes no draw
+        assert (warm[0][3] != first[0][3]) == (field == "critical")
+        if field != "critical":
+            assert (warm[0][1].tobytes() != first[0][1].tobytes()) == (field == "B_nu")
+
+    def test_an_edit_in_place_builds_anew(self):
+        # the digest is taken on every call: a law run as given and edited
+        # in place gets a new depth part, which draws what a cold slot gives
+        law = deepen_negative(quad_law(), 2048)
+
+        def run():
+            return self._outcome(lambda: simulate("finite", law, l0=40, n_steps=200,
+                                                  seed=3))
+
+        before = run()
+        law.probs[law.k_neg - 4] *= 0.5   # halve nu(-4) in place
+        after = run()
+        assert after[1] == {"window_reused": False, "depth_built": True}
+        assert after[0][3] != before[0][3]
+        assert not np.array_equal(after[0][0], before[0][0])
+        peeling._slot.clear()
+        self._same(after[0], run()[0])
+
+    @pytest.mark.parametrize("mode", ["finite", "ibpm"])
+    def test_three_laws_at_two_depths_by_turns(self, mode):
+        # quad, tri and geo3, each at two depths, by turns and twice over:
+        # the first pass builds six depth parts and three windows, the
+        # second builds nothing, and every run draws what it draws on a
+        # cold slot
+        laws = {"quad": quad_law(), "tri": tri_law(), "geo3": geo3_law()}
+        steps = {"quad": (100, 300), "tri": (100, 1500), "geo3": (50, 100)}
+        assert all(len({peeling._deep_k_neg(laws[k], n) for n in steps[k]}) == 2
+                   for k in laws)
+        calls = [lambda k=k, n=n: simulate(mode, laws[k], l0=40, n_steps=n, seed=n)
+                 for _ in range(2) for i in range(2) for k in laws for n in steps[k][i:i + 1]]
+        warm = [self._outcome(call) for call in calls]
+        assert [(r["depth_built"], r["window_reused"]) for _, r in warm] == (
+            [(True, False)] * 3 + [(True, True)] * 3 + [(False, True)] * 6)
+        for call, (out, _) in zip(calls, warm):
+            peeling._slot.clear()
+            self._same(out, self._outcome(call)[0])
+
+    def test_parts_per_mode(self, monkeypatch):
+        # at most PARTS depth parts per mode: a part is built only when
+        # there is room for it, and a window part lives only while a kept
+        # depth part uses it
+        assert peeling.PARTS == 8
         windows, depths = [], []
         window_init, depth_init = peeling._Window.__init__, _ChainEngine.__init__
 
@@ -1259,37 +1410,70 @@ class TestEngineReuse:
             return [p() for p in parts if p() is not None and p().order == order]
 
         def window(self, law, order):
-            assert len(live(windows, order)) < peeling.WINDOWS
             window_init(self, law, order)
             windows.append(weakref.ref(self))
 
         def depth(self, law, mode, window=None):
-            assert not live(depths, mode == "ibpm")
+            assert len(live(depths, mode == "ibpm")) < peeling.PARTS
             depth_init(self, law, mode, window)
             depths.append(weakref.ref(self))
 
         monkeypatch.setattr(peeling._Window, "__init__", window)
         monkeypatch.setattr(_ChainEngine, "__init__", depth)
-        assert peeling.WINDOWS == 2
+        laws = (quad_law(), tri_law(), geo3_law())
+        # three depths per law (quad 1024 / 2048 / 4096, tri 1024 / 2048 /
+        # 4096, geo3 2048 / 4096 / 8192): nine keys per mode
+        steps = ((100, 300, 1500), (100, 1500, 2000), (100, 300, 1500))
+        for mode in ("finite", "ibpm"):
+            for i in range(3):
+                for law, n in zip(laws, steps):
+                    simulate(mode, law, l0=40, n_steps=n[i], seed=1)
+        assert len(depths) == 18 and len(windows) == 6
+        for order, mode in enumerate(("finite", "ibpm")):
+            kept = [p.engine for p in peeling._slot.parts[mode].values()]
+            assert len(kept) == peeling.PARTS
+            assert set(map(id, live(depths, order))) == set(map(id, kept))
+            assert set(map(id, live(windows, order))) == {id(e.window) for e in kept}
+        # the first key, quad 1024, was dropped for the ninth
+        assert simulate("finite", laws[0], l0=40, n_steps=100, seed=1).flags["depth_built"]
+
+    def test_eviction_order(self):
+        # the least recently used part goes first, where a run that reuses
+        # a part makes it the most recent; once the last part of a law is
+        # gone, so is its window
         quad, tri, geo3 = quad_law(), tri_law(), geo3_law()
-        for law in (quad, tri, geo3, quad):
-            for mode in ("finite", "ibpm"):
-                simulate(mode, law, n_steps=100, seed=1)
-        # geo3's windows evict quad's, which its second runs build again
-        assert len(depths) == 8 and len(windows) == 8
-        held = peeling._slot.held
-        assert sorted(held) == ["finite", "ibpm"]
-        assert all(held[m][0] is quad for m in held)
-        assert sum(p() is not None for p in depths) == 2
-        assert sum(p() is not None for p in windows) == 4
-        assert all(len(peeling._slot.windows[m]) == 2 for m in held)
+        keys = {"qa": (quad, 100), "qb": (quad, 300),
+                "t1": (tri, 100), "t2": (tri, 1500), "t3": (tri, 2000), "t4": (tri, 6000),
+                "g1": (geo3, 50), "g2": (geo3, 100), "g3": (geo3, 300), "g4": (geo3, 1500)}
+        assert len({(id(law), peeling._deep_k_neg(law, n))
+                    for law, n in keys.values()}) == len(keys)
+
+        def run(key):
+            law, n = keys[key]
+            f = simulate("finite", law, l0=40, n_steps=n, seed=1).flags
+            return f["depth_built"], f["window_reused"]
+
+        assert [run(k) for k in ("qa", "qb", "t1", "t2", "t3", "t4", "g1", "g2")] == [
+            (True, False), (True, True), (True, False), (True, True), (True, True),
+            (True, True), (True, False), (True, True)]
+        assert run("qa") == (False, True)      # qa is now the most recent
+        assert run("g3") == (True, True)       # drops qb, not qa
+        assert run("qa") == (False, True)
+        assert run("qb") == (True, True)       # built again on qa's window; drops t1
+        assert run("t1") == (True, True)       # drops t2
+        assert run("qb") == (False, True)
+        quad_window = weakref.ref(kept_engine("finite").window)
+        # the eight other keys drop qa and qb, the last parts on that window
+        for k in ("t1", "t2", "t3", "t4", "g1", "g2", "g3", "g4"):
+            run(k)
+        assert len(peeling._slot.parts["finite"]) == peeling.PARTS
+        assert quad_window() is None
 
     def test_rejected_call_keeps_the_slot(self):
         simulate("ibpm", LAW, n_steps=100, seed=1)
 
         def slot():
-            return (dict(peeling._slot.held),
-                    {m: list(w.items()) for m, w in peeling._slot.windows.items()})
+            return {m: list(parts.items()) for m, parts in peeling._slot.parts.items()}
 
         before = slot()
         for kw in ({"l0": 2.5}, {"seed": -1}, {"l_exact": -1}):
@@ -1409,6 +1593,12 @@ def numpy_draws():
         yield
     finally:
         _native._state = loaded
+
+
+def kept_engine(mode):
+    """The engine of the depth part that this thread's last run in mode
+    used: the most recently used of the slot's parts."""
+    return next(reversed(peeling._slot.parts[mode].values())).engine
 
 
 def draws_on(path):
@@ -1577,7 +1767,7 @@ class TestCompiledDraws:
                                            else "_block_rounds_numpy"]
                 assert (out.flags["block_accepts"] > 0) == (mode == "ibpm")
                 if l0 is not None:
-                    assert peeling._slot.held["ibpm"][5].blocks[l0] == 1
+                    assert kept_engine("ibpm").blocks[l0] == 1
 
     @staticmethod
     def _block_calls(monkeypatch):
@@ -1734,9 +1924,9 @@ class TestCompiledDraws:
         with draws_on(path):
             peeling._slot.clear()
             fresh = self._digest(runs())
-            for held in peeling._slot.held.values():
-                held[5]._cover(1 << 15)
-            assert min(h[5].bands.n for h in peeling._slot.held.values()) > 1 << 15
+            for mode in ("finite", "ibpm"):
+                kept_engine(mode)._cover(1 << 15)
+                assert kept_engine(mode).bands.n > 1 << 15
             ahead = runs()
             assert not any(out.flags["depth_built"] for out in ahead)
         assert self._digest(ahead) == fresh
