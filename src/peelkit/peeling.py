@@ -194,7 +194,7 @@ class _StackedCdf:
         self.n = 0
         self._store = np.empty(0)
         self._flat = self._store
-        self._open = self._vals.min() - 1
+        self._open = int(self._vals.min()) - 1
         self._guide = None
         if guided:
             cell = np.iinfo(np.int32)

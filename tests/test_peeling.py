@@ -827,10 +827,11 @@ class TestStackedCdf:
         # an open marker below it and values that are not integers, which
         # an unguided table takes
         lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
-        for values in ([0, hi + 1], [lo, 0], [-(1 << 40), 3], [0.5, 1.0]):
+        for values in (np.array([0, hi + 1]), np.array([lo, 0]), np.array([lo, 0], np.int32),
+                       np.array([-(1 << 40), 3]), np.array([0.5, 1.0])):
             with pytest.raises(ValueError, match="int32"):
-                _StackedCdf(1, np.array(values), guided=True)
-            _StackedCdf(1, np.array(values))
+                _StackedCdf(1, values, guided=True)
+            _StackedCdf(1, values)
         edge = _StackedCdf(1, np.array([lo + 1, hi]), guided=True)
         edge.append(np.array([[1.0, 3.0]]))
         assert edge._guide.dtype == np.int32 and edge._open == lo
