@@ -1243,8 +1243,8 @@ class TestEngineReuse:
         monkeypatch.setattr(_ChainEngine, "__init__", depth)
         return built
 
-    @classmethod
-    def _same(cls, a, b):
+    @staticmethod
+    def _same(a, b):
         """Two outcomes of `_outcome` alike, array for array."""
         if a is None or isinstance(a[0], str):
             assert a == b
