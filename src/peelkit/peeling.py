@@ -56,10 +56,11 @@ K_theta for the infinite map) reads only nu over k > -L_SMALL, k_pos and
 h(o, .), which deepening leaves unchanged; the depth part (the engine
 proper: the deepened law, cs, the bands, the tilted rows, log phi, B(l)
 and the hole-volume rule tables) reads the rest.  Each thread keeps, per
-mode, its PARTS most recently used depth parts, keyed by what they read
-of the law and the depth (`_part_key`: the law's digest and the fields it
-leaves out), so law objects with one key share a part and an in-place
-edit builds a new one.  A window part lives with the depth parts built on
+mode, its PARTS most recently used depth parts, of DEPTH_CAP depth in
+all, keyed by what they read of the law and the depth (`_part_key`: the
+law's digest and the fields it leaves out), so law objects with one key
+share a part and an in-place edit builds a new one; a part keeps its own
+copy of a law run as given.  A window part lives with the depth parts built on
 it: a new depth part takes its window from any kept part whose window
 reads the same (`_window_key`), so a law run at other depths, or laws run
 by turns, reuse their rows.  The tables only grow and their prefixes do
@@ -102,6 +103,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import copy
 import ctypes
 import math
 import numbers
@@ -815,6 +817,11 @@ class PeelTrace:
         return tuple(np.frombuffer(data, dtype="<i8", offset=8).reshape(2, n))
 
 
+# the deepest a run deepens a law to; also the most depth a thread keeps
+# per mode (`_chain_engine`)
+DEPTH_CAP = 1 << 19
+
+
 def _deep_k_neg(law: StepLaw, n_steps):
     """The materialized negative range a run of n_steps needs.
 
@@ -826,7 +833,7 @@ def _deep_k_neg(law: StepLaw, n_steps):
         return law.k_neg
     a_n = (math.sqrt(1.0 + law.r) * law.L_nu * max(n_steps, 1)) ** (2.0 / 3.0)
     target = 1 << max(10, math.ceil(math.log2(16.0 * a_n + 2.0)))
-    return max(law.k_neg, min(target, 1 << 19))
+    return max(law.k_neg, min(target, DEPTH_CAP))
 
 
 # -- the chain engine --------------------------------------------------------------
@@ -1251,15 +1258,16 @@ class _ChainEngine:
 # depth parts a thread keeps per mode, the least recently used dropped first
 PARTS = 8
 
-# a depth part as a thread keeps it: the deepened law, its digest, its
-# window key (`_window_key`) and its engine
+# a depth part as a thread keeps it: the deepened law (a copy of a law run
+# as given), its digest, its window key (`_window_key`) and its engine
 _Part = collections.namedtuple("_Part", "law digest window_key engine")
 
 
 class _Slot(threading.local):
     """This thread's chain engines: per mode, its PARTS most recently used
-    depth parts, {`_part_key`: `_Part`} oldest first, in ``parts``.  A
-    window part lives with the depth parts built on it."""
+    depth parts, of DEPTH_CAP depth in all (`_chain_engine`),
+    {`_part_key`: `_Part`} oldest first, in ``parts``.  A window part lives
+    with the depth parts built on it."""
 
     def __init__(self):
         self.parts = {"finite": collections.OrderedDict(),
@@ -1295,7 +1303,10 @@ def _chain_engine(mode, law, n_steps):
     with one key share a part.  A part built anew takes its window part
     from any kept part with the same window (`_window_key`), so a law run
     at several depths, or laws run by turns, share rows; it is built only
-    once the least recently used part is dropped, when PARTS are kept.
+    once the least recently used parts are dropped until fewer than PARTS
+    are kept and their depths with its own come to at most DEPTH_CAP (or
+    none is kept).  A law run as given is copied for its part, so an
+    in-place edit of the caller's object never reaches a kept part.
     The depth part is out of the slot while the run goes on and goes back
     only when it returns, so a run that raises never leaves half-grown
     depth tables behind, and a run refused for its mode or law touches
@@ -1311,14 +1322,20 @@ def _chain_engine(mode, law, n_steps):
     reused = True
     if built:
         deep = deepen_negative(law, depth)
+        given = deep is law
+        if given:
+            # the part reads its law lazily: it keeps its own copy, which
+            # the caller's in-place edits leave as it was keyed
+            deep = copy.deepcopy(law)
         wkey = _window_key(deep)
         window = next((p.engine.window for p in parts.values() if p.window_key == wkey),
                       None)
         reused = window is not None
-        while len(parts) >= PARTS:
+        while parts and (len(parts) >= PARTS
+                         or depth + sum(k[1] for k in parts) > DEPTH_CAP):
             parts.popitem(last=False)
         window = window or _Window(deep, 0 if mode == "finite" else 1)
-        part = _Part(deep, key[0] if deep is law else deep.digest(), wkey,
+        part = _Part(deep, key[0] if given else deep.digest(), wkey,
                      _ChainEngine(deep, mode, window))
     yield part.law, part.digest, part.engine, {"window_reused": reused, "depth_built": built}
     parts[key] = part

@@ -1367,9 +1367,9 @@ class TestEngineReuse:
         # in place gets a new depth part, which draws what a cold slot gives
         law = deepen_negative(quad_law(), 2048)
 
-        def run():
+        def run(law=law, **kw):
             return self._outcome(lambda: simulate("finite", law, l0=40, n_steps=200,
-                                                  seed=3))
+                                                  seed=3, **kw))
 
         before = run()
         law.probs[law.k_neg - 4] *= 0.5   # halve nu(-4) in place
@@ -1377,8 +1377,36 @@ class TestEngineReuse:
         assert after[1] == {"window_reused": False, "depth_built": True}
         assert after[0][3] != before[0][3]
         assert not np.array_equal(after[0][0], before[0][0])
+        # the part kept for the law before its edit holds its own copy: a
+        # fresh law equal to the unedited one reuses it, and the tables that
+        # part builds now (the rounded-mean rules) read the unedited values
+        fresh = deepen_negative(quad_law(), 2048)
+        again = run(fresh, volume_mode="expectation")
+        assert again[1] == {"window_reused": True, "depth_built": False}
         peeling._slot.clear()
         self._same(after[0], run()[0])
+        self._same(again[0], run(fresh, volume_mode="expectation")[0])
+
+    def test_kept_depth_is_capped(self, monkeypatch):
+        # the kept parts of a mode come to at most DEPTH_CAP of depth with
+        # the new one: a part is built only once enough of the least
+        # recently used are dropped, and a part deeper than the rest of the
+        # room is kept alone.  Here the cap is 4096, so quad runs to depths
+        # 1024, 2048 and 4096
+        monkeypatch.setattr(peeling, "DEPTH_CAP", 4096)
+        quad = quad_law()
+
+        def run(n):
+            f = simulate("finite", quad, l0=40, n_steps=n, seed=1).flags
+            return (f["depth_built"], f["window_reused"],
+                    [k[1] for k in peeling._slot.parts["finite"]])
+
+        assert run(100) == (True, False, [1024])
+        assert run(300) == (True, True, [1024, 2048])
+        assert run(100) == (False, True, [2048, 1024])
+        assert run(1500) == (True, True, [4096])
+        assert run(300) == (True, True, [2048])
+        assert run(100) == (True, True, [2048, 1024])
 
     @pytest.mark.parametrize("mode", ["finite", "ibpm"])
     def test_three_laws_at_two_depths_by_turns(self, mode):
