@@ -76,22 +76,11 @@ def limit_ecf(thetas):
 
 
 def _quantile_with_se(samples, qs, groups=16):
-    """Quantiles at the sequence qs plus group-split Monte Carlo standard
-    errors.  The groups are ``np.array_split``'s, the first len % groups
-    one sample longer, and each group size's quantiles come from one call
-    along its rows."""
+    """Quantiles plus group-split Monte Carlo standard errors."""
     samples = np.asarray(samples, dtype=float)
-    size, longer = divmod(len(samples), groups)
-    if not size:
-        raise ValueError(f"{len(samples)} samples cannot fill {groups} groups")
     vals = np.quantile(samples, qs)
-    cut = longer * (size + 1)
-    # one row per group, in the row order (C order) that the sums of std read
-    per_group = np.empty((groups, len(qs)))
-    for rows, part in ((slice(0, longer), samples[:cut]), (slice(longer, groups), samples[cut:])):
-        if len(part):
-            per_group[rows] = np.quantile(part.reshape(rows.stop - rows.start, -1), qs,
-                                          axis=1).T
+    parts = np.array_split(samples, groups)
+    per_group = np.vstack([np.quantile(p, qs) for p in parts])
     ses = per_group.std(axis=0, ddof=1) / math.sqrt(groups)
     return vals, ses
 
