@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -1107,6 +1108,72 @@ def test_solver_survey_pinned():
             else:
                 assert got == pytest.approx(pinned, rel=1e-12, abs=0)
     assert len(cases) == 48
+
+
+def survey_cases():
+    """The 48 (q, g) of test_solver_survey_pinned."""
+    cases = []
+    for support, (t_star, _) in zip(survey_shapes(), SURVEY_SHAPES):
+        for scale in SURVEY_SCALES:
+            cases.append((WeightSequence(support).scaled(scale * t_star), 1.0))
+    for name, p, g, *_ in SURVEY_PRESETS:
+        cases.append((preset(name, p=p).weights, g))
+    return cases
+
+
+# tune_critical inputs of the solver pin: bipartite shapes on one, two and
+# three degrees, {3: 1, 4: 1}, whose first scale lies beyond the boundary,
+# further non-bipartite shapes and LARGE_TSTAR
+PIN_TUNE_SHAPES = [
+    {4: Fraction(1)}, {6: Fraction(1), 8: Fraction(1)},
+    {4: Fraction(1, 2), 6: Fraction(3), 8: Fraction(4)},
+    {3: Fraction(1), 4: Fraction(1)},
+    {3: Fraction(1, 3), 5: Fraction(2), 8: Fraction(1, 3)},
+    {3: Fraction(1, 64), 7: Fraction(1, 1048576)},
+    {5: Fraction(1)},
+]
+# sha256 of solver_pin_text(), taken from the damped Newton on numpy
+# vectors; any change of one bit in an output changes it
+SOLVER_PIN = "6e21be2638493fd27e94d2b508f84e33e8ef7c180d7728ca6dba0349bcaca99a"
+
+
+def _pin_fields(cd):
+    return [repr(v) for v in (cd.c_plus, cd.c_minus, cd.r, cd.z_plus,
+                              cd.z_diamond, cd.margin, cd.g,
+                              cd.residuals.get("R1"), cd.residuals.get("R2"))
+            ] + [cd.classification, cd.residuals["path"]]
+
+
+def solver_pin_text():
+    """The repr of every float output, the classification and the path of
+    the solver on the survey cases, the tuner on PIN_TUNE_SHAPES and
+    LARGE_TSTAR, and the slope test and Miermont check on quad, tri and
+    geometric H = 3, one item a line."""
+    from peelkit.scaling import cplus_slope_test
+
+    lines = []
+    for q, g in survey_cases():
+        lines += _pin_fields(solve_boltzmann(q, g=g))
+    for shape in [WeightSequence(s) for s in PIN_TUNE_SHAPES] + [LARGE_TSTAR]:
+        t = tune_critical(shape)
+        lines += [repr(t.t_star)] + _pin_fields(t.data)
+    for q in (QUAD, TRI, preset("geometric", H=3.0).weights):
+        cd = solve_boltzmann(q)
+        lines += _pin_fields(cd)
+        m = miermont_check(q, cd)
+        lines += [repr(v) for v in (m.f_dot_residual, m.f_diamond_residual,
+                                    m.A0, m.A1, m.scalar, m.truncation, m.ok)]
+        s = cplus_slope_test(q)
+        lines += [repr(v) for v in (*s.g_values, *s.raw_slopes, s.estimate,
+                                    s.predicted, s.c_minus_estimate)]
+    return "\n".join(lines)
+
+
+def test_solver_outputs_pinned_bitwise():
+    # test_solver_survey_pinned compares to 1e-12; this pin catches any
+    # changed bit of the solver's and tuner's outputs
+    text = solver_pin_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == SOLVER_PIN
 
 
 class TestReport:
