@@ -47,9 +47,10 @@ selects the pass).  Their derivatives come from the same terms: in c
 from k q_{k+2} c^(k-1), in r from the r-derivative of h (h's recurrence
 differentiated in r, run alongside it; `hfun.derivative_list` in plain
 floats), and in the tuner's scale t as S/t, since t multiplies every
-weight.  A finite support's system keeps the terms of its last c and
-short h lists per ratio, the h lists the same doubles as the shared
-tables.  The Miermont cross-check
+weight.  A finite support's system keeps the terms of its last c; short
+h lists per (ratio, order, length), the same doubles as the shared
+tables, are kept for the whole process (`_h_lists`).  The Newton loops
+run on lists of Python floats.  The Miermont cross-check
 sums its binomial double series in log space, the inner sums of a block
 of 64 total degrees in one array pass.
 """
@@ -57,6 +58,7 @@ of 64 total degrees in one array pass.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -85,8 +87,8 @@ _STALL_LIMIT = 3
 # verdict of the solver and by the boundary tuner
 _FOLD_STARTS = ((2.6, 0.0), (3.5, 0.5), (2.2, -0.5), (5.0, 0.3))
 
-# h lists a finite support's system keeps, one per (r, order)
-_H_MEMO = 8
+# h lists kept process-wide, one entry per (r, order, size)
+_H_LISTS = 32
 
 
 @dataclass
@@ -133,19 +135,33 @@ def _make_data(c, r, margin, classification, g, residuals):
     )
 
 
+@functools.lru_cache(maxsize=_H_LISTS)
+def _h_lists(r, order, size):
+    """([h(order, order + j) for j < size], its r-derivative) at the float
+    ratio r, as lists of floats (`hfun.recurrence_list`, the same doubles
+    as the shared tables, and `hfun.derivative_list`), kept for every
+    solver system of the process; the least recently used entry makes
+    room.  Callers read the lists and never change them."""
+    h = recurrence_list(r, order, size)
+    return h, derivative_list(h, r, order)
+
+
 class _System:
     """Float evaluation of R1, R2 and the margin for a fixed sequence.
 
     `main` and `companion` are the two Newton systems on x = (c, s) with
     r = tanh(s); s = inf gives the bipartite r = 1.  Each returns its
-    values and exact Jacobian from one series pass per order (`rows`).
+    values and exact Jacobian, as lists of floats, from one series pass
+    per order (`rows`).  With a scale t, the system is that of t * q: a
+    finite support multiplies its float weights by t and drops a weight
+    that rounds to 0, as `WeightSequence` does, which gives the doubles of
+    `q.scaled(t)` (a Fraction times a float is the float of the Fraction
+    times the float); an infinite family takes `q.scaled(t)`.
 
     The series pass (`_sums`) takes one of two routes, chosen by the
     input alone.  A finite support is read once as Python lists and
     summed in plain floats: its terms q_{k+2} c^k, and h(order, .) with
-    its r-derivative from the scalar recurrences (`hfun.recurrence_list`,
-    the same doubles as the shared tables, and `hfun.derivative_list`),
-    memoized per (r, order) in a map of at most _H_MEMO entries; a few
+    its r-derivative from the process-wide lists of `_h_lists`; a few
     terms cost less this way than one numpy call.  An infinite family
     takes one series pass (`_family_sums`): the terms from its weight
     cache and h(order, .) with its r-derivative by their recurrences,
@@ -153,23 +169,27 @@ class _System:
     where the library is not used, in `_series_py`, bit-identical.
     """
 
-    def __init__(self, q: WeightSequence):
-        self.q = q
+    def __init__(self, q: WeightSequence, t=None):
         self._terms = None  # a finite support's terms of the last c
-        self._h = {}  # (r, order) -> [h list, dh/dr list or None]
         if q.is_finite:
+            self.q = None  # read here once; only a family's pass keeps it
             self.c_max = math.inf
             degs = sorted(q.support)
-            self._support = ([d - 2 for d in degs],
-                             [float(q.support[d]) for d in degs])
+            ws = [float(q.support[d]) for d in degs]
+            if t is not None:
+                ws = [w * t for w in ws]
+                degs = [d for d, w in zip(degs, ws) if w != 0.0]
+                ws = [w for w in ws if w != 0.0]
+            self._support = ([d - 2 for d in degs], ws)
         else:
-            self.c_max = (1.0 - 1e-9) / q.tail_ratio
+            self.q = q if t is None else q.scaled(t)
+            self.c_max = (1.0 - 1e-9) / self.q.tail_ratio
             self._support = None
 
     def _sums(self, c, r, order, shifts, dr=False):
         """The table T with T[j] = h(order, order + j), its r-derivative
-        table (None unless dr) and, per shift j, (S_j, dS_j/dc, dS_j/dr)
-        for S_j = sum_{k>=-1} q_{k+2} c^k h(order, k+j); dS_j/dr is None
+        table and, per shift j, (S_j, dS_j/dc, dS_j/dr) for
+        S_j = sum_{k>=-1} q_{k+2} c^k h(order, k+j); dS_j/dr is None
         unless dr.
         """
         c, r = float(c), float(r)
@@ -182,7 +202,7 @@ class _System:
         series_sums, or `_series_py` where the library is not used) up to
         `positive_terms`' tail cut, over the sequence's weight cache, grown
         as the pass asks (`WeightSequence.weight_cache`)."""
-        tab, dtab = self._h_lists(r, order, dr)
+        tab, dtab = _h_lists(r, order, 3)
         q = self.q
         k_first = q.first_cut()
         st = _series(q.log_gen is not None, c, r, q.tail_rho(c), order, shifts,
@@ -219,7 +239,7 @@ class _System:
                     for k, w in zip(ks, ws)]
             self._terms = (c, vals, [k * v for k, v in zip(ks, vals)])
         _, vals, kvals = self._terms
-        tab, dtab = self._h_lists(r, order, dr)
+        tab, dtab = _h_lists(r, order, max(ks[-1] + 3 - order, 3))
         out = []
         for j in shifts:
             off = j - order
@@ -234,30 +254,13 @@ class _System:
             out.append((s, s_c / c, s_r if dr else None))
         return tab, dtab, out
 
-    def _h_lists(self, r, order, dr):
-        """[h(order, order + j)] and, when dr, its r-derivative (else
-        None) for j up to the largest index a finite support reads (2 for
-        an infinite family, whose pass runs its own recurrence), from the
-        per-system memo; the oldest entry makes room."""
-        got = self._h.get((r, order))
-        if got is None:
-            top = self._support[0][-1] if self._support else 0
-            size = max(top + 3 - order, 3)
-            got = [recurrence_list(r, order, size), None]
-            if len(self._h) >= _H_MEMO:
-                del self._h[next(iter(self._h))]
-            self._h[r, order] = got
-        if dr and got[1] is None:
-            got[1] = derivative_list(got[0], r, order)
-        return got
-
     def residuals(self, c, r):
         h, _, ((s1, _, _), (s2, _, _)) = self._sums(c, r, 0, (1, 2))
-        return s1 - float(h[1]), 2.0 / c**2 + s2 - float(h[2])
+        return s1 - h[1], 2.0 / c**2 + s2 - h[2]
 
     def r2_and_prime(self, c, r=1.0):
         h, _, ((s2, s2p, _),) = self._sums(c, r, 0, (2,))
-        return 2.0 / c**2 + s2 - float(h[2]), -4.0 / c**3 + s2p
+        return 2.0 / c**2 + s2 - h[2], -4.0 / c**3 + s2p
 
     def margin_and_prime(self, c, r=1.0):
         """1 - sum_{l>=0} h(1, l+1) nu(l) and its c-derivative.
@@ -277,9 +280,8 @@ class _System:
         scales S alone, so the row's t-derivative is S/t."""
         h, dh, ((s1, s1_c, s1_r), (s2, s2_c, s2_r)) = self._sums(
             c, r, 0, (1, 2), True)
-        out = [(s1 - float(h[1]), s1_c, s1_r - float(dh[1]), s1),
-               (2.0 / c**2 + s2 - float(h[2]), -4.0 / c**3 + s2_c,
-                s2_r - float(dh[2]), s2)]
+        out = [(s1 - h[1], s1_c, s1_r - dh[1], s1),
+               (2.0 / c**2 + s2 - h[2], -4.0 / c**3 + s2_c, s2_r - dh[2], s2)]
         if margin:
             _, _, ((s, s_c, s_r),) = self._sums(c, r, 1, (1,), True)
             out.append((s - 1.0, s_c, s_r, s))
@@ -441,11 +443,10 @@ def _same_series(lib):
 
 
 def _in_cs(rows, r):
-    """(F, J) of rows (value, d/dc, d/dr, ...) with J in the Newton
-    coordinates (c, s), r = tanh(s): dr/ds = 1 - r^2."""
-    F = np.array([row[0] for row in rows])
-    J = np.array([(row[1], row[2] * (1.0 - r * r)) for row in rows])
-    return F, J
+    """(F, J) of rows (value, d/dc, d/dr, ...) as lists, with J in the
+    Newton coordinates (c, s), r = tanh(s): dr/ds = 1 - r^2."""
+    return ([row[0] for row in rows],
+            [[row[1], row[2] * (1.0 - r * r)] for row in rows])
 
 
 def _to_x(c, r):
@@ -453,10 +454,12 @@ def _to_x(c, r):
     return np.array([c, math.atanh(min(max(r, -0.999999), 0.999999))])
 
 
-def _newton_1d(f_and_fp, x0, lo, hi, tol=1e-14, max_iter=80):
-    """Safeguarded Newton inside a bracket known to contain a simple root."""
+def _newton_1d(f_and_fp, x0, lo, hi, tol=1e-14, max_iter=80, flo=None):
+    """Safeguarded Newton inside a bracket known to contain a simple root;
+    flo is f(lo), evaluated here when not given."""
     x = min(max(x0, lo), hi)
-    flo, _ = f_and_fp(lo)
+    if flo is None:
+        flo, _ = f_and_fp(lo)
     for _ in range(max_iter):
         f, fp = f_and_fp(x)
         if f == 0.0:
@@ -505,14 +508,15 @@ def _margin_root(sys, x0, hi, cap):
     margin is <= 0 there; None when the margin is already <= 0 at the
     floor or stays positive up to cap.
     """
-    if sys.margin_and_prime(_C_FLOOR)[0] <= 0:
+    floor = sys.margin_and_prime(_C_FLOOR)[0]
+    if floor <= 0:
         return None
     hi = min(hi, cap)
     while sys.margin_and_prime(hi)[0] > 0:
         if hi >= cap:
             return None
         hi = min(2.0 * hi, cap)
-    return _newton_1d(sys.margin_and_prime, x0, _C_FLOOR, hi)
+    return _newton_1d(sys.margin_and_prime, x0, _C_FLOOR, hi, flo=floor)
 
 
 def _bipartite_fold(sys, warm=None):
@@ -563,6 +567,18 @@ def _solve_bipartite(q, sys, g):
     return _beyond(g)
 
 
+def _max_abs(values):
+    """max|v| over values, NaN when any v is NaN (as numpy's max)."""
+    n = 0.0
+    for v in values:
+        a = abs(v)
+        if not a <= n:
+            if a != a:
+                return a
+            n = a
+    return n
+
+
 def _damped_newton(F, x0, lo, hi):
     """Damped Newton on F(x) = (values, Jacobian), x clamped to [lo, hi].
 
@@ -571,33 +587,40 @@ def _damped_newton(F, x0, lo, hi):
     max|F| < _NEWTON_TOL, after _NEWTON_ITER iterations, on a singular
     Jacobian, when no trial point of a line search evaluates, or after
     _STALL_LIMIT consecutive line searches that end on the forced step
-    (lambda < 1e-3) without lowering max|F|.  Returns the best iterate and
-    its max|F|.
+    (lambda < 1e-3) without lowering max|F|.  Returns the best iterate, as
+    an array, and its max|F|.
+
+    x, the clamps and F's values and Jacobian are lists of Python floats,
+    each trial point a few float operations: the same doubles as numpy's
+    clip, max and abs on vectors, at a fraction of their call cost.  The
+    step is np.linalg.solve's, whose LAPACK kernels a hand-written
+    elimination does not match to the last bit.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    x = np.clip(np.array(x0, dtype=float), lo, hi)
+    lo = [float(v) for v in lo]
+    hi = [float(v) for v in hi]
+    x = [min(max(float(v), a), b) for v, a, b in zip(x0, lo, hi)]
     fx, J = F(x)
-    n0 = np.max(np.abs(fx))
+    n0 = _max_abs(fx)
     best_x, best_n = x, n0
     stalls = 0
     for _ in range(_NEWTON_ITER):
         if n0 < _NEWTON_TOL:
             break
         try:
-            step = np.linalg.solve(J, -fx)
+            step = np.linalg.solve(J, [-v for v in fx]).tolist()
         except np.linalg.LinAlgError:
             break
         lam = 1.0
         for _ in range(_LINE_SEARCH):
-            xn = np.clip(x + lam * step, lo, hi)
+            xn = [min(max(v + lam * d, a), b)
+                  for v, d, a, b in zip(x, step, lo, hi)]
             try:
                 fn, Jn = F(xn)
             except (DivergentSeriesError, ArithmeticError, ValueError):
                 # series divergent or overflowing there, or r rounded to -1
                 lam *= 0.5
                 continue
-            nn = np.max(np.abs(fn))
+            nn = _max_abs(fn)
             if nn < n0 or lam < 1e-3:
                 break
             lam *= 0.5
@@ -609,7 +632,7 @@ def _damped_newton(F, x0, lo, hi):
             best_x, best_n = x, n0
         if stalls >= _STALL_LIMIT:
             break
-    return best_x, best_n
+    return np.array(best_x), np.float64(best_n)
 
 
 def _start_points(q, sys):
@@ -1010,7 +1033,7 @@ def _fold_side(shape, t, bipartite, warm):
     no root.  Returns (side, state) with side < 0 below the fold; state is
     the companion solution, (c,) or (c, s), to warm-start the next scale.
     """
-    sys = _System(shape.scaled(t))
+    sys = _System(shape, t)
     if bipartite:
         try:
             c, root = _bipartite_fold(sys, warm)
@@ -1033,15 +1056,15 @@ def _bordered(shape, bipartite):
     in (c, t) for a bipartite shape, which sits at r = 1."""
     def F(x):
         t = float(x[-1])
-        sys = _System(shape.scaled(t))
+        sys = _System(shape, t)
         if bipartite:
             rows = sys.rows(float(x[0]), 1.0, margin=True)[1:]
-            return (np.array([row[0] for row in rows]),
-                    np.array([(row[1], row[3] / t) for row in rows]))
+            return ([row[0] for row in rows],
+                    [[row[1], row[3] / t] for row in rows])
         r = math.tanh(x[1])
         rows = sys.rows(float(x[0]), r, margin=True)
         values, J = _in_cs(rows, r)
-        return values, np.column_stack((J, [row[3] / t for row in rows]))
+        return values, [j + [row[3] / t] for j, row in zip(J, rows)]
     return F
 
 
@@ -1135,7 +1158,7 @@ def tune_critical(shape: WeightSequence):
         raise SolverFailureError("bordered polish left the bisection bracket")
     c = float(x[0])
     r = 1.0 if bipartite else math.tanh(float(x[1]))
-    sys = _System(shape.scaled(t_star))
+    sys = _System(shape, t_star)
     r1, r2 = sys.residuals(c, r)
     cls = _classify_from(shape.scaled(t_star), 0.0)
     data = _make_data(

@@ -579,10 +579,11 @@ class TestTune:
 
     def test_h_table_builds(self, monkeypatch):
         # the solver systems keep one h table per order and ratio instead
-        # of building a fresh one per evaluation; counted from an empty
-        # process-wide cache, which earlier tests may have filled, over
+        # of building a fresh one per evaluation; counted from empty
+        # process-wide caches, which earlier tests may have filled, over
         # both homes of a build: shared tables and a finite support's lists
         hfun._shared_float_cache.cache_clear()
+        criticality._h_lists.cache_clear()
         calls = []
         grow = HCache._grow_float
         build = criticality.recurrence_list
@@ -743,6 +744,51 @@ def assert_matches_numpy(q, c, r, order, shifts, got):
                 (s_c, w_c, np.abs(ks[on] * v * tab[i]).sum() / c),
                 (s_r, w_r, np.abs(v * dtab[i]).sum())):
             assert abs(a - b) <= 1e-13 * scale
+
+
+# a weight 2^-1000 at degree 10 rounds to 0 when scaled by t < 2^-75
+_TINY = Fraction(1, 2**1000)
+
+
+class TestScaledSystem:
+    """`_System(shape, t)` is the system of `shape.scaled(t)`: the same
+    support, with a weight that rounds to 0 dropped, and the same doubles
+    from `rows`."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(st.booleans(),
+           st.dictionaries(st.integers(2, 4), _weights, min_size=1,
+                           max_size=3),
+           st.booleans(), st.floats(-30.0, 3.0))
+    def test_matches_the_scaled_sequence(self, bipartite, degrees, tiny, e):
+        # degrees 4, 6, 8 (bipartite) or 3, 5, 7 with 4 added (not)
+        support = {2 * d if bipartite else 2 * d - 1: w
+                   for d, w in degrees.items()}
+        if not bipartite:
+            support[4] = Fraction(1, 3)
+        if tiny:
+            support[10] = _TINY
+        shape = WeightSequence(support)
+        t = 10.0**e
+        mine = criticality._System(shape, t)
+        theirs = criticality._System(shape.scaled(t))
+        assert repr(mine._support) == repr(theirs._support)
+        assert (10 - 2 in mine._support[0]) == (tiny and float(_TINY) * t != 0)
+        points = ((2.5, 1.0), (3.2, 1.0)) if bipartite else (
+            (2.5, 0.3), (3.2, -0.2), (2.2, 0.8))
+        for c, r in points:
+            assert (repr(mine.rows(c, r, margin=True))
+                    == repr(theirs.rows(c, r, margin=True)))
+
+    @pytest.mark.parametrize("e", [-23.0, -22.0])
+    def test_a_weight_that_underflows(self, e):
+        # 2^-1000 * 1e-23 rounds to 0, 2^-1000 * 1e-22 to a subnormal
+        shape = WeightSequence({3: Fraction(1, 2), 10: _TINY})
+        mine = criticality._System(shape, 10.0**e)
+        assert mine._support[0] == ([1] if e < -22.5 else [1, 8])
+        assert (repr(mine.rows(2.5, 0.3, margin=True)) == repr(
+            criticality._System(shape.scaled(10.0**e)).rows(
+                2.5, 0.3, margin=True)))
 
 
 class TestPlainFloatPass:
@@ -943,19 +989,41 @@ def central_jacobian(F, x, step=1e-6):
         up, down = x.copy(), x.copy()
         up[j] += h
         down[j] -= h
-        cols.append((F(up)[0] - F(down)[0]) / (2.0 * h))
+        cols.append((np.asarray(F(up)[0]) - np.asarray(F(down)[0]))
+                    / (2.0 * h))
     return np.column_stack(cols)
 
 
+class TestFloatNewton:
+    """The damped Newton runs on lists of floats with numpy's answers."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, 0.0])),
+                    min_size=1, max_size=3))
+    def test_max_abs_is_numpys(self, values):
+        # NaN anywhere gives NaN, as np.max does
+        want = np.max(np.abs(np.array(values)))
+        assert repr(criticality._max_abs(values)) == repr(float(want))
+
+    def test_returns_an_array_and_a_float64(self):
+        x, n = criticality._damped_newton(
+            lambda x: ([x[0] * x[0] - 2.0], [[2.0 * x[0]]]), (1.0,), (0.5,),
+            (4.0,))
+        assert isinstance(x, np.ndarray) and type(n) is np.float64
+        assert x[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
 class TestExactJacobian:
-    """Each Newton system returns its Jacobian with its values; every entry
-    agrees with central differences of the values to 1e-6 relative.  The
-    points sit off the solutions, where no entry vanishes."""
+    """Each Newton system returns its Jacobian with its values (lists of
+    floats); every entry agrees with central differences of the values to
+    1e-6 relative.  The points sit off the solutions, where no entry
+    vanishes."""
 
     @staticmethod
     def check(F, x):
         x = np.array(x, dtype=float)
         values, J = F(x)
+        J = np.asarray(J)
         assert J.shape == (len(values), len(x))
         fd = central_jacobian(F, x)
         assert np.all(np.abs(J - fd) <= 1e-6 * np.abs(J)), (J, fd)
