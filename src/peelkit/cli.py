@@ -272,11 +272,12 @@ def run(ns: argparse.Namespace) -> int:
 
         if ns.command == "scaling-test":
             # every run size is checked before the first test runs
-            if min(ns.steps, ns.chains, ns.ecf_samples) < 1:
+            if (min(ns.steps, ns.ecf_samples) < 1
+                    or ns.chains < scaling.SE_GROUPS):
                 raise ValueError(
-                    "steps, chains and ecf n_samples must be >= 1; got "
-                    f"steps={ns.steps}, chains={ns.chains}, "
-                    f"n_samples={ns.ecf_samples}")
+                    "steps and ecf n_samples must be >= 1 and chains >= "
+                    f"{scaling.SE_GROUPS}; got steps={ns.steps}, "
+                    f"chains={ns.chains}, n_samples={ns.ecf_samples}")
             laws = {}
             for name in ns.models.split(","):
                 name = name.strip()

@@ -33,6 +33,9 @@ from .walk import StepLaw, complete_nu, deepen_negative
 from .weights import WeightSequence, nu_from_q
 
 DEFAULT_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
+# groups of a quantile's Monte Carlo standard error, and so the fewest
+# chains collapse_test takes
+SE_GROUPS = 16
 # ecf_test's split of the step law (common jumps k >= -ECF_K_COMMON, a deep
 # block down to the law deepened to ECF_K_DEEP) and its samples per chunk
 ECF_K_COMMON = 1024
@@ -75,7 +78,7 @@ def limit_ecf(thetas):
                   / math.sqrt(2.0))
 
 
-def _quantile_with_se(samples, qs, groups=16):
+def _quantile_with_se(samples, qs, groups=SE_GROUPS):
     """Quantiles plus group-split Monte Carlo standard errors."""
     samples = np.asarray(samples, dtype=float)
     vals = np.quantile(samples, qs)
@@ -299,9 +302,13 @@ def collapse_test(laws: dict, n, chains, quantiles=DEFAULT_QUANTILES, seed=0,
 
     Universality predicts the rescaled laws agree; the caller applies the
     tolerance.  The same volume sampling regime is used for every model so
-    the comparison probes the limit and not the sampling convention.  A
-    heavy-tailed law among them raises ValueError before any draw.
+    the comparison probes the limit and not the sampling convention.  Fewer
+    than SE_GROUPS chains, or a heavy-tailed law among the models, raise
+    ValueError before any draw.
     """
+    if chains < SE_GROUPS:
+        raise ValueError(f"collapse_test needs at least {SE_GROUPS} chains, "
+                         f"one per standard-error group; got {chains}")
     _refuse_heavy(*laws.values())
     models = {}
     samples = {}

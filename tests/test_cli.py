@@ -169,6 +169,23 @@ class TestCommands:
         assert "PEELKIT_ERR invalid_input" in captured.err
         assert "chains=0" in captured.err and captured.out == ""
 
+    def test_scaling_test_too_few_chains(self, monkeypatch, capsys):
+        # fewer chains than standard-error groups stop the command before
+        # the ecf test runs, with the CLI's own error line
+        from peelkit import scaling
+
+        def fail(*args, **kwargs):
+            raise AssertionError("ecf_test ran before the size check")
+
+        monkeypatch.setattr(scaling, "ecf_test", fail)
+        rc = main(["scaling-test", "--models", "quadrangulation",
+                   "--steps", "50", "--chains", "10", "--ecf-samples", "100"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "PEELKIT_ERR invalid_input" in captured.err
+        assert "chains=10" in captured.err and "chains >= 16" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_scaling_test_small(self, capsys):
         rc = main(["scaling-test", "--models", "quadrangulation",
                    "--steps", "400", "--chains", "300",

@@ -170,6 +170,24 @@ class TestCollapse:
         assert lines[0] == "model,l_hat,v_hat"
         assert len(lines) == 201
 
+    def test_too_few_chains_refused_before_any_draw(self, monkeypatch):
+        # one chain per standard-error group at least; fewer used to run
+        # the first model's whole ensemble and then fail in np.quantile
+        from peelkit import scaling
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a draw was made before the refusal")
+
+        monkeypatch.setattr(scaling, "simulate_ensemble", fail)
+        assert scaling.SE_GROUPS == 16
+        with pytest.raises(ValueError, match="at least 16 chains"):
+            collapse_test({"m": QUAD_LAW}, 2000, 15, seed=1)
+
+    def test_one_chain_per_group_suffices(self):
+        rep = collapse_test({"m": QUAD_LAW}, 50, 16, seed=1)
+        vals, ses = rep.models["m"]["l_hat"]
+        assert np.all(np.isfinite(vals)) and np.all(np.isfinite(ses))
+
 
 class TestExponents:
     def test_small_scale_slopes(self):
