@@ -174,13 +174,12 @@ class _System:
         if q.is_finite:
             self.q = None  # read here once; only a family's pass keeps it
             self.c_max = math.inf
-            degs = sorted(q.support)
-            ws = [float(q.support[d]) for d in degs]
+            ks, ws = (a.tolist() for a in q._support_arrays())
             if t is not None:
                 ws = [w * t for w in ws]
-                degs = [d for d, w in zip(degs, ws) if w != 0.0]
+                ks = [k for k, w in zip(ks, ws) if w != 0.0]
                 ws = [w for w in ws if w != 0.0]
-            self._support = ([d - 2 for d in degs], ws)
+            self._support = (ks, ws)
         else:
             self.q = q if t is None else q.scaled(t)
             self.c_max = (1.0 - 1e-9) / self.q.tail_ratio
