@@ -229,15 +229,20 @@ class _System:
         """`_sums` over a finite support in plain floats, each sum taken in
         the order of the support."""
         ks, ws = self._support
-        if self._terms is None or self._terms[0] != c:
+        terms = self._terms
+        if terms is None or terms[0] != c:
             # q_{k+2} c^k, through exp in log space where k log c > 600
             # (raising OverflowError like `WeightSequence.positive_terms`)
             log_c = math.log(c)
-            vals = [(math.exp(math.log(w) + k * log_c) if w != 0.0 else 0.0)
-                    if k * log_c > 600.0 else w * c**k
-                    for k, w in zip(ks, ws)]
-            self._terms = (c, vals, [k * v for k, v in zip(ks, vals)])
-        _, vals, kvals = self._terms
+            vals, kvals = [], []
+            for k, w in zip(ks, ws):
+                e = k * log_c
+                v = ((math.exp(math.log(w) + e) if w != 0.0 else 0.0)
+                     if e > 600.0 else w * c**k)
+                vals.append(v)
+                kvals.append(k * v)
+            terms = self._terms = (c, vals, kvals)
+        _, vals, kvals = terms
         tab, dtab = _h_lists(r, order, max(ks[-1] + 3 - order, 3))
         out = []
         for j in shifts:
@@ -246,8 +251,9 @@ class _System:
             for k, v, kv in zip(ks, vals, kvals):
                 i = k + off
                 if i >= 0:
-                    s += v * tab[i]
-                    s_c += kv * tab[i]
+                    h = tab[i]
+                    s += v * h
+                    s_c += kv * h
                     if dr:
                         s_r += v * dtab[i]
             out.append((s, s_c / c, s_r if dr else None))
