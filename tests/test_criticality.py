@@ -1244,6 +1244,31 @@ def test_solver_outputs_pinned_bitwise():
     assert hashlib.sha256(text.encode()).hexdigest() == SOLVER_PIN
 
 
+# sha256 of the repr of every MiermontReport field on MIERMONT_PIN_CASES,
+# taken from the check that accumulated its sums in a numpy vector
+MIERMONT_PIN = "fdb9578a022abbbfbf939aad8efddf603e9e30cd5dd129947c5f4d8f2f1991f6"
+MIERMONT_PIN_CASES = [
+    ("symmetric_critical", {"r": 1.0, "a": math.pi / 4}),
+    ("symmetric_critical", {"r": 0.5, "a": 0.6}),
+    ("geometric", {"H": 2.0}), ("geometric", {"H": 5.0}),
+    ("two_p_angulation", {"p": 3}), ("odd_angulation", {"p": 2}),
+]
+
+
+def test_miermont_pinned_bitwise():
+    # the heavy family's extrapolated sums, both tail exits of an infinite
+    # family and finite supports, bit for bit
+    lines = []
+    for name, params in MIERMONT_PIN_CASES:
+        q = preset(name, **params).weights
+        m = miermont_check(q, solve_boltzmann(q))
+        lines += [repr(v) for v in (m.f_dot_residual, m.f_diamond_residual,
+                                    m.A0, m.A1, m.scalar, m.truncation, m.ok)]
+        lines += m.messages
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == MIERMONT_PIN
+
+
 class TestReport:
     def test_full_report_is_jsonable(self):
         import json
