@@ -942,7 +942,7 @@ def miermont_check(q: WeightSequence, cd: CriticalData, tol=1e-8, n_max=4000):
         n_hi = 512
     else:
         n_hi = n_max
-    acc = np.zeros(4)  # f_diamond, f_dot, A0, A1
+    acc = [0.0, 0.0, 0.0, 0.0]  # f_diamond, f_dot, A0, A1
     trunc = 0.0
     messages = []
     ckpt_ns = [n for n in (64, 128, 256, 512) if n <= n_hi]
@@ -971,7 +971,10 @@ def miermont_check(q: WeightSequence, cd: CriticalData, tol=1e-8, n_max=4000):
                 )
                 trunc = max(trunc, prev_term * n)
                 break
-            acc += (q1 * fd, q2 * fdot, 0.5 * q1 * dx, q1 * dy)
+            acc[0] += q1 * fd
+            acc[1] += q2 * fdot
+            acc[2] += 0.5 * q1 * dx
+            acc[3] += q1 * dy
             term = q1 * fd + q2 * fdot
             if term > 1e6:
                 messages.append("divergent truncation; input looks inadmissible")
@@ -986,7 +989,7 @@ def miermont_check(q: WeightSequence, cd: CriticalData, tol=1e-8, n_max=4000):
                 break
             prev_term = max(term, 1e-300)
         if n in ckpt_ns:
-            ckpts.append(acc.copy())
+            ckpts.append(list(acc))
     else:
         if not q.is_finite and not heavy:
             trunc = prev_term * n_hi
