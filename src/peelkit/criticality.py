@@ -152,11 +152,11 @@ class _System:
     `main` and `companion` are the two Newton systems on x = (c, s) with
     r = tanh(s); s = inf gives the bipartite r = 1.  Each returns its
     values and exact Jacobian, as lists of floats, from one series pass
-    per order (`rows`).  With a scale t, the system is that of t * q: a
-    finite support multiplies its float weights by t and drops a weight
-    that rounds to 0, as `WeightSequence` does, which gives the doubles of
-    `q.scaled(t)` (a Fraction times a float is the float of the Fraction
-    times the float); an infinite family takes `q.scaled(t)`.
+    per order (`rows`).  With a float scale t, the system is that of
+    t * q: a finite support multiplies its float weights by t and drops a
+    weight that rounds to 0, as `WeightSequence` does, which gives the
+    doubles of `q.scaled(t)` (a Fraction times a float is the float of the
+    Fraction times the float); an infinite family takes `q.scaled(t)`.
 
     The series pass (`_sums`) takes one of two routes, chosen by the
     input alone.  A finite support is read once as Python lists and
