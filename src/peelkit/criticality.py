@@ -795,6 +795,12 @@ def solve_boltzmann(q: WeightSequence, g=1.0, initial=None):
     rep = validate(q)
     if not rep.ok:
         raise ValueError(f"invalid weight sequence: {rep.messages}")
+    return _solve_valid(q, g, initial)
+
+
+def _solve_valid(q: WeightSequence, g=1.0, initial=None):
+    """`solve_boltzmann` on a q already validated: a caller that solves one
+    q at several g validates it once."""
     if not (0.0 < g <= 1.0):
         raise ValueError("g must lie in (0, 1]")
 

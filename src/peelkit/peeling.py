@@ -97,6 +97,15 @@ Python loops (`_lockstep_numpy`, `_block_rounds_numpy` and the fill's
 numpy half) run and draw the same values.  Draws run compiled only
 inside the two chain loops: the numpy loops and every other caller of
 `_StackedCdf.draw` and `_Bands.jumps` draw with numpy.
+
+A thread keeps one Generator for its runs, built on its first run with
+its ctypes interface and kept in its slot (`_Slot`), and every run re-keys
+it from (seed, chain_index) to the state of a new Philox on that key
+(`_keyed`).  So each run draws the stream of ``_rng(seed, chain_index)``
+from its start, whatever the thread ran before, and builds no seed
+sequence.  The generator never leaves the run; ``_Slot.clear`` drops it
+with the parts.  A caller that holds its generator (``scaling.ecf_test``)
+takes a new one from ``_rng``.
 """
 
 from __future__ import annotations
@@ -105,6 +114,7 @@ import collections
 import contextlib
 import copy
 import ctypes
+import functools
 import math
 import numbers
 import threading
@@ -134,13 +144,37 @@ BLOCK_DRAWS = 1 << 21
 GUIDE = 1 << 12
 
 
-def _rng(seed, chain_index=0):
+def _check_key(seed, chain_index):
+    """Refuse a seed or chain_index that is not an integer in [0, 2^64); an
+    int skips the ABC check, as in `_check_integers`."""
     for name, v in (("seed", seed), ("chain_index", chain_index)):
-        if not (isinstance(v, numbers.Integral) and 0 <= v < 1 << 64):
+        if not ((type(v) is int or isinstance(v, numbers.Integral)) and 0 <= v < 1 << 64):
             raise ValueError(f"{name} must be an integer in [0, 2^64); got {v!r}")
+
+
+def _rng(seed, chain_index=0):
+    """A new generator on the stream keyed by (seed, chain_index), for a
+    caller that keeps it."""
+    _check_key(seed, chain_index)
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, chain_index], dtype=np.uint64))
     )
+
+
+def _keyed(seed, chain_index):
+    """This thread's chain generator, re-keyed to the start of the stream
+    of ``_rng(seed, chain_index)``: the state a new Philox on that key has
+    (counter and buffer zero, the buffer spent, no spare 32-bit word).  It
+    is built on a thread's first run, with its ctypes interface, and never
+    leaves the run that re-keys it; the caller has checked the key."""
+    rng = _slot.rng
+    if rng is None:
+        rng = _slot.rng = _rng(0)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [int(seed), int(chain_index)]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 class _StackedCdf:
@@ -1072,6 +1106,18 @@ class _ChainEngine:
         self.h_len = 0
         self._cover(L_SMALL)
 
+    @functools.cached_property
+    def c_fields(self):
+        """The fields of every run's compiled state (`_c_run`) that read
+        only the engine, filled on its first run."""
+        c = _native.Lockstep(l_small=L_SMALL, absorbing=self.order == 0)
+        if self.order == 1:
+            addr, k_neg = _native.address, self.law.k_neg
+            c.thetas, c.log_phi, c.log_K = map(addr, (self.thetas, self.log_phi, self.log_K))
+            c.cs, c.n_cs = addr(self.cs), len(self.cs)
+            c.k_neg, c.n_deep = k_neg, k_neg - L_SMALL + 1
+        return c
+
     def _tilt_tables(self):
         """Tabulate log phi(theta) for theta in BLOCK_THETAS; the rows of
         nu_theta are built in grid order as blocks first need them
@@ -1267,16 +1313,19 @@ class _Slot(threading.local):
     """This thread's chain engines: per mode, its PARTS most recently used
     depth parts, of DEPTH_CAP depth in all (`_chain_engine`),
     {`_part_key`: `_Part`} oldest first, in ``parts``.  A window part lives
-    with the depth parts built on it."""
+    with the depth parts built on it.  ``rng`` is the thread's chain
+    generator (`_keyed`), None until its first run."""
 
     def __init__(self):
         self.parts = {"finite": collections.OrderedDict(),
                       "ibpm": collections.OrderedDict()}
+        self.rng = None
 
     def clear(self):
-        """Drop every part this thread holds."""
+        """Drop every part and the generator this thread holds."""
         for parts in self.parts.values():
             parts.clear()
+        self.rng = None
 
 
 _slot = _Slot()
@@ -1350,11 +1399,12 @@ def _check_integers(**named):
             raise ValueError(f"{name} must be integral; got {name}={v!r}")
 
 
-def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
-    """Run n_chains chains from l0 on law deepened for n_steps: (that law's
-    digest, perimeter and volume rows at the sorted checkpoints, flags).  A
-    finite run's chains step in lockstep, an infinite-map run's in block
-    rounds."""
+def _advance(mode, law, vol_args, key, l0, n_chains, n_steps, checkpoints):
+    """Run n_chains chains from l0 on law deepened for n_steps, drawing from
+    the stream keyed by key = (seed, chain_index), checked by the caller:
+    (that law's digest, perimeter and volume rows at the sorted
+    checkpoints, flags).  A finite run's chains step in lockstep, an
+    infinite-map run's in block rounds."""
     if min(n_chains, n_steps) < 1 or checkpoints[0] < 1 or checkpoints[-1] != n_steps:
         raise ValueError("n_chains and n_steps must be >= 1 and checkpoints in "
                          f"1..n_steps; got n_chains={n_chains}, n_steps={n_steps}")
@@ -1368,6 +1418,7 @@ def _advance(mode, law, vol_args, rng, l0, n_chains, n_steps, checkpoints):
         engine.start(l0)
         run = _Run(n_chains, l0, checkpoints)
         flags = {"block_proposals": 0, "block_accepts": 0}
+        rng = _keyed(*key)
         if engine.order == 0:
             _lockstep(engine, vol, rng, run)
             # the checkpoints after every chain was absorbed
@@ -1431,22 +1482,35 @@ def _lockstep_numpy(engine, vol, rng, run):
 
 def _c_run(engine, vol, run):
     """The compiled loops' state of run at its first step, a
-    `_native.Lockstep` over its chains, tables and per-chain work arrays,
-    and the arrays it points into, which the caller keeps."""
-    n = len(run.ls)
-    work = np.empty((len(_native.STEP_WORK), n), dtype=np.int64)
-    env = np.empty(n)
-    rule, addr = vol.rule, _native.address
+    `_native.Lockstep` over its chains, tables and per-chain work rows, and
+    the arrays it points into, which the caller keeps.  The fields that
+    read only the engine are copied from its ``c_fields``; the work rows
+    (STEP_WORK and env, and for an infinite-map run BLOCK_WORK and ks) are
+    one block, each addressed by its offset from the block's base."""
+    n, n_steps = len(run.ls), int(run.cps[-1])
+    names, n_ks = _native.STEP_WORK + ("env",), 0
+    if engine.order == 1:
+        names += _native.BLOCK_WORK
+        # the most steps a round draws: max(BLOCK_DRAWS, n)
+        n_ks = min(n * n_steps, max(n, BLOCK_DRAWS))
+    work = np.empty(len(names) * n + n_ks, dtype=np.int64)
+    base, addr, rule = _native.address(work), _native.address, vol.rule
+    s = _native.Lockstep.from_buffer_copy(engine.c_fields)
+    for i, name in enumerate(names):
+        setattr(s, name, base + 8 * n * i)
     volumes = vol._cdf.pack() if vol.l_exact else None
-    s = _native.Lockstep(
-        volumes=volumes and ctypes.addressof(volumes[0]), lo=addr(rule.lo),
-        off=addr(rule.off), c=addr(rule.c), b=rule.b, n_lp=len(rule.lo),
-        l_small=L_SMALL, absorbing=engine.order == 0, l_exact=vol.l_exact,
-        n=n, n_steps=int(run.cps[-1]),
-        n_cps=len(run.cps), cps=addr(run.cps), ls=addr(run.ls), vs=addr(run.V),
-        per=addr(run.per), vols=addr(run.vols), env=addr(env),
-        **{name: addr(row) for name, row in zip(_native.STEP_WORK, work)})
-    return s, (work, env, volumes)
+    s.volumes = volumes and ctypes.addressof(volumes[0])
+    s.lo, s.off, s.c = addr(rule.lo), addr(rule.off), addr(rule.c)
+    s.b, s.n_lp, s.l_exact = rule.b, len(rule.lo), vol.l_exact
+    s.n, s.n_steps, s.n_cps, s.cps = n, n_steps, len(run.cps), addr(run.cps)
+    s.ls, s.vs, s.per, s.vols = addr(run.ls), addr(run.V), addr(run.per), addr(run.vols)
+    if engine.order == 1:
+        rows = work[:len(names) * n].reshape(-1, n)
+        rows[names.index("da")], rows[names.index("cur")] = 0, 0
+        rows[names.index("act")] = np.arange(n)
+        s.ks, s.ks_cap, s.block_draws = base + 8 * len(names) * n, n_ks, BLOCK_DRAWS
+        s.n_act, s.bphase = n, 0
+    return s, (work, volumes)
 
 
 def _drain(s, engine, vol, flags=None):
@@ -1518,19 +1582,6 @@ def _block_rounds_c(lib, engine, vol, rng, run, flags):
     the cover is missing or a comparison needs numpy's exp, which is
     supplied here before the call resumes where it stopped."""
     s, _arrays = _c_run(engine, vol, run)
-    n, law, addr = len(run.ls), engine.law, _native.address
-    work = dict(zip(_native.BLOCK_WORK, np.empty((len(_native.BLOCK_WORK), n),
-                                                 dtype=np.int64)))
-    work["da"][:], work["cur"][:], work["act"][:] = 0, 0, np.arange(n)
-    for name, row in work.items():
-        setattr(s, name, addr(row))
-    s.n_act, s.bphase = n, 0
-    s.thetas, s.log_phi, s.log_K = map(addr, (engine.thetas, engine.log_phi, engine.log_K))
-    s.cs, s.n_cs = addr(engine.cs), len(engine.cs)
-    s.k_neg, s.n_deep, s.block_draws = law.k_neg, law.k_neg - L_SMALL + 1, BLOCK_DRAWS
-    # the most steps a round draws: max(BLOCK_DRAWS, n)
-    ks = np.empty(min(n * s.n_steps, max(n, BLOCK_DRAWS)), dtype=np.int64)
-    s.ks, s.ks_cap = addr(ks), len(ks)
     try:
         _drive(lib.block_rounds, "block_rounds", engine, rng, s)
     finally:
@@ -1634,8 +1685,9 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
     """
     l0 = 2 if l0 is None else l0
     _check_integers(n_steps=n_steps)
+    _check_key(seed, chain_index)
     digest, per, volumes, flags = _advance(
-        mode, law, (volume_mode, l_exact, d_max), _rng(seed, chain_index), l0,
+        mode, law, (volume_mode, l_exact, d_max), (seed, chain_index), l0,
         1, n_steps, range(1, n_steps + 1))
     return PeelTrace(
         perimeters=np.concatenate([[l0], per[:, 0]]),
@@ -1678,8 +1730,9 @@ def simulate_ensemble(mode, law: StepLaw, l0, n_steps, n_chains, seed=0,
     cps = [] if checkpoints is None else list(checkpoints)
     _check_integers(n_steps=n_steps, n_chains=n_chains, checkpoints=cps)
     steps = sorted({int(c) for c in cps} | {int(n_steps)})
+    _check_key(seed, 0)
     _, per, vols, flags = _advance(mode, law, (volume_mode, l_exact, d_max),
-                                   _rng(seed), l0, n_chains, n_steps, steps)
+                                   (seed, 0), l0, n_chains, n_steps, steps)
     out = EnsembleResult((c, (per[i], vols[i])) for i, c in enumerate(steps))
     out.flags = flags
     return out

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criticality import solve_boltzmann
+from .criticality import _solve_valid, solve_boltzmann
 from .peeling import _check_integers, _rng, simulate_ensemble
 from .seriesutil import richardson_limit
 from .walk import StepLaw, complete_nu, deepen_negative
@@ -413,7 +413,8 @@ def cplus_slope_test(q: WeightSequence, j_range=(2, 3, 4, 5, 6)) -> SlopeReport:
     initial = None
     for j in j_range:
         g = 1.0 - 10.0 ** (-j)
-        cd = solve_boltzmann(q, g=g, initial=initial)
+        # q passed solve_boltzmann's check above
+        cd = _solve_valid(q, g=g, initial=initial)
         initial = (cd.c_plus, cd.r)
         x = math.sqrt(1.0 - g)
         gs.append(g)

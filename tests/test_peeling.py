@@ -2324,3 +2324,108 @@ class TestCompiledDraws:
         assert out.flags["band_accepts"] == taken
         assert out.flags["band_proposals"] >= out.flags["band_accepts"]
         assert out.flags["block_proposals"] == out.flags["block_accepts"] == 0
+
+
+class TestThreadGenerator:
+    """Each thread draws its chains from one generator, re-keyed from
+    (seed, chain_index) at the start of every run: each run's bytes are
+    those of a run on a cold slot that draws from a new generator,
+    ``_rng(seed, chain_index)``."""
+
+    # simulate and simulate_ensemble by turns, both transforms and every
+    # volume mode, on several seeds and chain indices up to 2^64 - 1
+    RUNS = [
+        (simulate, "ibpm", {"l0": 2, "n_steps": 400, "seed": 3}),
+        (simulate_ensemble, "ibpm", {"l0": 2, "n_steps": 300, "n_chains": 64, "seed": 3}),
+        (simulate, "finite", {"l0": 40, "n_steps": 400, "seed": 3, "chain_index": 5}),
+        (simulate, "ibpm", {"l0": 2, "n_steps": 400, "seed": 3, "chain_index": 1,
+                            "volume_mode": "expectation"}),
+        (simulate_ensemble, "finite", {"l0": 40, "n_steps": 300, "n_chains": 32,
+                                       "seed": 2**64 - 1, "volume_mode": "exact_small"}),
+        (simulate, "ibpm", {"l0": 7, "n_steps": 400, "seed": 2**64 - 1,
+                            "chain_index": 2**64 - 1, "volume_mode": "exact_small"}),
+        (simulate_ensemble, "ibpm", {"l0": 2, "n_steps": 300, "n_chains": 64, "seed": 8,
+                                     "checkpoints": [10, 100]}),
+    ]
+
+    @staticmethod
+    def _digest(run):
+        fn, mode, kw = run
+        return TestCompiledDraws._digest([fn(mode, LAW, **kw)])
+
+    def _cold(self, monkeypatch):
+        """Each run's digest on a cold slot, drawn from a new generator."""
+        digests = []
+        with monkeypatch.context() as m:
+            m.setattr(peeling, "_keyed", _rng)
+            for run in self.RUNS:
+                peeling._slot.clear()
+                digests.append(self._digest(run))
+        peeling._slot.clear()
+        return digests
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_runs_match_a_cold_slot(self, path, monkeypatch):
+        # the runs in one thread, each after a run refused past its seed
+        # check (l0 = 0 with a valid seed) and with the generator left
+        # mid-buffer with a spare 32-bit word: the digests of cold runs,
+        # all drawn from the thread's one generator
+        with draws_on(path):
+            cold = self._cold(monkeypatch)
+            warm, gens = [], []
+            for fn, mode, kw in self.RUNS:
+                with pytest.raises(ValueError, match="initial perimeter"):
+                    fn(mode, LAW, **{**kw, "l0": 0, "seed": 5})
+                warm.append(self._digest((fn, mode, kw)))
+                gens.append(peeling._slot.rng)
+                gens[-1].random(1, dtype=np.float32)
+        assert warm == cold
+        assert all(gen is gens[0] for gen in gens)
+
+    def test_rekeyed_state_is_a_new_generators(self):
+        # from any state, re-keying gives a new generator's whole state
+        for seed, chain_index in ((0, 0), (3, 1), (2**64 - 1, 2**64 - 1)):
+            rng = peeling._keyed(seed, chain_index)
+            rng.random(5, dtype=np.float32)
+            rng = peeling._keyed(seed, chain_index)
+            assert repr(rng.bit_generator.state) == repr(_rng(seed, chain_index).bit_generator.state)
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_two_threads_at_once(self, path, monkeypatch):
+        # the runs in two threads at once, in opposite orders: each
+        # thread's digests are the sequential cold runs'
+        with draws_on(path):
+            cold = self._cold(monkeypatch)
+            order = list(range(len(self.RUNS)))
+
+            def runs(order):
+                return [self._digest(self.RUNS[i]) for i in order]
+
+            with concurrent.futures.ThreadPoolExecutor(2) as pool:
+                forward, backward = pool.map(runs, [order, order[::-1]])
+        assert forward == cold
+        assert backward[::-1] == cold
+
+    def test_a_thread_builds_one_generator(self, monkeypatch):
+        # only a thread's first run builds a bit generator (whose seed
+        # sequence it makes itself); _rng hands out a new one per call
+        built = []
+        for name in ("Philox", "SeedSequence"):
+            def counted(*args, _name=name, _cls=getattr(np.random, name), **kwargs):
+                built.append(_name)
+                return _cls(*args, **kwargs)
+            monkeypatch.setattr(np.random, name, counted)
+        simulate("ibpm", LAW, n_steps=10, seed=1)
+        assert built == ["Philox"]
+        for seed in range(2, 5):
+            simulate("ibpm", LAW, n_steps=10, seed=seed, chain_index=seed)
+            simulate_ensemble("finite", LAW, 40, 10, 8, seed=seed)
+            simulate_ensemble("ibpm", LAW, 2, 10, 8, seed=seed)
+        assert built == ["Philox"]
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            pool.submit(simulate, "ibpm", LAW, n_steps=10).result()
+        assert built == ["Philox"] * 2
+        a, b = _rng(7), _rng(7)
+        assert a is not b and built == ["Philox"] * 4
+        assert a.random() == b.random()
+        assert a.random() != _rng(7).random()

@@ -238,17 +238,21 @@ class TestSlope:
         ("geometric", {"H": 3.0}),
     ])
     def test_continuation_matches_cold_solve(self, name, params, monkeypatch):
-        from peelkit import scaling
+        from peelkit import criticality, scaling
         from peelkit.criticality import solve_boltzmann
 
         solved = []
 
-        def spied(q, g=1.0, initial=None):
-            cd = solve_boltzmann(q, g=g, initial=initial)
-            solved.append((g, initial, cd))
-            return cd
+        def spy(solve):
+            def spied(q, g=1.0, initial=None):
+                cd = solve(q, g=g, initial=initial)
+                solved.append((g, initial, cd))
+                return cd
+            return spied
 
-        monkeypatch.setattr(scaling, "solve_boltzmann", spied)
+        # the first solve validates q; the deformed ones skip the check
+        for solve in ("solve_boltzmann", "_solve_valid"):
+            monkeypatch.setattr(scaling, solve, spy(getattr(criticality, solve)))
         q = preset(name, **params).weights
         cplus_slope_test(q)
         # every solve after the first at g < 1 starts from the last root
@@ -259,6 +263,18 @@ class TestSlope:
             assert cd.classification == cold.classification
             assert cd.c_plus == pytest.approx(cold.c_plus, rel=1e-10, abs=0)
             assert cd.r == pytest.approx(cold.r, rel=1e-10, abs=0)
+
+    def test_validates_once(self, monkeypatch):
+        # one check of q for the six solves: the deformed ones skip it
+        from peelkit import criticality
+
+        checked = []
+        validate = criticality.validate
+        monkeypatch.setattr(criticality, "validate",
+                            lambda q: checked.append(q) or validate(q))
+        q = preset("geometric", H=3.0).weights
+        cplus_slope_test(q)
+        assert checked == [q]
 
     def test_evaluation_count(self, monkeypatch):
         # continuation in g: each solve starts from the root at the last g
