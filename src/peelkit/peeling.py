@@ -1505,9 +1505,11 @@ def _c_run(engine, vol, run):
     s.n, s.n_steps, s.n_cps, s.cps = n, n_steps, len(run.cps), addr(run.cps)
     s.ls, s.vs, s.per, s.vols = addr(run.ls), addr(run.V), addr(run.per), addr(run.vols)
     if engine.order == 1:
-        rows = work[:len(names) * n].reshape(-1, n)
-        rows[names.index("da")], rows[names.index("cur")] = 0, 0
-        rows[names.index("act")] = np.arange(n)
+        # BLOCK_WORK opens with da and cur, which start at 0, and act, which
+        # starts at every chain
+        da = (len(_native.STEP_WORK) + 1) * n
+        work[da:da + 2 * n] = 0
+        work[da + 2 * n:da + 3 * n] = np.arange(n)
         s.ks, s.ks_cap, s.block_draws = base + 8 * len(names) * n, n_ks, BLOCK_DRAWS
         s.n_act, s.bphase = n, 0
     return s, (work, volumes)
