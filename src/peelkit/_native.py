@@ -1087,8 +1087,8 @@ SS_DONE, SS_WEIGHTS, SS_OVERFLOW, SS_NO_CUT = range(4)
 # block_rounds, a block's start or end) and an exp to take from numpy
 LS_DONE, LS_ROWS, LS_COVER, LS_EXP = range(4)
 # the per-chain work arrays of lockstep (and of block_rounds' single
-# steps), and those block_rounds adds, da, cur and act first
-# (`peeling._c_run` starts them)
+# steps), and those block_rounds adds; `peeling._c_run` starts the first
+# three of these, da, cur and act, by their place in one block
 STEP_WORK = ("jumps", "at", "lb", "kb", "todo", "vals")
 BLOCK_WORK = ("da", "cur", "act", "one", "blk", "bB", "bj", "blB", "bkeep")
 
