@@ -18,9 +18,11 @@ stays in the package as the fallback and the test reference:
 * ``block_rounds``, an infinite-map run's block rounds of
   `peeling._block_rounds_numpy` from its first step to its last: the
   single steps of chains with B(l) = 1 (sharing lockstep's code), the
-  tilts, the tilted and deep draws, the keep test (h(1, .) read from the
-  bands' table), and one walk over the kept blocks for their volumes,
-  checkpoints and new states (after their exact rows);
+  tilts, the tilted draws with each block's running sum, stopped at the
+  first step that takes a block below 1, the deep draws, the keep test
+  (h(1, .) read from the bands' table), and one walk over the kept
+  blocks for their volumes, checkpoints and new states (after their
+  exact rows);
 
 and ``fixed_double``/``fixed_uint64``, the bit generator of `FixedStream`,
 which feeds the self-check fixed uniforms, and ``gamma_fill``.
@@ -628,7 +630,7 @@ long long lockstep(bitgen_t *bg, lockstep_t *s)
 }
 
 /* block_rounds' phases within a round */
-enum { BR_START, BR_STEP, BR_TILT, BR_LINK, BR_DEEP_U, BR_DEEP_KEEP, BR_SUMS,
+enum { BR_START, BR_STEP, BR_TILT, BR_LINK, BR_DEEP_U, BR_DEEP_KEEP, BR_ENDS,
        BR_KEEP, BR_ROWS, BR_WALK, BR_END };
 
 /* _block_tilts: from B(l)'s tilt, up the grid while
@@ -738,14 +740,17 @@ INLINE long long step_hole(long long x, long long *lp, long long *val)
    peeling._block_rounds_numpy: per round the chains with B(l) = 1 make one
    step each (their draws, then their volumes, as lockstep), then every
    other chain proposes one block of min(B(l), steps left) steps, cut to
-   a share of block_draws, from nu_theta at its tilt (walk_tilt): every
-   tilted uniform of the round, then the redraw passes of the entries at
-   k <= -l_small (each pass every proposal's uniform, then every keep
-   uniform), then one keep uniform per block (kept with probability
-   h(1, l_B) e^(-theta l_B - log K_theta) when the block stays at 1 or
-   above).  The kept blocks are then walked: every exact row of their
-   holes first (BR_ROWS, where there are exact rows), then one pass in
-   step order that reads their volumes from the rule and writes the
+   a share of block_draws, from nu_theta at its tilt (walk_tilt): the
+   tilted uniforms of the round, block after block, each block stopping
+   at the first step that takes its path below 1 (a marker counted as
+   -l_small), then the redraw passes of the markers of the blocks that
+   drew every step (each pass every proposal's uniform, then every keep
+   uniform), then one keep uniform per block that stays at 1 or above
+   (kept with probability h(1, l_B) e^(-theta l_B - log K_theta)).  A
+   block stopped early draws nothing more, and its chain proposes again
+   the next round.  The kept blocks are then walked: every exact row of
+   their holes first (BR_ROWS, where there are exact rows), then one pass
+   in step order that reads their volumes from the rule and writes the
    checkpoints and the chains' new states (BR_WALK).  ks holds one entry
    per step of the round, at most ks_cap.  Returns LS_ROWS with the
    perimeter in need, LS_COVER with the largest block start, single step or
@@ -836,33 +841,53 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
             }
             if (total > s->ks_cap)
                 return -1;
-            /* the entries drawn at the marker -(k_neg + 1), counted: a
+            /* each block's steps at its place in ks, with the running sum
+               of its path, a marker -(k_neg + 1) counted as -l_small (the
+               jumps it stands for are at most that): a block stops at the
+               first step that takes that sum below 1.  bkeep: 0 for a
+               block stopped, 1 for one that stays at 1 or above, ending at
+               blB, 2 for one with markers, summed after their redraws; a
                round without one skips BR_LINK */
             long long p = 0, mark = -(s->k_neg + 1), marked = 0;
-            for (long long b = 0; b < m; b++)
-                for (long long q = 0; q < s->bB[b]; q++) {
-                    long long *k = &s->ks[p++];
-                    if (cdf_one(bg, s->tilt_rows, s->bj[b], k))
+            for (long long b = 0; b < m; p += s->bB[b++]) {
+                long long l = s->ls[s->blk[b]], sum = 0, deep = 0, q = 0;
+                long long *k = s->ks + p;
+                for (; q < s->bB[b]; q++) {
+                    if (cdf_one(bg, s->tilt_rows, s->bj[b], &k[q]))
                         return -1;
-                    if (*k <= mark) {
-                        if (*k < mark || s->n_deep < 1)
+                    if (k[q] > mark) {
+                        sum += k[q];
+                    } else {
+                        if (k[q] < mark || s->n_deep < 1)
                             return -1;
-                        marked++;
+                        deep = 1;
+                        sum -= s->l_small;
                     }
+                    if (l + sum < 1)
+                        break;
                 }
+                s->bkeep[b] = q < s->bB[b] ? 0 : deep ? 2 : 1;
+                s->blB[b] = l + sum;
+                marked |= s->bkeep[b] == 2;
+            }
             s->n_ks = total;
-            s->bphase = marked ? BR_LINK : BR_SUMS;
+            s->bphase = marked ? BR_LINK : BR_ENDS;
             break;
         }
         case BR_LINK: {
-            /* the entries drawn at the marker, linked in order */
+            /* the markers of the blocks that drew every step, linked in
+               order */
             long long mark = -(s->k_neg + 1);
             s->head = s->n_ks;
-            for (long long p = s->n_ks - 1; p >= 0; p--)
-                if (s->ks[p] == mark) {
-                    s->ks[p] = deep_node(s, s->head, 0);
-                    s->head = p;
-                }
+            for (long long b = s->n_blk - 1, end = s->n_ks; b >= 0; end -= s->bB[b--]) {
+                if (s->bkeep[b] != 2)
+                    continue;
+                for (long long p = end - 1; p >= end - s->bB[b]; p--)
+                    if (s->ks[p] == mark) {
+                        s->ks[p] = deep_node(s, s->head, 0);
+                        s->head = p;
+                    }
+            }
             s->bphase = BR_DEEP_U;
             break;
         }
@@ -909,23 +934,27 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                 }
                 s->node = next;
             }
-            s->bphase = s->head < s->n_ks ? BR_DEEP_U : BR_SUMS;
+            s->bphase = s->head < s->n_ks ? BR_DEEP_U : BR_ENDS;
             break;
         }
-        case BR_SUMS: {
-            /* per block its end perimeter, and whether it stays at 1 or above */
-            long long p = 0, hi = 0;
-            for (long long b = 0; b < s->n_blk; b++) {
-                long long l = s->ls[s->blk[b]], sum = 0, low = 0;
-                for (long long q = 0; q < s->bB[b]; q++) {
-                    sum += s->ks[p++];
-                    if (q == 0 || sum < low)
-                        low = sum;
+        case BR_ENDS: {
+            /* the blocks with markers, now redrawn: their end perimeter,
+               and whether they stay at 1 or above; then the largest end of
+               a block that stays */
+            long long hi = 0;
+            for (long long b = 0, p = 0; b < s->n_blk; p += s->bB[b++]) {
+                if (s->bkeep[b] == 2) {
+                    long long l = s->ls[s->blk[b]], sum = 0, q = 0;
+                    for (; q < s->bB[b]; q++) {
+                        sum += s->ks[p + q];
+                        if (l + sum < 1)
+                            break;
+                    }
+                    s->bkeep[b] = q == s->bB[b];
+                    s->blB[b] = l + sum;
                 }
-                s->blB[b] = l + sum;
-                s->bkeep[b] = l + low >= 1;
-                if (s->bkeep[b] && l + sum > hi)
-                    hi = l + sum;
+                if (s->bkeep[b] && s->blB[b] > hi)
+                    hi = s->blB[b];
             }
             s->need = hi;
             if (hi >= s->bands->n)
@@ -937,16 +966,16 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
             break;
         }
         case BR_KEEP:
+            /* one uniform per block that stays */
             for (; s->bi < s->n_blk; s->bi++) {
                 long long b = s->bi, j = s->bj[b], lB = s->blB[b];
-                double u = take_u(bg, s);
-                if (s->bkeep[b]) {
-                    long long keep = below(s, u, s->bands->hz[s->k_neg + lB],
-                                           -s->thetas[j] * (double)lB - s->log_K[j]);
-                    if (keep == LS_EXP)
-                        return LS_EXP;
-                    s->bkeep[b] = keep;
-                }
+                if (!s->bkeep[b])
+                    continue;
+                long long keep = below(s, take_u(bg, s), s->bands->hz[s->k_neg + lB],
+                                       -s->thetas[j] * (double)lB - s->log_K[j]);
+                if (keep == LS_EXP)
+                    return LS_EXP;
+                s->bkeep[b] = keep;
             }
             s->bphase = BR_ROWS;
             break;
@@ -1111,6 +1140,7 @@ class FixedStream:
     through ``bit_generator`` (the compiled loops, by lib's fixed_double).
     ``gamma`` runs numpy's gamma code, as linked into lib, on the same
     stream, whose 64-bit words are the uniforms' bits mixed (fixed_uint64).
+    It is its own ``bit_generator``, whose ``state`` is the position in us.
     The self-check runs on it rather than on a Generator: importing
     numpy.random would cost every process that builds an h table about
     14 ms and 6 MB."""
@@ -1123,9 +1153,17 @@ class FixedStream:
             state=ctypes.addressof(self._fixed),
             next_uint64=ctypes.cast(lib.fixed_uint64, _P).value,
             next_double=ctypes.cast(lib.fixed_double, _P).value)
-        self.bit_generator = types.SimpleNamespace(
-            lock=threading.Lock(), ctypes=types.SimpleNamespace(
-                bit_generator=ctypes.addressof(self._bitgen)))
+        self.lock = threading.Lock()
+        self.ctypes = types.SimpleNamespace(bit_generator=ctypes.addressof(self._bitgen))
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self._fixed.at
+
+    @state.setter
+    def state(self, at):
+        self._fixed.at = at
 
     def random(self, n):
         at = self._fixed.at

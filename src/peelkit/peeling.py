@@ -41,13 +41,20 @@ the round's share of BLOCK_DRAWS) takes the theta of the grid that keeps it
 most often.  nu_theta is drawn from one guided inverse-CDF row per theta
 over the window k > -L_SMALL; a draw from its last entry, which holds all
 of k <= -L_SMALL, is redrawn from nu there and kept with probability
-e^(theta (k + L_SMALL)).  The telescoping uses the harmonicity of h(1, .)
-for the materialized nu, which holds while the chain stays at or below
-k_neg (the runs deepen k_neg to 16 times the perimeter scale); above it,
-and for a law cut short of its positive tail, the block law differs from
-the step law only by the truncated masses trunc_neg and trunc_pos the law
-reports.  Finite-map chains always step one at a time: h(0, .) falls, so
-no envelope is close.
+e^(theta (k + L_SMALL)).  A block's steps are drawn in turn with its
+path's running sum, a draw at the last entry counted as -L_SMALL (the
+jumps it stands for are at most that), and the block stops at the first
+step that takes that sum below 1: the stay test would reject it, so it
+draws no further step, no redraw and no keep uniform, and its chain
+proposes again the next round.  The kept blocks' law does not change;
+only draws the stay test would throw away are cut.  The telescoping
+uses the harmonicity of h(1, .) for the materialized nu, which holds
+while the chain stays at or below k_neg (the runs deepen k_neg to 16
+times the perimeter scale); above it, and for a law cut short of its
+positive tail, the block law differs from the step law only by the
+truncated masses trunc_neg and trunc_pos the law reports.  Finite-map
+chains always step one at a time: h(0, .) falls, so no envelope is
+close.
 
 Everything the engine tabulates depends only on the law, the transform
 and the deepening depth, never on the call, and it comes in two parts.
@@ -84,8 +91,9 @@ whole rule table before its first step.  An
 infinite-map run goes in block rounds from its first step, in a second
 compiled loop on the same kind of state: per round the single steps of
 the chains with B(l) = 1 (the lockstep loop's code, so a round of such
-chains alone is one lockstep step), the tilts, the tilted draws and
-their deep redraws, the keep test, and then the kept blocks: their exact
+chains alone is one lockstep step), the tilts, the tilted draws (each
+block's stopped where its path falls below 1), the deep redraws of the
+blocks drawn whole, the keep test, and then the kept blocks: their exact
 volume rows (exact_small only), and one walk in step order that draws
 their volumes and writes their checkpoints and the chains' new states.
 It returns for a row, for a block's start or end or a single step past
@@ -133,8 +141,10 @@ VOLUME_MODES = ("exact_small", "asymptotic_xi", "expectation")
 DEFAULT_L_EXACT = 6
 L_SMALL = 1024
 ROW_CHUNK = 64
-# an ibpm block of B steps from l is kept with probability >= 1 / BLOCK_M
-BLOCK_M = 2.0
+# an ibpm block of B steps from l is kept with probability >= 1 / BLOCK_M;
+# with the early stop of a block that falls below 1, 1.25 and 1.5 ran one
+# benchmark round's chain work about 2% faster than 2 and 3, and tied
+BLOCK_M = 1.5
 # the tilts theta of block proposals: 1, 2^(-1/2), ..., 2^-24
 BLOCK_THETAS = 2.0 ** (-np.arange(49) / 2.0)
 # a block round draws at most this many steps, or one per block where there
@@ -159,6 +169,15 @@ def _rng(seed, chain_index=0):
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, chain_index], dtype=np.uint64))
     )
+
+
+def _peek(rng, n):
+    """The next n uniforms of rng, which is left where it was."""
+    bg = rng.bit_generator
+    state = bg.state
+    u = rng.random(n)
+    bg.state = state
+    return u
 
 
 def _keyed(seed, chain_index):
@@ -321,15 +340,19 @@ class _StackedCdf:
                                      rows[order])
         return out
 
-    def draw(self, rng, rows):
-        """One value per entry of rows, each drawn from its row's law; a row
-        outside the n built or with no weight raises IndexError."""
+    def check_rows(self, rows):
+        """Refuse (IndexError) a row outside the n built or with no weight."""
         if len(rows) and not (rows.min() >= 0 and rows.max() < self.n):
             raise IndexError(f"row outside the {self.n} rows built")
         # a row with no weight keeps every entry at its index, so the search
         # for any of its targets lands past the row
         if len(rows) and (self._flat[self._off[rows + 1] - 1] <= rows).any():
             raise IndexError("a draw from a row with no weight")
+
+    def draw(self, rng, rows):
+        """One value per entry of rows, each drawn from its row's law; a row
+        outside the n built or with no weight raises IndexError."""
+        self.check_rows(rows)
         return self.at(rows + rng.random(len(rows)) * self.U_MAX)
 
     def pack(self):
@@ -455,7 +478,10 @@ def _same_blocks(lib):
     uniform after its tilted draws lies on block 0's keep odds as numpy
     computes them, so the compiled loop must ask for numpy's exp (LS_EXP)
     to keep the same blocks; block 3's lies just below its odds, so a keep
-    test that reads h(1, .) a perimeter low rejects it.  Two more runs,
+    test that reads h(1, .) a perimeter low rejects it.  A third run, on
+    the synthetic rule with exact rows, stops blocks where they first fall
+    below 1: one mid-block before the draw that would give the deep marker,
+    one after drawing the marker, which counts as -L_SMALL.  Two more runs,
     with exact volume rows and the limit law, take the edges: one step of
     chains at every even perimeter from L_SMALL on, whose band uniforms lie
     just below and on its band's share, and blocks of B = 3 steps from 441
@@ -525,8 +551,14 @@ def _same_blocks(lib):
     means = 1 + np.arange(k_neg - 1) * 7 % 11
     rules = {"means": _Rule(means, means, np.zeros(len(means)), 0.75),
              "generic": _generic_rule(len(means))}
+    # blocks stopped mid-block: from 5 (B = 3, tilt row 0) +2 and -8, below 1
+    # before the draw at 0.995 would give the deep marker; from 1027 (B = 3,
+    # row 4) the marker, counted as -L_SMALL, and -8; from 600 (B = 2, row 2)
+    # +2 twice, kept on 0.5
+    stop = np.concatenate([[0.9, 0.01, 0.995, 0.01, 0.9, 0.9, 0.5], spread])
     for case, chains, n_steps, stream in (
             ("generic", start, steps, us), ("means", start, steps, us),
+            ("generic", np.array([5, 1027, 600]), 3, stop),
             ("exact", np.tile(even, 2), 1, np.concatenate([np.nextafter(share, 0), share,
                                                            spread])),
             ("exact", blk, 3, np.concatenate(tilted + [spread]))):
@@ -701,8 +733,9 @@ def _mean_table(law: StepLaw):
     return means
 
 
-# the hole-volume rule per degree l' (`_rule_table`)
-_Rule = collections.namedtuple("_Rule", "lo off c b")
+# the hole-volume rule per degree l' (`_rule_table`), and the addresses of
+# lo, off and c where an engine keeps it (`_ChainEngine.rule_table`)
+_Rule = collections.namedtuple("_Rule", "lo off c b addr", defaults=(None,))
 
 
 def _rule_table(law: StepLaw, means):
@@ -789,7 +822,7 @@ class VolumeSampler:
         (`_rule_table`), xi drawn in order for the holes with c > 0; a degree
         outside the table raises IndexError.  Outside expectation mode, a
         hole of degree > 0 with nothing drawn is a heavy law's mean."""
-        lo, off, c, b = self.rule
+        lo, off, c, b = self.rule[:4]
         lo, vals, c = lo[lp], off[lp], c[lp]
         if not lo.all():
             raise IndexError("a hole volume outside the rule table")
@@ -1164,9 +1197,11 @@ class _ChainEngine:
 
     def rule_table(self, means):
         """The law's hole-volume rule with or without means (`_rule_table`),
-        built on first use."""
+        built on first use with the addresses of its rows, which every
+        compiled run reads (`_c_run`)."""
         if means not in self.rules:
-            self.rules[means] = _rule_table(self.law, means)
+            rule = _rule_table(self.law, means)
+            self.rules[means] = rule._replace(addr=tuple(map(_native.address, rule[:3])))
         return self.rules[means]
 
     def start(self, l0):
@@ -1227,15 +1262,18 @@ class _ChainEngine:
 
     def propose_blocks(self, ls, B, rng):
         """One block of B[j] nu_theta steps per chain at ls[j], theta its
-        tilt: (the steps laid end to end, their running sum, each block's
-        start in it and the sum before it, the perimeters after the blocks,
-        which blocks are kept)."""
+        tilt, stopped early where its path falls below 1 (`_tilted_steps`):
+        (the steps laid end to end, their running sum, each block's start
+        in it and the sum before it, the perimeters after the blocks, which
+        blocks are kept).  Only the deep entries of blocks that drew every
+        step are redrawn, and only blocks that stay at 1 or above draw a
+        keep uniform."""
         ends = np.cumsum(B)
         starts = ends - B
         tilt = self._block_tilts(ls, B)
+        ks, whole = self._tilted_steps(ls, B, starts, tilt, rng)
         rows = np.repeat(tilt, B)
-        ks = self.tilt_rows.draw(rng, rows)
-        deep = np.flatnonzero(ks < -self.law.k_neg)
+        deep = np.flatnonzero((ks < -self.law.k_neg) & np.repeat(whole, B))
         if len(deep):
             ks[deep] = self._deep_jumps(rows[deep], rng)
         run = np.cumsum(ks)
@@ -1243,13 +1281,52 @@ class _ChainEngine:
         low = np.minimum.reduceat(run, starts) - before
         lB = ls + run[ends - 1] - before
         # kept with probability h(1, l_B) e^(-theta l_B) / K_theta <= 1
-        stay = ls + low >= 1
-        lB_s = np.where(stay, lB, 1)
-        self._cover(int(lB_s.max()))
-        h = np.where(stay, self.hz[self.law.k_neg + lB_s], 0.0)
-        odds = h * np.exp(-self.thetas[tilt] * lB_s - self.log_K[tilt])
-        keep = rng.random(len(ls)) < odds
+        stay = whole & (ls + low >= 1)
+        lB_s, j = lB[stay], tilt[stay]
+        self._cover(int(lB_s.max(initial=1)))
+        odds = self.hz[self.law.k_neg + lB_s] * np.exp(-self.thetas[j] * lB_s - self.log_K[j])
+        keep = np.zeros(len(ls), dtype=bool)
+        keep[stay] = rng.random(len(lB_s)) < odds
         return ks, run, starts, before, lB, keep
+
+    def _tilted_steps(self, ls, B, starts, tilt, rng):
+        """The blocks' tilted steps laid end to end, block after block from
+        the stream, each stopped at the first step where l + its steps so
+        far is below 1, a deep entry counted as -L_SMALL (the jumps it
+        stands for are at most that): (the steps, zero past a block's stop,
+        and which blocks did not stop).  A stopped block's law does not
+        matter, since it is rejected, and the uniforms it leaves go to the
+        next block.  The round's uniforms are read ahead (`_peek`), and
+        only those the blocks drew are taken.  A block that cannot fall
+        below 1 before its last step takes all its uniforms, so a run of
+        such blocks is drawn in one call."""
+        self.tilt_rows.check_rows(tilt)
+        u = _peek(rng, int(B.sum())) * _StackedCdf.U_MAX
+        ks = np.zeros(len(u), dtype=np.int64)
+        whole = np.ones(len(ls), dtype=bool)
+        free = ls - (B - 1) * L_SMALL >= 1
+        at = b = 0
+        # the runs of blocks alike in free, [b, e)
+        for e in np.append(np.flatnonzero(np.diff(free)) + 1, len(ls)).tolist():
+            if free[b]:
+                p, n = starts[b], int(B[b:e].sum())
+                k = ks[p:p + n] = self.tilt_rows.at(np.repeat(tilt[b:e], B[b:e]) + u[at:at + n])
+                whole[b:e] = ls[b:e] + np.add.reduceat(np.maximum(k, -L_SMALL),
+                                                       starts[b:e] - p) >= 1
+                at += n
+            else:
+                for c in range(b, e):
+                    l, n, j, p = int(ls[c]), int(B[c]), int(tilt[c]), int(starts[c])
+                    k = self.tilt_rows.at(j + u[at:at + n])
+                    low = l + np.cumsum(np.maximum(k, -L_SMALL)) < 1
+                    if low.any():
+                        whole[c] = False
+                        k = k[:int(low.argmax()) + 1]
+                    ks[p:p + len(k)] = k
+                    at += len(k)
+            b = e
+        rng.random(at)
+        return ks, whole
 
     def _block_tilts(self, ls, B):
         """Per block, the theta of the grid that keeps B steps from l most
@@ -1500,7 +1577,7 @@ def _c_run(engine, vol, run):
         setattr(s, name, base + 8 * n * i)
     volumes = vol._cdf.pack() if vol.l_exact else None
     s.volumes = volumes and ctypes.addressof(volumes[0])
-    s.lo, s.off, s.c = addr(rule.lo), addr(rule.off), addr(rule.c)
+    s.lo, s.off, s.c = rule.addr or map(addr, rule[:3])
     s.b, s.n_lp, s.l_exact = rule.b, len(rule.lo), vol.l_exact
     s.n, s.n_steps, s.n_cps, s.cps = n, n_steps, len(run.cps), addr(run.cps)
     s.ls, s.vs, s.per, s.vols = addr(run.ls), addr(run.V), addr(run.per), addr(run.vols)

@@ -28,23 +28,23 @@ PINS = {
     "quad-finite-exact_small": "ea47ce4c3e4f7ecc3cef20a1d13ca59bcb631b6cbf13348b6201bc44ded9b0ae",
     "quad-finite-asymptotic_xi": "8a27e52ee6cba86c6168c64b5798ce3f831410e321fc4345fd85a043ac25c3e8",
     "quad-finite-expectation": "14f17421b6a70d28a7746a03877e1977b89914de563b11a0d03299371a148527",
-    "quad-ibpm-exact_small": "525ef1168f1c19990ed6f4b381c51a264e56fd00f55a48217d88556d118b49ef",
-    "quad-ibpm-asymptotic_xi": "6ccf852b40475ab38c92d692671a6820fb94dd25b6b71146f8c500ee8e88421b",
-    "quad-ibpm-expectation": "1fb0b1a2e94df8df06087163d02f1556b8b9f4df3892c35fc4670be898e5de38",
+    "quad-ibpm-exact_small": "58a3ada5a5fd0a3896a6066ae5e692f3df804c4ff76eb901e382d43f65b1302b",
+    "quad-ibpm-asymptotic_xi": "af24898927386b809041c37064e948f0d2b088c2f2dbaec31e7f7caf188904e6",
+    "quad-ibpm-expectation": "eacb917ea53150b4b7a45b1ce47ab06129567912b9b4f9ce7a039a52c83e4bdb",
     "tri-finite-exact_small": "6c38f35e9f545bd2faf7e0578ca930a5e769cb5c704efa9db1dc81663a6ae955",
     "tri-finite-asymptotic_xi": "22f3e28d864c69484dcadc45a0f0d5edb5e8e3887968d3f058a0172e655fc801",
     "tri-finite-expectation": "2dd59826c91b48cdaca69ec1e54d7ad27abf915ce968432c0416b5c0fa019d02",
-    "tri-ibpm-exact_small": "fc50944fed8589031a60b246be4b7f24d4af8e20620634ead884eb87738eec5b",
-    "tri-ibpm-asymptotic_xi": "7af3bc20383f7c504dbc039ddb5d32a3dcd052aa3232b167f97cd2bba129d420",
-    "tri-ibpm-expectation": "9bf6d264961e9f0d4be3472e8832973d13173cd57e76308e7e313ba4caa708cd",
+    "tri-ibpm-exact_small": "14ad4d9725806d02adf24dfc7616b717f2a3c4fd141b4e9a2649a442297062b6",
+    "tri-ibpm-asymptotic_xi": "03305a697905792e226c19331d1cc5a17ca9baf1c4958438a100a2d92f599de6",
+    "tri-ibpm-expectation": "584b7ce9000a20dceb9f7544a579b14baec5242a5d7b26c11f527f2d9d926611",
     "geo3-finite-exact_small": "616855552794dac9b7ac8bbbb3bb48321b820f49c4d82cfa62c750792d1ddd73",
     "geo3-finite-asymptotic_xi": "9f60d0d5db9dd6837ee01a7bb1f28ea01f28353ae585a71a4173c0da8ef9808e",
     "geo3-finite-expectation": "b753787ad09119a90c9bfa8d88c92b37b9514a95bca351afa70a7a1a57ee3adb",
-    "geo3-ibpm-exact_small": "9911f4fc16ae5ecb8dc038141177aad4e7957fe52898cbe5503f75df74cc5a14",
-    "geo3-ibpm-asymptotic_xi": "b8f95e57511ef5f12b7ad5d8caaf94609c1373bfbf19216f845e74cc94c4e5e4",
-    "geo3-ibpm-expectation": "d12d0a3f27104c29978529bac1f8e391da21a20db4c29813f296a858a65a2c0c",
+    "geo3-ibpm-exact_small": "f23c5cec1c4ebea2aa6dbe24096cdf6534d97caf28bcb6f9ee36ff53d8af32a0",
+    "geo3-ibpm-asymptotic_xi": "d829dca896d507021db77ba9bdb672161b65cf6ac61e8f71f1ccbbc82bbd1b3e",
+    "geo3-ibpm-expectation": "7a3409cc7443d5448d0b873cc15c0cda98d4ae1e231b648d63a6fb269eede988",
     "ecf": "a4679b6865a89864b8b3c1315dd12a14691a5ecc9059b81e100ab34b71d5097f",
-    "heavy": "7e0a0d91ffadbf95fcc5b6ed80cdadb4b7a8293c72f8c8ecabaa202d9cd4b182",
+    "heavy": "6b927a6fa8e8eedda96c11c595e7af919ae7e765646a0dbf86aa314e102dc7cc",
 }
 LAWS = {"quad": ("two_p_angulation", {"p": 2}), "tri": ("odd_angulation", {"p": 1}),
         "geo3": ("geometric", {"H": 3.0})}

@@ -10,6 +10,7 @@ import shutil
 import types
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1002,11 +1003,12 @@ class TestBlockStepping:
     """ibpm chains move in blocks of B(l) steps (peeling module docstring)."""
 
     @pytest.mark.parametrize("key", ["quad", "tri", "geo3"])
-    @pytest.mark.parametrize("l0", [2, 20, 200])
+    @pytest.mark.parametrize("l0", [1, 2, 20, 200])
     def test_l_n_law(self, key, l0):
         # fixed-seed G-tests of l_10 and l_30 from small, middle and large
-        # l0: blocks of B(l) steps from l0 = 2 and blocks cut short by the
-        # run's end from l0 = 200; l_10 is read off inside blocks
+        # l0: blocks of B(l) steps from l0 = 1 and 2, most of whose rejected
+        # blocks stop where they first fall below 1, and blocks cut short by
+        # the run's end from l0 = 200; l_10 is read off inside blocks
         law, chains = DEEP[key], 8000
         out = simulate_ensemble("ibpm", law, l0, 30, chains, seed=61,
                                 checkpoints=[10])
@@ -1097,6 +1099,46 @@ class TestBlockStepping:
         expect = _forward_law("ibpm", law, l0, n) * chains
         counts = np.bincount(out[n][0], minlength=len(expect))
         assert _g_test_p(counts, expect, chains) > 1e-3
+
+    def test_round_draws_up_to_each_dip(self):
+        # the numpy reference's tilted draws, block after block, stop at the
+        # first step that takes a block below 1; then each block that stays
+        # takes one keep uniform: a step-by-step replay of the stream draws
+        # the same steps and then stands where the round left the stream
+        engine = _ChainEngine(LAW, "ibpm")
+        ls = np.tile(np.arange(1, 13), 4)
+        B = engine.blocks[ls]
+        rng = _rng(5)
+        ks, _, starts, _, _, keep = engine.propose_blocks(ls, B, rng)
+        replay, stays, mid = _rng(5), [], 0
+        for l, n, j, s in zip(ls, B, engine._block_tilts(ls, B), starts):
+            path, q = l, 0
+            while q < n and path >= 1:
+                t = np.array([j + replay.random() * _StackedCdf.U_MAX])
+                k = int(engine.tilt_rows.at(t)[0])
+                assert ks[s + q] == k
+                path, q = path + k, q + 1
+            assert not ks[s + q:s + n].any()
+            stays.append(path >= 1)
+            mid += 1 < q < n
+        replay.random(sum(stays))
+        np.testing.assert_array_equal(replay.random(8), rng.random(8))
+        assert not keep[~np.array(stays)].any()
+        # blocks stopped at their first step, mid-block, and blocks kept
+        assert 0 < mid < len(ls) - sum(stays) and keep.any()
+
+    @pytest.mark.parametrize("key", ["quad", "geo3"])
+    def test_readme_block_lengths(self, key):
+        # README's B(10) / B(100) / B(300), for the law deepened for a run
+        # of 10^4 steps, are the engine's
+        text = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+        found = re.search(r"B\(10\) / B\(100\) / B\(300\) is (\d+) / (\d+) / (\d+) for "
+                          r"quadrangulations and (\d+) / (\d+) / (\d+) for geo3", text)
+        readme = [int(x) for x in found.groups()]
+        law = {"quad": quad_law(), "geo3": geo3_law()}[key]
+        engine = _ChainEngine(deepen_negative(law, peeling._deep_k_neg(law, 10_000)), "ibpm")
+        assert engine.blocks[[10, 100, 300]].tolist() == (
+            readme[:3] if key == "quad" else readme[3:])
 
     def test_acceptance_rate(self):
         # a block of B(l) steps is kept with probability h(1, l) / (phi^B
@@ -1539,12 +1581,56 @@ class TestEngineReuse:
 
 
 # one-place mutants of the library's block rounds, (text, replacement) in
-# _native._C_SOURCE: the tilted uniforms taken by the steps in reverse
-# order, the tilt walk stopped after one move, a uniform on the keep odds
-# kept, a checkpoint's perimeter one step early, and a checkpoint's volume
-# without its own step's hole
+# _native._C_SOURCE: the blocks' tilted steps laid in reverse block order,
+# a block that falls below 1 drawn whole (its stop only marked), a deep
+# marker counted as its own value rather than -L_SMALL, the markers of
+# stopped blocks redrawn, a keep uniform drawn for a stopped block, the
+# tilt walk stopped after one move, a uniform on the keep odds kept, a
+# checkpoint's perimeter one step early, and a checkpoint's volume without
+# its own step's hole
 C_MUTANTS = {
-    "draw_order": ("&s->ks[p++]", "&s->ks[total - 1 - p++]"),
+    "draw_order": ("long long *k = s->ks + p;", "long long *k = s->ks + (total - p - s->bB[b]);"),
+    "whole_block": ("""                long long *k = s->ks + p;
+                for (; q < s->bB[b]; q++) {
+                    if (cdf_one(bg, s->tilt_rows, s->bj[b], &k[q]))
+                        return -1;
+                    if (k[q] > mark) {
+                        sum += k[q];
+                    } else {
+                        if (k[q] < mark || s->n_deep < 1)
+                            return -1;
+                        deep = 1;
+                        sum -= s->l_small;
+                    }
+                    if (l + sum < 1)
+                        break;
+                }
+""", """                long long *k = s->ks + p, stop = s->bB[b];
+                for (; q < s->bB[b]; q++) {
+                    if (cdf_one(bg, s->tilt_rows, s->bj[b], &k[q]))
+                        return -1;
+                    if (k[q] > mark) {
+                        sum += k[q];
+                    } else {
+                        if (k[q] < mark || s->n_deep < 1)
+                            return -1;
+                        deep = 1;
+                        sum -= s->l_small;
+                    }
+                    if (l + sum < 1 && stop == s->bB[b])
+                        stop = q;
+                }
+                q = stop;
+"""),
+    "marker_bound": ("sum -= s->l_small;", "sum += k[q];"),
+    "link_stopped": ("if (s->bkeep[b] != 2)", "if (s->bkeep[b] == 1)"),
+    "keep_stopped": ("""                if (!s->bkeep[b])
+                    continue;
+                long long keep""", """                if (!s->bkeep[b]) {
+                    take_u(bg, s);
+                    continue;
+                }
+                long long keep"""),
     "tilt_walk": ("            j--;\n            now = up;\n",
                   "            j--;\n            now = up;\n            break;\n"),
     "keep_comparison": ("return u < f * e;", "return u <= f * e;"),
@@ -1913,7 +1999,7 @@ class TestCompiledDraws:
                 kept(outs, calls)
                 cover = [(n, phase) for st, n, _, phase in calls if st == _native.LS_COVER]
                 assert (0, BR_PHASES.index("BR_START")) in cover
-                assert any(n > 0 and phase == BR_PHASES.index("BR_SUMS")
+                assert any(n > 0 and phase == BR_PHASES.index("BR_ENDS")
                            for n, phase in cover)
         return runs, check
 

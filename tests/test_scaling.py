@@ -7,6 +7,7 @@ import pytest
 from peelkit.peeling import VolumeSampler, _rng
 from peelkit.scaling import (
     ScalingReport,
+    _quantile_with_se,
     collapse_test,
     cplus_slope_test,
     ecf_test,
@@ -187,6 +188,30 @@ class TestCollapse:
         rep = collapse_test({"m": QUAD_LAW}, 50, 16, seed=1)
         vals, ses = rep.models["m"]["l_hat"]
         assert np.all(np.isfinite(vals)) and np.all(np.isfinite(ses))
+
+
+class TestQuantileErrors:
+    @staticmethod
+    def _split_loop(samples, qs, groups=16):
+        """The group errors as one np.quantile call per np.array_split group."""
+        per_group = np.vstack([np.quantile(p, qs) for p in np.array_split(samples, groups)])
+        return np.quantile(samples, qs), per_group.std(axis=0, ddof=1) / math.sqrt(groups)
+
+    def test_matches_the_split_loop_bytewise(self):
+        # sizes 16 to 2049: every remainder mod 16 and both sides of the
+        # bench's 768 and of the powers of two
+        rng = np.random.default_rng(11)
+        qs = [0.1, 0.25, 0.5, 0.75, 0.9]
+        sizes = sorted(set(range(16, 2050, 37)) | {17, 31, 32, 33, 767, 768, 769,
+                                                   1023, 1024, 1025, 2047, 2048, 2049})
+        for n in sizes:
+            x = rng.standard_exponential(n) ** 1.7
+            got, want = _quantile_with_se(x, qs), self._split_loop(x, qs)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], n
+
+    def test_fewer_samples_than_groups_refused(self):
+        with pytest.raises(ValueError, match="cannot fill 16 groups"):
+            _quantile_with_se(np.arange(15.0), [0.5])
 
 
 class TestExponents:
