@@ -554,8 +554,10 @@ def _same_blocks(lib):
     # blocks stopped mid-block: from 5 (B = 3, tilt row 0) +2 and -8, below 1
     # before the draw at 0.995 would give the deep marker; from 1027 (B = 3,
     # row 4) the marker, counted as -L_SMALL, and -8; from 600 (B = 2, row 2)
-    # +2 twice, kept on 0.5
-    stop = np.concatenate([[0.9, 0.01, 0.995, 0.01, 0.9, 0.9, 0.5], spread])
+    # +2 twice, kept on 0.5; the next round steps +2 seven times and keeps
+    # all three blocks
+    stop = np.concatenate([[0.9, 0.01, 0.995, 0.01, 0.9, 0.9, 0.5], [0.9] * 7, [0.01] * 3,
+                           spread])
     for case, chains, n_steps, stream in (
             ("generic", start, steps, us), ("means", start, steps, us),
             ("generic", np.array([5, 1027, 600]), 3, stop),
