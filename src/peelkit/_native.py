@@ -24,7 +24,11 @@ stays in the package as the fallback and the test reference:
   blocks for their volumes, checkpoints and new states (after their
   exact rows);
 
-and ``fixed_double``/``fixed_uint64``, the bit generator of `FixedStream`,
+``run_start``, which starts a run of either chain loop in one call: it
+copies the template of the run's engine and volume sampler
+(`peeling._template`), lays the run's rows out over its output and scratch
+blocks (`peeling._Run`), and writes its starting state; and
+``fixed_double``/``fixed_uint64``, the bit generator of `FixedStream`,
 which feeds the self-check fixed uniforms, and ``gamma_fill``.
 
 Each does the same double operations in the same order as its reference,
@@ -59,7 +63,11 @@ compared with their references on small fixed inputs (`_self_check`): the
 h recurrence, the series pass on synthetic weights, then the row fill, the
 lockstep loop and the block rounds on synthetic laws, whose fixed uniforms
 lie on the cuts of each kind of stacked row the chain loops draw from and
-on band shares.  The gamma is not compared with numpy's there (that would
+on band shares.  Its runs start on blocks filled with junk, so that a row
+``run_start`` leaves unwritten shows, and only they have a round budget:
+a loop that reads the fixed stream in another order may cycle without
+ending, and the budget turns that into a refusal (LS_BUDGET).  The gamma
+is not compared with numpy's there (that would
 import numpy.random into every process): it runs on the stand-in bit
 generator for both sides of the lockstep and block checks, and a test pins
 it to ``Generator.gamma(1.5, 2.0)``.  Without numpy's static library, a
@@ -405,7 +413,7 @@ void fill_rows(const double *h, const double *p, const long long *ks,
     }
 }
 
-enum { LS_DONE, LS_ROWS, LS_COVER, LS_EXP };
+enum { LS_DONE, LS_ROWS, LS_COVER, LS_EXP, LS_BUDGET };
 
 typedef struct {
     const cdf_t *rows;         /* the engine's rows, perimeters 0..rows->n-1 */
@@ -443,7 +451,66 @@ typedef struct {
     long long bphase, bi, node, prev, head, has_u;
     double u, exp_x, exp_val;
     long long exp_ready, block_proposals, block_accepts;
+    /* the most rounds a run may begin (0: no bound), and how many it has */
+    long long budget, rounds;
 } lockstep_t;
+
+/* The run's state s at its first step: the template t's fields (those that
+   read only the engine and its volume sampler), the run's sizes, and its
+   rows laid out in two blocks.  out holds the perimeter rows, then the
+   volume rows, each as a lead row (l0, 0 for volumes), n_cps checkpoint
+   rows and the chains' current state (ls, vs), n entries a row; work holds
+   STEP_WORK, env and, for an infinite-map run (ks_cap > 0), BLOCK_WORK and
+   the ks_cap entries of ks.  Every chain starts at l0 with volume 0, and
+   a block run with every chain active, no step taken and its first
+   checkpoint next. */
+void run_start(lockstep_t *s, const lockstep_t *t, long long *out, long long *work,
+               const long long *cps, long long n, long long n_cps, long long l0,
+               long long ks_cap, long long block_draws, long long budget)
+{
+    long long rows = (n_cps + 2) * n;
+    long long **step_work[] = {&s->jumps, &s->at, &s->lb, &s->kb, &s->todo, &s->vals};
+    long long **block_work[] = {&s->da, &s->cur, &s->act, &s->one, &s->blk, &s->bB,
+                                &s->bj, &s->blB, &s->bkeep};
+    *s = *t;
+    s->n = n;
+    s->n_steps = cps[n_cps - 1];
+    s->n_cps = n_cps;
+    s->cps = cps;
+    s->budget = budget;
+    s->per = out + n;
+    s->ls = out + rows - n;
+    s->vols = out + rows + n;
+    s->vs = out + 2 * rows - n;
+    for (long long c = 0; c < n; c++) {
+        out[c] = l0;
+        out[rows + c] = 0;
+        s->ls[c] = l0;
+        s->vs[c] = 0;
+    }
+    for (int i = 0; i < 6; i++)
+        *step_work[i] = work + i * n;
+    s->env = (double *)(work + 6 * n);
+    if (!ks_cap)
+        return;
+    for (int i = 0; i < 9; i++)
+        *block_work[i] = work + (7 + i) * n;
+    s->ks = work + 16 * n;
+    memset(s->da, 0, n * sizeof *s->da);
+    memset(s->cur, 0, n * sizeof *s->cur);
+    for (long long c = 0; c < n; c++)
+        s->act[c] = c;
+    s->n_act = n;
+    s->ks_cap = ks_cap;
+    s->block_draws = block_draws;
+}
+
+/* 1 when the run has begun all the rounds its budget allows (then
+   LS_BUDGET), else 0 and the round counted */
+static int spent(lockstep_t *s)
+{
+    return s->budget && s->rounds++ >= s->budget;
+}
 
 /* The shared single-step code below is always inlined, so lockstep's
    copy, over every chain (idx NULL), keeps no branch on idx. */
@@ -602,12 +669,16 @@ INLINE long long step_holes(bitgen_t *bg, lockstep_t *s, const long long *idx,
    band it reads: it returns LS_ROWS or LS_COVER with the perimeter in
    need, to start the same step again once that is tabulated, and then
    runs through.  LS_DONE after n_steps, or when every chain is absorbed
-   at 0; -1 for a read outside a table. */
+   at 0; LS_BUDGET before a step past the round budget (a step is a
+   round, and one started again is counted again); -1 for a read outside
+   a table. */
 long long lockstep(bitgen_t *bg, lockstep_t *s)
 {
     long long n = s->n;
     while (s->step < s->n_steps) {
         long long sc[4];
+        if (spent(s))
+            return LS_BUDGET;
         if (step_scan(s, NULL, n, sc))
             return -1;
         if (!sc[1])
@@ -756,7 +827,9 @@ INLINE long long step_hole(long long x, long long *lp, long long *val)
    perimeter in need, LS_COVER with the largest block start, single step or
    block end past the cover, or LS_EXP with the argument whose numpy exp a
    comparison needs, each before it draws what that decides, to resume at
-   the same phase; LS_DONE at n_steps, -1 for a read outside a table. */
+   the same phase; LS_DONE at n_steps, LS_BUDGET before a round past the
+   round budget (a round started again after LS_COVER is counted again),
+   -1 for a read outside a table. */
 long long block_rounds(bitgen_t *bg, lockstep_t *s)
 {
     long long n = s->n;
@@ -765,6 +838,8 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
         case BR_START: {
             if (!s->n_act)
                 return LS_DONE;
+            if (spent(s))
+                return LS_BUDGET;
             long long hi = 0;
             for (long long j = 0; j < s->n_act; j++) {
                 long long l = s->ls[s->act[j]];
@@ -1072,9 +1147,11 @@ class Bands(ctypes.Structure):
 
 
 class Lockstep(ctypes.Structure):
-    """lockstep_t: the tables, chains and work arrays of one run
-    (`peeling._c_run`), by address, and where the run is: in ``lockstep``
-    for a finite run, in ``block_rounds`` for an infinite-map one."""
+    """lockstep_t: the tables, chains and work arrays of one run, by
+    address, and where the run is: in ``lockstep`` for a finite run, in
+    ``block_rounds`` for an infinite-map one.  A run's state is laid out by
+    ``run_start`` from a template (`peeling._template`) and the run's two
+    blocks (`peeling._Run`)."""
     _fields_ = [(name, _P) for name in ("rows", "bands", "volumes", "lo", "off",
                                         "c")] + [
         ("b", ctypes.c_double)] + [
@@ -1093,7 +1170,8 @@ class Lockstep(ctypes.Structure):
                                  "bphase", "bi", "node", "prev", "head",
                                  "has_u")] + [
         (name, ctypes.c_double) for name in ("u", "exp_x", "exp_val")] + [
-        (name, _LL) for name in ("exp_ready", "block_proposals", "block_accepts")]
+        (name, _LL) for name in ("exp_ready", "block_proposals", "block_accepts",
+                                 "budget", "rounds")]
 
 
 class Series(ctypes.Structure):
@@ -1113,11 +1191,13 @@ class Series(ctypes.Structure):
 SS_DONE, SS_WEIGHTS, SS_OVERFLOW, SS_NO_CUT = range(4)
 # the results of lockstep and block_rounds: done, a row below L_SMALL
 # missing, a perimeter past the engine's cover (a single step's or, in
-# block_rounds, a block's start or end) and an exp to take from numpy
-LS_DONE, LS_ROWS, LS_COVER, LS_EXP = range(4)
-# the per-chain work arrays of lockstep (and of block_rounds' single
-# steps), and those block_rounds adds; `peeling._c_run` starts the first
-# three of these, da, cur and act, by their place in one block
+# block_rounds, a block's start or end), an exp to take from numpy, and
+# the round budget spent (the self-check's runs alone have one)
+LS_DONE, LS_ROWS, LS_COVER, LS_EXP, LS_BUDGET = range(5)
+# the per-chain work rows of lockstep (and of block_rounds' single steps),
+# and those block_rounds adds, in their order in a run's scratch block:
+# STEP_WORK, then env, then BLOCK_WORK, then ks (`run_start`, which starts
+# da and cur at 0 and act at every chain)
 STEP_WORK = ("jumps", "at", "lb", "kb", "todo", "vals")
 BLOCK_WORK = ("da", "cur", "act", "one", "blk", "bB", "bj", "blB", "bkeep")
 
@@ -1308,6 +1388,8 @@ def _open(path):
     for fn in (lib.lockstep, lib.block_rounds):
         fn.argtypes = [_P, ctypes.POINTER(Lockstep)]
         fn.restype = _LL
+    lib.run_start.argtypes = [ctypes.POINTER(Lockstep)] * 2 + [_P] * 3 + [_LL] * 6
+    lib.run_start.restype = None
     return lib
 
 

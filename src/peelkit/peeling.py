@@ -81,7 +81,9 @@ The perimeter tables grow in one place, `_ChainEngine._cover`: h(o, .),
 the bands and, for the infinite map, B(l) with its tilt rows cover the
 same perimeters, and the keep test reads h(1, .) from the bands' table.
 A finite run steps its chains in lockstep, in one compiled loop of the
-package's library (`_native`): each call makes the row draws below
+package's library (`_native`), started by one call of its ``run_start``
+from a template that each engine's volume sampler keeps (`_template`,
+`_Run`): each call of the loop makes the row draws below
 L_SMALL, the band rounds above it, the pruning volumes in every volume
 mode (numpy's own gamma code for xi) and the checkpoint rows of step
 after step, and returns only for a row it lacks (LS_ROWS) or a perimeter
@@ -127,6 +129,7 @@ import math
 import numbers
 import threading
 import types
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -407,7 +410,10 @@ def _same_lockstep(lib):
     and has every chain absorbed at step 26 of 29, so both loops must stop
     at the same checkpoint.  A sixth takes one step whose uniforms lie
     just below and on every cut of rows 1..8, and of the exact volume rows,
-    which chains from row 8 draw for holes of degree 1, 2 and 3."""
+    which chains from row 8 draw for holes of degree 1, 2 and 3.  Each run
+    starts on blocks of junk (`_junk`), so the lead rows and the rows the
+    loops write are compared, and the compiled loop may begin one round
+    per uniform of its stream."""
     ks = np.arange(-8, 3)
     h = 1.0 / np.sqrt(np.arange(1.0, 2 * L_SMALL + 1))
     law = types.SimpleNamespace(
@@ -444,7 +450,7 @@ def _same_lockstep(lib):
             ("exact", np.concatenate([np.full(len(v), 8), at]), range(1, 2),
              np.concatenate([inside, on, v_on, spread]))):
         runs = []
-        for lockstep in (lambda *a: _lockstep_c(lib, *a), _lockstep_numpy):
+        for compiled in (True, False):
             vol = VolumeSampler(law, "asymptotic_xi", engine=engine)
             vol.rule = rules.get(case, vol.rule)
             if case == "means":
@@ -452,22 +458,93 @@ def _same_lockstep(lib):
             elif case in ("exact", "generic"):
                 vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
             engine.start(1300)
-            run = _Run(len(start), 1, checkpoints)
+            run = _Run(len(start), 1, checkpoints, (lib, engine, vol) if compiled else None,
+                       budget=len(us), empty=_junk)
             run.ls[:] = start
             rng = _native.FixedStream(lib, us)
-            lockstep(engine, vol, rng, run)
-            runs.append((run.i, run.per[:run.i].tobytes(), run.vols[:run.i].tobytes(),
-                         run.ls.tobytes(), run.V.tobytes(), vol.flags, engine.flags,
-                         rng.used))
+            try:
+                if compiled:
+                    _lockstep_c(lib, engine, vol, rng, run)
+                else:
+                    _lockstep_numpy(engine, vol, rng, run)
+            except _OutOfRounds:
+                return "compiled lockstep ran out of its round budget"
+            runs.append((run.i, run.rows[:, :run.i + 1].tobytes(), run.ls.tobytes(),
+                         run.V.tobytes(), vol.flags, engine.flags, rng.used))
         if runs[0] != runs[1]:
             return "compiled lockstep differs from the Python loop"
     return None
 
 
+def _junk(size, dtype):
+    """The self-check's blocks for a run (`_Run`): every entry 2^40, so
+    that a row its start leaves unwritten shows, without a count large
+    enough to overflow a sum of them."""
+    return np.full(size, 1 << 40, dtype)
+
+
+class _OutOfRounds(RuntimeError):
+    """A compiled loop began more rounds than its budget allows (LS_BUDGET):
+    only the self-check's runs have one."""
+
+
 def _same_blocks(lib):
     """None when the compiled block rounds of lib give exactly the numpy
-    rounds on a small synthetic law, else a refusal (the library's
-    self-check, after the lockstep loop).  The law reaches k = -1030, so
+    rounds on every run of `_block_fixture`, else a refusal (the library's
+    self-check, after the lockstep loop)."""
+    fixture = _block_fixture()
+    for run in fixture.runs:
+        refusal = _same_block_run(lib, fixture, *run)
+        if refusal is not None:
+            return refusal
+    return None
+
+
+def _same_block_run(lib, fixture, case, chains, n_steps, stream):
+    """None when lib's block rounds and the numpy rounds run chains from
+    the given perimeters over n_steps steps alike on the fixture's engine,
+    drawing from the fixed uniforms of stream, with the volume rule of case
+    ("generic", "means" in expectation mode, or "exact": the limit law with
+    exact rows); else a refusal.  The compiled run may begin at most one
+    round per uniform of the stream, which a correct one never nears, so a
+    loop that reads the stream in another order ends without a chain ever
+    kept."""
+    engine, volumes, rules = fixture.engine, fixture.volumes, fixture.rules
+    runs = []
+    for compiled in (True, False):
+        vol = VolumeSampler(engine.law, "asymptotic_xi", engine=engine)
+        vol.rule = rules.get(case, vol.rule)
+        if case == "means":
+            vol.mode = "expectation"
+        else:
+            vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
+        engine.flags = {"band_proposals": 0, "band_accepts": 0}
+        run = _Run(len(chains), 1, range(1, n_steps + 1),
+                   (lib, engine, vol) if compiled else None, budget=len(stream), empty=_junk)
+        run.ls[:] = chains
+        rng = _native.FixedStream(lib, stream)
+        flags = {"block_proposals": 0, "block_accepts": 0}
+        try:
+            if compiled:
+                _block_rounds_c(lib, engine, vol, rng, run, flags)
+            else:
+                _block_rounds_numpy(engine, vol, rng, run, flags)
+        except _OutOfRounds:
+            return "compiled block rounds ran out of their round budget"
+        runs.append((run.rows.tobytes(), vol.flags, engine.flags, flags, rng.used))
+    if runs[0] != runs[1]:
+        return "compiled block rounds differ from the numpy rounds"
+    return None
+
+
+# the block rounds' self-check: its engine, exact volume rows, rules and
+# runs (case, chains, n_steps, stream)
+_BlockFixture = collections.namedtuple("_BlockFixture", "engine volumes rules runs")
+
+
+def _block_fixture():
+    """The block rounds' self-check (`_same_blocks`) on a small synthetic
+    law, as a `_BlockFixture`.  The law reaches k = -1030, so
     tilted draws at its last entry are redrawn.  Twelve chains, below and
     above L_SMALL, with B(l) = 1 only for even l above it, take every
     checkpoint of two steps, with exact volume rows, residuals and a
@@ -558,31 +635,12 @@ def _same_blocks(lib):
     # all three blocks
     stop = np.concatenate([[0.9, 0.01, 0.995, 0.01, 0.9, 0.9, 0.5], [0.9] * 7, [0.01] * 3,
                            spread])
-    for case, chains, n_steps, stream in (
-            ("generic", start, steps, us), ("means", start, steps, us),
-            ("generic", np.array([5, 1027, 600]), 3, stop),
-            ("exact", np.tile(even, 2), 1, np.concatenate([np.nextafter(share, 0), share,
-                                                           spread])),
-            ("exact", blk, 3, np.concatenate(tilted + [spread]))):
-        runs = []
-        for rounds in (lambda *a: _block_rounds_c(lib, *a), _block_rounds_numpy):
-            vol = VolumeSampler(law, "asymptotic_xi", engine=engine)
-            vol.rule = rules.get(case, vol.rule)
-            if case == "means":
-                vol.mode = "expectation"
-            else:
-                vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
-            engine.flags = {"band_proposals": 0, "band_accepts": 0}
-            run = _Run(len(chains), 1, range(1, n_steps + 1))
-            run.ls[:] = chains
-            rng = _native.FixedStream(lib, stream)
-            flags = {"block_proposals": 0, "block_accepts": 0}
-            rounds(engine, vol, rng, run, flags)
-            runs.append((run.per.tobytes(), run.vols.tobytes(), vol.flags, engine.flags,
-                         flags, rng.used))
-        if runs[0] != runs[1]:
-            return "compiled block rounds differ from the numpy rounds"
-    return None
+    return _BlockFixture(engine, volumes, rules, (
+        ("generic", start, steps, us), ("means", start, steps, us),
+        ("generic", np.array([5, 1027, 600]), 3, stop),
+        ("exact", np.tile(even, 2), 1, np.concatenate([np.nextafter(share, 0), share,
+                                                       spread])),
+        ("exact", blk, 3, np.concatenate(tilted + [spread]))))
 
 
 # -- single-step laws ------------------------------------------------------------
@@ -715,10 +773,12 @@ def _build_volume_tables(q, totals, l_exact, d_max):
 
 
 def _check_volume_args(mode, l_exact, d_max):
+    """Refuse a volume mode outside VOLUME_MODES, and an l_exact or d_max
+    that is not an integer >= 0 or >= 1; an int skips the ABC check."""
     if mode not in VOLUME_MODES:
         raise ValueError(f"volume mode must be one of {VOLUME_MODES}")
-    if not (isinstance(l_exact, numbers.Integral) and l_exact >= 0
-            and isinstance(d_max, numbers.Integral) and d_max >= 1):
+    if not ((type(l_exact) is int or isinstance(l_exact, numbers.Integral)) and l_exact >= 0
+            and (type(d_max) is int or isinstance(d_max, numbers.Integral)) and d_max >= 1):
         raise ValueError("l_exact must be an integer >= 0 and d_max one >= 1; "
                          f"got l_exact={l_exact!r}, d_max={d_max!r}")
 
@@ -735,9 +795,8 @@ def _mean_table(law: StepLaw):
     return means
 
 
-# the hole-volume rule per degree l' (`_rule_table`), and the addresses of
-# lo, off and c where an engine keeps it (`_ChainEngine.rule_table`)
-_Rule = collections.namedtuple("_Rule", "lo off c b addr", defaults=(None,))
+# the hole-volume rule per degree l' (`_rule_table`)
+_Rule = collections.namedtuple("_Rule", "lo off c b")
 
 
 def _rule_table(law: StepLaw, means):
@@ -776,7 +835,11 @@ class VolumeSampler:
     a degree past it or at a 0 entry of lo raises IndexError.  engine, when
     given, is law's chain engine, whose memos the sampler reads and fills:
     the rule tables (`_ChainEngine.rule_table`) and the enumeration tables
-    per (l_exact, d_max), so the runs of one deepened law share them.
+    per (l_exact, d_max), so the runs of one deepened law share them.  An
+    engine keeps one sampler per volume arguments (`_ChainEngine.sampler`)
+    for run after run: ``start`` gives each run fresh flags, and
+    ``template`` holds its compiled template on the engine of its first
+    compiled run (`_template`).
     """
 
     def __init__(self, law: StepLaw, mode="exact_small", l_exact=DEFAULT_L_EXACT,
@@ -790,14 +853,19 @@ class VolumeSampler:
             if (l_exact, d_max) not in memo:
                 memo[l_exact, d_max] = _exact_volume_tables(law, l_exact, d_max)
             built = memo[l_exact, d_max]
-        self.flags = {"exact_fallback": exact and built is None,
-                      "residual_draws": 0}
+        self._fallback = exact and built is None
+        self.start()
+        self.template = None
         self.tables, self._cdf = built or ({}, None)
         self.l_exact = l_exact if built else 0
         # heavy-tailed laws have no universal volume fluctuation scale and
         # fall back to the exact mean increment
         means = mode == "expectation" or math.isnan(law.B_nu)
         self.rule = _rule_table(law, means) if engine is None else engine.rule_table(means)
+
+    def start(self):
+        """Fresh flags for a run: the exact fallback, no residual drawn."""
+        self.flags = {"exact_fallback": self._fallback, "residual_draws": 0}
 
     def draw_many(self, rng, l_primes):
         """Vertex counts of filled-in holes of degrees l' >= 0 (vectorized);
@@ -1131,6 +1199,7 @@ class _ChainEngine:
         self.win_idx = self.win_ks + law.k_neg
         self.rules = {}
         self.exact_tables = {}
+        self.samplers = {}
         self.thetas = BLOCK_THETAS
         # B(l) for l < len(blocks), the cover's perimeters
         self.blocks = np.ones(0, dtype=np.int64)
@@ -1143,8 +1212,9 @@ class _ChainEngine:
 
     @functools.cached_property
     def c_fields(self):
-        """The fields of every run's compiled state (`_c_run`) that read
-        only the engine, filled on its first run."""
+        """The fields of every run's compiled state that read only the
+        engine, filled on its first compiled run; each template
+        (`_template`) starts as a copy."""
         c = _native.Lockstep(l_small=L_SMALL, absorbing=self.order == 0)
         if self.order == 1:
             addr, k_neg = _native.address, self.law.k_neg
@@ -1199,12 +1269,21 @@ class _ChainEngine:
 
     def rule_table(self, means):
         """The law's hole-volume rule with or without means (`_rule_table`),
-        built on first use with the addresses of its rows, which every
-        compiled run reads (`_c_run`)."""
+        built on first use."""
         if means not in self.rules:
-            rule = _rule_table(self.law, means)
-            self.rules[means] = rule._replace(addr=tuple(map(_native.address, rule[:3])))
+            self.rules[means] = _rule_table(self.law, means)
         return self.rules[means]
+
+    def sampler(self, vol_args):
+        """The `VolumeSampler` of this engine for vol_args = (mode, l_exact,
+        d_max), checked by the caller: built on the first run that asks for
+        it and kept with the engine, with fresh flags for each run."""
+        vol = self.samplers.get(vol_args)
+        if vol is None:
+            vol = self.samplers[vol_args] = VolumeSampler(self.law, *vol_args, engine=self)
+        else:
+            vol.start()
+        return vol
 
     def start(self, l0):
         """Begin a run of chains from perimeter l0 >= 1."""
@@ -1481,9 +1560,11 @@ def _check_integers(**named):
 def _advance(mode, law, vol_args, key, l0, n_chains, n_steps, checkpoints):
     """Run n_chains chains from l0 on law deepened for n_steps, drawing from
     the stream keyed by key = (seed, chain_index), checked by the caller:
-    (that law's digest, perimeter and volume rows at the sorted
-    checkpoints, flags).  A finite run's chains step in lockstep, an
-    infinite-map run's in block rounds."""
+    (that law's digest, the run's rows, flags).  The rows are a (2, 1 +
+    len(checkpoints), n_chains) view, perimeters then volumes, each the
+    lead row (l0 and 0) and then the rows at the sorted checkpoints
+    (`_Run`).  A finite run's chains step in lockstep, an infinite-map
+    run's in block rounds."""
     if min(n_chains, n_steps) < 1 or checkpoints[0] < 1 or checkpoints[-1] != n_steps:
         raise ValueError("n_chains and n_steps must be >= 1 and checkpoints in "
                          f"1..n_steps; got n_chains={n_chains}, n_steps={n_steps}")
@@ -1493,9 +1574,9 @@ def _advance(mode, law, vol_args, key, l0, n_chains, n_steps, checkpoints):
     _check_volume_args(*vol_args)
     l0 = int(l0)
     with _chain_engine(mode, law, n_steps) as (law, digest, engine, reuse):
-        vol = VolumeSampler(law, *vol_args, engine=engine)
+        vol = engine.sampler(vol_args)
         engine.start(l0)
-        run = _Run(n_chains, l0, checkpoints)
+        run = _Run(n_chains, l0, checkpoints, _compiled(engine, vol))
         flags = {"block_proposals": 0, "block_accepts": 0}
         rng = _keyed(*key)
         if engine.order == 0:
@@ -1504,35 +1585,88 @@ def _advance(mode, law, vol_args, key, l0, n_chains, n_steps, checkpoints):
             run.per[run.i:], run.vols[run.i:] = run.ls, run.V
         else:
             _block_rounds(engine, vol, rng, run, flags)
-        return digest, run.per, run.vols, {**vol.flags, **flags, **engine.flags, **reuse}
+        return digest, run.rows, {**vol.flags, **flags, **engine.flags, **reuse}
+
+
+def _compiled(engine, vol):
+    """(lib, engine, vol) for a run of engine's chains in the library's
+    loops, or None where the numpy loops run it (no library, or a law
+    whose jumps are not int64)."""
+    lib = _native.library()[0]
+    if lib is None or engine.rows._vals.dtype != np.int64:
+        return None
+    return lib, engine, vol
+
+
+def _template(engine, vol):
+    """The template of the compiled runs of engine with vol: a
+    `_native.Lockstep` holding every field that reads only the engine (its
+    ``c_fields``) and vol (its exact volume rows, its rule rows, b, n_lp and
+    l_exact), which ``run_start`` copies into each run's state.  vol keeps
+    it, with the tables it points into, from its first compiled run on
+    engine; it is built anew for another engine."""
+    kept = vol.template
+    if kept is None or kept[0]() is not engine:
+        t = _native.Lockstep.from_buffer_copy(engine.c_fields)
+        volumes, rule = (vol._cdf.pack() if vol.l_exact else None), vol.rule
+        t.volumes = volumes and ctypes.addressof(volumes[0])
+        t.lo, t.off, t.c = map(_native.address, rule[:3])
+        t.b, t.n_lp, t.l_exact = rule.b, len(rule.lo), vol.l_exact
+        kept = vol.template = weakref.ref(engine), t, volumes, rule
+    return kept[1]
 
 
 class _Run:
-    """A run's chains: perimeters ls and volumes V, their rows per and vols
-    at the checkpoints, and for a run in lockstep the first `i` checkpoints
-    written."""
+    """A run's chains, started at l0 with volume 0.
 
-    def __init__(self, n_chains, l0, checkpoints):
-        self.ls = np.full(n_chains, l0, dtype=np.int64)
-        self.V = np.zeros(n_chains, dtype=np.int64)
+    Its output block holds the perimeter rows and then the volume rows,
+    each a lead row (l0, and 0 for volumes), a row per checkpoint and the
+    chains' current state: ``rows`` (the lead and checkpoint rows of both),
+    ``per`` and ``vols`` (the checkpoint rows), ``ls`` and ``V`` (the
+    current state) are views of it.  A run for the numpy loops is started
+    here.  With c = (lib, engine, vol) (`_compiled`), lib's ``run_start``
+    starts it from their template (`_template`) into its compiled state
+    ``s``, over the output block and a scratch block of work rows
+    (STEP_WORK, env, and for the ibpm transform BLOCK_WORK and ks), which
+    results never hold.  Only the self-check gives a round budget (0:
+    none) and an empty that fills both blocks with junk.  ``i``: the
+    checkpoints a run in lockstep wrote."""
+
+    def __init__(self, n_chains, l0, checkpoints, c=None, budget=0, empty=np.empty):
+        n = n_chains
         self.checkpoints = checkpoints
         # np.asarray would read a range one int at a time
-        self.cps = (np.arange(checkpoints.start, checkpoints.stop, checkpoints.step)
-                    if isinstance(checkpoints, range)
-                    else np.asarray(checkpoints, dtype=np.int64))
-        self.per = np.empty((len(self.cps), n_chains), dtype=np.int64)
-        self.vols = np.empty_like(self.per)
+        self.cps = cps = (np.arange(checkpoints.start, checkpoints.stop, checkpoints.step)
+                          if isinstance(checkpoints, range)
+                          else np.asarray(checkpoints, dtype=np.int64))
+        out = empty(2 * (len(cps) + 2) * n, dtype=np.int64)
+        block = out.reshape(2, len(cps) + 2, n)
+        self.rows, self.per, self.vols = block[:, :-1], block[0, 1:-1], block[1, 1:-1]
+        self.ls, self.V = block[0, -1], block[1, -1]
         self.i = 0
+        self.lib = self.s = None
+        if c is None:
+            self.ls[:] = block[0, 0] = l0
+            self.V[:] = block[1, 0] = 0
+            return
+        self.lib, engine, vol = c
+        # the most steps a round draws: max(BLOCK_DRAWS, n)
+        n_ks = min(n * int(cps[-1]), max(n, BLOCK_DRAWS)) if engine.order else 0
+        rows = len(_native.STEP_WORK) + 1 + (len(_native.BLOCK_WORK) if n_ks else 0)
+        self.work = empty(rows * n + n_ks, dtype=np.int64)
+        self.s = _native.Lockstep()
+        self.lib.run_start(self.s, _template(engine, vol), _native.address(out),
+                           _native.address(self.work), _native.address(cps), n, len(cps),
+                           l0, n_ks, BLOCK_DRAWS, budget)
 
 
 def _lockstep(engine, vol, rng, run):
     """Step the chains of a finite run, absorbed at 0, until all steps are
-    taken or every chain is absorbed: in the library's ``lockstep`` where
-    it loads, else in numpy; both draw the same values."""
-    lib = _native.library()[0]
-    if lib is None or engine.rows._vals.dtype != np.int64:
+    taken or every chain is absorbed: in the library's ``lockstep`` for a
+    run it started (`_Run`), else in numpy; both draw the same values."""
+    if run.s is None:
         return _lockstep_numpy(engine, vol, rng, run)
-    return _lockstep_c(lib, engine, vol, rng, run)
+    return _lockstep_c(run.lib, engine, vol, rng, run)
 
 
 def _lockstep_numpy(engine, vol, rng, run):
@@ -1559,41 +1693,6 @@ def _lockstep_numpy(engine, vol, rng, run):
     run.i = i
 
 
-def _c_run(engine, vol, run):
-    """The compiled loops' state of run at its first step, a
-    `_native.Lockstep` over its chains, tables and per-chain work rows, and
-    the arrays it points into, which the caller keeps.  The fields that
-    read only the engine are copied from its ``c_fields``; the work rows
-    (STEP_WORK and env, and for an infinite-map run BLOCK_WORK and ks) are
-    one block, each addressed by its offset from the block's base."""
-    n, n_steps = len(run.ls), int(run.cps[-1])
-    names, n_ks = _native.STEP_WORK + ("env",), 0
-    if engine.order == 1:
-        names += _native.BLOCK_WORK
-        # the most steps a round draws: max(BLOCK_DRAWS, n)
-        n_ks = min(n * n_steps, max(n, BLOCK_DRAWS))
-    work = np.empty(len(names) * n + n_ks, dtype=np.int64)
-    base, addr, rule = _native.address(work), _native.address, vol.rule
-    s = _native.Lockstep.from_buffer_copy(engine.c_fields)
-    for i, name in enumerate(names):
-        setattr(s, name, base + 8 * n * i)
-    volumes = vol._cdf.pack() if vol.l_exact else None
-    s.volumes = volumes and ctypes.addressof(volumes[0])
-    s.lo, s.off, s.c = rule.addr or map(addr, rule[:3])
-    s.b, s.n_lp, s.l_exact = rule.b, len(rule.lo), vol.l_exact
-    s.n, s.n_steps, s.n_cps, s.cps = n, n_steps, len(run.cps), addr(run.cps)
-    s.ls, s.vs, s.per, s.vols = addr(run.ls), addr(run.V), addr(run.per), addr(run.vols)
-    if engine.order == 1:
-        # BLOCK_WORK opens with da and cur, which start at 0, and act, which
-        # starts at every chain
-        da = (len(_native.STEP_WORK) + 1) * n
-        work[da:da + 2 * n] = 0
-        work[da + 2 * n:da + 3 * n] = np.arange(n)
-        s.ks, s.ks_cap, s.block_draws = base + 8 * len(names) * n, n_ks, BLOCK_DRAWS
-        s.n_act, s.bphase = n, 0
-    return s, (work, volumes)
-
-
 def _drain(s, engine, vol, flags=None):
     """Add the counts of the compiled state s to the run's flags, once."""
     engine.flags["band_proposals"] += s.band_proposals
@@ -1607,9 +1706,10 @@ def _drain(s, engine, vol, flags=None):
 
 
 def _lockstep_c(lib, engine, vol, rng, run):
-    """`_lockstep` in C: one ``lockstep`` call runs until a row or the cover
-    is missing, which is grown here before the call starts that step again."""
-    s, _arrays = _c_run(engine, vol, run)
+    """`_lockstep` in C, on a run started for lib: one ``lockstep`` call
+    runs until a row or the cover is missing, which is grown here before
+    the call starts that step again."""
+    s = run.s
     try:
         _drive(lib.lockstep, "lockstep", engine, rng, s)
     finally:
@@ -1618,55 +1718,63 @@ def _lockstep_c(lib, engine, vol, rng, run):
 
 
 def _drive(loop, name, engine, rng, s):
-    """Call the compiled loop on the state s until it returns LS_DONE: after
-    LS_ROWS the window's rows and after LS_COVER the engine's cover grow to
-    s.need, after LS_EXP numpy's exp of s.exp_x is supplied, and the call
-    resumes where it stopped; any other status is a read outside the tables
-    (IndexError)."""
+    """Call the compiled loop on the state s until it returns LS_DONE.  The
+    addresses of the engine's rows, bands and block tables are set before
+    the first call and kept until a table grows: after LS_ROWS the window's
+    rows and after LS_COVER the engine's cover grow to s.need, and they are
+    packed anew.  After LS_EXP numpy's exp of s.exp_x is supplied.  The call
+    resumes where it stopped; LS_BUDGET raises `_OutOfRounds`, and any other
+    status is a read outside the tables (IndexError)."""
     bg = rng.bit_generator
-    state = bg.ctypes.bit_generator
+    state, ref = bg.ctypes.bit_generator, ctypes.byref(s)
+    tables = None
     while True:
-        rows, bands = engine.rows.pack(), engine.bands.pack()
-        s.rows, s.bands = ctypes.addressof(rows[0]), ctypes.addressof(bands)
-        if engine.order == 1:
-            tilt = engine.tilt_rows.pack()
-            s.tilt_rows = ctypes.addressof(tilt[0])
-            s.blocks, s.n_blocks = _native.address(engine.blocks), len(engine.blocks)
-            s.block_tilt = _native.address(engine.block_tilt)
+        if tables is None:
+            # the packed tables stay referenced while C reads them
+            tables = rows, bands, tilt = (engine.rows.pack(), engine.bands.pack(),
+                                          engine.order and engine.tilt_rows.pack())
+            s.rows, s.bands = ctypes.addressof(rows[0]), ctypes.addressof(bands)
+            if tilt:
+                s.tilt_rows = ctypes.addressof(tilt[0])
+                s.blocks, s.n_blocks = _native.address(engine.blocks), len(engine.blocks)
+                s.block_tilt = _native.address(engine.block_tilt)
         with bg.lock:
-            status = loop(state, ctypes.byref(s))
+            status = loop(state, ref)
+        if status == _native.LS_DONE:
+            return
         if status == _native.LS_EXP:
             # numpy's exp of the comparison's argument, as numpy computes it
             s.exp_val, s.exp_ready = np.exp(np.array([s.exp_x]))[0], 1
         elif status == _native.LS_ROWS:
             engine.window.extend_rows(s.need)
+            tables = None
         elif status == _native.LS_COVER:
             engine._cover(s.need)
-        elif status == _native.LS_DONE:
-            return
+            tables = None
+        elif status == _native.LS_BUDGET:
+            raise _OutOfRounds(f"{name} ran out of its round budget")
         else:
             raise IndexError(f"{name} read outside the tables built")
 
 
 def _block_rounds(engine, vol, rng, run, flags):
     """Advance ibpm chains from their first step to the last checkpoint in
-    block rounds: in the library's ``block_rounds`` where it loads, else in
-    numpy; both draw the same values."""
-    lib = _native.library()[0]
-    if lib is None or engine.rows._vals.dtype != np.int64:
+    block rounds: in the library's ``block_rounds`` for a run it started
+    (`_Run`), else in numpy; both draw the same values."""
+    if run.s is None:
         return _block_rounds_numpy(engine, vol, rng, run, flags)
-    return _block_rounds_c(lib, engine, vol, rng, run, flags)
+    return _block_rounds_c(run.lib, engine, vol, rng, run, flags)
 
 
 def _block_rounds_c(lib, engine, vol, rng, run, flags):
-    """`_block_rounds` in C: one ``block_rounds`` call runs until a row or
-    the cover is missing or a comparison needs numpy's exp, which is
-    supplied here before the call resumes where it stopped."""
-    s, _arrays = _c_run(engine, vol, run)
+    """`_block_rounds` in C, on a run started for lib: one ``block_rounds``
+    call runs until a row or the cover is missing or a comparison needs
+    numpy's exp, which is supplied here before the call resumes where it
+    stopped."""
     try:
-        _drive(lib.block_rounds, "block_rounds", engine, rng, s)
+        _drive(lib.block_rounds, "block_rounds", engine, rng, run.s)
     finally:
-        _drain(s, engine, vol, flags)
+        _drain(run.s, engine, vol, flags)
 
 
 def _block_rounds_numpy(engine, vol, rng, run, flags):
@@ -1767,12 +1875,12 @@ def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,
     l0 = 2 if l0 is None else l0
     _check_integers(n_steps=n_steps)
     _check_key(seed, chain_index)
-    digest, per, volumes, flags = _advance(
+    digest, rows, flags = _advance(
         mode, law, (volume_mode, l_exact, d_max), (seed, chain_index), l0,
         1, n_steps, range(1, n_steps + 1))
     return PeelTrace(
-        perimeters=np.concatenate([[l0], per[:, 0]]),
-        volumes=np.concatenate([[0], volumes[:, 0]]),
+        perimeters=rows[0, :, 0],
+        volumes=rows[1, :, 0],
         mode=mode,
         volume_mode=volume_mode,
         seed=seed,
@@ -1812,8 +1920,8 @@ def simulate_ensemble(mode, law: StepLaw, l0, n_steps, n_chains, seed=0,
     _check_integers(n_steps=n_steps, n_chains=n_chains, checkpoints=cps)
     steps = sorted({int(c) for c in cps} | {int(n_steps)})
     _check_key(seed, 0)
-    _, per, vols, flags = _advance(mode, law, (volume_mode, l_exact, d_max),
-                                   (seed, 0), l0, n_chains, n_steps, steps)
-    out = EnsembleResult((c, (per[i], vols[i])) for i, c in enumerate(steps))
+    _, rows, flags = _advance(mode, law, (volume_mode, l_exact, d_max),
+                              (seed, 0), l0, n_chains, n_steps, steps)
+    out = EnsembleResult((c, (rows[0, i], rows[1, i])) for i, c in enumerate(steps, 1))
     out.flags = flags
     return out

@@ -300,6 +300,7 @@ class TestFloatRecurrence:
                    "lockstep": "compiled lockstep differs from the Python loop",
                    "block_rounds": "compiled block rounds differ from the numpy "
                                    "rounds",
+                   "run_start": "compiled lockstep differs from the Python loop",
                    "h_recurrence": "compiled h recurrence differs from the "
                                    "Python loop",
                    "series_sums": "compiled series sums differ from the "
@@ -317,9 +318,9 @@ class TestFloatRecurrence:
         open_ = _native._open
 
         def skew(args):
-            if name in ("lockstep", "block_rounds"):
+            if name in ("lockstep", "block_rounds", "run_start"):
                 # one more vertex for the first chain
-                run = args[1]._obj
+                run = args[0] if name == "run_start" else args[1]._obj
                 (ctypes.c_longlong * run.n).from_address(run.vs)[0] += 1
             elif name == "fill_rows":   # the first entry filled, one ulp up
                 first = ctypes.c_double.from_address(args[-1])

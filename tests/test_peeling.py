@@ -7,6 +7,7 @@ import os
 import random
 import re
 import shutil
+import time
 import types
 import weakref
 from fractions import Fraction
@@ -802,6 +803,8 @@ class TestMeanTable:
                 else:
                     engine.rules[True] = peeling._Rule(*(a[:1].copy() for a in rule[:3]),
                                                        rule.b)
+                    # the engine's kept sampler holds the rule it was built with
+                    engine.samplers.clear()
                 with pytest.raises(IndexError):
                     run()
             peeling._slot.clear()
@@ -1068,11 +1071,11 @@ class TestBlockStepping:
                 rows.draw(_rng(4), np.array([row, 0]))
             if lib is not None and table == "chain":
                 engine.start(2)
-                run = peeling._Run(2, 2, range(1, 3))
+                vol = VolumeSampler(engine.law, "expectation")
+                run = peeling._Run(2, 2, range(1, 3), (lib, engine, vol))
                 run.ls[0] = row
                 with pytest.raises(IndexError, match="lockstep read outside the tables built"):
-                    peeling._lockstep_c(lib, engine, VolumeSampler(engine.law, "expectation"),
-                                        _rng(4), run)
+                    peeling._lockstep_c(lib, engine, vol, _rng(4), run)
 
     @pytest.mark.parametrize("j", [15, 30])
     def test_deep_jumps_are_tilted_nu(self, j):
@@ -1429,6 +1432,55 @@ class TestEngineReuse:
         self._same(after[0], run()[0])
         self._same(again[0], run(fresh, volume_mode="expectation")[0])
 
+    def test_the_digest_kept_on_a_law_sees_every_edit(self):
+        # a law keeps its digest against the bytes, dtype and shape of probs
+        # and the reprs of r and c_plus: an in-place edit of probs after a
+        # run, a new r or c_plus, and r = -0.0 after 0.0 each build a new
+        # depth part; a new probs of the same bytes, or r back at 0.0, reuses
+        # a kept one
+        law = deepen_negative(quad_law(), 2048)     # run as given
+
+        def built():
+            out = simulate("finite", law, l0=40, n_steps=200, seed=3)
+            return out.flags["depth_built"]
+
+        assert [built(), built()] == [True, False]
+        law.probs[law.k_neg - 4] *= 0.5
+        assert built()
+        law.probs = law.probs.copy()
+        assert not built()
+        law.c_plus = math.nextafter(law.c_plus, math.inf)
+        assert built()
+        law.r = 0.0
+        assert built()
+        law.r = -0.0
+        assert built()
+        law.r = 0.0
+        assert not built()
+
+    def test_a_kept_sampler_starts_each_run_afresh(self, monkeypatch):
+        # the engine keeps one volume sampler per volume arguments: a warm
+        # run checks its arguments once, builds no sampler, and reports only
+        # its own residual draws
+        calls = []
+        check, init = peeling._check_volume_args, VolumeSampler.__init__
+        monkeypatch.setattr(peeling, "_check_volume_args",
+                            lambda *a: (calls.append("check"), check(*a))[1])
+        monkeypatch.setattr(VolumeSampler, "__init__",
+                            lambda self, *a, **kw: (calls.append("sampler"),
+                                                    init(self, *a, **kw))[1])
+
+        def run():
+            out = simulate_ensemble("finite", tri_law(), 30, 400, 256, seed=9,
+                                    volume_mode="exact_small")
+            return {k: v for k, v in out.flags.items() if k not in REUSE_FLAGS}
+
+        first = run()
+        assert first["residual_draws"] > 0 and calls.count("sampler") == 1
+        calls.clear()
+        assert run() == first
+        assert calls == ["check"]
+
     def test_kept_depth_is_capped(self, monkeypatch):
         # the kept parts of a mode come to at most DEPTH_CAP of depth with
         # the new one: a part is built only once enough of the least
@@ -1654,6 +1706,13 @@ C_MUTANTS = {
                     if (++step == s->cps[cp]) {
                         s->vols[cp * n + c] = v0;
 """),
+    # run_start laying a run's rows out wrongly: one chain left out of act,
+    # da left as the block was (the self-check's blocks hold junk), and no
+    # lead row, which the lockstep check sees first
+    "act_start": ("    s->n_act = n;\n", "    s->n_act = n - 1;\n"),
+    "da_zero": ("    memset(s->da, 0, n * sizeof *s->da);\n", ""),
+    "lead_row": ("        out[c] = l0;\n        out[rows + c] = 0;\n", "",
+                 "compiled lockstep differs from the Python loop"),
 }
 
 
@@ -1678,8 +1737,8 @@ def _past_the_cover(law, l0, n_steps, n_chains):
     engine of law, begun without ``start``: where l0 lies past the engine's
     first cover, the first round's block starts are past it."""
     engine = _ChainEngine(law, "ibpm")
-    run = peeling._Run(n_chains, l0, range(1, n_steps + 1))
     vol = VolumeSampler(law, "asymptotic_xi", engine=engine)
+    run = peeling._Run(n_chains, l0, range(1, n_steps + 1), peeling._compiled(engine, vol))
     engine.flags = {"band_proposals": 0, "band_accepts": 0}
     flags = {"block_proposals": 0, "block_accepts": 0}
     peeling._block_rounds(engine, vol, _rng(8), run, flags)
@@ -1723,6 +1782,48 @@ def draws_on(path):
         return numpy_draws()
     compiled_library()
     return contextlib.nullcontext()
+
+
+class TestRunRows:
+    """A run's results are views of its output block: the lead row (l0, 0)
+    and the checkpoint rows, apart from the scratch rows of its compiled
+    loop, and never written by a later run."""
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_a_trace_outlives_the_next_run(self, path):
+        with draws_on(path):
+            for mode in ("finite", "ibpm"):
+                first = simulate(mode, LAW, l0=40, n_steps=300, seed=1)
+                kept = first.perimeters.copy(), first.volumes.copy()
+                second = simulate(mode, LAW, l0=40, n_steps=300, seed=2)
+                assert not second.flags["depth_built"]
+                assert not np.array_equal(second.perimeters, kept[0])
+                np.testing.assert_array_equal(first.perimeters, kept[0])
+                np.testing.assert_array_equal(first.volumes, kept[1])
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    @pytest.mark.parametrize("mode", ["finite", "ibpm"])
+    def test_ensemble_rows_hold_no_scratch(self, mode, path):
+        # perimeters and volumes, each a lead row, three checkpoint rows and
+        # the chains' state: an ibpm run's scratch holds n_steps entries a
+        # chain more
+        n, chains = 50, 64
+        with draws_on(path):
+            out = simulate_ensemble(mode, LAW, 20, n, chains, seed=3, checkpoints=[10, 20])
+        base = out[n][0].base
+        assert base.nbytes == 8 * 2 * (1 + 3 + 1) * chains
+        assert all(out[c][0].base is base and out[c][1].base is base for c in out)
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_the_first_row_is_the_start(self, path):
+        with draws_on(path):
+            for mode in ("finite", "ibpm"):
+                trace = simulate(mode, LAW, l0=40, n_steps=30, seed=4)
+                assert (trace.perimeters[0], trace.volumes[0]) == (40, 0)
+                assert len(trace.perimeters) == len(trace.volumes) == 31
+            absorbed = simulate("finite", LAW, l0=2, n_steps=5, seed=0)
+        assert absorbed.perimeters.tolist() == [2, 0, 0, 0, 0, 0]
+        assert absorbed.volumes[0] == 0 and absorbed.volumes[1] > 0
 
 
 class TestCompiledDraws:
@@ -2111,7 +2212,8 @@ class TestCompiledDraws:
         for rounds in (peeling._block_rounds_c, lambda lib, *a: peeling._block_rounds_numpy(*a)):
             vol = VolumeSampler(law, "exact_small")
             engine.start(l0)
-            run = peeling._Run(1, l0, range(1, n + 1))
+            run = peeling._Run(1, l0, range(1, n + 1),
+                               (lib, engine, vol) if rounds is peeling._block_rounds_c else None)
             rng = _native.FixedStream(lib, us)
             flags = {"block_proposals": 0, "block_accepts": 0}
             rounds(lib, engine, vol, rng, run, flags)
@@ -2125,14 +2227,16 @@ class TestCompiledDraws:
                         or not os.path.isfile(_native._npyrandom()),
                         reason="no C compiler or no numpy static random library")
     def test_self_check_refuses_mutants(self, tmp_path):
-        # the library's block rounds, each mutated in one place, compiled and
-        # checked on load: the self-check refuses every one, under
-        # --reference-loops too (the check calls the library under check
-        # directly)
-        sources = {}
-        for name, (old, new) in C_MUTANTS.items():
+        # the library's block rounds and run_start, each mutated in one
+        # place, compiled and checked on load: the self-check refuses every
+        # one, under --reference-loops too (the check calls the library
+        # under check directly), with the block rounds' refusal unless the
+        # mutant names another
+        sources, refusals = {}, {}
+        for name, (old, new, *refusal) in C_MUTANTS.items():
             assert _native._C_SOURCE.count(old) == 1, name
             sources[name] = _native._C_SOURCE.replace(old, new)
+            refusals[name] = (refusal or ["compiled block rounds differ from the numpy rounds"])[0]
         cc = shutil.which("cc") or shutil.which("gcc")
         paths = {name: str(tmp_path / f"{name}.so") for name in sources}
         with concurrent.futures.ThreadPoolExecutor(2) as pool:
@@ -2141,8 +2245,40 @@ class TestCompiledDraws:
                                    sources))
         assert failed == [None] * len(sources)
         for name, path in paths.items():
-            assert (_native._self_check(_native._open(path))
-                    == "compiled block rounds differ from the numpy rounds"), name
+            assert _native._self_check(_native._open(path)) == refusals[name], name
+
+    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
+                        or not os.path.isfile(_native._npyrandom()),
+                        reason="no C compiler or no numpy static random library")
+    def test_self_check_ends_on_a_cycling_mutant(self, tmp_path):
+        # the keep_stopped mutant draws a keep uniform for a stopped block,
+        # so it reads the self-check's cyclic stream in another order: its
+        # stopped-block run from 6 over 4 steps is refused within 5 s, and
+        # from 4 over 2 steps, where the library agrees with the numpy
+        # rounds, it cycles with no chain kept until its round budget (one
+        # round per uniform of the stream) runs out
+        old, new = C_MUTANTS["keep_stopped"]
+        path = str(tmp_path / "keep_stopped.so")
+        cc = shutil.which("cc") or shutil.which("gcc")
+        assert _native._compile(cc, path, _native._C_SOURCE.replace(old, new)) is None
+        mutant = _native._open(path)
+        fixture = peeling._block_fixture()
+        case, chains, n_steps, stream = fixture.runs[2]
+        assert (chains[0], n_steps) == (5, 3)
+        begun = time.perf_counter()
+        assert peeling._same_block_run(mutant, fixture, case, np.array([6, *chains[1:]]), 4,
+                                       stream) is not None
+        assert time.perf_counter() - begun < 5.0
+        cycling = (case, np.array([4, *chains[1:]]), 2, stream)
+        assert peeling._same_block_run(compiled_library(), fixture, *cycling) is None
+        rounds = []
+        drain = peeling._drain
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(peeling, "_drain", lambda s, *a: (rounds.append(s.rounds),
+                                                            drain(s, *a)))
+            assert (peeling._same_block_run(mutant, fixture, *cycling)
+                    == "compiled block rounds ran out of their round budget")
+        assert rounds == [len(stream) + 1]
 
     @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
                         or not os.path.isfile(_native._npyrandom()),
@@ -2354,7 +2490,7 @@ class TestCompiledDraws:
         for eng, name, loop in ((finite, "lockstep", peeling._lockstep_c),
                                 (engine, "block_rounds", peeling._block_rounds_c)):
             eng.start(5)
-            run = peeling._Run(3, 5, range(1, 4))
+            run = peeling._Run(3, 5, range(1, 4), (lib, eng, vol))
             run.ls[1] = -1
             args = (run,) if eng is finite else (run, {"block_proposals": 0,
                                                         "block_accepts": 0})
@@ -2363,7 +2499,8 @@ class TestCompiledDraws:
         engine.tilt_rows = _StackedCdf(len(BLOCK_THETAS), engine.tilt_rows._vals, guided=True)
         engine.start(2000)
         with pytest.raises(IndexError, match="block_rounds read outside the tables built"):
-            peeling._block_rounds_c(lib, engine, vol, _rng(1), peeling._Run(2, 2000, [5]),
+            peeling._block_rounds_c(lib, engine, vol, _rng(1),
+                                    peeling._Run(2, 2000, [5], (lib, engine, vol)),
                                     {"block_proposals": 0, "block_accepts": 0})
 
     @pytest.mark.parametrize("guided", [False, True])
@@ -2391,7 +2528,7 @@ class TestCompiledDraws:
         vol = VolumeSampler(engine.law, "asymptotic_xi")
         vol.mode, vol.l_exact, vol._cdf = "exact_small", 1, cdf
         engine.start(8)
-        run = peeling._Run(1, 8, [1])
+        run = peeling._Run(1, 8, [1], (lib, engine, vol))
         peeling._lockstep_c(lib, engine, vol,
                             _native.FixedStream(lib, [0.5 * (cut[4] + cut[5]), u]), run)
         assert (run.ls[0], run.V[0]) == (5, 8)
