@@ -1542,8 +1542,11 @@ def _chain_engine(mode, law, n_steps):
                          or depth + sum(k[1] for k in parts) > DEPTH_CAP):
             parts.popitem(last=False)
         window = window or _Window(deep, 0 if mode == "finite" else 1)
-        part = _Part(deep, key[0] if given else deep.digest(), wkey,
-                     _ChainEngine(deep, mode, window))
+        digest = key[0] if given else deep.digest()
+        # no key is taken of the part's own law: it keeps no copy of nu's
+        # bytes for a digest (`StepLaw.digest`)
+        vars(deep).pop("_digest", None)
+        part = _Part(deep, digest, wkey, _ChainEngine(deep, mode, window))
     yield part.law, part.digest, part.engine, {"window_reused": reused, "depth_built": built}
     parts[key] = part
 
