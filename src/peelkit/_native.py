@@ -46,11 +46,9 @@ volumes' Gamma(3/2, scale 2) draws are numpy's own ``random_gamma``,
 statically linked from the ``numpy/random/lib/libnpyrandom.a`` numpy
 ships: the code ``Generator.gamma`` runs, as long as the library was
 linked against this numpy, which the cached file's name ensures
-(`_library_path`).  The one function whose value may differ is exp:
-numpy's SIMD exp and libm's disagree in the last bit for some arguments,
-so ``block_rounds`` decides with libm's only where the uniform is not
-within 1e-12 of the probability, and otherwise returns for numpy's value
-(LS_EXP).
+(`_library_path`).  The keep tests of ``block_rounds`` take libm's exp,
+and so does its numpy reference (Python's ``math.exp``), because numpy's
+own SIMD exp differs from libm's in the last bit for some arguments.
 
 The source is compiled once per machine and numpy with `_C_FLAGS` (no
 contraction into fused multiply-adds, no reassociation, the platform's
@@ -413,7 +411,7 @@ void fill_rows(const double *h, const double *p, const long long *ks,
     }
 }
 
-enum { LS_DONE, LS_ROWS, LS_COVER, LS_EXP, LS_BUDGET };
+enum { LS_DONE, LS_ROWS, LS_COVER, LS_BUDGET };
 
 typedef struct {
     const cdf_t *rows;         /* the engine's rows, perimeters 0..rows->n-1 */
@@ -448,9 +446,7 @@ typedef struct {
     long long *da, *cur, *act, *one, *blk, *bB, *bj, *blB, *bkeep;
     long long *ks;             /* a round's steps, ks_cap entries */
     long long ks_cap, n_act, n_one, n_blk, n_ks;
-    long long bphase, bi, node, prev, head, has_u;
-    double u, exp_x, exp_val;
-    long long exp_ready, block_proposals, block_accepts;
+    long long bphase, head, block_proposals, block_accepts;
     /* the most rounds a run may begin (0: no bound), and how many it has */
     long long budget, rounds;
 } lockstep_t;
@@ -724,42 +720,6 @@ static long long walk_tilt(const lockstep_t *s, long long l, long long B)
     return j;
 }
 
-/* numpy's exp and libm's may differ in the last bits: a uniform this
-   close to e^x (relatively) is compared with numpy's value (LS_EXP) */
-#define EXP_TIE 1e-12
-
-/* The next uniform of a comparison, or the one drawn before an LS_EXP */
-static double take_u(bitgen_t *bg, lockstep_t *s)
-{
-    if (s->has_u) {
-        s->has_u = 0;
-        return s->u;
-    }
-    return bg->next_double(bg->state);
-}
-
-/* u < f e^x, f >= 0: 0 or 1, or LS_EXP (u kept) to be called again with
-   numpy's e^x in exp_val.  u = 0 always asks: there f e^x may be 0 or
-   subnormal, where the two exps may differ by more than EXP_TIE. */
-static long long below(lockstep_t *s, double u, double f, double x)
-{
-    double e;
-    if (s->exp_ready) {
-        s->exp_ready = 0;
-        e = s->exp_val;
-    } else {
-        e = exp(x);
-        double odds = f * e;
-        if (u == 0.0 || fabs(u - odds) <= EXP_TIE * odds) {
-            s->u = u;
-            s->has_u = 1;
-            s->exp_x = x;
-            return LS_EXP;
-        }
-    }
-    return u < f * e;
-}
-
 /* A pending deep entry of ks: the next one's position (n_ks at the end)
    and its proposal's index i into cs, below every jump and the marker
    -(k_neg + 1) the tilted rows draw for k <= -l_small */
@@ -824,12 +784,12 @@ INLINE long long step_hole(long long x, long long *lp, long long *val)
    in step order that reads their volumes from the rule and writes the
    checkpoints and the chains' new states (BR_WALK).  ks holds one entry
    per step of the round, at most ks_cap.  Returns LS_ROWS with the
-   perimeter in need, LS_COVER with the largest block start, single step or
-   block end past the cover, or LS_EXP with the argument whose numpy exp a
-   comparison needs, each before it draws what that decides, to resume at
-   the same phase; LS_DONE at n_steps, LS_BUDGET before a round past the
-   round budget (a round started again after LS_COVER is counted again),
-   -1 for a read outside a table. */
+   perimeter in need or LS_COVER with the largest block start, single step
+   or block end past the cover, each before it draws what that decides, to
+   resume at the same phase; LS_DONE at n_steps, LS_BUDGET before a round
+   past the round budget (a round started again after LS_COVER is counted
+   again), -1 for a read outside a table.  The keep tests take libm's exp,
+   as the numpy rounds do (math.exp). */
 long long block_rounds(bitgen_t *bg, lockstep_t *s)
 {
     long long n = s->n;
@@ -977,37 +937,28 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                 s->ks[p] = deep_node(s, next, i);
                 p = next;
             }
-            s->node = s->head;
-            s->prev = -1;
             s->bphase = BR_DEEP_KEEP;
             break;
         case BR_DEEP_KEEP: {
             /* each kept with probability e^(theta (k + l_small)) */
-            long long b = 0, end = s->bB[0];
-            while (s->node < s->n_ks) {
-                long long p = s->node, next = deep_next(s, s->ks[p]);
+            long long b = 0, end = s->bB[0], prev = -1;
+            for (long long p = s->head; p < s->n_ks; ) {
+                long long next = deep_next(s, s->ks[p]);
                 long long k = deep_index(s, s->ks[p]) - s->k_neg;
                 while (p >= end)
                     end += s->bB[++b];
-                double u = take_u(bg, s);
+                double u = bg->next_double(bg->state);
                 double x = s->thetas[s->bj[b]] * (double)(k + s->l_small);
-                long long hit = 0;
-                if (!(x < -708.0)) {
-                    hit = below(s, u, 1.0, x);
-                    if (hit == LS_EXP)
-                        return LS_EXP;
-                }
-                if (hit) {
+                if (!(x < -708.0) && u < exp(x)) {
                     s->ks[p] = k;
-                    if (s->prev < 0)
+                    if (prev < 0)
                         s->head = next;
                     else
-                        s->ks[s->prev] = deep_node(s, next,
-                                                   deep_index(s, s->ks[s->prev]));
+                        s->ks[prev] = deep_node(s, next, deep_index(s, s->ks[prev]));
                 } else {
-                    s->prev = p;
+                    prev = p;
                 }
-                s->node = next;
+                p = next;
             }
             s->bphase = s->head < s->n_ks ? BR_DEEP_U : BR_ENDS;
             break;
@@ -1036,21 +987,18 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                 return LS_COVER;
             if (s->k_neg + hi >= s->bands->n_hz)
                 return -1;
-            s->bi = 0;
             s->bphase = BR_KEEP;
             break;
         }
         case BR_KEEP:
             /* one uniform per block that stays */
-            for (; s->bi < s->n_blk; s->bi++) {
-                long long b = s->bi, j = s->bj[b], lB = s->blB[b];
+            for (long long b = 0; b < s->n_blk; b++) {
+                long long j = s->bj[b], lB = s->blB[b];
                 if (!s->bkeep[b])
                     continue;
-                long long keep = below(s, take_u(bg, s), s->bands->hz[s->k_neg + lB],
-                                       -s->thetas[j] * (double)lB - s->log_K[j]);
-                if (keep == LS_EXP)
-                    return LS_EXP;
-                s->bkeep[b] = keep;
+                double u = bg->next_double(bg->state);
+                s->bkeep[b] = u < s->bands->hz[s->k_neg + lB]
+                                  * exp(-s->thetas[j] * (double)lB - s->log_K[j]);
             }
             s->bphase = BR_ROWS;
             break;
@@ -1167,10 +1115,7 @@ class Lockstep(ctypes.Structure):
         (name, _P) for name in ("da", "cur", "act", "one", "blk", "bB", "bj",
                                 "blB", "bkeep", "ks")] + [
         (name, _LL) for name in ("ks_cap", "n_act", "n_one", "n_blk", "n_ks",
-                                 "bphase", "bi", "node", "prev", "head",
-                                 "has_u")] + [
-        (name, ctypes.c_double) for name in ("u", "exp_x", "exp_val")] + [
-        (name, _LL) for name in ("exp_ready", "block_proposals", "block_accepts",
+                                 "bphase", "head", "block_proposals", "block_accepts",
                                  "budget", "rounds")]
 
 
@@ -1191,9 +1136,9 @@ class Series(ctypes.Structure):
 SS_DONE, SS_WEIGHTS, SS_OVERFLOW, SS_NO_CUT = range(4)
 # the results of lockstep and block_rounds: done, a row below L_SMALL
 # missing, a perimeter past the engine's cover (a single step's or, in
-# block_rounds, a block's start or end), an exp to take from numpy, and
-# the round budget spent (the self-check's runs alone have one)
-LS_DONE, LS_ROWS, LS_COVER, LS_EXP, LS_BUDGET = range(5)
+# block_rounds, a block's start or end), and the round budget spent (the
+# self-check's runs alone have one)
+LS_DONE, LS_ROWS, LS_COVER, LS_BUDGET = range(4)
 # the per-chain work rows of lockstep (and of block_rounds' single steps),
 # and those block_rounds adds, in their order in a run's scratch block:
 # STEP_WORK, then env, then BLOCK_WORK, then ks (`run_start`, which starts

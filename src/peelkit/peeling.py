@@ -98,9 +98,9 @@ block's stopped where its path falls below 1), the deep redraws of the
 blocks drawn whole, the keep test, and then the kept blocks: their exact
 volume rows (exact_small only), and one walk in step order that draws
 their volumes and writes their checkpoints and the chains' new states.
-It returns for a row, for a block's start or end or a single step past
-the cover, and for numpy's exp where a uniform lies within 1e-12 of a
-keep probability (LS_EXP).  The library also fills the stacked rows.  Every
+It returns for a row and for a block's start or end or a single step past
+the cover.  Its keep tests take libm's exp, and so do the numpy rounds'
+(`_libm_exp`).  The library also fills the stacked rows.  Every
 compiled loop reads the Generator's own bit generator in the order the
 numpy code reads it; where the library does not load, the numpy and
 Python loops (`_lockstep_numpy`, `_block_rounds_numpy` and the fill's
@@ -463,10 +463,7 @@ def _same_lockstep(lib):
             run.ls[:] = start
             rng = _native.FixedStream(lib, us)
             try:
-                if compiled:
-                    _lockstep_c(lib, engine, vol, rng, run)
-                else:
-                    _lockstep_numpy(engine, vol, rng, run)
+                _lockstep(engine, vol, rng, run)
             except _OutOfRounds:
                 return "compiled lockstep ran out of its round budget"
             runs.append((run.i, run.rows[:, :run.i + 1].tobytes(), run.ls.tobytes(),
@@ -484,8 +481,8 @@ def _junk(size, dtype):
 
 
 class _OutOfRounds(RuntimeError):
-    """A compiled loop began more rounds than its budget allows (LS_BUDGET):
-    only the self-check's runs have one."""
+    """A chain loop began more rounds than its run's budget allows (LS_BUDGET
+    in the library): only the self-check's runs have one."""
 
 
 def _same_blocks(lib):
@@ -505,10 +502,9 @@ def _same_block_run(lib, fixture, case, chains, n_steps, stream):
     the given perimeters over n_steps steps alike on the fixture's engine,
     drawing from the fixed uniforms of stream, with the volume rule of case
     ("generic", "means" in expectation mode, or "exact": the limit law with
-    exact rows); else a refusal.  The compiled run may begin at most one
-    round per uniform of the stream, which a correct one never nears, so a
-    loop that reads the stream in another order ends without a chain ever
-    kept."""
+    exact rows); else a refusal.  Either run may begin at most one round
+    per uniform of the stream, which a correct one never nears, so a loop
+    that reads the stream in another order, or cycles on it, is refused."""
     engine, volumes, rules = fixture.engine, fixture.volumes, fixture.rules
     runs = []
     for compiled in (True, False):
@@ -525,12 +521,9 @@ def _same_block_run(lib, fixture, case, chains, n_steps, stream):
         rng = _native.FixedStream(lib, stream)
         flags = {"block_proposals": 0, "block_accepts": 0}
         try:
-            if compiled:
-                _block_rounds_c(lib, engine, vol, rng, run, flags)
-            else:
-                _block_rounds_numpy(engine, vol, rng, run, flags)
-        except _OutOfRounds:
-            return "compiled block rounds ran out of their round budget"
+            _block_rounds(engine, vol, rng, run, flags)
+        except _OutOfRounds as out:
+            return "compiled block rounds ran out of their round budget" if compiled else str(out)
         runs.append((run.rows.tobytes(), vol.flags, engine.flags, flags, rng.used))
     if runs[0] != runs[1]:
         return "compiled block rounds differ from the numpy rounds"
@@ -552,9 +545,9 @@ def _block_fixture():
     reading a rule table of synthetic means; blocks cut short walk their
     tilt over the engine's grid of six.  The first round draws one single
     step, +2 from its first proposal, and no deep entry, and the
-    uniform after its tilted draws lies on block 0's keep odds as numpy
-    computes them, so the compiled loop must ask for numpy's exp (LS_EXP)
-    to keep the same blocks; block 3's lies just below its odds, so a keep
+    uniform after its tilted draws lies on block 0's keep odds as libm's
+    exp gives them, so a keep test with another exp or comparison than the
+    numpy rounds' (`_libm_exp`) keeps it; block 3's lies just below, so a keep
     test that reads h(1, .) a perimeter low rejects it.  A third run, on
     the synthetic rule with exact rows, stops blocks where they first fall
     below 1: one mid-block before the draw that would give the deep marker,
@@ -607,10 +600,10 @@ def _block_fixture():
     us[T + 20::11] = 0.99
 
     def odds(l, u):
-        # numpy's keep odds of a block from l at B(l)'s tilt, drawn from u
+        # the keep odds of a block from l at B(l)'s tilt, drawn from u
         j = engine.block_tilt[l]
         lB = l + int(engine.tilt_rows.at(j + u * _StackedCdf.U_MAX).sum())
-        return engine.hz[k_neg + lB] * np.exp(np.array([-th[j] * lB - engine.log_K[j]]))[0]
+        return engine.hz[k_neg + lB] * math.exp(-th[j] * lB - engine.log_K[j])
 
     # block 0 from 440 on its odds; block 3 from 700, whose tilted uniforms
     # follow blocks 1 and 2's two each, just below its own
@@ -981,6 +974,11 @@ def _exp(x, f=np.exp):
     subnormal, which costs numpy about a hundred times as much, and lies
     below the rounding of every sum it enters."""
     return f(np.where(x < -708.0, -np.inf, x))
+
+
+def _libm_exp(x):
+    """e^x per entry of x by libm's exp (``math.exp``), as in the library."""
+    return np.fromiter(map(math.exp, x.tolist()), float, len(x))
 
 
 class _Bands:
@@ -1365,7 +1363,7 @@ class _ChainEngine:
         stay = whole & (ls + low >= 1)
         lB_s, j = lB[stay], tilt[stay]
         self._cover(int(lB_s.max(initial=1)))
-        odds = self.hz[self.law.k_neg + lB_s] * np.exp(-self.thetas[j] * lB_s - self.log_K[j])
+        odds = self.hz[self.law.k_neg + lB_s] * _libm_exp(-self.thetas[j] * lB_s - self.log_K[j])
         keep = np.zeros(len(ls), dtype=bool)
         keep[stay] = rng.random(len(lB_s)) < odds
         return ks, run, starts, before, lB, keep
@@ -1441,7 +1439,8 @@ class _ChainEngine:
             u = rng.random(len(todo)) * self.cs[n_deep]
             i = np.minimum(self.cs[1:].searchsorted(u, "right"), n_deep - 1)
             k = i - self.law.k_neg
-            hit = rng.random(len(todo)) < _exp(self.thetas[tilts[todo]] * (k + L_SMALL))
+            hit = rng.random(len(todo)) < _exp(self.thetas[tilts[todo]] * (k + L_SMALL),
+                                               _libm_exp)
             out[todo[hit]] = k[hit]
             todo = todo[~hit]
         return out
@@ -1646,7 +1645,7 @@ class _Run:
         block = out.reshape(2, len(cps) + 2, n)
         self.rows, self.per, self.vols = block[:, :-1], block[0, 1:-1], block[1, 1:-1]
         self.ls, self.V = block[0, -1], block[1, -1]
-        self.i = 0
+        self.i, self.budget = 0, budget
         self.lib = self.s = None
         if c is None:
             self.ls[:] = block[0, 0] = l0
@@ -1724,10 +1723,10 @@ def _drive(loop, name, engine, rng, s):
     """Call the compiled loop on the state s until it returns LS_DONE.  The
     addresses of the engine's rows, bands and block tables are set before
     the first call and kept until a table grows: after LS_ROWS the window's
-    rows and after LS_COVER the engine's cover grow to s.need, and they are
-    packed anew.  After LS_EXP numpy's exp of s.exp_x is supplied.  The call
-    resumes where it stopped; LS_BUDGET raises `_OutOfRounds`, and any other
-    status is a read outside the tables (IndexError)."""
+    rows and after LS_COVER the engine's cover grow to s.need, they are
+    packed anew and the call resumes where it stopped.  LS_BUDGET raises
+    `_OutOfRounds`, and any other status is a read outside the tables
+    (IndexError)."""
     bg = rng.bit_generator
     state, ref = bg.ctypes.bit_generator, ctypes.byref(s)
     tables = None
@@ -1745,10 +1744,7 @@ def _drive(loop, name, engine, rng, s):
             status = loop(state, ref)
         if status == _native.LS_DONE:
             return
-        if status == _native.LS_EXP:
-            # numpy's exp of the comparison's argument, as numpy computes it
-            s.exp_val, s.exp_ready = np.exp(np.array([s.exp_x]))[0], 1
-        elif status == _native.LS_ROWS:
+        if status == _native.LS_ROWS:
             engine.window.extend_rows(s.need)
             tables = None
         elif status == _native.LS_COVER:
@@ -1771,9 +1767,7 @@ def _block_rounds(engine, vol, rng, run, flags):
 
 def _block_rounds_c(lib, engine, vol, rng, run, flags):
     """`_block_rounds` in C, on a run started for lib: one ``block_rounds``
-    call runs until a row or the cover is missing or a comparison needs
-    numpy's exp, which is supplied here before the call resumes where it
-    stopped."""
+    call runs until a row or the cover is missing, grown here (`_drive`)."""
     try:
         _drive(lib.block_rounds, "block_rounds", engine, rng, run.s)
     finally:
@@ -1787,9 +1781,9 @@ def _block_rounds_numpy(engine, vol, rng, run, flags):
     proposes one block of min(B(l), steps left) steps; a kept block writes
     its partial sums into the checkpoints it spans.
     The unfinished chains' states are kept compact: act[j] is at perimeter
-    la[j] with volume va[j] after da[j] steps.
-    """
-    ls, V, per, vols, cps = run.ls, run.V, run.per, run.vols, run.cps
+    la[j] with volume va[j] after da[j] steps.  A round past the run's
+    nonzero round budget raises `_OutOfRounds`, as in the library."""
+    ls, V, per, vols, cps, budget = run.ls, run.V, run.per, run.vols, run.cps, run.budget
     n_steps = int(cps[-1])
     # upto[s]: how many checkpoints are at most s
     upto = np.zeros(n_steps + 1, dtype=np.int64)
@@ -1797,7 +1791,11 @@ def _block_rounds_numpy(engine, vol, rng, run, flags):
     np.cumsum(upto, out=upto)
     act, la, va = np.arange(len(ls)), ls.copy(), V.copy()
     da = np.zeros(len(ls), dtype=np.int64)
+    rounds = 0
     while len(act):
+        if budget and rounds >= budget:
+            raise _OutOfRounds("numpy block rounds ran out of their round budget")
+        rounds += 1
         engine._cover(int(la.max()))
         B = engine.blocks[la]
         one = B == 1

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import math
@@ -1678,14 +1679,14 @@ C_MUTANTS = {
     "link_stopped": ("if (s->bkeep[b] != 2)", "if (s->bkeep[b] == 1)"),
     "keep_stopped": ("""                if (!s->bkeep[b])
                     continue;
-                long long keep""", """                if (!s->bkeep[b]) {
-                    take_u(bg, s);
+                double u""", """                if (!s->bkeep[b]) {
+                    bg->next_double(bg->state);
                     continue;
                 }
-                long long keep"""),
+                double u"""),
     "tilt_walk": ("            j--;\n            now = up;\n",
                   "            j--;\n            now = up;\n            break;\n"),
-    "keep_comparison": ("return u < f * e;", "return u <= f * e;"),
+    "keep_comparison": ("s->bkeep[b] = u < ", "s->bkeep[b] = u <= "),
     "keep_h": ("s->bands->hz[s->k_neg + lB]", "s->bands->hz[s->k_neg + lB - 1]"),
     "checkpoint_offset": ("s->per[cp++ * n + c] = l;", "s->per[cp++ * n + c] = l - k;"),
     "volume_window": ("""                    if (lp >= 0) {
@@ -1824,6 +1825,53 @@ class TestRunRows:
             absorbed = simulate("finite", LAW, l0=2, n_steps=5, seed=0)
         assert absorbed.perimeters.tolist() == [2, 0, 0, 0, 0, 0]
         assert absorbed.volumes[0] == 0 and absorbed.volumes[1] > 0
+
+
+def c_struct(name):
+    """(field, kind) of each field of the C source's typedef struct name, in
+    order: kind "pointer" for a pointer or function pointer, else its
+    type, with [n] after an array's."""
+    body = re.search(r"typedef struct \{([^}]*)\} " + name + ";", _native._C_SOURCE)[1]
+    fields = []
+    for decl in filter(None, map(str.strip, re.sub(r"/\*.*?\*/", "", body, flags=re.S)
+                                 .split(";"))):
+        if "(*" in decl:
+            fields.append((re.search(r"\(\*(\w+)\)", decl)[1], "pointer"))
+            continue
+        base = None
+        for part in decl.split(","):
+            m = re.search(r"(\**)\s*(\w+)(?:\[(\d+)\])?$", part.strip())
+            base = base or part.strip()[:m.start()].replace("const", "").strip()
+            kind = "pointer" if m[1] else base + (f"[{m[3]}]" if m[3] else "")
+            fields.append((m[2], kind))
+    return fields
+
+
+def ctypes_kind(t):
+    """The kind `c_struct` gives a field of ctypes type t."""
+    if issubclass(t, ctypes.Array):
+        return f"{ctypes_kind(t._type_)}[{t._length_}]"
+    return {ctypes.c_void_p: "pointer", ctypes.c_double: "double",
+            ctypes.c_longlong: "long long"}[t]
+
+
+class TestDeclarations:
+    """The C source's statuses and structs against their mirrors in
+    `_native`: a field dropped or moved on one side only would corrupt
+    memory without any test naming the cause."""
+
+    @pytest.mark.parametrize("prefix", ["LS", "SS"])
+    def test_status_enum_matches_the_constants(self, prefix):
+        enum = re.search(r"enum \{ (" + prefix + r"_[^}]*)\}", _native._C_SOURCE)[1]
+        names = [name.strip() for name in enum.split(",")]
+        assert [getattr(_native, name) for name in names] == list(range(len(names)))
+        assert {name for name in vars(_native) if name.startswith(prefix + "_")} == set(names)
+
+    @pytest.mark.parametrize("struct, mirror", [
+        ("bitgen_t", _native._BitGen), ("fixed_t", _native._Fixed), ("series_t", _native.Series),
+        ("cdf_t", _native.Cdf), ("bands_t", _native.Bands), ("lockstep_t", _native.Lockstep)])
+    def test_struct_matches_its_mirror(self, struct, mirror):
+        assert c_struct(struct) == [(name, ctypes_kind(t)) for name, t in mirror._fields_]
 
 
 class TestCompiledDraws:
@@ -2193,20 +2241,23 @@ class TestCompiledDraws:
 
     def test_uniform_on_the_keep_odds(self, monkeypatch):
         # one chain from l0 = 300 on quad: the uniform after its first
-        # block's tilted draws is that block's keep odds as numpy computes
-        # them, so the compiled rounds ask for numpy's exp (LS_EXP) and
-        # reject the block as numpy does; states, flags and uniforms agree
+        # block's tilted draws is that block's keep odds as libm's exp
+        # (math.exp) gives them, so both loops reject the block, the
+        # compiled one in a single call; states, flags and uniforms agree
         lib = compiled_library()
         calls = self._block_calls(monkeypatch)
         law, l0, n = DEEP["quad"], 300, 40
         engine = _ChainEngine(law, "ibpm")
+        kept, propose = [], engine.propose_blocks
+        monkeypatch.setattr(engine, "propose_blocks",
+                            lambda *a: (out := propose(*a), kept.append(out[-1].tolist()))[0])
         B = min(int(engine.blocks[l0]), n)
         assert B > 1
         j = int(engine._block_tilts(np.array([l0]), np.array([B]))[0])
         us = np.arange(1, 1000) * 0.6180339887498949 % 0.9
         lB = l0 + int(engine.tilt_rows.at(j + us[:B] * _StackedCdf.U_MAX).sum())
         h = law.hcache().table(1, lB)[lB - 1]
-        us[B] = h * np.exp(np.array([-BLOCK_THETAS[j] * lB - engine.log_K[j]]))[0]
+        us[B] = h * math.exp(-BLOCK_THETAS[j] * lB - engine.log_K[j])
         assert 0 < us[B] < 1
         runs = []
         for rounds in (peeling._block_rounds_c, lambda lib, *a: peeling._block_rounds_numpy(*a)):
@@ -2219,9 +2270,9 @@ class TestCompiledDraws:
             rounds(lib, engine, vol, rng, run, flags)
             runs.append((run.per.tobytes(), run.vols.tobytes(), vol.flags, engine.flags,
                          flags, rng.used))
-        assert calls[0][0] == _native.LS_EXP
+        assert [st for st, *_ in calls] == [_native.LS_DONE]
+        assert kept[0] == [False]
         assert runs[0] == runs[1]
-        assert runs[0][4]["block_proposals"] > runs[0][4]["block_accepts"]
 
     @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
                         or not os.path.isfile(_native._npyrandom()),
@@ -2279,6 +2330,21 @@ class TestCompiledDraws:
             assert (peeling._same_block_run(mutant, fixture, *cycling)
                     == "compiled block rounds ran out of their round budget")
         assert rounds == [len(stream) + 1]
+
+    def test_numpy_rounds_end_on_a_cycling_start(self, monkeypatch):
+        # one chain from 6 over 6 steps on the stopped-block run's stream:
+        # the numpy rounds, the self-check's reference, cycle there with no
+        # block ever kept, until the run's round budget refuses them, within
+        # 5 s; the compiled rounds, which would refuse themselves first,
+        # are left out
+        lib = compiled_library()
+        fixture = peeling._block_fixture()
+        case, _, _, stream = fixture.runs[2]
+        monkeypatch.setattr(peeling, "_block_rounds_c", lambda *a: None)
+        begun = time.perf_counter()
+        assert (peeling._same_block_run(lib, fixture, case, np.array([6]), 6, stream)
+                == "numpy block rounds ran out of their round budget")
+        assert time.perf_counter() - begun < 5.0
 
     @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
                         or not os.path.isfile(_native._npyrandom()),
