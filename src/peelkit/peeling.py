@@ -547,8 +547,8 @@ def _block_fixture():
     step, +2 from its first proposal, and no deep entry, and the
     uniform after its tilted draws lies on block 0's keep odds as libm's
     exp gives them, so a keep test with another exp or comparison than the
-    numpy rounds' (`_libm_exp`) keeps it; block 3's lies just below, so a keep
-    test that reads h(1, .) a perimeter low rejects it.  A third run, on
+    numpy rounds' (`_libm_exp`) keeps it; block 3's lies just below its
+    odds, so a keep test that reads h(1, .) a perimeter low rejects it.  A third run, on
     the synthetic rule with exact rows, stops blocks where they first fall
     below 1: one mid-block before the draw that would give the deep marker,
     one after drawing the marker, which counts as -L_SMALL.  Two more runs,
@@ -977,7 +977,8 @@ def _exp(x, f=np.exp):
 
 
 def _libm_exp(x):
-    """e^x per entry of x by libm's exp (``math.exp``), as in the library."""
+    """e^x per entry of x by libm's exp (``math.exp``), which the compiled
+    keep tests take too."""
     return np.fromiter(map(math.exp, x.tolist()), float, len(x))
 
 

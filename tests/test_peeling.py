@@ -2249,8 +2249,13 @@ class TestCompiledDraws:
         law, l0, n = DEEP["quad"], 300, 40
         engine = _ChainEngine(law, "ibpm")
         kept, propose = [], engine.propose_blocks
-        monkeypatch.setattr(engine, "propose_blocks",
-                            lambda *a: (out := propose(*a), kept.append(out[-1].tolist()))[0])
+
+        def proposing(*args):   # the numpy rounds' keep decisions, per round
+            out = propose(*args)
+            kept.append(out[-1].tolist())
+            return out
+
+        monkeypatch.setattr(engine, "propose_blocks", proposing)
         B = min(int(engine.blocks[l0]), n)
         assert B > 1
         j = int(engine._block_tilts(np.array([l0]), np.array([B]))[0])
