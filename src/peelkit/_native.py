@@ -8,13 +8,17 @@ stays in the package as the fallback and the test reference:
   `criticality._series_py`: its terms from the weight cache, the h
   recurrence and its r-derivative alongside, the sums per shift and the
   tail cut, resumable where the weights run out;
-* ``fill_rows``, the stacked rows of `peeling._Window._fill_numpy`;
+* ``fill_rows``, the stacked rows of `peeling._Window._fill_numpy` with
+  their guide cells, in the same pass, as `peeling._StackedCdf.append`
+  writes them;
 * ``lockstep``, a finite run's steps of `peeling._lockstep_numpy` with
   their volumes and checkpoints, run until a row or the engine's cover
   (`peeling._ChainEngine._cover`) is missing: its row draws are
-  `peeling._StackedCdf.draw`'s inverse-CDF draws (through the int32
-  guide cells of guided rows) and its band rounds
-  `peeling._Bands.jumps`' band-envelope rejection, inlined;
+  `peeling._StackedCdf.draw`'s inverse-CDF draws, through the rows' int32
+  guide cells, and its band rounds `peeling._Bands.jumps`' band-envelope
+  rejection, inlined, with each search of nu's cuts narrowed by the
+  bands' bracket guide and guarded, so that it finds searchsorted's
+  index whatever the bracket holds;
 * ``block_rounds``, an infinite-map run's block rounds of
   `peeling._block_rounds_numpy` from its first step to its last: the
   single steps of chains with B(l) = 1 (sharing lockstep's code), the
@@ -58,10 +62,12 @@ version and its static library's path, size and mtime, and loaded with
 ctypes; a compile removes the user's older compiled libraries there but
 the KEEP_LIBRARIES newest (`_prune`).  On loading, the compiled loops are
 compared with their references on small fixed inputs (`_self_check`): the
-h recurrence, the series pass on synthetic weights, then the row fill, the
-lockstep loop and the block rounds on synthetic laws, whose fixed uniforms
-lie on the cuts of each kind of stacked row the chain loops draw from and
-on band shares.  Its runs start on blocks filled with junk, so that a row
+h recurrence, the series pass on synthetic weights, then the row fill
+with its guide cells, the lockstep loop and the block rounds on synthetic
+laws, whose fixed uniforms lie on the cuts of each kind of stacked row the
+chain loops draw from, on the edges of their guide cells and on band
+shares; the lockstep loop's bands carry their bracket guide reversed, so
+that its guard decides their searches.  Its runs start on blocks filled with junk, so that a row
 ``run_start`` leaves unwritten shows, and only they have a round budget:
 a loop that reads the fixed stream in another order may cycle without
 ending, and the budget turns that into a refusal (LS_BUDGET).  The gamma
@@ -345,7 +351,28 @@ typedef struct {
     long long n_cuts;
     const double *hz;
     long long n_hz, k_neg;
+    /* the bracket guide: the cuts in cells 0..c-1 of a target t, cell
+       floor(t scale), at bracket[c], for c in 0..cells */
+    const int32_t *bracket;
+    long long cells;
+    double scale;
 } bands_t;
+
+/* searchsorted(cuts, t, "right"), searched for between the bracket's
+   entries at t's cell (clamped to the table), or past them where the cuts
+   next to them do not bound t */
+static inline __attribute__((always_inline))
+long long band_cut(const bands_t *b, double t)
+{
+    double x = t * b->scale;
+    long long cell = x > 0 ? (x < (double)b->cells ? (long long)x : b->cells - 1) : 0;
+    long long lo = b->bracket[cell], hi = b->bracket[cell + 1];
+    if (lo > 0 && t < b->cuts[lo - 1])
+        lo = 0;
+    if (hi < b->n_cuts && !(t < b->cuts[hi]))
+        hi = b->n_cuts;
+    return search_right(b->cuts, lo, hi, t);
+}
 
 /* One jump per chain at perimeters ls in [0, n), as _Bands: each round
    draws the band uniform of every pending chain, then the acceptance
@@ -371,7 +398,7 @@ static long long band_rounds(bitgen_t *bg, const bands_t *b,
                 t = b->t0_hi[l] + u * b->dt_hi[l];
                 env[j] = b->env_hi[l];
             }
-            out[i] = search_right(b->cuts, 0, b->n_cuts, t);
+            out[i] = band_cut(b, t);
         }
         long long kept = 0;
         for (long long j = 0; j < left; j++) {
@@ -391,10 +418,16 @@ static long long band_rounds(bitgen_t *bg, const bands_t *b,
 /* Rows l_from..l_to-1 of a window's stacked rows into cum, row l at
    cum[off[l] - off[l_from]] over its last off[l + 1] - off[l] of width
    columns, as _Window._fill_numpy: w_j = h[l + ks_j] * p_j, their running
-   sum divided by its last entry where that is positive, plus l. */
+   sum divided by its last entry where that is positive, plus l; and its
+   cells guide cells at guide[(l - l_from) cells], as _StackedCdf.append:
+   cell c holds the value ks_j of the entry whose targets cover it, c in
+   [ceil(hi_(j-1)), floor(hi_j)) with hi_j = (row_j - l) cells (exact), and
+   every other cell (an entry's cut splits it, or the row has no weight)
+   the open marker. */
 void fill_rows(const double *h, const double *p, const long long *ks,
                long long width, const long long *off, long long l_from,
-               long long l_to, double *cum)
+               long long l_to, long long cells, int32_t open, int32_t *guide,
+               double *cum)
 {
     for (long long l = l_from; l < l_to; l++) {
         double *row = cum + (off[l] - off[l_from]);
@@ -405,9 +438,20 @@ void fill_rows(const double *h, const double *p, const long long *ks,
             s = j ? s + w : w;
             row[j] = s;
         }
-        double total = row[len - 1];
-        for (long long j = 0; j < len; j++)
+        double total = row[len - 1], lo = 0.0;
+        int32_t *g = guide + (l - l_from) * cells;
+        long long c = 0;
+        for (long long j = 0; j < len; j++) {
             row[j] = (total > 0 ? row[j] / total : row[j]) + (double)l;
+            /* the cells that end inside entry j's targets: settled where
+               they also start inside them */
+            double hi = (row[j] - (double)l) * (double)cells;
+            for (; (double)(c + 1) <= hi; c++)
+                g[c] = (double)c < lo ? open : (int32_t)ks[j0 + j];
+            lo = hi;
+        }
+        for (; c < cells; c++)
+            g[c] = open;
     }
 }
 
@@ -1091,7 +1135,7 @@ class Bands(ctypes.Structure):
     _fields_ = [(name, _P) for name in ("share", "t0_lo", "dt_lo", "env_lo",
                                         "t0_hi", "dt_hi", "env_hi")] + [
         ("n", _LL), ("cuts", _P), ("n_cuts", _LL), ("hz", _P), ("n_hz", _LL),
-        ("k_neg", _LL)]
+        ("k_neg", _LL), ("bracket", _P), ("cells", _LL), ("scale", ctypes.c_double)]
 
 
 class Lockstep(ctypes.Structure):
@@ -1328,7 +1372,7 @@ def _open(path):
     lib.h_recurrence.restype = None
     lib.series_sums.argtypes = [ctypes.POINTER(Series)]
     lib.series_sums.restype = _LL
-    lib.fill_rows.argtypes = [_P, _P, _P, _LL, _P, _LL, _LL, _P]
+    lib.fill_rows.argtypes = [_P, _P, _P, _LL, _P, _LL, _LL, _LL, ctypes.c_int32, _P, _P]
     lib.fill_rows.restype = None
     for fn in (lib.lockstep, lib.block_rounds):
         fn.argtypes = [_P, ctypes.POINTER(Lockstep)]

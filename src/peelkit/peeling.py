@@ -18,9 +18,9 @@ nothing.  Face-exploration steps leave the volume unchanged.
 
 One engine runs both ``simulate`` (one chain, every step) and
 ``simulate_ensemble`` (many chains, checkpoints).  A single step draws from
-stacked inverse-CDF rows of h(o, l+k) nu(k) below a perimeter cutoff and
-from nu proposals under two h bands above it.  Infinite-map chains also
-move in blocks: over B steps the path law telescopes to
+guided stacked inverse-CDF rows of h(o, l+k) nu(k) below a perimeter
+cutoff and from nu proposals under two h bands above it.  Infinite-map
+chains also move in blocks: over B steps the path law telescopes to
 
     prod nu(k_i) * h(1, l_B) / h(1, l_0) * 1{l_1, ..., l_B >= 1}.
 
@@ -153,8 +153,11 @@ BLOCK_THETAS = 2.0 ** (-np.arange(49) / 2.0)
 # a block round draws at most this many steps, or one per block where there
 # are more blocks (bounds its memory)
 BLOCK_DRAWS = 1 << 21
-# cells of a guide table per row of inverse CDFs
+# guide cells per row of the tilted rows, and per window row
 GUIDE = 1 << 12
+ROW_GUIDE = 1 << 6
+# bracket cells of the bands' cuts
+BAND_GUIDE = 1 << 10
 
 
 def _check_key(seed, chain_index):
@@ -217,49 +220,52 @@ class _StackedCdf:
     at flat index e draws column starts[i] + (e - off[i]) of the row's
     table (modulo width for a shared table, as a zero-weight row's targets
     run past its end).  ``at`` reads such a target; ``draw`` refuses a row
-    with no weight (IndexError), and a guided row must have weight.
+    with no weight (IndexError).
 
-    Guided rows (rectangular only) also keep a guide table of GUIDE cells
-    per row (Devroye 1986, III.2.4), grown with them: a cell that no cut of
-    its row splits holds the value every target in it draws, the others the
-    smallest value less one (the open marker), and only targets in those
-    are searched for.  GUIDE is a power of two, so a target's cell is
-    exact.  The cells are int32, 16 KB per row: a guided table's values
-    are integers that fit, and so does its open marker, or it raises
-    ValueError (the tilted jumps reach -(k_neg + 1) >= -(2^19 + 1)).
-    ``at`` and ``draw`` return the values' dtype all the same.
+    With ``cells`` > 0 (a power of two), each row also keeps that many
+    guide cells (Devroye 1986, III.2.4), grown with it: the cell [c, c + 1)
+    of the row's targets less i, times cells, holds the value every
+    target in it draws where no cut of the row splits it, else the
+    smallest value less one (the open marker), and only targets in open
+    cells are searched for.  A row with no weight has every cell open, so
+    its targets are searched for and land past it.  Since cells is a power
+    of two, a target's cell is exact.  The cells are int32: a guided
+    table's values are integers that fit, and so does its open marker, or
+    it raises ValueError (the tilted jumps reach -(k_neg + 1) >=
+    -(2^19 + 1)).  ``at`` and ``draw`` return the values' dtype all the
+    same.
 
     ``draw`` is numpy's.  The package's compiled chain loops (`_native`)
     draw from the same tables inline, reading the same uniforms and giving
-    the same values.  Growth writes only past the rows built or into new
-    arrays, so the addresses and sizes the library reads are packed once
-    per growth.
+    the same values, and its ``fill_rows`` writes a window's rows and their
+    guide cells as ``append`` does.  Growth writes only past the rows built
+    or into new arrays, so the addresses and sizes the library reads are
+    packed once per growth.
     """
 
     U_MAX = 1.0 - 2.0**-40
 
-    def __init__(self, n_rows, values, guided=False, starts=None):
+    def __init__(self, n_rows, values, cells=0, starts=None):
         self.n_rows = n_rows
         self.width = values.shape[-1]
         self._vals = np.ascontiguousarray(values).reshape(-1)
         self._shared = values.ndim == 1
         self._starts = (np.zeros(n_rows, dtype=np.int64) if starts is None
                         else np.asarray(starts, dtype=np.int64))
-        if guided and self._starts.any():
-            raise ValueError("guided rows keep every column")
         self._off = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(self.width - self._starts, out=self._off[1:])
         self.n = 0
         self._store = np.empty(0)
         self._flat = self._store
         self._open = int(self._vals.min()) - 1
-        self._guide = None
-        if guided:
+        self.cells = cells
+        self._guides = self._guide = None
+        if cells:
             cell = np.iinfo(np.int32)
             if not (self._vals.dtype.kind in "iu" and cell.min <= self._open
                     and self._vals.max() <= cell.max):
                 raise ValueError("a guided table's values and open marker must be int32")
-            self._guide = np.empty(0, dtype=np.int32)
+            self._guides = self._guide = np.empty(0, dtype=np.int32)
         self._packed = None
 
     def row(self, i):
@@ -267,48 +273,64 @@ class _StackedCdf:
         return self._flat[self._off[i]:self._off[i + 1]]
 
     def reserve(self, rows):
-        """Room for at least min(rows, n_rows) rows; storage at least doubles."""
-        need = self._off[min(rows, self.n_rows)]
-        if need <= len(self._store):
-            return
-        store = np.empty(min(self._off[-1], max(need, 2 * len(self._store))))
-        store[:len(self._flat)] = self._flat
-        self._store = store
-        self._flat = store[:len(self._flat)]
-        self._packed = None
+        """Room for at least min(rows, n_rows) rows, and their guide cells;
+        storage at least doubles."""
+        rows = min(rows, self.n_rows)
+        need = self._off[rows]
+        if need > len(self._store):
+            store = np.empty(min(self._off[-1], max(need, 2 * len(self._store))))
+            store[:len(self._flat)] = self._flat
+            self._store = store
+            self._flat = store[:len(self._flat)]
+            self._packed = None
+        if self.cells and rows * self.cells > len(self._guides):
+            guides = np.empty(self.cells * min(self.n_rows, max(rows, 2 * len(self._guides)
+                                                               // self.cells)), np.int32)
+            guides[:len(self._guide)] = self._guide
+            self._guides = guides
+            self._guide = guides[:len(self._guide)]
+            self._packed = None
 
     def append(self, weights):
         """Append len(weights) rows of weights over every column; a row's
         weights in front of its start are zero and left out."""
         m = len(weights)
+        ls = np.arange(self.n, self.n + m)[:, None]
         cum = np.cumsum(weights, axis=1)
-        if self._guide is not None and not (cum[:, -1] > 0).all():
-            raise ValueError("a guided row needs weight")
         self.reserve(self.n + m)
         np.divide(cum, cum[:, -1:], out=cum, where=cum[:, -1:] > 0)
-        cum += np.arange(self.n, self.n + m)[:, None]
+        cum += ls
         starts = self._starts[self.n:self.n + m]
         self._store[self._off[self.n]:self._off[self.n + m]] = (
             cum[np.arange(self.width) >= starts[:, None]] if starts.any()
             else cum.reshape(-1))
-        if self._guide is not None:
-            # entry e settles the cells [ceil(G lo_e), floor(G hi_e)) inside
-            # its interval [lo_e, hi_e) of targets (cells counted from row n)
-            hi = (cum.reshape(-1) - self.n) * GUIDE
-            first = np.ceil(np.concatenate([[0.0], hi[:-1]])).astype(np.intp)
+        if self.cells:
+            # per row, entry j settles the cells [ceil(hi_(j-1)), floor(hi_j))
+            # inside its targets, hi_j = (cum_j - l) cells (exact; hi_-1 = 0);
+            # the cells between and after them are open
+            hi = (cum - ls) * self.cells
+            first = np.ceil(np.column_stack([np.zeros(m), hi[:, :-1]])).astype(np.intp)
             end = np.maximum(first, np.floor(hi).astype(np.intp))
-            gaps = first - np.concatenate([[0], end[:-1]])
-            vals = (np.tile(self._vals, m) if self._shared
-                    else self._vals[self.n * self.width:(self.n + m) * self.width])
-            self._guide = np.concatenate([self._guide, np.repeat(
-                np.column_stack([np.full(len(vals), self._open), vals]).reshape(-1)
-                .astype(np.int32), np.column_stack([gaps, end - first]).reshape(-1))])
+            # a row's cells as runs: open, entry 0, open, entry 1, ..., open
+            counts = np.empty((m, 2 * self.width + 1), dtype=np.intp)
+            counts[:, 0:-1:2] = first - np.column_stack([np.zeros(m, np.intp), end[:, :-1]])
+            counts[:, 1::2] = end - first
+            counts[:, -1] = self.cells - end[:, -1]
+            runs = np.full(counts.shape, self._open, dtype=np.int32)
+            runs[:, 1::2] = (self._vals if self._shared else
+                             self._vals[self.n * self.width:(self.n + m) * self.width]
+                             .reshape(m, -1))
+            self._guides[self.n * self.cells:(self.n + m) * self.cells] = np.repeat(
+                runs.reshape(-1), counts.reshape(-1))
         self.grown(self.n + m)
 
     def grown(self, n):
-        """Take rows up to n, written past the rows built (unguided rows)."""
+        """Take rows up to n, and their guide cells, written past the rows
+        built."""
         self.n = n
         self._flat = self._store[:self._off[n]]
+        if self.cells:
+            self._guide = self._guides[:n * self.cells]
         self._packed = None
 
     def _values_at(self, idx, rows):
@@ -328,7 +350,7 @@ class _StackedCdf:
         in the row floor(t)."""
         rows = t.astype(np.intp)
         if self._guide is not None:
-            out = self._guide[(t * GUIDE).astype(np.intp)].astype(self._vals.dtype)
+            out = self._guide[(t * self.cells).astype(np.intp)].astype(self._vals.dtype)
             open_ = np.flatnonzero(out == self._open)
             if len(open_):
                 out[open_] = self._values_at(
@@ -369,17 +391,22 @@ class _StackedCdf:
                 _native.address(flat), _native.address(self._off), self.n,
                 self.width, _native.address(vals), len(vals), self._shared,
                 None if guide is None else _native.address(guide),
-                0 if guide is None else len(guide), int(self._open), GUIDE,
+                0 if guide is None else len(guide), int(self._open), self.cells,
                 self.U_MAX), (flat, self._off, vals, guide))
         return packed
 
 
 def _edges(cdf, rows):
     """The self-check's probes of the given rows of cdf, (rows, uniforms):
-    for every cut of each row below 1, a uniform whose target lies just
-    below the cut and one whose target is the cut."""
-    row_of = np.repeat(rows, np.diff(cdf._off)[rows])
+    for every cut of each row below 1, and in a guided table then for both
+    edges of the guide cell that holds each cut, a uniform whose target
+    lies just below the point and one whose target is the point."""
     cut = np.concatenate([cdf.row(i) - i for i in rows])
+    row_of = np.repeat(rows, np.diff(cdf._off)[rows])
+    if cdf.cells:
+        cell = cut * cdf.cells
+        cut = np.concatenate([cut, np.floor(cell) / cdf.cells, np.ceil(cell) / cdf.cells])
+        row_of = np.tile(row_of, 3)
     near = np.column_stack([cut, cut / cdf.U_MAX])
     probe = near < 1
     return row_of[np.nonzero(probe)[0]], near[probe]
@@ -399,18 +426,23 @@ def _same_lockstep(lib):
     the numpy fill and the Python loop on a small synthetic law, else which
     differs (the library's self-check, `_native._self_check`, after the
     series pass).  Every window row is filled by ``fill_rows`` up front and
-    compared with the numpy fill (the law's window starts at k = -8, so
-    rows below 8 start past column 0); both loops then run on those rows
-    and draw with numpy alone.  Twelve chains, one at 0, the others below
-    and above L_SMALL, take four steps four times, absorbed at 0: with
-    exact volume rows, residuals and a synthetic rule (`_generic_rule`),
-    with the limit law alone, for a heavy law, and in expectation mode,
-    the last two reading a rule table of synthetic means.  A fifth run,
-    with exact volume rows and the limit law, starts them all below 10
-    and has every chain absorbed at step 26 of 29, so both loops must stop
-    at the same checkpoint.  A sixth takes one step whose uniforms lie
-    just below and on every cut of rows 1..8, and of the exact volume rows,
-    which chains from row 8 draw for holes of degree 1, 2 and 3.  Each run
+    compared, with its guide cells, with the numpy fill (the law's window
+    starts at k = -8, so rows below 8 start past column 0); both loops then
+    run on those rows and draw with numpy alone, on bands whose bracket
+    guide is reversed, so that the compiled band search's guard decides
+    its index.  The first run takes two steps, the first with uniforms
+    just below and on every cut of rows 1..8 and on both edges of the
+    guide cell that holds it (`_edges`), many of them in open cells of
+    rows that start past column 0, and of the exact volume rows, which
+    chains from row 8 draw for holes of degree 1, 2 and 3; a chain that a
+    wrong draw sends below 0 fails the second step.  Then twelve chains,
+    one at 0, the others below and above L_SMALL, take four steps four
+    times, absorbed at 0: with exact volume rows, residuals and a
+    synthetic rule (`_generic_rule`), with the limit law alone, for a
+    heavy law, and in expectation mode, the last two reading a rule table
+    of synthetic means.  A last run, with exact volume rows and the limit
+    law, starts them all below 10 and has every chain absorbed at step 26
+    of 29, so both loops must stop at the same checkpoint.  Each run
     starts on blocks of junk (`_junk`), so the lead rows and the rows the
     loops write are compared, and the compiled loop may begin one round
     per uniform of its stream."""
@@ -425,13 +457,18 @@ def _same_lockstep(lib):
         window._fill_c(lib, engine.rows, end)
     rows = window.new_rows()
     window._fill_numpy(rows, L_SMALL)
-    if rows._flat.tobytes() != engine.rows._flat.tobytes():
+    if (rows._flat.tobytes() != engine.rows._flat.tobytes()
+            or rows._guide.tobytes() != engine.rows._guide.tobytes()):
         return "compiled row fill differs from the numpy fill"
+    # the bands' bracket reversed: the guard of the compiled band search
+    # alone then keeps nearly every band draw's index searchsorted's
+    bands = engine.bands
+    bands.bracket = (len(bands.cuts) - bands.bracket[::-1]).astype(np.int32)
     volumes = _StackedCdf(4, np.array([[1, 1, 1], [2, 5, -6], [3, -4, 1], [4, 7, -9]]))
     volumes.append(np.array([[1.0, 0, 0], [0.5, 0.3, 0.2], [0.6, 0.4, 0], [0.2, 0.3, 0.5]]))
     spread = np.arange(1, 98) * 0.6180339887498949 % 1.0
     big = (0, 2, 3, 4, 6, 8, 1298, 1298, 1298, 1298, 1100, 1030)
-    # the fifth run's chains from row 8 first, each with a uniform inside
+    # the first run's chains from row 8 first, each with a uniform inside
     # the column of its jump -2 - v, so that they draw the exact volume
     # rows v before the chains on the window rows' cuts prune
     at, on = _edges(engine.rows, np.arange(1, 9))
@@ -444,11 +481,11 @@ def _same_lockstep(lib):
     rules = {"heavy": _Rule(means, means, np.zeros(7), math.nan), "generic": _generic_rule(7)}
     rules["means"] = rules["heavy"]
     for case, start, checkpoints, us in (
+            ("exact", np.concatenate([np.full(len(v), 8), at]), range(1, 3),
+             np.concatenate([inside, on, v_on, spread])),
             ("generic", big, range(1, 5), spread), ("limit", big, range(1, 5), spread),
             ("heavy", big, range(1, 5), spread), ("means", big, range(1, 5), spread),
-            ("exact", (0, 2, 3, 4, 6, 8, 1, 5, 2, 3, 9, 1), range(1, 30), spread),
-            ("exact", np.concatenate([np.full(len(v), 8), at]), range(1, 2),
-             np.concatenate([inside, on, v_on, spread]))):
+            ("exact", (0, 2, 3, 4, 6, 8, 1, 5, 2, 3, 9, 1), range(1, 30), spread)):
         runs = []
         for compiled in (True, False):
             vol = VolumeSampler(law, "asymptotic_xi", engine=engine)
@@ -582,7 +619,7 @@ def _block_fixture():
     engine.log_phi, engine.log_K = th**2, 0.5 * np.log(peak) - th * peak
     # neighbouring tilts' rows differ, and the deep entry keeps 3% or less
     engine.tilt_rows = _StackedCdf(len(th), np.append(np.arange(-8, 3), -k_neg - 1),
-                                   guided=True)
+                                   cells=GUIDE)
     mult = 1 + np.add.outer(np.arange(len(th)), np.arange(12)) % 3
     mult[:, -1] = 1
     engine.tilt_rows.append(np.append(probs[-11:], 0.03) * mult)
@@ -993,8 +1030,11 @@ class _Bands:
     then per band the offset t0 and scale dt that map a uniform u into nu's
     cumulative sum cs, and the envelope env.  ``jumps`` is numpy's; the
     package's compiled chain loops (`_native`) run the same rounds inline,
-    reading the same uniforms and giving the same jumps.  A _Bands is never
-    changed, so its addresses are packed once.
+    reading the same uniforms and giving the same jumps, and narrow each
+    search of the cuts cs[1:-1] to the entries of the bracket guide
+    ``bracket`` at the target's cell (BAND_GUIDE + 1 cells of cs[-1] /
+    BAND_GUIDE), guarded as a search of the whole table.  A _Bands is
+    never changed, so its addresses are packed once.
     """
 
     def __init__(self, cs, hz, k_neg, k_pos):
@@ -1013,6 +1053,14 @@ class _Bands:
                        c_mid - w_lo / env_hi, total / env_hi, env_hi)
         self.n = len(ls)
         self.cuts = cs[1:-1]
+        # the bracket guide of the compiled band search: bracket[c] cuts
+        # lie in the cells below c, a cut's cell floor(cut * scale) (a last
+        # cell holds the cuts whose product rounds up to BAND_GUIDE); the
+        # rounded product is monotone, so a target's index lies between
+        # the entries at its own cell and the next
+        self.scale = BAND_GUIDE / cs[-1]
+        self.bracket = np.floor(self.cuts * self.scale).searchsorted(
+            np.arange(BAND_GUIDE + 2)).astype(np.int32)
         self.hz = hz
         self.k_neg = k_neg
         self._packed = None
@@ -1051,7 +1099,8 @@ class _Bands:
             self._packed = _native.Bands(
                 *map(_native.address, self.arrays), self.n,
                 _native.address(self.cuts), len(self.cuts),
-                _native.address(self.hz), len(self.hz), self.k_neg)
+                _native.address(self.hz), len(self.hz), self.k_neg,
+                _native.address(self.bracket), len(self.bracket) - 1, self.scale)
         return self._packed
 
 
@@ -1094,8 +1143,8 @@ class _Window:
     one law at any depth share a window, found by what it read
     (`_window_key`) among the engines a thread keeps (`_chain_engine`),
     and kept as long as one of them is.  A full window of rows holds
-    L_SMALL (L_SMALL - 1) / 2 + L_SMALL (k_pos + 1) doubles: 4.2 MB for
-    quad and tri."""
+    L_SMALL (L_SMALL - 1) / 2 + L_SMALL (k_pos + 1) doubles, 4.2 MB for
+    quad and tri, and ROW_GUIDE int32 guide cells per row, 256 KB."""
 
     def __init__(self, law, order):
         self.order = order
@@ -1107,8 +1156,9 @@ class _Window:
         self.log_K = _log_K(law) if order == 1 else None
 
     def new_rows(self):
-        """Empty rows for this window: row l starts at its column k = -l."""
-        return _StackedCdf(L_SMALL, self.ks,
+        """Empty rows for this window, ROW_GUIDE guide cells each: row l
+        starts at its column k = -l."""
+        return _StackedCdf(L_SMALL, self.ks, cells=ROW_GUIDE,
                            starts=np.maximum(0, -self.ks[0] - np.arange(L_SMALL)))
 
     def extend_rows(self, l_max):
@@ -1136,7 +1186,8 @@ class _Window:
         if end > rows.n:
             addr = _native.address
             lib.fill_rows(addr(self.h), addr(self.p), addr(self.ks), rows.width,
-                          addr(rows._off), rows.n, end,
+                          addr(rows._off), rows.n, end, rows.cells, rows._open,
+                          addr(rows._guides[rows.n * rows.cells:end * rows.cells]),
                           addr(rows._store[rows._off[rows.n]:rows._off[end]]))
             rows.grown(end)
 
@@ -1239,7 +1290,7 @@ class _ChainEngine:
         # the last entry of each row holds all of k <= -L_SMALL
         self._deep_w = (pd.sum() + deep) * np.exp(-th * law.k_pos)
         self.tilt_rows = _StackedCdf(len(th), np.append(self.win_ks, -law.k_neg - 1),
-                                     guided=True)
+                                     cells=GUIDE)
 
     def _tilt_rows(self, j):
         """Build the rows of nu_theta for the grid up to index j: nu(k) e^(theta
@@ -1822,7 +1873,7 @@ def _block_rounds_numpy(engine, vol, rng, run, flags):
             lb, B = la[sb], np.minimum(B[sb], n_steps - da[sb])
             if B.sum() > BLOCK_DRAWS:
                 np.minimum(B, max(1, BLOCK_DRAWS // len(sb)), out=B)
-            ks, run, starts, before, lB, keep = engine.propose_blocks(lb, B, rng)
+            ks, sums, starts, before, lB, keep = engine.propose_blocks(lb, B, rng)
             flags["block_proposals"] += len(sb)
             flags["block_accepts"] += int(keep.sum())
             if keep.any():
@@ -1844,7 +1895,7 @@ def _block_rounds_numpy(engine, vol, rng, run, flags):
                     at = np.arange(len(own)) + np.repeat(first - np.cumsum(count) + count, count)
                     pos = starts[own] + cps[at] - s0[own] - 1
                     c = act[sb[own]]
-                    per[at, c] = lb[own] + run[pos] - before[own]
+                    per[at, c] = lb[own] + sums[pos] - before[own]
                     vols[at, c] = (v0[own] + vrun[prune.searchsorted(pos, "right")]
                                    - vrun[p0[own]])
         live = da < n_steps

@@ -13,7 +13,7 @@ import pytest
 
 from peelkit.criticality import solve_boltzmann
 from peelkit.oracle import brute_force_maps, enumerate_dp
-from peelkit.peeling import _rng, _StackedCdf, sample_xi, step_finite, step_ibpm
+from peelkit.peeling import GUIDE, _rng, _StackedCdf, sample_xi, step_finite, step_ibpm
 from peelkit.scaling import (
     collapse_test,
     cplus_slope_test,
@@ -187,7 +187,7 @@ def test_criterion_07_doob_transforms(laws):
     for l in (4, 10):
         for dist in (step_finite(l, law), step_ibpm(l, law)):
             # one guided inverse-CDF row of the transition law
-            tab = _StackedCdf(1, dist.ks, guided=True)
+            tab = _StackedCdf(1, dist.ks, cells=GUIDE)
             tab.append(dist.probs[None, :])
             draws = tab.draw(rng, np.zeros(1_000_000, dtype=np.intp))
             for k, p in zip(dist.ks, dist.probs):

@@ -78,7 +78,7 @@ LAW_EXACT = quad_law(k_neg=64, exact=True)
 def guided_row(values, probs):
     """One guided `_StackedCdf` row: the inverse-CDF sampler of the finite
     law probs over values."""
-    row = _StackedCdf(1, np.asarray(values), guided=True)
+    row = _StackedCdf(1, np.asarray(values), cells=peeling.GUIDE)
     row.append(np.asarray(probs, dtype=np.float64)[None, :])
     return row
 
@@ -835,9 +835,9 @@ class TestStackedCdf:
         for values in (np.array([0, hi + 1]), np.array([lo, 0]), np.array([lo, 0], np.int32),
                        np.array([-(1 << 40), 3]), np.array([0.5, 1.0])):
             with pytest.raises(ValueError, match="int32"):
-                _StackedCdf(1, values, guided=True)
+                _StackedCdf(1, values, cells=peeling.GUIDE)
             _StackedCdf(1, values)
-        edge = _StackedCdf(1, np.array([lo + 1, hi]), guided=True)
+        edge = _StackedCdf(1, np.array([lo + 1, hi]), cells=peeling.GUIDE)
         edge.append(np.array([[1.0, 3.0]]))
         assert edge._guide.dtype == np.int32 and edge._open == lo
         draws = edge.draw(_rng(1), np.zeros(1000, dtype=np.intp))
@@ -850,7 +850,7 @@ class TestStackedCdf:
         # and the unguided table's values
         values = (np.arange(7) * 5 - 12).astype(dtype)
         weights = _rng(6).random((3, 7))
-        guided = _StackedCdf(3, np.tile(values, (3, 1)), guided=True)
+        guided = _StackedCdf(3, np.tile(values, (3, 1)), cells=peeling.GUIDE)
         plain = _StackedCdf(3, np.tile(values, (3, 1)))
         for cdf in (guided, plain):
             cdf.append(weights)
@@ -862,13 +862,23 @@ class TestStackedCdf:
         settled = guided._guide[(t * peeling.GUIDE).astype(np.intp)] != guided._open
         assert settled.any() and not settled.all()
 
-    def test_guided_append_refuses_a_row_with_no_weight(self):
-        cdf = _StackedCdf(3, np.array([3, 8]), guided=True)
-        with pytest.raises(ValueError):
-            cdf.append(np.array([[1.0, 2.0], [0.0, 0.0]]))
-        assert cdf.n == 0
-        cdf.append(np.array([[1.0, 2.0]]))
-        assert cdf.n == 1
+    def test_a_guided_row_with_no_weight_has_every_cell_open(self):
+        # a row with no weight (as a bipartite law's odd window rows) is
+        # taken with every guide cell open, so a draw from it is refused as
+        # from an unguided row; the rows around it keep their own cells,
+        # a cell split by a cut open and the others settled
+        cells = peeling.GUIDE
+        cdf = _StackedCdf(3, np.array([3, 8]), cells=cells)
+        cdf.append(np.array([[1.0, 2.0], [0.0, 0.0], [2.0, 1.0]]))
+        assert cdf.n == 3 and len(cdf._guide) == 3 * cells
+        guide = cdf._guide.reshape(3, cells)
+        assert (guide[1] == cdf._open).all()
+        for row, below in ((0, cells // 3), (2, 2 * cells // 3)):
+            assert [int((guide[row] == v).sum()) for v in (3, cdf._open, 8)] == [
+                below, 1, cells - below - 1]
+        with pytest.raises(IndexError, match="no weight"):
+            cdf.draw(_rng(1), np.array([0, 1, 2]))
+        assert set(cdf.draw(_rng(1), np.array([0, 2] * 500)).tolist()) == {3, 8}
 
     def test_rows_grow_with_the_chain(self):
         engine = _ChainEngine(DEEP["quad"], "finite")
@@ -1714,7 +1724,70 @@ C_MUTANTS = {
     "da_zero": ("    memset(s->da, 0, n * sizeof *s->da);\n", ""),
     "lead_row": ("        out[c] = l0;\n        out[rows + c] = 0;\n", "",
                  "compiled lockstep differs from the Python loop"),
+    # a window row's guide cell that a cut splits settled to the entry
+    # below the cut (its entry's cells end one cell late), which the row
+    # fill's comparison sees; and the band search without the guard that
+    # keeps its index searchsorted's whatever the bracket guide holds,
+    # which the lockstep check's reversed bracket needs
+    "guide_late": ("for (; (double)(c + 1) <= hi; c++)", "for (; (double)c < hi; c++)",
+                   "compiled row fill differs from the numpy fill"),
+    "bracket_guard": ("""    if (lo > 0 && t < b->cuts[lo - 1])
+        lo = 0;
+    if (hi < b->n_cuts && !(t < b->cuts[hi]))
+        hi = b->n_cuts;
+""", "", "compiled lockstep differs from the Python loop"),
 }
+
+# the mutants of the other self-check tests, (text, replacement), by test:
+# a draw that drops a row's start column; a target on a cut searched to
+# its left and a uniform on a band's share taken into the low band; the
+# hole-volume rule without its offset or its lower bound; a hole of degree
+# 0 that still draws its exact row or its limit law; a mean volume one too
+# large where a rule entry draws nothing or where there are no exact rows
+START_COLUMN = ("long long col = start + idx - c->off[row];",
+                "long long col = idx - c->off[row];")
+EDGE_MUTANTS = {"cut": ("if (t < a[mid])", "if (t <= a[mid])",
+                        "compiled lockstep differs from the Python loop"),
+                "share": ("if (u < b->share[l]) {", "if (u <= b->share[l]) {",
+                          "compiled block rounds differ from the numpy rounds")}
+RULE_MUTANTS = {"off": ("long long v = s->off[lp];", "long long v = 0;"),
+                "lo": ("    if (v < s->lo[lp])\n        v = s->lo[lp];\n", "")}
+DEGREE_0_MUTANTS = {
+    "row": ("    if (!lp) {\n        *val = 1;\n        return 0;\n    }\n", ""),
+    "limit": ("    if (!lp)\n        return 1;\n",
+              "    if (!lp)\n        return 1 + 0 * (long long)random_gamma(bg, 1.5, 2.0);\n")}
+MEAN_MUTANTS = {"mean": ("        s->undrawn++;\n", "        s->undrawn++;\n        v++;\n"),
+                "expectation": ("return v < f ? f : v;",
+                                "return (v < f ? f : v) + !s->volumes;")}
+# every mutant library of this module, by name: C_MUTANTS' own, the others
+# under their test's prefix
+MUTANTS = {**C_MUTANTS, "start_column": START_COLUMN,
+           **{f"{prefix}_{name}": mutant
+              for prefix, group in (("edge", EDGE_MUTANTS), ("rule", RULE_MUTANTS),
+                                    ("degree_0", DEGREE_0_MUTANTS), ("mean", MEAN_MUTANTS))
+              for name, mutant in group.items()}}
+
+
+@pytest.fixture(scope="module")
+def mutants(tmp_path_factory):
+    """{name: path} of every library of MUTANTS, each the library's source
+    with its one text replaced, compiled once per module in one pool of
+    two workers; skips without a compiler or numpy's static random
+    library."""
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None or not os.path.isfile(_native._npyrandom()):
+        pytest.skip("no C compiler or no numpy static random library")
+    sources = {}
+    for name, (old, new, *_) in MUTANTS.items():
+        assert _native._C_SOURCE.count(old) == 1, name
+        sources[name] = _native._C_SOURCE.replace(old, new)
+    tmp = tmp_path_factory.mktemp("mutants")
+    paths = {name: str(tmp / f"{name}.so") for name in sources}
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        failed = list(pool.map(lambda name: _native._compile(cc, paths[name], sources[name]),
+                               sources))
+    assert failed == [None] * len(sources)
+    return paths
 
 
 def small_finite_engine():
@@ -2279,45 +2352,24 @@ class TestCompiledDraws:
         assert kept[0] == [False]
         assert runs[0] == runs[1]
 
-    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
-                        or not os.path.isfile(_native._npyrandom()),
-                        reason="no C compiler or no numpy static random library")
-    def test_self_check_refuses_mutants(self, tmp_path):
-        # the library's block rounds and run_start, each mutated in one
-        # place, compiled and checked on load: the self-check refuses every
-        # one, under --reference-loops too (the check calls the library
-        # under check directly), with the block rounds' refusal unless the
-        # mutant names another
-        sources, refusals = {}, {}
-        for name, (old, new, *refusal) in C_MUTANTS.items():
-            assert _native._C_SOURCE.count(old) == 1, name
-            sources[name] = _native._C_SOURCE.replace(old, new)
-            refusals[name] = (refusal or ["compiled block rounds differ from the numpy rounds"])[0]
-        cc = shutil.which("cc") or shutil.which("gcc")
-        paths = {name: str(tmp_path / f"{name}.so") for name in sources}
-        with concurrent.futures.ThreadPoolExecutor(2) as pool:
-            failed = list(pool.map(lambda name: _native._compile(cc, paths[name],
-                                                                  sources[name]),
-                                   sources))
-        assert failed == [None] * len(sources)
-        for name, path in paths.items():
-            assert _native._self_check(_native._open(path)) == refusals[name], name
+    def test_self_check_refuses_mutants(self, mutants):
+        # the library's block rounds, run_start, row guide and band
+        # search, each mutated in one place, compiled and checked on load:
+        # the self-check refuses every one, under --reference-loops too
+        # (the check calls the library under check directly), with the
+        # block rounds' refusal unless the mutant names another
+        for name, (_, _, *refusal) in C_MUTANTS.items():
+            refusal = (refusal or ["compiled block rounds differ from the numpy rounds"])[0]
+            assert _native._self_check(_native._open(mutants[name])) == refusal, name
 
-    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
-                        or not os.path.isfile(_native._npyrandom()),
-                        reason="no C compiler or no numpy static random library")
-    def test_self_check_ends_on_a_cycling_mutant(self, tmp_path):
+    def test_self_check_ends_on_a_cycling_mutant(self, mutants):
         # the keep_stopped mutant draws a keep uniform for a stopped block,
         # so it reads the self-check's cyclic stream in another order: its
         # stopped-block run from 6 over 4 steps is refused within 5 s, and
         # from 4 over 2 steps, where the library agrees with the numpy
         # rounds, it cycles with no chain kept until its round budget (one
         # round per uniform of the stream) runs out
-        old, new = C_MUTANTS["keep_stopped"]
-        path = str(tmp_path / "keep_stopped.so")
-        cc = shutil.which("cc") or shutil.which("gcc")
-        assert _native._compile(cc, path, _native._C_SOURCE.replace(old, new)) is None
-        mutant = _native._open(path)
+        mutant = _native._open(mutants["keep_stopped"])
         fixture = peeling._block_fixture()
         case, chains, n_steps, stream = fixture.runs[2]
         assert (chains[0], n_steps) == (5, 3)
@@ -2351,57 +2403,28 @@ class TestCompiledDraws:
                 == "numpy block rounds ran out of their round budget")
         assert time.perf_counter() - begun < 5.0
 
-    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
-                        or not os.path.isfile(_native._npyrandom()),
-                        reason="no C compiler or no numpy static random library")
-    def test_self_check_refuses_a_start_column_mutant(self, tmp_path):
+    def test_self_check_refuses_a_start_column_mutant(self, mutants):
         # a draw that takes a row's value index from the entry's offset in
         # the row alone, dropping the row's start column: right on every
         # rectangular table, wrong on rows that start past column 0, which
         # the self-check's lockstep runs draw from; their chains then jump
         # below 0, which the compiled loop refuses outright
-        old = "long long col = start + idx - c->off[row];"
-        assert _native._C_SOURCE.count(old) == 1
-        path = str(tmp_path / "start.so")
-        cc = shutil.which("cc") or shutil.which("gcc")
-        assert _native._compile(cc, path, _native._C_SOURCE.replace(
-            old, "long long col = idx - c->off[row];")) is None
         with pytest.raises(IndexError, match="lockstep read outside the tables built"):
-            _native._self_check(_native._open(path))
+            _native._self_check(_native._open(mutants["start_column"]))
 
-    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
-                        or not os.path.isfile(_native._npyrandom()),
-                        reason="no C compiler or no numpy static random library")
-    def test_self_check_refuses_draws_on_an_edge(self, tmp_path):
+    def test_self_check_refuses_draws_on_an_edge(self, mutants):
         # a target on a cut searched to its left, and a uniform on a band's
         # share taken into the low band: the self-check's lockstep and
         # block runs put uniforms exactly there
-        mutants = {"cut": ("if (t < a[mid])", "if (t <= a[mid])",
-                           "compiled lockstep differs from the Python loop"),
-                   "share": ("if (u < b->share[l]) {", "if (u <= b->share[l]) {",
-                             "compiled block rounds differ from the numpy rounds")}
-        cc = shutil.which("cc") or shutil.which("gcc")
-        for name, (old, new, refusal) in mutants.items():
-            assert _native._C_SOURCE.count(old) == 1, name
-            path = str(tmp_path / f"{name}.so")
-            assert _native._compile(cc, path, _native._C_SOURCE.replace(old, new)) is None
-            assert _native._self_check(_native._open(path)) == refusal, name
+        for name, (_, _, refusal) in EDGE_MUTANTS.items():
+            assert _native._self_check(_native._open(mutants[f"edge_{name}"])) == refusal, name
 
-    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
-                        or not os.path.isfile(_native._npyrandom()),
-                        reason="no C compiler or no numpy static random library")
-    def test_self_check_refuses_rule_mutants(self, tmp_path):
+    def test_self_check_refuses_rule_mutants(self, mutants):
         # the hole-volume rule without its offset, or without its lower
         # bound: the lockstep and block checks each refuse both, on their
         # synthetic rules whose off and lo decide some volumes
-        mutants = {"off": ("long long v = s->off[lp];", "long long v = 0;"),
-                   "lo": ("    if (v < s->lo[lp])\n        v = s->lo[lp];\n", "")}
-        cc = shutil.which("cc") or shutil.which("gcc")
-        for name, (old, new) in mutants.items():
-            assert _native._C_SOURCE.count(old) == 1, name
-            path = str(tmp_path / f"{name}.so")
-            assert _native._compile(cc, path, _native._C_SOURCE.replace(old, new)) is None
-            lib = _native._open(path)
+        for name in RULE_MUTANTS:
+            lib = _native._open(mutants[f"rule_{name}"])
             assert peeling._same_lockstep(lib) == "compiled lockstep differs from the Python loop"
             assert (peeling._same_blocks(lib)
                     == "compiled block rounds differ from the numpy rounds"), name
@@ -2417,49 +2440,22 @@ class TestCompiledDraws:
         monkeypatch.setattr(_native, "library", loader)
         assert _native._self_check(lib) is None
 
-    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
-                        or not os.path.isfile(_native._npyrandom()),
-                        reason="no C compiler or no numpy static random library")
-    def test_self_check_refuses_a_degree_0_draw(self, tmp_path):
+    def test_self_check_refuses_a_degree_0_draw(self, mutants):
         # a hole of degree 0 that still draws its exact row, or its limit
         # law: its volume stays 1 but the stream moves, which the
         # self-check's lockstep runs (exact rows, and the limit law alone)
         # see
-        mutants = {"row": ("    if (!lp) {\n        *val = 1;\n        return 0;\n    }\n", ""),
-                   "limit": ("    if (!lp)\n        return 1;\n",
-                             "    if (!lp)\n        return 1 + 0 * (long long)random_gamma(bg, 1.5, 2.0);\n")}
-        cc = shutil.which("cc") or shutil.which("gcc")
-        for name, (old, new) in mutants.items():
-            assert _native._C_SOURCE.count(old) == 1, name
-            path = str(tmp_path / f"{name}.so")
-            assert _native._compile(cc, path, _native._C_SOURCE.replace(old, new)) is None
-            assert (_native._self_check(_native._open(path))
+        for name in DEGREE_0_MUTANTS:
+            assert (_native._self_check(_native._open(mutants[f"degree_0_{name}"]))
                     == "compiled lockstep differs from the Python loop"), name
 
-    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc"))
-                        or not os.path.isfile(_native._npyrandom()),
-                        reason="no C compiler or no numpy static random library")
-    def test_self_check_refuses_a_mean_mutant(self, tmp_path):
+    def test_self_check_refuses_a_mean_mutant(self, mutants):
         # a mean volume read one too large, wherever a rule entry draws
         # nothing or wherever there are no exact rows (as in expectation
         # mode): the lockstep and the block halves of the self-check each
         # refuse both
-        mutants = {"mean": ("        s->undrawn++;\n", "        s->undrawn++;\n        v++;\n"),
-                   "expectation": ("return v < f ? f : v;",
-                                   "return (v < f ? f : v) + !s->volumes;")}
-        sources = {}
-        for name, (old, new) in mutants.items():
-            assert _native._C_SOURCE.count(old) == 1, name
-            sources[name] = _native._C_SOURCE.replace(old, new)
-        cc = shutil.which("cc") or shutil.which("gcc")
-        paths = {name: str(tmp_path / f"{name}.so") for name in sources}
-        with concurrent.futures.ThreadPoolExecutor(2) as pool:
-            failed = list(pool.map(lambda name: _native._compile(cc, paths[name],
-                                                                  sources[name]),
-                                   sources))
-        assert failed == [None] * len(sources)
-        for name, path in paths.items():
-            lib = _native._open(path)
+        for name in MEAN_MUTANTS:
+            lib = _native._open(mutants[f"mean_{name}"])
             assert (peeling._same_lockstep(lib)
                     == "compiled lockstep differs from the Python loop"), name
             assert (peeling._same_blocks(lib)
@@ -2567,7 +2563,8 @@ class TestCompiledDraws:
                                                         "block_accepts": 0})
             with pytest.raises(IndexError, match=f"{name} read outside the tables built"):
                 loop(lib, eng, vol, _rng(1), *args)
-        engine.tilt_rows = _StackedCdf(len(BLOCK_THETAS), engine.tilt_rows._vals, guided=True)
+        engine.tilt_rows = _StackedCdf(len(BLOCK_THETAS), engine.tilt_rows._vals,
+                                       cells=peeling.GUIDE)
         engine.start(2000)
         with pytest.raises(IndexError, match="block_rounds read outside the tables built"):
             peeling._block_rounds_c(lib, engine, vol, _rng(1),
@@ -2586,7 +2583,8 @@ class TestCompiledDraws:
         u = _rng(3).random()
         w = u * _StackedCdf.U_MAX
         assert 0.5 <= w < 1
-        cdf = _StackedCdf(2, np.array([[1, 2], [3, 8]]), guided=guided)
+        cdf = _StackedCdf(2, np.array([[1, 2], [3, 8]]),
+                          cells=peeling.GUIDE if guided else 0)
         cdf.append(np.array([[0.5, 0.5], [w, 1.0 - w]]))
         assert cdf.row(1)[0] == 1 + w
         if path == "numpy":
@@ -2618,6 +2616,160 @@ class TestCompiledDraws:
         assert out.flags["band_accepts"] == taken
         assert out.flags["band_proposals"] >= out.flags["band_accepts"]
         assert out.flags["block_proposals"] == out.flags["block_accepts"] == 0
+
+
+class TestGuides:
+    """The guide cells of the window rows and the bracket guide of the
+    bands' cuts only shorten a search: every draw is the one a search of
+    the whole table gives, on the compiled path and the numpy one."""
+
+    @staticmethod
+    def _probes(rows, ls):
+        """(rows, uniforms) over the rows ls of rows: targets on every cut
+        below 1 and on every guide cell edge, and just below each (the
+        uniform p aims just below l + p, and p / U_MAX at l + p)."""
+        at, us = [], []
+        for l in ls:
+            p = np.union1d(rows.row(l) - l, np.arange(rows.cells) / rows.cells)
+            u = np.concatenate([p[p > 0], p / _StackedCdf.U_MAX])
+            us.append(u[u < 1])
+            at.append(np.full(len(us[-1]), l))
+        return np.concatenate(at), np.concatenate(us)
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    @pytest.mark.parametrize("mode", ["finite", "ibpm"])
+    @pytest.mark.parametrize("key", ["quad", "tri"])
+    def test_window_draws_are_the_searchs(self, key, mode, path):
+        # window rows that start past column 0, targets on every cut and
+        # guide cell edge and just below each: numpy's guided draw
+        # (_StackedCdf.at) and the compiled one (a lockstep step) give the
+        # value a search of the whole table finds, from settled and open
+        # cells alike
+        law = DEEP[key]
+        engine = _ChainEngine(law, mode)
+        with draws_on(path):
+            engine.window.extend_rows(L_SMALL - 1)
+        rows = engine.rows
+        ls = [l for l in (*range(1, 24), 511, 512, 1000, 1001) if rows.row(l)[-1] > l]
+        assert len(ls) > 12 and rows._starts[ls].all()
+        ls, us = self._probes(rows, ls)
+        t = ls + us * _StackedCdf.U_MAX
+        want = rows._values_at(rows._flat.searchsorted(t, "right"), ls)
+        settled = rows._guide[(t * rows.cells).astype(np.intp)] != rows._open
+        assert settled.any() and not settled.all()
+        if path == "numpy":
+            assert rows.at(t).tobytes() == want.tobytes()
+            return
+        lib = compiled_library()
+        vol = VolumeSampler(law, "expectation", engine=engine)
+        engine.start(2)
+        run = peeling._Run(len(ls), 2, [1], (lib, engine, vol))
+        run.ls[:] = ls
+        peeling._lockstep_c(lib, engine, vol, _native.FixedStream(lib, us), run)
+        assert (run.ls - ls).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("key", ["quad", "tri", "geo3"])
+    def test_band_bracket_holds_every_cut(self, key):
+        # at every cut and cell edge of the bands' bracket guide and just
+        # below each, up to nu's total mass, searchsorted's index lies
+        # between the bracket's entries at the target's cell (its last
+        # cell, BAND_GUIDE, for a product that rounds up to it):
+        # cuts[lo - 1] <= t < cuts[hi], so the guard is not needed there
+        engine = _ChainEngine(DEEP[key], "finite")
+        bands, cells = engine.bands, peeling.BAND_GUIDE
+        edges = np.arange(cells + 1) / bands.scale
+        t = np.concatenate([bands.cuts, np.nextafter(bands.cuts, 0), edges,
+                            np.nextafter(edges, 0), engine.cs[-1:]])
+        t = t[(t >= 0) & (t <= engine.cs[-1])]
+        cell = np.minimum((t * bands.scale).astype(np.intp), cells)
+        idx = bands.cuts.searchsorted(t, "right")
+        assert ((bands.bracket[cell] <= idx) & (idx <= bands.bracket[cell + 1])).all()
+        assert len(bands.bracket) == cells + 2 and bands.bracket[-1] == len(bands.cuts)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_band_draws_are_the_searchs(self, reverse):
+        # one lockstep step of chains from L_SMALL on whose band uniforms
+        # aim at every cut and cell edge of the bracket guide and just
+        # below each, in either band: the compiled band search gives
+        # numpy's searchsorted index, with the bracket as built and with it
+        # reversed, where only its guard keeps the index right
+        lib = compiled_library()
+        law = DEEP["tri"]
+        engine = _ChainEngine(law, "finite")
+        engine.start(3000)
+        bands = engine.bands
+        share, t0_lo, dt_lo, _, t0_hi, dt_hi, _ = bands.arrays
+        x = np.concatenate([bands.cuts, np.arange(peeling.BAND_GUIDE) / bands.scale])
+        x = np.concatenate([x, np.nextafter(x, 0)])
+        ls, us = [], []
+        for l in (L_SMALL, 1501, 3000):
+            u = np.concatenate([(x - t0_lo[l]) / dt_lo[l], (x - t0_hi[l]) / dt_hi[l]])
+            us.append(u[(u >= 0) & (u < 1)])
+            ls.append(np.full(len(us[-1]), l))
+        ls, us = np.concatenate(ls), np.concatenate(us)
+        assert len(us) > 1000
+        if reverse:
+            bands.bracket = (len(bands.cuts) - bands.bracket[::-1]).astype(np.int32)
+            bands._packed = None
+        stream = np.concatenate([us, np.arange(1, 98) * 0.6180339887498949 % 1.0])
+        runs = []
+        for compiled in (True, False):
+            vol = VolumeSampler(law, "expectation", engine=engine)
+            engine.start(3000)
+            run = peeling._Run(len(ls), L_SMALL, [1], (lib, engine, vol) if compiled else None)
+            run.ls[:] = ls
+            rng = _native.FixedStream(lib, stream)
+            peeling._lockstep(engine, vol, rng, run)
+            runs.append((run.ls.tobytes(), run.V.tobytes(), engine.flags, rng.used))
+        assert runs[0] == runs[1]
+
+    def test_compiled_guide_stays_in_its_rows(self):
+        # fill_rows writes each row's guide cells into that row's own cells:
+        # asked for rows 65..129 of quad's finite window, whose odd rows
+        # have no weight, it leaves the cells on either side as they were
+        # and writes the numpy fill's cells in between
+        lib = compiled_library()
+        window = peeling._Window(DEEP["quad"], 0)
+        ref = window.new_rows()
+        window._fill_numpy(ref, 130)
+        assert ref.row(65)[-1] == 65
+        cells, lo, hi = ref.cells, 65, 130
+        guide = np.full((hi - lo + 2) * cells, 7, dtype=np.int32)
+        cum = np.empty(ref._off[hi] - ref._off[lo])
+        addr = _native.address
+        lib.fill_rows(addr(window.h), addr(window.p), addr(window.ks), ref.width,
+                      addr(ref._off), lo, hi, cells, ref._open, addr(guide[cells:]), addr(cum))
+        assert (guide[:cells] == 7).all() and (guide[-cells:] == 7).all()
+        assert guide[cells:-cells].tobytes() == ref._guide[lo * cells:hi * cells].tobytes()
+        assert cum.tobytes() == ref._flat[ref._off[lo]:].tobytes()
+
+    def test_self_check_fills_the_guide_without_the_loader(self, monkeypatch):
+        # the self-check's compiled row fill writes the guide cells in the
+        # same pass as the rows, never through the loader, and compares
+        # them with the numpy fill's: a guide one cell off is refused
+        lib = compiled_library()
+
+        def loader():
+            raise AssertionError("the self-check asked for the library")
+
+        monkeypatch.setattr(_native, "library", loader)
+        fills, fill = [], peeling._Window._fill_c
+
+        def filling(window, lib, rows, end):
+            fill(window, lib, rows, end)
+            fills.append((rows.n, int((rows._guide != rows._open).sum())))
+
+        monkeypatch.setattr(peeling._Window, "_fill_c", filling)
+        assert peeling._same_lockstep(lib) is None
+        assert [n for n, _ in fills] == [peeling.ROW_CHUNK, L_SMALL]
+        assert 0 < fills[-1][1] < L_SMALL * peeling.ROW_GUIDE
+
+        def skewed(window, lib, rows, end):
+            fill(window, lib, rows, end)
+            rows._guide[1:] = rows._guide[:-1].copy()
+
+        monkeypatch.setattr(peeling._Window, "_fill_c", skewed)
+        assert peeling._same_lockstep(lib) == "compiled row fill differs from the numpy fill"
 
 
 class TestThreadGenerator:
