@@ -349,20 +349,13 @@ class _StackedCdf:
         """The values at targets t in [0, n), searchsorted(rows, t, "right")
         in the row floor(t)."""
         rows = t.astype(np.intp)
-        if self._guide is not None:
-            out = self._guide[(t * self.cells).astype(np.intp)].astype(self._vals.dtype)
-            open_ = np.flatnonzero(out == self._open)
-            if len(open_):
-                out[open_] = self._values_at(
-                    self._flat.searchsorted(t[open_], "right"), rows[open_])
-            return out
-        if len(t) < 64:
+        if self._guide is None:
             return self._values_at(self._flat.searchsorted(t, "right"), rows)
-        # sorted targets keep successive searches in cache: 3-4x for 1000s
-        order = np.argsort(t)
-        out = np.empty(len(t), dtype=self._vals.dtype)
-        out[order] = self._values_at(self._flat.searchsorted(t[order], "right"),
-                                     rows[order])
+        out = self._guide[(t * self.cells).astype(np.intp)].astype(self._vals.dtype)
+        open_ = np.flatnonzero(out == self._open)
+        if len(open_):
+            out[open_] = self._values_at(self._flat.searchsorted(t[open_], "right"),
+                                         rows[open_])
         return out
 
     def check_rows(self, rows):

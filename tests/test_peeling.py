@@ -821,7 +821,7 @@ class TestStackedCdf:
         for lo in range(0, rows, 64):     # grows a block at a time
             shared.append(weights[lo:lo + 64])
         per_row.append(weights)
-        for size in (10, 1000):           # the unsorted and sorted searches
+        for size in (10, 1000):
             at = _rng(3).integers(0, rows, size)
             np.testing.assert_array_equal(shared.draw(_rng(4), at),
                                           per_row.draw(_rng(4), at))
