@@ -420,10 +420,10 @@ static long long band_rounds(bitgen_t *bg, const bands_t *b,
    columns, as _Window._fill_numpy: w_j = h[l + ks_j] * p_j, their running
    sum divided by its last entry where that is positive, plus l; and its
    cells guide cells at guide[(l - l_from) cells], as _StackedCdf.append:
-   cell c holds the value ks_j of the entry whose targets cover it, c in
-   [ceil(hi_(j-1)), floor(hi_j)) with hi_j = (row_j - l) cells (exact), and
-   every other cell (an entry's cut splits it, or the row has no weight)
-   the open marker. */
+   with hi_j = (row_j - l) cells (exact), cell c holds the value ks_j of
+   the first entry with hi_j > c where c + 1 <= hi_j (the entry's targets
+   cover the cell), else the open marker (a cut splits the cell, or the
+   row has no weight). */
 void fill_rows(const double *h, const double *p, const long long *ks,
                long long width, const long long *off, long long l_from,
                long long l_to, long long cells, int32_t open, int32_t *guide,
@@ -438,20 +438,16 @@ void fill_rows(const double *h, const double *p, const long long *ks,
             s = j ? s + w : w;
             row[j] = s;
         }
-        double total = row[len - 1], lo = 0.0;
-        int32_t *g = guide + (l - l_from) * cells;
-        long long c = 0;
-        for (long long j = 0; j < len; j++) {
+        double total = row[len - 1];
+        for (long long j = 0; j < len; j++)
             row[j] = (total > 0 ? row[j] / total : row[j]) + (double)l;
-            /* the cells that end inside entry j's targets: settled where
-               they also start inside them */
-            double hi = (row[j] - (double)l) * (double)cells;
-            for (; (double)(c + 1) <= hi; c++)
-                g[c] = (double)c < lo ? open : (int32_t)ks[j0 + j];
-            lo = hi;
+        int32_t *g = guide + (l - l_from) * cells;
+        for (long long c = 0, j = 0; c < cells; c++) {
+            while (j < len && (row[j] - (double)l) * (double)cells <= (double)c)
+                j++;
+            g[c] = j < len && (double)(c + 1) <= (row[j] - (double)l) * (double)cells
+                   ? (int32_t)ks[j0 + j] : open;
         }
-        for (; c < cells; c++)
-            g[c] = open;
     }
 }
 

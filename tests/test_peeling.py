@@ -1725,11 +1725,12 @@ C_MUTANTS = {
     "lead_row": ("        out[c] = l0;\n        out[rows + c] = 0;\n", "",
                  "compiled lockstep differs from the Python loop"),
     # a window row's guide cell that a cut splits settled to the entry
-    # below the cut (its entry's cells end one cell late), which the row
-    # fill's comparison sees; and the band search without the guard that
-    # keeps its index searchsorted's whatever the bracket guide holds,
-    # which the lockstep check's reversed bracket needs
-    "guide_late": ("for (; (double)(c + 1) <= hi; c++)", "for (; (double)c < hi; c++)",
+    # below the cut (that entry's cells end one cell late), which the row
+    # fill's comparison sees;
+    # and the band search without the guard that keeps its index
+    # searchsorted's whatever the bracket guide holds, which the lockstep
+    # check's reversed bracket needs
+    "guide_late": ("(double)(c + 1) <= (row[j] - (double)l)", "(double)c < (row[j] - (double)l)",
                    "compiled row fill differs from the numpy fill"),
     "bracket_guard": ("""    if (lo > 0 && t < b->cuts[lo - 1])
         lo = 0;
