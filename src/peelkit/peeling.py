@@ -259,13 +259,13 @@ class _StackedCdf:
         self._flat = self._store
         self._open = int(self._vals.min()) - 1
         self.cells = cells
-        self._guides = self._guide = None
+        self._guide = None
         if cells:
             cell = np.iinfo(np.int32)
             if not (self._vals.dtype.kind in "iu" and cell.min <= self._open
                     and self._vals.max() <= cell.max):
                 raise ValueError("a guided table's values and open marker must be int32")
-            self._guides = self._guide = np.empty(0, dtype=np.int32)
+            self._guide = np.empty(0, dtype=np.int32)
         self._packed = None
 
     def row(self, i):
@@ -273,23 +273,15 @@ class _StackedCdf:
         return self._flat[self._off[i]:self._off[i + 1]]
 
     def reserve(self, rows):
-        """Room for at least min(rows, n_rows) rows, and their guide cells;
-        storage at least doubles."""
-        rows = min(rows, self.n_rows)
-        need = self._off[rows]
-        if need > len(self._store):
-            store = np.empty(min(self._off[-1], max(need, 2 * len(self._store))))
-            store[:len(self._flat)] = self._flat
-            self._store = store
-            self._flat = store[:len(self._flat)]
-            self._packed = None
-        if self.cells and rows * self.cells > len(self._guides):
-            guides = np.empty(self.cells * min(self.n_rows, max(rows, 2 * len(self._guides)
-                                                               // self.cells)), np.int32)
-            guides[:len(self._guide)] = self._guide
-            self._guides = guides
-            self._guide = guides[:len(self._guide)]
-            self._packed = None
+        """Room for at least min(rows, n_rows) rows; storage at least doubles."""
+        need = self._off[min(rows, self.n_rows)]
+        if need <= len(self._store):
+            return
+        store = np.empty(min(self._off[-1], max(need, 2 * len(self._store))))
+        store[:len(self._flat)] = self._flat
+        self._store = store
+        self._flat = store[:len(self._flat)]
+        self._packed = None
 
     def append(self, weights):
         """Append len(weights) rows of weights over every column; a row's
@@ -304,6 +296,7 @@ class _StackedCdf:
         self._store[self._off[self.n]:self._off[self.n + m]] = (
             cum[np.arange(self.width) >= starts[:, None]] if starts.any()
             else cum.reshape(-1))
+        guide = None
         if self.cells:
             # per row, entry j settles the cells [ceil(hi_(j-1)), floor(hi_j))
             # inside its targets, hi_j = (cum_j - l) cells (exact; hi_-1 = 0);
@@ -320,17 +313,16 @@ class _StackedCdf:
             runs[:, 1::2] = (self._vals if self._shared else
                              self._vals[self.n * self.width:(self.n + m) * self.width]
                              .reshape(m, -1))
-            self._guides[self.n * self.cells:(self.n + m) * self.cells] = np.repeat(
-                runs.reshape(-1), counts.reshape(-1))
-        self.grown(self.n + m)
+            guide = np.repeat(runs.reshape(-1), counts.reshape(-1))
+        self.grown(self.n + m, guide)
 
-    def grown(self, n):
-        """Take rows up to n, and their guide cells, written past the rows
-        built."""
+    def grown(self, n, guide=None):
+        """Take rows up to n, written past the rows built, with guide, the
+        guide cells of the new rows in a guided table."""
         self.n = n
         self._flat = self._store[:self._off[n]]
         if self.cells:
-            self._guide = self._guides[:n * self.cells]
+            self._guide = np.concatenate([self._guide, guide])
         self._packed = None
 
     def _values_at(self, idx, rows):
@@ -1178,11 +1170,11 @@ class _Window:
         rows.reserve(end)
         if end > rows.n:
             addr = _native.address
+            guide = np.empty((end - rows.n) * rows.cells, dtype=np.int32)
             lib.fill_rows(addr(self.h), addr(self.p), addr(self.ks), rows.width,
-                          addr(rows._off), rows.n, end, rows.cells, rows._open,
-                          addr(rows._guides[rows.n * rows.cells:end * rows.cells]),
+                          addr(rows._off), rows.n, end, rows.cells, rows._open, addr(guide),
                           addr(rows._store[rows._off[rows.n]:rows._off[end]]))
-            rows.grown(end)
+            rows.grown(end, guide)
 
 
 def _check_mode(mode, law):
