@@ -67,8 +67,9 @@ with its guide cells, the lockstep loop and the block rounds on synthetic
 laws, whose fixed uniforms lie on the cuts of each kind of stacked row the
 chain loops draw from, on the edges of their guide cells and on band
 shares; the lockstep loop's bands carry their bracket guide reversed, so
-that its guard decides their searches.  Its runs start on blocks filled with junk, so that a row
-``run_start`` leaves unwritten shows, and only they have a round budget:
+that its guard decides their searches.  Its runs start on blocks filled
+with junk, so that a row ``run_start`` leaves unwritten shows, and only
+they have a round budget:
 a loop that reads the fixed stream in another order may cycle without
 ending, and the budget turns that into a refusal (LS_BUDGET).  The gamma
 is not compared with numpy's there (that would
@@ -351,8 +352,8 @@ typedef struct {
     long long n_cuts;
     const double *hz;
     long long n_hz, k_neg;
-    /* the bracket guide: the cuts in cells 0..c-1 of a target t, cell
-       floor(t scale), at bracket[c], for c in 0..cells */
+    /* the bracket guide: bracket[c] cuts lie in the cells below c, for
+       c = 0..cells, the cell of a cut or target t being floor(t scale) */
     const int32_t *bracket;
     long long cells;
     double scale;
