@@ -46,11 +46,14 @@ Two evaluation modes back every cache:
 
   from d_0 = 0 and d_1 = -1/2.
 
-Float tables are shared: `shared_cache(r)` keeps one float cache per ratio
-(a small LRU keyed by float(r)) for every step law and chain engine at that
-ratio.  Its tables are read-only; growth replaces a table by
-a longer one whose prefix is bit-identical, so an array obtained earlier
-stays valid.  Exact caches are built per call.
+Float tables are shared: every float HCache at one ratio reads and grows
+one process-wide table store, that of `shared_cache(r)`, the ratio's entry
+in an LRU of 8 ratios keyed by float(r).  Step laws, chain engines and a
+caller's own `HCache(r, mode="float")` thus read the same doubles, computed
+once.  The tables are read-only; growth replaces a table by a longer one
+whose prefix is bit-identical, so an array obtained earlier stays valid.
+A cache keeps the store it was built with when its ratio leaves the LRU.
+Exact caches keep their own tables, per instance.
 """
 
 from __future__ import annotations
@@ -94,8 +97,10 @@ def _central_binomials(n):
 class HCache:
     """Memoized values of h(k, l) for a fixed ratio r.
 
-    Exact mode requires a rational r and stores Fractions; float mode
-    stores read-only numpy arrays.  Tables grow on demand.
+    Exact mode requires a rational r and stores Fractions in the
+    instance's own tables.  Float mode stores read-only numpy arrays in the
+    process-wide store of its ratio float(r) (`shared_cache`), which every
+    float cache at that ratio shares.  Tables grow on demand.
     """
 
     def __init__(self, r, mode=None):
@@ -116,8 +121,9 @@ class HCache:
                 raise ValueError("ratio must lie in (-1, 1]")
             self.r = rf
         self.mode = mode
-        # table[k] holds h(k, k+j) for j = 0..len-1
-        self._tables = {}
+        # table[k] holds h(k, k+j) for j = 0..len-1: the instance's own in
+        # exact mode, the ratio's shared store in float mode
+        self._tables = {} if mode == "exact" else _shared_float_cache(self.r)._tables
 
     # -- population ------------------------------------------------------
 
@@ -224,10 +230,11 @@ class HCache:
         return tab[l - k]
 
     def table(self, k, l_max):
-        """The cache's own table T, T[j] = h(k, k+j), covering l = k..l_max.
+        """The cache's table T, T[j] = h(k, k+j), covering l = k..l_max.
 
         No copy is made: T may be longer than asked for, grows into a new
-        object on a later request, and is read-only in float mode.
+        object on a later request, and is read-only in float mode, where it
+        is the ratio's shared table.
         """
         if l_max < k:
             raise ValueError("l_max must be >= k")
@@ -308,11 +315,15 @@ def float_recurrence():
 
 @functools.lru_cache(maxsize=8)
 def _shared_float_cache(r):
-    return HCache(r, mode="float")
+    # made without __init__, which reads its tables from here
+    cache = object.__new__(HCache)
+    cache.r, cache.mode, cache._tables = r, "float", {}
+    return cache
 
 
 def shared_cache(r):
-    """The process-wide float HCache at ratio float(r).
+    """The process-wide float HCache at ratio float(r), whose tables are
+    the store every float HCache at that ratio reads and grows.
 
     Keyed on the float alone: Fraction(1) == 1.0 with equal hashes, so an
     exact cache must never live in this map.

@@ -410,9 +410,11 @@ def _same_lockstep(lib):
     """None when the compiled row fill and lockstep loop of lib give exactly
     the numpy fill and the Python loop on a small synthetic law, else which
     differs (the library's self-check, `_native._self_check`, after the
-    series pass).  Every window row is filled by ``fill_rows`` up front and
-    compared, with its guide cells, with the numpy fill (the law's window
-    starts at k = -8, so rows below 8 start past column 0); both loops then
+    series pass).  Every window row is filled by ``fill_rows`` up front, on
+    guide cells of junk, and compared, with its guide cells, with the numpy
+    fill (the law's window starts at k = -8, so rows below 8 start past
+    column 0, and the window's h vanishes at 600..610, so row 608 has no
+    weight and every cell open; no run comes near it); both loops then
     run on those rows and draw with numpy alone, on bands whose bracket
     guide is reversed, so that the compiled band search's guard decides
     its index.  The first run takes two steps, the first with uniforms
@@ -438,8 +440,12 @@ def _same_lockstep(lib):
         B_nu=0.75, hcache=lambda: types.SimpleNamespace(array=lambda o, n: h[:n + 1]))
     engine = _ChainEngine(law, "finite")
     window = engine.window
+    # the window's h vanishes on all of row 608's landings (the bands keep
+    # their envelope)
+    window.h = window.h.copy()
+    window.h[600:611] = 0.0
     for end in (ROW_CHUNK, L_SMALL):    # a fill that resumes, too
-        window._fill_c(lib, engine.rows, end)
+        window._fill_c(lib, engine.rows, end, empty=_junk)
     rows = window.new_rows()
     window._fill_numpy(rows, L_SMALL)
     if (rows._flat.tobytes() != engine.rows._flat.tobytes()
@@ -496,10 +502,11 @@ def _same_lockstep(lib):
 
 
 def _junk(size, dtype):
-    """The self-check's blocks for a run (`_Run`): every entry 2^40, so
-    that a row its start leaves unwritten shows, without a count large
-    enough to overflow a sum of them."""
-    return np.full(size, 1 << 40, dtype)
+    """The self-check's blocks for a run (`_Run`) and guide cells for a row
+    fill: every entry 2^40, or 2^31 - 1 in int32 cells, so that an entry
+    its loop leaves unwritten shows, without a count large enough to
+    overflow a sum of them."""
+    return np.full(size, min(1 << 40, np.iinfo(dtype).max), dtype)
 
 
 class _OutOfRounds(RuntimeError):
@@ -1166,11 +1173,11 @@ class _Window:
             ls = np.arange(rows.n, min(rows.n + ROW_CHUNK, end))
             rows.append(hz[ls[:, None] + (self.ks - self.ks[0])] * self.p)
 
-    def _fill_c(self, lib, rows, end):
+    def _fill_c(self, lib, rows, end, empty=np.empty):
         rows.reserve(end)
         if end > rows.n:
             addr = _native.address
-            guide = np.empty((end - rows.n) * rows.cells, dtype=np.int32)
+            guide = empty((end - rows.n) * rows.cells, dtype=np.int32)
             lib.fill_rows(addr(self.h), addr(self.p), addr(self.ks), rows.width,
                           addr(rows._off), rows.n, end, rows.cells, rows._open, addr(guide),
                           addr(rows._store[rows._off[rows.n]:rows._off[end]]))

@@ -460,12 +460,13 @@ def symmetric_family(r, a, k_pos=512) -> StepLaw:
         family=("symmetric_critical", {"r": r, "a": a}),
         heavy_tail=True,
     )
-    # the tail fit, its lattice and model terms serve all three sums
+    # the tail fit, its lattice and model terms serve all three sums; the
+    # shared tables are read in place, h(1, l + 1) at index l of order 1's
     tail = _heavy_tail(law)
     cache = law.hcache()
     law.margin = 1.0 - _heavy_renewal_sum(
-        law, cache.array(1, _HEAVY_H_LEN), 1, tail)
-    h = cache.array(0, _HEAVY_H_LEN)
+        law, cache.table(1, _HEAVY_H_LEN), 0, tail)
+    h = cache.table(0, _HEAVY_H_LEN)
     law.residuals = {
         "harmonic_h0_k1": _heavy_residual(law, h, 0, 1, tail),
         "harmonic_h0_k2": _heavy_residual(law, h, 0, 2, tail),
@@ -474,7 +475,8 @@ def symmetric_family(r, a, k_pos=512) -> StepLaw:
 
 
 def _heavy_tail_model(law):
-    """Fit nu(l) ~ c2/l^2 + c4/l^4 on the outer materialized window."""
+    """(c2, c4, lattice): the fit nu(l) ~ c2/l^2 + c4/l^4 on the outer
+    materialized window, and the lattice of the law's support."""
     k_hi = law.k_pos
     k_lo = max(k_hi // 2, 8)
     ks, vs = [], []
@@ -488,29 +490,36 @@ def _heavy_tail_model(law):
     A = np.vstack([ks**-2.0, ks**-4.0]).T
     c2, c4 = np.linalg.lstsq(A, vs, rcond=None)[0]
     lattice = 2 if law.r == 1.0 else 1
-    return (lambda l: c2 * l**-2.0 + c4 * l**-4.0), lattice
+    return c2, c4, lattice
 
 
 def _heavy_tail(law):
-    """(ls, model terms, lattice): the lattice points l in (k_pos, 2^18)
-    past the materialized law and the fitted tail model's nu(l) there
-    (`_heavy_tail_model`)."""
-    model, lattice = _heavy_tail_model(law)
+    """(start, model terms, lattice): the fitted tail model's nu(l)
+    (`_heavy_tail_model`) on the lattice points l = start, start +
+    lattice, ... below 2^18, past the materialized law."""
+    c2, c4, lattice = _heavy_tail_model(law)
     K = law.k_pos
     start = K + lattice - (K % lattice) if K % lattice else K + lattice
-    ls = np.arange(start, 1 << 18, lattice, dtype=np.int64)
-    return ls, model(ls.astype(float)), lattice
+    # c2 l^-2 + c4 l^-4, in place over two arrays
+    l = np.arange(start, 1 << 18, lattice, dtype=float)
+    terms = np.power(l, -2.0)
+    terms *= c2
+    tail4 = np.power(l, -4.0, out=l)
+    tail4 *= c4
+    terms += tail4
+    return start, terms, lattice
 
 
 def _heavy_positive_sum(law, h_array, k_shift, tail):
     """sum_{l >= 1} h[l + k_shift] nu(l) with tail acceleration over the
     tail of `_heavy_tail`."""
-    ls, model_terms, lattice = tail
+    start, model_terms, lattice = tail
     K = law.k_pos
     direct = float(np.add.reduce(h_array[1 + k_shift : K + 1 + k_shift]
                                  * law.probs[law.k_neg + 1 : law.k_neg + K + 1]))
-    terms = h_array[ls + k_shift] * model_terms
-    rest, _err = accelerated_lattice_sum(terms, float(ls[0]), float(lattice))
+    lo = start + k_shift
+    terms = h_array[lo : lo + lattice * len(model_terms) : lattice] * model_terms
+    rest, _err = accelerated_lattice_sum(terms, float(start), float(lattice))
     return direct + rest
 
 
@@ -518,16 +527,16 @@ _HEAVY_H_LEN = (1 << 18) + 64
 
 
 def _heavy_renewal_sum(law, h, shift, tail):
-    """sum_{l>=0} h[l+shift] nu(l) for heavy-tailed symmetric laws, h the
-    array of one order of h up to _HEAVY_H_LEN."""
+    """sum_{l>=0} h[l+shift] nu(l) for heavy-tailed symmetric laws, h one
+    order of h read past 2^18 + shift."""
     total = float(law.probs[law.k_neg]) * h[shift]  # l = 0 term
     total += _heavy_positive_sum(law, h, shift, tail)
     return total
 
 
 def _heavy_residual(law, h, order, k, tail):
-    """`harmonic_residual` of a heavy-tailed law, h the array of the order
-    up to _HEAVY_H_LEN."""
+    """`harmonic_residual` of a heavy-tailed law, h the order's array (h[m]
+    = h(order, m), zero below the order) read past 2^18 + k."""
     ls = np.arange(max(order - k, -law.k_neg), 0)
     total = float(np.add.reduce(h[ls + k] * law.probs[ls + law.k_neg]))
     total += float(law.probs[law.k_neg]) * h[k]

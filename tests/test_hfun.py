@@ -184,6 +184,41 @@ def recurrence(which):
     return numpy_draws() if which == "python" else contextlib.nullcontext()
 
 
+@pytest.fixture
+def empty_store():
+    """Every float table store emptied, so that the float caches a test
+    builds grow their tables with the loop under test instead of reading
+    those an earlier test grew, perhaps with the other loop."""
+    hfun._shared_float_cache.cache_clear()
+
+
+@contextlib.contextmanager
+def loop_calls():
+    """{"c": calls of the compiled h recurrence, "python": calls of the
+    Python loop} made inside the block, by the loops this process has
+    loaded when it begins."""
+    calls = {"c": 0, "python": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    lib = _native.library()[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hfun, "_recurrence_py", counted("python", hfun._recurrence_py))
+        if lib is not None:
+            patch.setattr(lib, "h_recurrence", counted("c", lib.h_recurrence))
+        yield calls
+
+
+def loaded_loop():
+    """The loop_calls key of the loop this process builds float tables
+    with."""
+    return "python" if _native.library()[0] is None else "c"
+
+
 def compiled_loops():
     """The compiled library's loops in source order: every function the C
     source defines that is not static (its INLINE helpers are static too),
@@ -208,29 +243,36 @@ _cuts = st.lists(st.integers(1, 9_000) | st.integers(4_090, 4_100),
 
 class TestFloatRecurrence:
     @pytest.mark.parametrize("r", [0.37, 1.0, -0.62, 0.0])
-    def test_bit_identical_to_plain_loop(self, r):
-        # growth by doubling and by large requests, across chunk boundaries
-        for k in range(-4, 5):
-            c = HCache(r, mode="float")
-            for l_max in (10, 100, 5_000, 9_500):
-                tab = c.table(k, l_max)
-                assert len(tab) > l_max - k
-                assert tab.tolist() == reference_float_table(r, k, len(tab))
+    def test_bit_identical_to_plain_loop(self, r, empty_store):
+        # growth by doubling and by large requests, across chunk boundaries,
+        # each by the loop this process loaded
+        with loop_calls() as calls:
+            for k in range(-4, 5):
+                c = HCache(r, mode="float")
+                for l_max in (10, 100, 5_000, 9_500):
+                    tab = c.table(k, l_max)
+                    assert len(tab) > l_max - k
+                    assert tab.tolist() == reference_float_table(r, k, len(tab))
+        assert calls[loaded_loop()] >= 9 * 4
 
     @pytest.mark.parametrize("which", ["loaded", "python"])
     @settings(max_examples=30, derandomize=True, deadline=None, database=None)
     @given(r=_float_ratios, k=st.integers(-4, 4), cuts=_cuts)
     def test_resumed_growth_bit_identical(self, which, r, k, cuts):
+        # every example grows its tables from an empty store (a fixture
+        # would empty it once for all the examples)
+        hfun._shared_float_cache.cache_clear()
         c = HCache(r, mode="float")
-        with recurrence(which):
+        with recurrence(which), loop_calls() as calls:
             for n in cuts:
                 tab = c.table(k, k + n)
                 assert len(tab) > n
                 assert same_bits(tab, r, k)
+            assert calls[loaded_loop()] >= 1
 
     @pytest.mark.parametrize("failure", ["no compiler", "compile", "dlopen"])
     def test_python_loop_when_the_kernel_cannot_load(self, failure, tmp_path,
-                                                     monkeypatch):
+                                                     monkeypatch, empty_store):
         monkeypatch.setattr(_native, "_cache_dir", lambda: str(tmp_path / "pk"))
         monkeypatch.setattr(_native, "_state", None)
         if failure == "no compiler":
@@ -247,14 +289,16 @@ class TestFloatRecurrence:
             reason = "OSError"
         status = hfun.float_recurrence()
         assert status[0] == "python" and status[1].startswith(reason)
-        for r in (0.37, 1.0, -0.62):
-            for k in (-4, 0, 3):
-                c = HCache(r, mode="float")
-                for l_max in (10, 5_000, 9_500):
-                    assert same_bits(c.table(k, l_max), r, k)
-        shared = shared_cache(0.4142)
-        assert shared is shared_cache(0.4142)
-        assert same_bits(shared.table(1, 6_000), 0.4142, 1)
+        with loop_calls() as calls:
+            for r in (0.37, 1.0, -0.62):
+                for k in (-4, 0, 3):
+                    c = HCache(r, mode="float")
+                    for l_max in (10, 5_000, 9_500):
+                        assert same_bits(c.table(k, l_max), r, k)
+            shared = shared_cache(0.4142)
+            assert shared is shared_cache(0.4142)
+            assert same_bits(shared.table(1, 6_000), 0.4142, 1)
+        assert calls == {"c": 0, "python": calls["python"]} and calls["python"] >= 3 * 3 * 3 + 1
 
     @pytest.mark.parametrize("unsafe", ["group-writable directory",
                                         "world-writable directory",
@@ -580,17 +624,68 @@ class TestSharedCache:
             tab[3] = 0.0
         assert shared_cache(0.5).value(0, 3) == HCache(0.5, mode="float").value(0, 3)
 
-    def test_concurrent_growth(self):
+    def test_second_cache_reads_the_store(self, empty_store):
+        # a second float cache at a ratio hands out the tables the first
+        # grew, with no recurrence call
+        first = HCache(0.61, mode="float")
+        tabs = [first.table(k, 3_000) for k in range(-4, 5)]
+        with loop_calls() as calls:
+            second = HCache(0.61, mode="float")
+            assert all(second.table(k, 3_000) is tab for k, tab in zip(range(-4, 5), tabs))
+            assert second.array(2, 3_000)[2:].tobytes() == tabs[6][:2_999].tobytes()
+            assert shared_cache(0.61).table(0, 100) is tabs[4]
+        assert calls == {"c": 0, "python": 0}
+
+    def test_exact_cache_keeps_its_own_tables(self, empty_store):
+        # exact caches, at a ratio equal to a float one's with an equal
+        # hash, neither make nor read a store
+        halves = HCache(Fraction(1, 2)), HCache(1)
+        for c in halves:
+            assert c.value(2, 40) == h_oracle(2, 40, c.r)
+        assert hfun._shared_float_cache.cache_info().currsize == 0
+        floats = HCache(0.5, mode="float"), HCache(1.0, mode="float")
+        for c, f in zip(halves, floats):
+            assert f._tables is shared_cache(c.r)._tables is not c._tables
+            assert f._tables == {}
+            f.table(2, 40)
+            assert set(c._tables) == {0, 1, 2} and type(c.table(2, 40)) is list
+        assert hfun._shared_float_cache.cache_info().currsize == 2
+
+    def test_table_keeps_its_bytes_through_growth(self, empty_store):
+        c = HCache(0.37, mode="float")
+        tab = c.table(1, 100)
+        before = tab.tobytes()
+        HCache(0.37, mode="float").table(1, 50_000)   # another cache grows it
+        grown = c.table(1, 100)
+        assert grown is not tab and len(grown) >= 50_000
+        assert tab.tobytes() == before == grown[: len(tab)].tobytes()
+        assert not tab.flags.writeable
+
+    def test_signed_zero_ratios(self, empty_store):
+        # 0.0 and -0.0 are one key of the store: each grows the same bytes
+        # into an empty store
+        tabs = []
+        for r in (0.0, -0.0):
+            hfun._shared_float_cache.cache_clear()
+            tabs.append([HCache(r, mode="float").table(k, 5_000).tobytes()
+                         for k in range(-4, 5)])
+        assert tabs[0] == tabs[1]
+        assert HCache(0.0, mode="float")._tables is HCache(-0.0, mode="float")._tables
+
+    @pytest.mark.parametrize("per_thread", [False, True])
+    def test_concurrent_growth(self, per_thread, empty_store):
         # readers racing to grow one table each get a table long enough
-        # for their request, equal to the plain loop
+        # for their request, equal to the plain loop: through one cache,
+        # or through one cache per thread over the ratio's one store
         import sys
         import threading
 
-        c = HCache(0.3, mode="float")
+        shared = HCache(0.3, mode="float")
         ref = reference_float_table(0.3, 1, 1 << 16)
         bad = []
 
         def work(offset):
+            c = HCache(0.3, mode="float") if per_thread else shared
             for l_max in range(50 + offset, 20_000, 731):
                 tab = c.table(1, l_max)
                 if len(tab) < l_max or tab.tolist() != ref[: len(tab)]:
