@@ -37,10 +37,16 @@ def accelerated_lattice_sum(term_values, start, step, exponents=(0.5, 1.5, 2.5))
     Returns (estimate, error_indicator).
     """
     t = np.asarray(term_values, dtype=float)
-    n = len(t)
+    return extrapolated_partial_sums(np.cumsum(t), start, step, exponents)
+
+
+def extrapolated_partial_sums(csum, start, step, exponents=(0.5, 1.5, 2.5)):
+    """`accelerated_lattice_sum` from the partial sums: csum[i] is the sum
+    of the terms at l = start, ..., start + i*step.  A caller that owns
+    the terms can accumulate them in place (np.cumsum(t, out=t))."""
+    n = len(csum)
     if n < 64:
         raise ValueError("too few samples to extrapolate")
-    csum = np.cumsum(t)
     n_ckpt = len(exponents) + 1
     idx = [n - 1 - (n // 2 ** (j + 1)) for j in range(n_ckpt)][::-1]
     Ms = [start + i * step for i in idx]

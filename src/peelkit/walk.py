@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InconsistentCriticalityError, RangeError
 from .hfun import HCache, shared_cache
-from .seriesutil import accelerated_lattice_sum
+from .seriesutil import extrapolated_partial_sums
 from .weights import StepLawPositive
 
 DEFAULT_K_NEG = 512
@@ -519,7 +519,8 @@ def _heavy_positive_sum(law, h_array, k_shift, tail):
                                  * law.probs[law.k_neg + 1 : law.k_neg + K + 1]))
     lo = start + k_shift
     terms = h_array[lo : lo + lattice * len(model_terms) : lattice] * model_terms
-    rest, _err = accelerated_lattice_sum(terms, float(start), float(lattice))
+    rest, _err = extrapolated_partial_sums(np.cumsum(terms, out=terms), float(start),
+                                           float(lattice))
     return direct + rest
 
 
