@@ -672,11 +672,9 @@ class TestSharedCache:
         assert tabs[0] == tabs[1]
         assert HCache(0.0, mode="float")._tables is HCache(-0.0, mode="float")._tables
 
-    @pytest.mark.parametrize("per_thread", [False, True])
-    def test_concurrent_growth(self, per_thread, empty_store):
+    def test_concurrent_growth(self, empty_store, per_thread=False):
         # readers racing to grow one table each get a table long enough
-        # for their request, equal to the plain loop: through one cache,
-        # or through one cache per thread over the ratio's one store
+        # for their request, equal to the plain loop
         import sys
         import threading
 
@@ -703,3 +701,8 @@ class TestSharedCache:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert bad == []
+
+    def test_concurrent_growth_one_cache_per_thread(self, empty_store):
+        # the same race through one cache per thread over the ratio's one
+        # store
+        self.test_concurrent_growth(None, per_thread=True)
