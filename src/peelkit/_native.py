@@ -14,8 +14,9 @@ stays in the package as the fallback and the test reference:
 * ``lockstep``, a finite run's steps of `peeling._lockstep_numpy` with
   their volumes and checkpoints, run until a row or the engine's cover
   (`peeling._ChainEngine._cover`) is missing: its row draws are
-  `peeling._StackedCdf.draw`'s inverse-CDF draws, through the rows' int32
-  guide cells, and its band rounds `peeling._Bands.jumps`' band-envelope
+  `peeling._StackedCdf.draw`'s inverse-CDF draws, through the int32 guide
+  cells that every stacked table keeps over its one value row (``cdf_t``),
+  and its band rounds `peeling._Bands.jumps`' band-envelope
   rejection, inlined, with each search of nu's cuts narrowed by the
   bands' bracket guide and guarded, so that it finds searchsorted's
   index whatever the bracket holds;
@@ -26,7 +27,8 @@ stays in the package as the fallback and the test reference:
   first step that takes a block below 1, the deep draws, the keep test
   (h(1, .) read from the bands' table), and one walk over the kept
   blocks for their volumes, checkpoints and new states (after their
-  exact rows);
+  exact rows), in straight-line code that returns mid-round only at a
+  round's start and at its block ends, and resumes there;
 
 ``run_start``, which starts a run of either chain loop in one call: it
 copies the template of the run's engine and volume sampler
@@ -295,9 +297,8 @@ typedef struct {
     const double *flat;        /* n rows of cumulative weights: row i at */
     const long long *off;      /* flat[off[i]:off[i + 1]], its last columns */
     long long n, width;
-    const long long *vals;     /* width values (shared) or width per row */
-    long long n_vals, shared;
-    const int32_t *guide;      /* int32 guide cells, or NULL */
+    const long long *vals;     /* the width values every row shares */
+    const int32_t *guide;      /* cells int32 guide cells per row */
     long long n_guide, open, cells;
     double u_max;
 } cdf_t;
@@ -310,14 +311,12 @@ static inline __attribute__((always_inline))
 int cdf_one(bitgen_t *bg, const cdf_t *c, long long row, long long *out)
 {
     double t = (double)row + bg->next_double(bg->state) * c->u_max;
-    if (c->guide) {
-        long long cell = (long long)(t * (double)c->cells);
-        if (cell >= c->n_guide)
-            return -1;
-        if (c->guide[cell] != c->open) {
-            *out = c->guide[cell];
-            return 0;
-        }
+    long long cell = (long long)(t * (double)c->cells);
+    if (cell >= c->n_guide)
+        return -1;
+    if (c->guide[cell] != c->open) {
+        *out = c->guide[cell];
+        return 0;
     }
     /* the row's own entries, when its neighbours bound t */
     long long n_flat = c->off[c->n];
@@ -327,21 +326,15 @@ int cdf_one(bitgen_t *bg, const cdf_t *c, long long row, long long *out)
     if (hi < n_flat && !(t < c->flat[hi]))
         hi = n_flat;
     long long idx = search_right(c->flat, lo, hi, t);
-    /* a row with no weight keeps every entry at row: t lands past it */
-    if (idx >= c->off[row + 1])
+    /* a row with no weight keeps every entry at row: t lands past it (and
+       no search of a row's target lands before it) */
+    if (idx < c->off[row] || idx >= c->off[row + 1])
         return -1;
-    /* the value index: the row's start column plus the entry's offset in
-       the row, taken modulo width in a shared table */
+    /* the value column: the row's start column plus the entry's offset in
+       the row */
     long long start = c->width - (c->off[row + 1] - c->off[row]);
     long long col = start + idx - c->off[row];
-    if (c->shared) {
-        col %= c->width;
-        idx = col < 0 ? col + c->width : col;
-    } else
-        idx = row * c->width + col;
-    if (idx < 0 || idx >= c->n_vals)
-        return -1;
-    *out = c->vals[idx];
+    *out = c->vals[col];
     return 0;
 }
 
@@ -486,8 +479,9 @@ typedef struct {
        block; per block its length, tilt, end perimeter and keep flag */
     long long *da, *cur, *act, *one, *blk, *bB, *bj, *blB, *bkeep;
     long long *ks;             /* a round's steps, ks_cap entries */
-    long long ks_cap, n_act, n_one, n_blk, n_ks;
-    long long bphase, head, block_proposals, block_accepts;
+    long long ks_cap, n_act, n_one, n_blk;
+    long long bphase;          /* where block_rounds resumes its round */
+    long long block_proposals, block_accepts;
     /* the most rounds a run may begin (0: no bound), and how many it has */
     long long budget, rounds;
 } lockstep_t;
@@ -737,9 +731,8 @@ long long lockstep(bitgen_t *bg, lockstep_t *s)
     return LS_DONE;
 }
 
-/* block_rounds' phases within a round */
-enum { BR_START, BR_STEP, BR_TILT, BR_LINK, BR_DEEP_U, BR_DEEP_KEEP, BR_ENDS,
-       BR_KEEP, BR_ROWS, BR_WALK, BR_END };
+/* where block_rounds resumes a round: at its start, or at its block ends */
+enum { BR_START, BR_ENDS };
 
 /* _block_tilts: from B(l)'s tilt, up the grid while
    B log phi(theta) + theta l + log K_theta falls, for a block cut short */
@@ -761,9 +754,9 @@ static long long walk_tilt(const lockstep_t *s, long long l, long long B)
     return j;
 }
 
-/* A pending deep entry of ks: the next one's position (n_ks at the end)
-   and its proposal's index i into cs, below every jump and the marker
-   -(k_neg + 1) the tilted rows draw for k <= -l_small */
+/* A pending deep entry of ks: the next one's position (the round's step
+   count at the end) and its proposal's index i into cs, below every jump
+   and the marker -(k_neg + 1) the tilted rows draw for k <= -l_small */
 static long long deep_node(const lockstep_t *s, long long next, long long i)
 {
     return -(s->k_neg + 2) - (next * s->n_deep + i);
@@ -821,22 +814,24 @@ INLINE long long step_hole(long long x, long long *lp, long long *val)
    (kept with probability h(1, l_B) e^(-theta l_B - log K_theta)).  A
    block stopped early draws nothing more, and its chain proposes again
    the next round.  The kept blocks are then walked: every exact row of
-   their holes first (BR_ROWS, where there are exact rows), then one pass
-   in step order that reads their volumes from the rule and writes the
-   checkpoints and the chains' new states (BR_WALK).  ks holds one entry
-   per step of the round, at most ks_cap.  Returns LS_ROWS with the
-   perimeter in need or LS_COVER with the largest block start, single step
-   or block end past the cover, each before it draws what that decides, to
-   resume at the same phase; LS_DONE at n_steps, LS_BUDGET before a round
-   past the round budget (a round started again after LS_COVER is counted
-   again), -1 for a read outside a table.  The keep tests take libm's exp,
-   as the numpy rounds do (math.exp). */
+   their holes first (where there are exact rows), then one pass in step
+   order that reads their volumes from the rule and writes the
+   checkpoints and the chains' new states.  ks holds one entry per step of
+   the round, at most ks_cap.  A call returns mid-round at two points
+   alone, each before it draws what the return decides, and resumes
+   there (bphase): at the round's start (BR_START), with LS_COVER for the
+   largest block start or single step past the cover or LS_ROWS with the
+   perimeter in need of a single step, and at the block ends (BR_ENDS),
+   with LS_COVER for the largest end of a block that stays.  LS_DONE at
+   n_steps, LS_BUDGET before a round past the round budget (a round
+   started again after LS_ROWS or LS_COVER at its start is counted
+   again), -1 for a read outside a table.  The keep tests take libm's
+   exp, as the numpy rounds do (math.exp). */
 long long block_rounds(bitgen_t *bg, lockstep_t *s)
 {
     long long n = s->n;
     for (;;) {
-        switch (s->bphase) {
-        case BR_START: {
+        if (s->bphase == BR_START) {
             if (!s->n_act)
                 return LS_DONE;
             if (spent(s))
@@ -862,15 +857,12 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                 else
                     s->blk[s->n_blk++] = c;
             }
-            s->bphase = BR_STEP;
-            break;
-        }
-        case BR_STEP: {
             long long sc[4];
             step_scan(s, s->one, s->n_one, sc);
             long long st = step_tables(s, sc);
             if (st)
                 return st;
+            /* the single steps */
             if (step_draws(bg, s, s->one, s->n_one)
                 || step_holes(bg, s, s->one, s->n_one))
                 return -1;
@@ -883,15 +875,8 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                     s->cur[c]++;
                 }
             }
-            s->bphase = BR_TILT;
-            break;
-        }
-        case BR_TILT: {
+            /* the blocks' lengths and tilts */
             long long m = s->n_blk, total = 0;
-            if (!m) {
-                s->bphase = BR_END;
-                break;
-            }
             for (long long b = 0; b < m; b++) {
                 long long c = s->blk[b], B = s->blocks[s->ls[c]];
                 if (B > s->n_steps - s->da[c])
@@ -922,8 +907,7 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                jumps it stands for are at most that): a block stops at the
                first step that takes that sum below 1.  bkeep: 0 for a
                block stopped, 1 for one that stays at 1 or above, ending at
-               blB, 2 for one with markers, summed after their redraws; a
-               round without one skips BR_LINK */
+               blB, 2 for one with markers, summed after their redraws */
             long long p = 0, mark = -(s->k_neg + 1), marked = 0;
             for (long long b = 0; b < m; p += s->bB[b++]) {
                 long long l = s->ls[s->blk[b]], sum = 0, deep = 0, q = 0;
@@ -946,168 +930,141 @@ long long block_rounds(bitgen_t *bg, lockstep_t *s)
                 s->blB[b] = l + sum;
                 marked |= s->bkeep[b] == 2;
             }
-            s->n_ks = total;
-            s->bphase = marked ? BR_LINK : BR_ENDS;
-            break;
-        }
-        case BR_LINK: {
             /* the markers of the blocks that drew every step, linked in
-               order */
-            long long mark = -(s->k_neg + 1);
-            s->head = s->n_ks;
-            for (long long b = s->n_blk - 1, end = s->n_ks; b >= 0; end -= s->bB[b--]) {
-                if (s->bkeep[b] != 2)
-                    continue;
-                for (long long p = end - 1; p >= end - s->bB[b]; p--)
-                    if (s->ks[p] == mark) {
-                        s->ks[p] = deep_node(s, s->head, 0);
-                        s->head = p;
-                    }
-            }
-            s->bphase = BR_DEEP_U;
-            break;
-        }
-        case BR_DEEP_U:
-            /* a nu proposal on k <= -l_small per pending entry */
-            for (long long p = s->head; p < s->n_ks; ) {
-                long long next = deep_next(s, s->ks[p]);
-                double u = bg->next_double(bg->state) * s->cs[s->n_deep];
-                long long i = search_right(s->cs + 1, 0, s->n_cs - 1, u);
-                if (i > s->n_deep - 1)
-                    i = s->n_deep - 1;
-                s->ks[p] = deep_node(s, next, i);
-                p = next;
-            }
-            s->bphase = BR_DEEP_KEEP;
-            break;
-        case BR_DEEP_KEEP: {
-            /* each kept with probability e^(theta (k + l_small)) */
-            long long b = 0, end = s->bB[0], prev = -1;
-            for (long long p = s->head; p < s->n_ks; ) {
-                long long next = deep_next(s, s->ks[p]);
-                long long k = deep_index(s, s->ks[p]) - s->k_neg;
-                while (p >= end)
-                    end += s->bB[++b];
-                double u = bg->next_double(bg->state);
-                double x = s->thetas[s->bj[b]] * (double)(k + s->l_small);
-                if (!(x < -708.0) && u < exp(x)) {
-                    s->ks[p] = k;
-                    if (prev < 0)
-                        s->head = next;
-                    else
-                        s->ks[prev] = deep_node(s, next, deep_index(s, s->ks[prev]));
-                } else {
-                    prev = p;
+               order from head */
+            long long head = total;
+            if (marked)
+                for (long long b = m - 1, end = total; b >= 0; end -= s->bB[b--]) {
+                    if (s->bkeep[b] != 2)
+                        continue;
+                    for (long long q = end - 1; q >= end - s->bB[b]; q--)
+                        if (s->ks[q] == mark) {
+                            s->ks[q] = deep_node(s, head, 0);
+                            head = q;
+                        }
                 }
-                p = next;
+            while (head < total) {
+                /* a nu proposal on k <= -l_small per pending entry */
+                for (long long q = head; q < total; ) {
+                    long long next = deep_next(s, s->ks[q]);
+                    double u = bg->next_double(bg->state) * s->cs[s->n_deep];
+                    long long i = search_right(s->cs + 1, 0, s->n_cs - 1, u);
+                    if (i > s->n_deep - 1)
+                        i = s->n_deep - 1;
+                    s->ks[q] = deep_node(s, next, i);
+                    q = next;
+                }
+                /* each kept with probability e^(theta (k + l_small)) */
+                long long b = 0, end = s->bB[0], prev = -1;
+                for (long long q = head; q < total; ) {
+                    long long next = deep_next(s, s->ks[q]);
+                    long long k = deep_index(s, s->ks[q]) - s->k_neg;
+                    while (q >= end)
+                        end += s->bB[++b];
+                    double u = bg->next_double(bg->state);
+                    double x = s->thetas[s->bj[b]] * (double)(k + s->l_small);
+                    if (!(x < -708.0) && u < exp(x)) {
+                        s->ks[q] = k;
+                        if (prev < 0)
+                            head = next;
+                        else
+                            s->ks[prev] = deep_node(s, next, deep_index(s, s->ks[prev]));
+                    } else {
+                        prev = q;
+                    }
+                    q = next;
+                }
             }
-            s->bphase = s->head < s->n_ks ? BR_DEEP_U : BR_ENDS;
-            break;
+            s->bphase = BR_ENDS;
         }
-        case BR_ENDS: {
-            /* the blocks with markers, now redrawn: their end perimeter,
-               and whether they stay at 1 or above; then the largest end of
-               a block that stays */
-            long long hi = 0;
+        /* the blocks with markers, now redrawn: their end perimeter, and
+           whether they stay at 1 or above; then the largest end of a block
+           that stays */
+        long long hi = 0;
+        for (long long b = 0, p = 0; b < s->n_blk; p += s->bB[b++]) {
+            if (s->bkeep[b] == 2) {
+                long long l = s->ls[s->blk[b]], sum = 0, q = 0;
+                for (; q < s->bB[b]; q++) {
+                    sum += s->ks[p + q];
+                    if (l + sum < 1)
+                        break;
+                }
+                s->bkeep[b] = q == s->bB[b];
+                s->blB[b] = l + sum;
+            }
+            if (s->bkeep[b] && s->blB[b] > hi)
+                hi = s->blB[b];
+        }
+        s->need = hi;
+        if (hi >= s->bands->n)
+            return LS_COVER;
+        if (s->k_neg + hi >= s->bands->n_hz)
+            return -1;
+        /* one keep uniform per block that stays */
+        for (long long b = 0; b < s->n_blk; b++) {
+            long long j = s->bj[b], lB = s->blB[b];
+            if (!s->bkeep[b])
+                continue;
+            double u = bg->next_double(bg->state);
+            s->bkeep[b] = u < s->bands->hz[s->k_neg + lB]
+                              * exp(-s->thetas[j] * (double)lB - s->log_K[j]);
+        }
+        /* the exact rows of the kept blocks' holes in step order, each
+           coded into its step */
+        if (s->volumes)
             for (long long b = 0, p = 0; b < s->n_blk; p += s->bB[b++]) {
-                if (s->bkeep[b] == 2) {
-                    long long l = s->ls[s->blk[b]], sum = 0, q = 0;
-                    for (; q < s->bB[b]; q++) {
-                        sum += s->ks[p + q];
-                        if (l + sum < 1)
-                            break;
-                    }
-                    s->bkeep[b] = q == s->bB[b];
-                    s->blB[b] = l + sum;
-                }
-                if (s->bkeep[b] && s->blB[b] > hi)
-                    hi = s->blB[b];
-            }
-            s->need = hi;
-            if (hi >= s->bands->n)
-                return LS_COVER;
-            if (s->k_neg + hi >= s->bands->n_hz)
-                return -1;
-            s->bphase = BR_KEEP;
-            break;
-        }
-        case BR_KEEP:
-            /* one uniform per block that stays */
-            for (long long b = 0; b < s->n_blk; b++) {
-                long long j = s->bj[b], lB = s->blB[b];
                 if (!s->bkeep[b])
                     continue;
-                double u = bg->next_double(bg->state);
-                s->bkeep[b] = u < s->bands->hz[s->k_neg + lB]
-                                  * exp(-s->thetas[j] * (double)lB - s->log_K[j]);
-            }
-            s->bphase = BR_ROWS;
-            break;
-        case BR_ROWS:
-            /* the exact rows of the kept blocks' holes in step order, each
-               coded into its step */
-            if (s->volumes)
-                for (long long b = 0, p = 0; b < s->n_blk; p += s->bB[b++]) {
-                    if (!s->bkeep[b])
+                for (long long q = p; q < p + s->bB[b]; q++) {
+                    long long lp = -2 - s->ks[q], val;
+                    if (lp < 0)
                         continue;
-                    for (long long q = p; q < p + s->bB[b]; q++) {
-                        long long lp = -2 - s->ks[q], val;
-                        if (lp < 0)
-                            continue;
-                        if (hole_row(bg, s, lp, &val))
-                            return -1;
-                        s->ks[q] = hole_code(lp, val);
-                        if (!s->ks[q])
-                            return -1;
-                    }
+                    if (hole_row(bg, s, lp, &val))
+                        return -1;
+                    s->ks[q] = hole_code(lp, val);
+                    if (!s->ks[q])
+                        return -1;
                 }
-            s->bphase = BR_WALK;
-            break;
-        case BR_WALK: {
-            /* the kept blocks' steps in order: their volumes, checkpoints
-               and chains' new states */
-            long long p = 0, kept = 0;
-            for (long long b = 0; b < s->n_blk; b++) {
-                long long c = s->blk[b], B = s->bB[b];
-                if (!s->bkeep[b]) {
-                    p += B;
-                    continue;
-                }
-                kept++;
-                long long l = s->ls[c], v = s->vs[c], step = s->da[c], cp = s->cur[c];
-                for (long long q = 0; q < B; q++, p++) {
-                    long long lp, val, k = step_hole(s->ks[p], &lp, &val);
-                    l += k;
-                    if (lp >= 0) {
-                        long long dv = hole_volume(bg, s, lp, val);
-                        if (dv < 0)
-                            return -1;
-                        v += dv;
-                    }
-                    if (++step == s->cps[cp]) {
-                        s->vols[cp * n + c] = v;
-                        s->per[cp++ * n + c] = l;
-                    }
-                }
-                s->ls[c] = l;
-                s->vs[c] = v;
-                s->da[c] = step;
-                s->cur[c] = cp;
             }
-            s->block_proposals += s->n_blk;
-            s->block_accepts += kept;
-            s->bphase = BR_END;
-            break;
+        /* the kept blocks' steps in order: their volumes, checkpoints and
+           chains' new states */
+        long long p = 0, kept = 0;
+        for (long long b = 0; b < s->n_blk; b++) {
+            long long c = s->blk[b], B = s->bB[b];
+            if (!s->bkeep[b]) {
+                p += B;
+                continue;
+            }
+            kept++;
+            long long l = s->ls[c], v = s->vs[c], step = s->da[c], cp = s->cur[c];
+            for (long long q = 0; q < B; q++, p++) {
+                long long lp, val, k = step_hole(s->ks[p], &lp, &val);
+                l += k;
+                if (lp >= 0) {
+                    long long dv = hole_volume(bg, s, lp, val);
+                    if (dv < 0)
+                        return -1;
+                    v += dv;
+                }
+                if (++step == s->cps[cp]) {
+                    s->vols[cp * n + c] = v;
+                    s->per[cp++ * n + c] = l;
+                }
+            }
+            s->ls[c] = l;
+            s->vs[c] = v;
+            s->da[c] = step;
+            s->cur[c] = cp;
         }
-        default: {     /* BR_END: the unfinished chains, in order */
-            long long k = 0;
-            for (long long j = 0; j < s->n_act; j++)
-                if (s->da[s->act[j]] < s->n_steps)
-                    s->act[k++] = s->act[j];
-            s->n_act = k;
-            s->bphase = BR_START;
-        }
-        }
+        s->block_proposals += s->n_blk;
+        s->block_accepts += kept;
+        /* the unfinished chains, in order */
+        long long k = 0;
+        for (long long j = 0; j < s->n_act; j++)
+            if (s->da[s->act[j]] < s->n_steps)
+                s->act[k++] = s->act[j];
+        s->n_act = k;
+        s->bphase = BR_START;
     }
 }
 """
@@ -1122,8 +1079,7 @@ _LL = ctypes.c_longlong
 class Cdf(ctypes.Structure):
     """cdf_t: the tables of one `_StackedCdf`, by address."""
     _fields_ = [("flat", _P), ("off", _P), ("n", _LL), ("width", _LL), ("vals", _P),
-                ("n_vals", _LL), ("shared", _LL), ("guide", _P),
-                ("n_guide", _LL), ("open", _LL), ("cells", _LL),
+                ("guide", _P), ("n_guide", _LL), ("open", _LL), ("cells", _LL),
                 ("u_max", ctypes.c_double)]
 
 
@@ -1155,9 +1111,8 @@ class Lockstep(ctypes.Structure):
         (name, _LL) for name in ("n_cs", "k_neg", "n_deep", "block_draws")] + [
         (name, _P) for name in ("da", "cur", "act", "one", "blk", "bB", "bj",
                                 "blB", "bkeep", "ks")] + [
-        (name, _LL) for name in ("ks_cap", "n_act", "n_one", "n_blk", "n_ks",
-                                 "bphase", "head", "block_proposals", "block_accepts",
-                                 "budget", "rounds")]
+        (name, _LL) for name in ("ks_cap", "n_act", "n_one", "n_blk", "bphase",
+                                 "block_proposals", "block_accepts", "budget", "rounds")]
 
 
 class Series(ctypes.Structure):

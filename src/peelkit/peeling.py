@@ -203,37 +203,37 @@ def _keyed(seed, chain_index):
 
 
 class _StackedCdf:
-    """Rows of inverse CDFs over value tables, in one flat nondecreasing array.
+    """Guided rows of inverse CDFs over one value table, in one flat
+    nondecreasing array.
 
-    Row i holds its normalized cumulative weights plus i, so a uniform u
-    for a chain in row i is located by one ``searchsorted`` of i + u over
-    every row at once.  u stays below 1 - 2^-40, which keeps i + u inside
-    row i for i < 2^12.  ``values`` is one table per row (2-D) or one
-    table that every row shares (1-D).  Rows are appended, a block at a
-    time, into storage that grows with them up to n_rows: a chain that
-    stays at small perimeters never allocates the rows it does not reach.
+    Row i holds its normalized cumulative weights over the columns of
+    ``values``, which every row shares, plus i, so a uniform u for a
+    chain in row i is located by one ``searchsorted`` of i + u over every
+    row at once.  u stays below 1 - 2^-40, which keeps i + u inside row i
+    for i < 2^12.  Rows are appended, a block at a time, into storage that
+    grows with them up to n_rows: a chain that stays at small perimeters
+    never allocates the rows it does not reach.
 
     Row i may keep only its columns from ``starts[i]`` on (default 0, a
     rectangular table), when the columns in front carry no weight: their
     entries would be exactly i, which no target of the row lies below.
     Its entries are flat[off[i]:off[i + 1]], and a target of row i found
-    at flat index e draws column starts[i] + (e - off[i]) of the row's
-    table (modulo width for a shared table, as a zero-weight row's targets
-    run past its end).  ``at`` reads such a target; ``draw`` refuses a row
-    with no weight (IndexError).
+    at flat index e draws column starts[i] + (e - off[i]) of the values
+    (modulo width, as a zero-weight row's targets run past its end).
+    ``at`` reads such a target; ``draw`` refuses a row with no weight
+    (IndexError).
 
-    With ``cells`` > 0 (a power of two), each row also keeps that many
-    guide cells (Devroye 1986, III.2.4), grown with it: the cell [c, c + 1)
-    of the row's targets less i, times cells, holds the value every
-    target in it draws where no cut of the row splits it, else the
-    smallest value less one (the open marker), and only targets in open
-    cells are searched for.  A row with no weight has every cell open, so
-    its targets are searched for and land past it.  Since cells is a power
-    of two, a target's cell is exact.  The cells are int32: a guided
-    table's values are integers that fit, and so does its open marker, or
-    it raises ValueError (the tilted jumps reach -(k_neg + 1) >=
-    -(2^19 + 1)).  ``at`` and ``draw`` return the values' dtype all the
-    same.
+    Each row also keeps ``cells`` guide cells (Devroye 1986, III.2.4; a
+    power of two), grown with it: the cell [c, c + 1) of the row's targets
+    less i, times cells, holds the value every target in it draws where no
+    cut of the row splits it, else the smallest value less one (the open
+    marker), and only targets in open cells are searched for.  A row with
+    no weight has every cell open, so its targets are searched for and
+    land past it.  Since cells is a power of two, a target's cell is
+    exact.  The cells are int32: the values are integers that fit, and so
+    does the open marker, or the table raises ValueError (the tilted jumps
+    reach -(k_neg + 1) >= -(2^19 + 1)).  ``at`` and ``draw`` return the
+    values' dtype all the same.
 
     ``draw`` is numpy's.  The package's compiled chain loops (`_native`)
     draw from the same tables inline, reading the same uniforms and giving
@@ -245,11 +245,10 @@ class _StackedCdf:
 
     U_MAX = 1.0 - 2.0**-40
 
-    def __init__(self, n_rows, values, cells=0, starts=None):
+    def __init__(self, n_rows, values, cells, starts=None):
         self.n_rows = n_rows
-        self.width = values.shape[-1]
-        self._vals = np.ascontiguousarray(values).reshape(-1)
-        self._shared = values.ndim == 1
+        self.width = len(values)
+        self._vals = np.ascontiguousarray(values)
         self._starts = (np.zeros(n_rows, dtype=np.int64) if starts is None
                         else np.asarray(starts, dtype=np.int64))
         self._off = np.zeros(n_rows + 1, dtype=np.int64)
@@ -259,13 +258,11 @@ class _StackedCdf:
         self._flat = self._store
         self._open = int(self._vals.min()) - 1
         self.cells = cells
-        self._guide = None
-        if cells:
-            cell = np.iinfo(np.int32)
-            if not (self._vals.dtype.kind in "iu" and cell.min <= self._open
-                    and self._vals.max() <= cell.max):
-                raise ValueError("a guided table's values and open marker must be int32")
-            self._guide = np.empty(0, dtype=np.int32)
+        cell = np.iinfo(np.int32)
+        if not (self._vals.dtype.kind in "iu" and cell.min <= self._open
+                and self._vals.max() <= cell.max):
+            raise ValueError("a stacked table's values and open marker must be int32")
+        self._guide = np.empty(0, dtype=np.int32)
         self._packed = None
 
     def row(self, i):
@@ -296,58 +293,43 @@ class _StackedCdf:
         self._store[self._off[self.n]:self._off[self.n + m]] = (
             cum[np.arange(self.width) >= starts[:, None]] if starts.any()
             else cum.reshape(-1))
-        guide = None
-        if self.cells:
-            # per row, entry j settles the cells [ceil(hi_(j-1)), floor(hi_j))
-            # inside its targets, hi_j = (cum_j - l) cells (exact; hi_-1 = 0);
-            # the cells between and after them are open
-            hi = (cum - ls) * self.cells
-            first = np.ceil(np.column_stack([np.zeros(m), hi[:, :-1]])).astype(np.intp)
-            end = np.maximum(first, np.floor(hi).astype(np.intp))
-            # a row's cells as runs: open, entry 0, open, entry 1, ..., open
-            counts = np.empty((m, 2 * self.width + 1), dtype=np.intp)
-            counts[:, 0:-1:2] = first - np.column_stack([np.zeros(m, np.intp), end[:, :-1]])
-            counts[:, 1::2] = end - first
-            counts[:, -1] = self.cells - end[:, -1]
-            runs = np.full(counts.shape, self._open, dtype=np.int32)
-            runs[:, 1::2] = (self._vals if self._shared else
-                             self._vals[self.n * self.width:(self.n + m) * self.width]
-                             .reshape(m, -1))
-            guide = np.repeat(runs.reshape(-1), counts.reshape(-1))
-        self.grown(self.n + m, guide)
+        # per row, entry j settles the cells [ceil(hi_(j-1)), floor(hi_j))
+        # inside its targets, hi_j = (cum_j - l) cells (exact; hi_-1 = 0);
+        # the cells between and after them are open
+        hi = (cum - ls) * self.cells
+        first = np.ceil(np.column_stack([np.zeros(m), hi[:, :-1]])).astype(np.intp)
+        end = np.maximum(first, np.floor(hi).astype(np.intp))
+        # a row's cells as runs: open, entry 0, open, entry 1, ..., open
+        counts = np.empty((m, 2 * self.width + 1), dtype=np.intp)
+        counts[:, 0:-1:2] = first - np.column_stack([np.zeros(m, np.intp), end[:, :-1]])
+        counts[:, 1::2] = end - first
+        counts[:, -1] = self.cells - end[:, -1]
+        runs = np.full(counts.shape, self._open, dtype=np.int32)
+        runs[:, 1::2] = self._vals
+        self.grown(self.n + m, np.repeat(runs.reshape(-1), counts.reshape(-1)))
 
-    def grown(self, n, guide=None):
+    def grown(self, n, guide):
         """Take rows up to n, written past the rows built, with guide, the
-        guide cells of the new rows in a guided table."""
+        guide cells of the new rows."""
         self.n = n
         self._flat = self._store[:self._off[n]]
-        if self.cells:
-            self._guide = np.concatenate([self._guide, guide])
+        self._guide = np.concatenate([self._guide, guide])
         self._packed = None
 
     def _values_at(self, idx, rows):
         """The values at flat indices idx, each searched for in its entry of
-        rows: column starts[row] + idx - off[row] of the row's table, modulo
-        width in a shared table; outside a per-row table, IndexError."""
-        col = idx - self._off[rows + 1] + self.width
-        if self._shared:
-            return self._vals[col % self.width]
-        idx = rows * self.width + col
-        if len(idx) and idx.min() < 0:
-            raise IndexError("a target outside the value table")
-        return self._vals[idx]
+        rows: column starts[row] + idx - off[row], modulo width."""
+        return self._vals[(idx - self._off[rows + 1] + self.width) % self.width]
 
     def at(self, t):
         """The values at targets t in [0, n), searchsorted(rows, t, "right")
         in the row floor(t)."""
-        rows = t.astype(np.intp)
-        if self._guide is None:
-            return self._values_at(self._flat.searchsorted(t, "right"), rows)
         out = self._guide[(t * self.cells).astype(np.intp)].astype(self._vals.dtype)
         open_ = np.flatnonzero(out == self._open)
         if len(open_):
-            out[open_] = self._values_at(self._flat.searchsorted(t[open_], "right"),
-                                         rows[open_])
+            t = t[open_]
+            out[open_] = self._values_at(self._flat.searchsorted(t, "right"),
+                                         t.astype(np.intp))
         return out
 
     def check_rows(self, rows):
@@ -374,24 +356,20 @@ class _StackedCdf:
             flat, vals, guide = self._flat, self._vals, self._guide
             packed = self._packed = (_native.Cdf(
                 _native.address(flat), _native.address(self._off), self.n,
-                self.width, _native.address(vals), len(vals), self._shared,
-                None if guide is None else _native.address(guide),
-                0 if guide is None else len(guide), int(self._open), self.cells,
-                self.U_MAX), (flat, self._off, vals, guide))
+                self.width, _native.address(vals), _native.address(guide), len(guide),
+                int(self._open), self.cells, self.U_MAX), (flat, self._off, vals, guide))
         return packed
 
 
 def _edges(cdf, rows):
     """The self-check's probes of the given rows of cdf, (rows, uniforms):
-    for every cut of each row below 1, and in a guided table then for both
-    edges of the guide cell that holds each cut, a uniform whose target
-    lies just below the point and one whose target is the point."""
+    for every cut of each row below 1, and for both edges of the guide
+    cell that holds each cut, a uniform whose target lies just below the
+    point and one whose target is the point."""
     cut = np.concatenate([cdf.row(i) - i for i in rows])
-    row_of = np.repeat(rows, np.diff(cdf._off)[rows])
-    if cdf.cells:
-        cell = cut * cdf.cells
-        cut = np.concatenate([cut, np.floor(cell) / cdf.cells, np.ceil(cell) / cdf.cells])
-        row_of = np.tile(row_of, 3)
+    cell = cut * cdf.cells
+    cut = np.concatenate([cut, np.floor(cell) / cdf.cells, np.ceil(cell) / cdf.cells])
+    row_of = np.tile(np.repeat(rows, np.diff(cdf._off)[rows]), 3)
     near = np.column_stack([cut, cut / cdf.U_MAX])
     probe = near < 1
     return row_of[np.nonzero(probe)[0]], near[probe]
@@ -404,6 +382,11 @@ def _generic_rule(n):
     their floor is 1."""
     return _Rule(*(np.resize(a, n) for a in ([1, 2, 4, 3, 8, 7, 2], [1, 1, 1, 2, 3, 2, 12],
                                             [0, 0.7, 1.9, 0, 3.3, 0.6, 0.6])), 0.75)
+
+
+# the self-check's exact volume laws of holes of degree 1, 2 and 3,
+# {l': (Vs, probs, V*)}, each with a residual (`_volume_rows`)
+_VOLUME_LAWS = {1: ([2, 5], [0.5, 0.3], 5), 2: ([3], [0.6], 3), 3: ([4, 7], [0.2, 0.3], 8)}
 
 
 def _same_lockstep(lib):
@@ -455,8 +438,7 @@ def _same_lockstep(lib):
     # alone then keeps nearly every band draw's index searchsorted's
     bands = engine.bands
     bands.bracket = (len(bands.cuts) - bands.bracket[::-1]).astype(np.int32)
-    volumes = _StackedCdf(4, np.array([[1, 1, 1], [2, 5, -6], [3, -4, 1], [4, 7, -9]]))
-    volumes.append(np.array([[1.0, 0, 0], [0.5, 0.3, 0.2], [0.6, 0.4, 0], [0.2, 0.3, 0.5]]))
+    volumes = _volume_rows(_VOLUME_LAWS, 3)
     spread = np.arange(1, 98) * 0.6180339887498949 % 1.0
     big = (0, 2, 3, 4, 6, 8, 1298, 1298, 1298, 1298, 1100, 1030)
     # the first run's chains from row 8 first, each with a uniform inside
@@ -596,7 +578,7 @@ def _block_fixture():
     engine = _ChainEngine.__new__(_ChainEngine)
     engine.law, engine.order, engine.h_len, engine.rules = law, 1, top, {}
     engine.cs = np.concatenate([[0.0], np.cumsum(probs)])
-    engine.rows = _StackedCdf(L_SMALL, np.arange(-8, 3))
+    engine.rows = _StackedCdf(L_SMALL, np.arange(-8, 3), ROW_GUIDE)
     engine.hz = np.concatenate([np.zeros(k_neg), np.sqrt(np.arange(top))])
     engine.bands = _Bands(engine.cs, engine.hz, k_neg, 2)
     # B(l) = 1 only for even l >= L_SMALL; a grid of six tilts, 2^-10 to
@@ -615,8 +597,7 @@ def _block_fixture():
     mult = 1 + np.add.outer(np.arange(len(th)), np.arange(12)) % 3
     mult[:, -1] = 1
     engine.tilt_rows.append(np.append(probs[-11:], 0.03) * mult)
-    volumes = _StackedCdf(4, np.array([[1, 1, 1], [2, 5, -6], [3, -4, 1], [4, 7, -9]]))
-    volumes.append(np.array([[1.0, 0, 0], [0.5, 0.3, 0.2], [0.6, 0.4, 0], [0.2, 0.3, 0.5]]))
+    volumes = _volume_rows(_VOLUME_LAWS, 3)
     start = np.array([440, 505, 530, 700, 1001, 1013, 1101, 1302, 1231, 1301, 1303, 1501])
     # the first round's single step takes two uniforms, its tilted draws
     # come from uniforms below the deep entry, and block 0 has B(440) = 2
@@ -782,16 +763,28 @@ def _build_volume_tables(q, totals, l_exact, d_max):
             laws[lp] = (Vs, [float(vt.values[V]) / total for V in Vs], vt.V_star)
     except (ValueError, RangeError, OverflowError):
         return None
-    width = 1 + max((len(Vs) for Vs, _, _ in laws.values()), default=0)
-    values = np.ones((l_exact + 1, width), dtype=np.int64)
-    weights = np.zeros((l_exact + 1, width))
-    weights[0, 0] = 1.0   # l' = 0 is the one-vertex map
+    return laws, _volume_rows(laws, l_exact)
+
+
+def _volume_rows(laws, l_exact):
+    """The exact volume laws {l': (Vs, probs, V*)} as the stacked rows
+    0..l_exact, guided by ROW_GUIDE cells, over one value row: every volume
+    in ascending order (1, the one-vertex map of row 0, among them), then
+    the residual markers -(V* + 1).  Row l' weighs its volumes and then its
+    marker, with the residual mass, in the order of a row of its own, so
+    that its cumulative weights are those doubles (the columns between
+    add 0.0); a degree without a law leaves its row without weight."""
+    vols = sorted({1}.union(*(Vs for Vs, _, _ in laws.values())))
+    marks = sorted({-(v_star + 1) for _, _, v_star in laws.values()}, reverse=True)
+    col = {v: i for i, v in enumerate(vols + marks)}
+    weights = np.zeros((l_exact + 1, len(col)))
+    weights[0, col[1]] = 1.0
     for lp, (Vs, probs, v_star) in laws.items():
-        values[lp, :len(Vs) + 1] = Vs + [-(v_star + 1)]
-        weights[lp, :len(Vs) + 1] = probs + [max(0.0, 1.0 - sum(probs))]
-    cdf = _StackedCdf(l_exact + 1, values)
+        weights[lp, [col[V] for V in Vs]] = probs
+        weights[lp, col[-(v_star + 1)]] = max(0.0, 1.0 - sum(probs))
+    cdf = _StackedCdf(l_exact + 1, np.array(vols + marks, dtype=np.int64), ROW_GUIDE)
     cdf.append(weights)
-    return laws, cdf
+    return cdf
 
 
 def _check_volume_args(mode, l_exact, d_max):
@@ -855,10 +848,10 @@ class VolumeSampler:
     heavy-tailed law, which has no volume constant B_nu (where the limit
     law would be drawn, flag heavy_volume_expectation), else the limit law;
     a degree past it or at a 0 entry of lo raises IndexError.  engine, when
-    given, is law's chain engine, whose memos the sampler reads and fills:
-    the rule tables (`_ChainEngine.rule_table`) and the enumeration tables
-    per (l_exact, d_max), so the runs of one deepened law share them.  An
-    engine keeps one sampler per volume arguments (`_ChainEngine.sampler`)
+    given, is law's chain engine, whose rule tables
+    (`_ChainEngine.rule_table`) the sampler reads and fills, so that the
+    samplers of one deepened law share them; the enumeration tables are
+    kept by what they read (`_exact_volume_tables`).  An engine keeps one sampler per volume arguments (`_ChainEngine.sampler`)
     for run after run: ``start`` gives each run fresh flags, and
     ``template`` holds its compiled template on the engine of its first
     compiled run (`_template`).
@@ -869,12 +862,7 @@ class VolumeSampler:
         _check_volume_args(mode, l_exact, d_max)
         self.mode = mode
         exact = mode == "exact_small"
-        built = None
-        if exact:
-            memo = {} if engine is None else engine.exact_tables
-            if (l_exact, d_max) not in memo:
-                memo[l_exact, d_max] = _exact_volume_tables(law, l_exact, d_max)
-            built = memo[l_exact, d_max]
+        built = _exact_volume_tables(law, l_exact, d_max) if exact else None
         self._fallback = exact and built is None
         self.start()
         self.template = None
@@ -1217,12 +1205,12 @@ class _ChainEngine:
     ``blocks[l]`` is B(l) and ``block_tilt[l]`` the index of its theta,
     tabulated with hz and the bands over the cover (`_cover`).  ``rules``
     holds the hole-volume rule tables by filling (`rule_table`), each built
-    when a run first reads it, and ``exact_tables`` the exact volume tables
-    per (l_exact, d_max), for the `VolumeSampler` of each run.
+    when a run first reads it, and ``samplers`` the `VolumeSampler` per
+    volume arguments (`sampler`), with their exact volume tables.
 
     The engine is the depth part: every table but the window's depends on
     the law as deepened for a run (its deep tail, cs, the bands, the tilted
-    rows, log phi, B(l), the rules and the exact tables).  Every table
+    rows, log phi, B(l), the rules and the samplers' exact tables).  Every table
     depends only on that law and the transform, so one engine serves run
     after run, kept in its thread's slot under what it read of the law
     (`_part_key`, `_chain_engine`); ``start`` begins each.  window is the
@@ -1240,7 +1228,6 @@ class _ChainEngine:
         self.win_ks = self.window.ks
         self.win_idx = self.win_ks + law.k_neg
         self.rules = {}
-        self.exact_tables = {}
         self.samplers = {}
         self.thetas = BLOCK_THETAS
         # B(l) for l < len(blocks), the cover's perimeters

@@ -264,6 +264,40 @@ class TestVolumeSampler:
         for depth in (1024, 8192):
             assert peeling._exact_volume_tables(deepen_negative(law, depth), 6, 24)[1] is cdf
 
+    @pytest.mark.parametrize("l_exact", [6, 10])
+    @pytest.mark.parametrize("key", ["quad", "tri"])
+    def test_exact_rows_share_one_guided_value_row(self, key, l_exact):
+        # the exact volume laws are one guided table over one value row:
+        # every volume ascending, then the residual markers -(V* + 1).  Row
+        # l' weighs its volumes ascending and then its marker, with the
+        # cumulative weights a row of its own holds, and no other column;
+        # a look-up at every cut, at both edges of its guide cell and just
+        # below each gives searchsorted's value over the whole table
+        law = {"quad": quad_law, "tri": tri_law}[key]()
+        laws, cdf = peeling._exact_volume_tables(law, l_exact, 24)
+        vals = cdf._vals.tolist()
+        assert cdf._vals.ndim == 1 and cdf.cells == peeling.ROW_GUIDE
+        assert cdf.n == l_exact + 1 and len(cdf._guide) == cdf.n * cdf.cells
+        vols = [v for v in vals if v > 0]
+        assert vols == sorted(set(vols)) and vals[:len(vols)] == vols
+        assert sorted(vals[len(vols):]) == sorted({-(v + 1) for _, _, v in laws.values()})
+        # row 0, the one-vertex map, weighs the volume 1 alone
+        assert vals[0] == 1 and (cdf.row(0) == 1.0).all()
+        for lp, (Vs, probs, v_star) in laws.items():
+            cols = [vals.index(V) for V in Vs + [-(v_star + 1)]]
+            assert cols == sorted(cols)
+            own = np.cumsum(probs + [max(0.0, 1.0 - sum(probs))])
+            row = cdf.row(lp)
+            assert row[cols].tobytes() == (own / own[-1] + lp).tobytes()
+            weight = np.diff(np.concatenate([[lp], row]))
+            assert not np.delete(weight, cols).any()
+        rows, us = peeling._edges(cdf, np.arange(cdf.n))
+        t = rows + us * _StackedCdf.U_MAX
+        want = cdf._values_at(cdf._flat.searchsorted(t, "right"), rows)
+        assert cdf.at(t).tobytes() == want.tobytes()
+        settled = cdf._guide[(t * cdf.cells).astype(np.intp)] != cdf._open
+        assert settled.any() and not settled.all()
+
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     @pytest.mark.parametrize("mode", ["exact_small", "asymptotic_xi"])
     def test_degree_0_draws_nothing(self, mode, path):
@@ -812,31 +846,33 @@ class TestMeanTable:
 
 
 class TestStackedCdf:
-    def test_shared_values_match_per_row_tables(self):
+    def test_rows_appended_by_blocks_match_one_append(self):
+        # rows appended a block at a time hold the doubles and guide cells
+        # of the same rows appended at once, and draw the same values
         rows, width = 200, 37
         weights = _rng(2).random((rows, width))
         values = np.arange(width) * 3 - 40
-        shared = _StackedCdf(rows, values)
-        per_row = _StackedCdf(rows, np.tile(values, (rows, 1)))
+        blocks = _StackedCdf(rows, values, peeling.ROW_GUIDE)
+        whole = _StackedCdf(rows, values, peeling.ROW_GUIDE)
         for lo in range(0, rows, 64):     # grows a block at a time
-            shared.append(weights[lo:lo + 64])
-        per_row.append(weights)
+            blocks.append(weights[lo:lo + 64])
+        whole.append(weights)
+        assert blocks._flat.tobytes() == whole._flat.tobytes()
+        assert blocks._guide.tobytes() == whole._guide.tobytes()
         for size in (10, 1000):
             at = _rng(3).integers(0, rows, size)
-            np.testing.assert_array_equal(shared.draw(_rng(4), at),
-                                          per_row.draw(_rng(4), at))
+            np.testing.assert_array_equal(blocks.draw(_rng(4), at),
+                                          whole.draw(_rng(4), at))
 
     def test_guided_values_fit_the_int32_guide(self):
         # a guide cell holds a value or the open marker, the smallest value
-        # less one, as int32: a guided table refuses integers outside int32,
-        # an open marker below it and values that are not integers, which
-        # an unguided table takes
+        # less one, as int32: a table refuses integers outside int32, an
+        # open marker below it and values that are not integers
         lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
         for values in (np.array([0, hi + 1]), np.array([lo, 0]), np.array([lo, 0], np.int32),
                        np.array([-(1 << 40), 3]), np.array([0.5, 1.0])):
             with pytest.raises(ValueError, match="int32"):
                 _StackedCdf(1, values, cells=peeling.GUIDE)
-            _StackedCdf(1, values)
         edge = _StackedCdf(1, np.array([lo + 1, hi]), cells=peeling.GUIDE)
         edge.append(np.array([[1.0, 3.0]]))
         assert edge._guide.dtype == np.int32 and edge._open == lo
@@ -847,25 +883,24 @@ class TestStackedCdf:
     def test_guided_draws_keep_the_values_dtype(self, dtype):
         # the guide is int32 whatever the values are; a draw returns the
         # values' dtype, from a settled cell and from a searched one alike,
-        # and the unguided table's values
+        # and the values searchsorted finds over the whole table
         values = (np.arange(7) * 5 - 12).astype(dtype)
         weights = _rng(6).random((3, 7))
-        guided = _StackedCdf(3, np.tile(values, (3, 1)), cells=peeling.GUIDE)
-        plain = _StackedCdf(3, np.tile(values, (3, 1)))
-        for cdf in (guided, plain):
-            cdf.append(weights)
+        guided = _StackedCdf(3, values, cells=peeling.GUIDE)
+        guided.append(weights)
         rows = _rng(7).integers(0, 3, 5000)
         draws = guided.draw(_rng(8), rows)
         assert draws.dtype == dtype
-        np.testing.assert_array_equal(draws, plain.draw(_rng(8), rows))
         t = rows + _rng(8).random(len(rows)) * _StackedCdf.U_MAX
+        np.testing.assert_array_equal(
+            draws, values[guided._flat.searchsorted(t, "right") - guided._off[rows]])
         settled = guided._guide[(t * peeling.GUIDE).astype(np.intp)] != guided._open
         assert settled.any() and not settled.all()
 
     def test_a_guided_row_with_no_weight_has_every_cell_open(self):
         # a row with no weight (as a bipartite law's odd window rows) is
-        # taken with every guide cell open, so a draw from it is refused as
-        # from an unguided row; the rows around it keep their own cells,
+        # taken with every guide cell open, so a draw from it is searched
+        # for and refused; the rows around it keep their own cells,
         # a cell split by a cut open and the others settled
         cells = peeling.GUIDE
         cdf = _StackedCdf(3, np.array([3, 8]), cells=cells)
@@ -903,7 +938,7 @@ def test_window_rows_are_a_triangle(path, mode):
     window = peeling._Window(law, order)
     with draws_on(path):
         window.extend_rows(L_SMALL - 1)
-    rect = _StackedCdf(L_SMALL, window.ks)
+    rect = _StackedCdf(L_SMALL, window.ks, peeling.ROW_GUIDE)
     hz = np.concatenate([np.zeros(law.k_neg), law.hcache().array(order, 2 * L_SMALL)])
     rect.append(hz[np.arange(L_SMALL)[:, None] + window.ks + law.k_neg] * window.p)
     full = rect._flat.reshape(L_SMALL, -1)
@@ -1042,8 +1077,8 @@ class TestBlockStepping:
         pytest.param("tri", "chain", id="chain-tri"),
         pytest.param("quad", "volume", id="volume-quad")])
     def test_guide_table_is_searchsorted(self, key, table):
-        # one look-up rule for every stacked table, guided (the tilted rows)
-        # or not (the chain rows below L_SMALL, the exact volume laws):
+        # one look-up rule for every stacked table, each guided (the tilted
+        # rows, the chain rows below L_SMALL, the exact volume laws):
         # searchsorted(side="right") at cuts, just below them, at guide
         # cell edges and at random targets, and at the targets of draws
         # from the rows with weight; a draw from a row with no weight
@@ -1687,35 +1722,35 @@ C_MUTANTS = {
 """),
     "marker_bound": ("sum -= s->l_small;", "sum += k[q];"),
     "link_stopped": ("if (s->bkeep[b] != 2)", "if (s->bkeep[b] == 1)"),
-    "keep_stopped": ("""                if (!s->bkeep[b])
-                    continue;
-                double u""", """                if (!s->bkeep[b]) {
-                    bg->next_double(bg->state);
-                    continue;
-                }
-                double u"""),
+    "keep_stopped": ("""            if (!s->bkeep[b])
+                continue;
+            double u""", """            if (!s->bkeep[b]) {
+                bg->next_double(bg->state);
+                continue;
+            }
+            double u"""),
     "tilt_walk": ("            j--;\n            now = up;\n",
                   "            j--;\n            now = up;\n            break;\n"),
     "keep_comparison": ("s->bkeep[b] = u < ", "s->bkeep[b] = u <= "),
     "keep_h": ("s->bands->hz[s->k_neg + lB]", "s->bands->hz[s->k_neg + lB - 1]"),
     "checkpoint_offset": ("s->per[cp++ * n + c] = l;", "s->per[cp++ * n + c] = l - k;"),
-    "volume_window": ("""                    if (lp >= 0) {
-                        long long dv = hole_volume(bg, s, lp, val);
-                        if (dv < 0)
-                            return -1;
-                        v += dv;
-                    }
-                    if (++step == s->cps[cp]) {
-                        s->vols[cp * n + c] = v;
-""", """                    long long v0 = v;
-                    if (lp >= 0) {
-                        long long dv = hole_volume(bg, s, lp, val);
-                        if (dv < 0)
-                            return -1;
-                        v += dv;
-                    }
-                    if (++step == s->cps[cp]) {
-                        s->vols[cp * n + c] = v0;
+    "volume_window": ("""                if (lp >= 0) {
+                    long long dv = hole_volume(bg, s, lp, val);
+                    if (dv < 0)
+                        return -1;
+                    v += dv;
+                }
+                if (++step == s->cps[cp]) {
+                    s->vols[cp * n + c] = v;
+""", """                long long v0 = v;
+                if (lp >= 0) {
+                    long long dv = hole_volume(bg, s, lp, val);
+                    if (dv < 0)
+                        return -1;
+                    v += dv;
+                }
+                if (++step == s->cps[cp]) {
+                    s->vols[cp * n + c] = v0;
 """),
     # run_start laying a run's rows out wrongly: one chain left out of act,
     # da left as the block was (the self-check's blocks hold junk), and no
@@ -1776,11 +1811,21 @@ MUTANTS = {**C_MUTANTS, "start_column": START_COLUMN,
               for name, mutant in group.items()}}
 
 
+# the mutants compiled with the library's own flags, at least one for each
+# test that reads MUTANTS, so that every test shows its verdicts hold at
+# either optimisation level; the others compile at -O0, about three times
+# as fast
+OPTIMIZED = ("keep_stopped", "start_column", "edge_cut", "rule_off", "degree_0_row",
+             "mean_mean")
+
+
 @pytest.fixture(scope="module")
 def mutants(tmp_path_factory):
     """{name: path} of every library of MUTANTS, each the library's source
-    with its one text replaced, compiled once per module in one pool of
-    two workers; skips without a compiler or numpy's static random
+    with its one text replaced, compiled once per module in pools of two
+    workers: OPTIMIZED's with the library's flags (`_native._C_FLAGS`),
+    the others with -O0 in place of -O2, swapped in only once the library
+    itself has loaded; skips without a compiler or numpy's static random
     library."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None or not os.path.isfile(_native._npyrandom()):
@@ -1791,9 +1836,17 @@ def mutants(tmp_path_factory):
         sources[name] = _native._C_SOURCE.replace(old, new)
     tmp = tmp_path_factory.mktemp("mutants")
     paths = {name: str(tmp / f"{name}.so") for name in sources}
-    with concurrent.futures.ThreadPoolExecutor(2) as pool:
-        failed = list(pool.map(lambda name: _native._compile(cc, paths[name], sources[name]),
-                               sources))
+    _native.library()
+    flags = _native._C_FLAGS
+    assert "-O2" in flags and set(OPTIMIZED) < set(sources)
+    failed = []
+    for level in (flags, tuple("-O0" if f == "-O2" else f for f in flags)):
+        names = [name for name in sources if (name in OPTIMIZED) == (level is flags)]
+        with pytest.MonkeyPatch.context() as patch, \
+                concurrent.futures.ThreadPoolExecutor(2) as pool:
+            patch.setattr(_native, "_C_FLAGS", level)
+            failed += pool.map(lambda name: _native._compile(cc, paths[name], sources[name]),
+                               names)
     assert failed == [None] * len(sources)
     return paths
 
@@ -2146,6 +2199,10 @@ class TestCompiledDraws:
         def kept(outs, calls):
             assert all(out.flags["block_accepts"] > 0 for out in outs)
             assert calls and calls[-1][0] == _native.LS_DONE
+            # a call returns for a row or the cover at a round's start or
+            # at its block ends alone
+            assert all(BR_PHASES[phase] in ("BR_START", "BR_ENDS") for st, *_, phase in calls
+                       if st in (_native.LS_ROWS, _native.LS_COVER))
 
         if case == "geo3":
             geo3 = geo3_law()
@@ -2200,9 +2257,11 @@ class TestCompiledDraws:
                 assert len(ends) == len(runs)
                 for chains, run in zip((64, 1), np.split(calls, np.add(ends[:-1], 1))):
                     # the first row asked for is for a round of single steps
-                    # alone, made before the run proposed a block
+                    # alone, made before the run proposed a block, and asked
+                    # for at the round's start
                     first = next((c for c in run if c[0] == _native.LS_ROWS), None)
                     assert first is not None and first[1] == 0 and first[2] == chains
+                    assert first[3] == BR_PHASES.index("BR_START")
                     assert run[-1][1] > 0
         elif case == "deep":
             # from l0 = 3000, tilted draws at the rows' last entry are
@@ -2579,24 +2638,31 @@ class TestCompiledDraws:
                                     peeling._Run(2, 2000, [5], (lib, engine, vol)),
                                     {"block_proposals": 0, "block_accepts": 0})
 
-    @pytest.mark.parametrize("guided", [False, True])
+    @pytest.mark.parametrize("on_cut", [False, True])
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
-    def test_target_on_a_cut(self, path, guided):
+    def test_target_on_a_cut(self, path, on_cut):
         # a target equal to a cut draws the value right of it, as
-        # searchsorted(side="right"): for u in [1/2, 1), the row [w, 1 - w]
-        # with w = u * U_MAX has its cut at the target exactly (1 - w and
-        # w + (1 - w) = 1 are exact).  numpy: the first uniform of seed 3;
-        # compiled: the exact volume row of a lockstep step's hole of
-        # degree 1, from a chain at 8 of a small law that jumps by -3
+        # searchsorted(side="right") over the whole table, and a target just
+        # below it the value left of it: for u in [1/2, 1), the row [w, 1 - w]
+        # with w = u * U_MAX has its cut at the target of u exactly (1 - w
+        # and w + (1 - w) = 1 are exact), and the target of w lies just
+        # below it.  u is the first uniform of seed 3; numpy: a draw from
+        # the row; compiled: the exact volume row of a lockstep step's hole
+        # of degree 1, from a chain at 8 of a small law that jumps by -3
         u = _rng(3).random()
         w = u * _StackedCdf.U_MAX
         assert 0.5 <= w < 1
-        cdf = _StackedCdf(2, np.array([[1, 2], [3, 8]]),
-                          cells=peeling.GUIDE if guided else 0)
-        cdf.append(np.array([[0.5, 0.5], [w, 1.0 - w]]))
-        assert cdf.row(1)[0] == 1 + w
+        cdf = _StackedCdf(2, np.array([1, 2, 3, 8]), cells=peeling.GUIDE)
+        cdf.append(np.array([[0.5, 0.5, 0, 0], [0, 0, w, 1.0 - w]]))
+        assert cdf.row(1)[2] == 1 + w
+        v = u if on_cut else w
+        t = 1 + v * _StackedCdf.U_MAX
+        assert (t == 1 + w) == on_cut and t <= 1 + w
+        want = cdf._vals[cdf._flat.searchsorted(t, "right") - cdf._off[1]]
+        assert want == (8 if on_cut else 3)
         if path == "numpy":
-            assert cdf.draw(_rng(3), np.ones(1, dtype=np.int64))[0] == 8
+            stream = types.SimpleNamespace(random=lambda n: np.full(n, v))
+            assert cdf.draw(stream, np.ones(1, dtype=np.int64))[0] == want
             return
         lib = compiled_library()
         engine = small_finite_engine()
@@ -2607,8 +2673,8 @@ class TestCompiledDraws:
         engine.start(8)
         run = peeling._Run(1, 8, [1], (lib, engine, vol))
         peeling._lockstep_c(lib, engine, vol,
-                            _native.FixedStream(lib, [0.5 * (cut[4] + cut[5]), u]), run)
-        assert (run.ls[0], run.V[0]) == (5, 8)
+                            _native.FixedStream(lib, [0.5 * (cut[4] + cut[5]), v]), run)
+        assert (run.ls[0], run.V[0]) == (5, want)
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     def test_band_counts(self, path):
