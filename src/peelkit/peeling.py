@@ -384,9 +384,11 @@ def _generic_rule(n):
                                             [0, 0.7, 1.9, 0, 3.3, 0.6, 0.6])), 0.75)
 
 
-# the self-check's exact volume laws of holes of degree 1, 2 and 3,
-# {l': (Vs, probs, V*)}, each with a residual (`_volume_rows`)
-_VOLUME_LAWS = {1: ([2, 5], [0.5, 0.3], 5), 2: ([3], [0.6], 3), 3: ([4, 7], [0.2, 0.3], 8)}
+def _fixture_volume_rows():
+    """The self-check's exact volume rows (`_volume_rows`) of holes of
+    degree 1, 2 and 3, each law with a residual."""
+    return _volume_rows({1: ([2, 5], [0.5, 0.3], 5), 2: ([3], [0.6], 3),
+                         3: ([4, 7], [0.2, 0.3], 8)}, 3)
 
 
 def _same_lockstep(lib):
@@ -438,7 +440,7 @@ def _same_lockstep(lib):
     # alone then keeps nearly every band draw's index searchsorted's
     bands = engine.bands
     bands.bracket = (len(bands.cuts) - bands.bracket[::-1]).astype(np.int32)
-    volumes = _volume_rows(_VOLUME_LAWS, 3)
+    volumes = _fixture_volume_rows()
     spread = np.arange(1, 98) * 0.6180339887498949 % 1.0
     big = (0, 2, 3, 4, 6, 8, 1298, 1298, 1298, 1298, 1100, 1030)
     # the first run's chains from row 8 first, each with a uniform inside
@@ -597,7 +599,7 @@ def _block_fixture():
     mult = 1 + np.add.outer(np.arange(len(th)), np.arange(12)) % 3
     mult[:, -1] = 1
     engine.tilt_rows.append(np.append(probs[-11:], 0.03) * mult)
-    volumes = _volume_rows(_VOLUME_LAWS, 3)
+    volumes = _fixture_volume_rows()
     start = np.array([440, 505, 530, 700, 1001, 1013, 1101, 1302, 1231, 1301, 1303, 1501])
     # the first round's single step takes two uniforms, its tilted draws
     # come from uniforms below the deep entry, and block 0 has B(440) = 2

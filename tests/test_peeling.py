@@ -1811,22 +1811,18 @@ MUTANTS = {**C_MUTANTS, "start_column": START_COLUMN,
               for name, mutant in group.items()}}
 
 
-# the mutants compiled with the library's own flags, at least one for each
-# test that reads MUTANTS, so that every test shows its verdicts hold at
-# either optimisation level; the others compile at -O0, about three times
-# as fast
-OPTIMIZED = ("keep_stopped", "start_column", "edge_cut", "rule_off", "degree_0_row",
-             "mean_mean")
-
-
 @pytest.fixture(scope="module")
 def mutants(tmp_path_factory):
     """{name: path} of every library of MUTANTS, each the library's source
     with its one text replaced, compiled once per module in pools of two
-    workers: OPTIMIZED's with the library's flags (`_native._C_FLAGS`),
-    the others with -O0 in place of -O2, swapped in only once the library
-    itself has loaded; skips without a compiler or numpy's static random
+    workers: at least one per test that reads them with the library's
+    flags (`_native._C_FLAGS`), so that every test shows its verdicts hold
+    at either optimisation level, and the others, about three times as
+    fast, with -O0 in place of -O2, swapped in only once the library itself
+    has loaded; skips without a compiler or numpy's static random
     library."""
+    optimized = ("keep_stopped", "start_column", "edge_cut", "rule_off", "degree_0_row",
+                 "mean_mean")
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None or not os.path.isfile(_native._npyrandom()):
         pytest.skip("no C compiler or no numpy static random library")
@@ -1838,10 +1834,10 @@ def mutants(tmp_path_factory):
     paths = {name: str(tmp / f"{name}.so") for name in sources}
     _native.library()
     flags = _native._C_FLAGS
-    assert "-O2" in flags and set(OPTIMIZED) < set(sources)
+    assert "-O2" in flags and set(optimized) < set(sources)
     failed = []
     for level in (flags, tuple("-O0" if f == "-O2" else f for f in flags)):
-        names = [name for name in sources if (name in OPTIMIZED) == (level is flags)]
+        names = [name for name in sources if (name in optimized) == (level is flags)]
         with pytest.MonkeyPatch.context() as patch, \
                 concurrent.futures.ThreadPoolExecutor(2) as pool:
             patch.setattr(_native, "_C_FLAGS", level)
