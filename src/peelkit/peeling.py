@@ -853,10 +853,11 @@ class VolumeSampler:
     given, is law's chain engine, whose rule tables
     (`_ChainEngine.rule_table`) the sampler reads and fills, so that the
     samplers of one deepened law share them; the enumeration tables are
-    kept by what they read (`_exact_volume_tables`).  An engine keeps one sampler per volume arguments (`_ChainEngine.sampler`)
-    for run after run: ``start`` gives each run fresh flags, and
-    ``template`` holds its compiled template on the engine of its first
-    compiled run (`_template`).
+    kept by what they read (`_exact_volume_tables`).  An engine keeps one
+    sampler per volume arguments (`_ChainEngine.sampler`) for run after
+    run: ``start`` gives each run fresh flags, and ``template`` holds its
+    compiled template on the engine of its first compiled run
+    (`_template`).
     """
 
     def __init__(self, law: StepLaw, mode="exact_small", l_exact=DEFAULT_L_EXACT,
