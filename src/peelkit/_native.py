@@ -13,7 +13,9 @@ stays in the package as the fallback and the test reference:
   writes them;
 * ``lockstep``, a finite run's steps of `peeling._lockstep_numpy` with
   their volumes and checkpoints, run until a row or the engine's cover
-  (`peeling._ChainEngine._cover`) is missing: its row draws are
+  (`peeling._ChainEngine._cover`) is missing, which the driver of both
+  chain loops (`peeling._chains`) grows before it calls the loop again:
+  its row draws are
   `peeling._StackedCdf.draw`'s inverse-CDF draws, through the int32 guide
   cells that every stacked table keeps over its one value row (``cdf_t``),
   and its band rounds `peeling._Bands.jumps`' band-envelope

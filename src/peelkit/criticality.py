@@ -459,13 +459,14 @@ def _to_x(c, r):
     return np.array([c, math.atanh(min(max(r, -0.999999), 0.999999))])
 
 
-def _newton_1d(f_and_fp, x0, lo, hi, tol=1e-14, max_iter=80, flo=None):
-    """Safeguarded Newton inside a bracket known to contain a simple root;
-    flo is f(lo), evaluated here when not given."""
+def _newton_1d(f_and_fp, x0, lo, hi, flo=None):
+    """Safeguarded Newton inside a bracket known to contain a simple root,
+    to a relative step of 1e-14 or for at most 80 iterations; flo is
+    f(lo), evaluated here when not given."""
     x = min(max(x0, lo), hi)
     if flo is None:
         flo, _ = f_and_fp(lo)
-    for _ in range(max_iter):
+    for _ in range(80):
         f, fp = f_and_fp(x)
         if f == 0.0:
             return x
@@ -476,7 +477,7 @@ def _newton_1d(f_and_fp, x0, lo, hi, tol=1e-14, max_iter=80, flo=None):
             hi = x
         if fp != 0.0:
             step = f / fp
-            if abs(step) <= tol * max(1.0, abs(x)):
+            if abs(step) <= 1e-14 * max(1.0, abs(x)):
                 # converged: a step that rounds onto a bracket end must not
                 # fall back to bisection
                 return min(max(x - step, lo), hi)
@@ -485,7 +486,7 @@ def _newton_1d(f_and_fp, x0, lo, hi, tol=1e-14, max_iter=80, flo=None):
             xn = 0.5 * (lo + hi)
         if not (lo < xn < hi):
             xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= tol * max(1.0, abs(x)):
+        if abs(xn - x) <= 1e-14 * max(1.0, abs(x)):
             return xn
         x = xn
     return x

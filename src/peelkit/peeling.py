@@ -100,11 +100,13 @@ volume rows (exact_small only), and one walk in step order that draws
 their volumes and writes their checkpoints and the chains' new states.
 It returns for a row and for a block's start or end or a single step past
 the cover.  Its keep tests take libm's exp, and so do the numpy rounds'
-(`_libm_exp`).  The library also fills the stacked rows.  Every
+(`_libm_exp`).  One driver runs either loop (`_chains`): it picks the
+loop by the transform, grows what a return asks for and adds the run's
+counts to its flags.  The library also fills the stacked rows.  Every
 compiled loop reads the Generator's own bit generator in the order the
-numpy code reads it; where the library does not load, the numpy and
-Python loops (`_lockstep_numpy`, `_block_rounds_numpy` and the fill's
-numpy half) run and draw the same values.  Draws run compiled only
+numpy code reads it; where the library does not load (`_compiled`), the
+numpy and Python loops (`_lockstep_numpy`, `_block_rounds_numpy` and the
+fill's numpy half) run and draw the same values.  Draws run compiled only
 inside the two chain loops: the numpy loops and every other caller of
 `_StackedCdf.draw` and `_Bands.jumps` draw with numpy.
 
@@ -124,7 +126,6 @@ import collections
 import contextlib
 import copy
 import ctypes
-import functools
 import math
 import numbers
 import threading
@@ -415,9 +416,9 @@ def _same_lockstep(lib):
     of synthetic means.  A last run, with exact volume rows and the limit
     law, starts them all below 10 and has every chain absorbed at step 26
     of 29, so both loops must stop at the same checkpoint.  Each run
-    starts on blocks of junk (`_junk`), so the lead rows and the rows the
-    loops write are compared, and the compiled loop may begin one round
-    per uniform of its stream."""
+    compares the loops through `_same_run`: on blocks of junk (`_junk`),
+    so that every row, written or not, and the chains' state are
+    compared, and with one round allowed per uniform of its stream."""
     ks = np.arange(-8, 3)
     h = 1.0 / np.sqrt(np.arange(1.0, 2 * L_SMALL + 1))
     law = types.SimpleNamespace(
@@ -461,27 +462,55 @@ def _same_lockstep(lib):
             ("generic", big, range(1, 5), spread), ("limit", big, range(1, 5), spread),
             ("heavy", big, range(1, 5), spread), ("means", big, range(1, 5), spread),
             ("exact", (0, 2, 3, 4, 6, 8, 1, 5, 2, 3, 9, 1), range(1, 30), spread)):
-        runs = []
-        for compiled in (True, False):
-            vol = VolumeSampler(law, "asymptotic_xi", engine=engine)
-            vol.rule = rules.get(case, vol.rule)
-            if case == "means":
-                vol.mode = "expectation"
-            elif case in ("exact", "generic"):
-                vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
-            engine.start(1300)
-            run = _Run(len(start), 1, checkpoints, (lib, engine, vol) if compiled else None,
-                       budget=len(us), empty=_junk)
-            run.ls[:] = start
-            rng = _native.FixedStream(lib, us)
-            try:
-                _lockstep(engine, vol, rng, run)
-            except _OutOfRounds:
-                return "compiled lockstep ran out of its round budget"
-            runs.append((run.i, run.rows[:, :run.i + 1].tobytes(), run.ls.tobytes(),
-                         run.V.tobytes(), vol.flags, engine.flags, rng.used))
-        if runs[0] != runs[1]:
-            return "compiled lockstep differs from the Python loop"
+        refusal = _same_run(lib, engine, volumes, rules.get(case), case, start,
+                            checkpoints, us)
+        if refusal is not None:
+            return refusal
+    return None
+
+
+def _same_run(lib, engine, volumes, rule, case, chains, checkpoints, stream):
+    """None when lib's chain loop for engine's transform (``lockstep`` or
+    ``block_rounds``) and its numpy reference run the given chains from
+    their perimeters to the checkpoints alike, drawing from the fixed
+    uniforms of stream; else a refusal.  The volumes follow case: "means"
+    in expectation mode, "exact" and "generic" in exact_small mode over
+    the exact rows volumes at l_exact 3, any other in asymptotic_xi mode;
+    rule, where not None, replaces the sampler's rule.  Each run starts
+    the engine at 1300 (its cover and fresh flags) and lays its chains
+    over blocks of junk (`_junk`); the runs compare the checkpoints
+    written, every row, the chains' state, the three sets of flags and the
+    uniforms used.  Either may begin at most one round per uniform of the
+    stream, which a correct one never nears, so a loop that reads the
+    stream in another order, or cycles on it, is refused."""
+    differs, out_of_rounds = (
+        ("compiled lockstep differs from the Python loop",
+         "compiled lockstep ran out of its round budget"),
+        ("compiled block rounds differ from the numpy rounds",
+         "compiled block rounds ran out of their round budget"))[engine.order]
+    runs = []
+    for compiled in (True, False):
+        vol = VolumeSampler(engine.law, "asymptotic_xi", engine=engine)
+        if rule is not None:
+            vol.rule = rule
+        if case == "means":
+            vol.mode = "expectation"
+        elif case in ("exact", "generic"):
+            vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
+        engine.start(1300)
+        run = _Run(len(chains), 1, checkpoints, (lib, engine, vol) if compiled else None,
+                   budget=len(stream), empty=_junk)
+        run.ls[:] = chains
+        rng = _native.FixedStream(lib, stream)
+        flags = {"block_proposals": 0, "block_accepts": 0}
+        try:
+            _chains(engine, vol, rng, run, flags)
+        except _OutOfRounds as out:
+            return out_of_rounds if compiled else str(out)
+        runs.append((run.i, run.rows.tobytes(), run.ls.tobytes(), run.V.tobytes(),
+                     vol.flags, engine.flags, flags, rng.used))
+    if runs[0] != runs[1]:
+        return differs
     return None
 
 
@@ -500,46 +529,15 @@ class _OutOfRounds(RuntimeError):
 
 def _same_blocks(lib):
     """None when the compiled block rounds of lib give exactly the numpy
-    rounds on every run of `_block_fixture`, else a refusal (the library's
-    self-check, after the lockstep loop)."""
+    rounds on every run of `_block_fixture` (`_same_run`, over every
+    checkpoint of its steps), else a refusal (the library's self-check,
+    after the lockstep loop)."""
     fixture = _block_fixture()
-    for run in fixture.runs:
-        refusal = _same_block_run(lib, fixture, *run)
+    for case, chains, n_steps, stream in fixture.runs:
+        refusal = _same_run(lib, fixture.engine, fixture.volumes, fixture.rules.get(case),
+                            case, chains, range(1, n_steps + 1), stream)
         if refusal is not None:
             return refusal
-    return None
-
-
-def _same_block_run(lib, fixture, case, chains, n_steps, stream):
-    """None when lib's block rounds and the numpy rounds run chains from
-    the given perimeters over n_steps steps alike on the fixture's engine,
-    drawing from the fixed uniforms of stream, with the volume rule of case
-    ("generic", "means" in expectation mode, or "exact": the limit law with
-    exact rows); else a refusal.  Either run may begin at most one round
-    per uniform of the stream, which a correct one never nears, so a loop
-    that reads the stream in another order, or cycles on it, is refused."""
-    engine, volumes, rules = fixture.engine, fixture.volumes, fixture.rules
-    runs = []
-    for compiled in (True, False):
-        vol = VolumeSampler(engine.law, "asymptotic_xi", engine=engine)
-        vol.rule = rules.get(case, vol.rule)
-        if case == "means":
-            vol.mode = "expectation"
-        else:
-            vol.mode, vol.l_exact, vol._cdf = "exact_small", 3, volumes
-        engine.flags = {"band_proposals": 0, "band_accepts": 0}
-        run = _Run(len(chains), 1, range(1, n_steps + 1),
-                   (lib, engine, vol) if compiled else None, budget=len(stream), empty=_junk)
-        run.ls[:] = chains
-        rng = _native.FixedStream(lib, stream)
-        flags = {"block_proposals": 0, "block_accepts": 0}
-        try:
-            _block_rounds(engine, vol, rng, run, flags)
-        except _OutOfRounds as out:
-            return "compiled block rounds ran out of their round budget" if compiled else str(out)
-        runs.append((run.rows.tobytes(), vol.flags, engine.flags, flags, rng.used))
-    if runs[0] != runs[1]:
-        return "compiled block rounds differ from the numpy rounds"
     return None
 
 
@@ -550,7 +548,8 @@ _BlockFixture = collections.namedtuple("_BlockFixture", "engine volumes rules ru
 
 def _block_fixture():
     """The block rounds' self-check (`_same_blocks`) on a small synthetic
-    law, as a `_BlockFixture`.  The law reaches k = -1030, so
+    law, as a `_BlockFixture`, each run compared by `_same_run` over every
+    checkpoint of its steps.  The law reaches k = -1030, so
     tilted draws at its last entry are redrawn.  Twelve chains, below and
     above L_SMALL, with B(l) = 1 only for even l above it, take every
     checkpoint of two steps, with exact volume rows, residuals and a
@@ -1242,19 +1241,6 @@ class _ChainEngine:
         self.h_len = 0
         self._cover(L_SMALL)
 
-    @functools.cached_property
-    def c_fields(self):
-        """The fields of every run's compiled state that read only the
-        engine, filled on its first compiled run; each template
-        (`_template`) starts as a copy."""
-        c = _native.Lockstep(l_small=L_SMALL, absorbing=self.order == 0)
-        if self.order == 1:
-            addr, k_neg = _native.address, self.law.k_neg
-            c.thetas, c.log_phi, c.log_K = map(addr, (self.thetas, self.log_phi, self.log_K))
-            c.cs, c.n_cs = addr(self.cs), len(self.cs)
-            c.k_neg, c.n_deep = k_neg, k_neg - L_SMALL + 1
-        return c
-
     def _tilt_tables(self):
         """Tabulate log phi(theta) for theta in BLOCK_THETAS; the rows of
         nu_theta are built in grid order as blocks first need them
@@ -1614,20 +1600,18 @@ def _advance(mode, law, vol_args, key, l0, n_chains, n_steps, checkpoints):
         engine.start(l0)
         run = _Run(n_chains, l0, checkpoints, _compiled(engine, vol))
         flags = {"block_proposals": 0, "block_accepts": 0}
-        rng = _keyed(*key)
+        _chains(engine, vol, _keyed(*key), run, flags)
         if engine.order == 0:
-            _lockstep(engine, vol, rng, run)
             # the checkpoints after every chain was absorbed
             run.per[run.i:], run.vols[run.i:] = run.ls, run.V
-        else:
-            _block_rounds(engine, vol, rng, run, flags)
         return digest, run.rows, {**vol.flags, **flags, **engine.flags, **reuse}
 
 
 def _compiled(engine, vol):
     """(lib, engine, vol) for a run of engine's chains in the library's
     loops, or None where the numpy loops run it (no library, or a law
-    whose jumps are not int64)."""
+    whose jumps are not int64): the one place that decides, for `_Run`
+    and so for `_chains`."""
     lib = _native.library()[0]
     if lib is None or engine.rows._vals.dtype != np.int64:
         return None
@@ -1636,14 +1620,21 @@ def _compiled(engine, vol):
 
 def _template(engine, vol):
     """The template of the compiled runs of engine with vol: a
-    `_native.Lockstep` holding every field that reads only the engine (its
-    ``c_fields``) and vol (its exact volume rows, its rule rows, b, n_lp and
-    l_exact), which ``run_start`` copies into each run's state.  vol keeps
-    it, with the tables it points into, from its first compiled run on
-    engine; it is built anew for another engine."""
+    `_native.Lockstep` holding every field that reads only the engine
+    (l_small and absorbing, and for the ibpm transform its tilt grid, log
+    phi, log K_theta, cs and k_neg) and vol (its exact volume rows, its
+    rule rows, b, n_lp and l_exact), which ``run_start`` copies into each
+    run's state.  vol keeps it, with the tables it points into, from its
+    first compiled run on engine; it is built anew for another engine."""
     kept = vol.template
     if kept is None or kept[0]() is not engine:
-        t = _native.Lockstep.from_buffer_copy(engine.c_fields)
+        t = _native.Lockstep(l_small=L_SMALL, absorbing=engine.order == 0)
+        if engine.order == 1:
+            addr, k_neg = _native.address, engine.law.k_neg
+            t.thetas, t.log_phi, t.log_K = map(addr, (engine.thetas, engine.log_phi,
+                                                      engine.log_K))
+            t.cs, t.n_cs = addr(engine.cs), len(engine.cs)
+            t.k_neg, t.n_deep = k_neg, k_neg - L_SMALL + 1
         volumes, rule = (vol._cdf.pack() if vol.l_exact else None), vol.rule
         t.volumes = volumes and ctypes.addressof(volumes[0])
         t.lo, t.off, t.c = map(_native.address, rule[:3])
@@ -1664,9 +1655,10 @@ class _Run:
     starts it from their template (`_template`) into its compiled state
     ``s``, over the output block and a scratch block of work rows
     (STEP_WORK, env, and for the ibpm transform BLOCK_WORK and ks), which
-    results never hold.  Only the self-check gives a round budget (0:
-    none) and an empty that fills both blocks with junk.  ``i``: the
-    checkpoints a run in lockstep wrote."""
+    results never hold.  `_chains` runs it either way.  Only the
+    self-check gives a round budget (0: none) and an empty that fills both
+    blocks with junk.  ``i``: the checkpoints a finite run wrote (0 for an
+    ibpm run, which writes every one)."""
 
     def __init__(self, n_chains, l0, checkpoints, c=None, budget=0, empty=np.empty):
         n = n_chains
@@ -1696,16 +1688,68 @@ class _Run:
                            l0, n_ks, BLOCK_DRAWS, budget)
 
 
-def _lockstep(engine, vol, rng, run):
-    """Step the chains of a finite run, absorbed at 0, until all steps are
-    taken or every chain is absorbed: in the library's ``lockstep`` for a
-    run it started (`_Run`), else in numpy; both draw the same values."""
-    if run.s is None:
+def _chains(engine, vol, rng, run, flags):
+    """Advance the chains of run from their first step to its last
+    checkpoint, a finite run's until every chain is absorbed at 0, adding
+    the run's counts to the engine's, vol's and the block flags.  A run
+    the library started (`_Run`) goes in its ``lockstep`` (finite) or
+    ``block_rounds`` (ibpm), called on the compiled state until it returns
+    LS_DONE; any other run in `_lockstep_numpy` or `_block_rounds_numpy`,
+    which draw the same values.  The addresses of the engine's rows, bands
+    and block tables are set before the first call and kept until a table
+    grows: after LS_ROWS the window's rows and after LS_COVER the engine's
+    cover grow to s.need, they are packed anew and the call resumes where
+    it stopped.  LS_BUDGET raises `_OutOfRounds`, and any other status is
+    a read outside the tables (IndexError)."""
+    s = run.s
+    if s is None:
+        if engine.order:
+            return _block_rounds_numpy(engine, vol, rng, run, flags)
         return _lockstep_numpy(engine, vol, rng, run)
-    return _lockstep_c(run.lib, engine, vol, rng, run)
+    name = ("lockstep", "block_rounds")[engine.order]
+    loop = getattr(run.lib, name)
+    bg = rng.bit_generator
+    state, ref = bg.ctypes.bit_generator, ctypes.byref(s)
+    tables = None
+    try:
+        while True:
+            if tables is None:
+                # the packed tables stay referenced while C reads them
+                tables = rows, bands, tilt = (engine.rows.pack(), engine.bands.pack(),
+                                              engine.order and engine.tilt_rows.pack())
+                s.rows, s.bands = ctypes.addressof(rows[0]), ctypes.addressof(bands)
+                if tilt:
+                    s.tilt_rows = ctypes.addressof(tilt[0])
+                    s.blocks, s.n_blocks = _native.address(engine.blocks), len(engine.blocks)
+                    s.block_tilt = _native.address(engine.block_tilt)
+            with bg.lock:
+                status = loop(state, ref)
+            if status == _native.LS_DONE:
+                return
+            if status == _native.LS_ROWS:
+                engine.window.extend_rows(s.need)
+                tables = None
+            elif status == _native.LS_COVER:
+                engine._cover(s.need)
+                tables = None
+            elif status == _native.LS_BUDGET:
+                raise _OutOfRounds(f"{name} ran out of its round budget")
+            else:
+                raise IndexError(f"{name} read outside the tables built")
+    finally:
+        run.i = s.cp
+        engine.flags["band_proposals"] += s.band_proposals
+        engine.flags["band_accepts"] += s.band_accepts
+        vol.flags["residual_draws"] += s.residual_draws
+        if s.undrawn and vol.mode != "expectation":
+            vol.flags["heavy_volume_expectation"] = True
+        flags["block_proposals"] += s.block_proposals
+        flags["block_accepts"] += s.block_accepts
 
 
 def _lockstep_numpy(engine, vol, rng, run):
+    """Step a finite run's chains, absorbed at 0, until all steps are taken
+    or every chain is absorbed, writing the checkpoints they reach."""
     ls, V, per, vols, checkpoints = run.ls, run.V, run.per, run.vols, run.checkpoints
     n_steps = checkpoints[-1]
     i = step = 0
@@ -1729,85 +1773,6 @@ def _lockstep_numpy(engine, vol, rng, run):
     run.i = i
 
 
-def _drain(s, engine, vol, flags=None):
-    """Add the counts of the compiled state s to the run's flags, once."""
-    engine.flags["band_proposals"] += s.band_proposals
-    engine.flags["band_accepts"] += s.band_accepts
-    vol.flags["residual_draws"] += s.residual_draws
-    if s.undrawn and vol.mode != "expectation":
-        vol.flags["heavy_volume_expectation"] = True
-    if flags is not None:
-        flags["block_proposals"] += s.block_proposals
-        flags["block_accepts"] += s.block_accepts
-
-
-def _lockstep_c(lib, engine, vol, rng, run):
-    """`_lockstep` in C, on a run started for lib: one ``lockstep`` call
-    runs until a row or the cover is missing, which is grown here before
-    the call starts that step again."""
-    s = run.s
-    try:
-        _drive(lib.lockstep, "lockstep", engine, rng, s)
-    finally:
-        run.i = s.cp
-        _drain(s, engine, vol)
-
-
-def _drive(loop, name, engine, rng, s):
-    """Call the compiled loop on the state s until it returns LS_DONE.  The
-    addresses of the engine's rows, bands and block tables are set before
-    the first call and kept until a table grows: after LS_ROWS the window's
-    rows and after LS_COVER the engine's cover grow to s.need, they are
-    packed anew and the call resumes where it stopped.  LS_BUDGET raises
-    `_OutOfRounds`, and any other status is a read outside the tables
-    (IndexError)."""
-    bg = rng.bit_generator
-    state, ref = bg.ctypes.bit_generator, ctypes.byref(s)
-    tables = None
-    while True:
-        if tables is None:
-            # the packed tables stay referenced while C reads them
-            tables = rows, bands, tilt = (engine.rows.pack(), engine.bands.pack(),
-                                          engine.order and engine.tilt_rows.pack())
-            s.rows, s.bands = ctypes.addressof(rows[0]), ctypes.addressof(bands)
-            if tilt:
-                s.tilt_rows = ctypes.addressof(tilt[0])
-                s.blocks, s.n_blocks = _native.address(engine.blocks), len(engine.blocks)
-                s.block_tilt = _native.address(engine.block_tilt)
-        with bg.lock:
-            status = loop(state, ref)
-        if status == _native.LS_DONE:
-            return
-        if status == _native.LS_ROWS:
-            engine.window.extend_rows(s.need)
-            tables = None
-        elif status == _native.LS_COVER:
-            engine._cover(s.need)
-            tables = None
-        elif status == _native.LS_BUDGET:
-            raise _OutOfRounds(f"{name} ran out of its round budget")
-        else:
-            raise IndexError(f"{name} read outside the tables built")
-
-
-def _block_rounds(engine, vol, rng, run, flags):
-    """Advance ibpm chains from their first step to the last checkpoint in
-    block rounds: in the library's ``block_rounds`` for a run it started
-    (`_Run`), else in numpy; both draw the same values."""
-    if run.s is None:
-        return _block_rounds_numpy(engine, vol, rng, run, flags)
-    return _block_rounds_c(run.lib, engine, vol, rng, run, flags)
-
-
-def _block_rounds_c(lib, engine, vol, rng, run, flags):
-    """`_block_rounds` in C, on a run started for lib: one ``block_rounds``
-    call runs until a row or the cover is missing, grown here (`_drive`)."""
-    try:
-        _drive(lib.block_rounds, "block_rounds", engine, rng, run.s)
-    finally:
-        _drain(run.s, engine, vol, flags)
-
-
 def _block_rounds_numpy(engine, vol, rng, run, flags):
     """Advance ibpm chains from step 0 to step cps[-1] in rounds.
 
@@ -1815,8 +1780,10 @@ def _block_rounds_numpy(engine, vol, rng, run, flags):
     proposes one block of min(B(l), steps left) steps; a kept block writes
     its partial sums into the checkpoints it spans.
     The unfinished chains' states are kept compact: act[j] is at perimeter
-    la[j] with volume va[j] after da[j] steps.  A round past the run's
-    nonzero round budget raises `_OutOfRounds`, as in the library."""
+    la[j] with volume va[j] after da[j] steps; the chains' state (ls, V)
+    is set at the end, to the last checkpoint, as the library leaves it.
+    A round past the run's nonzero round budget raises `_OutOfRounds`, as
+    in the library."""
     ls, V, per, vols, cps, budget = run.ls, run.V, run.per, run.vols, run.cps, run.budget
     n_steps = int(cps[-1])
     # upto[s]: how many checkpoints are at most s
@@ -1883,6 +1850,7 @@ def _block_rounds_numpy(engine, vol, rng, run, flags):
         live = da < n_steps
         if not live.all():
             act, la, va, da = act[live], la[live], va[live], da[live]
+    ls[:], V[:] = per[-1], vols[-1]
 
 
 def simulate(mode, law: StepLaw, l0=None, n_steps=1000, seed=0,

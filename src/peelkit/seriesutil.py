@@ -28,22 +28,15 @@ def richardson_limit(checkpoints, partial_sums, exponents):
     return float(sol[0])
 
 
-def accelerated_lattice_sum(term_values, start, step, exponents=(0.5, 1.5, 2.5)):
-    """Sum an infinite series from sampled terms on an arithmetic lattice.
-
-    term_values[i] is the term at l = start + i*step, assumed to follow a
-    smooth power-law expansion in l.  The first half of the samples is
-    summed directly; the second half provides the Richardson checkpoints.
-    Returns (estimate, error_indicator).
-    """
-    t = np.asarray(term_values, dtype=float)
-    return extrapolated_partial_sums(np.cumsum(t), start, step, exponents)
-
-
 def extrapolated_partial_sums(csum, start, step, exponents=(0.5, 1.5, 2.5)):
-    """`accelerated_lattice_sum` from the partial sums: csum[i] is the sum
-    of the terms at l = start, ..., start + i*step.  A caller that owns
-    the terms can accumulate them in place (np.cumsum(t, out=t))."""
+    """Sum an infinite series from its partial sums on an arithmetic lattice.
+
+    csum[i] is the sum of the terms at l = start, ..., start + i*step, the
+    terms assumed to follow a smooth power-law expansion in l.  The first
+    half of the samples is summed directly; the second half provides the
+    Richardson checkpoints.  Returns (estimate, error_indicator).  A caller
+    that owns the terms can accumulate them in place (np.cumsum(t, out=t)).
+    """
     n = len(csum)
     if n < 64:
         raise ValueError("too few samples to extrapolate")

@@ -154,21 +154,21 @@ class WeightSequence:
                                  else n)
         return self._weight_cache
 
-    def first_cut(self, k_min=K_MIN):
+    def first_cut(self):
         """The least k at which `positive_terms` may cut the terms."""
-        return max(k_min, self.tail_start - 2, 1)
+        return max(K_MIN, self.tail_start - 2, 1)
 
-    def tail_rho(self, c, k_cap=K_CAP):
+    def tail_rho(self, c):
         """rho = tail_ratio * c, the ratio that bounds the tail of the terms
         q_{k+2} c^k.  Raises DivergentSeriesError when the tail does not sum
-        at c, or sums so slowly that it would not certify within k_cap
+        at c, or sums so slowly that it would not certify within K_CAP
         terms."""
         rho = self.tail_ratio * c
         if rho >= 1.0:
             raise DivergentSeriesError(
                 f"family tail ratio {self.tail_ratio:.6g} does not sum at c={c:.6g}"
             )
-        if math.log(1e-20) / math.log(rho) > k_cap:
+        if math.log(1e-20) / math.log(rho) > K_CAP:
             raise DivergentSeriesError(
                 f"tail ratio {rho:.8f} at c={c:.6g} converges too slowly"
             )
@@ -197,13 +197,13 @@ class WeightSequence:
         out[big] = _exp(np.log(w[big]) + ks[big] * log_c)
         return out
 
-    def positive_terms(self, c, deg=2, tol=TAIL_TOL, k_min=K_MIN, k_cap=K_CAP):
+    def positive_terms(self, c, deg=2, tol=TAIL_TOL):
         """Materialize nu-style terms q_{k+2} c^k for k >= -1.
 
         Returns (ks, values, tail_bound) as numpy arrays and a float, where
         tail_bound certifies sum_{k > ks[-1]} q_{k+2} c^k (k+2)^deg.  The
         terms are computed a block at a time from the per-sequence weight
-        cache; the cut is the first k >= k_min whose tail bound falls below
+        cache; the cut is the first k >= K_MIN whose tail bound falls below
         tol times the running total (an in-order cumulative sum).  Raises
         DivergentSeriesError when the family tail does not sum at this c,
         or when it sums so slowly that materialization would be hopeless.
@@ -213,16 +213,16 @@ class WeightSequence:
         if self.is_finite:
             ks = self._support_arrays()[0]
             return ks, self._terms(ks, c, log_c), 0.0
-        rho = self.tail_rho(c, k_cap)
-        k_first = self.first_cut(k_min)
+        rho = self.tail_rho(c)
+        k_first = self.first_cut()
         ks_parts, val_parts = [], []
         total = 0.0
         # first block: up to the last cut for log weights (nearby c cut
         # nearby), the cached weights for the others
         if self.log_gen is not None:
-            hi = max(k_min, self._last_cut) + 1
+            hi = max(K_MIN, self._last_cut) + 1
         else:
-            hi = max(k_min + 1, min(len(self._weight_cache) - 1, k_cap + 1))
+            hi = max(K_MIN + 1, min(len(self._weight_cache) - 1, K_CAP + 1))
         lo = -1
         while True:
             ks = np.arange(lo, hi, dtype=np.int64)
@@ -246,14 +246,14 @@ class WeightSequence:
                 val_parts[-1] = vals[: cut + 1]
                 return (np.concatenate(ks_parts), np.concatenate(val_parts),
                         float(bound[hit[0]]))
-            if hi > k_cap:
+            if hi > K_CAP:
                 raise DivergentSeriesError("family tail will not certify")
             lo = hi
             if self.log_gen is not None:
-                hi = min(2 * hi, k_cap + 1)
+                hi = min(2 * hi, K_CAP + 1)
             else:
                 # gen-only families: never evaluate a weight past the cut
-                hi = max(hi + 1, min(len(self._weight_cache) - 1, k_cap + 1))
+                hi = max(hi + 1, min(len(self._weight_cache) - 1, K_CAP + 1))
 
     def scaled(self, t):
         """t * q, used to walk a shape toward its admissibility boundary."""

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import contextlib
 import ctypes
@@ -1121,7 +1122,7 @@ class TestBlockStepping:
                 run = peeling._Run(2, 2, range(1, 3), (lib, engine, vol))
                 run.ls[0] = row
                 with pytest.raises(IndexError, match="lockstep read outside the tables built"):
-                    peeling._lockstep_c(lib, engine, vol, _rng(4), run)
+                    peeling._chains(engine, vol, _rng(4), run, block_flags())
 
     @pytest.mark.parametrize("j", [15, 30])
     def test_deep_jumps_are_tilted_nu(self, j):
@@ -1871,8 +1872,8 @@ def _past_the_cover(law, l0, n_steps, n_chains):
     vol = VolumeSampler(law, "asymptotic_xi", engine=engine)
     run = peeling._Run(n_chains, l0, range(1, n_steps + 1), peeling._compiled(engine, vol))
     engine.flags = {"band_proposals": 0, "band_accepts": 0}
-    flags = {"block_proposals": 0, "block_accepts": 0}
-    peeling._block_rounds(engine, vol, _rng(8), run, flags)
+    flags = block_flags()
+    peeling._chains(engine, vol, _rng(8), run, flags)
     out = peeling.EnsembleResult((c, (run.per[i], run.vols[i]))
                                  for i, c in enumerate(run.cps))
     out.flags = {**vol.flags, **flags, **engine.flags}
@@ -1885,6 +1886,40 @@ def compiled_library():
     if lib is None:
         pytest.skip(f"compiled library not loaded: {status[1]}")
     return lib
+
+
+def block_flags():
+    """A run's block counts before its first round (`peeling._chains`)."""
+    return {"block_proposals": 0, "block_accepts": 0}
+
+
+# one call of a chain loop: the loop's name, its status, and the run's step,
+# blocks proposed so far, chains of the round that step once, the phase it
+# returned in and the rounds it has begun
+LoopCall = collections.namedtuple("LoopCall", "loop status step block_proposals n_one bphase "
+                                              "rounds")
+
+
+class Recording:
+    """The library lib with every call of its chain loops appended to calls
+    (`LoopCall`); a loop given by name stands in for the library's."""
+
+    def __init__(self, lib, calls, **loops):
+        self.lib, self.calls, self.loops = lib, calls, loops
+
+    def __getattr__(self, attr):
+        if attr not in ("lockstep", "block_rounds"):
+            return getattr(self.lib, attr)
+        loop = self.loops.get(attr) or getattr(self.lib, attr)
+
+        def call(bg, ref):
+            status = loop(bg, ref)
+            s = ref._obj
+            self.calls.append(LoopCall(attr, status, s.step, s.block_proposals, s.n_one,
+                                       s.bphase, s.rounds))
+            return status
+
+        return call
 
 
 @contextlib.contextmanager
@@ -2020,26 +2055,18 @@ class TestCompiledDraws:
         assert compiled == reference
 
     @staticmethod
-    def _lockstep_calls(monkeypatch):
-        """(status, steps taken) of every call of the library's lockstep,
-        as the compiled path makes them."""
+    def _loop_calls(monkeypatch):
+        """Every call of the library's chain loops (`LoopCall`), as the
+        compiled path makes them: `peeling._compiled` hands out the
+        library recorded."""
         calls = []
-        lockstep_c = peeling._lockstep_c
+        compiled = peeling._compiled
 
-        class Recording:
-            def __init__(self, lib):
-                self.lib = lib
+        def recorded(engine, vol):
+            c = compiled(engine, vol)
+            return c and (Recording(c[0], calls), *c[1:])
 
-            def __getattr__(self, attr):
-                return getattr(self.lib, attr)
-
-            def lockstep(self, bg, s):
-                status = self.lib.lockstep(bg, s)
-                calls.append((status, s._obj.step))
-                return status
-
-        monkeypatch.setattr(peeling, "_lockstep_c",
-                            lambda lib, *a: lockstep_c(Recording(lib), *a))
+        monkeypatch.setattr(peeling, "_compiled", recorded)
         return calls
 
     @staticmethod
@@ -2116,14 +2143,14 @@ class TestCompiledDraws:
         # residuals, a heavy-tailed law (its means read from their table),
         # and rows and bands grown mid-run
         runs, check = self._case(case)
-        calls = self._lockstep_calls(monkeypatch)
+        calls = self._loop_calls(monkeypatch)
         digests = []
         for path in ("compiled", "numpy"):
             with draws_on(path):
                 peeling._slot.clear()
                 outs = [run() for run in runs]
             if path == "compiled":
-                check(outs, calls)
+                check(outs, [(c.status, c.step) for c in calls if c.loop == "lockstep"])
             digests.append(self._digest(outs))
         assert digests[0] == digests[1]
 
@@ -2142,19 +2169,18 @@ class TestCompiledDraws:
                 ("ibpm", 1, lambda: simulate("ibpm", geo5, l0=1, n_steps=500, seed=3)),
                 ("ibpm", 2, lambda: simulate_ensemble("ibpm", heavy, 2, 300, 32, seed=4)),
                 ("ibpm", None, lambda: simulate("ibpm", LAW, l0=2, n_steps=500, seed=5))]
-        lockstep = self._lockstep_calls(monkeypatch)
-        rounds = self._block_calls(monkeypatch)
+        calls = self._loop_calls(monkeypatch)
         numpy_calls = []
         for name in ("_lockstep_numpy", "_block_rounds_numpy"):
             monkeypatch.setattr(peeling, name, lambda *a, f=getattr(peeling, name), name=name:
                                 (numpy_calls.append(name), f(*a))[1])
         with draws_on(path):
             for mode, l0, run in runs:
-                lockstep.clear(), rounds.clear(), numpy_calls.clear()
+                calls.clear(), numpy_calls.clear()
                 out = run()
                 if path == "compiled":
-                    assert (bool(lockstep), bool(rounds)) == (mode == "finite",
-                                                              mode == "ibpm")
+                    assert {c.loop for c in calls} == {"lockstep" if mode == "finite"
+                                                       else "block_rounds"}
                     assert not numpy_calls
                 else:
                     assert numpy_calls == ["_lockstep_numpy" if mode == "finite"
@@ -2162,31 +2188,6 @@ class TestCompiledDraws:
                 assert (out.flags["block_accepts"] > 0) == (mode == "ibpm")
                 if l0 is not None:
                     assert kept_engine("ibpm").blocks[l0] == 1
-
-    @staticmethod
-    def _block_calls(monkeypatch):
-        """(status, blocks proposed so far, chains of the round that step
-        once, the phase it returned in) of every call of the library's
-        block_rounds, as the compiled path makes them."""
-        calls = []
-        block_rounds_c = peeling._block_rounds_c
-
-        class Recording:
-            def __init__(self, lib):
-                self.lib = lib
-
-            def __getattr__(self, attr):
-                return getattr(self.lib, attr)
-
-            def block_rounds(self, bg, s):
-                status = self.lib.block_rounds(bg, s)
-                calls.append((status, s._obj.block_proposals, s._obj.n_one,
-                              s._obj.bphase))
-                return status
-
-        monkeypatch.setattr(peeling, "_block_rounds_c",
-                            lambda lib, *a: block_rounds_c(Recording(lib), *a))
-        return calls
 
     @staticmethod
     def _block_case(case, monkeypatch):
@@ -2296,7 +2297,7 @@ class TestCompiledDraws:
         # BLOCK_DRAWS, from perimeters with B(l) = 1, with deep redraws
         # kept, and with B(l), its tilt rows and h(1, .) grown mid-run:
         # compiled and numpy digests agree
-        calls = self._block_calls(monkeypatch)
+        calls = self._loop_calls(monkeypatch)
         runs, check = self._block_case(case, monkeypatch)
         digests = []
         for path in ("compiled", "numpy"):
@@ -2304,7 +2305,8 @@ class TestCompiledDraws:
                 peeling._slot.clear()
                 outs = [run() for run in runs]
             if path == "compiled":
-                check(outs, calls)
+                check(outs, [(c.status, c.block_proposals, c.n_one, c.bphase)
+                             for c in calls if c.loop == "block_rounds"])
             digests.append(self._digest(outs))
         assert digests[0] == digests[1]
 
@@ -2350,6 +2352,29 @@ class TestCompiledDraws:
             digests.append(self._digest([out]))
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("key", ["quad", "geo3"])
+    def test_both_rounds_leave_the_last_state(self, key):
+        # 300 ibpm chains from 200 to sparse checkpoints, in block rounds on
+        # either path (`peeling._chains`): the numpy rounds leave the
+        # chains' state (run.ls, run.V) where the compiled ones do, at the
+        # last checkpoint row
+        compiled_library()
+        law = DEEP[key]
+        engine = _ChainEngine(law, "ibpm")
+        ends = []
+        for compiled in (True, False):
+            vol = VolumeSampler(law, "asymptotic_xi", engine=engine)
+            engine.start(200)
+            run = peeling._Run(300, 200, [7, 50, 120],
+                               peeling._compiled(engine, vol) if compiled else None)
+            flags = block_flags()
+            peeling._chains(engine, vol, _rng(31), run, flags)
+            assert flags["block_accepts"] > 0
+            np.testing.assert_array_equal(run.ls, run.per[-1])
+            np.testing.assert_array_equal(run.V, run.vols[-1])
+            ends.append((run.ls.tobytes(), run.V.tobytes()))
+        assert ends[0] == ends[1]
+
     def test_heavy_flag_only_when_a_mean_is_read(self):
         # a heavy law's limit volume is its mean increment, flagged as
         # heavy_volume_expectation; a hole of degree 0 is the one-vertex
@@ -2380,8 +2405,8 @@ class TestCompiledDraws:
         # block's tilted draws is that block's keep odds as libm's exp
         # (math.exp) gives them, so both loops reject the block, the
         # compiled one in a single call; states, flags and uniforms agree
-        lib = compiled_library()
-        calls = self._block_calls(monkeypatch)
+        compiled_library()
+        calls = self._loop_calls(monkeypatch)
         law, l0, n = DEEP["quad"], 300, 40
         engine = _ChainEngine(law, "ibpm")
         kept, propose = [], engine.propose_blocks
@@ -2401,17 +2426,17 @@ class TestCompiledDraws:
         us[B] = h * math.exp(-BLOCK_THETAS[j] * lB - engine.log_K[j])
         assert 0 < us[B] < 1
         runs = []
-        for rounds in (peeling._block_rounds_c, lambda lib, *a: peeling._block_rounds_numpy(*a)):
+        for compiled in (True, False):
             vol = VolumeSampler(law, "exact_small")
             engine.start(l0)
-            run = peeling._Run(1, l0, range(1, n + 1),
-                               (lib, engine, vol) if rounds is peeling._block_rounds_c else None)
-            rng = _native.FixedStream(lib, us)
-            flags = {"block_proposals": 0, "block_accepts": 0}
-            rounds(lib, engine, vol, rng, run, flags)
+            started = peeling._compiled(engine, vol)
+            run = peeling._Run(1, l0, range(1, n + 1), started if compiled else None)
+            rng = _native.FixedStream(started[0], us)
+            flags = block_flags()
+            peeling._chains(engine, vol, rng, run, flags)
             runs.append((run.per.tobytes(), run.vols.tobytes(), vol.flags, engine.flags,
                          flags, rng.used))
-        assert [st for st, *_ in calls] == [_native.LS_DONE]
+        assert [(c.loop, c.status) for c in calls] == [("block_rounds", _native.LS_DONE)]
         assert kept[0] == [False]
         assert runs[0] == runs[1]
 
@@ -2436,33 +2461,36 @@ class TestCompiledDraws:
         fixture = peeling._block_fixture()
         case, chains, n_steps, stream = fixture.runs[2]
         assert (chains[0], n_steps) == (5, 3)
-        begun = time.perf_counter()
-        assert peeling._same_block_run(mutant, fixture, case, np.array([6, *chains[1:]]), 4,
-                                       stream) is not None
-        assert time.perf_counter() - begun < 5.0
-        cycling = (case, np.array([4, *chains[1:]]), 2, stream)
-        assert peeling._same_block_run(compiled_library(), fixture, *cycling) is None
-        rounds = []
-        drain = peeling._drain
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(peeling, "_drain", lambda s, *a: (rounds.append(s.rounds),
-                                                            drain(s, *a)))
-            assert (peeling._same_block_run(mutant, fixture, *cycling)
-                    == "compiled block rounds ran out of their round budget")
-        assert rounds == [len(stream) + 1]
 
-    def test_numpy_rounds_end_on_a_cycling_start(self, monkeypatch):
+        def same(lib, start, n_steps):
+            return peeling._same_run(lib, fixture.engine, fixture.volumes,
+                                     fixture.rules.get(case), case,
+                                     np.array([start, *chains[1:]]), range(1, n_steps + 1),
+                                     stream)
+
+        begun = time.perf_counter()
+        assert same(mutant, 6, 4) is not None
+        assert time.perf_counter() - begun < 5.0
+        assert same(compiled_library(), 4, 2) is None
+        calls = []
+        assert (same(Recording(mutant, calls), 4, 2)
+                == "compiled block rounds ran out of their round budget")
+        assert calls[-1].status == _native.LS_BUDGET
+        assert [c.rounds for c in calls if c.status == _native.LS_BUDGET] == [len(stream) + 1]
+
+    def test_numpy_rounds_end_on_a_cycling_start(self):
         # one chain from 6 over 6 steps on the stopped-block run's stream:
         # the numpy rounds, the self-check's reference, cycle there with no
         # block ever kept, until the run's round budget refuses them, within
         # 5 s; the compiled rounds, which would refuse themselves first,
-        # are left out
-        lib = compiled_library()
+        # are left out: a stand-in for them returns LS_DONE at once
+        stub = Recording(compiled_library(), [], block_rounds=lambda bg, s: _native.LS_DONE)
         fixture = peeling._block_fixture()
         case, _, _, stream = fixture.runs[2]
-        monkeypatch.setattr(peeling, "_block_rounds_c", lambda *a: None)
         begun = time.perf_counter()
-        assert (peeling._same_block_run(lib, fixture, case, np.array([6]), 6, stream)
+        assert (peeling._same_run(stub, fixture.engine, fixture.volumes,
+                                  fixture.rules.get(case), case, np.array([6]), range(1, 7),
+                                  stream)
                 == "numpy block rounds ran out of their round budget")
         assert time.perf_counter() - begun < 5.0
 
@@ -2617,22 +2645,18 @@ class TestCompiledDraws:
         lib = compiled_library()
         vol = VolumeSampler(DEEP["tri"], "asymptotic_xi")
         finite = _ChainEngine(DEEP["tri"], "finite")
-        for eng, name, loop in ((finite, "lockstep", peeling._lockstep_c),
-                                (engine, "block_rounds", peeling._block_rounds_c)):
+        for eng, name in ((finite, "lockstep"), (engine, "block_rounds")):
             eng.start(5)
             run = peeling._Run(3, 5, range(1, 4), (lib, eng, vol))
             run.ls[1] = -1
-            args = (run,) if eng is finite else (run, {"block_proposals": 0,
-                                                        "block_accepts": 0})
             with pytest.raises(IndexError, match=f"{name} read outside the tables built"):
-                loop(lib, eng, vol, _rng(1), *args)
+                peeling._chains(eng, vol, _rng(1), run, block_flags())
         engine.tilt_rows = _StackedCdf(len(BLOCK_THETAS), engine.tilt_rows._vals,
                                        cells=peeling.GUIDE)
         engine.start(2000)
         with pytest.raises(IndexError, match="block_rounds read outside the tables built"):
-            peeling._block_rounds_c(lib, engine, vol, _rng(1),
-                                    peeling._Run(2, 2000, [5], (lib, engine, vol)),
-                                    {"block_proposals": 0, "block_accepts": 0})
+            peeling._chains(engine, vol, _rng(1), peeling._Run(2, 2000, [5], (lib, engine, vol)),
+                            block_flags())
 
     @pytest.mark.parametrize("on_cut", [False, True])
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
@@ -2668,8 +2692,8 @@ class TestCompiledDraws:
         vol.mode, vol.l_exact, vol._cdf = "exact_small", 1, cdf
         engine.start(8)
         run = peeling._Run(1, 8, [1], (lib, engine, vol))
-        peeling._lockstep_c(lib, engine, vol,
-                            _native.FixedStream(lib, [0.5 * (cut[4] + cut[5]), v]), run)
+        peeling._chains(engine, vol, _native.FixedStream(lib, [0.5 * (cut[4] + cut[5]), v]), run,
+                        block_flags())
         assert (run.ls[0], run.V[0]) == (5, want)
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
@@ -2712,9 +2736,10 @@ class TestGuides:
     def test_window_draws_are_the_searchs(self, key, mode, path):
         # window rows that start past column 0, targets on every cut and
         # guide cell edge and just below each: numpy's guided draw
-        # (_StackedCdf.at) and the compiled one (a lockstep step) give the
-        # value a search of the whole table finds, from settled and open
-        # cells alike
+        # (_StackedCdf.at) and the compiled one (a lockstep step; for ibpm
+        # a round of block_rounds with B(l) = 1 everywhere, which takes it
+        # with lockstep's code) give the value a search of the whole table
+        # finds, from settled and open cells alike
         law = DEEP[key]
         engine = _ChainEngine(law, mode)
         with draws_on(path):
@@ -2733,9 +2758,10 @@ class TestGuides:
         lib = compiled_library()
         vol = VolumeSampler(law, "expectation", engine=engine)
         engine.start(2)
+        engine.blocks = np.ones_like(engine.blocks)
         run = peeling._Run(len(ls), 2, [1], (lib, engine, vol))
         run.ls[:] = ls
-        peeling._lockstep_c(lib, engine, vol, _native.FixedStream(lib, us), run)
+        peeling._chains(engine, vol, _native.FixedStream(lib, us), run, block_flags())
         assert (run.ls - ls).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("key", ["quad", "tri", "geo3"])
@@ -2789,7 +2815,7 @@ class TestGuides:
             run = peeling._Run(len(ls), L_SMALL, [1], (lib, engine, vol) if compiled else None)
             run.ls[:] = ls
             rng = _native.FixedStream(lib, stream)
-            peeling._lockstep(engine, vol, rng, run)
+            peeling._chains(engine, vol, rng, run, block_flags())
             runs.append((run.ls.tobytes(), run.V.tobytes(), engine.flags, rng.used))
         assert runs[0] == runs[1]
 
