@@ -35,7 +35,11 @@ larger one, so R2 = 0 there means critical, R2 < 0 subcritical (the
 solution is the smaller root of R2, below the fold point) and R2 > 0
 'fold-beyond'.  The tuner narrows a bracket on the scale of the weights
 by Illinois false position on R2 at the fold point and then tracks the
-fold with the scale as a third unknown (a bordered system).
+fold with the scale as a third unknown (a bordered system).  A bipartite
+shape needs no scale unknown: at r = 1 the margin of t * shape is
+1 - t M(c), so the scale on the margin curve is t = 1/M(c), and the
+tuner finds the root in c of R2 along that curve by a bracket walk and
+safeguarded Newton (`_tune_bipartite`).
 
 The series of a finite support are summed in plain floats over its few
 terms q_{k+2} c^k; those of an infinite family in one compiled pass
@@ -525,15 +529,14 @@ def _margin_root(sys, x0, hi, cap):
     return _newton_1d(sys.margin_and_prime, x0, _C_FLOOR, hi, flo=floor)
 
 
-def _bipartite_fold(sys, warm=None):
+def _bipartite_fold(sys):
     """The point (c, root) where the r = 1 fold verdict reads the sign of
-    R2: the root in c of the margin (root True), from the warm start (c,)
-    when given, under the cap of `_bounds`; the cap itself (root False)
-    when the margin has no root up to it.
+    R2: the root in c of the margin (root True) under the cap of
+    `_bounds`; the cap itself (root False) when the margin has no root up
+    to it.
     """
     cap = _bounds(sys)[1][0]
-    c = _margin_root(sys, warm[0] if warm else 2.5,
-                     warm[0] * 2.0 if warm else 8.0, cap)
+    c = _margin_root(sys, 2.5, 8.0, cap)
     return (cap, False) if c is None else (c, True)
 
 
@@ -1037,25 +1040,16 @@ class TuneResult:
     data: CriticalData
 
 
-def _fold_side(shape, t, bipartite, warm):
+def _fold_side(shape, t, warm):
     """Which side of the admissibility boundary t * shape sits on.
 
     Solves the well-conditioned companion system (R1 = 0, margin = 0) and
     inspects the sign of R2 there: negative means admissible slack remains
     (t below the boundary), positive or unsolvable means t is beyond it.
-    A bipartite shape takes the solver's r = 1 verdict (`_bipartite_fold`):
-    R2 at the root in c of the margin, the sentinel 1.0 when the margin has
-    no root.  Returns (side, state) with side < 0 below the fold; state is
-    the companion solution, (c,) or (c, s), to warm-start the next scale.
+    Returns (side, state) with side < 0 below the fold; state is the
+    companion solution (c, s), to warm-start the next scale.
     """
     sys = _System(shape, t)
-    if bipartite:
-        try:
-            c, root = _bipartite_fold(sys, warm)
-            return (sys.r2_and_prime(c)[0], (c,)) if root else (1.0, None)
-        except (DivergentSeriesError, OverflowError):
-            return 1.0, None
-
     lo, hi = _bounds(sys)
     starts = [warm] if warm is not None else []
     fold = _fold_point(sys, starts + list(_FOLD_STARTS), lo, hi)
@@ -1065,17 +1059,12 @@ def _fold_side(shape, t, bipartite, warm):
     return r2, (x[0], x[1])
 
 
-def _bordered(shape, bipartite):
+def _bordered(shape):
     """The tuner's bordered system, F(x) = (values, Jacobian): (R1, R2,
-    -margin) in x = (c, s, t) for the weights t * shape, or (R2, -margin)
-    in (c, t) for a bipartite shape, which sits at r = 1."""
+    -margin) in x = (c, s, t) for the weights t * shape."""
     def F(x):
         t = float(x[-1])
         sys = _System(shape, t)
-        if bipartite:
-            rows = sys.rows(float(x[0]), 1.0, margin=True)[1:]
-            return ([row[0] for row in rows],
-                    [[row[1], row[3] / t] for row in rows])
         r = math.tanh(x[1])
         rows = sys.rows(float(x[0]), r, margin=True)
         values, J = _in_cs(rows, r)
@@ -1083,20 +1072,86 @@ def _bordered(shape, bipartite):
     return F
 
 
+def _on_margin(sys, c):
+    """(G, dG/dc, t) at c on the r = 1 margin curve of a bipartite shape,
+    sys its unscaled system.
+
+    At r = 1 the margin of t * shape is 1 - t M(c) and its R2 is
+    2/c^2 + t S2(c) - h(0, 2), with M(c) = sum q_{k+2} c^k h(1, k+1) and
+    S2 that of R2, so the margin vanishes at t = 1/M(c) and R2 there is
+    G(c) = 2/c^2 + S2/M - h(0, 2): one order-0 and one order-1 pass.
+    """
+    h, _, ((s2, s2_c, _),) = sys._sums(c, 1.0, 0, (2,))
+    _, _, ((m, m_c, _),) = sys._sums(c, 1.0, 1, (1,))
+    g = 2.0 / c**2 + s2 / m - h[2]
+    return g, -4.0 / c**3 + (s2_c - s2 * m_c / m) / m, 1.0 / m
+
+
+def _tune_bipartite(shape):
+    """t* of a bipartite shape: the root c* of G (`_on_margin`), then
+    t* = 1/M(c*).
+
+    M grows in c, so t falls as c grows, and G is negative (admissible
+    slack) at the c of scales below t* and positive above.  The bracket
+    starts where the solver's verdict would at t = 1, the margin root
+    (when there is none, c = 2.5 or the middle of a family's range below
+    it), and walks c - 2 by halves toward the floor while G <= 0, or by
+    doubles while G > 0, up to the cap of `_bounds` and down to scales of
+    1e-30; safeguarded Newton then finds the root inside it, from an end
+    where G > 0."""
+    sys = _System(shape)
+    cap = _bounds(sys)[1][0]
+    c = _margin_root(sys, 2.5, 8.0, cap)
+    if c is None:
+        c = min(2.5, 0.5 * (2.0 + cap))
+    g, gp, t = _on_margin(sys, c)
+    below = g <= 0
+    while (g <= 0) == below:
+        c_prev, g_prev = c, g
+        if below:
+            c = 2.0 + 0.5 * (c - 2.0)
+            if c <= _C_FLOOR:
+                raise BoundaryNotFoundError(
+                    "weights remain admissible at huge scales")
+        elif c >= cap:
+            raise BoundaryNotFoundError(
+                "no admissible scale found below the bracket")
+        else:
+            c = min(2.0 + 2.0 * (c - 2.0), cap)
+        g, gp, t = _on_margin(sys, c)
+        if not below and t < 1e-30:
+            raise BoundaryNotFoundError(
+                "no admissible scale found below the bracket")
+    lo, hi, flo = (c, c_prev, g) if below else (c_prev, c, g_prev)
+    # a Newton step from the last point, which the bracket keeps
+    x0 = c - g / gp if gp != 0.0 else 0.5 * (lo + hi)
+    c = _newton_1d(lambda x: _on_margin(sys, x)[:2], x0, lo, hi, flo=flo)
+    t_star = _on_margin(sys, c)[2]
+    r1, r2 = _System(shape, t_star).residuals(c, 1.0)
+    cls = _classify_from(shape.scaled(t_star), 0.0)
+    data = _make_data(c, 1.0, 0.0, cls, 1.0,
+                      {"R1": r1, "R2": r2, "path": "tune-margin-root"})
+    return TuneResult(t_star, data)
+
+
 def tune_critical(shape: WeightSequence):
     """Scale t* at which t * shape sits on the admissibility boundary.
 
-    Halving and then doubling t brackets the boundary on the fold-side
-    value (R2 on the companion curve R1 = 0, margin = 0; its sign says
-    the side), each admissible scale warm-starting the next.  Illinois
-    false position on that value narrows the bracket to 1e-8 relative,
-    with a bisection step wherever an end's value is the sentinel of an
-    unsolvable companion system, or stops at a scale whose value is
-    exactly 0 (the boundary itself), and the shared damped Newton on the
-    bordered system (R1, R2, margin - 1) in (c, s, t) then locates the
-    fold to near machine precision (bipartite shapes: (R2, margin - 1)
-    in (c, t)).  The symmetric critical family is refused with ValueError:
-    it is critical at t* = 1 by construction.
+    A bipartite shape sits at r = 1, where R2 and the margin are linear
+    in t: the margin gives t = 1/M(c), and t* follows from the root in c
+    of R2 along that curve, found by a bracket walk in c and safeguarded
+    Newton (`_tune_bipartite`, path 'tune-margin-root').  Any other shape
+    is tuned in t: halving and then doubling t brackets the boundary on
+    the fold-side value (R2 on the companion curve R1 = 0, margin = 0;
+    its sign says the side), each admissible scale warm-starting the
+    next.  Illinois false position on that value narrows the bracket to
+    1e-8 relative, with a bisection step wherever an end's value is the
+    sentinel of an unsolvable companion system, or stops at a scale whose
+    value is exactly 0 (the boundary itself), and the shared damped
+    Newton on the bordered system (R1, R2, margin - 1) in (c, s, t) then
+    locates the fold to near machine precision (path
+    'tune-bordered-newton').  The symmetric critical family is refused
+    with ValueError: it is critical at t* = 1 by construction.
     """
     if shape.family and shape.family[0] == "symmetric_critical":
         raise ValueError("the symmetric_critical family is critical at t* = 1 "
@@ -1104,13 +1159,14 @@ def tune_critical(shape: WeightSequence):
     rep = validate(shape)
     if not rep.ok:
         raise ValueError(f"invalid shape: {rep.messages}")
+    if shape.bipartite:
+        return _tune_bipartite(shape)
 
-    bipartite = shape.bipartite
     warm = None
     t_lo = None
     t = 1.0
     for _ in range(120):
-        side, state = _fold_side(shape, t, bipartite, warm)
+        side, state = _fold_side(shape, t, warm)
         if side < 0:
             t_lo, warm = t, state
             break
@@ -1123,7 +1179,7 @@ def tune_critical(shape: WeightSequence):
     t_hi = t_lo
     for _ in range(120):
         t_hi *= 2.0
-        side, state = _fold_side(shape, t_hi, bipartite, warm)
+        side, state = _fold_side(shape, t_hi, warm)
         if side >= 0:
             break
         t_lo, warm, f_lo = t_hi, state, side
@@ -1146,7 +1202,7 @@ def tune_critical(shape: WeightSequence):
             tm = t_hi - f_hi * (t_hi - t_lo) / (f_hi - f_lo)
             if not (t_lo < tm < t_hi):
                 tm = 0.5 * (t_lo + t_hi)
-        side, state = _fold_side(shape, tm, bipartite, warm)
+        side, state = _fold_side(shape, tm, warm)
         if side < 0:
             t_lo, f_lo = tm, side
             if state is not None:
@@ -1162,17 +1218,14 @@ def tune_critical(shape: WeightSequence):
         if t_hi - t_lo <= 1e-8 * t_lo:
             break
 
-    if bipartite:
-        lo, hi = (_C_FLOOR, 1e-300), (math.inf, math.inf)
-    else:
-        lo, hi = (_C_FLOOR, -20.0, 1e-300), (math.inf, 20.0, math.inf)
-    x, _ = _damped_newton(_bordered(shape, bipartite), warm + (t_lo,), lo, hi)
+    lo, hi = (_C_FLOOR, -20.0, 1e-300), (math.inf, 20.0, math.inf)
+    x, _ = _damped_newton(_bordered(shape), warm + (t_lo,), lo, hi)
 
     t_star = float(x[-1])
     if not (0.5 * t_lo <= t_star <= 2.0 * t_hi):
         raise SolverFailureError("bordered polish left the bisection bracket")
     c = float(x[0])
-    r = 1.0 if bipartite else math.tanh(float(x[1]))
+    r = math.tanh(float(x[1]))
     sys = _System(shape, t_star)
     r1, r2 = sys.residuals(c, r)
     cls = _classify_from(shape.scaled(t_star), 0.0)

@@ -541,26 +541,58 @@ class TestTune:
             return fold_side(*args)
 
         monkeypatch.setattr(criticality, "_fold_side", counted)
-        t = tune_critical(WeightSequence({4: Fraction(1), 6: Fraction(1)}))
+        t = tune_critical(WeightSequence({3: Fraction(1, 3), 5: Fraction(2),
+                                          8: Fraction(1, 3)}))
         assert t.data.classification == "regular_critical"
         assert 0 < len(calls) <= 24
 
     @pytest.mark.parametrize("a", [Fraction(1), Fraction(3, 7), Fraction(5, 2)])
     def test_zero_side_stops(self, a, monkeypatch):
-        # for the quadrangulation shapes {4: a} a false-position step lands
-        # on t* = 1 / (12 a), where the fold-side value is exactly 0: the
-        # search stops there instead of bisecting toward it (31-32 verdicts)
+        # the quadrangulation shapes {4: a} tune to t* = 1 / (12 a) at
+        # c = 2 sqrt 2 in one bracket walk and a few Newton steps on R2
+        # along the margin curve, two series passes per point
         calls = []
-        fold_side = criticality._fold_side
+        sums = criticality._System._sums
 
-        def counted(*args):
+        def counted(self, *args):
             calls.append(1)
-            return fold_side(*args)
+            return sums(self, *args)
 
-        monkeypatch.setattr(criticality, "_fold_side", counted)
+        monkeypatch.setattr(criticality._System, "_sums", counted)
         t = tune_critical(WeightSequence({4: a}))
         assert t.t_star == pytest.approx(1 / (12 * a), rel=1e-12)
-        assert 0 < len(calls) <= 16
+        assert abs(t.t_star - 1 / (12 * a)) <= 2e-15 * (1 / (12 * a))
+        assert 0 < len(calls) <= 24
+
+    def test_tiny_bipartite_weights(self):
+        # at t = 1 the margin of {4: 1e-20} stays positive up to the cap
+        # c = 1e9; the walk in c still finds t* = 1 / (12e-20)
+        t = tune_critical(WeightSequence({4: Fraction(1, 10**20)}))
+        assert t.t_star == pytest.approx(10**20 / 12, rel=1e-12)
+        assert t.data.c_plus == pytest.approx(2 * math.sqrt(2), rel=1e-12)
+        assert t.data.classification == "regular_critical"
+        assert t.data.residuals["path"] == "tune-margin-root"
+
+    @pytest.mark.parametrize("a", [1e-10, 1e10])
+    def test_bipartite_family_scale(self, a):
+        # q_k = a 0.4^k on even k converges only for c < 2.5: the tuner's
+        # walk stays inside that range and t* scales as 1 / a
+        def family(a):
+            return WeightSequence(gen=lambda k: a * 0.4**k if k % 2 == 0 else 0.0,
+                                  tail_ratio=0.4, tail_start=1)
+
+        t = tune_critical(family(a))
+        assert t.t_star == pytest.approx(tune_critical(family(1.0)).t_star / a,
+                                         rel=1e-12)
+        assert t.data.classification == "critical"
+
+    @pytest.mark.parametrize("p", range(2, 13))
+    def test_two_p_angulation_weight(self, p):
+        # {2p: 1} tunes to the closed-form critical weight of the
+        # 2p-angulations
+        exact = preset("two_p_angulation", p=p).weights.support[2 * p]
+        t = tune_critical(WeightSequence({2 * p: Fraction(1)}))
+        assert abs(t.t_star - float(exact)) <= 2e-15 * float(exact)
 
     def test_margin_root_count(self, monkeypatch):
         # the margin root's Newton returns on a converged step even when
@@ -684,6 +716,23 @@ def test_tuned_shape_brackets_the_boundary(support):
     beyond = solve_boltzmann(shape.scaled(1.1 * t.t_star))
     assert beyond.classification == "not_admissible"
 
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(st.dictionaries(st.sampled_from([4, 6, 8, 10, 12]), _weights,
+                       min_size=1, max_size=3))
+def test_tuned_bipartite_shape_sits_on_the_boundary(support):
+    # at t* both R2 and the margin vanish at r = 1; the solver finds the
+    # shape subcritical below t* and beyond the boundary above it
+    shape = WeightSequence(support)
+    t = tune_critical(shape)
+    sys = criticality._System(shape, t.t_star)
+    assert abs(t.data.residuals["R2"]) <= 1e-12
+    assert abs(sys.margin(t.data.c_plus, 1.0)) <= 1e-12
+    below = solve_boltzmann(shape.scaled(0.9 * t.t_star))
+    assert below.classification == "subcritical"
+    beyond = solve_boltzmann(shape.scaled(1.1 * t.t_star))
+    assert beyond.classification == "not_admissible"
 
 
 @settings(max_examples=6, derandomize=True, deadline=None, database=None)
@@ -1047,14 +1096,20 @@ class TestExactJacobian:
         sys = criticality._System(shape.scaled(t.t_star))
         self.check(sys.main, x)
         self.check(sys.companion, x)
-        self.check(criticality._bordered(shape, False), x + (0.97 * t.t_star,))
+        self.check(criticality._bordered(shape), x + (0.97 * t.t_star,))
 
     def test_bipartite_bordered(self):
-        # the tuner's bipartite system (R2, -margin) in (c, t) at r = 1
+        # the bipartite tuner's G, R2 along the r = 1 margin curve, in c
         shape = WeightSequence({4: Fraction(1), 6: Fraction(1)})
         t = tune_critical(shape)
-        self.check(criticality._bordered(shape, True),
-                   (0.98 * t.data.c_plus, 0.95 * t.t_star))
+        sys = criticality._System(shape)
+
+        def F(x):
+            g, gp, _ = criticality._on_margin(sys, float(x[0]))
+            return [g], [[gp]]
+
+        for c in (0.98 * t.data.c_plus, 1.3 * t.data.c_plus):
+            self.check(F, (c,))
 
 
 # -- pinned solver survey --------------------------------------------------
@@ -1202,7 +1257,7 @@ PIN_TUNE_SHAPES = [
 ]
 # sha256 of solver_pin_text(), taken from the damped Newton on numpy
 # vectors; any change of one bit in an output changes it
-SOLVER_PIN = "6e21be2638493fd27e94d2b508f84e33e8ef7c180d7728ca6dba0349bcaca99a"
+SOLVER_PIN = "71e29a140773e6c238629090db0999554d95e7a38d4d2784bdfcbafe130de45b"
 
 
 def _pin_fields(cd):
