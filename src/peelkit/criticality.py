@@ -21,25 +21,24 @@ accuracy.  The solver therefore finishes near-critical points on the
 well-conditioned companion system (R1, margin - 1), whose Jacobian is
 regular at the fold, and accepts the result only if R2 vanishes there.
 One helper (`_fold_point`) solves the companion system, and one reading
-of it decides admissibility for the solver and the boundary tuner alike:
-the sign of R2 at the fold point.  Beyond the boundary the two roots of
-the fold have merged and R2 is positive there; the solver answers
-'not_admissible' (path 'fold-beyond', c, r and the margin NaN) when it
-is, or when no companion start converges and no Newton start gives an
-admissible root.  Below the boundary the solver reflects the first
+of it decides admissibility: the sign of R2 at the fold point.  Beyond
+the boundary the two roots of the fold have merged and R2 is positive
+there; the solver answers 'not_admissible' (path 'fold-beyond', c, r
+and the margin NaN) when it is, or when no companion start converges
+and no Newton start gives an admissible root.  Below the boundary the solver reflects the first
 inadmissible mirror root through the fold point it already has.  A
 bipartite sequence takes the same verdict in one unknown
 (`_bipartite_fold`): at r = 1 the fold point is the root in c of the
 margin, which is positive at the smaller root of R2 and negative at the
 larger one, so R2 = 0 there means critical, R2 < 0 subcritical (the
 solution is the smaller root of R2, below the fold point) and R2 > 0
-'fold-beyond'.  The tuner narrows a bracket on the scale of the weights
-by Illinois false position on R2 at the fold point and then tracks the
-fold with the scale as a third unknown (a bordered system).  A bipartite
-shape needs no scale unknown: at r = 1 the margin of t * shape is
-1 - t M(c), so the scale on the margin curve is t = 1/M(c), and the
-tuner finds the root in c of R2 along that curve by a bracket walk and
-safeguarded Newton (`_tune_bipartite`).
+'fold-beyond'.  The tuner needs no scale unknown: R1, R2 and the
+margin 1 - t M(c, r) of t * shape are linear in t, so the margin
+vanishes on the surface t = 1/M(c, r), where R1 and R2 do not depend on
+the scale of the shape (`_on_margin`).  The tuner solves (R1, R2) = 0
+there, by the shared damped Newton in (c, s), or at r = 1 for a
+bipartite shape by a bracket walk and safeguarded Newton in c
+(`_tune_bipartite`), and reads t* = 1/M at the root.
 
 The series of a finite support are summed in plain floats over its few
 terms q_{k+2} c^k; those of an infinite family in one compiled pass
@@ -50,8 +49,7 @@ tail cut of `WeightSequence.positive_terms` (`_System` says how the input
 selects the pass).  Their derivatives come from the same terms: in c
 from k q_{k+2} c^(k-1), in r from the r-derivative of h (h's recurrence
 differentiated in r, run alongside it; `hfun.derivative_list` in plain
-floats), and in the tuner's scale t as S/t, since t multiplies every
-weight.  A finite support's system keeps the terms of its last c; short
+floats).  A finite support's system keeps the terms of its last c; short
 h lists per (ratio, order, length), the same doubles as the shared
 tables, are kept for the whole process (`_h_lists`).  The Newton loops
 run on lists of Python floats.  The Miermont cross-check
@@ -87,8 +85,8 @@ _NEWTON_ITER = 80
 _LINE_SEARCH = 16
 _STALL_LIMIT = 3
 
-# fixed Newton starts (c, s) for the companion system, tried by the fold
-# verdict of the solver and by the boundary tuner
+# fixed Newton starts (c, s), tried by the solver's fold verdict on the
+# companion system and by the tuner on the margin surface
 _FOLD_STARTS = ((2.6, 0.0), (3.5, 0.5), (2.2, -0.5), (5.0, 0.3))
 
 # h lists kept process-wide, one entry per (r, order, size)
@@ -156,11 +154,7 @@ class _System:
     `main` and `companion` are the two Newton systems on x = (c, s) with
     r = tanh(s); s = inf gives the bipartite r = 1.  Each returns its
     values and exact Jacobian, as lists of floats, from one series pass
-    per order (`rows`).  With a float scale t, the system is that of
-    t * q: a finite support multiplies its float weights by t and drops a
-    weight that rounds to 0, as `WeightSequence` does, which gives the
-    doubles of `q.scaled(t)` (a Fraction times a float is the float of the
-    Fraction times the float); an infinite family takes `q.scaled(t)`.
+    per order (`rows`).
 
     The series pass (`_sums`) takes one of two routes, chosen by the
     input alone.  A finite support is read once as Python lists and
@@ -173,20 +167,15 @@ class _System:
     where the library is not used, in `_series_py`, bit-identical.
     """
 
-    def __init__(self, q: WeightSequence, t=None):
+    def __init__(self, q: WeightSequence):
         self._terms = None  # a finite support's terms of the last c
         if q.is_finite:
             self.q = None  # read here once; only a family's pass keeps it
             self.c_max = math.inf
-            ks, ws = (a.tolist() for a in q._support_arrays())
-            if t is not None:
-                ws = [w * t for w in ws]
-                ks = [k for k, w in zip(ks, ws) if w != 0.0]
-                ws = [w for w in ws if w != 0.0]
-            self._support = (ks, ws)
+            self._support = tuple(a.tolist() for a in q._support_arrays())
         else:
-            self.q = q if t is None else q.scaled(t)
-            self.c_max = (1.0 - 1e-9) / self.q.tail_ratio
+            self.q = q
+            self.c_max = (1.0 - 1e-9) / q.tail_ratio
             self._support = None
 
     def _sums(self, c, r, order, shifts, dr=False):
@@ -283,17 +272,16 @@ class _System:
         return self.margin_and_prime(c, r)[0]
 
     def rows(self, c, r, margin=False):
-        """Rows (value, d/dc, d/dr, S) of R1, R2 and, when margin, of
+        """Rows (value, d/dc, d/dr) of R1, R2 and, when margin, of
         -margin = sum_{l>=0} h(1, l+1) nu(l) - 1, from one series pass per
-        order.  S is the weight sum in the value: scaling every weight by t
-        scales S alone, so the row's t-derivative is S/t."""
+        order."""
         h, dh, ((s1, s1_c, s1_r), (s2, s2_c, s2_r)) = self._sums(
             c, r, 0, (1, 2), True)
-        out = [(s1 - h[1], s1_c, s1_r - dh[1], s1),
-               (2.0 / c**2 + s2 - h[2], -4.0 / c**3 + s2_c, s2_r - dh[2], s2)]
+        out = [(s1 - h[1], s1_c, s1_r - dh[1]),
+               (2.0 / c**2 + s2 - h[2], -4.0 / c**3 + s2_c, s2_r - dh[2])]
         if margin:
             _, _, ((s, s_c, s_r),) = self._sums(c, r, 1, (1,), True)
-            out.append((s - 1.0, s_c, s_r, s))
+            out.append((s - 1.0, s_c, s_r))
         return out
 
     def main(self, x):
@@ -452,7 +440,7 @@ def _same_series(lib):
 
 
 def _in_cs(rows, r):
-    """(F, J) of rows (value, d/dc, d/dr, ...) as lists, with J in the
+    """(F, J) of rows (value, d/dc, d/dr) as lists, with J in the
     Newton coordinates (c, s), r = tanh(s): dr/ds = 1 - r^2."""
     return ([row[0] for row in rows],
             [[row[1], row[2] * (1.0 - r * r)] for row in rows])
@@ -676,21 +664,25 @@ def _bounds(sys):
     return (_C_FLOOR, -20.0), (hi_c, 20.0)
 
 
-def _fold_point(sys, starts, lo, hi):
-    """Point (x, R2) of the companion curve R1 = 0, margin = 0, or None.
-
-    The one solve of the companion system: damped Newton from each start
-    (Newton coordinates (c, s)) in turn; the first that ends with
-    max|F| < 1e-11 gives x and the value of R2 there.
-    """
+def _first_root(F, starts, lo, hi):
+    """x of the damped Newton on F from each start (Newton coordinates
+    (c, s)) in turn: the first that ends with max|F| < 1e-11, or None."""
     for x0 in starts:
         try:
-            x, res = _damped_newton(sys.companion, x0, lo, hi)
+            x, res = _damped_newton(F, x0, lo, hi)
         except (DivergentSeriesError, OverflowError):
             continue
         if res < 1e-11:
-            return x, sys.residuals(x[0], math.tanh(x[1]))[1]
+            return x
     return None
+
+
+def _fold_point(sys, starts, lo, hi):
+    """Point (x, R2) of the companion curve R1 = 0, margin = 0, or None:
+    the one solve of the companion system (`_first_root`), and the value
+    of R2 there."""
+    x = _first_root(sys.companion, starts, lo, hi)
+    return None if x is None else (x, sys.residuals(x[0], math.tanh(x[1]))[1])
 
 
 def _solve_general(q, sys, g, initial=None):
@@ -1040,56 +1032,29 @@ class TuneResult:
     data: CriticalData
 
 
-def _fold_side(shape, t, warm):
-    """Which side of the admissibility boundary t * shape sits on.
+def _on_margin(sys, c, r):
+    """Rows (value, d/dc, d/dr) of R1 and R2 at (c, r) on the margin
+    surface of a shape, sys its system, and the scale t there.
 
-    Solves the well-conditioned companion system (R1 = 0, margin = 0) and
-    inspects the sign of R2 there: negative means admissible slack remains
-    (t below the boundary), positive or unsolvable means t is beyond it.
-    Returns (side, state) with side < 0 below the fold; state is the
-    companion solution (c, s), to warm-start the next scale.
+    The margin of t * shape is 1 - t M(c, r), M = sum q_{k+2} c^k
+    h(1, k+1), and its R1 and R2 are t S1 - h(0, 1) and
+    2/c^2 + t S2 - h(0, 2), with S1 and S2 their weight sums, so the
+    margin vanishes at t = 1/M, where R1 = S1/M - h(0, 1) and
+    R2 = 2/c^2 + S2/M - h(0, 2): one order-0 and one order-1 pass.
     """
-    sys = _System(shape, t)
-    lo, hi = _bounds(sys)
-    starts = [warm] if warm is not None else []
-    fold = _fold_point(sys, starts + list(_FOLD_STARTS), lo, hi)
-    if fold is None:
-        return 1.0, None
-    x, r2 = fold
-    return r2, (x[0], x[1])
-
-
-def _bordered(shape):
-    """The tuner's bordered system, F(x) = (values, Jacobian): (R1, R2,
-    -margin) in x = (c, s, t) for the weights t * shape."""
-    def F(x):
-        t = float(x[-1])
-        sys = _System(shape, t)
-        r = math.tanh(x[1])
-        rows = sys.rows(float(x[0]), r, margin=True)
-        values, J = _in_cs(rows, r)
-        return values, [j + [row[3] / t] for j, row in zip(J, rows)]
-    return F
-
-
-def _on_margin(sys, c):
-    """(G, dG/dc, t) at c on the r = 1 margin curve of a bipartite shape,
-    sys its unscaled system.
-
-    At r = 1 the margin of t * shape is 1 - t M(c) and its R2 is
-    2/c^2 + t S2(c) - h(0, 2), with M(c) = sum q_{k+2} c^k h(1, k+1) and
-    S2 that of R2, so the margin vanishes at t = 1/M(c) and R2 there is
-    G(c) = 2/c^2 + S2/M - h(0, 2): one order-0 and one order-1 pass.
-    """
-    h, _, ((s2, s2_c, _),) = sys._sums(c, 1.0, 0, (2,))
-    _, _, ((m, m_c, _),) = sys._sums(c, 1.0, 1, (1,))
-    g = 2.0 / c**2 + s2 / m - h[2]
-    return g, -4.0 / c**3 + (s2_c - s2 * m_c / m) / m, 1.0 / m
+    h, dh, ((s1, s1_c, s1_r), (s2, s2_c, s2_r)) = sys._sums(
+        c, r, 0, (1, 2), True)
+    _, _, ((m, m_c, m_r),) = sys._sums(c, r, 1, (1,), True)
+    rows = [(s1 / m - h[1], (s1_c - s1 * m_c / m) / m,
+             (s1_r - s1 * m_r / m) / m - dh[1]),
+            (2.0 / c**2 + s2 / m - h[2], -4.0 / c**3 + (s2_c - s2 * m_c / m) / m,
+             (s2_r - s2 * m_r / m) / m - dh[2])]
+    return rows, 1.0 / m
 
 
 def _tune_bipartite(shape):
-    """t* of a bipartite shape: the root c* of G (`_on_margin`), then
-    t* = 1/M(c*).
+    """t* of a bipartite shape: the root c* of G, R2 on the margin
+    surface at r = 1 (`_on_margin`), then t* = 1/M(c*, 1).
 
     M grows in c, so t falls as c grows, and G is negative (admissible
     slack) at the c of scales below t* and positive above.  The bracket
@@ -1100,11 +1065,16 @@ def _tune_bipartite(shape):
     1e-30; safeguarded Newton then finds the root inside it, from an end
     where G > 0."""
     sys = _System(shape)
+
+    def G(c):
+        (_, (g, gp, _)), t = _on_margin(sys, c, 1.0)
+        return g, gp, t
+
     cap = _bounds(sys)[1][0]
     c = _margin_root(sys, 2.5, 8.0, cap)
     if c is None:
         c = min(2.5, 0.5 * (2.0 + cap))
-    g, gp, t = _on_margin(sys, c)
+    g, gp, t = G(c)
     below = g <= 0
     while (g <= 0) == below:
         c_prev, g_prev = c, g
@@ -1118,40 +1088,61 @@ def _tune_bipartite(shape):
                 "no admissible scale found below the bracket")
         else:
             c = min(2.0 + 2.0 * (c - 2.0), cap)
-        g, gp, t = _on_margin(sys, c)
+        g, gp, t = G(c)
         if not below and t < 1e-30:
             raise BoundaryNotFoundError(
                 "no admissible scale found below the bracket")
     lo, hi, flo = (c, c_prev, g) if below else (c_prev, c, g_prev)
     # a Newton step from the last point, which the bracket keeps
     x0 = c - g / gp if gp != 0.0 else 0.5 * (lo + hi)
-    c = _newton_1d(lambda x: _on_margin(sys, x)[:2], x0, lo, hi, flo=flo)
-    t_star = _on_margin(sys, c)[2]
-    r1, r2 = _System(shape, t_star).residuals(c, 1.0)
-    cls = _classify_from(shape.scaled(t_star), 0.0)
-    data = _make_data(c, 1.0, 0.0, cls, 1.0,
-                      {"R1": r1, "R2": r2, "path": "tune-margin-root"})
+    c = _newton_1d(lambda x: G(x)[:2], x0, lo, hi, flo=flo)
+    t_star = G(c)[2]
+    return _tuned(shape, t_star, c, 1.0, "tune-margin-root")
+
+
+def _surface_root(sys, starts, lo, hi):
+    """(x, t) at the first root of (R1, R2) on the margin surface
+    (`_on_margin`) that the damped Newton reaches from starts
+    (`_first_root`); BoundaryNotFoundError when none does."""
+    def F(x):
+        r = math.tanh(x[1])
+        return _in_cs(_on_margin(sys, float(x[0]), r)[0], r)
+
+    x = _first_root(F, starts, lo, hi)
+    if x is None:
+        raise BoundaryNotFoundError("no root of R1 and R2 on the margin surface")
+    return x, _on_margin(sys, float(x[0]), math.tanh(x[1]))[1]
+
+
+def _tuned(shape, t_star, c, r, path):
+    """The tuner's answer at (c, r) for the scale t_star, with R1 and R2
+    read from the system of shape.scaled(t_star)."""
+    q = shape.scaled(t_star)
+    r1, r2 = _System(q).residuals(c, r)
+    cls = _classify_from(q, 0.0)
+    data = _make_data(c, r, 0.0, cls, 1.0, {"R1": r1, "R2": r2, "path": path})
     return TuneResult(t_star, data)
 
 
 def tune_critical(shape: WeightSequence):
     """Scale t* at which t * shape sits on the admissibility boundary.
 
-    A bipartite shape sits at r = 1, where R2 and the margin are linear
-    in t: the margin gives t = 1/M(c), and t* follows from the root in c
-    of R2 along that curve, found by a bracket walk in c and safeguarded
-    Newton (`_tune_bipartite`, path 'tune-margin-root').  Any other shape
-    is tuned in t: halving and then doubling t brackets the boundary on
-    the fold-side value (R2 on the companion curve R1 = 0, margin = 0;
-    its sign says the side), each admissible scale warm-starting the
-    next.  Illinois false position on that value narrows the bracket to
-    1e-8 relative, with a bisection step wherever an end's value is the
-    sentinel of an unsolvable companion system, or stops at a scale whose
-    value is exactly 0 (the boundary itself), and the shared damped
-    Newton on the bordered system (R1, R2, margin - 1) in (c, s, t) then
-    locates the fold to near machine precision (path
-    'tune-bordered-newton').  The symmetric critical family is refused
-    with ValueError: it is critical at t* = 1 by construction.
+    R1, R2 and the margin of t * shape are linear in t, so the boundary
+    point (c*, r*) lies on the margin surface t = 1/M(c, r), where R1 and
+    R2 do not depend on the scale of the shape (`_on_margin`), and
+    t* = 1/M(c*, r*).  A bipartite shape sits at r = 1: t* follows from
+    the root in c of R2 there, found by a bracket walk in c and
+    safeguarded Newton (`_tune_bipartite`, path 'tune-margin-root').  Any
+    other shape is tuned by the shared damped Newton on (R1, R2) on the
+    surface in (c, s), from each of `_FOLD_STARTS` in turn until one
+    converges, which gives t0; one more round from that root on the
+    system of t0 * shape gives t1 and t* = t0 t1 (path
+    'tune-margin-surface').  The second round matters for an infinite
+    family whose sums lie far below 1, where the series' tail cut, taken
+    against a total of at least 1, is too coarse; a finite support starts
+    it converged.  BoundaryNotFoundError when no start converges.  The
+    symmetric critical family is refused with ValueError: it is critical
+    at t* = 1 by construction.
     """
     if shape.family and shape.family[0] == "symmetric_critical":
         raise ValueError("the symmetric_critical family is critical at t* = 1 "
@@ -1161,79 +1152,12 @@ def tune_critical(shape: WeightSequence):
         raise ValueError(f"invalid shape: {rep.messages}")
     if shape.bipartite:
         return _tune_bipartite(shape)
-
-    warm = None
-    t_lo = None
-    t = 1.0
-    for _ in range(120):
-        side, state = _fold_side(shape, t, warm)
-        if side < 0:
-            t_lo, warm = t, state
-            break
-        t *= 0.5
-        if t < 1e-30:
-            break
-    if t_lo is None:
-        raise BoundaryNotFoundError("no admissible scale found below the bracket")
-    f_lo = side
-    t_hi = t_lo
-    for _ in range(120):
-        t_hi *= 2.0
-        side, state = _fold_side(shape, t_hi, warm)
-        if side >= 0:
-            break
-        t_lo, warm, f_lo = t_hi, state, side
-    else:
-        raise BoundaryNotFoundError("weights remain admissible at huge scales")
-
-    # Illinois false position on the fold-side value; an end whose value
-    # is the unsolvable sentinel (state None) gives a bisection step, and
-    # an upper end whose value is exactly 0 is the boundary: the search
-    # stops there, as every later step would land on it
-    f_hi = side if state is not None else None
-    kept = 0  # +1 (-1) while the step keeps t_lo (t_hi) fixed
-    for _ in range(64):
-        if f_hi == 0.0:
-            t_lo, warm = t_hi, state
-            break
-        if f_hi is None:
-            tm = 0.5 * (t_lo + t_hi)
-        else:
-            tm = t_hi - f_hi * (t_hi - t_lo) / (f_hi - f_lo)
-            if not (t_lo < tm < t_hi):
-                tm = 0.5 * (t_lo + t_hi)
-        side, state = _fold_side(shape, tm, warm)
-        if side < 0:
-            t_lo, f_lo = tm, side
-            if state is not None:
-                warm = state
-            kept = min(kept, 0) - 1
-            if kept <= -2 and f_hi is not None:
-                f_hi *= 0.5
-        else:
-            t_hi, f_hi = tm, (side if state is not None else None)
-            kept = max(kept, 0) + 1
-            if kept >= 2:
-                f_lo *= 0.5
-        if t_hi - t_lo <= 1e-8 * t_lo:
-            break
-
-    lo, hi = (_C_FLOOR, -20.0, 1e-300), (math.inf, 20.0, math.inf)
-    x, _ = _damped_newton(_bordered(shape), warm + (t_lo,), lo, hi)
-
-    t_star = float(x[-1])
-    if not (0.5 * t_lo <= t_star <= 2.0 * t_hi):
-        raise SolverFailureError("bordered polish left the bisection bracket")
-    c = float(x[0])
-    r = math.tanh(float(x[1]))
-    sys = _System(shape, t_star)
-    r1, r2 = sys.residuals(c, r)
-    cls = _classify_from(shape.scaled(t_star), 0.0)
-    data = _make_data(
-        c, r, 0.0, cls, 1.0,
-        {"R1": r1, "R2": r2, "path": "tune-bordered-newton"},
-    )
-    return TuneResult(t_star, data)
+    sys = _System(shape)
+    lo, hi = _bounds(sys)
+    x, t0 = _surface_root(sys, _FOLD_STARTS, lo, hi)
+    x, t1 = _surface_root(_System(shape.scaled(t0)), [x], lo, hi)
+    return _tuned(shape, t0 * t1, float(x[0]), math.tanh(x[1]),
+                  "tune-margin-surface")
 
 
 def full_report(q: WeightSequence, cd: CriticalData = None):

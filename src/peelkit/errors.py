@@ -16,15 +16,15 @@ class DivergentSeriesError(PeelkitError):
 class SolverFailureError(PeelkitError):
     """Root finding failed to converge; distinct from a not-admissible verdict.
 
-    Raised when the series cannot be evaluated on any range of c, when
-    the tuner's bordered polish leaves its bracket, and when no Newton
-    start finds an admissible root although the fold point shows
-    admissible slack (R2 < 0 there).
+    Raised when the series cannot be evaluated on any range of c, and
+    when no Newton start finds an admissible root although the fold point
+    shows admissible slack (R2 < 0 there).
     """
 
 
 class BoundaryNotFoundError(PeelkitError):
-    """No critical scale exists inside the search bracket."""
+    """The tuner finds no critical scale: its bracket in c or its Newton
+    starts on the margin surface miss the boundary."""
 
 
 class InconsistentCriticalityError(PeelkitError):

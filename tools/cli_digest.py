@@ -67,7 +67,7 @@ INVOCATIONS = [
     ["tune-critical", "--preset", "symmetric_critical", "--r", "1", "--a",
      "0.785"],
     # the tuner on three bipartite degrees, and on the non-bipartite
-    # bordered system in (c, s, t)
+    # margin surface in (c, s)
     ["tune-critical", "--weights", '{"4":"1/2","6":"3","8":"4"}'],
     ["tune-critical", "--weights", '{"3":"1/64","7":"1/1048576"}'],
     # ecf at n = 2000: about 160 steps in the deep block or past it, where
