@@ -17,28 +17,30 @@ exit after a few consecutive line searches that end on the forced
 shortest step without lowering max|F|.
 At a critical sequence the Jacobian of the main system (R1, R2) is rank
 deficient (the solution sits on a fold), so Newton stalls at ~1e-6
-accuracy.  The solver therefore finishes near-critical points on the
-well-conditioned companion system (R1, margin - 1), whose Jacobian is
-regular at the fold, and accepts the result only if R2 vanishes there.
-One helper (`_fold_point`) solves the companion system, and one reading
-of it decides admissibility: the sign of R2 at the fold point.  Beyond
-the boundary the two roots of the fold have merged and R2 is positive
-there; the solver answers 'not_admissible' (path 'fold-beyond', c, r
-and the margin NaN) when it is, or when no companion start converges
-and no Newton start gives an admissible root.  Below the boundary the solver reflects the first
-inadmissible mirror root through the fold point it already has.  A
+accuracy.  The admissibility boundary itself is regular, and one system
+finds it for the solver and the tuner alike: R1, R2 and the margin
+1 - t M(c, r) of t * q are linear in the scale t, so the margin vanishes
+on the surface t = 1/M(c, r), where R1 and R2 do not depend on the scale
+(`_on_margin`).  One helper (`_boundary`) solves (R1, R2) = 0 on that
+surface by the shared damped Newton in (c, s), and t = 1/M at its root
+is the scale that puts q on the boundary, where the margin of q itself
+is 1 - 1/t.  The solver reads its verdict off that one margin: below
+-MARGIN_TOL q lies beyond the boundary (the two roots of the fold have
+merged; 'not_admissible', path 'fold-beyond', c, r and the margin NaN),
+within MARGIN_TOL it sits on the boundary (path 'critical-polish', at
+the boundary point), above it there is slack.  The answer is
+'fold-beyond' also when no boundary point is found and no Newton start
+gives an admissible root.  With slack the solver reflects the first
+inadmissible mirror root through the boundary point it already has.  A
 bipartite sequence takes the same verdict in one unknown
 (`_bipartite_fold`): at r = 1 the fold point is the root in c of the
 margin, which is positive at the smaller root of R2 and negative at the
 larger one, so R2 = 0 there means critical, R2 < 0 subcritical (the
 solution is the smaller root of R2, below the fold point) and R2 > 0
-'fold-beyond'.  The tuner needs no scale unknown: R1, R2 and the
-margin 1 - t M(c, r) of t * shape are linear in t, so the margin
-vanishes on the surface t = 1/M(c, r), where R1 and R2 do not depend on
-the scale of the shape (`_on_margin`).  The tuner solves (R1, R2) = 0
-there, by the shared damped Newton in (c, s), or at r = 1 for a
-bipartite shape by a bracket walk and safeguarded Newton in c
-(`_tune_bipartite`), and reads t* = 1/M at the root.
+'fold-beyond'.  The tuner solves the same surface system from fixed
+starts, or at r = 1 for a bipartite shape by a bracket walk and
+safeguarded Newton in c (`_tune_bipartite`), and reads t* = 1/M at the
+root.
 
 The series of a finite support are summed in plain floats over its few
 terms q_{k+2} c^k; those of an infinite family in one compiled pass
@@ -85,8 +87,8 @@ _NEWTON_ITER = 80
 _LINE_SEARCH = 16
 _STALL_LIMIT = 3
 
-# fixed Newton starts (c, s), tried by the solver's fold verdict on the
-# companion system and by the tuner on the margin surface
+# fixed Newton starts (c, s) on the margin surface, tried by the tuner and,
+# ahead of the solver's own starts, by the solver's fold verdict
 _FOLD_STARTS = ((2.6, 0.0), (3.5, 0.5), (2.2, -0.5), (5.0, 0.3))
 
 # h lists kept process-wide, one entry per (r, order, size)
@@ -151,10 +153,11 @@ def _h_lists(r, order, size):
 class _System:
     """Float evaluation of R1, R2 and the margin for a fixed sequence.
 
-    `main` and `companion` are the two Newton systems on x = (c, s) with
-    r = tanh(s); s = inf gives the bipartite r = 1.  Each returns its
-    values and exact Jacobian, as lists of floats, from one series pass
-    per order (`rows`).
+    `main` is the Newton system (R1, R2) on x = (c, s) with r = tanh(s);
+    s = inf gives the bipartite r = 1.  It returns its values and exact
+    Jacobian, as lists of floats, from one series pass.  The solver's and
+    the tuner's other system, (R1, R2) on the margin surface, is
+    `_on_margin`'s.
 
     The series pass (`_sums`) takes one of two routes, chosen by the
     input alone.  A finite support is read once as Python lists and
@@ -271,29 +274,15 @@ class _System:
     def margin(self, c, r):
         return self.margin_and_prime(c, r)[0]
 
-    def rows(self, c, r, margin=False):
-        """Rows (value, d/dc, d/dr) of R1, R2 and, when margin, of
-        -margin = sum_{l>=0} h(1, l+1) nu(l) - 1, from one series pass per
-        order."""
+    def main(self, x):
+        """(F, J) of (R1, R2) at c = x[0], r = tanh(x[1]), J in (c, s),
+        from one series pass."""
+        c, r = float(x[0]), math.tanh(x[1])
         h, dh, ((s1, s1_c, s1_r), (s2, s2_c, s2_r)) = self._sums(
             c, r, 0, (1, 2), True)
-        out = [(s1 - h[1], s1_c, s1_r - dh[1]),
-               (2.0 / c**2 + s2 - h[2], -4.0 / c**3 + s2_c, s2_r - dh[2])]
-        if margin:
-            _, _, ((s, s_c, s_r),) = self._sums(c, r, 1, (1,), True)
-            out.append((s - 1.0, s_c, s_r))
-        return out
-
-    def main(self, x):
-        """(F, J) of (R1, R2) at c = x[0], r = tanh(x[1]), J in (c, s)."""
-        c, r = float(x[0]), math.tanh(x[1])
-        return _in_cs(self.rows(c, r), r)
-
-    def companion(self, x):
-        """(F, J) of (R1, -margin) at c = x[0], r = tanh(x[1]), J in (c, s)."""
-        c, r = float(x[0]), math.tanh(x[1])
-        r1, _, m = self.rows(c, r, margin=True)
-        return _in_cs((r1, m), r)
+        rows = [(s1 - h[1], s1_c, s1_r - dh[1]),
+                (2.0 / c**2 + s2 - h[2], -4.0 / c**3 + s2_c, s2_r - dh[2])]
+        return _in_cs(rows, r)
 
 
 def _series(log_w, c, r, rho, order, shifts, dr, k_first, k_cap):
@@ -677,12 +666,39 @@ def _first_root(F, starts, lo, hi):
     return None
 
 
-def _fold_point(sys, starts, lo, hi):
-    """Point (x, R2) of the companion curve R1 = 0, margin = 0, or None:
-    the one solve of the companion system (`_first_root`), and the value
-    of R2 there."""
-    x = _first_root(sys.companion, starts, lo, hi)
-    return None if x is None else (x, sys.residuals(x[0], math.tanh(x[1]))[1])
+def _on_margin(sys, c, r):
+    """Rows (value, d/dc, d/dr) of R1 and R2 at (c, r) on the margin
+    surface of a shape, sys its system, and the scale t there.
+
+    The margin of t * shape is 1 - t M(c, r), M = sum q_{k+2} c^k
+    h(1, k+1), and its R1 and R2 are t S1 - h(0, 1) and
+    2/c^2 + t S2 - h(0, 2), with S1 and S2 their weight sums, so the
+    margin vanishes at t = 1/M, where R1 = S1/M - h(0, 1) and
+    R2 = 2/c^2 + S2/M - h(0, 2): one order-0 and one order-1 pass.
+    """
+    h, dh, ((s1, s1_c, s1_r), (s2, s2_c, s2_r)) = sys._sums(
+        c, r, 0, (1, 2), True)
+    _, _, ((m, m_c, m_r),) = sys._sums(c, r, 1, (1,), True)
+    rows = [(s1 / m - h[1], (s1_c - s1 * m_c / m) / m,
+             (s1_r - s1 * m_r / m) / m - dh[1]),
+            (2.0 / c**2 + s2 / m - h[2], -4.0 / c**3 + (s2_c - s2 * m_c / m) / m,
+             (s2_r - s2 * m_r / m) / m - dh[2])]
+    return rows, 1.0 / m
+
+
+def _boundary(sys, starts, lo, hi):
+    """(x, t) at the first root of (R1, R2) on the margin surface
+    (`_on_margin`) that the damped Newton reaches from starts
+    (`_first_root`), or None."""
+    def F(x):
+        r = math.tanh(x[1])
+        return _in_cs(_on_margin(sys, float(x[0]), r)[0], r)
+
+    x = _first_root(F, starts, lo, hi)
+    if x is None:
+        return None
+    _, _, ((m, _, _),) = sys._sums(float(x[0]), math.tanh(x[1]), 1, (1,))
+    return x, 1.0 / m
 
 
 def _solve_general(q, sys, g, initial=None):
@@ -691,10 +707,8 @@ def _solve_general(q, sys, g, initial=None):
     if initial is not None:
         starts = [_to_x(*initial)] + starts
 
-    def _finish(x, path, margin=None):
+    def _finish(x, path, margin):
         c, r = x[0], math.tanh(x[1])
-        if margin is None:
-            margin = sys.margin(c, r)
         r1, r2 = sys.residuals(c, r)
         cls = _classify_from(q, margin)
         return _make_data(
@@ -704,57 +718,58 @@ def _solve_general(q, sys, g, initial=None):
     def _admissible(x0):
         try:
             x, res = _damped_newton(sys.main, x0, lo, hi)
-        except DivergentSeriesError:
+        except (DivergentSeriesError, OverflowError):
             return None, None
         if res >= 1e-10:
             return None, None
         return x, sys.margin(x[0], math.tanh(x[1]))
 
+    def _fold(starts):
+        # the boundary point on the margin surface, and the margin of q
+        # there: 1 - t M = 0 at the scale t, so 1 - M = 1 - 1/t
+        found = _boundary(sys, starts, lo, hi)
+        return None if found is None else (found[0], 1.0 - 1.0 / found[1])
+
     # multi-start Newton on (R1, R2); the fold pairs an admissible solution
     # with an inadmissible mirror image, so candidates are kept and filtered
     # by the margin rather than accepted first-come.  Once the first start
-    # has failed, the fold verdict is asked: R2 > 0 at the fold point means
-    # the two roots have merged, R2 = 0 means the input sits on the fold.
-    # Otherwise the first mirror found is reflected through the fold point
-    # (the verdict's, or one solved from the mirror when the verdict found
-    # none) before the remaining starts go on
-    admissible = None
+    # has failed, the fold verdict is asked: a negative margin at the
+    # boundary point means q lies beyond it, a zero margin that q sits on
+    # it.  Otherwise the first mirror found is reflected through the
+    # boundary point (the verdict's, or one solved from the mirror when the
+    # verdict found none); the reflection, like the boundary point after a
+    # first start that found no root at all, is the next start
     fold = None
     reflected = False
     for i, x0 in enumerate(starts):
         x, margin = _admissible(x0)
         if x is not None and margin >= -MARGIN_TOL:
-            admissible = (x, margin)
-            break
+            # a known boundary point already has slack: q is not critical
+            if fold is None and abs(margin) < 1e-5:
+                polished = _fold([x])
+                if polished is not None and abs(polished[1]) <= MARGIN_TOL:
+                    return _finish(polished[0], "newton+critical-polish", 0.0)
+            return _finish(x, "newton", margin)
         if i == 0:
-            fold = _fold_point(sys, list(_FOLD_STARTS) + starts, lo, hi)
-            if fold is not None and fold[1] > 1e-9:
+            fold = _fold(list(_FOLD_STARTS) + starts)
+            if fold is not None and fold[1] < -MARGIN_TOL:
                 return _beyond(g)
-            if fold is not None and abs(fold[1]) <= 1e-9:
-                return _finish(fold[0], "critical-polish", margin=0.0)
+            if fold is not None and fold[1] <= MARGIN_TOL:
+                return _finish(fold[0], "critical-polish", 0.0)
+            if fold is not None and x is None:
+                # a far degree can put the first start far from the root
+                starts.insert(1, fold[0])
         if x is not None and not reflected:
             reflected = True
-            point = fold if fold is not None else _fold_point(sys, [x], lo, hi)
+            point = fold if fold is not None else _fold([x])
             if point is not None:
-                x, margin = _admissible(2.0 * point[0] - x)
-                if x is not None and margin >= -MARGIN_TOL:
-                    admissible = (x, margin)
-                    break
-
-    if admissible is not None:
-        x, margin = admissible
-        # a known fold point already has R2 < 0: the input is not critical
-        if fold is None and abs(margin) < 1e-5:
-            polished = _fold_point(sys, [x], lo, hi)
-            if polished is not None and abs(polished[1]) <= 1e-9:
-                return _finish(polished[0], "newton+critical-polish", margin=0.0)
-        return _finish(x, "newton", margin)
+                starts.insert(i + 1, 2.0 * point[0] - x)
 
     if fold is None:
         return _beyond(g)
     raise SolverFailureError(
-        f"no admissible root of (R1, R2), yet R2 = {fold[1]:.3g} < 0 at the "
-        "fold point"
+        f"no admissible root of (R1, R2), yet the margin is {fold[1]:.3g} > 0 "
+        "at the boundary point"
     )
 
 
@@ -762,20 +777,23 @@ def solve_boltzmann(q: WeightSequence, g=1.0, initial=None):
     """Spectral constants (c_+, r) of a weight sequence, deformed by g.
 
     Returns CriticalData.  Multi-start damped Newton solves the main
-    system (R1, R2); near-critical inputs are finished on the companion
-    system (R1, margin - 1) (path 'newton+critical-polish').  When the
-    first start gives no admissible root, the fold verdict solves the
-    companion system once and reads R2 at its solution: R2 > 0 means the
-    input is beyond the admissibility boundary ('not_admissible', path
-    'fold-beyond', c and r NaN), R2 = 0 means it sits on the fold (path
-    'critical-polish'); otherwise the first inadmissible mirror root is
-    reflected through the fold point (solved from the mirror when the
-    verdict found none), and the remaining starts go on.  A root found
-    after a verdict with R2 < 0 is not polished: that fold point already
-    shows the input is not critical.  If every start fails, no fold point
-    means 'not_admissible' ('fold-beyond'), so inputs beyond the boundary
-    never raise; SolverFailureError is left for a fold point with R2 < 0
-    (admissible slack) where no start finds the root.  `initial` = (c, r)
+    system (R1, R2).  When the first start gives no admissible root, the
+    fold verdict solves (R1, R2) = 0 once on the margin surface
+    (`_boundary`) and reads the margin of q at that boundary point,
+    1 - 1/t: below -MARGIN_TOL the input is beyond the admissibility
+    boundary ('not_admissible', path 'fold-beyond', c and r NaN), within
+    MARGIN_TOL it sits on it (path 'critical-polish', at the boundary
+    point).  With slack, the first inadmissible mirror root is reflected
+    through the boundary point (solved from the mirror when the verdict
+    found none), and the remaining starts go on; when the first start
+    found no root at all, the boundary point is tried next.  A root with
+    |margin| < 1e-5 found before any verdict is polished onto the
+    boundary point when that point's margin is within MARGIN_TOL (path
+    'newton+critical-polish'); after a verdict with slack it is not: the
+    input is not critical.  If every start fails, no boundary point
+    means 'not_admissible' ('fold-beyond'), so inputs beyond the
+    boundary never raise; SolverFailureError is left for a boundary
+    point with slack where no start finds the root.  `initial` = (c, r)
     is tried before the fixed starts.
 
     Bipartite inputs (r = 1) take the same sign verdict at the root in c
@@ -1032,26 +1050,6 @@ class TuneResult:
     data: CriticalData
 
 
-def _on_margin(sys, c, r):
-    """Rows (value, d/dc, d/dr) of R1 and R2 at (c, r) on the margin
-    surface of a shape, sys its system, and the scale t there.
-
-    The margin of t * shape is 1 - t M(c, r), M = sum q_{k+2} c^k
-    h(1, k+1), and its R1 and R2 are t S1 - h(0, 1) and
-    2/c^2 + t S2 - h(0, 2), with S1 and S2 their weight sums, so the
-    margin vanishes at t = 1/M, where R1 = S1/M - h(0, 1) and
-    R2 = 2/c^2 + S2/M - h(0, 2): one order-0 and one order-1 pass.
-    """
-    h, dh, ((s1, s1_c, s1_r), (s2, s2_c, s2_r)) = sys._sums(
-        c, r, 0, (1, 2), True)
-    _, _, ((m, m_c, m_r),) = sys._sums(c, r, 1, (1,), True)
-    rows = [(s1 / m - h[1], (s1_c - s1 * m_c / m) / m,
-             (s1_r - s1 * m_r / m) / m - dh[1]),
-            (2.0 / c**2 + s2 / m - h[2], -4.0 / c**3 + (s2_c - s2 * m_c / m) / m,
-             (s2_r - s2 * m_r / m) / m - dh[2])]
-    return rows, 1.0 / m
-
-
 def _tune_bipartite(shape):
     """t* of a bipartite shape: the root c* of G, R2 on the margin
     surface at r = 1 (`_on_margin`), then t* = 1/M(c*, 1).
@@ -1100,20 +1098,6 @@ def _tune_bipartite(shape):
     return _tuned(shape, t_star, c, 1.0, "tune-margin-root")
 
 
-def _surface_root(sys, starts, lo, hi):
-    """(x, t) at the first root of (R1, R2) on the margin surface
-    (`_on_margin`) that the damped Newton reaches from starts
-    (`_first_root`); BoundaryNotFoundError when none does."""
-    def F(x):
-        r = math.tanh(x[1])
-        return _in_cs(_on_margin(sys, float(x[0]), r)[0], r)
-
-    x = _first_root(F, starts, lo, hi)
-    if x is None:
-        raise BoundaryNotFoundError("no root of R1 and R2 on the margin surface")
-    return x, _on_margin(sys, float(x[0]), math.tanh(x[1]))[1]
-
-
 def _tuned(shape, t_star, c, r, path):
     """The tuner's answer at (c, r) for the scale t_star, with R1 and R2
     read from the system of shape.scaled(t_star)."""
@@ -1134,15 +1118,15 @@ def tune_critical(shape: WeightSequence):
     the root in c of R2 there, found by a bracket walk in c and
     safeguarded Newton (`_tune_bipartite`, path 'tune-margin-root').  Any
     other shape is tuned by the shared damped Newton on (R1, R2) on the
-    surface in (c, s), from each of `_FOLD_STARTS` in turn until one
-    converges, which gives t0; one more round from that root on the
-    system of t0 * shape gives t1 and t* = t0 t1 (path
-    'tune-margin-surface').  The second round matters for an infinite
-    family whose sums lie far below 1, where the series' tail cut, taken
-    against a total of at least 1, is too coarse; a finite support starts
-    it converged.  BoundaryNotFoundError when no start converges.  The
-    symmetric critical family is refused with ValueError: it is critical
-    at t* = 1 by construction.
+    surface in (c, s) (`_boundary`, which the solver's verdict shares),
+    from each of `_FOLD_STARTS` in turn until one converges, which gives
+    t0; one more round from that root on the system of t0 * shape gives
+    t1 and t* = t0 t1 (path 'tune-margin-surface').  The second round
+    matters for an infinite family whose sums lie far below 1, where the
+    series' tail cut, taken against a total of at least 1, is too coarse;
+    a finite support starts it converged.  BoundaryNotFoundError when no
+    start converges.  The symmetric critical family is refused with
+    ValueError: it is critical at t* = 1 by construction.
     """
     if shape.family and shape.family[0] == "symmetric_critical":
         raise ValueError("the symmetric_critical family is critical at t* = 1 "
@@ -1154,8 +1138,13 @@ def tune_critical(shape: WeightSequence):
         return _tune_bipartite(shape)
     sys = _System(shape)
     lo, hi = _bounds(sys)
-    x, t0 = _surface_root(sys, _FOLD_STARTS, lo, hi)
-    x, t1 = _surface_root(_System(shape.scaled(t0)), [x], lo, hi)
+    found = _boundary(sys, _FOLD_STARTS, lo, hi)
+    if found is not None:
+        x, t0 = found
+        found = _boundary(_System(shape.scaled(t0)), [x], lo, hi)
+    if found is None:
+        raise BoundaryNotFoundError("no root of R1 and R2 on the margin surface")
+    x, t1 = found
     return _tuned(shape, t0 * t1, float(x[0]), math.tanh(x[1]),
                   "tune-margin-surface")
 

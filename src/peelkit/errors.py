@@ -17,8 +17,8 @@ class SolverFailureError(PeelkitError):
     """Root finding failed to converge; distinct from a not-admissible verdict.
 
     Raised when the series cannot be evaluated on any range of c, and
-    when no Newton start finds an admissible root although the fold point
-    shows admissible slack (R2 < 0 there).
+    when no Newton start finds an admissible root although the boundary
+    point shows admissible slack (a positive margin there).
     """
 
 

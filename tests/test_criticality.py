@@ -134,7 +134,7 @@ class TestSolve:
 
     def test_evaluation_count(self, monkeypatch):
         # the first start lands on the inadmissible mirror; the solver
-        # reflects it through the verdict's fold point at once instead of
+        # reflects it through the verdict's boundary point at once instead of
         # running the remaining starts first
         calls = []
         sums = criticality._System._sums
@@ -672,14 +672,23 @@ class TestTune:
         assert 0 < len(calls) <= 100
 
 
+# supports with one far degree: its q_{k+2} c^k overflows at the first
+# start's c = 2 sqrt(400), or every start lies far above the root
+FAR_DEGREE = [
+    {3: Fraction(1, 5), 6: Fraction(1, 4), 400: Fraction(1, 10**300)},
+    {3: Fraction(1, 1000), 200: Fraction(1, 10**100)},
+]
+
+
 class TestBeyondBoundary:
     @pytest.mark.parametrize("support", [
         {3: 1, 4: 1}, {3: 1}, {3: 1, 6: 1}, {3: 2, 5: 1, 7: 3}, {4: 1, 6: 1},
+        FAR_DEGREE[0],
     ])
     def test_not_admissible_not_raised(self, support):
-        # past the fold the two roots of (R1, R2) have merged: R2 is
-        # positive at the fold point (at the margin root in c for the
-        # bipartite support), and the verdict says so
+        # past the fold the two roots of (R1, R2) have merged: the margin
+        # is negative at the boundary point (R2 positive at the margin root
+        # in c for the bipartite support), and the verdict says so
         shape = WeightSequence({k: Fraction(v) for k, v in support.items()})
         t = tune_critical(shape)
         cd = solve_boltzmann(shape.scaled(1.1 * t.t_star))
@@ -693,9 +702,9 @@ class TestBeyondBoundary:
 
     def test_evaluation_count(self, monkeypatch):
         # the fold verdict answers after the first failed Newton start
-        # instead of running every start and a scan in r
-        shape = WeightSequence({3: Fraction(1), 4: Fraction(1)})
-        q = shape.scaled(1.1 * tune_critical(shape).t_star)
+        # instead of running every start and a scan in r, also where the
+        # input lies so far beyond the boundary that (R1, margin) at
+        # scale 1 has no root
         calls = []
         sums = criticality._System._sums
 
@@ -703,35 +712,64 @@ class TestBeyondBoundary:
             calls.append(1)
             return sums(self, *args)
 
-        monkeypatch.setattr(criticality._System, "_sums", counted)
-        assert solve_boltzmann(q).classification == "not_admissible"
-        assert 0 < len(calls) <= 2000
+        for support, s in (({3: 1, 4: 1}, 1.1), ({3: 1}, 2.0)):
+            shape = WeightSequence({k: Fraction(v) for k, v in support.items()})
+            q = shape.scaled(s * tune_critical(shape).t_star)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(criticality._System, "_sums", counted)
+                assert solve_boltzmann(q).classification == "not_admissible"
+            assert 0 < len(calls) <= 2000
+
+    @pytest.mark.parametrize("support", FAR_DEGREE)
+    @pytest.mark.parametrize("s", [0.9, 0.5])
+    def test_far_degree_below_the_boundary(self, support, s):
+        # the first start overflows or finds no root at all; the main
+        # Newton from the boundary point finds it
+        shape = WeightSequence(support)
+        q = shape.scaled(s * tune_critical(shape).t_star)
+        cd = solve_boltzmann(q)
+        assert cd.classification == "subcritical"
+        assert cd.margin > 0
+        assert abs(cd.residuals["R1"]) <= 1e-9
+        assert abs(cd.residuals["R2"]) <= 1e-9
 
     def test_no_fold_point_is_no_verdict_yet(self, monkeypatch):
-        # the first Newton start fails on this subcritical input; the fold
-        # point, found only from the fixed fold starts, has R2 < 0, so the
-        # remaining starts and the reflection run and find the root
+        # the first Newton start fails on this subcritical input; the
+        # verdict's boundary point has slack (t > 1), so the remaining
+        # starts and the reflection run and find the root
         shape = WeightSequence({3: Fraction(1, 3), 5: Fraction(2),
                                 8: Fraction(1, 3)})
         q = shape.scaled(0.5 * tune_critical(shape).t_star)
         folds = []
-        fold_point = criticality._fold_point
+        boundary = criticality._boundary
 
         def spied(*args):
-            folds.append(fold_point(*args))
+            folds.append(boundary(*args))
             return folds[-1]
 
-        monkeypatch.setattr(criticality, "_fold_point", spied)
+        monkeypatch.setattr(criticality, "_boundary", spied)
         cd = solve_boltzmann(q)
         # the first call is the verdict
-        assert folds[0] is not None and folds[0][1] < -1e-9
-        # from the solver's own starts alone the verdict finds no fold
-        # point, which must not end the solve either
+        assert folds[0] is not None and 1.0 - 1.0 / folds[0][1] > 1e-9
+        # from the solver's own starts alone the verdict finds the same
+        # boundary point
         monkeypatch.setattr(criticality, "_FOLD_STARTS", ())
         n = len(folds)
         cd_own = solve_boltzmann(q)
-        assert folds[n] is None
-        for data in (cd, cd_own):
+        assert folds[n] is not None
+        assert folds[n][1] == pytest.approx(folds[0][1], rel=1e-12)
+        # a verdict that finds no boundary point must not end the solve
+        calls = []
+
+        def none_first(*args):
+            calls.append(1)
+            return None if len(calls) == 1 else boundary(*args)
+
+        monkeypatch.setattr(criticality, "_boundary", none_first)
+        cd_none = solve_boltzmann(q)
+        assert calls
+        for data in (cd, cd_own, cd_none):
             assert data.classification == "subcritical"
             assert data.residuals["path"] == "newton"
             assert data.c_plus == pytest.approx(2.0857210399167836, rel=1e-12)
@@ -1059,44 +1097,54 @@ class TestExactJacobian:
     """Each Newton system returns its Jacobian with its values (lists of
     floats); every entry agrees with central differences of the values to
     1e-6 relative.  The points sit off the solutions, where no entry
-    vanishes."""
+    vanishes but those in zeros, which vanish identically: there both the
+    entry and its central difference read zero to rounding."""
 
     @staticmethod
-    def check(F, x):
+    def check(F, x, zeros=()):
         x = np.array(x, dtype=float)
         values, J = F(x)
         J = np.asarray(J)
         assert J.shape == (len(values), len(x))
         fd = central_jacobian(F, x)
-        assert np.all(np.abs(J - fd) <= 1e-6 * np.abs(J)), (J, fd)
+        live = np.ones(J.shape, dtype=bool)
+        for ij in zeros:
+            live[ij] = False
+            assert abs(J[ij]) <= 1e-15 and abs(fd[ij]) <= 1e-15, (J, fd)
+        assert np.all((np.abs(J - fd) <= 1e-6 * np.abs(J))[live]), (J, fd)
+
+    @staticmethod
+    def surface(sys):
+        """The tuner's and the verdict's (R1, R2) on the margin surface,
+        in (c, s)."""
+        def F(x):
+            r = math.tanh(x[1])
+            return criticality._in_cs(
+                criticality._on_margin(sys, float(x[0]), r)[0], r)
+
+        return F
 
     @pytest.mark.parametrize("name", ["tri", "geometric"])
-    def test_main_and_companion(self, name):
+    def test_main_and_surface(self, name):
         # geometric H = 3 has infinite support
         q = TRI if name == "tri" else preset("geometric", H=3.0).weights
         cd = solve_boltzmann(q)
         sys = criticality._System(q)
         x = (0.97 * cd.c_plus, math.atanh(cd.r) - 0.1)
         self.check(sys.main, x)
-        self.check(sys.companion, x)
+        # on the surface of a single degree, R1 = h(0, 2)/h(1, 2) - h(0, 1)
+        # does not depend on c
+        self.check(self.surface(sys), x, zeros=[(0, 0)] if name == "tri" else ())
 
     def test_tuned_three_degree_shape(self):
-        # main, companion and the tuner's (R1, R2) on the margin surface,
-        # all in (c, s)
+        # main and the (R1, R2) on the margin surface, in (c, s)
         shape = WeightSequence({3: Fraction(1, 3), 5: Fraction(2),
                                 8: Fraction(1, 3)})
         t = tune_critical(shape)
         x = (0.98 * t.data.c_plus, math.atanh(t.data.r) + 0.05)
         sys = criticality._System(shape.scaled(t.t_star))
         self.check(sys.main, x)
-        self.check(sys.companion, x)
-
-        def surface(x):
-            r = math.tanh(x[1])
-            return criticality._in_cs(
-                criticality._on_margin(sys, float(x[0]), r)[0], r)
-
-        self.check(surface, x)
+        self.check(self.surface(sys), x)
 
     def test_bipartite_bordered(self):
         # the bipartite tuner's G, R2 along the r = 1 margin curve, in c
@@ -1258,7 +1306,7 @@ PIN_TUNE_SHAPES = [
 ]
 # sha256 of solver_pin_text(), taken from the damped Newton on numpy
 # vectors; any change of one bit in an output changes it
-SOLVER_PIN = "7c8de59e16e9aa9d34bbfc61e056ef7e28b5a68bdb5c568485b6e3ae52a4a6eb"
+SOLVER_PIN = "42a527f029b63d8ff395b39807e3d240798cee81f8040ac9164a801ce2020922"
 
 
 def _pin_fields(cd):
@@ -1302,7 +1350,7 @@ def test_solver_outputs_pinned_bitwise():
 
 # sha256 of the repr of every MiermontReport field on MIERMONT_PIN_CASES,
 # taken from the check that accumulated its sums in a numpy vector
-MIERMONT_PIN = "fdb9578a022abbbfbf939aad8efddf603e9e30cd5dd129947c5f4d8f2f1991f6"
+MIERMONT_PIN = "8350d0d0049e576d47bc665f2f070cdf848ddb9442a8991b85520ed001e4eddd"
 MIERMONT_PIN_CASES = [
     ("symmetric_critical", {"r": 1.0, "a": math.pi / 4}),
     ("symmetric_critical", {"r": 0.5, "a": 0.6}),
