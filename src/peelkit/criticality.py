@@ -32,15 +32,13 @@ the boundary point), above it there is slack.  The answer is
 'fold-beyond' also when no boundary point is found and no Newton start
 gives an admissible root.  With slack the solver reflects the first
 inadmissible mirror root through the boundary point it already has.  A
-bipartite sequence takes the same verdict in one unknown
-(`_bipartite_fold`): at r = 1 the fold point is the root in c of the
-margin, which is positive at the smaller root of R2 and negative at the
-larger one, so R2 = 0 there means critical, R2 < 0 subcritical (the
-solution is the smaller root of R2, below the fold point) and R2 > 0
-'fold-beyond'.  The tuner solves the same surface system from fixed
-starts, or at r = 1 for a bipartite shape by a bracket walk and
-safeguarded Newton in c (`_tune_bipartite`), and reads t* = 1/M at the
-root.
+bipartite sequence sits at r = 1, where the surface is a curve and the
+boundary point (c_b, t_b) the root in c of R2 on it, found by a bracket
+walk and safeguarded Newton in c (`_bipartite_boundary`).  Its solver
+reads the same margin 1 - 1/t_b with the same tolerance; with slack the
+solution is the smaller root of R2, below c_b, where R2 = S2 (1 - t_b)
+< 0.  The tuner solves the surface system from fixed starts, or the
+curve for a bipartite shape, and reads t* = 1/M at the root.
 
 The series of a finite support are summed in plain floats over its few
 terms q_{k+2} c^k; those of an infinite family in one compiled pass
@@ -157,7 +155,7 @@ class _System:
     s = inf gives the bipartite r = 1.  It returns its values and exact
     Jacobian, as lists of floats, from one series pass.  The solver's and
     the tuner's other system, (R1, R2) on the margin surface, is
-    `_on_margin`'s.
+    `_on_margin`'s, and its R2 alone at r = 1 `_on_curve`'s.
 
     The series pass (`_sums`) takes one of two routes, chosen by the
     input alone.  A finite support is read once as Python lists and
@@ -263,16 +261,13 @@ class _System:
         h, _, ((s2, s2p, _),) = self._sums(c, r, 0, (2,))
         return 2.0 / c**2 + s2 - h[2], -4.0 / c**3 + s2p
 
-    def margin_and_prime(self, c, r=1.0):
-        """1 - sum_{l>=0} h(1, l+1) nu(l) and its c-derivative.
+    def margin(self, c, r):
+        """1 - sum_{l>=0} h(1, l+1) nu(l).
 
         The series starts at l = -1 like the others; h(1, 0) = 0.
         """
-        _, _, ((s, sp, _),) = self._sums(c, r, 1, (1,))
-        return 1.0 - s, -sp
-
-    def margin(self, c, r):
-        return self.margin_and_prime(c, r)[0]
+        _, _, ((s, _, _),) = self._sums(c, r, 1, (1,))
+        return 1.0 - s
 
     def main(self, x):
         """(F, J) of (R1, R2) at c = x[0], r = tanh(x[1]), J in (c, s),
@@ -488,35 +483,6 @@ def _classify_from(q, margin, tol=MARGIN_TOL):
     return "critical"
 
 
-def _margin_root(sys, x0, hi, cap):
-    """Root in c of the r = 1 margin, by safeguarded Newton from x0.
-
-    The upper end of the bracket doubles from hi (at most cap) until the
-    margin is <= 0 there; None when the margin is already <= 0 at the
-    floor or stays positive up to cap.
-    """
-    floor = sys.margin_and_prime(_C_FLOOR)[0]
-    if floor <= 0:
-        return None
-    hi = min(hi, cap)
-    while sys.margin_and_prime(hi)[0] > 0:
-        if hi >= cap:
-            return None
-        hi = min(2.0 * hi, cap)
-    return _newton_1d(sys.margin_and_prime, x0, _C_FLOOR, hi, flo=floor)
-
-
-def _bipartite_fold(sys):
-    """The point (c, root) where the r = 1 fold verdict reads the sign of
-    R2: the root in c of the margin (root True) under the cap of
-    `_bounds`; the cap itself (root False) when the margin has no root up
-    to it.
-    """
-    cap = _bounds(sys)[1][0]
-    c = _margin_root(sys, 2.5, 8.0, cap)
-    return (cap, False) if c is None else (c, True)
-
-
 def _beyond(g):
     """The answer beyond the admissibility boundary: no constants."""
     return _make_data(
@@ -526,31 +492,44 @@ def _beyond(g):
 
 
 def _solve_bipartite(q, sys, g):
-    # the margin is positive at the smaller root of R2 and negative at the
-    # larger one, so the sign of R2 at the margin root decides
-    c, root = _bipartite_fold(sys)
-    r2, r2p = sys.r2_and_prime(c)
-    if root and abs(r2) <= 1e-10:
+    # the margin of q at the boundary point is 1 - 1/t_b, read as on the
+    # general path; with slack R2 = S2 (1 - t_b) < 0 at c_b, so [floor, c_b]
+    # brackets the smaller root of R2 when R2 > 0 at the floor
+    try:
+        c, t = _bipartite_boundary(sys)
+    except BoundaryNotFoundError:
+        # the boundary scale lies below 1e-30: G tends to S2/M > 0 as c
+        # falls to 2, so the walk does not end at the floor
+        return _beyond(g)
+    if t is None:
+        # the boundary lies past the cap (a heavy tail puts it at the
+        # radius of convergence): only a root of R2 below the cap decides
+        r2 = sys.r2_and_prime(c)[0]
+        if not r2 < 0:
+            raise DivergentSeriesError(
+                f"R2 = {r2:.3g} and no boundary point up to c={c:.6g}, the "
+                "largest c where the series can be evaluated")
+    elif 1.0 - 1.0 / t < -MARGIN_TOL:
+        return _beyond(g)
+    elif 1.0 - 1.0 / t <= MARGIN_TOL:
         return _make_data(
             c, 1.0, 0.0, _classify_from(q, 0.0), g,
-            {"R1": 0.0, "R2": r2, "path": "bipartite-critical"},
+            {"R1": 0.0, "R2": sys.r2_and_prime(c)[0],
+             "path": "bipartite-critical"},
         )
-    if r2 < 0:
-        c_root = _newton_1d(sys.r2_and_prime, 0.5 * (_C_FLOOR + c), _C_FLOOR, c)
-        margin = sys.margin(c_root, 1.0)
-        return _make_data(
-            c_root, 1.0, margin, _classify_from(q, margin), g,
-            {"R1": 0.0, "R2": sys.r2_and_prime(c_root)[0],
-             "path": "bipartite-subcritical"},
-        )
-    if not root and r2p < 0 and c < sys.c_max:
-        # R2 may still turn negative past the range where the series can
-        # be evaluated, so the verdict is undecided
-        raise DivergentSeriesError(
-            f"R2 = {r2:.3g} and still decreasing at c={c:.6g}, the "
-            "largest c where the series can be evaluated"
-        )
-    return _beyond(g)
+    flo = sys.r2_and_prime(_C_FLOOR)[0]
+    if not flo > 0:
+        # c_+ = 2 + O(q) lies below the floor, which the general path's
+        # starts cannot pass either
+        raise SolverFailureError(f"c_+ lies below the floor: R2 = {flo:.3g} there")
+    c_root = _newton_1d(sys.r2_and_prime, 0.5 * (_C_FLOOR + c), _C_FLOOR, c,
+                        flo=flo)
+    margin = sys.margin(c_root, 1.0)
+    return _make_data(
+        c_root, 1.0, margin, _classify_from(q, margin), g,
+        {"R1": 0.0, "R2": sys.r2_and_prime(c_root)[0],
+         "path": "bipartite-subcritical"},
+    )
 
 
 def _max_abs(values):
@@ -701,6 +680,57 @@ def _boundary(sys, starts, lo, hi):
     return x, 1.0 / m
 
 
+def _on_curve(sys, c):
+    """G(c) = 2/c^2 + S2/M - h(0, 2), its c-derivative and t = 1/M at
+    (c, 1): R2 on the r = 1 margin curve of a bipartite shape, sys its
+    system; `_on_margin`'s R2 row at r = 1, where R1 vanishes, from two
+    passes without r-derivatives."""
+    h, _, ((s2, s2_c, _),) = sys._sums(c, 1.0, 0, (2,))
+    _, _, ((m, m_c, _),) = sys._sums(c, 1.0, 1, (1,))
+    return (2.0 / c**2 + s2 / m - h[2],
+            -4.0 / c**3 + (s2_c - s2 * m_c / m) / m, 1.0 / m)
+
+
+def _bipartite_boundary(sys):
+    """The r = 1 boundary point (c_b, t_b) of a bipartite sequence, sys
+    its system: the root c_b of G (`_on_curve`) and t_b = 1/M(c_b, 1);
+    (cap, None) when G is still positive at the cap of `_bounds`, where
+    the boundary is out of reach.
+
+    M grows in c, so t falls as c grows, and G is positive at the c of
+    scales above t_b and negative below.  The bracket walk starts at
+    c = 2.5, or the middle of a family's range when that lies below it,
+    and walks c - 2 by halves toward the floor while G <= 0, or by doubles
+    while G > 0 and t >= 1e-30, up to the cap; BoundaryNotFoundError when
+    it reaches the floor or t falls below 1e-30.  Safeguarded Newton then
+    finds the root inside the bracket, from a Newton step off the last
+    point, and one order-1 pass gives t_b there."""
+    cap = _bounds(sys)[1][0]
+    c = min(2.5, 0.5 * (2.0 + cap))
+    g, gp, t = _on_curve(sys, c)
+    below = g <= 0
+    while (g <= 0) == below:
+        c_prev, g_prev = c, g
+        if below:
+            c = 2.0 + 0.5 * (c - 2.0)
+            if c <= _C_FLOOR:
+                raise BoundaryNotFoundError(
+                    "weights remain admissible at huge scales")
+        elif c >= cap:
+            return cap, None
+        elif t < 1e-30:
+            raise BoundaryNotFoundError(
+                "no admissible scale found below the bracket")
+        else:
+            c = min(2.0 + 2.0 * (c - 2.0), cap)
+        g, gp, t = _on_curve(sys, c)
+    lo, hi, flo = (c, c_prev, g) if below else (c_prev, c, g_prev)
+    x0 = c - g / gp if gp != 0.0 else 0.5 * (lo + hi)
+    c = _newton_1d(lambda x: _on_curve(sys, x)[:2], x0, lo, hi, flo=flo)
+    _, _, ((m, _, _),) = sys._sums(c, 1.0, 1, (1,))
+    return c, 1.0 / m
+
+
 def _solve_general(q, sys, g, initial=None):
     lo, hi = _bounds(sys)
     starts = [_to_x(c0, r0) for c0, r0 in _start_points(q, sys)]
@@ -766,6 +796,12 @@ def _solve_general(q, sys, g, initial=None):
                 starts.insert(i + 1, 2.0 * point[0] - x)
 
     if fold is None:
+        if hi[0] < sys.c_max < math.inf:
+            # the root may lie past the clamp, where the tail will not certify
+            raise DivergentSeriesError(
+                f"no admissible root of (R1, R2) and no boundary point up to "
+                f"c={hi[0]:.6g}, the largest c where the series can be "
+                "evaluated")
         return _beyond(g)
     raise SolverFailureError(
         f"no admissible root of (R1, R2), yet the margin is {fold[1]:.3g} > 0 "
@@ -790,21 +826,28 @@ def solve_boltzmann(q: WeightSequence, g=1.0, initial=None):
     |margin| < 1e-5 found before any verdict is polished onto the
     boundary point when that point's margin is within MARGIN_TOL (path
     'newton+critical-polish'); after a verdict with slack it is not: the
-    input is not critical.  If every start fails, no boundary point
-    means 'not_admissible' ('fold-beyond'), so inputs beyond the
-    boundary never raise; SolverFailureError is left for a boundary
+    input is not critical.  If every start fails and no boundary point
+    is found, the answer is 'not_admissible' ('fold-beyond') when the
+    Newton clamp stands at the largest c the sequence allows (always for
+    a finite support), so inputs beyond the boundary never raise; where
+    the clamp lies below the radius of convergence, because the tail
+    will not certify above it, DivergentSeriesError names the clamp: the
+    root may lie past it.  SolverFailureError is left for a boundary
     point with slack where no start finds the root.  `initial` = (c, r)
     is tried before the fixed starts.
 
-    Bipartite inputs (r = 1) take the same sign verdict at the root in c
-    of the margin (`_bipartite_fold`): R2 = 0 there gives path
-    'bipartite-critical', R2 < 0 the smaller root of R2 (path
-    'bipartite-subcritical'), R2 > 0 'not_admissible' with path
-    'fold-beyond' and c, r NaN.  When the margin stays positive up to
-    the largest c where the series can be evaluated, R2 is read there;
-    DivergentSeriesError means R2 is still positive and decreasing at
-    that point, below the radius of convergence, so the verdict is
-    undecided.
+    Bipartite inputs (r = 1) read the same margin 1 - 1/t_b at the
+    boundary point (c_b, t_b) on the r = 1 margin curve
+    (`_bipartite_boundary`): below -MARGIN_TOL 'not_admissible' (path
+    'fold-beyond', c and r NaN), within MARGIN_TOL path
+    'bipartite-critical' at c_b, above it the smaller root of R2 in
+    [floor, c_b] (path 'bipartite-subcritical'; SolverFailureError when
+    R2 is not positive at the floor, where c_+ lies below it).  When R2
+    on the curve is still positive at the clamp, the boundary is out of
+    reach (a heavy tail puts it at the radius of convergence): a root of
+    R2 below the clamp is the subcritical answer, and without one
+    DivergentSeriesError names the clamp, since the verdict is undecided
+    there.
     """
     rep = validate(q)
     if not rep.ok:
@@ -1050,54 +1093,6 @@ class TuneResult:
     data: CriticalData
 
 
-def _tune_bipartite(shape):
-    """t* of a bipartite shape: the root c* of G, R2 on the margin
-    surface at r = 1 (`_on_margin`), then t* = 1/M(c*, 1).
-
-    M grows in c, so t falls as c grows, and G is negative (admissible
-    slack) at the c of scales below t* and positive above.  The bracket
-    starts where the solver's verdict would at t = 1, the margin root
-    (when there is none, c = 2.5 or the middle of a family's range below
-    it), and walks c - 2 by halves toward the floor while G <= 0, or by
-    doubles while G > 0, up to the cap of `_bounds` and down to scales of
-    1e-30; safeguarded Newton then finds the root inside it, from an end
-    where G > 0."""
-    sys = _System(shape)
-
-    def G(c):
-        (_, (g, gp, _)), t = _on_margin(sys, c, 1.0)
-        return g, gp, t
-
-    cap = _bounds(sys)[1][0]
-    c = _margin_root(sys, 2.5, 8.0, cap)
-    if c is None:
-        c = min(2.5, 0.5 * (2.0 + cap))
-    g, gp, t = G(c)
-    below = g <= 0
-    while (g <= 0) == below:
-        c_prev, g_prev = c, g
-        if below:
-            c = 2.0 + 0.5 * (c - 2.0)
-            if c <= _C_FLOOR:
-                raise BoundaryNotFoundError(
-                    "weights remain admissible at huge scales")
-        elif c >= cap:
-            raise BoundaryNotFoundError(
-                "no admissible scale found below the bracket")
-        else:
-            c = min(2.0 + 2.0 * (c - 2.0), cap)
-        g, gp, t = G(c)
-        if not below and t < 1e-30:
-            raise BoundaryNotFoundError(
-                "no admissible scale found below the bracket")
-    lo, hi, flo = (c, c_prev, g) if below else (c_prev, c, g_prev)
-    # a Newton step from the last point, which the bracket keeps
-    x0 = c - g / gp if gp != 0.0 else 0.5 * (lo + hi)
-    c = _newton_1d(lambda x: G(x)[:2], x0, lo, hi, flo=flo)
-    t_star = G(c)[2]
-    return _tuned(shape, t_star, c, 1.0, "tune-margin-root")
-
-
 def _tuned(shape, t_star, c, r, path):
     """The tuner's answer at (c, r) for the scale t_star, with R1 and R2
     read from the system of shape.scaled(t_star)."""
@@ -1114,9 +1109,10 @@ def tune_critical(shape: WeightSequence):
     R1, R2 and the margin of t * shape are linear in t, so the boundary
     point (c*, r*) lies on the margin surface t = 1/M(c, r), where R1 and
     R2 do not depend on the scale of the shape (`_on_margin`), and
-    t* = 1/M(c*, r*).  A bipartite shape sits at r = 1: t* follows from
-    the root in c of R2 there, found by a bracket walk in c and
-    safeguarded Newton (`_tune_bipartite`, path 'tune-margin-root').  Any
+    t* = 1/M(c*, r*).  A bipartite shape sits at r = 1: t* is the scale
+    at the solver's own boundary point on that curve, the root in c of R2
+    there, found by a bracket walk in c and safeguarded Newton
+    (`_bipartite_boundary`, path 'tune-margin-root').  Any
     other shape is tuned by the shared damped Newton on (R1, R2) on the
     surface in (c, s) (`_boundary`, which the solver's verdict shares),
     from each of `_FOLD_STARTS` in turn until one converges, which gives
@@ -1125,8 +1121,9 @@ def tune_critical(shape: WeightSequence):
     matters for an infinite family whose sums lie far below 1, where the
     series' tail cut, taken against a total of at least 1, is too coarse;
     a finite support starts it converged.  BoundaryNotFoundError when no
-    start converges.  The symmetric critical family is refused with
-    ValueError: it is critical at t* = 1 by construction.
+    start converges, or when the bipartite walk finds no boundary point.
+    The symmetric critical family is refused with ValueError: it is
+    critical at t* = 1 by construction.
     """
     if shape.family and shape.family[0] == "symmetric_critical":
         raise ValueError("the symmetric_critical family is critical at t* = 1 "
@@ -1135,7 +1132,11 @@ def tune_critical(shape: WeightSequence):
     if not rep.ok:
         raise ValueError(f"invalid shape: {rep.messages}")
     if shape.bipartite:
-        return _tune_bipartite(shape)
+        c, t_star = _bipartite_boundary(_System(shape))
+        if t_star is None:
+            raise BoundaryNotFoundError(
+                "no admissible scale found below the bracket")
+        return _tuned(shape, t_star, c, 1.0, "tune-margin-root")
     sys = _System(shape)
     lo, hi = _bounds(sys)
     found = _boundary(sys, _FOLD_STARTS, lo, hi)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peelkit import _native, criticality, hfun
-from peelkit.errors import DivergentSeriesError
+from peelkit.errors import DivergentSeriesError, SolverFailureError
 from peelkit.hfun import HCache
 from peelkit.criticality import (
     miermont_check,
@@ -151,8 +151,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("g,bound", [(1.0, 15), (0.9, 30)])
     def test_bipartite_evaluation_count(self, g, bound, monkeypatch):
-        # one margin root and the sign of R2 there decide a bipartite
-        # input; a subcritical one adds one Newton on R2
+        # one boundary point on the r = 1 margin curve and the margin of q
+        # there decide a bipartite input; a subcritical one adds one Newton
+        # on R2
         calls = []
         sums = criticality._System._sums
 
@@ -165,6 +166,14 @@ class TestSolve:
         assert cd.residuals["path"] == ("bipartite-critical" if g == 1.0
                                         else "bipartite-subcritical")
         assert 0 < len(calls) <= bound
+
+    @pytest.mark.parametrize("support", [{4: Fraction(1, 10**12)},
+                                         {3: Fraction(1, 10**12)}])
+    def test_root_below_the_floor_raises(self, support):
+        # c_+ = 2 + O(q) lies below the floor 2 + 1e-9 for weights this
+        # small; both parities refuse instead of answering another point
+        with pytest.raises(SolverFailureError):
+            solve_boltzmann(WeightSequence(support))
 
     def test_exact_jacobian_evaluation_count(self, monkeypatch):
         # the Jacobian comes with the residuals from one series pass per
@@ -183,10 +192,16 @@ class TestSolve:
 
 
 class TestDeformedHeavyTail:
-    """The bipartite solver on a deformed heavy-tailed family, whose tail
-    ratio puts c_max where the series cannot be materialized."""
+    """The solver on a deformed heavy-tailed family, whose tail ratio puts
+    c_max where the series cannot be materialized: its boundary sits at
+    the radius of convergence, past the largest c where the series can be
+    evaluated (the clamp of `_bounds`)."""
 
-    @pytest.mark.parametrize("g", [0.5, 0.9])
+    @staticmethod
+    def clamp(q, g):
+        return criticality._bounds(criticality._System(q.deformed(g)))[1][0]
+
+    @pytest.mark.parametrize("g", [0.5, 0.9, 0.99])
     def test_subcritical(self, g):
         q = preset("symmetric_critical", r=1.0, a=math.pi / 4).weights
         cd = solve_boltzmann(q, g=g)
@@ -196,13 +211,39 @@ class TestDeformedHeavyTail:
         assert cd.margin > 0.1
         # c_+(g) increases to sqrt(2 / nu(-2)) = sqrt(6) at g = 1
         assert 2.0 < cd.c_plus < math.sqrt(6.0)
+        pinned = {0.5: 2.107243151757946, 0.9: 2.287001585594778,
+                  0.99: 2.4038355150201505}[g]
+        assert cd.c_plus == pytest.approx(pinned, rel=1e-12, abs=0)
 
-    def test_undecidable_near_criticality_raises(self):
-        # R2 is still decreasing and positive at the edge of the tractable
-        # range: the solver cannot tell a critical from a subcritical point
+    @pytest.mark.parametrize("g", [0.999, 0.9999, 0.999999])
+    def test_undecidable_near_criticality_raises(self, g):
+        # the boundary lies past the clamp and R2 is still positive there:
+        # the solver cannot tell a critical from a subcritical point, and
+        # says where it stopped looking
         q = preset("symmetric_critical", r=1.0, a=math.pi / 4).weights
-        with pytest.raises(DivergentSeriesError):
-            solve_boltzmann(q, g=0.999999)
+        with pytest.raises(DivergentSeriesError,
+                           match=f"c={self.clamp(q, g):.6g}, the largest c"):
+            solve_boltzmann(q, g=g)
+
+    @pytest.mark.parametrize("g,c", [(0.5, 3.739963565377623),
+                                     (0.9, 3.846427275270941),
+                                     (0.95, 3.9096573625471143)])
+    def test_general_subcritical(self, g, c):
+        q = preset("symmetric_critical", r=0.5, a=0.5).weights
+        cd = solve_boltzmann(q, g=g)
+        assert (cd.classification, cd.residuals["path"]) == ("subcritical",
+                                                             "newton")
+        assert cd.c_plus == pytest.approx(c, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("g", [0.98, 0.99, 0.999, 0.9999, 0.999999])
+    def test_general_root_past_the_clamp_raises(self, g):
+        # a g < 1 deformation of a critical sequence is subcritical, but its
+        # root lies past the clamp, where no start and no boundary point
+        # can reach it: a refusal naming the clamp, not 'not_admissible'
+        q = preset("symmetric_critical", r=0.5, a=0.5).weights
+        with pytest.raises(DivergentSeriesError,
+                           match=f"c={self.clamp(q, g):.6g}, the largest c"):
+            solve_boltzmann(q, g=g)
 
 
 class TestClassify:
@@ -567,8 +608,8 @@ class TestTune:
         assert 0 < len(calls) <= 24
 
     def test_tiny_bipartite_weights(self):
-        # at t = 1 the margin of {4: 1e-20} stays positive up to the cap
-        # c = 1e9; the walk in c still finds t* = 1 / (12e-20)
+        # R2 on the margin curve does not depend on the scale of the
+        # shape, so the walk in c finds t* = 1 / (12e-20) as for {4: 1}
         t = tune_critical(WeightSequence({4: Fraction(1, 10**20)}))
         assert t.t_star == pytest.approx(10**20 / 12, rel=1e-12)
         assert t.data.c_plus == pytest.approx(2 * math.sqrt(2), rel=1e-12)
@@ -627,21 +668,21 @@ class TestTune:
         t = tune_critical(WeightSequence({2 * p: Fraction(1)}))
         assert abs(t.t_star - float(exact)) <= 2e-15 * float(exact)
 
-    def test_margin_root_count(self, monkeypatch):
-        # the bipartite verdict's margin root, on the boundary and beyond
-        # it: Newton returns on a converged step even when that step
+    def test_boundary_point_count(self, monkeypatch):
+        # the bipartite verdict's boundary point, on the boundary and
+        # beyond it: Newton returns on a converged step even when that step
         # rounds onto the end of its bracket, instead of falling back to
         # bisection and walking back to the same root
         shape = WeightSequence({6: Fraction(1), 8: Fraction(1)})
         t_star = tune_critical(shape).t_star
         calls = []
-        margin = criticality._System.margin_and_prime
+        sums = criticality._System._sums
 
         def counted(self, *args):
             calls.append(1)
-            return margin(self, *args)
+            return sums(self, *args)
 
-        monkeypatch.setattr(criticality._System, "margin_and_prime", counted)
+        monkeypatch.setattr(criticality._System, "_sums", counted)
         for s in (1.0, 1.1):
             calls.clear()
             solve_boltzmann(shape.scaled(s * t_star))
@@ -673,10 +714,13 @@ class TestTune:
 
 
 # supports with one far degree: its q_{k+2} c^k overflows at the first
-# start's c = 2 sqrt(400), or every start lies far above the root
+# start's c = 2 sqrt(400), or every start lies far above the root; the
+# bipartite two overflow at any large c a verdict might read
 FAR_DEGREE = [
     {3: Fraction(1, 5), 6: Fraction(1, 4), 400: Fraction(1, 10**300)},
     {3: Fraction(1, 1000), 200: Fraction(1, 10**100)},
+    {4: Fraction(1, 5), 400: Fraction(1, 10**300)},
+    {4: Fraction(1, 20), 200: Fraction(1, 10**100)},
 ]
 
 
@@ -725,7 +769,8 @@ class TestBeyondBoundary:
     @pytest.mark.parametrize("s", [0.9, 0.5])
     def test_far_degree_below_the_boundary(self, support, s):
         # the first start overflows or finds no root at all; the main
-        # Newton from the boundary point finds it
+        # Newton from the boundary point finds it (a bipartite support
+        # takes the smaller root of R2 below its boundary point)
         shape = WeightSequence(support)
         q = shape.scaled(s * tune_critical(shape).t_star)
         cd = solve_boltzmann(q)
@@ -733,6 +778,17 @@ class TestBeyondBoundary:
         assert cd.margin > 0
         assert abs(cd.residuals["R1"]) <= 1e-9
         assert abs(cd.residuals["R2"]) <= 1e-9
+
+    @pytest.mark.parametrize("support", FAR_DEGREE)
+    @pytest.mark.parametrize("s", [1.0, 1.1, 2.0, 3.0])
+    def test_far_degree_on_and_beyond_the_boundary(self, support, s):
+        # the far degree's terms overflow at the large c where a scale 1
+        # verdict could look; the boundary point does not depend on the
+        # scale, so every scale gets its answer
+        shape = WeightSequence(support)
+        cd = solve_boltzmann(shape.scaled(s * tune_critical(shape).t_star))
+        assert cd.classification == ("regular_critical" if s == 1.0
+                                     else "not_admissible")
 
     def test_no_fold_point_is_no_verdict_yet(self, monkeypatch):
         # the first Newton start fails on this subcritical input; the
@@ -1153,11 +1209,24 @@ class TestExactJacobian:
         sys = criticality._System(shape)
 
         def F(x):
-            (_, (g, gp, _)), _ = criticality._on_margin(sys, float(x[0]), 1.0)
+            g, gp, _ = criticality._on_curve(sys, float(x[0]))
             return [g], [[gp]]
 
         for c in (0.98 * t.data.c_plus, 1.3 * t.data.c_plus):
             self.check(F, (c,))
+
+    @pytest.mark.parametrize("q", [
+        WeightSequence({4: Fraction(1), 6: Fraction(1)}),
+        preset("two_p_angulation", p=3).weights,
+        preset("symmetric_critical", r=1.0, a=math.pi / 4).weights.deformed(0.9),
+    ])
+    def test_curve_is_the_surface_at_r_one(self, q):
+        # the lean curve passes give the R2 row of the surface system at
+        # r = 1 and its scale, bit for bit
+        sys = criticality._System(q)
+        for c in (2.2, 2.4):
+            rows, t = criticality._on_margin(sys, c, 1.0)
+            assert criticality._on_curve(sys, c) == (*rows[1][:2], t)
 
 
 # -- pinned solver survey --------------------------------------------------
@@ -1306,7 +1375,7 @@ PIN_TUNE_SHAPES = [
 ]
 # sha256 of solver_pin_text(), taken from the damped Newton on numpy
 # vectors; any change of one bit in an output changes it
-SOLVER_PIN = "42a527f029b63d8ff395b39807e3d240798cee81f8040ac9164a801ce2020922"
+SOLVER_PIN = "00922c9ac6325e4b994c13b881d09f6dc44087573db8db6f97e621c8a211bc8f"
 
 
 def _pin_fields(cd):
@@ -1350,7 +1419,7 @@ def test_solver_outputs_pinned_bitwise():
 
 # sha256 of the repr of every MiermontReport field on MIERMONT_PIN_CASES,
 # taken from the check that accumulated its sums in a numpy vector
-MIERMONT_PIN = "8350d0d0049e576d47bc665f2f070cdf848ddb9442a8991b85520ed001e4eddd"
+MIERMONT_PIN = "a9d64bcfe995beadf4ee0c6b9bbc7af8d681879a52e97cd88ea00c143cf308db"
 MIERMONT_PIN_CASES = [
     ("symmetric_critical", {"r": 1.0, "a": math.pi / 4}),
     ("symmetric_critical", {"r": 0.5, "a": 0.6}),
