@@ -1,9 +1,17 @@
 """The package's compiled loops: one C source, one cached shared library.
 
-The library holds five loops, each a copy of a numpy or Python loop that
+The library holds six loops, each a copy of a numpy or Python loop that
 stays in the package as the fallback and the test reference:
 
-* ``h_recurrence``, the float h recurrence of `hfun._recurrence_py`;
+* ``h_recurrence_rows``, the float h recurrence of
+  `hfun._recurrence_rows_py` for one or more orders, resumed at any index
+  (the coefficients read the absolute index) and stepped two orders side
+  by side, so that their divisions overlap; ``h_recurrence`` is its one
+  order grown in place (`hfun._recurrence_py`), and a `hfun.TableStream`
+  reads a heavy-tailed law's h past its range through it;
+* ``lattice_sums``, the running sums of h times the model terms on a
+  heavy-tailed law's tail lattice, `walk._lattice_sums_py`'s np.cumsum
+  added in a register;
 * ``series_sums``, an infinite family's solver series of
   `criticality._series_py`: its terms from the weight cache, the h
   recurrence and its r-derivative alongside, the sums per shift and the
@@ -66,7 +74,8 @@ version and its static library's path, size and mtime, and loaded with
 ctypes; a compile removes the user's older compiled libraries there but
 the KEEP_LIBRARIES newest (`_prune`).  On loading, the compiled loops are
 compared with their references on small fixed inputs (`_self_check`): the
-h recurrence, the series pass on synthetic weights, then the row fill
+h recurrence grown in place and resumed mid-table for three orders, the
+lattice sums, the series pass on synthetic weights, then the row fill
 with its guide cells, the lockstep loop and the block rounds on synthetic
 laws, whose fixed uniforms lie on the cuts of each kind of stacked row the
 chain loops draw from, on the edges of their guide cells and on band
@@ -156,17 +165,86 @@ void gamma_fill(bitgen_t *bg, double shape, double scale, long long n,
         out[i] = random_gamma(bg, shape, scale);
 }
 
+/* one step of the order-k recurrence at ratio r: a_{j+1} from a_j = p1
+   and a_{j-1} = p2, with one_m_r = 1 - r */
+static inline double h_step(double p1, double p2, long long j, long long k,
+                            double r, double one_m_r)
+{
+    double a = one_m_r * ((double)j + 0.5) + (double)k;
+    double b = r * (double)(j + k);
+    return (a * p1 + b * p2) / (double)(j + 1);
+}
+
+/* The order-ks[i] recurrences at ratio r (i < m), resumed at the absolute
+   index j: row i, the n entries from rows + i * stride, gets a_{j+1}, ...,
+   a_{j+n} of its order from prev[2i] = a_{j-1} and prev[2i+1] = a_j,
+   which end as the row's last two entries.  Orders run two at a time in
+   one loop, so that their divisions overlap; an entry's double operations
+   do not depend on the pairing. */
+void h_recurrence_rows(double *rows, long long stride, double *prev,
+                       const long long *ks, long long m, long long j,
+                       long long n, double r)
+{
+    double one_m_r = 1.0 - r;
+    long long i = 0;
+    for (; i + 1 < m; i += 2) {
+        double *u = rows + i * stride, *w = u + stride;
+        double u2 = prev[2 * i], u1 = prev[2 * i + 1];
+        double w2 = prev[2 * i + 2], w1 = prev[2 * i + 3];
+        for (long long t = 0; t < n; t++) {
+            double vu = h_step(u1, u2, j + t, ks[i], r, one_m_r);
+            double vw = h_step(w1, w2, j + t, ks[i + 1], r, one_m_r);
+            u[t] = vu;
+            w[t] = vw;
+            u2 = u1;
+            u1 = vu;
+            w2 = w1;
+            w1 = vw;
+        }
+        prev[2 * i] = u2;
+        prev[2 * i + 1] = u1;
+        prev[2 * i + 2] = w2;
+        prev[2 * i + 3] = w1;
+    }
+    if (i < m) {
+        double *u = rows + i * stride, u2 = prev[2 * i], u1 = prev[2 * i + 1];
+        for (long long t = 0; t < n; t++) {
+            double vu = h_step(u1, u2, j + t, ks[i], r, one_m_r);
+            u[t] = vu;
+            u2 = u1;
+            u1 = vu;
+        }
+        prev[2 * i] = u2;
+        prev[2 * i + 1] = u1;
+    }
+}
+
+/* out[start+1 .. size-1] from out[start-1] and out[start]: one row of
+   h_recurrence_rows, in place */
 void h_recurrence(double *out, long long start, long long size, double r,
                   long long k)
 {
-    double one_m_r = 1.0 - r, p2 = out[start - 1], p1 = out[start];
-    for (long long j = start; j < size - 1; j++) {
-        double a = one_m_r * ((double)j + 0.5) + (double)k;
-        double b = r * (double)(j + k);
-        double v = (a * p1 + b * p2) / (double)(j + 1);
-        out[j + 1] = v;
-        p2 = p1;
-        p1 = v;
+    double prev[2] = {out[start - 1], out[start]};
+    if (size > start + 1)
+        h_recurrence_rows(out + start + 1, 0, prev, &k, 1, start,
+                          size - start - 1, r);
+}
+
+/* Running sums of lattice products, as walk._lattice_sums_py: for each
+   p < n_p, s[p] += h[off[p] + i * lattice] * w[i] for i < n in turn,
+   written to out[p * stride + i]; s carries the sums from call to call. */
+void lattice_sums(const double *h, const long long *off, long long n_p,
+                  long long lattice, const double *w, long long n, double *s,
+                  double *out, long long stride)
+{
+    for (long long p = 0; p < n_p; p++) {
+        const double *hp = h + off[p];
+        double acc = s[p], *o = out + p * stride;
+        for (long long i = 0; i < n; i++) {
+            acc = acc + hp[i * lattice] * w[i];
+            o[i] = acc;
+        }
+        s[p] = acc;
     }
 }
 
@@ -1324,6 +1402,10 @@ def _open(path):
     lib.gamma_fill.restype = None
     lib.h_recurrence.argtypes = [_P, _LL, _LL, ctypes.c_double, _LL]
     lib.h_recurrence.restype = None
+    lib.h_recurrence_rows.argtypes = [_P, _LL, _P, _P] + [_LL] * 3 + [ctypes.c_double]
+    lib.h_recurrence_rows.restype = None
+    lib.lattice_sums.argtypes = [_P, _P, _LL, _LL, _P, _LL, _P, _P, _LL]
+    lib.lattice_sums.restype = None
     lib.series_sums.argtypes = [ctypes.POINTER(Series)]
     lib.series_sums.restype = _LL
     lib.fill_rows.argtypes = [_P, _P, _P, _LL, _P, _LL, _LL, _LL, ctypes.c_int32, _P, _P]
@@ -1340,11 +1422,12 @@ def _self_check(lib):
     """None when every compiled loop gives exactly its reference's output
     on small fixed inputs, else which one differs.  The compiler is not
     ours, so no draw and no table may depend on what it made of the
-    source.  The h recurrence and the series pass are checked first, then
-    the row fill, the lockstep loop and the block rounds against the numpy
-    fill and the Python and numpy loops, which draw with numpy alone.  The
-    check calls lib directly and never `library()`."""
-    from . import criticality, hfun, peeling   # the references
+    source.  The h recurrence, the lattice sums and the series pass are
+    checked first, then the row fill, the lockstep loop and the block
+    rounds against the numpy fill and the Python and numpy loops, which
+    draw with numpy alone.  The check calls lib directly and never
+    `library()`."""
+    from . import criticality, hfun, peeling, walk   # the references
 
     for r, k in ((0.37, -3), (-0.999999, 4), (1.0, 1)):
         tabs = []
@@ -1356,6 +1439,35 @@ def _self_check(lib):
             tabs.append(out.tobytes())
         if tabs[0] != tabs[1]:
             return "compiled h recurrence differs from the Python loop"
+    # the rows entry resumed at j = 40: a pair of orders and a single
+    # one, written past a row's first column
+    ks = np.array([-3, 4, 1], dtype=np.int64)
+    for r in (0.37, 1.0):
+        outs = []
+        for fill in (lambda rows, prev: lib.h_recurrence_rows(
+                         address(rows) + 8, 101, address(prev), address(ks),
+                         3, 40, 100, r),
+                     lambda rows, prev: hfun._recurrence_rows_py(
+                         rows[:, 1:], prev, ks, 40, r)):
+            rows = np.zeros((3, 101))
+            prev = np.array([hfun.recurrence_list(r, int(k), 41)[-2:]
+                             for k in ks])
+            fill(rows, prev)
+            outs.append(rows.tobytes() + prev.tobytes())
+        if outs[0] != outs[1]:
+            return "compiled h recurrence differs from the Python loop"
+    # the lattice sums on rows of a window with a row stride, from carried
+    # sums, against np.cumsum's
+    h = 1.0 / np.sqrt(np.arange(3.0, 63.0)).reshape(2, 30)
+    w = np.sin(np.arange(1.0, 13.0))
+    sums = []
+    for which in (lib, None):
+        carry, out = np.array([-0.0, 0.5, -2.0]), np.zeros((3, 14))
+        walk._lattice_sums(h[:, 1:], [1, 0, 1], [0, 2, 5], 2, w, carry, out,
+                           which)
+        sums.append(out.tobytes() + carry.tobytes())
+    if sums[0] != sums[1]:
+        return "compiled lattice sums differ from the numpy sums"
     if not criticality._same_series(lib):
         return "compiled series sums differ from the Python pass"
     return peeling._same_lockstep(lib) or peeling._same_blocks(lib)

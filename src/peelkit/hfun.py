@@ -54,6 +54,12 @@ once.  The tables are read-only; growth replaces a table by a longer one
 whose prefix is bit-identical, so an array obtained earlier stays valid.
 A cache keeps the store it was built with when its ratio leaves the LRU.
 Exact caches keep their own tables, per instance.
+
+A sum that reads h far past anything else does, such as a heavy-tailed
+law's tail sums to l = 2^18 (`walk`), reads it through a `TableStream`
+instead: the recurrence resumed from two entries of the shared tables and
+run forward a window at a time, several orders in one pass, with nothing
+written to the store.  Its entries are the doubles the store would hold.
 """
 
 from __future__ import annotations
@@ -255,19 +261,82 @@ class HCache:
 
 def _recurrence_py(out, start, size, r, k):
     """Fill out[start+1:size] from out[start-1] and out[start] by the
-    order-k recurrence at ratio r, over a chunk of numpy-made coefficients
-    at a time."""
+    order-k recurrence at ratio r: one row of `_recurrence_rows_py`."""
+    prev = np.array([out[start - 1 : start + 1]])
+    _recurrence_rows_py(out[None, start + 1 : size], prev, (k,), start, r)
+
+
+def _recurrence_rows_py(rows, prev, ks, j, r):
+    """The compiled ``h_recurrence_rows`` in Python: row i of rows gets
+    h(k, k+j+1+t) for k = ks[i] and every column t, from prev[i] =
+    (h(k, k+j-1), h(k, k+j)), which end as the row's last two entries.
+    The coefficients, read off the absolute index, are made with numpy a
+    chunk at a time."""
     one_m_r = 1.0 - r
-    prev2 = float(out[start - 1])
-    prev1 = float(out[start])
-    for lo in range(start, size - 1, _CHUNK):
-        j = np.arange(lo, min(lo + _CHUNK, size - 1))
-        vals = []
-        for a, b, d in zip((one_m_r * (j + 0.5) + k).tolist(),
-                           (r * (j + k)).tolist(), (j + 1).tolist()):
-            prev2, prev1 = prev1, (a * prev1 + b * prev2) / d
-            vals.append(prev1)
-        out[lo + 1 : lo + 1 + len(vals)] = vals
+    n = rows.shape[1]
+    for row, p, k in zip(rows, prev, ks):
+        prev2, prev1 = float(p[0]), float(p[1])
+        for lo in range(j, j + n, _CHUNK):
+            jj = np.arange(lo, min(lo + _CHUNK, j + n))
+            vals = []
+            for a, b, d in zip((one_m_r * (jj + 0.5) + k).tolist(),
+                               (r * (jj + k)).tolist(), (jj + 1).tolist()):
+                prev2, prev1 = prev1, (a * prev1 + b * prev2) / d
+                vals.append(prev1)
+            row[lo - j : lo - j + len(vals)] = vals
+        p[:] = prev2, prev1
+
+
+def _fill_rows(buf, col, prev, ks, j, r):
+    """`_recurrence_rows_py` on the rows buf[:, col:], by the compiled loop
+    when it is loaded: buf a C-contiguous float64 array with a row per
+    order, prev one of shape (len(ks), 2), ks an int64 array."""
+    lib = _native.library()[0]
+    if lib is None:
+        _recurrence_rows_py(buf[:, col:], prev, ks, j, r)
+    elif col < buf.shape[1]:
+        lib.h_recurrence_rows(_native.address(buf) + 8 * col, buf.shape[1],
+                              _native.address(prev), _native.address(ks),
+                              len(ks), j, buf.shape[1] - col, r)
+
+
+class TableStream:
+    """The float tables of some orders at one ratio, read forward in
+    windows past index j, without growing the ratio's shared store.
+
+    `window(lo, hi)` gives rows[i] = T[lo:hi] of the table T of order
+    orders[i] (T[j] = h(k, k+j), as `HCache.table`), for j < lo and for lo
+    and hi that never decrease from one call to the next.  The entries come
+    from the recurrence resumed from T[j-1] and T[j] of the shared tables,
+    as `HCache._grow_float` resumes a table, a block per window: the
+    compiled loop steps the orders side by side, or its Python twin runs;
+    both give the doubles the shared tables would hold there.  Only the
+    current window is kept, so a stream read to 2^18 entries holds a
+    window's worth of them.
+    """
+
+    def __init__(self, r, orders, j):
+        cache = shared_cache(r)
+        self.r = cache.r
+        self.ks = np.array(orders, dtype=np.int64)
+        self._prev = np.array([cache.table(k, k + j)[j - 1 : j + 1]
+                               for k in orders])
+        # the entries kept, T[self._lo:] of each order
+        self._lo = j + 1
+        self._rows = np.empty((len(orders), 0))
+
+    def window(self, lo, hi):
+        have = self._lo + self._rows.shape[1]
+        if hi > have:
+            # the entries kept from the last window, then the new ones; the
+            # last window goes first, so that one window is held at a time
+            keep = min(lo, have)
+            self._rows = self._rows[:, keep - self._lo :].copy()
+            rows = np.empty((len(self.ks), hi - keep))
+            rows[:, : have - keep] = self._rows
+            _fill_rows(rows, have - keep, self._prev, self.ks, have - 1, self.r)
+            self._rows, self._lo = rows, keep
+        return self._rows[:, lo - self._lo : hi - self._lo]
 
 
 def recurrence_list(r, k, size):

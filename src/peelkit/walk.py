@@ -16,7 +16,13 @@ prescribed directly through its characteristic function
 phi(theta) = 1 - 2 a sqrt(1 + r^2 + 2 r cos theta) |sin(theta/2)|.  Its
 coefficients nu(0..K) come from one numpy pass (`symmetric_nu_table`): an
 rfft for the Fourier coefficients of the square root, convolved with the
-exact ones of |sin(theta/2)|; r = 1 has a closed form.
+exact ones of |sin(theta/2)|; r = 1 has a closed form.  Its tail is heavy,
+nu(k) ~ c2 / k^2, so its admissibility margin and the harmonicity residuals
+of h(0, .) and h(1, .) sum a fitted tail model against h out to l = 2^18
+and extrapolate the rest.  Those sums run in one streamed pass of 8192
+lattice points at a time (`_heavy_positive_sums`), with h from a
+`hfun.TableStream`: no h table past the law's range is stored, and the
+doubles are those of one cumulative sum over the whole lattice.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _native
 from .errors import InconsistentCriticalityError, RangeError
-from .hfun import HCache, shared_cache
-from .seriesutil import extrapolated_partial_sums
+from .hfun import HCache, TableStream, shared_cache
+from .seriesutil import checkpoint_indices, extrapolate_checkpoints
 from .weights import StepLawPositive
 
 DEFAULT_K_NEG = 512
@@ -460,88 +467,141 @@ def symmetric_family(r, a, k_pos=512) -> StepLaw:
         family=("symmetric_critical", {"r": r, "a": a}),
         heavy_tail=True,
     )
-    # the tail fit, its lattice and model terms serve all three sums; the
-    # shared tables are read in place, h(1, l + 1) at index l of order 1's
-    tail = _heavy_tail(law)
-    cache = law.hcache()
-    law.margin = 1.0 - _heavy_renewal_sum(
-        law, cache.table(1, _HEAVY_H_LEN), 0, tail)
-    h = cache.table(0, _HEAVY_H_LEN)
+    # one tail fit and one streamed pass per order of h serve all three
+    # sums: the margin's h(1, l + 1) and the residuals' h(0, l + k)
+    positive = _heavy_positive_sums(law, _heavy_tail(law),
+                                    ((1, 1), (0, 1), (0, 2)))
+    law.margin = 1.0 - (float(law.probs[law.k_neg]) * law.hcache().value(1, 1)
+                        + positive[0])
     law.residuals = {
-        "harmonic_h0_k1": _heavy_residual(law, h, 0, 1, tail),
-        "harmonic_h0_k2": _heavy_residual(law, h, 0, 2, tail),
+        "harmonic_h0_k1": _heavy_residual(law, 0, 1, positive[1]),
+        "harmonic_h0_k2": _heavy_residual(law, 0, 2, positive[2]),
     }
     return law
 
 
-def _heavy_tail_model(law):
-    """(c2, c4, lattice): the fit nu(l) ~ c2/l^2 + c4/l^4 on the outer
-    materialized window, and the lattice of the law's support."""
-    k_hi = law.k_pos
-    k_lo = max(k_hi // 2, 8)
+# a heavy-tailed law's tail sums run over the lattice points below
+# _TAIL_END, _TAIL_CHUNK of them at a time
+_TAIL_END = 1 << 18
+_TAIL_CHUNK = 8192
+
+
+def _heavy_tail(law):
+    """(start, lattice, c2, c4): the fit nu(l) ~ c2/l^2 + c4/l^4 on the
+    outer materialized window, the lattice of the law's support and its
+    first point past the materialized law."""
+    K = law.k_pos
     ks, vs = [], []
-    for k in range(k_lo, k_hi + 1):
+    for k in range(max(K // 2, 8), K + 1):
         v = float(law.probs[k + law.k_neg])
         if v > 0:
             ks.append(k)
             vs.append(v)
     ks = np.asarray(ks, dtype=float)
-    vs = np.asarray(vs)
     A = np.vstack([ks**-2.0, ks**-4.0]).T
-    c2, c4 = np.linalg.lstsq(A, vs, rcond=None)[0]
+    c2, c4 = np.linalg.lstsq(A, np.asarray(vs), rcond=None)[0]
     lattice = 2 if law.r == 1.0 else 1
-    return c2, c4, lattice
-
-
-def _heavy_tail(law):
-    """(start, model terms, lattice): the fitted tail model's nu(l)
-    (`_heavy_tail_model`) on the lattice points l = start, start +
-    lattice, ... below 2^18, past the materialized law."""
-    c2, c4, lattice = _heavy_tail_model(law)
-    K = law.k_pos
     start = K + lattice - (K % lattice) if K % lattice else K + lattice
-    # c2 l^-2 + c4 l^-4, in place over two arrays
-    l = np.arange(start, 1 << 18, lattice, dtype=float)
-    terms = np.power(l, -2.0)
-    terms *= c2
+    return start, lattice, c2, c4
+
+
+def _heavy_positive_sums(law, tail, pairs):
+    """[sum_{l >= 1} h(o, l + k) nu(l) for (o, k) in pairs] of a
+    heavy-tailed law: a direct sum over the materialized law, then the
+    tail of `_heavy_tail`, the model's nu(l) on the lattice points l =
+    start, start + lattice, ... below _TAIL_END, extrapolated from its
+    partial sums (`extrapolated_partial_sums`).
+
+    The tail is one pass of _TAIL_CHUNK lattice points at a time: the
+    model terms (numpy's power, whose SIMD doubles differ from libm's pow
+    in the last bit for some l), each order's h from one `TableStream`,
+    which stores no table past the law's range, and the running sums of
+    `_lattice_sums`, carried from chunk to chunk.  Only the partial sums
+    the extrapolation reads are kept: the doubles of one cumulative sum
+    over the whole lattice, which also ends at the last of them.
+    """
+    start, lattice, c2, c4 = tail
+    K = law.k_pos
+    cache = law.hcache()
+    nu = law.probs[law.k_neg + 1 : law.k_neg + K + 1]
+    direct = [float(np.add.reduce(cache.array(o, K + k)[1 + k :] * nu))
+              for o, k in pairs]
+    orders = sorted({o for o, _ in pairs})
+    rows = [orders.index(o) for o, _ in pairs]
+    # h(o, l + k) sits at index l + k - o of order o's table
+    shifts = [k - o for o, k in pairs]
+    lo, hi = min(shifts), max(shifts)
+    cols = [s - lo for s in shifts]
+    stream = TableStream(law.r, orders, start + lo - 1)
+    lib = _native.library()[0]
+    idx = checkpoint_indices(len(range(start, _TAIL_END, lattice)), 4)
+    stop = max(idx) + 1
+    carry = np.full(len(pairs), -0.0)   # -0.0 + x is x for every x
+    sums = np.empty((len(pairs), _TAIL_CHUNK))
+    kept = np.empty((len(pairs), len(idx)))
+    for i0 in range(0, stop, _TAIL_CHUNK):
+        n = min(_TAIL_CHUNK, stop - i0)
+        l0 = start + i0 * lattice
+        span = (n - 1) * lattice + 1
+        # no window or model terms outlive the call, so that the next
+        # chunk's are made with only these freed
+        _lattice_sums(stream.window(l0 + lo, l0 + hi + span), rows, cols,
+                      lattice, _tail_model(l0, span, lattice, c2, c4), carry,
+                      sums, lib)
+        for j, i in enumerate(idx):
+            if i0 <= i < i0 + n:
+                kept[:, j] = sums[:, i - i0]
+    return [d + extrapolate_checkpoints(ss, idx, float(start), float(lattice))[0]
+            for d, ss in zip(direct, kept)]
+
+
+def _tail_model(l0, span, lattice, c2, c4):
+    """c2 l^-2 + c4 l^-4 at l = l0, l0 + lattice, ... below l0 + span, in
+    place over two arrays."""
+    l = np.arange(l0, l0 + span, lattice, dtype=float)
+    model = np.power(l, -2.0)
+    model *= c2
     tail4 = np.power(l, -4.0, out=l)
     tail4 *= c4
-    terms += tail4
-    return start, terms, lattice
+    model += tail4
+    return model
 
 
-def _heavy_positive_sum(law, h_array, k_shift, tail):
-    """sum_{l >= 1} h[l + k_shift] nu(l) with tail acceleration over the
-    tail of `_heavy_tail`."""
-    start, model_terms, lattice = tail
-    K = law.k_pos
-    direct = float(np.add.reduce(h_array[1 + k_shift : K + 1 + k_shift]
-                                 * law.probs[law.k_neg + 1 : law.k_neg + K + 1]))
-    lo = start + k_shift
-    terms = h_array[lo : lo + lattice * len(model_terms) : lattice] * model_terms
-    rest, _err = extrapolated_partial_sums(np.cumsum(terms, out=terms), float(start),
-                                           float(lattice))
-    return direct + rest
+def _lattice_sums_py(h, rows, cols, lattice, w, carry, out):
+    """out[p, i] = carry[p] + sum_{i' <= i} h[rows[p], cols[p] + i' lattice]
+    w[i'] for i < len(w), summed in turn as np.cumsum does; carry[p] ends
+    as the last of them."""
+    n = len(w)
+    for p, (row, col) in enumerate(zip(rows, cols)):
+        terms = h[row, col : col + (n - 1) * lattice + 1 : lattice] * w
+        terms[0] += carry[p]
+        np.cumsum(terms, out=out[p, :n])
+        carry[p] = out[p, n - 1]
 
 
-_HEAVY_H_LEN = (1 << 18) + 64
+def _lattice_sums(h, rows, cols, lattice, w, carry, out, lib):
+    """`_lattice_sums_py`'s sums, by the compiled ``lattice_sums`` when lib
+    is the loaded library (it adds in a register, where np.cumsum stores
+    and reloads each sum): the same doubles.  h and out are float64 arrays
+    whose rows are contiguous, w and carry contiguous float64 arrays."""
+    if lib is None:
+        _lattice_sums_py(h, rows, cols, lattice, w, carry, out)
+        return
+    off = np.array(rows, dtype=np.int64) * (h.strides[0] // 8) + cols
+    lib.lattice_sums(h.ctypes.data, _native.address(off), len(rows), lattice,
+                     _native.address(w), len(w), _native.address(carry),
+                     out.ctypes.data, out.strides[0] // 8)
 
 
-def _heavy_renewal_sum(law, h, shift, tail):
-    """sum_{l>=0} h[l+shift] nu(l) for heavy-tailed symmetric laws, h one
-    order of h read past 2^18 + shift."""
-    total = float(law.probs[law.k_neg]) * h[shift]  # l = 0 term
-    total += _heavy_positive_sum(law, h, shift, tail)
-    return total
-
-
-def _heavy_residual(law, h, order, k, tail):
-    """`harmonic_residual` of a heavy-tailed law, h the order's array (h[m]
-    = h(order, m), zero below the order) read past 2^18 + k."""
-    ls = np.arange(max(order - k, -law.k_neg), 0)
+def _heavy_residual(law, order, k, positive):
+    """`harmonic_residual` of a heavy-tailed law, given its positive side
+    sum_{l >= 1} h(order, l + k) nu(l) (`_heavy_positive_sums`)."""
+    h = law.hcache().array(order, k)
+    # h(order, m) read at m >= 0, where `HCache.array` holds it
+    ls = np.arange(max(max(order, 0) - k, -law.k_neg), 0)
     total = float(np.add.reduce(h[ls + k] * law.probs[ls + law.k_neg]))
     total += float(law.probs[law.k_neg]) * h[k]
-    total += _heavy_positive_sum(law, h, k, tail)
+    total += positive
     return abs(total - h[k])
 
 
@@ -552,11 +612,10 @@ def harmonic_residual(law: StepLaw, order, k):
     positive side is summed directly for regular laws and tail-accelerated
     for heavy-tailed symmetric laws.
     """
-    cache = law.hcache()
     if law.heavy_tail:
-        return _heavy_residual(law, cache.array(order, _HEAVY_H_LEN), order,
-                               k, _heavy_tail(law))
-    h = cache.array(order, law.k_pos + k + 1)
+        positive, = _heavy_positive_sums(law, _heavy_tail(law), ((order, k),))
+        return _heavy_residual(law, order, k, positive)
+    h = law.hcache().array(order, law.k_pos + k + 1)
     ls = np.arange(-law.k_neg, law.k_pos + 1)
     idx = ls + k
     mask = idx >= 0

@@ -9,6 +9,7 @@ can be materialized lazily with certified geometric tail bounds.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -371,7 +372,7 @@ def validate(q: WeightSequence) -> ValidationReport:
     if q.is_finite:
         items = list(q.support.items())
     else:
-        items = [(k, q.value(k)) for k in range(1, 128)]
+        items = list(enumerate(map(q.value, range(1, 128)), 1))
     if not items or all(v == 0 for _, v in items):
         return ValidationReport(True, False, False, 0, False, ["empty support"])
     nonneg = all(v >= 0 for _, v in items)
@@ -388,10 +389,17 @@ def validate(q: WeightSequence) -> ValidationReport:
                    and 4 <= d <= 514}
         lattice |= {d - 2 for d, v in items if v > 0 and d % 2 == 1
                     and 3 <= d <= 257}
+        d = math.gcd(*lattice) if lattice else 0
     else:
-        lattice = {k for k in range(1, 257) if q.value(2 * k + 2) > 0}
-        lattice |= {k for k in range(1, 257, 2) if q.value(k + 2) > 0}
-    d = math.gcd(*lattice) if lattice else 0
+        # an infinite family's weights are read one degree at a time, in
+        # that order, until the gcd is 1: no later k can change it
+        d = 0
+        for k, deg in itertools.chain(zip(range(1, 257), range(4, 515, 2)),
+                                      zip(range(1, 257, 2), range(3, 258, 2))):
+            if d == 1:
+                break
+            if q.value(deg) > 0:
+                d = math.gcd(d, k)
     return ValidationReport(nonneg, nondeg, bip, d, nonneg and nondeg, msgs)
 
 

@@ -7,9 +7,10 @@ def pytest_addoption(parser):
     parser.addoption(
         "--reference-loops", action="store_true",
         help="run every compiled loop's reference (the Python h recurrence "
-             "and series pass, the numpy row fill, the Python lockstep loop "
-             "of finite runs and the numpy block rounds of infinite-map "
-             "runs; compiled draws run only inside the last two) for the "
+             "and series pass, the numpy lattice sums and row fill, the "
+             "Python lockstep loop of finite runs and the numpy block "
+             "rounds of infinite-map runs; compiled draws run only inside "
+             "the last two) for the "
              "whole session, as where the compiled library does not load")
 
 

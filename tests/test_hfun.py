@@ -347,6 +347,10 @@ class TestFloatRecurrence:
                    "run_start": "compiled lockstep differs from the Python loop",
                    "h_recurrence": "compiled h recurrence differs from the "
                                    "Python loop",
+                   "h_recurrence_rows": "compiled h recurrence differs from "
+                                        "the Python loop",
+                   "lattice_sums": "compiled lattice sums differ from the "
+                                   "numpy sums",
                    "series_sums": "compiled series sums differ from the "
                                   "Python pass"}[name]
         from peelkit.peeling import _slot, simulate_ensemble
@@ -375,6 +379,12 @@ class TestFloatRecurrence:
             elif name == "h_recurrence":    # the last entry, one ulp up
                 size = args[2]
                 last = ctypes.c_double.from_address(args[0] + 8 * (size - 1))
+                last.value = math.nextafter(last.value, math.inf)
+            elif name in ("h_recurrence_rows", "lattice_sums"):
+                # the last entry of the first row, one ulp up
+                row, n = (args[0], args[6]) if name == "h_recurrence_rows" \
+                    else (args[7], args[5])
+                last = ctypes.c_double.from_address(row + 8 * (n - 1))
                 last.value = math.nextafter(last.value, math.inf)
             else:                           # the first sum, one ulp up
                 sums = args[0]._obj.s

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+from peelkit import _native, hfun, walk
 from peelkit.criticality import solve_boltzmann
 from peelkit.errors import InconsistentCriticalityError, RangeError
 from peelkit.hfun import HCache
@@ -333,6 +335,90 @@ class TestSymmetricFamily:
         surv = np.array([law.probs[law.k_neg + k :].sum() for k in ks])
         slope = np.polyfit(np.log(ks), np.log(surv), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1)
+
+
+@pytest.fixture
+def empty_store():
+    """Every float table store emptied before the test and after it: the
+    test sees only the tables it grows, and no whole-array reference's
+    table outlives it."""
+    hfun._shared_float_cache.cache_clear()
+    yield
+    hfun._shared_float_cache.cache_clear()
+
+
+def _whole_lattice_sums(law, pairs):
+    """[sum_{l >= 1} h(o, l + k) nu(l) for (o, k) in pairs] of a
+    heavy-tailed law the way the streamed pass replaced: h from
+    `HCache.array` to 2^18 + 32, the model terms over the whole lattice
+    below 2^18, one np.cumsum over all of them, then
+    `extrapolated_partial_sums`."""
+    start, lattice, c2, c4 = walk._heavy_tail(law)
+    K = law.k_pos
+    nu = law.probs[law.k_neg + 1 : law.k_neg + K + 1]
+    l = np.arange(start, 1 << 18, lattice, dtype=float)
+    model = np.power(l, -2.0)
+    model *= c2
+    tail4 = np.power(l, -4.0, out=l)
+    tail4 *= c4
+    model += tail4
+    hs = {o: HCache(law.r, mode="float").array(o, (1 << 18) + 32)
+          for o, _ in pairs}
+    out = []
+    for o, k in pairs:
+        h = hs[o]
+        direct = float(np.add.reduce(h[1 + k : K + 1 + k] * nu))
+        terms = h[start + k :: lattice][: len(model)] * model
+        rest, _ = extrapolated_partial_sums(np.cumsum(terms), float(start),
+                                            float(lattice))
+        out.append(direct + rest)
+    return out
+
+
+class TestHeavyTailSums:
+    @pytest.mark.parametrize("r", [1.0, 0.9, 0.5, 0.0, -0.5])
+    def test_streamed_sums_bit_identical(self, r, empty_store):
+        # orders 0 and 1 at shifts 0..31, all in one streamed pass and a
+        # few one at a time, against the whole-array reference, bit for bit
+        pairs = [(o, k) for o in (0, 1) for k in range(32)]
+        for k_pos in (64, 256, 512):
+            law = symmetric_family(r, symmetric_a_max(r) / 2, k_pos=k_pos)
+            tail = walk._heavy_tail(law)
+            streamed = walk._heavy_positive_sums(law, tail, pairs)
+            ref = _whole_lattice_sums(law, pairs)
+            assert [x.hex() for x in streamed] == [x.hex() for x in ref], k_pos
+            for pair in ((0, 0), (1, 1), (0, 31)):
+                one, = walk._heavy_positive_sums(law, tail, [pair])
+                assert one.hex() == ref[pairs.index(pair)].hex()
+
+    def test_family_sums_pinned(self):
+        # the margin and both residuals of the r = 1 family, read from the
+        # whole-table sums before the streamed pass
+        law = symmetric_family(1.0, math.pi / 4)
+        assert (law.margin.hex(), law.residuals["harmonic_h0_k1"].hex(),
+                law.residuals["harmonic_h0_k2"].hex()) == (
+            "0x1.677c000000000p-39", "0x0.0p+0", "0x1.6000000000000p-50")
+
+    def test_memory_and_store(self, empty_store):
+        # the family and criterion 10's 60 residuals hold no table past the
+        # law's range: the whole-table sums peaked at 8.0 MB with 4.0 MB
+        # kept, in tables of 262,208 and 262,209 entries
+        if _native.library()[0] is None:
+            pytest.skip("the compiled loops' memory: the Python twins build "
+                        "a list per 4096 entries, and under tracemalloc "
+                        "they take minutes")
+        walk.symmetric_family(0.0, math.pi / 8, k_pos=64)   # loads, imports
+        tracemalloc.start()
+        try:
+            law = symmetric_family(1.0, math.pi / 4, k_pos=512)
+            worst = max(harmonic_residual(law, order, k)
+                        for k in range(1, 31) for order in (0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert worst.hex() == "0x1.7cd0000000000p-39"
+        assert max(map(len, hfun.shared_cache(1.0)._tables.values())) < 4096
 
 
 def _nu_mpmath(mpmath, r, a, k):

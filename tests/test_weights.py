@@ -26,10 +26,13 @@ from peelkit.weights import (
 
 def scan_validate(q):
     """`validate` as it was before finite supports read their lattice off
-    the support's keys: every check, with the vertex-count lattice scanned
-    through q.value over degrees 3..514 (still the path of infinite
-    families)."""
-    items = list(q.support.items())
+    the support's keys and infinite families stopped at a gcd of 1: every
+    check, with the vertex-count lattice scanned through q.value over
+    degrees 3..514."""
+    if q.is_finite:
+        items = list(q.support.items())
+    else:
+        items = [(k, q.value(k)) for k in range(1, 128)]
     if not items or all(v == 0 for _, v in items):
         return ValidationReport(True, False, False, 0, False, ["empty support"])
     msgs = []
@@ -89,6 +92,42 @@ class TestValidate:
         # negative weights must not enter the lattice read off the support
         q = WeightSequence(support)
         assert validate(q) == scan_validate(q)
+
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.dictionaries(
+        st.one_of(st.integers(1, 140), st.integers(250, 530)),
+        st.one_of(st.fractions(-2, 2, max_denominator=50),
+                  st.floats(-2.0, 2.0, allow_nan=False)),
+        max_size=5))
+    @example({4: 1, 6: 1})
+    @example({6: 1, 258: 1})
+    @example({8: 1, 14: 1, 257: 1})
+    @example({130: 1})
+    def test_infinite_family_matches_scan(self, support):
+        # the same weights read through a generator: the gcd stops at 1,
+        # and a lattice of gcd 2, 3 or 6, or none, is read to its end
+        def family():
+            return WeightSequence(gen=lambda k: support.get(k, 0.0),
+                                  tail_ratio=0.5)
+
+        assert validate(family()) == scan_validate(family())
+
+    @pytest.mark.parametrize("name, params", [
+        ("geometric", {"H": 1.5}), ("geometric", {"H": 3.0}),
+        ("geometric", {"H": 8.0}), ("symmetric_critical", {"r": 1.0, "a": math.pi / 4}),
+        ("symmetric_critical", {"r": 0.5, "a": 0.5}),
+        ("symmetric_critical", {"r": -0.5, "a": 0.3}),
+        ("two_p_angulation", {"p": 3}), ("odd_angulation", {"p": 2})])
+    def test_presets_match_scan(self, name, params):
+        # field by field, on the preset and on its scaled and deformed
+        # sequences
+        def shapes():
+            q = preset(name, **params).weights
+            return q, q.scaled(2.5), q.deformed(0.7)
+
+        for q, ref in zip(shapes(), shapes()):
+            assert validate(q) == scan_validate(ref)
 
 
 class TestNuFromQ:

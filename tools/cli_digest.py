@@ -66,6 +66,10 @@ INVOCATIONS = [
      "--format", "csv"],
     ["tune-critical", "--preset", "symmetric_critical", "--r", "1", "--a",
      "0.785"],
+    # the heavy-tailed family's margin and residuals, from its tail sums
+    # to l = 2^18 on the even lattice (r = 1) and on every integer
+    ["analyze", "--preset", "symmetric_critical", "--r", "1", "--a", "0.785"],
+    ["analyze", "--preset", "symmetric_critical", "--r", "0.5", "--a", "0.5"],
     # the tuner on three bipartite degrees, and on the non-bipartite
     # margin surface in (c, s)
     ["tune-critical", "--weights", '{"4":"1/2","6":"3","8":"4"}'],
