@@ -6,16 +6,17 @@ stays in the package as the fallback and the test reference:
 * ``h_recurrence_rows``, the float h recurrence of
   `hfun._recurrence_rows_py` for one or more orders, resumed at any index
   (the coefficients read the absolute index) and stepped two orders side
-  by side, so that their divisions overlap; ``h_recurrence`` is its one
-  order grown in place (`hfun._recurrence_py`), and a `hfun.TableStream`
+  by side, so that their divisions overlap; a shared table grows through
+  it as one row (`hfun.HCache._grow_float`), and a `hfun.TableStream`
   reads a heavy-tailed law's h past its range through it;
 * ``lattice_sums``, the running sums of h times the model terms on a
   heavy-tailed law's tail lattice, `walk._lattice_sums_py`'s np.cumsum
   added in a register;
-* ``series_sums``, an infinite family's solver series of
-  `criticality._series_py`: its terms from the weight cache, the h
+* ``series_sums``, an infinite family's series pass of
+  `weights._series_py`: its terms from the weight cache, the h
   recurrence and its r-derivative alongside, the sums per shift and the
-  tail cut, resumable where the weights run out;
+  tail cut that `WeightSequence.positive_terms` reads too, resumable
+  where the weights run out;
 * ``fill_rows``, the stacked rows of `peeling._Window._fill_numpy` with
   their guide cells, in the same pass, as `peeling._StackedCdf.append`
   writes them;
@@ -74,8 +75,8 @@ version and its static library's path, size and mtime, and loaded with
 ctypes; a compile removes the user's older compiled libraries there but
 the KEEP_LIBRARIES newest (`_prune`).  On loading, the compiled loops are
 compared with their references on small fixed inputs (`_self_check`): the
-h recurrence grown in place and resumed mid-table for three orders, the
-lattice sums, the series pass on synthetic weights, then the row fill
+h recurrence from a table's start and resumed mid-table for three orders,
+the lattice sums, the series pass on synthetic weights, then the row fill
 with its guide cells, the lockstep loop and the block rounds on synthetic
 laws, whose fixed uniforms lie on the cuts of each kind of stacked row the
 chain loops draw from, on the edges of their guide cells and on band
@@ -98,6 +99,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
 import os
 import platform
 import shutil
@@ -219,17 +221,6 @@ void h_recurrence_rows(double *rows, long long stride, double *prev,
     }
 }
 
-/* out[start+1 .. size-1] from out[start-1] and out[start]: one row of
-   h_recurrence_rows, in place */
-void h_recurrence(double *out, long long start, long long size, double r,
-                  long long k)
-{
-    double prev[2] = {out[start - 1], out[start]};
-    if (size > start + 1)
-        h_recurrence_rows(out + start + 1, 0, prev, &k, 1, start,
-                          size - start - 1, r);
-}
-
 /* Running sums of lattice products, as walk._lattice_sums_py: for each
    p < n_p, s[p] += h[off[p] + i * lattice] * w[i] for i < n in turn,
    written to out[p * stride + i]; s carries the sums from call to call. */
@@ -262,15 +253,17 @@ typedef struct {
     double bound;              /* the tail bound at the cut */
 } series_t;
 
-/* The series of an infinite family, as criticality._series_py: from term
+/* The series of an infinite family, as weights._series_py: from term
    k on, q_{k+2} c^k, h(order, order + i) at i = m - 1, m (h0, h1) and
-   their r-derivatives (d0, d1, when dr) by h_recurrence's recurrence
+   their r-derivatives (d0, d1, when dr) by h_recurrence_rows' recurrence
    and its derivative in r (hfun.derivative_list), and per shift j0 + i
    (i < n_j <= 2) the sums of the term, k times it and its r-derivative
-   part against h(order, k + j0 + i).  Ends after the first k >= k_first whose tail
-   bound falls below tol times the running total (SS_DONE), or at a
-   weight w lacks (SS_WEIGHTS; the pass resumes from where it stopped),
-   an exp that overflows (SS_OVERFLOW) or k past k_cap (SS_NO_CUT). */
+   part against h(order, k + j0 + i).  Ends after the first k >= k_first
+   whose tail bound falls below tol times the running total (SS_DONE):
+   the family's one tail cut, which WeightSequence.positive_terms reads
+   as well; or at a weight w lacks (SS_WEIGHTS; the pass resumes from
+   where it stopped), an exp that overflows (SS_OVERFLOW) or k past k_cap
+   (SS_NO_CUT). */
 long long series_sums(series_t *s)
 {
     const double one_m_r = 1.0 - s->r, ord = (double)s->order;
@@ -1197,7 +1190,7 @@ class Lockstep(ctypes.Structure):
 
 class Series(ctypes.Structure):
     """series_t: the weight cache and parameters of one series pass
-    (`criticality._System._family_sums`), and where the pass is."""
+    (`weights.WeightSequence.series_pass`), and where the pass is."""
     _fields_ = [("w", _P), ("n_w", _LL), ("log_w", _LL)] + [
         (name, ctypes.c_double) for name in ("c", "log_c", "r", "rho", "tol")] + [
         (name, _LL) for name in ("order", "j0", "n_j", "dr", "k_first", "k_cap",
@@ -1400,8 +1393,6 @@ def _open(path):
     lib.fixed_uint64.restype = ctypes.c_uint64
     lib.gamma_fill.argtypes = [_P, ctypes.c_double, ctypes.c_double, _LL, _P]
     lib.gamma_fill.restype = None
-    lib.h_recurrence.argtypes = [_P, _LL, _LL, ctypes.c_double, _LL]
-    lib.h_recurrence.restype = None
     lib.h_recurrence_rows.argtypes = [_P, _LL, _P, _P] + [_LL] * 3 + [ctypes.c_double]
     lib.h_recurrence_rows.restype = None
     lib.lattice_sums.argtypes = [_P, _P, _LL, _LL, _P, _LL, _P, _P, _LL]
@@ -1427,30 +1418,20 @@ def _self_check(lib):
     rounds against the numpy fill and the Python and numpy loops, which
     draw with numpy alone.  The check calls lib directly and never
     `library()`."""
-    from . import criticality, hfun, peeling, walk   # the references
+    from . import hfun, peeling, walk, weights   # the references
 
-    for r, k in ((0.37, -3), (-0.999999, 4), (1.0, 1)):
-        tabs = []
-        for fill in (lambda out, *a: lib.h_recurrence(address(out), *a),
-                     hfun._recurrence_py):
-            out = np.empty(100)
-            out[:2] = 1.0, (1.0 - r) * 0.5 + k
-            fill(out, 1, 100, r, k)
-            tabs.append(out.tobytes())
-        if tabs[0] != tabs[1]:
-            return "compiled h recurrence differs from the Python loop"
-    # the rows entry resumed at j = 40: a pair of orders and a single
-    # one, written past a row's first column
+    # the rows loop from a table's start (j = 1) and resumed at j = 40: a
+    # pair of orders and a single one, written past a row's first column
     ks = np.array([-3, 4, 1], dtype=np.int64)
-    for r in (0.37, 1.0):
+    for r, j in itertools.product((0.37, -0.999999, 1.0), (1, 40)):
         outs = []
         for fill in (lambda rows, prev: lib.h_recurrence_rows(
                          address(rows) + 8, 101, address(prev), address(ks),
-                         3, 40, 100, r),
+                         3, j, 100, r),
                      lambda rows, prev: hfun._recurrence_rows_py(
-                         rows[:, 1:], prev, ks, 40, r)):
+                         rows[:, 1:], prev, ks, j, r)):
             rows = np.zeros((3, 101))
-            prev = np.array([hfun.recurrence_list(r, int(k), 41)[-2:]
+            prev = np.array([hfun.recurrence_list(r, int(k), j + 1)[-2:]
                              for k in ks])
             fill(rows, prev)
             outs.append(rows.tobytes() + prev.tobytes())
@@ -1468,7 +1449,7 @@ def _self_check(lib):
         sums.append(out.tobytes() + carry.tobytes())
     if sums[0] != sums[1]:
         return "compiled lattice sums differ from the numpy sums"
-    if not criticality._same_series(lib):
+    if not weights._same_series(lib):
         return "compiled series sums differ from the Python pass"
     return peeling._same_lockstep(lib) or peeling._same_blocks(lib)
 

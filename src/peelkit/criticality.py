@@ -42,35 +42,33 @@ curve for a bipartite shape, and reads t* = 1/M at the root.
 
 The series of a finite support are summed in plain floats over its few
 terms q_{k+2} c^k; those of an infinite family in one compiled pass
-(`_native`'s series_sums, with `_series_py` as its reference and
-fallback) that forms the terms from the sequence's weight cache, runs the
-h recurrence and its r-derivative alongside and stops at the certified
-tail cut of `WeightSequence.positive_terms` (`_System` says how the input
-selects the pass).  Their derivatives come from the same terms: in c
-from k q_{k+2} c^(k-1), in r from the r-derivative of h (h's recurrence
-differentiated in r, run alongside it; `hfun.derivative_list` in plain
-floats).  A finite support's system keeps the terms of its last c; short
-h lists per (ratio, order, length), the same doubles as the shared
-tables, are kept for the whole process (`_h_lists`).  The Newton loops
-run on lists of Python floats.  The Miermont cross-check
-sums its binomial double series in log space, the inner sums of a block
-of 64 total degrees in one array pass.
+(`WeightSequence.series_pass`: `_native`'s series_sums, with
+`weights._series_py` as its reference and fallback) that forms the terms
+from the sequence's weight cache, runs the h recurrence and its
+r-derivative alongside and stops at the family's certified tail cut,
+which `WeightSequence.positive_terms` reads from the same pass (`_System`
+says how the input selects the pass).  Their derivatives come from the
+same terms: in c from k q_{k+2} c^(k-1), in r from the r-derivative of h
+(h's recurrence differentiated in r, run alongside it;
+`hfun.derivative_list` in plain floats).  A finite support's system keeps
+the terms of its last c; short h lists per (ratio, order, length), the
+same doubles as the shared tables, are kept for the whole process
+(`_h_lists`).  The Newton loops run on lists of Python floats.  The
+Miermont cross-check sums its binomial double series in log space, the
+inner sums of a block of 64 total degrees in one array pass.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _native
-from ._native import SS_DONE, SS_NO_CUT, SS_OVERFLOW, SS_WEIGHTS
 from .errors import BoundaryNotFoundError, DivergentSeriesError, SolverFailureError
 from .hfun import derivative_list, recurrence_list
-from .weights import K_CAP, TAIL_TOL, WeightSequence, validate
+from .weights import WeightSequence, validate
 
 RESIDUAL_TOL = 1e-12
 MARGIN_TOL = 1e-9
@@ -162,10 +160,11 @@ class _System:
     summed in plain floats: its terms q_{k+2} c^k, and h(order, .) with
     its r-derivative from the process-wide lists of `_h_lists`; a few
     terms cost less this way than one numpy call.  An infinite family
-    takes one series pass (`_family_sums`): the terms from its weight
-    cache and h(order, .) with its r-derivative by their recurrences,
-    summed in order up to `positive_terms`' certified tail cut, in C or,
-    where the library is not used, in `_series_py`, bit-identical.
+    takes one series pass (`_family_sums`, `WeightSequence.series_pass`):
+    the terms from its weight cache and h(order, .) with its r-derivative
+    by their recurrences, summed in order up to the family's certified
+    tail cut, which `positive_terms` reads from the same pass; in C or,
+    where the library is not used, in `weights._series_py`, bit-identical.
     """
 
     def __init__(self, q: WeightSequence):
@@ -191,31 +190,10 @@ class _System:
         return self._family_sums(c, r, order, shifts, dr)
 
     def _family_sums(self, c, r, order, shifts, dr):
-        """`_sums` of an infinite family in one series pass (`_native`'s
-        series_sums, or `_series_py` where the library is not used) up to
-        `positive_terms`' tail cut, over the sequence's weight cache, grown
-        as the pass asks (`WeightSequence.weight_cache`)."""
+        """`_sums` of an infinite family in one series pass up to its tail
+        cut (`WeightSequence.series_pass`)."""
         tab, dtab = _h_lists(r, order, 3)
-        q = self.q
-        k_first = q.first_cut()
-        st = _series(q.log_gen is not None, c, r, q.tail_rho(c), order, shifts,
-                     dr, k_first, K_CAP)
-        lib = _native.library()[0]
-        w = q.weight_cache(k_first + 2)
-        while True:
-            st.n_w = len(w)
-            if lib is None:
-                status = _series_py(st, w)
-            else:
-                st.w = _native.address(w)
-                status = lib.series_sums(ctypes.byref(st))
-            if status != SS_WEIGHTS:
-                break
-            w = q.weight_cache(st.k + 2)
-        if status == SS_OVERFLOW:
-            raise OverflowError("math range error")
-        if status == SS_NO_CUT:
-            raise DivergentSeriesError("family tail will not certify")
+        st = self.q.series_pass(c, r, order, shifts, dr)
         return tab, dtab, [(s, s_c / c, s_r if dr else None) for s, s_c, s_r
                            in zip(st.s[:len(shifts)], st.s_c[:], st.s_r[:])]
 
@@ -226,7 +204,7 @@ class _System:
         terms = self._terms
         if terms is None or terms[0] != c:
             # q_{k+2} c^k, through exp in log space where k log c > 600
-            # (raising OverflowError like `WeightSequence.positive_terms`)
+            # (raising OverflowError like `WeightSequence._terms`)
             log_c = math.log(c)
             vals, kvals = [], []
             for k, w in zip(ks, ws):
@@ -278,149 +256,6 @@ class _System:
         rows = [(s1 - h[1], s1_c, s1_r - dh[1]),
                 (2.0 / c**2 + s2 - h[2], -4.0 / c**3 + s2_c, s2_r - dh[2])]
         return _in_cs(rows, r)
-
-
-def _series(log_w, c, r, rho, order, shifts, dr, k_first, k_cap):
-    """The state of a series pass before its first term k = -1, with
-    h(order, .) and its r-derivative at indices -2 and -1 (zero).  shifts
-    are one or two consecutive j, the last at least order (ValueError
-    otherwise: the pass keeps two sums and reads h from index -1 on)."""
-    if not (len(shifts) in (1, 2) and shifts[-1] == shifts[0] + len(shifts) - 1
-            and shifts[-1] >= order):
-        raise ValueError(f"shifts {shifts!r} at order {order}")
-    return _native.Series(
-        log_w=log_w, c=c, log_c=math.log(c), r=r, rho=rho, tol=TAIL_TOL,
-        order=order, j0=shifts[0], n_j=len(shifts), dr=dr, k_first=k_first,
-        k_cap=k_cap, k=-1, m=-1)
-
-
-def _series_py(st, w):
-    """The reference of `_native`'s series_sums, and the pass where the
-    library is not used: the same double operations in the same order, on
-    the state st (a `_native.Series`) over w[:st.n_w], with the same result.
-
-    From term k on: q_{k+2} c^k, through exp in log space for log weights
-    (w holds log q) and where k log c > 600 (exp raising OverflowError
-    like `WeightSequence.positive_terms`); h(order, order + i) at
-    i = m - 1, m and their r-derivatives by `hfun`'s recurrences, from
-    their start values; and per shift j the sums of the term, k times the
-    term and, when dr, the term times dh/dr against h(order, k + j), zero
-    below the order.  The pass ends after the first k >= k_first whose
-    tail bound q_{k+2} c^k (k+2)^2 rho_k / (1 - rho_k), rho_k = rho e^(2/k),
-    falls below tol times the running total (at least 1): `positive_terms`'
-    cut, with libm's exp.
-    """
-    c, log_c, r, rho, tol = st.c, st.log_c, st.r, st.rho, st.tol
-    order, n_j, dr, k_first, k_cap = st.order, st.n_j, st.dr, st.k_first, st.k_cap
-    log_w = st.log_w
-    one_m_r = 1.0 - r
-    top = st.j0 + n_j - 1 - order
-    k, m, total = st.k, st.m, st.total
-    h0, h1, d0, d1 = st.h0, st.h1, st.d0, st.d1
-    s, s_c, s_r = list(st.s), list(st.s_c), list(st.s_r)
-    w = w[: st.n_w].tolist()
-    while True:
-        if k > k_cap:
-            status = SS_NO_CUT
-            break
-        if k + 2 > len(w):
-            status = SS_WEIGHTS
-            break
-        x = w[k + 1]
-        e = k * log_c
-        if log_w or (e > 600.0 and x != 0.0):
-            try:
-                v = math.exp(x + e if log_w else math.log(x) + e)
-            except OverflowError:
-                status = SS_OVERFLOW
-                break
-        elif e > 600.0:
-            v = 0.0
-        else:
-            v = x * c**k
-        while m < k + top:
-            dn = 0.0
-            if m == -1:
-                hn = 1.0
-            elif m == 0:
-                hn = one_m_r * 0.5 + order
-                if dr:
-                    dn = -0.5
-            else:
-                a = one_m_r * (m + 0.5) + order
-                b = r * (m + order)
-                hn = (a * h1 + b * h0) / (m + 1)
-                if dr:
-                    dn = (a * d1 + b * d0 - (m + 0.5) * h1
-                          + (m + order) * h0) / (m + 1)
-            h0, h1, d0, d1 = h1, hn, d1, dn
-            m += 1
-        kv = k * v
-        for i in range(n_j):
-            at = m - (n_j - 1 - i)
-            if at < 0:
-                continue
-            h, d = (h1, d1) if at == m else (h0, d0)
-            s[i] += v * h
-            s_c[i] += kv * h
-            if dr:
-                s_r[i] += v * d
-        total += v
-        lim = tol * (total if total > 1.0 else 1.0)
-        vk = v * float((k + 2) * (k + 2))
-        # the bound at rho, below the bound at rho_d >= rho in floats too
-        # (each rounding is monotone), says no cut without the exp
-        if k >= k_first and not vk * rho / (1.0 - rho) >= lim:
-            rho_d = rho * math.exp(2.0 / k)
-            if rho_d < 1.0:
-                bound = vk * rho_d / (1.0 - rho_d)
-                if bound < lim:
-                    st.bound = bound
-                    k += 1
-                    status = SS_DONE
-                    break
-        k += 1
-    st.k, st.m, st.total = k, m, total
-    st.h0, st.h1, st.d0, st.d1 = h0, h1, d0, d1
-    st.s[:], st.s_c[:], st.s_r[:] = s, s_c, s_r
-    return status
-
-
-def _same_series(lib):
-    """True when the compiled series pass ends with `_series_py`'s result
-    and state, bit for bit, on small fixed inputs: log weights; plain
-    weights with zeros and terms past the switch to exp at k log c > 600,
-    resumed after the weights run out; orders 0 and 1, one shift and two,
-    with and without dr; an exp that overflows and a cut that never
-    comes.  The state compared includes the tail bound at the cut, which
-    the solver does not read."""
-    d = np.arange(1.0, 501.0)
-    log_w = math.log(0.3) + d * math.log(0.1)
-    # 0.05^d reaches exp's switch at k = 208 (c = 18) and zero past d = 250
-    plain = np.where((d % 3 == 0) & (d < 60), 0.0, 0.05**d)
-    cases = (  # (w, log_w, c, r, order, shifts, dr, k_cap, n_w first)
-        (log_w, 1, 5.0, 0.37, 0, (1, 2), 1, K_CAP, 500),
-        (log_w, 1, 7.0, -0.999, 1, (1,), 0, K_CAP, 20),
-        (plain, 0, 18.0, -0.6, 1, (1,), 1, K_CAP, 100),
-        (plain, 0, 17.0, 1.0, 0, (2,), 0, K_CAP, 500),
-        (plain, 0, 19.9, 0.5, 0, (1, 2), 1, 70, 500),
-        (log_w + 800.0, 1, 2.5, 0.2, 0, (1, 2), 1, K_CAP, 500),
-    )
-    for w, lw, c, r, order, shifts, dr, k_cap, n_first in cases:
-        ends = []
-        for run in (lambda st: lib.series_sums(ctypes.byref(st)),
-                    lambda st: _series_py(st, w)):
-            st = _series(lw, c, r, (0.1 if lw else 0.05) * c, order, shifts,
-                         dr, 64, k_cap)
-            st.w, st.n_w = _native.address(w), n_first
-            status = [run(st)]
-            if status[0] == SS_WEIGHTS:
-                st.n_w = len(w)
-                status.append(run(st))
-            ends.append((status, bytes(st)))
-        if ends[0] != ends[1]:
-            return False
-    return True
 
 
 def _in_cs(rows, r):
@@ -616,10 +451,11 @@ def _start_points(q, sys):
 
 
 def _feasible_hi(sys, hi):
-    """Largest c at (or below) hi where the series evaluation is tractable."""
+    """Largest c at (or below) hi where the series evaluation is tractable:
+    where the series pass finds its tail cut, probed alone."""
     for _ in range(80):
         try:
-            sys.q.positive_terms(hi, deg=2)
+            sys.q.series_pass(hi)
             return hi
         except (DivergentSeriesError, OverflowError):
             hi = 2.0 + 0.9 * (hi - 2.0)
@@ -990,7 +826,7 @@ def miermont_check(q: WeightSequence, cd: CriticalData, tol=1e-8, n_max=4000):
     block.  Heavy-tailed families converge only like N^(-1/2), so their
     partial sums are Richardson-extrapolated on dyadic checkpoints.
     """
-    from .seriesutil import richardson_limit
+    from .seriesutil import extrapolate_checkpoints
 
     if cd.classification == "not_admissible":
         return MiermontReport(
@@ -1057,18 +893,13 @@ def miermont_check(q: WeightSequence, cd: CriticalData, tol=1e-8, n_max=4000):
         if not q.is_finite and not heavy:
             trunc = prev_term * n_hi
     if heavy and len(ckpts) == len(ckpt_ns) >= 3:
+        # the checkpoints n on the lattice 0.0 + n * 1.0
         expos = [0.5, 1.5, 2.5][: len(ckpt_ns) - 1]
-        fine = np.array([
-            richardson_limit(ckpt_ns, [c[i] for c in ckpts], expos)
-            for i in range(4)
-        ])
-        coarse = np.array([
-            richardson_limit(ckpt_ns[:-1], [c[i] for c in ckpts[:-1]],
-                             expos[:-1])
-            for i in range(4)
-        ])
-        trunc = float(np.max(np.abs(fine - coarse)))
-        acc = fine
+        acc, errs = zip(*(
+            extrapolate_checkpoints([c[i] for c in ckpts], ckpt_ns, 0.0, 1.0,
+                                    expos)
+            for i in range(4)))
+        trunc = _max_abs(errs)
         messages.append("heavy tail: partial sums extrapolated")
     f_diamond, f_dot, A0, A1 = acc
     res_dot = float(f_dot - (1.0 - 1.0 / zp))

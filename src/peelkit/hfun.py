@@ -37,9 +37,10 @@ Two evaluation modes back every cache:
   same recurrence in plain Python floats into a list, for tables too
   short to pay a numpy or compiled call; it too gives the same doubles.
 
-  The solver's series pass (`criticality`) runs the r-derivative of h
-  inline for its Jacobian, and `derivative_list` gives it as a plain-float
-  list.  Differentiating the recurrence in r gives, for d_j = dh(k, k+j)/dr,
+  An infinite family's series pass (`weights`) runs the r-derivative of h
+  inline for the solver's Jacobian, and `derivative_list` gives it as a
+  plain-float list.  Differentiating the recurrence in r gives, for
+  d_j = dh(k, k+j)/dr,
 
       (j+1) d_{j+1} = [(1-r)(j+1/2) + k] d_j + r (j+k) d_{j-1}
                       - (j+1/2) a_j + (j+k) a_{j-1},
@@ -203,13 +204,10 @@ class HCache:
         else:
             start = len(tab) - 1
             out[: start + 1] = tab
-        lib = _native.library()[0]
-        if lib is None:
-            _recurrence_py(out, start, size, r, k)
-        else:
-            # out is a fresh C-contiguous float64 array of length size, with
-            # 1 <= start < size; the GIL is released during the call
-            lib.h_recurrence(_native.address(out), start, size, r, k)
+        # one row of the rows loop, resumed at start
+        _fill_rows(out[None], start + 1,
+                   np.array([out[start - 1 : start + 1]]),
+                   np.array([k], dtype=np.int64), start, r)
         out.setflags(write=False)
         self._tables[k] = out
         return out
@@ -257,13 +255,6 @@ class HCache:
             lo = max(k, 0)
             out[lo : l_max + 1] = vals[lo - k :]
         return out
-
-
-def _recurrence_py(out, start, size, r, k):
-    """Fill out[start+1:size] from out[start-1] and out[start] by the
-    order-k recurrence at ratio r: one row of `_recurrence_rows_py`."""
-    prev = np.array([out[start - 1 : start + 1]])
-    _recurrence_rows_py(out[None, start + 1 : size], prev, (k,), start, r)
 
 
 def _recurrence_rows_py(rows, prev, ks, j, r):
@@ -377,8 +368,8 @@ def float_recurrence():
     """Which loop builds float h tables in this process, as data:
     ("c", path of the compiled library) or ("python", why the compiled one
     is not used, e.g. "no C compiler").  Both give bit-identical tables.
-    The chain loops and row fill (`peeling`) and the solver's series pass of
-    an infinite family (`criticality`) take the same path."""
+    The chain loops and row fill (`peeling`) and an infinite family's
+    series pass (`weights`) take the same path."""
     return _native.library()[1]
 
 

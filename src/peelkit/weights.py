@@ -4,11 +4,15 @@ A weight sequence assigns a nonnegative weight q_k to every face of degree
 k.  Finite sequences are plain sparse maps; the closed-form families
 (2p-angulations, odd angulations, geometric sequences, the symmetric
 critical family) carry a tag plus a generator so that infinite supports
-can be materialized lazily with certified geometric tail bounds.
+can be materialized lazily with certified geometric tail bounds.  An
+infinite family's series are cut in one place, the series pass
+(`WeightSequence.series_pass`), which the solver sums with and whose cut
+`positive_terms` reads.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import json
 import math
@@ -17,11 +21,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _native
+from ._native import SS_DONE, SS_NO_CUT, SS_OVERFLOW, SS_WEIGHTS
 from .errors import DivergentSeriesError
 from .hfun import recurrence_list, shared_cache
 
-# `positive_terms`' defaults: the tail's tolerance relative to the running
-# total, the least k it cuts at and the most terms it materializes
+# the series pass's tail cut (`WeightSequence.series_pass`): the tail's
+# tolerance relative to the running total, the least k it cuts at and the
+# most terms it reads
 TAIL_TOL = 1e-16
 K_MIN = 64
 K_CAP = 60_000
@@ -70,7 +77,6 @@ class WeightSequence:
         self.tail_start = tail_start
         self._support_cache = None
         self._weight_cache = np.empty(0)
-        self._last_cut = 0
         if gen is not None and tail_ratio is None:
             raise ValueError("infinite families need a certified tail ratio")
 
@@ -146,9 +152,10 @@ class WeightSequence:
     def weight_cache(self, n):
         """The per-sequence weight cache of an infinite family holding at
         least degrees 1..n (`_family_weights`).  A log-weight family's grows
-        to at least twice its length, any other's exactly to n: a series
-        pass that asks for one more degree at a time evaluates no weight
-        past its cut, as `positive_terms` evaluates none."""
+        to at least twice its length, any other's exactly to n: the series
+        pass (`series_pass`), which asks for one more degree at a time,
+        evaluates no weight past its cut, and neither does
+        `positive_terms`, which reads that cut."""
         have = len(self._weight_cache)
         if have < n:
             self._family_weights(max(n, 2 * have) if self.log_gen is not None
@@ -156,7 +163,8 @@ class WeightSequence:
         return self._weight_cache
 
     def first_cut(self):
-        """The least k at which `positive_terms` may cut the terms."""
+        """The least k at which the series pass (`series_pass`), and so
+        `positive_terms`, may cut the terms."""
         return max(K_MIN, self.tail_start - 2, 1)
 
     def tail_rho(self, c):
@@ -198,63 +206,59 @@ class WeightSequence:
         out[big] = _exp(np.log(w[big]) + ks[big] * log_c)
         return out
 
-    def positive_terms(self, c, deg=2, tol=TAIL_TOL):
+    def series_pass(self, c, r=0.0, order=0, shifts=(0,), dr=False):
+        """The state (a `_native.Series`) after one series pass of an
+        infinite family at (c, r): per shift j the sums of q_{k+2} c^k,
+        k q_{k+2} c^k and, when dr, q_{k+2} c^k dh/dr against
+        h(order, k + j) for k = -1..cut, with the cut k = st.k - 1 and its
+        tail bound st.bound.  With the defaults only the cut is read.
+
+        This is where an infinite family's series are cut, for the solver
+        and for `positive_terms` alike.  The pass runs in `_native`'s
+        series_sums, or in `_series_py` where the library is not used, over
+        the weight cache, grown as the pass asks (`weight_cache`).  Raises
+        DivergentSeriesError when the tail does not sum at c (`tail_rho`)
+        or certifies no cut within K_CAP terms, OverflowError when a term
+        overflows."""
+        k_first = self.first_cut()
+        st = _series(self.log_gen is not None, c, r, self.tail_rho(c), order,
+                     shifts, dr, k_first, K_CAP)
+        lib = _native.library()[0]
+        w = self.weight_cache(k_first + 2)
+        while True:
+            st.n_w = len(w)
+            if lib is None:
+                status = _series_py(st, w)
+            else:
+                st.w = _native.address(w)
+                status = lib.series_sums(ctypes.byref(st))
+            if status != SS_WEIGHTS:
+                break
+            w = self.weight_cache(st.k + 2)
+        if status == SS_OVERFLOW:
+            raise OverflowError("math range error")
+        if status == SS_NO_CUT:
+            raise DivergentSeriesError("family tail will not certify")
+        return st
+
+    def positive_terms(self, c):
         """Materialize nu-style terms q_{k+2} c^k for k >= -1.
 
-        Returns (ks, values, tail_bound) as numpy arrays and a float, where
-        tail_bound certifies sum_{k > ks[-1]} q_{k+2} c^k (k+2)^deg.  The
-        terms are computed a block at a time from the per-sequence weight
-        cache; the cut is the first k >= K_MIN whose tail bound falls below
-        tol times the running total (an in-order cumulative sum).  Raises
-        DivergentSeriesError when the family tail does not sum at this c,
-        or when it sums so slowly that materialization would be hopeless.
+        Returns (ks, values, tail_bound) as numpy arrays and a float.  A
+        finite support gives its own terms and a zero bound.  An infinite
+        family's terms run from k = -1 to the cut of the series pass
+        (`series_pass`), whose bound certifies
+        sum_{k > ks[-1]} q_{k+2} c^k (k+2)^2; the values are `_terms`'.
+        Raises DivergentSeriesError and OverflowError as the pass does.
         """
         c = float(c)
         log_c = math.log(c)
         if self.is_finite:
             ks = self._support_arrays()[0]
             return ks, self._terms(ks, c, log_c), 0.0
-        rho = self.tail_rho(c)
-        k_first = self.first_cut()
-        ks_parts, val_parts = [], []
-        total = 0.0
-        # first block: up to the last cut for log weights (nearby c cut
-        # nearby), the cached weights for the others
-        if self.log_gen is not None:
-            hi = max(K_MIN, self._last_cut) + 1
-        else:
-            hi = max(K_MIN + 1, min(len(self._weight_cache) - 1, K_CAP + 1))
-        lo = -1
-        while True:
-            ks = np.arange(lo, hi, dtype=np.int64)
-            vals = self._terms(ks, c, log_c)
-            ks_parts.append(ks)
-            val_parts.append(vals)
-            running = np.cumsum(np.concatenate(([total], vals)))[1:]
-            total = float(running[-1])
-            # candidate cuts: k >= k_first where rho e^(deg/k) < 1, a suffix
-            i0 = max(k_first - lo, 0)
-            rho_d = rho * np.exp(deg / ks[i0:])
-            skip = int(np.searchsorted(-rho_d, -1.0, "right"))
-            i0 += skip
-            rho_d = rho_d[skip:]
-            bound = vals[i0:] * (ks[i0:] + 2) ** deg * rho_d / (1.0 - rho_d)
-            hit = np.flatnonzero(bound < tol * np.maximum(1.0, running[i0:]))
-            if len(hit):
-                cut = i0 + int(hit[0])
-                self._last_cut = int(ks[cut])
-                ks_parts[-1] = ks[: cut + 1]
-                val_parts[-1] = vals[: cut + 1]
-                return (np.concatenate(ks_parts), np.concatenate(val_parts),
-                        float(bound[hit[0]]))
-            if hi > K_CAP:
-                raise DivergentSeriesError("family tail will not certify")
-            lo = hi
-            if self.log_gen is not None:
-                hi = min(2 * hi, K_CAP + 1)
-            else:
-                # gen-only families: never evaluate a weight past the cut
-                hi = max(hi + 1, min(len(self._weight_cache) - 1, K_CAP + 1))
+        st = self.series_pass(c)
+        ks = np.arange(-1, st.k, dtype=np.int64)
+        return ks, self._terms(ks, c, log_c), st.bound
 
     def scaled(self, t):
         """t * q, used to walk a shape toward its admissibility boundary."""
@@ -353,6 +357,153 @@ def parse_weight(text):
         return float(text)
 
 
+# -- the series pass ----------------------------------------------------------
+
+
+def _series(log_w, c, r, rho, order, shifts, dr, k_first, k_cap):
+    """The state of a series pass before its first term k = -1, with
+    h(order, .) and its r-derivative at indices -2 and -1 (zero).  shifts
+    are one or two consecutive j, the last at least order (ValueError
+    otherwise: the pass keeps two sums and reads h from index -1 on)."""
+    if not (len(shifts) in (1, 2) and shifts[-1] == shifts[0] + len(shifts) - 1
+            and shifts[-1] >= order):
+        raise ValueError(f"shifts {shifts!r} at order {order}")
+    return _native.Series(
+        log_w=log_w, c=c, log_c=math.log(c), r=r, rho=rho, tol=TAIL_TOL,
+        order=order, j0=shifts[0], n_j=len(shifts), dr=dr, k_first=k_first,
+        k_cap=k_cap, k=-1, m=-1)
+
+
+def _series_py(st, w):
+    """The reference of `_native`'s series_sums, and the pass where the
+    library is not used: the same double operations in the same order, on
+    the state st (a `_native.Series`) over w[:st.n_w], with the same result.
+
+    From term k on: q_{k+2} c^k, through exp in log space for log weights
+    (w holds log q) and where k log c > 600 (exp raising OverflowError
+    like `WeightSequence._terms`); h(order, order + i) at i = m - 1, m and
+    their r-derivatives by `hfun`'s recurrences, from their start values;
+    and per shift j the sums of the term, k times the term and, when dr,
+    the term times dh/dr against h(order, k + j), zero below the order.
+    The pass ends after the first k >= k_first whose tail bound
+    q_{k+2} c^k (k+2)^2 rho_k / (1 - rho_k), rho_k = rho e^(2/k), with
+    libm's exp, falls below tol times the running total (at least 1): the
+    tail cut of every infinite family's series, which `positive_terms`
+    reads too.
+    """
+    c, log_c, r, rho, tol = st.c, st.log_c, st.r, st.rho, st.tol
+    order, n_j, dr, k_first, k_cap = st.order, st.n_j, st.dr, st.k_first, st.k_cap
+    log_w = st.log_w
+    one_m_r = 1.0 - r
+    top = st.j0 + n_j - 1 - order
+    k, m, total = st.k, st.m, st.total
+    h0, h1, d0, d1 = st.h0, st.h1, st.d0, st.d1
+    s, s_c, s_r = list(st.s), list(st.s_c), list(st.s_r)
+    w = w[: st.n_w].tolist()
+    while True:
+        if k > k_cap:
+            status = SS_NO_CUT
+            break
+        if k + 2 > len(w):
+            status = SS_WEIGHTS
+            break
+        x = w[k + 1]
+        e = k * log_c
+        if log_w or (e > 600.0 and x != 0.0):
+            try:
+                v = math.exp(x + e if log_w else math.log(x) + e)
+            except OverflowError:
+                status = SS_OVERFLOW
+                break
+        elif e > 600.0:
+            v = 0.0
+        else:
+            v = x * c**k
+        while m < k + top:
+            dn = 0.0
+            if m == -1:
+                hn = 1.0
+            elif m == 0:
+                hn = one_m_r * 0.5 + order
+                if dr:
+                    dn = -0.5
+            else:
+                a = one_m_r * (m + 0.5) + order
+                b = r * (m + order)
+                hn = (a * h1 + b * h0) / (m + 1)
+                if dr:
+                    dn = (a * d1 + b * d0 - (m + 0.5) * h1
+                          + (m + order) * h0) / (m + 1)
+            h0, h1, d0, d1 = h1, hn, d1, dn
+            m += 1
+        kv = k * v
+        for i in range(n_j):
+            at = m - (n_j - 1 - i)
+            if at < 0:
+                continue
+            h, d = (h1, d1) if at == m else (h0, d0)
+            s[i] += v * h
+            s_c[i] += kv * h
+            if dr:
+                s_r[i] += v * d
+        total += v
+        lim = tol * (total if total > 1.0 else 1.0)
+        vk = v * float((k + 2) * (k + 2))
+        # the bound at rho, below the bound at rho_d >= rho in floats too
+        # (each rounding is monotone), says no cut without the exp
+        if k >= k_first and not vk * rho / (1.0 - rho) >= lim:
+            rho_d = rho * math.exp(2.0 / k)
+            if rho_d < 1.0:
+                bound = vk * rho_d / (1.0 - rho_d)
+                if bound < lim:
+                    st.bound = bound
+                    k += 1
+                    status = SS_DONE
+                    break
+        k += 1
+    st.k, st.m, st.total = k, m, total
+    st.h0, st.h1, st.d0, st.d1 = h0, h1, d0, d1
+    st.s[:], st.s_c[:], st.s_r[:] = s, s_c, s_r
+    return status
+
+
+def _same_series(lib):
+    """True when the compiled series pass ends with `_series_py`'s result
+    and state, bit for bit, on small fixed inputs: log weights; plain
+    weights with zeros and terms past the switch to exp at k log c > 600,
+    resumed after the weights run out; orders 0 and 1, one shift and two,
+    with and without dr; an exp that overflows and a cut that never
+    comes.  The state compared includes the tail bound at the cut, which
+    `WeightSequence.positive_terms` returns."""
+    d = np.arange(1.0, 501.0)
+    log_w = math.log(0.3) + d * math.log(0.1)
+    # 0.05^d reaches exp's switch at k = 208 (c = 18) and zero past d = 250
+    plain = np.where((d % 3 == 0) & (d < 60), 0.0, 0.05**d)
+    cases = (  # (w, log_w, c, r, order, shifts, dr, k_cap, n_w first)
+        (log_w, 1, 5.0, 0.37, 0, (1, 2), 1, K_CAP, 500),
+        (log_w, 1, 7.0, -0.999, 1, (1,), 0, K_CAP, 20),
+        (plain, 0, 18.0, -0.6, 1, (1,), 1, K_CAP, 100),
+        (plain, 0, 17.0, 1.0, 0, (2,), 0, K_CAP, 500),
+        (plain, 0, 19.9, 0.5, 0, (1, 2), 1, 70, 500),
+        (log_w + 800.0, 1, 2.5, 0.2, 0, (1, 2), 1, K_CAP, 500),
+    )
+    for w, lw, c, r, order, shifts, dr, k_cap, n_first in cases:
+        ends = []
+        for run in (lambda st: lib.series_sums(ctypes.byref(st)),
+                    lambda st: _series_py(st, w)):
+            st = _series(lw, c, r, (0.1 if lw else 0.05) * c, order, shifts,
+                         dr, 64, k_cap)
+            st.w, st.n_w = _native.address(w), n_first
+            status = [run(st)]
+            if status[0] == SS_WEIGHTS:
+                st.n_w = len(w)
+                status.append(run(st))
+            ends.append((status, bytes(st)))
+        if ends[0] != ends[1]:
+            return False
+    return True
+
+
 # -- validation --------------------------------------------------------------
 
 
@@ -428,7 +579,7 @@ class StepLawPositive:
         return max(self.nu) if self.nu else 0
 
 
-def nu_from_q(q: WeightSequence, c_plus, r, tol=TAIL_TOL) -> StepLawPositive:
+def nu_from_q(q: WeightSequence, c_plus, r) -> StepLawPositive:
     """Map face weights to walk step probabilities at spectral point (c_+, r)."""
     if float(c_plus) <= 2.0:
         raise ValueError("c_plus must exceed 2")
@@ -444,7 +595,7 @@ def nu_from_q(q: WeightSequence, c_plus, r, tol=TAIL_TOL) -> StepLawPositive:
                 nu[k] = v
         nu_m2 = 2 / c**2
         return StepLawPositive(float(c), float(r), nu, nu_m2, 0.0, True, Fraction(r))
-    ks, vals, tail = q.positive_terms(float(c_plus), deg=2, tol=tol)
+    ks, vals, tail = q.positive_terms(float(c_plus))
     nu = {k: v for k, v in zip(ks.tolist(), vals.tolist()) if v != 0}
     nu_m2 = 2.0 / float(c_plus) ** 2
     return StepLawPositive(float(c_plus), float(r), nu, nu_m2, tail, False)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peelkit import _native, criticality, hfun
+from peelkit import _native, criticality, hfun, weights
 from peelkit.errors import DivergentSeriesError, SolverFailureError
 from peelkit.hfun import HCache
 from peelkit.criticality import (
@@ -189,6 +189,33 @@ class TestSolve:
         cd = solve_boltzmann(preset("odd_angulation", p=2).weights, g=0.99)
         assert cd.residuals["path"] == "newton"
         assert 0 < len(calls) <= 45
+
+
+class TestClamp:
+    """The c clamp of `_bounds` on an infinite family: the largest c, on
+    steps of 0.9 toward 2 from c_max, where the series pass finds its tail
+    cut, probed without materializing a term."""
+
+    @pytest.mark.parametrize("name,params,g,pinned", [
+        ("geometric", {"H": 3.0}, 0.999, 3.3192514663409667),
+        ("geometric", {"H": 8.0}, 1.0, 2.16337792961267),
+        ("symmetric_critical", {"r": 0.5, "a": 0.5}, 0.98, 3.9014301959133935),
+        ("symmetric_critical", {"r": 1.0, "a": math.pi / 4}, 0.999,
+         2.4056438640757793),
+        ("symmetric_critical", {"r": -0.5, "a": 0.3}, 0.7, 25.535202195806878),
+    ])
+    def test_pinned(self, name, params, g, pinned, monkeypatch):
+        calls, terms = [], WeightSequence._terms
+
+        def counted(self, *args):
+            calls.append(args)
+            return terms(self, *args)
+
+        monkeypatch.setattr(WeightSequence, "_terms", counted)
+        q = preset(name, **params).weights.deformed(g)
+        clamp = criticality._bounds(criticality._System(q))[1][0]
+        assert clamp.hex() == pinned.hex()
+        assert calls == []
 
 
 class TestDeformedHeavyTail:
@@ -984,8 +1011,8 @@ class TestPlainFloatPass:
         monkeypatch.setattr(np, "dot", counter("dot", np.dot))
         lib = _native.library()[0]
         if lib is None:
-            monkeypatch.setattr(criticality, "_series_py",
-                                counter("pass", criticality._series_py))
+            monkeypatch.setattr(weights, "_series_py",
+                                counter("pass", weights._series_py))
         else:
             monkeypatch.setattr(lib, "series_sums",
                                 counter("pass", lib.series_sums))
@@ -1053,31 +1080,32 @@ class TestSeriesPass:
     @given(_families, st.floats(0.0, 0.95, exclude_min=True),
            st.floats(-0.99, 1.0, exclude_min=True),
            st.sampled_from([(0, (1, 2)), (0, (2,)), (1, (1,))]), st.booleans(),
-           st.sampled_from([300, criticality.K_CAP]))
+           st.sampled_from([300, weights.K_CAP]))
     def test_compiled_matches_reference(self, q, u, r, pass_, dr, k_cap):
-        # c anywhere in (2, c_max); a k_cap of 300 leaves the slow tails
-        # without a cut (DivergentSeriesError)
+        # c anywhere in (2, c_max); a K_CAP of 300 leaves the slow tails
+        # without a cut (DivergentSeriesError, from `tail_rho` or the pass)
         if _native.library()[0] is None:
             pytest.skip("the compiled library is not used in this session")
         c = 2.0 + u * ((1.0 - 1e-9) / q.tail_ratio - 2.0)
         order, shifts = pass_
-        kept, criticality.K_CAP = criticality.K_CAP, k_cap
+        kept, weights.K_CAP = weights.K_CAP, k_cap
         try:
             compiled = family_pass(q, c, r, order, shifts, dr)
             with numpy_draws():
                 reference = family_pass(q, c, r, order, shifts, dr)
         finally:
-            criticality.K_CAP = kept
+            weights.K_CAP = kept
         assert compiled == reference
 
     @pytest.mark.parametrize("path", ["loaded", "python"])
     def test_errors(self, path, monkeypatch):
         # an exp past the double range, and a tail that does not certify
-        # within k_cap terms (300 here)
+        # within K_CAP terms: 2400 here, above the 2280 that `tail_rho`
+        # asks of rho = 0.98 and below the cut at k = 2603
         huge = preset("geometric", H=3.0).weights.scaled(1e300).scaled(1e300)
         slow = preset("geometric", H=3.0).weights
         c_slow = 0.98 / slow.tail_ratio
-        monkeypatch.setattr(criticality, "K_CAP", 300)
+        monkeypatch.setattr(weights, "K_CAP", 2400)
         with numpy_draws() if path == "python" else contextlib.nullcontext():
             with pytest.raises(OverflowError):
                 criticality._System(huge)._sums(2.5, 0.3, 0, (1, 2), True)

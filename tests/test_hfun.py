@@ -194,9 +194,9 @@ def empty_store():
 
 @contextlib.contextmanager
 def loop_calls():
-    """{"c": calls of the compiled h recurrence, "python": calls of the
-    Python loop} made inside the block, by the loops this process has
-    loaded when it begins."""
+    """{"c": calls of the compiled h recurrence's rows entry, "python":
+    calls of its Python twin} made inside the block, by the loops this
+    process has loaded when it begins."""
     calls = {"c": 0, "python": 0}
 
     def counted(name, fn):
@@ -207,9 +207,11 @@ def loop_calls():
 
     lib = _native.library()[0]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hfun, "_recurrence_py", counted("python", hfun._recurrence_py))
+        patch.setattr(hfun, "_recurrence_rows_py",
+                      counted("python", hfun._recurrence_rows_py))
         if lib is not None:
-            patch.setattr(lib, "h_recurrence", counted("c", lib.h_recurrence))
+            patch.setattr(lib, "h_recurrence_rows",
+                          counted("c", lib.h_recurrence_rows))
         yield calls
 
 
@@ -345,8 +347,6 @@ class TestFloatRecurrence:
                    "block_rounds": "compiled block rounds differ from the numpy "
                                    "rounds",
                    "run_start": "compiled lockstep differs from the Python loop",
-                   "h_recurrence": "compiled h recurrence differs from the "
-                                   "Python loop",
                    "h_recurrence_rows": "compiled h recurrence differs from "
                                         "the Python loop",
                    "lattice_sums": "compiled lattice sums differ from the "
@@ -376,10 +376,6 @@ class TestFloatRecurrence:
             elif name == "fill_rows":   # the first entry filled, one ulp up
                 first = ctypes.c_double.from_address(args[-1])
                 first.value = math.nextafter(first.value, math.inf)
-            elif name == "h_recurrence":    # the last entry, one ulp up
-                size = args[2]
-                last = ctypes.c_double.from_address(args[0] + 8 * (size - 1))
-                last.value = math.nextafter(last.value, math.inf)
             elif name in ("h_recurrence_rows", "lattice_sums"):
                 # the last entry of the first row, one ulp up
                 row, n = (args[0], args[6]) if name == "h_recurrence_rows" \

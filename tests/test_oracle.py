@@ -324,7 +324,7 @@ class TestLoopEquationIdentities:
         else:
             # geometric tail: q_k c^k shrinks like sigma^k, certified by the
             # materialization machinery
-            ks, _vals, tail = q.positive_terms(c, deg=1, tol=1e-14)
+            ks, _vals, tail = q.positive_terms(c)
             degrees = [k + 2 for k in ks if k + 2 >= 1]
             assert tail < 1e-10
         for l in range(1, 11):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from peelkit.errors import DivergentSeriesError
 from peelkit.hfun import HCache
 from peelkit.weights import (
+    K_CAP,
     PRESET_ALIASES,
     StepLawPositive,
     ValidationReport,
@@ -22,6 +23,7 @@ from peelkit.weights import (
     q_from_nu,
     validate,
 )
+from test_criticality import _families
 
 
 def scan_validate(q):
@@ -169,26 +171,40 @@ class TestNuFromQ:
             nu_from_q(WeightSequence({4: Fraction(1, 12)}), 1.5, 1.0)
 
 
-def scalar_positive_terms(q, c, deg=2, tol=1e-16, k_min=64):
-    """Term-by-term reference for positive_terms on an infinite family."""
-    rho = q.tail_ratio * c
+def scalar_positive_terms(q, c):
+    """Term-by-term reference for positive_terms on an infinite family:
+    DivergentSeriesError where `tail_rho` refuses c or no cut comes within
+    K_CAP terms, OverflowError where a term overflows."""
+    rho = q.tail_rho(c)
     log_c = math.log(c)
     ks, vals, total, k = [], [], 0.0, -1
-    while True:
+    while k <= K_CAP:
         if q.log_gen is not None:
             term = math.exp(q.log_gen(k + 2) + k * log_c)
         else:
-            term = float(q.value(k + 2)) * c**k
+            w, e = float(q.value(k + 2)), k * log_c
+            # past k log c = 600 in log space, as the pass does
+            term = w * c**k if e <= 600.0 else (
+                math.exp(math.log(w) + e) if w else 0.0)
         ks.append(k)
         vals.append(term)
         total += term
-        if k >= k_min and k + 2 >= q.tail_start:
-            rho_d = rho * math.exp(deg / k)
+        if k >= 64 and k + 2 >= q.tail_start:
+            rho_d = rho * math.exp(2 / k)
             if rho_d < 1.0:
-                bound = term * (k + 2) ** deg * rho_d / (1.0 - rho_d)
-                if bound < tol * max(1.0, total):
+                bound = term * (k + 2) ** 2 * rho_d / (1.0 - rho_d)
+                if bound < 1e-16 * max(1.0, total):
                     return ks, vals, bound
         k += 1
+    raise DivergentSeriesError("no cut within K_CAP terms")
+
+
+def positive_terms_or_error(fn, q, c):
+    """fn(q, c), or the type of the error it raised."""
+    try:
+        return fn(q, c)
+    except (DivergentSeriesError, OverflowError) as exc:
+        return type(exc)
 
 
 class TestPositiveTerms:
@@ -206,6 +222,27 @@ class TestPositiveTerms:
             assert ks.tolist() == ref_ks
             np.testing.assert_allclose(vals, ref_vals, rtol=1e-15, atol=0)
             assert bound == pytest.approx(ref_bound, rel=1e-13)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(_families, st.floats(0.0, 1.0, exclude_min=True))
+    @example(preset("geometric", H=3.0).weights, 1.0)
+    @example(preset("geometric", H=3.0).weights.scaled(1e300).scaled(1e300),
+             0.5)
+    def test_families_match_scalar_loop(self, q, u):
+        # log-weight, generator-only and symmetric families, deformed and
+        # scaled, at c anywhere in (2, c_max]: the same ks, values within
+        # 1e-15, the bound within 1e-13, or the same error (a tail too
+        # slow at u = 1, a term past the double range)
+        c = 2.0 + u * ((1.0 - 1e-9) / q.tail_ratio - 2.0)
+        got = positive_terms_or_error(WeightSequence.positive_terms, q, c)
+        ref = positive_terms_or_error(scalar_positive_terms, q, c)
+        if isinstance(got, type) or isinstance(ref, type):
+            assert got is ref
+            return
+        (ks, vals, bound), (ref_ks, ref_vals, ref_bound) = got, ref
+        assert ks.tolist() == ref_ks
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-15, atol=0)
+        assert bound == pytest.approx(ref_bound, rel=1e-13)
 
     def test_gen_only_family_evaluates_no_extra_weights(self):
         # a family without log weights pays per weight (a quadrature for

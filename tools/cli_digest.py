@@ -94,6 +94,9 @@ INVOCATIONS = [
     ["simulate", "--preset", "geometric", "--H", "3", "--mode", "ibpm", "--l0",
      "1900", "--steps", "20000", "--seed", "1", "--format", "binary", "--out",
      OUT],
+    # a long geometric tail: the series pass cuts the step law's terms at
+    # k = 1,659, after 1,661 of them
+    ["analyze", "--preset", "geometric", "--H", "8"],
 ]
 
 
